@@ -99,18 +99,15 @@ impl DeepAr {
         &self.cfg
     }
 
-    fn dist_from(out: &[f64]) -> StudentT {
-        StudentT::new(out[0], softplus(out[1]) + SIGMA_FLOOR, NU_OFFSET + softplus(out[2]))
-    }
-
-    /// Run the context through the network, returning the final hidden
-    /// state (inference only, no caches).
-    fn encode(&self, gru: &GruCell, zctx: &[f64]) -> Vec<f64> {
-        let mut h = gru.init_state();
-        for t in 1..zctx.len() {
-            h = gru.apply(&[zctx[t - 1]], &h);
+    /// Student-t emitted by the head, or `Unhealthy` when the head output is
+    /// not finite (diverged weights) — `StudentT::new` would panic on it.
+    fn dist_from(out: &[f64; 3]) -> Result<StudentT, ForecastError> {
+        if !out.iter().all(|v| v.is_finite()) {
+            return Err(ForecastError::Unhealthy(format!(
+                "deepar: non-finite head output {out:?}"
+            )));
         }
-        h
+        Ok(StudentT::new(out[0], softplus(out[1]) + SIGMA_FLOOR, NU_OFFSET + softplus(out[2])))
     }
 }
 
@@ -235,32 +232,58 @@ impl Forecaster for DeepAr {
         } else {
             context
         };
+        if !ctx.iter().all(|v| v.is_finite()) {
+            return Err(ForecastError::Unhealthy("deepar: non-finite value in context".into()));
+        }
         let (m, sd) = window_scale(ctx);
         let zctx: Vec<f64> = ctx.iter().map(|v| (v - m) / sd).collect();
-        let h0 = self.encode(gru, &zctx);
-        let last = *zctx.last().expect("non-empty context");
 
-        // Ancestral sampling: deterministic per (model seed, context hash).
+        // Encode the context, then take the first sampling step: every
+        // path starts from the same state and the same last observation,
+        // so its hidden state and Student-t are computed once.
+        let mut cell = gru.stepper();
+        let mut out = [0.0; 3];
+        for x in &zctx {
+            cell.step(std::slice::from_ref(x));
+        }
+        head.apply_into(cell.state(), &mut out);
+        let first = Self::dist_from(&out)?;
+        let h1 = cell.state().to_vec();
+
+        // Ancestral sampling, path-major: all paths draw from one stream
+        // whose seed depends on the model seed only (not on the context),
+        // and the Student-t sampler consumes a variable number of draws, so
+        // visiting (path, step) in any other order changes every sample.
         let mut r = rng::seeded(rng::child_seed(self.cfg.seed, 0x5a5a));
         let n = self.cfg.num_samples;
-        let mut paths = Matrix::zeros(n, horizon);
+        // Stored step-major so each step's samples are one contiguous row.
+        let mut samples = Matrix::zeros(horizon, n);
         for s in 0..n {
-            let mut h = h0.clone();
-            let mut prev = last;
+            cell.set_state(&h1);
+            let mut dist = first;
             for t in 0..horizon {
-                h = gru.apply(&[prev], &h);
-                let out = head.apply(&h);
-                let z = Self::dist_from(&out).sample(&mut r);
-                paths[(s, t)] = z;
-                prev = z;
+                let z = dist.sample(&mut r);
+                if !z.is_finite() {
+                    return Err(ForecastError::Unhealthy(format!("deepar: non-finite sample {z}")));
+                }
+                samples[(t, s)] = z;
+                if t + 1 < horizon {
+                    cell.step(&[z]);
+                    head.apply_into(cell.state(), &mut out);
+                    dist = Self::dist_from(&out)?;
+                }
             }
         }
 
+        // One in-place sort per horizon step serves every level. The samples
+        // are finite, so `total_cmp` gives the order `stats::quantile` sorts
+        // into (the two differ only on NaN and between -0.0 and +0.0).
         let mut values = Matrix::zeros(horizon, levels.len());
         for t in 0..horizon {
-            let col = paths.col(t);
+            let step = samples.row_mut(t);
+            step.sort_unstable_by(f64::total_cmp);
             for (i, &l) in levels.iter().enumerate() {
-                values[(t, i)] = stats::quantile(&col, l) * sd + m;
+                values[(t, i)] = stats::quantile_sorted(step, l) * sd + m;
             }
         }
         Ok(QuantileForecast::new(levels.to_vec(), values))
@@ -358,6 +381,40 @@ mod tests {
         let f = m.forecast_quantiles(&series[..24], 3, &[0.123, 0.456, 0.987]).unwrap();
         assert_eq!(f.levels(), &[0.123, 0.456, 0.987]);
         assert!(f.is_monotone());
+    }
+
+    #[test]
+    fn non_finite_context_is_unhealthy_not_a_panic() {
+        let series = sine_series(400, 1.0, 5);
+        let mut m = DeepAr::new(tiny_cfg());
+        Forecaster::fit(&mut m, &series).unwrap();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut ctx = series[..12].to_vec();
+            ctx[5] = bad;
+            assert!(matches!(
+                m.forecast_quantiles(&ctx, 4, &[0.1, 0.5, 0.9]).unwrap_err(),
+                ForecastError::Unhealthy(_)
+            ));
+        }
+        // A non-finite value the context window has already slid past is fine.
+        let mut long = vec![f64::NAN];
+        long.extend_from_slice(&series[..12]);
+        assert_eq!(
+            m.forecast_quantiles(&long, 4, &[0.5]).unwrap(),
+            m.forecast_quantiles(&series[..12], 4, &[0.5]).unwrap()
+        );
+    }
+
+    #[test]
+    fn diverged_weights_are_unhealthy_not_a_panic() {
+        let series = sine_series(400, 1.0, 6);
+        let mut m = DeepAr::new(tiny_cfg());
+        Forecaster::fit(&mut m, &series).unwrap();
+        m.head.as_mut().unwrap().b.data[0] = f64::NAN;
+        assert!(matches!(
+            m.forecast_quantiles(&series[..12], 4, &[0.5]).unwrap_err(),
+            ForecastError::Unhealthy(_)
+        ));
     }
 
     #[test]

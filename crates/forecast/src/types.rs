@@ -23,9 +23,10 @@ pub enum ForecastError {
         /// Requested horizon.
         requested: usize,
     },
-    /// A produced forecast failed a health check (non-finite values,
-    /// implausible magnitude); raised by health gates wrapping a
-    /// forecaster, never by the base models themselves.
+    /// A forecast failed a health check (non-finite values, implausible
+    /// magnitude). Raised by health gates wrapping a forecaster, and by a
+    /// base model that would otherwise have to panic: DeepAR on a
+    /// non-finite context, head output or sample.
     Unhealthy(String),
 }
 

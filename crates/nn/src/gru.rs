@@ -7,7 +7,7 @@
 use crate::activation::sigmoid;
 use crate::{Layer, Param};
 use rpas_tsmath::rng::RngCore;
-use rpas_tsmath::vector;
+use rpas_tsmath::{vector, Matrix};
 
 /// Per-timestep cache of the quantities the backward pass needs.
 #[derive(Debug, Clone)]
@@ -115,17 +115,38 @@ impl GruCell {
 
     /// One recurrent step; caches everything backward needs.
     pub fn forward(&mut self, x: &[f64], h_prev: &[f64]) -> Vec<f64> {
-        let (h, step) = self.compute(x, h_prev);
-        self.cache.push(step);
+        let (h, z, r, h_tilde) = self.compute(x, h_prev);
+        self.cache.push(StepCache { x: x.to_vec(), h_prev: h_prev.to_vec(), z, r, h_tilde });
         h
     }
 
-    /// Inference-only step (no cache growth).
+    /// Inference-only step (no cache growth). This is the plain reference
+    /// form; [`GruStepper`] is the fast path and is pinned against it bit
+    /// for bit.
     pub fn apply(&self, x: &[f64], h_prev: &[f64]) -> Vec<f64> {
         self.compute(x, h_prev).0
     }
 
-    fn compute(&self, x: &[f64], h_prev: &[f64]) -> (Vec<f64>, StepCache) {
+    /// Inference stepper over this cell's current weights: the same values
+    /// as repeated [`GruCell::apply`], bit for bit, without per-step
+    /// allocation. Build one per inference call and reuse it across steps.
+    pub fn stepper(&self) -> GruStepper<'_> {
+        let n = self.hidden_dim;
+        GruStepper {
+            update: KMajorGate::new(&self.wz, &self.uz, &self.bz, self.input_dim, n),
+            reset: KMajorGate::new(&self.wr, &self.ur, &self.br, self.input_dim, n),
+            candidate: KMajorGate::new(&self.wh, &self.uh, &self.bh, self.input_dim, n),
+            input_dim: self.input_dim,
+            h: vec![0.0; n],
+            z: vec![0.0; n],
+            r: vec![0.0; n],
+            rh: vec![0.0; n],
+            ah: vec![0.0; n],
+        }
+    }
+
+    /// `(h', z, r, h̃)` of one step.
+    fn compute(&self, x: &[f64], h_prev: &[f64]) -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>) {
         assert_eq!(x.len(), self.input_dim, "GruCell: input dim mismatch");
         assert_eq!(h_prev.len(), self.hidden_dim, "GruCell: hidden dim mismatch");
         let n = self.hidden_dim;
@@ -150,8 +171,7 @@ impl GruCell {
         for i in 0..n {
             h[i] = (1.0 - z[i]) * h_prev[i] + z[i] * h_tilde[i];
         }
-        let step = StepCache { x: x.to_vec(), h_prev: h_prev.to_vec(), z, r, h_tilde };
-        (h, step)
+        (h, z, r, h_tilde)
     }
 
     /// One BPTT step in reverse order. `dh` is the gradient flowing into the
@@ -202,6 +222,123 @@ impl GruCell {
         vector::axpy(1.0, &dar, &mut self.br.grad);
 
         (dx, dh_prev)
+    }
+}
+
+/// Rows accumulated together by [`mat_acc_kmajor`]: 8 `f64` accumulators
+/// are four SSE2 registers, which leaves room for the broadcast operand and
+/// the loaded weights on the baseline x86-64 target.
+const ROW_BLOCK: usize = 8;
+
+/// `y += M x` where `mt` is `M` stored k-major (`mt[k * rows + r] = M[r][k]`).
+///
+/// Bit-identical to [`mat_acc`] on the row-major `M`: every row's sum starts
+/// at `-0.0` (the identity `Sum for f64` folds from) and adds its products
+/// in ascending `k`, exactly as `vector::dot` does. Only the loop nest is
+/// turned inside out, so the independent rows of a block advance together
+/// and fill SIMD lanes instead of each being one serial add chain.
+fn mat_acc_kmajor(mt: &[f64], x: &[f64], y: &mut [f64]) {
+    let rows = y.len();
+    debug_assert_eq!(mt.len(), rows * x.len(), "mat_acc_kmajor: shape mismatch");
+    let mut r0 = 0;
+    while r0 + ROW_BLOCK <= rows {
+        let mut acc = [-0.0f64; ROW_BLOCK];
+        for (col, &xk) in mt.chunks_exact(rows).zip(x) {
+            for (a, &m) in acc.iter_mut().zip(&col[r0..r0 + ROW_BLOCK]) {
+                *a += m * xk;
+            }
+        }
+        for (yr, a) in y[r0..r0 + ROW_BLOCK].iter_mut().zip(acc) {
+            *yr += a;
+        }
+        r0 += ROW_BLOCK;
+    }
+    for (r, yr) in y.iter_mut().enumerate().skip(r0) {
+        let mut a = -0.0f64;
+        for (col, &xk) in mt.chunks_exact(rows).zip(x) {
+            a += col[r] * xk;
+        }
+        *yr += a;
+    }
+}
+
+/// One gate's weights in k-major order (see [`mat_acc_kmajor`]).
+#[derive(Debug)]
+struct KMajorGate<'a> {
+    /// Input→gate weights, `input × hidden`.
+    wt: Matrix,
+    /// Hidden→gate weights, `hidden × hidden`.
+    ut: Matrix,
+    b: &'a [f64],
+}
+
+impl<'a> KMajorGate<'a> {
+    fn new(w: &Param, u: &Param, b: &'a Param, input: usize, hidden: usize) -> Self {
+        Self {
+            wt: Matrix::from_vec(hidden, input, w.data.clone()).transpose(),
+            ut: Matrix::from_vec(hidden, hidden, u.data.clone()).transpose(),
+            b: &b.data,
+        }
+    }
+
+    /// `out = (b + W x) + U h`, the association [`GruCell::apply`] uses.
+    fn pre_activation(&self, x: &[f64], h: &[f64], out: &mut [f64]) {
+        out.copy_from_slice(self.b);
+        mat_acc_kmajor(self.wt.data(), x, out);
+        mat_acc_kmajor(self.ut.data(), h, out);
+    }
+}
+
+/// Inference-only GRU stepper: owns the hidden state and every scratch
+/// buffer, so [`GruStepper::step`] does not allocate. Created by
+/// [`GruCell::stepper`]; borrows the cell, so the weights cannot change
+/// under it.
+#[derive(Debug)]
+pub struct GruStepper<'a> {
+    update: KMajorGate<'a>,
+    reset: KMajorGate<'a>,
+    candidate: KMajorGate<'a>,
+    input_dim: usize,
+    h: Vec<f64>,
+    z: Vec<f64>,
+    r: Vec<f64>,
+    rh: Vec<f64>,
+    /// Candidate pre-activation `a_h`; `tanh` is applied as it is consumed.
+    ah: Vec<f64>,
+}
+
+impl GruStepper<'_> {
+    /// Current hidden state (all zeros until set or stepped).
+    pub fn state(&self) -> &[f64] {
+        &self.h
+    }
+
+    /// Overwrite the hidden state.
+    ///
+    /// # Panics
+    /// Panics if `h` is not `hidden_dim` long.
+    pub fn set_state(&mut self, h: &[f64]) {
+        self.h.copy_from_slice(h);
+    }
+
+    /// Advance the hidden state by one step on input `x` and return it.
+    ///
+    /// # Panics
+    /// Panics if `x` is not `input_dim` long.
+    pub fn step(&mut self, x: &[f64]) -> &[f64] {
+        assert_eq!(x.len(), self.input_dim, "GruStepper: input dim mismatch");
+        self.update.pre_activation(x, &self.h, &mut self.z);
+        self.z.iter_mut().for_each(|a| *a = sigmoid(*a));
+        self.reset.pre_activation(x, &self.h, &mut self.r);
+        self.r.iter_mut().for_each(|a| *a = sigmoid(*a));
+        for ((rh, &r), &h) in self.rh.iter_mut().zip(&self.r).zip(&self.h) {
+            *rh = r * h;
+        }
+        self.candidate.pre_activation(x, &self.rh, &mut self.ah);
+        for ((h, &z), &a) in self.h.iter_mut().zip(&self.z).zip(&self.ah) {
+            *h = (1.0 - z) * *h + z * a.tanh();
+        }
+        &self.h
     }
 }
 

@@ -36,7 +36,7 @@ pub use activation::{ActLayer, Activation};
 pub use adam::{Adam, Sgd};
 pub use attention::MultiHeadAttention;
 pub use grn::{GatedResidualNetwork, LayerNorm};
-pub use gru::GruCell;
+pub use gru::{GruCell, GruStepper};
 pub use linear::Dense;
 pub use lstm::LstmCell;
 pub use param::Param;

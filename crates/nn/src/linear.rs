@@ -47,13 +47,19 @@ impl Dense {
 
     /// Inference-only forward that does not grow the cache.
     pub fn apply(&self, x: &[f64]) -> Vec<f64> {
+        let mut y = vec![0.0; self.out_dim];
+        self.apply_into(x, &mut y);
+        y
+    }
+
+    /// [`Dense::apply`] into a caller-owned buffer of length `out_dim`.
+    pub fn apply_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.in_dim, "Dense::apply: input dim mismatch");
-        let mut y = self.b.data.clone();
+        y.copy_from_slice(&self.b.data);
         for (o, yo) in y.iter_mut().enumerate() {
             let row = &self.w.data[o * self.in_dim..(o + 1) * self.in_dim];
             *yo += vector::dot(row, x);
         }
-        y
     }
 
     /// Backward pass: accumulate `dW`, `db` and return `dx`.

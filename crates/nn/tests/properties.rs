@@ -45,6 +45,45 @@ fn gru_state_stays_bounded() {
 }
 
 #[test]
+fn gru_stepper_matches_apply_bit_for_bit() {
+    // The stepper reorders loops, not sums: every hidden size — below,
+    // at, and off a multiple of its row block — must reproduce the plain
+    // reference cell exactly, over several chained steps.
+    const HIDDEN: [usize; 8] = [1, 3, 7, 8, 9, 31, 48, 67];
+    forall("gru_stepper_matches_apply_bit_for_bit", 96, |g| {
+        let mut r = seeded(g.u64());
+        let hidden = HIDDEN[g.usize_in(0, HIDDEN.len())];
+        let input = g.usize_in(1, 4);
+        let mut gru = GruCell::new(input, hidden, &mut r);
+        gru.visit_params(&mut |p| {
+            for w in &mut p.data {
+                *w = g.f64_in(-1.5, 1.5);
+            }
+        });
+        // A signed zero in the weights exercises the sums' `-0.0` start.
+        gru.uz.data[0] = -0.0;
+        gru.wh.data[0] = 0.0;
+
+        let mut h = g.vec_f64(-1.0, 1.0, hidden, hidden + 1);
+        let mut stepper = gru.stepper();
+        prop_assert!(stepper.state().iter().all(|v| v.to_bits() == 0), "fresh state is +0.0");
+        stepper.set_state(&h);
+        for step in 0..g.usize_in(1, 7) {
+            let x = g.vec_f64(-3.0, 3.0, input, input + 1);
+            h = gru.apply(&x, &h);
+            let fast = stepper.step(&x);
+            for (i, (a, b)) in h.iter().zip(fast).enumerate() {
+                prop_assert!(
+                    a.to_bits() == b.to_bits(),
+                    "hidden {hidden} input {input} step {step} unit {i}: {a:e} vs {b:e}"
+                );
+            }
+        }
+        Ok(())
+    });
+}
+
+#[test]
 fn lstm_hidden_bounded_by_one() {
     forall("lstm_hidden_bounded_by_one", 48, |g| {
         let mut r = seeded(g.u64());

@@ -51,17 +51,26 @@ pub fn max(xs: &[f64]) -> Option<f64> {
 /// # Panics
 /// Panics on an empty slice or `p` outside `[0, 1]`.
 pub fn quantile(xs: &[f64], p: f64) -> f64 {
-    assert!(!xs.is_empty(), "quantile of empty slice");
-    assert!((0.0..=1.0).contains(&p), "quantile level must be in [0,1], got {p}");
     let mut v: Vec<f64> = xs.to_vec();
     v.sort_by(|a, b| a.partial_cmp(b).expect("quantile: NaN in data"));
-    let h = p * (v.len() - 1) as f64;
+    quantile_sorted(&v, p)
+}
+
+/// [`quantile`] of data already in ascending order: no copy, no sort, so
+/// many levels can be read off one sorted buffer.
+///
+/// # Panics
+/// Panics on an empty slice or `p` outside `[0, 1]`.
+pub fn quantile_sorted(sorted: &[f64], p: f64) -> f64 {
+    assert!(!sorted.is_empty(), "quantile of empty slice");
+    assert!((0.0..=1.0).contains(&p), "quantile level must be in [0,1], got {p}");
+    let h = p * (sorted.len() - 1) as f64;
     let lo = h.floor() as usize;
     let hi = h.ceil() as usize;
     if lo == hi {
-        v[lo]
+        sorted[lo]
     } else {
-        v[lo] + (h - lo as f64) * (v[hi] - v[lo])
+        sorted[lo] + (h - lo as f64) * (sorted[hi] - sorted[lo])
     }
 }
 
@@ -375,6 +384,11 @@ mod tests {
         assert_eq!(quantile(&xs, 1.0), 4.0);
         assert!((quantile(&xs, 0.5) - 2.5).abs() < 1e-12);
         assert!((quantile(&xs, 0.25) - 1.75).abs() < 1e-12);
+        // Unsorted input goes through the same rule as a presorted buffer.
+        let shuffled = [3.0, 1.0, 4.0, 2.0];
+        for p in [0.0, 0.1, 0.25, 0.5, 0.9, 1.0] {
+            assert_eq!(quantile(&shuffled, p).to_bits(), quantile_sorted(&xs, p).to_bits());
+        }
     }
 
     #[test]

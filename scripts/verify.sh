@@ -310,6 +310,16 @@ grep -q "steady 0 over" "$trace_tmp/fleet_bench.txt" || {
 }
 echo "ok: fleet hot path within the pinned perf/alloc budget"
 
+echo "== decision-cycle ledger self-check (BENCHMARK.json workloads) =="
+# 6. Every ledger workload twice for 1.5 s: both runs must verify their
+#    own outputs, agree on the digest, and agree on each end-to-end
+#    metric within its BENCHMARK.json bound (ledger/README.md).
+cargo run --release --offline --quiet --manifest-path ledger/Cargo.toml -- --check || {
+    echo "ERROR: ledger --check failed (incorrect output, digest drift or unrepeatable metric)" >&2
+    exit 1
+}
+echo "ok: ledger workloads correct and repeatable"
+
 if [[ "${RPAS_VERIFY_PARALLEL:-0}" == "1" ]]; then
     echo "== table1 thread-count invariance =="
     tmp="$(mktemp -d)"

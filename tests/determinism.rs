@@ -106,6 +106,86 @@ fn deepar_is_deterministic() {
     });
 }
 
+/// The pre-stepper `DeepAr::forecast_quantiles`, transcribed from public
+/// pieces only: allocate-per-step `GruCell::apply` / `Dense::apply`, one
+/// `StudentT` per step, a clone-and-sort `stats::quantile` per level. Slow
+/// and obviously right; the production path must match it bit for bit.
+fn deepar_reference(
+    cfg: &DeepArConfig,
+    weights: &[u8],
+    context: &[f64],
+    horizon: usize,
+    levels: &[f64],
+) -> Vec<u64> {
+    use rpas::nn::loss::{NU_OFFSET, SIGMA_FLOOR};
+    use rpas::nn::{load_weights, Dense, GruCell};
+    use rpas::tsmath::special::softplus;
+    use rpas::tsmath::{rng, stats, Distribution, StudentT};
+
+    let mut init = rng::seeded(cfg.seed);
+    let mut gru = GruCell::new(1, cfg.hidden, &mut init);
+    let mut head = Dense::new(cfg.hidden, 3, &mut init);
+    load_weights(&mut [&mut gru, &mut head], weights).expect("weights match config");
+
+    let ctx = &context[context.len().saturating_sub(cfg.context)..];
+    let m = stats::mean(ctx);
+    let sd = stats::std_dev(ctx);
+    let sd = if sd.is_nan() || sd < 1e-6 { 1e-6 } else { sd };
+    let zctx: Vec<f64> = ctx.iter().map(|v| (v - m) / sd).collect();
+    let mut h0 = gru.init_state();
+    for z in &zctx[..zctx.len() - 1] {
+        h0 = gru.apply(&[*z], &h0);
+    }
+
+    let mut r = rng::seeded(rng::child_seed(cfg.seed, 0x5a5a));
+    let mut paths = vec![vec![0.0; cfg.num_samples]; horizon];
+    for s in 0..cfg.num_samples {
+        let mut h = h0.clone();
+        let mut prev = zctx[zctx.len() - 1];
+        for col in paths.iter_mut() {
+            h = gru.apply(&[prev], &h);
+            let out = head.apply(&h);
+            let dist =
+                StudentT::new(out[0], softplus(out[1]) + SIGMA_FLOOR, NU_OFFSET + softplus(out[2]));
+            prev = dist.sample(&mut r);
+            col[s] = prev;
+        }
+    }
+    paths
+        .iter()
+        .flat_map(|col| levels.iter().map(|&l| (stats::quantile(col, l) * sd + m).to_bits()))
+        .collect()
+}
+
+#[test]
+fn deepar_matches_reference_sampling_loop() {
+    // hidden 12 = one 8-row block + a 4-row tail of the stepper's kernel.
+    let cfg = DeepArConfig {
+        context: CONTEXT,
+        train_window: CONTEXT + HORIZON,
+        hidden: 12,
+        epochs: 3,
+        lr: 2e-3,
+        windows_per_epoch: 32,
+        num_samples: 40,
+        seed: 9,
+    };
+    let (train, test) = fixed_series();
+    let mut model = DeepAr::new(cfg.clone());
+    model.fit(&train).expect("fit");
+    let weights = model.export_weights().expect("fitted");
+    // A context longer than, equal to, and shorter than `cfg.context`.
+    for ctx_len in [CONTEXT + 7, CONTEXT, 5] {
+        let ctx = &test[..ctx_len];
+        let fast = model.forecast_quantiles(ctx, HORIZON, &SCALING_LEVELS).expect("forecast");
+        assert_eq!(
+            forecast_bits(&fast),
+            deepar_reference(&cfg, &weights, ctx, HORIZON, &SCALING_LEVELS),
+            "context length {ctx_len}"
+        );
+    }
+}
+
 #[test]
 fn tft_is_deterministic() {
     assert_deterministic("tft", CONTEXT, || {

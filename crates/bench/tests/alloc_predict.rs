@@ -1,30 +1,47 @@
-//! Allocation ratchet for one DeepAR `forecast_quantiles` call.
+//! Allocation ratchet for one `forecast_quantiles` call of each neural
+//! forecaster.
 //!
 //! DeepAR inference used to allocate on every GRU step of every sample
 //! path (80 591 allocations / 25.9 MB for 100 paths × 72 steps). It now
 //! runs on `rpas_nn::GruStepper` with buffers built once per call, so the
 //! count is a small constant: the stepper's weight copies and scratch, the
-//! sample matrix, the result. This test pins both halves
-//! of that — the ceiling, and that the count does not move with paths ×
-//! horizon — so a `Vec` that creeps back into the sampling loop fails here
+//! sample matrix, the result. TFT inference used to clone its whole net
+//! and push training caches on every step (2 564 allocations / 2.2 MB at
+//! context 72); it now runs the cache-free `&self` layer paths over one
+//! scratch set per call. This test pins both halves of that for both
+//! models — the ceiling, and that the count does not move with the problem
+//! size — so a `Vec` that creeps back into a per-step loop fails here
 //! instead of showing up as a slow ledger row.
 //!
 //! Kept to a single `#[test]` in its own binary: the counting allocator
 //! observes the whole process (see `alloc_ratchet.rs`).
 
 use rpas_bench::alloc;
-use rpas_forecast::{DeepAr, DeepArConfig, Forecaster, SCALING_LEVELS};
+use rpas_forecast::{DeepAr, DeepArConfig, Forecaster, Tft, TftConfig, SCALING_LEVELS};
 
 #[global_allocator]
 static ALLOC: alloc::CountingAlloc = alloc::CountingAlloc;
 
-/// Ceiling on allocator calls per predict.
-const MAX_ALLOCS: u64 = 32;
+/// Ceiling on allocator calls per DeepAR predict.
+const MAX_DEEPAR_ALLOCS: u64 = 32;
+/// Ceiling on allocator calls per TFT predict.
+const MAX_TFT_ALLOCS: u64 = 64;
 
-#[test]
-fn deepar_predict_allocations_are_constant_in_paths_and_horizon() {
-    assert!(alloc::installed(), "counting allocator must route this binary's allocations");
+/// Allocator calls and bytes of one predict. The counters are process-wide
+/// and libtest's main thread allocates now and then while it waits for this
+/// one; a predict is deterministic, so stray counts only ever add and the
+/// smallest of a few repeats is exact.
+fn predict_cost(model: &dyn Forecaster, context: &[f64], horizon: usize) -> alloc::AllocStats {
+    let once = || {
+        let (out, stats) =
+            alloc::measure(|| model.forecast_quantiles(context, horizon, &SCALING_LEVELS));
+        assert_eq!(out.expect("forecast").horizon(), horizon);
+        stats
+    };
+    (0..5).map(|_| once()).min_by_key(|s| (s.allocs, s.bytes)).expect("five repeats")
+}
 
+fn deepar_allocations_are_constant_in_paths_and_horizon(series: &[f64]) {
     let cfg = |num_samples| DeepArConfig {
         context: 24,
         train_window: 48,
@@ -35,38 +52,66 @@ fn deepar_predict_allocations_are_constant_in_paths_and_horizon() {
         num_samples,
         seed: 5,
     };
-    let series: Vec<f64> = (0..400).map(|t| 40.0 + 10.0 * (t as f64 * 0.26).sin()).collect();
     let mut small = DeepAr::new(cfg(10));
-    small.fit(&series).expect("fit");
+    small.fit(series).expect("fit");
     let mut large = DeepAr::new(cfg(100));
     large.import_weights(&small.export_weights().expect("fitted")).expect("same architecture");
 
     let context = &series[300..324];
-    // The counters are process-wide and libtest's main thread allocates now
-    // and then while it waits for this one; a predict is deterministic, so
-    // stray counts only ever add and the smallest of a few repeats is exact.
-    let predict = |model: &DeepAr, horizon| {
-        let once = || {
-            let (out, stats) =
-                alloc::measure(|| model.forecast_quantiles(context, horizon, &SCALING_LEVELS));
-            assert_eq!(out.expect("forecast").horizon(), horizon);
-            stats
-        };
-        (0..5).map(|_| once()).min_by_key(|s| (s.allocs, s.bytes)).expect("five repeats")
-    };
-    let few = predict(&small, 8);
-    let many = predict(&large, 72);
+    let few = predict_cost(&small, context, 8);
+    let many = predict_cost(&large, context, 72);
 
     assert!(
-        few.allocs <= MAX_ALLOCS,
-        "predict allocated {} times (ceiling {MAX_ALLOCS})",
+        few.allocs <= MAX_DEEPAR_ALLOCS,
+        "deepar predict allocated {} times (ceiling {MAX_DEEPAR_ALLOCS})",
         few.allocs
     );
     assert_eq!(
         few.allocs, many.allocs,
-        "allocations grew with paths × horizon: {} at 10 × 8, {} at 100 × 72",
+        "deepar allocations grew with paths × horizon: {} at 10 × 8, {} at 100 × 72",
         few.allocs, many.allocs
     );
     // 72 × 100 samples and 72 × 7 quantiles of f64, plus the fixed buffers.
-    assert!(many.bytes < 256 * 1024, "predict requested {} bytes", many.bytes);
+    assert!(many.bytes < 256 * 1024, "deepar predict requested {} bytes", many.bytes);
+}
+
+fn tft_allocations_are_constant_in_context(series: &[f64]) {
+    // No weight depends on the context length, so one fit serves both.
+    let cfg = |context| TftConfig {
+        context,
+        horizon: 72,
+        epochs: 1,
+        windows_per_epoch: 4,
+        seed: 5,
+        ..TftConfig::default()
+    };
+    let mut short = Tft::new(cfg(12));
+    short.fit(series).expect("fit");
+    let mut long = Tft::new(cfg(72));
+    long.import_weights(&short.export_weights().expect("fitted")).expect("same architecture");
+
+    let few = predict_cost(&short, &series[300..312], 72);
+    let many = predict_cost(&long, &series[300..372], 72);
+
+    assert!(
+        many.allocs <= MAX_TFT_ALLOCS,
+        "tft predict allocated {} times (ceiling {MAX_TFT_ALLOCS})",
+        many.allocs
+    );
+    assert_eq!(
+        few.allocs, many.allocs,
+        "tft allocations grew with the context: {} at 12 steps, {} at 72",
+        few.allocs, many.allocs
+    );
+    // Eight 32 × 32 k-major gate matrices, the 72 × 32 enriched sequence
+    // and the 72 × 7 head output and result, plus the fixed buffers.
+    assert!(many.bytes < 128 * 1024, "tft predict requested {} bytes", many.bytes);
+}
+
+#[test]
+fn predict_allocations_are_constant_in_problem_size() {
+    assert!(alloc::installed(), "counting allocator must route this binary's allocations");
+    let series: Vec<f64> = (0..400).map(|t| 40.0 + 10.0 * (t as f64 * 0.26).sin()).collect();
+    deepar_allocations_are_constant_in_paths_and_horizon(&series);
+    tft_allocations_are_constant_in_context(&series);
 }

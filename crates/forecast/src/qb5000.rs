@@ -81,11 +81,11 @@ impl Qb5000 {
     }
 
     fn lstm_predict(f: &FittedQb, zctx: &[f64]) -> Vec<f64> {
-        let mut st = f.lstm.init_state();
-        for &z in zctx {
-            st = f.lstm.apply(&[z], &st);
+        let mut cell = f.lstm.stepper();
+        for z in zctx {
+            cell.step(std::slice::from_ref(z));
         }
-        f.head.apply(&st.h)
+        f.head.apply(cell.hidden())
     }
 
     fn kernel_predict(f: &FittedQb, zctx: &[f64], horizon: usize) -> Vec<f64> {
@@ -309,6 +309,25 @@ mod tests {
         let mut m = Qb5000::new(tiny_cfg());
         m.fit(&series).unwrap();
         assert_eq!(m.forecast(&series[..12], 4).unwrap(), m.forecast(&series[..12], 4).unwrap());
+    }
+
+    #[test]
+    fn lstm_component_matches_reference_cell_bit_for_bit() {
+        let series = sine_series(300, 1.0, 5);
+        let mut m = Qb5000::new(tiny_cfg());
+        m.fit(&series).unwrap();
+        let f = m.fitted.as_ref().unwrap();
+        let zctx = f.scaler.transform_vec(&series[100..112]);
+        let mut st = f.lstm.init_state();
+        for &z in &zctx {
+            st = f.lstm.apply(&[z], &st);
+        }
+        let reference = f.head.apply(&st.h);
+        let fast = Qb5000::lstm_predict(f, &zctx);
+        assert_eq!(
+            fast.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            reference.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        );
     }
 
     #[test]

@@ -223,38 +223,33 @@ impl Tft {
         }
     }
 
-    /// Inference-only forward (no caches).
+    /// Inference-only forward: the values of [`Tft::forward_train`], bit
+    /// for bit, on the shared net — no caches, one scratch set per call,
+    /// and only the attention row the head reads.
     fn forward_infer(&self, zctx: &[f64]) -> Vec<f64> {
         let net = self.net.as_ref().expect("forward_infer after fit");
         let d = self.cfg.d_model;
-        // Clone the stateless-at-inference layers is wasteful; instead run
-        // apply() paths. GRN/attention lack apply(), so reuse forward on a
-        // scratch clone of the caches-only state is not possible — simplest
-        // correct route: clone the net (cheap at these sizes) and forward.
-        let mut scratch = TftNet {
-            input_proj: net.input_proj.clone(),
-            lstm: net.lstm.clone(),
-            grn_enrich: net.grn_enrich.clone(),
-            attn: net.attn.clone(),
-            grn_post: net.grn_post.clone(),
-            head: net.head.clone(),
-        };
-        let mut rows: Vec<Vec<f64>> = Vec::with_capacity(zctx.len());
-        let mut state = scratch.lstm.init_state();
-        for (t, &z) in zctx.iter().enumerate() {
-            let mut e = scratch.input_proj.forward(&[z]);
-            for (i, v) in e.iter_mut().enumerate() {
-                *v += self.posenc[(t, i)];
-            }
-            state = scratch.lstm.forward(&e, &state);
-            rows.push(scratch.grn_enrich.forward(&state.h));
-        }
-        let x = Matrix::from_rows(&rows);
-        let a = scratch.attn.forward(&x);
         let last = zctx.len() - 1;
-        let summed: Vec<f64> = (0..d).map(|i| a[(last, i)] + x[(last, i)]).collect();
-        let post = scratch.grn_post.forward(&summed);
-        scratch.head.forward(&post)
+
+        let mut lstm = net.lstm.stepper();
+        let mut e = vec![0.0; d];
+        let mut scratch = Vec::new();
+        let mut x = Matrix::zeros(zctx.len(), d);
+        for (t, z) in zctx.iter().enumerate() {
+            net.input_proj.apply_into(std::slice::from_ref(z), &mut e);
+            for (v, p) in e.iter_mut().zip(self.posenc.row(t)) {
+                *v += p;
+            }
+            net.grn_enrich.apply_into(lstm.step(&e), &mut scratch, x.row_mut(t));
+        }
+        // Gated residual around attention at the decoding position.
+        let mut summed = net.attn.attend_last(&x);
+        for (a, xi) in summed.iter_mut().zip(x.row(last)) {
+            *a += xi;
+        }
+        let mut post = vec![0.0; d];
+        net.grn_post.apply_into(&summed, &mut scratch, &mut post);
+        net.head.apply(&post)
     }
 }
 
@@ -381,8 +376,14 @@ impl Forecaster for Tft {
         }
         let scaler = self.scaler.as_ref().expect("checked above");
         let ctx = &context[context.len() - self.cfg.context..];
+        if !ctx.iter().all(|v| v.is_finite()) {
+            return Err(ForecastError::Unhealthy("tft: non-finite value in context".into()));
+        }
         let zctx = scaler.transform_vec(ctx);
         let out = self.forward_infer(&zctx);
+        if !out.iter().all(|v| v.is_finite()) {
+            return Err(ForecastError::Unhealthy("tft: non-finite head output".into()));
+        }
 
         // Grid forecast in data units.
         let nq = self.cfg.quantiles.len();
@@ -515,6 +516,58 @@ mod tests {
         assert!(matches!(
             m.forecast_quantiles(&series[..12], 9, &[0.5]).unwrap_err(),
             ForecastError::HorizonTooLong { .. }
+        ));
+    }
+
+    #[test]
+    fn forward_infer_matches_forward_train_bit_for_bit() {
+        let series = sine_series(300, 2.0, 6);
+        let mut m = Tft::new(TftConfig { epochs: 3, ..tiny_cfg() });
+        Forecaster::fit(&mut m, &series).unwrap();
+        let scaler = m.scaler.unwrap();
+        for start in [0, 37, 200] {
+            let zctx = scaler.transform_vec(&series[start..start + 12]);
+            let fast = m.forward_infer(&zctx);
+            let reference = m.forward_train(&zctx);
+            m.net.as_mut().unwrap().clear_cache();
+            assert_eq!(fast.len(), reference.len());
+            for (i, (a, b)) in fast.iter().zip(&reference).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "window {start} output {i}: {a:e} vs {b:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_context_is_unhealthy_not_a_nan_forecast() {
+        let series = sine_series(300, 1.0, 7);
+        let mut m = Tft::new(TftConfig { epochs: 2, ..tiny_cfg() });
+        Forecaster::fit(&mut m, &series).unwrap();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut ctx = series[..12].to_vec();
+            ctx[5] = bad;
+            assert!(matches!(
+                m.forecast_quantiles(&ctx, 4, &[0.1, 0.5, 0.9]).unwrap_err(),
+                ForecastError::Unhealthy(_)
+            ));
+        }
+        // A non-finite value the context window has already slid past is fine.
+        let mut long = vec![f64::NAN];
+        long.extend_from_slice(&series[..12]);
+        assert_eq!(
+            m.forecast_quantiles(&long, 4, &[0.5]).unwrap(),
+            m.forecast_quantiles(&series[..12], 4, &[0.5]).unwrap()
+        );
+    }
+
+    #[test]
+    fn diverged_weights_are_unhealthy_not_a_nan_forecast() {
+        let series = sine_series(300, 1.0, 8);
+        let mut m = Tft::new(TftConfig { epochs: 2, ..tiny_cfg() });
+        Forecaster::fit(&mut m, &series).unwrap();
+        m.net.as_mut().unwrap().head.b.data[0] = f64::NAN;
+        assert!(matches!(
+            m.forecast_quantiles(&series[..12], 4, &[0.5]).unwrap_err(),
+            ForecastError::Unhealthy(_)
         ));
     }
 

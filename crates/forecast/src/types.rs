@@ -25,8 +25,9 @@ pub enum ForecastError {
     },
     /// A forecast failed a health check (non-finite values, implausible
     /// magnitude). Raised by health gates wrapping a forecaster, and by a
-    /// base model that would otherwise have to panic: DeepAR on a
-    /// non-finite context, head output or sample.
+    /// base model that would otherwise have to panic or return NaN
+    /// quantiles: DeepAR on a non-finite context, head output or sample,
+    /// TFT on a non-finite context or head output.
     Unhealthy(String),
 }
 

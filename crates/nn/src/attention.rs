@@ -166,6 +166,66 @@ impl MultiHeadAttention {
         y
     }
 
+    /// Inference-only attention output for the last position: row `T − 1`
+    /// of [`MultiHeadAttention::forward`], bit for bit, without the cache
+    /// and without the other `T − 1` query rows. The last row attends to
+    /// every position with or without the causal mask, so the mask does
+    /// not appear here.
+    ///
+    /// # Panics
+    /// Panics on an empty sequence or an input dim mismatch.
+    pub fn attend_last(&self, x: &Matrix) -> Vec<f64> {
+        assert_eq!(x.cols(), self.d_model, "MultiHeadAttention: input dim mismatch");
+        assert!(x.rows() > 0, "MultiHeadAttention: empty sequence");
+        let d = self.d_model;
+        let t = x.rows();
+        let dk = d / self.n_heads;
+        let scale = 1.0 / (dk as f64).sqrt();
+
+        // One row of `project` at a time: K and V are consumed row by row,
+        // so neither is materialised.
+        let project_row = |w: &[f64], v: &[f64], out: &mut [f64]| {
+            for (o, wr) in out.iter_mut().zip(w.chunks_exact(d)) {
+                *o = rpas_tsmath::vector::dot(wr, v);
+            }
+        };
+        let mut q = vec![0.0; d];
+        project_row(&self.wq.data, x.row(t - 1), &mut q);
+
+        // Row `h` holds head `h`'s scores, then its attention weights.
+        let mut row = vec![0.0; d];
+        let mut scores = Matrix::zeros(self.n_heads, t);
+        for j in 0..t {
+            project_row(&self.wk.data, x.row(j), &mut row);
+            for (h, (qh, kh)) in q.chunks_exact(dk).zip(row.chunks_exact(dk)).enumerate() {
+                let mut s = 0.0;
+                for (qc, kc) in qh.iter().zip(kh) {
+                    s += qc * kc;
+                }
+                scores[(h, j)] = s * scale;
+            }
+        }
+        softmax_rows(&mut scores);
+
+        let mut o = vec![0.0; d];
+        for j in 0..t {
+            project_row(&self.wv.data, x.row(j), &mut row);
+            for (h, (oh, vh)) in o.chunks_exact_mut(dk).zip(row.chunks_exact(dk)).enumerate() {
+                let a = scores[(h, j)];
+                // rpas-lint: allow(F1, reason = "exact-zero attention-weight skip, as in forward: attend_last is pinned to it bit for bit")
+                if a == 0.0 {
+                    continue;
+                }
+                for (oc, vc) in oh.iter_mut().zip(vh) {
+                    *oc += a * vc;
+                }
+            }
+        }
+        let mut y = vec![0.0; d];
+        project_row(&self.wo.data, &o, &mut y);
+        y
+    }
+
     /// Backward pass; returns `dX`.
     pub fn backward(&mut self, dy: &Matrix) -> Matrix {
         let s = self.cache.pop().expect("MultiHeadAttention::backward without forward");

@@ -40,6 +40,21 @@ impl LayerNorm {
         y
     }
 
+    /// Inference-only forward into a caller-owned buffer of length `dim`:
+    /// the same values as [`LayerNorm::forward`], bit for bit, without the
+    /// cache.
+    pub fn apply_into(&self, x: &[f64], y: &mut [f64]) {
+        let n = x.len();
+        assert_eq!(n, self.gamma.data.len(), "LayerNorm: dim mismatch");
+        assert_eq!(y.len(), n, "LayerNorm: output dim mismatch");
+        let mu = x.iter().sum::<f64>() / n as f64;
+        let var = x.iter().map(|v| (v - mu).powi(2)).sum::<f64>() / n as f64;
+        let inv_std = 1.0 / (var + self.eps).sqrt();
+        for (((yi, v), g), b) in y.iter_mut().zip(x).zip(&self.gamma.data).zip(&self.beta.data) {
+            *yi = (v - mu) * inv_std * g + b;
+        }
+    }
+
     /// Backward pass; returns `dx`.
     pub fn backward(&mut self, dy: &[f64]) -> Vec<f64> {
         let (xhat, inv_std) = self.cache.pop().expect("LayerNorm::backward without forward");
@@ -134,6 +149,40 @@ impl GatedResidualNetwork {
         let summed: Vec<f64> = residual.iter().zip(&g).map(|(r, gi)| r + gi).collect();
         self.glu_cache.push((gate_pre, sg, lv));
         self.norm.forward(&summed)
+    }
+
+    /// Inference-only forward into a caller-owned buffer of length
+    /// `out_dim`: the same values as [`GatedResidualNetwork::forward`], bit
+    /// for bit, without touching any cache. `scratch` is grown on first use
+    /// and can be shared by every GRN the caller applies.
+    pub fn apply_into(&self, x: &[f64], scratch: &mut Vec<f64>, y: &mut [f64]) {
+        assert_eq!(x.len(), self.in_dim, "GRN: input dim mismatch");
+        let hidden = self.fc1.out_dim();
+        scratch.resize(hidden + 3 * self.out_dim, 0.0);
+        let (h, rest) = scratch.split_at_mut(hidden);
+        let (u, rest) = rest.split_at_mut(self.out_dim);
+        let (g, l) = rest.split_at_mut(self.out_dim);
+
+        self.fc1.apply_into(x, h);
+        h.iter_mut().for_each(|a| *a = self.elu.act.apply(*a));
+        self.fc2.apply_into(h, u);
+        self.gate.apply_into(u, g);
+        self.lin.apply_into(u, l);
+        for (gi, li) in g.iter_mut().zip(l.iter()) {
+            *gi = sigmoid(*gi) * li;
+        }
+        // `l` and `u` are free again: the projected residual and the sum.
+        let residual = match &self.skip {
+            Some(d) => {
+                d.apply_into(x, l);
+                &*l
+            }
+            None => x,
+        };
+        for ((ui, r), gi) in u.iter_mut().zip(residual).zip(g.iter()) {
+            *ui = r + gi;
+        }
+        self.norm.apply_into(u, y);
     }
 
     /// Backward pass; returns `dx`.

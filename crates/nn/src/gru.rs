@@ -5,9 +5,10 @@
 //! truncated BPTT with weight sharing.
 
 use crate::activation::sigmoid;
+use crate::kmajor::KMajorGate;
 use crate::{Layer, Param};
 use rpas_tsmath::rng::RngCore;
-use rpas_tsmath::{vector, Matrix};
+use rpas_tsmath::vector;
 
 /// Per-timestep cache of the quantities the backward pass needs.
 #[derive(Debug, Clone)]
@@ -222,70 +223,6 @@ impl GruCell {
         vector::axpy(1.0, &dar, &mut self.br.grad);
 
         (dx, dh_prev)
-    }
-}
-
-/// Rows accumulated together by [`mat_acc_kmajor`]: 8 `f64` accumulators
-/// are four SSE2 registers, which leaves room for the broadcast operand and
-/// the loaded weights on the baseline x86-64 target.
-const ROW_BLOCK: usize = 8;
-
-/// `y += M x` where `mt` is `M` stored k-major (`mt[k * rows + r] = M[r][k]`).
-///
-/// Bit-identical to [`mat_acc`] on the row-major `M`: every row's sum starts
-/// at `-0.0` (the identity `Sum for f64` folds from) and adds its products
-/// in ascending `k`, exactly as `vector::dot` does. Only the loop nest is
-/// turned inside out, so the independent rows of a block advance together
-/// and fill SIMD lanes instead of each being one serial add chain.
-fn mat_acc_kmajor(mt: &[f64], x: &[f64], y: &mut [f64]) {
-    let rows = y.len();
-    debug_assert_eq!(mt.len(), rows * x.len(), "mat_acc_kmajor: shape mismatch");
-    let mut r0 = 0;
-    while r0 + ROW_BLOCK <= rows {
-        let mut acc = [-0.0f64; ROW_BLOCK];
-        for (col, &xk) in mt.chunks_exact(rows).zip(x) {
-            for (a, &m) in acc.iter_mut().zip(&col[r0..r0 + ROW_BLOCK]) {
-                *a += m * xk;
-            }
-        }
-        for (yr, a) in y[r0..r0 + ROW_BLOCK].iter_mut().zip(acc) {
-            *yr += a;
-        }
-        r0 += ROW_BLOCK;
-    }
-    for (r, yr) in y.iter_mut().enumerate().skip(r0) {
-        let mut a = -0.0f64;
-        for (col, &xk) in mt.chunks_exact(rows).zip(x) {
-            a += col[r] * xk;
-        }
-        *yr += a;
-    }
-}
-
-/// One gate's weights in k-major order (see [`mat_acc_kmajor`]).
-#[derive(Debug)]
-struct KMajorGate<'a> {
-    /// Input→gate weights, `input × hidden`.
-    wt: Matrix,
-    /// Hidden→gate weights, `hidden × hidden`.
-    ut: Matrix,
-    b: &'a [f64],
-}
-
-impl<'a> KMajorGate<'a> {
-    fn new(w: &Param, u: &Param, b: &'a Param, input: usize, hidden: usize) -> Self {
-        Self {
-            wt: Matrix::from_vec(hidden, input, w.data.clone()).transpose(),
-            ut: Matrix::from_vec(hidden, hidden, u.data.clone()).transpose(),
-            b: &b.data,
-        }
-    }
-
-    /// `out = (b + W x) + U h`, the association [`GruCell::apply`] uses.
-    fn pre_activation(&self, x: &[f64], h: &[f64], out: &mut [f64]) {
-        out.copy_from_slice(self.b);
-        mat_acc_kmajor(self.wt.data(), x, out);
-        mat_acc_kmajor(self.ut.data(), h, out);
     }
 }
 

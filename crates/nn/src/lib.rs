@@ -14,6 +14,10 @@
 //! * **Parameter-owned optimizer state.** Each [`Param`] carries its value,
 //!   its accumulated gradient, and its Adam moment buffers; the optimizer is
 //!   just hyperparameters plus a shared step counter.
+//! * **Inference takes `&self`.** `forward`/`backward` push and pop caches;
+//!   `apply`/`apply_into`, `stepper()` and `attend_last` cache nothing, so a
+//!   fitted net is shared, not cloned, and each is pinned bit for bit
+//!   against its `forward` twin (`tests/properties.rs`).
 //! * **`f64` everywhere.** The workloads are small time series; determinism
 //!   and debuggability beat raw speed.
 
@@ -25,6 +29,7 @@ pub mod attention;
 pub mod gradcheck;
 pub mod grn;
 pub mod gru;
+mod kmajor;
 pub mod linear;
 pub mod loss;
 pub mod lstm;
@@ -38,7 +43,7 @@ pub use attention::MultiHeadAttention;
 pub use grn::{GatedResidualNetwork, LayerNorm};
 pub use gru::{GruCell, GruStepper};
 pub use linear::Dense;
-pub use lstm::LstmCell;
+pub use lstm::{LstmCell, LstmStepper};
 pub use param::Param;
 pub use serialize::{load as load_weights, save as save_weights, SerializeError};
 pub use sequential::Mlp;

@@ -4,6 +4,7 @@
 //! following Ma et al., SIGMOD 2018) and by the TFT-style encoder.
 
 use crate::activation::sigmoid;
+use crate::kmajor::KMajorGate;
 use crate::{Layer, Param};
 use rpas_tsmath::rng::RngCore;
 use rpas_tsmath::vector;
@@ -136,17 +137,51 @@ impl LstmCell {
 
     /// One recurrent step; caches for BPTT.
     pub fn forward(&mut self, x: &[f64], state: &LstmState) -> LstmState {
-        let (next, step) = self.compute(x, state);
-        self.cache.push(step);
+        let (next, [i, f, o, g]) = self.compute(x, state);
+        self.cache.push(StepCache {
+            x: x.to_vec(),
+            h_prev: state.h.clone(),
+            c_prev: state.c.clone(),
+            i,
+            f,
+            o,
+            g,
+            c: next.c.clone(),
+        });
         next
     }
 
-    /// Inference-only step.
+    /// Inference-only step (no cache growth). This is the plain reference
+    /// form; [`LstmStepper`] is the fast path and is pinned against it bit
+    /// for bit.
     pub fn apply(&self, x: &[f64], state: &LstmState) -> LstmState {
         self.compute(x, state).0
     }
 
-    fn compute(&self, x: &[f64], state: &LstmState) -> (LstmState, StepCache) {
+    /// Inference stepper over this cell's current weights: the same values
+    /// as repeated [`LstmCell::apply`] from the zero state, bit for bit,
+    /// without per-step allocation. Build one per inference call and reuse
+    /// it across steps.
+    pub fn stepper(&self) -> LstmStepper<'_> {
+        let n = self.hidden_dim;
+        let gate = |w, u, b| KMajorGate::new(w, u, b, self.input_dim, n);
+        LstmStepper {
+            input: gate(&self.wi, &self.ui, &self.bi),
+            forget: gate(&self.wf, &self.uf, &self.bf),
+            output: gate(&self.wo, &self.uo, &self.bo),
+            candidate: gate(&self.wg, &self.ug, &self.bg),
+            input_dim: self.input_dim,
+            h: vec![0.0; n],
+            c: vec![0.0; n],
+            i: vec![0.0; n],
+            f: vec![0.0; n],
+            o: vec![0.0; n],
+            g: vec![0.0; n],
+        }
+    }
+
+    /// `(next state, [i, f, o, g])` of one step.
+    fn compute(&self, x: &[f64], state: &LstmState) -> (LstmState, [Vec<f64>; 4]) {
         assert_eq!(x.len(), self.input_dim, "LstmCell: input dim mismatch");
         assert_eq!(state.h.len(), self.hidden_dim, "LstmCell: hidden dim mismatch");
         let n = self.hidden_dim;
@@ -167,17 +202,7 @@ impl LstmCell {
             c[k] = f[k] * state.c[k] + i[k] * g[k];
             h[k] = o[k] * c[k].tanh();
         }
-        let step = StepCache {
-            x: x.to_vec(),
-            h_prev: state.h.clone(),
-            c_prev: state.c.clone(),
-            i,
-            f,
-            o,
-            g,
-            c: c.clone(),
-        };
-        (LstmState { h, c }, step)
+        (LstmState { h, c }, [i, f, o, g])
     }
 
     /// One BPTT step in reverse order. `dh`/`dc` are gradients into the
@@ -235,6 +260,52 @@ impl LstmCell {
         vector::axpy(1.0, &dag, &mut self.bg.grad);
 
         (dx, LstmState { h: dh_prev, c: dc_prev })
+    }
+}
+
+/// Inference-only LSTM stepper: owns the state and every scratch buffer,
+/// so [`LstmStepper::step`] does not allocate. Created by
+/// [`LstmCell::stepper`] in the zero state; borrows the cell, so the
+/// weights cannot change under it.
+#[derive(Debug)]
+pub struct LstmStepper<'a> {
+    input: KMajorGate<'a>,
+    forget: KMajorGate<'a>,
+    output: KMajorGate<'a>,
+    candidate: KMajorGate<'a>,
+    input_dim: usize,
+    h: Vec<f64>,
+    c: Vec<f64>,
+    /// Gate pre-activations; the nonlinearity is applied as they are consumed.
+    i: Vec<f64>,
+    f: Vec<f64>,
+    o: Vec<f64>,
+    g: Vec<f64>,
+}
+
+impl LstmStepper<'_> {
+    /// Current hidden state `h`.
+    pub fn hidden(&self) -> &[f64] {
+        &self.h
+    }
+
+    /// Advance the state by one step on input `x` and return the new hidden
+    /// state.
+    ///
+    /// # Panics
+    /// Panics if `x` is not `input_dim` long.
+    pub fn step(&mut self, x: &[f64]) -> &[f64] {
+        assert_eq!(x.len(), self.input_dim, "LstmStepper: input dim mismatch");
+        self.input.pre_activation(x, &self.h, &mut self.i);
+        self.forget.pre_activation(x, &self.h, &mut self.f);
+        self.output.pre_activation(x, &self.h, &mut self.o);
+        self.candidate.pre_activation(x, &self.h, &mut self.g);
+        let gates = self.i.iter().zip(&self.f).zip(&self.o).zip(&self.g);
+        for ((h, c), (((&i, &f), &o), &g)) in self.h.iter_mut().zip(&mut self.c).zip(gates) {
+            *c = sigmoid(f) * *c + sigmoid(i) * g.tanh();
+            *h = sigmoid(o) * c.tanh();
+        }
+        &self.h
     }
 }
 

@@ -2,7 +2,11 @@
 //! for arbitrary shapes, seeds, and inputs.
 
 use rpas_nn::loss;
-use rpas_nn::{Activation, Adam, Dense, GruCell, Layer, LstmCell, Mlp, Param};
+use rpas_nn::{
+    Activation, Adam, Dense, GatedResidualNetwork, GruCell, Layer, LstmCell, Mlp,
+    MultiHeadAttention, Param,
+};
+use rpas_tsmath::Matrix;
 use rpas_tsmath::propcheck::{forall, prop_discard};
 use rpas_tsmath::rng::seeded;
 use rpas_tsmath::{prop_assert, prop_assert_eq};
@@ -95,6 +99,107 @@ fn lstm_hidden_bounded_by_one() {
         }
         // h = o ∘ tanh(c), |o| ≤ 1, |tanh| ≤ 1.
         prop_assert!(s.h.iter().all(|v| v.abs() <= 1.0));
+        Ok(())
+    });
+}
+
+#[test]
+fn lstm_stepper_matches_apply_bit_for_bit() {
+    // Same kernel, same contract as the GRU stepper: every hidden size —
+    // below, at, and off a multiple of the row block — reproduces the
+    // plain reference cell exactly, over several chained steps.
+    const HIDDEN: [usize; 8] = [1, 3, 7, 8, 9, 31, 32, 67];
+    forall("lstm_stepper_matches_apply_bit_for_bit", 96, |g| {
+        let mut r = seeded(g.u64());
+        let hidden = HIDDEN[g.usize_in(0, HIDDEN.len())];
+        let input = g.usize_in(1, 4);
+        let mut lstm = LstmCell::new(input, hidden, &mut r);
+        lstm.visit_params(&mut |p| {
+            for w in &mut p.data {
+                *w = g.f64_in(-1.5, 1.5);
+            }
+        });
+        // A signed zero in the weights exercises the sums' `-0.0` start.
+        lstm.uf.data[0] = -0.0;
+        lstm.wg.data[0] = 0.0;
+
+        let mut state = lstm.init_state();
+        let mut stepper = lstm.stepper();
+        prop_assert!(stepper.hidden().iter().all(|v| v.to_bits() == 0), "fresh state is +0.0");
+        for step in 0..g.usize_in(2, 8) {
+            let x = g.vec_f64(-3.0, 3.0, input, input + 1);
+            state = lstm.apply(&x, &state);
+            let fast = stepper.step(&x);
+            for (i, (a, b)) in state.h.iter().zip(fast).enumerate() {
+                prop_assert!(
+                    a.to_bits() == b.to_bits(),
+                    "hidden {hidden} input {input} step {step} unit {i}: {a:e} vs {b:e}"
+                );
+            }
+        }
+        Ok(())
+    });
+}
+
+#[test]
+fn attend_last_matches_last_row_of_forward_bit_for_bit() {
+    const HEADS: [usize; 3] = [1, 2, 4];
+    const LEN: [usize; 4] = [1, 2, 5, 72];
+    forall("attend_last_matches_last_row_of_forward_bit_for_bit", 64, |g| {
+        let mut r = seeded(g.u64());
+        let heads = HEADS[g.usize_in(0, HEADS.len())];
+        let d = heads * g.usize_in(1, 9);
+        let t = LEN[g.usize_in(0, LEN.len())];
+        let causal = g.u8() % 2 == 0;
+        let mut attn = MultiHeadAttention::new(d, heads, causal, &mut r);
+        // From soft attention rows to saturated ones (weights of exactly 0).
+        let amp = g.f64_in(0.1, 40.0);
+        let x = Matrix::from_vec(t, d, g.vec_f64(-amp, amp, t * d, t * d + 1));
+
+        let fast = attn.attend_last(&x);
+        let full = attn.forward(&x);
+        attn.clear_cache();
+        prop_assert_eq!(fast.len(), d);
+        for (i, (a, b)) in fast.iter().zip(full.row(t - 1)).enumerate() {
+            prop_assert!(
+                a.to_bits() == b.to_bits(),
+                "d {d} heads {heads} T {t} causal {causal} col {i}: {a:e} vs {b:e}"
+            );
+        }
+        Ok(())
+    });
+}
+
+#[test]
+fn grn_apply_into_matches_forward_bit_for_bit() {
+    forall("grn_apply_into_matches_forward_bit_for_bit", 64, |g| {
+        let mut r = seeded(g.u64());
+        let in_dim = g.usize_in(1, 10);
+        let hidden = g.usize_in(1, 10);
+        // Equal widths take the identity skip, unequal ones the projection.
+        let out_dim = if g.u8() % 2 == 0 { in_dim } else { in_dim + g.usize_in(1, 4) };
+        let mut grn = GatedResidualNetwork::new(in_dim, hidden, out_dim, &mut r);
+        grn.visit_params(&mut |p| {
+            for w in &mut p.data {
+                *w = g.f64_in(-1.5, 1.5);
+            }
+        });
+
+        // One scratch across calls and shapes, as TFT shares it between GRNs.
+        let mut scratch = vec![f64::NAN; g.usize_in(0, 50)];
+        for _ in 0..3 {
+            let x = g.vec_f64(-3.0, 3.0, in_dim, in_dim + 1);
+            let mut fast = vec![f64::NAN; out_dim];
+            grn.apply_into(&x, &mut scratch, &mut fast);
+            let reference = grn.forward(&x);
+            grn.clear_cache();
+            for (i, (a, b)) in fast.iter().zip(&reference).enumerate() {
+                prop_assert!(
+                    a.to_bits() == b.to_bits(),
+                    "dims {in_dim}/{hidden}/{out_dim} unit {i}: {a:e} vs {b:e}"
+                );
+            }
+        }
         Ok(())
     });
 }

@@ -26,6 +26,14 @@ cargo build --release --offline
 echo "== offline tests =="
 cargo test -q --offline
 
+echo "== inference-path pins (nn + forecast differential tests, alloc ratchets) =="
+# The bit-identity pins the fast inference paths rest on (stepper ==
+# apply, attend_last == forward's last row, GRN apply_into == forward,
+# forward_infer == forward_train) and the per-predict allocation ceilings
+# live in member crates, which the root-only `cargo test` above never runs.
+cargo test -q --offline -p rpas-nn -p rpas-forecast
+cargo test -q --offline -p rpas-bench --test 'alloc_*'
+
 echo "== rpas-lint (replaces the old grep guards; DESIGN.md §9) =="
 # Token-level static analysis: banned crates (D1), nondeterminism sources
 # (D2), stdout/stderr discipline (O1), panic-site budget (P1), and float

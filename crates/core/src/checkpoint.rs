@@ -16,7 +16,10 @@
 //!
 //! ## Format
 //!
-//! Hand-rolled JSONL (no serde in this workspace), parsed back with
+//! JSONL written and read through one private `Codec` per type (no serde
+//! in this workspace): plain structs are a `"key" => field` row table
+//! that drives both directions, the irregular shapes one hand-written
+//! impl with both directions side by side. The text is parsed back with
 //! `rpas-obs`'s JSON parser. One object per line:
 //!
 //! ```text
@@ -45,74 +48,35 @@
 use crate::autoscaler::{QuantilePredictivePolicy, ReplanSchedule};
 use crate::fleet::{FleetConfig, FleetEngine, TenantPolicy, TenantPolicyKind, TracePreset};
 use crate::resilient::{NaiveSnapshot, ResilienceConfig, ResilientSnapshot, Tier};
-use crate::supervisor::{FleetSupervisor, SupervisorConfig, TenantHealth};
+use crate::supervisor::{FleetSupervisor, SupervisorConfig, TenantGuard, TenantHealth};
 use rpas_forecast::SeasonalNaive;
 use rpas_obs::json::{escape_str, parse};
-use rpas_obs::{Event, Json, Level, Obs, Value};
+use rpas_obs::{Event, Json, Level, MemorySink, Obs, Sink, Value};
 use rpas_simdb::{
     ClusterSnapshot, FaultConfig, FaultCounts, NodeSnapshot, ScaleOutcome, SessionSnapshot,
     StepRecord, StorageStats,
 };
 use rpas_telemetry::{BurnRule, CellDump, CellValue, SloSpec, Telemetry};
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// Schema identifier in the header line.
 pub const SCHEMA: &str = "rpas-fleet-checkpoint";
 /// Current schema version.
 pub const VERSION: u64 = 1;
 
-// ---------------------------------------------------------------------
-// tagged-scalar encoding
-// ---------------------------------------------------------------------
+type Map = BTreeMap<String, Json>;
 
-fn enc_u(v: u64) -> String {
-    format!("\"u:{v}\"")
+/// The wire format of one type, both directions side by side: `enc`
+/// appends the value's JSON text, `dec` reads it back (`what` names the
+/// value in error messages).
+trait Codec: Sized {
+    fn enc(&self, out: &mut String);
+    fn dec(j: &Json, what: &str) -> Result<Self, String>;
 }
 
-fn enc_f(v: f64) -> String {
-    format!("\"f:{:016x}\"", v.to_bits())
-}
-
-fn enc_s(s: &str) -> String {
-    format!("\"{}\"", escape_str(s))
-}
-
-fn enc_opt(v: Option<String>) -> String {
-    v.unwrap_or_else(|| "null".to_string())
-}
-
-fn enc_value(v: &Value) -> String {
-    match v {
-        Value::Bool(b) => enc_s(if *b { "b:1" } else { "b:0" }),
-        Value::I64(i) => enc_s(&format!("i:{i}")),
-        Value::U64(u) => enc_s(&format!("u:{u}")),
-        Value::F64(x) => enc_s(&format!("f:{:016x}", x.to_bits())),
-        Value::Str(s) => enc_s(&format!("s:{s}")),
-    }
-}
-
-fn dec_value(s: &str) -> Result<Value, String> {
-    if let Some(rest) = s.strip_prefix("s:") {
-        return Ok(Value::Str(rest.to_string()));
-    }
-    if let Some(rest) = s.strip_prefix("u:") {
-        return rest.parse().map(Value::U64).map_err(|e| format!("bad u64 {rest:?}: {e}"));
-    }
-    if let Some(rest) = s.strip_prefix("i:") {
-        return rest.parse().map(Value::I64).map_err(|e| format!("bad i64 {rest:?}: {e}"));
-    }
-    if let Some(rest) = s.strip_prefix("f:") {
-        let bits = u64::from_str_radix(rest, 16).map_err(|e| format!("bad f64 bits {rest:?}: {e}"))?;
-        return Ok(Value::F64(f64::from_bits(bits)));
-    }
-    match s {
-        "b:1" => Ok(Value::Bool(true)),
-        "b:0" => Ok(Value::Bool(false)),
-        other => Err(format!("unknown value tag {other:?}")),
-    }
-}
-
-fn obj<'a>(j: &'a Json, what: &str) -> Result<&'a BTreeMap<String, Json>, String> {
+fn obj<'a>(j: &'a Json, what: &str) -> Result<&'a Map, String> {
     j.as_obj().ok_or_else(|| format!("{what}: expected object"))
 }
 
@@ -123,314 +87,609 @@ fn arr<'a>(j: &'a Json, what: &str) -> Result<&'a [Json], String> {
     }
 }
 
-fn get<'a>(m: &'a BTreeMap<String, Json>, key: &str, what: &str) -> Result<&'a Json, String> {
+fn get<'a>(m: &'a Map, key: &str, what: &str) -> Result<&'a Json, String> {
     m.get(key).ok_or_else(|| format!("{what}: missing key {key:?}"))
 }
 
-fn dec_u(j: &Json, what: &str) -> Result<u64, String> {
-    let s = j.as_str().ok_or_else(|| format!("{what}: expected tagged u64"))?;
-    let rest = s.strip_prefix("u:").ok_or_else(|| format!("{what}: expected \"u:\" tag, got {s:?}"))?;
-    rest.parse().map_err(|e| format!("{what}: bad u64 {rest:?}: {e}"))
+/// Decode the member `key` of object `m`.
+fn field<T: Codec>(m: &Map, key: &str, what: &str) -> Result<T, String> {
+    T::dec(get(m, key, what)?, key)
 }
 
-fn dec_usize(j: &Json, what: &str) -> Result<usize, String> {
-    Ok(dec_u(j, what)? as usize)
+/// Append `lead` (punctuation plus a quoted key) and then `v`.
+fn row<T: Codec>(out: &mut String, lead: &str, v: &T) {
+    out.push_str(lead);
+    v.enc(out);
 }
 
-fn dec_u32(j: &Json, what: &str) -> Result<u32, String> {
-    let v = dec_u(j, what)?;
-    u32::try_from(v).map_err(|_| format!("{what}: {v} out of u32 range"))
+/// The text behind `tag` in a tagged-string scalar.
+fn tagged<'a>(j: &'a Json, tag: &str, what: &str) -> Result<&'a str, String> {
+    let s = j.as_str().ok_or_else(|| format!("{what}: expected a {tag:?}-tagged string"))?;
+    s.strip_prefix(tag).ok_or_else(|| format!("{what}: expected {tag:?} tag, got {s:?}"))
 }
 
-fn dec_f(j: &Json, what: &str) -> Result<f64, String> {
-    let s = j.as_str().ok_or_else(|| format!("{what}: expected tagged f64"))?;
-    let rest = s.strip_prefix("f:").ok_or_else(|| format!("{what}: expected \"f:\" tag, got {s:?}"))?;
-    let bits = u64::from_str_radix(rest, 16).map_err(|e| format!("{what}: bad f64 bits {rest:?}: {e}"))?;
-    Ok(f64::from_bits(bits))
-}
-
-fn dec_s(j: &Json, what: &str) -> Result<String, String> {
-    j.as_str().map(str::to_string).ok_or_else(|| format!("{what}: expected string"))
-}
-
-fn dec_bool(j: &Json, what: &str) -> Result<bool, String> {
-    match j {
-        Json::Bool(b) => Ok(*b),
-        _ => Err(format!("{what}: expected bool")),
-    }
-}
-
-fn dec_opt<'a>(j: &'a Json) -> Option<&'a Json> {
-    match j {
-        Json::Null => None,
-        other => Some(other),
-    }
+fn enc_str(s: &str, out: &mut String) {
+    out.push('"');
+    out.push_str(&escape_str(s));
+    out.push('"');
 }
 
 // ---------------------------------------------------------------------
-// save
+// scalars, containers, label enums
 // ---------------------------------------------------------------------
 
-fn write_config(out: &mut String, cfg: &FleetConfig) {
-    out.push_str(&format!(
-        "{{\"tenants\":{},\"seed\":{},\"days\":{},\"theta\":{},\"min_nodes\":{},\"tau\":{}",
-        enc_u(cfg.tenants as u64),
-        enc_u(cfg.seed),
-        enc_u(cfg.days as u64),
-        enc_f(cfg.theta),
-        enc_u(u64::from(cfg.min_nodes)),
-        enc_f(cfg.tau),
-    ));
-    out.push_str(&format!(
-        ",\"context\":{},\"horizon\":{}",
-        enc_u(cfg.schedule.context as u64),
-        enc_u(cfg.schedule.horizon as u64)
-    ));
-    let names = |items: Vec<&str>| {
-        items.iter().map(|n| enc_s(n)).collect::<Vec<_>>().join(",")
+impl Codec for u64 {
+    fn enc(&self, out: &mut String) {
+        let _ = write!(out, "\"u:{self}\"");
+    }
+    fn dec(j: &Json, what: &str) -> Result<Self, String> {
+        let rest = tagged(j, "u:", what)?;
+        rest.parse().map_err(|e| format!("{what}: bad u64 {rest:?}: {e}"))
+    }
+}
+
+/// Narrower unsigned integers travel as `u64` and are range-checked on
+/// the way back.
+macro_rules! narrow_uint {
+    ($($t:ty),+) => {$(
+        impl Codec for $t {
+            fn enc(&self, out: &mut String) {
+                (*self as u64).enc(out);
+            }
+            fn dec(j: &Json, what: &str) -> Result<Self, String> {
+                let v = u64::dec(j, what)?;
+                <$t>::try_from(v)
+                    .map_err(|_| format!("{what}: {v} out of {} range", stringify!($t)))
+            }
+        }
+    )+};
+}
+narrow_uint!(u32, usize);
+
+impl Codec for f64 {
+    fn enc(&self, out: &mut String) {
+        let _ = write!(out, "\"f:{:016x}\"", self.to_bits());
+    }
+    fn dec(j: &Json, what: &str) -> Result<Self, String> {
+        let rest = tagged(j, "f:", what)?;
+        let bits = u64::from_str_radix(rest, 16)
+            .map_err(|e| format!("{what}: bad f64 bits {rest:?}: {e}"))?;
+        Ok(f64::from_bits(bits))
+    }
+}
+
+impl Codec for bool {
+    fn enc(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
+    fn dec(j: &Json, what: &str) -> Result<Self, String> {
+        match j {
+            Json::Bool(b) => Ok(*b),
+            _ => Err(format!("{what}: expected bool")),
+        }
+    }
+}
+
+impl Codec for String {
+    fn enc(&self, out: &mut String) {
+        enc_str(self, out);
+    }
+    fn dec(j: &Json, what: &str) -> Result<Self, String> {
+        j.as_str().map(str::to_string).ok_or_else(|| format!("{what}: expected string"))
+    }
+}
+
+impl Codec for Arc<str> {
+    fn enc(&self, out: &mut String) {
+        enc_str(self, out);
+    }
+    fn dec(j: &Json, what: &str) -> Result<Self, String> {
+        String::dec(j, what).map(Arc::from)
+    }
+}
+
+impl<T: Codec> Codec for Option<T> {
+    fn enc(&self, out: &mut String) {
+        match self {
+            None => out.push_str("null"),
+            Some(v) => v.enc(out),
+        }
+    }
+    fn dec(j: &Json, what: &str) -> Result<Self, String> {
+        match j {
+            Json::Null => Ok(None),
+            other => T::dec(other, what).map(Some),
+        }
+    }
+}
+
+impl<T: Codec> Codec for Vec<T> {
+    fn enc(&self, out: &mut String) {
+        out.push('[');
+        for (i, v) in self.iter().enumerate() {
+            row(out, if i > 0 { "," } else { "" }, v);
+        }
+        out.push(']');
+    }
+    fn dec(j: &Json, what: &str) -> Result<Self, String> {
+        arr(j, what)?.iter().map(|x| T::dec(x, what)).collect()
+    }
+}
+
+/// Tuples travel as fixed-length arrays; the reader's slice pattern
+/// makes a wrong length an `Err`.
+macro_rules! tuple_codec {
+    ($(($T:ident, $t:ident, $i:tt)),+) => {
+        impl<$($T: Codec),+> Codec for ($($T,)+) {
+            fn enc(&self, out: &mut String) {
+                $(row(out, if $i == 0 { "[" } else { "," }, &self.$i);)+
+                out.push(']');
+            }
+            fn dec(j: &Json, what: &str) -> Result<Self, String> {
+                match arr(j, what)? {
+                    [$($t),+] => Ok(($($T::dec($t, what)?,)+)),
+                    _ => Err(format!("{what}: expected [{}]", stringify!($($t),+))),
+                }
+            }
+        }
     };
-    out.push_str(&format!(
-        ",\"policies\":[{}],\"presets\":[{}]",
-        names(cfg.policies.iter().map(|p| p.name()).collect()),
-        names(cfg.presets.iter().map(|p| p.name()).collect())
-    ));
-    let r = &cfg.resilience;
-    out.push_str(&format!(
-        ",\"resilience\":{{\"max_nodes\":{},\"max_step_delta\":{},\"max_retries\":{},\"retry_backoff_steps\":{},\"probation_steps\":{},\"naive_period\":{},\"naive_horizon\":{},\"backstop_window\":{}}}",
-        enc_u(u64::from(r.max_nodes)),
-        enc_u(u64::from(r.max_step_delta)),
-        enc_u(u64::from(r.max_retries)),
-        enc_u(u64::from(r.retry_backoff_steps)),
-        enc_u(r.probation_steps as u64),
-        enc_u(r.naive_period as u64),
-        enc_u(r.naive_horizon as u64),
-        enc_u(r.backstop_window as u64),
-    ));
-    out.push_str(",\"faults\":");
-    match &cfg.faults {
-        None => out.push_str("null"),
-        Some(f) => out.push_str(&format!(
-            "{{\"scale_fail_prob\":{},\"provision_delay_prob\":{},\"provision_delay_max_steps\":{},\"node_crash_prob\":{},\"metric_dropout_prob\":{},\"anomaly_start_prob\":{},\"anomaly_max_steps\":{},\"anomaly_max_mult\":{}}}",
-            enc_f(f.scale_fail_prob),
-            enc_f(f.provision_delay_prob),
-            enc_u(u64::from(f.provision_delay_max_steps)),
-            enc_f(f.node_crash_prob),
-            enc_f(f.metric_dropout_prob),
-            enc_f(f.anomaly_start_prob),
-            enc_u(u64::from(f.anomaly_max_steps)),
-            enc_f(f.anomaly_max_mult),
-        )),
+}
+tuple_codec!((A, a, 0), (B, b, 1));
+tuple_codec!((A, a, 0), (B, b, 1), (C, c, 2));
+
+/// Enums that travel as their label.
+macro_rules! label_codec {
+    ($($t:ty: $label:ident),+) => {$(
+        impl Codec for $t {
+            fn enc(&self, out: &mut String) {
+                enc_str(self.$label(), out);
+            }
+            fn dec(j: &Json, what: &str) -> Result<Self, String> {
+                let s = j.as_str().ok_or_else(|| format!("{what}: expected string"))?;
+                <$t>::parse(s).ok_or_else(|| format!("{what}: unknown label {s:?}"))
+            }
+        }
+    )+};
+}
+label_codec!(TenantPolicyKind: name, TracePreset: name, ScaleOutcome: label, Tier: label);
+label_codec!(Level: as_str);
+
+// ---------------------------------------------------------------------
+// table-driven structs
+// ---------------------------------------------------------------------
+
+/// A struct that travels as a JSON object. [`record!`] derives both
+/// directions from one `"key" => field` table: the writer walks the rows
+/// in order and the reader builds the struct *literal* from them, so a
+/// field without a row does not compile and the two cannot drift.
+/// Unknown keys are ignored on read. The rows are exposed without their
+/// braces so that a tagged union can splice them into its own object.
+trait Record: Sized {
+    fn enc_rows(&self, out: &mut String);
+    fn dec_rows(m: &Map, what: &str) -> Result<Self, String>;
+}
+
+impl<T: Record> Codec for T {
+    fn enc(&self, out: &mut String) {
+        out.push('{');
+        self.enc_rows(out);
+        out.push('}');
     }
-    out.push_str(&format!(",\"capture_events\":{}", cfg.capture_events));
-    out.push_str(",\"slo\":");
-    match &cfg.slo {
-        None => out.push_str("null"),
-        Some(s) => {
-            let burn = s
-                .burn
-                .iter()
-                .map(|b| {
-                    format!(
-                        "{{\"long\":{},\"short\":{},\"factor\":{}}}",
-                        enc_u(b.long),
-                        enc_u(b.short),
-                        enc_f(b.factor)
-                    )
+    fn dec(j: &Json, what: &str) -> Result<Self, String> {
+        Self::dec_rows(obj(j, what)?, what)
+    }
+}
+
+macro_rules! record {
+    ($ty:ident { $key0:literal => $field0:ident $(, $key:literal => $field:ident)* $(,)? }) => {
+        impl Record for $ty {
+            fn enc_rows(&self, out: &mut String) {
+                row(out, concat!("\"", $key0, "\":"), &self.$field0);
+                $(row(out, concat!(",\"", $key, "\":"), &self.$field);)*
+            }
+            fn dec_rows(m: &Map, what: &str) -> Result<Self, String> {
+                Ok($ty {
+                    $field0: field(m, $key0, what)?,
+                    $($field: field(m, $key, what)?,)*
                 })
-                .collect::<Vec<_>>()
-                .join(",");
-            out.push_str(&format!(
-                "{{\"name\":{},\"objective\":{},\"burn\":[{}]}}",
-                enc_s(&s.name),
-                enc_f(s.objective),
-                burn
-            ));
-        }
-    }
-    out.push('}');
-}
-
-fn write_session(out: &mut String, snap: &SessionSnapshot) {
-    out.push_str(&format!(
-        "{{\"t\":{},\"visible\":{},\"last_scale\":{}",
-        enc_u(snap.t as u64),
-        enc_u(snap.visible as u64),
-        enc_s(snap.last_scale.label())
-    ));
-    let c = &snap.counts;
-    out.push_str(&format!(
-        ",\"counts\":{{\"scale_fail\":{},\"provision_delay\":{},\"node_crash\":{},\"metric_dropout\":{},\"anomaly_steps\":{}}}",
-        enc_u(c.scale_fail),
-        enc_u(c.provision_delay),
-        enc_u(c.node_crash),
-        enc_u(c.metric_dropout),
-        enc_u(c.anomaly_steps),
-    ));
-    let cl = &snap.cluster;
-    let nodes = cl
-        .nodes
-        .iter()
-        .map(|n| {
-            format!(
-                "[{},{},{}]",
-                enc_u(u64::from(n.id)),
-                enc_u(n.launched_at_step as u64),
-                enc_opt(n.warming_remaining_secs.map(enc_f))
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    out.push_str(&format!(
-        ",\"cluster\":{{\"next_id\":{},\"scale_out\":{},\"scale_in\":{},\"storage\":{{\"checkpoint_reads\":{},\"gb_read\":{}}},\"nodes\":[{}]}}",
-        enc_u(u64::from(cl.next_id)),
-        enc_u(cl.scale_out_events as u64),
-        enc_u(cl.scale_in_events as u64),
-        enc_u(cl.storage.checkpoint_reads),
-        enc_f(cl.storage.gb_read),
-        nodes
-    ));
-    let steps = snap
-        .steps
-        .iter()
-        .map(|s| {
-            format!(
-                "[{},{},{},{},{},{},{}]",
-                enc_u(s.step as u64),
-                enc_f(s.workload),
-                enc_u(u64::from(s.target_nodes)),
-                enc_u(u64::from(s.pool_nodes)),
-                enc_f(s.effective_capacity),
-                enc_f(s.utilization),
-                s.violation
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    out.push_str(&format!(",\"steps\":[{}]}}", steps));
-}
-
-fn write_plan_state(out: &mut String, plan: &[u32], plan_start: usize, degraded: bool, sigma: Option<f64>) {
-    let plan_s =
-        plan.iter().map(|&p| enc_u(u64::from(p))).collect::<Vec<_>>().join(",");
-    out.push_str(&format!(
-        "{{\"plan\":[{}],\"plan_start\":{},\"degraded\":{},\"sigma\":{}}}",
-        plan_s,
-        enc_u(plan_start as u64),
-        degraded,
-        enc_opt(sigma.map(enc_f))
-    ));
-}
-
-fn write_policy(out: &mut String, policy: &TenantPolicy) -> Result<(), String> {
-    match policy {
-        TenantPolicy::ReactiveMax(_) => out.push_str("{\"kind\":\"reactive-max\"}"),
-        TenantPolicy::Predictive(p) => {
-            out.push_str("{\"kind\":\"predictive\",\"state\":");
-            let (plan, start, degraded) = p.plan_state();
-            write_plan_state(out, plan, start, degraded, p.forecaster().sigma());
-            out.push('}');
-        }
-        TenantPolicy::Resilient(m) => {
-            let snap = m.snapshot_state();
-            out.push_str(&format!(
-                "{{\"kind\":\"resilient\",\"tier\":{},\"last_target\":{},\"probation\":{},\"retry\":",
-                enc_s(snap.tier.label()),
-                enc_opt(snap.last_target.map(|t| enc_u(u64::from(t)))),
-                enc_u(snap.probation as u64),
-            ));
-            match snap.retry {
-                None => out.push_str("null"),
-                Some((want, left, wait)) => out.push_str(&format!(
-                    "[{},{},{}]",
-                    enc_u(u64::from(want)),
-                    enc_u(u64::from(left)),
-                    enc_u(u64::from(wait))
-                )),
             }
-            out.push_str(",\"naive\":");
-            match &snap.naive {
-                None => out.push_str("null"),
-                Some(n) => write_plan_state(out, &n.plan, n.plan_start, n.degraded, n.sigma),
+        }
+    };
+}
+
+/// A struct that travels as a fixed-length JSON array of its fields, in
+/// table order. The reader takes the array apart with a slice pattern,
+/// so a wrong length is an `Err` and nothing is indexed.
+macro_rules! array_record {
+    ($ty:ident [$field0:ident $(, $field:ident)* $(,)?]) => {
+        impl Codec for $ty {
+            fn enc(&self, out: &mut String) {
+                row(out, "[", &self.$field0);
+                $(row(out, ",", &self.$field);)*
+                out.push(']');
             }
-            out.push_str(",\"primary\":");
-            let (plan, start, degraded) = m.primary().plan_state();
-            write_plan_state(out, plan, start, degraded, m.primary().forecaster().sigma());
-            out.push('}');
+            fn dec(j: &Json, what: &str) -> Result<Self, String> {
+                match arr(j, what)? {
+                    [$field0 $(, $field)*] => Ok($ty {
+                        $field0: Codec::dec($field0, stringify!($field0))?,
+                        $($field: Codec::dec($field, stringify!($field))?,)*
+                    }),
+                    _ => Err(format!(
+                        "{what}: expected [{}]",
+                        stringify!($field0 $(, $field)*)
+                    )),
+                }
+            }
         }
-        TenantPolicy::Custom(_) => {
-            return Err("a fleet with an injected custom policy cannot be checkpointed".to_string())
-        }
-    }
-    Ok(())
+    };
 }
 
-fn write_guard(out: &mut String, health: &TenantHealth, failures: &[u64], strikes: u32, last_error: &Option<std::sync::Arc<str>>, outage: &[bool]) {
-    out.push_str("{\"health\":");
-    match health {
-        TenantHealth::Healthy => out.push_str("{\"state\":\"healthy\"}"),
-        TenantHealth::Quarantined { until_tick, reason } => out.push_str(&format!(
-            "{{\"state\":\"quarantined\",\"until\":{},\"reason\":{}}}",
-            enc_u(*until_tick),
-            enc_s(reason)
-        )),
-        TenantHealth::Probation { clean_ticks } => out.push_str(&format!(
-            "{{\"state\":\"probation\",\"clean\":{}}}",
-            enc_u(*clean_ticks)
-        )),
+record!(ResilienceConfig {
+    "max_nodes" => max_nodes,
+    "max_step_delta" => max_step_delta,
+    "max_retries" => max_retries,
+    "retry_backoff_steps" => retry_backoff_steps,
+    "probation_steps" => probation_steps,
+    "naive_period" => naive_period,
+    "naive_horizon" => naive_horizon,
+    "backstop_window" => backstop_window,
+});
+record!(FaultConfig {
+    "scale_fail_prob" => scale_fail_prob,
+    "provision_delay_prob" => provision_delay_prob,
+    "provision_delay_max_steps" => provision_delay_max_steps,
+    "node_crash_prob" => node_crash_prob,
+    "metric_dropout_prob" => metric_dropout_prob,
+    "anomaly_start_prob" => anomaly_start_prob,
+    "anomaly_max_steps" => anomaly_max_steps,
+    "anomaly_max_mult" => anomaly_max_mult,
+});
+record!(BurnRule { "long" => long, "short" => short, "factor" => factor });
+record!(SloSpec { "name" => name, "objective" => objective, "burn" => burn });
+record!(SupervisorConfig {
+    "failure_threshold" => failure_threshold,
+    "failure_window" => failure_window,
+    "base_backoff_ticks" => base_backoff_ticks,
+    "max_backoff_ticks" => max_backoff_ticks,
+    "probation_ticks" => probation_ticks,
+});
+record!(FaultCounts {
+    "scale_fail" => scale_fail,
+    "provision_delay" => provision_delay,
+    "node_crash" => node_crash,
+    "metric_dropout" => metric_dropout,
+    "anomaly_steps" => anomaly_steps,
+});
+record!(StorageStats { "checkpoint_reads" => checkpoint_reads, "gb_read" => gb_read });
+array_record!(NodeSnapshot [id, launched_at_step, warming_remaining_secs]);
+record!(ClusterSnapshot {
+    "next_id" => next_id,
+    "scale_out" => scale_out_events,
+    "scale_in" => scale_in_events,
+    "storage" => storage,
+    "nodes" => nodes,
+});
+array_record!(StepRecord [
+    step, workload, target_nodes, pool_nodes, effective_capacity, utilization, violation,
+]);
+record!(SessionSnapshot {
+    "t" => t,
+    "visible" => visible,
+    "last_scale" => last_scale,
+    "counts" => counts,
+    "cluster" => cluster,
+    "steps" => steps,
+});
+// The one plan-state record: the rolling-plan cursor and fitted sigma of
+// a seasonal-naive predictive policy, whether it runs as a `predictive`
+// tenant, as a resilient tenant's primary, or as its fallback.
+record!(NaiveSnapshot {
+    "plan" => plan,
+    "plan_start" => plan_start,
+    "degraded" => degraded,
+    "sigma" => sigma,
+});
+record!(ResilientSnapshot {
+    "tier" => tier,
+    "last_target" => last_target,
+    "probation" => probation,
+    "retry" => retry,
+    "naive" => naive,
+});
+
+// ---------------------------------------------------------------------
+// irregular shapes, written by hand
+// ---------------------------------------------------------------------
+
+/// Schema v1 flattens `schedule` into `context` / `horizon` members.
+impl Codec for FleetConfig {
+    fn enc(&self, out: &mut String) {
+        row(out, "{\"tenants\":", &self.tenants);
+        row(out, ",\"seed\":", &self.seed);
+        row(out, ",\"days\":", &self.days);
+        row(out, ",\"theta\":", &self.theta);
+        row(out, ",\"min_nodes\":", &self.min_nodes);
+        row(out, ",\"tau\":", &self.tau);
+        row(out, ",\"context\":", &self.schedule.context);
+        row(out, ",\"horizon\":", &self.schedule.horizon);
+        row(out, ",\"policies\":", &self.policies);
+        row(out, ",\"presets\":", &self.presets);
+        row(out, ",\"resilience\":", &self.resilience);
+        row(out, ",\"faults\":", &self.faults);
+        row(out, ",\"capture_events\":", &self.capture_events);
+        row(out, ",\"slo\":", &self.slo);
+        out.push('}');
     }
-    let fails = failures.iter().map(|&t| enc_u(t)).collect::<Vec<_>>().join(",");
-    let outage_s: String = outage.iter().map(|&b| if b { '1' } else { '0' }).collect();
-    out.push_str(&format!(
-        ",\"failures\":[{}],\"strikes\":{},\"last_error\":{},\"outage\":{}}}",
-        fails,
-        enc_u(u64::from(strikes)),
-        enc_opt(last_error.as_deref().map(enc_s)),
-        enc_s(&outage_s)
-    ));
+    fn dec(j: &Json, what: &str) -> Result<Self, String> {
+        let m = obj(j, what)?;
+        Ok(FleetConfig {
+            tenants: field(m, "tenants", what)?,
+            seed: field(m, "seed", what)?,
+            days: field(m, "days", what)?,
+            theta: field(m, "theta", what)?,
+            min_nodes: field(m, "min_nodes", what)?,
+            tau: field(m, "tau", what)?,
+            schedule: ReplanSchedule {
+                context: field(m, "context", what)?,
+                horizon: field(m, "horizon", what)?,
+            },
+            policies: field(m, "policies", what)?,
+            presets: field(m, "presets", what)?,
+            resilience: field(m, "resilience", what)?,
+            faults: field(m, "faults", what)?,
+            capture_events: field(m, "capture_events", what)?,
+            slo: field(m, "slo", what)?,
+        })
+    }
 }
 
-fn write_event(out: &mut String, ev: &Event) {
-    out.push_str(&format!(
-        "{{\"l\":{},\"s\":{},\"n\":{},\"f\":{{",
-        enc_s(ev.level.as_str()),
-        enc_s(&ev.span),
-        enc_s(&ev.name)
-    ));
-    let fields = ev
-        .fields
-        .iter()
-        .filter(|(k, _)| !k.ends_with("_us"))
-        .map(|(k, v)| format!("{}:{}", enc_s(k), enc_value(v)))
-        .collect::<Vec<_>>()
-        .join(",");
-    out.push_str(&fields);
-    out.push_str("}}");
-}
-
-fn write_cell(out: &mut String, cell: &CellDump) {
-    let labels = cell
-        .labels
-        .iter()
-        .map(|(k, v)| format!("[{},{}]", enc_s(k), enc_s(v)))
-        .collect::<Vec<_>>()
-        .join(",");
-    out.push_str(&format!("{{\"name\":{},\"labels\":[{}],", enc_s(&cell.name), labels));
-    match &cell.value {
-        CellValue::Counter(v) => out.push_str(&format!("\"counter\":{}", enc_u(*v))),
-        CellValue::GaugeBits(bits) => out.push_str(&format!("\"gauge_bits\":{}", enc_u(*bits))),
-        CellValue::Hist { bounds, counts, sum } => {
-            let b = bounds.iter().map(|&x| enc_f(x)).collect::<Vec<_>>().join(",");
-            let c = counts.iter().map(|&x| enc_u(x)).collect::<Vec<_>>().join(",");
-            out.push_str(&format!(
-                "\"hist\":{{\"bounds\":[{}],\"counts\":[{}],\"sum\":{}}}",
-                b,
-                c,
-                enc_f(*sum)
-            ));
+/// Captured event fields keep their [`Value`] variant through a tag:
+/// `u:` / `f:` as everywhere else, plus `i:<dec>`, `s:<text>`, `b:0|1`.
+impl Codec for Value {
+    fn enc(&self, out: &mut String) {
+        match self {
+            Value::Bool(b) => out.push_str(if *b { "\"b:1\"" } else { "\"b:0\"" }),
+            Value::I64(i) => {
+                let _ = write!(out, "\"i:{i}\"");
+            }
+            Value::U64(u) => u.enc(out),
+            Value::F64(x) => x.enc(out),
+            Value::Str(s) => {
+                out.push_str("\"s:");
+                out.push_str(&escape_str(s));
+                out.push('"');
+            }
         }
     }
-    out.push('}');
+    fn dec(j: &Json, what: &str) -> Result<Self, String> {
+        let s = j.as_str().ok_or_else(|| format!("{what}: expected a tagged string"))?;
+        match (s.get(..2).unwrap_or(s), s.get(2..).unwrap_or("")) {
+            ("s:", text) => Ok(Value::Str(text.to_string())),
+            ("i:", dec) => {
+                dec.parse().map(Value::I64).map_err(|e| format!("{what}: bad i64 {dec:?}: {e}"))
+            }
+            ("u:", _) => u64::dec(j, what).map(Value::U64),
+            ("f:", _) => f64::dec(j, what).map(Value::F64),
+            ("b:", "1") => Ok(Value::Bool(true)),
+            ("b:", "0") => Ok(Value::Bool(false)),
+            _ => Err(format!("{what}: unknown value tag {s:?}")),
+        }
+    }
 }
+
+/// A captured event minus what is not state: `seq` / `ts_us` are
+/// re-stamped on re-emit and `*_us` fields are wall-clock timings.
+impl Codec for Event {
+    fn enc(&self, out: &mut String) {
+        row(out, "{\"l\":", &self.level);
+        row(out, ",\"s\":", &self.span);
+        row(out, ",\"n\":", &self.name);
+        out.push_str(",\"f\":{");
+        let fields = self.fields.iter().filter(|(k, _)| !k.ends_with("_us"));
+        for (i, (k, v)) in fields.enumerate() {
+            row(out, if i > 0 { "," } else { "" }, k);
+            row(out, ":", v);
+        }
+        out.push_str("}}");
+    }
+    fn dec(j: &Json, what: &str) -> Result<Self, String> {
+        let m = obj(j, what)?;
+        let (span, name): (String, String) = (field(m, "s", what)?, field(m, "n", what)?);
+        let mut ev = Event::new(field(m, "l", what)?, &span, &name);
+        for (k, v) in obj(get(m, "f", what)?, "event.f")? {
+            ev.fields.insert(k.clone(), Value::dec(v, k)?);
+        }
+        Ok(ev)
+    }
+}
+
+impl Codec for TenantHealth {
+    fn enc(&self, out: &mut String) {
+        match self {
+            TenantHealth::Healthy => out.push_str("{\"state\":\"healthy\""),
+            TenantHealth::Quarantined { until_tick, reason } => {
+                row(out, "{\"state\":\"quarantined\",\"until\":", until_tick);
+                row(out, ",\"reason\":", reason);
+            }
+            TenantHealth::Probation { clean_ticks } => {
+                row(out, "{\"state\":\"probation\",\"clean\":", clean_ticks);
+            }
+        }
+        out.push('}');
+    }
+    fn dec(j: &Json, what: &str) -> Result<Self, String> {
+        let m = obj(j, what)?;
+        match field::<String>(m, "state", what)?.as_str() {
+            "healthy" => Ok(TenantHealth::Healthy),
+            "quarantined" => Ok(TenantHealth::Quarantined {
+                until_tick: field(m, "until", what)?,
+                reason: field(m, "reason", what)?,
+            }),
+            "probation" => Ok(TenantHealth::Probation { clean_ticks: field(m, "clean", what)? }),
+            other => Err(format!("{what}: unknown health state {other:?}")),
+        }
+    }
+}
+
+/// The outage series travels as a `"0110…"` bit string (one flag per
+/// supervised tick would otherwise dominate a long run's checkpoint).
+impl Codec for TenantGuard {
+    fn enc(&self, out: &mut String) {
+        row(out, "{\"health\":", &self.health);
+        row(out, ",\"failures\":", &self.failures);
+        row(out, ",\"strikes\":", &self.strikes);
+        row(out, ",\"last_error\":", &self.last_error);
+        out.push_str(",\"outage\":\"");
+        out.extend(self.outage.iter().map(|&lost| if lost { '1' } else { '0' }));
+        out.push_str("\"}");
+    }
+    fn dec(j: &Json, what: &str) -> Result<Self, String> {
+        let m = obj(j, what)?;
+        let outage = field::<String>(m, "outage", what)?
+            .chars()
+            .map(|c| match c {
+                '0' => Ok(false),
+                '1' => Ok(true),
+                other => Err(format!("{what}: bad outage flag {other:?}")),
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(TenantGuard {
+            health: field(m, "health", what)?,
+            failures: field(m, "failures", what)?,
+            strikes: field(m, "strikes", what)?,
+            last_error: field(m, "last_error", what)?,
+            outage,
+        })
+    }
+}
+
+/// The [`CellValue`] variant is the member key it travels under.
+impl Codec for CellDump {
+    fn enc(&self, out: &mut String) {
+        row(out, "{\"name\":", &self.name);
+        row(out, ",\"labels\":", &self.labels);
+        match &self.value {
+            CellValue::Counter(v) => row(out, ",\"counter\":", v),
+            CellValue::GaugeBits(bits) => row(out, ",\"gauge_bits\":", bits),
+            CellValue::Hist { bounds, counts, sum } => {
+                row(out, ",\"hist\":{\"bounds\":", bounds);
+                row(out, ",\"counts\":", counts);
+                row(out, ",\"sum\":", sum);
+                out.push('}');
+            }
+        }
+        out.push('}');
+    }
+    fn dec(j: &Json, what: &str) -> Result<Self, String> {
+        let m = obj(j, what)?;
+        let value = if let Some(v) = m.get("counter") {
+            CellValue::Counter(u64::dec(v, "counter")?)
+        } else if let Some(v) = m.get("gauge_bits") {
+            CellValue::GaugeBits(u64::dec(v, "gauge_bits")?)
+        } else if let Some(v) = m.get("hist") {
+            let h = obj(v, "hist")?;
+            CellValue::Hist {
+                bounds: field(h, "bounds", "hist")?,
+                counts: field(h, "counts", "hist")?,
+                sum: field(h, "sum", "hist")?,
+            }
+        } else {
+            return Err(format!("{what}: expected counter, gauge_bits or hist"));
+        };
+        Ok(CellDump { name: field(m, "name", what)?, labels: field(m, "labels", what)?, value })
+    }
+}
+
+/// The mutable state of a checkpointable [`TenantPolicy`], tagged by
+/// `kind`; everything else about the policy is rebuilt from the spec.
+enum PolicyState {
+    ReactiveMax,
+    Predictive(NaiveSnapshot),
+    Resilient { ladder: ResilientSnapshot, primary: NaiveSnapshot },
+}
+
+impl Codec for PolicyState {
+    fn enc(&self, out: &mut String) {
+        match self {
+            PolicyState::ReactiveMax => out.push_str("{\"kind\":\"reactive-max\""),
+            PolicyState::Predictive(state) => {
+                row(out, "{\"kind\":\"predictive\",\"state\":", state)
+            }
+            PolicyState::Resilient { ladder, primary } => {
+                out.push_str("{\"kind\":\"resilient\",");
+                ladder.enc_rows(out);
+                row(out, ",\"primary\":", primary);
+            }
+        }
+        out.push('}');
+    }
+    fn dec(j: &Json, what: &str) -> Result<Self, String> {
+        let m = obj(j, what)?;
+        match field::<String>(m, "kind", what)?.as_str() {
+            "reactive-max" => Ok(PolicyState::ReactiveMax),
+            "predictive" => Ok(PolicyState::Predictive(field(m, "state", what)?)),
+            "resilient" => Ok(PolicyState::Resilient {
+                ladder: ResilientSnapshot::dec_rows(m, what)?,
+                primary: field(m, "primary", what)?,
+            }),
+            other => Err(format!("{what}: unknown policy kind {other:?}")),
+        }
+    }
+}
+
+type Predictive = QuantilePredictivePolicy<SeasonalNaive>;
+
+fn plan_state(policy: &Predictive) -> NaiveSnapshot {
+    let (plan, plan_start, degraded) = policy.plan_state();
+    NaiveSnapshot { sigma: policy.forecaster().sigma(), plan: plan.to_vec(), plan_start, degraded }
+}
+
+fn restore_plan_state(policy: &mut Predictive, state: NaiveSnapshot) {
+    policy.restore_plan_state(state.plan, state.plan_start, state.degraded);
+    policy.forecaster_mut().restore_sigma(state.sigma);
+}
+
+impl PolicyState {
+    fn of(policy: &TenantPolicy) -> Result<Self, String> {
+        match policy {
+            TenantPolicy::ReactiveMax(_) => Ok(PolicyState::ReactiveMax),
+            TenantPolicy::Predictive(p) => Ok(PolicyState::Predictive(plan_state(p))),
+            TenantPolicy::Resilient(m) => Ok(PolicyState::Resilient {
+                ladder: m.snapshot_state(),
+                primary: plan_state(m.primary()),
+            }),
+            TenantPolicy::Custom(_) => {
+                Err("a fleet with an injected custom policy cannot be checkpointed".to_string())
+            }
+        }
+    }
+
+    /// Overwrite the state of the rebuilt `policy`; `theta` / `min_nodes`
+    /// parameterise a resilient tenant's fallback planner.
+    fn restore(self, policy: &mut TenantPolicy, theta: f64, min_nodes: u32) -> Result<(), String> {
+        match (policy, self) {
+            (TenantPolicy::ReactiveMax(_), PolicyState::ReactiveMax) => {}
+            (TenantPolicy::Predictive(p), PolicyState::Predictive(state)) => {
+                restore_plan_state(p, state);
+            }
+            (TenantPolicy::Resilient(m), PolicyState::Resilient { ladder, primary }) => {
+                m.restore_state(&ladder, theta, min_nodes);
+                restore_plan_state(m.primary_mut(), primary);
+            }
+            (policy, _) => {
+                return Err(format!(
+                    "checkpoint policy kind does not match the rebuilt {} tenant",
+                    policy.name()
+                ))
+            }
+        }
+        Ok(())
+    }
+}
+
+// ---------------------------------------------------------------------
+// save / load
+// ---------------------------------------------------------------------
 
 /// Serialize a supervised fleet into the schema-v1 checkpoint text.
 /// `cfg` must be the configuration the fleet was built from (the engine
@@ -451,422 +710,31 @@ pub fn save(sup: &FleetSupervisor, cfg: &FleetConfig, tel: &Telemetry) -> Result
         ));
     }
     let mut out = String::new();
-    out.push_str(&format!(
-        "{{\"kind\":\"header\",\"schema\":\"{SCHEMA}\",\"version\":{VERSION},\"tick\":{},\"total_ticks\":{},\"config\":",
-        enc_u(sup.tick),
-        enc_u(sup.total_ticks),
-    ));
-    write_config(&mut out, cfg);
-    let s = &sup.cfg;
-    out.push_str(&format!(
-        ",\"supervisor\":{{\"failure_threshold\":{},\"failure_window\":{},\"base_backoff_ticks\":{},\"max_backoff_ticks\":{},\"probation_ticks\":{}}}}}\n",
-        enc_u(s.failure_threshold as u64),
-        enc_u(s.failure_window),
-        enc_u(s.base_backoff_ticks),
-        enc_u(s.max_backoff_ticks),
-        enc_u(s.probation_ticks),
-    ));
+    let _ = write!(out, "{{\"kind\":\"header\",\"schema\":\"{SCHEMA}\",\"version\":{VERSION}");
+    row(&mut out, ",\"tick\":", &sup.tick);
+    row(&mut out, ",\"total_ticks\":", &sup.total_ticks);
+    row(&mut out, ",\"config\":", cfg);
+    row(&mut out, ",\"supervisor\":", &sup.cfg);
+    out.push_str("}\n");
 
-    for (i, run) in runs.iter().enumerate() {
-        out.push_str(&format!("{{\"kind\":\"tenant\",\"id\":{},\"policy\":", enc_u(i as u64)));
-        write_policy(&mut out, &run.policy)?;
-        out.push_str(",\"session\":");
-        write_session(&mut out, &run.session.snapshot());
-        out.push_str(",\"guard\":");
-        let guard = &sup.guards[i];
-        write_guard(
+    for (i, (run, guard)) in runs.iter().zip(&sup.guards).enumerate() {
+        row(&mut out, "{\"kind\":\"tenant\",\"id\":", &i);
+        row(&mut out, ",\"policy\":", &PolicyState::of(&run.policy)?);
+        row(&mut out, ",\"session\":", &run.session.snapshot());
+        row(&mut out, ",\"guard\":", guard);
+        row(
             &mut out,
-            &guard.health,
-            &guard.failures,
-            guard.strikes,
-            &guard.last_error,
-            &guard.outage,
+            ",\"events\":",
+            &run.capture.as_ref().map_or_else(Vec::new, MemorySink::events),
         );
-        out.push_str(",\"events\":[");
-        if let Some(mem) = &run.capture {
-            let events = mem.events();
-            for (j, ev) in events.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                write_event(&mut out, ev);
-            }
-        }
-        out.push_str("]}\n");
+        out.push_str("}\n");
     }
 
-    out.push_str("{\"kind\":\"telemetry\",\"cells\":[");
-    for (i, cell) in tel.dump().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_cell(&mut out, cell);
-    }
-    out.push_str("]}\n");
-    out.push_str(&format!("{{\"kind\":\"end\",\"tenants\":{}}}\n", enc_u(runs.len() as u64)));
+    row(&mut out, "{\"kind\":\"telemetry\",\"cells\":", &tel.dump());
+    out.push_str("}\n");
+    row(&mut out, "{\"kind\":\"end\",\"tenants\":", &runs.len());
+    out.push_str("}\n");
     Ok(out)
-}
-
-// ---------------------------------------------------------------------
-// load
-// ---------------------------------------------------------------------
-
-fn read_config(j: &Json) -> Result<FleetConfig, String> {
-    let m = obj(j, "config")?;
-    let policies = arr(get(m, "policies", "config")?, "config.policies")?
-        .iter()
-        .map(|p| {
-            let s = dec_s(p, "config.policies")?;
-            TenantPolicyKind::parse(&s).ok_or_else(|| format!("unknown policy {s:?}"))
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let presets = arr(get(m, "presets", "config")?, "config.presets")?
-        .iter()
-        .map(|p| {
-            let s = dec_s(p, "config.presets")?;
-            TracePreset::parse(&s).ok_or_else(|| format!("unknown preset {s:?}"))
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let r = obj(get(m, "resilience", "config")?, "config.resilience")?;
-    let resilience = ResilienceConfig {
-        max_nodes: dec_u32(get(r, "max_nodes", "resilience")?, "max_nodes")?,
-        max_step_delta: dec_u32(get(r, "max_step_delta", "resilience")?, "max_step_delta")?,
-        max_retries: dec_u32(get(r, "max_retries", "resilience")?, "max_retries")?,
-        retry_backoff_steps: dec_u32(
-            get(r, "retry_backoff_steps", "resilience")?,
-            "retry_backoff_steps",
-        )?,
-        probation_steps: dec_usize(get(r, "probation_steps", "resilience")?, "probation_steps")?,
-        naive_period: dec_usize(get(r, "naive_period", "resilience")?, "naive_period")?,
-        naive_horizon: dec_usize(get(r, "naive_horizon", "resilience")?, "naive_horizon")?,
-        backstop_window: dec_usize(get(r, "backstop_window", "resilience")?, "backstop_window")?,
-    };
-    let faults = match dec_opt(get(m, "faults", "config")?) {
-        None => None,
-        Some(fj) => {
-            let f = obj(fj, "config.faults")?;
-            Some(FaultConfig {
-                scale_fail_prob: dec_f(get(f, "scale_fail_prob", "faults")?, "scale_fail_prob")?,
-                provision_delay_prob: dec_f(
-                    get(f, "provision_delay_prob", "faults")?,
-                    "provision_delay_prob",
-                )?,
-                provision_delay_max_steps: dec_u32(
-                    get(f, "provision_delay_max_steps", "faults")?,
-                    "provision_delay_max_steps",
-                )?,
-                node_crash_prob: dec_f(get(f, "node_crash_prob", "faults")?, "node_crash_prob")?,
-                metric_dropout_prob: dec_f(
-                    get(f, "metric_dropout_prob", "faults")?,
-                    "metric_dropout_prob",
-                )?,
-                anomaly_start_prob: dec_f(
-                    get(f, "anomaly_start_prob", "faults")?,
-                    "anomaly_start_prob",
-                )?,
-                anomaly_max_steps: dec_u32(
-                    get(f, "anomaly_max_steps", "faults")?,
-                    "anomaly_max_steps",
-                )?,
-                anomaly_max_mult: dec_f(get(f, "anomaly_max_mult", "faults")?, "anomaly_max_mult")?,
-            })
-        }
-    };
-    let slo = match dec_opt(get(m, "slo", "config")?) {
-        None => None,
-        Some(sj) => {
-            let s = obj(sj, "config.slo")?;
-            let burn = arr(get(s, "burn", "slo")?, "slo.burn")?
-                .iter()
-                .map(|bj| {
-                    let b = obj(bj, "slo.burn[]")?;
-                    Ok(BurnRule {
-                        long: dec_u(get(b, "long", "burn")?, "burn.long")?,
-                        short: dec_u(get(b, "short", "burn")?, "burn.short")?,
-                        factor: dec_f(get(b, "factor", "burn")?, "burn.factor")?,
-                    })
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            Some(SloSpec {
-                name: dec_s(get(s, "name", "slo")?, "slo.name")?,
-                objective: dec_f(get(s, "objective", "slo")?, "slo.objective")?,
-                burn,
-            })
-        }
-    };
-    Ok(FleetConfig {
-        tenants: dec_usize(get(m, "tenants", "config")?, "config.tenants")?,
-        seed: dec_u(get(m, "seed", "config")?, "config.seed")?,
-        days: dec_usize(get(m, "days", "config")?, "config.days")?,
-        theta: dec_f(get(m, "theta", "config")?, "config.theta")?,
-        min_nodes: dec_u32(get(m, "min_nodes", "config")?, "config.min_nodes")?,
-        tau: dec_f(get(m, "tau", "config")?, "config.tau")?,
-        schedule: ReplanSchedule {
-            context: dec_usize(get(m, "context", "config")?, "config.context")?,
-            horizon: dec_usize(get(m, "horizon", "config")?, "config.horizon")?,
-        },
-        policies,
-        presets,
-        resilience,
-        faults,
-        capture_events: dec_bool(get(m, "capture_events", "config")?, "config.capture_events")?,
-        slo,
-    })
-}
-
-fn read_session(j: &Json) -> Result<SessionSnapshot, String> {
-    let m = obj(j, "session")?;
-    let c = obj(get(m, "counts", "session")?, "session.counts")?;
-    let counts = FaultCounts {
-        scale_fail: dec_u(get(c, "scale_fail", "counts")?, "scale_fail")?,
-        provision_delay: dec_u(get(c, "provision_delay", "counts")?, "provision_delay")?,
-        node_crash: dec_u(get(c, "node_crash", "counts")?, "node_crash")?,
-        metric_dropout: dec_u(get(c, "metric_dropout", "counts")?, "metric_dropout")?,
-        anomaly_steps: dec_u(get(c, "anomaly_steps", "counts")?, "anomaly_steps")?,
-    };
-    let cl = obj(get(m, "cluster", "session")?, "session.cluster")?;
-    let st = obj(get(cl, "storage", "cluster")?, "cluster.storage")?;
-    let nodes = arr(get(cl, "nodes", "cluster")?, "cluster.nodes")?
-        .iter()
-        .map(|nj| {
-            let n = arr(nj, "cluster.nodes[]")?;
-            if n.len() != 3 {
-                return Err("cluster node: expected [id, launched, warming]".to_string());
-            }
-            Ok(NodeSnapshot {
-                id: dec_u32(&n[0], "node.id")?,
-                launched_at_step: dec_usize(&n[1], "node.launched")?,
-                warming_remaining_secs: dec_opt(&n[2])
-                    .map(|w| dec_f(w, "node.warming"))
-                    .transpose()?,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let cluster = ClusterSnapshot {
-        nodes,
-        next_id: dec_u32(get(cl, "next_id", "cluster")?, "next_id")?,
-        scale_out_events: dec_usize(get(cl, "scale_out", "cluster")?, "scale_out")?,
-        scale_in_events: dec_usize(get(cl, "scale_in", "cluster")?, "scale_in")?,
-        storage: StorageStats {
-            checkpoint_reads: dec_u(get(st, "checkpoint_reads", "storage")?, "checkpoint_reads")?,
-            gb_read: dec_f(get(st, "gb_read", "storage")?, "gb_read")?,
-        },
-    };
-    let steps = arr(get(m, "steps", "session")?, "session.steps")?
-        .iter()
-        .map(|sj| {
-            let s = arr(sj, "session.steps[]")?;
-            if s.len() != 7 {
-                return Err("step record: expected 7 entries".to_string());
-            }
-            Ok(StepRecord {
-                step: dec_usize(&s[0], "step.step")?,
-                workload: dec_f(&s[1], "step.workload")?,
-                target_nodes: dec_u32(&s[2], "step.target")?,
-                pool_nodes: dec_u32(&s[3], "step.pool")?,
-                effective_capacity: dec_f(&s[4], "step.capacity")?,
-                utilization: dec_f(&s[5], "step.utilization")?,
-                violation: dec_bool(&s[6], "step.violation")?,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let last_scale_label = dec_s(get(m, "last_scale", "session")?, "session.last_scale")?;
-    Ok(SessionSnapshot {
-        t: dec_usize(get(m, "t", "session")?, "session.t")?,
-        visible: dec_usize(get(m, "visible", "session")?, "session.visible")?,
-        last_scale: ScaleOutcome::parse(&last_scale_label)
-            .ok_or_else(|| format!("unknown scale outcome {last_scale_label:?}"))?,
-        counts,
-        steps,
-        cluster,
-    })
-}
-
-struct PlanState {
-    plan: Vec<u32>,
-    plan_start: usize,
-    degraded: bool,
-    sigma: Option<f64>,
-}
-
-fn read_plan_state(j: &Json, what: &str) -> Result<PlanState, String> {
-    let m = obj(j, what)?;
-    let plan = arr(get(m, "plan", what)?, "plan")?
-        .iter()
-        .map(|p| dec_u32(p, "plan[]"))
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(PlanState {
-        plan,
-        plan_start: dec_usize(get(m, "plan_start", what)?, "plan_start")?,
-        degraded: dec_bool(get(m, "degraded", what)?, "degraded")?,
-        sigma: dec_opt(get(m, "sigma", what)?).map(|s| dec_f(s, "sigma")).transpose()?,
-    })
-}
-
-fn apply_plan_state(policy: &mut QuantilePredictivePolicy<SeasonalNaive>, state: PlanState) {
-    policy.restore_plan_state(state.plan, state.plan_start, state.degraded);
-    policy.forecaster_mut().restore_sigma(state.sigma);
-}
-
-fn restore_policy(policy: &mut TenantPolicy, j: &Json, theta: f64, min_nodes: u32) -> Result<(), String> {
-    let m = obj(j, "policy")?;
-    let kind = dec_s(get(m, "kind", "policy")?, "policy.kind")?;
-    match (policy, kind.as_str()) {
-        (TenantPolicy::ReactiveMax(_), "reactive-max") => Ok(()),
-        (TenantPolicy::Predictive(p), "predictive") => {
-            apply_plan_state(p, read_plan_state(get(m, "state", "policy")?, "policy.state")?);
-            Ok(())
-        }
-        (TenantPolicy::Resilient(manager), "resilient") => {
-            let tier_label = dec_s(get(m, "tier", "policy")?, "policy.tier")?;
-            let retry = match dec_opt(get(m, "retry", "policy")?) {
-                None => None,
-                Some(rj) => {
-                    let r = arr(rj, "policy.retry")?;
-                    if r.len() != 3 {
-                        return Err("policy.retry: expected [want, left, wait]".to_string());
-                    }
-                    Some((
-                        dec_u32(&r[0], "retry.want")?,
-                        dec_u32(&r[1], "retry.left")?,
-                        dec_u32(&r[2], "retry.wait")?,
-                    ))
-                }
-            };
-            let naive = match dec_opt(get(m, "naive", "policy")?) {
-                None => None,
-                Some(nj) => {
-                    let s = read_plan_state(nj, "policy.naive")?;
-                    Some(NaiveSnapshot {
-                        sigma: s.sigma,
-                        plan: s.plan,
-                        plan_start: s.plan_start,
-                        degraded: s.degraded,
-                    })
-                }
-            };
-            let snap = ResilientSnapshot {
-                tier: Tier::parse(&tier_label)
-                    .ok_or_else(|| format!("unknown tier {tier_label:?}"))?,
-                last_target: dec_opt(get(m, "last_target", "policy")?)
-                    .map(|t| dec_u32(t, "last_target"))
-                    .transpose()?,
-                probation: dec_usize(get(m, "probation", "policy")?, "policy.probation")?,
-                retry,
-                naive,
-            };
-            manager.restore_state(&snap, theta, min_nodes);
-            apply_plan_state(
-                manager.primary_mut(),
-                read_plan_state(get(m, "primary", "policy")?, "policy.primary")?,
-            );
-            Ok(())
-        }
-        (_, other) => Err(format!(
-            "checkpoint policy kind {other:?} does not match the rebuilt tenant"
-        )),
-    }
-}
-
-fn read_guard(
-    j: &Json,
-) -> Result<(TenantHealth, Vec<u64>, u32, Option<std::sync::Arc<str>>, Vec<bool>), String> {
-    let m = obj(j, "guard")?;
-    let h = obj(get(m, "health", "guard")?, "guard.health")?;
-    let state = dec_s(get(h, "state", "health")?, "health.state")?;
-    let health = match state.as_str() {
-        "healthy" => TenantHealth::Healthy,
-        "quarantined" => TenantHealth::Quarantined {
-            until_tick: dec_u(get(h, "until", "health")?, "health.until")?,
-            reason: dec_s(get(h, "reason", "health")?, "health.reason")?.into(),
-        },
-        "probation" => TenantHealth::Probation {
-            clean_ticks: dec_u(get(h, "clean", "health")?, "health.clean")?,
-        },
-        other => return Err(format!("unknown health state {other:?}")),
-    };
-    let failures = arr(get(m, "failures", "guard")?, "guard.failures")?
-        .iter()
-        .map(|f| dec_u(f, "failures[]"))
-        .collect::<Result<Vec<_>, _>>()?;
-    let strikes = dec_u32(get(m, "strikes", "guard")?, "guard.strikes")?;
-    let last_error = dec_opt(get(m, "last_error", "guard")?)
-        .map(|e| dec_s(e, "guard.last_error").map(std::sync::Arc::from))
-        .transpose()?;
-    let outage_s = dec_s(get(m, "outage", "guard")?, "guard.outage")?;
-    let outage = outage_s
-        .chars()
-        .map(|c| match c {
-            '0' => Ok(false),
-            '1' => Ok(true),
-            other => Err(format!("bad outage flag {other:?}")),
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    Ok((health, failures, strikes, last_error, outage))
-}
-
-fn read_events(j: &Json) -> Result<Vec<Event>, String> {
-    arr(j, "events")?
-        .iter()
-        .map(|ej| {
-            let e = obj(ej, "events[]")?;
-            let level_s = dec_s(get(e, "l", "event")?, "event.l")?;
-            let level = Level::parse(&level_s)
-                .ok_or_else(|| format!("unknown event level {level_s:?}"))?;
-            let span = dec_s(get(e, "s", "event")?, "event.s")?;
-            let name = dec_s(get(e, "n", "event")?, "event.n")?;
-            let mut ev = Event::new(level, &span, &name);
-            for (k, vj) in obj(get(e, "f", "event")?, "event.f")? {
-                let tagged = dec_s(vj, "event field")?;
-                ev.fields.insert(k.clone(), dec_value(&tagged)?);
-            }
-            Ok(ev)
-        })
-        .collect()
-}
-
-fn read_cells(j: &Json) -> Result<Vec<CellDump>, String> {
-    arr(j, "cells")?
-        .iter()
-        .map(|cj| {
-            let c = obj(cj, "cells[]")?;
-            let labels = arr(get(c, "labels", "cell")?, "cell.labels")?
-                .iter()
-                .map(|lj| {
-                    let l = arr(lj, "cell.labels[]")?;
-                    if l.len() != 2 {
-                        return Err("cell label: expected [key, value]".to_string());
-                    }
-                    Ok((dec_s(&l[0], "label key")?, dec_s(&l[1], "label value")?))
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            let value = if let Some(v) = c.get("counter") {
-                CellValue::Counter(dec_u(v, "cell.counter")?)
-            } else if let Some(v) = c.get("gauge_bits") {
-                CellValue::GaugeBits(dec_u(v, "cell.gauge_bits")?)
-            } else if let Some(v) = c.get("hist") {
-                let h = obj(v, "cell.hist")?;
-                CellValue::Hist {
-                    bounds: arr(get(h, "bounds", "hist")?, "hist.bounds")?
-                        .iter()
-                        .map(|b| dec_f(b, "bounds[]"))
-                        .collect::<Result<Vec<_>, _>>()?,
-                    counts: arr(get(h, "counts", "hist")?, "hist.counts")?
-                        .iter()
-                        .map(|x| dec_u(x, "counts[]"))
-                        .collect::<Result<Vec<_>, _>>()?,
-                    sum: dec_f(get(h, "sum", "hist")?, "hist.sum")?,
-                }
-            } else {
-                return Err("cell: expected counter, gauge_bits or hist".to_string());
-            };
-            Ok(CellDump {
-                name: dec_s(get(c, "name", "cell")?, "cell.name")?,
-                labels,
-                value,
-            })
-        })
-        .collect()
 }
 
 /// Rebuild a supervised fleet from checkpoint text: reconstruct every
@@ -880,32 +748,27 @@ pub fn load(text: &str, tel: &Telemetry, obs: Obs) -> Result<(FleetSupervisor, F
     let header_line = lines.next().ok_or("empty checkpoint")?;
     let header_json = parse(header_line).map_err(|e| format!("header: {e}"))?;
     let header = obj(&header_json, "header")?;
-    let kind = dec_s(get(header, "kind", "header")?, "header.kind")?;
+    let kind: String = field(header, "kind", "header")?;
     if kind != "header" {
         return Err(format!("first line must be the header, got kind {kind:?}"));
     }
-    let schema = dec_s(get(header, "schema", "header")?, "header.schema")?;
+    let schema: String = field(header, "schema", "header")?;
     if schema != SCHEMA {
         return Err(format!("unknown checkpoint schema {schema:?}"));
     }
     let version = match get(header, "version", "header")? {
+        Json::Num(v) if v.fract().abs() > 0.0 || !(0.0..=f64::from(u32::MAX)).contains(v) => {
+            return Err(format!("header.version: {v} is not an integral version number"))
+        }
         Json::Num(v) => *v as u64,
-        other => dec_u(other, "header.version")?,
+        other => u64::dec(other, "header.version")?,
     };
     if version != VERSION {
         return Err(format!("unsupported checkpoint version {version} (reader supports {VERSION})"));
     }
-    let tick = dec_u(get(header, "tick", "header")?, "header.tick")?;
-    let total_ticks = dec_u(get(header, "total_ticks", "header")?, "header.total_ticks")?;
-    let cfg = read_config(get(header, "config", "header")?)?;
-    let s = obj(get(header, "supervisor", "header")?, "header.supervisor")?;
-    let sup_cfg = SupervisorConfig {
-        failure_threshold: dec_usize(get(s, "failure_threshold", "supervisor")?, "failure_threshold")?,
-        failure_window: dec_u(get(s, "failure_window", "supervisor")?, "failure_window")?,
-        base_backoff_ticks: dec_u(get(s, "base_backoff_ticks", "supervisor")?, "base_backoff_ticks")?,
-        max_backoff_ticks: dec_u(get(s, "max_backoff_ticks", "supervisor")?, "max_backoff_ticks")?,
-        probation_ticks: dec_u(get(s, "probation_ticks", "supervisor")?, "probation_ticks")?,
-    };
+    let total_ticks: u64 = field(header, "total_ticks", "header")?;
+    let cfg: FleetConfig = field(header, "config", "header")?;
+    let sup_cfg: SupervisorConfig = field(header, "supervisor", "header")?;
 
     let engine = FleetEngine::with_telemetry(&cfg, tel).with_obs(obs);
     let mut sup = FleetSupervisor::wrap_with(engine, sup_cfg, tel);
@@ -915,37 +778,41 @@ pub fn load(text: &str, tel: &Telemetry, obs: Obs) -> Result<(FleetSupervisor, F
             sup.total_ticks
         ));
     }
-    sup.tick = tick;
+    sup.tick = field(header, "tick", "header")?;
 
+    let tenants = sup.engine.runs.len();
     let mut seen = 0usize;
     let mut closed = false;
     for line in lines {
+        if closed {
+            return Err("data after the end line".to_string());
+        }
         let j = parse(line).map_err(|e| format!("line {}: {e}", seen + 2))?;
         let m = obj(&j, "line")?;
-        match dec_s(get(m, "kind", "line")?, "line.kind")?.as_str() {
+        match field::<String>(m, "kind", "line")?.as_str() {
             "tenant" => {
-                let id = dec_usize(get(m, "id", "tenant")?, "tenant.id")?;
+                let id: usize = field(m, "id", "tenant")?;
                 if id != seen {
                     return Err(format!("tenant lines out of order: expected {seen}, got {id}"));
                 }
-                if id >= sup.engine.runs.len() {
-                    return Err(format!("tenant {id} beyond fleet size {}", sup.engine.runs.len()));
-                }
-                let snap = read_session(get(m, "session", "tenant")?)?;
-                let (theta, min_nodes) = {
-                    let spec = sup.engine.runs[id].spec();
-                    (spec.theta, spec.min_nodes)
+                let (Some(run), Some(guard)) =
+                    (sup.engine.runs.get_mut(id), sup.guards.get_mut(id))
+                else {
+                    return Err(format!("tenant {id} beyond fleet size {tenants}"));
                 };
-                let run = &mut sup.engine.runs[id];
-                run.session.restore(&snap);
-                restore_policy(&mut run.policy, get(m, "policy", "tenant")?, theta, min_nodes)?;
-                let events = read_events(get(m, "events", "tenant")?)?;
+                run.session.restore(&field(m, "session", "tenant")?);
+                let (theta, min_nodes) = (run.spec.theta, run.spec.min_nodes);
+                field::<PolicyState>(m, "policy", "tenant")?.restore(
+                    &mut run.policy,
+                    theta,
+                    min_nodes,
+                )?;
+                let events: Vec<Event> = field(m, "events", "tenant")?;
                 if let Some(mem) = &run.capture {
                     // Discard the rebuild's build-time events; the
                     // checkpoint's buffer already contains them.
                     let _ = mem.drain();
                     for ev in &events {
-                        use rpas_obs::Sink;
                         mem.emit(ev);
                     }
                 } else if !events.is_empty() {
@@ -953,21 +820,12 @@ pub fn load(text: &str, tel: &Telemetry, obs: Obs) -> Result<(FleetSupervisor, F
                         "tenant {id} has captured events but the config disables capture"
                     ));
                 }
-                let (health, failures, strikes, last_error, outage) =
-                    read_guard(get(m, "guard", "tenant")?)?;
-                let guard = &mut sup.guards[id];
-                guard.health = health;
-                guard.failures = failures;
-                guard.strikes = strikes;
-                guard.last_error = last_error;
-                guard.outage = outage;
+                *guard = field(m, "guard", "tenant")?;
                 seen += 1;
             }
-            "telemetry" => {
-                tel.restore(&read_cells(get(m, "cells", "telemetry")?)?);
-            }
+            "telemetry" => tel.restore(&field::<Vec<CellDump>>(m, "cells", "telemetry")?),
             "end" => {
-                let n = dec_usize(get(m, "tenants", "end")?, "end.tenants")?;
+                let n: usize = field(m, "tenants", "end")?;
                 if n != seen {
                     return Err(format!("end line says {n} tenants, saw {seen}"));
                 }
@@ -979,11 +837,8 @@ pub fn load(text: &str, tel: &Telemetry, obs: Obs) -> Result<(FleetSupervisor, F
     if !closed {
         return Err("truncated checkpoint: missing end line".to_string());
     }
-    if seen != sup.engine.runs.len() {
-        return Err(format!(
-            "checkpoint has {seen} tenants, rebuilt fleet has {}",
-            sup.engine.runs.len()
-        ));
+    if seen != tenants {
+        return Err(format!("checkpoint has {seen} tenants, rebuilt fleet has {tenants}"));
     }
     Ok((sup, cfg))
 }
@@ -1105,6 +960,29 @@ mod tests {
             .err()
             .unwrap()
             .contains("unknown checkpoint schema"));
+
+        // A fractional bare-number version is not truncated into a valid one.
+        let fractional = text.replacen("\"version\":1", "\"version\":1.5", 1);
+        assert!(load(&fractional, &Telemetry::noop(), Obs::noop())
+            .err()
+            .unwrap()
+            .contains("not an integral version"));
+
+        // `end` closes the file: an early one that matches the running
+        // count must not hide a missing tail, and nothing may follow the
+        // real one.
+        let end_line = text.lines().last().unwrap();
+        let mut lines: Vec<&str> = text.lines().collect();
+        let early_end = "{\"kind\":\"end\",\"tenants\":\"u:2\"}";
+        lines.insert(3, early_end);
+        let early = lines.join("\n");
+        let trailing = format!("{text}{end_line}\n");
+        for bad in [&early, &trailing] {
+            assert!(load(bad, &Telemetry::noop(), Obs::noop())
+                .err()
+                .unwrap()
+                .contains("after the end line"));
+        }
     }
 
     #[test]
@@ -1119,15 +997,16 @@ mod tests {
             Value::F64(f64::INFINITY),
             Value::Str("hello \"world\"\nu:not-a-tag".to_string()),
         ] {
-            let enc = enc_value(&v);
+            let mut enc = String::new();
+            v.enc(&mut enc);
             let parsed = parse(&enc).unwrap();
-            let s = parsed.as_str().unwrap();
-            assert_eq!(dec_value(s).unwrap(), v, "roundtrip of {v:?}");
+            assert_eq!(Value::dec(&parsed, "value").unwrap(), v, "roundtrip of {v:?}");
         }
         // NaN: bitwise equality (PartialEq fails on NaN by design).
-        let enc = enc_value(&Value::F64(f64::NAN));
+        let mut enc = String::new();
+        Value::F64(f64::NAN).enc(&mut enc);
         let parsed = parse(&enc).unwrap();
-        match dec_value(parsed.as_str().unwrap()).unwrap() {
+        match Value::dec(&parsed, "value").unwrap() {
             Value::F64(x) => assert_eq!(x.to_bits(), f64::NAN.to_bits()),
             other => panic!("expected F64, got {other:?}"),
         }

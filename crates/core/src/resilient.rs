@@ -236,6 +236,9 @@ type NaiveFallback = QuantilePredictivePolicy<ForecastHealthGate<SeasonalNaive>>
 /// residual spread plus the rolling-plan cursor. Everything else about the
 /// fallback (period, horizon, health-gate limits, planning strategy) is
 /// derived from [`ResilienceConfig`] and the tenant parameters at restore.
+/// The fleet checkpoint writes every seasonal-naive predictive policy —
+/// fallback, resilient primary or plain `predictive` tenant — as this
+/// one record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NaiveSnapshot {
     /// Fitted residual spread of the seasonal-naive model.

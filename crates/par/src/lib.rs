@@ -18,8 +18,8 @@
 //!   condvar round-trips instead of `N` thread spawns, and work is
 //!   handed out via an atomic stripe cursor over disjoint index ranges
 //!   (no per-item mutex allocations).
-//! * The free functions ([`par_map_indexed`], [`par_for_each_mut`], …) —
-//!   thin adapters that build an ephemeral pool per call. They re-read
+//! * The free functions ([`par_map_indexed`], [`par_map`]) — thin
+//!   adapters that build an ephemeral pool per call. They re-read
 //!   `RPAS_THREADS` on every invocation, which is what the thread-count
 //!   invariance tests rely on.
 //!
@@ -343,8 +343,11 @@ impl WorkerPool {
             .collect()
     }
 
-    /// [`par_for_each_mut`] on this pool: apply `f(i, &mut items[i])` to
-    /// every item in place.
+    /// Apply `f(i, &mut items[i])` to every item in place. Each worker
+    /// owns one item at a time (the `&mut` references are disjoint by
+    /// construction), so `f` may freely mutate its item; as with
+    /// [`par_map_indexed`], `f` must depend only on the index and the
+    /// item for the result to be identical at every thread count.
     pub fn for_each_mut<T, F>(&self, items: &mut [T], f: F)
     where
         T: Send,
@@ -468,27 +471,6 @@ where
     par_map_indexed(items.len(), |i| f(&items[i]))
 }
 
-/// Apply `f(i, &mut items[i])` to every item in place, fanning the items
-/// over an ephemeral worker pool.
-///
-/// Each worker takes exclusive ownership of one item at a time (the
-/// `&mut` references are disjoint by construction), so `f` may freely
-/// mutate its item; as with [`par_map_indexed`], `f` must depend only on
-/// the index and the item itself for the result to be identical at every
-/// thread count. Long-lived callers (the fleet engine) hold a
-/// [`WorkerPool`] instead and call [`WorkerPool::for_each_mut`], paying
-/// the thread-spawn cost once per run instead of once per call.
-///
-/// # Panics
-/// Propagates a panic from any job (the pool joins all workers first).
-pub fn par_for_each_mut<T, F>(items: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    WorkerPool::for_jobs(items.len()).for_each_mut(items, f);
-}
-
 /// Render a `catch_unwind` payload as a one-line message. Panic payloads
 /// are almost always `&str` (literal `panic!`) or `String` (formatted
 /// `panic!`); anything else is summarized rather than dropped so the
@@ -501,46 +483,6 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     } else {
         "<non-string panic payload>".to_string()
     }
-}
-
-/// [`par_for_each_mut`] with per-item panic isolation: `f(i, &mut
-/// items[i])` runs under `catch_unwind`, and the returned vector holds
-/// `None` for items that completed and `Some(message)` for items whose
-/// closure panicked.
-///
-/// A panicking item never disturbs its siblings: the unwind is caught
-/// *inside* the worker loop, so the remaining items still run and the
-/// pool's dispatch state is never poisoned. The caller decides what a
-/// captured panic means — the fleet supervisor converts them into
-/// quarantine decisions. An item that panicked may have been left in an
-/// arbitrary (but memory-safe) state; callers must treat it as suspect.
-///
-/// As with [`par_for_each_mut`], the result is identical at every thread
-/// count provided `f` depends only on the index and the item.
-pub fn par_for_each_mut_isolated<T, F>(items: &mut [T], f: F) -> Vec<Option<String>>
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let jobs = items.len();
-    if jobs == 0 {
-        return Vec::new();
-    }
-    let mut failures: Vec<Option<String>> = Vec::with_capacity(jobs);
-    failures.resize_with(jobs, || None);
-    let base = SendPtr(failures.as_mut_ptr());
-    let pool = WorkerPool::for_jobs(jobs);
-    pool.for_each_mut(items, |i, item| {
-        let outcome = catch_unwind(AssertUnwindSafe(|| f(i, item))).err().map(panic_message);
-        if outcome.is_some() {
-            // SAFETY: one worker owns index `i`; the failures vector
-            // outlives the pool call.
-            unsafe {
-                *base.get().add(i) = outcome;
-            }
-        }
-    });
-    failures
 }
 
 #[cfg(test)]
@@ -659,79 +601,22 @@ mod tests {
     #[test]
     fn for_each_mut_touches_every_item_once() {
         let mut items: Vec<usize> = (0..64).collect();
-        par_for_each_mut(&mut items, |i, v| {
+        WorkerPool::for_jobs(items.len()).for_each_mut(&mut items, |i, v| {
             assert_eq!(*v, i);
             *v += 1000 + i;
         });
         assert_eq!(items, (0..64).map(|i| 2 * i + 1000).collect::<Vec<_>>());
         let mut empty: Vec<usize> = Vec::new();
-        par_for_each_mut(&mut empty, |_, _| unreachable!());
+        WorkerPool::for_jobs(0).for_each_mut(&mut empty, |_, _| unreachable!());
     }
 
     #[test]
-    fn isolated_captures_panics_and_finishes_siblings() {
-        // Silence the default panic hook for the intentional panics below;
-        // restore it afterwards so other tests keep their diagnostics.
-        let hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let mut items: Vec<usize> = (0..16).collect();
-        let failures = par_for_each_mut_isolated(&mut items, |i, v| {
-            if i == 3 {
-                panic!("boom {i}");
-            }
-            if i == 9 {
-                // Non-literal payload exercises the String downcast.
-                std::panic::panic_any(format!("formatted {i}"));
-            }
-            *v += 100;
-        });
-        std::panic::set_hook(hook);
-        assert_eq!(failures.len(), 16);
-        assert_eq!(failures[3].as_deref(), Some("boom 3"));
-        assert_eq!(failures[9].as_deref(), Some("formatted 9"));
-        for (i, (item, fail)) in items.iter().zip(&failures).enumerate() {
-            if i == 3 || i == 9 {
-                assert_eq!(*item, i, "panicked item left as-is");
-            } else {
-                assert!(fail.is_none());
-                assert_eq!(*item, i + 100, "sibling item completed");
-            }
-        }
-        let mut empty: Vec<usize> = Vec::new();
-        assert!(par_for_each_mut_isolated(&mut empty, |_, _| unreachable!()).is_empty());
-    }
-
-    #[test]
-    fn isolated_summarizes_non_string_panic_payloads() {
-        // `panic_any` with an arbitrary type must not lose the failure:
-        // it is reported with the fixed marker instead of a message.
-        let hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let mut items: Vec<usize> = (0..4).collect();
-        let failures = par_for_each_mut_isolated(&mut items, |i, v| {
-            if i == 2 {
-                std::panic::panic_any(42_i32);
-            }
-            *v += 10;
-        });
-        std::panic::set_hook(hook);
-        assert_eq!(failures[2].as_deref(), Some("<non-string panic payload>"));
-        assert_eq!(items[1], 11, "siblings completed");
-        assert_eq!(items[2], 2, "panicked item left as-is");
-        // The pure helper agrees for every payload shape.
+    fn panic_message_renders_every_payload_shape() {
+        // An arbitrary `panic_any` payload must not lose the failure: it
+        // is reported with the fixed marker instead of a message.
         assert_eq!(panic_message(Box::new(3.5_f64)), "<non-string panic payload>");
         assert_eq!(panic_message(Box::new("literal")), "literal");
         assert_eq!(panic_message(Box::new(String::from("owned"))), "owned");
-    }
-
-    #[test]
-    fn isolated_matches_for_each_mut_when_nothing_panics() {
-        let mut a: Vec<usize> = (0..32).collect();
-        let mut b = a.clone();
-        par_for_each_mut(&mut a, |i, v| *v = v.wrapping_mul(31) ^ i);
-        let failures = par_for_each_mut_isolated(&mut b, |i, v| *v = v.wrapping_mul(31) ^ i);
-        assert_eq!(a, b);
-        assert!(failures.iter().all(Option::is_none));
     }
 
     #[test]

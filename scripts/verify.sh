@@ -26,12 +26,15 @@ cargo build --release --offline
 echo "== offline tests =="
 cargo test -q --offline
 
-echo "== inference-path pins (nn + forecast differential tests, alloc ratchets) =="
+echo "== member-crate pins (nn + forecast differential tests, checkpoint codec, pool, alloc ratchets) =="
 # The bit-identity pins the fast inference paths rest on (stepper ==
 # apply, attend_last == forward's last row, GRN apply_into == forward,
-# forward_infer == forward_train) and the per-predict allocation ceilings
-# live in member crates, which the root-only `cargo test` above never runs.
+# forward_infer == forward_train), the checkpoint codec's unit tests
+# (rpas-core), the worker pool's (rpas-par) and the per-predict allocation
+# ceilings live in member crates, which the root-only `cargo test` above
+# never runs.
 cargo test -q --offline -p rpas-nn -p rpas-forecast
+cargo test -q --offline -p rpas-core -p rpas-par
 cargo test -q --offline -p rpas-bench --test 'alloc_*'
 
 echo "== rpas-lint (replaces the old grep guards; DESIGN.md §9) =="

@@ -10,7 +10,8 @@
 
 use rpas::core::checkpoint;
 use rpas::core::{
-    FleetConfig, FleetEngine, FleetReport, FleetSupervisor, SupervisorConfig, TenantHealth,
+    FleetConfig, FleetEngine, FleetReport, FleetSupervisor, ReplanSchedule, SupervisorConfig,
+    TenantHealth,
 };
 use rpas::obs::Obs;
 use rpas::simdb::{FaultConfig, Observation, PolicyHealth, ScalingPolicy};
@@ -210,4 +211,143 @@ fn checkpoints_from_quarantined_fleets_roundtrip() {
     let (resumed, _) = checkpoint::load(&a, &tel2, Obs::noop()).unwrap();
     let b = checkpoint::save(&resumed, &cfg, &tel2).unwrap();
     assert_eq!(a, b, "save → load → save must be the identity");
+}
+
+// ---------------------------------------------------------------------
+// schema-v1 golden pin
+// ---------------------------------------------------------------------
+
+/// `tests/fixtures/checkpoint_v1.jsonl`, written by the `save` of the
+/// commit before `checkpoint.rs` became table-driven: the fleet below,
+/// resumed from [`doctored`] at tick 52 and killed at tick 57.
+const GOLDEN: &str = include_str!("fixtures/checkpoint_v1.jsonl");
+
+fn golden_cfg() -> FleetConfig {
+    let mut cfg = FleetConfig::new(4, 42);
+    cfg.days = 1;
+    cfg.schedule = ReplanSchedule { context: 48, horizon: 24 };
+    cfg.resilience.naive_period = 24;
+    cfg.capture_events = true;
+    cfg.faults = Some(FaultConfig::heavy());
+    cfg.slo = Some(SloSpec::violation_rate_default());
+    cfg
+}
+
+/// No `FleetConfig` makes a fitted seasonal-naive primary fail, and an
+/// injected panicking policy cannot be checkpointed, so a plain run
+/// never writes a fallback plan or an open breaker. Edit them into a
+/// tick-52 checkpoint instead: tenant 0 quarantined until tick 70,
+/// tenant 1 (resilient) demoted to an unplanned seasonal-naive fallback
+/// that replans on its next decision, tenant 2 with one recent panic on
+/// record, tenant 3 quarantined until tick 55 (on probation by tick 57).
+fn doctored(natural: &str) -> String {
+    const HEALTHY: &str =
+        r#""health":{"state":"healthy"},"failures":[],"strikes":"u:0","last_error":null"#;
+    let mut out = String::new();
+    for (n, line) in natural.lines().enumerate() {
+        // Line n holds tenant n - 1 (line 0 is the header).
+        let edited = match n {
+            1 => line.replacen(
+                HEALTHY,
+                r#""health":{"state":"quarantined","until":"u:70","reason":"3 panics in 8 ticks"},"failures":[],"strikes":"u:1","last_error":"injected failure""#,
+                1,
+            ),
+            2 => line
+                .replacen(r#""tier":"primary""#, r#""tier":"seasonal-naive""#, 1)
+                .replacen(
+                    r#""naive":null"#,
+                    r#""naive":{"plan":[],"plan_start":"u:0","degraded":false,"sigma":"f:4024000000000000"}"#,
+                    1,
+                ),
+            3 => line.replacen(
+                HEALTHY,
+                r#""health":{"state":"healthy"},"failures":["u:51"],"strikes":"u:0","last_error":"injected failure""#,
+                1,
+            ),
+            4 => line.replacen(
+                HEALTHY,
+                r#""health":{"state":"quarantined","until":"u:55","reason":"panic on probation"},"failures":[],"strikes":"u:2","last_error":"injected failure""#,
+                1,
+            ),
+            _ => line.to_string(),
+        };
+        assert!(!(1..=4).contains(&n) || edited != line, "tenant line {n} was not edited");
+        out.push_str(&edited);
+        out.push('\n');
+    }
+    out
+}
+
+#[test]
+fn golden_v1_checkpoint_is_written_byte_for_byte_and_resumes() {
+    for covered in [
+        r#""tier":"seasonal-naive""#,
+        r#""naive":{"plan":["#,
+        r#""state":"quarantined""#,
+        r#""state":"probation""#,
+    ] {
+        assert!(GOLDEN.contains(covered), "the fixture no longer covers {covered}");
+    }
+
+    // The uninterrupted run: tick 52 of a plain fleet, doctored, then
+    // carried on without ever being killed.
+    let cfg = golden_cfg();
+    let tel = Telemetry::live();
+    let mut plain = supervised(&cfg, &tel);
+    for _ in 0..52 {
+        plain.tick();
+    }
+    let text = doctored(&checkpoint::save(&plain, &cfg, &tel).unwrap());
+    let tel = Telemetry::live();
+    let (mut uninterrupted, _) = checkpoint::load(&text, &tel, Obs::noop()).unwrap();
+    for _ in 52..57 {
+        uninterrupted.tick();
+    }
+    let saved = checkpoint::save(&uninterrupted, &cfg, &tel).unwrap();
+    assert!(
+        saved == GOLDEN,
+        "schema-v1 text moved; first difference at byte {:?}",
+        saved.bytes().zip(GOLDEN.bytes()).position(|(a, b)| a != b)
+    );
+    uninterrupted.run_to_completion();
+    let reference = (uninterrupted.finish(), tel.snapshot().exposition());
+
+    // The committed file alone resumes to the same report and exposition.
+    let tel = Telemetry::live();
+    let (mut resumed, loaded_cfg) = checkpoint::load(GOLDEN, &tel, Obs::noop()).unwrap();
+    assert_eq!(format!("{loaded_cfg:?}"), format!("{cfg:?}"));
+    assert_eq!(resumed.ticks_done(), 57);
+    assert!(matches!(resumed.health(0), TenantHealth::Quarantined { until_tick: 70, .. }));
+    assert!(checkpoint::save(&resumed, &cfg, &tel).unwrap() == GOLDEN);
+    resumed.run_to_completion();
+    assert_eq!((resumed.finish(), tel.snapshot().exposition()), reference);
+}
+
+#[test]
+fn checkpoint_truncated_at_any_byte_errors_or_loads_the_same_state() {
+    // ROADMAP item 4: a torn write must never panic the loader or load
+    // as a different fleet. Capture is off and the kill is early so the
+    // text stays a few KB and the sweep can afford every offset.
+    let mut cfg = fleet_cfg(3);
+    cfg.days = 1;
+    cfg.capture_events = false;
+    let tel = Telemetry::live();
+    let mut sup = supervised(&cfg, &tel);
+    for _ in 0..5 {
+        sup.tick();
+    }
+    let text = checkpoint::save(&sup, &cfg, &tel).unwrap();
+    assert!(text.is_ascii() && text.len() < 16 * 1024, "{} bytes", text.len());
+
+    let mut loaded = 0;
+    for cut in 0..text.len() {
+        let tel2 = Telemetry::live();
+        if let Ok((resumed, _)) = checkpoint::load(&text[..cut], &tel2, Obs::noop()) {
+            // Only the trailing newline is optional.
+            assert_eq!(cut, text.len() - 1, "a checkpoint cut at byte {cut} loaded");
+            assert!(checkpoint::save(&resumed, &cfg, &tel2).unwrap() == text);
+            loaded += 1;
+        }
+    }
+    assert_eq!(loaded, 1);
 }

@@ -9,22 +9,16 @@ use rpas_core::{
     plan_adaptive, plan_robust, plan_robust_lp, plan_staircase, AdaptiveConfig, StaircaseLevel,
 };
 use rpas_forecast::QuantileForecast;
-use rpas_tsmath::{rng, Matrix};
+use rpas_tsmath::rng;
 use std::hint::black_box;
 
 /// Synthetic quantile forecast with realistic spread, `horizon × 7 levels`.
 fn synthetic_forecast(horizon: usize, seed: u64) -> QuantileForecast {
-    let levels = rpas_forecast::SCALING_LEVELS.to_vec();
     let mut r = rng::seeded(seed);
-    let mut values = Matrix::zeros(horizon, levels.len());
-    for h in 0..horizon {
+    QuantileForecast::gaussian(&rpas_forecast::SCALING_LEVELS, horizon, |h| {
         let base = 100.0 + 30.0 * (h as f64 / 12.0).sin() + rng::standard_normal(&mut r) * 5.0;
-        let spread = 10.0 + 5.0 * rng::uniform_open(&mut r);
-        for (i, &l) in levels.iter().enumerate() {
-            values[(h, i)] = base + spread * rpas_tsmath::special::norm_quantile(l);
-        }
-    }
-    QuantileForecast::new(levels, values)
+        (base, 10.0 + 5.0 * rng::uniform_open(&mut r))
+    })
 }
 
 fn main() {

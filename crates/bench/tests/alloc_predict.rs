@@ -1,5 +1,5 @@
 //! Allocation ratchet for one `forecast_quantiles` call of each neural
-//! forecaster.
+//! and each Gaussian forecaster, and for one fleet replan.
 //!
 //! DeepAR inference used to allocate on every GRU step of every sample
 //! path (80 591 allocations / 25.9 MB for 100 paths × 72 steps). It now
@@ -13,11 +13,23 @@
 //! size — so a `Vec` that creeps back into a per-step loop fails here
 //! instead of showing up as a slow ledger row.
 //!
+//! The Gaussian forecasters (seasonal-naive, last-value, ARIMA,
+//! Holt-Winters) fill their matrix through `QuantileForecast::gaussian`:
+//! the matrix, the level vector and one z-score row, whatever the horizon,
+//! on top of what the model's own point path needs. A replan of
+//! `QuantilePredictivePolicy` adds the workload row and the plan, which is
+//! moved into the policy, not copied.
+//!
 //! Kept to a single `#[test]` in its own binary: the counting allocator
 //! observes the whole process (see `alloc_ratchet.rs`).
 
 use rpas_bench::alloc;
-use rpas_forecast::{DeepAr, DeepArConfig, Forecaster, Tft, TftConfig, SCALING_LEVELS};
+use rpas_core::{QuantilePredictivePolicy, ReplanSchedule, RobustAutoScalingManager, ScalingStrategy};
+use rpas_forecast::{
+    Arima, ArimaConfig, DeepAr, DeepArConfig, Forecaster, HoltWinters, HoltWintersConfig,
+    LastValue, SeasonalNaive, Tft, TftConfig, SCALING_LEVELS,
+};
+use rpas_simdb::{Observation, ScaleOutcome, ScalingPolicy};
 
 #[global_allocator]
 static ALLOC: alloc::CountingAlloc = alloc::CountingAlloc;
@@ -108,10 +120,66 @@ fn tft_allocations_are_constant_in_context(series: &[f64]) {
     assert!(many.bytes < 128 * 1024, "tft predict requested {} bytes", many.bytes);
 }
 
+/// One Gaussian forecaster's predict: at most `ceiling` allocator calls,
+/// and as many at horizon 72 as at horizon 8.
+fn gaussian_allocations_are_constant_in_horizon(
+    mut model: impl Forecaster,
+    series: &[f64],
+    ceiling: u64,
+) {
+    model.fit(series).expect("fit");
+    let context = &series[300..372];
+    let few = predict_cost(&model, context, 8);
+    let many = predict_cost(&model, context, 72);
+    let name = model.name();
+    assert!(few.allocs <= ceiling, "{name} predict allocated {} times (ceiling {ceiling})", few.allocs);
+    assert_eq!(
+        few.allocs, many.allocs,
+        "{name} allocations grew with the horizon: {} at 8 steps, {} at 72",
+        few.allocs, many.allocs
+    );
+}
+
+/// One replan of the fleet's predictive policy: the forecast (matrix,
+/// levels, z-scores), the effective-workload row and the plan.
+fn replan_moves_its_plan(series: &[f64]) {
+    let mut fc = SeasonalNaive::new(24);
+    fc.fit(series).expect("fit");
+    let manager = RobustAutoScalingManager::new(60.0, 1, ScalingStrategy::Fixed { tau: 0.9 });
+    let schedule = ReplanSchedule { context: 24, horizon: 72 };
+    let mut policy = QuantilePredictivePolicy::new("predictive", fc, manager, schedule);
+    let replan_at = |policy: &mut QuantilePredictivePolicy<SeasonalNaive>, step: usize| {
+        let obs = Observation {
+            step,
+            history: &series[..step],
+            current_nodes: 1,
+            theta: 60.0,
+            min_nodes: 1,
+            metrics_fresh: true,
+            last_scale: ScaleOutcome::NoChange,
+        };
+        alloc::measure(|| policy.decide(&obs)).1
+    };
+    // The first replan fills an empty plan; later ones drop the old plan
+    // for the new one. Allocation counts are the same.
+    let allocs =
+        (0..3).map(|k| replan_at(&mut policy, 100 + 72 * k).allocs).min().expect("three replans");
+    assert_eq!(allocs, 5, "a replan allocates the forecast (3), the workload row and the plan");
+}
+
 #[test]
 fn predict_allocations_are_constant_in_problem_size() {
     assert!(alloc::installed(), "counting allocator must route this binary's allocations");
     let series: Vec<f64> = (0..400).map(|t| 40.0 + 10.0 * (t as f64 * 0.26).sin()).collect();
     deepar_allocations_are_constant_in_paths_and_horizon(&series);
     tft_allocations_are_constant_in_context(&series);
+    gaussian_allocations_are_constant_in_horizon(SeasonalNaive::new(24), &series, 3);
+    gaussian_allocations_are_constant_in_horizon(LastValue::new(), &series, 3);
+    gaussian_allocations_are_constant_in_horizon(Arima::new(ArimaConfig::default()), &series, 14);
+    gaussian_allocations_are_constant_in_horizon(
+        HoltWinters::new(HoltWintersConfig { period: 24, ..HoltWintersConfig::default() }),
+        &series,
+        5,
+    );
+    replan_moves_its_plan(&series);
 }

@@ -106,7 +106,7 @@ impl<F: Forecaster> ScalingPolicy for QuantilePredictivePolicy<F> {
         ) {
             Ok(qf) => {
                 self.degraded = false;
-                self.plan = self.manager.plan(&qf).as_slice().to_vec();
+                self.plan = self.manager.plan(&qf).into_vec();
                 self.plan_start = obs.step;
                 self.plan[0].max(obs.min_nodes)
             }
@@ -200,7 +200,7 @@ impl<P: PointForecaster + ErrorFeedback> ScalingPolicy for PointPredictivePolicy
         match self.forecaster.forecast(ctx, self.schedule.horizon) {
             Ok(f) => {
                 let clamped: Vec<f64> = f.iter().map(|&w| w.max(0.0)).collect();
-                self.plan = plan_point(&clamped, self.theta, self.min_nodes).as_slice().to_vec();
+                self.plan = plan_point(&clamped, self.theta, self.min_nodes).into_vec();
                 self.plan_forecasts = f;
                 self.plan_start = obs.step;
                 self.plan[0].max(obs.min_nodes)

@@ -769,6 +769,8 @@ pub fn load(text: &str, tel: &Telemetry, obs: Obs) -> Result<(FleetSupervisor, F
     let total_ticks: u64 = field(header, "total_ticks", "header")?;
     let cfg: FleetConfig = field(header, "config", "header")?;
     let sup_cfg: SupervisorConfig = field(header, "supervisor", "header")?;
+    cfg.validate().map_err(|why| format!("header.config: {why}"))?;
+    sup_cfg.validate().map_err(|why| format!("header.supervisor: {why}"))?;
 
     let engine = FleetEngine::with_telemetry(&cfg, tel).with_obs(obs);
     let mut sup = FleetSupervisor::wrap_with(engine, sup_cfg, tel);

@@ -204,19 +204,37 @@ impl FleetConfig {
         }
     }
 
+    /// Whether a fleet can be built from this configuration: at least
+    /// one tenant, a non-empty policy and preset mix, a non-degenerate
+    /// schedule, and shared scalars every tenant's trace, manager and
+    /// session accept. Front ends holding outside input (the CLI, the
+    /// checkpoint loader) call this and report the `Err`; building from
+    /// a configuration that fails it panics.
+    pub fn validate(&self) -> Result<(), String> {
+        let checks = [
+            (self.tenants > 0, "a fleet needs at least one tenant"),
+            (!self.policies.is_empty(), "policy mix must not be empty"),
+            (!self.presets.is_empty(), "preset mix must not be empty"),
+            (self.schedule.context > 0 && self.schedule.horizon > 0, "degenerate schedule"),
+            (self.days > 0, "a trace needs at least one day"),
+            (self.theta > 0.0 && self.theta.is_finite(), "theta must be positive and finite"),
+            (self.min_nodes >= 1, "a serving cluster needs at least one node"),
+            (self.tau > 0.0 && self.tau < 1.0, "tau must be in (0,1)"),
+        ];
+        for (ok, why) in checks {
+            if !ok {
+                return Err(why.to_string());
+            }
+        }
+        Ok(())
+    }
+
     /// Expand the grid into one spec per tenant.
     ///
     /// # Panics
-    /// Panics on an empty fleet, an empty policy/preset mix, or a
-    /// degenerate schedule.
+    /// Panics when [`FleetConfig::validate`] rejects the configuration.
     pub fn specs(&self) -> Vec<TenantSpec> {
-        assert!(self.tenants > 0, "a fleet needs at least one tenant");
-        assert!(!self.policies.is_empty(), "policy mix must not be empty");
-        assert!(!self.presets.is_empty(), "preset mix must not be empty");
-        assert!(
-            self.schedule.context > 0 && self.schedule.horizon > 0,
-            "degenerate schedule"
-        );
+        assert_eq!(self.validate(), Ok(()), "invalid fleet config");
         (0..self.tenants)
             .map(|i| TenantSpec {
                 id: TenantId(i as u32),
@@ -436,8 +454,7 @@ impl FleetReport {
 
 /// Serialize one captured event as a deterministic, tenant-scoped
 /// schema-v1 JSONL line.
-fn sanitize_event(ev: &Event, id: TenantId, seq: u64) -> String {
-    let mut ev = ev.clone();
+fn sanitize_event(mut ev: Event, id: TenantId, seq: u64) -> String {
     ev.seq = seq;
     ev.ts_us = 0;
     ev.wall_us = None;
@@ -571,13 +588,13 @@ impl FleetEngine {
                 (zero, session.snapshot().counts.total())
             } else {
                 let report: SimulationReport = session.finish(policy.name());
-                (tenant_qos(&report, spec.theta, spec.min_nodes), report.faults.total())
+                (tenant_qos(&report), report.faults.total())
             };
             if let Some(mem) = capture {
                 // drain, not events(): the sink is finished with, so take
                 // the buffer instead of cloning it.
                 for ev in mem.drain() {
-                    trace_lines.push(sanitize_event(&ev, spec.id, seq));
+                    trace_lines.push(sanitize_event(ev, spec.id, seq));
                     seq += 1;
                 }
             }

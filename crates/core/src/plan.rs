@@ -39,6 +39,11 @@ impl CapacityPlan {
         &self.nodes
     }
 
+    /// The allocation series, by value.
+    pub fn into_vec(self) -> Vec<u32> {
+        self.nodes
+    }
+
     /// Objective value `Σ_t c_t` (total node-intervals).
     pub fn total_nodes(&self) -> u64 {
         self.nodes.iter().map(|&c| c as u64).sum()

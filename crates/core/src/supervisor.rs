@@ -68,15 +68,25 @@ impl Default for SupervisorConfig {
 }
 
 impl SupervisorConfig {
-    fn validate(&self) {
-        assert!(self.failure_threshold > 0, "failure_threshold must be positive");
-        assert!(self.failure_window > 0, "failure_window must be positive");
-        assert!(self.base_backoff_ticks > 0, "base_backoff_ticks must be positive");
-        assert!(
-            self.max_backoff_ticks >= self.base_backoff_ticks,
-            "max_backoff_ticks must be at least base_backoff_ticks"
-        );
-        assert!(self.probation_ticks > 0, "probation_ticks must be positive");
+    /// Whether the breaker can run on this tuning; the checkpoint loader
+    /// reports the `Err`, [`FleetSupervisor::wrap_with`] panics on it.
+    pub fn validate(&self) -> Result<(), String> {
+        let checks = [
+            (self.failure_threshold > 0, "failure_threshold must be positive"),
+            (self.failure_window > 0, "failure_window must be positive"),
+            (self.base_backoff_ticks > 0, "base_backoff_ticks must be positive"),
+            (
+                self.max_backoff_ticks >= self.base_backoff_ticks,
+                "max_backoff_ticks must be at least base_backoff_ticks",
+            ),
+            (self.probation_ticks > 0, "probation_ticks must be positive"),
+        ];
+        for (ok, why) in checks {
+            if !ok {
+                return Err(why.to_string());
+            }
+        }
+        Ok(())
     }
 }
 
@@ -187,7 +197,7 @@ impl FleetSupervisor {
     /// # Panics
     /// Panics on a degenerate config.
     pub fn wrap_with(engine: FleetEngine, cfg: SupervisorConfig, tel: &Telemetry) -> Self {
-        cfg.validate();
+        assert_eq!(cfg.validate(), Ok(()), "invalid supervisor config");
         let total_ticks =
             engine.runs.iter().map(|run| run.session.len() as u64).max().unwrap_or(0);
         let guards =
@@ -301,18 +311,14 @@ impl FleetSupervisor {
     /// tenants, and aggregate the fleet report (draining every capture
     /// buffer, quarantined tenants included).
     pub fn finish(self) -> FleetReport {
-        let subjects: Vec<(String, RatioSeries)> = self
-            .engine
-            .runs
-            .iter()
-            .zip(&self.guards)
-            .map(|(run, guard)| {
-                (run.spec.id.to_string(), RatioSeries::from_bools(&guard.outage))
-            })
-            .collect();
+        // One outage series alive at a time: each is built when the
+        // evaluation asks for it and dropped once merged.
+        let subjects = self.engine.runs.iter().zip(&self.guards).map(|(run, guard)| {
+            (run.spec.id.to_string(), RatioSeries::from_bools(&guard.outage))
+        });
         let availability = SloReport::evaluate(
             &SloSpec::fleet_availability_default(),
-            &subjects,
+            subjects,
             &self.engine.obs,
         );
         let quarantined: Vec<QuarantineRecord> = self

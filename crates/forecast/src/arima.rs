@@ -4,7 +4,6 @@
 //! uncertainty of the forecasts" baseline of §IV-A).
 
 use crate::types::{validate_levels, ForecastError, Forecaster, PointForecaster, QuantileForecast};
-use rpas_tsmath::special::norm_quantile;
 use rpas_tsmath::{stats, Matrix};
 
 /// ARIMA order configuration.
@@ -276,6 +275,8 @@ impl Forecaster for Arima {
         let mut z: Vec<f64> = w.iter().map(|v| v - f.mean).collect();
         let mut e = Self::residuals(f, &z);
         let n = z.len();
+        z.reserve(horizon);
+        e.reserve(horizon);
 
         // Iterated point forecasts on the differenced, centered scale.
         for h in 0..horizon {
@@ -314,9 +315,8 @@ impl Forecaster for Arima {
                 psi[j] += psi[j - 1];
             }
         }
-        let mut values = Matrix::zeros(horizon, levels.len());
         let mut cum = 0.0;
-        for h in 0..horizon {
+        Ok(QuantileForecast::gaussian(levels, horizon, |h| {
             cum += psi[h] * psi[h];
             // Stationarity cap: a stationary ARMA's forecast variance is
             // bounded by the marginal variance (scaled by (h+1) per order
@@ -324,12 +324,8 @@ impl Forecaster for Arima {
             // this, an estimated root on or outside the unit circle makes
             // the psi recursion explode over long horizons.
             let cap = f.marginal_var * ((h + 1) as f64).powi(d as i32);
-            let sd = (f.sigma2 * cum).min(cap).sqrt();
-            for (i, &l) in levels.iter().enumerate() {
-                values[(h, i)] = point[h] + sd * norm_quantile(l);
-            }
-        }
-        Ok(QuantileForecast::new(levels.to_vec(), values))
+            (point[h], (f.sigma2 * cum).min(cap).sqrt())
+        }))
     }
 }
 

@@ -5,8 +5,7 @@
 //! widened with horizon by the smoothing-induced variance growth.
 
 use crate::types::{validate_levels, ForecastError, Forecaster, PointForecaster, QuantileForecast};
-use rpas_tsmath::special::norm_quantile;
-use rpas_tsmath::{stats, Matrix};
+use rpas_tsmath::stats;
 
 /// Holt–Winters configuration (additive trend + additive seasonality).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -143,21 +142,16 @@ impl Forecaster for HoltWinters {
         let m = self.cfg.period;
         let phi = self.cfg.damping;
 
-        let mut values = Matrix::zeros(horizon, levels.len());
         let mut damped_sum = 0.0;
         let mut damp = phi;
-        for h in 0..horizon {
+        Ok(QuantileForecast::gaussian(levels, horizon, |h| {
             damped_sum += damp;
             damp *= phi;
             let point =
                 state.level + damped_sum * state.trend + state.seasonal[(state.next_slot + h) % m];
             // Forecast-variance growth ≈ 1 + (h)·α² for additive smoothing.
-            let sd = f.residual_std * (1.0 + h as f64 * self.cfg.alpha.powi(2)).sqrt();
-            for (i, &l) in levels.iter().enumerate() {
-                values[(h, i)] = point + sd * norm_quantile(l);
-            }
-        }
-        Ok(QuantileForecast::new(levels.to_vec(), values))
+            (point, f.residual_std * (1.0 + h as f64 * self.cfg.alpha.powi(2)).sqrt())
+        }))
     }
 }
 

@@ -4,9 +4,7 @@
 
 use crate::types::{validate_levels, ForecastError, Forecaster, PointForecaster, QuantileForecast};
 use rpas_obs::Obs;
-use rpas_tsmath::special::norm_quantile;
-use rpas_tsmath::stats::RunningMoments;
-use rpas_tsmath::{stats, Matrix};
+use rpas_tsmath::stats::{self, RunningMoments};
 
 /// Repeats the last observed value; quantiles widen with horizon using the
 /// random-walk `σ√h` law estimated from one-step differences.
@@ -45,14 +43,9 @@ impl Forecaster for LastValue {
         validate_levels(levels)?;
         let sigma1 = self.sigma1.ok_or(ForecastError::NotFitted)?;
         let last = *context.last().ok_or(ForecastError::SeriesTooShort { needed: 1, got: 0 })?;
-        let mut values = Matrix::zeros(horizon, levels.len());
-        for h in 0..horizon {
-            let sd = sigma1 * ((h + 1) as f64).sqrt();
-            for (i, &l) in levels.iter().enumerate() {
-                values[(h, i)] = last + sd * norm_quantile(l);
-            }
-        }
-        Ok(QuantileForecast::new(levels.to_vec(), values))
+        Ok(QuantileForecast::gaussian(levels, horizon, |h| {
+            (last, sigma1 * ((h + 1) as f64).sqrt())
+        }))
     }
 }
 
@@ -250,23 +243,10 @@ impl Forecaster for SeasonalNaive {
                     .field("context", context.len() as u64)
                     .field("last", last);
             });
-            let mut values = Matrix::zeros(horizon, levels.len());
-            for h in 0..horizon {
-                for (i, &l) in levels.iter().enumerate() {
-                    values[(h, i)] = last + sigma * norm_quantile(l);
-                }
-            }
-            return Ok(QuantileForecast::new(levels.to_vec(), values));
+            return Ok(QuantileForecast::gaussian(levels, horizon, |_| (last, sigma)));
         }
         let season = &context[context.len() - self.period..];
-        let mut values = Matrix::zeros(horizon, levels.len());
-        for h in 0..horizon {
-            let base = season[h % self.period];
-            for (i, &l) in levels.iter().enumerate() {
-                values[(h, i)] = base + sigma * norm_quantile(l);
-            }
-        }
-        Ok(QuantileForecast::new(levels.to_vec(), values))
+        Ok(QuantileForecast::gaussian(levels, horizon, |h| (season[h % self.period], sigma)))
     }
 }
 

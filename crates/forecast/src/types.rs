@@ -1,5 +1,6 @@
 //! Forecast types and the forecaster traits.
 
+use rpas_tsmath::special::norm_quantile;
 use rpas_tsmath::Matrix;
 
 /// Errors from fitting or forecasting.
@@ -96,6 +97,29 @@ impl QuantileForecast {
             }
         }
         Self { levels, values }
+    }
+
+    /// Gaussian forecast: `step(h)` gives step `h`'s `(center, sd)` and
+    /// the cell at level `l` is `center + sd * norm_quantile(l)`. The
+    /// z-score of a level does not depend on the step, so each is
+    /// evaluated once per call, not once per cell.
+    ///
+    /// # Panics
+    /// Panics as [`QuantileForecast::new`] does on a malformed level set.
+    pub fn gaussian(
+        levels: &[f64],
+        horizon: usize,
+        mut step: impl FnMut(usize) -> (f64, f64),
+    ) -> Self {
+        let z: Vec<f64> = levels.iter().map(|&l| norm_quantile(l)).collect();
+        let mut values = Matrix::zeros(horizon, levels.len());
+        for h in 0..horizon {
+            let (center, sd) = step(h);
+            for (v, &z) in values.row_mut(h).iter_mut().zip(&z) {
+                *v = center + sd * z;
+            }
+        }
+        Self::new(levels.to_vec(), values)
     }
 
     /// Quantile levels (strictly increasing).

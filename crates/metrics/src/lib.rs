@@ -19,7 +19,7 @@ pub use calibration::{
     CalibrationPoint,
 };
 pub use point::{mae, mse};
-pub use provisioning::{provisioning_rates, ProvisioningReport};
+pub use provisioning::{provisioning_rates, provisioning_rates_over, ProvisioningReport};
 pub use quantile::{
     coverage, mean_weighted_quantile_loss, quantile_loss, weighted_quantile_loss,
     weighted_quantile_loss_obs,

@@ -49,9 +49,23 @@ pub fn provisioning_rates(
     min_nodes: u32,
 ) -> ProvisioningReport {
     assert_eq!(allocations.len(), actual_workload.len(), "provisioning: length mismatch");
-    assert!(!allocations.is_empty(), "provisioning: empty input");
-    let n = allocations.len() as f64;
+    provisioning_rates_over(
+        allocations.iter().copied().zip(actual_workload.iter().copied()),
+        theta,
+        min_nodes,
+    )
+}
 
+/// [`provisioning_rates`] over `(allocation, realised workload)` pairs,
+/// for a caller whose two series are not slices of their own.
+///
+/// # Panics
+/// Panics on empty input or a non-positive threshold.
+pub fn provisioning_rates_over(
+    periods: impl Iterator<Item = (u32, f64)>,
+    theta: f64,
+    min_nodes: u32,
+) -> ProvisioningReport {
     let mut under = 0usize;
     let mut over = 0usize;
     let mut exact = 0usize;
@@ -60,7 +74,7 @@ pub fn provisioning_rates(
     let mut excess = 0.0;
     let mut deficit = 0.0;
 
-    for (&c, &w) in allocations.iter().zip(actual_workload) {
+    for (c, w) in periods {
         let req = required_nodes(w, theta, min_nodes);
         alloc_sum += c as f64;
         req_sum += req as f64;
@@ -78,6 +92,8 @@ pub fn provisioning_rates(
         }
     }
 
+    assert!(under + over + exact > 0, "provisioning: empty input");
+    let n = (under + over + exact) as f64;
     ProvisioningReport {
         under_rate: under as f64 / n,
         over_rate: over as f64 / n,

@@ -11,7 +11,6 @@
 //! arithmetic, so it stays usable from any driver.
 
 use crate::report::SimulationReport;
-use rpas_metrics::provisioning::required_nodes;
 
 /// Per-tenant quality-of-service summary, derived from one tenant's
 /// [`SimulationReport`].
@@ -32,25 +31,19 @@ pub struct TenantQos {
     pub regret_node_steps: i64,
 }
 
-/// Score one tenant's report against the clairvoyant allocation
-/// `required_nodes(workload, θ, min_nodes)` per tick.
-pub fn tenant_qos(report: &SimulationReport, theta: f64, min_nodes: u32) -> TenantQos {
-    let mut over = 0u64;
-    let mut allocated = 0u64;
-    let mut required = 0u64;
-    for s in &report.steps {
-        let need = required_nodes(s.workload, theta, min_nodes) as u64;
-        let pool = s.pool_nodes as u64;
-        over += pool.saturating_sub(need);
-        allocated += pool;
-        required += need;
-    }
+/// Score one tenant's report against the clairvoyant allocation — the
+/// per-tick `required_nodes` its provisioning summary was measured
+/// against.
+pub fn tenant_qos(report: &SimulationReport) -> TenantQos {
+    // Excess and deficit are sums of whole node counts, exact in `f64`
+    // below 2^53, so the casts lose nothing.
+    let p = &report.provisioning;
     TenantQos {
         steps: report.steps.len(),
         violation_rate: report.violation_rate,
-        over_provision_node_steps: over,
-        node_steps: allocated,
-        regret_node_steps: allocated as i64 - required as i64,
+        over_provision_node_steps: p.excess_node_steps as u64,
+        node_steps: report.total_node_steps(),
+        regret_node_steps: (p.excess_node_steps - p.deficit_node_steps) as i64,
     }
 }
 
@@ -104,6 +97,7 @@ mod tests {
     use super::*;
     use crate::policy::{FixedPolicy, OraclePolicy};
     use crate::simulator::{SimConfig, Simulation};
+    use rpas_metrics::provisioning::required_nodes;
     use rpas_traces::Trace;
 
     fn run(values: Vec<f64>, nodes: u32) -> SimulationReport {
@@ -116,7 +110,7 @@ mod tests {
         let tr = Trace::new("w", 600, vec![30.0, 130.0, 250.0, 90.0]);
         let report = Simulation::new(&tr, SimConfig::default())
             .run(&mut OraclePolicy::new(tr.values.clone()));
-        let q = tenant_qos(&report, 60.0, 1);
+        let q = tenant_qos(&report);
         assert_eq!(q.regret_node_steps, 0);
         assert_eq!(q.over_provision_node_steps, 0);
     }
@@ -124,7 +118,7 @@ mod tests {
     #[test]
     fn oversized_tenant_pays_over_provision() {
         // 10 nodes against workload 30 (needs 1): 9 idle nodes × 8 ticks.
-        let q = tenant_qos(&run(vec![30.0; 8], 10), 60.0, 1);
+        let q = tenant_qos(&run(vec![30.0; 8], 10));
         assert_eq!(q.over_provision_node_steps, 72);
         assert_eq!(q.regret_node_steps, 72);
         assert_eq!(q.node_steps, 80);
@@ -134,16 +128,55 @@ mod tests {
     #[test]
     fn undersized_tenant_has_negative_regret_and_violations() {
         // 1 node against workload 200 (needs 4): regret 1−4 per tick.
-        let q = tenant_qos(&run(vec![200.0; 5], 1), 60.0, 1);
+        let q = tenant_qos(&run(vec![200.0; 5], 1));
         assert_eq!(q.regret_node_steps, -15);
         assert_eq!(q.over_provision_node_steps, 0);
         assert_eq!(q.violation_rate, 1.0);
     }
 
+    /// The per-step loop `tenant_qos` ran before it read the provisioning
+    /// summary, kept as the reference.
+    fn tenant_qos_stepwise(report: &SimulationReport, theta: f64, min_nodes: u32) -> TenantQos {
+        let (mut over, mut allocated, mut required) = (0u64, 0u64, 0u64);
+        for s in &report.steps {
+            let need = required_nodes(s.workload, theta, min_nodes) as u64;
+            let pool = s.pool_nodes as u64;
+            over += pool.saturating_sub(need);
+            allocated += pool;
+            required += need;
+        }
+        TenantQos {
+            steps: report.steps.len(),
+            violation_rate: report.violation_rate,
+            over_provision_node_steps: over,
+            node_steps: allocated,
+            regret_node_steps: allocated as i64 - required as i64,
+        }
+    }
+
+    #[test]
+    fn qos_from_provisioning_matches_the_stepwise_reference() {
+        let cfg = SimConfig::default();
+        // Over- and under-provisioned ticks mixed in one run, at several
+        // fixed pool sizes and workload scales.
+        for nodes in [1, 2, 3, 5, 9] {
+            for scale in [0.0, 7.5, 61.0, 333.0] {
+                let values: Vec<f64> =
+                    (0..97).map(|t| scale * (1.0 + ((t * 37) % 11) as f64) / 3.0).collect();
+                let report = run(values, nodes);
+                assert_eq!(
+                    tenant_qos(&report),
+                    tenant_qos_stepwise(&report, cfg.theta, cfg.min_nodes),
+                    "nodes={nodes} scale={scale}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn fleet_aggregates_are_step_weighted() {
-        let a = tenant_qos(&run(vec![200.0; 10], 1), 60.0, 1); // all violations
-        let b = tenant_qos(&run(vec![30.0; 30], 1), 60.0, 1); // none
+        let a = tenant_qos(&run(vec![200.0; 10], 1)); // all violations
+        let b = tenant_qos(&run(vec![30.0; 30], 1)); // none
         let f = fleet_qos(&[a, b]);
         assert_eq!(f.tenants, 2);
         assert_eq!(f.total_steps, 40);

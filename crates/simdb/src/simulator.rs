@@ -13,7 +13,7 @@ use crate::policy::{Observation, ScaleOutcome, ScalingPolicy};
 use crate::report::{SimulationReport, StepRecord};
 use crate::storage::SharedStorage;
 use crate::warmup::WarmupModel;
-use rpas_metrics::provisioning_rates;
+use rpas_metrics::provisioning_rates_over;
 use rpas_obs::{Level, Obs};
 use rpas_telemetry::{Counter, HistogramHandle, Telemetry};
 use rpas_traces::Trace;
@@ -441,8 +441,11 @@ impl SimSession {
             });
         }
 
-        let allocations: Vec<u32> = steps.iter().map(|s| s.pool_nodes).collect();
-        let provisioning = provisioning_rates(&allocations, &w, cfg.theta, cfg.min_nodes);
+        let provisioning = provisioning_rates_over(
+            steps.iter().zip(w).map(|(s, &w)| (s.pool_nodes, w)),
+            cfg.theta,
+            cfg.min_nodes,
+        );
         let violation_rate =
             steps.iter().filter(|s| s.violation).count() as f64 / steps.len() as f64;
         let recovery = faults.as_ref().map(|p| {

@@ -14,6 +14,7 @@
 //! `slo` span.
 
 use rpas_obs::Obs;
+use std::borrow::Borrow;
 
 /// One multi-window burn-rate rule, windows in sim ticks.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -101,11 +102,10 @@ impl RatioSeries {
 
     /// One tick per flag: `true` → `(1, 1)`, `false` → `(0, 1)`.
     pub fn from_bools(flags: &[bool]) -> RatioSeries {
-        let mut s = RatioSeries::new();
-        for &f in flags {
-            s.push(u64::from(f), 1);
+        RatioSeries {
+            bad: flags.iter().map(|&f| u64::from(f)).collect(),
+            total: vec![1; flags.len()],
         }
-        s
     }
 
     /// Element-wise add (extending to the longer of the two).
@@ -132,6 +132,17 @@ impl RatioSeries {
 
     fn sums(&self) -> (u64, u64) {
         (self.bad.iter().sum(), self.total.iter().sum())
+    }
+
+    /// Running sums of `bad` and `total`, each with a leading zero.
+    fn prefix_sums(&self) -> (Vec<u64>, Vec<u64>) {
+        let mut pre_bad = vec![0u64; self.len() + 1];
+        let mut pre_total = vec![0u64; self.len() + 1];
+        for i in 0..self.len() {
+            pre_bad[i + 1] = pre_bad[i] + self.bad[i];
+            pre_total[i + 1] = pre_total[i] + self.total[i];
+        }
+        (pre_bad, pre_total)
     }
 
     /// Bad fraction over the trailing window `(end - len, end]`,
@@ -203,26 +214,25 @@ pub fn evaluate(spec: &SloSpec, subject: &str, series: &RatioSeries, obs: &Obs) 
     let met = bad_fraction <= spec.objective;
     let budget_remaining = 1.0 - bad_fraction / spec.objective;
 
-    // Prefix sums once; every rule's trailing windows read from them.
-    let mut pre_bad = vec![0u64; series.len() + 1];
-    let mut pre_total = vec![0u64; series.len() + 1];
-    for i in 0..series.len() {
-        pre_bad[i + 1] = pre_bad[i] + series.bad[i];
-        pre_total[i + 1] = pre_total[i] + series.total[i];
-    }
-
+    // Prefix sums at most once, by the first rule that has to scan;
+    // every rule's trailing windows read from them.
+    let mut prefix = None;
     let mut alerts = Vec::new();
     for rule in &spec.burn {
         assert!(rule.short > 0 && rule.short <= rule.long, "burn rule needs 0 < short ≤ long");
         if (rule.long as usize) > series.len() {
             continue; // rule window longer than the run: not evaluable
         }
+        if bad == 0 && rule.factor > 0.0 {
+            continue; // every window burns at 0×, below any positive factor
+        }
+        let (pre_bad, pre_total) = prefix.get_or_insert_with(|| series.prefix_sums());
         let mut first_tick = None;
         let mut active = 0u64;
         let mut peak = 0.0f64;
         for end in (rule.long as usize - 1)..series.len() {
-            let long_frac = series.trailing_frac(&pre_bad, &pre_total, end, rule.long);
-            let short_frac = series.trailing_frac(&pre_bad, &pre_total, end, rule.short);
+            let long_frac = series.trailing_frac(pre_bad, pre_total, end, rule.long);
+            let short_frac = series.trailing_frac(pre_bad, pre_total, end, rule.short);
             let (Some(lf), Some(sf)) = (long_frac, short_frac) else { continue };
             let long_burn = lf / spec.objective;
             let short_burn = sf / spec.objective;
@@ -287,10 +297,20 @@ pub struct SloReport {
 impl SloReport {
     /// Evaluate `spec` for every `(subject, series)` pair and for their
     /// fleet-wide merge, emitting `slo/*` events for each subject.
-    pub fn evaluate(spec: &SloSpec, subjects: &[(String, RatioSeries)], obs: &Obs) -> SloReport {
+    ///
+    /// `subjects` is a slice of pairs or an iterator that builds them on
+    /// demand; each pair is dropped before the next is asked for, so a
+    /// lazy caller never holds more than one tenant's series.
+    pub fn evaluate<I>(spec: &SloSpec, subjects: I, obs: &Obs) -> SloReport
+    where
+        I: IntoIterator,
+        I::Item: Borrow<(String, RatioSeries)>,
+    {
+        let subjects = subjects.into_iter();
         let mut fleet_series = RatioSeries::new();
-        let mut tenants = Vec::with_capacity(subjects.len());
-        for (subject, series) in subjects {
+        let mut tenants = Vec::with_capacity(subjects.size_hint().0);
+        for pair in subjects {
+            let (subject, series) = pair.borrow();
             fleet_series.merge(series);
             tenants.push(evaluate(spec, subject, series, obs));
         }
@@ -420,6 +440,119 @@ mod tests {
         let st = evaluate(&spec(0.01, vec![rule]), "x", &s, &Obs::noop());
         assert!(st.alerts.is_empty());
         assert!(!st.met);
+    }
+
+    /// `evaluate` as it was before series with no bad tick skipped the
+    /// scan: prefix sums always, every evaluable rule walked. Kept as the
+    /// reference (it emits nothing; events are built from the status).
+    fn evaluate_scanning_everything(spec: &SloSpec, subject: &str, series: &RatioSeries) -> SloStatus {
+        let (bad, total) = series.sums();
+        let bad_fraction = if total == 0 { 0.0 } else { bad as f64 / total as f64 };
+        let mut pre_bad = vec![0u64; series.len() + 1];
+        let mut pre_total = vec![0u64; series.len() + 1];
+        for i in 0..series.len() {
+            pre_bad[i + 1] = pre_bad[i] + series.bad[i];
+            pre_total[i + 1] = pre_total[i] + series.total[i];
+        }
+        let mut alerts = Vec::new();
+        for rule in &spec.burn {
+            if (rule.long as usize) > series.len() {
+                continue;
+            }
+            let mut first_tick = None;
+            let mut active = 0u64;
+            let mut peak = 0.0f64;
+            for end in (rule.long as usize - 1)..series.len() {
+                let long_frac = series.trailing_frac(&pre_bad, &pre_total, end, rule.long);
+                let short_frac = series.trailing_frac(&pre_bad, &pre_total, end, rule.short);
+                let (Some(lf), Some(sf)) = (long_frac, short_frac) else { continue };
+                let long_burn = lf / spec.objective;
+                let short_burn = sf / spec.objective;
+                if long_burn >= rule.factor && short_burn >= rule.factor {
+                    first_tick.get_or_insert(end as u64);
+                    active += 1;
+                    peak = peak.max(long_burn);
+                }
+            }
+            if let Some(first) = first_tick {
+                alerts.push(BurnAlert { rule: *rule, first_tick: first, active_ticks: active, peak_burn: peak });
+            }
+        }
+        SloStatus {
+            subject: subject.to_string(),
+            ticks: series.len() as u64,
+            bad,
+            total,
+            bad_fraction,
+            met: bad_fraction <= spec.objective,
+            budget_remaining: 1.0 - bad_fraction / spec.objective,
+            alerts,
+        }
+    }
+
+    /// Every float of a status as bits, so `-0.0`/`0.0` cannot pass for equal.
+    fn float_bits(st: &SloStatus) -> Vec<u64> {
+        [st.bad_fraction, st.budget_remaining]
+            .into_iter()
+            .chain(st.alerts.iter().map(|a| a.peak_burn))
+            .map(f64::to_bits)
+            .collect()
+    }
+
+    #[test]
+    fn early_out_matches_the_full_scan() {
+        use rpas_tsmath::propcheck::forall;
+        use rpas_tsmath::prop_assert_eq;
+
+        forall("early_out_matches_the_full_scan", 256, |g| {
+            // Empty, all-clean, one bad tick, sparse and dense series, as one
+            // tenant's flags or a merged fleet's counts, with and without
+            // ticks nobody reported (`total == 0`).
+            let len = if g.usize_in(0, 12) == 0 { 0 } else { g.usize_in(1, 220) };
+            let bad_rate = [0.0, 0.0, 0.02, 0.3, 0.9][g.usize_in(0, 5)];
+            let one_bad = (g.usize_in(0, 5) == 0).then(|| g.usize_in(0, len.max(1)));
+            let (fleet, gaps) = (g.usize_in(0, 2) == 1, g.usize_in(0, 3) == 0);
+            let mut series = RatioSeries::new();
+            for t in 0..len {
+                let total = match (gaps && g.usize_in(0, 4) == 0, fleet) {
+                    (true, _) => 0,
+                    (false, true) => g.usize_in(1, 5) as u64,
+                    (false, false) => 1,
+                };
+                let bad = (0..total).filter(|_| g.f64_in(0.0, 1.0) < bad_rate).count() as u64;
+                series.push(if one_bad == Some(t) { total.min(1) } else { bad }, total);
+            }
+            // Rules shorter and longer than the series; a zero factor fires
+            // on a clean series and must keep taking the scan.
+            let burn = (0..g.usize_in(0, 4))
+                .map(|_| {
+                    let long = g.usize_in(1, 260) as u64;
+                    BurnRule {
+                        long,
+                        short: g.usize_in(1, long as usize + 1) as u64,
+                        factor: [0.0, 0.5, 1.0, 3.0, 6.0, 14.4][g.usize_in(0, 6)],
+                    }
+                })
+                .collect();
+            let spec = spec(g.f64_in(0.001, 1.0), burn);
+
+            let got = evaluate(&spec, "x", &series, &Obs::noop());
+            let want = evaluate_scanning_everything(&spec, "x", &series);
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(float_bits(&got), float_bits(&want));
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn zero_factor_rule_fires_on_a_clean_series() {
+        let rule = BurnRule { long: 4, short: 2, factor: 0.0 };
+        let clean = RatioSeries::from_bools(&[false; 10]);
+        let st = evaluate(&spec(0.05, vec![rule]), "x", &clean, &Obs::noop());
+        assert_eq!(
+            st.alerts,
+            vec![BurnAlert { rule, first_tick: 3, active_ticks: 7, peak_burn: 0.0 }]
+        );
     }
 
     #[test]

@@ -875,6 +875,7 @@ fn fleet(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>> {
             capture_events: trace_out.is_some() || checkpoint_out.is_some(),
             slo: slo_report.then(SloSpec::violation_rate_default),
         };
+        cfg.validate()?;
 
         obs.info("fleet", "start", |e| {
             e.field("tenants", tenants).field("days", days).field("seed", seed);

@@ -14,10 +14,13 @@ use rpas::core::{
     ScalingStrategy,
 };
 use rpas::forecast::{
-    Arima, ArimaConfig, DeepAr, DeepArConfig, DistKind, Forecaster, MlpProb, MlpProbConfig,
-    QuantileForecast, SeasonalNaive, Tft, TftConfig, SCALING_LEVELS,
+    Arima, ArimaConfig, DeepAr, DeepArConfig, DistKind, Forecaster, HoltWinters,
+    HoltWintersConfig, LastValue, MlpProb, MlpProbConfig, QuantileForecast, SeasonalNaive, Tft,
+    TftConfig, SCALING_LEVELS,
 };
 use rpas::traces::{alibaba_like, RollingWindows, STEPS_PER_DAY};
+use rpas_tsmath::{prop_assert, prop_assert_eq};
+use rpas_tsmath::propcheck::{forall, Gen};
 
 const THETA: f64 = 60.0;
 const CONTEXT: usize = 48;
@@ -184,6 +187,243 @@ fn deepar_matches_reference_sampling_loop() {
             "context length {ctx_len}"
         );
     }
+}
+
+/// The loop every Gaussian forecaster (`LastValue`, `SeasonalNaive`,
+/// `Arima`, `HoltWinters`) ran before `QuantileForecast::gaussian`:
+/// `norm_quantile` inside both loops, one call per cell. `step(h)` is the
+/// model's `(center, sd)` at step `h`, worked out from public pieces.
+fn per_cell_reference(
+    levels: &[f64],
+    horizon: usize,
+    mut step: impl FnMut(usize) -> (f64, f64),
+) -> Vec<u64> {
+    use rpas::tsmath::special::norm_quantile;
+    let mut bits = Vec::with_capacity(horizon * levels.len());
+    for h in 0..horizon {
+        let (center, sd) = step(h);
+        for &l in levels {
+            bits.push((center + sd * norm_quantile(l)).to_bits());
+        }
+    }
+    bits
+}
+
+/// A level set: one level, the planner's seven, or a drawn ladder.
+fn drawn_levels(g: &mut Gen) -> Vec<f64> {
+    match g.usize_in(0, 3) {
+        0 => vec![g.f64_in(0.01, 0.99)],
+        1 => SCALING_LEVELS.to_vec(),
+        _ => {
+            let n = g.usize_in(2, 10);
+            (1..=n).map(|i| (i as f64 - g.f64_in(0.05, 0.95)) / n as f64).collect()
+        }
+    }
+}
+
+/// A seasonal series with a drawn trend; one case in four has no noise
+/// at all, so a residual spread lands on its `1e-9` floor.
+fn drawn_series(g: &mut Gen, period: usize, min_len: usize, max_len: usize) -> Vec<f64> {
+    let len = g.usize_in(min_len, max_len);
+    let noise = if g.usize_in(0, 4) == 0 { 0.0 } else { g.f64_in(0.01, 25.0) };
+    let slope = if noise == 0.0 { 0.0 } else { g.f64_in(-0.2, 0.2) };
+    let shape: Vec<f64> = (0..period).map(|_| g.f64_in(20.0, 200.0)).collect();
+    (0..len).map(|t| shape[t % period] + slope * t as f64 + noise * g.f64_in(-1.0, 1.0)).collect()
+}
+
+#[test]
+fn naive_forecasters_match_the_per_cell_loop() {
+    use rpas::tsmath::stats;
+    forall("naive_forecasters_match_the_per_cell_loop", 96, |g| {
+        let period = g.usize_in(1, 13);
+        let horizon = g.usize_in(1, 3 * period + 2); // past one period too
+        let levels = drawn_levels(g);
+        // Two seasons or more fit on seasonal residuals, fewer on one-step differences.
+        let series = drawn_series(g, period, 3, 4 * period + 3);
+
+        let mut lv = LastValue::new();
+        Forecaster::fit(&mut lv, &series).expect("three samples fit");
+        let sigma1 = stats::std_dev(&stats::difference(&series, 1)).max(1e-9);
+        let last = *series.last().expect("non-empty");
+        let got = lv.forecast_quantiles(&series, horizon, &levels).expect("forecast");
+        let want =
+            per_cell_reference(&levels, horizon, |h| (last, sigma1 * ((h + 1) as f64).sqrt()));
+        prop_assert!(forecast_bits(&got) == want, "last-value differs from the per-cell loop");
+
+        let mut sn = SeasonalNaive::new(period);
+        sn.fit(&series).expect("two samples fit");
+        let sigma = sn.sigma().expect("fitted");
+        // A full season of context repeats it; a shorter one falls back to flat.
+        let mut ctx_lens = Vec::new();
+        if series.len() >= period {
+            ctx_lens.push(g.usize_in(period, series.len() + 1));
+        }
+        if period.min(series.len() + 1) > 1 {
+            ctx_lens.push(g.usize_in(1, period.min(series.len() + 1)));
+        }
+        for ctx_len in ctx_lens {
+            let ctx = &series[series.len() - ctx_len..];
+            let got = sn.forecast_quantiles(ctx, horizon, &levels).expect("forecast");
+            let want = if ctx_len < period {
+                per_cell_reference(&levels, horizon, |_| (last, sigma))
+            } else {
+                let season = &ctx[ctx_len - period..];
+                per_cell_reference(&levels, horizon, |h| (season[h % period], sigma))
+            };
+            prop_assert!(
+                forecast_bits(&got) == want,
+                "seasonal-naive differs from the per-cell loop at context {ctx_len}"
+            );
+        }
+        Ok(())
+    });
+}
+
+#[test]
+fn holt_winters_matches_the_per_cell_loop() {
+    use rpas::tsmath::stats;
+    forall("holt_winters_matches_the_per_cell_loop", 48, |g| {
+        let m = g.usize_in(2, 13);
+        let cfg = HoltWintersConfig {
+            period: m,
+            alpha: g.f64_in(0.05, 0.9),
+            beta: g.f64_in(0.01, 0.5),
+            gamma: g.f64_in(0.05, 0.9),
+            damping: g.f64_in(0.8, 1.0),
+        };
+        let horizon = g.usize_in(1, 3 * m + 2);
+        let levels = drawn_levels(g);
+        let series = drawn_series(g, m, 2 * m + 1, 6 * m + 2);
+        let ctx = &series[series.len() - g.usize_in(2 * m + 1, series.len() + 1)..];
+
+        // The smoothing recursion, transcribed: final state and residuals.
+        let smooth = |xs: &[f64]| {
+            let first = stats::mean(&xs[..m]);
+            let (mut level, mut trend) = (first, (stats::mean(&xs[m..2 * m]) - first) / m as f64);
+            let mut seasonal: Vec<f64> = xs[..m].iter().map(|x| x - first).collect();
+            let mut residuals = Vec::new();
+            for (t, &y) in xs.iter().enumerate() {
+                let i = t % m;
+                residuals.push(y - (level + cfg.damping * trend + seasonal[i]));
+                let new_level = cfg.alpha * (y - seasonal[i])
+                    + (1.0 - cfg.alpha) * (level + cfg.damping * trend);
+                let new_trend =
+                    cfg.beta * (new_level - level) + (1.0 - cfg.beta) * cfg.damping * trend;
+                seasonal[i] = cfg.gamma * (y - new_level) + (1.0 - cfg.gamma) * seasonal[i];
+                (level, trend) = (new_level, new_trend);
+            }
+            (level, trend, seasonal, residuals)
+        };
+        let residuals = smooth(&series).3;
+        let residual_std = stats::std_dev(&residuals[m.min(residuals.len() - 1)..]).max(1e-9);
+        let (level, trend, seasonal, _) = smooth(ctx);
+        let (mut damped_sum, mut damp) = (0.0, cfg.damping);
+        let want = per_cell_reference(&levels, horizon, |h| {
+            damped_sum += damp;
+            damp *= cfg.damping;
+            let point = level + damped_sum * trend + seasonal[(ctx.len() % m + h) % m];
+            (point, residual_std * (1.0 + h as f64 * cfg.alpha.powi(2)).sqrt())
+        });
+
+        let mut hw = HoltWinters::new(cfg);
+        Forecaster::fit(&mut hw, &series).expect("two seasons and a sample fit");
+        let got = hw.forecast_quantiles(ctx, horizon, &levels).expect("forecast");
+        prop_assert_eq!(forecast_bits(&got), want);
+        Ok(())
+    });
+}
+
+#[test]
+fn arima_matches_the_per_cell_loop() {
+    use rpas::tsmath::stats;
+    forall("arima_matches_the_per_cell_loop", 48, |g| {
+        let cfg = ArimaConfig { p: g.usize_in(1, 4), d: g.usize_in(0, 2), q: g.usize_in(0, 3) };
+        let d = cfg.d;
+        let horizon = g.usize_in(1, 40);
+        let levels = drawn_levels(g);
+        let period = g.usize_in(2, 13);
+        let noise = g.f64_in(0.5, 20.0);
+        let series: Vec<f64> = drawn_series(g, period, 60, 200)
+            .iter()
+            .map(|x| x + noise * g.f64_in(-1.0, 1.0))
+            .collect();
+        let mut model = Arima::new(cfg);
+        Forecaster::fit(&mut model, &series).expect("sixty noisy samples fit");
+        let ctx = &series[series.len() - g.usize_in(d + cfg.p.max(cfg.q) + 2, 50)..];
+
+        // What `fit` keeps beside the public coefficients.
+        let (phi, theta) = (model.phi(), model.theta());
+        let sigma2 = model.sigma2().expect("fitted");
+        let trained = stats::difference(&series, d);
+        let mean = stats::mean(&trained);
+        let centered: Vec<f64> = trained.iter().map(|v| v - mean).collect();
+        let marginal_var = stats::variance(&centered).max(sigma2);
+
+        // Residuals over the context, then the iterated point path.
+        let mut z: Vec<f64> = stats::difference(ctx, d).iter().map(|v| v - mean).collect();
+        let n = z.len();
+        let mut e = vec![0.0; n];
+        for t in 0..n {
+            let mut pred = 0.0;
+            for (i, &ph) in phi.iter().enumerate() {
+                if t > i {
+                    pred += ph * z[t - 1 - i];
+                }
+            }
+            for (j, &th) in theta.iter().enumerate() {
+                if t > j {
+                    pred += th * e[t - 1 - j];
+                }
+            }
+            e[t] = z[t] - pred;
+        }
+        for t in n..n + horizon {
+            let mut pred = 0.0;
+            for (i, &ph) in phi.iter().enumerate() {
+                if t > i {
+                    pred += ph * z[t - 1 - i];
+                }
+            }
+            for (j, &th) in theta.iter().enumerate() {
+                if t > j && t - 1 - j < n {
+                    pred += th * e[t - 1 - j];
+                }
+            }
+            z.push(pred);
+        }
+        let diffs: Vec<f64> = z[n..].iter().map(|v| v + mean).collect();
+        let heads: Vec<f64> =
+            (0..d).map(|j| *stats::difference(ctx, j).last().expect("non-empty")).collect();
+        let point = if d == 0 { diffs } else { stats::undifference(&diffs, &heads) };
+
+        // Psi weights, cumulated once per differencing order.
+        let mut psi = vec![0.0; horizon];
+        psi[0] = 1.0;
+        for j in 1..horizon {
+            let mut v = if j <= theta.len() { theta[j - 1] } else { 0.0 };
+            for (i, &ph) in phi.iter().enumerate() {
+                if j > i {
+                    v += ph * psi[j - 1 - i];
+                }
+            }
+            psi[j] = v;
+        }
+        for _ in 0..d {
+            for j in 1..horizon {
+                psi[j] += psi[j - 1];
+            }
+        }
+        let mut cum = 0.0;
+        let want = per_cell_reference(&levels, horizon, |h| {
+            cum += psi[h] * psi[h];
+            let cap = marginal_var * ((h + 1) as f64).powi(d as i32);
+            (point[h], (sigma2 * cum).min(cap).sqrt())
+        });
+
+        let got = model.forecast_quantiles(ctx, horizon, &levels).expect("forecast");
+        prop_assert!(forecast_bits(&got) == want, "{cfg:?} differs from the per-cell loop");
+        Ok(())
+    });
 }
 
 #[test]

@@ -351,3 +351,25 @@ fn checkpoint_truncated_at_any_byte_errors_or_loads_the_same_state() {
     }
     assert_eq!(loaded, 1);
 }
+
+/// The golden checkpoint with one header value swapped: well-formed
+/// text whose configuration no fleet can be built from.
+fn load_doctored_header(from: &str, to: &str) -> Result<(), String> {
+    let (header, rest) = GOLDEN.split_once('\n').expect("header line, then tenants");
+    assert_eq!(header.matches(from).count(), 1, "{from} must name one header value");
+    let text = format!("{}\n{rest}", header.replacen(from, to, 1));
+    checkpoint::load(&text, &Telemetry::live(), Obs::noop()).map(|_| ())
+}
+
+#[test]
+fn checkpoint_with_zero_tenants_is_an_error_not_a_panic() {
+    let err = load_doctored_header("\"tenants\":\"u:4\"", "\"tenants\":\"u:0\"").unwrap_err();
+    assert!(err.contains("header.config") && err.contains("at least one tenant"), "{err}");
+}
+
+#[test]
+fn checkpoint_with_zero_failure_window_is_an_error_not_a_panic() {
+    let err =
+        load_doctored_header("\"failure_window\":\"u:8\"", "\"failure_window\":\"u:0\"").unwrap_err();
+    assert!(err.contains("header.supervisor") && err.contains("failure_window"), "{err}");
+}

@@ -15,10 +15,11 @@
 //! Run: `cargo run --release -p rpas-bench --bin ablation_grid`
 
 use rpas_bench::output::f;
-use rpas_bench::{datasets, models, par_map_indexed, write_csv, ExperimentProfile, Table};
+use rpas_bench::{datasets, models, write_csv, ExperimentProfile, Table};
 use rpas_forecast::{
     evaluate_quantile, Forecaster, MlpQuantile, MlpQuantileConfig, EVAL_LEVELS,
 };
+use rpas_par::WorkerPool;
 
 fn main() {
     let p = ExperimentProfile::from_env();
@@ -27,7 +28,7 @@ fn main() {
     for ds in datasets(&p) {
         // The three ablation cells train independently — fan the fits out
         // over the worker pool (each has its own fixed seed).
-        let fitted: Vec<Box<dyn Forecaster + Send>> = par_map_indexed(3, |i| {
+        let fitted: Vec<Box<dyn Forecaster + Send>> = WorkerPool::for_jobs(3).map_indexed(3, |i| {
             let mut model: Box<dyn Forecaster + Send> = match i {
                 0 => Box::new(models::mlp(&p, 1)),
                 1 => Box::new(MlpQuantile::new(MlpQuantileConfig {

@@ -6,9 +6,10 @@
 //! Run: `cargo run --release -p rpas-bench --bin fig10`
 
 use rpas_bench::output::f;
-use rpas_bench::{datasets, models, par_map, write_csv, ExperimentProfile, Table};
+use rpas_bench::{datasets, models, write_csv, ExperimentProfile, Table};
 use rpas_core::{evaluate_plans_quantile, RobustAutoScalingManager, ScalingStrategy};
 use rpas_forecast::{Forecaster, SCALING_LEVELS};
+use rpas_par::WorkerPool;
 
 const THETA: f64 = 60.0;
 
@@ -33,7 +34,9 @@ fn main() {
         let (mut du, mut dov, mut tu, mut tov) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
         // Fitted models are immutable during evaluation, so the τ sweep
         // fans out over the worker pool; results come back in grid order.
-        let sweep = par_map(&SCALING_LEVELS, |&tau| {
+        let n = SCALING_LEVELS.len();
+        let sweep = WorkerPool::for_jobs(n).map_indexed(n, |i| {
+            let tau = SCALING_LEVELS[i];
             let mgr = RobustAutoScalingManager::new(THETA, 1, ScalingStrategy::Fixed { tau });
             let rd = evaluate_plans_quantile(
                 &deepar,

@@ -6,7 +6,7 @@
 //! Run: `cargo run --release -p rpas-bench --bin fig9`
 
 use rpas_bench::output::f;
-use rpas_bench::{datasets, models, par_map, write_csv, ExperimentProfile, Table};
+use rpas_bench::{datasets, models, write_csv, ExperimentProfile, Table};
 use rpas_core::{
     evaluate_plans_point, evaluate_plans_quantile, evaluate_reactive, ReactiveAvg, ReactiveMax,
     RobustAutoScalingManager, ScalingStrategy,
@@ -15,6 +15,7 @@ use rpas_forecast::{
     Forecaster, PaddedForecaster, PointForecaster, PointFromQuantile, SCALING_LEVELS,
 };
 use rpas_metrics::ProvisioningReport;
+use rpas_par::WorkerPool;
 
 const THETA: f64 = 60.0;
 const MIN_NODES: u32 = 1;
@@ -128,7 +129,7 @@ fn main() {
                 rows
             }),
         ];
-        let results = par_map(&jobs, |job| job());
+        let results = WorkerPool::for_jobs(jobs.len()).map_indexed(jobs.len(), |i| jobs[i]());
 
         let mut table = Table::new(&["scaler", "under-prov rate", "over-prov rate", "avg nodes"]);
         let mut names: Vec<String> = Vec::new();

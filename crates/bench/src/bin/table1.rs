@@ -7,10 +7,9 @@
 //! (`RPAS_PROFILE=quick` for a smoke test.)
 
 use rpas_bench::output::f;
-use rpas_bench::{
-    datasets, fit_all_quantile_models, par_map_indexed, write_csv, ExperimentProfile, Table,
-};
+use rpas_bench::{datasets, fit_all_quantile_models, write_csv, ExperimentProfile, Table};
 use rpas_forecast::{evaluate_quantile, Forecaster, QuantileEvalReport, EVAL_LEVELS};
+use rpas_par::WorkerPool;
 
 fn average(reports: &[QuantileEvalReport]) -> QuantileEvalReport {
     let n = reports.len() as f64;
@@ -43,7 +42,8 @@ fn main() {
         // One training run per seed, fanned out over the std::thread
         // worker pool; each run's seed is its index, so the averaged
         // table is identical at any thread count (RPAS_THREADS=1 checks).
-        let runs: Vec<Vec<QuantileEvalReport>> = par_map_indexed(p.training_runs, |run| {
+        let pool = WorkerPool::for_jobs(p.training_runs);
+        let runs: Vec<Vec<QuantileEvalReport>> = pool.map_indexed(p.training_runs, |run| {
             let models = fit_all_quantile_models(&p, &ds.train, &EVAL_LEVELS, run as u64 + 1);
             let eval = |m: &dyn Forecaster| {
                 evaluate_quantile(m, &ds.test, p.context, p.horizon, &EVAL_LEVELS)

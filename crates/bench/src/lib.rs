@@ -18,15 +18,8 @@ pub mod models;
 pub mod output;
 pub mod profile;
 
-/// The shared worker pool, re-exported from `rpas-par` (its original home
-/// was here; it moved out so `core` and `simdb` can parallelise without
-/// depending on the bench harness). Existing `rpas_bench::par::…` paths
-/// keep compiling unchanged.
-pub use rpas_par as par;
-
 pub use models::{fit_all_quantile_models, FittedQuantileModels};
 pub use output::{results_path, write_csv, Table};
-pub use par::{par_map, par_map_indexed};
 pub use profile::{ExperimentProfile, Profile};
 
 use rpas_traces::{alibaba_like, google_like, Trace};

@@ -644,9 +644,11 @@ fn plan_state(policy: &Predictive) -> NaiveSnapshot {
     NaiveSnapshot { sigma: policy.forecaster().sigma(), plan: plan.to_vec(), plan_start, degraded }
 }
 
+#[deny(unused_variables)]
 fn restore_plan_state(policy: &mut Predictive, state: NaiveSnapshot) {
-    policy.restore_plan_state(state.plan, state.plan_start, state.degraded);
-    policy.forecaster_mut().restore_sigma(state.sigma);
+    let NaiveSnapshot { sigma, plan, plan_start, degraded } = state;
+    policy.restore_plan_state(plan, plan_start, degraded);
+    policy.forecaster_mut().restore_sigma(sigma);
 }
 
 impl PolicyState {

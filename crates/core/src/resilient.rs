@@ -402,15 +402,19 @@ impl<P: ScalingPolicy> ResilientManager<P> {
     /// on them); the fallback is rebuilt without re-running its fit.
     ///
     /// [`build_naive`]: ResilientManager::build_naive
+    #[deny(unused_variables)]
     pub fn restore_state(&mut self, snap: &ResilientSnapshot, theta: f64, min_nodes: u32) {
-        self.tier = snap.tier;
-        self.last_target = snap.last_target;
-        self.probation = snap.probation;
-        self.retry = snap.retry.map(|(want, left, wait)| Retry { want, left, wait });
-        self.naive = snap.naive.as_ref().map(|n| {
+        // Exhaustive on purpose (no `..`), nested `NaiveSnapshot` included:
+        // a field added to either and not consumed here does not compile.
+        let ResilientSnapshot { tier, last_target, probation, retry, naive } = snap;
+        self.tier = *tier;
+        self.last_target = *last_target;
+        self.probation = *probation;
+        self.retry = retry.map(|(want, left, wait)| Retry { want, left, wait });
+        self.naive = naive.as_ref().map(|NaiveSnapshot { sigma, plan, plan_start, degraded }| {
             let sn = SeasonalNaive::new(self.cfg.naive_period).with_obs(self.obs.clone());
             let mut gated = ForecastHealthGate::new(sn);
-            gated.inner_mut().restore_sigma(n.sigma);
+            gated.inner_mut().restore_sigma(*sigma);
             let manager = RobustAutoScalingManager::new(
                 theta,
                 min_nodes,
@@ -425,7 +429,7 @@ impl<P: ScalingPolicy> ResilientManager<P> {
                     horizon: self.cfg.naive_horizon,
                 },
             );
-            fallback.restore_plan_state(n.plan.clone(), n.plan_start, n.degraded);
+            fallback.restore_plan_state(plan.clone(), *plan_start, *degraded);
             fallback
         });
     }

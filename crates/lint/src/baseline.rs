@@ -2,8 +2,10 @@
 //! freezing the existing debt per library crate. Growth in any category is
 //! a hard error; shrinkage is a warning asking for the baseline to be
 //! ratcheted down (`lint --write-baseline`). The committed file and the
-//! measured counts must agree exactly for `verify.sh` to pass.
+//! measured counts must agree exactly (`tests/selfcheck.rs`, and
+//! `lint --deny-warnings` in `verify.sh`).
 
+use crate::json::Scanner;
 use crate::report::Diagnostic;
 use std::collections::BTreeMap;
 
@@ -59,7 +61,7 @@ pub fn to_json(b: &Baseline) -> String {
 /// whitespace but only this shape: two levels of objects with integer
 /// leaves under `"p1"`, plus an integer `"version"`.
 pub fn parse(src: &str) -> Result<Baseline, String> {
-    let mut p = Scanner { b: src.as_bytes(), pos: 0 };
+    let mut p = Scanner::new(src);
     p.expect_byte(b'{')?;
     let mut baseline = Baseline::new();
     let mut version_seen = false;
@@ -115,10 +117,7 @@ pub fn parse(src: &str) -> Result<Baseline, String> {
         }
     }
     p.expect_byte(b'}')?;
-    p.skip_ws();
-    if p.pos != p.b.len() {
-        return Err(format!("trailing bytes at offset {}", p.pos));
-    }
+    p.end()?;
     if !version_seen {
         return Err("missing \"version\" key".to_string());
     }
@@ -180,78 +179,6 @@ pub fn compare(
         }
     }
     diags
-}
-
-struct Scanner<'a> {
-    b: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Scanner<'a> {
-    fn skip_ws(&mut self) {
-        while matches!(self.b.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect_byte(&mut self, want: u8) -> Result<(), String> {
-        self.skip_ws();
-        match self.b.get(self.pos) {
-            Some(&c) if c == want => {
-                self.pos += 1;
-                Ok(())
-            }
-            other => Err(format!(
-                "expected {:?} at offset {}, found {:?}",
-                want as char,
-                self.pos,
-                other.map(|&c| c as char)
-            )),
-        }
-    }
-
-    fn try_byte(&mut self, want: u8) -> bool {
-        self.skip_ws();
-        if self.b.get(self.pos) == Some(&want) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect_byte(b'"')?;
-        let start = self.pos;
-        while let Some(&c) = self.b.get(self.pos) {
-            if c == b'"' {
-                let s = std::str::from_utf8(&self.b[start..self.pos])
-                    .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                self.pos += 1;
-                return Ok(s.to_string());
-            }
-            if c == b'\\' {
-                return Err("escapes not supported in baseline strings".to_string());
-            }
-            self.pos += 1;
-        }
-        Err("unterminated string".to_string())
-    }
-
-    fn integer(&mut self) -> Result<u64, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.b.get(self.pos).is_some_and(u8::is_ascii_digit) {
-            self.pos += 1;
-        }
-        if start == self.pos {
-            return Err(format!("expected integer at offset {start}"));
-        }
-        std::str::from_utf8(&self.b[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| format!("invalid integer at offset {start}"))
-    }
 }
 
 #[cfg(test)]

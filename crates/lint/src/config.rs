@@ -7,19 +7,17 @@
 use std::collections::BTreeSet;
 
 /// Every rule identifier, in the order they are documented.
-pub const RULE_IDS: &[&str] = &["D1", "D2", "O1", "P1", "F1", "E1", "S1", "N1", "LINT"];
+pub const RULE_IDS: &[&str] = &["D1", "D2", "O1", "P1", "F1", "E1", "LINT"];
 
 /// One-line description per rule, for `--rules` and diagnostics.
 pub fn rule_summary(rule: &str) -> &'static str {
     match rule {
         "D1" => "banned external crate (manifest dependency or use-site)",
-        "D2" => "nondeterminism source (SystemTime/Instant/thread id/hash-order) outside obs/bench",
+        "D2" => "nondeterminism source: SystemTime/Instant/thread id outside obs/bench, HashMap/HashSet anywhere",
         "O1" => "stdout/stderr write outside crates/obs and the CLI output layer",
         "P1" => "panic-site budget (unwrap/expect/panic!/slice-index) exceeded vs lint-baseline.json",
         "F1" => "float == / != comparison in a numeric crate",
         "E1" => "obs event name not in events-registry.json (or registry entry with no emit site)",
-        "S1" => "snapshot/restore parity: field read in snapshot not covered by any restore method",
-        "N1" => "iteration over HashMap/HashSet hash order in non-test code without a sort",
         "LINT" => "malformed rpas-lint suppression directive",
         _ => "unknown rule",
     }
@@ -32,8 +30,9 @@ pub struct Config {
     pub enabled: BTreeSet<String>,
     /// D1: crate names that must never be referenced (manifest or source).
     pub banned_crates: Vec<String>,
-    /// D2: path prefixes where wall-clock / hash-order sources are allowed
-    /// (timing harnesses and the obs layer itself).
+    /// D2: path prefixes where clock and thread-identity reads are allowed
+    /// (timing harnesses and the obs layer itself). `HashMap`/`HashSet`
+    /// are banned there too.
     pub d2_allow_prefixes: Vec<String>,
     /// O1: path prefixes where `println!`/`print!` is the product (CLI and
     /// table output layers, examples).

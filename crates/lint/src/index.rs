@@ -1,56 +1,14 @@
-//! Cross-crate workspace index: every file's tokens, parsed item tree,
-//! and test regions in one place, plus the two extraction passes the
-//! semantic rules are built on —
-//!
-//! * **obs emit sites** ([`emit_sites`]): each call shaped like the
-//!   `rpas_obs::Obs` emit surface (`.info/.warn/.error/.debug(span,
-//!   name, build)`, `.emit(Level, span, name, build)`, `.counter` /
-//!   `.gauge(span, metric, v)`, `.span(span, name)`), with the literal
-//!   or dynamic status of its span and event-name arguments;
-//! * **per-method field/call extraction** ([`fn_info`]): which
-//!   `self.field` names a method body touches and which `self.method()`
-//!   calls it makes, for the S1 snapshot/restore parity closure.
+//! The obs emit-site index E1 runs over: each call shaped like the
+//! `rpas_obs::Obs` emit surface (`.info/.warn/.error/.debug(span, name,
+//! build)`, `.emit(Level, span, name, build)`, `.counter` /
+//! `.gauge(span, metric, v)`, `.span(span, name)`), with the literal or
+//! dynamic status of its span and event-name arguments. Extraction is
+//! per file and token-level ([`emit_sites`], called from the per-file
+//! pass in [`crate::rules`]); the check against the registry is the one
+//! cross-file step ([`crate::semantic`]).
 
-use crate::lexer::{Lexed, TokKind, Token};
-use crate::parse::{self, Item};
-use crate::rules::{self, LineRange};
-use std::collections::BTreeSet;
-
-/// One indexed file: tokens, item tree, and test scoping.
-#[derive(Debug)]
-pub struct IndexedFile {
-    /// Workspace-relative path with `/` separators.
-    pub rel: String,
-    /// The file's lexer output (tokens + comments).
-    pub lexed: Lexed,
-    /// Parsed item skeleton.
-    pub items: Vec<Item>,
-    /// `#[cfg(test)]` line ranges.
-    pub test_lines: Vec<LineRange>,
-}
-
-impl IndexedFile {
-    /// Is `line` test code (by path or by `#[cfg(test)]` region)?
-    pub fn in_test(&self, line: u32) -> bool {
-        rules::is_test_path(&self.rel) || self.test_lines.iter().any(|r| r.contains(line))
-    }
-}
-
-/// The whole-workspace index the semantic rules run over.
-#[derive(Debug, Default)]
-pub struct WorkspaceIndex {
-    /// All indexed Rust files, in walk (sorted-path) order.
-    pub files: Vec<IndexedFile>,
-}
-
-impl WorkspaceIndex {
-    /// Parse and add one file's lexer output.
-    pub fn add_file(&mut self, rel: &str, lexed: Lexed) {
-        let items = parse::parse_items(&lexed.tokens);
-        let test_lines = rules::test_regions(&lexed.tokens);
-        self.files.push(IndexedFile { rel: rel.to_string(), lexed, items, test_lines });
-    }
-}
+use crate::lexer::{TokKind, Token};
+use crate::suppress::Suppressions;
 
 /// One statically-extracted obs emit site. A `None` span or event means
 /// that argument is not a plain string literal (dynamic): the E1 rule
@@ -69,6 +27,9 @@ pub struct EmitSite {
     /// `counter`/`gauge`/`span` calls the event name is implied by the
     /// method (`counter`, `gauge`, `span_close`) and always literal.
     pub event: Option<String>,
+    /// The site carries an `allow(E1, …)`: it stays in the inventory
+    /// `--write-events` freezes but is not checked against the registry.
+    pub allowed: bool,
 }
 
 impl EmitSite {
@@ -81,13 +42,17 @@ impl EmitSite {
     }
 }
 
-/// Extract every obs emit site in `file`, skipping test code. The
-/// patterns are shape-based (method name + argument count + a `Level`
+/// Extract every obs emit site in one file's tokens, skipping test code.
+/// The patterns are shape-based (method name + argument count + a `Level`
 /// guard for `.emit`), which is unambiguous against the rest of the
 /// workspace: no other API shares these shapes with string-literal
 /// span/name arguments.
-pub fn emit_sites(file: &IndexedFile) -> Vec<EmitSite> {
-    let toks = &file.lexed.tokens;
+pub fn emit_sites(
+    rel: &str,
+    toks: &[Token],
+    in_test: impl Fn(u32) -> bool,
+    sup: &Suppressions,
+) -> Vec<EmitSite> {
     let mut out = Vec::new();
     for i in 0..toks.len() {
         if !toks[i].is_punct(".") {
@@ -97,7 +62,7 @@ pub fn emit_sites(file: &IndexedFile) -> Vec<EmitSite> {
         if m.kind != TokKind::Ident || !toks.get(i + 2).is_some_and(|t| t.is_punct("(")) {
             continue;
         }
-        if file.in_test(m.line) {
+        if in_test(m.line) {
             continue;
         }
         let Some(args) = call_args(toks, i + 2) else { continue };
@@ -128,11 +93,12 @@ pub fn emit_sites(file: &IndexedFile) -> Vec<EmitSite> {
             _ => continue,
         };
         out.push(EmitSite {
-            rel: file.rel.clone(),
+            rel: rel.to_string(),
             line: m.line,
             method: m.text.clone(),
             span: site.0,
             event: site.1,
+            allowed: sup.allows("E1", m.line),
         });
     }
     out
@@ -195,52 +161,18 @@ fn literal_str(toks: &[Token], start: usize, end: usize) -> Option<String> {
     Some(inner.to_string())
 }
 
-/// What one method body touches on `self`.
-#[derive(Debug, Default, Clone)]
-pub struct FnInfo {
-    /// `self.field` accesses (reads or writes) that are not calls.
-    pub fields: BTreeSet<String>,
-    /// `self.method(…)` calls.
-    pub calls: BTreeSet<String>,
-}
-
-/// Extract [`FnInfo`] from a method body token range.
-pub fn fn_info(toks: &[Token], body: (usize, usize)) -> FnInfo {
-    let mut info = FnInfo::default();
-    let (start, end) = body;
-    let mut i = start;
-    while i + 2 < end {
-        if toks[i].is_ident("self") && toks[i + 1].is_punct(".") {
-            let x = &toks[i + 2];
-            if x.kind == TokKind::Ident {
-                if toks.get(i + 3).is_some_and(|t| t.is_punct("(")) {
-                    info.calls.insert(x.text.clone());
-                } else {
-                    info.fields.insert(x.text.clone());
-                }
-            }
-            i += 2;
-            continue;
-        }
-        i += 1;
-    }
-    info
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::lex;
-    use crate::parse::ItemKind;
+    use crate::config::Config;
+    use crate::rules::analyze_rust_file;
 
-    fn index_one(rel: &str, src: &str) -> IndexedFile {
-        let mut idx = WorkspaceIndex::default();
-        idx.add_file(rel, lex(src));
-        idx.files.pop().expect("one file")
+    fn sites_in(rel: &str, src: &str) -> Vec<EmitSite> {
+        analyze_rust_file(rel, src, &Config::default()).emit_sites
     }
 
     fn sites(src: &str) -> Vec<(String, Option<String>, Option<String>)> {
-        emit_sites(&index_one("crates/core/src/x.rs", src))
+        sites_in("crates/core/src/x.rs", src)
             .into_iter()
             .map(|s| (s.method, s.span, s.event))
             .collect()
@@ -287,22 +219,17 @@ mod tests {
     fn test_code_and_unrelated_calls_are_skipped() {
         let src = "fn f(x: &T) { x.update(a, b, c); }\n#[cfg(test)]\nmod tests { fn t() { obs.info(\"x\", \"y\", |f| f.raw(\"\")); } }\n";
         assert!(sites(src).is_empty());
-        let tf = index_one("crates/core/tests/e2e.rs", "fn t() { obs.info(\"x\", \"y\", |f| f.raw(\"\")); }");
-        assert!(emit_sites(&tf).is_empty());
+        let test_file = "fn t() { obs.info(\"x\", \"y\", |f| f.raw(\"\")); }";
+        assert!(sites_in("crates/core/tests/e2e.rs", test_file).is_empty());
     }
 
     #[test]
-    fn fn_info_separates_fields_from_calls() {
-        let f = index_one(
-            "crates/core/src/x.rs",
-            "impl S {\n  fn snap(&self) -> u64 { self.a + self.b.len() as u64 + self.helper() }\n}\n",
-        );
-        let imp = &f.items[0];
-        assert_eq!(imp.kind, ItemKind::Impl);
-        let body = imp.children[0].body.expect("body");
-        let info = fn_info(&f.lexed.tokens, body);
-        let fields: Vec<_> = info.fields.iter().cloned().collect();
-        assert_eq!(fields, vec!["a", "b"]);
-        assert_eq!(info.calls.iter().cloned().collect::<Vec<_>>(), vec!["helper"]);
+    fn allowed_and_exempt_sites() {
+        // An allow(E1) keeps the site in the inventory, flagged; the obs
+        // crate's own pass-through wrappers are not emit sites at all.
+        let src = "fn f() {\n  obs.info(\"a\", \"b\", |f| f.raw(\"\")); // rpas-lint: allow(E1, reason = \"test\")\n  obs.info(\"a\", \"c\", |f| f.raw(\"\"));\n}\n";
+        let got: Vec<bool> = sites_in("crates/core/src/x.rs", src).iter().map(|s| s.allowed).collect();
+        assert_eq!(got, vec![true, false]);
+        assert!(sites_in("crates/obs/src/handle.rs", src).is_empty());
     }
 }

@@ -6,19 +6,15 @@
 //! | rule | invariant |
 //! |------|-----------|
 //! | `D1` | zero external dependencies — banned crates may appear neither in a `Cargo.toml` nor at a `use`/path site |
-//! | `D2` | no nondeterminism sources (`SystemTime`, `Instant`, `thread::current()`, `HashMap`/`HashSet`) outside the obs/bench allowlist |
+//! | `D2` | no nondeterminism sources: `SystemTime`, `Instant`, `thread::current()` outside the obs/bench allowlist, `HashMap`/`HashSet` anywhere |
 //! | `O1` | stdout/stderr discipline — diagnostics route through `rpas_obs::Obs`, not `eprintln!`/`println!` |
 //! | `P1` | frozen panic-site budget per library crate (`unwrap`/`expect`/`panic!`/slice indexing) vs `lint-baseline.json` |
 //! | `F1` | no float `==`/`!=` in the numeric crates |
+//! | `E1` | every obs `span/event` emit is named in `events-registry.json`, and every non-dynamic registry entry has an emit site (DESIGN.md §14) |
 //!
-//! Plus the cross-file semantic rules (DESIGN.md §14), run over a
-//! whole-workspace item/symbol index ([`parse`], [`index`]):
-//!
-//! | rule | invariant |
-//! |------|-----------|
-//! | `E1` | every obs `span/event` emit is named in `events-registry.json`, and every non-dynamic registry entry has an emit site ([`registry`]) |
-//! | `S1` | snapshot/restore parity — fields a `snapshot*`/`dump` method reads are covered by a `restore*` method, transitively through `self` calls |
-//! | `N1` | no iteration over `HashMap`/`HashSet` in non-test code unless sorted nearby or justified |
+//! All six are token-level and per file ([`rules`]); E1 alone has a
+//! cross-file half, its emit inventory ([`index`]) checked against the
+//! committed registry ([`semantic`], [`registry`]).
 //!
 //! Built on a hand-written lexer ([`lexer`]) so string literals and
 //! comments can never false-positive, with mandatory-reason inline
@@ -33,9 +29,9 @@
 pub mod baseline;
 pub mod config;
 pub mod index;
+mod json;
 pub mod lexer;
 pub mod manifest;
-pub mod parse;
 pub mod registry;
 pub mod report;
 pub mod rules;
@@ -94,14 +90,12 @@ pub fn run_workspace(root: &Path, cfg: &Config) -> io::Result<RunResult> {
         res.files_scanned += 1;
     }
 
-    // Second pass: lex each Rust file exactly once — the token stream
-    // feeds both the lexical rules and the semantic index.
-    let mut idx = index::WorkspaceIndex::default();
+    // Second pass: every rule's per-file half over each Rust file.
     for e in entries.iter().filter(|e| e.kind == walk::FileKind::Rust) {
         let src = fs::read_to_string(&e.abs)?;
-        let lexed = lexer::lex(&src);
-        let fa = rules::analyze_lexed(&e.rel, &lexed, cfg);
+        let fa = rules::analyze_rust_file(&e.rel, &src, cfg);
         res.diagnostics.extend(fa.diagnostics);
+        res.emit_sites.extend(fa.emit_sites);
         if !fa.p1_sites.is_empty() {
             let krate = p1_crate(&e.rel, &crate_names, &root_package);
             let counts = res.p1.entry(krate.clone()).or_default();
@@ -111,15 +105,13 @@ pub fn run_workspace(root: &Path, cfg: &Config) -> io::Result<RunResult> {
                 anchors.push(format!("{}:{}", e.rel, site.line));
             }
         }
-        idx.add_file(&e.rel, lexed);
         res.files_scanned += 1;
     }
 
-    // Third pass: the cross-file semantic rules over the full index.
-    let reg_state = load_registry(root, cfg);
-    let sem = semantic::run(&idx, &reg_state, cfg);
-    res.diagnostics.extend(sem.diagnostics);
-    res.emit_sites = sem.emit_sites;
+    // E1's cross-file half: the whole emit inventory against the registry.
+    if cfg.is_enabled("E1") {
+        res.diagnostics.extend(semantic::e1(&res.emit_sites, &load_registry(root, cfg), cfg));
+    }
 
     // Crates whose library code exists but has zero sites still belong in
     // the census, so a budget line persists for them.

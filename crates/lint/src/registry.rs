@@ -3,8 +3,8 @@
 //! and the trace tooling (`trace-report`, `obs query`) cannot drift
 //! apart silently.
 //!
-//! Format (one entry per line, sorted by name, stable — the verify
-//! gate diffs a regenerated copy byte-for-byte):
+//! Format (one entry per line, sorted by name, stable —
+//! `tests/selfcheck.rs` diffs a regenerated copy byte-for-byte):
 //!
 //! ```json
 //! {
@@ -21,6 +21,7 @@
 //! check exempts it, and the runtime containment test
 //! (`tests/events_registry.rs`) covers it instead.
 
+use crate::json::Scanner;
 use std::collections::BTreeSet;
 
 /// One registry entry.
@@ -99,7 +100,7 @@ pub fn to_json(static_names: &BTreeSet<String>, dynamic_names: &BTreeSet<String>
 /// Parse the registry format written by [`to_json`] (whitespace-
 /// insensitive, but only this shape).
 pub fn parse(src: &str) -> Result<EventsRegistry, String> {
-    let mut p = Scanner { b: src.as_bytes(), pos: 0, line: 1 };
+    let mut p = Scanner::new(src);
     let mut reg = EventsRegistry::default();
     let mut version_seen = false;
     p.expect_byte(b'{')?;
@@ -159,107 +160,11 @@ pub fn parse(src: &str) -> Result<EventsRegistry, String> {
         }
     }
     p.expect_byte(b'}')?;
-    p.skip_ws();
-    if p.pos != p.b.len() {
-        return Err(format!("trailing bytes at offset {}", p.pos));
-    }
+    p.end()?;
     if !version_seen {
         return Err("missing \"version\" key".to_string());
     }
     Ok(reg)
-}
-
-struct Scanner<'a> {
-    b: &'a [u8],
-    pos: usize,
-    line: u32,
-}
-
-impl<'a> Scanner<'a> {
-    fn advance(&mut self) {
-        if self.b.get(self.pos) == Some(&b'\n') {
-            self.line += 1;
-        }
-        self.pos += 1;
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.b.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.advance();
-        }
-    }
-
-    fn expect_byte(&mut self, want: u8) -> Result<(), String> {
-        self.skip_ws();
-        match self.b.get(self.pos) {
-            Some(&c) if c == want => {
-                self.advance();
-                Ok(())
-            }
-            other => Err(format!(
-                "expected {:?} at line {}, found {:?}",
-                want as char,
-                self.line,
-                other.map(|&c| c as char)
-            )),
-        }
-    }
-
-    fn try_byte(&mut self, want: u8) -> bool {
-        self.skip_ws();
-        if self.b.get(self.pos) == Some(&want) {
-            self.advance();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect_byte(b'"')?;
-        let start = self.pos;
-        while let Some(&c) = self.b.get(self.pos) {
-            if c == b'"' {
-                let s = std::str::from_utf8(&self.b[start..self.pos])
-                    .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                self.advance();
-                return Ok(s.to_string());
-            }
-            if c == b'\\' {
-                return Err("escapes not supported in registry strings".to_string());
-            }
-            self.advance();
-        }
-        Err("unterminated string".to_string())
-    }
-
-    fn integer(&mut self) -> Result<u64, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.b.get(self.pos).is_some_and(u8::is_ascii_digit) {
-            self.advance();
-        }
-        if start == self.pos {
-            return Err(format!("expected integer at line {}", self.line));
-        }
-        std::str::from_utf8(&self.b[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| format!("invalid integer at line {}", self.line))
-    }
-
-    fn boolean(&mut self) -> Result<bool, String> {
-        self.skip_ws();
-        for (word, val) in [("true", true), ("false", false)] {
-            if self.b[self.pos..].starts_with(word.as_bytes()) {
-                for _ in 0..word.len() {
-                    self.advance();
-                }
-                return Ok(val);
-            }
-        }
-        Err(format!("expected true/false at line {}", self.line))
-    }
 }
 
 #[cfg(test)]

@@ -1,8 +1,6 @@
-//! Diagnostics and the two output renderers: human `file:line` text and a
-//! stable JSON report (sorted keys, sorted violations) suitable for CI
-//! artifact diffing.
+//! Diagnostics, their stable report order, and the human `file:line`
+//! renderer.
 
-use crate::baseline::Baseline;
 use std::fmt;
 
 /// How bad a finding is.
@@ -26,7 +24,7 @@ impl fmt::Display for Severity {
 /// One finding, anchored to a file and line.
 #[derive(Debug, Clone)]
 pub struct Diagnostic {
-    /// Rule identifier (`D1`, `D2`, `O1`, `P1`, `F1`, `LINT`).
+    /// Rule identifier (one of [`crate::config::RULE_IDS`]).
     pub rule: &'static str,
     /// Workspace-relative path with `/` separators.
     pub file: String,
@@ -79,23 +77,6 @@ pub fn sort(diags: &mut [Diagnostic]) {
     });
 }
 
-/// Escape a string for a JSON double-quoted context.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Render the human report. Diagnostics must already be sorted.
 pub fn render_human(diags: &[Diagnostic], files_scanned: usize) -> String {
     let mut out = String::new();
@@ -111,302 +92,9 @@ pub fn render_human(diags: &[Diagnostic], files_scanned: usize) -> String {
     out
 }
 
-/// Render the stable JSON report. Diagnostics must already be sorted.
-pub fn render_json(diags: &[Diagnostic], p1: &Baseline, files_scanned: usize) -> String {
-    let errors = diags.iter().filter(|d| d.severity == Severity::Error).count();
-    let warnings = diags.len() - errors;
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"version\": 1,\n");
-    out.push_str(&format!("  \"files_scanned\": {files_scanned},\n"));
-    out.push_str(&format!("  \"errors\": {errors},\n"));
-    out.push_str(&format!("  \"warnings\": {warnings},\n"));
-    out.push_str("  \"violations\": [");
-    for (i, d) in diags.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"rule\": \"{}\", \"severity\": \"{}\", \"file\": \"{}\", \"line\": {}, \"message\": \"{}\"}}",
-            d.rule,
-            d.severity,
-            json_escape(&d.file),
-            d.line,
-            json_escape(&d.message)
-        ));
-    }
-    if !diags.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("],\n");
-    out.push_str("  \"p1_counts\": {");
-    for (i, (krate, c)) in p1.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    \"{}\": {{\"unwrap\": {}, \"expect\": {}, \"panic\": {}, \"index\": {}}}",
-            json_escape(krate),
-            c.unwrap,
-            c.expect,
-            c.panic,
-            c.index
-        ));
-    }
-    if !p1.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("}\n}\n");
-    out
-}
-
-/// What a validated JSON report contains, re-parsed from text.
-#[derive(Debug, Default, PartialEq, Eq)]
-pub struct ReportSummary {
-    /// `files_scanned` header field.
-    pub files_scanned: u64,
-    /// `errors` header field (validated against the violations array).
-    pub errors: u64,
-    /// `warnings` header field (validated against the violations array).
-    pub warnings: u64,
-    /// `(rule, severity, file, line)` per violation, in report order.
-    pub violations: Vec<(String, String, String, u64)>,
-}
-
-/// Strictly validate a `lint --json` report against schema v1 — the same
-/// stance the obs JSONL validator takes: exact key set, known rule ids
-/// and severities, and header counts that match the violations array.
-/// Returns the re-parsed summary so tests can diff it against the text
-/// report.
-pub fn validate_json(src: &str) -> Result<ReportSummary, String> {
-    let mut p = JsonScanner { b: src.as_bytes(), pos: 0 };
-    let mut sum = ReportSummary::default();
-    let mut seen: Vec<String> = Vec::new();
-    p.expect_byte(b'{')?;
-    loop {
-        let key = p.string()?;
-        p.expect_byte(b':')?;
-        match key.as_str() {
-            "version" => {
-                let v = p.integer()?;
-                if v != 1 {
-                    return Err(format!("unsupported report version {v}"));
-                }
-            }
-            "files_scanned" => sum.files_scanned = p.integer()?,
-            "errors" => sum.errors = p.integer()?,
-            "warnings" => sum.warnings = p.integer()?,
-            "violations" => {
-                p.expect_byte(b'[')?;
-                if !p.try_byte(b']') {
-                    loop {
-                        sum.violations.push(violation(&mut p)?);
-                        if !p.try_byte(b',') {
-                            break;
-                        }
-                    }
-                    p.expect_byte(b']')?;
-                }
-            }
-            "p1_counts" => {
-                p.expect_byte(b'{')?;
-                if !p.try_byte(b'}') {
-                    loop {
-                        p.string()?; // crate name
-                        p.expect_byte(b':')?;
-                        p.expect_byte(b'{')?;
-                        let mut cats = Vec::new();
-                        loop {
-                            cats.push(p.string()?);
-                            p.expect_byte(b':')?;
-                            p.integer()?;
-                            if !p.try_byte(b',') {
-                                break;
-                            }
-                        }
-                        p.expect_byte(b'}')?;
-                        if cats != ["unwrap", "expect", "panic", "index"] {
-                            return Err(format!("bad p1 category set {cats:?}"));
-                        }
-                        if !p.try_byte(b',') {
-                            break;
-                        }
-                    }
-                    p.expect_byte(b'}')?;
-                }
-            }
-            other => return Err(format!("unknown report key {other:?}")),
-        }
-        seen.push(key);
-        if !p.try_byte(b',') {
-            break;
-        }
-    }
-    p.expect_byte(b'}')?;
-    p.skip_ws();
-    if p.pos != p.b.len() {
-        return Err(format!("trailing bytes at offset {}", p.pos));
-    }
-    for want in ["version", "files_scanned", "errors", "warnings", "violations", "p1_counts"] {
-        if !seen.iter().any(|k| k == want) {
-            return Err(format!("missing report key {want:?}"));
-        }
-    }
-    let errs = sum.violations.iter().filter(|v| v.1 == "error").count() as u64;
-    let warns = sum.violations.len() as u64 - errs;
-    if errs != sum.errors || warns != sum.warnings {
-        return Err(format!(
-            "header counts ({}, {}) disagree with violations array ({errs}, {warns})",
-            sum.errors, sum.warnings
-        ));
-    }
-    Ok(sum)
-}
-
-fn violation(p: &mut JsonScanner<'_>) -> Result<(String, String, String, u64), String> {
-    p.expect_byte(b'{')?;
-    let (mut rule, mut severity, mut file, mut line, mut message) = (None, None, None, None, false);
-    loop {
-        let k = p.string()?;
-        p.expect_byte(b':')?;
-        match k.as_str() {
-            "rule" => rule = Some(p.string()?),
-            "severity" => severity = Some(p.string()?),
-            "file" => file = Some(p.string()?),
-            "line" => line = Some(p.integer()?),
-            "message" => {
-                p.string()?;
-                message = true;
-            }
-            other => return Err(format!("unknown violation key {other:?}")),
-        }
-        if !p.try_byte(b',') {
-            break;
-        }
-    }
-    p.expect_byte(b'}')?;
-    let rule = rule.ok_or("violation missing \"rule\"")?;
-    let severity = severity.ok_or("violation missing \"severity\"")?;
-    let file = file.ok_or("violation missing \"file\"")?;
-    let line = line.ok_or("violation missing \"line\"")?;
-    if !message {
-        return Err("violation missing \"message\"".to_string());
-    }
-    if !crate::config::RULE_IDS.contains(&rule.as_str()) {
-        return Err(format!("unknown rule id {rule:?} in report"));
-    }
-    if severity != "error" && severity != "warning" {
-        return Err(format!("unknown severity {severity:?} in report"));
-    }
-    Ok((rule, severity, file, line))
-}
-
-struct JsonScanner<'a> {
-    b: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> JsonScanner<'a> {
-    fn skip_ws(&mut self) {
-        while matches!(self.b.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect_byte(&mut self, want: u8) -> Result<(), String> {
-        self.skip_ws();
-        match self.b.get(self.pos) {
-            Some(&c) if c == want => {
-                self.pos += 1;
-                Ok(())
-            }
-            other => Err(format!(
-                "expected {:?} at offset {}, found {:?}",
-                want as char,
-                self.pos,
-                other.map(|&c| c as char)
-            )),
-        }
-    }
-
-    fn try_byte(&mut self, want: u8) -> bool {
-        self.skip_ws();
-        if self.b.get(self.pos) == Some(&want) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// A JSON string, honouring the escapes [`json_escape`] produces.
-    fn string(&mut self) -> Result<String, String> {
-        self.expect_byte(b'"')?;
-        let mut out = String::new();
-        while let Some(&c) = self.b.get(self.pos) {
-            self.pos += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let e = self.b.get(self.pos).copied().ok_or("truncated escape")?;
-                    self.pos += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .b
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or("bad \\u escape")?;
-                            self.pos += 4;
-                            out.push(char::from_u32(hex).ok_or("bad \\u code point")?);
-                        }
-                        other => return Err(format!("unknown escape \\{}", other as char)),
-                    }
-                }
-                _ => {
-                    // Re-assemble multi-byte UTF-8 verbatim.
-                    let start = self.pos - 1;
-                    let mut end = self.pos;
-                    while end < self.b.len() && self.b[end] & 0xc0 == 0x80 {
-                        end += 1;
-                    }
-                    let s = std::str::from_utf8(&self.b[start..end])
-                        .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                    out.push_str(s);
-                    self.pos = end;
-                }
-            }
-        }
-        Err("unterminated string".to_string())
-    }
-
-    fn integer(&mut self) -> Result<u64, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.b.get(self.pos).is_some_and(u8::is_ascii_digit) {
-            self.pos += 1;
-        }
-        if start == self.pos {
-            return Err(format!("expected integer at offset {start}"));
-        }
-        std::str::from_utf8(&self.b[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| format!("invalid integer at offset {start}"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline::P1Counts;
-    use std::collections::BTreeMap;
 
     #[test]
     fn human_line_has_file_line_anchor() {
@@ -425,55 +113,5 @@ mod tests {
         assert_eq!(v[0].file, "a.rs");
         assert_eq!(v[1].file, "z.rs");
         assert_eq!(v[2].severity, Severity::Warning);
-    }
-
-    #[test]
-    fn json_report_is_stable_and_escaped() {
-        let diags = vec![Diagnostic::error("O1", "src/a \"q\".rs", 7, "line1\nline2")];
-        let mut p1: Baseline = BTreeMap::new();
-        p1.insert("rpas-core".into(), P1Counts { unwrap: 1, expect: 2, panic: 3, index: 4 });
-        let j = render_json(&diags, &p1, 10);
-        assert!(j.contains("\"files_scanned\": 10"));
-        assert!(j.contains("\\\"q\\\""));
-        assert!(j.contains("line1\\nline2"));
-        assert!(j.contains("\"rpas-core\": {\"unwrap\": 1, \"expect\": 2, \"panic\": 3, \"index\": 4}"));
-        // Byte-identical across runs.
-        assert_eq!(j, render_json(&diags, &p1, 10));
-    }
-
-    #[test]
-    fn rendered_report_validates_and_roundtrips_counts() {
-        let mut diags = vec![
-            Diagnostic::error("E1", "crates/core/src/x.rs", 3, "unregistered obs event `a/b`"),
-            Diagnostic::warning("P1", "lint-baseline.json", 0, "stale \"baseline\"\nratchet"),
-        ];
-        sort(&mut diags);
-        let mut p1: Baseline = BTreeMap::new();
-        p1.insert("rpas-core".into(), P1Counts { unwrap: 1, expect: 0, panic: 0, index: 2 });
-        let j = render_json(&diags, &p1, 42);
-        let sum = validate_json(&j).expect("schema-valid");
-        assert_eq!(sum.files_scanned, 42);
-        assert_eq!(sum.errors, 1);
-        assert_eq!(sum.warnings, 1);
-        assert_eq!(sum.violations[0].0, "E1");
-        assert_eq!(sum.violations[1], ("P1".into(), "warning".into(), "lint-baseline.json".into(), 0));
-    }
-
-    #[test]
-    fn validate_rejects_schema_drift() {
-        let good = render_json(&[], &BTreeMap::new(), 1);
-        assert!(validate_json(&good).is_ok());
-        // Header/array count disagreement.
-        let bad = good.replace("\"errors\": 0", "\"errors\": 3");
-        assert!(validate_json(&bad).unwrap_err().contains("disagree"));
-        // Unknown rule id.
-        let mut diags = vec![Diagnostic::error("E1", "f.rs", 1, "m")];
-        sort(&mut diags);
-        let j = render_json(&diags, &BTreeMap::new(), 1).replace("\"E1\"", "\"Z9\"");
-        assert!(validate_json(&j).unwrap_err().contains("unknown rule id"));
-        // Missing key / trailing garbage / bad version.
-        assert!(validate_json("{\"version\": 1}").unwrap_err().contains("missing report key"));
-        assert!(validate_json(&format!("{good} x")).is_err());
-        assert!(validate_json(&good.replace("\"version\": 1", "\"version\": 2")).is_err());
     }
 }

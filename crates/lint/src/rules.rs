@@ -1,6 +1,8 @@
-//! The lexical rules: D1 (banned crates at use-sites), D2 (nondeterminism
-//! sources), O1 (stdout/stderr discipline), P1 (panic-site census), F1
-//! (float equality). Manifest-side D1 lives in [`crate::manifest`].
+//! The per-file, token-level pass: D1 (banned crates at use-sites), D2
+//! (nondeterminism sources), O1 (stdout/stderr discipline), P1 (panic-site
+//! census), F1 (float equality), plus E1's emit-site extraction
+//! ([`crate::index`]; the check against the registry is
+//! [`crate::semantic`]). Manifest-side D1 lives in [`crate::manifest`].
 //!
 //! Scope conventions shared by the rules:
 //! - *test code* is any file under a `tests/` directory plus every region
@@ -9,6 +11,7 @@
 //!   root `src/**`, excluding `bin/` subtrees and test code.
 
 use crate::config::Config;
+use crate::index::{self, EmitSite};
 use crate::lexer::{is_keyword, lex, TokKind, Token};
 use crate::report::Diagnostic;
 use crate::suppress;
@@ -54,6 +57,8 @@ pub struct FileAnalysis {
     pub diagnostics: Vec<Diagnostic>,
     /// P1 census sites (empty for non-library files).
     pub p1_sites: Vec<P1Site>,
+    /// Obs emit sites for E1 (empty when E1 is off or the path exempt).
+    pub emit_sites: Vec<EmitSite>,
 }
 
 /// Is this file test code by path alone? Matches both the workspace-level
@@ -80,13 +85,7 @@ pub fn is_library_path(rel: &str) -> bool {
 /// Analyse one Rust file. `rel` is the workspace-relative path with `/`
 /// separators — every scope decision keys off it.
 pub fn analyze_rust_file(rel: &str, src: &str, cfg: &Config) -> FileAnalysis {
-    analyze_lexed(rel, &lex(src), cfg)
-}
-
-/// Same as [`analyze_rust_file`], but over an existing lex — the
-/// workspace pass lexes each file exactly once and shares the tokens
-/// with the semantic index.
-pub fn analyze_lexed(rel: &str, lexed: &crate::lexer::Lexed, cfg: &Config) -> FileAnalysis {
+    let lexed = lex(src);
     let (sup, mut diags) = suppress::collect(rel, &lexed.comments, &lexed.tokens);
     let test_lines = test_regions(&lexed.tokens);
     let file_is_test = is_test_path(rel);
@@ -125,18 +124,18 @@ pub fn analyze_lexed(rel: &str, lexed: &crate::lexer::Lexed, cfg: &Config) -> Fi
             }
         }
 
-        // D2: nondeterminism sources in non-test code outside obs/bench.
-        if cfg.is_enabled("D2")
-            && !Config::path_in(rel, &cfg.d2_allow_prefixes)
-            && !in_test(line)
-            && t.kind == TokKind::Ident
-        {
+        // D2: nondeterminism sources in non-test code. Clock and thread
+        // identity reads are allowed in obs/bench (timing is their job);
+        // hash collections are allowed nowhere.
+        if cfg.is_enabled("D2") && !in_test(line) && t.kind == TokKind::Ident {
+            let clocks_ok = Config::path_in(rel, &cfg.d2_allow_prefixes);
             let found: Option<&str> = match t.text.as_str() {
-                "SystemTime" => Some("std::time::SystemTime reads the wall clock"),
-                "Instant" => Some("std::time::Instant reads the monotonic clock"),
                 "HashMap" | "HashSet" => {
                     Some("HashMap/HashSet iteration order is nondeterministic (use BTreeMap/BTreeSet)")
                 }
+                _ if clocks_ok => None,
+                "SystemTime" => Some("std::time::SystemTime reads the wall clock"),
+                "Instant" => Some("std::time::Instant reads the monotonic clock"),
                 "thread" => (next.is_some_and(|n| n.is_punct("::"))
                     && toks.get(i + 2).is_some_and(|n| n.is_ident("current")))
                 .then_some("thread::current() identity varies across runs"),
@@ -218,6 +217,9 @@ pub fn analyze_lexed(rel: &str, lexed: &crate::lexer::Lexed, cfg: &Config) -> Fi
         }
     }
 
+    if cfg.is_enabled("E1") && !Config::path_in(rel, &cfg.e1_exempt_prefixes) {
+        out.emit_sites = index::emit_sites(rel, toks, in_test, &sup);
+    }
     out.diagnostics = diags;
     out
 }
@@ -415,6 +417,15 @@ mod tests {
         );
         let rules: Vec<_> = fa.diagnostics.iter().map(|d| d.rule).collect();
         assert_eq!(rules, vec!["D2", "D2", "D2"]); // thread + 2× HashMap
+    }
+
+    #[test]
+    fn d2_hash_collections_ignore_the_clock_allowlist() {
+        // obs/bench may read clocks, but hash order is banned there too.
+        let src = "use std::collections::HashMap;\nuse std::time::Instant;\n";
+        assert_eq!(rules_at(&run("crates/obs/src/x.rs", src)), vec![("D2", 1)]);
+        assert_eq!(rules_at(&run("crates/bench/src/x.rs", src)), vec![("D2", 1)]);
+        assert_eq!(rules_at(&run("crates/core/src/x.rs", src)), vec![("D2", 1), ("D2", 2)]);
     }
 
     #[test]

@@ -1,35 +1,17 @@
-//! The cross-file semantic rules, run over [`crate::index::WorkspaceIndex`]:
-//!
-//! | rule | invariant |
-//! |------|-----------|
-//! | `E1` | every statically-visible obs event name is registered in `events-registry.json`, and every non-dynamic registry entry has an emit site |
-//! | `S1` | for every type with snapshot-style and restore-style methods, each field read on the snapshot side is covered (transitively) on the restore side |
-//! | `N1` | no iteration over `HashMap`/`HashSet` in non-test code unless the results are sorted nearby or the site carries an allow-with-reason |
-//!
-//! All three honour the standard suppression directives
-//! (`// rpas-lint: allow(E1, reason = "…")`).
+//! E1, the one cross-file rule: the workspace's obs emit inventory
+//! ([`crate::index`]) against the committed `events-registry.json`
+//! ([`crate::registry`]) — every statically-visible event name is
+//! registered, and every non-dynamic registry entry still has an emit
+//! site. Sites carrying `// rpas-lint: allow(E1, reason = "…")` are
+//! skipped on the site side but still count as emitters.
 
 use crate::config::Config;
-use crate::index::{self, EmitSite, IndexedFile, WorkspaceIndex};
-use crate::lexer::{TokKind, Token};
-use crate::parse::{walk_items, Item, ItemKind};
+use crate::index::EmitSite;
 use crate::registry::EventsRegistry;
 use crate::report::Diagnostic;
-use crate::rules;
-use crate::suppress::{self, Suppressions};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
-/// What the semantic pass produces.
-#[derive(Debug, Default)]
-pub struct SemanticResult {
-    /// E1/S1/N1 findings (unsorted — the workspace pass sorts).
-    pub diagnostics: Vec<Diagnostic>,
-    /// Every extracted emit site (exempt prefixes excluded), for
-    /// `--write-events` regeneration.
-    pub emit_sites: Vec<EmitSite>,
-}
-
-/// How the registry file loaded, as seen by [`run`].
+/// How the registry file loaded, as seen by [`e1`].
 #[derive(Debug)]
 pub enum RegistryState {
     /// Parsed successfully.
@@ -40,46 +22,48 @@ pub enum RegistryState {
     Missing,
 }
 
-/// Run all semantic rules over the index.
-pub fn run(index: &WorkspaceIndex, registry: &RegistryState, cfg: &Config) -> SemanticResult {
-    let mut res = SemanticResult::default();
-    for file in &index.files {
-        let sup = suppress::collect(&file.rel, &file.lexed.comments, &file.lexed.tokens).0;
-        if cfg.is_enabled("E1") && !Config::path_in(&file.rel, &cfg.e1_exempt_prefixes) {
-            e1_file(file, &sup, registry, cfg, &mut res);
+/// Check the whole emit inventory against the registry, both ways: each
+/// unsuppressed site must be registered, and each non-dynamic entry must
+/// still have an emit site. Findings are unsorted — the workspace pass
+/// sorts.
+pub fn e1(sites: &[EmitSite], registry: &RegistryState, cfg: &Config) -> Vec<Diagnostic> {
+    let reg_file = cfg.events_registry_file.as_str();
+    let reg = match registry {
+        RegistryState::Loaded(r) => r,
+        RegistryState::Malformed(e) => {
+            return vec![Diagnostic::error(
+                "E1",
+                reg_file,
+                0,
+                format!("unreadable events registry: {e} — regenerate with lint --write-events"),
+            )];
         }
-        if cfg.is_enabled("S1") && rules::is_library_path(&file.rel) {
-            s1_file(file, &sup, &mut res.diagnostics);
+        RegistryState::Missing => {
+            return vec![Diagnostic::warning(
+                "E1",
+                reg_file,
+                0,
+                "no events registry found — freeze the current event surface with lint --write-events",
+            )];
         }
-        if cfg.is_enabled("N1") {
-            n1_file(file, &sup, &mut res.diagnostics);
+    };
+    let mut diags: Vec<Diagnostic> =
+        sites.iter().filter(|s| !s.allowed).filter_map(|s| check_site(s, reg, cfg)).collect();
+    let emitted: BTreeSet<String> = sites.iter().filter_map(EmitSite::full_name).collect();
+    for entry in &reg.events {
+        if !entry.dynamic && !emitted.contains(&entry.name) {
+            diags.push(Diagnostic::error(
+                "E1",
+                reg_file,
+                entry.line,
+                format!(
+                    "registry entry `{}` has no emit site left — remove it (lint --write-events) or mark it dynamic",
+                    entry.name
+                ),
+            ));
         }
     }
-    if cfg.is_enabled("E1") {
-        e1_registry_side(&res.emit_sites, registry, cfg, &mut res.diagnostics);
-    }
-    res
-}
-
-// ---------------------------------------------------------------- E1 ----
-
-fn e1_file(
-    file: &IndexedFile,
-    sup: &Suppressions,
-    registry: &RegistryState,
-    cfg: &Config,
-    res: &mut SemanticResult,
-) {
-    for site in index::emit_sites(file) {
-        if !sup.allows("E1", site.line) {
-            if let RegistryState::Loaded(reg) = registry {
-                if let Some(d) = check_site(&site, reg, cfg) {
-                    res.diagnostics.push(d);
-                }
-            }
-        }
-        res.emit_sites.push(site);
-    }
+    diags
 }
 
 /// Check one emit site against the registry. Fully-dynamic sites are
@@ -126,414 +110,20 @@ fn check_site(site: &EmitSite, reg: &EventsRegistry, cfg: &Config) -> Option<Dia
     }
 }
 
-/// Registry-side checks: unreadable/missing file, and orphaned entries
-/// (registered names with no emit site left).
-fn e1_registry_side(
-    sites: &[EmitSite],
-    registry: &RegistryState,
-    cfg: &Config,
-    diags: &mut Vec<Diagnostic>,
-) {
-    let reg_file = cfg.events_registry_file.as_str();
-    let reg = match registry {
-        RegistryState::Loaded(r) => r,
-        RegistryState::Malformed(e) => {
-            diags.push(Diagnostic::error(
-                "E1",
-                reg_file,
-                0,
-                format!("unreadable events registry: {e} — regenerate with lint --write-events"),
-            ));
-            return;
-        }
-        RegistryState::Missing => {
-            diags.push(Diagnostic::warning(
-                "E1",
-                reg_file,
-                0,
-                "no events registry found — freeze the current event surface with lint --write-events",
-            ));
-            return;
-        }
-    };
-    let emitted: BTreeSet<String> = sites.iter().filter_map(EmitSite::full_name).collect();
-    for entry in &reg.events {
-        if !entry.dynamic && !emitted.contains(&entry.name) {
-            diags.push(Diagnostic::error(
-                "E1",
-                reg_file,
-                entry.line,
-                format!(
-                    "registry entry `{}` has no emit site left — remove it (lint --write-events) or mark it dynamic",
-                    entry.name
-                ),
-            ));
-        }
-    }
-}
-
-// ---------------------------------------------------------------- S1 ----
-
-/// One type's inherent-impl surface in a file.
-#[derive(Debug, Default)]
-struct TypeMethods<'a> {
-    /// Method name → (item, self-usage info).
-    methods: BTreeMap<&'a str, (&'a Item, index::FnInfo)>,
-}
-
-fn s1_file(file: &IndexedFile, sup: &Suppressions, diags: &mut Vec<Diagnostic>) {
-    let toks = &file.lexed.tokens;
-    // Group inherent-impl methods by self type, merging multiple impl
-    // blocks for the same type in the file.
-    let mut types: BTreeMap<&str, TypeMethods<'_>> = BTreeMap::new();
-    walk_items(&file.items, &mut |it| {
-        if it.kind != ItemKind::Impl || it.trait_name.is_some() || file.in_test(it.line) {
-            return;
-        }
-        let group = types.entry(it.name.as_str()).or_default();
-        for m in &it.children {
-            if m.kind != ItemKind::Fn {
-                continue;
-            }
-            let Some(body) = m.body else { continue };
-            group.methods.insert(m.name.as_str(), (m, index::fn_info(toks, body)));
-        }
-    });
-
-    for (ty, group) in &types {
-        let restore_like: Vec<&str> = group
-            .methods
-            .keys()
-            .copied()
-            .filter(|n| n.starts_with("restore"))
-            .collect();
-        if restore_like.is_empty() {
-            continue;
-        }
-        let snapshot_like: Vec<&str> = group
-            .methods
-            .keys()
-            .copied()
-            .filter(|n| {
-                n.starts_with("snapshot")
-                    || *n == "dump"
-                    || group.methods.contains_key(format!("restore_{n}").as_str())
-            })
-            .collect();
-        if snapshot_like.is_empty() {
-            continue;
-        }
-
-        // Restore coverage: every field any restore method touches,
-        // closed transitively over same-type `self.method()` calls (a
-        // restore that writes through `self.cell(name)` still covers the
-        // fields `cell` touches).
-        let mut covered: BTreeSet<&str> = BTreeSet::new();
-        let mut visited: BTreeSet<&str> = BTreeSet::new();
-        let mut work: Vec<&str> = restore_like.clone();
-        while let Some(m) = work.pop() {
-            if !visited.insert(m) {
-                continue;
-            }
-            let Some((_, info)) = group.methods.get(m) else { continue };
-            covered.extend(info.fields.iter().map(String::as_str));
-            work.extend(
-                info.calls.iter().map(String::as_str).filter(|c| group.methods.contains_key(*c)),
-            );
-        }
-
-        for m in snapshot_like {
-            let (item, info) = &group.methods[m];
-            if sup.allows("S1", item.line) {
-                continue;
-            }
-            for field in &info.fields {
-                if !covered.contains(field.as_str()) {
-                    diags.push(Diagnostic::error(
-                        "S1",
-                        &file.rel,
-                        item.line,
-                        format!(
-                            "snapshot/restore parity: `{ty}::{m}` reads `self.{field}` but no restore method of `{ty}` covers it — checkpoint state would drift on restore"
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------- N1 ----
-
-/// Iterator methods whose order is the hash order of the receiver.
-const UNORDERED_ITERS: &[&str] = &[
-    "iter", "iter_mut", "keys", "values", "values_mut", "drain", "into_iter", "into_keys",
-    "into_values",
-];
-
-/// Idents that mark the result as (re)ordered when they appear within
-/// the current or next statement after the iteration.
-fn is_ordering_ident(t: &Token) -> bool {
-    t.kind == TokKind::Ident
-        && (t.text.starts_with("sort") || t.text == "BTreeMap" || t.text == "BTreeSet")
-}
-
-fn n1_file(file: &IndexedFile, sup: &Suppressions, diags: &mut Vec<Diagnostic>) {
-    let toks = &file.lexed.tokens;
-    // Hash-typed struct fields declared anywhere in this file: a
-    // `self.<field>` receiver for any of them is treated as unordered.
-    let mut hash_fields: BTreeSet<&str> = BTreeSet::new();
-    walk_items(&file.items, &mut |it| {
-        if it.kind == ItemKind::Struct {
-            hash_fields
-                .extend(it.fields.iter().filter(|f| f.hash_typed).map(|f| f.name.as_str()));
-        }
-    });
-
-    walk_items(&file.items, &mut |it| {
-        if it.kind != ItemKind::Fn || file.in_test(it.line) {
-            return;
-        }
-        let Some(body) = it.body else { return };
-        let tracked = tracked_bindings(toks, it.tok, body);
-        n1_scan_body(file, toks, body, &tracked, &hash_fields, sup, diags);
-    });
-}
-
-/// Locals and parameters of this fn whose declared/initialised type
-/// mentions `HashMap`/`HashSet`.
-fn tracked_bindings(toks: &[Token], fn_tok: usize, body: (usize, usize)) -> BTreeSet<String> {
-    let mut tracked = BTreeSet::new();
-    let is_hash = |t: &Token| t.is_ident("HashMap") || t.is_ident("HashSet");
-
-    // Parameters: inside the signature, `name :` followed by a type run
-    // (to the next top-level comma or the closing paren) naming a hash
-    // collection.
-    let sig_end = body.0.saturating_sub(1); // index of the `{`
-    let mut i = fn_tok;
-    while i < sig_end {
-        if toks[i].kind == TokKind::Ident
-            && toks.get(i + 1).is_some_and(|t| t.is_punct(":"))
-            && !toks.get(i + 1).is_some_and(|t| t.is_punct("::"))
-        {
-            let name = &toks[i].text;
-            let mut j = i + 2;
-            let mut depth = 0i32;
-            let mut hash = false;
-            while j < sig_end {
-                let t = &toks[j];
-                match t.text.as_str() {
-                    "<" | "(" | "[" if t.kind == TokKind::Punct => depth += 1,
-                    ">" | ")" | "]" if t.kind == TokKind::Punct => depth -= 1,
-                    "," if t.kind == TokKind::Punct && depth <= 0 => break,
-                    _ => hash |= is_hash(t),
-                }
-                j += 1;
-            }
-            if hash {
-                tracked.insert(name.clone());
-            }
-            i = j;
-            continue;
-        }
-        i += 1;
-    }
-
-    // Locals: `let [mut] name … ;` whose statement mentions a hash
-    // collection (annotation or constructor).
-    let mut i = body.0;
-    while i < body.1 {
-        if toks[i].is_ident("let") {
-            let mut k = i + 1;
-            if toks.get(k).is_some_and(|t| t.is_ident("mut")) {
-                k += 1;
-            }
-            if toks.get(k).is_some_and(|t| t.kind == TokKind::Ident) {
-                let name = toks[k].text.clone();
-                let mut j = k + 1;
-                let mut depth = 0i32;
-                let mut hash = false;
-                while j < body.1 {
-                    let t = &toks[j];
-                    if t.kind == TokKind::Punct {
-                        match t.text.as_str() {
-                            "(" | "[" | "{" => depth += 1,
-                            ")" | "]" | "}" => depth -= 1,
-                            ";" if depth == 0 => break,
-                            _ => {}
-                        }
-                    }
-                    hash |= is_hash(t);
-                    j += 1;
-                }
-                if hash {
-                    tracked.insert(name);
-                }
-                i = j;
-                continue;
-            }
-        }
-        i += 1;
-    }
-    tracked
-}
-
-fn n1_scan_body(
-    file: &IndexedFile,
-    toks: &[Token],
-    body: (usize, usize),
-    tracked: &BTreeSet<String>,
-    hash_fields: &BTreeSet<&str>,
-    sup: &Suppressions,
-    diags: &mut Vec<Diagnostic>,
-) {
-    // Is the token at `i` an unordered receiver — a tracked local/param,
-    // or `self.<hash field>` (in which case the receiver spans i..i+3)?
-    let receiver = |i: usize| -> Option<(usize, String)> {
-        let t = toks.get(i)?;
-        if t.kind != TokKind::Ident {
-            return None;
-        }
-        if t.text == "self" {
-            if toks.get(i + 1).is_some_and(|p| p.is_punct(".")) {
-                let f = toks.get(i + 2)?;
-                if f.kind == TokKind::Ident && hash_fields.contains(f.text.as_str()) {
-                    return Some((i + 3, format!("self.{}", f.text)));
-                }
-            }
-            return None;
-        }
-        tracked.contains(&t.text).then(|| (i + 1, t.text.clone()))
-    };
-
-    let mut i = body.0;
-    while i < body.1 {
-        let t = &toks[i];
-        // `<recv>.iter()` / `.keys()` / … chains.
-        if let Some((after, name)) = receiver(i) {
-            let is_unordered_call = toks.get(after).is_some_and(|d| d.is_punct("."))
-                && toks.get(after + 1).is_some_and(|m| {
-                    m.kind == TokKind::Ident && UNORDERED_ITERS.contains(&m.text.as_str())
-                })
-                && toks.get(after + 2).is_some_and(|p| p.is_punct("("));
-            if is_unordered_call {
-                flag_unless_sorted(file, toks, i, body, &name, true, sup, diags);
-                i = after + 2;
-                continue;
-            }
-        }
-        // `for <pat> in [&][mut] <recv> {`.
-        if t.is_ident("for") {
-            if let Some(in_idx) = find_for_in(toks, i, body.1) {
-                let mut j = in_idx + 1;
-                while toks.get(j).is_some_and(|t| t.is_punct("&") || t.is_ident("mut")) {
-                    j += 1;
-                }
-                if let Some((after, name)) = receiver(j) {
-                    if toks.get(after).is_some_and(|t| t.is_punct("{")) {
-                        // Sorting after the loop cannot fix its visit
-                        // order — no forward-sort escape here.
-                        flag_unless_sorted(file, toks, i, body, &name, false, sup, diags);
-                    }
-                }
-                i = in_idx + 1;
-                continue;
-            }
-        }
-        i += 1;
-    }
-}
-
-/// The `in` of a `for` loop starting at `for_idx`, at top delimiter level.
-fn find_for_in(toks: &[Token], for_idx: usize, end: usize) -> Option<usize> {
-    let mut depth = 0i32;
-    for j in for_idx + 1..end {
-        let t = &toks[j];
-        if t.kind == TokKind::Punct {
-            match t.text.as_str() {
-                "(" | "[" | "{" => depth += 1,
-                ")" | "]" | "}" => depth -= 1,
-                _ => {}
-            }
-        } else if t.is_ident("in") && depth == 0 {
-            return Some(j);
-        }
-        if depth < 0 {
-            return None;
-        }
-    }
-    None
-}
-
-/// Emit the N1 diagnostic unless the line carries an allow or (when
-/// `scan_forward`, for collect-then-sort chains) a sort/BTree appears
-/// within the current or next statement (two `;` at the flag's brace
-/// level).
-fn flag_unless_sorted(
-    file: &IndexedFile,
-    toks: &[Token],
-    at: usize,
-    body: (usize, usize),
-    receiver: &str,
-    scan_forward: bool,
-    sup: &Suppressions,
-    diags: &mut Vec<Diagnostic>,
-) {
-    let line = toks[at].line;
-    if sup.allows("N1", line) {
-        return;
-    }
-    if scan_forward {
-        let mut semis = 0;
-        let mut depth = 0i32;
-        for j in at..body.1 {
-            let t = &toks[j];
-            if is_ordering_ident(t) {
-                return;
-            }
-            if t.kind == TokKind::Punct {
-                match t.text.as_str() {
-                    "(" | "[" | "{" => depth += 1,
-                    ")" | "]" | "}" => depth -= 1,
-                    ";" if depth <= 0 => {
-                        semis += 1;
-                        if semis >= 2 {
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-    }
-    diags.push(Diagnostic::error(
-        "N1",
-        &file.rel,
-        line,
-        format!(
-            "iteration over unordered `{receiver}` (HashMap/HashSet): hash order varies across runs — sort the results, use BTreeMap/BTreeSet, or justify with allow(N1, …)"
-        ),
-    ));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::lex;
     use crate::registry;
+    use crate::rules::analyze_rust_file;
 
-    fn run_src(rel: &str, src: &str, reg_json: Option<&str>) -> Vec<(String, u32, String)> {
-        let mut idx = WorkspaceIndex::default();
-        idx.add_file(rel, lex(src));
+    fn run_src(rel: &str, src: &str, reg_json: Option<&str>) -> Vec<(u32, String)> {
+        let cfg = Config::default();
         let state = match reg_json {
             Some(j) => RegistryState::Loaded(registry::parse(j).expect("test registry")),
             None => RegistryState::Missing,
         };
-        let res = run(&idx, &state, &Config::default());
-        res.diagnostics
-            .into_iter()
-            .map(|d| (d.rule.to_string(), d.line, d.message))
-            .collect()
+        let sites = analyze_rust_file(rel, src, &cfg).emit_sites;
+        e1(&sites, &state, &cfg).into_iter().map(|d| (d.line, d.message)).collect()
     }
 
     const REG: &str = "{\"version\": 1, \"events\": [{ \"name\": \"plan/decision\" }, { \"name\": \"telemetry/histogram\", \"dynamic\": true }]}";
@@ -545,14 +135,13 @@ mod tests {
         // `plan/mystery` unregistered; `telemetry/histogram` is dynamic so
         // not orphaned even with no site.
         assert_eq!(got.len(), 1, "{got:?}");
-        assert_eq!(got[0].0, "E1");
-        assert_eq!(got[0].1, 3);
-        assert!(got[0].2.contains("plan/mystery"));
+        assert_eq!(got[0].0, 3);
+        assert!(got[0].1.contains("plan/mystery"));
 
         // Remove the only `plan/decision` site: the entry orphans.
         let got = run_src("crates/core/src/x.rs", "fn f() {}\n", Some(REG));
         assert_eq!(got.len(), 1, "{got:?}");
-        assert!(got[0].2.contains("no emit site left"), "{got:?}");
+        assert!(got[0].1.contains("no emit site left"), "{got:?}");
     }
 
     #[test]
@@ -563,73 +152,22 @@ mod tests {
         // Line 3: dynamic span, `histogram` has a dynamic entry — ok.
         // Line 4: dynamic span, `decision` has no dynamic entry — flagged.
         // Plus: `plan/decision` entry orphans (no full-literal site).
-        let e1_line4 = got.iter().filter(|(r, l, _)| r == "E1" && *l == 4).count();
+        let e1_line4 = got.iter().filter(|(l, _)| *l == 4).count();
         assert_eq!(e1_line4, 1, "{got:?}");
         assert_eq!(got.len(), 2, "{got:?}");
+    }
+
+    #[test]
+    fn e1_allowed_site_is_unchecked_but_still_an_emitter() {
+        let src = "fn f(obs: &Obs) {\n  // rpas-lint: allow(E1, reason = \"test\")\n  obs.info(\"plan\", \"mystery\", |f| f.raw(\"\"));\n  // rpas-lint: allow(E1, reason = \"test\")\n  obs.info(\"plan\", \"decision\", |f| f.raw(\"\"));\n}\n";
+        let got = run_src("crates/core/src/x.rs", src, Some(REG));
+        assert!(got.is_empty(), "{got:?}");
     }
 
     #[test]
     fn e1_missing_registry_is_a_warning_only() {
         let got = run_src("crates/core/src/x.rs", "fn f() {}\n", None);
         assert_eq!(got.len(), 1);
-        assert!(got[0].2.contains("no events registry"));
-    }
-
-    #[test]
-    fn s1_catches_missing_restore_coverage() {
-        let src = "struct S { a: u32, b: u32 }\nimpl S {\n  fn snapshot(&self) -> (u32, u32) { (self.a, self.b) }\n  fn restore(&mut self, s: (u32, u32)) { self.a = s.0; }\n}\n";
-        let mut got = run_src("crates/core/src/x.rs", src, Some(REG));
-        got.retain(|(r, _, _)| r == "S1");
-        assert_eq!(got.len(), 1, "{got:?}");
-        assert_eq!(got[0].1, 3);
-        assert!(got[0].2.contains("self.b"), "{}", got[0].2);
-    }
-
-    #[test]
-    fn s1_transitive_coverage_through_self_calls() {
-        let src = "impl R {\n  fn cell(&self, k: &str) -> &mut u64 { self.shards.get(k) }\n  fn dump(&self) -> Vec<u64> { self.shards.clone() }\n  fn restore(&mut self, v: &[u64]) { for x in v { *self.cell(\"k\") = *x; } }\n}\n";
-        let mut got = run_src("crates/telemetry/src/x.rs", src, Some(REG));
-        got.retain(|(r, _, _)| r == "S1");
-        assert!(got.is_empty(), "{got:?}");
-    }
-
-    #[test]
-    fn s1_pairs_method_with_restore_prefix_and_honours_allows() {
-        let src = "impl N {\n  fn sigma(&self) -> f64 { self.sigma + self.resid }\n  fn restore_sigma(&mut self, s: f64) { self.sigma = s; }\n}\n";
-        let mut got = run_src("crates/forecast/src/x.rs", src, Some(REG));
-        got.retain(|(r, _, _)| r == "S1");
-        assert_eq!(got.len(), 1, "{got:?}");
-        assert!(got[0].2.contains("self.resid"));
-
-        let allowed = "impl N {\n  // rpas-lint: allow(S1, reason = \"resid is a derived cache, rebuilt lazily\")\n  fn sigma(&self) -> f64 { self.sigma + self.resid }\n  fn restore_sigma(&mut self, s: f64) { self.sigma = s; }\n}\n";
-        let mut got = run_src("crates/forecast/src/x.rs", allowed, Some(REG));
-        got.retain(|(r, _, _)| r == "S1");
-        assert!(got.is_empty(), "{got:?}");
-    }
-
-    #[test]
-    fn n1_flags_unordered_iteration_and_accepts_sorts() {
-        let src = "fn f(m: &HashMap<String, u32>) {\n  for (k, v) in m { use_it(k, v); }\n  let mut ks: Vec<_> = m.keys().collect();\n  ks.sort();\n}\n";
-        let mut got = run_src("crates/obs/src/x.rs", src, Some(REG));
-        got.retain(|(r, _, _)| r == "N1");
-        assert_eq!(got.len(), 1, "{got:?}");
-        assert_eq!(got[0].1, 2);
-    }
-
-    #[test]
-    fn n1_tracks_locals_and_struct_fields() {
-        let src = "struct C { m: HashMap<u32, u32>, v: Vec<u32> }\nimpl C {\n  fn f(&mut self) {\n    let set = HashSet::new();\n    for x in set.iter() { touch(x); }\n    for y in self.m.values() { touch(y); }\n    for z in &self.v { touch(z); }\n  }\n}\n";
-        let mut got = run_src("crates/obs/src/x.rs", src, Some(REG));
-        got.retain(|(r, _, _)| r == "N1");
-        let lines: Vec<u32> = got.iter().map(|(_, l, _)| *l).collect();
-        assert_eq!(lines, vec![5, 6], "{got:?}");
-    }
-
-    #[test]
-    fn n1_skips_tests_and_allows() {
-        let src = "fn f(m: &HashMap<u32, u32>) {\n  for v in m.values() { touch(v); } // rpas-lint: allow(N1, reason = \"order-independent sum\")\n}\n#[cfg(test)]\nmod tests {\n  fn t(m: &HashMap<u32, u32>) { for v in m.values() { touch(v); } }\n}\n";
-        let mut got = run_src("crates/obs/src/x.rs", src, Some(REG));
-        got.retain(|(r, _, _)| r == "N1");
-        assert!(got.is_empty(), "{got:?}");
+        assert!(got[0].1.contains("no events registry"));
     }
 }

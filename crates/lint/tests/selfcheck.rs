@@ -1,8 +1,9 @@
-//! The lint must pass on the workspace that ships it: zero errors, and a
-//! P1 census identical to the committed `lint-baseline.json`. This is the
-//! same check `scripts/verify.sh` runs through the binary — having it in
-//! `cargo test` means a violation fails the ordinary test suite too, not
-//! just the release gate.
+//! The lint must pass on the workspace that ships it: zero errors, and
+//! both committed surfaces — the P1 census in `lint-baseline.json`, the
+//! obs event set in `events-registry.json` — byte-for-byte what a fresh
+//! sweep regenerates. `scripts/verify.sh` runs this through
+//! `cargo test --workspace` rather than re-deriving either file itself,
+//! so a stale surface fails the ordinary test suite, not just the gate.
 
 use rpas_lint::baseline;
 use rpas_lint::config::Config;
@@ -44,6 +45,7 @@ fn committed_baseline_matches_census() {
          deliberate, regenerate it with `cargo run --bin lint -- --write-baseline` \
          and review the diff"
     );
+    assert_eq!(raw, baseline::to_json(&res.p1), "lint-baseline.json is not in --write-baseline form");
 }
 
 #[test]

@@ -1,7 +1,7 @@
-//! Whole-workspace semantic fixture test: `run_workspace` over the
-//! mini-workspace in `tests/fixtures/semantic/` (lexical rules disabled,
-//! so only E1/S1/N1 speak) diffed against the `//~ RULE` annotations in
-//! the fixture sources plus the deliberate `sem/orphan` registry entry.
+//! Whole-workspace E1 fixture test: `run_workspace` over the
+//! mini-workspace in `tests/fixtures/semantic/` (the other rules
+//! disabled, so only E1 speaks) diffed against the `//~ E1` annotations
+//! in the fixture source plus the deliberate `sem/orphan` registry entry.
 //! The real walker skips `tests/fixtures`, so these violations never
 //! reach a production sweep.
 
@@ -29,13 +29,12 @@ fn semantic_cfg() -> Config {
 fn expected() -> Vec<(String, u32, String)> {
     let root = fixture_root();
     let mut exp = Vec::new();
-    for rel in ["src/emit.rs", "src/iter.rs", "src/snap.rs"] {
-        let src = fs::read_to_string(root.join(rel)).expect("fixture source is readable");
-        for (idx, line) in src.lines().enumerate() {
-            if let Some(pos) = line.find("//~") {
-                for rule in line[pos + 3..].split_whitespace() {
-                    exp.push((rel.to_string(), idx as u32 + 1, rule.to_string()));
-                }
+    let rel = "src/emit.rs";
+    let src = fs::read_to_string(root.join(rel)).expect("fixture source is readable");
+    for (idx, line) in src.lines().enumerate() {
+        if let Some(pos) = line.find("//~") {
+            for rule in line[pos + 3..].split_whitespace() {
+                exp.push((rel.to_string(), idx as u32 + 1, rule.to_string()));
             }
         }
     }
@@ -58,7 +57,7 @@ fn semantic_fixtures_match_annotations() {
     assert_eq!(got, expected(), "semantic findings drifted from the fixture annotations");
     assert!(
         res.diagnostics.iter().all(|d| d.severity == Severity::Error),
-        "E1/S1/N1 findings are all error severity"
+        "E1 findings are all error severity"
     );
 }
 

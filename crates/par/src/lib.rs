@@ -11,17 +11,14 @@
 //! any number of threads while the returned `Vec` stays in job order,
 //! byte-identical to a single-threaded run.
 //!
-//! Two usage shapes:
-//!
-//! * [`WorkerPool`] — spawn once, submit many times. The fleet engine
-//!   holds one pool for its whole run, so a per-tick fan-out costs two
-//!   condvar round-trips instead of `N` thread spawns, and work is
-//!   handed out via an atomic stripe cursor over disjoint index ranges
-//!   (no per-item mutex allocations).
-//! * The free functions ([`par_map_indexed`], [`par_map`]) — thin
-//!   adapters that build an ephemeral pool per call. They re-read
-//!   `RPAS_THREADS` on every invocation, which is what the thread-count
-//!   invariance tests rely on.
+//! One usage shape, [`WorkerPool`]: spawn once, submit many times. The
+//! fleet engine holds one pool for its whole run, so a per-tick fan-out
+//! costs two condvar round-trips instead of `N` thread spawns, and work
+//! is handed out via an atomic stripe cursor over disjoint index ranges
+//! (no per-item mutex allocations). A one-shot fan-out (the experiment
+//! binaries) is `WorkerPool::for_jobs(n).map_indexed(n, f)` — the pool
+//! reads `RPAS_THREADS` at construction, which is what the thread-count
+//! invariance tests rely on.
 //!
 //! Thread count: `min(RPAS_THREADS or available_parallelism, jobs)`.
 //! Setting `RPAS_THREADS=1` forces a sequential run (useful to confirm
@@ -139,7 +136,8 @@ struct PoolShared {
 /// round-trips.
 ///
 /// Results are byte-identical for any worker count provided `f` is a
-/// pure function of its index (the same contract as the free functions).
+/// pure function of its index (derive per-job seeds from the index, e.g.
+/// via `rpas_tsmath::rng::child_seed`).
 /// A pool with `workers <= 1` spawns nothing and runs every submission
 /// inline, so `RPAS_THREADS=1` keeps the exact sequential code path.
 pub struct WorkerPool {
@@ -312,8 +310,10 @@ impl WorkerPool {
         shared.state.lock().expect("pool state poisoned")
     }
 
-    /// [`par_map_indexed`] on this pool: run `f` over `0..jobs` and
-    /// return the results in index order.
+    /// Run `f` over `0..jobs` and return the results in index order.
+    ///
+    /// # Panics
+    /// Propagates a panic from any job (see [`WorkerPool::run`]).
     pub fn map_indexed<T, F>(&self, jobs: usize, f: F) -> Vec<T>
     where
         T: Send,
@@ -346,8 +346,8 @@ impl WorkerPool {
     /// Apply `f(i, &mut items[i])` to every item in place. Each worker
     /// owns one item at a time (the `&mut` references are disjoint by
     /// construction), so `f` may freely mutate its item; as with
-    /// [`par_map_indexed`], `f` must depend only on the index and the
-    /// item for the result to be identical at every thread count.
+    /// [`WorkerPool::map_indexed`], `f` must depend only on the index and
+    /// the item for the result to be identical at every thread count.
     pub fn for_each_mut<T, F>(&self, items: &mut [T], f: F)
     where
         T: Send,
@@ -442,35 +442,6 @@ fn drain(cursor: &AtomicUsize, job: Job) {
     }
 }
 
-/// Run `f(0), f(1), …, f(jobs-1)` on an ephemeral worker pool and return
-/// the results in index order.
-///
-/// `f` must be a pure function of its index (derive per-job seeds from
-/// the index, e.g. via `rpas_tsmath::rng::child_seed`); then the output
-/// is identical for every thread count. `RPAS_THREADS` is re-read on
-/// every call.
-///
-/// # Panics
-/// Propagates a panic from any job (the pool joins all workers first).
-pub fn par_map_indexed<T, F>(jobs: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    WorkerPool::for_jobs(jobs).map_indexed(jobs, f)
-}
-
-/// [`par_map_indexed`] over a slice: `f` is applied to every item, results
-/// in item order.
-pub fn par_map<I, T, F>(items: &[I], f: F) -> Vec<T>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(&I) -> T + Sync,
-{
-    par_map_indexed(items.len(), |i| f(&items[i]))
-}
-
 /// Render a `catch_unwind` payload as a one-line message. Panic payloads
 /// are almost always `&str` (literal `panic!`) or `String` (formatted
 /// `panic!`); anything else is summarized rather than dropped so the
@@ -491,33 +462,14 @@ mod tests {
 
     #[test]
     fn preserves_job_order() {
-        let out = par_map_indexed(64, |i| i * i);
+        let out = WorkerPool::for_jobs(64).map_indexed(64, |i| i * i);
         assert_eq!(out, (0..64).map(|i| i * i).collect::<Vec<_>>());
     }
 
     #[test]
     fn empty_and_single_job() {
-        assert!(par_map_indexed(0, |i| i).is_empty());
-        assert_eq!(par_map_indexed(1, |i| i + 7), vec![7]);
-    }
-
-    #[test]
-    fn slice_variant_maps_items() {
-        let items = ["a", "bb", "ccc"];
-        assert_eq!(par_map(&items, |s| s.len()), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn matches_sequential_for_seeded_work() {
-        // The contract behind seed-determinism of the parallel binaries:
-        // parallel output == sequential output, element for element.
-        let job = |i: usize| {
-            let mut r = rpas_tsmath::rng::seeded(rpas_tsmath::rng::child_seed(42, i as u64));
-            (0..100).map(|_| rpas_tsmath::rng::uniform(&mut r)).sum::<f64>()
-        };
-        let par: Vec<f64> = par_map_indexed(16, job);
-        let seq: Vec<f64> = (0..16).map(job).collect();
-        assert_eq!(par, seq);
+        assert!(WorkerPool::for_jobs(0).map_indexed(0, |i| i).is_empty());
+        assert_eq!(WorkerPool::for_jobs(1).map_indexed(1, |i| i + 7), vec![7]);
     }
 
     #[test]
@@ -622,7 +574,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn job_panic_propagates() {
-        let _ = par_map_indexed(8, |i| {
+        let _ = WorkerPool::new(4).map_indexed(8, |i| {
             if i == 5 {
                 panic!("job 5 failed");
             }

@@ -198,23 +198,26 @@ impl Cluster {
     /// snapshot. The warm-up model and storage configuration stay as
     /// built; storage *counters* are restored to absolute values so the
     /// bootstrap reads of the rebuilt pool do not double-count.
+    #[deny(unused_variables)]
     pub fn restore(&mut self, snap: &ClusterSnapshot) {
-        self.nodes = snap
-            .nodes
+        // Exhaustive on purpose (no `..`), nested `NodeSnapshot` included:
+        // a field added to either and not consumed here does not compile.
+        let ClusterSnapshot { nodes, next_id, scale_out_events, scale_in_events, storage } = snap;
+        self.nodes = nodes
             .iter()
-            .map(|n| ComputeNode {
-                id: NodeId(n.id),
-                launched_at_step: n.launched_at_step,
-                state: match n.warming_remaining_secs {
+            .map(|&NodeSnapshot { id, launched_at_step, warming_remaining_secs }| ComputeNode {
+                id: NodeId(id),
+                launched_at_step,
+                state: match warming_remaining_secs {
                     Some(remaining_secs) => NodeState::WarmingUp { remaining_secs },
                     None => NodeState::Active,
                 },
             })
             .collect();
-        self.next_id = snap.next_id;
-        self.scale_out_events = snap.scale_out_events;
-        self.scale_in_events = snap.scale_in_events;
-        self.storage.restore_stats(snap.storage);
+        self.next_id = *next_id;
+        self.scale_out_events = *scale_out_events;
+        self.scale_in_events = *scale_in_events;
+        self.storage.restore_stats(*storage);
     }
 
     /// Seconds of warm-up remaining across the pool (0 when all active).

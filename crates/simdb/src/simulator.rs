@@ -299,19 +299,23 @@ impl SimSession {
     ///
     /// # Panics
     /// Panics when the snapshot's cursor lies beyond this session's trace.
+    #[deny(unused_variables)]
     pub fn restore(&mut self, snap: &SessionSnapshot) {
+        // Exhaustive on purpose (no `..`): a field added to the snapshot
+        // and not consumed here does not compile.
+        let SessionSnapshot { t, visible, last_scale, counts, steps, cluster } = snap;
         assert!(
-            snap.t <= self.w.len(),
+            *t <= self.w.len(),
             "snapshot cursor {} beyond trace length {}",
-            snap.t,
+            t,
             self.w.len()
         );
-        self.t = snap.t;
-        self.visible = snap.visible;
-        self.last_scale = snap.last_scale;
-        self.counts = snap.counts;
-        self.steps = snap.steps.clone();
-        self.cluster.restore(&snap.cluster);
+        self.t = *t;
+        self.visible = *visible;
+        self.last_scale = *last_scale;
+        self.counts = *counts;
+        self.steps = steps.clone();
+        self.cluster.restore(cluster);
     }
 
     /// Execute one decision tick: the policy observes realised history,

@@ -2,17 +2,16 @@
 //!
 //! ```text
 //! cargo run --bin lint                        # human diagnostics
-//! cargo run --bin lint -- --json              # stable JSON report
 //! cargo run --bin lint -- --deny-warnings     # CI mode (verify.sh)
 //! cargo run --bin lint -- --write-baseline    # re-freeze the P1 budget
 //! cargo run --bin lint -- --write-events      # re-freeze the obs event registry
-//! cargo run --bin lint -- --check-report F    # validate a --json report file
 //! cargo run --bin lint -- --rules             # rule table
 //! ```
 //!
+//! The P1 budget is always `lint-baseline.json` at the workspace root.
+//!
 //! Exit codes: 0 clean, 1 violations (or warnings under
-//! `--deny-warnings`, or an invalid report under `--check-report`),
-//! 2 usage or I/O error.
+//! `--deny-warnings`), 2 usage or I/O error.
 
 use rpas_lint::baseline;
 use rpas_lint::config::{rule_summary, Config, RULE_IDS};
@@ -23,33 +22,30 @@ use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+/// The committed P1 budget, relative to the workspace root.
+const BASELINE_FILE: &str = "lint-baseline.json";
+
 struct Args {
     root: Option<PathBuf>,
-    json: bool,
     deny_warnings: bool,
-    baseline_path: Option<PathBuf>,
     write_baseline: Option<Option<PathBuf>>,
     events_registry: Option<String>,
     write_events: Option<Option<PathBuf>>,
-    check_report: Option<PathBuf>,
     rules: bool,
     disabled: Vec<String>,
 }
 
-const USAGE: &str = "usage: lint [--root DIR] [--json] [--deny-warnings] \
-[--baseline FILE] [--write-baseline [FILE]] [--events-registry FILE] \
-[--write-events [FILE]] [--check-report FILE] [--disable RULE] [--rules]";
+const USAGE: &str = "usage: lint [--root DIR] [--deny-warnings] \
+[--write-baseline [FILE]] [--events-registry FILE] [--write-events [FILE]] \
+[--disable RULE] [--rules]";
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         root: None,
-        json: false,
         deny_warnings: false,
-        baseline_path: None,
         write_baseline: None,
         events_registry: None,
         write_events: None,
-        check_report: None,
         rules: false,
         disabled: Vec::new(),
     };
@@ -57,11 +53,7 @@ fn parse_args() -> Result<Args, String> {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--root" => args.root = Some(it.next().ok_or("--root needs a path")?.into()),
-            "--json" => args.json = true,
             "--deny-warnings" => args.deny_warnings = true,
-            "--baseline" => {
-                args.baseline_path = Some(it.next().ok_or("--baseline needs a path")?.into())
-            }
             "--write-baseline" => {
                 let next = it.peek().filter(|n| !n.starts_with("--")).cloned();
                 if next.is_some() {
@@ -79,9 +71,6 @@ fn parse_args() -> Result<Args, String> {
                     it.next();
                 }
                 args.write_events = Some(next.map(PathBuf::from));
-            }
-            "--check-report" => {
-                args.check_report = Some(it.next().ok_or("--check-report needs a path")?.into())
             }
             "--disable" => args.disabled.push(it.next().ok_or("--disable needs a rule id")?),
             "--rules" => args.rules = true,
@@ -107,32 +96,6 @@ fn main() -> ExitCode {
             println!("  {r:5} {}", rule_summary(r));
         }
         return ExitCode::SUCCESS;
-    }
-
-    if let Some(path) = &args.check_report {
-        let src = match std::fs::read_to_string(path) {
-            Ok(s) => s,
-            Err(e) => {
-                println!("lint: cannot read report {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        return match report::validate_json(&src) {
-            Ok(sum) => {
-                println!(
-                    "lint: report is schema-v1 valid ({} violations, {} errors, {} warnings, {} files)",
-                    sum.violations.len(),
-                    sum.errors,
-                    sum.warnings,
-                    sum.files_scanned
-                );
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                println!("lint: invalid report {}: {e}", path.display());
-                ExitCode::FAILURE
-            }
-        };
     }
 
     let mut cfg = Config::default();
@@ -163,14 +126,8 @@ fn main() -> ExitCode {
         }
     };
 
-    let baseline_path = args.baseline_path.clone().unwrap_or_else(|| root.join("lint-baseline.json"));
-    let baseline_rel = baseline_path
-        .strip_prefix(&root)
-        .map(|p| p.to_string_lossy().into_owned())
-        .unwrap_or_else(|_| baseline_path.to_string_lossy().into_owned());
-
     if let Some(target) = args.write_baseline {
-        let target = target.unwrap_or_else(|| baseline_path.clone());
+        let target = target.unwrap_or_else(|| root.join(BASELINE_FILE));
         let json = baseline::to_json(&res.p1);
         if let Err(e) = std::fs::write(&target, &json) {
             println!("lint: cannot write baseline {}: {e}", target.display());
@@ -213,24 +170,24 @@ fn main() -> ExitCode {
 
     // Budget check against the committed baseline.
     if cfg.is_enabled("P1") {
-        match std::fs::read_to_string(&baseline_path) {
+        match std::fs::read_to_string(root.join(BASELINE_FILE)) {
             Ok(src) => match baseline::parse(&src) {
                 Ok(budget) => res.diagnostics.extend(baseline::compare(
                     &res.p1,
                     &budget,
                     &res.p1_sites,
-                    &baseline_rel,
+                    BASELINE_FILE,
                 )),
                 Err(e) => res.diagnostics.push(report::Diagnostic::error(
                     "P1",
-                    &baseline_rel,
+                    BASELINE_FILE,
                     0,
                     format!("unreadable baseline: {e} — regenerate with --write-baseline"),
                 )),
             },
             Err(_) => res.diagnostics.push(report::Diagnostic::warning(
                 "P1",
-                &baseline_rel,
+                BASELINE_FILE,
                 0,
                 "no committed baseline found — freeze the current debt with --write-baseline",
             )),
@@ -240,11 +197,7 @@ fn main() -> ExitCode {
 
     let errors = res.diagnostics.iter().filter(|d| d.severity == Severity::Error).count();
     let warnings = res.diagnostics.len() - errors;
-    if args.json {
-        print!("{}", report::render_json(&res.diagnostics, &res.p1, res.files_scanned));
-    } else {
-        print!("{}", report::render_human(&res.diagnostics, res.files_scanned));
-    }
+    print!("{}", report::render_human(&res.diagnostics, res.files_scanned));
     if errors > 0 || (args.deny_warnings && warnings > 0) {
         ExitCode::FAILURE
     } else {

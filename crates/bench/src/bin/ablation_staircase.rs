@@ -9,7 +9,7 @@ use rpas_bench::output::f;
 use rpas_bench::{datasets, models, write_csv, ExperimentProfile, Table};
 use rpas_core::rolling::{quantile_windows, RollingSpec};
 use rpas_core::{
-    evaluate_plans_quantile, uncertainty_series, AdaptiveConfig, RobustAutoScalingManager,
+    evaluate_plans_precomputed, uncertainty_series, AdaptiveConfig, RobustAutoScalingManager,
     ScalingStrategy, StaircaseLevel,
 };
 use rpas_forecast::{Forecaster, SCALING_LEVELS};
@@ -24,11 +24,13 @@ fn main() {
     let mut deepar = models::deepar(&p, 1);
     Forecaster::fit(&mut deepar, &ds.train).expect("deepar fit");
 
-    // Uncertainty distribution for the rungs.
+    // Forecast every test window once: the uncertainty distribution for
+    // the rungs and every strategy row reuse them.
     let spec = RollingSpec::new(p.context, p.horizon);
+    let windows = quantile_windows(&deepar, &ds.test, spec, &SCALING_LEVELS, &rpas_obs::Obs::noop());
     let mut us = Vec::new();
-    for (qf, _) in quantile_windows(&deepar, &ds.test, spec, &SCALING_LEVELS) {
-        us.extend(uncertainty_series(&qf));
+    for (qf, _) in &windows {
+        us.extend(uncertainty_series(qf));
     }
     let q = |x: f64| rpas_tsmath::stats::quantile(&us, x);
 
@@ -64,19 +66,11 @@ fn main() {
     let mut csv: Vec<(String, Vec<f64>)> = Vec::new();
     let baseline = {
         let mgr = RobustAutoScalingManager::new(THETA, 1, ScalingStrategy::Fixed { tau: 0.95 });
-        evaluate_plans_quantile(&deepar, &ds.test, p.context, p.horizon, &mgr, &SCALING_LEVELS)
-            .avg_allocated
+        evaluate_plans_precomputed(&windows, &mgr).avg_allocated
     };
     for (name, strategy) in strategies {
         let mgr = RobustAutoScalingManager::new(THETA, 1, strategy);
-        let r = evaluate_plans_quantile(
-            &deepar,
-            &ds.test,
-            p.context,
-            p.horizon,
-            &mgr,
-            &SCALING_LEVELS,
-        );
+        let r = evaluate_plans_precomputed(&windows, &mgr);
         table.row(vec![
             name.into(),
             f(r.under_rate),

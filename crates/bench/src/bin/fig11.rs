@@ -8,10 +8,11 @@
 use rpas_bench::output::f;
 use rpas_bench::{datasets, models, write_csv, ExperimentProfile, Table};
 use rpas_core::{
-    evaluate_plans_precomputed, forecast_windows, uncertainty_series, AdaptiveConfig,
-    RobustAutoScalingManager, ScalingStrategy,
+    evaluate_plans_precomputed, quantile_windows, uncertainty_series, AdaptiveConfig,
+    RobustAutoScalingManager, RollingSpec, ScalingStrategy,
 };
 use rpas_forecast::{Forecaster, SCALING_LEVELS};
+use rpas_obs::Obs;
 
 const THETA: f64 = 60.0;
 
@@ -38,7 +39,8 @@ fn main() {
     let named: Vec<(&str, &dyn Forecaster)> = vec![("deepar", &deepar), ("tft", &tft)];
     for (name, model) in named {
         // Forecast every test window once; all 28 heatmap cells reuse them.
-        let windows = forecast_windows(model, &ds.test, p.context, p.horizon, &SCALING_LEVELS);
+        let spec = RollingSpec::new(p.context, p.horizon);
+        let windows = quantile_windows(model, &ds.test, spec, &SCALING_LEVELS, &Obs::noop());
         let rho = median_uncertainty(&windows);
         println!("\n{name}: uncertainty threshold ρ = {} (median U over test windows)", f(rho));
 

@@ -8,10 +8,11 @@
 use rpas_bench::output::f;
 use rpas_bench::{datasets, models, write_csv, ExperimentProfile, Table};
 use rpas_core::{
-    evaluate_plans_precomputed, forecast_windows, uncertainty_series, AdaptiveConfig,
-    RobustAutoScalingManager, ScalingStrategy,
+    evaluate_plans_precomputed, quantile_windows, uncertainty_series, AdaptiveConfig,
+    RobustAutoScalingManager, RollingSpec, ScalingStrategy,
 };
 use rpas_forecast::{Forecaster, SCALING_LEVELS};
+use rpas_obs::Obs;
 
 const THETA: f64 = 60.0;
 const COMBOS: [(f64, f64); 3] = [(0.5, 0.9), (0.8, 0.95), (0.9, 0.99)];
@@ -25,7 +26,8 @@ fn main() {
     Forecaster::fit(&mut tft, &ds.train).expect("tft fit");
 
     // Forecast every test window once; the whole ρ sweep reuses them.
-    let windows = forecast_windows(&tft, &ds.test, p.context, p.horizon, &SCALING_LEVELS);
+    let spec = RollingSpec::new(p.context, p.horizon);
+    let windows = quantile_windows(&tft, &ds.test, spec, &SCALING_LEVELS, &Obs::noop());
     // Observed uncertainty distribution → sweep ρ over its quantiles.
     let mut us = Vec::new();
     for (qf, _) in &windows {

@@ -42,7 +42,8 @@ fn correlations<F: Forecaster + ?Sized>(
     context: usize,
     horizon: usize,
 ) -> CorrStats {
-    let windows = quantile_windows(model, test, RollingSpec::new(context, horizon), &EVAL_LEVELS);
+    let spec = RollingSpec::new(context, horizon);
+    let windows = quantile_windows(model, test, spec, &EVAL_LEVELS, &rpas_obs::Obs::noop());
     let mut u_all = Vec::new();
     let mut se_all = Vec::new();
     let mut ql_all = Vec::new();

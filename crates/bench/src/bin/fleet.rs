@@ -31,6 +31,7 @@
 
 use rpas_bench::alloc::{self, AllocStats};
 use rpas_bench::bench_obs;
+use rpas_bench::output::workspace_file;
 use rpas_core::{FleetConfig, FleetEngine, FleetSupervisor};
 use rpas_simdb::{Observation, ScalingPolicy};
 use std::time::Instant;
@@ -412,17 +413,4 @@ fn main() {
         }),
     }
     bench_obs().flush();
-}
-
-/// A file at the workspace root (`$RPAS_RESULTS_DIR` overrides, as for
-/// the CSV artifacts).
-fn workspace_file(name: &str) -> std::path::PathBuf {
-    if let Ok(dir) = std::env::var("RPAS_RESULTS_DIR") {
-        return std::path::PathBuf::from(dir).join(name);
-    }
-    let root = std::env::var("CARGO_MANIFEST_DIR")
-        .map(std::path::PathBuf::from)
-        .map(|p| p.parent().and_then(|p| p.parent()).map(|p| p.to_path_buf()).unwrap_or(p))
-        .unwrap_or_else(|_| std::path::PathBuf::from("."));
-    root.join(name)
 }

@@ -78,10 +78,10 @@ pub fn f(v: f64) -> String {
     }
 }
 
-/// Where experiment artifacts are written: `$RPAS_RESULTS_DIR` when set
+/// Where a named artifact goes: flat under `$RPAS_RESULTS_DIR` when set
 /// (used by `scripts/verify.sh` to compare runs in isolation), otherwise
-/// `results/` in the workspace.
-pub fn results_path(name: &str) -> PathBuf {
+/// under `subdir` of the workspace root.
+fn artifact_path(subdir: &str, name: &str) -> PathBuf {
     if let Ok(dir) = std::env::var("RPAS_RESULTS_DIR") {
         return PathBuf::from(dir).join(name);
     }
@@ -89,7 +89,20 @@ pub fn results_path(name: &str) -> PathBuf {
         .map(PathBuf::from)
         .map(|p| p.parent().and_then(|p| p.parent()).map(|p| p.to_path_buf()).unwrap_or(p))
         .unwrap_or_else(|_| PathBuf::from("."));
-    root.join("results").join(name)
+    root.join(subdir).join(name)
+}
+
+/// Where experiment artifacts (the CSVs) are written: `results/` in the
+/// workspace, or `$RPAS_RESULTS_DIR`.
+pub fn results_path(name: &str) -> PathBuf {
+    artifact_path("results", name)
+}
+
+/// A file at the workspace root — the committed bench rows and budgets
+/// (`BENCH_fleet.json`, `fleet-budget.json`, `telemetry-budget.json`) —
+/// or its stand-in under `$RPAS_RESULTS_DIR`.
+pub fn workspace_file(name: &str) -> PathBuf {
+    artifact_path("", name)
 }
 
 /// Write named columns as a CSV artifact under `results/`.

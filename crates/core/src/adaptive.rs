@@ -3,14 +3,15 @@
 //! metric `U` — conservative when the forecast is uncertain, aggressive
 //! when it is confident — plus the staircase multi-level extension the
 //! paper sketches ("a staircase-like range of options").
+//!
+//! This module holds the strategies' parameters and the paper-named entry
+//! points; the per-step rule itself lives once, in
+//! [`RobustAutoScalingManager`], which these delegate to (attach a handle
+//! with [`RobustAutoScalingManager::with_obs`] for the decision audit).
 
 use crate::manager::{RobustAutoScalingManager, ScalingStrategy};
 use crate::plan::CapacityPlan;
-use crate::robust::plan_robust;
-use crate::uncertainty::uncertainty_at;
 use rpas_forecast::QuantileForecast;
-use rpas_metrics::provisioning::required_nodes;
-use rpas_obs::Obs;
 
 /// Parameters of Algorithm 1 (two optional quantile levels).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -38,44 +39,16 @@ impl AdaptiveConfig {
 /// Algorithm 1 — uncertainty-aware adaptive scaling with two optional
 /// quantile levels. Per step `i`: compute `U_i`; allocate against the
 /// `τ₂` forecast when `U_i ≥ ρ`, against `τ₁` otherwise.
+///
+/// # Panics
+/// Panics on non-positive `theta`.
 pub fn plan_adaptive(
     forecast: &QuantileForecast,
     cfg: AdaptiveConfig,
     theta: f64,
     min_nodes: u32,
 ) -> CapacityPlan {
-    assert!(theta > 0.0, "theta must be positive");
-    let nodes = (0..forecast.horizon())
-        .map(|i| {
-            let u = uncertainty_at(forecast, i);
-            let tau = if u >= cfg.rho { cfg.tau_high } else { cfg.tau_low };
-            let w = forecast.at(i, tau).max(0.0);
-            required_nodes(w, theta, min_nodes)
-        })
-        .collect();
-    CapacityPlan::new(nodes)
-}
-
-/// Algorithm 1 with its decision audit routed to `obs`: per step, a
-/// `plan/decision` debug event recording the quantile level chosen, the
-/// uncertainty signal `U_i`, the threshold `ρ`, and the regime
-/// (conservative/aggressive); per plan, a `plan/summary` info event with
-/// the LP objective and regime-switch count. Delegates to
-/// [`RobustAutoScalingManager`], whose equivalence with [`plan_adaptive`]
-/// is pinned by the manager's tests.
-///
-/// # Panics
-/// As [`plan_adaptive`].
-pub fn plan_adaptive_obs(
-    forecast: &QuantileForecast,
-    cfg: AdaptiveConfig,
-    theta: f64,
-    min_nodes: u32,
-    obs: &Obs,
-) -> CapacityPlan {
-    RobustAutoScalingManager::new(theta, min_nodes, ScalingStrategy::Adaptive(cfg))
-        .with_obs(obs.clone())
-        .plan(forecast)
+    RobustAutoScalingManager::new(theta, min_nodes, ScalingStrategy::Adaptive(cfg)).plan(forecast)
 }
 
 /// One rung of the staircase extension: forecasts whose uncertainty
@@ -86,24 +59,6 @@ pub struct StaircaseLevel {
     pub min_uncertainty: f64,
     /// Quantile level applied on this rung.
     pub tau: f64,
-}
-
-/// [`plan_staircase`] with the decision audit routed to `obs` (same
-/// event shapes as [`plan_adaptive_obs`]; the regime is "conservative"
-/// on any rung above the bottom of the ladder).
-///
-/// # Panics
-/// As [`plan_staircase`].
-pub fn plan_staircase_obs(
-    forecast: &QuantileForecast,
-    levels: &[StaircaseLevel],
-    theta: f64,
-    min_nodes: u32,
-    obs: &Obs,
-) -> CapacityPlan {
-    RobustAutoScalingManager::new(theta, min_nodes, ScalingStrategy::Staircase(levels.to_vec()))
-        .with_obs(obs.clone())
-        .plan(forecast)
 }
 
 /// Staircase adaptive scaling: an arbitrary ladder of
@@ -121,50 +76,14 @@ pub fn plan_staircase(
     theta: f64,
     min_nodes: u32,
 ) -> CapacityPlan {
-    assert!(theta > 0.0, "theta must be positive");
-    assert!(!levels.is_empty(), "staircase needs at least one rung");
-    // rpas-lint: allow(F1, reason = "config contract: the first rung must be written as literal 0.0 so every uncertainty maps to a rung")
-    assert!(levels[0].min_uncertainty == 0.0, "first rung must start at uncertainty 0");
-    assert!(
-        levels.windows(2).all(|w| w[0].min_uncertainty < w[1].min_uncertainty
-            && w[0].tau <= w[1].tau),
-        "rungs must ascend in both uncertainty and tau"
-    );
-    assert!(levels.iter().all(|l| l.tau > 0.0 && l.tau < 1.0), "tau must be in (0,1)");
-
-    let nodes = (0..forecast.horizon())
-        .map(|i| {
-            let u = uncertainty_at(forecast, i);
-            let tau = levels
-                .iter()
-                .rev()
-                .find(|l| u >= l.min_uncertainty)
-                .expect("first rung matches everything")
-                .tau;
-            let w = forecast.at(i, tau).max(0.0);
-            required_nodes(w, theta, min_nodes)
-        })
-        .collect();
-    CapacityPlan::new(nodes)
-}
-
-/// Convenience: the adaptive plan is always sandwiched between the fixed
-/// `τ₁` and `τ₂` plans; exposed for tests and sanity assertions.
-pub fn adaptive_bounds(
-    forecast: &QuantileForecast,
-    cfg: AdaptiveConfig,
-    theta: f64,
-    min_nodes: u32,
-) -> (CapacityPlan, CapacityPlan) {
-    (
-        plan_robust(forecast, cfg.tau_low, theta, min_nodes),
-        plan_robust(forecast, cfg.tau_high, theta, min_nodes),
-    )
+    RobustAutoScalingManager::new(theta, min_nodes, ScalingStrategy::Staircase(levels.to_vec()))
+        .plan(forecast)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::robust::plan_robust;
     use rpas_tsmath::Matrix;
 
     /// Two steps: step 0 has a tight forecast (low U), step 1 a wide one.
@@ -194,7 +113,8 @@ mod tests {
         let f = forecast();
         let cfg = AdaptiveConfig::new(0.5, 0.95, 5.0);
         let p = plan_adaptive(&f, cfg, 60.0, 1);
-        let (lo, hi) = adaptive_bounds(&f, cfg, 60.0, 1);
+        let lo = plan_robust(&f, cfg.tau_low, 60.0, 1);
+        let hi = plan_robust(&f, cfg.tau_high, 60.0, 1);
         for t in 0..f.horizon() {
             assert!(p.at(t) >= lo.at(t), "below τ₁ plan at {t}");
             assert!(p.at(t) <= hi.at(t), "above τ₂ plan at {t}");
@@ -260,29 +180,5 @@ mod tests {
     #[should_panic(expected = "need 0 < τ₁ ≤ τ₂ < 1")]
     fn adaptive_rejects_inverted_levels() {
         AdaptiveConfig::new(0.9, 0.5, 1.0);
-    }
-
-    #[test]
-    fn obs_variants_match_plain_functions() {
-        let f = forecast();
-        let cfg = AdaptiveConfig::new(0.5, 0.95, 5.0);
-        let ladder = [
-            StaircaseLevel { min_uncertainty: 0.0, tau: 0.5 },
-            StaircaseLevel { min_uncertainty: 2.0, tau: 0.9 },
-        ];
-        let mem = rpas_obs::MemorySink::new();
-        let obs = Obs::with_sink(Box::new(mem.clone()));
-        assert_eq!(
-            plan_adaptive_obs(&f, cfg, 60.0, 1, &obs),
-            plan_adaptive(&f, cfg, 60.0, 1)
-        );
-        assert_eq!(
-            plan_staircase_obs(&f, &ladder, 60.0, 1, &obs),
-            plan_staircase(&f, &ladder, 60.0, 1)
-        );
-        // Both plans audited: 2 steps each + 2 summaries.
-        let events = mem.events();
-        assert_eq!(events.iter().filter(|e| e.name == "decision").count(), 4);
-        assert_eq!(events.iter().filter(|e| e.name == "summary").count(), 2);
     }
 }

@@ -50,6 +50,10 @@ impl BacktestReport {
 }
 
 /// Backtest a fitted quantile forecaster + manager over rolling windows.
+/// The per-window rolling-eval events (`rolling/window` timing and the
+/// `rolling/eval` pass summary) go to the manager's own handle,
+/// interleaved with its decision audit — attach one with
+/// [`RobustAutoScalingManager::with_obs`].
 ///
 /// # Panics
 /// Panics when the test series cannot fit a single window or a forecast
@@ -62,37 +66,8 @@ pub fn backtest_quantile<F: Forecaster + ?Sized>(
     manager: &RobustAutoScalingManager,
     levels: &[f64],
 ) -> BacktestReport {
-    backtest_quantile_obs(
-        forecaster,
-        test_series,
-        context,
-        horizon,
-        manager,
-        levels,
-        &rpas_obs::Obs::noop(),
-    )
-}
-
-/// [`backtest_quantile`] with per-window rolling-eval events on `obs`
-/// (`rolling/window` timing and the `rolling/eval` pass summary). The
-/// manager's own decision audit comes from its embedded handle — pass the
-/// same handle to [`RobustAutoScalingManager::with_obs`] to interleave
-/// both streams in one trace.
-///
-/// # Panics
-/// As [`backtest_quantile`].
-#[allow(clippy::too_many_arguments)]
-pub fn backtest_quantile_obs<F: Forecaster + ?Sized>(
-    forecaster: &F,
-    test_series: &[f64],
-    context: usize,
-    horizon: usize,
-    manager: &RobustAutoScalingManager,
-    levels: &[f64],
-    obs: &rpas_obs::Obs,
-) -> BacktestReport {
     let spec = RollingSpec::new(context, horizon);
-    let planned = rolling::plan_windows_obs(forecaster, test_series, spec, manager, levels, obs);
+    let planned = rolling::plan_windows(forecaster, test_series, spec, manager, levels);
 
     let mut windows = Vec::with_capacity(planned.len());
     let mut all_alloc: Vec<u32> = Vec::new();

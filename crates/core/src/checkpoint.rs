@@ -987,6 +987,25 @@ mod tests {
                 .unwrap()
                 .contains("after the end line"));
         }
+
+        // A well-formed header whose nested config is degenerate is an
+        // `Err` at load time — not a panic in a constructor, and not a
+        // panic later in `finish()`.
+        for (key, was, zero, why) in [
+            ("max_nodes", "u:64", "u:0", "resilience: max_nodes"),
+            ("naive_period", "u:144", "u:0", "resilience: naive_period"),
+            ("naive_horizon", "u:12", "u:0", "resilience: naive_horizon"),
+            ("backstop_window", "u:6", "u:0", "resilience: backstop_window"),
+            ("anomaly_max_steps", "u:12", "u:0", "faults: anomaly"),
+            ("objective", "f:3f847ae147ae147b", "f:0000000000000000", "slo: objective"),
+            ("short", "u:6", "u:0", "slo: burn rule"),
+        ] {
+            let hostile =
+                text.replacen(&format!("\"{key}\":\"{was}\""), &format!("\"{key}\":\"{zero}\""), 1);
+            assert_ne!(hostile, text, "{key}={was} not found in the header");
+            let err = load(&hostile, &Telemetry::noop(), Obs::noop()).err().unwrap();
+            assert!(err.starts_with("header.config: ") && err.contains(why), "{key}: {err}");
+        }
     }
 
     #[test]

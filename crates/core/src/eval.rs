@@ -23,13 +23,8 @@ pub fn evaluate_plans_quantile<F: Forecaster + ?Sized>(
     levels: &[f64],
 ) -> ProvisioningReport {
     let spec = RollingSpec::new(context, horizon);
-    let mut allocations: Vec<u32> = Vec::new();
-    let mut actuals: Vec<f64> = Vec::new();
-    for w in rolling::plan_windows(forecaster, test_series, spec, manager, levels) {
-        allocations.extend_from_slice(w.plan.as_slice());
-        actuals.extend_from_slice(&w.actuals);
-    }
-    provisioning_rates(&allocations, &actuals, manager.theta(), manager.min_nodes())
+    let windows = rolling::quantile_windows(forecaster, test_series, spec, levels, manager.obs());
+    evaluate_plans_precomputed(&windows, manager)
 }
 
 /// Evaluate a manager against *precomputed* per-window forecasts (paired
@@ -49,19 +44,6 @@ pub fn evaluate_plans_precomputed(
         actuals.extend_from_slice(actual);
     }
     provisioning_rates(&allocations, &actuals, manager.theta(), manager.min_nodes())
-}
-
-/// Precompute the `(forecast, actuals)` windows that
-/// [`evaluate_plans_precomputed`] consumes. Thin wrapper around
-/// [`rolling::quantile_windows`], kept for its established signature.
-pub fn forecast_windows<F: Forecaster + ?Sized>(
-    forecaster: &F,
-    test_series: &[f64],
-    context: usize,
-    horizon: usize,
-    levels: &[f64],
-) -> Vec<(rpas_forecast::QuantileForecast, Vec<f64>)> {
-    rolling::quantile_windows(forecaster, test_series, RollingSpec::new(context, horizon), levels)
 }
 
 /// Evaluate a point forecaster (Def. 3 planning) over the same protocol,
@@ -160,20 +142,6 @@ mod tests {
         let r = evaluate_plans_point(&mut padded, test, 16, 8, 60.0, 1);
         assert!(padded.history_len() > 0);
         assert!(r.under_rate + r.over_rate + r.exact_rate > 0.99);
-    }
-
-    #[test]
-    fn precomputed_path_matches_direct_evaluation() {
-        let series = periodic(400);
-        let (train, test) = series.split_at(300);
-        let mut sn = SeasonalNaive::new(8);
-        sn.fit(train).unwrap();
-        let manager =
-            RobustAutoScalingManager::new(60.0, 1, ScalingStrategy::Fixed { tau: 0.9 });
-        let direct = evaluate_plans_quantile(&sn, test, 16, 8, &manager, &[0.5, 0.9]);
-        let windows = forecast_windows(&sn, test, 16, 8, &[0.5, 0.9]);
-        let cached = evaluate_plans_precomputed(&windows, &manager);
-        assert_eq!(direct, cached);
     }
 
     #[test]

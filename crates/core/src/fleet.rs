@@ -204,14 +204,16 @@ impl FleetConfig {
         }
     }
 
-    /// Whether a fleet can be built from this configuration: at least
-    /// one tenant, a non-empty policy and preset mix, a non-degenerate
-    /// schedule, and shared scalars every tenant's trace, manager and
-    /// session accept. Front ends holding outside input (the CLI, the
-    /// checkpoint loader) call this and report the `Err`; building from
-    /// a configuration that fails it panics.
+    /// Whether a fleet can be built from this configuration and run to
+    /// its report: at least one tenant, a non-empty policy and preset
+    /// mix, a non-degenerate schedule, shared scalars every tenant's
+    /// trace, manager and session accept, and nested resilience, fault
+    /// and SLO configs their own `validate` accepts. Front ends holding
+    /// outside input (the CLI, the checkpoint loader) call this and
+    /// report the `Err`; building from a configuration that fails it
+    /// panics.
     pub fn validate(&self) -> Result<(), String> {
-        let checks = [
+        crate::first_failure(&[
             (self.tenants > 0, "a fleet needs at least one tenant"),
             (!self.policies.is_empty(), "policy mix must not be empty"),
             (!self.presets.is_empty(), "preset mix must not be empty"),
@@ -220,11 +222,13 @@ impl FleetConfig {
             (self.theta > 0.0 && self.theta.is_finite(), "theta must be positive and finite"),
             (self.min_nodes >= 1, "a serving cluster needs at least one node"),
             (self.tau > 0.0 && self.tau < 1.0, "tau must be in (0,1)"),
-        ];
-        for (ok, why) in checks {
-            if !ok {
-                return Err(why.to_string());
-            }
+        ])?;
+        self.resilience.validate().map_err(|why| format!("resilience: {why}"))?;
+        if let Some(faults) = &self.faults {
+            faults.validate().map_err(|why| format!("faults: {why}"))?;
+        }
+        if let Some(slo) = &self.slo {
+            slo.validate().map_err(|why| format!("slo: {why}"))?;
         }
         Ok(())
     }

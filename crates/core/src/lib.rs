@@ -7,23 +7,25 @@
 //!   (closed form and through the `rpas-lp` simplex, as the paper's
 //!   "standard linear programming solvers").
 //! * [`robust`] — the robust counterpart of Definitions 4/Eq. 6: allocate
-//!   against a chosen quantile forecast instead of a point forecast.
+//!   against a chosen quantile forecast instead of a point forecast
+//!   (paper-named entry points over the manager).
 //! * [`uncertainty`] — the quantile-spread uncertainty metric `U` (Eq. 8).
-//! * [`adaptive`] — Algorithm 1 (uncertainty-aware adaptive scaling) and
-//!   its staircase multi-level extension (Definition 5).
+//! * [`adaptive`] — the parameters of Algorithm 1 (uncertainty-aware
+//!   adaptive scaling) and of its staircase multi-level extension
+//!   (Definition 5), plus their paper-named entry points.
 //! * [`reactive`] — Reactive-Max and Reactive-Avg baselines (Autopilot-like
 //!   moving-window scalers).
 //! * [`thrash`] — §V-A scale smoothing: per-step delta limits + cooldown.
 //! * [`resilient`] — graceful-degradation pipeline: forecast health gates,
 //!   a predictive → seasonal-naive → Reactive-Max fallback chain, bounded
 //!   retry for failed scale actions and hard guardrails.
-//! * [`manager`] — the [`manager::RobustAutoScalingManager`] façade tying
-//!   forecast → plan together.
+//! * [`manager`] — [`manager::RobustAutoScalingManager`], the one
+//!   implementation of strategy → `τ_t` → workload bound → plan.
 //! * [`autoscaler`] — end-to-end [`rpas_simdb::ScalingPolicy`]
 //!   implementations that own a forecaster and replan on a rolling horizon.
 //! * [`rolling`] — the shared rolling-origin evaluation engine: window
 //!   spec/iterator plus the forecast and fit/forecast/plan drivers behind
-//!   every offline experiment.
+//!   the offline quantile experiments.
 //! * [`eval`] — the Fig. 9–12 evaluation protocol (rolling plans vs
 //!   realised workload).
 
@@ -46,15 +48,11 @@ pub mod supervisor;
 pub mod thrash;
 pub mod uncertainty;
 
-pub use adaptive::{
-    plan_adaptive, plan_adaptive_obs, plan_staircase, plan_staircase_obs, AdaptiveConfig,
-    StaircaseLevel,
-};
+pub use adaptive::{plan_adaptive, plan_staircase, AdaptiveConfig, StaircaseLevel};
 pub use autoscaler::{PointPredictivePolicy, QuantilePredictivePolicy, ReplanSchedule};
-pub use backtest::{backtest_quantile, backtest_quantile_obs, BacktestReport, BacktestWindow};
+pub use backtest::{backtest_quantile, BacktestReport, BacktestWindow};
 pub use eval::{
     evaluate_plans_point, evaluate_plans_precomputed, evaluate_plans_quantile, evaluate_reactive,
-    forecast_windows,
 };
 pub use fleet::{
     FleetConfig, FleetEngine, FleetReport, QuarantineRecord, TenantId, TenantPolicyKind,
@@ -68,11 +66,17 @@ pub use resilient::{
     forecast_health, ForecastHealthGate, NaiveSnapshot, ResilienceConfig, ResilientManager,
     ResilientSnapshot, Tier,
 };
-pub use robust::{plan_robust, plan_robust_lp, plan_robust_obs};
-pub use rolling::{
-    plan_windows, plan_windows_obs, quantile_windows, quantile_windows_obs, PlannedWindow,
-    RollingSpec,
-};
+pub use robust::{plan_robust, plan_robust_lp};
+pub use rolling::{plan_windows, quantile_windows, PlannedWindow, RollingSpec};
 pub use supervisor::{FleetSupervisor, SupervisorConfig, TenantHealth};
 pub use thrash::{clamp_step, smooth_plan, ThrashConfig, ThrashLimited};
 pub use uncertainty::{uncertainty_at, uncertainty_series};
+
+/// `Err` with the reason of the first check that does not hold — the
+/// shape every config `validate` in this crate shares.
+fn first_failure(checks: &[(bool, &str)]) -> Result<(), String> {
+    match checks.iter().find(|(ok, _)| !ok) {
+        Some((_, why)) => Err(why.to_string()),
+        None => Ok(()),
+    }
+}

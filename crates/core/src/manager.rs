@@ -93,11 +93,29 @@ impl RobustAutoScalingManager {
     /// (attach with [`RobustAutoScalingManager::with_obs`]).
     ///
     /// # Panics
-    /// Panics on non-positive `theta` or a malformed strategy.
+    /// Panics on non-positive `theta` or a malformed strategy: a fixed
+    /// `τ ∉ (0,1)`, or a staircase ladder that is empty, does not start at
+    /// uncertainty 0 (so some step would match no rung), does not ascend
+    /// in both uncertainty and `τ`, or carries a `τ ∉ (0,1)`.
+    /// ([`AdaptiveConfig::new`] validates its own levels.)
     pub fn new(theta: f64, min_nodes: u32, strategy: ScalingStrategy) -> Self {
         assert!(theta > 0.0, "theta must be positive");
-        if let ScalingStrategy::Fixed { tau } = &strategy {
-            assert!(*tau > 0.0 && *tau < 1.0, "tau must be in (0,1)");
+        match &strategy {
+            ScalingStrategy::Fixed { tau } => {
+                assert!(*tau > 0.0 && *tau < 1.0, "tau must be in (0,1)");
+            }
+            ScalingStrategy::Adaptive(_) => {}
+            ScalingStrategy::Staircase(levels) => {
+                assert!(!levels.is_empty(), "staircase needs at least one rung");
+                // rpas-lint: allow(F1, reason = "config contract: the first rung must be written as literal 0.0 so every uncertainty maps to a rung")
+                assert!(levels[0].min_uncertainty == 0.0, "first rung must start at uncertainty 0");
+                assert!(
+                    levels.windows(2).all(|w| w[0].min_uncertainty < w[1].min_uncertainty
+                        && w[0].tau <= w[1].tau),
+                    "rungs must ascend in both uncertainty and tau"
+                );
+                assert!(levels.iter().all(|l| l.tau > 0.0 && l.tau < 1.0), "tau must be in (0,1)");
+            }
         }
         Self {
             theta,
@@ -254,8 +272,6 @@ impl RobustAutoScalingManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adaptive::plan_adaptive;
-    use crate::robust::plan_robust;
     use rpas_obs::MemorySink;
     use rpas_tsmath::Matrix;
 
@@ -267,19 +283,6 @@ mod tests {
                 vec![60.0, 100.0, 180.0, 220.0],
             ]),
         )
-    }
-
-    #[test]
-    fn fixed_strategy_matches_plan_robust() {
-        let m = RobustAutoScalingManager::new(60.0, 1, ScalingStrategy::Fixed { tau: 0.9 });
-        assert_eq!(m.plan(&forecast()), plan_robust(&forecast(), 0.9, 60.0, 1));
-    }
-
-    #[test]
-    fn adaptive_strategy_matches_plan_adaptive() {
-        let cfg = AdaptiveConfig::new(0.5, 0.95, 5.0);
-        let m = RobustAutoScalingManager::new(60.0, 1, ScalingStrategy::Adaptive(cfg));
-        assert_eq!(m.plan(&forecast()), plan_adaptive(&forecast(), cfg, 60.0, 1));
     }
 
     #[test]
@@ -355,6 +358,48 @@ mod tests {
     #[should_panic(expected = "tau must be in (0,1)")]
     fn rejects_bad_fixed_tau() {
         RobustAutoScalingManager::new(60.0, 1, ScalingStrategy::Fixed { tau: 0.0 });
+    }
+
+    fn staircase(rungs: &[(f64, f64)]) -> RobustAutoScalingManager {
+        let ladder =
+            rungs.iter().map(|&(min_uncertainty, tau)| StaircaseLevel { min_uncertainty, tau });
+        RobustAutoScalingManager::new(60.0, 1, ScalingStrategy::Staircase(ladder.collect()))
+    }
+
+    #[test]
+    #[should_panic(expected = "staircase needs at least one rung")]
+    fn rejects_empty_ladder() {
+        staircase(&[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "first rung must start at uncertainty 0")]
+    fn rejects_ladder_not_starting_at_zero() {
+        staircase(&[(1.0, 0.9)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "rungs must ascend in both uncertainty and tau")]
+    fn rejects_non_ascending_uncertainty() {
+        staircase(&[(0.0, 0.5), (4.0, 0.9), (2.0, 0.95)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "rungs must ascend in both uncertainty and tau")]
+    fn rejects_descending_tau() {
+        staircase(&[(0.0, 0.9), (2.0, 0.5)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "tau must be in (0,1)")]
+    fn rejects_ladder_tau_out_of_range() {
+        staircase(&[(0.0, 0.5), (2.0, 1.0)]);
+    }
+
+    #[test]
+    fn well_formed_ladder_is_accepted() {
+        let m = staircase(&[(0.0, 0.5), (2.0, 0.9), (10.0, 0.95)]);
+        assert_eq!(m.plan(&forecast()).as_slice(), &[2, 4]);
     }
 
     #[test]

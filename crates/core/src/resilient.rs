@@ -169,11 +169,18 @@ impl Default for ResilienceConfig {
 }
 
 impl ResilienceConfig {
-    fn validate(&self) {
-        assert!(self.max_nodes >= 1, "max_nodes must be at least 1");
-        assert!(self.naive_period > 0, "naive_period must be positive");
-        assert!(self.naive_horizon > 0, "naive_horizon must be positive");
-        assert!(self.backstop_window > 0, "backstop_window must be positive");
+    /// Whether the ladder can run on this tuning; [`FleetConfig::validate`]
+    /// (and through it the checkpoint loader) reports the `Err`,
+    /// [`ResilientManager::with_config`] panics on it.
+    ///
+    /// [`FleetConfig::validate`]: crate::fleet::FleetConfig::validate
+    pub fn validate(&self) -> Result<(), String> {
+        crate::first_failure(&[
+            (self.max_nodes >= 1, "max_nodes must be at least 1"),
+            (self.naive_period > 0, "naive_period must be positive"),
+            (self.naive_horizon > 0, "naive_horizon must be positive"),
+            (self.backstop_window > 0, "backstop_window must be positive"),
+        ])
     }
 }
 
@@ -328,7 +335,7 @@ impl<P: ScalingPolicy> ResilientManager<P> {
     /// Panics on a degenerate config (zero `max_nodes`, period, horizon or
     /// backstop window).
     pub fn with_config(primary: P, cfg: ResilienceConfig) -> Self {
-        cfg.validate();
+        assert_eq!(cfg.validate(), Ok(()), "invalid resilience config");
         Self {
             primary,
             naive: None,

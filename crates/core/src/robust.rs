@@ -2,11 +2,15 @@
 //! with a chosen quantile of the forecast distribution, so the allocation
 //! covers the workload "even in the presence of uncertainty". The quantile
 //! level `τ` is the conservatism knob.
+//!
+//! These are the paper-named entry points; the implementation is
+//! [`RobustAutoScalingManager`] with the [`ScalingStrategy::Fixed`]
+//! strategy, whose contract (negative forecasts clamp to 0, non-finite
+//! ones clamp to 0 and fall to the `min_nodes` floor) they share.
 
-use crate::manager::{RobustAutoScalingManager, ScalingStrategy};
-use crate::plan::{plan_point, plan_point_lp, CapacityPlan};
+use crate::manager::{PlanningBackend, RobustAutoScalingManager, ScalingStrategy};
+use crate::plan::CapacityPlan;
 use rpas_forecast::QuantileForecast;
-use rpas_obs::Obs;
 
 /// Robust plan at a fixed quantile level (Eq. 6), closed form.
 ///
@@ -18,48 +22,23 @@ pub fn plan_robust(
     theta: f64,
     min_nodes: u32,
 ) -> CapacityPlan {
-    assert!(tau > 0.0 && tau < 1.0, "quantile level must be in (0,1)");
-    let upper = sanitize(forecast.series(tau));
-    plan_point(&upper, theta, min_nodes)
+    RobustAutoScalingManager::new(theta, min_nodes, ScalingStrategy::Fixed { tau }).plan(forecast)
 }
 
 /// Robust plan at a fixed quantile level, solved through the simplex
 /// (cross-validation path; see the `planners` Criterion bench).
+///
+/// # Panics
+/// As [`plan_robust`].
 pub fn plan_robust_lp(
     forecast: &QuantileForecast,
     tau: f64,
     theta: f64,
     min_nodes: u32,
 ) -> CapacityPlan {
-    assert!(tau > 0.0 && tau < 1.0, "quantile level must be in (0,1)");
-    let upper = sanitize(forecast.series(tau));
-    plan_point_lp(&upper, theta, min_nodes)
-}
-
-/// [`plan_robust`] with a decision audit routed to `obs`: one
-/// `plan/decision` debug event per horizon step and one `plan/summary`
-/// info event (LP objective `Σc_t`, plan delta). Delegates to
-/// [`RobustAutoScalingManager`], whose equivalence with the free
-/// function is pinned by the manager's tests.
-///
-/// # Panics
-/// As [`plan_robust`].
-pub fn plan_robust_obs(
-    forecast: &QuantileForecast,
-    tau: f64,
-    theta: f64,
-    min_nodes: u32,
-    obs: &Obs,
-) -> CapacityPlan {
     RobustAutoScalingManager::new(theta, min_nodes, ScalingStrategy::Fixed { tau })
-        .with_obs(obs.clone())
+        .with_backend(PlanningBackend::Simplex)
         .plan(forecast)
-}
-
-/// Quantile forecasts of a non-negative quantity can dip below zero on
-/// z-scored models; clamp before planning.
-fn sanitize(series: Vec<f64>) -> Vec<f64> {
-    series.into_iter().map(|w| w.max(0.0)).collect()
 }
 
 #[cfg(test)]
@@ -119,20 +98,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "quantile level must be in (0,1)")]
+    #[should_panic(expected = "tau must be in (0,1)")]
     fn rejects_out_of_range_tau() {
         plan_robust(&forecast(), 1.0, 60.0, 1);
-    }
-
-    #[test]
-    fn obs_variant_matches_and_audits() {
-        let f = forecast();
-        let mem = rpas_obs::MemorySink::new();
-        let obs = Obs::with_sink(Box::new(mem.clone()));
-        let p = plan_robust_obs(&f, 0.9, 60.0, 1, &obs);
-        assert_eq!(p, plan_robust(&f, 0.9, 60.0, 1));
-        let events = mem.events();
-        assert_eq!(events.iter().filter(|e| e.name == "decision").count(), 3);
-        assert!(events.iter().any(|e| e.name == "summary"));
     }
 }

@@ -1,17 +1,21 @@
-//! The one rolling-origin evaluation engine behind every offline
-//! experiment in the workspace.
+//! The rolling-origin evaluation engine behind the offline *quantile*
+//! experiments in the workspace.
 //!
 //! The paper evaluates forecasters and scaling strategies with the same
 //! protocol throughout (§IV): hold out a test series, slide
 //! *non-overlapping* decision windows over it, forecast each window from
 //! the `context` samples before it, and score the concatenation of all
-//! windows. Before this module, that loop was written out by hand in
-//! [`crate::eval`], [`crate::backtest`], the replanning policies of
-//! [`crate::autoscaler`], and several bench binaries — each repeating the
-//! same windowing arithmetic, emptiness assert, and
-//! forecast-`expect` boilerplate.
+//! windows. This module owns that loop for everything that plans from a
+//! [`QuantileForecast`]: [`crate::eval`]'s quantile evaluators,
+//! [`crate::backtest`], and the bench binaries.
 //!
-//! This module owns that loop once:
+//! Two loops over the same [`rpas_traces::RollingWindows`] grid are
+//! deliberately *not* routed through here, for layering reasons:
+//! `rpas-forecast`'s `eval::evaluate_quantile` (Table I scoring) sits
+//! below this crate and cannot depend on it, and
+//! [`crate::eval::evaluate_plans_point`] must feed each window's realised
+//! errors back into the forecaster before the next forecast, which a
+//! forecast-everything-first driver cannot do.
 //!
 //! * [`RollingSpec`] — the `(context, horizon)` pair naming the protocol;
 //!   also used as the replan schedule of the online policies (the online
@@ -20,10 +24,12 @@
 //! * [`RollingSpec::windows`] — the window iterator (a thin veneer over
 //!   [`rpas_traces::RollingWindows`]).
 //! * [`quantile_windows`] — the forecast driver: one
-//!   [`QuantileForecast`] + realised actuals per window.
+//!   [`QuantileForecast`] + realised actuals per window, timed on the
+//!   [`Obs`] handle it is given.
 //! * [`plan_windows`] — the full fit/forecast/plan driver: adds the
 //!   manager's [`CapacityPlan`] and the window's start offset, which is
-//!   everything [`crate::eval`] and [`crate::backtest`] need to aggregate.
+//!   everything [`crate::backtest`] needs to aggregate; its events go to
+//!   the manager's own handle.
 
 use crate::manager::RobustAutoScalingManager;
 use crate::plan::CapacityPlan;
@@ -103,27 +109,16 @@ pub struct PlannedWindow {
 /// evaluation; strategy sweeps reuse its output across many managers so
 /// the expensive forecasting pass runs once.
 ///
+/// Emits one `rolling/window` debug event per decision window on `obs`
+/// (index, start, and the forecast's wall time in the timing-only
+/// `forecast_us` field) plus a `rolling/eval` info summary for the whole
+/// pass; pass [`Obs::noop`] to stay dark.
+///
 /// # Panics
 /// Panics if the series cannot fit one window, or a forecast fails (the
 /// caller controls context and horizon, so a failure is a setup bug, not
 /// a data condition).
 pub fn quantile_windows<F: Forecaster + ?Sized>(
-    forecaster: &F,
-    series: &[f64],
-    spec: RollingSpec,
-    levels: &[f64],
-) -> Vec<(QuantileForecast, Vec<f64>)> {
-    quantile_windows_obs(forecaster, series, spec, levels, &Obs::noop())
-}
-
-/// [`quantile_windows`] with per-window timing events: one
-/// `rolling/window` debug event per decision window (index, start, and
-/// the forecast's wall time in the timing-only `forecast_us` field) plus
-/// a `rolling/eval` info summary for the whole pass.
-///
-/// # Panics
-/// As [`quantile_windows`].
-pub fn quantile_windows_obs<F: Forecaster + ?Sized>(
     forecaster: &F,
     series: &[f64],
     spec: RollingSpec,
@@ -161,9 +156,8 @@ pub fn quantile_windows_obs<F: Forecaster + ?Sized>(
 }
 
 /// The full rolling fit/forecast/plan driver: forecast every window and
-/// derive the manager's capacity plan for it. [`crate::eval`] aggregates
-/// the result into provisioning rates; [`crate::backtest`] keeps the
-/// per-window breakdown.
+/// derive the manager's capacity plan for it. The rolling-window timing
+/// events go to [`RobustAutoScalingManager::obs`], with its decision audit.
 ///
 /// # Panics
 /// As [`quantile_windows`].
@@ -174,26 +168,7 @@ pub fn plan_windows<F: Forecaster + ?Sized>(
     manager: &RobustAutoScalingManager,
     levels: &[f64],
 ) -> Vec<PlannedWindow> {
-    plan_windows_obs(forecaster, series, spec, manager, levels, &Obs::noop())
-}
-
-/// [`plan_windows`] with rolling-window timing events routed to `obs`.
-/// The manager's own decision audit is controlled separately by the
-/// handle attached via
-/// [`RobustAutoScalingManager::with_obs`](crate::manager::RobustAutoScalingManager::with_obs)
-/// — pass the same handle to both for one merged trace.
-///
-/// # Panics
-/// As [`quantile_windows`].
-pub fn plan_windows_obs<F: Forecaster + ?Sized>(
-    forecaster: &F,
-    series: &[f64],
-    spec: RollingSpec,
-    manager: &RobustAutoScalingManager,
-    levels: &[f64],
-    obs: &Obs,
-) -> Vec<PlannedWindow> {
-    quantile_windows_obs(forecaster, series, spec, levels, obs)
+    quantile_windows(forecaster, series, spec, levels, manager.obs())
         .into_iter()
         .enumerate()
         .map(|(k, (forecast, actuals))| {
@@ -247,7 +222,7 @@ mod tests {
         let spec = RollingSpec::new(16, 8);
         let levels = [0.5, 0.9];
 
-        let engine = quantile_windows(&sn, &test, spec, &levels);
+        let engine = quantile_windows(&sn, &test, spec, &levels, &Obs::noop());
 
         let rw = rpas_traces::RollingWindows::new(&test, 16, 8);
         let manual: Vec<_> = rw

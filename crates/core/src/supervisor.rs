@@ -71,7 +71,7 @@ impl SupervisorConfig {
     /// Whether the breaker can run on this tuning; the checkpoint loader
     /// reports the `Err`, [`FleetSupervisor::wrap_with`] panics on it.
     pub fn validate(&self) -> Result<(), String> {
-        let checks = [
+        crate::first_failure(&[
             (self.failure_threshold > 0, "failure_threshold must be positive"),
             (self.failure_window > 0, "failure_window must be positive"),
             (self.base_backoff_ticks > 0, "base_backoff_ticks must be positive"),
@@ -80,13 +80,7 @@ impl SupervisorConfig {
                 "max_backoff_ticks must be at least base_backoff_ticks",
             ),
             (self.probation_ticks > 0, "probation_ticks must be positive"),
-        ];
-        for (ok, why) in checks {
-            if !ok {
-                return Err(why.to_string());
-            }
-        }
-        Ok(())
+        ])
     }
 }
 

@@ -3,8 +3,8 @@
 //! the no-op handle must keep evaluation completely dark.
 
 use rpas_core::{
-    plan_adaptive_obs, quantile_windows_obs, uncertainty_at, AdaptiveConfig, RollingSpec,
-    RobustAutoScalingManager, ScalingStrategy,
+    quantile_windows, uncertainty_at, AdaptiveConfig, RollingSpec, RobustAutoScalingManager,
+    ScalingStrategy,
 };
 use rpas_forecast::{Forecaster, QuantileForecast, SeasonalNaive};
 use rpas_obs::{Level, MemorySink, Obs};
@@ -35,7 +35,9 @@ fn decision_events_reconstruct_the_exact_switch_sequence() {
 
     let mem = MemorySink::new();
     let obs = Obs::with_sink(Box::new(mem.clone()));
-    let plan = plan_adaptive_obs(&qf, cfg, 60.0, 1, &obs);
+    let plan = RobustAutoScalingManager::new(60.0, 1, ScalingStrategy::Adaptive(cfg))
+        .with_obs(obs)
+        .plan(&qf);
     assert_eq!(plan.len(), spreads.len());
 
     let decisions: Vec<_> = mem
@@ -78,7 +80,7 @@ fn rolling_eval_events(seed: u64) -> Vec<String> {
     )
     .with_obs(obs.clone());
     let spec = RollingSpec::new(24, 24);
-    let windows = quantile_windows_obs(&sn, &test.values, spec, &[0.1, 0.5, 0.9], &obs);
+    let windows = quantile_windows(&sn, &test.values, spec, &[0.1, 0.5, 0.9], &obs);
     for (qf, _actuals) in &windows {
         manager.plan(qf);
     }
@@ -109,7 +111,7 @@ fn noop_obs_is_dark_during_rolling_eval() {
     // A live sink sees the instrumentation...
     let mem = MemorySink::new();
     let live = Obs::with_sink(Box::new(mem.clone()));
-    let with_obs = quantile_windows_obs(&sn, &test.values, spec, &[0.5, 0.9], &live);
+    let with_obs = quantile_windows(&sn, &test.values, spec, &[0.5, 0.9], &live);
     assert!(!mem.is_empty(), "live sink must capture rolling events");
 
     // ...while the no-op handle listens at no level and produces the
@@ -118,7 +120,7 @@ fn noop_obs_is_dark_during_rolling_eval() {
     for level in [Level::Error, Level::Warn, Level::Info, Level::Debug] {
         assert!(!noop.enabled(level));
     }
-    let dark = quantile_windows_obs(&sn, &test.values, spec, &[0.5, 0.9], &noop);
+    let dark = quantile_windows(&sn, &test.values, spec, &[0.5, 0.9], &noop);
     assert_eq!(with_obs.len(), dark.len());
     for ((qf_a, act_a), (qf_b, act_b)) in with_obs.iter().zip(&dark) {
         assert_eq!(act_a, act_b);

@@ -1,4 +1,4 @@
-//! Rule configuration: which rules run, where they apply, and what they ban.
+//! Rule configuration: which rules run and where they apply.
 //!
 //! The defaults below *are* the workspace policy (DESIGN.md §9). They are
 //! plain data so tests can build narrower configs and so future knobs can
@@ -7,12 +7,11 @@
 use std::collections::BTreeSet;
 
 /// Every rule identifier, in the order they are documented.
-pub const RULE_IDS: &[&str] = &["D1", "D2", "O1", "P1", "F1", "E1", "LINT"];
+pub const RULE_IDS: &[&str] = &["D2", "O1", "P1", "F1", "E1", "LINT"];
 
 /// One-line description per rule, for `--rules` and diagnostics.
 pub fn rule_summary(rule: &str) -> &'static str {
     match rule {
-        "D1" => "banned external crate (manifest dependency or use-site)",
         "D2" => "nondeterminism source: SystemTime/Instant/thread id outside obs/bench, HashMap/HashSet anywhere",
         "O1" => "stdout/stderr write outside crates/obs and the CLI output layer",
         "P1" => "panic-site budget (unwrap/expect/panic!/slice-index) exceeded vs lint-baseline.json",
@@ -28,8 +27,6 @@ pub fn rule_summary(rule: &str) -> &'static str {
 pub struct Config {
     /// Rules that actually run (suppression parsing always runs).
     pub enabled: BTreeSet<String>,
-    /// D1: crate names that must never be referenced (manifest or source).
-    pub banned_crates: Vec<String>,
     /// D2: path prefixes where clock and thread-identity reads are allowed
     /// (timing harnesses and the obs layer itself). `HashMap`/`HashSet`
     /// are banned there too.
@@ -54,10 +51,6 @@ impl Default for Config {
     fn default() -> Self {
         Self {
             enabled: RULE_IDS.iter().map(|r| r.to_string()).collect(),
-            banned_crates: ["rand", "crossbeam", "proptest", "criterion", "bytes", "parking_lot", "serde"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
             d2_allow_prefixes: vec!["crates/obs/".into(), "crates/bench/".into()],
             o1_stdout_allow_prefixes: vec![
                 "crates/obs/".into(),

@@ -5,14 +5,13 @@
 //!
 //! | rule | invariant |
 //! |------|-----------|
-//! | `D1` | zero external dependencies — banned crates may appear neither in a `Cargo.toml` nor at a `use`/path site |
 //! | `D2` | no nondeterminism sources: `SystemTime`, `Instant`, `thread::current()` outside the obs/bench allowlist, `HashMap`/`HashSet` anywhere |
 //! | `O1` | stdout/stderr discipline — diagnostics route through `rpas_obs::Obs`, not `eprintln!`/`println!` |
 //! | `P1` | frozen panic-site budget per library crate (`unwrap`/`expect`/`panic!`/slice indexing) vs `lint-baseline.json` |
 //! | `F1` | no float `==`/`!=` in the numeric crates |
 //! | `E1` | every obs `span/event` emit is named in `events-registry.json`, and every non-dynamic registry entry has an emit site (DESIGN.md §14) |
 //!
-//! All six are token-level and per file ([`rules`]); E1 alone has a
+//! All five are token-level and per file ([`rules`]); E1 alone has a
 //! cross-file half, its emit inventory ([`index`]) checked against the
 //! committed registry ([`semantic`], [`registry`]).
 //!
@@ -72,13 +71,12 @@ pub fn run_workspace(root: &Path, cfg: &Config) -> io::Result<RunResult> {
     let entries = walk::walk(root)?;
     let mut res = RunResult::default();
 
-    // First pass: manifests — both for D1 and to map crate dirs to
-    // package names for P1 attribution.
+    // First pass: manifests, to map crate dirs to package names for P1
+    // attribution.
     let mut crate_names: BTreeMap<String, String> = BTreeMap::new();
     let mut root_package = String::from("rpas");
     for e in entries.iter().filter(|e| e.kind == walk::FileKind::Manifest) {
         let src = fs::read_to_string(&e.abs)?;
-        res.diagnostics.extend(manifest::analyze_manifest(&e.rel, &src, cfg));
         if let Some(name) = manifest::package_name(&src) {
             if e.rel == "Cargo.toml" {
                 root_package = name;

@@ -1,15 +1,8 @@
-//! Manifest-side D1: every dependency in every `Cargo.toml` must be an
-//! in-workspace path dependency, and the banned crate names must not
-//! appear as dependencies at all.
-//!
-//! This is a line-oriented reader of the TOML subset Cargo manifests in
-//! this workspace actually use — `[section]` headers, `key = value` pairs,
-//! dotted keys (`foo.workspace = true`), and inline tables. It is *not* a
-//! general TOML parser; unknown constructs fail safe (they are reported,
-//! not silently accepted).
-
-use crate::config::Config;
-use crate::report::Diagnostic;
+//! The one thing the lint reads from a `Cargo.toml`: the `[package]`
+//! name, which P1 charges a crate directory's panic sites to. (What the
+//! manifests may *depend on* is not policed here: the lockfiles are the
+//! resolved truth, and root `tests/hermetic.rs` pins them to path-only
+//! packages.)
 
 /// Extract `name = "..."` from the `[package]` section, if any.
 pub fn package_name(src: &str) -> Option<String> {
@@ -37,119 +30,6 @@ fn unquote(v: &str) -> Option<String> {
     v.strip_prefix('"').and_then(|v| v.strip_suffix('"')).map(str::to_string)
 }
 
-/// Check one manifest. `rel` is the workspace-relative path.
-pub fn analyze_manifest(rel: &str, src: &str, cfg: &Config) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    if !cfg.is_enabled("D1") {
-        return diags;
-    }
-    let mut section = String::new();
-    // For `[dependencies.foo]`-style sections: (dep name, header line,
-    // whether a path/workspace key has been seen yet).
-    let mut pending: Option<(String, u32, bool)> = None;
-
-    let flush = |p: &mut Option<(String, u32, bool)>, diags: &mut Vec<Diagnostic>| {
-        if let Some((name, line, ok)) = p.take() {
-            if !ok {
-                diags.push(Diagnostic::error(
-                    "D1",
-                    rel,
-                    line,
-                    format!("dependency `{name}` is not an in-workspace path dependency"),
-                ));
-            }
-        }
-    };
-
-    for (idx, raw) in src.lines().enumerate() {
-        let line_no = idx as u32 + 1;
-        let line = strip_toml_comment(raw).trim().to_string();
-        if line.is_empty() {
-            continue;
-        }
-        if line.starts_with('[') {
-            flush(&mut pending, &mut diags);
-            section = line.trim_matches(|c| c == '[' || c == ']').to_string();
-            if is_dep_section(&section) {
-                // `[dependencies.foo]` / `[workspace.dependencies.foo]`
-                if let Some(dep) = dep_of_dotted_section(&section) {
-                    check_banned(&dep, rel, line_no, cfg, &mut diags);
-                    pending = Some((dep, line_no, false));
-                }
-            }
-            continue;
-        }
-        if let Some(p) = pending.as_mut() {
-            let key = line.split('=').next().unwrap_or("").trim();
-            if key == "path" || (key == "workspace" && line.contains("true")) {
-                p.2 = true;
-            }
-            continue;
-        }
-        if !is_dep_section(&section) {
-            continue;
-        }
-        // `name = value` or `name.workspace = true` inside a dep section.
-        let Some((key, value)) = line.split_once('=') else { continue };
-        let key = key.trim();
-        let value = value.trim();
-        let dep = key.split('.').next().unwrap_or(key).trim_matches('"');
-        check_banned(dep, rel, line_no, cfg, &mut diags);
-        let dotted_ok = key.ends_with(".workspace") && value.starts_with("true")
-            || key.ends_with(".path");
-        let inline_ok = value.contains("path") && value.contains('=')
-            || value.contains("workspace") && value.contains("true");
-        if !(dotted_ok || inline_ok) {
-            diags.push(Diagnostic::error(
-                "D1",
-                rel,
-                line_no,
-                format!(
-                    "dependency `{dep}` is not an in-workspace path dependency (found `{value}`); the workspace builds offline from path deps only"
-                ),
-            ));
-        }
-    }
-    flush(&mut pending, &mut diags);
-    diags
-}
-
-fn check_banned(dep: &str, rel: &str, line: u32, cfg: &Config, diags: &mut Vec<Diagnostic>) {
-    if cfg.banned_crates.iter().any(|b| b == dep) {
-        diags.push(Diagnostic::error(
-            "D1",
-            rel,
-            line,
-            format!("banned crate `{dep}` listed as a dependency"),
-        ));
-    }
-}
-
-fn is_dep_section(section: &str) -> bool {
-    let root = section
-        .strip_prefix("workspace.")
-        .unwrap_or(section)
-        .split('.')
-        .next()
-        .unwrap_or("");
-    let target_dep = section.contains("dependencies") && section.starts_with("target.");
-    matches!(root, "dependencies" | "dev-dependencies" | "build-dependencies") || target_dep
-}
-
-/// For `[dependencies.foo]`, return `foo`.
-fn dep_of_dotted_section(section: &str) -> Option<String> {
-    for prefix in
-        ["dependencies.", "dev-dependencies.", "build-dependencies.", "workspace.dependencies."]
-    {
-        if let Some(rest) = section.strip_prefix(prefix) {
-            if !rest.is_empty() && !rest.contains('.') {
-                return Some(rest.trim_matches('"').to_string());
-            }
-        }
-    }
-    None
-}
-
 /// Strip a `#` comment that is outside any quoted string.
 fn strip_toml_comment(line: &str) -> &str {
     let mut in_str = false;
@@ -167,51 +47,10 @@ fn strip_toml_comment(line: &str) -> &str {
 mod tests {
     use super::*;
 
-    fn run(src: &str) -> Vec<Diagnostic> {
-        analyze_manifest("crates/x/Cargo.toml", src, &Config::default())
-    }
-
     #[test]
     fn package_name_extraction() {
-        let src = "[package]\nname = \"rpas-core\"\nversion = \"0.1.0\"\n[dependencies]\n";
+        let src = "[package]\nname = \"rpas-core\" # not rpas-x\nversion = \"0.1.0\"\n[dependencies]\n";
         assert_eq!(package_name(src).as_deref(), Some("rpas-core"));
-        assert_eq!(package_name("[dependencies]\nfoo = \"1\"\n"), None);
-    }
-
-    #[test]
-    fn workspace_and_path_deps_pass() {
-        let src = "[package]\nname = \"x\"\n[dependencies]\nrpas-core.workspace = true\nrpas-obs = { path = \"../obs\" }\n";
-        assert!(run(src).is_empty());
-    }
-
-    #[test]
-    fn registry_dep_fails_and_banned_name_doubly_fails() {
-        let src = "[dependencies]\nrand = \"0.8\"\n";
-        let d = run(src);
-        assert_eq!(d.len(), 2, "{d:?}"); // banned + non-path
-        assert!(d[0].message.contains("banned crate `rand`"));
-        assert_eq!(d[0].line, 2);
-    }
-
-    #[test]
-    fn version_only_inline_table_fails() {
-        let d = run("[dev-dependencies]\nfoo = { version = \"1.0\" }\n");
-        assert_eq!(d.len(), 1);
-        assert!(d[0].message.contains("not an in-workspace path dependency"));
-    }
-
-    #[test]
-    fn dotted_section_form_is_checked() {
-        let ok = "[dependencies.rpas-obs]\npath = \"../obs\"\n";
-        assert!(run(ok).is_empty());
-        let bad = "[dependencies.serde]\nversion = \"1\"\nfeatures = [\"derive\"]\n";
-        let d = run(bad);
-        assert_eq!(d.len(), 2); // banned + non-path
-    }
-
-    #[test]
-    fn comments_and_non_dep_sections_ignored() {
-        let src = "# rand would be nice\n[package]\nname = \"x\" # not rand\n[profile.release]\nopt-level = 3\n";
-        assert!(run(src).is_empty());
+        assert_eq!(package_name("[dependencies]\nname = \"1\"\n"), None);
     }
 }

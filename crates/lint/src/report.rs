@@ -107,7 +107,7 @@ mod tests {
         let mut v = vec![
             Diagnostic::warning("P1", "b.rs", 1, "w"),
             Diagnostic::error("D2", "z.rs", 9, "e2"),
-            Diagnostic::error("D1", "a.rs", 3, "e1"),
+            Diagnostic::error("O1", "a.rs", 3, "e1"),
         ];
         sort(&mut v);
         assert_eq!(v[0].file, "a.rs");

@@ -1,8 +1,7 @@
-//! The per-file, token-level pass: D1 (banned crates at use-sites), D2
-//! (nondeterminism sources), O1 (stdout/stderr discipline), P1 (panic-site
-//! census), F1 (float equality), plus E1's emit-site extraction
-//! ([`crate::index`]; the check against the registry is
-//! [`crate::semantic`]). Manifest-side D1 lives in [`crate::manifest`].
+//! The per-file, token-level pass: D2 (nondeterminism sources), O1
+//! (stdout/stderr discipline), P1 (panic-site census), F1 (float
+//! equality), plus E1's emit-site extraction ([`crate::index`]; the check
+//! against the registry is [`crate::semantic`]).
 //!
 //! Scope conventions shared by the rules:
 //! - *test code* is any file under a `tests/` directory plus every region
@@ -99,30 +98,6 @@ pub fn analyze_rust_file(rel: &str, src: &str, cfg: &Config) -> FileAnalysis {
         let t = &toks[i];
         let line = t.line;
         let next = toks.get(i + 1);
-        let prev = if i > 0 { toks.get(i - 1) } else { None };
-
-        // D1: banned crate referenced from source.
-        if cfg.is_enabled("D1")
-            && t.kind == TokKind::Ident
-            && cfg.banned_crates.iter().any(|b| b == &t.text)
-        {
-            let path_use = next.is_some_and(|n| n.is_punct("::"));
-            let use_decl = prev.is_some_and(|p| p.is_ident("use"));
-            let extern_decl = prev.is_some_and(|p| p.is_ident("crate"))
-                && i >= 2
-                && toks[i - 2].is_ident("extern");
-            if (path_use || use_decl || extern_decl) && !sup.allows("D1", line) {
-                diags.push(Diagnostic::error(
-                    "D1",
-                    rel,
-                    line,
-                    format!(
-                        "reference to banned external crate `{}` (the workspace is zero-dependency; see DESIGN.md §9)",
-                        t.text
-                    ),
-                ));
-            }
-        }
 
         // D2: nondeterminism sources in non-test code. Clock and thread
         // identity reads are allowed in obs/bench (timing is their job);
@@ -383,21 +358,6 @@ mod tests {
         let mut v: Vec<_> = fa.diagnostics.iter().map(|d| (d.rule, d.line)).collect();
         v.sort_by_key(|(r, l)| (*l, *r));
         v
-    }
-
-    #[test]
-    fn d1_flags_use_and_path_not_strings() {
-        let fa = run(
-            "crates/core/src/x.rs",
-            "use rand::Rng;\nlet s = \"rand::Rng\"; // rand::Rng in comment\nlet r = rand::thread_rng();\n",
-        );
-        assert_eq!(rules_at(&fa), vec![("D1", 1), ("D1", 3)]);
-    }
-
-    #[test]
-    fn d1_ignores_local_idents_that_shadow_banned_names() {
-        let fa = run("crates/obs/src/json.rs", "let bytes = input.as_bytes();\nself.bytes[0];\n");
-        assert!(fa.diagnostics.is_empty(), "{:?}", fa.diagnostics);
     }
 
     #[test]

@@ -2,8 +2,7 @@
 //!
 //! Each file under `tests/fixtures/` carries a `lint-fixture: path = …`
 //! header naming the virtual workspace path it is analysed under, plus
-//! `//~ RULE` (Rust) or `#~ RULE` (TOML) annotations on the lines where
-//! diagnostics are expected. A repeated rule (`//~ D2 D2`) expects that
+//! `//~ RULE` annotations on the lines where diagnostics are expected. A repeated rule (`//~ D2 D2`) expects that
 //! many diagnostics on the line; `//~ P1(cat)` marks an expected
 //! panic-census site rather than a diagnostic. The harness asserts the
 //! analyser's output matches the annotations exactly — nothing missing,
@@ -11,7 +10,6 @@
 //! deliberate violations in these files never reach the real lint run.
 
 use rpas_lint::config::Config;
-use rpas_lint::manifest;
 use rpas_lint::rules;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -29,7 +27,8 @@ struct Expected {
     p1: Vec<(u32, String)>,
 }
 
-fn parse_expected(src: &str, marker: &str) -> Expected {
+fn parse_expected(src: &str) -> Expected {
+    let marker = "//~";
     let mut virtual_path = None;
     let mut diags = Vec::new();
     let mut p1 = Vec::new();
@@ -64,20 +63,13 @@ fn parse_expected(src: &str, marker: &str) -> Expected {
 /// annotations. Returns a description of every mismatch.
 fn check_fixture(path: &Path) -> Vec<String> {
     let src = fs::read_to_string(path).expect("fixture must be readable");
-    let is_toml = path.extension().is_some_and(|e| e == "toml");
-    let exp = parse_expected(&src, if is_toml { "#~" } else { "//~" });
-    let cfg = Config::default();
+    let exp = parse_expected(&src);
 
-    let (mut got_diags, mut got_p1): (Vec<(u32, String)>, Vec<(u32, String)>) = if is_toml {
-        let d = manifest::analyze_manifest(&exp.virtual_path, &src, &cfg);
-        (d.into_iter().map(|d| (d.line, d.rule.to_string())).collect(), Vec::new())
-    } else {
-        let fa = rules::analyze_rust_file(&exp.virtual_path, &src, &cfg);
-        (
-            fa.diagnostics.into_iter().map(|d| (d.line, d.rule.to_string())).collect(),
-            fa.p1_sites.into_iter().map(|s| (s.line, s.cat.name().to_string())).collect(),
-        )
-    };
+    let fa = rules::analyze_rust_file(&exp.virtual_path, &src, &Config::default());
+    let mut got_diags: Vec<(u32, String)> =
+        fa.diagnostics.into_iter().map(|d| (d.line, d.rule.to_string())).collect();
+    let mut got_p1: Vec<(u32, String)> =
+        fa.p1_sites.into_iter().map(|s| (s.line, s.cat.name().to_string())).collect();
     got_diags.sort();
     got_p1.sort();
 
@@ -104,9 +96,7 @@ fn every_fixture_matches_its_annotations() {
     let mut entries: Vec<PathBuf> = fs::read_dir(&dir)
         .expect("tests/fixtures directory exists")
         .map(|e| e.expect("fixture dir entry").path())
-        .filter(|p| {
-            p.extension().is_some_and(|e| e == "rs" || e == "toml")
-        })
+        .filter(|p| p.extension().is_some_and(|e| e == "rs"))
         .collect();
     entries.sort();
     assert!(entries.len() >= 6, "fixture corpus went missing from {}", dir.display());
@@ -124,8 +114,7 @@ fn fixtures_cover_every_rule() {
     for e in fs::read_dir(&dir).expect("fixtures dir") {
         let p = e.expect("entry").path();
         let Ok(src) = fs::read_to_string(&p) else { continue };
-        let marker = if p.extension().is_some_and(|x| x == "toml") { "#~" } else { "//~" };
-        let exp = parse_expected(&src, marker);
+        let exp = parse_expected(&src);
         seen.extend(exp.diags.into_iter().map(|(_, r)| r));
         if !exp.p1.is_empty() {
             seen.push("P1".to_string());

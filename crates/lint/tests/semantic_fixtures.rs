@@ -17,7 +17,7 @@ fn fixture_root() -> PathBuf {
 
 fn semantic_cfg() -> Config {
     let mut cfg = Config::default();
-    for r in ["D1", "D2", "O1", "P1", "F1"] {
+    for r in ["D2", "O1", "P1", "F1"] {
         cfg.enabled.remove(r);
     }
     cfg

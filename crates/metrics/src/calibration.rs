@@ -3,7 +3,6 @@
 //! empirical coverage of the τ-quantile equals τ at every level.
 
 use crate::quantile::coverage;
-use rpas_obs::Obs;
 
 /// One point on a reliability curve.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -29,28 +28,6 @@ pub fn calibration_curve(
         .zip(per_level)
         .map(|(&tau, preds)| CalibrationPoint { tau, coverage: coverage(actuals, preds) })
         .collect()
-}
-
-/// [`calibration_curve`] with a degenerate-window audit: an empty
-/// `actuals` slice makes every coverage `NaN` (zero-request windows do
-/// reach this path through rolling evaluation over idle traces), so the
-/// obs variant emits one `metrics/empty_window` warn event naming the
-/// metric before returning the same curve.
-///
-/// # Panics
-/// As [`calibration_curve`].
-pub fn calibration_curve_obs(
-    actuals: &[f64],
-    per_level: &[Vec<f64>],
-    taus: &[f64],
-    obs: &Obs,
-) -> Vec<CalibrationPoint> {
-    if actuals.is_empty() {
-        obs.warn("metrics", "empty_window", |e| {
-            e.field("metric", "calibration_curve").field("levels", taus.len());
-        });
-    }
-    calibration_curve(actuals, per_level, taus)
 }
 
 /// Mean absolute calibration error `mean_τ |coverage(τ) − τ|`
@@ -153,27 +130,10 @@ mod tests {
 
     #[test]
     fn all_nan_curve_stays_nan() {
-        let curve = vec![CalibrationPoint { tau: 0.5, coverage: f64::NAN }];
+        // An empty window (idle trace) is how a NaN point arises.
+        let curve = calibration_curve(&[], &[vec![]], &[0.5]);
+        assert!(curve[0].coverage.is_nan());
         assert!(calibration_error(&curve).is_nan());
         assert!(calibration_bias(&curve).is_nan());
-    }
-
-    #[test]
-    fn empty_window_emits_warn_event() {
-        let mem = rpas_obs::MemorySink::new();
-        let obs = Obs::with_sink(Box::new(mem.clone()));
-        let curve = calibration_curve_obs(&[], &[vec![]], &[0.9], &obs);
-        assert!(curve[0].coverage.is_nan());
-        let events = mem.events();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].level, rpas_obs::Level::Warn);
-        assert_eq!(events[0].name, "empty_window");
-    }
-
-    #[test]
-    fn obs_variant_matches_on_normal_input() {
-        let (a, p, t) = exact_setup();
-        let curve = calibration_curve_obs(&a, &p, &t, &Obs::noop());
-        assert_eq!(curve, calibration_curve(&a, &p, &t));
     }
 }

@@ -14,13 +14,7 @@ pub mod point;
 pub mod provisioning;
 pub mod quantile;
 
-pub use calibration::{
-    calibration_bias, calibration_curve, calibration_curve_obs, calibration_error,
-    CalibrationPoint,
-};
+pub use calibration::{calibration_bias, calibration_curve, calibration_error, CalibrationPoint};
 pub use point::{mae, mse};
 pub use provisioning::{provisioning_rates, provisioning_rates_over, ProvisioningReport};
-pub use quantile::{
-    coverage, mean_weighted_quantile_loss, quantile_loss, weighted_quantile_loss,
-    weighted_quantile_loss_obs,
-};
+pub use quantile::{coverage, mean_weighted_quantile_loss, quantile_loss, weighted_quantile_loss};

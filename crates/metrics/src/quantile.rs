@@ -42,26 +42,6 @@ pub fn weighted_quantile_loss(actuals: &[f64], preds: &[f64], tau: f64) -> f64 {
     2.0 * quantile_loss(actuals, preds, tau) / denom
 }
 
-/// [`weighted_quantile_loss`] with a degenerate-window audit: a
-/// zero-request window makes the normaliser `Σ y` zero and the score
-/// `NaN`, which otherwise propagates silently through window means. The
-/// obs variant emits one `metrics/zero_workload_window` warn event on
-/// that path before returning the same value.
-pub fn weighted_quantile_loss_obs(
-    actuals: &[f64],
-    preds: &[f64],
-    tau: f64,
-    obs: &rpas_obs::Obs,
-) -> f64 {
-    let w = weighted_quantile_loss(actuals, preds, tau);
-    if !w.is_finite() {
-        obs.warn("metrics", "zero_workload_window", |e| {
-            e.field("metric", "wql").field("tau", tau).field("steps", actuals.len());
-        });
-    }
-    w
-}
-
 /// `Coverage_[τ]`: the fraction of time steps at which the τ-quantile
 /// forecast is **at or above** the true target. Perfect calibration gives
 /// `Coverage_[τ] = τ`.
@@ -121,19 +101,6 @@ mod tests {
     #[test]
     fn wql_nan_for_zero_actuals() {
         assert!(weighted_quantile_loss(&[0.0, 0.0], &[1.0, 1.0], 0.5).is_nan());
-    }
-
-    #[test]
-    fn wql_obs_warns_on_zero_workload_window() {
-        let mem = rpas_obs::MemorySink::new();
-        let obs = rpas_obs::Obs::with_sink(Box::new(mem.clone()));
-        assert!(weighted_quantile_loss_obs(&[0.0, 0.0], &[1.0, 1.0], 0.5, &obs).is_nan());
-        // A healthy window stays silent.
-        let w = weighted_quantile_loss_obs(&[10.0], &[8.0], 0.9, &obs);
-        assert!((w - 0.36).abs() < 1e-12);
-        let events = mem.events();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].name, "zero_workload_window");
     }
 
     #[test]

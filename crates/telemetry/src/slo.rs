@@ -45,6 +45,20 @@ pub struct SloSpec {
 }
 
 impl SloSpec {
+    /// Whether [`evaluate`] can run this spec: `0 < objective ≤ 1` and
+    /// every burn rule has `0 < short ≤ long`. Holders of outside input
+    /// (the fleet config a checkpoint embeds) report the `Err`;
+    /// [`evaluate`] panics on it.
+    pub fn validate(&self) -> Result<(), String> {
+        if !(self.objective > 0.0 && self.objective <= 1.0) {
+            return Err(format!("objective must be in (0, 1], got {}", self.objective));
+        }
+        match self.burn.iter().find(|r| r.short == 0 || r.short > r.long) {
+            Some(rule) => Err(format!("burn rule {} needs 0 < short ≤ long", rule.label())),
+            None => Ok(()),
+        }
+    }
+
     /// The default fleet objective: violation rate below 1%, alerting on
     /// a fast burn (6h/1h at 6× budget speed) and a slow burn (1d/6h at
     /// 3×). Windows are in 10-minute sim ticks (144/day).
@@ -204,11 +218,7 @@ pub struct SloStatus {
 /// Panics unless `0 < objective ≤ 1` and each rule has
 /// `0 < short ≤ long`.
 pub fn evaluate(spec: &SloSpec, subject: &str, series: &RatioSeries, obs: &Obs) -> SloStatus {
-    assert!(
-        spec.objective > 0.0 && spec.objective <= 1.0,
-        "objective must be in (0, 1], got {}",
-        spec.objective
-    );
+    assert_eq!(spec.validate(), Ok(()), "invalid SLO spec");
     let (bad, total) = series.sums();
     let bad_fraction = if total == 0 { 0.0 } else { bad as f64 / total as f64 };
     let met = bad_fraction <= spec.objective;
@@ -219,7 +229,6 @@ pub fn evaluate(spec: &SloSpec, subject: &str, series: &RatioSeries, obs: &Obs) 
     let mut prefix = None;
     let mut alerts = Vec::new();
     for rule in &spec.burn {
-        assert!(rule.short > 0 && rule.short <= rule.long, "burn rule needs 0 < short ≤ long");
         if (rule.long as usize) > series.len() {
             continue; // rule window longer than the run: not evaluable
         }

@@ -3,12 +3,13 @@
 #
 # Asserts the two invariants this repo promises:
 #   1. The whole workspace builds and tests OFFLINE — no registry access,
-#      path dependencies only.
-#   2. The six rpas-lint rules hold (DESIGN.md §9/§14): no banned
-#      external crates (D1), no nondeterminism sources — clocks outside
-#      obs/bench, hash collections anywhere (D2), stdout/stderr discipline
-#      (O1), a frozen panic-site budget (P1), no bare float equality in
-#      numeric crates (F1), every obs event name registered (E1).
+#      path dependencies only (root tests/hermetic.rs holds both
+#      lockfiles to path-only packages).
+#   2. The five rpas-lint rules hold (DESIGN.md §9/§14): no
+#      nondeterminism sources — clocks outside obs/bench, hash collections
+#      anywhere (D2), stdout/stderr discipline (O1), a frozen panic-site
+#      budget (P1), no bare float equality in numeric crates (F1), every
+#      obs event name registered (E1).
 #
 # Optional: RPAS_VERIFY_PARALLEL=1 additionally checks that the table1
 # experiment produces byte-identical CSV output single-threaded vs
@@ -63,7 +64,7 @@ grep -q "bogus/never_emitted" "$trace_tmp/bogus.txt" || {
 #    fail, and on E1.
 if cargo run -q --release --offline --bin lint -- \
     --root crates/lint/tests/fixtures/semantic \
-    --disable D1 --disable D2 --disable O1 --disable P1 --disable F1 \
+    --disable D2 --disable O1 --disable P1 --disable F1 \
     > "$trace_tmp/semantic.txt"; then
     echo "ERROR: lint passed the deliberately-violating E1 corpus" >&2
     exit 1

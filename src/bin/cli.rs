@@ -11,7 +11,7 @@
 
 use rpas::cli::ParsedArgs;
 use rpas::core::{
-    backtest_quantile_obs, uncertainty_series, AdaptiveConfig, FleetConfig, FleetEngine,
+    backtest_quantile, uncertainty_series, AdaptiveConfig, FleetConfig, FleetEngine,
     FleetSupervisor, QuantilePredictivePolicy, ReactiveAvg, ReactiveMax, ReplanSchedule,
     ResilienceConfig, ResilientManager, RobustAutoScalingManager, ScalingStrategy,
     SupervisorConfig, TenantPolicyKind, TracePreset,
@@ -591,7 +591,7 @@ fn backtest(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>>
 
     let bt_timer = obs.span("backtest", "rolling");
     let report =
-        backtest_quantile_obs(&*model, test_values, context, horizon, &manager, &SCALING_LEVELS, obs);
+        backtest_quantile(&*model, test_values, context, horizon, &manager, &SCALING_LEVELS);
     bt_timer.finish(|e| {
         e.field("windows", report.windows.len());
     });

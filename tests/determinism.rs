@@ -10,7 +10,7 @@
 //! rolling-origin consolidation cannot silently shift window boundaries.
 
 use rpas::core::{
-    backtest_quantile, forecast_windows, plan_windows, RobustAutoScalingManager, RollingSpec,
+    backtest_quantile, plan_windows, quantile_windows, RobustAutoScalingManager, RollingSpec,
     ScalingStrategy,
 };
 use rpas::forecast::{
@@ -18,6 +18,7 @@ use rpas::forecast::{
     HoltWintersConfig, LastValue, MlpProb, MlpProbConfig, QuantileForecast, SeasonalNaive, Tft,
     TftConfig, SCALING_LEVELS,
 };
+use rpas::obs::Obs;
 use rpas::traces::{alibaba_like, RollingWindows, STEPS_PER_DAY};
 use rpas_tsmath::{prop_assert, prop_assert_eq};
 use rpas_tsmath::propcheck::{forall, Gen};
@@ -445,7 +446,7 @@ fn tft_is_deterministic() {
 
 #[test]
 fn rolling_windows_match_legacy_protocol() {
-    // forecast_windows (now on rpas_core::rolling) must slice the series
+    // quantile_windows (rpas_core::rolling) must slice the series
     // exactly like the legacy rpas_traces::RollingWindows protocol it
     // replaced: window k forecasts from the `context` samples ending at
     // `context + k*horizon`, against the `horizon` actuals after it.
@@ -454,7 +455,8 @@ fn rolling_windows_match_legacy_protocol() {
     fc.fit(&train).expect("fit");
 
     let ctx_len = STEPS_PER_DAY;
-    let engine = forecast_windows(&fc, &test, ctx_len, HORIZON, &SCALING_LEVELS);
+    let spec = RollingSpec::new(ctx_len, HORIZON);
+    let engine = quantile_windows(&fc, &test, spec, &SCALING_LEVELS, &Obs::noop());
 
     let legacy = RollingWindows::new(&test, ctx_len, HORIZON);
     assert_eq!(engine.len(), legacy.len(), "window count diverged");
@@ -467,8 +469,7 @@ fn rolling_windows_match_legacy_protocol() {
 
     // plan_windows and backtest_quantile must agree on window offsets too.
     let manager = RobustAutoScalingManager::new(THETA, 1, ScalingStrategy::Fixed { tau: 0.9 });
-    let planned =
-        plan_windows(&fc, &test, RollingSpec::new(ctx_len, HORIZON), &manager, &SCALING_LEVELS);
+    let planned = plan_windows(&fc, &test, spec, &manager, &SCALING_LEVELS);
     let backtest = backtest_quantile(&fc, &test, ctx_len, HORIZON, &manager, &SCALING_LEVELS);
     assert_eq!(planned.len(), legacy.len());
     assert_eq!(backtest.windows.len(), legacy.len());

@@ -7,7 +7,7 @@
 //! dynamic arguments.
 
 use rpas::core::{
-    backtest_quantile_obs, AdaptiveConfig, FleetConfig, FleetEngine, FleetSupervisor,
+    backtest_quantile, AdaptiveConfig, FleetConfig, FleetEngine, FleetSupervisor,
     RobustAutoScalingManager, ScalingStrategy, SupervisorConfig, TenantHealth,
 };
 use rpas::forecast::{Forecaster, SeasonalNaive, SCALING_LEVELS};
@@ -55,15 +55,8 @@ fn backtest_events_are_all_registered() {
     .with_obs(obs.clone());
 
     let timer = obs.span("backtest", "rolling");
-    let report = backtest_quantile_obs(
-        &model,
-        &test.values,
-        STEPS_PER_DAY,
-        24,
-        &manager,
-        &SCALING_LEVELS,
-        &obs,
-    );
+    let report =
+        backtest_quantile(&model, &test.values, STEPS_PER_DAY, 24, &manager, &SCALING_LEVELS);
     timer.finish(|e| {
         e.field("windows", report.windows.len());
     });

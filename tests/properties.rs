@@ -2,7 +2,8 @@
 //! that must hold for arbitrary forecasts, thresholds, and strategies.
 
 use rpas::core::{
-    plan_adaptive, plan_robust, plan_robust_lp, smooth_plan, uncertainty_at, AdaptiveConfig,
+    plan_adaptive, plan_robust, plan_robust_lp, plan_staircase, smooth_plan, uncertainty_at,
+    AdaptiveConfig, PlanningBackend, RobustAutoScalingManager, ScalingStrategy, StaircaseLevel,
     ThrashConfig,
 };
 use rpas::forecast::QuantileForecast;
@@ -85,6 +86,102 @@ fn adaptive_plan_bounded_by_fixed_plans() {
         }
         Ok(())
     });
+}
+
+/// Eq. 6 / Algorithm 1 / the staircase rule, transcribed from the paper
+/// step by step — the reference every production planner path (they are
+/// all `RobustAutoScalingManager`) is compared against. Deliberately
+/// shares nothing with `manager.rs` but the uncertainty metric `U`
+/// (Eq. 8), which has its own hand-computed tests.
+fn reference_plan(
+    qf: &QuantileForecast,
+    strategy: &ScalingStrategy,
+    theta: f64,
+    min_nodes: u32,
+) -> Vec<u32> {
+    (0..qf.horizon())
+        .map(|i| {
+            let u = uncertainty_at(qf, i);
+            let tau = match strategy {
+                ScalingStrategy::Fixed { tau } => *tau,
+                ScalingStrategy::Adaptive(c) => if u >= c.rho { c.tau_high } else { c.tau_low },
+                ScalingStrategy::Staircase(ladder) => {
+                    ladder.iter().filter(|l| u >= l.min_uncertainty).last().expect("rung 0").tau
+                }
+            };
+            let w = qf.at(i, tau).max(0.0);
+            ((w / theta).ceil() as u32).max(min_nodes)
+        })
+        .collect()
+}
+
+#[test]
+fn manager_matches_the_paper_transcription() {
+    forall("manager_matches_the_paper_transcription", 64, |g| {
+        let qf = random_forecast(g);
+        let theta = g.f64_in(10.0, 200.0);
+        let min_nodes = g.u32_in(1, 4);
+        // Off-grid τ too, so interpolated quantiles are covered.
+        let tau = g.f64_in(0.5, 0.95);
+        // `U` of a `random_forecast` step spans roughly 0‥350, so ρ and the
+        // rung bounds below land on both sides of it.
+        let mut bound = 0.0;
+        let ladder: Vec<StaircaseLevel> = [0.7, 0.8, 0.9, 0.95][..g.usize_in(1, 5)]
+            .iter()
+            .map(|&tau| {
+                let rung = StaircaseLevel { min_uncertainty: bound, tau };
+                bound += g.f64_in(1.0, 120.0);
+                rung
+            })
+            .collect();
+        for strategy in [
+            ScalingStrategy::Fixed { tau },
+            ScalingStrategy::Adaptive(AdaptiveConfig::new(0.7, 0.95, g.f64_in(0.0, 350.0))),
+            ScalingStrategy::Staircase(ladder),
+        ] {
+            let expected = reference_plan(&qf, &strategy, theta, min_nodes);
+            for backend in [PlanningBackend::ClosedForm, PlanningBackend::Simplex] {
+                let plan = RobustAutoScalingManager::new(theta, min_nodes, strategy.clone())
+                    .with_backend(backend)
+                    .plan(&qf);
+                prop_assert!(
+                    plan.as_slice() == &expected[..],
+                    "{strategy:?} via {backend:?}: {plan:?} != reference {expected:?}"
+                );
+            }
+        }
+        Ok(())
+    });
+}
+
+#[test]
+fn non_finite_cells_fall_to_the_floor_on_every_entry_point() {
+    // A poisoned forecast may degrade a plan but never poison it: the
+    // step plans at the `min_nodes` floor, on every entry point alike.
+    let (inf, nan) = (f64::INFINITY, f64::NAN);
+    let qf = QuantileForecast::new(
+        vec![0.5, 0.9],
+        Matrix::from_rows(&[vec![100.0, inf], vec![-inf, -inf], vec![nan, nan], vec![100.0, 120.0]]),
+    );
+    let (theta, min_nodes) = (50.0, 2);
+    let ladder = vec![StaircaseLevel { min_uncertainty: 0.0, tau: 0.9 }];
+    let adaptive = AdaptiveConfig::new(0.5, 0.9, 0.0);
+    let mut plans = vec![
+        plan_robust(&qf, 0.9, theta, min_nodes),
+        plan_robust_lp(&qf, 0.9, theta, min_nodes),
+        plan_adaptive(&qf, adaptive, theta, min_nodes),
+        plan_staircase(&qf, &ladder, theta, min_nodes),
+    ];
+    for strategy in [
+        ScalingStrategy::Fixed { tau: 0.9 },
+        ScalingStrategy::Adaptive(adaptive),
+        ScalingStrategy::Staircase(ladder),
+    ] {
+        plans.push(RobustAutoScalingManager::new(theta, min_nodes, strategy).plan(&qf));
+    }
+    for plan in &plans {
+        assert_eq!(plan.as_slice(), &[2, 2, 2, 3]);
+    }
 }
 
 #[test]

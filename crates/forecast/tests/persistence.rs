@@ -131,3 +131,161 @@ fn corrupt_snapshot_rejected() {
     let mut restored = DeepAr::new(deepar_cfg());
     assert!(restored.import_weights(&snap).is_err());
 }
+
+// ---------------------------------------------------------------------
+// Cross-commit identity pin. `tests/determinism.rs` shows a fit repeats
+// run to run; this shows it repeats commit to commit: the trained
+// weights, the per-epoch audit numbers and one forecast of every
+// window-trained model, down to the bit. The constants were generated
+// once, before the training loops were folded into one, and are not to
+// be edited by a change that claims to leave training alone.
+// ---------------------------------------------------------------------
+
+use rpas_forecast::{MlpQuantile, MlpQuantileConfig, PointForecaster, Qb5000, Qb5000Config};
+use rpas_obs::{MemorySink, Obs, Value};
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes
+        .into_iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+fn fnv1a_f64(values: impl IntoIterator<Item = f64>) -> u64 {
+    fnv1a(values.into_iter().flat_map(f64::to_le_bytes))
+}
+
+/// The `loss` and `grad_norm` of every `<span>/epoch` event, in emit order.
+fn epoch_audit(mem: &MemorySink, span: &str, epochs: usize) -> Vec<f64> {
+    let mut out = Vec::new();
+    for e in mem.events().iter().filter(|e| e.span == span && e.name == "epoch") {
+        for key in ["loss", "grad_norm"] {
+            match e.fields.get(key) {
+                Some(Value::F64(v)) => out.push(*v),
+                other => panic!("{span}/epoch field {key}: {other:?}"),
+            }
+        }
+    }
+    assert_eq!(out.len(), 2 * epochs, "{span}: one epoch event per epoch");
+    out
+}
+
+/// What one fitted quantile model is pinned by: its exported bytes, its
+/// epoch audit, and a forecast at two trained and two off-grid levels.
+fn fingerprint(
+    model: &dyn Forecaster,
+    export: Vec<u8>,
+    mem: &MemorySink,
+    span: &str,
+    epochs: usize,
+    context: &[f64],
+) -> [u64; 3] {
+    let qf = model.forecast_quantiles(context, 4, &[0.1, 0.3, 0.5, 0.95]).expect("forecast");
+    [
+        fnv1a(export),
+        fnv1a_f64(epoch_audit(mem, span, epochs)),
+        fnv1a_f64(qf.values().data().iter().copied()),
+    ]
+}
+
+#[test]
+fn golden_weights_epoch_audit_and_forecast_bits() {
+    let data = series(300, 11);
+    // Longer than any context below, so the tail slice is exercised too.
+    let context = &data[200..230];
+    let sink = || {
+        let mem = MemorySink::new();
+        (Obs::with_sink(Box::new(mem.clone())), mem)
+    };
+    let mut got: Vec<(&str, [u64; 3])> = Vec::new();
+
+    let heads = [("mlp-gaussian", DistKind::Gaussian), ("mlp-student-t", DistKind::StudentT)];
+    for (label, dist) in heads {
+        let (obs, mem) = sink();
+        let mut m = MlpProb::new(MlpProbConfig {
+            context: 12,
+            horizon: 4,
+            hidden: vec![10, 6],
+            dist,
+            epochs: 4,
+            lr: 3e-3,
+            windows_per_epoch: 9,
+            seed: 21,
+        })
+        .with_obs(obs);
+        Forecaster::fit(&mut m, &data).unwrap();
+        let bytes = m.export_weights().expect("fitted");
+        got.push((label, fingerprint(&m, bytes, &mem, "train.mlp", 4, context)));
+    }
+
+    let (obs, mem) = sink();
+    let mut m = MlpQuantile::new(MlpQuantileConfig {
+        context: 12,
+        horizon: 4,
+        hidden: vec![10],
+        quantiles: vec![0.1, 0.5, 0.9],
+        epochs: 4,
+        lr: 3e-3,
+        windows_per_epoch: 9,
+        seed: 22,
+    })
+    .with_obs(obs);
+    Forecaster::fit(&mut m, &data).unwrap();
+    let bytes = m.export_weights().expect("fitted");
+    got.push(("mlp-quantile", fingerprint(&m, bytes, &mem, "train.mlp-quantile", 4, context)));
+
+    let (obs, mem) = sink();
+    let cfg = DeepArConfig { epochs: 3, windows_per_epoch: 7, seed: 23, ..deepar_cfg() };
+    let mut m = DeepAr::new(cfg).with_obs(obs);
+    Forecaster::fit(&mut m, &data).unwrap();
+    let bytes = m.export_weights().expect("fitted");
+    got.push(("deepar", fingerprint(&m, bytes, &mem, "train.deepar", 3, context)));
+
+    let (obs, mem) = sink();
+    let mut m = Tft::new(TftConfig {
+        context: 12,
+        horizon: 4,
+        d_model: 8,
+        heads: 2,
+        quantiles: vec![0.1, 0.5, 0.9],
+        epochs: 3,
+        lr: 3e-3,
+        windows_per_epoch: 5,
+        seed: 24,
+    })
+    .with_obs(obs);
+    Forecaster::fit(&mut m, &data).unwrap();
+    let bytes = m.export_weights().expect("fitted");
+    got.push(("tft", fingerprint(&m, bytes, &mem, "train.tft", 3, context)));
+
+    // QB5000 exports nothing and emits nothing: its forecast is the pin.
+    let mut qb = Qb5000::new(Qb5000Config {
+        context: 12,
+        horizon: 4,
+        hidden: 6,
+        epochs: 3,
+        lr: 3e-3,
+        windows_per_epoch: 7,
+        kernel_pairs: 32,
+        seed: 25,
+    });
+    PointForecaster::fit(&mut qb, &data).unwrap();
+    let point = PointForecaster::forecast(&qb, context, 4).unwrap();
+    let qb_bits: Vec<u64> = point.iter().map(|v| v.to_bits()).collect();
+
+    let golden: [(&str, [u64; 3]); 5] = [
+        ("mlp-gaussian", [0xed61_00fb_679d_617b, 0x04fa_5c9d_8576_0769, 0xf4e5_b7c0_8383_d06c]),
+        ("mlp-student-t", [0xe867_f695_6583_b776, 0xceba_8a3c_aa33_c19e, 0x08e8_593c_b1c3_ebaa]),
+        ("mlp-quantile", [0x16e7_64a5_57af_cc95, 0x4405_4108_d82d_b685, 0x8d8a_aa97_cfd9_4f05]),
+        ("deepar", [0x2370_8127_9c9d_c4a5, 0xc450_cc46_6331_34fc, 0x7446_6e1f_9ce5_e3da]),
+        ("tft", [0x390c_554a_bccf_6583, 0x25ad_231d_b836_9277, 0x53a5_d53a_749a_4ccb]),
+    ];
+    let golden_qb: [u64; 4] = [
+        0x4052_5aa4_1a07_07a2,
+        0x4052_a89f_ad06_0c32,
+        0x4052_8eb8_adec_b7c3,
+        0x4052_4951_2fcf_191e,
+    ];
+    assert_eq!(got, golden, "[weights, epoch audit, forecast] moved: {got:#018x?}");
+    assert_eq!(qb_bits, golden_qb, "qb5000 forecast moved: {qb_bits:#018x?}");
+}

@@ -21,7 +21,7 @@ fn main() {
             num_samples: samples,
             ..models::deepar(&p, 1).config().clone()
         });
-        Forecaster::fit(&mut m, &ds.train).expect("deepar fit");
+        m.fit(&ds.train).expect("deepar fit");
         group.bench(&samples.to_string(), || {
             black_box(m.forecast_quantiles(&ctx, p.horizon, &SCALING_LEVELS).expect("forecast"))
         });
@@ -31,17 +31,17 @@ fn main() {
     // TFT / MLP / ARIMA inference for comparison.
     let mut group = BenchGroup::new("forecaster_inference");
     let mut tft = models::tft(&p, &SCALING_LEVELS, 1);
-    Forecaster::fit(&mut tft, &ds.train).expect("tft fit");
+    tft.fit(&ds.train).expect("tft fit");
     group.bench("tft", || {
         black_box(tft.forecast_quantiles(&ctx, p.horizon, &SCALING_LEVELS).expect("forecast"))
     });
     let mut mlp = models::mlp(&p, 1);
-    Forecaster::fit(&mut mlp, &ds.train).expect("mlp fit");
+    mlp.fit(&ds.train).expect("mlp fit");
     group.bench("mlp", || {
         black_box(mlp.forecast_quantiles(&ctx, p.horizon, &SCALING_LEVELS).expect("forecast"))
     });
     let mut arima = models::arima();
-    Forecaster::fit(&mut arima, &ds.train).expect("arima fit");
+    arima.fit(&ds.train).expect("arima fit");
     group.bench("arima", || {
         black_box(arima.forecast_quantiles(&ctx, p.horizon, &SCALING_LEVELS).expect("forecast"))
     });

@@ -16,9 +16,9 @@ fn main() {
     let ctx: Vec<f64> = ds.test[..p.context].to_vec();
 
     let mut deepar = models::deepar(&p, 1);
-    Forecaster::fit(&mut deepar, &ds.train).expect("deepar fit");
+    deepar.fit(&ds.train).expect("deepar fit");
     let mut tft = models::tft(&p, &SCALING_LEVELS, 1);
-    Forecaster::fit(&mut tft, &ds.train).expect("tft fit");
+    tft.fit(&ds.train).expect("tft fit");
     let mut qb = models::qb5000(&p, 1);
     qb.fit(&ds.train).expect("qb5000 fit");
     let manager = RobustAutoScalingManager::new(60.0, 1, ScalingStrategy::Fixed { tau: 0.9 });

@@ -22,7 +22,7 @@ fn main() {
     let ds = &datasets(&p)[1]; // Google trace
 
     let mut deepar = models::deepar(&p, 1);
-    Forecaster::fit(&mut deepar, &ds.train).expect("deepar fit");
+    deepar.fit(&ds.train).expect("deepar fit");
 
     // Forecast every test window once: the uncertainty distribution for
     // the rungs and every strategy row reuse them.

@@ -25,7 +25,7 @@ const FAULT_SEED: u64 = 101;
 
 fn predictive(trace: &Trace, period: usize) -> QuantilePredictivePolicy<SeasonalNaive> {
     let mut fc = SeasonalNaive::new(period);
-    Forecaster::fit(&mut fc, &trace.values[..trace.len() / 2]).expect("naive fit");
+    fc.fit(&trace.values[..trace.len() / 2]).expect("naive fit");
     let manager = RobustAutoScalingManager::new(THETA, 1, ScalingStrategy::Fixed { tau: 0.9 });
     QuantilePredictivePolicy::new(
         "predictive",

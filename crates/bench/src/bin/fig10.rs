@@ -19,9 +19,9 @@ fn main() {
 
     for ds in datasets(&p) {
         let mut deepar = models::deepar(&p, 1);
-        Forecaster::fit(&mut deepar, &ds.train).expect("deepar fit");
+        deepar.fit(&ds.train).expect("deepar fit");
         let mut tft = models::tft(&p, &SCALING_LEVELS, 1);
-        Forecaster::fit(&mut tft, &ds.train).expect("tft fit");
+        tft.fit(&ds.train).expect("tft fit");
 
         let mut table = Table::new(&[
             "tau",

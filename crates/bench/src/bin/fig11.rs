@@ -32,9 +32,9 @@ fn main() {
     let ds = &datasets(&p)[1]; // Google trace: richest uncertainty structure
 
     let mut deepar = models::deepar(&p, 1);
-    Forecaster::fit(&mut deepar, &ds.train).expect("deepar fit");
+    deepar.fit(&ds.train).expect("deepar fit");
     let mut tft = models::tft(&p, &SCALING_LEVELS, 1);
-    Forecaster::fit(&mut tft, &ds.train).expect("tft fit");
+    tft.fit(&ds.train).expect("tft fit");
 
     let named: Vec<(&str, &dyn Forecaster)> = vec![("deepar", &deepar), ("tft", &tft)];
     for (name, model) in named {

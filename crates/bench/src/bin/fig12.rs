@@ -23,7 +23,7 @@ fn main() {
     let ds = &datasets(&p)[1]; // Google trace, as in the paper
 
     let mut tft = models::tft(&p, &SCALING_LEVELS, 1);
-    Forecaster::fit(&mut tft, &ds.train).expect("tft fit");
+    tft.fit(&ds.train).expect("tft fit");
 
     // Forecast every test window once; the whole ρ sweep reuses them.
     let spec = RollingSpec::new(p.context, p.horizon);

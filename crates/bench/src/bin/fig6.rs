@@ -94,7 +94,7 @@ fn main() {
     let mut tft = models::tft(&p, &EVAL_LEVELS, 1);
     tft.fit(&ds.train).expect("tft fit");
     let mut deepar = models::deepar(&p, 1);
-    Forecaster::fit(&mut deepar, &ds.train).expect("deepar fit");
+    deepar.fit(&ds.train).expect("deepar fit");
 
     let mut table = Table::new(&[
         "model",

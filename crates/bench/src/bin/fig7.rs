@@ -42,11 +42,11 @@ fn main() {
     let ds = &datasets(&p)[0]; // Alibaba trace: clearest periodic structure
 
     let mut mlp = models::mlp(&p, 1);
-    Forecaster::fit(&mut mlp, &ds.train).expect("mlp fit");
+    mlp.fit(&ds.train).expect("mlp fit");
     let mut deepar = models::deepar(&p, 1);
-    Forecaster::fit(&mut deepar, &ds.train).expect("deepar fit");
+    deepar.fit(&ds.train).expect("deepar fit");
     let mut tft = models::tft(&p, &EVAL_LEVELS, 1);
-    Forecaster::fit(&mut tft, &ds.train).expect("tft fit");
+    tft.fit(&ds.train).expect("tft fit");
 
     let rw = RollingSpec::new(p.context, p.horizon).windows(&ds.test);
     let (ctx, actual) = rw.window(rw.len() / 2); // a mid-test sample horizon

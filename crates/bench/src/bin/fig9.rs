@@ -64,7 +64,7 @@ fn main() {
             }),
             Box::new(|| {
                 let mut tftp = models::tft_point(&p, 1);
-                Forecaster::fit(&mut tftp, &ds.train).expect("tft-point fit");
+                tftp.fit(&ds.train).expect("tft-point fit");
                 let mut tft_point = PointFromQuantile::new(tftp, "tft-point");
                 let r = evaluate_plans_point(
                     &mut tft_point,
@@ -78,7 +78,7 @@ fn main() {
             }),
             Box::new(|| {
                 let mut tftp = models::tft_point(&p, 1);
-                Forecaster::fit(&mut tftp, &ds.train).expect("tft-point fit");
+                tftp.fit(&ds.train).expect("tft-point fit");
                 let mut tft_pad = PaddedForecaster::new(
                     PointFromQuantile::new(tftp, "tft-point"),
                     "tft-point-padding",
@@ -97,9 +97,9 @@ fn main() {
             }),
             Box::new(|| {
                 let mut deepar = models::deepar(&p, 1);
-                Forecaster::fit(&mut deepar, &ds.train).expect("deepar fit");
+                deepar.fit(&ds.train).expect("deepar fit");
                 let mut tft = models::tft(&p, &SCALING_LEVELS, 1);
-                Forecaster::fit(&mut tft, &ds.train).expect("tft fit");
+                tft.fit(&ds.train).expect("tft fit");
                 let mut rows = Vec::new();
                 for &tau in &TAUS {
                     let mgr = RobustAutoScalingManager::new(

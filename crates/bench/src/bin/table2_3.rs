@@ -46,9 +46,9 @@ fn main() {
 
     // Fitted models.
     let mut deepar = models::deepar(&p, 1);
-    Forecaster::fit(&mut deepar, &ds.train).expect("deepar fit");
+    deepar.fit(&ds.train).expect("deepar fit");
     let mut tft = models::tft(&p, &SCALING_LEVELS, 1);
-    Forecaster::fit(&mut tft, &ds.train).expect("tft fit");
+    tft.fit(&ds.train).expect("tft fit");
     let mut qb = models::qb5000(&p, 1);
     qb.fit(&ds.train).expect("qb5000 fit");
 

@@ -104,12 +104,12 @@ pub fn fit_all_quantile_models(
     seed: u64,
 ) -> FittedQuantileModels {
     let mut a = arima();
-    Forecaster::fit(&mut a, train).expect("arima fit");
+    a.fit(train).expect("arima fit");
     let mut m = mlp(p, seed);
-    Forecaster::fit(&mut m, train).expect("mlp fit");
+    m.fit(train).expect("mlp fit");
     let mut d = deepar(p, seed);
-    Forecaster::fit(&mut d, train).expect("deepar fit");
+    d.fit(train).expect("deepar fit");
     let mut t = tft(p, grid, seed);
-    Forecaster::fit(&mut t, train).expect("tft fit");
+    t.fit(train).expect("tft fit");
     FittedQuantileModels { arima: a, mlp: m, deepar: d, tft: t }
 }

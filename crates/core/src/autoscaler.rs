@@ -4,7 +4,7 @@
 
 use crate::manager::RobustAutoScalingManager;
 use crate::plan::plan_point;
-use rpas_forecast::{ErrorFeedback, Forecaster, PointForecaster};
+use rpas_forecast::{Forecaster, PointForecaster};
 use rpas_metrics::provisioning::required_nodes;
 use rpas_simdb::{Observation, PolicyHealth, ScalingPolicy};
 
@@ -134,7 +134,7 @@ impl<F: Forecaster> ScalingPolicy for QuantilePredictivePolicy<F> {
 
 /// Point-forecast predictive policy (the non-robust baseline, Def. 3),
 /// with the error-feedback hook that powers the `*-padding` variants.
-pub struct PointPredictivePolicy<P: PointForecaster + ErrorFeedback> {
+pub struct PointPredictivePolicy<P: PointForecaster> {
     name: &'static str,
     forecaster: P,
     theta: f64,
@@ -145,7 +145,7 @@ pub struct PointPredictivePolicy<P: PointForecaster + ErrorFeedback> {
     plan_start: usize,
 }
 
-impl<P: PointForecaster + ErrorFeedback> PointPredictivePolicy<P> {
+impl<P: PointForecaster> PointPredictivePolicy<P> {
     /// New policy around a *fitted* point forecaster.
     pub fn new(
         name: &'static str,
@@ -174,7 +174,7 @@ impl<P: PointForecaster + ErrorFeedback> PointPredictivePolicy<P> {
     }
 }
 
-impl<P: PointForecaster + ErrorFeedback> ScalingPolicy for PointPredictivePolicy<P> {
+impl<P: PointForecaster> ScalingPolicy for PointPredictivePolicy<P> {
     fn name(&self) -> &'static str {
         self.name
     }

@@ -6,7 +6,7 @@
 use crate::manager::RobustAutoScalingManager;
 use crate::plan::plan_point;
 use crate::rolling::{self, RollingSpec};
-use rpas_forecast::{ErrorFeedback, Forecaster, PointForecaster};
+use rpas_forecast::{Forecaster, PointForecaster};
 use rpas_metrics::{provisioning_rates, ProvisioningReport};
 use rpas_simdb::{Observation, ScalingPolicy};
 
@@ -49,7 +49,7 @@ pub fn evaluate_plans_precomputed(
 /// Evaluate a point forecaster (Def. 3 planning) over the same protocol,
 /// feeding realised errors back after every window so padding-enhanced
 /// models update their pads.
-pub fn evaluate_plans_point<P: PointForecaster + ErrorFeedback + ?Sized>(
+pub fn evaluate_plans_point<P: PointForecaster + ?Sized>(
     forecaster: &mut P,
     test_series: &[f64],
     context: usize,

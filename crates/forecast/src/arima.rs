@@ -3,7 +3,7 @@
 //! variance (the classic "incorporating residuals to capture the
 //! uncertainty of the forecasts" baseline of §IV-A).
 
-use crate::types::{validate_levels, ForecastError, Forecaster, PointForecaster, QuantileForecast};
+use crate::types::{require_len, validate_levels, ForecastError, Forecaster, QuantileForecast};
 use rpas_tsmath::{stats, Matrix};
 
 /// ARIMA order configuration.
@@ -183,10 +183,7 @@ impl Forecaster for Arima {
     fn fit(&mut self, series: &[f64]) -> Result<(), ForecastError> {
         let (p, d, q) = (self.cfg.p, self.cfg.d, self.cfg.q);
         let m = (p + q).max(10); // stage-1 long-AR order
-        let needed = d + m + p.max(q) + 20;
-        if series.len() < needed {
-            return Err(ForecastError::SeriesTooShort { needed, got: series.len() });
-        }
+        require_len(series, d + m + p.max(q) + 20)?;
 
         let w = stats::difference(series, d);
         let mean = stats::mean(&w);
@@ -263,12 +260,7 @@ impl Forecaster for Arima {
     ) -> Result<QuantileForecast, ForecastError> {
         validate_levels(levels)?;
         let f = self.fitted.as_ref().ok_or(ForecastError::NotFitted)?;
-        if context.len() < self.min_context() {
-            return Err(ForecastError::SeriesTooShort {
-                needed: self.min_context(),
-                got: context.len(),
-            });
-        }
+        require_len(context, self.min_context())?;
         let d = self.cfg.d;
 
         let w = stats::difference(context, d);
@@ -329,22 +321,6 @@ impl Forecaster for Arima {
     }
 }
 
-impl PointForecaster for Arima {
-    fn name(&self) -> &'static str {
-        "arima"
-    }
-
-    fn fit(&mut self, series: &[f64]) -> Result<(), ForecastError> {
-        Forecaster::fit(self, series)
-    }
-
-    fn forecast(&self, context: &[f64], horizon: usize) -> Result<Vec<f64>, ForecastError> {
-        Ok(self.forecast_quantiles(context, horizon, &[0.5])?.median())
-    }
-}
-
-impl crate::types::ErrorFeedback for Arima {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -364,7 +340,7 @@ mod tests {
     fn recovers_ar1_coefficient() {
         let series = ar1(0.8, 3000, 1);
         let mut m = Arima::new(ArimaConfig { p: 1, d: 0, q: 0 });
-        Forecaster::fit(&mut m, &series).unwrap();
+        m.fit(&series).unwrap();
         assert!((m.phi()[0] - 0.8).abs() < 0.05, "phi {:?}", m.phi());
         assert!((m.sigma2().unwrap() - 1.0).abs() < 0.1);
     }
@@ -379,7 +355,7 @@ mod tests {
         }
         let series: Vec<f64> = (1..=4000).map(|t| eps[t] + 0.6 * eps[t - 1]).collect();
         let mut m = Arima::new(ArimaConfig { p: 0, d: 0, q: 1 });
-        Forecaster::fit(&mut m, &series).unwrap();
+        m.fit(&series).unwrap();
         assert!((m.theta()[0] - 0.6).abs() < 0.1, "theta {:?}", m.theta());
     }
 
@@ -387,12 +363,12 @@ mod tests {
     fn forecast_decays_to_mean_for_ar1() {
         let series = ar1(0.7, 2000, 3);
         let mut m = Arima::new(ArimaConfig { p: 1, d: 0, q: 0 });
-        Forecaster::fit(&mut m, &series).unwrap();
+        m.fit(&series).unwrap();
         // Start far from the mean: forecasts must decay geometrically.
         let mut ctx = series[..100].to_vec();
         let last = 10.0;
         ctx.push(last);
-        let f = PointForecaster::forecast(&m, &ctx, 5).unwrap();
+        let f = m.forecast_quantiles(&ctx, 5, &[0.5]).unwrap().median();
         for h in 1..5 {
             assert!(f[h].abs() < f[h - 1].abs(), "not decaying: {f:?}");
         }
@@ -403,7 +379,7 @@ mod tests {
     fn intervals_widen_with_horizon() {
         let series = ar1(0.5, 1500, 4);
         let mut m = Arima::new(ArimaConfig { p: 1, d: 0, q: 0 });
-        Forecaster::fit(&mut m, &series).unwrap();
+        m.fit(&series).unwrap();
         let f = m.forecast_quantiles(&series[..100], 10, &[0.1, 0.9]).unwrap();
         let w_first = f.at(0, 0.9) - f.at(0, 0.1);
         let w_last = f.at(9, 0.9) - f.at(9, 0.1);
@@ -419,8 +395,8 @@ mod tests {
         let series: Vec<f64> =
             (0..500).map(|t| 2.0 * t as f64 + 0.1 * standard_normal(&mut r)).collect();
         let mut m = Arima::new(ArimaConfig { p: 1, d: 1, q: 0 });
-        Forecaster::fit(&mut m, &series).unwrap();
-        let f = PointForecaster::forecast(&m, &series[..200], 5).unwrap();
+        m.fit(&series).unwrap();
+        let f = m.forecast_quantiles(&series[..200], 5, &[0.5]).unwrap().median();
         let last = series[199];
         for (h, v) in f.iter().enumerate() {
             let expect = last + 2.0 * (h + 1) as f64;
@@ -432,7 +408,7 @@ mod tests {
     fn too_short_series_rejected() {
         let mut m = Arima::new(ArimaConfig::default());
         assert!(matches!(
-            Forecaster::fit(&mut m, &[1.0; 10]).unwrap_err(),
+            m.fit(&[1.0; 10]).unwrap_err(),
             ForecastError::SeriesTooShort { .. }
         ));
     }

@@ -11,14 +11,16 @@
 //! * accuracy **degrades with horizon** (Fig. 8) because multi-step
 //!   forecasts are produced iteratively and errors accumulate.
 
-use crate::types::{validate_levels, ForecastError, Forecaster, PointForecaster, QuantileForecast};
+use crate::types::{require_len, validate_levels, ForecastError, Forecaster, QuantileForecast};
+use crate::window::{self, ContextGuard};
 use rpas_nn::loss::{student_t_nll, NU_OFFSET, SIGMA_FLOOR};
-use rpas_nn::{Adam, Dense, GruCell, Layer};
+use rpas_nn::{Adam, Dense, GruCell};
 use rpas_obs::Obs;
 use rpas_traces::WindowDataset;
+use rpas_tsmath::rng::{self, Rng64};
 use rpas_tsmath::special::softplus;
 use rpas_tsmath::stats;
-use rpas_tsmath::{rng, Distribution, Matrix, StudentT};
+use rpas_tsmath::{Distribution, Matrix, StudentT};
 
 /// DeepAR configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,8 +61,7 @@ impl Default for DeepArConfig {
 /// DeepAR-style forecaster.
 pub struct DeepAr {
     cfg: DeepArConfig,
-    gru: Option<GruCell>,
-    head: Option<Dense>,
+    fitted: Option<(GruCell, Dense)>,
     obs: Obs,
 }
 
@@ -83,7 +84,7 @@ impl DeepAr {
     pub fn new(cfg: DeepArConfig) -> Self {
         assert!(cfg.context > 1 && cfg.train_window > 2, "degenerate window spec");
         assert!(cfg.hidden > 0 && cfg.num_samples > 0, "degenerate model spec");
-        Self { cfg, gru: None, head: None, obs: Obs::noop() }
+        Self { cfg, fitted: None, obs: Obs::noop() }
     }
 
     /// Builder: attach an observability handle; `fit` then emits one
@@ -102,36 +103,24 @@ impl DeepAr {
     /// Student-t emitted by the head, or `Unhealthy` when the head output is
     /// not finite (diverged weights) — `StudentT::new` would panic on it.
     fn dist_from(out: &[f64; 3]) -> Result<StudentT, ForecastError> {
-        if !out.iter().all(|v| v.is_finite()) {
-            return Err(ForecastError::Unhealthy(format!(
-                "deepar: non-finite head output {out:?}"
-            )));
-        }
+        window::require_finite("deepar", format_args!("head output {out:?}"), out)?;
         Ok(StudentT::new(out[0], softplus(out[1]) + SIGMA_FLOOR, NU_OFFSET + softplus(out[2])))
     }
-}
 
-impl DeepAr {
-    /// Snapshot the trained weights (None until fitted). Restore with
-    /// [`DeepAr::import_weights`] on a model built from the same config.
-    pub fn export_weights(&mut self) -> Option<Vec<u8>> {
-        let (gru, head) = (self.gru.as_mut()?, self.head.as_mut()?);
-        Some(rpas_nn::save_weights(&mut [gru, head], &[]).to_vec())
+    /// The untrained cell and head, initialised from `r`.
+    fn build_net(&self, r: &mut Rng64) -> (GruCell, Dense) {
+        (GruCell::new(1, self.cfg.hidden, r), Dense::new(self.cfg.hidden, 3, r))
     }
 
-    /// Restore weights exported by [`DeepAr::export_weights`]; the model
-    /// becomes ready to forecast without calling `fit`.
+    /// Restore a snapshot taken by [`Forecaster::export_weights`]; the model
+    /// is then ready to forecast without calling `fit`.
     ///
     /// # Errors
     /// Fails when the snapshot does not match this config's architecture.
     pub fn import_weights(&mut self, data: &[u8]) -> Result<(), ForecastError> {
-        let mut r = rng::seeded(self.cfg.seed);
-        let mut gru = GruCell::new(1, self.cfg.hidden, &mut r);
-        let mut head = Dense::new(self.cfg.hidden, 3, &mut r);
-        rpas_nn::load_weights(&mut [&mut gru, &mut head], data)
-            .map_err(|e| ForecastError::InvalidConfig(format!("weight snapshot: {e}")))?;
-        self.gru = Some(gru);
-        self.head = Some(head);
+        let (mut gru, mut head) = self.build_net(&mut rng::seeded(self.cfg.seed));
+        window::restore(&mut [&mut gru, &mut head], data)?;
+        self.fitted = Some((gru, head));
         Ok(())
     }
 }
@@ -142,11 +131,8 @@ impl Forecaster for DeepAr {
     }
 
     fn fit(&mut self, series: &[f64]) -> Result<(), ForecastError> {
-        let c = self.cfg.clone();
-        let needed = c.train_window + 1;
-        if series.len() < needed {
-            return Err(ForecastError::SeriesTooShort { needed, got: series.len() });
-        }
+        let c = &self.cfg;
+        require_len(series, c.train_window + 1)?;
         // Window dataset over the raw series; each sampled window is
         // rescaled by its own context mean (see `window_scale`). The
         // "target" split is irrelevant here (teacher forcing over the
@@ -154,16 +140,15 @@ impl Forecaster for DeepAr {
         let ds = WindowDataset::new(series, c.train_window, 1);
 
         let mut r = rng::seeded(c.seed);
-        let mut gru = GruCell::new(1, c.hidden, &mut r);
-        let mut head = Dense::new(c.hidden, 3, &mut r);
+        let (mut gru, mut head) = self.build_net(&mut r);
         let mut opt = Adam::new(c.lr);
 
-        for epoch in 0..c.epochs {
-            let mut epoch_loss = 0.0;
-            let mut norm_sum = 0.0;
-            for _ in 0..c.windows_per_epoch {
-                let idx = (rng::uniform_open(&mut r) * ds.len() as f64) as usize;
-                let (raw_win, _) = ds.example(idx.min(ds.len() - 1));
+        window::train(
+            &ds,
+            c.epochs,
+            c.windows_per_epoch,
+            &mut r,
+            |raw_win, _, loss| {
                 let (m, sd) = window_scale(&raw_win[..c.context.min(raw_win.len())]);
                 let win: Vec<f64> = raw_win.iter().map(|v| (v - m) / sd).collect();
                 let steps = win.len() - 1;
@@ -176,7 +161,7 @@ impl Forecaster for DeepAr {
                     let out = head.forward(&h);
                     let (l, dmu, dsr, dnr) = student_t_nll(out[0], out[1], out[2], win[t]);
                     let s = 1.0 / steps as f64;
-                    epoch_loss += l * s;
+                    *loss += l * s;
                     d_outs.push([dmu * s, dsr * s, dnr * s]);
                 }
 
@@ -193,24 +178,12 @@ impl Forecaster for DeepAr {
 
                 // The components clip independently; the audit records
                 // their combined pre-clip global norm.
-                let ng = gru.clip_grad_norm(5.0);
-                let nh = head.clip_grad_norm(5.0);
-                norm_sum += (ng * ng + nh * nh).sqrt();
-                opt.begin_step();
-                gru.visit_params(&mut |p| opt.update(p));
-                head.visit_params(&mut |p| opt.update(p));
-                gru.zero_grad();
-                head.zero_grad();
-            }
-            self.obs.debug("train.deepar", "epoch", |e| {
-                e.field("epoch", epoch)
-                    .field("loss", epoch_loss / c.windows_per_epoch as f64)
-                    .field("grad_norm", norm_sum / c.windows_per_epoch as f64);
-            });
-        }
+                window::clip_and_step(&mut opt, &mut [&mut gru, &mut head])
+            },
+            |stats| self.obs.debug("train.deepar", "epoch", |e| stats.record(e)),
+        );
 
-        self.gru = Some(gru);
-        self.head = Some(head);
+        self.fitted = Some((gru, head));
         Ok(())
     }
 
@@ -221,20 +194,15 @@ impl Forecaster for DeepAr {
         levels: &[f64],
     ) -> Result<QuantileForecast, ForecastError> {
         validate_levels(levels)?;
-        let gru = self.gru.as_ref().ok_or(ForecastError::NotFitted)?;
-        let head = self.head.as_ref().ok_or(ForecastError::NotFitted)?;
-        if context.len() < 2 {
-            return Err(ForecastError::SeriesTooShort { needed: 2, got: context.len() });
-        }
-
-        let ctx = if context.len() > self.cfg.context {
-            &context[context.len() - self.cfg.context..]
-        } else {
-            context
+        // Autoregressive: any horizon, and any context of two samples or
+        // more (only its last `cfg.context` are read).
+        let guard = ContextGuard {
+            model: self.name(),
+            needed: 2,
+            window: self.cfg.context,
+            max_horizon: usize::MAX,
         };
-        if !ctx.iter().all(|v| v.is_finite()) {
-            return Err(ForecastError::Unhealthy("deepar: non-finite value in context".into()));
-        }
+        let ((gru, head), ctx) = guard.admit(self.fitted.as_ref(), context, horizon)?;
         let (m, sd) = window_scale(ctx);
         let zctx: Vec<f64> = ctx.iter().map(|v| (v - m) / sd).collect();
 
@@ -263,9 +231,7 @@ impl Forecaster for DeepAr {
             let mut dist = first;
             for t in 0..horizon {
                 let z = dist.sample(&mut r);
-                if !z.is_finite() {
-                    return Err(ForecastError::Unhealthy(format!("deepar: non-finite sample {z}")));
-                }
+                window::require_finite("deepar", format_args!("sample {z}"), &[z])?;
                 samples[(t, s)] = z;
                 if t + 1 < horizon {
                     cell.step(&[z]);
@@ -288,23 +254,12 @@ impl Forecaster for DeepAr {
         }
         Ok(QuantileForecast::new(levels.to_vec(), values))
     }
-}
 
-impl PointForecaster for DeepAr {
-    fn name(&self) -> &'static str {
-        "deepar"
-    }
-
-    fn fit(&mut self, series: &[f64]) -> Result<(), ForecastError> {
-        Forecaster::fit(self, series)
-    }
-
-    fn forecast(&self, context: &[f64], horizon: usize) -> Result<Vec<f64>, ForecastError> {
-        Ok(self.forecast_quantiles(context, horizon, &[0.5])?.median())
+    fn export_weights(&mut self) -> Option<Vec<u8>> {
+        let (gru, head) = self.fitted.as_mut()?;
+        Some(window::snapshot(&mut [gru, head], None))
     }
 }
-
-impl crate::types::ErrorFeedback for DeepAr {}
 
 #[cfg(test)]
 mod tests {
@@ -338,9 +293,9 @@ mod tests {
     fn learns_short_horizon_sinusoid() {
         let series = sine_series(600, 0.8, 1);
         let mut m = DeepAr::new(tiny_cfg());
-        Forecaster::fit(&mut m, &series).unwrap();
+        m.fit(&series).unwrap();
         let ctx = &series[240..252];
-        let f = PointForecaster::forecast(&m, ctx, 2).unwrap();
+        let f = m.forecast_quantiles(ctx, 2, &[0.5]).unwrap().median();
         for (h, &v) in f.iter().enumerate() {
             let truth = 50.0 + 10.0 * (2.0 * std::f64::consts::PI * (252 + h) as f64 / 12.0).sin();
             assert!((v - truth).abs() < 6.0, "h={h}: {v} vs {truth}");
@@ -351,7 +306,7 @@ mod tests {
     fn quantiles_are_ordered_and_widen() {
         let series = sine_series(500, 1.5, 2);
         let mut m = DeepAr::new(tiny_cfg());
-        Forecaster::fit(&mut m, &series).unwrap();
+        m.fit(&series).unwrap();
         let f = m.forecast_quantiles(&series[120..132], 8, &[0.1, 0.5, 0.9]).unwrap();
         assert!(f.is_monotone());
         // Iterative sampling accumulates variance: width grows with h.
@@ -365,7 +320,7 @@ mod tests {
     fn forecast_is_deterministic_for_fixed_seed() {
         let series = sine_series(400, 1.0, 3);
         let mut m = DeepAr::new(tiny_cfg());
-        Forecaster::fit(&mut m, &series).unwrap();
+        m.fit(&series).unwrap();
         let a = m.forecast_quantiles(&series[..24], 4, &[0.5]).unwrap();
         let b = m.forecast_quantiles(&series[..24], 4, &[0.5]).unwrap();
         assert_eq!(a, b);
@@ -377,44 +332,10 @@ mod tests {
         // without retraining (§III-B) — ask for unusual ones.
         let series = sine_series(400, 1.0, 4);
         let mut m = DeepAr::new(tiny_cfg());
-        Forecaster::fit(&mut m, &series).unwrap();
+        m.fit(&series).unwrap();
         let f = m.forecast_quantiles(&series[..24], 3, &[0.123, 0.456, 0.987]).unwrap();
         assert_eq!(f.levels(), &[0.123, 0.456, 0.987]);
         assert!(f.is_monotone());
-    }
-
-    #[test]
-    fn non_finite_context_is_unhealthy_not_a_panic() {
-        let series = sine_series(400, 1.0, 5);
-        let mut m = DeepAr::new(tiny_cfg());
-        Forecaster::fit(&mut m, &series).unwrap();
-        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            let mut ctx = series[..12].to_vec();
-            ctx[5] = bad;
-            assert!(matches!(
-                m.forecast_quantiles(&ctx, 4, &[0.1, 0.5, 0.9]).unwrap_err(),
-                ForecastError::Unhealthy(_)
-            ));
-        }
-        // A non-finite value the context window has already slid past is fine.
-        let mut long = vec![f64::NAN];
-        long.extend_from_slice(&series[..12]);
-        assert_eq!(
-            m.forecast_quantiles(&long, 4, &[0.5]).unwrap(),
-            m.forecast_quantiles(&series[..12], 4, &[0.5]).unwrap()
-        );
-    }
-
-    #[test]
-    fn diverged_weights_are_unhealthy_not_a_panic() {
-        let series = sine_series(400, 1.0, 6);
-        let mut m = DeepAr::new(tiny_cfg());
-        Forecaster::fit(&mut m, &series).unwrap();
-        m.head.as_mut().unwrap().b.data[0] = f64::NAN;
-        assert!(matches!(
-            m.forecast_quantiles(&series[..12], 4, &[0.5]).unwrap_err(),
-            ForecastError::Unhealthy(_)
-        ));
     }
 
     #[test]
@@ -430,7 +351,7 @@ mod tests {
     fn short_series_rejected() {
         let mut m = DeepAr::new(tiny_cfg());
         assert!(matches!(
-            Forecaster::fit(&mut m, &[1.0; 20]).unwrap_err(),
+            m.fit(&[1.0; 20]).unwrap_err(),
             ForecastError::SeriesTooShort { .. }
         ));
     }

@@ -1,7 +1,7 @@
 //! Rolling-window evaluation harness shared by the Table I / Fig. 8
 //! experiment binaries and the integration tests.
 
-use crate::types::{Forecaster, PointForecaster};
+use crate::types::Forecaster;
 use rpas_metrics::{coverage, mse, weighted_quantile_loss};
 use rpas_traces::RollingWindows;
 
@@ -36,19 +36,6 @@ impl QuantileEvalReport {
     pub fn coverage_at(&self, level: f64) -> Option<f64> {
         self.levels.iter().position(|&l| (l - level).abs() < 1e-9).map(|i| self.coverage[i])
     }
-}
-
-/// Point-forecast quality over a rolling evaluation.
-#[derive(Debug, Clone)]
-pub struct PointEvalReport {
-    /// Model display name.
-    pub model: String,
-    /// Mean squared error across all forecast steps.
-    pub mse: f64,
-    /// Mean absolute error across all forecast steps.
-    pub mae: f64,
-    /// Number of rolling windows evaluated.
-    pub windows: usize,
 }
 
 /// Evaluate a fitted quantile forecaster over non-overlapping rolling
@@ -97,30 +84,6 @@ pub fn evaluate_quantile<F: Forecaster + ?Sized>(
         coverage: cov,
         mean_wql,
         mse: mse(&all_actuals, &mean_preds),
-        windows: rw.len(),
-    }
-}
-
-/// Evaluate a fitted point forecaster over the same protocol.
-pub fn evaluate_point<P: PointForecaster + ?Sized>(
-    model: &P,
-    test_series: &[f64],
-    context: usize,
-    horizon: usize,
-) -> PointEvalReport {
-    let rw = RollingWindows::new(test_series, context, horizon);
-    assert!(!rw.is_empty(), "test series too short for even one window");
-    let mut actuals = Vec::new();
-    let mut preds = Vec::new();
-    for (ctx, actual) in rw.iter() {
-        let f = model.forecast(ctx, horizon).expect("forecast failed during evaluation");
-        actuals.extend_from_slice(actual);
-        preds.extend_from_slice(&f);
-    }
-    PointEvalReport {
-        model: model.name().to_string(),
-        mse: mse(&actuals, &preds),
-        mae: rpas_metrics::mae(&actuals, &preds),
         windows: rw.len(),
     }
 }
@@ -175,17 +138,5 @@ mod tests {
         assert!(r.coverage_at(0.5).is_some());
         assert_eq!(r.levels.len(), 2);
         assert!(r.windows > 0);
-    }
-
-    #[test]
-    fn point_eval_runs() {
-        let series = periodic(300);
-        let (train, test) = series.split_at(200);
-        let mut lv = LastValue::new();
-        PointForecaster::fit(&mut lv, train).unwrap();
-        let r = evaluate_point(&lv, test, 16, 8);
-        assert!(r.mse > 0.0);
-        assert!(r.mae > 0.0);
-        assert_eq!(r.model, "last-value");
     }
 }

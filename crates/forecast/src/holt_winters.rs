@@ -4,7 +4,7 @@
 //! (§III-B2). Quantile forecasts come from the in-sample residual spread,
 //! widened with horizon by the smoothing-induced variance growth.
 
-use crate::types::{validate_levels, ForecastError, Forecaster, PointForecaster, QuantileForecast};
+use crate::types::{require_len, validate_levels, ForecastError, Forecaster, QuantileForecast};
 use rpas_tsmath::stats;
 
 /// Holt–Winters configuration (additive trend + additive seasonality).
@@ -110,12 +110,7 @@ impl Forecaster for HoltWinters {
     }
 
     fn fit(&mut self, series: &[f64]) -> Result<(), ForecastError> {
-        if series.len() < self.min_series() {
-            return Err(ForecastError::SeriesTooShort {
-                needed: self.min_series(),
-                got: series.len(),
-            });
-        }
+        require_len(series, self.min_series())?;
         let (_, residuals) = self.smooth(series);
         // Skip the first season: initialisation transients inflate it.
         let tail = &residuals[self.cfg.period.min(residuals.len() - 1)..];
@@ -132,12 +127,7 @@ impl Forecaster for HoltWinters {
     ) -> Result<QuantileForecast, ForecastError> {
         validate_levels(levels)?;
         let f = self.fitted.as_ref().ok_or(ForecastError::NotFitted)?;
-        if context.len() < self.min_series() {
-            return Err(ForecastError::SeriesTooShort {
-                needed: self.min_series(),
-                got: context.len(),
-            });
-        }
+        require_len(context, self.min_series())?;
         let state = self.smooth(context).0;
         let m = self.cfg.period;
         let phi = self.cfg.damping;
@@ -154,22 +144,6 @@ impl Forecaster for HoltWinters {
         }))
     }
 }
-
-impl PointForecaster for HoltWinters {
-    fn name(&self) -> &'static str {
-        "holt-winters"
-    }
-
-    fn fit(&mut self, series: &[f64]) -> Result<(), ForecastError> {
-        Forecaster::fit(self, series)
-    }
-
-    fn forecast(&self, context: &[f64], horizon: usize) -> Result<Vec<f64>, ForecastError> {
-        Ok(self.forecast_quantiles(context, horizon, &[0.5])?.median())
-    }
-}
-
-impl crate::types::ErrorFeedback for HoltWinters {}
 
 #[cfg(test)]
 mod tests {
@@ -195,9 +169,9 @@ mod tests {
     fn tracks_pure_seasonality() {
         let series = seasonal_series(400, 16, 0.5, 1);
         let mut m = HoltWinters::new(cfg(16));
-        Forecaster::fit(&mut m, &series).unwrap();
+        m.fit(&series).unwrap();
         let ctx = &series[..320];
-        let f = PointForecaster::forecast(&m, ctx, 16).unwrap();
+        let f = m.forecast_quantiles(ctx, 16, &[0.5]).unwrap().median();
         for (h, &v) in f.iter().enumerate() {
             let truth =
                 100.0 + 20.0 * (2.0 * std::f64::consts::PI * ((320 + h) % 16) as f64 / 16.0).sin();
@@ -216,8 +190,8 @@ mod tests {
             })
             .collect();
         let mut m = HoltWinters::new(cfg(period));
-        Forecaster::fit(&mut m, &series).unwrap();
-        let f = PointForecaster::forecast(&m, &series, 6).unwrap();
+        m.fit(&series).unwrap();
+        let f = m.forecast_quantiles(&series, 6, &[0.5]).unwrap().median();
         let last_level = 50.0 + 0.5 * 299.0;
         for (h, &v) in f.iter().enumerate() {
             let expect = last_level
@@ -243,9 +217,9 @@ mod tests {
             .collect();
         let (train, test) = series.split_at(800);
         let mut hw = HoltWinters::new(cfg(period));
-        Forecaster::fit(&mut hw, train).unwrap();
+        hw.fit(train).unwrap();
         let mut sn = SeasonalNaive::new(period);
-        Forecaster::fit(&mut sn, train).unwrap();
+        sn.fit(train).unwrap();
         let rh = evaluate_quantile(&hw, test, 2 * period + 1, period, &[0.1, 0.5, 0.9]);
         let rs = evaluate_quantile(&sn, test, 2 * period + 1, period, &[0.1, 0.5, 0.9]);
         assert!(rh.mse < rs.mse, "hw {} vs sn {}", rh.mse, rs.mse);
@@ -255,7 +229,7 @@ mod tests {
     fn intervals_widen_with_horizon() {
         let series = seasonal_series(400, 16, 2.0, 4);
         let mut m = HoltWinters::new(cfg(16));
-        Forecaster::fit(&mut m, &series).unwrap();
+        m.fit(&series).unwrap();
         let f = m.forecast_quantiles(&series, 32, &[0.1, 0.9]).unwrap();
         let w0 = f.at(0, 0.9) - f.at(0, 0.1);
         let w31 = f.at(31, 0.9) - f.at(31, 0.1);
@@ -272,7 +246,7 @@ mod tests {
         );
         let mut m = HoltWinters::new(cfg(16));
         assert!(matches!(
-            Forecaster::fit(&mut m, &[1.0; 20]).unwrap_err(),
+            m.fit(&[1.0; 20]).unwrap_err(),
             ForecastError::SeriesTooShort { .. }
         ));
     }

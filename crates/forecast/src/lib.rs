@@ -16,12 +16,44 @@
 //! quantiles), [`naive`] reference models, [`qb5000::Qb5000`] (hybrid point
 //! forecaster after QueryBot 5000), and the CloudScale-style
 //! [`padding::PaddedForecaster`] enhancement.
+//!
+//! ## What is written once, and where
+//!
+//! The five window-trained models (MLP, MLP-quantile, DeepAR, TFT and
+//! QB5000's LSTM) differ in their network and loss, not in the scaffold
+//! around them, so the scaffold is not theirs:
+//!
+//! * `window` (private) — the sampled-window training loop (seeded draws,
+//!   epoch/window iteration, per-epoch loss and gradient-norm means; a model
+//!   passes one step closure and emits its own `train.<model>/epoch` event),
+//!   the forecast-time guard (`NotFitted` → `HorizonTooLong` →
+//!   `SeriesTooShort` → tail slice → finite check), the
+//!   `"<model>: non-finite …"` → [`ForecastError::Unhealthy`] check reused
+//!   for head outputs, and the weight snapshot with its scaler extras.
+//!   Consequence: *every* window model answers `Unhealthy` — never a panic,
+//!   a NaN or a finite number computed through one — on a non-finite value
+//!   in the context it reads or in its head output
+//!   (`tests/hostile_inputs.rs`).
+//! * `grid` (private) — the quantile-grid head: the pinball step over a
+//!   horizon-major output and the decode to data units at any requested
+//!   levels, shared by MLP-quantile and TFT.
+//! * [`Forecaster::export_weights`] (default `None`) is how any model,
+//!   boxed or not, is asked for its snapshot; the neural models restore one
+//!   with their `import_weights`. `tests/persistence.rs` pins trained
+//!   weights, epoch audit numbers and forecasts bit for bit across commits.
+//! * [`PointFromQuantile`] is the one point view of a quantile forecaster
+//!   (the median of its `0.5` forecast). A type implements
+//!   [`PointForecaster`] by hand only when its point forecast is *not* that:
+//!   [`Qb5000`] (no quantiles at all), [`PaddedForecaster`] (adds a pad),
+//!   [`LastValue`] (repeats the last sample without needing a fit spread).
+//!   Error feedback for padding is a defaulted method of the same trait.
 
 #![warn(missing_docs)]
 
 pub mod arima;
 pub mod deepar;
 pub mod eval;
+mod grid;
 pub mod holt_winters;
 pub mod mlp;
 pub mod mlp_quantile;
@@ -30,10 +62,11 @@ pub mod padding;
 pub mod qb5000;
 pub mod tft;
 pub mod types;
+mod window;
 
 pub use arima::{Arima, ArimaConfig};
 pub use deepar::{DeepAr, DeepArConfig};
-pub use eval::{evaluate_point, evaluate_quantile, PointEvalReport, QuantileEvalReport};
+pub use eval::{evaluate_quantile, QuantileEvalReport};
 pub use holt_winters::{HoltWinters, HoltWintersConfig};
 pub use mlp::{DistKind, MlpProb, MlpProbConfig};
 pub use mlp_quantile::{MlpQuantile, MlpQuantileConfig};
@@ -42,7 +75,7 @@ pub use padding::PaddedForecaster;
 pub use qb5000::{Qb5000, Qb5000Config};
 pub use tft::{Tft, TftConfig};
 pub use types::{
-    ErrorFeedback, ForecastError, Forecaster, PointForecaster, PointFromQuantile, QuantileForecast,
+    ForecastError, Forecaster, PointForecaster, PointFromQuantile, QuantileForecast,
 };
 
 /// The paper's standard evaluation grid `A = {0.1, …, 0.9}` (§IV-B).

@@ -9,14 +9,16 @@
 //! gives this family its flexibility in choosing quantile levels after
 //! training (§III-B "Pros, Cons & Selection Criteria").
 
-use crate::types::{validate_levels, ForecastError, Forecaster, PointForecaster, QuantileForecast};
+use crate::types::{validate_levels, ForecastError, Forecaster, QuantileForecast};
+use crate::window::{self, ContextGuard};
 use rpas_nn::loss::{gaussian_nll, student_t_nll, NU_OFFSET, SIGMA_FLOOR};
 use rpas_nn::{Activation, Adam, Layer, Mlp};
 use rpas_obs::Obs;
 use rpas_traces::WindowDataset;
+use rpas_tsmath::rng::{self, Rng64};
 use rpas_tsmath::special::softplus;
 use rpas_tsmath::stats::Standardizer;
-use rpas_tsmath::{rng, Distribution, Matrix, Normal, StudentT};
+use rpas_tsmath::{Distribution, Matrix, Normal, StudentT};
 
 /// Which parametric family the output head emits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,12 +66,20 @@ impl Default for MlpProbConfig {
     }
 }
 
+/// The body of both feed-forward forecasters: `context` inputs, ReLU hidden
+/// layers, `outputs` head values, initialised from `r`.
+pub(crate) fn relu_mlp(context: usize, hidden: &[usize], outputs: usize, r: &mut Rng64) -> Mlp {
+    let mut widths = vec![context];
+    widths.extend_from_slice(hidden);
+    widths.push(outputs);
+    Mlp::new(&widths, Activation::Relu, r)
+}
+
 /// Feed-forward probabilistic forecaster.
 pub struct MlpProb {
     cfg: MlpProbConfig,
     params_per_step: usize,
-    net: Option<Mlp>,
-    scaler: Option<Standardizer>,
+    fitted: Option<(Mlp, Standardizer)>,
     obs: Obs,
 }
 
@@ -85,7 +95,7 @@ impl MlpProb {
             DistKind::Gaussian => 2,
             DistKind::StudentT => 3,
         };
-        Self { cfg, params_per_step, net: None, scaler: None, obs: Obs::noop() }
+        Self { cfg, params_per_step, fitted: None, obs: Obs::noop() }
     }
 
     /// Builder: attach an observability handle; `fit` then emits one
@@ -114,34 +124,22 @@ impl MlpProb {
             }
         }
     }
-}
 
-impl MlpProb {
-    /// Snapshot the trained weights and input scaler (None until fitted).
-    pub fn export_weights(&mut self) -> Option<Vec<u8>> {
-        let scaler = self.scaler?;
-        let net = self.net.as_mut()?;
-        Some(rpas_nn::save_weights(&mut [net], &[scaler.mean, scaler.std]).to_vec())
+    /// The untrained network, initialised from `r`.
+    fn build_net(&self, r: &mut Rng64) -> Mlp {
+        let c = &self.cfg;
+        relu_mlp(c.context, &c.hidden, c.horizon * self.params_per_step, r)
     }
 
-    /// Restore weights exported by [`MlpProb::export_weights`].
+    /// Restore a snapshot taken by [`Forecaster::export_weights`]; the model
+    /// is then ready to forecast without calling `fit`.
     ///
     /// # Errors
     /// Fails when the snapshot does not match this config's architecture.
     pub fn import_weights(&mut self, data: &[u8]) -> Result<(), ForecastError> {
-        let c = &self.cfg;
-        let mut r = rng::seeded(c.seed);
-        let mut widths = vec![c.context];
-        widths.extend_from_slice(&c.hidden);
-        widths.push(c.horizon * self.params_per_step);
-        let mut net = Mlp::new(&widths, Activation::Relu, &mut r);
-        let extras = rpas_nn::load_weights(&mut [&mut net], data)
-            .map_err(|e| ForecastError::InvalidConfig(format!("weight snapshot: {e}")))?;
-        if extras.len() != 2 {
-            return Err(ForecastError::InvalidConfig("snapshot missing scaler".into()));
-        }
-        self.net = Some(net);
-        self.scaler = Some(Standardizer { mean: extras[0], std: extras[1] });
+        let mut net = self.build_net(&mut rng::seeded(self.cfg.seed));
+        let scaler = window::restore_scaled(&mut [&mut net], data)?;
+        self.fitted = Some((net, scaler));
         Ok(())
     }
 }
@@ -153,61 +151,49 @@ impl Forecaster for MlpProb {
 
     fn fit(&mut self, series: &[f64]) -> Result<(), ForecastError> {
         let c = &self.cfg;
-        let needed = c.context + c.horizon + 1;
-        if series.len() < needed {
-            return Err(ForecastError::SeriesTooShort { needed, got: series.len() });
-        }
-        let scaler = Standardizer::fit(series);
-        let z = scaler.transform_vec(series);
+        let (scaler, z) = window::standardize(series, c.context, c.horizon)?;
         let ds = WindowDataset::new(&z, c.context, c.horizon);
 
         let mut r = rng::seeded(c.seed);
-        let mut widths = vec![c.context];
-        widths.extend_from_slice(&c.hidden);
-        widths.push(c.horizon * self.params_per_step);
-        let mut net = Mlp::new(&widths, Activation::Relu, &mut r);
+        let mut net = self.build_net(&mut r);
         let mut opt = Adam::new(c.lr);
 
         let k = self.params_per_step;
-        for epoch in 0..c.epochs {
-            let mut epoch_loss = 0.0;
-            let mut norm_sum = 0.0;
-            for _ in 0..c.windows_per_epoch {
-                let idx = (rng::uniform_open(&mut r) * ds.len() as f64) as usize;
-                let (ctx, tgt) = ds.example(idx.min(ds.len() - 1));
+        let steps = c.horizon as f64;
+        window::train(
+            &ds,
+            c.epochs,
+            c.windows_per_epoch,
+            &mut r,
+            |ctx, tgt, loss| {
                 let out = net.forward(ctx);
                 let mut dout = vec![0.0; out.len()];
                 for (h, &y) in tgt.iter().enumerate() {
-                    match c.dist {
+                    let o = &out[h * k..(h + 1) * k];
+                    let (l, grad) = match c.dist {
                         DistKind::Gaussian => {
-                            let (l, dmu, dsr) = gaussian_nll(out[h * k], out[h * k + 1], y);
-                            epoch_loss += l / c.horizon as f64;
-                            dout[h * k] = dmu / c.horizon as f64;
-                            dout[h * k + 1] = dsr / c.horizon as f64;
+                            let (l, dmu, dsr) = gaussian_nll(o[0], o[1], y);
+                            (l, [dmu, dsr, 0.0])
                         }
                         DistKind::StudentT => {
-                            let (l, dmu, dsr, dnr) =
-                                student_t_nll(out[h * k], out[h * k + 1], out[h * k + 2], y);
-                            epoch_loss += l / c.horizon as f64;
-                            dout[h * k] = dmu / c.horizon as f64;
-                            dout[h * k + 1] = dsr / c.horizon as f64;
-                            dout[h * k + 2] = dnr / c.horizon as f64;
+                            let (l, dmu, dsr, dnr) = student_t_nll(o[0], o[1], o[2], y);
+                            (l, [dmu, dsr, dnr])
                         }
+                    };
+                    *loss += l / steps;
+                    for (d, g) in dout[h * k..(h + 1) * k].iter_mut().zip(grad) {
+                        *d = g / steps;
                     }
                 }
                 let _ = net.backward(&dout);
-                norm_sum += net.clip_grad_norm(5.0);
+                let norm = net.clip_grad_norm(window::CLIP_NORM);
                 opt.step_layer(&mut net);
-            }
-            self.obs.debug("train.mlp", "epoch", |e| {
-                e.field("epoch", epoch)
-                    .field("loss", epoch_loss / c.windows_per_epoch as f64)
-                    .field("grad_norm", norm_sum / c.windows_per_epoch as f64);
-            });
-        }
+                norm
+            },
+            |stats| self.obs.debug("train.mlp", "epoch", |e| stats.record(e)),
+        );
 
-        self.net = Some(net);
-        self.scaler = Some(scaler);
+        self.fitted = Some((net, scaler));
         Ok(())
     }
 
@@ -218,20 +204,11 @@ impl Forecaster for MlpProb {
         levels: &[f64],
     ) -> Result<QuantileForecast, ForecastError> {
         validate_levels(levels)?;
-        let net = self.net.as_ref().ok_or(ForecastError::NotFitted)?;
-        let scaler = self.scaler.as_ref().ok_or(ForecastError::NotFitted)?;
-        if horizon > self.cfg.horizon {
-            return Err(ForecastError::HorizonTooLong { max: self.cfg.horizon, requested: horizon });
-        }
-        if context.len() < self.cfg.context {
-            return Err(ForecastError::SeriesTooShort {
-                needed: self.cfg.context,
-                got: context.len(),
-            });
-        }
-        let ctx = &context[context.len() - self.cfg.context..];
-        let zctx = scaler.transform_vec(ctx);
-        let out = net.apply(&zctx);
+        let c = &self.cfg;
+        let guard = ContextGuard::direct(self.name(), c.context, c.horizon);
+        let ((net, scaler), ctx) = guard.admit(self.fitted.as_ref(), context, horizon)?;
+        let out = net.apply(&scaler.transform_vec(ctx));
+        window::require_finite(self.name(), "head output", &out)?;
 
         let mut values = Matrix::zeros(horizon, levels.len());
         for h in 0..horizon {
@@ -242,23 +219,12 @@ impl Forecaster for MlpProb {
         }
         Ok(QuantileForecast::new(levels.to_vec(), values))
     }
-}
 
-impl PointForecaster for MlpProb {
-    fn name(&self) -> &'static str {
-        "mlp"
-    }
-
-    fn fit(&mut self, series: &[f64]) -> Result<(), ForecastError> {
-        Forecaster::fit(self, series)
-    }
-
-    fn forecast(&self, context: &[f64], horizon: usize) -> Result<Vec<f64>, ForecastError> {
-        Ok(self.forecast_quantiles(context, horizon, &[0.5])?.median())
+    fn export_weights(&mut self) -> Option<Vec<u8>> {
+        let (net, scaler) = self.fitted.as_mut()?;
+        Some(window::snapshot(&mut [net], Some(*scaler)))
     }
 }
-
-impl crate::types::ErrorFeedback for MlpProb {}
 
 #[cfg(test)]
 mod tests {
@@ -294,7 +260,7 @@ mod tests {
     fn learns_sinusoid_median() {
         let series = sine_series(600, 1.0, 1);
         let mut m = MlpProb::new(tiny_cfg());
-        Forecaster::fit(&mut m, &series).unwrap();
+        m.fit(&series).unwrap();
         // Forecast from a context ending mid-series; compare to the truth.
         let ctx = &series[300..312];
         let f = m.forecast_quantiles(ctx, 4, &[0.5]).unwrap();
@@ -309,7 +275,7 @@ mod tests {
     fn interval_covers_noise() {
         let series = sine_series(600, 3.0, 2);
         let mut m = MlpProb::new(tiny_cfg());
-        Forecaster::fit(&mut m, &series).unwrap();
+        m.fit(&series).unwrap();
         let f = m.forecast_quantiles(&series[288..300], 4, &[0.1, 0.9]).unwrap();
         // The 80% interval must have meaningful width (noise σ=3).
         for h in 0..4 {
@@ -323,7 +289,7 @@ mod tests {
     fn student_t_head_works() {
         let series = sine_series(400, 2.0, 3);
         let mut m = MlpProb::new(MlpProbConfig { dist: DistKind::StudentT, ..tiny_cfg() });
-        Forecaster::fit(&mut m, &series).unwrap();
+        m.fit(&series).unwrap();
         let f = m.forecast_quantiles(&series[..12], 4, &[0.1, 0.5, 0.9]).unwrap();
         assert!(f.is_monotone());
         assert!(f.median().iter().all(|v| v.is_finite()));
@@ -333,7 +299,7 @@ mod tests {
     fn longer_context_is_truncated_from_the_left() {
         let series = sine_series(400, 1.0, 4);
         let mut m = MlpProb::new(tiny_cfg());
-        Forecaster::fit(&mut m, &series).unwrap();
+        m.fit(&series).unwrap();
         let f_full = m.forecast_quantiles(&series[..50], 2, &[0.5]).unwrap();
         let f_tail = m.forecast_quantiles(&series[38..50], 2, &[0.5]).unwrap();
         assert_eq!(f_full.median(), f_tail.median());
@@ -343,7 +309,7 @@ mod tests {
     fn horizon_beyond_trained_is_rejected() {
         let series = sine_series(400, 1.0, 5);
         let mut m = MlpProb::new(tiny_cfg());
-        Forecaster::fit(&mut m, &series).unwrap();
+        m.fit(&series).unwrap();
         assert!(matches!(
             m.forecast_quantiles(&series[..12], 5, &[0.5]).unwrap_err(),
             ForecastError::HorizonTooLong { max: 4, requested: 5 }
@@ -358,8 +324,8 @@ mod tests {
             ForecastError::NotFitted
         );
         let mut m = MlpProb::new(tiny_cfg());
-        assert!(Forecaster::fit(&mut m, &[1.0; 10]).is_err());
-        Forecaster::fit(&mut m, &sine_series(200, 1.0, 6)).unwrap();
+        assert!(m.fit(&[1.0; 10]).is_err());
+        m.fit(&sine_series(200, 1.0, 6)).unwrap();
         assert!(matches!(
             m.forecast_quantiles(&[1.0; 5], 2, &[0.5]).unwrap_err(),
             ForecastError::SeriesTooShort { .. }

@@ -10,13 +10,15 @@
 //! `forecasters` Criterion bench and the `ablation_grid` experiment binary
 //! compare them.
 
-use crate::types::{validate_levels, ForecastError, Forecaster, PointForecaster, QuantileForecast};
-use rpas_nn::loss::pinball_grid;
-use rpas_nn::{Activation, Adam, Layer, Mlp};
+use crate::grid;
+use crate::mlp::relu_mlp;
+use crate::types::{validate_levels, ForecastError, Forecaster, QuantileForecast};
+use crate::window::{self, ContextGuard};
+use rpas_nn::{Adam, Layer, Mlp};
 use rpas_obs::Obs;
 use rpas_traces::WindowDataset;
+use rpas_tsmath::rng::{self, Rng64};
 use rpas_tsmath::stats::Standardizer;
-use rpas_tsmath::{rng, Matrix};
 
 /// Quantile-regression MLP configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,8 +59,7 @@ impl Default for MlpQuantileConfig {
 /// Feed-forward quantile-grid forecaster.
 pub struct MlpQuantile {
     cfg: MlpQuantileConfig,
-    net: Option<Mlp>,
-    scaler: Option<Standardizer>,
+    fitted: Option<(Mlp, Standardizer)>,
     obs: Obs,
 }
 
@@ -69,12 +70,8 @@ impl MlpQuantile {
     /// Panics on degenerate configs (empty/unsorted grid, zero sizes).
     pub fn new(cfg: MlpQuantileConfig) -> Self {
         assert!(cfg.context > 0 && cfg.horizon > 0, "degenerate window spec");
-        assert!(
-            !cfg.quantiles.is_empty() && cfg.quantiles.windows(2).all(|w| w[0] < w[1]),
-            "quantile grid must be non-empty and strictly increasing"
-        );
-        assert!(cfg.quantiles.iter().all(|&q| q > 0.0 && q < 1.0), "grid levels must be in (0,1)");
-        Self { cfg, net: None, scaler: None, obs: Obs::noop() }
+        grid::assert_valid(&cfg.quantiles);
+        Self { cfg, fitted: None, obs: Obs::noop() }
     }
 
     /// Builder: attach an observability handle; `fit` then emits one
@@ -90,39 +87,21 @@ impl MlpQuantile {
         &self.cfg
     }
 
-    /// Trained quantile grid.
-    pub fn grid(&self) -> &[f64] {
-        &self.cfg.quantiles
+    /// The untrained network, initialised from `r`.
+    fn build_net(&self, r: &mut Rng64) -> Mlp {
+        let c = &self.cfg;
+        relu_mlp(c.context, &c.hidden, c.horizon * c.quantiles.len(), r)
     }
 
-    fn widths(cfg: &MlpQuantileConfig) -> Vec<usize> {
-        let mut w = vec![cfg.context];
-        w.extend_from_slice(&cfg.hidden);
-        w.push(cfg.horizon * cfg.quantiles.len());
-        w
-    }
-
-    /// Snapshot the trained weights and input scaler (None until fitted).
-    pub fn export_weights(&mut self) -> Option<Vec<u8>> {
-        let scaler = self.scaler?;
-        let net = self.net.as_mut()?;
-        Some(rpas_nn::save_weights(&mut [net], &[scaler.mean, scaler.std]).to_vec())
-    }
-
-    /// Restore weights exported by [`MlpQuantile::export_weights`].
+    /// Restore a snapshot taken by [`Forecaster::export_weights`]; the model
+    /// is then ready to forecast without calling `fit`.
     ///
     /// # Errors
     /// Fails when the snapshot does not match this config's architecture.
     pub fn import_weights(&mut self, data: &[u8]) -> Result<(), ForecastError> {
-        let mut r = rng::seeded(self.cfg.seed);
-        let mut net = Mlp::new(&Self::widths(&self.cfg), Activation::Relu, &mut r);
-        let extras = rpas_nn::load_weights(&mut [&mut net], data)
-            .map_err(|e| ForecastError::InvalidConfig(format!("weight snapshot: {e}")))?;
-        if extras.len() != 2 {
-            return Err(ForecastError::InvalidConfig("snapshot missing scaler".into()));
-        }
-        self.net = Some(net);
-        self.scaler = Some(Standardizer { mean: extras[0], std: extras[1] });
+        let mut net = self.build_net(&mut rng::seeded(self.cfg.seed));
+        let scaler = window::restore_scaled(&mut [&mut net], data)?;
+        self.fitted = Some((net, scaler));
         Ok(())
     }
 }
@@ -133,50 +112,30 @@ impl Forecaster for MlpQuantile {
     }
 
     fn fit(&mut self, series: &[f64]) -> Result<(), ForecastError> {
-        let c = self.cfg.clone();
-        let needed = c.context + c.horizon + 1;
-        if series.len() < needed {
-            return Err(ForecastError::SeriesTooShort { needed, got: series.len() });
-        }
-        let scaler = Standardizer::fit(series);
-        let z = scaler.transform_vec(series);
+        let c = &self.cfg;
+        let (scaler, z) = window::standardize(series, c.context, c.horizon)?;
         let ds = WindowDataset::new(&z, c.context, c.horizon);
 
         let mut r = rng::seeded(c.seed);
-        let mut net = Mlp::new(&Self::widths(&c), Activation::Relu, &mut r);
+        let mut net = self.build_net(&mut r);
         let mut opt = Adam::new(c.lr);
-        let nq = c.quantiles.len();
 
-        for epoch in 0..c.epochs {
-            let mut epoch_loss = 0.0;
-            let mut norm_sum = 0.0;
-            for _ in 0..c.windows_per_epoch {
-                let idx = (rng::uniform_open(&mut r) * ds.len() as f64) as usize;
-                let (ctx, tgt) = ds.example(idx.min(ds.len() - 1));
+        window::train(
+            &ds,
+            c.epochs,
+            c.windows_per_epoch,
+            &mut r,
+            |ctx, tgt, loss| {
                 let out = net.forward(ctx);
-                let mut dout = vec![0.0; out.len()];
-                let scale = 1.0 / c.horizon as f64;
-                for (h, &y) in tgt.iter().enumerate() {
-                    let preds = &out[h * nq..(h + 1) * nq];
-                    let (l, g) = pinball_grid(preds, y, &c.quantiles);
-                    epoch_loss += l * scale;
-                    for (i, gi) in g.iter().enumerate() {
-                        dout[h * nq + i] = gi * scale;
-                    }
-                }
-                let _ = net.backward(&dout);
-                norm_sum += net.clip_grad_norm(5.0);
+                let _ = net.backward(&grid::pinball_step(&out, tgt, &c.quantiles, loss));
+                let norm = net.clip_grad_norm(window::CLIP_NORM);
                 opt.step_layer(&mut net);
-            }
-            self.obs.debug("train.mlp-quantile", "epoch", |e| {
-                e.field("epoch", epoch)
-                    .field("loss", epoch_loss / c.windows_per_epoch as f64)
-                    .field("grad_norm", norm_sum / c.windows_per_epoch as f64);
-            });
-        }
+                norm
+            },
+            |stats| self.obs.debug("train.mlp-quantile", "epoch", |e| stats.record(e)),
+        );
 
-        self.net = Some(net);
-        self.scaler = Some(scaler);
+        self.fitted = Some((net, scaler));
         Ok(())
     }
 
@@ -187,56 +146,18 @@ impl Forecaster for MlpQuantile {
         levels: &[f64],
     ) -> Result<QuantileForecast, ForecastError> {
         validate_levels(levels)?;
-        let net = self.net.as_ref().ok_or(ForecastError::NotFitted)?;
-        let scaler = self.scaler.as_ref().ok_or(ForecastError::NotFitted)?;
-        if horizon > self.cfg.horizon {
-            return Err(ForecastError::HorizonTooLong { max: self.cfg.horizon, requested: horizon });
-        }
-        if context.len() < self.cfg.context {
-            return Err(ForecastError::SeriesTooShort {
-                needed: self.cfg.context,
-                got: context.len(),
-            });
-        }
-        let ctx = &context[context.len() - self.cfg.context..];
+        let c = &self.cfg;
+        let guard = ContextGuard::direct(self.name(), c.context, c.horizon);
+        let ((net, scaler), ctx) = guard.admit(self.fitted.as_ref(), context, horizon)?;
         let out = net.apply(&scaler.transform_vec(ctx));
+        grid::decode(self.name(), &out, scaler, &c.quantiles, horizon, levels)
+    }
 
-        let nq = self.cfg.quantiles.len();
-        let mut grid_vals = Matrix::zeros(horizon, nq);
-        for h in 0..horizon {
-            for i in 0..nq {
-                grid_vals[(h, i)] = scaler.inverse(out[h * nq + i]);
-            }
-        }
-        let grid = QuantileForecast::new(self.cfg.quantiles.clone(), grid_vals);
-        if levels == self.cfg.quantiles.as_slice() {
-            return Ok(grid);
-        }
-        let mut values = Matrix::zeros(horizon, levels.len());
-        for h in 0..horizon {
-            for (i, &l) in levels.iter().enumerate() {
-                values[(h, i)] = grid.at(h, l);
-            }
-        }
-        Ok(QuantileForecast::new(levels.to_vec(), values))
+    fn export_weights(&mut self) -> Option<Vec<u8>> {
+        let (net, scaler) = self.fitted.as_mut()?;
+        Some(window::snapshot(&mut [net], Some(*scaler)))
     }
 }
-
-impl PointForecaster for MlpQuantile {
-    fn name(&self) -> &'static str {
-        "mlp-quantile"
-    }
-
-    fn fit(&mut self, series: &[f64]) -> Result<(), ForecastError> {
-        Forecaster::fit(self, series)
-    }
-
-    fn forecast(&self, context: &[f64], horizon: usize) -> Result<Vec<f64>, ForecastError> {
-        Ok(self.forecast_quantiles(context, horizon, &[0.5])?.median())
-    }
-}
-
-impl crate::types::ErrorFeedback for MlpQuantile {}
 
 #[cfg(test)]
 mod tests {
@@ -270,8 +191,8 @@ mod tests {
     fn learns_sinusoid_median() {
         let series = sine_series(600, 1.0, 1);
         let mut m = MlpQuantile::new(tiny_cfg());
-        Forecaster::fit(&mut m, &series).unwrap();
-        let med = PointForecaster::forecast(&m, &series[300..312], 4).unwrap();
+        m.fit(&series).unwrap();
+        let med = m.forecast_quantiles(&series[300..312], 4, &[0.5]).unwrap().median();
         for (h, &v) in med.iter().enumerate() {
             let truth = 90.0 + 18.0 * (2.0 * std::f64::consts::PI * (312 + h) as f64 / 12.0).sin();
             assert!((v - truth).abs() < 8.0, "h={h}: {v} vs {truth}");
@@ -282,7 +203,7 @@ mod tests {
     fn pinball_training_spreads_quantiles() {
         let series = sine_series(600, 3.0, 2);
         let mut m = MlpQuantile::new(tiny_cfg());
-        Forecaster::fit(&mut m, &series).unwrap();
+        m.fit(&series).unwrap();
         let f = m.forecast_quantiles(&series[120..132], 4, &[0.1, 0.9]).unwrap();
         for h in 0..4 {
             let w = f.at(h, 0.9) - f.at(h, 0.1);
@@ -295,7 +216,7 @@ mod tests {
     fn off_grid_levels_interpolate() {
         let series = sine_series(400, 1.0, 3);
         let mut m = MlpQuantile::new(tiny_cfg());
-        Forecaster::fit(&mut m, &series).unwrap();
+        m.fit(&series).unwrap();
         let f = m.forecast_quantiles(&series[..12], 2, &[0.3]).unwrap();
         let g = m.forecast_quantiles(&series[..12], 2, &[0.1, 0.5, 0.9]).unwrap();
         for h in 0..2 {
@@ -308,7 +229,7 @@ mod tests {
     fn weight_roundtrip() {
         let series = sine_series(400, 1.0, 4);
         let mut m = MlpQuantile::new(tiny_cfg());
-        Forecaster::fit(&mut m, &series).unwrap();
+        m.fit(&series).unwrap();
         let snap = m.export_weights().unwrap();
         let mut m2 = MlpQuantile::new(tiny_cfg());
         m2.import_weights(&snap).unwrap();
@@ -326,6 +247,6 @@ mod tests {
             ForecastError::NotFitted
         );
         let mut m = MlpQuantile::new(tiny_cfg());
-        assert!(Forecaster::fit(&mut m, &[1.0; 10]).is_err());
+        assert!(m.fit(&[1.0; 10]).is_err());
     }
 }

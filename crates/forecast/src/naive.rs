@@ -2,7 +2,9 @@
 //! sanity baselines for tests and as floor models in the evaluation — any
 //! learned model that cannot beat them is broken.
 
-use crate::types::{validate_levels, ForecastError, Forecaster, PointForecaster, QuantileForecast};
+use crate::types::{
+    require_len, validate_levels, ForecastError, Forecaster, PointForecaster, QuantileForecast,
+};
 use rpas_obs::Obs;
 use rpas_tsmath::stats::{self, RunningMoments};
 
@@ -26,9 +28,7 @@ impl Forecaster for LastValue {
     }
 
     fn fit(&mut self, series: &[f64]) -> Result<(), ForecastError> {
-        if series.len() < 3 {
-            return Err(ForecastError::SeriesTooShort { needed: 3, got: series.len() });
-        }
+        require_len(series, 3)?;
         let diffs = stats::difference(series, 1);
         self.sigma1 = Some(stats::std_dev(&diffs).max(1e-9));
         Ok(())
@@ -187,9 +187,7 @@ impl Forecaster for SeasonalNaive {
     }
 
     fn fit(&mut self, series: &[f64]) -> Result<(), ForecastError> {
-        if series.len() < 2 {
-            return Err(ForecastError::SeriesTooShort { needed: 2, got: series.len() });
-        }
+        require_len(series, 2)?;
         // Fold the residual stream through the one-pass accumulator —
         // the same op sequence `observe` extends, so the incremental
         // path stays bit-identical to a full re-fit.
@@ -249,9 +247,6 @@ impl Forecaster for SeasonalNaive {
         Ok(QuantileForecast::gaussian(levels, horizon, |h| (season[h % self.period], sigma)))
     }
 }
-
-impl crate::types::ErrorFeedback for LastValue {}
-impl crate::types::ErrorFeedback for SeasonalNaive {}
 
 #[cfg(test)]
 mod tests {

@@ -6,7 +6,7 @@
 //! the pad added to every future prediction is a high quantile of the
 //! observed *under*-estimation errors (`max(actual − forecast, 0)`).
 
-use crate::types::{ErrorFeedback, ForecastError, PointForecaster};
+use crate::types::{ForecastError, PointForecaster};
 use rpas_tsmath::stats;
 use std::collections::VecDeque;
 
@@ -57,11 +57,6 @@ impl<P: PointForecaster> PaddedForecaster<P> {
     pub fn history_len(&self) -> usize {
         self.errors.len()
     }
-
-    /// Access the wrapped forecaster.
-    pub fn inner(&self) -> &P {
-        &self.inner
-    }
 }
 
 impl<P: PointForecaster> PointForecaster for PaddedForecaster<P> {
@@ -77,9 +72,7 @@ impl<P: PointForecaster> PointForecaster for PaddedForecaster<P> {
         let pad = self.current_pad();
         Ok(self.inner.forecast(context, horizon)?.into_iter().map(|v| v + pad).collect())
     }
-}
 
-impl<P: PointForecaster> ErrorFeedback for PaddedForecaster<P> {
     fn observe_errors(&mut self, actuals: &[f64], forecasts: &[f64]) {
         self.observe(actuals, forecasts);
     }

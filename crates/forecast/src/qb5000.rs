@@ -3,8 +3,9 @@
 //! averaged — the paper's representative point-forecasting scaler (§IV-A).
 
 use crate::types::{ForecastError, PointForecaster};
+use crate::window::{self, ContextGuard};
 use rpas_nn::loss::mse;
-use rpas_nn::{Adam, Dense, Layer, LstmCell};
+use rpas_nn::{Adam, Dense, LstmCell};
 use rpas_traces::WindowDataset;
 use rpas_tsmath::stats::Standardizer;
 use rpas_tsmath::{rng, Matrix};
@@ -135,13 +136,8 @@ impl PointForecaster for Qb5000 {
     }
 
     fn fit(&mut self, series: &[f64]) -> Result<(), ForecastError> {
-        let c = self.cfg.clone();
-        let needed = c.context + c.horizon + 1;
-        if series.len() < needed {
-            return Err(ForecastError::SeriesTooShort { needed, got: series.len() });
-        }
-        let scaler = Standardizer::fit(series);
-        let z = scaler.transform_vec(series);
+        let c = &self.cfg;
+        let (scaler, z) = window::standardize(series, c.context, c.horizon)?;
         let ds = WindowDataset::new(&z, c.context, c.horizon);
         let n = ds.len();
 
@@ -175,10 +171,12 @@ impl PointForecaster for Qb5000 {
         let mut lstm = LstmCell::new(1, c.hidden, &mut r);
         let mut head = Dense::new(c.hidden, c.horizon, &mut r);
         let mut opt = Adam::new(c.lr);
-        for _ in 0..c.epochs {
-            for _ in 0..c.windows_per_epoch {
-                let idx = (rng::uniform_open(&mut r) * n as f64) as usize;
-                let (ctx, tgt) = ds.example(idx.min(n - 1));
+        window::train(
+            &ds,
+            c.epochs,
+            c.windows_per_epoch,
+            &mut r,
+            |ctx, tgt, _| {
                 let mut st = lstm.init_state();
                 for &zv in ctx {
                     st = lstm.forward(&[zv], &st);
@@ -193,15 +191,11 @@ impl PointForecaster for Qb5000 {
                     dh_next = dprev.h;
                     dc_next = dprev.c;
                 }
-                lstm.clip_grad_norm(5.0);
-                head.clip_grad_norm(5.0);
-                opt.begin_step();
-                lstm.visit_params(&mut |p| opt.update(p));
-                head.visit_params(&mut |p| opt.update(p));
-                lstm.zero_grad();
-                head.zero_grad();
-            }
-        }
+                window::clip_and_step(&mut opt, &mut [&mut lstm, &mut head])
+            },
+            // No audit trail: QB5000 is a baseline, trained silently.
+            |_| {},
+        );
 
         // --- Kernel component: store subsampled pairs, median bandwidth.
         let k_stride = (n / c.kernel_pairs).max(1);
@@ -237,30 +231,20 @@ impl PointForecaster for Qb5000 {
     }
 
     fn forecast(&self, context: &[f64], horizon: usize) -> Result<Vec<f64>, ForecastError> {
-        let f = self.fitted.as_ref().ok_or(ForecastError::NotFitted)?;
-        if horizon > self.cfg.horizon {
-            return Err(ForecastError::HorizonTooLong { max: self.cfg.horizon, requested: horizon });
-        }
-        if context.len() < self.cfg.context {
-            return Err(ForecastError::SeriesTooShort {
-                needed: self.cfg.context,
-                got: context.len(),
-            });
-        }
-        let ctx = &context[context.len() - self.cfg.context..];
+        let guard = ContextGuard::direct(self.name(), self.cfg.context, self.cfg.horizon);
+        let (f, ctx) = guard.admit(self.fitted.as_ref(), context, horizon)?;
         let zctx = f.scaler.transform_vec(ctx);
 
         let lin = Self::linear_predict(f, &zctx, horizon);
         let lstm = Self::lstm_predict(f, &zctx);
         let kern = Self::kernel_predict(f, &zctx, horizon);
 
-        Ok((0..horizon)
-            .map(|h| f.scaler.inverse((lin[h] + lstm[h] + kern[h]) / 3.0))
-            .collect())
+        let mean: Vec<f64> =
+            (0..horizon).map(|h| f.scaler.inverse((lin[h] + lstm[h] + kern[h]) / 3.0)).collect();
+        window::require_finite(self.name(), "ensemble output", &mean)?;
+        Ok(mean)
     }
 }
-
-impl crate::types::ErrorFeedback for Qb5000 {}
 
 #[cfg(test)]
 mod tests {

@@ -16,8 +16,9 @@
 //! interpolates between grid outputs — the retraining limitation the paper
 //! discusses for this family.
 
-use crate::types::{validate_levels, ForecastError, Forecaster, PointForecaster, QuantileForecast};
-use rpas_nn::loss::pinball_grid;
+use crate::grid;
+use crate::types::{validate_levels, ForecastError, Forecaster, QuantileForecast};
+use crate::window::{self, ContextGuard};
 use rpas_nn::{Adam, Dense, GatedResidualNetwork, Layer, LstmCell, MultiHeadAttention};
 use rpas_obs::Obs;
 use rpas_traces::WindowDataset;
@@ -72,18 +73,14 @@ struct TftNet {
     head: Dense,
 }
 
-impl TftNet {
-    fn visit(&mut self, f: &mut dyn FnMut(&mut rpas_nn::Param)) {
+impl Layer for TftNet {
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut rpas_nn::Param)) {
         self.input_proj.visit_params(f);
         self.lstm.visit_params(f);
         self.grn_enrich.visit_params(f);
         self.attn.visit_params(f);
         self.grn_post.visit_params(f);
         self.head.visit_params(f);
-    }
-
-    fn zero_grad(&mut self) {
-        self.visit(&mut |p| p.zero_grad());
     }
 
     fn clear_cache(&mut self) {
@@ -96,21 +93,10 @@ impl TftNet {
     }
 }
 
-impl rpas_nn::Layer for TftNet {
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut rpas_nn::Param)) {
-        self.visit(f);
-    }
-
-    fn clear_cache(&mut self) {
-        TftNet::clear_cache(self);
-    }
-}
-
 /// Simplified Temporal Fusion Transformer.
 pub struct Tft {
     cfg: TftConfig,
-    net: Option<TftNet>,
-    scaler: Option<Standardizer>,
+    fitted: Option<(TftNet, Standardizer)>,
     posenc: Matrix,
     obs: Obs,
 }
@@ -136,13 +122,9 @@ impl Tft {
     pub fn new(cfg: TftConfig) -> Self {
         assert!(cfg.context > 0 && cfg.horizon > 0, "degenerate window spec");
         assert!(cfg.d_model > 0 && cfg.d_model.is_multiple_of(cfg.heads), "heads must divide d_model");
-        assert!(
-            !cfg.quantiles.is_empty() && cfg.quantiles.windows(2).all(|w| w[0] < w[1]),
-            "quantile grid must be non-empty and strictly increasing"
-        );
-        assert!(cfg.quantiles.iter().all(|&q| q > 0.0 && q < 1.0), "grid levels must be in (0,1)");
+        grid::assert_valid(&cfg.quantiles);
         let posenc = positional_encoding(cfg.context, cfg.d_model);
-        Self { cfg, net: None, scaler: None, posenc, obs: Obs::noop() }
+        Self { cfg, fitted: None, posenc, obs: Obs::noop() }
     }
 
     /// Builder: attach an observability handle; `fit` then emits one
@@ -158,17 +140,11 @@ impl Tft {
         &self.cfg
     }
 
-    /// Trained quantile grid.
-    pub fn grid(&self) -> &[f64] {
-        &self.cfg.quantiles
-    }
-
     /// Forward with caches; returns the head output (grid predictions,
     /// z-scale) laid out `horizon-major`: `out[h * |grid| + i]`.
-    fn forward_train(&mut self, zctx: &[f64]) -> Vec<f64> {
+    fn forward_train(&self, net: &mut TftNet, zctx: &[f64]) -> Vec<f64> {
         let cfg_context = self.cfg.context;
         let d = self.cfg.d_model;
-        let net = self.net.as_mut().expect("forward_train after init");
         debug_assert_eq!(zctx.len(), cfg_context);
 
         let mut rows: Vec<Vec<f64>> = Vec::with_capacity(cfg_context);
@@ -191,10 +167,9 @@ impl Tft {
     }
 
     /// Backward matching [`Tft::forward_train`].
-    fn backward_train(&mut self, dout: &[f64]) {
+    fn backward_train(&self, net: &mut TftNet, dout: &[f64]) {
         let cfg_context = self.cfg.context;
         let d = self.cfg.d_model;
-        let net = self.net.as_mut().expect("backward_train after init");
 
         let dpost = net.head.backward(dout);
         let dsum = net.grn_post.backward(&dpost);
@@ -226,8 +201,7 @@ impl Tft {
     /// Inference-only forward: the values of [`Tft::forward_train`], bit
     /// for bit, on the shared net — no caches, one scratch set per call,
     /// and only the attention row the head reads.
-    fn forward_infer(&self, zctx: &[f64]) -> Vec<f64> {
-        let net = self.net.as_ref().expect("forward_infer after fit");
+    fn forward_infer(&self, net: &TftNet, zctx: &[f64]) -> Vec<f64> {
         let d = self.cfg.d_model;
         let last = zctx.len() - 1;
 
@@ -251,9 +225,8 @@ impl Tft {
         net.grn_post.apply_into(&summed, &mut scratch, &mut post);
         net.head.apply(&post)
     }
-}
 
-impl Tft {
+    /// The untrained network, initialised from its own `cfg.seed` stream.
     fn build_net(cfg: &TftConfig) -> TftNet {
         let mut r = rng::seeded(cfg.seed);
         let d = cfg.d_model;
@@ -267,34 +240,15 @@ impl Tft {
         }
     }
 
-    /// Snapshot the trained weights and input scaler (None until fitted).
-    pub fn export_weights(&mut self) -> Option<Vec<u8>> {
-        let scaler = self.scaler?;
-        let net = self.net.as_mut()?;
-        Some(
-            rpas_nn::save_weights(
-                &mut [net as &mut dyn rpas_nn::Layer],
-                &[scaler.mean, scaler.std],
-            )
-            .to_vec(),
-        )
-    }
-
-    /// Restore weights exported by [`Tft::export_weights`]; the model
-    /// becomes ready to forecast without calling `fit`.
+    /// Restore a snapshot taken by [`Forecaster::export_weights`]; the model
+    /// is then ready to forecast without calling `fit`.
     ///
     /// # Errors
     /// Fails when the snapshot does not match this config's architecture.
     pub fn import_weights(&mut self, data: &[u8]) -> Result<(), ForecastError> {
         let mut net = Self::build_net(&self.cfg);
-        let extras =
-            rpas_nn::load_weights(&mut [&mut net as &mut dyn rpas_nn::Layer], data)
-                .map_err(|e| ForecastError::InvalidConfig(format!("weight snapshot: {e}")))?;
-        if extras.len() != 2 {
-            return Err(ForecastError::InvalidConfig("snapshot missing scaler".into()));
-        }
-        self.net = Some(net);
-        self.scaler = Some(Standardizer { mean: extras[0], std: extras[1] });
+        let scaler = window::restore_scaled(&mut [&mut net], data)?;
+        self.fitted = Some((net, scaler));
         Ok(())
     }
 }
@@ -305,53 +259,33 @@ impl Forecaster for Tft {
     }
 
     fn fit(&mut self, series: &[f64]) -> Result<(), ForecastError> {
-        let c = self.cfg.clone();
-        let needed = c.context + c.horizon + 1;
-        if series.len() < needed {
-            return Err(ForecastError::SeriesTooShort { needed, got: series.len() });
-        }
-        let scaler = Standardizer::fit(series);
-        let z = scaler.transform_vec(series);
+        let c = &self.cfg;
+        let (scaler, z) = window::standardize(series, c.context, c.horizon)?;
         let ds = WindowDataset::new(&z, c.context, c.horizon);
 
+        // The net initialises from its own stream of the same seed; this
+        // one only draws windows.
         let mut r = rng::seeded(c.seed);
-        self.net = Some(Self::build_net(&c));
+        let mut net = Self::build_net(c);
         let mut opt = Adam::new(c.lr);
-        let nq = c.quantiles.len();
 
-        for epoch in 0..c.epochs {
-            let mut epoch_loss = 0.0;
-            let mut norm_sum = 0.0;
-            for _ in 0..c.windows_per_epoch {
-                let idx = (rng::uniform_open(&mut r) * ds.len() as f64) as usize;
-                let (ctx, tgt) = ds.example(idx.min(ds.len() - 1));
-                let out = self.forward_train(ctx);
-                let mut dout = vec![0.0; out.len()];
-                let scale = 1.0 / (c.horizon as f64);
-                for (h, &y) in tgt.iter().enumerate() {
-                    let preds = &out[h * nq..(h + 1) * nq];
-                    let (l, g) = pinball_grid(preds, y, &c.quantiles);
-                    epoch_loss += l * scale;
-                    for (i, gi) in g.iter().enumerate() {
-                        dout[h * nq + i] = gi * scale;
-                    }
-                }
-                self.backward_train(&dout);
-                let net = self.net.as_mut().expect("initialised above");
-                norm_sum += net.clip_grad_norm(5.0);
-                opt.begin_step();
-                net.visit(&mut |p| opt.update(p));
-                net.zero_grad();
+        window::train(
+            &ds,
+            c.epochs,
+            c.windows_per_epoch,
+            &mut r,
+            |ctx, tgt, loss| {
+                let out = self.forward_train(&mut net, ctx);
+                self.backward_train(&mut net, &grid::pinball_step(&out, tgt, &c.quantiles, loss));
+                let norm = net.clip_grad_norm(window::CLIP_NORM);
+                opt.step_layer(&mut net);
                 net.clear_cache();
-            }
-            self.obs.debug("train.tft", "epoch", |e| {
-                e.field("epoch", epoch)
-                    .field("loss", epoch_loss / c.windows_per_epoch as f64)
-                    .field("grad_norm", norm_sum / c.windows_per_epoch as f64);
-            });
-        }
+                norm
+            },
+            |stats| self.obs.debug("train.tft", "epoch", |e| stats.record(e)),
+        );
 
-        self.scaler = Some(scaler);
+        self.fitted = Some((net, scaler));
         Ok(())
     }
 
@@ -362,68 +296,18 @@ impl Forecaster for Tft {
         levels: &[f64],
     ) -> Result<QuantileForecast, ForecastError> {
         validate_levels(levels)?;
-        if self.net.is_none() || self.scaler.is_none() {
-            return Err(ForecastError::NotFitted);
-        }
-        if horizon > self.cfg.horizon {
-            return Err(ForecastError::HorizonTooLong { max: self.cfg.horizon, requested: horizon });
-        }
-        if context.len() < self.cfg.context {
-            return Err(ForecastError::SeriesTooShort {
-                needed: self.cfg.context,
-                got: context.len(),
-            });
-        }
-        let scaler = self.scaler.as_ref().expect("checked above");
-        let ctx = &context[context.len() - self.cfg.context..];
-        if !ctx.iter().all(|v| v.is_finite()) {
-            return Err(ForecastError::Unhealthy("tft: non-finite value in context".into()));
-        }
-        let zctx = scaler.transform_vec(ctx);
-        let out = self.forward_infer(&zctx);
-        if !out.iter().all(|v| v.is_finite()) {
-            return Err(ForecastError::Unhealthy("tft: non-finite head output".into()));
-        }
+        let c = &self.cfg;
+        let guard = ContextGuard::direct(self.name(), c.context, c.horizon);
+        let ((net, scaler), ctx) = guard.admit(self.fitted.as_ref(), context, horizon)?;
+        let out = self.forward_infer(net, &scaler.transform_vec(ctx));
+        grid::decode(self.name(), &out, scaler, &c.quantiles, horizon, levels)
+    }
 
-        // Grid forecast in data units.
-        let nq = self.cfg.quantiles.len();
-        let mut grid_vals = Matrix::zeros(horizon, nq);
-        for h in 0..horizon {
-            for i in 0..nq {
-                grid_vals[(h, i)] = scaler.inverse(out[h * nq + i]);
-            }
-        }
-        let grid_forecast = QuantileForecast::new(self.cfg.quantiles.clone(), grid_vals);
-
-        // Reindex to the requested levels (interpolating off-grid ones).
-        if levels == self.cfg.quantiles.as_slice() {
-            return Ok(grid_forecast);
-        }
-        let mut values = Matrix::zeros(horizon, levels.len());
-        for h in 0..horizon {
-            for (i, &l) in levels.iter().enumerate() {
-                values[(h, i)] = grid_forecast.at(h, l);
-            }
-        }
-        Ok(QuantileForecast::new(levels.to_vec(), values))
+    fn export_weights(&mut self) -> Option<Vec<u8>> {
+        let (net, scaler) = self.fitted.as_mut()?;
+        Some(window::snapshot(&mut [net], Some(*scaler)))
     }
 }
-
-impl PointForecaster for Tft {
-    fn name(&self) -> &'static str {
-        "tft"
-    }
-
-    fn fit(&mut self, series: &[f64]) -> Result<(), ForecastError> {
-        Forecaster::fit(self, series)
-    }
-
-    fn forecast(&self, context: &[f64], horizon: usize) -> Result<Vec<f64>, ForecastError> {
-        Ok(self.forecast_quantiles(context, horizon, &[0.5])?.median())
-    }
-}
-
-impl crate::types::ErrorFeedback for Tft {}
 
 #[cfg(test)]
 mod tests {
@@ -458,9 +342,9 @@ mod tests {
     fn learns_sinusoid_median() {
         let series = sine_series(500, 1.0, 1);
         let mut m = Tft::new(tiny_cfg());
-        Forecaster::fit(&mut m, &series).unwrap();
+        m.fit(&series).unwrap();
         let ctx = &series[240..252];
-        let med = PointForecaster::forecast(&m, ctx, 4).unwrap();
+        let med = m.forecast_quantiles(ctx, 4, &[0.5]).unwrap().median();
         for (h, &v) in med.iter().enumerate() {
             let truth = 80.0 + 15.0 * (2.0 * std::f64::consts::PI * (252 + h) as f64 / 12.0).sin();
             assert!((v - truth).abs() < 8.0, "h={h}: {v} vs {truth}");
@@ -471,7 +355,7 @@ mod tests {
     fn grid_levels_returned_directly() {
         let series = sine_series(300, 1.0, 2);
         let mut m = Tft::new(tiny_cfg());
-        Forecaster::fit(&mut m, &series).unwrap();
+        m.fit(&series).unwrap();
         let f = m.forecast_quantiles(&series[..12], 3, &[0.1, 0.5, 0.9]).unwrap();
         assert_eq!(f.levels(), &[0.1, 0.5, 0.9]);
         assert!(f.is_monotone());
@@ -481,7 +365,7 @@ mod tests {
     fn off_grid_levels_interpolate() {
         let series = sine_series(300, 1.0, 3);
         let mut m = Tft::new(tiny_cfg());
-        Forecaster::fit(&mut m, &series).unwrap();
+        m.fit(&series).unwrap();
         let f = m.forecast_quantiles(&series[..12], 2, &[0.3, 0.7]).unwrap();
         let g = m.forecast_quantiles(&series[..12], 2, &[0.1, 0.5, 0.9]).unwrap();
         // 0.3 must land between the 0.1 and 0.5 grid outputs.
@@ -495,7 +379,7 @@ mod tests {
     fn pinball_trained_quantiles_spread() {
         let series = sine_series(500, 3.0, 4);
         let mut m = Tft::new(tiny_cfg());
-        Forecaster::fit(&mut m, &series).unwrap();
+        m.fit(&series).unwrap();
         let f = m.forecast_quantiles(&series[120..132], 4, &[0.1, 0.9]).unwrap();
         for h in 0..4 {
             let w = f.at(h, 0.9) - f.at(h, 0.1);
@@ -512,7 +396,7 @@ mod tests {
         );
         let series = sine_series(300, 1.0, 5);
         let mut m = Tft::new(tiny_cfg());
-        Forecaster::fit(&mut m, &series).unwrap();
+        m.fit(&series).unwrap();
         assert!(matches!(
             m.forecast_quantiles(&series[..12], 9, &[0.5]).unwrap_err(),
             ForecastError::HorizonTooLong { .. }
@@ -523,52 +407,18 @@ mod tests {
     fn forward_infer_matches_forward_train_bit_for_bit() {
         let series = sine_series(300, 2.0, 6);
         let mut m = Tft::new(TftConfig { epochs: 3, ..tiny_cfg() });
-        Forecaster::fit(&mut m, &series).unwrap();
-        let scaler = m.scaler.unwrap();
+        m.fit(&series).unwrap();
+        let (mut net, scaler) = m.fitted.take().unwrap();
         for start in [0, 37, 200] {
             let zctx = scaler.transform_vec(&series[start..start + 12]);
-            let fast = m.forward_infer(&zctx);
-            let reference = m.forward_train(&zctx);
-            m.net.as_mut().unwrap().clear_cache();
+            let fast = m.forward_infer(&net, &zctx);
+            let reference = m.forward_train(&mut net, &zctx);
+            net.clear_cache();
             assert_eq!(fast.len(), reference.len());
             for (i, (a, b)) in fast.iter().zip(&reference).enumerate() {
                 assert_eq!(a.to_bits(), b.to_bits(), "window {start} output {i}: {a:e} vs {b:e}");
             }
         }
-    }
-
-    #[test]
-    fn non_finite_context_is_unhealthy_not_a_nan_forecast() {
-        let series = sine_series(300, 1.0, 7);
-        let mut m = Tft::new(TftConfig { epochs: 2, ..tiny_cfg() });
-        Forecaster::fit(&mut m, &series).unwrap();
-        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            let mut ctx = series[..12].to_vec();
-            ctx[5] = bad;
-            assert!(matches!(
-                m.forecast_quantiles(&ctx, 4, &[0.1, 0.5, 0.9]).unwrap_err(),
-                ForecastError::Unhealthy(_)
-            ));
-        }
-        // A non-finite value the context window has already slid past is fine.
-        let mut long = vec![f64::NAN];
-        long.extend_from_slice(&series[..12]);
-        assert_eq!(
-            m.forecast_quantiles(&long, 4, &[0.5]).unwrap(),
-            m.forecast_quantiles(&series[..12], 4, &[0.5]).unwrap()
-        );
-    }
-
-    #[test]
-    fn diverged_weights_are_unhealthy_not_a_nan_forecast() {
-        let series = sine_series(300, 1.0, 8);
-        let mut m = Tft::new(TftConfig { epochs: 2, ..tiny_cfg() });
-        Forecaster::fit(&mut m, &series).unwrap();
-        m.net.as_mut().unwrap().head.b.data[0] = f64::NAN;
-        assert!(matches!(
-            m.forecast_quantiles(&series[..12], 4, &[0.5]).unwrap_err(),
-            ForecastError::Unhealthy(_)
-        ));
     }
 
     #[test]

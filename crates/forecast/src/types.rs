@@ -25,10 +25,11 @@ pub enum ForecastError {
         requested: usize,
     },
     /// A forecast failed a health check (non-finite values, implausible
-    /// magnitude). Raised by health gates wrapping a forecaster, and by a
-    /// base model that would otherwise have to panic or return NaN
-    /// quantiles: DeepAR on a non-finite context, head output or sample,
-    /// TFT on a non-finite context or head output.
+    /// magnitude). Raised by health gates wrapping a forecaster, and by
+    /// every window-trained model (MLP, MLP-quantile, DeepAR, TFT, QB5000)
+    /// that would otherwise have to panic, return NaN or — worse — return a
+    /// finite number computed through one: on a non-finite value in the
+    /// context window it reads, or a non-finite head output or sample.
     Unhealthy(String),
 }
 
@@ -238,6 +239,15 @@ pub trait Forecaster {
         horizon: usize,
         levels: &[f64],
     ) -> Result<QuantileForecast, ForecastError>;
+
+    /// Snapshot the trained weights (and input scaler, where the model has
+    /// a global one) in the `rpas-nn` snapshot format; `None` until fitted,
+    /// and for models with nothing to snapshot. The neural models restore
+    /// one with their `import_weights`, on an instance built from the same
+    /// config.
+    fn export_weights(&mut self) -> Option<Vec<u8>> {
+        None
+    }
 }
 
 /// A point workload forecaster — Definition 1 of the paper.
@@ -256,14 +266,11 @@ pub trait PointForecaster {
     /// # Errors
     /// Fails when unfitted or the context/horizon are unsupported.
     fn forecast(&self, context: &[f64], horizon: usize) -> Result<Vec<f64>, ForecastError>;
-}
 
-/// Optional feedback channel for point forecasters: scalers report the
-/// realised workload against what was forecast once a window completes.
-/// Most models ignore it; the CloudScale-style padding wrapper uses it to
-/// size its under-estimation pad.
-pub trait ErrorFeedback {
-    /// Record realised `actuals` against the `forecasts` issued for them.
+    /// Feedback channel: scalers report the realised `actuals` against the
+    /// `forecasts` issued for them once a window completes. Most models
+    /// ignore it; the CloudScale-style padding wrapper uses it to size its
+    /// under-estimation pad.
     fn observe_errors(&mut self, actuals: &[f64], forecasts: &[f64]) {
         let _ = (actuals, forecasts);
     }
@@ -271,6 +278,9 @@ pub trait ErrorFeedback {
 
 /// Adapter: use a quantile forecaster's median as a point forecaster
 /// (e.g. **TFT-point** in the paper — TFT trained/read at the 0.5 quantile).
+/// This is the one point view of a [`Forecaster`]; a type implements
+/// [`PointForecaster`] by hand only when its point forecast is something
+/// other than that median.
 pub struct PointFromQuantile<F: Forecaster> {
     inner: F,
     name: &'static str,
@@ -280,11 +290,6 @@ impl<F: Forecaster> PointFromQuantile<F> {
     /// Wrap a quantile forecaster, overriding its display name.
     pub fn new(inner: F, name: &'static str) -> Self {
         Self { inner, name }
-    }
-
-    /// Access the wrapped forecaster.
-    pub fn inner(&self) -> &F {
-        &self.inner
     }
 }
 
@@ -302,6 +307,15 @@ impl<F: Forecaster> PointForecaster for PointFromQuantile<F> {
     }
 }
 
+/// `SeriesTooShort` unless `series` (a training series or a context) holds
+/// at least `needed` samples (shared by the model impls).
+pub(crate) fn require_len(series: &[f64], needed: usize) -> Result<(), ForecastError> {
+    if series.len() < needed {
+        return Err(ForecastError::SeriesTooShort { needed, got: series.len() });
+    }
+    Ok(())
+}
+
 /// Validate a requested level set (shared by the model impls).
 pub(crate) fn validate_levels(levels: &[f64]) -> Result<(), ForecastError> {
     if levels.is_empty() {
@@ -315,8 +329,6 @@ pub(crate) fn validate_levels(levels: &[f64]) -> Result<(), ForecastError> {
     }
     Ok(())
 }
-
-impl<F: Forecaster> ErrorFeedback for PointFromQuantile<F> {}
 
 #[cfg(test)]
 mod tests {

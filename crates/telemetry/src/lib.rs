@@ -1,6 +1,6 @@
 //! Fleet telemetry for the rpas workspace.
 //!
-//! Four deterministic, std-only layers (DESIGN.md §11):
+//! Three deterministic, std-only layers (DESIGN.md §11):
 //!
 //! 1. [`registry`] — a sharded [`MetricRegistry`] of labelled counters,
 //!    gauges, and fixed-bucket histograms. Fleet workers record through
@@ -8,12 +8,11 @@
 //!    render to a canonical sorted text exposition and to schema-v1
 //!    JSONL. The [`Telemetry`] front handle mirrors [`rpas_obs::Obs`]:
 //!    the dark (no-op) path is a single branch per recording.
-//! 2. [`window`] — tumbling/sliding windows keyed on **sim ticks**
-//!    (never wall clock) computing rate/mean/quantile series.
-//! 3. [`slo`] — declarative objectives with error budgets and
-//!    multi-window burn-rate alerting, emitting `slo/*` audit events
-//!    through an existing [`rpas_obs::Obs`] handle.
-//! 4. [`query`] / [`diff`] — offline tooling over recorded schema-v1
+//! 2. [`slo`] — declarative objectives with error budgets and
+//!    multi-window burn-rate alerting over **sim ticks** (never wall
+//!    clock), emitting `slo/*` audit events through an existing
+//!    [`rpas_obs::Obs`] handle.
+//! 3. [`query`] / [`diff`] — offline tooling over recorded schema-v1
 //!    traces: filter/group/aggregate, and structural diff of two runs
 //!    (event-count deltas, metric deltas, first-divergence pointer).
 //!
@@ -28,7 +27,6 @@ pub mod diff;
 pub mod query;
 pub mod registry;
 pub mod slo;
-pub mod window;
 
 pub use diff::{diff_traces, Divergence, TraceDiff};
 pub use query::{run_query, Aggregate, GroupBy, QueryFilter, QueryResult};
@@ -37,4 +35,3 @@ pub use registry::{
     SnapshotValue, Telemetry,
 };
 pub use slo::{BurnAlert, BurnRule, RatioSeries, SloReport, SloSpec, SloStatus};
-pub use window::{TickSeries, WindowSpec, WindowStat};

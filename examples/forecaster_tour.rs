@@ -31,7 +31,7 @@ fn main() {
     models.push(("seasonal-naive", Box::new(m)));
 
     let mut m = Arima::new(ArimaConfig { p: 5, d: 1, q: 1 });
-    Forecaster::fit(&mut m, &train.values).expect("fit");
+    m.fit(&train.values).expect("fit");
     models.push(("arima", Box::new(m)));
 
     let mut m = MlpProb::new(MlpProbConfig {
@@ -44,7 +44,7 @@ fn main() {
         windows_per_epoch: 64,
         seed: 1,
     });
-    Forecaster::fit(&mut m, &train.values).expect("fit");
+    m.fit(&train.values).expect("fit");
     models.push(("mlp (student-t)", Box::new(m)));
 
     let mut m = DeepAr::new(DeepArConfig {
@@ -57,7 +57,7 @@ fn main() {
         num_samples: 100,
         seed: 1,
     });
-    Forecaster::fit(&mut m, &train.values).expect("fit");
+    m.fit(&train.values).expect("fit");
     models.push(("deepar", Box::new(m)));
 
     let mut m = Tft::new(TftConfig {
@@ -71,7 +71,7 @@ fn main() {
         windows_per_epoch: 64,
         seed: 1,
     });
-    Forecaster::fit(&mut m, &train.values).expect("fit");
+    m.fit(&train.values).expect("fit");
     models.push(("tft", Box::new(m)));
 
     println!(

@@ -244,8 +244,8 @@ fn forecast(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>>
         return Err("test split shorter than the context window".into());
     }
 
-    let mut model = match model_name {
-        "tft" => CliModel::Tft(
+    let mut model: Box<dyn Forecaster> = match model_name {
+        "tft" => Box::new(
             Tft::new(TftConfig {
                 context,
                 horizon,
@@ -255,7 +255,7 @@ fn forecast(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>>
             })
             .with_obs(obs.clone()),
         ),
-        "deepar" => CliModel::DeepAr(
+        "deepar" => Box::new(
             DeepAr::new(DeepArConfig {
                 context,
                 train_window: context + 3 * horizon,
@@ -264,25 +264,25 @@ fn forecast(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>>
             })
             .with_obs(obs.clone()),
         ),
-        "mlp" => CliModel::Mlp(
+        "mlp" => Box::new(
             MlpProb::new(MlpProbConfig { context, horizon, seed, ..Default::default() })
                 .with_obs(obs.clone()),
         ),
-        "arima" => CliModel::Arima(Arima::new(ArimaConfig::default())),
-        "holt-winters" => CliModel::HoltWinters(HoltWinters::new(HoltWintersConfig {
+        "arima" => Box::new(Arima::new(ArimaConfig::default())),
+        "holt-winters" => Box::new(HoltWinters::new(HoltWintersConfig {
             period: STEPS_PER_DAY,
             ..Default::default()
         })),
-        "seasonal-naive" => CliModel::SeasonalNaive(SeasonalNaive::new(STEPS_PER_DAY)),
+        "seasonal-naive" => Box::new(SeasonalNaive::new(STEPS_PER_DAY)),
         other => return Err(format!("unknown model {other:?}").into()),
     };
 
     obs.info("cli", "train_start", |e| {
         e.field("model", model_name).field("samples", train.len());
     });
-    model.as_forecaster_mut().fit(&train.values)?;
+    model.fit(&train.values)?;
     let ctx = &test.values[test.len() - ctx_len..];
-    let qf = model.as_forecaster().forecast_quantiles(ctx, horizon, &SCALING_LEVELS)?;
+    let qf = model.forecast_quantiles(ctx, horizon, &SCALING_LEVELS)?;
 
     let mut cols: Vec<(String, Vec<f64>)> = vec![(
         "step".into(),
@@ -307,52 +307,6 @@ fn forecast(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>>
         }
     }
     Ok(())
-}
-
-/// Concrete model dispatch for the CLI (keeps weight export type-safe).
-/// Variant sizes differ wildly (TFT holds its positional-encoding table),
-/// but exactly one short-lived instance exists per invocation.
-#[allow(clippy::large_enum_variant)]
-enum CliModel {
-    Tft(Tft),
-    DeepAr(DeepAr),
-    Mlp(MlpProb),
-    Arima(Arima),
-    HoltWinters(HoltWinters),
-    SeasonalNaive(SeasonalNaive),
-}
-
-impl CliModel {
-    fn as_forecaster(&self) -> &dyn Forecaster {
-        match self {
-            CliModel::Tft(m) => m,
-            CliModel::DeepAr(m) => m,
-            CliModel::Mlp(m) => m,
-            CliModel::Arima(m) => m,
-            CliModel::HoltWinters(m) => m,
-            CliModel::SeasonalNaive(m) => m,
-        }
-    }
-
-    fn as_forecaster_mut(&mut self) -> &mut dyn Forecaster {
-        match self {
-            CliModel::Tft(m) => m,
-            CliModel::DeepAr(m) => m,
-            CliModel::Mlp(m) => m,
-            CliModel::Arima(m) => m,
-            CliModel::HoltWinters(m) => m,
-            CliModel::SeasonalNaive(m) => m,
-        }
-    }
-
-    fn export_weights(&mut self) -> Option<Vec<u8>> {
-        match self {
-            CliModel::Tft(m) => m.export_weights(),
-            CliModel::DeepAr(m) => m.export_weights(),
-            CliModel::Mlp(m) => m.export_weights(),
-            CliModel::Arima(_) | CliModel::HoltWinters(_) | CliModel::SeasonalNaive(_) => None,
-        }
-    }
 }
 
 fn plan(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>> {

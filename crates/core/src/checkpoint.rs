@@ -19,8 +19,9 @@
 //! JSONL written and read through one private `Codec` per type (no serde
 //! in this workspace): plain structs are a `"key" => field` row table
 //! that drives both directions, the irregular shapes one hand-written
-//! impl with both directions side by side. The text is parsed back with
-//! `rpas-obs`'s JSON parser. One object per line:
+//! impl with both directions side by side. Each line is decoded in one
+//! pass straight off `rpas-obs`'s borrowed JSON [`Reader`], with no tree
+//! in between. One object per line:
 //!
 //! ```text
 //! {"kind":"header","schema":"rpas-fleet-checkpoint","version":1,...}
@@ -37,26 +38,43 @@
 //! `"s:<text>"` / `"b:0|1"` so [`rpas_obs::Value`] variants round-trip
 //! exactly.
 //!
-//! ## Forward compatibility
+//! ## Reading, and forward compatibility
 //!
 //! The header carries `schema` and `version`; readers reject unknown
-//! values instead of guessing. Unknown object keys are *ignored* on
-//! read, so a future v1.x writer may add fields without breaking v1
-//! readers; anything that changes the meaning of existing fields must
-//! bump `version`.
+//! values instead of guessing, and before they decode anything else.
+//! Within any object of the file:
+//!
+//! * *Member order is free.* A reader walks the members as they come and
+//!   fills one slot per member it knows; a slot left empty is a
+//!   `missing key` error.
+//! * *Unknown keys are ignored* — validated as JSON and skipped — so a
+//!   future v1.x writer may add fields without breaking v1 readers;
+//!   anything that changes the meaning of existing fields must bump
+//!   `version`.
+//! * *A repeated key* (no writer emits one): every occurrence is decoded
+//!   and the last one kept. The exception is a member that selects what
+//!   the rest of the object means — a union's tag (`kind`, `state`), the
+//!   `counter` / `gauge_bits` / `hist` member of a metric cell, the
+//!   header's `schema` and `version`. Those are read by look-ahead before
+//!   the walk, from their first occurrence, so a second one is refused
+//!   (`duplicate member`) rather than guessed at.
+//!
+//! What the text gets wrong is always an `Err`, never a panic, and past
+//! the header the error names its line.
 
 use crate::autoscaler::{QuantilePredictivePolicy, ReplanSchedule};
 use crate::fleet::{FleetConfig, FleetEngine, TenantPolicy, TenantPolicyKind, TracePreset};
 use crate::resilient::{NaiveSnapshot, ResilienceConfig, ResilientSnapshot, Tier};
 use crate::supervisor::{FleetSupervisor, SupervisorConfig, TenantGuard, TenantHealth};
 use rpas_forecast::SeasonalNaive;
-use rpas_obs::json::{escape_str, parse};
-use rpas_obs::{Event, Json, Level, MemorySink, Obs, Sink, Value};
+use rpas_obs::json::{escape_into, Kind, Reader};
+use rpas_obs::{Event, Level, Obs, Value};
 use rpas_simdb::{
     ClusterSnapshot, FaultConfig, FaultCounts, NodeSnapshot, ScaleOutcome, SessionSnapshot,
     StepRecord, StorageStats,
 };
 use rpas_telemetry::{BurnRule, CellDump, CellValue, SloSpec, Telemetry};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -66,34 +84,96 @@ pub const SCHEMA: &str = "rpas-fleet-checkpoint";
 /// Current schema version.
 pub const VERSION: u64 = 1;
 
-type Map = BTreeMap<String, Json>;
-
 /// The wire format of one type, both directions side by side: `enc`
-/// appends the value's JSON text, `dec` reads it back (`what` names the
-/// value in error messages).
+/// appends the value's JSON text, `dec` reads it back from the reader's
+/// position (`what` names the value in error messages).
 trait Codec: Sized {
     fn enc(&self, out: &mut String);
-    fn dec(j: &Json, what: &str) -> Result<Self, String>;
+    fn dec(r: &mut Reader<'_>, what: &str) -> Result<Self, String>;
 }
 
-fn obj<'a>(j: &'a Json, what: &str) -> Result<&'a Map, String> {
-    j.as_obj().ok_or_else(|| format!("{what}: expected object"))
+fn obj(r: &mut Reader<'_>, what: &str) -> Result<(), String> {
+    match r.peek()? {
+        Kind::Obj => r.begin_object(),
+        _ => Err(format!("{what}: expected object")),
+    }
 }
 
-fn arr<'a>(j: &'a Json, what: &str) -> Result<&'a [Json], String> {
-    match j {
-        Json::Arr(items) => Ok(items),
+fn arr(r: &mut Reader<'_>, what: &str) -> Result<(), String> {
+    match r.peek()? {
+        Kind::Arr => r.begin_array(),
         _ => Err(format!("{what}: expected array")),
     }
 }
 
-fn get<'a>(m: &'a Map, key: &str, what: &str) -> Result<&'a Json, String> {
-    m.get(key).ok_or_else(|| format!("{what}: missing key {key:?}"))
+/// A string value, borrowed from the line unless it holds an escape;
+/// anything else is an `Err` saying `what` should have been `expected`.
+fn text<'a>(r: &mut Reader<'a>, what: &str, expected: &str) -> Result<Cow<'a, str>, String> {
+    match r.peek()? {
+        Kind::Str => r.string(),
+        _ => Err(format!("{what}: expected {expected}")),
+    }
 }
 
-/// Decode the member `key` of object `m`.
-fn field<T: Codec>(m: &Map, key: &str, what: &str) -> Result<T, String> {
-    T::dec(get(m, key, what)?, key)
+/// Walk the members of the object at `$r` in file order (the module doc
+/// has the rules). Each `"key" => slot` row is decoded — by
+/// [`Codec::dec`], or by the expression after `=` — and bound as `slot`;
+/// the keys under `once` are those the caller has read by look-ahead.
+macro_rules! members {
+    ($r:ident, $what:expr $(, once($($tag:literal),+))? => {
+        $($key:literal => $slot:ident $(: $ty:ty)? $(= $with:expr)?),* $(,)?
+    }) => {
+        $(let mut $slot $(: Option<$ty>)? = None;)*
+        let mut seen = 0u32;
+        obj($r, $what)?;
+        while let Some(key) = $r.next_key()? {
+            match &*key {
+                $($key => $slot = Some(members!(@value $r, $key $(, $with)?)),)*
+                other => pass($r, other, &[$($($tag),+)?], &mut seen, $what)?,
+            }
+        }
+        $(let $slot = $slot.ok_or_else(|| format!("{}: missing key {:?}", $what, $key))?;)*
+    };
+    (@value $r:ident, $key:literal) => { Codec::dec($r, $key)? };
+    (@value $r:ident, $key:literal, $with:expr) => { $with };
+}
+
+/// Step over a member [`members!`] has no row for; `seen` marks which of
+/// the `once` keys have gone by.
+fn pass(
+    r: &mut Reader<'_>,
+    key: &str,
+    once: &[&str],
+    seen: &mut u32,
+    what: &str,
+) -> Result<(), String> {
+    if let Some(i) = once.iter().position(|k| *k == key) {
+        if *seen & (1 << i) != 0 {
+            return Err(format!("{what}: duplicate member {key:?}"));
+        }
+        *seen |= 1 << i;
+    }
+    r.skip_value()
+}
+
+/// Look ahead, on a copy of the cursor, for member `key` of the object at
+/// `r`: a reader in front of its value. A tag is the first member in
+/// every file `save` writes; anywhere else costs the skip to get there.
+fn find<'a>(mut r: Reader<'a>, key: &str, what: &str) -> Result<Option<Reader<'a>>, String> {
+    obj(&mut r, what)?;
+    while let Some(k) = r.next_key()? {
+        if k == key {
+            return Ok(Some(r));
+        }
+        r.skip_value()?;
+    }
+    Ok(None)
+}
+
+/// The string tag under `key` of the object at `r`, by look-ahead.
+fn tag<'a>(r: &Reader<'a>, key: &str, what: &str) -> Result<Cow<'a, str>, String> {
+    let mut at = find(*r, key, what)?.ok_or_else(|| format!("{what}: missing key {key:?}"))?;
+    text(&mut at, key, "string")
 }
 
 /// Append `lead` (punctuation plus a quoted key) and then `v`.
@@ -102,15 +182,26 @@ fn row<T: Codec>(out: &mut String, lead: &str, v: &T) {
     v.enc(out);
 }
 
-/// The text behind `tag` in a tagged-string scalar.
-fn tagged<'a>(j: &'a Json, tag: &str, what: &str) -> Result<&'a str, String> {
-    let s = j.as_str().ok_or_else(|| format!("{what}: expected a {tag:?}-tagged string"))?;
+/// The text behind `tag` in the tagged-string scalar `s`.
+fn untag<'s>(s: &'s str, tag: &str, what: &str) -> Result<&'s str, String> {
     s.strip_prefix(tag).ok_or_else(|| format!("{what}: expected {tag:?} tag, got {s:?}"))
+}
+
+fn u64_from(s: &str, what: &str) -> Result<u64, String> {
+    let rest = untag(s, "u:", what)?;
+    rest.parse().map_err(|e| format!("{what}: bad u64 {rest:?}: {e}"))
+}
+
+fn f64_from(s: &str, what: &str) -> Result<f64, String> {
+    let rest = untag(s, "f:", what)?;
+    let bits = u64::from_str_radix(rest, 16)
+        .map_err(|e| format!("{what}: bad f64 bits {rest:?}: {e}"))?;
+    Ok(f64::from_bits(bits))
 }
 
 fn enc_str(s: &str, out: &mut String) {
     out.push('"');
-    out.push_str(&escape_str(s));
+    escape_into(out, s);
     out.push('"');
 }
 
@@ -122,9 +213,8 @@ impl Codec for u64 {
     fn enc(&self, out: &mut String) {
         let _ = write!(out, "\"u:{self}\"");
     }
-    fn dec(j: &Json, what: &str) -> Result<Self, String> {
-        let rest = tagged(j, "u:", what)?;
-        rest.parse().map_err(|e| format!("{what}: bad u64 {rest:?}: {e}"))
+    fn dec(r: &mut Reader<'_>, what: &str) -> Result<Self, String> {
+        u64_from(&text(r, what, "a \"u:\"-tagged string")?, what)
     }
 }
 
@@ -136,8 +226,8 @@ macro_rules! narrow_uint {
             fn enc(&self, out: &mut String) {
                 (*self as u64).enc(out);
             }
-            fn dec(j: &Json, what: &str) -> Result<Self, String> {
-                let v = u64::dec(j, what)?;
+            fn dec(r: &mut Reader<'_>, what: &str) -> Result<Self, String> {
+                let v = u64::dec(r, what)?;
                 <$t>::try_from(v)
                     .map_err(|_| format!("{what}: {v} out of {} range", stringify!($t)))
             }
@@ -150,11 +240,8 @@ impl Codec for f64 {
     fn enc(&self, out: &mut String) {
         let _ = write!(out, "\"f:{:016x}\"", self.to_bits());
     }
-    fn dec(j: &Json, what: &str) -> Result<Self, String> {
-        let rest = tagged(j, "f:", what)?;
-        let bits = u64::from_str_radix(rest, 16)
-            .map_err(|e| format!("{what}: bad f64 bits {rest:?}: {e}"))?;
-        Ok(f64::from_bits(bits))
+    fn dec(r: &mut Reader<'_>, what: &str) -> Result<Self, String> {
+        f64_from(&text(r, what, "a \"f:\"-tagged string")?, what)
     }
 }
 
@@ -162,9 +249,9 @@ impl Codec for bool {
     fn enc(&self, out: &mut String) {
         out.push_str(if *self { "true" } else { "false" });
     }
-    fn dec(j: &Json, what: &str) -> Result<Self, String> {
-        match j {
-            Json::Bool(b) => Ok(*b),
+    fn dec(r: &mut Reader<'_>, what: &str) -> Result<Self, String> {
+        match r.peek()? {
+            Kind::Bool => r.bool(),
             _ => Err(format!("{what}: expected bool")),
         }
     }
@@ -174,8 +261,8 @@ impl Codec for String {
     fn enc(&self, out: &mut String) {
         enc_str(self, out);
     }
-    fn dec(j: &Json, what: &str) -> Result<Self, String> {
-        j.as_str().map(str::to_string).ok_or_else(|| format!("{what}: expected string"))
+    fn dec(r: &mut Reader<'_>, what: &str) -> Result<Self, String> {
+        text(r, what, "string").map(Cow::into_owned)
     }
 }
 
@@ -183,8 +270,8 @@ impl Codec for Arc<str> {
     fn enc(&self, out: &mut String) {
         enc_str(self, out);
     }
-    fn dec(j: &Json, what: &str) -> Result<Self, String> {
-        String::dec(j, what).map(Arc::from)
+    fn dec(r: &mut Reader<'_>, what: &str) -> Result<Self, String> {
+        text(r, what, "string").map(Arc::from)
     }
 }
 
@@ -195,10 +282,10 @@ impl<T: Codec> Codec for Option<T> {
             Some(v) => v.enc(out),
         }
     }
-    fn dec(j: &Json, what: &str) -> Result<Self, String> {
-        match j {
-            Json::Null => Ok(None),
-            other => T::dec(other, what).map(Some),
+    fn dec(r: &mut Reader<'_>, what: &str) -> Result<Self, String> {
+        match r.peek()? {
+            Kind::Null => r.null().map(|()| None),
+            _ => T::dec(r, what).map(Some),
         }
     }
 }
@@ -211,13 +298,28 @@ impl<T: Codec> Codec for Vec<T> {
         }
         out.push(']');
     }
-    fn dec(j: &Json, what: &str) -> Result<Self, String> {
-        arr(j, what)?.iter().map(|x| T::dec(x, what)).collect()
+    fn dec(r: &mut Reader<'_>, what: &str) -> Result<Self, String> {
+        let mut items = Vec::new();
+        arr(r, what)?;
+        while r.next_element()? {
+            items.push(T::dec(r, what)?);
+        }
+        Ok(items)
     }
 }
 
-/// Tuples travel as fixed-length arrays; the reader's slice pattern
-/// makes a wrong length an `Err`.
+/// Step within a fixed-length array: to its next element or, with `more`
+/// off, past its end. An array longer or shorter than the elements
+/// `shape` lists is an `Err`.
+fn step(r: &mut Reader<'_>, more: bool, what: &str, shape: &str) -> Result<(), String> {
+    if r.next_element()? == more {
+        Ok(())
+    } else {
+        Err(format!("{what}: expected [{shape}]"))
+    }
+}
+
+/// Tuples travel as fixed-length arrays; a wrong length is an `Err`.
 macro_rules! tuple_codec {
     ($(($T:ident, $t:ident, $i:tt)),+) => {
         impl<$($T: Codec),+> Codec for ($($T,)+) {
@@ -225,11 +327,15 @@ macro_rules! tuple_codec {
                 $(row(out, if $i == 0 { "[" } else { "," }, &self.$i);)+
                 out.push(']');
             }
-            fn dec(j: &Json, what: &str) -> Result<Self, String> {
-                match arr(j, what)? {
-                    [$($t),+] => Ok(($($T::dec($t, what)?,)+)),
-                    _ => Err(format!("{what}: expected [{}]", stringify!($($t),+))),
-                }
+            fn dec(r: &mut Reader<'_>, what: &str) -> Result<Self, String> {
+                let shape = stringify!($($t),+);
+                arr(r, what)?;
+                let items = ($({
+                    step(r, true, what, shape)?;
+                    $T::dec(r, what)?
+                },)+);
+                step(r, false, what, shape)?;
+                Ok(items)
             }
         }
     };
@@ -244,9 +350,9 @@ macro_rules! label_codec {
             fn enc(&self, out: &mut String) {
                 enc_str(self.$label(), out);
             }
-            fn dec(j: &Json, what: &str) -> Result<Self, String> {
-                let s = j.as_str().ok_or_else(|| format!("{what}: expected string"))?;
-                <$t>::parse(s).ok_or_else(|| format!("{what}: unknown label {s:?}"))
+            fn dec(r: &mut Reader<'_>, what: &str) -> Result<Self, String> {
+                let s = text(r, what, "string")?;
+                <$t>::parse(&s).ok_or_else(|| format!("{what}: unknown label {s:?}"))
             }
         }
     )+};
@@ -260,24 +366,12 @@ label_codec!(Level: as_str);
 
 /// A struct that travels as a JSON object. [`record!`] derives both
 /// directions from one `"key" => field` table: the writer walks the rows
-/// in order and the reader builds the struct *literal* from them, so a
-/// field without a row does not compile and the two cannot drift.
-/// Unknown keys are ignored on read. The rows are exposed without their
+/// in order, the reader fills one slot per row ([`members!`]) and builds
+/// the struct *literal* from the slots, so a field without a row does not
+/// compile and the two cannot drift. The rows are exposed without their
 /// braces so that a tagged union can splice them into its own object.
-trait Record: Sized {
+trait Record {
     fn enc_rows(&self, out: &mut String);
-    fn dec_rows(m: &Map, what: &str) -> Result<Self, String>;
-}
-
-impl<T: Record> Codec for T {
-    fn enc(&self, out: &mut String) {
-        out.push('{');
-        self.enc_rows(out);
-        out.push('}');
-    }
-    fn dec(j: &Json, what: &str) -> Result<Self, String> {
-        Self::dec_rows(obj(j, what)?, what)
-    }
 }
 
 macro_rules! record {
@@ -287,19 +381,23 @@ macro_rules! record {
                 row(out, concat!("\"", $key0, "\":"), &self.$field0);
                 $(row(out, concat!(",\"", $key, "\":"), &self.$field);)*
             }
-            fn dec_rows(m: &Map, what: &str) -> Result<Self, String> {
-                Ok($ty {
-                    $field0: field(m, $key0, what)?,
-                    $($field: field(m, $key, what)?,)*
-                })
+        }
+        impl Codec for $ty {
+            fn enc(&self, out: &mut String) {
+                out.push('{');
+                self.enc_rows(out);
+                out.push('}');
+            }
+            fn dec(r: &mut Reader<'_>, what: &str) -> Result<Self, String> {
+                members!(r, what => { $key0 => $field0 $(, $key => $field)* });
+                Ok($ty { $field0 $(, $field)* })
             }
         }
     };
 }
 
 /// A struct that travels as a fixed-length JSON array of its fields, in
-/// table order. The reader takes the array apart with a slice pattern,
-/// so a wrong length is an `Err` and nothing is indexed.
+/// table order; a wrong length is an `Err`.
 macro_rules! array_record {
     ($ty:ident [$field0:ident $(, $field:ident)* $(,)?]) => {
         impl Codec for $ty {
@@ -308,17 +406,21 @@ macro_rules! array_record {
                 $(row(out, ",", &self.$field);)*
                 out.push(']');
             }
-            fn dec(j: &Json, what: &str) -> Result<Self, String> {
-                match arr(j, what)? {
-                    [$field0 $(, $field)*] => Ok($ty {
-                        $field0: Codec::dec($field0, stringify!($field0))?,
-                        $($field: Codec::dec($field, stringify!($field))?,)*
-                    }),
-                    _ => Err(format!(
-                        "{what}: expected [{}]",
-                        stringify!($field0 $(, $field)*)
-                    )),
-                }
+            fn dec(r: &mut Reader<'_>, what: &str) -> Result<Self, String> {
+                let shape = stringify!($field0 $(, $field)*);
+                arr(r, what)?;
+                let v = $ty {
+                    $field0: {
+                        step(r, true, what, shape)?;
+                        Codec::dec(r, stringify!($field0))?
+                    },
+                    $($field: {
+                        step(r, true, what, shape)?;
+                        Codec::dec(r, stringify!($field))?
+                    },)*
+                };
+                step(r, false, what, shape)?;
+                Ok(v)
             }
         }
     };
@@ -420,25 +522,27 @@ impl Codec for FleetConfig {
         row(out, ",\"slo\":", &self.slo);
         out.push('}');
     }
-    fn dec(j: &Json, what: &str) -> Result<Self, String> {
-        let m = obj(j, what)?;
+    fn dec(r: &mut Reader<'_>, what: &str) -> Result<Self, String> {
+        members!(r, what => {
+            "tenants" => tenants,
+            "seed" => seed,
+            "days" => days,
+            "theta" => theta,
+            "min_nodes" => min_nodes,
+            "tau" => tau,
+            "context" => context,
+            "horizon" => horizon,
+            "policies" => policies,
+            "presets" => presets,
+            "resilience" => resilience,
+            "faults" => faults,
+            "capture_events" => capture_events,
+            "slo" => slo,
+        });
+        let schedule = ReplanSchedule { context, horizon };
         Ok(FleetConfig {
-            tenants: field(m, "tenants", what)?,
-            seed: field(m, "seed", what)?,
-            days: field(m, "days", what)?,
-            theta: field(m, "theta", what)?,
-            min_nodes: field(m, "min_nodes", what)?,
-            tau: field(m, "tau", what)?,
-            schedule: ReplanSchedule {
-                context: field(m, "context", what)?,
-                horizon: field(m, "horizon", what)?,
-            },
-            policies: field(m, "policies", what)?,
-            presets: field(m, "presets", what)?,
-            resilience: field(m, "resilience", what)?,
-            faults: field(m, "faults", what)?,
-            capture_events: field(m, "capture_events", what)?,
-            slo: field(m, "slo", what)?,
+            tenants, seed, days, theta, min_nodes, tau, schedule, policies, presets, resilience,
+            faults, capture_events, slo,
         })
     }
 }
@@ -456,20 +560,20 @@ impl Codec for Value {
             Value::F64(x) => x.enc(out),
             Value::Str(s) => {
                 out.push_str("\"s:");
-                out.push_str(&escape_str(s));
+                escape_into(out, s);
                 out.push('"');
             }
         }
     }
-    fn dec(j: &Json, what: &str) -> Result<Self, String> {
-        let s = j.as_str().ok_or_else(|| format!("{what}: expected a tagged string"))?;
+    fn dec(r: &mut Reader<'_>, what: &str) -> Result<Self, String> {
+        let s = &*text(r, what, "a tagged string")?;
         match (s.get(..2).unwrap_or(s), s.get(2..).unwrap_or("")) {
             ("s:", text) => Ok(Value::Str(text.to_string())),
             ("i:", dec) => {
                 dec.parse().map(Value::I64).map_err(|e| format!("{what}: bad i64 {dec:?}: {e}"))
             }
-            ("u:", _) => u64::dec(j, what).map(Value::U64),
-            ("f:", _) => f64::dec(j, what).map(Value::F64),
+            ("u:", _) => u64_from(s, what).map(Value::U64),
+            ("f:", _) => f64_from(s, what).map(Value::F64),
             ("b:", "1") => Ok(Value::Bool(true)),
             ("b:", "0") => Ok(Value::Bool(false)),
             _ => Err(format!("{what}: unknown value tag {s:?}")),
@@ -477,29 +581,47 @@ impl Codec for Value {
     }
 }
 
-/// A captured event minus what is not state: `seq` / `ts_us` are
-/// re-stamped on re-emit and `*_us` fields are wall-clock timings.
+/// The fields of a captured event, minus the `*_us` wall-clock timings
+/// (they are not state).
+impl Codec for BTreeMap<String, Value> {
+    fn enc(&self, out: &mut String) {
+        out.push('{');
+        let fields = self.iter().filter(|(k, _)| !k.ends_with("_us"));
+        for (i, (k, v)) in fields.enumerate() {
+            row(out, if i > 0 { "," } else { "" }, k);
+            row(out, ":", v);
+        }
+        out.push('}');
+    }
+    fn dec(r: &mut Reader<'_>, what: &str) -> Result<Self, String> {
+        let mut fields = BTreeMap::new();
+        obj(r, what)?;
+        while let Some(key) = r.next_key()? {
+            let value = Value::dec(r, &key)?;
+            fields.insert(key.into_owned(), value);
+        }
+        Ok(fields)
+    }
+}
+
+/// A captured event minus what is not state: `seq` / `ts_us` / `wall_us`
+/// are re-stamped on re-emit.
 impl Codec for Event {
     fn enc(&self, out: &mut String) {
         row(out, "{\"l\":", &self.level);
         row(out, ",\"s\":", &self.span);
         row(out, ",\"n\":", &self.name);
-        out.push_str(",\"f\":{");
-        let fields = self.fields.iter().filter(|(k, _)| !k.ends_with("_us"));
-        for (i, (k, v)) in fields.enumerate() {
-            row(out, if i > 0 { "," } else { "" }, k);
-            row(out, ":", v);
-        }
-        out.push_str("}}");
+        row(out, ",\"f\":", &self.fields);
+        out.push('}');
     }
-    fn dec(j: &Json, what: &str) -> Result<Self, String> {
-        let m = obj(j, what)?;
-        let (span, name): (String, String) = (field(m, "s", what)?, field(m, "n", what)?);
-        let mut ev = Event::new(field(m, "l", what)?, &span, &name);
-        for (k, v) in obj(get(m, "f", what)?, "event.f")? {
-            ev.fields.insert(k.clone(), Value::dec(v, k)?);
-        }
-        Ok(ev)
+    fn dec(r: &mut Reader<'_>, what: &str) -> Result<Self, String> {
+        members!(r, what => {
+            "l" => level,
+            "s" => span,
+            "n" => name,
+            "f" => fields = Codec::dec(r, "event.f")?,
+        });
+        Ok(Event { seq: 0, ts_us: 0, level, span, name, fields, wall_us: None })
     }
 }
 
@@ -517,15 +639,20 @@ impl Codec for TenantHealth {
         }
         out.push('}');
     }
-    fn dec(j: &Json, what: &str) -> Result<Self, String> {
-        let m = obj(j, what)?;
-        match field::<String>(m, "state", what)?.as_str() {
-            "healthy" => Ok(TenantHealth::Healthy),
-            "quarantined" => Ok(TenantHealth::Quarantined {
-                until_tick: field(m, "until", what)?,
-                reason: field(m, "reason", what)?,
-            }),
-            "probation" => Ok(TenantHealth::Probation { clean_ticks: field(m, "clean", what)? }),
+    fn dec(r: &mut Reader<'_>, what: &str) -> Result<Self, String> {
+        match &*tag(r, "state", what)? {
+            "healthy" => {
+                members!(r, what, once("state") => {});
+                Ok(TenantHealth::Healthy)
+            }
+            "quarantined" => {
+                members!(r, what, once("state") => { "until" => until_tick, "reason" => reason });
+                Ok(TenantHealth::Quarantined { until_tick, reason })
+            }
+            "probation" => {
+                members!(r, what, once("state") => { "clean" => clean_ticks });
+                Ok(TenantHealth::Probation { clean_ticks })
+            }
             other => Err(format!("{what}: unknown health state {other:?}")),
         }
     }
@@ -543,23 +670,22 @@ impl Codec for TenantGuard {
         out.extend(self.outage.iter().map(|&lost| if lost { '1' } else { '0' }));
         out.push_str("\"}");
     }
-    fn dec(j: &Json, what: &str) -> Result<Self, String> {
-        let m = obj(j, what)?;
-        let outage = field::<String>(m, "outage", what)?
-            .chars()
-            .map(|c| match c {
-                '0' => Ok(false),
-                '1' => Ok(true),
-                other => Err(format!("{what}: bad outage flag {other:?}")),
-            })
-            .collect::<Result<_, _>>()?;
-        Ok(TenantGuard {
-            health: field(m, "health", what)?,
-            failures: field(m, "failures", what)?,
-            strikes: field(m, "strikes", what)?,
-            last_error: field(m, "last_error", what)?,
-            outage,
-        })
+    fn dec(r: &mut Reader<'_>, what: &str) -> Result<Self, String> {
+        members!(r, what => {
+            "health" => health,
+            "failures" => failures,
+            "strikes" => strikes,
+            "last_error" => last_error,
+            "outage" => outage = text(r, "outage", "string")?
+                .chars()
+                .map(|c| match c {
+                    '0' => Ok(false),
+                    '1' => Ok(true),
+                    other => Err(format!("{what}: bad outage flag {other:?}")),
+                })
+                .collect::<Result<_, _>>()?,
+        });
+        Ok(TenantGuard { health, failures, strikes, last_error, outage })
     }
 }
 
@@ -580,23 +706,24 @@ impl Codec for CellDump {
         }
         out.push('}');
     }
-    fn dec(j: &Json, what: &str) -> Result<Self, String> {
-        let m = obj(j, what)?;
-        let value = if let Some(v) = m.get("counter") {
-            CellValue::Counter(u64::dec(v, "counter")?)
-        } else if let Some(v) = m.get("gauge_bits") {
-            CellValue::GaugeBits(u64::dec(v, "gauge_bits")?)
-        } else if let Some(v) = m.get("hist") {
-            let h = obj(v, "hist")?;
-            CellValue::Hist {
-                bounds: field(h, "bounds", "hist")?,
-                counts: field(h, "counts", "hist")?,
-                sum: field(h, "sum", "hist")?,
-            }
+    fn dec(r: &mut Reader<'_>, what: &str) -> Result<Self, String> {
+        // Which value member is present says which variant this is.
+        let value = if let Some(mut at) = find(*r, "counter", what)? {
+            CellValue::Counter(u64::dec(&mut at, "counter")?)
+        } else if let Some(mut at) = find(*r, "gauge_bits", what)? {
+            CellValue::GaugeBits(u64::dec(&mut at, "gauge_bits")?)
+        } else if let Some(mut at) = find(*r, "hist", what)? {
+            let at = &mut at;
+            members!(at, "hist" => { "bounds" => bounds, "counts" => counts, "sum" => sum });
+            CellValue::Hist { bounds, counts, sum }
         } else {
             return Err(format!("{what}: expected counter, gauge_bits or hist"));
         };
-        Ok(CellDump { name: field(m, "name", what)?, labels: field(m, "labels", what)?, value })
+        members!(r, what, once("counter", "gauge_bits", "hist") => {
+            "name" => name,
+            "labels" => labels,
+        });
+        Ok(CellDump { name, labels, value })
     }
 }
 
@@ -623,15 +750,25 @@ impl Codec for PolicyState {
         }
         out.push('}');
     }
-    fn dec(j: &Json, what: &str) -> Result<Self, String> {
-        let m = obj(j, what)?;
-        match field::<String>(m, "kind", what)?.as_str() {
-            "reactive-max" => Ok(PolicyState::ReactiveMax),
-            "predictive" => Ok(PolicyState::Predictive(field(m, "state", what)?)),
-            "resilient" => Ok(PolicyState::Resilient {
-                ladder: ResilientSnapshot::dec_rows(m, what)?,
-                primary: field(m, "primary", what)?,
-            }),
+    fn dec(r: &mut Reader<'_>, what: &str) -> Result<Self, String> {
+        match &*tag(r, "kind", what)? {
+            "reactive-max" => {
+                members!(r, what, once("kind") => {});
+                Ok(PolicyState::ReactiveMax)
+            }
+            "predictive" => {
+                members!(r, what, once("kind") => { "state" => state });
+                Ok(PolicyState::Predictive(state))
+            }
+            "resilient" => {
+                // The ladder's rows are spliced into this object: read
+                // them as a record from a copy of the cursor (to which
+                // `kind` and `primary` are unknown keys), then walk the
+                // object itself for the rest.
+                let ladder = ResilientSnapshot::dec(&mut r.clone(), what)?;
+                members!(r, what, once("kind") => { "primary" => primary });
+                Ok(PolicyState::Resilient { ladder, primary })
+            }
             other => Err(format!("{what}: unknown policy kind {other:?}")),
         }
     }
@@ -724,11 +861,12 @@ pub fn save(sup: &FleetSupervisor, cfg: &FleetConfig, tel: &Telemetry) -> Result
         row(&mut out, ",\"policy\":", &PolicyState::of(&run.policy)?);
         row(&mut out, ",\"session\":", &run.session.snapshot());
         row(&mut out, ",\"guard\":", guard);
-        row(
-            &mut out,
-            ",\"events\":",
-            &run.capture.as_ref().map_or_else(Vec::new, MemorySink::events),
-        );
+        out.push_str(",\"events\":");
+        // Encoded in place under the sink's lock, not from a copy.
+        match &run.capture {
+            Some(mem) => mem.with_events(|events| events.enc(&mut out)),
+            None => out.push_str("[]"),
+        }
         out.push_str("}\n");
     }
 
@@ -739,38 +877,126 @@ pub fn save(sup: &FleetSupervisor, cfg: &FleetConfig, tel: &Telemetry) -> Result
     Ok(out)
 }
 
+/// The header line: `(tick, total_ticks, config, supervisor)`. `kind`,
+/// `schema` and `version` are read by look-ahead and checked *before*
+/// anything whose shape a version may change is decoded, so a v2 file
+/// answers "unsupported version", not a complaint about a member v2
+/// reshaped. The line (about a kilobyte) is validated whole first, so a
+/// malformed header says so whatever the look-aheads would have met.
+fn read_header(line: &str) -> Result<(u64, u64, FleetConfig, SupervisorConfig), String> {
+    let r = &mut Reader::new(line);
+    let mut whole = *r;
+    whole.skip_value().and_then(|()| whole.end()).map_err(|e| format!("header: {e}"))?;
+
+    let kind = tag(r, "kind", "header")?;
+    if kind != "header" {
+        return Err(format!("first line must be the header, got kind {kind:?}"));
+    }
+    let schema = tag(r, "schema", "header")?;
+    if schema != SCHEMA {
+        return Err(format!("unknown checkpoint schema {schema:?}"));
+    }
+    let mut at = find(*r, "version", "header")?.ok_or("header: missing key \"version\"")?;
+    let version = match at.peek()? {
+        Kind::Num => {
+            let v = at.number()?;
+            if v.fract().abs() > 0.0 || !(0.0..=f64::from(u32::MAX)).contains(&v) {
+                return Err(format!("header.version: {v} is not an integral version number"));
+            }
+            v as u64
+        }
+        _ => u64::dec(&mut at, "header.version")?,
+    };
+    if version != VERSION {
+        return Err(format!("unsupported checkpoint version {version} (reader supports {VERSION})"));
+    }
+
+    members!(r, "header", once("kind", "schema", "version") => {
+        "tick" => tick,
+        "total_ticks" => total_ticks,
+        "config" => cfg,
+        "supervisor" => sup_cfg,
+    });
+    Ok((tick, total_ticks, cfg, sup_cfg))
+}
+
+/// Decode one line after the header — whole, into locals — and then
+/// apply it to the rebuilt fleet; `seen` counts the tenant lines so far.
+/// Answers whether this was the `end` line.
+fn apply_line(
+    line: &str,
+    sup: &mut FleetSupervisor,
+    tel: &Telemetry,
+    seen: &mut usize,
+) -> Result<bool, String> {
+    let r = &mut Reader::new(line);
+    match &*tag(r, "kind", "line")? {
+        "tenant" => {
+            members!(r, "tenant", once("kind") => {
+                "id" => id: usize,
+                "policy" => policy: PolicyState,
+                "session" => session,
+                "guard" => guard,
+                "events" => events: Vec<Event>,
+            });
+            r.end()?;
+            if id != *seen {
+                return Err(format!("tenant lines out of order: expected {seen}, got {id}"));
+            }
+            let tenants = sup.engine.runs.len();
+            let (Some(run), Some(slot)) = (sup.engine.runs.get_mut(id), sup.guards.get_mut(id))
+            else {
+                return Err(format!("tenant {id} beyond fleet size {tenants}"));
+            };
+            run.session.restore(&session).map_err(|e| format!("session: {e}"))?;
+            let (theta, min_nodes) = (run.spec.theta, run.spec.min_nodes);
+            policy.restore(&mut run.policy, theta, min_nodes)?;
+            if let Some(mem) = &run.capture {
+                // The checkpoint's buffer already holds the rebuild's
+                // build-time events, so it replaces the sink's.
+                mem.with_events(|buf| *buf = events);
+            } else if !events.is_empty() {
+                return Err(format!(
+                    "tenant {id} has captured events but the config disables capture"
+                ));
+            }
+            *slot = guard;
+            *seen += 1;
+        }
+        "telemetry" => {
+            members!(r, "telemetry", once("kind") => { "cells" => cells: Vec<CellDump> });
+            r.end()?;
+            tel.restore(&cells).map_err(|e| format!("cells: {e}"))?;
+        }
+        "end" => {
+            members!(r, "end", once("kind") => { "tenants" => n: usize });
+            r.end()?;
+            if n != *seen {
+                return Err(format!("end line says {n} tenants, saw {seen}"));
+            }
+            return Ok(true);
+        }
+        other => return Err(format!("unknown line kind {other:?}")),
+    }
+    Ok(false)
+}
+
 /// Rebuild a supervised fleet from checkpoint text: reconstruct every
 /// tenant from the embedded config (traces, fault plans and fitted
 /// forecasters are re-derived from seeds), then overwrite all mutable
 /// state. `tel` receives the restored metric cells **absolutely** (store,
 /// not add) and `obs` becomes the fleet-level handle. Returns the
 /// supervisor plus the embedded [`FleetConfig`].
+///
+/// # Errors
+/// Malformed or truncated text, a wrong schema or version, a
+/// configuration no fleet can be built from, and state that does not fit
+/// the rebuilt fleet (a session cursor beyond its trace, a metric cell of
+/// another kind or shape).
 pub fn load(text: &str, tel: &Telemetry, obs: Obs) -> Result<(FleetSupervisor, FleetConfig), String> {
-    let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-    let header_line = lines.next().ok_or("empty checkpoint")?;
-    let header_json = parse(header_line).map_err(|e| format!("header: {e}"))?;
-    let header = obj(&header_json, "header")?;
-    let kind: String = field(header, "kind", "header")?;
-    if kind != "header" {
-        return Err(format!("first line must be the header, got kind {kind:?}"));
-    }
-    let schema: String = field(header, "schema", "header")?;
-    if schema != SCHEMA {
-        return Err(format!("unknown checkpoint schema {schema:?}"));
-    }
-    let version = match get(header, "version", "header")? {
-        Json::Num(v) if v.fract().abs() > 0.0 || !(0.0..=f64::from(u32::MAX)).contains(v) => {
-            return Err(format!("header.version: {v} is not an integral version number"))
-        }
-        Json::Num(v) => *v as u64,
-        other => u64::dec(other, "header.version")?,
-    };
-    if version != VERSION {
-        return Err(format!("unsupported checkpoint version {version} (reader supports {VERSION})"));
-    }
-    let total_ticks: u64 = field(header, "total_ticks", "header")?;
-    let cfg: FleetConfig = field(header, "config", "header")?;
-    let sup_cfg: SupervisorConfig = field(header, "supervisor", "header")?;
+    let mut lines = text.lines().enumerate().filter(|(_, l)| !l.trim().is_empty());
+    let (_, header) = lines.next().ok_or("empty checkpoint")?;
+    let (tick, total_ticks, cfg, sup_cfg) = read_header(header)?;
     cfg.validate().map_err(|why| format!("header.config: {why}"))?;
     sup_cfg.validate().map_err(|why| format!("header.supervisor: {why}"))?;
 
@@ -782,65 +1008,21 @@ pub fn load(text: &str, tel: &Telemetry, obs: Obs) -> Result<(FleetSupervisor, F
             sup.total_ticks
         ));
     }
-    sup.tick = field(header, "tick", "header")?;
+    sup.tick = tick;
 
-    let tenants = sup.engine.runs.len();
     let mut seen = 0usize;
     let mut closed = false;
-    for line in lines {
+    for (n, line) in lines {
         if closed {
             return Err("data after the end line".to_string());
         }
-        let j = parse(line).map_err(|e| format!("line {}: {e}", seen + 2))?;
-        let m = obj(&j, "line")?;
-        match field::<String>(m, "kind", "line")?.as_str() {
-            "tenant" => {
-                let id: usize = field(m, "id", "tenant")?;
-                if id != seen {
-                    return Err(format!("tenant lines out of order: expected {seen}, got {id}"));
-                }
-                let (Some(run), Some(guard)) =
-                    (sup.engine.runs.get_mut(id), sup.guards.get_mut(id))
-                else {
-                    return Err(format!("tenant {id} beyond fleet size {tenants}"));
-                };
-                run.session.restore(&field(m, "session", "tenant")?);
-                let (theta, min_nodes) = (run.spec.theta, run.spec.min_nodes);
-                field::<PolicyState>(m, "policy", "tenant")?.restore(
-                    &mut run.policy,
-                    theta,
-                    min_nodes,
-                )?;
-                let events: Vec<Event> = field(m, "events", "tenant")?;
-                if let Some(mem) = &run.capture {
-                    // Discard the rebuild's build-time events; the
-                    // checkpoint's buffer already contains them.
-                    let _ = mem.drain();
-                    for ev in &events {
-                        mem.emit(ev);
-                    }
-                } else if !events.is_empty() {
-                    return Err(format!(
-                        "tenant {id} has captured events but the config disables capture"
-                    ));
-                }
-                *guard = field(m, "guard", "tenant")?;
-                seen += 1;
-            }
-            "telemetry" => tel.restore(&field::<Vec<CellDump>>(m, "cells", "telemetry")?),
-            "end" => {
-                let n: usize = field(m, "tenants", "end")?;
-                if n != seen {
-                    return Err(format!("end line says {n} tenants, saw {seen}"));
-                }
-                closed = true;
-            }
-            other => return Err(format!("unknown line kind {other:?}")),
-        }
+        closed = apply_line(line, &mut sup, tel, &mut seen)
+            .map_err(|e| format!("line {}: {e}", n + 1))?;
     }
     if !closed {
         return Err("truncated checkpoint: missing end line".to_string());
     }
+    let tenants = sup.engine.runs.len();
     if seen != tenants {
         return Err(format!("checkpoint has {seen} tenants, rebuilt fleet has {tenants}"));
     }
@@ -1006,6 +1188,50 @@ mod tests {
             let err = load(&hostile, &Telemetry::noop(), Obs::noop()).err().unwrap();
             assert!(err.starts_with("header.config: ") && err.contains(why), "{key}: {err}");
         }
+
+        // Well-formed lines whose state does not fit the fleet rebuilt
+        // from the header are an `Err` naming the line and the member —
+        // not an assert in `SimSession::restore`, `Histogram::new` /
+        // `from_parts` or the registry's kind check.
+        const BOUNDS: &str = "\"hist\":{\"bounds\":[\"f:";
+        let first_bound = text.find(BOUNDS).expect("a histogram cell") + BOUNDS.len();
+        let mut infinite_bound = text.clone();
+        infinite_bound.replace_range(first_bound..first_bound + 16, "7ff0000000000000");
+        let edit = |from: &str, to: &str| {
+            let edited = text.replacen(from, to, 1);
+            assert_ne!(edited, text, "{from} not found");
+            edited
+        };
+        for (hostile, line, why) in [
+            (
+                edit("\"session\":{\"t\":\"u:0\"", "\"session\":{\"t\":\"u:99999\""),
+                2,
+                "session: snapshot cursor 99999 beyond trace length 288",
+            ),
+            (
+                edit("\"counts\":[", "\"counts\":[\"u:0\","),
+                8,
+                "cells: metric \"sim.utilization_ratio\": histogram has 9 counts for 7 bounds",
+            ),
+            (infinite_bound, 8, "cells: metric \"sim.utilization_ratio\": histogram bounds must"),
+            (edit("\"counter\":", "\"gauge_bits\":"), 8, "already registered as counter"),
+        ] {
+            let err = load(&hostile, &Telemetry::live(), Obs::noop()).err().unwrap();
+            assert!(err.starts_with(&format!("line {line}: ")) && err.contains(why), "{err}");
+        }
+
+        // 100 KB of `[` is an `Err`, not a stack overflow: a typed
+        // decoder refuses the first level it did not expect, and under a
+        // key no decoder asks for the reader's nesting bound does.
+        let bomb = "[".repeat(100_000);
+        for (hostile, why) in [
+            (edit("\"events\":[", &format!("\"events\":[{bomb}")), "events: expected object"),
+            (edit("\"events\":[", &format!("\"events\":[{{\"later\":{bomb}")), "nesting deeper than"),
+            (edit("\"id\":", &format!("\"later\":{bomb},\"id\":")), "nesting deeper than"),
+        ] {
+            let err = load(&hostile, &Telemetry::noop(), Obs::noop()).err().unwrap();
+            assert!(err.starts_with("line 2: ") && err.contains(why), "{err}");
+        }
     }
 
     #[test]
@@ -1022,14 +1248,12 @@ mod tests {
         ] {
             let mut enc = String::new();
             v.enc(&mut enc);
-            let parsed = parse(&enc).unwrap();
-            assert_eq!(Value::dec(&parsed, "value").unwrap(), v, "roundtrip of {v:?}");
+            assert_eq!(Value::dec(&mut Reader::new(&enc), "value").unwrap(), v, "roundtrip of {v:?}");
         }
         // NaN: bitwise equality (PartialEq fails on NaN by design).
         let mut enc = String::new();
         Value::F64(f64::NAN).enc(&mut enc);
-        let parsed = parse(&enc).unwrap();
-        match Value::dec(&parsed, "value").unwrap() {
+        match Value::dec(&mut Reader::new(&enc), "value").unwrap() {
             Value::F64(x) => assert_eq!(x.to_bits(), f64::NAN.to_bits()),
             other => panic!("expected F64, got {other:?}"),
         }

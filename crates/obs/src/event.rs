@@ -8,8 +8,9 @@
 //! two runs of the same seeded experiment produce byte-identical content
 //! (see [`Event::content_line`]) while still carrying real timings.
 
-use crate::json::escape_str;
+use crate::json::escape_into;
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 /// Severity of an event, ordered from most to least severe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -65,19 +66,42 @@ pub enum Value {
 }
 
 impl Value {
+    /// Append the value as a JSON fragment. Finite floats are
+    /// `{}`-formatted with a decimal point or exponent forced, so the
+    /// fragment round-trips as a float (`3` would re-parse as an integer).
+    pub fn write_json(&self, out: &mut String) {
+        match self {
+            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Value::I64(i) => {
+                let _ = write!(out, "{i}");
+            }
+            Value::U64(u) => {
+                let _ = write!(out, "{u}");
+            }
+            Value::F64(x) if x.is_nan() => out.push_str("\"NaN\""),
+            Value::F64(x) if x.is_infinite() => {
+                out.push_str(if *x > 0.0 { "\"inf\"" } else { "\"-inf\"" });
+            }
+            Value::F64(x) => {
+                let start = out.len();
+                let _ = write!(out, "{x}");
+                if !out[start..].contains(['.', 'e', 'E']) {
+                    out.push_str(".0");
+                }
+            }
+            Value::Str(s) => {
+                out.push('"');
+                escape_into(out, s);
+                out.push('"');
+            }
+        }
+    }
+
     /// Render as a JSON value fragment.
     pub fn to_json(&self) -> String {
-        match self {
-            Value::Bool(b) => b.to_string(),
-            Value::I64(i) => i.to_string(),
-            Value::U64(u) => u.to_string(),
-            Value::F64(x) if x.is_nan() => "\"NaN\"".to_string(),
-            Value::F64(x) if x.is_infinite() => {
-                if *x > 0.0 { "\"inf\"".to_string() } else { "\"-inf\"".to_string() }
-            }
-            Value::F64(x) => format_f64(*x),
-            Value::Str(s) => format!("\"{}\"", escape_str(s)),
-        }
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
     }
 
     /// Render for the human-readable stderr sink (unquoted strings).
@@ -86,17 +110,6 @@ impl Value {
             Value::Str(s) => s.clone(),
             other => other.to_json(),
         }
-    }
-}
-
-/// `{}`-format a float, forcing a decimal point or exponent so the JSON
-/// value round-trips as a float (`3` would re-parse as an integer).
-fn format_f64(x: f64) -> String {
-    let s = format!("{x}");
-    if s.contains('.') || s.contains('e') || s.contains('E') {
-        s
-    } else {
-        format!("{s}.0")
     }
 }
 
@@ -188,29 +201,37 @@ impl Event {
         self
     }
 
-    /// Serialize as one schema-v1 JSONL line (no trailing newline).
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(128);
-        out.push_str(&format!(
-            "{{\"v\":{},\"seq\":{},\"ts_us\":{},\"level\":\"{}\",\"span\":\"{}\",\"event\":\"{}\",\"fields\":{{",
+    /// Append the event as one schema-v1 JSONL line (no trailing newline).
+    pub fn write_json(&self, out: &mut String) {
+        let _ = write!(
+            out,
+            "{{\"v\":{},\"seq\":{},\"ts_us\":{},\"level\":\"{}\",\"span\":\"",
             crate::schema::SCHEMA_VERSION,
             self.seq,
             self.ts_us,
             self.level.as_str(),
-            escape_str(&self.span),
-            escape_str(&self.name),
-        ));
+        );
+        escape_into(out, &self.span);
+        out.push_str("\",\"event\":\"");
+        escape_into(out, &self.name);
+        out.push_str("\",\"fields\":{");
         for (i, (k, v)) in self.fields.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\":{}", escape_str(k), v.to_json()));
-        }
-        out.push_str("}");
-        if let Some(w) = self.wall_us {
-            out.push_str(&format!(",\"wall_us\":{w}"));
+            out.push_str(if i > 0 { ",\"" } else { "\"" });
+            escape_into(out, k);
+            out.push_str("\":");
+            v.write_json(out);
         }
         out.push('}');
+        if let Some(w) = self.wall_us {
+            let _ = write!(out, ",\"wall_us\":{w}");
+        }
+        out.push('}');
+    }
+
+    /// Serialize as one schema-v1 JSONL line (no trailing newline).
+    pub fn to_json(&self) -> String {
+        let mut out = String::with_capacity(128);
+        self.write_json(&mut out);
         out
     }
 
@@ -224,7 +245,10 @@ impl Event {
             if k.ends_with("_us") {
                 continue;
             }
-            out.push_str(&format!(" {k}={}", v.to_json()));
+            out.push(' ');
+            out.push_str(k);
+            out.push('=');
+            v.write_json(&mut out);
         }
         out
     }
@@ -281,6 +305,68 @@ mod tests {
         b.field("forecast_us", 456u64);
         assert_eq!(a.content_line(), b.content_line());
         assert_ne!(a.to_json(), b.to_json());
+    }
+
+    /// `to_json` as it was before `write_json`: a `format!` per member,
+    /// an `escape_str` per string, a `String` per value.
+    fn reference_json(e: &Event) -> String {
+        use crate::json::escape_str;
+        let value = |v: &Value| match v {
+            Value::Bool(b) => b.to_string(),
+            Value::I64(i) => i.to_string(),
+            Value::U64(u) => u.to_string(),
+            Value::F64(x) if x.is_nan() => "\"NaN\"".to_string(),
+            Value::F64(x) if x.is_infinite() => {
+                if *x > 0.0 { "\"inf\"".to_string() } else { "\"-inf\"".to_string() }
+            }
+            Value::F64(x) => {
+                let s = format!("{x}");
+                if s.contains(['.', 'e', 'E']) { s } else { format!("{s}.0") }
+            }
+            Value::Str(s) => format!("\"{}\"", escape_str(s)),
+        };
+        let fields: Vec<String> =
+            e.fields.iter().map(|(k, v)| format!("\"{}\":{}", escape_str(k), value(v))).collect();
+        format!(
+            "{{\"v\":1,\"seq\":{},\"ts_us\":{},\"level\":\"{}\",\
+             \"span\":\"{}\",\"event\":\"{}\",\"fields\":{{{}}}{}}}",
+            e.seq,
+            e.ts_us,
+            e.level.as_str(),
+            escape_str(&e.span),
+            escape_str(&e.name),
+            fields.join(","),
+            e.wall_us.map_or(String::new(), |w| format!(",\"wall_us\":{w}")),
+        )
+    }
+
+    #[test]
+    fn write_json_appends_the_bytes_to_json_always_rendered() {
+        let floats = [
+            0.0, -0.0, 3.0, 0.95, -1.5e-7, 1e21, 1e300, f64::MIN_POSITIVE, f64::NAN, f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let texts =
+            ["", "plain", "q\"uo\\te", "tab\there\nline\r", "\u{1}ctl\u{1f}", "µ—漢🦀"];
+        let levels = [Level::Error, Level::Warn, Level::Info, Level::Debug];
+        let mut line = String::from("kept|");
+        for (i, text) in texts.iter().enumerate() {
+            let mut e = Event::new(levels[i % 4], text, texts[(i + 1) % texts.len()]);
+            e.seq = i as u64;
+            e.ts_us = u64::MAX - i as u64;
+            e.wall_us = (i % 2 == 0).then_some(i as u64 * 1000);
+            for (j, x) in floats.iter().enumerate().skip(i % 3) {
+                e.field(&format!("f{j}{text}"), *x);
+            }
+            e.field("flag", i % 2 == 0).field("neg", -(i as i64) - 1).field("n", i);
+            e.field(text, *text);
+            assert_eq!(e.to_json(), reference_json(&e));
+            crate::schema::validate_line(&e.to_json()).expect("schema-valid line");
+            let before = line.len();
+            e.write_json(&mut line);
+            assert_eq!(&line[before..], reference_json(&e));
+        }
+        assert!(line.starts_with("kept|{\"v\":1,"));
     }
 
     #[test]

@@ -20,6 +20,10 @@ pub struct Histogram {
     sum: f64,
 }
 
+fn finite_and_increasing(bounds: &[f64]) -> bool {
+    bounds.windows(2).all(|w| w[0] < w[1]) && bounds.iter().all(|b| b.is_finite())
+}
+
 impl Histogram {
     /// New histogram with the given inclusive upper bounds.
     ///
@@ -28,7 +32,7 @@ impl Histogram {
     pub fn new(bounds: Vec<f64>) -> Self {
         assert!(!bounds.is_empty(), "histogram needs at least one bucket bound");
         assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]) && bounds.iter().all(|b| b.is_finite()),
+            finite_and_increasing(&bounds),
             "histogram bounds must be finite and strictly increasing"
         );
         let n = bounds.len() + 1;
@@ -92,20 +96,27 @@ impl Histogram {
     /// [`Histogram::sum`], for checkpoint restore paths that must be
     /// lossless (the flat-string [`Histogram::decode`] drops the sum).
     ///
-    /// # Panics
-    /// Panics on invalid bounds (see [`Histogram::new`]) or when `counts`
-    /// is not one longer than `bounds`.
-    pub fn from_parts(bounds: Vec<f64>, counts: Vec<u64>, sum: f64) -> Self {
-        let mut h = Histogram::new(bounds);
-        assert_eq!(
-            counts.len(),
-            h.bounds.len() + 1,
-            "histogram counts must cover every bound plus overflow"
-        );
-        h.count = counts.iter().sum();
-        h.counts = counts;
-        h.sum = sum;
-        h
+    /// # Errors
+    /// The parts come from a file, so a shape [`Histogram::new`] would
+    /// panic on is an `Err` here: empty, non-finite or non-increasing
+    /// bounds, `counts` not one longer than `bounds`, or a total count
+    /// beyond `u64`.
+    pub fn from_parts(bounds: Vec<f64>, counts: Vec<u64>, sum: f64) -> Result<Self, String> {
+        if bounds.is_empty() || !finite_and_increasing(&bounds) {
+            return Err("histogram bounds must be non-empty, finite and strictly increasing".into());
+        }
+        if counts.len() != bounds.len() + 1 {
+            return Err(format!(
+                "histogram has {} counts for {} bounds plus overflow",
+                counts.len(),
+                bounds.len()
+            ));
+        }
+        let count = counts
+            .iter()
+            .try_fold(0u64, |total, &c| total.checked_add(c))
+            .ok_or("histogram counts overflow u64")?;
+        Ok(Self { bounds, counts, count, sum })
     }
 
     /// Mean of the finite samples (NaN when empty).
@@ -338,10 +349,28 @@ mod tests {
         for v in [5.0, 50.0, 500.0, 0.125] {
             h.record(v);
         }
-        let back = Histogram::from_parts(h.bounds().to_vec(), h.counts().to_vec(), h.sum());
+        let back =
+            Histogram::from_parts(h.bounds().to_vec(), h.counts().to_vec(), h.sum()).unwrap();
         assert_eq!(back, h, "from_parts is the exact inverse of the accessors");
         assert_eq!(back.sum().to_bits(), h.sum().to_bits());
         assert_eq!(back.mean().to_bits(), h.mean().to_bits());
+    }
+
+    #[test]
+    fn from_parts_refuses_what_new_would_panic_on() {
+        for (bounds, counts, why) in [
+            (vec![], vec![0], "bounds"),
+            (vec![1.0, 1.0], vec![0, 0, 0], "bounds"),
+            (vec![2.0, 1.0], vec![0, 0, 0], "bounds"),
+            (vec![f64::INFINITY], vec![0, 0], "bounds"),
+            (vec![f64::NAN, 1.0], vec![0, 0, 0], "bounds"),
+            (vec![1.0, 2.0], vec![0, 0], "2 counts for 2 bounds"),
+            (vec![1.0, 2.0], vec![0, 0, 0, 0], "4 counts for 2 bounds"),
+            (vec![1.0], vec![u64::MAX, 1], "overflow"),
+        ] {
+            let err = Histogram::from_parts(bounds, counts, 0.0).unwrap_err();
+            assert!(err.contains(why), "{err}");
+        }
     }
 
     #[test]

@@ -93,8 +93,9 @@ impl Sink for JsonlSink {
     }
 
     fn emit(&self, event: &Event) {
-        let mut f = self.file.lock().expect("trace file poisoned");
-        let _ = writeln!(f, "{}", event.to_json());
+        let mut line = event.to_json();
+        line.push('\n');
+        let _ = self.file.lock().expect("trace file poisoned").write_all(line.as_bytes());
     }
 
     fn flush(&self) {
@@ -121,21 +122,28 @@ impl MemorySink {
         Self::default()
     }
 
+    /// Run `f` on the capture buffer under the sink's lock: read it in
+    /// place (a checkpoint encodes it without a copy) or replace it whole
+    /// (a restore hands back the buffer it decoded).
+    pub fn with_events<R>(&self, f: impl FnOnce(&mut Vec<Event>) -> R) -> R {
+        f(&mut self.events.lock().expect("memory sink poisoned"))
+    }
+
     /// Snapshot of everything captured so far.
     pub fn events(&self) -> Vec<Event> {
-        self.events.lock().expect("memory sink poisoned").clone()
+        self.with_events(|events| events.clone())
     }
 
     /// Take everything captured so far, leaving the sink empty — no
     /// per-event clone, so consumers that own the capture (the fleet
     /// engine drains one sink per tenant) pay only a pointer swap.
     pub fn drain(&self) -> Vec<Event> {
-        std::mem::take(&mut *self.events.lock().expect("memory sink poisoned"))
+        self.with_events(std::mem::take)
     }
 
     /// Number of captured events.
     pub fn len(&self) -> usize {
-        self.events.lock().expect("memory sink poisoned").len()
+        self.with_events(|events| events.len())
     }
 
     /// Whether nothing was captured.

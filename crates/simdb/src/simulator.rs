@@ -297,25 +297,25 @@ impl SimSession {
     /// (same trace, config, and fault plan); continuing the restored
     /// session then produces exactly the steps the original would have.
     ///
-    /// # Panics
-    /// Panics when the snapshot's cursor lies beyond this session's trace.
+    /// # Errors
+    /// A snapshot comes from a checkpoint file, so one whose cursor lies
+    /// beyond this session's trace is an `Err` (and the session is left
+    /// untouched), not a panic.
     #[deny(unused_variables)]
-    pub fn restore(&mut self, snap: &SessionSnapshot) {
+    pub fn restore(&mut self, snap: &SessionSnapshot) -> Result<(), String> {
         // Exhaustive on purpose (no `..`): a field added to the snapshot
         // and not consumed here does not compile.
         let SessionSnapshot { t, visible, last_scale, counts, steps, cluster } = snap;
-        assert!(
-            *t <= self.w.len(),
-            "snapshot cursor {} beyond trace length {}",
-            t,
-            self.w.len()
-        );
+        if *t > self.w.len() {
+            return Err(format!("snapshot cursor {t} beyond trace length {}", self.w.len()));
+        }
         self.t = *t;
         self.visible = *visible;
         self.last_scale = *last_scale;
         self.counts = *counts;
         self.steps = steps.clone();
         self.cluster.restore(cluster);
+        Ok(())
     }
 
     /// Execute one decision tick: the policy observes realised history,
@@ -853,7 +853,7 @@ mod snapshot_tests {
             assert_eq!(snap.t, cut);
 
             let mut resumed = session(&tr);
-            resumed.restore(&snap);
+            resumed.restore(&snap).unwrap();
             let mut p2 = OraclePolicy::new(tr.values.clone());
             while resumed.step(&mut p2) {}
             let report = resumed.finish("oracle");
@@ -871,18 +871,20 @@ mod snapshot_tests {
         }
         let snap = s.snapshot();
         let mut fresh = session(&tr);
-        fresh.restore(&snap);
+        fresh.restore(&snap).unwrap();
         assert_eq!(fresh.snapshot(), snap);
     }
 
     #[test]
-    #[should_panic(expected = "snapshot cursor")]
     fn cursor_beyond_trace_rejected() {
         let tr = google_like(9, 1).cpu().clone();
         let mut s = SimSession::new(&tr, SimConfig::default());
-        let mut snap = s.snapshot();
+        let untouched = s.snapshot();
+        let mut snap = untouched.clone();
         snap.t = tr.len() + 1;
-        s.restore(&snap);
+        let err = s.restore(&snap).unwrap_err();
+        assert!(err.contains("snapshot cursor"), "{err}");
+        assert_eq!(s.snapshot(), untouched);
     }
 }
 

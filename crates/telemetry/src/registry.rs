@@ -88,6 +88,10 @@ enum Cell {
     Hist(Arc<Mutex<Histogram>>),
 }
 
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.iter().map(|x| x.to_bits()).eq(b.iter().map(|x| x.to_bits()))
+}
+
 impl Cell {
     fn kind(&self) -> &'static str {
         match self {
@@ -241,7 +245,7 @@ impl MetricRegistry {
                     // are a schema, re-registration must not drift them.
                     let cur = h.lock().expect("histogram mutex poisoned");
                     assert!(
-                        cur.bounds().iter().map(|b| b.to_bits()).eq(bounds.iter().map(|b| b.to_bits())),
+                        same_bits(cur.bounds(), bounds),
                         "metric {name:?} re-registered with different bounds"
                     );
                 }
@@ -289,43 +293,54 @@ impl MetricRegistry {
     /// rebuilt registry whose wiring already registered the cells at
     /// zero.
     ///
-    /// # Panics
-    /// Panics if a dumped key is already registered as a different kind
-    /// (same contract as the handle constructors).
-    pub fn restore(&self, cells: &[CellDump]) {
+    /// # Errors
+    /// The dump comes from a checkpoint file, so what the handle
+    /// constructors panic on is an `Err` here: a key already registered
+    /// as a different kind or with different histogram bounds, and a
+    /// histogram [`Histogram::from_parts`] refuses. Cells before the
+    /// offending one stay restored.
+    pub fn restore(&self, cells: &[CellDump]) -> Result<(), String> {
         for dump in cells {
             let labels: Vec<(&str, &str)> =
                 dump.labels.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
+            let key = Key::new(&dump.name, &labels);
+            let clash = |with: &Cell| {
+                format!("metric {:?} already registered as {}", dump.name, with.kind())
+            };
             match &dump.value {
                 CellValue::Counter(v) => {
-                    let key = Key::new(&dump.name, &labels);
                     match self.cell(key, || Cell::Counter(Arc::new(AtomicU64::new(0)))) {
                         Cell::Counter(c) => c.store(*v, Ordering::Relaxed),
-                        other => {
-                            // rpas-lint: allow(P1, reason = "same # Panics contract as the counter() constructor: restoring a dump over a differently-typed key is a wiring bug, not recoverable data")
-                            panic!("metric {:?} already registered as {}", dump.name, other.kind())
-                        }
+                        other => return Err(clash(&other)),
                     }
                 }
                 CellValue::GaugeBits(bits) => {
-                    let key = Key::new(&dump.name, &labels);
                     let make = || Cell::Gauge(Arc::new(AtomicU64::new(f64::NAN.to_bits())));
                     match self.cell(key, make) {
                         Cell::Gauge(g) => g.store(*bits, Ordering::Relaxed),
-                        other => {
-                            // rpas-lint: allow(P1, reason = "same # Panics contract as the gauge() constructor: restoring a dump over a differently-typed key is a wiring bug, not recoverable data")
-                            panic!("metric {:?} already registered as {}", dump.name, other.kind())
-                        }
+                        other => return Err(clash(&other)),
                     }
                 }
                 CellValue::Hist { bounds, counts, sum } => {
-                    let handle = self.histogram(&dump.name, &labels, bounds);
-                    let restored = Histogram::from_parts(bounds.clone(), counts.clone(), *sum);
-                    let cell = handle.0.expect("live registry hands out attached handles");
-                    *cell.lock().expect("histogram mutex poisoned") = restored;
+                    let restored = Histogram::from_parts(bounds.clone(), counts.clone(), *sum)
+                        .map_err(|why| format!("metric {:?}: {why}", dump.name))?;
+                    match self.cell(key, || Cell::Hist(Arc::new(Mutex::new(restored.clone())))) {
+                        Cell::Hist(h) => {
+                            let mut cur = h.lock().expect("histogram mutex poisoned");
+                            if !same_bits(cur.bounds(), bounds) {
+                                return Err(format!(
+                                    "metric {:?} already registered with different bounds",
+                                    dump.name
+                                ));
+                            }
+                            *cur = restored;
+                        }
+                        other => return Err(clash(&other)),
+                    }
                 }
             }
         }
+        Ok(())
     }
 
     /// Point-in-time snapshot of every registered metric, in one
@@ -469,7 +484,7 @@ impl Snapshot {
             ev.seq = i as u64;
             ev.ts_us = 0;
             ev.field("metric", e.name.as_str());
-            out.push_str(&ev.to_json());
+            ev.write_json(&mut out);
             out.push('\n');
         }
         out
@@ -575,9 +590,13 @@ impl Telemetry {
 
     /// Restore dumped cells to their exact captured values (no-op when
     /// dark); see [`MetricRegistry::restore`].
-    pub fn restore(&self, cells: &[CellDump]) {
-        if let Some(r) = &self.inner {
-            r.restore(cells);
+    ///
+    /// # Errors
+    /// As [`MetricRegistry::restore`].
+    pub fn restore(&self, cells: &[CellDump]) -> Result<(), String> {
+        match &self.inner {
+            Some(r) => r.restore(cells),
+            None => Ok(()),
         }
     }
 }
@@ -687,7 +706,7 @@ mod tests {
         let fresh = Telemetry::live();
         fresh.counter("sup.panics", &[("tenant", "t0003")]).inc(0);
         let _ = fresh.histogram("lat", &[("tenant", "t0003")], &[1.0, 10.0]);
-        fresh.restore(&dump);
+        fresh.restore(&dump).unwrap();
         assert_eq!(fresh.snapshot().exposition(), tel.snapshot().exposition());
         assert_eq!(fresh.dump(), dump, "dump∘restore is the identity");
 
@@ -698,13 +717,13 @@ mod tests {
             Some(5)
         );
         // Restoring again overwrites rather than accumulates.
-        fresh.restore(&dump);
+        fresh.restore(&dump).unwrap();
         assert_eq!(fresh.dump(), dump);
 
         // Dark handles dump nothing and ignore restores.
         let dark = Telemetry::noop();
         assert!(dark.dump().is_empty());
-        dark.restore(&dump);
+        dark.restore(&dump).unwrap();
         assert!(dark.snapshot().entries.is_empty());
     }
 

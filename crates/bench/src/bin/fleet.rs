@@ -33,6 +33,7 @@ use rpas_bench::alloc::{self, AllocStats};
 use rpas_bench::bench_obs;
 use rpas_bench::output::workspace_file;
 use rpas_core::{FleetConfig, FleetEngine, FleetSupervisor};
+use rpas_obs::catalog;
 use rpas_simdb::{Observation, ScalingPolicy};
 use std::time::Instant;
 
@@ -209,7 +210,7 @@ fn main() {
             "threads {threads:>3}: build {:.3} s, run {:.3} s, {:.0} tenant-ticks/s",
             row.build_secs, row.run_secs, row.tenant_ticks_per_sec
         );
-        bench_obs().debug("bench", "fleet_throughput", |e| {
+        bench_obs().emit(catalog::BENCH_FLEET_THROUGHPUT, |e| {
             e.field("threads", row.threads)
                 .field("tenants", tenants)
                 .field("tenant_ticks_per_sec", row.tenant_ticks_per_sec)
@@ -247,7 +248,7 @@ fn main() {
         tel_overhead * 100.0,
         max_row.threads
     );
-    bench_obs().debug("bench", "fleet_telemetry_overhead", |e| {
+    bench_obs().emit(catalog::BENCH_FLEET_TELEMETRY_OVERHEAD, |e| {
         e.field("run_us", tel_run * 1e6).field("overhead_frac", tel_overhead);
     });
 
@@ -278,7 +279,7 @@ fn main() {
         "supervised: run {sup_run:.3} s ({:+.1}% vs bare engine at 1 thread)",
         sup_overhead * 100.0
     );
-    bench_obs().debug("bench", "fleet_supervisor_overhead", |e| {
+    bench_obs().emit(catalog::BENCH_FLEET_SUPERVISOR_OVERHEAD, |e| {
         e.field("run_us", sup_run * 1e6).field("overhead_frac", sup_overhead);
     });
 
@@ -301,7 +302,7 @@ fn main() {
         prof.steady_ticks,
         steady_allocs_per_tick
     );
-    bench_obs().debug("bench", "fleet_alloc_profile", |e| {
+    bench_obs().emit(catalog::BENCH_FLEET_ALLOC_PROFILE, |e| {
         e.field("build_allocs", prof.build.allocs)
             .field("run_allocs", prof.run.allocs)
             .field("steady_allocs", prof.steady.allocs)
@@ -342,7 +343,7 @@ fn main() {
                     if allocs_ok { "OK" } else { "OVER BUDGET" },
                 );
                 if !overhead_ok || !allocs_ok {
-                    bench_obs().error("bench", "fleet_budget_exceeded", |e| {
+                    bench_obs().emit(catalog::BENCH_FLEET_BUDGET_EXCEEDED, |e| {
                         e.field("supervised_overhead_frac", sup_overhead)
                             .field("steady_allocs_per_tick", steady_allocs_per_tick);
                     });
@@ -351,7 +352,7 @@ fn main() {
                 }
             }
             Err(e) => {
-                bench_obs().error("bench", "fleet_budget_missing", |ev| {
+                bench_obs().emit(catalog::BENCH_FLEET_BUDGET_MISSING, |ev| {
                     ev.field("error", e);
                 });
                 bench_obs().flush();
@@ -408,7 +409,7 @@ fn main() {
     let path = workspace_file("BENCH_fleet.json");
     match std::fs::write(&path, json) {
         Ok(()) => println!("[wrote {}]", path.display()),
-        Err(err) => bench_obs().warn("bench", "write_failed", |e| {
+        Err(err) => bench_obs().emit(catalog::BENCH_WRITE_FAILED, |e| {
             e.field("path", path.display().to_string()).field("error", err.to_string());
         }),
     }

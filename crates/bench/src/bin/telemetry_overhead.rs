@@ -15,6 +15,7 @@
 use rpas_bench::bench_obs;
 use rpas_bench::harness::BenchGroup;
 use rpas_bench::output::workspace_file;
+use rpas_obs::catalog;
 use rpas_telemetry::Telemetry;
 
 const BUDGET_FILE: &str = "telemetry-budget.json";
@@ -93,7 +94,7 @@ fn main() {
                 if noop_ns <= budget { "OK" } else { "OVER BUDGET" }
             );
             if noop_ns > budget {
-                bench_obs().error("bench", "telemetry_budget_exceeded", |e| {
+                bench_obs().emit(catalog::BENCH_TELEMETRY_BUDGET_EXCEEDED, |e| {
                     e.field("noop_ns", noop_ns).field("budget_ns", budget);
                 });
                 bench_obs().flush();
@@ -101,7 +102,7 @@ fn main() {
             }
         }
         Err(e) => {
-            bench_obs().error("bench", "telemetry_budget_missing", |ev| {
+            bench_obs().emit(catalog::BENCH_TELEMETRY_BUDGET_MISSING, |ev| {
                 ev.field("error", e);
             });
             bench_obs().flush();

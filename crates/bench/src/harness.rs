@@ -9,6 +9,7 @@
 //! Criterion's default estimator). Set `RPAS_BENCH_SAMPLES` to trade
 //! precision for wall-clock.
 
+use rpas_obs::catalog;
 use std::time::{Duration, Instant};
 
 /// Minimum measured batch duration; batches much shorter than this are
@@ -114,7 +115,7 @@ impl BenchGroup {
             fmt_time(stats.min),
             stats.iters_per_sample
         );
-        crate::bench_obs().debug("bench", "measurement", |e| {
+        crate::bench_obs().emit(catalog::BENCH_MEASUREMENT, |e| {
             e.field("group", self.name.as_str())
                 .field("name", label)
                 .field("iters", stats.iters_per_sample)
@@ -127,7 +128,7 @@ impl BenchGroup {
 
     /// Print the summary table and return the rows for further use.
     pub fn finish(self) -> Vec<(String, Stats)> {
-        crate::bench_obs().info("bench", "span_close", |e| {
+        crate::bench_obs().emit(catalog::BENCH_SPAN_CLOSE, |e| {
             e.field("phase", self.name.as_str()).field("benchmarks", self.rows.len());
             e.wall_us = Some(self.started.elapsed().as_micros() as u64);
         });

@@ -1,5 +1,6 @@
 //! Table rendering and CSV artifact output for the experiment binaries.
 
+use rpas_obs::catalog;
 use std::path::PathBuf;
 
 /// A simple aligned text table (what the binaries print to stdout).
@@ -109,7 +110,7 @@ pub fn workspace_file(name: &str) -> PathBuf {
 pub fn write_csv(name: &str, columns: &[(&str, &[f64])]) {
     let path = results_path(name);
     if let Err(err) = rpas_traces::csv::write_columns_to_path(&path, columns) {
-        crate::bench_obs().warn("bench", "write_failed", |e| {
+        crate::bench_obs().emit(catalog::BENCH_WRITE_FAILED, |e| {
             e.field("path", path.display().to_string()).field("error", err.to_string());
         });
     } else {

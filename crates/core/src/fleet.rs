@@ -622,6 +622,7 @@ impl FleetEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rpas_obs::catalog;
 
     fn small_cfg() -> FleetConfig {
         let mut cfg = FleetConfig::new(6, 11);
@@ -735,8 +736,7 @@ mod tests {
         engine.run_to_completion();
         let report = engine.finish();
         let events = mem.drain();
-        let statuses =
-            events.iter().filter(|e| e.span == "slo" && e.name == "status").count();
+        let statuses = events.iter().filter(|e| e.is(catalog::SLO_STATUS)).count();
         assert_eq!(statuses, report.slo.expect("slo configured").tenants.len() + 1);
     }
 

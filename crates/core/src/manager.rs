@@ -13,7 +13,7 @@ use crate::adaptive::{AdaptiveConfig, StaircaseLevel};
 use crate::plan::{plan_point, plan_point_lp, CapacityPlan};
 use crate::uncertainty::uncertainty_at;
 use rpas_forecast::QuantileForecast;
-use rpas_obs::{Level, Obs};
+use rpas_obs::{catalog, Level, Obs};
 
 /// How conservative the manager is, per Definitions 4–5.
 #[derive(Debug, Clone, PartialEq)]
@@ -204,12 +204,12 @@ impl RobustAutoScalingManager {
                 let w = if raw.is_finite() {
                     raw.max(0.0)
                 } else {
-                    self.obs.warn("plan", "non_finite_workload", |e| {
+                    self.obs.emit(catalog::PLAN_NON_FINITE_WORKLOAD, |e| {
                         e.field("step", i).field("tau", choice.tau).field("raw", raw);
                     });
                     0.0
                 };
-                self.obs.debug("plan", "decision", |e| {
+                self.obs.emit(catalog::PLAN_DECISION, |e| {
                     e.field("step", i)
                         .field("strategy", self.strategy.audit_name())
                         .field("tau", choice.tau)
@@ -255,7 +255,7 @@ impl RobustAutoScalingManager {
                     prev = Some(c.conservative);
                 }
             }
-            self.obs.info("plan", "summary", |e| {
+            self.obs.emit(catalog::PLAN_SUMMARY, |e| {
                 e.field("strategy", self.strategy.audit_name())
                     .field("horizon", plan.len())
                     .field("objective_node_steps", plan.total_nodes())
@@ -324,7 +324,7 @@ mod tests {
         let plan = m.plan(&forecast());
 
         let events = mem.events();
-        let decisions: Vec<_> = events.iter().filter(|e| e.name == "decision").collect();
+        let decisions: Vec<_> = events.iter().filter(|e| e.is(catalog::PLAN_DECISION)).collect();
         assert_eq!(decisions.len(), 2, "one decision per horizon step");
         // Step 0 is tight (aggressive), step 1 wide (conservative) — see
         // the adaptive tests deriving the same split.
@@ -333,7 +333,7 @@ mod tests {
         assert_eq!(decisions[0].fields["tau"], rpas_obs::Value::F64(0.5));
         assert_eq!(decisions[1].fields["tau"], rpas_obs::Value::F64(0.95));
 
-        let summary = events.iter().find(|e| e.name == "summary").expect("plan summary");
+        let summary = events.iter().find(|e| e.is(catalog::PLAN_SUMMARY)).expect("plan summary");
         assert_eq!(summary.fields["objective_node_steps"], rpas_obs::Value::U64(u64::from(plan.total_nodes())));
         assert_eq!(summary.fields["conservative_steps"], rpas_obs::Value::U64(1));
         assert_eq!(summary.fields["regime_switches"], rpas_obs::Value::U64(1));
@@ -346,11 +346,11 @@ mod tests {
             .with_obs(Obs::with_sink(Box::new(mem.clone())));
         let _ = m.plan(&forecast());
         let events = mem.events();
-        for d in events.iter().filter(|e| e.name == "decision") {
+        for d in events.iter().filter(|e| e.is(catalog::PLAN_DECISION)) {
             assert!(!d.fields.contains_key("uncertainty"));
             assert!(!d.fields.contains_key("regime"));
         }
-        let summary = events.iter().find(|e| e.name == "summary").unwrap();
+        let summary = events.iter().find(|e| e.is(catalog::PLAN_SUMMARY)).unwrap();
         assert_eq!(summary.fields["regime_switches"], rpas_obs::Value::U64(0));
     }
 
@@ -415,6 +415,6 @@ mod tests {
         // The poisoned step falls to the min-nodes floor; the healthy step
         // plans normally. The plan itself never carries garbage.
         assert_eq!(plan.as_slice(), &[2, 2]);
-        assert!(mem.events().iter().any(|e| e.name == "non_finite_workload"));
+        assert!(mem.events().iter().any(|e| e.is(catalog::PLAN_NON_FINITE_WORKLOAD)));
     }
 }

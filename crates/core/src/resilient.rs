@@ -33,7 +33,7 @@ use crate::manager::{RobustAutoScalingManager, ScalingStrategy};
 use crate::reactive::ReactiveMax;
 use crate::thrash::clamp_step;
 use rpas_forecast::{ForecastError, Forecaster, QuantileForecast, SeasonalNaive};
-use rpas_obs::Obs;
+use rpas_obs::{catalog, Obs};
 use rpas_simdb::{Observation, PolicyHealth, ScaleOutcome, ScalingPolicy};
 use rpas_telemetry::{Counter, Telemetry};
 
@@ -457,7 +457,7 @@ impl<P: ScalingPolicy> ResilientManager<P> {
                         });
                         if left > 0 {
                             self.tel.retries.inc(1);
-                            self.obs.warn("resilience", "retry", |e| {
+                            self.obs.emit(catalog::RESILIENCE_RETRY, |e| {
                                 e.field("step", obs.step as u64)
                                     .field("want", u64::from(want))
                                     .field("left", u64::from(left));
@@ -476,7 +476,7 @@ impl<P: ScalingPolicy> ResilientManager<P> {
                             r.wait = self.cfg.retry_backoff_steps;
                             let (want, left) = (r.want, r.left);
                             self.tel.retries.inc(1);
-                            self.obs.warn("resilience", "retry", |e| {
+                            self.obs.emit(catalog::RESILIENCE_RETRY, |e| {
                                 e.field("step", obs.step as u64)
                                     .field("want", u64::from(want))
                                     .field("left", u64::from(left));
@@ -494,7 +494,7 @@ impl<P: ScalingPolicy> ResilientManager<P> {
 
     fn emit_retry_exhausted(&self, step: usize, want: u32) {
         self.tel.retries_exhausted.inc(1);
-        self.obs.warn("resilience", "retry_exhausted", |e| {
+        self.obs.emit(catalog::RESILIENCE_RETRY_EXHAUSTED, |e| {
             e.field("step", step as u64).field("want", u64::from(want));
         });
     }
@@ -504,7 +504,7 @@ impl<P: ScalingPolicy> ResilientManager<P> {
         self.tier = self.tier.demoted();
         self.probation = 0;
         self.tel.fallbacks.inc(1);
-        self.obs.warn("resilience", "fallback", |e| {
+        self.obs.emit(catalog::RESILIENCE_FALLBACK, |e| {
             e.field("step", step as u64)
                 .field("from", from.label())
                 .field("to", self.tier.label());
@@ -576,7 +576,7 @@ impl<P: ScalingPolicy> ResilientManager<P> {
         let granted = stepped.clamp(obs.min_nodes, hi);
         if granted != want {
             self.tel.guardrail_clamps.inc(1);
-            self.obs.info("resilience", "guardrail_clamp", |e| {
+            self.obs.emit(catalog::RESILIENCE_GUARDRAIL_CLAMP, |e| {
                 e.field("step", obs.step as u64)
                     .field("want", u64::from(want))
                     .field("granted", u64::from(granted));
@@ -601,7 +601,7 @@ impl<P: ScalingPolicy> ScalingPolicy for ResilientManager<P> {
         if !obs.metrics_fresh {
             if let Some(held) = self.last_target {
                 self.tel.hold_last.inc(1);
-                self.obs.warn("resilience", "hold_last", |e| {
+                self.obs.emit(catalog::RESILIENCE_HOLD_LAST, |e| {
                     e.field("step", obs.step as u64).field("target", u64::from(held));
                 });
                 return self.guard(obs, held);
@@ -634,7 +634,7 @@ impl<P: ScalingPolicy> ScalingPolicy for ResilientManager<P> {
                     self.naive = None; // refit on fresh history
                 }
                 self.tel.recoveries.inc(1);
-                self.obs.info("resilience", "recover", |e| {
+                self.obs.emit(catalog::RESILIENCE_RECOVER, |e| {
                     e.field("step", obs.step as u64)
                         .field("from", from.label())
                         .field("to", self.tier.label());
@@ -648,7 +648,7 @@ impl<P: ScalingPolicy> ScalingPolicy for ResilientManager<P> {
         let floor = self.backstop.decide(obs);
         let target = if floor > tier_target {
             self.tel.backstop_overrides.inc(1);
-            self.obs.debug("resilience", "backstop", |e| {
+            self.obs.emit(catalog::RESILIENCE_BACKSTOP, |e| {
                 e.field("step", obs.step as u64)
                     .field("tier_target", u64::from(tier_target))
                     .field("floor", u64::from(floor));
@@ -727,8 +727,8 @@ mod tests {
         }
     }
 
-    fn names(mem: &MemorySink) -> Vec<String> {
-        mem.events().iter().map(|e| e.name.clone()).collect()
+    fn count(mem: &MemorySink, name: catalog::EventName) -> u64 {
+        mem.events().iter().filter(|e| e.is(name)).count() as u64
     }
 
     #[test]
@@ -757,7 +757,7 @@ mod tests {
         m.decide(&obs);
         assert_eq!(m.tier(), Tier::SeasonalNaive);
         assert_eq!(m.health(), PolicyHealth::Degraded);
-        assert!(names(&mem).contains(&"fallback".to_string()));
+        assert!(count(&mem, catalog::RESILIENCE_FALLBACK) > 0);
         // After probation_steps healthy steps, re-promote to primary —
         // whose health went healthy again (FailsAfter keys off obs.step,
         // so freeze the step below `from`... instead script recovery by
@@ -768,7 +768,7 @@ mod tests {
         }
         // Probation hit at step 5 → promoted to Primary → still degraded
         // → demoted again in the same step.
-        assert!(names(&mem).contains(&"recover".to_string()));
+        assert!(count(&mem, catalog::RESILIENCE_RECOVER) > 0);
         assert_eq!(m.tier(), Tier::SeasonalNaive);
     }
 
@@ -786,20 +786,22 @@ mod tests {
         }
         // Every ladder transition increments a counter exactly when the
         // matching resilience/* event is emitted.
-        let evs = names(&mem);
-        let count = |n: &str| evs.iter().filter(|e| e.as_str() == n).count() as u64;
         let snap = tel.snapshot();
         let val = |metric: &str| {
             snap.counter_value(&format!("{metric}{{tenant=\"t0000\"}}")).unwrap_or(0)
         };
-        assert!(count("fallback") > 0, "scenario must demote at least once");
-        assert_eq!(val("resilience.fallbacks"), count("fallback"));
-        assert_eq!(val("resilience.recoveries"), count("recover"));
-        assert_eq!(val("resilience.hold_last"), count("hold_last"));
-        assert_eq!(val("resilience.retries"), count("retry"));
-        assert_eq!(val("resilience.retries_exhausted"), count("retry_exhausted"));
-        assert_eq!(val("resilience.backstop_overrides"), count("backstop"));
-        assert_eq!(val("resilience.guardrail_clamps"), count("guardrail_clamp"));
+        assert!(count(&mem, catalog::RESILIENCE_FALLBACK) > 0, "scenario must demote");
+        for (metric, name) in [
+            ("resilience.fallbacks", catalog::RESILIENCE_FALLBACK),
+            ("resilience.recoveries", catalog::RESILIENCE_RECOVER),
+            ("resilience.hold_last", catalog::RESILIENCE_HOLD_LAST),
+            ("resilience.retries", catalog::RESILIENCE_RETRY),
+            ("resilience.retries_exhausted", catalog::RESILIENCE_RETRY_EXHAUSTED),
+            ("resilience.backstop_overrides", catalog::RESILIENCE_BACKSTOP),
+            ("resilience.guardrail_clamps", catalog::RESILIENCE_GUARDRAIL_CLAMP),
+        ] {
+            assert_eq!(val(metric), count(&mem, name), "{metric} vs {name}");
+        }
     }
 
     #[test]
@@ -814,7 +816,7 @@ mod tests {
         let mut stale = Observation::new(1, &h, 5, 60.0, 1);
         stale.metrics_fresh = false;
         assert_eq!(m.decide(&stale), granted);
-        assert!(names(&mem).contains(&"hold_last".to_string()));
+        assert!(count(&mem, catalog::RESILIENCE_HOLD_LAST) > 0);
     }
 
     #[test]
@@ -844,7 +846,7 @@ mod tests {
         let mut o = Observation::new(1, &h, 1, 60.0, 1);
         o.last_scale = ScaleOutcome::Rejected;
         assert_eq!(m.decide(&o), 1);
-        assert!(names(&mem).contains(&"retry".to_string()));
+        assert!(count(&mem, catalog::RESILIENCE_RETRY) > 0);
         // Step 2: backoff expired, no news (NoChange) → re-request 8.
         let o2 = Observation::new(2, &h, 1, 60.0, 1);
         assert_eq!(m.decide(&o2), 8);
@@ -855,7 +857,7 @@ mod tests {
         let mut o4 = Observation::new(4, &h, 1, 60.0, 1);
         o4.last_scale = ScaleOutcome::Rejected;
         let _ = m.decide(&o4);
-        assert!(names(&mem).contains(&"retry_exhausted".to_string()));
+        assert!(count(&mem, catalog::RESILIENCE_RETRY_EXHAUSTED) > 0);
     }
 
     #[test]
@@ -885,7 +887,7 @@ mod tests {
         assert_eq!(m.decide(&Observation::new(1, &h, 3, 60.0, 1)), 5);
         assert_eq!(m.decide(&Observation::new(2, &h, 5, 60.0, 1)), 6);
         assert_eq!(m.decide(&Observation::new(3, &h, 6, 60.0, 1)), 6);
-        assert!(names(&mem).contains(&"guardrail_clamp".to_string()));
+        assert!(count(&mem, catalog::RESILIENCE_GUARDRAIL_CLAMP) > 0);
     }
 
     #[test]

@@ -34,7 +34,7 @@
 use crate::manager::RobustAutoScalingManager;
 use crate::plan::CapacityPlan;
 use rpas_forecast::{Forecaster, QuantileForecast};
-use rpas_obs::Obs;
+use rpas_obs::{catalog, Obs};
 use rpas_traces::RollingWindows;
 // rpas-lint: allow-file(D2, reason = "Instant feeds only the wall_us timing fields of obs events; no result depends on it (determinism.rs pins this)")
 use std::time::Instant;
@@ -136,7 +136,7 @@ pub fn quantile_windows<F: Forecaster + ?Sized>(
             let qf = forecaster
                 .forecast_quantiles(ctx, spec.horizon, levels)
                 .expect("forecast failed during rolling evaluation");
-            obs.debug("rolling", "window", |e| {
+            obs.emit(catalog::ROLLING_WINDOW, |e| {
                 e.field("index", k)
                     .field("start", spec.window_start(k))
                     .field("horizon", spec.horizon)
@@ -145,7 +145,7 @@ pub fn quantile_windows<F: Forecaster + ?Sized>(
             (qf, actual.to_vec())
         })
         .collect();
-    obs.emit(rpas_obs::Level::Info, "rolling", "eval", |e| {
+    obs.emit(catalog::ROLLING_EVAL, |e| {
         e.field("forecaster", forecaster.name())
             .field("windows", out.len())
             .field("context", spec.context)

@@ -33,7 +33,7 @@
 //! executed prefix instead of livelocking the fleet.
 
 use crate::fleet::{FleetEngine, FleetReport, QuarantineRecord, TenantRun};
-use rpas_obs::{Event, Level, Obs, Sink};
+use rpas_obs::{catalog, Event, Obs, Sink};
 use rpas_par::panic_message;
 use rpas_telemetry::{Counter, RatioSeries, SloReport, SloSpec, Telemetry};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -165,14 +165,9 @@ pub struct FleetSupervisor {
 /// supervision history is part of the deterministic tenant-scoped trace.
 /// Timing fields are irrelevant: the fleet's trace serialization strips
 /// them and renumbers `seq`.
-fn capture_event(
-    run: &TenantRun,
-    level: Level,
-    name: &str,
-    build: impl FnOnce(&mut Event),
-) {
+fn capture_event(run: &TenantRun, name: catalog::EventName, build: impl FnOnce(&mut Event)) {
     if let Some(mem) = &run.capture {
-        let mut ev = Event::new(level, "supervisor", name);
+        let mut ev = Event::of(name);
         build(&mut ev);
         mem.emit(&ev);
     }
@@ -402,10 +397,10 @@ fn admit_expired(
             guard.failures.clear();
             metrics.restores.inc(1);
             let tenant = run.spec.id.to_string();
-            obs.info("supervisor", "restore", |e| {
+            obs.emit(catalog::SUPERVISOR_RESTORE, |e| {
                 e.field("tenant", tenant.as_str()).field("tick", tick);
             });
-            capture_event(run, Level::Info, "restore", |e| {
+            capture_event(run, catalog::SUPERVISOR_RESTORE, |e| {
                 e.field("tick", tick);
             });
         }
@@ -423,12 +418,12 @@ fn on_panic(
 ) {
     metrics.panics.inc(1);
     let tenant = run.spec.id.to_string();
-    obs.warn("supervisor", "panic", |e| {
+    obs.emit(catalog::SUPERVISOR_PANIC, |e| {
         e.field("tenant", tenant.as_str())
             .field("tick", tick)
             .field("error", message.as_str());
     });
-    capture_event(run, Level::Warn, "panic", |e| {
+    capture_event(run, catalog::SUPERVISOR_PANIC, |e| {
         e.field("tick", tick).field("error", message.as_str());
     });
 
@@ -475,14 +470,14 @@ fn quarantine(
     metrics.quarantines.inc(1);
     let strikes = guard.strikes;
     let tenant = run.spec.id.to_string();
-    obs.warn("supervisor", "quarantine", |e| {
+    obs.emit(catalog::SUPERVISOR_QUARANTINE, |e| {
         e.field("tenant", tenant.as_str())
             .field("tick", tick)
             .field("until_tick", until_tick)
             .field("strikes", u64::from(strikes))
             .field("reason", &*reason);
     });
-    capture_event(run, Level::Warn, "quarantine", |e| {
+    capture_event(run, catalog::SUPERVISOR_QUARANTINE, |e| {
         e.field("tick", tick)
             .field("until_tick", until_tick)
             .field("strikes", u64::from(strikes))
@@ -502,10 +497,10 @@ fn on_clean_tick(
         if *clean_ticks >= cfg.probation_ticks {
             guard.health = TenantHealth::Healthy;
             let tenant = run.spec.id.to_string();
-            obs.info("supervisor", "healthy", |e| {
+            obs.emit(catalog::SUPERVISOR_HEALTHY, |e| {
                 e.field("tenant", tenant.as_str()).field("tick", tick);
             });
-            capture_event(run, Level::Info, "healthy", |e| {
+            capture_event(run, catalog::SUPERVISOR_HEALTHY, |e| {
                 e.field("tick", tick);
             });
         }

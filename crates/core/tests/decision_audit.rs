@@ -7,7 +7,7 @@ use rpas_core::{
     ScalingStrategy,
 };
 use rpas_forecast::{Forecaster, QuantileForecast, SeasonalNaive};
-use rpas_obs::{Level, MemorySink, Obs};
+use rpas_obs::{catalog, Level, MemorySink, Obs};
 use rpas_traces::alibaba_like;
 use rpas_tsmath::Matrix;
 
@@ -43,7 +43,7 @@ fn decision_events_reconstruct_the_exact_switch_sequence() {
     let decisions: Vec<_> = mem
         .events()
         .into_iter()
-        .filter(|e| e.span == "plan" && e.name == "decision")
+        .filter(|e| e.is(catalog::PLAN_DECISION))
         .collect();
     assert_eq!(decisions.len(), spreads.len(), "one audit event per horizon step");
     for (h, d) in decisions.iter().enumerate() {
@@ -58,7 +58,7 @@ fn decision_events_reconstruct_the_exact_switch_sequence() {
     let summary = mem
         .events()
         .into_iter()
-        .find(|e| e.span == "plan" && e.name == "summary")
+        .find(|e| e.is(catalog::PLAN_SUMMARY))
         .expect("plan summary event");
     assert_eq!(summary.fields["conservative_steps"], rpas_obs::Value::U64(3));
     // a→c, c→a, a→c, c→a: four switches in the expected sequence.

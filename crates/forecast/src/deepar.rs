@@ -15,7 +15,7 @@ use crate::types::{require_len, validate_levels, ForecastError, Forecaster, Quan
 use crate::window::{self, ContextGuard};
 use rpas_nn::loss::{student_t_nll, NU_OFFSET, SIGMA_FLOOR};
 use rpas_nn::{Adam, Dense, GruCell};
-use rpas_obs::Obs;
+use rpas_obs::{catalog, Obs};
 use rpas_traces::WindowDataset;
 use rpas_tsmath::rng::{self, Rng64};
 use rpas_tsmath::special::softplus;
@@ -180,7 +180,7 @@ impl Forecaster for DeepAr {
                 // their combined pre-clip global norm.
                 window::clip_and_step(&mut opt, &mut [&mut gru, &mut head])
             },
-            |stats| self.obs.debug("train.deepar", "epoch", |e| stats.record(e)),
+            |stats| self.obs.emit(catalog::TRAIN_DEEPAR_EPOCH, |e| stats.record(e)),
         );
 
         self.fitted = Some((gru, head));

@@ -13,7 +13,7 @@ use crate::types::{validate_levels, ForecastError, Forecaster, QuantileForecast}
 use crate::window::{self, ContextGuard};
 use rpas_nn::loss::{gaussian_nll, student_t_nll, NU_OFFSET, SIGMA_FLOOR};
 use rpas_nn::{Activation, Adam, Layer, Mlp};
-use rpas_obs::Obs;
+use rpas_obs::{catalog, Obs};
 use rpas_traces::WindowDataset;
 use rpas_tsmath::rng::{self, Rng64};
 use rpas_tsmath::special::softplus;
@@ -190,7 +190,7 @@ impl Forecaster for MlpProb {
                 opt.step_layer(&mut net);
                 norm
             },
-            |stats| self.obs.debug("train.mlp", "epoch", |e| stats.record(e)),
+            |stats| self.obs.emit(catalog::TRAIN_MLP_EPOCH, |e| stats.record(e)),
         );
 
         self.fitted = Some((net, scaler));

@@ -15,7 +15,7 @@ use crate::mlp::relu_mlp;
 use crate::types::{validate_levels, ForecastError, Forecaster, QuantileForecast};
 use crate::window::{self, ContextGuard};
 use rpas_nn::{Adam, Layer, Mlp};
-use rpas_obs::Obs;
+use rpas_obs::{catalog, Obs};
 use rpas_traces::WindowDataset;
 use rpas_tsmath::rng::{self, Rng64};
 use rpas_tsmath::stats::Standardizer;
@@ -132,7 +132,7 @@ impl Forecaster for MlpQuantile {
                 opt.step_layer(&mut net);
                 norm
             },
-            |stats| self.obs.debug("train.mlp-quantile", "epoch", |e| stats.record(e)),
+            |stats| self.obs.emit(catalog::TRAIN_MLP_QUANTILE_EPOCH, |e| stats.record(e)),
         );
 
         self.fitted = Some((net, scaler));

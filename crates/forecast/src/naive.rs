@@ -5,7 +5,7 @@
 use crate::types::{
     require_len, validate_levels, ForecastError, Forecaster, PointForecaster, QuantileForecast,
 };
-use rpas_obs::Obs;
+use rpas_obs::{catalog, Obs};
 use rpas_tsmath::stats::{self, RunningMoments};
 
 /// Repeats the last observed value; quantiles widen with horizon using the
@@ -195,7 +195,7 @@ impl Forecaster for SeasonalNaive {
         if series.len() < 2 * self.period {
             // Not enough history for seasonal residuals: estimate the
             // spread from one-step differences so the model still fits.
-            self.obs.warn("forecast", "short_history_sigma", |e| {
+            self.obs.emit(catalog::FORECAST_SHORT_HISTORY_SIGMA, |e| {
                 e.field("model", "seasonal-naive")
                     .field("period", self.period as u64)
                     .field("got", series.len() as u64)
@@ -235,7 +235,7 @@ impl Forecaster for SeasonalNaive {
             // under metric dropouts.
             let last =
                 *context.last().ok_or(ForecastError::SeriesTooShort { needed: 1, got: 0 })?;
-            self.obs.warn("forecast", "flat_fallback", |e| {
+            self.obs.emit(catalog::FORECAST_FLAT_FALLBACK, |e| {
                 e.field("model", "seasonal-naive")
                     .field("period", self.period as u64)
                     .field("context", context.len() as u64)
@@ -316,7 +316,7 @@ mod tests {
         let warn = mem
             .events()
             .into_iter()
-            .find(|e| e.name == "flat_fallback")
+            .find(|e| e.is(catalog::FORECAST_FLAT_FALLBACK))
             .expect("flat-fallback warn event");
         assert_eq!(warn.level, rpas_obs::Level::Warn);
         // A fully empty context still has nothing to anchor on.
@@ -334,7 +334,7 @@ mod tests {
         let mut m =
             SeasonalNaive::new(10).with_obs(Obs::with_sink(Box::new(mem.clone())));
         assert!(Forecaster::fit(&mut m, &[1.0; 15]).is_ok());
-        assert!(mem.events().iter().any(|e| e.name == "short_history_sigma"));
+        assert!(mem.events().iter().any(|e| e.is(catalog::FORECAST_SHORT_HISTORY_SIGMA)));
         // Two samples is the true floor; one is not fittable.
         assert!(Forecaster::fit(&mut m, &[1.0]).is_err());
         assert!(Forecaster::fit(&mut m, &[1.0, 2.0]).is_ok());

@@ -20,7 +20,7 @@ use crate::grid;
 use crate::types::{validate_levels, ForecastError, Forecaster, QuantileForecast};
 use crate::window::{self, ContextGuard};
 use rpas_nn::{Adam, Dense, GatedResidualNetwork, Layer, LstmCell, MultiHeadAttention};
-use rpas_obs::Obs;
+use rpas_obs::{catalog, Obs};
 use rpas_traces::WindowDataset;
 use rpas_tsmath::stats::Standardizer;
 use rpas_tsmath::{rng, Matrix};
@@ -282,7 +282,7 @@ impl Forecaster for Tft {
                 net.clear_cache();
                 norm
             },
-            |stats| self.obs.debug("train.tft", "epoch", |e| stats.record(e)),
+            |stats| self.obs.emit(catalog::TRAIN_TFT_EPOCH, |e| stats.record(e)),
         );
 
         self.fitted = Some((net, scaler));

@@ -142,6 +142,7 @@ fn corrupt_snapshot_rejected() {
 // ---------------------------------------------------------------------
 
 use rpas_forecast::{MlpQuantile, MlpQuantileConfig, PointForecaster, Qb5000, Qb5000Config};
+use rpas_obs::catalog::{self, EventName};
 use rpas_obs::{MemorySink, Obs, Value};
 
 /// 64-bit FNV-1a.
@@ -155,18 +156,18 @@ fn fnv1a_f64(values: impl IntoIterator<Item = f64>) -> u64 {
     fnv1a(values.into_iter().flat_map(f64::to_le_bytes))
 }
 
-/// The `loss` and `grad_norm` of every `<span>/epoch` event, in emit order.
-fn epoch_audit(mem: &MemorySink, span: &str, epochs: usize) -> Vec<f64> {
+/// The `loss` and `grad_norm` of every `epoch` event, in emit order.
+fn epoch_audit(mem: &MemorySink, epoch: EventName, epochs: usize) -> Vec<f64> {
     let mut out = Vec::new();
-    for e in mem.events().iter().filter(|e| e.span == span && e.name == "epoch") {
+    for e in mem.events().iter().filter(|e| e.is(epoch)) {
         for key in ["loss", "grad_norm"] {
             match e.fields.get(key) {
                 Some(Value::F64(v)) => out.push(*v),
-                other => panic!("{span}/epoch field {key}: {other:?}"),
+                other => panic!("{epoch} field {key}: {other:?}"),
             }
         }
     }
-    assert_eq!(out.len(), 2 * epochs, "{span}: one epoch event per epoch");
+    assert_eq!(out.len(), 2 * epochs, "{epoch}: one event per epoch");
     out
 }
 
@@ -176,14 +177,14 @@ fn fingerprint(
     model: &dyn Forecaster,
     export: Vec<u8>,
     mem: &MemorySink,
-    span: &str,
+    epoch: EventName,
     epochs: usize,
     context: &[f64],
 ) -> [u64; 3] {
     let qf = model.forecast_quantiles(context, 4, &[0.1, 0.3, 0.5, 0.95]).expect("forecast");
     [
         fnv1a(export),
-        fnv1a_f64(epoch_audit(mem, span, epochs)),
+        fnv1a_f64(epoch_audit(mem, epoch, epochs)),
         fnv1a_f64(qf.values().data().iter().copied()),
     ]
 }
@@ -215,7 +216,8 @@ fn golden_weights_epoch_audit_and_forecast_bits() {
         .with_obs(obs);
         Forecaster::fit(&mut m, &data).unwrap();
         let bytes = m.export_weights().expect("fitted");
-        got.push((label, fingerprint(&m, bytes, &mem, "train.mlp", 4, context)));
+        let epoch = catalog::TRAIN_MLP_EPOCH;
+        got.push((label, fingerprint(&m, bytes, &mem, epoch, 4, context)));
     }
 
     let (obs, mem) = sink();
@@ -232,14 +234,15 @@ fn golden_weights_epoch_audit_and_forecast_bits() {
     .with_obs(obs);
     Forecaster::fit(&mut m, &data).unwrap();
     let bytes = m.export_weights().expect("fitted");
-    got.push(("mlp-quantile", fingerprint(&m, bytes, &mem, "train.mlp-quantile", 4, context)));
+    let epoch = catalog::TRAIN_MLP_QUANTILE_EPOCH;
+    got.push(("mlp-quantile", fingerprint(&m, bytes, &mem, epoch, 4, context)));
 
     let (obs, mem) = sink();
     let cfg = DeepArConfig { epochs: 3, windows_per_epoch: 7, seed: 23, ..deepar_cfg() };
     let mut m = DeepAr::new(cfg).with_obs(obs);
     Forecaster::fit(&mut m, &data).unwrap();
     let bytes = m.export_weights().expect("fitted");
-    got.push(("deepar", fingerprint(&m, bytes, &mem, "train.deepar", 3, context)));
+    got.push(("deepar", fingerprint(&m, bytes, &mem, catalog::TRAIN_DEEPAR_EPOCH, 3, context)));
 
     let (obs, mem) = sink();
     let mut m = Tft::new(TftConfig {
@@ -256,7 +259,7 @@ fn golden_weights_epoch_audit_and_forecast_bits() {
     .with_obs(obs);
     Forecaster::fit(&mut m, &data).unwrap();
     let bytes = m.export_weights().expect("fitted");
-    got.push(("tft", fingerprint(&m, bytes, &mem, "train.tft", 3, context)));
+    got.push(("tft", fingerprint(&m, bytes, &mem, catalog::TRAIN_TFT_EPOCH, 3, context)));
 
     // QB5000 exports nothing and emits nothing: its forecast is the pin.
     let mut qb = Qb5000::new(Qb5000Config {

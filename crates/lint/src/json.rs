@@ -1,14 +1,13 @@
-//! The one JSON scanner behind both committed-file parsers
-//! ([`crate::baseline`], [`crate::registry`]): whitespace-skipping byte
-//! cursor with line tracking, covering exactly the value shapes those
-//! two formats use — punctuation, escape-free strings, unsigned
-//! integers, booleans.
+//! The JSON scanner behind the committed-file parser
+//! ([`crate::baseline`]): whitespace-skipping byte cursor with line
+//! tracking, covering exactly the value shapes that format uses —
+//! punctuation, escape-free strings, unsigned integers.
 
 pub(crate) struct Scanner<'a> {
     b: &'a [u8],
     pos: usize,
-    /// 1-based line of the cursor, for anchoring errors and entries.
-    pub(crate) line: u32,
+    /// 1-based line of the cursor, for anchoring errors.
+    line: u32,
 }
 
 impl<'a> Scanner<'a> {
@@ -86,19 +85,6 @@ impl<'a> Scanner<'a> {
             .ok()
             .and_then(|s| s.parse().ok())
             .ok_or_else(|| format!("invalid integer at line {}", self.line))
-    }
-
-    pub(crate) fn boolean(&mut self) -> Result<bool, String> {
-        self.skip_ws();
-        for (word, val) in [("true", true), ("false", false)] {
-            if self.b[self.pos..].starts_with(word.as_bytes()) {
-                for _ in 0..word.len() {
-                    self.advance();
-                }
-                return Ok(val);
-            }
-        }
-        Err(format!("expected true/false at line {}", self.line))
     }
 
     /// Only whitespace may follow the document.

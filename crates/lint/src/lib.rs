@@ -9,32 +9,26 @@
 //! | `O1` | stdout/stderr discipline — diagnostics route through `rpas_obs::Obs`, not `eprintln!`/`println!` |
 //! | `P1` | frozen panic-site budget per library crate (`unwrap`/`expect`/`panic!`/slice indexing) vs `lint-baseline.json` |
 //! | `F1` | no float `==`/`!=` in the numeric crates |
-//! | `E1` | every obs `span/event` emit is named in `events-registry.json`, and every non-dynamic registry entry has an emit site (DESIGN.md §14) |
+//! | `E1` | no string-literal span/name handed to `.info(…)` / `Event::new(…)` outside `crates/obs/` and `ledger/` — events are named through `rpas_obs::catalog` (DESIGN.md §7) |
 //!
-//! All five are token-level and per file ([`rules`]); E1 alone has a
-//! cross-file half, its emit inventory ([`index`]) checked against the
-//! committed registry ([`semantic`], [`registry`]).
+//! All five are token-level and per file ([`rules`]).
 //!
 //! Built on a hand-written lexer ([`lexer`]) so string literals and
 //! comments can never false-positive, with mandatory-reason inline
 //! suppressions ([`suppress`]). The `lint` binary (root `src/bin/lint.rs`)
 //! wires this into `scripts/verify.sh`; `tests/selfcheck.rs` keeps the
 //! workspace itself lint-clean under plain `cargo test` and re-derives
-//! both committed surfaces (`lint-baseline.json`, `events-registry.json`)
-//! byte-for-byte.
+//! the committed `lint-baseline.json` byte-for-byte.
 
 #![warn(missing_docs)]
 
 pub mod baseline;
 pub mod config;
-pub mod index;
 mod json;
 pub mod lexer;
 pub mod manifest;
-pub mod registry;
 pub mod report;
 pub mod rules;
-pub mod semantic;
 pub mod suppress;
 pub mod walk;
 
@@ -57,9 +51,6 @@ pub struct RunResult {
     /// `file:line` anchors of every P1 site, per crate (for actionable
     /// budget-exceeded messages).
     pub p1_sites: BTreeMap<String, Vec<String>>,
-    /// Every statically-extracted obs emit site (E1 exempt prefixes
-    /// excluded), for `--write-events` registry regeneration.
-    pub emit_sites: Vec<index::EmitSite>,
     /// Number of files analysed.
     pub files_scanned: usize,
 }
@@ -88,12 +79,11 @@ pub fn run_workspace(root: &Path, cfg: &Config) -> io::Result<RunResult> {
         res.files_scanned += 1;
     }
 
-    // Second pass: every rule's per-file half over each Rust file.
+    // Second pass: every rule over each Rust file.
     for e in entries.iter().filter(|e| e.kind == walk::FileKind::Rust) {
         let src = fs::read_to_string(&e.abs)?;
         let fa = rules::analyze_rust_file(&e.rel, &src, cfg);
         res.diagnostics.extend(fa.diagnostics);
-        res.emit_sites.extend(fa.emit_sites);
         if !fa.p1_sites.is_empty() {
             let krate = p1_crate(&e.rel, &crate_names, &root_package);
             let counts = res.p1.entry(krate.clone()).or_default();
@@ -106,11 +96,6 @@ pub fn run_workspace(root: &Path, cfg: &Config) -> io::Result<RunResult> {
         res.files_scanned += 1;
     }
 
-    // E1's cross-file half: the whole emit inventory against the registry.
-    if cfg.is_enabled("E1") {
-        res.diagnostics.extend(semantic::e1(&res.emit_sites, &load_registry(root, cfg), cfg));
-    }
-
     // Crates whose library code exists but has zero sites still belong in
     // the census, so a budget line persists for them.
     for e in entries.iter().filter(|e| e.kind == walk::FileKind::Rust) {
@@ -121,19 +106,6 @@ pub fn run_workspace(root: &Path, cfg: &Config) -> io::Result<RunResult> {
 
     report::sort(&mut res.diagnostics);
     Ok(res)
-}
-
-/// Read and parse the events registry named by the config, classifying
-/// the outcome for the E1 rule.
-pub fn load_registry(root: &Path, cfg: &Config) -> semantic::RegistryState {
-    let path = root.join(&cfg.events_registry_file);
-    match fs::read_to_string(&path) {
-        Ok(src) => match registry::parse(&src) {
-            Ok(reg) => semantic::RegistryState::Loaded(reg),
-            Err(e) => semantic::RegistryState::Malformed(e),
-        },
-        Err(_) => semantic::RegistryState::Missing,
-    }
 }
 
 fn bump(c: &mut P1Counts, cat: P1Cat) {

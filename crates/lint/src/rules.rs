@@ -1,7 +1,6 @@
 //! The per-file, token-level pass: D2 (nondeterminism sources), O1
 //! (stdout/stderr discipline), P1 (panic-site census), F1 (float
-//! equality), plus E1's emit-site extraction ([`crate::index`]; the check
-//! against the registry is [`crate::semantic`]).
+//! equality), E1 (events named through the catalogue, not by literal).
 //!
 //! Scope conventions shared by the rules:
 //! - *test code* is any file under a `tests/` directory plus every region
@@ -10,7 +9,6 @@
 //!   root `src/**`, excluding `bin/` subtrees and test code.
 
 use crate::config::Config;
-use crate::index::{self, EmitSite};
 use crate::lexer::{is_keyword, lex, TokKind, Token};
 use crate::report::Diagnostic;
 use crate::suppress;
@@ -56,8 +54,6 @@ pub struct FileAnalysis {
     pub diagnostics: Vec<Diagnostic>,
     /// P1 census sites (empty for non-library files).
     pub p1_sites: Vec<P1Site>,
-    /// Obs emit sites for E1 (empty when E1 is off or the path exempt).
-    pub emit_sites: Vec<EmitSite>,
 }
 
 /// Is this file test code by path alone? Matches both the workspace-level
@@ -93,6 +89,7 @@ pub fn analyze_rust_file(rel: &str, src: &str, cfg: &Config) -> FileAnalysis {
     let mut out = FileAnalysis::default();
     let toks = &lexed.tokens;
     let count_p1 = is_library_path(rel) && cfg.is_enabled("P1");
+    let check_e1 = cfg.is_enabled("E1") && !Config::path_in(rel, &cfg.e1_exempt_prefixes);
 
     for i in 0..toks.len() {
         let t = &toks[i];
@@ -171,6 +168,36 @@ pub fn analyze_rust_file(rel: &str, src: &str, cfg: &Config) -> FileAnalysis {
             }
         }
 
+        // E1: the two string-taking obs signatures (`.info(span, name, …)`,
+        // `Event::new(level, span, name)`) called with a literal. Test
+        // code included: a name a test makes up is a name no consumer
+        // can look up in the catalogue.
+        if check_e1 && t.kind == TokKind::Ident && next.is_some_and(|n| n.is_punct("(")) {
+            let before = |k: usize| i.checked_sub(k).and_then(|j| toks.get(j));
+            let callee = match t.text.as_str() {
+                "info" if before(1).is_some_and(|p| p.is_punct(".")) => Some(".info(…)"),
+                "new"
+                    if before(1).is_some_and(|p| p.is_punct("::"))
+                        && before(2).is_some_and(|p| p.is_ident("Event")) =>
+                {
+                    Some("Event::new(…)")
+                }
+                _ => None,
+            };
+            if let Some(callee) = callee {
+                if string_literal_arg(toks, i + 1) && !sup.allows("E1", line) {
+                    diags.push(Diagnostic::error(
+                        "E1",
+                        rel,
+                        line,
+                        format!(
+                            "`{callee}` with a string-literal span/name: declare the event in rpas_obs::catalog and use Obs::emit / Event::of"
+                        ),
+                    ));
+                }
+            }
+        }
+
         // F1: float equality in numeric crates (test code included — exact
         // bitwise checks there must justify themselves with an allow).
         if cfg.is_enabled("F1")
@@ -192,9 +219,6 @@ pub fn analyze_rust_file(rel: &str, src: &str, cfg: &Config) -> FileAnalysis {
         }
     }
 
-    if cfg.is_enabled("E1") && !Config::path_in(rel, &cfg.e1_exempt_prefixes) {
-        out.emit_sites = index::emit_sites(rel, toks, in_test, &sup);
-    }
     out.diagnostics = diags;
     out
 }
@@ -231,6 +255,27 @@ fn p1_category(toks: &[Token], i: usize) -> Option<P1Cat> {
         }
         _ => None,
     }
+}
+
+/// With `toks[open]` the `(` of a call: is any argument a bare string
+/// literal? Literals nested deeper (inside the build closure's own calls)
+/// are field keys and values, not names.
+fn string_literal_arg(toks: &[Token], open: usize) -> bool {
+    let mut depth = 0i32;
+    for t in toks.iter().skip(open) {
+        match t.kind {
+            TokKind::Punct if matches!(t.text.as_str(), "(" | "[" | "{") => depth += 1,
+            TokKind::Punct if matches!(t.text.as_str(), ")" | "]" | "}") => {
+                depth -= 1;
+                if depth == 0 {
+                    return false;
+                }
+            }
+            TokKind::Str if depth == 1 => return true,
+            _ => {}
+        }
+    }
+    false
 }
 
 /// Is either operand of the comparison at token `i` a float literal?
@@ -444,6 +489,15 @@ mod tests {
         let src = "#[cfg(test)]\nmod tests {\n  fn t(a: f64) {\n    assert!(a == 0.0); // rpas-lint: allow(F1, reason = \"exact zero-init contract\")\n    assert!(a != 2.0);\n  }\n}\n";
         let fa = run("crates/nn/src/param.rs", src);
         assert_eq!(rules_at(&fa), vec![("F1", 5)]);
+    }
+
+    #[test]
+    fn e1_literal_names_outside_the_exempt_prefixes() {
+        let src = "fn f(obs: &Obs, s: &str) {\n  obs.info(\"plan\", \"x\", |e| e.field(\"k\", 1));\n  let _ = Event::new(Level::Info, s, \"b\");\n  obs.info(s, s, |e| e.field(\"k\", \"v\"));\n}\n";
+        assert_eq!(rules_at(&run("crates/core/src/x.rs", src)), vec![("E1", 2), ("E1", 3)]);
+        assert_eq!(rules_at(&run("tests/e2e.rs", src)), vec![("E1", 2), ("E1", 3)]);
+        assert!(run("crates/obs/src/sink.rs", src).diagnostics.is_empty());
+        assert!(run("ledger/src/probes.rs", src).diagnostics.is_empty());
     }
 
     #[test]

@@ -99,7 +99,7 @@ fn every_fixture_matches_its_annotations() {
         .filter(|p| p.extension().is_some_and(|e| e == "rs"))
         .collect();
     entries.sort();
-    assert!(entries.len() >= 6, "fixture corpus went missing from {}", dir.display());
+    assert!(entries.len() >= 7, "fixture corpus went missing from {}", dir.display());
 
     let problems: Vec<String> = entries.iter().flat_map(|p| check_fixture(p)).collect();
     assert!(problems.is_empty(), "\n{}", problems.join("\n"));
@@ -118,15 +118,6 @@ fn fixtures_cover_every_rule() {
         seen.extend(exp.diags.into_iter().map(|(_, r)| r));
         if !exp.p1.is_empty() {
             seen.push("P1".to_string());
-        }
-    }
-    // E1's corpus is its own mini-workspace with a registry (driven by
-    // tests/semantic_fixtures.rs); its annotations count as coverage too.
-    let src = fs::read_to_string(dir.join("semantic/src/emit.rs"))
-        .expect("semantic fixture corpus exists");
-    for line in src.lines() {
-        if let Some(pos) = line.find("//~") {
-            seen.extend(line[pos + 3..].split_whitespace().map(str::to_string));
         }
     }
     for rule in rpas_lint::config::RULE_IDS {

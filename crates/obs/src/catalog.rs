@@ -1,0 +1,185 @@
+//! The event catalogue: every `span/name` the workspace emits, declared
+//! once with its level, and the only thing [`crate::Obs::emit`],
+//! [`crate::Obs::span`] and [`crate::Event::of`] accept.
+//!
+//! [`EventName`] has no public constructor, so a producer or consumer
+//! outside this crate can only name an event that is listed here: a
+//! rename is one edit, an unknown name is a compile error, and an entry
+//! nobody uses shows up in `tests/event_catalog.rs`.
+//!
+//! ```compile_fail
+//! // Private fields: a name cannot be made up at the emit site.
+//! let _ = rpas_obs::catalog::EventName { level: rpas_obs::Level::Info, span: "plan", name: "x" };
+//! ```
+
+use crate::event::Level;
+
+/// One declared event: its level, span and name. Obtainable only as one
+/// of this module's constants.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EventName {
+    level: Level,
+    span: &'static str,
+    name: &'static str,
+}
+
+impl EventName {
+    /// The level every emit of this event carries.
+    pub const fn level(self) -> Level {
+        self.level
+    }
+
+    /// The subsystem the event belongs to.
+    pub const fn span(self) -> &'static str {
+        self.span
+    }
+
+    /// The event name within its span.
+    pub const fn name(self) -> &'static str {
+        self.name
+    }
+
+    /// Whether a recorded `span` / `event` pair is this event.
+    pub fn is(self, span: &str, name: &str) -> bool {
+        self.span == span && self.name == name
+    }
+}
+
+impl std::fmt::Display for EventName {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}/{}", self.span, self.name)
+    }
+}
+
+/// The catalogue entry for a recorded `span` / `name` pair, if this build
+/// declares one (an old or foreign trace may carry names it does not).
+pub fn find(span: &str, name: &str) -> Option<EventName> {
+    ALL.iter().copied().find(|n| n.is(span, name))
+}
+
+macro_rules! catalog {
+    ($($(#[$doc:meta])+ $id:ident = $level:ident $span:literal / $name:literal;)+) => {
+        $(
+            $(#[$doc])+
+            pub const $id: EventName =
+                EventName { level: Level::$level, span: $span, name: $name };
+        )+
+
+        /// Every declared event, sorted by `span/name`.
+        pub const ALL: &[EventName] = &[$($id),+];
+    };
+}
+
+catalog! {
+    /// A `backtest` phase (`fit`, `rolling`) closed; carries `wall_us`.
+    BACKTEST_SPAN_CLOSE = Info "backtest" / "span_close";
+    /// Allocation profile of the fleet bench's supervised ticks.
+    BENCH_FLEET_ALLOC_PROFILE = Debug "bench" / "fleet_alloc_profile";
+    /// The fleet bench broke a `fleet-budget.json` ceiling.
+    BENCH_FLEET_BUDGET_EXCEEDED = Error "bench" / "fleet_budget_exceeded";
+    /// `fleet-budget.json` is missing or unreadable.
+    BENCH_FLEET_BUDGET_MISSING = Error "bench" / "fleet_budget_missing";
+    /// Supervised vs bare fleet tick overhead.
+    BENCH_FLEET_SUPERVISOR_OVERHEAD = Debug "bench" / "fleet_supervisor_overhead";
+    /// Live vs dark telemetry fleet tick overhead.
+    BENCH_FLEET_TELEMETRY_OVERHEAD = Debug "bench" / "fleet_telemetry_overhead";
+    /// One fleet bench throughput row.
+    BENCH_FLEET_THROUGHPUT = Debug "bench" / "fleet_throughput";
+    /// One `BenchGroup` measurement.
+    BENCH_MEASUREMENT = Debug "bench" / "measurement";
+    /// A `BenchGroup` finished; carries `wall_us`.
+    BENCH_SPAN_CLOSE = Info "bench" / "span_close";
+    /// The telemetry dark path broke `telemetry-budget.json`.
+    BENCH_TELEMETRY_BUDGET_EXCEEDED = Error "bench" / "telemetry_budget_exceeded";
+    /// `telemetry-budget.json` is missing or unreadable.
+    BENCH_TELEMETRY_BUDGET_MISSING = Error "bench" / "telemetry_budget_missing";
+    /// A results file could not be written.
+    BENCH_WRITE_FAILED = Warn "bench" / "write_failed";
+    /// The CLI is exiting 1; `error` says why.
+    CLI_FATAL = Error "cli" / "fatal";
+    /// `--save-weights` on a model that exports none.
+    CLI_NO_WEIGHT_SNAPSHOT = Warn "cli" / "no_weight_snapshot";
+    /// `forecast` is about to fit a model.
+    CLI_TRAIN_START = Info "cli" / "train_start";
+    /// An injected workload anomaly burst hit this step.
+    FAULT_ANOMALY = Info "fault" / "anomaly";
+    /// The policy saw a stale observation this step.
+    FAULT_METRIC_DROPOUT = Info "fault" / "metric_dropout";
+    /// An injected crash took nodes away.
+    FAULT_NODE_CRASH = Info "fault" / "node_crash";
+    /// A scale-up was delayed.
+    FAULT_PROVISION_DELAY = Info "fault" / "provision_delay";
+    /// A scaling request was dropped.
+    FAULT_SCALE_FAIL = Info "fault" / "scale_fail";
+    /// `fleet --kill-at-tick` stopped the run.
+    FLEET_KILLED = Warn "fleet" / "killed";
+    /// `fleet --resume-from` rebuilt a fleet from a checkpoint.
+    FLEET_RESUME = Info "fleet" / "resume";
+    /// `fleet` built its tenants and is about to tick.
+    FLEET_START = Info "fleet" / "start";
+    /// Context shorter than a season: flat forecast from the last value.
+    FORECAST_FLAT_FALLBACK = Warn "forecast" / "flat_fallback";
+    /// Too little history for a seasonal residual sigma.
+    FORECAST_SHORT_HISTORY_SIGMA = Warn "forecast" / "short_history_sigma";
+    /// The `--trace-out` / `RPAS_TRACE_OUT` file could not be created.
+    OBS_TRACE_OPEN_FAILED = Warn "obs" / "trace_open_failed";
+    /// `RPAS_THREADS` held something other than a positive integer.
+    PAR_THREADS_OVERRIDE_IGNORED = Warn "par" / "threads_override_ignored";
+    /// One Algorithm 1 step: uncertainty, regime, quantile, nodes.
+    PLAN_DECISION = Debug "plan" / "decision";
+    /// A non-finite forecast cell was planned at the floor.
+    PLAN_NON_FINITE_WORKLOAD = Warn "plan" / "non_finite_workload";
+    /// Roll-up of one plan: objective, delta, regime counts.
+    PLAN_SUMMARY = Info "plan" / "summary";
+    /// The Reactive-Max floor overrode the active tier's target.
+    RESILIENCE_BACKSTOP = Debug "resilience" / "backstop";
+    /// The ladder stepped down a level.
+    RESILIENCE_FALLBACK = Warn "resilience" / "fallback";
+    /// A target was clamped by the step-delta / node-count guardrails.
+    RESILIENCE_GUARDRAIL_CLAMP = Info "resilience" / "guardrail_clamp";
+    /// Stale metrics: the last granted target was held.
+    RESILIENCE_HOLD_LAST = Warn "resilience" / "hold_last";
+    /// The ladder stepped back up.
+    RESILIENCE_RECOVER = Info "resilience" / "recover";
+    /// A rejected scaling request is being re-requested after backoff.
+    RESILIENCE_RETRY = Warn "resilience" / "retry";
+    /// A rejected scaling request ran out of retries.
+    RESILIENCE_RETRY_EXHAUSTED = Warn "resilience" / "retry_exhausted";
+    /// Roll-up of a rolling-origin evaluation.
+    ROLLING_EVAL = Info "rolling" / "eval";
+    /// One rolling-origin window.
+    ROLLING_WINDOW = Debug "rolling" / "window";
+    /// End-of-run simulator report.
+    SIM_REPORT = Info "sim" / "report";
+    /// One simulator step: workload, nodes, utilisation, violation.
+    SIM_STEP = Debug "sim" / "step";
+    /// The run had zero-workload steps (once per run, with the count).
+    SIM_ZERO_WORKLOAD = Warn "sim" / "zero_workload";
+    /// A burn-rate window pair fired.
+    SLO_BURN_ALERT = Warn "slo" / "burn_alert";
+    /// One SLO subject's budget accounting.
+    SLO_STATUS = Info "slo" / "status";
+    /// A tenant finished probation.
+    SUPERVISOR_HEALTHY = Info "supervisor" / "healthy";
+    /// A tenant's tick panicked and was isolated.
+    SUPERVISOR_PANIC = Warn "supervisor" / "panic";
+    /// A tenant was circuit-broken into quarantine.
+    SUPERVISOR_QUARANTINE = Warn "supervisor" / "quarantine";
+    /// A quarantined tenant was re-admitted on probation.
+    SUPERVISOR_RESTORE = Info "supervisor" / "restore";
+    /// One DeepAR training epoch: loss and gradient norm.
+    TRAIN_DEEPAR_EPOCH = Debug "train.deepar" / "epoch";
+    /// One quantile-MLP training epoch.
+    TRAIN_MLP_QUANTILE_EPOCH = Debug "train.mlp-quantile" / "epoch";
+    /// One distribution-head MLP training epoch.
+    TRAIN_MLP_EPOCH = Debug "train.mlp" / "epoch";
+    /// One TFT training epoch.
+    TRAIN_TFT_EPOCH = Debug "train.tft" / "epoch";
+}
+
+/// Span of the applied-fault events (`FAULT_*`), for consumers that tally
+/// a whole span.
+pub const FAULT_SPAN: &str = FAULT_ANOMALY.span;
+
+/// Span of the degradation-ladder events (`RESILIENCE_*`).
+pub const RESILIENCE_SPAN: &str = RESILIENCE_FALLBACK.span;

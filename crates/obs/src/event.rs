@@ -8,6 +8,7 @@
 //! two runs of the same seeded experiment produce byte-identical content
 //! (see [`Event::content_line`]) while still carrying real timings.
 
+use crate::catalog::EventName;
 use crate::json::escape_into;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -178,8 +179,21 @@ pub struct Event {
 }
 
 impl Event {
-    /// New event shell; `seq`/`ts_us` are stamped by the [`crate::Obs`]
-    /// handle at emit time.
+    /// New shell of a catalogued event; `seq`/`ts_us` are stamped by the
+    /// [`crate::Obs`] handle at emit time.
+    pub fn of(name: EventName) -> Self {
+        Self::new(name.level(), name.span(), name.name())
+    }
+
+    /// Whether this is an instance of the catalogued event `name`.
+    pub fn is(&self, name: EventName) -> bool {
+        name.is(&self.span, &self.name)
+    }
+
+    /// New event shell named by strings — with [`crate::Obs::info`], the
+    /// escape hatch from [`crate::catalog`] that the frozen `ledger/`
+    /// benchmark still uses. Workspace code builds events with
+    /// [`Event::of`] (lint rule E1).
     pub fn new(level: Level, span: &str, name: &str) -> Self {
         Self {
             seq: 0,

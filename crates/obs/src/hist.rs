@@ -2,13 +2,10 @@
 //! sample), deterministic to serialize, and summarizable into percentile
 //! estimates without retaining samples.
 //!
-//! Serialization: a histogram event carries its state in one `Str` field,
-//! `le=<bound>:<count>;...;inf:<count>` — flat-scalar friendly for the
-//! JSONL schema and parseable back by `trace-report` (see
-//! [`Histogram::encode`] / [`Histogram::decode`]).
-
-use crate::event::{Event, Level};
-use crate::sink::Obs;
+//! Serialization: [`Histogram::encode`] renders the bucket state as one
+//! flat string, `le=<bound>:<count>;...;inf:<count>`, which is what the
+//! metric exposition prints; [`Histogram::from_parts`] is the lossless
+//! inverse of the accessors, for checkpoint restore.
 
 /// A histogram over fixed, strictly increasing bucket upper bounds, plus
 /// an implicit `+inf` overflow bucket.
@@ -85,8 +82,7 @@ impl Histogram {
         &self.counts
     }
 
-    /// Running sum of the finite samples (exact, unlike what
-    /// [`Histogram::decode`] can recover from the flat-string encoding).
+    /// Running sum of the finite samples.
     pub fn sum(&self) -> f64 {
         self.sum
     }
@@ -94,7 +90,7 @@ impl Histogram {
     /// Reassemble a histogram from previously captured state — the exact
     /// inverse of reading [`Histogram::bounds`]/[`Histogram::counts`]/
     /// [`Histogram::sum`], for checkpoint restore paths that must be
-    /// lossless (the flat-string [`Histogram::decode`] drops the sum).
+    /// lossless (the flat-string [`Histogram::encode`] drops the sum).
     ///
     /// # Errors
     /// The parts come from a file, so a shape [`Histogram::new`] would
@@ -154,19 +150,6 @@ impl Histogram {
         *self.bounds.last().expect("non-empty bounds")
     }
 
-    /// Merge another histogram with identical bounds.
-    ///
-    /// # Panics
-    /// Panics on mismatched bounds.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(self.bounds, other.bounds, "histogram bound mismatch");
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-    }
-
     /// Canonical flat-string encoding (`le=10:4;le=100:9;inf:2`).
     pub fn encode(&self) -> String {
         let mut parts: Vec<String> = self
@@ -178,63 +161,11 @@ impl Histogram {
         parts.push(format!("inf:{}", self.counts[self.bounds.len()]));
         parts.join(";")
     }
-
-    /// Parse an [`Histogram::encode`]d string back.
-    ///
-    /// # Errors
-    /// Returns a description of the first malformed segment.
-    pub fn decode(s: &str) -> Result<Histogram, String> {
-        let mut bounds = Vec::new();
-        let mut counts = Vec::new();
-        let mut saw_inf = false;
-        for part in s.split(';') {
-            let (key, count) =
-                part.split_once(':').ok_or_else(|| format!("bad histogram segment {part:?}"))?;
-            let count: u64 =
-                count.parse().map_err(|_| format!("bad histogram count {count:?}"))?;
-            if key == "inf" {
-                saw_inf = true;
-                counts.push(count);
-            } else {
-                let bound = key
-                    .strip_prefix("le=")
-                    .and_then(|b| b.parse::<f64>().ok())
-                    .ok_or_else(|| format!("bad histogram bound {key:?}"))?;
-                if saw_inf {
-                    return Err("histogram bound after inf bucket".to_string());
-                }
-                bounds.push(bound);
-                counts.push(count);
-            }
-        }
-        if !saw_inf || bounds.is_empty() {
-            return Err("histogram missing buckets or inf segment".to_string());
-        }
-        let mut h = Histogram::new(bounds);
-        let count = counts.iter().sum();
-        h.counts = counts;
-        h.count = count;
-        // The sum is not carried by the encoding; mean is best-effort on
-        // decode (bucket midpoint estimate is out of scope).
-        h.sum = f64::NAN;
-        Ok(h)
-    }
-
-    /// Emit the histogram as a `histogram` event on `obs`
-    /// (`metric`/`count`/`buckets` fields).
-    pub fn emit(&self, obs: &Obs, span: &str, metric: &str) {
-        obs.emit(Level::Info, span, "histogram", |e: &mut Event| {
-            e.field("metric", metric)
-                .field("count", self.count)
-                .field("buckets", self.encode());
-        });
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::MemorySink;
 
     #[test]
     fn records_into_correct_buckets() {
@@ -256,32 +187,6 @@ mod tests {
         assert_eq!(h.percentile(0.5), 4.0);
         assert_eq!(h.percentile(1.0), 8.0);
         assert!(Histogram::new(vec![1.0]).percentile(0.5).is_nan());
-    }
-
-    #[test]
-    fn encode_decode_roundtrip() {
-        let mut h = Histogram::new(vec![10.0, 100.0, 1000.0]);
-        for v in [5.0, 50.0, 500.0, 5000.0, 7.0] {
-            h.record(v);
-        }
-        let back = Histogram::decode(&h.encode()).unwrap();
-        assert_eq!(back.count(), h.count());
-        assert_eq!(back.encode(), h.encode());
-        assert_eq!(back.percentile(0.9), h.percentile(0.9));
-        assert!(Histogram::decode("le=1:x").is_err());
-        assert!(Histogram::decode("inf:1").is_err());
-    }
-
-    #[test]
-    fn merge_adds_counts() {
-        let mut a = Histogram::new(vec![1.0, 10.0]);
-        let mut b = Histogram::new(vec![1.0, 10.0]);
-        a.record(0.5);
-        b.record(5.0);
-        b.record(50.0);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.encode(), "le=1:1;le=10:1;inf:1");
     }
 
     #[test]
@@ -377,18 +282,5 @@ mod tests {
     fn bounds_accessor_exposes_configured_bounds() {
         let h = Histogram::new(vec![1.0, 2.0, 4.0]);
         assert_eq!(h.bounds(), &[1.0, 2.0, 4.0]);
-    }
-
-    #[test]
-    fn emits_histogram_event() {
-        let mem = MemorySink::new();
-        let obs = Obs::with_sink(Box::new(mem.clone()));
-        let mut h = Histogram::new(vec![1.0]);
-        h.record(0.5);
-        h.emit(&obs, "bench", "plan_us");
-        let ev = mem.events();
-        assert_eq!(ev.len(), 1);
-        assert_eq!(ev[0].name, "histogram");
-        assert_eq!(ev[0].fields["metric"], crate::Value::Str("plan_us".into()));
     }
 }

@@ -4,6 +4,8 @@
 //! for the rpas workspace — the answer to "why did the system pick 7
 //! nodes at step 412?" without a debugger.
 //!
+//! * [`catalog`] — every `span/name` the workspace emits, declared once;
+//!   the only names [`Obs::emit`] and [`Obs::span`] take.
 //! * [`event`] — the structured event model: [`Level`], scalar [`Value`]s,
 //!   and [`Event`] records with deterministic content (wall-clock only
 //!   ever lives in the reserved `ts_us`/`wall_us`/`*_us` timing slots).
@@ -23,22 +25,23 @@
 //! opt-in and free when disabled:
 //!
 //! ```
-//! use rpas_obs::{MemorySink, Obs};
+//! use rpas_obs::{catalog, MemorySink, Obs};
 //!
 //! let mem = MemorySink::new();
 //! let obs = Obs::with_sink(Box::new(mem.clone()));
-//! obs.info("plan", "summary", |e| {
+//! obs.emit(catalog::PLAN_SUMMARY, |e| {
 //!     e.field("nodes", 7u64).field("tau", 0.95);
 //! });
 //! assert_eq!(mem.events().len(), 1);
 //!
 //! // The disabled handle never even builds the event:
 //! let dark = Obs::noop();
-//! dark.info("plan", "summary", |_| unreachable!("no sink is listening"));
+//! dark.emit(catalog::PLAN_SUMMARY, |_| unreachable!("no sink is listening"));
 //! ```
 
 #![warn(missing_docs)]
 
+pub mod catalog;
 pub mod event;
 pub mod hist;
 pub mod json;

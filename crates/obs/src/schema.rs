@@ -43,6 +43,11 @@ pub struct TraceLine {
 }
 
 impl TraceLine {
+    /// Whether this line records the catalogued event `name`.
+    pub fn is(&self, name: crate::catalog::EventName) -> bool {
+        name.is(&self.span, &self.event)
+    }
+
     /// A field as f64, accepting both numbers and the non-finite string
     /// encodings (`"NaN"`, `"inf"`, `"-inf"`).
     pub fn num(&self, key: &str) -> Option<f64> {

@@ -67,7 +67,7 @@ pub fn thread_override() -> ThreadOverride {
 fn warn_ignored_override(raw: &str) {
     static ONCE: Once = Once::new();
     ONCE.call_once(|| {
-        rpas_obs::Obs::from_env().warn("par", "threads_override_ignored", |e| {
+        rpas_obs::Obs::from_env().emit(rpas_obs::catalog::PAR_THREADS_OVERRIDE_IGNORED, |e| {
             e.field("raw", raw).field("expected", "positive integer");
         });
     });

@@ -14,7 +14,7 @@ use crate::report::{SimulationReport, StepRecord};
 use crate::storage::SharedStorage;
 use crate::warmup::WarmupModel;
 use rpas_metrics::provisioning_rates_over;
-use rpas_obs::{Level, Obs};
+use rpas_obs::{catalog, Level, Obs};
 use rpas_telemetry::{Counter, HistogramHandle, Telemetry};
 use rpas_traces::Trace;
 use std::sync::Arc;
@@ -336,7 +336,7 @@ impl SimSession {
             self.counts.metric_dropout += 1;
             self.tel.faults.inc(1);
             let visible = self.visible;
-            self.obs.info("fault", "metric_dropout", |e| {
+            self.obs.emit(catalog::FAULT_METRIC_DROPOUT, |e| {
                 e.field("step", t).field("stale_after", visible);
             });
         }
@@ -345,7 +345,7 @@ impl SimSession {
             if m != 1.0 {
                 self.counts.anomaly_steps += 1;
                 self.tel.faults.inc(1);
-                self.obs.info("fault", "anomaly", |e| {
+                self.obs.emit(catalog::FAULT_ANOMALY, |e| {
                     e.field("step", t)
                         .field("mult", m)
                         .field("burst", p.anomaly_kind_at(t).label());
@@ -368,7 +368,7 @@ impl SimSession {
         } else if fp.is_some_and(|p| p.scale_fail_at(t)) {
             self.counts.scale_fail += 1;
             self.tel.faults.inc(1);
-            self.obs.info("fault", "scale_fail", |e| {
+            self.obs.emit(catalog::FAULT_SCALE_FAIL, |e| {
                 e.field("step", t).field("requested", target).field("current", current);
             });
             ScaleOutcome::Rejected
@@ -378,7 +378,7 @@ impl SimSession {
             if delay > 0 {
                 self.counts.provision_delay += 1;
                 self.tel.faults.inc(1);
-                self.obs.info("fault", "provision_delay", |e| {
+                self.obs.emit(catalog::FAULT_PROVISION_DELAY, |e| {
                     e.field("step", t)
                         .field("extra_steps", delay)
                         .field("launched", target - current);
@@ -394,7 +394,7 @@ impl SimSession {
                 self.counts.node_crash += crashed as u64;
                 self.tel.faults.inc(crashed as u64);
                 let pool = self.cluster.size();
-                self.obs.info("fault", "node_crash", |e| {
+                self.obs.emit(catalog::FAULT_NODE_CRASH, |e| {
                     e.field("step", t).field("count", crashed).field("pool", pool);
                 });
             }
@@ -408,7 +408,7 @@ impl SimSession {
             self.tel.violations.inc(1);
         }
         self.tel.utilization.record(utilization / self.cfg.theta);
-        self.obs.debug("sim", "step", |e| {
+        self.obs.emit(catalog::SIM_STEP, |e| {
             e.field("step", t)
                 .field("workload", workload)
                 .field("nodes", pool)
@@ -438,7 +438,7 @@ impl SimSession {
         let w = &w[..steps.len()];
         let zero_steps = w.iter().filter(|&&x| x <= 0.0).count();
         if zero_steps > 0 {
-            obs.warn("sim", "zero_workload", |e| {
+            obs.emit(catalog::SIM_ZERO_WORKLOAD, |e| {
                 e.field("steps", zero_steps)
                     .field("total", w.len())
                     .field("policy", policy_name.to_string());
@@ -469,7 +469,7 @@ impl SimSession {
             recovery,
         };
         if obs.enabled(Level::Info) {
-            obs.info("sim", "report", |e| {
+            obs.emit(catalog::SIM_REPORT, |e| {
                 e.field("policy", report.policy.clone())
                     .field("steps", report.steps.len())
                     .field("violation_rate", report.violation_rate)
@@ -580,12 +580,12 @@ mod tests {
         let _ = sim.run(&mut FixedPolicy(2));
 
         let events = mem.events();
-        assert_eq!(events.iter().filter(|e| e.name == "step").count(), 3);
+        assert_eq!(events.iter().filter(|e| e.is(catalog::SIM_STEP)).count(), 3);
         // One idle interval → one zero-workload warning naming it.
-        let warn = events.iter().find(|e| e.name == "zero_workload").expect("warn event");
+        let warn = events.iter().find(|e| e.is(catalog::SIM_ZERO_WORKLOAD)).expect("warn event");
         assert_eq!(warn.level, Level::Warn);
         assert_eq!(warn.fields["steps"], rpas_obs::Value::U64(1));
-        let report = events.iter().find(|e| e.name == "report").expect("summary event");
+        let report = events.iter().find(|e| e.is(catalog::SIM_REPORT)).expect("summary event");
         assert!(report.fields["mean_utilization"].to_json().parse::<f64>().unwrap().is_finite());
     }
 
@@ -599,7 +599,7 @@ mod tests {
             .with_obs(Obs::with_sink(Box::new(mem.clone())));
         let _ = sim.run(&mut FixedPolicy(1));
         let warns: Vec<_> =
-            mem.events().into_iter().filter(|e| e.name == "zero_workload").collect();
+            mem.events().into_iter().filter(|e| e.is(catalog::SIM_ZERO_WORKLOAD)).collect();
         assert_eq!(warns.len(), 1, "one warn per run, got {}", warns.len());
         assert_eq!(warns[0].fields["steps"], rpas_obs::Value::U64(25));
         assert_eq!(warns[0].fields["total"], rpas_obs::Value::U64(25));
@@ -792,14 +792,14 @@ mod fault_tests {
             .with_faults(plan)
             .run(&mut FixedPolicy(3));
         let events = mem.events();
-        let count = |name: &str| -> u64 {
-            events.iter().filter(|e| e.span == "fault" && e.name == name).count() as u64
+        let count = |name: catalog::EventName| -> u64 {
+            events.iter().filter(|e| e.is(name)).count() as u64
         };
-        assert_eq!(count("scale_fail"), r.faults.scale_fail);
-        assert_eq!(count("provision_delay"), r.faults.provision_delay);
-        assert_eq!(count("node_crash"), r.faults.node_crash);
-        assert_eq!(count("metric_dropout"), r.faults.metric_dropout);
-        assert_eq!(count("anomaly"), r.faults.anomaly_steps);
+        assert_eq!(count(catalog::FAULT_SCALE_FAIL), r.faults.scale_fail);
+        assert_eq!(count(catalog::FAULT_PROVISION_DELAY), r.faults.provision_delay);
+        assert_eq!(count(catalog::FAULT_NODE_CRASH), r.faults.node_crash);
+        assert_eq!(count(catalog::FAULT_METRIC_DROPOUT), r.faults.metric_dropout);
+        assert_eq!(count(catalog::FAULT_ANOMALY), r.faults.anomaly_steps);
         assert!(r.faults.total() > 0, "heavy profile must inject something");
         assert!(r.recovery.is_some());
     }

@@ -4,11 +4,9 @@
 //! `*_us` fields), so two runs of the same seeded computation diff
 //! clean even though their timings differ.
 //!
-//! Three views, coarse to fine:
+//! Two views, coarse to fine:
 //! 1. event-count deltas per `span/event` — what appeared or vanished;
-//! 2. metric deltas — summed `counter` deltas and final `histogram`
-//!    counts per `span/metric` — how much behaviour shifted;
-//! 3. a first-divergence pointer — the first line index where content
+//! 2. a first-divergence pointer — the first line index where content
 //!    differs, with both renderings, for bisecting nondeterminism.
 
 use crate::query::render_json;
@@ -24,17 +22,6 @@ pub struct CountDelta {
     pub a: u64,
     /// Occurrences in trace B.
     pub b: u64,
-}
-
-/// Summed metric value of one `span/metric` key in both traces.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MetricDelta {
-    /// `span/metric` plus the metric kind.
-    pub key: String,
-    /// Value in trace A.
-    pub a: f64,
-    /// Value in trace B.
-    pub b: f64,
 }
 
 /// First content mismatch between the two traces.
@@ -57,19 +44,15 @@ pub struct TraceDiff {
     pub b_lines: usize,
     /// `span/event` keys whose counts differ, sorted by key.
     pub count_deltas: Vec<CountDelta>,
-    /// `span/metric` keys whose summed values differ, sorted by key.
-    pub metric_deltas: Vec<MetricDelta>,
     /// First content divergence in line order (`None` when identical).
     pub first_divergence: Option<Divergence>,
 }
 
 impl TraceDiff {
-    /// Whether the traces have identical content (counts, metrics, and
-    /// line-by-line content all agree).
+    /// Whether the traces have identical content (counts and
+    /// line-by-line content both agree).
     pub fn is_identical(&self) -> bool {
-        self.count_deltas.is_empty()
-            && self.metric_deltas.is_empty()
-            && self.first_divergence.is_none()
+        self.count_deltas.is_empty() && self.first_divergence.is_none()
     }
 
     /// Deterministic text rendering.
@@ -91,19 +74,6 @@ impl TraceDiff {
                     d.a,
                     d.b,
                     d.b as i64 - d.a as i64
-                ));
-            }
-        }
-        if self.metric_deltas.is_empty() {
-            out.push_str("metrics           : identical\n");
-        } else {
-            out.push_str(&format!("metric deltas ({}):\n", self.metric_deltas.len()));
-            for d in &self.metric_deltas {
-                out.push_str(&format!(
-                    "  {:<40} A={} B={}\n",
-                    d.key,
-                    crate::query::fmt_value(d.a),
-                    crate::query::fmt_value(d.b)
                 ));
             }
         }
@@ -136,7 +106,6 @@ pub fn content_line(line: &TraceLine) -> String {
 /// Structural diff of two validated traces.
 pub fn diff_traces(a: &[TraceLine], b: &[TraceLine]) -> TraceDiff {
     let mut counts: BTreeMap<String, (u64, u64)> = BTreeMap::new();
-    let mut metrics: BTreeMap<String, (f64, f64)> = BTreeMap::new();
     for (side, lines) in [(0, a), (1, b)] {
         for line in lines {
             let c = counts.entry(format!("{}/{}", line.span, line.event)).or_insert((0, 0));
@@ -145,24 +114,6 @@ pub fn diff_traces(a: &[TraceLine], b: &[TraceLine]) -> TraceDiff {
             } else {
                 c.1 += 1;
             }
-            let metric_value = match line.event.as_str() {
-                // obs.counter(): sum the deltas → final count.
-                "counter" => line.num("delta").map(|d| ("counter", d)),
-                // Histogram::emit(): the last emitted count stands.
-                "histogram" => line.num("count").map(|c| ("histogram", c)),
-                _ => None,
-            };
-            if let (Some(metric), Some((kind, v))) = (line.str("metric"), metric_value) {
-                let m = metrics
-                    .entry(format!("{}/{metric} [{kind}]", line.span))
-                    .or_insert((0.0, 0.0));
-                match (line.event.as_str(), side) {
-                    ("counter", 0) => m.0 += v,
-                    ("counter", _) => m.1 += v,
-                    (_, 0) => m.0 = v,
-                    (_, _) => m.1 = v,
-                }
-            }
         }
     }
 
@@ -170,11 +121,6 @@ pub fn diff_traces(a: &[TraceLine], b: &[TraceLine]) -> TraceDiff {
         .into_iter()
         .filter(|(_, (ca, cb))| ca != cb)
         .map(|(key, (a, b))| CountDelta { key, a, b })
-        .collect();
-    let metric_deltas = metrics
-        .into_iter()
-        .filter(|(_, (ma, mb))| ma.to_bits() != mb.to_bits())
-        .map(|(key, (a, b))| MetricDelta { key, a, b })
         .collect();
 
     let mut first_divergence = None;
@@ -187,13 +133,7 @@ pub fn diff_traces(a: &[TraceLine], b: &[TraceLine]) -> TraceDiff {
         }
     }
 
-    TraceDiff {
-        a_lines: a.len(),
-        b_lines: b.len(),
-        count_deltas,
-        metric_deltas,
-        first_divergence,
-    }
+    TraceDiff { a_lines: a.len(), b_lines: b.len(), count_deltas, first_divergence }
 }
 
 #[cfg(test)]
@@ -234,22 +174,6 @@ mod tests {
         let div = d.first_divergence.expect("B ends early");
         assert_eq!(div.index, 1);
         assert!(div.b.is_none());
-    }
-
-    #[test]
-    fn counter_deltas_sum_and_compare() {
-        let a = parse(&[
-            r#"{"v":1,"seq":0,"ts_us":0,"level":"debug","span":"sim","event":"counter","fields":{"metric":"scale_ops","delta":2}}"#,
-            r#"{"v":1,"seq":1,"ts_us":0,"level":"debug","span":"sim","event":"counter","fields":{"metric":"scale_ops","delta":3}}"#,
-        ]);
-        let b = parse(&[
-            r#"{"v":1,"seq":0,"ts_us":0,"level":"debug","span":"sim","event":"counter","fields":{"metric":"scale_ops","delta":4}}"#,
-        ]);
-        let d = diff_traces(&a, &b);
-        assert_eq!(d.metric_deltas.len(), 1);
-        assert_eq!(d.metric_deltas[0].key, "sim/scale_ops [counter]");
-        assert!((d.metric_deltas[0].a - 5.0).abs() < 1e-12);
-        assert!((d.metric_deltas[0].b - 4.0).abs() < 1e-12);
     }
 
     #[test]

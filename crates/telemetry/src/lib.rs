@@ -5,8 +5,8 @@
 //! 1. [`registry`] — a sharded [`MetricRegistry`] of labelled counters,
 //!    gauges, and fixed-bucket histograms. Fleet workers record through
 //!    cheap cloneable handles without contending on one lock; snapshots
-//!    render to a canonical sorted text exposition and to schema-v1
-//!    JSONL. The [`Telemetry`] front handle mirrors [`rpas_obs::Obs`]:
+//!    render to a canonical sorted text exposition. The [`Telemetry`]
+//!    front handle mirrors [`rpas_obs::Obs`]:
 //!    the dark (no-op) path is a single branch per recording.
 //! 2. [`slo`] — declarative objectives with error budgets and
 //!    multi-window burn-rate alerting over **sim ticks** (never wall
@@ -14,7 +14,7 @@
 //!    [`rpas_obs::Obs`] handle.
 //! 3. [`query`] / [`diff`] — offline tooling over recorded schema-v1
 //!    traces: filter/group/aggregate, and structural diff of two runs
-//!    (event-count deltas, metric deltas, first-divergence pointer).
+//!    (event-count deltas, first-divergence pointer).
 //!
 //! Determinism contract: nothing in this crate reads a clock, an
 //! environment variable, or iterates a hash map. All rendered output is

@@ -5,7 +5,7 @@
 //! through `BTreeMap`s, so output order is canonical regardless of input
 //! interleaving.
 
-use rpas_obs::{Json, Level, TraceLine};
+use rpas_obs::{catalog, Json, Level, TraceLine};
 use std::collections::BTreeMap;
 
 /// Conjunctive line filter; `None` members match everything.
@@ -23,6 +23,27 @@ pub struct QueryFilter {
 }
 
 impl QueryFilter {
+    /// Reject a `span` + `event` pair this build's catalogue does not
+    /// declare — a typo would otherwise match nothing and look like an
+    /// empty result.
+    ///
+    /// # Errors
+    /// Names the events the span does have (or the known spans).
+    pub fn check_catalog(&self) -> Result<(), String> {
+        let (Some(span), Some(event)) = (&self.span, &self.event) else { return Ok(()) };
+        if catalog::find(span, event).is_some() {
+            return Ok(());
+        }
+        let known: Vec<&str> =
+            catalog::ALL.iter().filter(|n| n.span() == span).map(|n| n.name()).collect();
+        if known.is_empty() {
+            let mut spans: Vec<&str> = catalog::ALL.iter().map(|n| n.span()).collect();
+            spans.dedup();
+            return Err(format!("unknown span {span:?} (known spans: {})", spans.join(", ")));
+        }
+        Err(format!("span {span:?} has no event {event:?} (its events: {})", known.join(", ")))
+    }
+
     /// Whether `line` passes every constraint.
     pub fn matches(&self, line: &TraceLine) -> bool {
         if let Some(s) = &self.span {
@@ -218,7 +239,7 @@ pub(crate) fn render_json(j: &Json) -> String {
     }
 }
 
-pub(crate) fn fmt_value(v: f64) -> String {
+fn fmt_value(v: f64) -> String {
     if v.is_nan() {
         "NaN".to_string()
     } else if v.is_infinite() {
@@ -296,6 +317,23 @@ mod tests {
         );
         assert_eq!(rmax.rows.len(), 2);
         assert!((rmax.rows[1].value - 0.9).abs() < 1e-12);
+    }
+
+    #[test]
+    fn span_event_pairs_outside_the_catalogue_are_rejected() {
+        let pair = |span: &str, event: &str| QueryFilter {
+            span: Some(span.to_string()),
+            event: Some(event.to_string()),
+            ..Default::default()
+        };
+        assert_eq!(pair("sim", "step").check_catalog(), Ok(()));
+        let err = pair("sim", "stepp").check_catalog().unwrap_err();
+        assert!(err.contains("report, step, zero_workload"), "{err}");
+        let err = pair("simm", "step").check_catalog().unwrap_err();
+        assert!(err.contains("unknown span \"simm\"") && err.contains("sim,"), "{err}");
+        // One-sided filters are exploratory: nothing to check.
+        let span_only = QueryFilter { span: Some("simm".to_string()), ..Default::default() };
+        assert_eq!(span_only.check_catalog(), Ok(()));
     }
 
     #[test]

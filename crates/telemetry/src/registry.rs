@@ -15,7 +15,7 @@
 //! wiring labels every gauge by tenant for exactly this reason).
 
 use rpas_obs::json::escape_str;
-use rpas_obs::{Event, Histogram, Level, Obs};
+use rpas_obs::Histogram;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -458,50 +458,6 @@ impl Snapshot {
         out
     }
 
-    /// Schema-v1 JSONL exposition: one `metric/{counter,gauge,histogram}`
-    /// event per entry, `seq` in canonical order, `ts_us` pinned to 0.
-    pub fn jsonl(&self) -> String {
-        let mut out = String::new();
-        for (i, e) in self.entries.iter().enumerate() {
-            let (kind, mut ev) = match &e.value {
-                SnapshotValue::Counter(v) => {
-                    let mut ev = Event::new(Level::Debug, "metric", "counter");
-                    ev.field("value", *v);
-                    ("counter", ev)
-                }
-                SnapshotValue::Gauge(v) => {
-                    let mut ev = Event::new(Level::Debug, "metric", "gauge");
-                    ev.field("value", *v);
-                    ("gauge", ev)
-                }
-                SnapshotValue::Histogram(h) => {
-                    let mut ev = Event::new(Level::Debug, "metric", "histogram");
-                    ev.field("count", h.count()).field("buckets", h.encode());
-                    ("histogram", ev)
-                }
-            };
-            let _ = kind;
-            ev.seq = i as u64;
-            ev.ts_us = 0;
-            ev.field("metric", e.name.as_str());
-            ev.write_json(&mut out);
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Emit the snapshot as audit events on an [`Obs`] handle
-    /// (`telemetry/counter|gauge|histogram`).
-    pub fn emit(&self, obs: &Obs) {
-        for e in &self.entries {
-            match &e.value {
-                SnapshotValue::Counter(v) => obs.counter("telemetry", &e.name, *v),
-                SnapshotValue::Gauge(v) => obs.gauge("telemetry", &e.name, *v),
-                SnapshotValue::Histogram(h) => h.emit(obs, "telemetry", &e.name),
-            }
-        }
-    }
-
     /// Counter value by rendered key (`None` if absent or not a counter).
     pub fn counter_value(&self, rendered: &str) -> Option<u64> {
         self.entries.iter().find(|e| e.name == rendered).and_then(|e| match &e.value {
@@ -725,19 +681,5 @@ mod tests {
         assert!(dark.dump().is_empty());
         dark.restore(&dump).unwrap();
         assert!(dark.snapshot().entries.is_empty());
-    }
-
-    #[test]
-    fn jsonl_snapshot_is_valid_schema_v1() {
-        let tel = Telemetry::live();
-        tel.counter("c", &[("tenant", "t0000")]).inc(3);
-        tel.histogram("h", &[], &[2.0]).record(1.0);
-        let jsonl = tel.snapshot().jsonl();
-        for line in jsonl.lines() {
-            let t = rpas_obs::validate_line(line).expect("snapshot line validates");
-            assert_eq!(t.span, "metric");
-            assert_eq!(t.ts_us, 0);
-        }
-        assert_eq!(jsonl.lines().count(), 2);
     }
 }

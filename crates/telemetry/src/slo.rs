@@ -13,7 +13,7 @@
 //! still happening). Audit events land on an [`Obs`] handle under the
 //! `slo` span.
 
-use rpas_obs::Obs;
+use rpas_obs::{catalog, Obs};
 use std::borrow::Borrow;
 
 /// One multi-window burn-rate rule, windows in sim ticks.
@@ -267,7 +267,7 @@ pub fn evaluate(spec: &SloSpec, subject: &str, series: &RatioSeries, obs: &Obs) 
         alerts,
     };
 
-    obs.info("slo", "status", |e| {
+    obs.emit(catalog::SLO_STATUS, |e| {
         e.field("slo", spec.name.as_str())
             .field("subject", subject)
             .field("ticks", status.ticks)
@@ -279,7 +279,7 @@ pub fn evaluate(spec: &SloSpec, subject: &str, series: &RatioSeries, obs: &Obs) 
             .field("budget_remaining", status.budget_remaining);
     });
     for a in &status.alerts {
-        obs.warn("slo", "burn_alert", |e| {
+        obs.emit(catalog::SLO_BURN_ALERT, |e| {
             e.field("slo", spec.name.as_str())
                 .field("subject", subject)
                 .field("rule", a.rule.label())
@@ -601,10 +601,8 @@ mod tests {
         let rule = BurnRule { long: 4, short: 2, factor: 1.5 };
         evaluate(&spec(0.10, vec![rule]), "t0007", &RatioSeries::from_bools(&flags), &obs);
         let events = mem.drain();
-        let statuses: Vec<_> =
-            events.iter().filter(|e| e.span == "slo" && e.name == "status").collect();
-        let alerts: Vec<_> =
-            events.iter().filter(|e| e.span == "slo" && e.name == "burn_alert").collect();
+        let statuses: Vec<_> = events.iter().filter(|e| e.is(catalog::SLO_STATUS)).collect();
+        let alerts: Vec<_> = events.iter().filter(|e| e.is(catalog::SLO_BURN_ALERT)).collect();
         assert_eq!(statuses.len(), 1);
         assert_eq!(alerts.len(), 1);
         assert_eq!(

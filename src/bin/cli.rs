@@ -20,7 +20,7 @@ use rpas::forecast::{
     Arima, ArimaConfig, DeepAr, DeepArConfig, Forecaster, HoltWinters, HoltWintersConfig,
     MlpProb, MlpProbConfig, SeasonalNaive, Tft, TftConfig, SCALING_LEVELS,
 };
-use rpas::obs::{validate_line, Histogram, Level, Obs, TraceLine};
+use rpas::obs::{catalog, validate_line, Level, Obs, StderrSink, TraceLine};
 use rpas::telemetry::{
     diff_traces, run_query, Aggregate, GroupBy, QueryFilter, SloSpec, Telemetry,
 };
@@ -98,8 +98,8 @@ COMMANDS
              --group-by all|span|event|level|tenant|field:<name> (event)
              --agg count|sum:<f>|mean:<f>|min:<f>|max:<f> (count)
   obs diff   structural diff of two schema-v1 JSONL traces
-             --a FILE  --b FILE  (event-count deltas, metric deltas,
-             first content divergence; timing fields are ignored)
+             --a FILE  --b FILE  (event-count deltas, first content
+             divergence; timing fields are ignored)
 
 ENVIRONMENT
   RPAS_LOG        stderr verbosity: error|warn|info|debug|off (info)
@@ -139,14 +139,14 @@ fn main() {
     match run(normalize(args)) {
         Ok(()) => {}
         Err(e) => {
-            // Diagnostics route through the obs stderr sink (RPAS_LOG),
-            // never raw stderr writes — scripts/verify.sh enforces this.
-            let obs = Obs::from_env();
-            obs.error("cli", "fatal", |ev| {
+            // Through the obs stderr sink, never a raw stderr write (lint
+            // rule O1) — but not through RPAS_LOG: the reason for exit 1
+            // is the one diagnostic `off` must not swallow.
+            let obs = Obs::with_sink(Box::new(StderrSink::new(Level::Error)));
+            obs.emit(catalog::CLI_FATAL, |ev| {
                 ev.field("error", e.to_string())
                     .field("hint", "run `rpas-cli help` for usage");
             });
-            obs.flush();
             std::process::exit(1);
         }
     }
@@ -277,7 +277,7 @@ fn forecast(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>>
         other => return Err(format!("unknown model {other:?}").into()),
     };
 
-    obs.info("cli", "train_start", |e| {
+    obs.emit(catalog::CLI_TRAIN_START, |e| {
         e.field("model", model_name).field("samples", train.len());
     });
     model.fit(&train.values)?;
@@ -301,7 +301,7 @@ fn forecast(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>>
                 std::fs::write(wpath, &bytes)?;
                 println!("saved model weights to {wpath}");
             }
-            None => obs.warn("cli", "no_weight_snapshot", |e| {
+            None => obs.emit(catalog::CLI_NO_WEIGHT_SNAPSHOT, |e| {
                 e.field("model", model_name);
             }),
         }
@@ -489,7 +489,7 @@ fn backtest(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>>
     if test.len() < context + horizon {
         return Err("test split shorter than one context+horizon window".into());
     }
-    let fit_timer = obs.span("backtest", "fit");
+    let fit_timer = obs.span(catalog::BACKTEST_SPAN_CLOSE, "fit");
     model.fit(&train.values)?;
     fit_timer.finish(|e| {
         e.field("model", model_name).field("samples", train.len());
@@ -543,7 +543,7 @@ fn backtest(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>>
     )
     .with_obs(obs.clone());
 
-    let bt_timer = obs.span("backtest", "rolling");
+    let bt_timer = obs.span(catalog::BACKTEST_SPAN_CLOSE, "rolling");
     let report =
         backtest_quantile(&*model, test_values, context, horizon, &manager, &SCALING_LEVELS);
     bt_timer.finish(|e| {
@@ -748,7 +748,7 @@ fn fleet(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>> {
         let text = std::fs::read_to_string(path)?;
         let (sup, cfg) = rpas::core::checkpoint::load(&text, &tel, obs.clone())
             .map_err(|e| format!("{path}: {e}"))?;
-        obs.info("fleet", "resume", |e| {
+        obs.emit(catalog::FLEET_RESUME, |e| {
             e.field("path", path).field("tick", sup.ticks_done());
         });
         (sup, cfg)
@@ -831,7 +831,7 @@ fn fleet(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>> {
         };
         cfg.validate()?;
 
-        obs.info("fleet", "start", |e| {
+        obs.emit(catalog::FLEET_START, |e| {
             e.field("tenants", tenants).field("days", days).field("seed", seed);
         });
         let engine = FleetEngine::with_telemetry(&cfg, &tel).with_obs(obs.clone());
@@ -848,7 +848,7 @@ fn fleet(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>> {
         let path = checkpoint_out.expect("checked above");
         let text = rpas::core::checkpoint::save(&sup, &cfg, &tel)?;
         std::fs::write(path, &text)?;
-        obs.warn("fleet", "killed", |e| {
+        obs.emit(catalog::FLEET_KILLED, |e| {
             e.field("tick", sup.ticks_done()).field("path", path);
         });
         println!("wrote checkpoint at tick {} to {path}", sup.ticks_done());
@@ -984,6 +984,7 @@ fn obs_query(a: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
             filter.field_equals.push((k.to_string(), v.to_string()));
         }
     }
+    filter.check_catalog()?;
     let group = GroupBy::parse(a.get("group-by").unwrap_or("event"))?;
     let agg = Aggregate::parse(a.get("agg").unwrap_or("count"))?;
     print!("{}", run_query(&lines, &filter, &group, &agg).render());
@@ -1014,18 +1015,11 @@ fn fmt_us(us: u64) -> String {
 }
 
 /// Summarize a schema-v1 JSONL trace: event counts, per-span wall time,
-/// counters, histogram percentiles, and the Algorithm-1 decision audit.
+/// and the fault, degradation-ladder and Algorithm-1 decision audits.
 /// Every line is schema-validated; a malformed line fails the command.
 fn trace_report(a: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
     let path = a.require("trace")?;
-    let text = std::fs::read_to_string(path)?;
-    let mut lines: Vec<TraceLine> = Vec::new();
-    for (i, raw) in text.lines().enumerate() {
-        if raw.trim().is_empty() {
-            continue;
-        }
-        lines.push(validate_line(raw).map_err(|e| format!("{path}:{}: {e}", i + 1))?);
-    }
+    let lines = load_jsonl(path)?;
     if lines.is_empty() {
         return Err(format!("{path}: no events").into());
     }
@@ -1033,8 +1027,6 @@ fn trace_report(a: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
     let mut by_level = std::collections::BTreeMap::<&'static str, u64>::new();
     let mut by_event = std::collections::BTreeMap::<(String, String), u64>::new();
     let mut span_wall = std::collections::BTreeMap::<String, (u64, u64)>::new();
-    let mut counters = std::collections::BTreeMap::<(String, String), u64>::new();
-    let mut hists = std::collections::BTreeMap::<(String, String), Histogram>::new();
     for t in &lines {
         *by_level.entry(t.level.as_str()).or_default() += 1;
         *by_event.entry((t.span.clone(), t.event.clone())).or_default() += 1;
@@ -1042,25 +1034,6 @@ fn trace_report(a: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
             let e = span_wall.entry(t.span.clone()).or_default();
             e.0 += 1;
             e.1 += w;
-        }
-        match t.event.as_str() {
-            "counter" => {
-                if let (Some(metric), Some(delta)) = (t.str("metric"), t.num("delta")) {
-                    *counters.entry((t.span.clone(), metric.to_string())).or_default() +=
-                        delta as u64;
-                }
-            }
-            "histogram" => {
-                if let (Some(metric), Some(enc)) = (t.str("metric"), t.str("buckets")) {
-                    let h = Histogram::decode(enc)
-                        .map_err(|e| format!("{path}: bad histogram {metric:?}: {e}"))?;
-                    hists
-                        .entry((t.span.clone(), metric.to_string()))
-                        .and_modify(|acc| acc.merge(&h))
-                        .or_insert(h);
-                }
-            }
-            _ => {}
         }
     }
 
@@ -1071,6 +1044,9 @@ fn trace_report(a: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
         .map(|l| format!("{l} {}", by_level.get(l).copied().unwrap_or(0)))
         .collect();
     println!("by level          : {}", level_line.join(" | "));
+    // An old or foreign trace may carry names this build never emits.
+    let foreign = by_event.keys().filter(|(s, e)| catalog::find(s, e).is_none()).count();
+    println!("not in catalogue  : {foreign} of {} span/event name(s)", by_event.len());
 
     println!("\nevents by span/event");
     for ((span, event), n) in &by_event {
@@ -1084,27 +1060,6 @@ fn trace_report(a: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    if !counters.is_empty() {
-        println!("\ncounters");
-        for ((span, metric), total) in &counters {
-            println!("  {:<32} {total:>8}", format!("{span}/{metric}"));
-        }
-    }
-
-    if !hists.is_empty() {
-        println!("\nhistograms");
-        for ((span, metric), h) in &hists {
-            println!(
-                "  {:<32} n={} p50={} p90={} p99={}",
-                format!("{span}/{metric}"),
-                h.count(),
-                h.percentile(0.5),
-                h.percentile(0.9),
-                h.percentile(0.99),
-            );
-        }
-    }
-
     fault_injection_summary(&lines);
     resilience_ladder_summary(&lines);
     decision_audit_summary(&lines);
@@ -1114,7 +1069,8 @@ fn trace_report(a: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
 /// The fault section of `trace-report`: tally applied `fault/*` events and
 /// bound the window they landed in, reconstructing the injected schedule.
 fn fault_injection_summary(lines: &[TraceLine]) {
-    let faults: Vec<&TraceLine> = lines.iter().filter(|t| t.span == "fault").collect();
+    let faults: Vec<&TraceLine> =
+        lines.iter().filter(|t| t.span == catalog::FAULT_SPAN).collect();
     if faults.is_empty() {
         return;
     }
@@ -1141,7 +1097,8 @@ fn fault_injection_summary(lines: &[TraceLine]) {
 /// The resilience section of `trace-report`: tally `resilience/*` events
 /// and replay the ordered fallback/recover transition sequence.
 fn resilience_ladder_summary(lines: &[TraceLine]) {
-    let events: Vec<&TraceLine> = lines.iter().filter(|t| t.span == "resilience").collect();
+    let events: Vec<&TraceLine> =
+        lines.iter().filter(|t| t.span == catalog::RESILIENCE_SPAN).collect();
     if events.is_empty() {
         return;
     }
@@ -1156,7 +1113,7 @@ fn resilience_ladder_summary(lines: &[TraceLine]) {
     let transitions: Vec<&TraceLine> = events
         .iter()
         .copied()
-        .filter(|t| t.event == "fallback" || t.event == "recover")
+        .filter(|t| t.is(catalog::RESILIENCE_FALLBACK) || t.is(catalog::RESILIENCE_RECOVER))
         .collect();
     if transitions.is_empty() {
         return;
@@ -1167,7 +1124,7 @@ fn resilience_ladder_summary(lines: &[TraceLine]) {
         let step = t.num("step").unwrap_or(0.0);
         let from = t.str("from").unwrap_or("?");
         let to = t.str("to").unwrap_or("?");
-        let arrow = if t.event == "fallback" { "↓" } else { "↑" };
+        let arrow = if t.is(catalog::RESILIENCE_FALLBACK) { "↓" } else { "↑" };
         println!("    step {step:>6}: {arrow} {from} → {to}");
     }
     if transitions.len() > SHOWN {
@@ -1184,7 +1141,7 @@ fn decision_audit_summary(lines: &[TraceLine]) {
     let mut aggressive = 0u64;
     let mut switches = 0u64;
     let mut prev: Option<(f64, String)> = None; // (step, regime) of the last decision
-    for t in lines.iter().filter(|t| t.span == "plan" && t.event == "decision") {
+    for t in lines.iter().filter(|t| t.is(catalog::PLAN_DECISION)) {
         decisions += 1;
         let step = t.num("step").unwrap_or(0.0);
         let Some(regime) = t.str("regime") else { continue };
@@ -1205,7 +1162,7 @@ fn decision_audit_summary(lines: &[TraceLine]) {
         println!("\ndecision audit    : no plan/decision events");
         return;
     }
-    let summaries = lines.iter().filter(|t| t.span == "plan" && t.event == "summary");
+    let summaries = lines.iter().filter(|t| t.is(catalog::PLAN_SUMMARY));
     let (mut plans, mut node_steps, mut delta) = (0u64, 0u64, 0u64);
     for t in summaries {
         plans += 1;

@@ -4,7 +4,6 @@
 //! cargo run --bin lint                        # human diagnostics
 //! cargo run --bin lint -- --deny-warnings     # CI mode (verify.sh)
 //! cargo run --bin lint -- --write-baseline    # re-freeze the P1 budget
-//! cargo run --bin lint -- --write-events      # re-freeze the obs event registry
 //! cargo run --bin lint -- --rules             # rule table
 //! ```
 //!
@@ -15,10 +14,7 @@
 
 use rpas_lint::baseline;
 use rpas_lint::config::{rule_summary, Config, RULE_IDS};
-use rpas_lint::registry;
 use rpas_lint::report::{self, Severity};
-use rpas_lint::semantic::RegistryState;
-use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -29,23 +25,18 @@ struct Args {
     root: Option<PathBuf>,
     deny_warnings: bool,
     write_baseline: Option<Option<PathBuf>>,
-    events_registry: Option<String>,
-    write_events: Option<Option<PathBuf>>,
     rules: bool,
     disabled: Vec<String>,
 }
 
 const USAGE: &str = "usage: lint [--root DIR] [--deny-warnings] \
-[--write-baseline [FILE]] [--events-registry FILE] [--write-events [FILE]] \
-[--disable RULE] [--rules]";
+[--write-baseline [FILE]] [--disable RULE] [--rules]";
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         root: None,
         deny_warnings: false,
         write_baseline: None,
-        events_registry: None,
-        write_events: None,
         rules: false,
         disabled: Vec::new(),
     };
@@ -60,17 +51,6 @@ fn parse_args() -> Result<Args, String> {
                     it.next();
                 }
                 args.write_baseline = Some(next.map(PathBuf::from));
-            }
-            "--events-registry" => {
-                args.events_registry =
-                    Some(it.next().ok_or("--events-registry needs a root-relative path")?)
-            }
-            "--write-events" => {
-                let next = it.peek().filter(|n| !n.starts_with("--")).cloned();
-                if next.is_some() {
-                    it.next();
-                }
-                args.write_events = Some(next.map(PathBuf::from));
             }
             "--disable" => args.disabled.push(it.next().ok_or("--disable needs a rule id")?),
             "--rules" => args.rules = true,
@@ -101,9 +81,6 @@ fn main() -> ExitCode {
     let mut cfg = Config::default();
     for r in &args.disabled {
         cfg.enabled.remove(r);
-    }
-    if let Some(reg) = &args.events_registry {
-        cfg.events_registry_file = reg.clone();
     }
 
     let cwd = match std::env::current_dir() {
@@ -137,32 +114,6 @@ fn main() -> ExitCode {
             "lint: froze P1 budget for {} crates ({} panic sites) into {}",
             res.p1.len(),
             res.p1.values().map(|c| c.total()).sum::<u32>(),
-            target.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    if let Some(target) = args.write_events {
-        let target = target.unwrap_or_else(|| root.join(&cfg.events_registry_file));
-        // Static entries come from the sweep; dynamic entries are
-        // hand-curated and survive regeneration.
-        let dynamic: BTreeSet<String> = match rpas_lint::load_registry(&root, &cfg) {
-            RegistryState::Loaded(reg) => {
-                reg.events.iter().filter(|e| e.dynamic).map(|e| e.name.clone()).collect()
-            }
-            _ => BTreeSet::new(),
-        };
-        let static_names: BTreeSet<String> =
-            res.emit_sites.iter().filter_map(|s| s.full_name()).collect();
-        let json = registry::to_json(&static_names, &dynamic);
-        if let Err(e) = std::fs::write(&target, &json) {
-            println!("lint: cannot write events registry {}: {e}", target.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "lint: froze {} obs event names ({} dynamic) into {}",
-            static_names.len() + dynamic.len(),
-            dynamic.len(),
             target.display()
         );
         return ExitCode::SUCCESS;

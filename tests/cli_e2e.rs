@@ -221,3 +221,70 @@ fn backtest_accepts_fault_injection() {
     assert!(text.contains("anomaly-burst steps injected"), "{text}");
     assert!(text.contains("under-prov rate"), "{text}");
 }
+
+#[test]
+fn fatal_error_reaches_stderr_even_with_logging_off() {
+    // `scripts/verify.sh` runs nearly every step under RPAS_LOG=off; a
+    // step that dies must still say why.
+    let out = cli()
+        .env("RPAS_LOG", "off")
+        .args(["fleet", "--tenants", "4", "--days", "1"])
+        .output()
+        .expect("run fleet");
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("cli/fatal") && err.contains("--days"), "stderr {err:?}");
+}
+
+#[test]
+fn trace_consumers_know_the_catalogue() {
+    let dir = tmpdir("catalogue");
+    let trace = dir.join("t.jsonl");
+    let line = |seq: u32, span: &str, event: &str| {
+        format!(
+            "{{\"v\":1,\"seq\":{seq},\"ts_us\":0,\"level\":\"debug\",\"span\":\"{span}\",\
+             \"event\":\"{event}\",\"fields\":{{\"step\":{seq}}}}}\n"
+        )
+    };
+    // Two events this build emits, two names it does not.
+    let text = [
+        line(0, "sim", "step"),
+        line(1, "sim", "step"),
+        line(2, "telemetry", "counter"),
+        line(3, "elsewhere", "thing"),
+    ]
+    .concat();
+    std::fs::write(&trace, text).expect("write trace");
+    let path = trace.to_str().expect("utf8");
+
+    // trace-report counts the foreign names and still succeeds.
+    let rep = cli().args(["trace-report", "--trace", path]).output().expect("run trace-report");
+    assert!(rep.status.success(), "{}", String::from_utf8_lossy(&rep.stderr));
+    let text = String::from_utf8_lossy(&rep.stdout);
+    assert!(text.contains("not in catalogue  : 2 of 3 span/event name(s)"), "{text}");
+
+    // obs query: a catalogued pair runs; a pair that is in no build's
+    // catalogue is an error naming what the span does have, not an empty
+    // result.
+    let query = |span: &str, event: &str| {
+        cli()
+            .args(["obs", "query", "--trace", path, "--span", span, "--event", event])
+            .output()
+            .expect("run obs query")
+    };
+    let ok = query("sim", "step");
+    assert!(ok.status.success(), "{}", String::from_utf8_lossy(&ok.stderr));
+    assert!(String::from_utf8_lossy(&ok.stdout).contains("matched 2 of 4 line(s)"));
+    for (span, event, expect) in [
+        ("sim", "stepp", "report, step, zero_workload"),
+        ("simm", "step", "unknown span"),
+        ("telemetry", "counter", "unknown span"),
+    ] {
+        let out = query(span, event);
+        assert_eq!(out.status.code(), Some(1), "--span {span} --event {event}");
+        assert!(out.stdout.is_empty(), "{}", String::from_utf8_lossy(&out.stdout));
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(expect), "--span {span} --event {event}: stderr {err:?}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

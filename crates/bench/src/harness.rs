@@ -116,8 +116,8 @@ impl BenchGroup {
             stats.iters_per_sample
         );
         crate::bench_obs().emit(catalog::BENCH_MEASUREMENT, |e| {
-            e.field("group", self.name.as_str())
-                .field("name", label)
+            e.field("group", self.name.clone())
+                .field("name", label.to_string())
                 .field("iters", stats.iters_per_sample)
                 .field("median_us", stats.median * 1e6)
                 .field("min_us", stats.min * 1e6)
@@ -129,7 +129,7 @@ impl BenchGroup {
     /// Print the summary table and return the rows for further use.
     pub fn finish(self) -> Vec<(String, Stats)> {
         crate::bench_obs().emit(catalog::BENCH_SPAN_CLOSE, |e| {
-            e.field("phase", self.name.as_str()).field("benchmarks", self.rows.len());
+            e.field("phase", self.name.clone()).field("benchmarks", self.rows.len());
             e.wall_us = Some(self.started.elapsed().as_micros() as u64);
         });
         let width = self.rows.iter().map(|(l, _)| l.len()).max().unwrap_or(4).max(4);

@@ -1,0 +1,127 @@
+//! Allocation budget of emitting one event.
+//!
+//! A captured event used to cost ~16 allocations: two `String`s for the
+//! span and name, a `String` and a map node per field, and the whole lot
+//! deep-cloned into the sink. It is now built once and moved: names, keys
+//! and label-like values are borrowed literals, the fields are one
+//! vector, and a handle gives the finished event to its last sink. What
+//! is left is the field vector (one allocation for up to five fields, one
+//! regrowth beyond) plus one per *computed* string value.
+//!
+//! The two audits a fleet captures every tick are measured at their real
+//! emit sites, as the allocations a run makes with a capturing handle
+//! beyond the same run with a dark one.
+//!
+//! Kept to a single `#[test]` in its own binary: the counting allocator
+//! observes the whole process (see `alloc_ratchet.rs`).
+
+use rpas_bench::alloc;
+use rpas_core::{RobustAutoScalingManager, ScalingStrategy};
+use rpas_forecast::QuantileForecast;
+use rpas_obs::{catalog, MemorySink, Obs};
+use rpas_simdb::{Observation, ScalingPolicy, SimConfig, SimSession};
+use rpas_traces::Trace;
+use rpas_tsmath::Matrix;
+
+#[global_allocator]
+static ALLOC: alloc::CountingAlloc = alloc::CountingAlloc;
+
+const STEPS: usize = 64;
+
+struct Hold;
+
+impl ScalingPolicy for Hold {
+    fn name(&self) -> &'static str {
+        "hold"
+    }
+    fn decide(&mut self, obs: &Observation<'_>) -> u32 {
+        obs.min_nodes
+    }
+}
+
+/// A capturing handle whose buffer never has to grow, and the buffer.
+fn capturing() -> (MemorySink, Obs) {
+    let mem = MemorySink::new();
+    mem.with_events(|events| events.reserve(4 * STEPS));
+    let obs = Obs::with_sink(Box::new(mem.clone()));
+    (mem, obs)
+}
+
+/// The smallest count of a few repeats: the counters are process-wide and
+/// libtest's main thread allocates now and then, which only ever adds.
+fn cost(mut f: impl FnMut()) -> u64 {
+    (0..5).map(|_| alloc::measure(&mut f).1.allocs).min().expect("five repeats")
+}
+
+/// Allocations of stepping a session to its end, set-up excluded.
+fn stepping(trace: &Trace, obs: &Obs) -> u64 {
+    (0..5)
+        .map(|_| {
+            let mut session = SimSession::new(trace, SimConfig::default()).with_obs(obs.clone());
+            alloc::measure(|| while session.step(&mut Hold) {}).1.allocs
+        })
+        .min()
+        .expect("five repeats")
+}
+
+#[test]
+fn an_emitted_event_allocates_its_field_vector_and_nothing_else() {
+    assert!(alloc::installed(), "counting allocator must route this binary's allocations");
+
+    // Nothing listening: emit, span open and span close are free.
+    let dark = Obs::noop();
+    let dark_cost = cost(|| {
+        dark.emit(catalog::SIM_STEP, |e| {
+            e.field("step", 1u64).field("policy", "computed".to_string());
+        });
+        dark.span(catalog::BACKTEST_SPAN_CLOSE, "fit").finish(|e| {
+            e.field("model", "tft");
+        });
+        drop(dark.span(catalog::BACKTEST_SPAN_CLOSE, "rolling"));
+    });
+    assert_eq!(dark_cost, 0, "the dark handle allocated");
+
+    // `sim/step`: five scalar fields, once per tenant per tick.
+    let trace = Trace::new("ramp", 600, (0..STEPS).map(|t| 50.0 + t as f64).collect());
+    let (mem, obs) = capturing();
+    let lit = stepping(&trace, &obs);
+    let events = mem.drain();
+    assert_eq!(events.len(), 5 * STEPS, "one sim/step per step of each repeat");
+    assert!(events.iter().all(|e| e.is(catalog::SIM_STEP) && e.fields.iter().len() == 5));
+    drop(events);
+    let per_step = (lit - stepping(&trace, &Obs::noop())) as f64 / STEPS as f64;
+    assert!(per_step <= 1.0, "a captured sim/step cost {per_step} allocations");
+
+    // `plan/decision` as the fleet's fixed-τ policies emit it: three
+    // scalars and the strategy label. The 7-field `plan/summary` that
+    // closes a plan outgrows the first reservation once.
+    let forecast = QuantileForecast::new(
+        vec![0.1, 0.5, 0.9],
+        Matrix::from_rows(&vec![vec![90.0, 100.0, 130.0]; STEPS]),
+    );
+    let manager = RobustAutoScalingManager::new(60.0, 1, ScalingStrategy::Fixed { tau: 0.9 });
+    let (mem, obs) = capturing();
+    let audited = manager.clone().with_obs(obs);
+    let lit = cost(|| drop(audited.plan(&forecast)));
+    let events = mem.drain();
+    assert_eq!(events.iter().filter(|e| e.is(catalog::PLAN_DECISION)).count(), 5 * STEPS);
+    assert_eq!(events.iter().filter(|e| e.is(catalog::PLAN_SUMMARY)).count(), 5);
+    drop(events);
+    let beyond = lit - cost(|| drop(manager.plan(&forecast)));
+    assert!(
+        beyond <= STEPS as u64 + 2,
+        "{STEPS} captured plan/decision and a plan/summary cost {beyond} allocations"
+    );
+
+    // Two sinks: the first copies what it is shown (one allocation, the
+    // copy's field vector), the last keeps the original.
+    let (first, last) = (capturing().0, capturing().0);
+    let both = Obs::multi(vec![Box::new(first.clone()), Box::new(last.clone())]);
+    let fan_out = cost(|| {
+        both.emit(catalog::SIM_STEP, |e| {
+            e.field("step", 1u64).field("violation", false);
+        });
+    });
+    assert_eq!((first.len(), last.len()), (5, 5));
+    assert_eq!(fan_out, 2, "one build and one copy");
+}

@@ -68,14 +68,13 @@ use crate::resilient::{NaiveSnapshot, ResilienceConfig, ResilientSnapshot, Tier}
 use crate::supervisor::{FleetSupervisor, SupervisorConfig, TenantGuard, TenantHealth};
 use rpas_forecast::SeasonalNaive;
 use rpas_obs::json::{escape_into, Kind, Reader};
-use rpas_obs::{Event, Level, Obs, Value};
+use rpas_obs::{catalog, Event, Fields, Level, Obs, Value};
 use rpas_simdb::{
     ClusterSnapshot, FaultConfig, FaultCounts, NodeSnapshot, ScaleOutcome, SessionSnapshot,
     StepRecord, StorageStats,
 };
 use rpas_telemetry::{BurnRule, CellDump, CellValue, SloSpec, Telemetry};
 use std::borrow::Cow;
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -568,7 +567,7 @@ impl Codec for Value {
     fn dec(r: &mut Reader<'_>, what: &str) -> Result<Self, String> {
         let s = &*text(r, what, "a tagged string")?;
         match (s.get(..2).unwrap_or(s), s.get(2..).unwrap_or("")) {
-            ("s:", text) => Ok(Value::Str(text.to_string())),
+            ("s:", text) => Ok(Value::from(text.to_string())),
             ("i:", dec) => {
                 dec.parse().map(Value::I64).map_err(|e| format!("{what}: bad i64 {dec:?}: {e}"))
             }
@@ -583,44 +582,53 @@ impl Codec for Value {
 
 /// The fields of a captured event, minus the `*_us` wall-clock timings
 /// (they are not state).
-impl Codec for BTreeMap<String, Value> {
+impl Codec for Fields {
     fn enc(&self, out: &mut String) {
         out.push('{');
         let fields = self.iter().filter(|(k, _)| !k.ends_with("_us"));
         for (i, (k, v)) in fields.enumerate() {
-            row(out, if i > 0 { "," } else { "" }, k);
+            out.push_str(if i > 0 { "," } else { "" });
+            enc_str(k, out);
             row(out, ":", v);
         }
         out.push('}');
     }
     fn dec(r: &mut Reader<'_>, what: &str) -> Result<Self, String> {
-        let mut fields = BTreeMap::new();
+        let mut fields = Fields::default();
         obj(r, what)?;
         while let Some(key) = r.next_key()? {
             let value = Value::dec(r, &key)?;
-            fields.insert(key.into_owned(), value);
+            fields.insert(key.into_owned().into(), value);
         }
         Ok(fields)
     }
 }
 
 /// A captured event minus what is not state: `seq` / `ts_us` / `wall_us`
-/// are re-stamped on re-emit.
+/// are re-stamped on re-emit. A `span/name` this build's catalogue
+/// declares is borrowed from it on load, as it was at the emit site; one
+/// it does not (a checkpoint from another build) is kept, owned.
 impl Codec for Event {
     fn enc(&self, out: &mut String) {
         row(out, "{\"l\":", &self.level);
-        row(out, ",\"s\":", &self.span);
-        row(out, ",\"n\":", &self.name);
+        out.push_str(",\"s\":");
+        enc_str(&self.span, out);
+        out.push_str(",\"n\":");
+        enc_str(&self.name, out);
         row(out, ",\"f\":", &self.fields);
         out.push('}');
     }
     fn dec(r: &mut Reader<'_>, what: &str) -> Result<Self, String> {
         members!(r, what => {
             "l" => level,
-            "s" => span,
-            "n" => name,
+            "s" => span = text(r, "s", "string")?,
+            "n" => name = text(r, "n", "string")?,
             "f" => fields = Codec::dec(r, "event.f")?,
         });
+        let (span, name) = match catalog::find(&span, &name) {
+            Some(known) => (Cow::Borrowed(known.span()), Cow::Borrowed(known.name())),
+            None => (Cow::Owned(span.into_owned()), Cow::Owned(name.into_owned())),
+        };
         Ok(Event { seq: 0, ts_us: 0, level, span, name, fields, wall_us: None })
     }
 }
@@ -1244,7 +1252,7 @@ mod tests {
             Value::F64(0.1 + 0.2),
             Value::F64(-0.0),
             Value::F64(f64::INFINITY),
-            Value::Str("hello \"world\"\nu:not-a-tag".to_string()),
+            Value::Str("hello \"world\"\nu:not-a-tag".into()),
         ] {
             let mut enc = String::new();
             v.enc(&mut enc);

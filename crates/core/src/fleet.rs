@@ -24,7 +24,7 @@ use crate::manager::{RobustAutoScalingManager, ScalingStrategy};
 use crate::reactive::ReactiveMax;
 use crate::resilient::{ResilienceConfig, ResilientManager};
 use rpas_forecast::{Forecaster, SeasonalNaive};
-use rpas_obs::{Event, MemorySink, Obs};
+use rpas_obs::{Event, MemorySink, Obs, Value};
 use rpas_par::WorkerPool;
 use rpas_telemetry::{RatioSeries, SloReport, SloSpec, Telemetry};
 use rpas_simdb::{
@@ -456,15 +456,17 @@ impl FleetReport {
     }
 }
 
-/// Serialize one captured event as a deterministic, tenant-scoped
-/// schema-v1 JSONL line.
-fn sanitize_event(mut ev: Event, id: TenantId, seq: u64) -> String {
-    ev.seq = seq;
-    ev.ts_us = 0;
-    ev.wall_us = None;
-    ev.fields.retain(|k, _| !k.ends_with("_us"));
-    ev.field("tenant", id.to_string());
-    ev.to_json()
+/// Append one captured event as a deterministic, tenant-scoped schema-v1
+/// JSONL line: `seq` as given, no wall clock, and `tenant` (the tenant's
+/// label as a [`Value`]) in its sorted place among the fields, over any
+/// `tenant` the event carried itself.
+fn sanitize_event(line: &mut String, ev: &Event, tenant: &Value, seq: u64) {
+    let kept = || ev.fields.iter().filter(|(k, _)| !k.ends_with("_us") && *k != "tenant");
+    let fields = kept()
+        .take_while(|(k, _)| *k < "tenant")
+        .chain(std::iter::once(("tenant", tenant)))
+        .chain(kept().skip_while(|(k, _)| *k < "tenant"));
+    ev.write_json_as(line, seq, 0, None, fields);
 }
 
 /// A fleet of tenants advanced in lockstep over a persistent worker
@@ -568,9 +570,11 @@ impl FleetEngine {
         availability: Option<SloReport>,
     ) -> FleetReport {
         let mut tenants = Vec::with_capacity(self.runs.len());
-        let mut trace_lines = Vec::new();
+        let captured = |run: &TenantRun| run.capture.as_ref().map_or(0, MemorySink::len);
+        let mut trace_lines = Vec::with_capacity(self.runs.iter().map(captured).sum());
         let mut subjects: Vec<(String, RatioSeries)> = Vec::new();
-        let mut seq = 0u64;
+        // Every line is rendered here and stored as an exact-size copy.
+        let mut line = String::new();
         for run in self.runs {
             let TenantRun { spec, policy, session, capture } = run;
             if self.slo.is_some() {
@@ -597,9 +601,11 @@ impl FleetEngine {
             if let Some(mem) = capture {
                 // drain, not events(): the sink is finished with, so take
                 // the buffer instead of cloning it.
+                let tenant = Value::from(spec.id.to_string());
                 for ev in mem.drain() {
-                    trace_lines.push(sanitize_event(ev, spec.id, seq));
-                    seq += 1;
+                    line.clear();
+                    sanitize_event(&mut line, &ev, &tenant, trace_lines.len() as u64);
+                    trace_lines.push(line.clone());
                 }
             }
             tenants.push(TenantSummary {

@@ -169,7 +169,7 @@ fn capture_event(run: &TenantRun, name: catalog::EventName, build: impl FnOnce(&
     if let Some(mem) = &run.capture {
         let mut ev = Event::of(name);
         build(&mut ev);
-        mem.emit(&ev);
+        mem.emit_owned(ev);
     }
 }
 
@@ -396,9 +396,8 @@ fn admit_expired(
             guard.health = TenantHealth::Probation { clean_ticks: 0 };
             guard.failures.clear();
             metrics.restores.inc(1);
-            let tenant = run.spec.id.to_string();
             obs.emit(catalog::SUPERVISOR_RESTORE, |e| {
-                e.field("tenant", tenant.as_str()).field("tick", tick);
+                e.field("tenant", run.spec.id.to_string()).field("tick", tick);
             });
             capture_event(run, catalog::SUPERVISOR_RESTORE, |e| {
                 e.field("tick", tick);
@@ -417,14 +416,13 @@ fn on_panic(
     message: String,
 ) {
     metrics.panics.inc(1);
-    let tenant = run.spec.id.to_string();
     obs.emit(catalog::SUPERVISOR_PANIC, |e| {
-        e.field("tenant", tenant.as_str())
+        e.field("tenant", run.spec.id.to_string())
             .field("tick", tick)
-            .field("error", message.as_str());
+            .field("error", message.clone());
     });
     capture_event(run, catalog::SUPERVISOR_PANIC, |e| {
-        e.field("tick", tick).field("error", message.as_str());
+        e.field("tick", tick).field("error", message.clone());
     });
 
     guard.failures.retain(|&t| tick - t < cfg.failure_window);
@@ -469,19 +467,18 @@ fn quarantine(
     guard.failures.clear();
     metrics.quarantines.inc(1);
     let strikes = guard.strikes;
-    let tenant = run.spec.id.to_string();
     obs.emit(catalog::SUPERVISOR_QUARANTINE, |e| {
-        e.field("tenant", tenant.as_str())
+        e.field("tenant", run.spec.id.to_string())
             .field("tick", tick)
             .field("until_tick", until_tick)
             .field("strikes", u64::from(strikes))
-            .field("reason", &*reason);
+            .field("reason", reason.to_string());
     });
     capture_event(run, catalog::SUPERVISOR_QUARANTINE, |e| {
         e.field("tick", tick)
             .field("until_tick", until_tick)
             .field("strikes", u64::from(strikes))
-            .field("reason", &*reason);
+            .field("reason", reason.to_string());
     });
 }
 
@@ -496,9 +493,8 @@ fn on_clean_tick(
         *clean_ticks += 1;
         if *clean_ticks >= cfg.probation_ticks {
             guard.health = TenantHealth::Healthy;
-            let tenant = run.spec.id.to_string();
             obs.emit(catalog::SUPERVISOR_HEALTHY, |e| {
-                e.field("tenant", tenant.as_str()).field("tick", tick);
+                e.field("tenant", run.spec.id.to_string()).field("tick", tick);
             });
             capture_event(run, catalog::SUPERVISOR_HEALTHY, |e| {
                 e.field("tick", tick);

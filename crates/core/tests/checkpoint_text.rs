@@ -157,6 +157,29 @@ fn a_repeated_record_member_keeps_its_last_value_and_a_repeated_tag_is_refused()
     }
 }
 
+/// An event's `f` object is a map, read by the same rule as a record —
+/// order free, last occurrence wins — and its `span/name` need not be one
+/// this build's catalogue declares.
+#[test]
+fn an_events_fields_are_order_free_last_wins_and_a_foreign_name_survives() {
+    let fields = "\"f\":{\"burst\":\"s:spike\",\"mult\":\"f:400c9ae85a75e7f6\",\"step\":\"u:0\"}";
+    for relaid in [
+        "\"f\":{\"step\":\"u:0\",\"burst\":\"s:spike\",\"mult\":\"f:400c9ae85a75e7f6\"}",
+        "\"f\":{\"mult\":\"f:400c9ae85a75e7f6\",\"step\":\"u:0\",\"burst\":\"s:spike\"}",
+        "\"f\":{\"step\":\"u:9\",\"mult\":\"b:1\",\"burst\":\"s:spike\",\"mult\":\"f:400c9ae85a75e7f6\",\"step\":\"u:0\"}",
+    ] {
+        assert!(resaved(&edited(fields, relaid)).expect("a map") == GOLDEN, "{relaid}");
+    }
+    let err = resaved(&edited(fields, &fields.replace("\"u:0\"}", "\"x:0\"}"))).unwrap_err();
+    assert!(err.starts_with("line 2: ") && err.contains("unknown value tag"), "{err}");
+
+    let foreign = edited(
+        "\"s\":\"fault\",\"n\":\"anomaly\"",
+        "\"s\":\"fault.v2\",\"n\":\"from \\\"another\\\" build\"",
+    );
+    assert!(resaved(&foreign).expect("an uncatalogued name") == foreign);
+}
+
 /// `text` with the string value of the first `"key":"…"` set to `value`.
 fn set(text: &str, key: &str, value: &str) -> String {
     let lead = format!("\"{key}\":\"");

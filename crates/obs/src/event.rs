@@ -10,8 +10,13 @@
 
 use crate::catalog::EventName;
 use crate::json::escape_into;
-use std::collections::BTreeMap;
+use std::borrow::Cow;
 use std::fmt::Write as _;
+
+/// Text an event carries: borrowed when it is a literal of the program
+/// (catalogue names, field keys, label-like values such as `regime`), so
+/// it costs no allocation; owned when computed or read back from a file.
+pub type Text = Cow<'static, str>;
 
 /// Severity of an event, ordered from most to least severe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -63,7 +68,23 @@ pub enum Value {
     /// strings `"NaN"`, `"inf"`, `"-inf"` (JSON has no literal for them).
     F64(f64),
     /// Short free-form text (names, regimes, encoded histograms).
-    Str(String),
+    Str(Text),
+}
+
+/// Append `n` in decimal: the bytes of `write!(out, "{n}")` without the
+/// `fmt` machinery (every line renders `seq`, `ts_us` and its counts).
+fn push_u64(out: &mut String, mut n: u64) {
+    let mut buf = [b'0'; 20];
+    let mut start = buf.len();
+    for digit in buf.iter_mut().rev() {
+        *digit += (n % 10) as u8;
+        start -= 1;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend(buf.iter().skip(start).map(|&b| char::from(b)));
 }
 
 impl Value {
@@ -74,11 +95,12 @@ impl Value {
         match self {
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Value::I64(i) => {
-                let _ = write!(out, "{i}");
+                if *i < 0 {
+                    out.push('-');
+                }
+                push_u64(out, i.unsigned_abs());
             }
-            Value::U64(u) => {
-                let _ = write!(out, "{u}");
-            }
+            Value::U64(u) => push_u64(out, *u),
             Value::F64(x) if x.is_nan() => out.push_str("\"NaN\""),
             Value::F64(x) if x.is_infinite() => {
                 out.push_str(if *x > 0.0 { "\"inf\"" } else { "\"-inf\"" });
@@ -108,7 +130,7 @@ impl Value {
     /// Render for the human-readable stderr sink (unquoted strings).
     pub fn display(&self) -> String {
         match self {
-            Value::Str(s) => s.clone(),
+            Value::Str(s) => s.to_string(),
             other => other.to_json(),
         }
     }
@@ -144,20 +166,80 @@ impl From<f64> for Value {
         Value::F64(v)
     }
 }
-impl From<&str> for Value {
-    fn from(v: &str) -> Self {
-        Value::Str(v.to_string())
+/// A literal is borrowed, not copied; computed text comes in as a
+/// `String` (the `to_string()` at the emit site is the allocation).
+impl From<&'static str> for Value {
+    fn from(v: &'static str) -> Self {
+        Value::Str(Cow::Borrowed(v))
     }
 }
 impl From<String> for Value {
     fn from(v: String) -> Self {
-        Value::Str(v)
+        Value::Str(Cow::Owned(v))
+    }
+}
+
+/// An event's fields: a flat key → [`Value`] map held as one vector
+/// sorted by key — the iteration order of the `BTreeMap` it replaced, in
+/// one allocation. Writing a key that is already present replaces its
+/// value, so an event can never serialize a duplicate JSON member.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Fields(Vec<(Text, Value)>);
+
+impl Fields {
+    /// Room the first insert makes: the five fields of the per-tick
+    /// `sim/step` audit, which 99.5 % of a fleet's captured events fit.
+    /// Captured events stay resident, so spare room is paid for in memory.
+    const ROOM: usize = 5;
+
+    /// Set `key` to `value` (last write wins).
+    pub fn insert(&mut self, key: Text, value: Value) {
+        if self.0.is_empty() {
+            self.0.reserve_exact(Self::ROOM);
+        }
+        let at = self.0.partition_point(|(k, _)| *k < key);
+        match self.0.get_mut(at) {
+            Some((k, slot)) if *k == key => *slot = value,
+            _ => self.0.insert(at, (key, value)),
+        }
+    }
+
+    /// The value of `key`, if the event carries it.
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        let at = self.0.partition_point(|(k, _)| k.as_ref() < key);
+        self.0.get(at).filter(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    /// Whether the event carries `key`.
+    pub fn contains_key(&self, key: &str) -> bool {
+        self.get(key).is_some()
+    }
+
+    /// Keep only the fields `keep` accepts.
+    pub fn retain(&mut self, mut keep: impl FnMut(&str, &mut Value) -> bool) {
+        self.0.retain_mut(|(k, v)| keep(k, v));
+    }
+
+    /// The fields in key order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&str, &Value)> {
+        self.0.iter().map(|(k, v)| (k.as_ref(), v))
+    }
+}
+
+/// `fields["key"]`; panics, as a map's index does, on a key not carried.
+impl std::ops::Index<&str> for Fields {
+    type Output = Value;
+
+    fn index(&self, key: &str) -> &Value {
+        self.get(key).expect("no such field")
     }
 }
 
 /// One structured event. Built by the emitting site inside an
 /// [`crate::Obs::emit`] closure (never constructed when no sink is
-/// listening), then fanned out to every installed sink by reference.
+/// listening), then shown to every installed sink by reference but the
+/// last, which receives it by value. An event built at an emit site owns
+/// one allocation, its field vector, plus one per computed string value.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Event {
     /// Monotone sequence number within one [`crate::Obs`] handle.
@@ -169,11 +251,11 @@ pub struct Event {
     pub level: Level,
     /// The subsystem / span this event belongs to (`plan`, `train.tft`,
     /// `sim`, `rolling`, ...).
-    pub span: String,
+    pub span: Text,
     /// Event name within the span (`decision`, `epoch`, `step`, ...).
-    pub name: String,
+    pub name: Text,
     /// Flat key → scalar fields, deterministically ordered.
-    pub fields: BTreeMap<String, Value>,
+    pub fields: Fields,
     /// Optional span duration in micros (timing only).
     pub wall_us: Option<u64>,
 }
@@ -194,14 +276,14 @@ impl Event {
     /// escape hatch from [`crate::catalog`] that the frozen `ledger/`
     /// benchmark still uses. Workspace code builds events with
     /// [`Event::of`] (lint rule E1).
-    pub fn new(level: Level, span: &str, name: &str) -> Self {
+    pub fn new(level: Level, span: &'static str, name: &'static str) -> Self {
         Self {
             seq: 0,
             ts_us: 0,
             level,
-            span: span.to_string(),
-            name: name.to_string(),
-            fields: BTreeMap::new(),
+            span: Cow::Borrowed(span),
+            name: Cow::Borrowed(name),
+            fields: Fields::default(),
             wall_us: None,
         }
     }
@@ -210,34 +292,51 @@ impl Event {
     /// deduplicate, last write wins — one event can never serialize a
     /// duplicate JSON member, so exposition and diff tooling downstream
     /// may treat field keys as unique.
-    pub fn field(&mut self, key: &str, value: impl Into<Value>) -> &mut Self {
-        self.fields.insert(key.to_string(), value.into());
+    pub fn field(&mut self, key: &'static str, value: impl Into<Value>) -> &mut Self {
+        self.fields.insert(Cow::Borrowed(key), value.into());
         self
     }
 
     /// Append the event as one schema-v1 JSONL line (no trailing newline).
     pub fn write_json(&self, out: &mut String) {
-        let _ = write!(
-            out,
-            "{{\"v\":{},\"seq\":{},\"ts_us\":{},\"level\":\"{}\",\"span\":\"",
-            crate::schema::SCHEMA_VERSION,
-            self.seq,
-            self.ts_us,
-            self.level.as_str(),
-        );
+        self.write_json_as(out, self.seq, self.ts_us, self.wall_us, self.fields.iter());
+    }
+
+    /// [`Event::write_json`] with the stamps and the field list the line
+    /// shows given by the caller — how a consumer renders a renumbered or
+    /// filtered view of a captured event without rebuilding it. `fields`
+    /// must come in key order.
+    pub fn write_json_as<'a>(
+        &self,
+        out: &mut String,
+        seq: u64,
+        ts_us: u64,
+        wall_us: Option<u64>,
+        fields: impl Iterator<Item = (&'a str, &'a Value)>,
+    ) {
+        out.push_str("{\"v\":");
+        push_u64(out, crate::schema::SCHEMA_VERSION);
+        out.push_str(",\"seq\":");
+        push_u64(out, seq);
+        out.push_str(",\"ts_us\":");
+        push_u64(out, ts_us);
+        out.push_str(",\"level\":\"");
+        out.push_str(self.level.as_str());
+        out.push_str("\",\"span\":\"");
         escape_into(out, &self.span);
         out.push_str("\",\"event\":\"");
         escape_into(out, &self.name);
         out.push_str("\",\"fields\":{");
-        for (i, (k, v)) in self.fields.iter().enumerate() {
+        for (i, (k, v)) in fields.enumerate() {
             out.push_str(if i > 0 { ",\"" } else { "\"" });
             escape_into(out, k);
             out.push_str("\":");
             v.write_json(out);
         }
         out.push('}');
-        if let Some(w) = self.wall_us {
-            let _ = write!(out, ",\"wall_us\":{w}");
+        if let Some(w) = wall_us {
+            out.push_str(",\"wall_us\":");
+            push_u64(out, w);
         }
         out.push('}');
     }
@@ -255,7 +354,7 @@ impl Event {
     /// content lines even though `to_json` differs in `ts_us`/`wall_us`.
     pub fn content_line(&self) -> String {
         let mut out = format!("{} {}/{}", self.level.as_str(), self.span, self.name);
-        for (k, v) in &self.fields {
+        for (k, v) in self.fields.iter() {
             if k.ends_with("_us") {
                 continue;
             }
@@ -271,6 +370,9 @@ impl Event {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rpas_tsmath::propcheck::forall;
+    use rpas_tsmath::{prop_assert, prop_assert_eq};
+    use std::collections::BTreeMap;
 
     #[test]
     fn levels_order_by_severity() {
@@ -298,7 +400,7 @@ mod tests {
     fn repeated_field_keys_deduplicate_last_write_wins() {
         let mut e = Event::new(Level::Info, "s", "n");
         e.field("k", 1u64).field("other", true).field("k", "two").field("k", 3u64);
-        assert_eq!(e.fields.len(), 2);
+        assert_eq!(e.fields.iter().len(), 2);
         assert_eq!(e.fields.get("k"), Some(&Value::U64(3)));
         // Exactly one serialized member for the repeated key.
         let json = e.to_json();
@@ -321,9 +423,10 @@ mod tests {
         assert_ne!(a.to_json(), b.to_json());
     }
 
-    /// `to_json` as it was before `write_json`: a `format!` per member,
-    /// an `escape_str` per string, a `String` per value.
-    fn reference_json(e: &Event) -> String {
+    /// `to_json` as it was before `write_json`, over the field map events
+    /// had before [`Fields`]: a `format!` per member, an `escape_str` per
+    /// string, a `String` per value.
+    fn reference_json(e: &Event, fields: &BTreeMap<String, Value>) -> String {
         use crate::json::escape_str;
         let value = |v: &Value| match v {
             Value::Bool(b) => b.to_string(),
@@ -340,7 +443,7 @@ mod tests {
             Value::Str(s) => format!("\"{}\"", escape_str(s)),
         };
         let fields: Vec<String> =
-            e.fields.iter().map(|(k, v)| format!("\"{}\":{}", escape_str(k), value(v))).collect();
+            fields.iter().map(|(k, v)| format!("\"{}\":{}", escape_str(k), value(v))).collect();
         format!(
             "{{\"v\":1,\"seq\":{},\"ts_us\":{},\"level\":\"{}\",\
              \"span\":\"{}\",\"event\":\"{}\",\"fields\":{{{}}}{}}}",
@@ -367,20 +470,67 @@ mod tests {
         for (i, text) in texts.iter().enumerate() {
             let mut e = Event::new(levels[i % 4], text, texts[(i + 1) % texts.len()]);
             e.seq = i as u64;
-            e.ts_us = u64::MAX - i as u64;
+            e.ts_us = [u64::MAX, 0, 10, 99, 1_000_000, u64::MAX - 1][i];
             e.wall_us = (i % 2 == 0).then_some(i as u64 * 1000);
             for (j, x) in floats.iter().enumerate().skip(i % 3) {
-                e.field(&format!("f{j}{text}"), *x);
+                e.fields.insert(format!("f{j}{text}").into(), Value::F64(*x));
             }
             e.field("flag", i % 2 == 0).field("neg", -(i as i64) - 1).field("n", i);
+            e.field("zero", 0u64).field("umax", u64::MAX).field("imin", i64::MIN);
             e.field(text, *text);
-            assert_eq!(e.to_json(), reference_json(&e));
+            let map = e.fields.iter().map(|(k, v)| (k.to_string(), v.clone())).collect();
+            assert_eq!(e.to_json(), reference_json(&e, &map));
             crate::schema::validate_line(&e.to_json()).expect("schema-valid line");
             let before = line.len();
             e.write_json(&mut line);
-            assert_eq!(&line[before..], reference_json(&e));
+            assert_eq!(&line[before..], reference_json(&e, &map));
         }
         assert!(line.starts_with("kept|{\"v\":1,"));
+    }
+
+    /// [`Fields`] against the `BTreeMap<String, Value>` it replaced, under
+    /// random inserts (literal and computed keys, from an alphabet small
+    /// enough to overwrite), `retain`s and lookups: same members in the
+    /// same order, same line.
+    #[test]
+    fn fields_agree_with_the_btreemap_they_replaced() {
+        const KEYS: [&str; 9] = ["step", "tau", "a", "", "wall_us", "ab", "B", "µ", "tenant"];
+        forall("fields_vs_btreemap", 400, |g| {
+            let mut e = Event::new(Level::Debug, "sim", "step");
+            let mut oracle: BTreeMap<String, Value> = BTreeMap::new();
+            for op in 0..g.usize_in(0, 24) {
+                let key = KEYS[g.usize_in(0, KEYS.len())];
+                let value = match g.usize_in(0, 5) {
+                    0 => Value::Bool(op % 2 == 0),
+                    1 => Value::I64(g.u64() as i64),
+                    2 => Value::U64(g.u64() >> g.usize_in(0, 64)),
+                    3 => Value::F64(g.f64_in(-1e6, 1e6)),
+                    _ => Value::from(["aggressive", "q\"\n", ""][op % 3]),
+                };
+                match g.usize_in(0, 8) {
+                    0 => {
+                        let cut = g.usize_in(0, KEYS.len());
+                        let keep = |k: &str| KEYS.iter().position(|x| *x == k) >= Some(cut);
+                        e.fields.retain(|k, _| keep(k));
+                        oracle.retain(|k, _| keep(k));
+                    }
+                    1..=2 => {
+                        e.fields.insert(format!("{key}{}", op % 3).into(), value.clone());
+                        oracle.insert(format!("{key}{}", op % 3), value);
+                    }
+                    _ => {
+                        e.field(key, value.clone());
+                        oracle.insert(key.to_string(), value);
+                    }
+                }
+                prop_assert_eq!(e.fields.get(key), oracle.get(key));
+                prop_assert_eq!(e.fields.contains_key(key), oracle.contains_key(key));
+            }
+            prop_assert_eq!(e.fields.iter().len(), oracle.len());
+            prop_assert!(e.fields.iter().eq(oracle.iter().map(|(k, v)| (k.as_str(), v))));
+            prop_assert_eq!(e.to_json(), reference_json(&e, &oracle));
+            Ok(())
+        });
     }
 
     #[test]

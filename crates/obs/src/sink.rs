@@ -15,14 +15,21 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
-/// Where events go. Sinks receive fully-built events by reference and
-/// must be callable from any thread.
+/// Where events go. Sinks receive fully-built events and must be
+/// callable from any thread.
 pub trait Sink: Send + Sync {
     /// Most verbose level this sink wants (events below are skipped).
     fn max_level(&self) -> Level;
 
     /// Consume one event.
     fn emit(&self, event: &Event);
+
+    /// Consume one event nobody else will read (a handle gives its last
+    /// sink the event itself): a sink that stores events keeps this one
+    /// instead of copying it. The default borrows it to [`Sink::emit`].
+    fn emit_owned(&self, event: Event) {
+        self.emit(&event);
+    }
 
     /// Flush buffered output (JSONL file sink); default no-op.
     fn flush(&self) {}
@@ -50,7 +57,7 @@ impl Sink for StderrSink {
 
     fn emit(&self, event: &Event) {
         let mut line = format!("[{:5}] {}/{}", event.level.as_str(), event.span, event.name);
-        for (k, v) in &event.fields {
+        for (k, v) in event.fields.iter() {
             line.push_str(&format!(" {k}={}", v.display()));
         }
         if let Some(w) = event.wall_us {
@@ -74,7 +81,8 @@ fn fmt_us(us: u64) -> String {
 /// `--trace-out` / `RPAS_TRACE_OUT` target). Captures every level: a
 /// trace file is for post-hoc analysis, so verbosity costs only disk.
 pub struct JsonlSink {
-    file: Mutex<std::io::BufWriter<std::fs::File>>,
+    /// The file and the buffer every line is rendered into.
+    out: Mutex<(std::io::BufWriter<std::fs::File>, String)>,
 }
 
 impl JsonlSink {
@@ -84,7 +92,7 @@ impl JsonlSink {
     /// Propagates file-creation errors.
     pub fn create(path: &std::path::Path) -> std::io::Result<Self> {
         let file = std::fs::File::create(path)?;
-        Ok(Self { file: Mutex::new(std::io::BufWriter::new(file)) })
+        Ok(Self { out: Mutex::new((std::io::BufWriter::new(file), String::new())) })
     }
 }
 
@@ -94,13 +102,16 @@ impl Sink for JsonlSink {
     }
 
     fn emit(&self, event: &Event) {
-        let mut line = event.to_json();
+        let mut out = self.out.lock().expect("trace file poisoned");
+        let (file, line) = &mut *out;
+        line.clear();
+        event.write_json(line);
         line.push('\n');
-        let _ = self.file.lock().expect("trace file poisoned").write_all(line.as_bytes());
+        let _ = file.write_all(line.as_bytes());
     }
 
     fn flush(&self) {
-        let _ = self.file.lock().expect("trace file poisoned").flush();
+        let _ = self.out.lock().expect("trace file poisoned").0.flush();
     }
 }
 
@@ -110,8 +121,11 @@ impl Drop for JsonlSink {
     }
 }
 
-/// In-memory sink for tests: records every event; a clone of the handle
-/// reads them back after the instrumented code ran.
+/// In-memory sink: the fleet's per-tenant capture buffer (checkpointed
+/// with the tenant, drained into the fleet trace) and what tests read
+/// events back from. Records every event; a clone of the handle reads
+/// them after the instrumented code ran. As a handle's last sink it keeps
+/// the event it is given, so capturing costs no copy.
 #[derive(Clone, Default)]
 pub struct MemorySink {
     events: Arc<Mutex<Vec<Event>>>,
@@ -159,7 +173,11 @@ impl Sink for MemorySink {
     }
 
     fn emit(&self, event: &Event) {
-        self.events.lock().expect("memory sink poisoned").push(event.clone());
+        self.emit_owned(event.clone());
+    }
+
+    fn emit_owned(&self, event: Event) {
+        self.with_events(|events| events.push(event));
     }
 }
 
@@ -204,10 +222,9 @@ impl Obs {
     /// Handle fanning out to several sinks (each filtered by its own
     /// `max_level`). An empty sink list degenerates to `noop`.
     pub fn multi(sinks: Vec<Box<dyn Sink>>) -> Self {
-        if sinks.is_empty() {
+        let Some(max_level) = sinks.iter().map(|s| s.max_level()).max() else {
             return Self::noop();
-        }
-        let max_level = sinks.iter().map(|s| s.max_level()).max().expect("non-empty");
+        };
         Self { inner: Some(Arc::new(Inner { sinks, max_level, seq: AtomicU64::new(0) })) }
     }
 
@@ -254,7 +271,7 @@ impl Obs {
         let obs = Self::multi(sinks);
         if let Some((path, e)) = trace_err {
             obs.emit(catalog::OBS_TRACE_OPEN_FAILED, |ev| {
-                ev.field("path", path.as_str()).field("error", e.to_string());
+                ev.field("path", path).field("error", e.to_string());
             });
         }
         obs
@@ -280,30 +297,44 @@ impl Obs {
     /// benchmark under `ledger/` calls exactly these two signatures;
     /// workspace code uses [`Obs::emit`] (lint rule E1), and the next
     /// `benchmark` PR can move the ledger over and make both private.
-    pub fn info(&self, span: &str, name: &str, build: impl FnOnce(&mut Event)) {
+    pub fn info(&self, span: &'static str, name: &'static str, build: impl FnOnce(&mut Event)) {
         self.emit_raw(Level::Info, span, name, build);
     }
 
-    fn emit_raw(&self, level: Level, span: &str, name: &str, build: impl FnOnce(&mut Event)) {
-        let Some(inner) = &self.inner else { return };
-        if level > inner.max_level {
-            return;
+    /// The dark path is this branch and nothing else: building the event
+    /// is kept out of line so the check inlines into every emit site.
+    #[inline]
+    fn emit_raw(
+        &self,
+        level: Level,
+        span: &'static str,
+        name: &'static str,
+        build: impl FnOnce(&mut Event),
+    ) {
+        #[inline(never)]
+        fn lit(inner: &Inner, mut event: Event, build: impl FnOnce(&mut Event)) {
+            build(&mut event);
+            Obs::dispatch(inner, event);
         }
-        let mut event = Event::new(level, span, name);
-        build(&mut event);
-        self.dispatch(inner, event);
+        if let Some(inner) = self.inner.as_deref().filter(|i| level <= i.max_level) {
+            lit(inner, Event::new(level, span, name), build);
+        }
     }
 
-    fn dispatch(&self, inner: &Inner, mut event: Event) {
+    fn dispatch(inner: &Inner, mut event: Event) {
         event.seq = inner.seq.fetch_add(1, Ordering::Relaxed);
         event.ts_us = SystemTime::now()
             .duration_since(UNIX_EPOCH)
             .map(|d| d.as_micros() as u64)
             .unwrap_or(0);
-        for sink in &inner.sinks {
+        let Some((last, rest)) = inner.sinks.split_last() else { return };
+        for sink in rest {
             if event.level <= sink.max_level() {
                 sink.emit(&event);
             }
+        }
+        if event.level <= last.max_level() {
+            last.emit_owned(event);
         }
     }
 
@@ -312,11 +343,11 @@ impl Obs {
     /// and `wall_us` when dropped (or via [`SpanTimer::finish`] to attach
     /// extra fields).
     #[must_use = "the span closes when the guard drops"]
-    pub fn span(&self, name: EventName, phase: &str) -> SpanTimer {
+    pub fn span(&self, name: EventName, phase: &'static str) -> SpanTimer {
         SpanTimer {
             obs: self.clone(),
             name,
-            phase: phase.to_string(),
+            phase,
             start: Instant::now(),
             armed: self.enabled(name.level()),
         }
@@ -336,7 +367,7 @@ impl Obs {
 pub struct SpanTimer {
     obs: Obs,
     name: EventName,
-    phase: String,
+    phase: &'static str,
     start: Instant,
     armed: bool,
 }
@@ -359,7 +390,7 @@ impl SpanTimer {
         self.armed = false;
         let wall = self.elapsed_us();
         self.obs.emit(self.name, |e| {
-            e.field("phase", self.phase.as_str());
+            e.field("phase", self.phase);
             e.wall_us = Some(wall);
             build(e);
         });
@@ -376,14 +407,52 @@ impl Drop for SpanTimer {
 mod tests {
     use super::*;
 
+    /// That the dark handle also allocates nothing — emit, span open and
+    /// span close — is counted in `crates/bench/tests/alloc_emit.rs`: the
+    /// counting allocator lives in `rpas-bench`, which depends on this
+    /// crate.
     #[test]
     fn noop_never_invokes_builder() {
         let obs = Obs::noop();
         let mut built = 0;
         obs.emit(catalog::CLI_FATAL, |_| built += 1);
         obs.info("x", "y", |_| built += 1);
+        obs.span(catalog::BACKTEST_SPAN_CLOSE, "fit").finish(|_| built += 1);
+        drop(obs.span(catalog::BACKTEST_SPAN_CLOSE, "rolling"));
         assert_eq!(built, 0);
         assert!(!obs.enabled(Level::Error));
+    }
+
+    /// Every sink but the last sees the event by reference; the last is
+    /// given it, unless the event is below its level.
+    #[test]
+    fn the_last_listening_sink_is_handed_the_event() {
+        #[derive(Default)]
+        struct Tally {
+            borrowed: AtomicU64,
+            owned: AtomicU64,
+        }
+        struct Counting(Arc<Tally>, Level);
+        impl Sink for Counting {
+            fn max_level(&self) -> Level {
+                self.1
+            }
+            fn emit(&self, _: &Event) {
+                self.0.borrowed.fetch_add(1, Ordering::Relaxed);
+            }
+            fn emit_owned(&self, _: Event) {
+                self.0.owned.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        let (first, last) = (Arc::new(Tally::default()), Arc::new(Tally::default()));
+        let obs = Obs::multi(vec![
+            Box::new(Counting(Arc::clone(&first), Level::Debug)),
+            Box::new(Counting(Arc::clone(&last), Level::Info)),
+        ]);
+        obs.emit(catalog::PLAN_SUMMARY, |_| {});
+        obs.emit(catalog::PLAN_DECISION, |_| {});
+        let read = |t: &Tally| (t.borrowed.load(Ordering::Relaxed), t.owned.load(Ordering::Relaxed));
+        assert_eq!((read(&first), read(&last)), ((2, 0), (0, 1)));
     }
 
     #[test]

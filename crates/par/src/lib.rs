@@ -68,7 +68,7 @@ fn warn_ignored_override(raw: &str) {
     static ONCE: Once = Once::new();
     ONCE.call_once(|| {
         rpas_obs::Obs::from_env().emit(rpas_obs::catalog::PAR_THREADS_OVERRIDE_IGNORED, |e| {
-            e.field("raw", raw).field("expected", "positive integer");
+            e.field("raw", raw.to_string()).field("expected", "positive integer");
         });
     });
 }

@@ -268,8 +268,8 @@ pub fn evaluate(spec: &SloSpec, subject: &str, series: &RatioSeries, obs: &Obs) 
     };
 
     obs.emit(catalog::SLO_STATUS, |e| {
-        e.field("slo", spec.name.as_str())
-            .field("subject", subject)
+        e.field("slo", spec.name.clone())
+            .field("subject", subject.to_string())
             .field("ticks", status.ticks)
             .field("bad", status.bad)
             .field("total", status.total)
@@ -280,8 +280,8 @@ pub fn evaluate(spec: &SloSpec, subject: &str, series: &RatioSeries, obs: &Obs) 
     });
     for a in &status.alerts {
         obs.emit(catalog::SLO_BURN_ALERT, |e| {
-            e.field("slo", spec.name.as_str())
-                .field("subject", subject)
+            e.field("slo", spec.name.clone())
+                .field("subject", subject.to_string())
                 .field("rule", a.rule.label())
                 .field("first_tick", a.first_tick)
                 .field("active_ticks", a.active_ticks)
@@ -607,7 +607,7 @@ mod tests {
         assert_eq!(alerts.len(), 1);
         assert_eq!(
             statuses[0].fields.get("subject"),
-            Some(&rpas_obs::Value::Str("t0007".to_string()))
+            Some(&rpas_obs::Value::Str("t0007".into()))
         );
     }
 }

@@ -278,7 +278,7 @@ fn forecast(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>>
     };
 
     obs.emit(catalog::CLI_TRAIN_START, |e| {
-        e.field("model", model_name).field("samples", train.len());
+        e.field("model", model_name.to_string()).field("samples", train.len());
     });
     model.fit(&train.values)?;
     let ctx = &test.values[test.len() - ctx_len..];
@@ -302,7 +302,7 @@ fn forecast(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>>
                 println!("saved model weights to {wpath}");
             }
             None => obs.emit(catalog::CLI_NO_WEIGHT_SNAPSHOT, |e| {
-                e.field("model", model_name);
+                e.field("model", model_name.to_string());
             }),
         }
     }
@@ -492,7 +492,7 @@ fn backtest(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>>
     let fit_timer = obs.span(catalog::BACKTEST_SPAN_CLOSE, "fit");
     model.fit(&train.values)?;
     fit_timer.finish(|e| {
-        e.field("model", model_name).field("samples", train.len());
+        e.field("model", model_name.to_string()).field("samples", train.len());
     });
 
     // Optional fault injection: the offline backtest has no cluster to
@@ -749,7 +749,7 @@ fn fleet(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>> {
         let (sup, cfg) = rpas::core::checkpoint::load(&text, &tel, obs.clone())
             .map_err(|e| format!("{path}: {e}"))?;
         obs.emit(catalog::FLEET_RESUME, |e| {
-            e.field("path", path).field("tick", sup.ticks_done());
+            e.field("path", path.to_string()).field("tick", sup.ticks_done());
         });
         (sup, cfg)
     } else {
@@ -849,7 +849,7 @@ fn fleet(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>> {
         let text = rpas::core::checkpoint::save(&sup, &cfg, &tel)?;
         std::fs::write(path, &text)?;
         obs.emit(catalog::FLEET_KILLED, |e| {
-            e.field("tick", sup.ticks_done()).field("path", path);
+            e.field("tick", sup.ticks_done()).field("path", path.to_string());
         });
         println!("wrote checkpoint at tick {} to {path}", sup.ticks_done());
         return Ok(());

@@ -3,9 +3,9 @@
 //! Criterion dependency.
 //!
 //! Methodology: one warm-up call, then the iteration count is calibrated
-//! so a batch runs ≳ [`TARGET_BATCH`]; each sample times a whole batch
+//! so a batch runs ≳ `TARGET_BATCH`; each sample times a whole batch
 //! and divides by the count, and the reported figure is the median over
-//! [`default_samples`] samples (robust to scheduler noise, like
+//! `default_samples` samples (robust to scheduler noise, like
 //! Criterion's default estimator). Set `RPAS_BENCH_SAMPLES` to trade
 //! precision for wall-clock.
 
@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 const TARGET_BATCH: Duration = Duration::from_millis(5);
 
 /// Samples per benchmark (`RPAS_BENCH_SAMPLES` override, default 20).
-pub fn default_samples() -> usize {
+pub(crate) fn default_samples() -> usize {
     std::env::var("RPAS_BENCH_SAMPLES")
         .ok()
         .and_then(|s| s.parse::<usize>().ok())
@@ -52,7 +52,7 @@ fn fmt_time(secs: f64) -> String {
 
 /// Measure one closure: warm up, calibrate the batch size, sample, and
 /// summarise.
-pub fn measure<T>(mut f: impl FnMut() -> T) -> Stats {
+pub(crate) fn measure<T>(mut f: impl FnMut() -> T) -> Stats {
     // Warm-up + calibration: grow the batch until it clears TARGET_BATCH.
     let mut iters: u64 = 1;
     loop {

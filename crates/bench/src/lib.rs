@@ -16,10 +16,10 @@ pub mod alloc;
 pub mod harness;
 pub mod models;
 pub mod output;
-pub mod profile;
+mod profile;
 
 pub use models::{fit_all_quantile_models, FittedQuantileModels};
-pub use output::{results_path, write_csv, Table};
+pub use output::{write_csv, Table};
 pub use profile::{ExperimentProfile, Profile};
 
 use rpas_traces::{alibaba_like, google_like, Trace};

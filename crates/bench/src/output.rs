@@ -25,18 +25,8 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Render with aligned columns.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
         for row in &self.rows {
             for (i, c) in row.iter().enumerate() {
@@ -95,7 +85,7 @@ fn artifact_path(subdir: &str, name: &str) -> PathBuf {
 
 /// Where experiment artifacts (the CSVs) are written: `results/` in the
 /// workspace, or `$RPAS_RESULTS_DIR`.
-pub fn results_path(name: &str) -> PathBuf {
+pub(crate) fn results_path(name: &str) -> PathBuf {
     artifact_path("results", name)
 }
 
@@ -132,8 +122,6 @@ mod tests {
         assert_eq!(lines.len(), 4);
         assert!(lines[0].starts_with("model"));
         assert!(lines[2].starts_with("arima"));
-        assert!(!t.is_empty());
-        assert_eq!(t.len(), 2);
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! [`rpas_simdb::ScalingPolicy`] so they drop into the simulator.
 
 use crate::manager::RobustAutoScalingManager;
-use crate::plan::plan_point;
-use rpas_forecast::{Forecaster, PointForecaster};
+use rpas_forecast::Forecaster;
 use rpas_metrics::provisioning::required_nodes;
 use rpas_simdb::{Observation, PolicyHealth, ScalingPolicy};
 
@@ -53,25 +52,25 @@ impl<F: Forecaster> QuantilePredictivePolicy<F> {
     }
 
     /// Access the wrapped forecaster.
-    pub fn forecaster(&self) -> &F {
+    pub(crate) fn forecaster(&self) -> &F {
         &self.forecaster
     }
 
     /// Mutable access to the wrapped forecaster, for checkpoint restore
     /// (re-injecting fitted state without re-running the fit).
-    pub fn forecaster_mut(&mut self) -> &mut F {
+    pub(crate) fn forecaster_mut(&mut self) -> &mut F {
         &mut self.forecaster
     }
 
     /// The rolling-plan cursor: `(plan, plan_start, degraded)`. Together
     /// with the forecaster's fitted state this is the policy's entire
     /// mutable state, which makes it checkpointable.
-    pub fn plan_state(&self) -> (&[u32], usize, bool) {
+    pub(crate) fn plan_state(&self) -> (&[u32], usize, bool) {
         (&self.plan, self.plan_start, self.degraded)
     }
 
     /// Overwrite the rolling-plan cursor from a checkpoint.
-    pub fn restore_plan_state(&mut self, plan: Vec<u32>, plan_start: usize, degraded: bool) {
+    pub(crate) fn restore_plan_state(&mut self, plan: Vec<u32>, plan_start: usize, degraded: bool) {
         self.plan = plan;
         self.plan_start = plan_start;
         self.degraded = degraded;
@@ -132,89 +131,11 @@ impl<F: Forecaster> ScalingPolicy for QuantilePredictivePolicy<F> {
     }
 }
 
-/// Point-forecast predictive policy (the non-robust baseline, Def. 3),
-/// with the error-feedback hook that powers the `*-padding` variants.
-pub struct PointPredictivePolicy<P: PointForecaster> {
-    name: &'static str,
-    forecaster: P,
-    theta: f64,
-    min_nodes: u32,
-    schedule: ReplanSchedule,
-    plan: Vec<u32>,
-    plan_forecasts: Vec<f64>,
-    plan_start: usize,
-}
-
-impl<P: PointForecaster> PointPredictivePolicy<P> {
-    /// New policy around a *fitted* point forecaster.
-    pub fn new(
-        name: &'static str,
-        forecaster: P,
-        theta: f64,
-        min_nodes: u32,
-        schedule: ReplanSchedule,
-    ) -> Self {
-        assert!(theta > 0.0, "theta must be positive");
-        assert!(schedule.context > 0 && schedule.horizon > 0, "degenerate schedule");
-        Self {
-            name,
-            forecaster,
-            theta,
-            min_nodes,
-            schedule,
-            plan: Vec::new(),
-            plan_forecasts: Vec::new(),
-            plan_start: 0,
-        }
-    }
-
-    /// Access the wrapped forecaster.
-    pub fn forecaster(&self) -> &P {
-        &self.forecaster
-    }
-}
-
-impl<P: PointForecaster> ScalingPolicy for PointPredictivePolicy<P> {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn decide(&mut self, obs: &Observation<'_>) -> u32 {
-        if obs.step >= self.plan_start && obs.step - self.plan_start < self.plan.len() {
-            return self.plan[obs.step - self.plan_start].max(obs.min_nodes);
-        }
-        // Plan window exhausted: report realised errors for the previous
-        // window (the padding wrapper uses this; other models ignore it).
-        if !self.plan_forecasts.is_empty() {
-            let end = (self.plan_start + self.plan_forecasts.len()).min(obs.history.len());
-            if end > self.plan_start {
-                let actuals = &obs.history[self.plan_start..end];
-                let forecasts = self.plan_forecasts[..end - self.plan_start].to_vec();
-                self.forecaster.observe_errors(actuals, &forecasts);
-            }
-        }
-        if obs.history.len() < self.schedule.context {
-            return bootstrap_target(obs);
-        }
-        let ctx = &obs.history[obs.history.len() - self.schedule.context..];
-        match self.forecaster.forecast(ctx, self.schedule.horizon) {
-            Ok(f) => {
-                let clamped: Vec<f64> = f.iter().map(|&w| w.max(0.0)).collect();
-                self.plan = plan_point(&clamped, self.theta, self.min_nodes).into_vec();
-                self.plan_forecasts = f;
-                self.plan_start = obs.step;
-                self.plan[0].max(obs.min_nodes)
-            }
-            Err(_) => bootstrap_target(obs),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::manager::ScalingStrategy;
-    use rpas_forecast::{LastValue, PaddedForecaster, SeasonalNaive};
+    use rpas_forecast::SeasonalNaive;
     use rpas_simdb::{SimConfig, Simulation};
     use rpas_traces::Trace;
 
@@ -245,25 +166,6 @@ mod tests {
             .filter(|s| s.target_nodes < required_nodes(s.workload, 60.0, 1))
             .count();
         assert!(tail_under as f64 / 168.0 < 0.1, "under {tail_under}/168");
-    }
-
-    #[test]
-    fn point_policy_feeds_padding_errors() {
-        let trace = periodic_trace(120);
-        let mut lv = LastValue::new();
-        PointForecaster::fit(&mut lv, &trace.values[..40]).unwrap();
-        let padded = PaddedForecaster::new(lv, "lv-padding", 64, 0.9);
-        let mut policy = PointPredictivePolicy::new(
-            "lv-padding",
-            padded,
-            60.0,
-            1,
-            ReplanSchedule { context: 8, horizon: 8 },
-        );
-        let sim = Simulation::new(&trace, SimConfig::default());
-        let _ = sim.run(&mut policy);
-        // After several replans the wrapper must have accumulated errors.
-        assert!(policy.forecaster().history_len() > 0);
     }
 
     #[test]

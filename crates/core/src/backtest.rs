@@ -42,11 +42,6 @@ impl BacktestReport {
             .iter()
             .max_by(|a, b| a.report.under_rate.partial_cmp(&b.report.under_rate).expect("finite"))
     }
-
-    /// Under-provisioning rate per window, as a series (for plotting).
-    pub fn under_rate_series(&self) -> Vec<f64> {
-        self.windows.iter().map(|w| w.report.under_rate).collect()
-    }
 }
 
 /// Backtest a fitted quantile forecaster + manager over rolling windows.
@@ -130,7 +125,6 @@ mod tests {
         for (i, w) in r.windows.iter().enumerate() {
             assert_eq!(w.start, 16 + i * 8);
         }
-        assert_eq!(r.under_rate_series().len(), r.windows.len());
     }
 
     #[test]

@@ -79,9 +79,9 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// Schema identifier in the header line.
-pub const SCHEMA: &str = "rpas-fleet-checkpoint";
+pub(crate) const SCHEMA: &str = "rpas-fleet-checkpoint";
 /// Current schema version.
-pub const VERSION: u64 = 1;
+pub(crate) const VERSION: u64 = 1;
 
 /// The wire format of one type, both directions side by side: `enc`
 /// appends the value's JSON text, `dec` reads it back from the reader's

@@ -115,7 +115,7 @@ impl TenantPolicyKind {
 
 /// Everything needed to (re)build one tenant deterministically.
 #[derive(Debug, Clone)]
-pub struct TenantSpec {
+pub(crate) struct TenantSpec {
     /// Tenant identity (position in the fleet).
     pub id: TenantId,
     /// Workload family.
@@ -237,7 +237,7 @@ impl FleetConfig {
     ///
     /// # Panics
     /// Panics when [`FleetConfig::validate`] rejects the configuration.
-    pub fn specs(&self) -> Vec<TenantSpec> {
+    pub(crate) fn specs(&self) -> Vec<TenantSpec> {
         assert_eq!(self.validate(), Ok(()), "invalid fleet config");
         (0..self.tenants)
             .map(|i| TenantSpec {
@@ -300,7 +300,7 @@ impl TenantPolicy {
 /// One tenant's live state: its spec, its scaling policy (with any fitted
 /// forecaster inside), its steppable simulation, and the optional event
 /// capture.
-pub struct TenantRun {
+pub(crate) struct TenantRun {
     pub(crate) spec: TenantSpec,
     pub(crate) policy: TenantPolicy,
     pub(crate) session: SimSession,
@@ -312,11 +312,7 @@ impl TenantRun {
     /// forecaster on the first half (tenants with too little history
     /// degrade to the reactive bootstrap), assemble the policy, and open
     /// the simulation session.
-    pub fn build(spec: &TenantSpec) -> Self {
-        Self::build_inner(spec, false, &Telemetry::noop())
-    }
-
-    fn build_inner(spec: &TenantSpec, capture_events: bool, tel: &Telemetry) -> Self {
+    fn build(spec: &TenantSpec, capture_events: bool, tel: &Telemetry) -> Self {
         let trace = spec.preset.build(spec.trace_seed, spec.days);
         let (capture, obs) = if capture_events {
             let mem = MemorySink::new();
@@ -368,18 +364,8 @@ impl TenantRun {
         Self { spec: spec.clone(), policy, session, capture }
     }
 
-    /// The tenant's spec.
-    pub fn spec(&self) -> &TenantSpec {
-        &self.spec
-    }
-
-    /// Decision ticks executed so far.
-    pub fn ticks_done(&self) -> usize {
-        self.session.records().len()
-    }
-
     /// Whether the tenant's trace is exhausted.
-    pub fn is_done(&self) -> bool {
+    pub(crate) fn is_done(&self) -> bool {
         self.session.is_done()
     }
 }
@@ -400,7 +386,7 @@ pub struct TenantSummary {
 }
 
 /// A tenant still quarantined when the fleet shut down (see
-/// `FleetSupervisor` in [`crate::supervisor`]). Its session was finished
+/// `FleetSupervisor` in `crate::supervisor`). Its session was finished
 /// on the executed prefix like everyone else's; this record carries the
 /// why.
 #[derive(Debug, Clone, PartialEq)]
@@ -499,7 +485,7 @@ impl FleetEngine {
         let capture = cfg.capture_events;
         let pool = WorkerPool::for_jobs(specs.len());
         let runs = pool
-            .map_indexed(specs.len(), |i| TenantRun::build_inner(&specs[i], capture, tel));
+            .map_indexed(specs.len(), |i| TenantRun::build(&specs[i], capture, tel));
         Self { runs, slo: cfg.slo.clone(), obs: Obs::noop(), pool }
     }
 
@@ -510,13 +496,8 @@ impl FleetEngine {
         self
     }
 
-    /// Number of tenants.
-    pub fn tenants(&self) -> usize {
-        self.runs.len()
-    }
-
     /// Access the tenant runs (tenant-id order).
-    pub fn runs(&self) -> &[TenantRun] {
+    pub(crate) fn runs(&self) -> &[TenantRun] {
         &self.runs
     }
 

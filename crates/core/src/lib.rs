@@ -3,73 +3,68 @@
 //! The Robust Auto-Scaling Manager — phase ② of the paper's framework and
 //! its primary contribution.
 //!
-//! * [`plan`] — the deterministic auto-scaling optimization of Definition 3
+//! * `plan` — the deterministic auto-scaling optimization of Definition 3
 //!   (closed form and through the `rpas-lp` simplex, as the paper's
 //!   "standard linear programming solvers").
-//! * [`robust`] — the robust counterpart of Definitions 4/Eq. 6: allocate
+//! * `robust` — the robust counterpart of Definitions 4/Eq. 6: allocate
 //!   against a chosen quantile forecast instead of a point forecast
 //!   (paper-named entry points over the manager).
-//! * [`uncertainty`] — the quantile-spread uncertainty metric `U` (Eq. 8).
-//! * [`adaptive`] — the parameters of Algorithm 1 (uncertainty-aware
+//! * `uncertainty` — the quantile-spread uncertainty metric `U` (Eq. 8).
+//! * `adaptive` — the parameters of Algorithm 1 (uncertainty-aware
 //!   adaptive scaling) and of its staircase multi-level extension
 //!   (Definition 5), plus their paper-named entry points.
-//! * [`reactive`] — Reactive-Max and Reactive-Avg baselines (Autopilot-like
+//! * `reactive` — Reactive-Max and Reactive-Avg baselines (Autopilot-like
 //!   moving-window scalers).
-//! * [`thrash`] — §V-A scale smoothing: per-step delta limits + cooldown.
-//! * [`resilient`] — graceful-degradation pipeline: forecast health gates,
+//! * `thrash` — §V-A scale smoothing: per-step delta limits + cooldown.
+//! * `resilient` — graceful-degradation pipeline: forecast health gates,
 //!   a predictive → seasonal-naive → Reactive-Max fallback chain, bounded
 //!   retry for failed scale actions and hard guardrails.
-//! * [`manager`] — [`manager::RobustAutoScalingManager`], the one
+//! * `manager` — [`manager::RobustAutoScalingManager`], the one
 //!   implementation of strategy → `τ_t` → workload bound → plan.
-//! * [`autoscaler`] — end-to-end [`rpas_simdb::ScalingPolicy`]
+//! * `autoscaler` — end-to-end [`rpas_simdb::ScalingPolicy`]
 //!   implementations that own a forecaster and replan on a rolling horizon.
 //! * [`rolling`] — the shared rolling-origin evaluation engine: window
 //!   spec/iterator plus the forecast and fit/forecast/plan drivers behind
 //!   the offline quantile experiments.
-//! * [`eval`] — the Fig. 9–12 evaluation protocol (rolling plans vs
+//! * `eval` — the Fig. 9–12 evaluation protocol (rolling plans vs
 //!   realised workload).
 
 #![warn(missing_docs)]
 
-pub mod adaptive;
-pub mod autoscaler;
-pub mod backtest;
+mod adaptive;
+mod autoscaler;
+mod backtest;
 pub mod checkpoint;
-pub mod eval;
-pub mod fleet;
-pub mod manager;
-pub mod multi;
-pub mod plan;
-pub mod reactive;
-pub mod resilient;
-pub mod robust;
+mod eval;
+mod fleet;
+mod manager;
+mod plan;
+mod reactive;
+mod resilient;
+mod robust;
 pub mod rolling;
-pub mod supervisor;
-pub mod thrash;
-pub mod uncertainty;
+mod supervisor;
+mod thrash;
+mod uncertainty;
 
 pub use adaptive::{plan_adaptive, plan_staircase, AdaptiveConfig, StaircaseLevel};
-pub use autoscaler::{PointPredictivePolicy, QuantilePredictivePolicy, ReplanSchedule};
+pub use autoscaler::{QuantilePredictivePolicy, ReplanSchedule};
 pub use backtest::{backtest_quantile, BacktestReport, BacktestWindow};
 pub use eval::{
     evaluate_plans_point, evaluate_plans_precomputed, evaluate_plans_quantile, evaluate_reactive,
 };
 pub use fleet::{
     FleetConfig, FleetEngine, FleetReport, QuarantineRecord, TenantId, TenantPolicyKind,
-    TenantRun, TenantSpec, TenantSummary, TracePreset,
+    TenantSummary, TracePreset,
 };
 pub use manager::{PlanningBackend, RobustAutoScalingManager, ScalingStrategy};
-pub use multi::{plan_multi_resource, MultiResourcePlan, ResourceDimension};
-pub use plan::{plan_point, plan_point_lp, CapacityPlan};
+pub use plan::{plan_point, CapacityPlan};
 pub use reactive::{ReactiveAvg, ReactiveMax};
-pub use resilient::{
-    forecast_health, ForecastHealthGate, NaiveSnapshot, ResilienceConfig, ResilientManager,
-    ResilientSnapshot, Tier,
-};
+pub use resilient::{ForecastHealthGate, ResilienceConfig, ResilientManager};
 pub use robust::{plan_robust, plan_robust_lp};
 pub use rolling::{plan_windows, quantile_windows, PlannedWindow, RollingSpec};
 pub use supervisor::{FleetSupervisor, SupervisorConfig, TenantHealth};
-pub use thrash::{clamp_step, smooth_plan, ThrashConfig, ThrashLimited};
+pub use thrash::{smooth_plan, ThrashConfig, ThrashLimited};
 pub use uncertainty::{uncertainty_at, uncertainty_series};
 
 /// `Err` with the reason of the first check that does not hold — the

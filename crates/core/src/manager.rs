@@ -140,22 +140,17 @@ impl RobustAutoScalingManager {
     }
 
     /// Scaling threshold `θ`.
-    pub fn theta(&self) -> f64 {
+    pub(crate) fn theta(&self) -> f64 {
         self.theta
     }
 
     /// Minimum pool size.
-    pub fn min_nodes(&self) -> u32 {
+    pub(crate) fn min_nodes(&self) -> u32 {
         self.min_nodes
     }
 
-    /// The configured strategy.
-    pub fn strategy(&self) -> &ScalingStrategy {
-        &self.strategy
-    }
-
     /// The attached observability handle.
-    pub fn obs(&self) -> &Obs {
+    pub(crate) fn obs(&self) -> &Obs {
         &self.obs
     }
 
@@ -196,7 +191,7 @@ impl RobustAutoScalingManager {
     /// forecaster) are clamped to `0.0` with a `plan/non_finite_workload`
     /// warn, so a poisoned forecast can degrade a plan but never poison
     /// it — the plan itself stays finite and the min-nodes floor applies.
-    pub fn effective_workload(&self, forecast: &QuantileForecast) -> Vec<f64> {
+    pub(crate) fn effective_workload(&self, forecast: &QuantileForecast) -> Vec<f64> {
         (0..forecast.horizon())
             .map(|i| {
                 let choice = self.choose(forecast, i);

@@ -12,7 +12,7 @@ pub struct CapacityPlan {
 
 impl CapacityPlan {
     /// Build a plan from explicit per-step node counts.
-    pub fn new(nodes: Vec<u32>) -> Self {
+    pub(crate) fn new(nodes: Vec<u32>) -> Self {
         Self { nodes }
     }
 
@@ -40,24 +40,13 @@ impl CapacityPlan {
     }
 
     /// The allocation series, by value.
-    pub fn into_vec(self) -> Vec<u32> {
+    pub(crate) fn into_vec(self) -> Vec<u32> {
         self.nodes
     }
 
     /// Objective value `Σ_t c_t` (total node-intervals).
     pub fn total_nodes(&self) -> u64 {
         self.nodes.iter().map(|&c| c as u64).sum()
-    }
-
-    /// Element-wise maximum of two plans (useful to combine constraints).
-    ///
-    /// # Panics
-    /// Panics on length mismatch.
-    pub fn max_with(&self, other: &CapacityPlan) -> CapacityPlan {
-        assert_eq!(self.len(), other.len(), "plan length mismatch");
-        CapacityPlan::new(
-            self.nodes.iter().zip(&other.nodes).map(|(&a, &b)| a.max(b)).collect(),
-        )
     }
 }
 
@@ -94,7 +83,7 @@ pub fn plan_point(workload: &[f64], theta: f64, min_nodes: u32) -> CapacityPlan 
 /// # Panics
 /// Panics if the LP solver fails (cannot happen for valid inputs: the
 /// covering problem is always feasible and bounded).
-pub fn plan_point_lp(workload: &[f64], theta: f64, min_nodes: u32) -> CapacityPlan {
+pub(crate) fn plan_point_lp(workload: &[f64], theta: f64, min_nodes: u32) -> CapacityPlan {
     assert!(theta > 0.0, "theta must be positive");
     if workload.is_empty() {
         return CapacityPlan::new(Vec::new());
@@ -157,13 +146,6 @@ mod tests {
     fn empty_horizon() {
         assert!(plan_point(&[], 60.0, 1).is_empty());
         assert!(plan_point_lp(&[], 60.0, 1).is_empty());
-    }
-
-    #[test]
-    fn max_with_combines() {
-        let a = CapacityPlan::new(vec![1, 5, 2]);
-        let b = CapacityPlan::new(vec![3, 1, 2]);
-        assert_eq!(a.max_with(&b).as_slice(), &[3, 5, 2]);
     }
 
     #[test]

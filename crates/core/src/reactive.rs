@@ -22,11 +22,6 @@ impl ReactiveMax {
         assert!(window > 0, "window must be positive");
         Self { window }
     }
-
-    /// Window length in intervals.
-    pub fn window(&self) -> usize {
-        self.window
-    }
 }
 
 impl ScalingPolicy for ReactiveMax {
@@ -60,7 +55,7 @@ impl ReactiveAvg {
     ///
     /// # Panics
     /// Panics on zero window or non-positive half-life.
-    pub fn new(window: usize, half_life: f64) -> Self {
+    pub(crate) fn new(window: usize, half_life: f64) -> Self {
         assert!(window > 0, "window must be positive");
         assert!(half_life > 0.0, "half-life must be positive");
         Self { window, half_life }

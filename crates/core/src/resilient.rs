@@ -59,32 +59,20 @@ impl<F> ForecastHealthGate<F> {
         Self { inner, magnitude_factor: 100.0, magnitude_floor: 1.0 }
     }
 
-    /// Builder: custom plausibility limits.
-    ///
-    /// # Panics
-    /// Panics unless both limits are positive and finite.
-    pub fn with_limits(mut self, factor: f64, floor: f64) -> Self {
-        assert!(factor > 0.0 && factor.is_finite(), "factor must be positive");
-        assert!(floor > 0.0 && floor.is_finite(), "floor must be positive");
-        self.magnitude_factor = factor;
-        self.magnitude_floor = floor;
-        self
-    }
-
     /// Access the wrapped forecaster.
-    pub fn inner(&self) -> &F {
+    pub(crate) fn inner(&self) -> &F {
         &self.inner
     }
 
     /// Mutable access to the wrapped forecaster, for checkpoint restore.
-    pub fn inner_mut(&mut self) -> &mut F {
+    pub(crate) fn inner_mut(&mut self) -> &mut F {
         &mut self.inner
     }
 }
 
 /// Check a forecast for health problems relative to its context. Returns
 /// a description of the first problem found, or `None` when healthy.
-pub fn forecast_health(
+pub(crate) fn forecast_health(
     qf: &QuantileForecast,
     context: &[f64],
     magnitude_factor: f64,
@@ -174,7 +162,7 @@ impl ResilienceConfig {
     /// [`ResilientManager::with_config`] panics on it.
     ///
     /// [`FleetConfig::validate`]: crate::fleet::FleetConfig::validate
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         crate::first_failure(&[
             (self.max_nodes >= 1, "max_nodes must be at least 1"),
             (self.naive_period > 0, "naive_period must be positive"),
@@ -186,7 +174,7 @@ impl ResilienceConfig {
 
 /// Fallback-chain tiers, from most to least predictive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Tier {
+pub(crate) enum Tier {
     /// The wrapped primary policy.
     Primary,
     /// Seasonal-naive predictive fallback, fitted on demand.
@@ -197,7 +185,7 @@ pub enum Tier {
 
 impl Tier {
     /// Stable lowercase label for obs fields and checkpoints.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Tier::Primary => "primary",
             Tier::SeasonalNaive => "seasonal-naive",
@@ -206,7 +194,7 @@ impl Tier {
     }
 
     /// Inverse of [`Tier::label`], for checkpoint restore.
-    pub fn parse(label: &str) -> Option<Self> {
+    pub(crate) fn parse(label: &str) -> Option<Self> {
         match label {
             "primary" => Some(Tier::Primary),
             "seasonal-naive" => Some(Tier::SeasonalNaive),
@@ -247,7 +235,7 @@ type NaiveFallback = QuantilePredictivePolicy<ForecastHealthGate<SeasonalNaive>>
 /// fallback, resilient primary or plain `predictive` tenant — as this
 /// one record.
 #[derive(Debug, Clone, PartialEq)]
-pub struct NaiveSnapshot {
+pub(crate) struct NaiveSnapshot {
     /// Fitted residual spread of the seasonal-naive model.
     pub sigma: Option<f64>,
     /// Current rolling plan (node targets from `plan_start`).
@@ -264,7 +252,7 @@ pub struct NaiveSnapshot {
 /// handles are reattached at rebuild, so this plus the primary's state
 /// fully determines future decisions.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ResilientSnapshot {
+pub(crate) struct ResilientSnapshot {
     /// Active fallback tier.
     pub tier: Tier,
     /// Last granted target (guardrail anchor / hold-last value).
@@ -324,11 +312,6 @@ pub struct ResilientManager<P> {
 }
 
 impl<P: ScalingPolicy> ResilientManager<P> {
-    /// Wrap `primary` with the default [`ResilienceConfig`].
-    pub fn new(primary: P) -> Self {
-        Self::with_config(primary, ResilienceConfig::default())
-    }
-
     /// Wrap `primary` with explicit tuning.
     ///
     /// # Panics
@@ -362,30 +345,31 @@ impl<P: ScalingPolicy> ResilientManager<P> {
     /// `.hold_last`, `.retries`, `.retries_exhausted`,
     /// `.backstop_overrides`, `.guardrail_clamps`), all carrying
     /// `labels` (the fleet passes `tenant`).
-    pub fn with_telemetry(mut self, tel: &Telemetry, labels: &[(&str, &str)]) -> Self {
+    pub(crate) fn with_telemetry(mut self, tel: &Telemetry, labels: &[(&str, &str)]) -> Self {
         self.tel = ResilienceMetrics::new(tel, labels);
         self
     }
 
     /// The currently active fallback tier.
-    pub fn tier(&self) -> Tier {
+    #[cfg(test)]
+    pub(crate) fn tier(&self) -> Tier {
         self.tier
     }
 
     /// Access the wrapped primary policy.
-    pub fn primary(&self) -> &P {
+    pub(crate) fn primary(&self) -> &P {
         &self.primary
     }
 
     /// Mutable access to the wrapped primary policy, for checkpoint
     /// restore of its own state.
-    pub fn primary_mut(&mut self) -> &mut P {
+    pub(crate) fn primary_mut(&mut self) -> &mut P {
         &mut self.primary
     }
 
     /// Capture the manager's mutable state (see [`ResilientSnapshot`] for
     /// what is and is not included).
-    pub fn snapshot_state(&self) -> ResilientSnapshot {
+    pub(crate) fn snapshot_state(&self) -> ResilientSnapshot {
         ResilientSnapshot {
             tier: self.tier,
             last_target: self.last_target,
@@ -410,7 +394,7 @@ impl<P: ScalingPolicy> ResilientManager<P> {
     ///
     /// [`build_naive`]: ResilientManager::build_naive
     #[deny(unused_variables)]
-    pub fn restore_state(&mut self, snap: &ResilientSnapshot, theta: f64, min_nodes: u32) {
+    pub(crate) fn restore_state(&mut self, snap: &ResilientSnapshot, theta: f64, min_nodes: u32) {
         // Exhaustive on purpose (no `..`), nested `NaiveSnapshot` included:
         // a field added to either and not consumed here does not compile.
         let ResilientSnapshot { tier, last_target, probation, retry, naive } = snap;
@@ -419,23 +403,8 @@ impl<P: ScalingPolicy> ResilientManager<P> {
         self.probation = *probation;
         self.retry = retry.map(|(want, left, wait)| Retry { want, left, wait });
         self.naive = naive.as_ref().map(|NaiveSnapshot { sigma, plan, plan_start, degraded }| {
-            let sn = SeasonalNaive::new(self.cfg.naive_period).with_obs(self.obs.clone());
-            let mut gated = ForecastHealthGate::new(sn);
-            gated.inner_mut().restore_sigma(*sigma);
-            let manager = RobustAutoScalingManager::new(
-                theta,
-                min_nodes,
-                ScalingStrategy::Fixed { tau: 0.9 },
-            );
-            let mut fallback = QuantilePredictivePolicy::new(
-                "resilient-naive",
-                gated,
-                manager,
-                ReplanSchedule {
-                    context: self.cfg.naive_period,
-                    horizon: self.cfg.naive_horizon,
-                },
-            );
+            let mut fallback = self.unfitted_naive(theta, min_nodes);
+            fallback.forecaster_mut().inner_mut().restore_sigma(*sigma);
             fallback.restore_plan_state(plan.clone(), *plan_start, *degraded);
             fallback
         });
@@ -511,23 +480,28 @@ impl<P: ScalingPolicy> ResilientManager<P> {
         });
     }
 
+    /// The tier-1 fallback before it has seen data: seasonal-naive behind
+    /// the health gate, planned at a fixed τ = 0.9 on the configured
+    /// `(naive_period, naive_horizon)` grid. A freshly demoted manager and
+    /// a resumed one both start from this.
+    fn unfitted_naive(&self, theta: f64, min_nodes: u32) -> NaiveFallback {
+        let sn = SeasonalNaive::new(self.cfg.naive_period).with_obs(self.obs.clone());
+        let manager =
+            RobustAutoScalingManager::new(theta, min_nodes, ScalingStrategy::Fixed { tau: 0.9 });
+        QuantilePredictivePolicy::new(
+            "resilient-naive",
+            ForecastHealthGate::new(sn),
+            manager,
+            ReplanSchedule { context: self.cfg.naive_period, horizon: self.cfg.naive_horizon },
+        )
+    }
+
     /// Build and fit the tier-1 seasonal-naive fallback from the visible
     /// history. `None` when even that model cannot fit (history < 2).
     fn build_naive(&self, obs: &Observation<'_>) -> Option<NaiveFallback> {
-        let sn = SeasonalNaive::new(self.cfg.naive_period).with_obs(self.obs.clone());
-        let mut gated = ForecastHealthGate::new(sn);
-        gated.fit(obs.history).ok()?;
-        let manager = RobustAutoScalingManager::new(
-            obs.theta,
-            obs.min_nodes,
-            ScalingStrategy::Fixed { tau: 0.9 },
-        );
-        Some(QuantilePredictivePolicy::new(
-            "resilient-naive",
-            gated,
-            manager,
-            ReplanSchedule { context: self.cfg.naive_period, horizon: self.cfg.naive_horizon },
-        ))
+        let mut fallback = self.unfitted_naive(obs.theta, obs.min_nodes);
+        fallback.forecaster_mut().fit(obs.history).ok()?;
+        Some(fallback)
     }
 
     /// Run the fallback chain for this step: the active tier decides; a

@@ -6,8 +6,8 @@
 //! *non-overlapping* decision windows over it, forecast each window from
 //! the `context` samples before it, and score the concatenation of all
 //! windows. This module owns that loop for everything that plans from a
-//! [`QuantileForecast`]: [`crate::eval`]'s quantile evaluators,
-//! [`crate::backtest`], and the bench binaries.
+//! [`QuantileForecast`]: `crate::eval`'s quantile evaluators,
+//! `crate::backtest`, and the bench binaries.
 //!
 //! Two loops over the same [`rpas_traces::RollingWindows`] grid are
 //! deliberately *not* routed through here, for layering reasons:
@@ -28,7 +28,7 @@
 //!   [`Obs`] handle it is given.
 //! * [`plan_windows`] — the full fit/forecast/plan driver: adds the
 //!   manager's [`CapacityPlan`] and the window's start offset, which is
-//!   everything [`crate::backtest`] needs to aggregate; its events go to
+//!   everything `crate::backtest` needs to aggregate; its events go to
 //!   the manager's own handle.
 
 use crate::manager::RobustAutoScalingManager;
@@ -39,21 +39,12 @@ use rpas_traces::RollingWindows;
 // rpas-lint: allow-file(D2, reason = "Instant feeds only the wall_us timing fields of obs events; no result depends on it (determinism.rs pins this)")
 use std::time::Instant;
 
-/// Incremental moment trackers (one-pass running mean/variance and its
-/// fixed-window rolling variant), re-exported from `rpas-tsmath` as part
-/// of the rolling-evaluation toolkit. These are what turned the
-/// `SeasonalNaive` sigma re-fit from an O(n) fold per update into an
-/// O(1) `observe` with bit-identical results (PR 9); policies that
-/// maintain rolling workload statistics should reach for these instead
-/// of re-folding a window slice every tick.
-pub use rpas_tsmath::stats::{RollingMoments, RunningMoments};
-
 /// Parameters of the rolling-origin protocol: forecast `horizon` steps
 /// from the `context` samples before them, advancing by `horizon` so the
 /// evaluation windows tile the series without overlap.
 ///
 /// The same pair doubles as the replan schedule of the online policies in
-/// [`crate::autoscaler`] (re-exported there as `ReplanSchedule`).
+/// `crate::autoscaler` (re-exported there as `ReplanSchedule`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RollingSpec {
     /// Context window fed to the forecaster.
@@ -72,18 +63,13 @@ impl RollingSpec {
         Self { context, horizon }
     }
 
-    /// The paper's 12-hour context / 12-hour horizon at 10-minute steps.
-    pub fn paper_default() -> Self {
-        Self { context: 72, horizon: 72 }
-    }
-
     /// The window iterator over a held-out series.
     pub fn windows<'a>(&self, series: &'a [f64]) -> RollingWindows<'a> {
         RollingWindows::new(series, self.context, self.horizon)
     }
 
     /// Step index (within the series) where window `k`'s forecast starts.
-    pub fn window_start(&self, k: usize) -> usize {
+    pub(crate) fn window_start(&self, k: usize) -> usize {
         self.context + k * self.horizon
     }
 }
@@ -157,7 +143,7 @@ pub fn quantile_windows<F: Forecaster + ?Sized>(
 
 /// The full rolling fit/forecast/plan driver: forecast every window and
 /// derive the manager's capacity plan for it. The rolling-window timing
-/// events go to [`RobustAutoScalingManager::obs`], with its decision audit.
+/// events go to `RobustAutoScalingManager::obs`, with its decision audit.
 ///
 /// # Panics
 /// As [`quantile_windows`].

@@ -70,7 +70,7 @@ impl Default for SupervisorConfig {
 impl SupervisorConfig {
     /// Whether the breaker can run on this tuning; the checkpoint loader
     /// reports the `Err`, [`FleetSupervisor::wrap_with`] panics on it.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         crate::first_failure(&[
             (self.failure_threshold > 0, "failure_threshold must be positive"),
             (self.failure_window > 0, "failure_window must be positive"),
@@ -205,11 +205,6 @@ impl FleetSupervisor {
             })
             .collect();
         Self { engine, cfg, guards, metrics, tick: 0, total_ticks }
-    }
-
-    /// The wrapped engine.
-    pub fn engine(&self) -> &FleetEngine {
-        &self.engine
     }
 
     /// Supervised ticks executed so far.

@@ -24,7 +24,7 @@ impl Default for ThrashConfig {
 /// Move from `prev` toward `want`, by at most `max_delta` nodes. The shared
 /// step-clamp primitive behind [`smooth_plan`], [`ThrashLimited`] and the
 /// resilience guardrails ([`crate::resilient::ResilientManager`]).
-pub fn clamp_step(prev: u32, want: u32, max_delta: u32) -> u32 {
+pub(crate) fn clamp_step(prev: u32, want: u32, max_delta: u32) -> u32 {
     if want > prev {
         prev + (want - prev).min(max_delta)
     } else {
@@ -73,11 +73,6 @@ impl<P: ScalingPolicy> ThrashLimited<P> {
     /// Wrap a policy.
     pub fn new(inner: P, cfg: ThrashConfig) -> Self {
         Self { inner, cfg, last_target: None, last_direction: 0, steps_since_change: usize::MAX }
-    }
-
-    /// Access the wrapped policy.
-    pub fn inner(&self) -> &P {
-        &self.inner
     }
 }
 

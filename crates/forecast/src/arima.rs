@@ -4,6 +4,7 @@
 //! uncertainty of the forecasts" baseline of §IV-A).
 
 use crate::types::{require_len, validate_levels, ForecastError, Forecaster, QuantileForecast};
+use crate::window::require_finite;
 use rpas_tsmath::{stats, Matrix};
 
 /// ARIMA order configuration.
@@ -52,11 +53,6 @@ impl Arima {
         assert!(cfg.d <= 1, "only d in {{0, 1}} is supported");
         assert!(cfg.p + cfg.q > 0, "need at least one AR or MA term");
         Self { cfg, fitted: None }
-    }
-
-    /// The configured orders.
-    pub fn config(&self) -> ArimaConfig {
-        self.cfg
     }
 
     /// Fitted AR coefficients (empty until fitted).
@@ -261,6 +257,7 @@ impl Forecaster for Arima {
         validate_levels(levels)?;
         let f = self.fitted.as_ref().ok_or(ForecastError::NotFitted)?;
         require_len(context, self.min_context())?;
+        require_finite(self.name(), "value in context", context)?;
         let d = self.cfg.d;
 
         let w = stats::difference(context, d);

@@ -5,6 +5,7 @@
 //! widened with horizon by the smoothing-induced variance growth.
 
 use crate::types::{require_len, validate_levels, ForecastError, Forecaster, QuantileForecast};
+use crate::window::require_finite;
 use rpas_tsmath::stats;
 
 /// Holt–Winters configuration (additive trend + additive seasonality).
@@ -65,11 +66,6 @@ impl HoltWinters {
         Self { cfg, fitted: None }
     }
 
-    /// Borrow the config.
-    pub fn config(&self) -> &HoltWintersConfig {
-        &self.cfg
-    }
-
     /// Run the smoothing recursion over `series`, returning the final state
     /// and one-step-ahead residuals.
     fn smooth(&self, series: &[f64]) -> (HwState, Vec<f64>) {
@@ -128,6 +124,7 @@ impl Forecaster for HoltWinters {
         validate_levels(levels)?;
         let f = self.fitted.as_ref().ok_or(ForecastError::NotFitted)?;
         require_len(context, self.min_series())?;
+        require_finite(self.name(), "value in context", context)?;
         let state = self.smooth(context).0;
         let m = self.cfg.period;
         let phi = self.cfg.damping;

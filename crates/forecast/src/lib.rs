@@ -13,7 +13,7 @@
 //!   outside the trained grid are interpolated.
 //!
 //! Baselines: [`arima::Arima`] (Hannan–Rissanen fit, residual-variance
-//! quantiles), [`naive`] reference models, [`qb5000::Qb5000`] (hybrid point
+//! quantiles), `naive` reference models, [`qb5000::Qb5000`] (hybrid point
 //! forecaster after QueryBot 5000), and the CloudScale-style
 //! [`padding::PaddedForecaster`] enhancement.
 //!
@@ -50,18 +50,18 @@
 
 #![warn(missing_docs)]
 
-pub mod arima;
-pub mod deepar;
-pub mod eval;
+mod arima;
+mod deepar;
+mod eval;
 mod grid;
-pub mod holt_winters;
-pub mod mlp;
-pub mod mlp_quantile;
-pub mod naive;
-pub mod padding;
-pub mod qb5000;
-pub mod tft;
-pub mod types;
+mod holt_winters;
+mod mlp;
+mod mlp_quantile;
+mod naive;
+mod padding;
+mod qb5000;
+mod tft;
+mod types;
 mod window;
 
 pub use arima::{Arima, ArimaConfig};
@@ -74,9 +74,7 @@ pub use naive::{LastValue, SeasonalNaive};
 pub use padding::PaddedForecaster;
 pub use qb5000::{Qb5000, Qb5000Config};
 pub use tft::{Tft, TftConfig};
-pub use types::{
-    ForecastError, Forecaster, PointForecaster, PointFromQuantile, QuantileForecast,
-};
+pub use types::{ForecastError, Forecaster, PointForecaster, PointFromQuantile, QuantileForecast};
 
 /// The paper's standard evaluation grid `A = {0.1, …, 0.9}` (§IV-B).
 pub const EVAL_LEVELS: [f64; 9] = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9];

@@ -106,11 +106,6 @@ impl MlpProb {
         self
     }
 
-    /// Borrow the config.
-    pub fn config(&self) -> &MlpProbConfig {
-        &self.cfg
-    }
-
     /// Per-step distribution for the head outputs at step `h` (z-scores).
     fn step_distribution(&self, out: &[f64], h: usize) -> Box<dyn Distribution> {
         let k = self.params_per_step;

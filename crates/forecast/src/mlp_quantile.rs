@@ -82,11 +82,6 @@ impl MlpQuantile {
         self
     }
 
-    /// Borrow the config.
-    pub fn config(&self) -> &MlpQuantileConfig {
-        &self.cfg
-    }
-
     /// The untrained network, initialised from `r`.
     fn build_net(&self, r: &mut Rng64) -> Mlp {
         let c = &self.cfg;

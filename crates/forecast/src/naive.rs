@@ -117,11 +117,6 @@ impl SeasonalNaive {
         self
     }
 
-    /// Season length in steps.
-    pub fn period(&self) -> usize {
-        self.period
-    }
-
     /// The fitted residual spread (`None` before [`Forecaster::fit`]).
     /// Together with [`SeasonalNaive::restore_sigma`] this is the model's
     /// entire mutable state, which makes it checkpointable without

@@ -34,7 +34,7 @@ impl<P: PointForecaster> PaddedForecaster<P> {
     /// Record realised errors after the fact: for each step, the
     /// under-estimation `max(actual − forecast, 0)` (zero when the
     /// forecast was high enough).
-    pub fn observe(&mut self, actuals: &[f64], forecasts: &[f64]) {
+    pub(crate) fn observe(&mut self, actuals: &[f64], forecasts: &[f64]) {
         assert_eq!(actuals.len(), forecasts.len(), "observe: length mismatch");
         for (&a, &f) in actuals.iter().zip(forecasts) {
             if self.errors.len() == self.window {
@@ -45,7 +45,7 @@ impl<P: PointForecaster> PaddedForecaster<P> {
     }
 
     /// The pad currently applied to every forecast step.
-    pub fn current_pad(&self) -> f64 {
+    pub(crate) fn current_pad(&self) -> f64 {
         if self.errors.is_empty() {
             return 0.0;
         }

@@ -76,11 +76,6 @@ impl Qb5000 {
         Self { cfg, fitted: None }
     }
 
-    /// Borrow the config.
-    pub fn config(&self) -> &Qb5000Config {
-        &self.cfg
-    }
-
     fn lstm_predict(f: &FittedQb, zctx: &[f64]) -> Vec<f64> {
         let mut cell = f.lstm.stepper();
         for z in zctx {

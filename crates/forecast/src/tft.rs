@@ -135,11 +135,6 @@ impl Tft {
         self
     }
 
-    /// Borrow the config.
-    pub fn config(&self) -> &TftConfig {
-        &self.cfg
-    }
-
     /// Forward with caches; returns the head output (grid predictions,
     /// z-scale) laid out `horizon-major`: `out[h * |grid| + i]`.
     fn forward_train(&self, net: &mut TftNet, zctx: &[f64]) -> Vec<f64> {

@@ -4,11 +4,13 @@
 //! `Err(ForecastError::Unhealthy(_))` — not a panic, not an `Ok` carrying
 //! NaN, and not a finite-looking number the network happened to squash the
 //! bad cell into. A bad value the window has already slid past changes
-//! nothing.
+//! nothing. ARIMA and Holt-Winters take the context rows only: they read
+//! all of the context they are given and have no weights to diverge.
 
 use rpas_forecast::{
-    DeepAr, DeepArConfig, DistKind, ForecastError, Forecaster, MlpProb, MlpProbConfig,
-    MlpQuantile, MlpQuantileConfig, PointForecaster, Qb5000, Qb5000Config, Tft, TftConfig,
+    Arima, ArimaConfig, DeepAr, DeepArConfig, DistKind, ForecastError, Forecaster, HoltWinters,
+    HoltWintersConfig, MlpProb, MlpProbConfig, MlpQuantile, MlpQuantileConfig, PointForecaster,
+    Qb5000, Qb5000Config, Tft, TftConfig,
 };
 use rpas_tsmath::rng::{seeded, standard_normal};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -56,10 +58,11 @@ fn fitted_and_poisoned<M: Forecaster + 'static>(
     (quantile_cells(good), quantile_cells(bad))
 }
 
-/// `(name, healthy model, the same model with diverged weights)`.
-fn models(data: &[f64]) -> Vec<(&'static str, Predict, Predict)> {
-    let mut out: Vec<(&'static str, Predict, Predict)> = Vec::new();
-    let mut push = |name, (good, bad)| out.push((name, good, bad));
+/// `(name, healthy model, the same model with diverged weights)`; `None`
+/// for a model that reads its whole context and has no weights.
+fn models(data: &[f64]) -> Vec<(&'static str, Predict, Option<Predict>)> {
+    let mut out: Vec<(&'static str, Predict, Option<Predict>)> = Vec::new();
+    let mut push = |name, (good, bad)| out.push((name, good, Some(bad)));
 
     for (name, dist) in [("mlp-gaussian", DistKind::Gaussian), ("mlp-student-t", DistKind::StudentT)]
     {
@@ -140,6 +143,13 @@ fn models(data: &[f64]) -> Vec<(&'static str, Predict, Predict)> {
     bad.fit(data).expect("fit");
     let good: Predict = Box::new(move |ctx| good.forecast(ctx, HORIZON));
     push("qb5000", (good, Box::new(move |ctx| bad.forecast(ctx, HORIZON))));
+
+    let mut arima = Arima::new(ArimaConfig { p: 2, d: 1, q: 1 });
+    arima.fit(data).expect("fit");
+    out.push(("arima", quantile_cells(arima), None));
+    let mut hw = HoltWinters::new(HoltWintersConfig { period: 4, ..Default::default() });
+    hw.fit(data).expect("fit");
+    out.push(("holt-winters", quantile_cells(hw), None));
     out
 }
 
@@ -171,7 +181,9 @@ fn every_window_model_answers_unhealthy_on_hostile_input() {
                 rows.push((format!("{bad} at ctx[{at}]"), outcome(&good, &ctx)));
             }
         }
-        rows.push(("non-finite head output".into(), outcome(&diverged, clean)));
+        if let Some(diverged) = &diverged {
+            rows.push(("non-finite head output".into(), outcome(diverged, clean)));
+        }
         for (case, got) in rows {
             if !got.starts_with("Err(Unhealthy)") {
                 wrong += 1;
@@ -179,8 +191,11 @@ fn every_window_model_answers_unhealthy_on_hostile_input() {
             table.push_str(&format!("{name:14} {case:24} {got}\n"));
         }
 
-        // A bad value the window has already slid past changes nothing.
-        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        // A bad value the window has already slid past changes nothing
+        // (a whole-context model has no such position).
+        let slid_past: &[f64] =
+            if diverged.is_some() { &[f64::NAN, f64::INFINITY, f64::NEG_INFINITY] } else { &[] };
+        for &bad in slid_past {
             let mut long = vec![bad];
             long.extend_from_slice(clean);
             let got = good(&long);
@@ -204,6 +219,8 @@ fn every_window_model_answers_unhealthy_on_hostile_input() {
         "tft            -inf at ctx[11]          Err(Unhealthy): tft: non-finite value in context",
         "tft            non-finite head output   Err(Unhealthy): tft: non-finite head output\n",
         "qb5000         non-finite head output   Err(Unhealthy): qb5000: non-finite ensemble output",
+        "arima          NaN at ctx[11]           Err(Unhealthy): arima: non-finite value in context",
+        "holt-winters   -inf at ctx[0]           Err(Unhealthy): holt-winters: non-finite value in context",
     ] {
         assert!(table.contains(line), "missing {line:?} in:\n{table}");
     }

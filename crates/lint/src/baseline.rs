@@ -24,7 +24,7 @@ pub struct P1Counts {
 
 impl P1Counts {
     /// Category accessors in stable order: (name, count).
-    pub fn categories(&self) -> [(&'static str, u32); 4] {
+    pub(crate) fn categories(&self) -> [(&'static str, u32); 4] {
         [("unwrap", self.unwrap), ("expect", self.expect), ("panic", self.panic), ("index", self.index)]
     }
 

@@ -76,12 +76,12 @@ impl Config {
 
     /// Does `rel` (workspace-relative, `/`-separated) start with any of the
     /// given prefixes?
-    pub fn path_in(rel: &str, prefixes: &[String]) -> bool {
+    pub(crate) fn path_in(rel: &str, prefixes: &[String]) -> bool {
         prefixes.iter().any(|p| rel.starts_with(p.as_str()))
     }
 
     /// Is `rel` inside an F1 numeric crate (its `src/` *and* `tests/`)?
-    pub fn is_f1_path(&self, rel: &str) -> bool {
+    pub(crate) fn is_f1_path(&self, rel: &str) -> bool {
         self.f1_crate_dirs.iter().any(|d| rel.starts_with(&format!("crates/{d}/")))
     }
 }

@@ -50,7 +50,7 @@ impl Token {
     }
 
     /// Is this a punctuation token with exactly this text?
-    pub fn is_punct(&self, s: &str) -> bool {
+    pub(crate) fn is_punct(&self, s: &str) -> bool {
         self.kind == TokKind::Punct && self.text == s
     }
 }
@@ -85,7 +85,7 @@ const OPS: &[&str] = &[
 /// Rust keywords (strict + reserved ones that matter lexically). `self` and
 /// `Self` are deliberately *included* here; rules that want to treat `self`
 /// as an indexable expression handle that themselves.
-pub const KEYWORDS: &[&str] = &[
+pub(crate) const KEYWORDS: &[&str] = &[
     "as", "async", "await", "box", "break", "const", "continue", "crate", "dyn", "else", "enum",
     "extern", "false", "fn", "for", "if", "impl", "in", "let", "loop", "match", "mod", "move",
     "mut", "pub", "ref", "return", "self", "Self", "static", "struct", "super", "trait", "true",
@@ -93,7 +93,7 @@ pub const KEYWORDS: &[&str] = &[
 ];
 
 /// Is `s` a Rust keyword?
-pub fn is_keyword(s: &str) -> bool {
+pub(crate) fn is_keyword(s: &str) -> bool {
     KEYWORDS.contains(&s)
 }
 

@@ -15,7 +15,7 @@
 //!
 //! Built on a hand-written lexer ([`lexer`]) so string literals and
 //! comments can never false-positive, with mandatory-reason inline
-//! suppressions ([`suppress`]). The `lint` binary (root `src/bin/lint.rs`)
+//! suppressions (`suppress`). The `lint` binary (root `src/bin/lint.rs`)
 //! wires this into `scripts/verify.sh`; `tests/selfcheck.rs` keeps the
 //! workspace itself lint-clean under plain `cargo test` and re-derives
 //! the committed `lint-baseline.json` byte-for-byte.
@@ -26,11 +26,11 @@ pub mod baseline;
 pub mod config;
 mod json;
 pub mod lexer;
-pub mod manifest;
+mod manifest;
 pub mod report;
 pub mod rules;
-pub mod suppress;
-pub mod walk;
+mod suppress;
+mod walk;
 
 use baseline::{Baseline, P1Counts};
 use config::Config;

@@ -5,7 +5,7 @@
 //! packages.)
 
 /// Extract `name = "..."` from the `[package]` section, if any.
-pub fn package_name(src: &str) -> Option<String> {
+pub(crate) fn package_name(src: &str) -> Option<String> {
     let mut in_package = false;
     for line in src.lines() {
         let line = strip_toml_comment(line).trim();

@@ -58,12 +58,12 @@ pub struct FileAnalysis {
 
 /// Is this file test code by path alone? Matches both the workspace-level
 /// `tests/` tree and per-crate `crates/<c>/tests/` trees.
-pub fn is_test_path(rel: &str) -> bool {
+pub(crate) fn is_test_path(rel: &str) -> bool {
     rel.starts_with("tests/") || rel.contains("/tests/")
 }
 
 /// Is this file in the P1 library-census scope?
-pub fn is_library_path(rel: &str) -> bool {
+pub(crate) fn is_library_path(rel: &str) -> bool {
     let under_src = |s: &str| {
         s.strip_prefix("src/").is_some_and(|rest| !rest.starts_with("bin/"))
     };
@@ -294,7 +294,7 @@ fn float_operand(toks: &[Token], i: usize) -> bool {
 
 /// A closed line range.
 #[derive(Debug, Clone, Copy)]
-pub struct LineRange {
+pub(crate) struct LineRange {
     /// First line (inclusive).
     pub start: u32,
     /// Last line (inclusive).
@@ -303,7 +303,7 @@ pub struct LineRange {
 
 impl LineRange {
     /// Is `line` inside this range (inclusive both ends)?
-    pub fn contains(&self, line: u32) -> bool {
+    pub(crate) fn contains(&self, line: u32) -> bool {
         (self.start..=self.end).contains(&line)
     }
 }
@@ -312,7 +312,7 @@ impl LineRange {
 /// attribute mentioning `test`, e.g. `cfg(all(test, unix))`). The range
 /// runs from the attribute to the closing brace of the annotated item —
 /// enough structure for scoping without parsing Rust.
-pub fn test_regions(toks: &[Token]) -> Vec<LineRange> {
+pub(crate) fn test_regions(toks: &[Token]) -> Vec<LineRange> {
     let mut out = Vec::new();
     let mut i = 0;
     while i < toks.len() {

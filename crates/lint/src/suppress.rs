@@ -21,7 +21,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// Parsed suppressions for one file.
 #[derive(Debug, Default)]
-pub struct Suppressions {
+pub(crate) struct Suppressions {
     /// Rules allowed for the whole file.
     pub file_level: BTreeSet<String>,
     /// Line → rules allowed on that line.
@@ -30,7 +30,7 @@ pub struct Suppressions {
 
 impl Suppressions {
     /// Is `rule` suppressed at `line`?
-    pub fn allows(&self, rule: &str, line: u32) -> bool {
+    pub(crate) fn allows(&self, rule: &str, line: u32) -> bool {
         self.file_level.contains(rule)
             || self.line_level.get(&line).is_some_and(|s| s.contains(rule))
     }
@@ -38,7 +38,7 @@ impl Suppressions {
 
 /// Scan comments for directives. `tokens` is used to resolve which line a
 /// standalone directive protects (the next line holding real code).
-pub fn collect(
+pub(crate) fn collect(
     rel: &str,
     comments: &[Comment],
     tokens: &[Token],

@@ -8,7 +8,7 @@ use std::path::{Path, PathBuf};
 
 /// What kind of file a walk entry is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FileKind {
+pub(crate) enum FileKind {
     /// Rust source.
     Rust,
     /// A `Cargo.toml` manifest.
@@ -17,7 +17,7 @@ pub enum FileKind {
 
 /// One discovered file.
 #[derive(Debug, Clone)]
-pub struct WalkEntry {
+pub(crate) struct WalkEntry {
     /// Absolute path on disk.
     pub abs: PathBuf,
     /// Workspace-relative path with `/` separators.
@@ -33,7 +33,7 @@ const SKIP_DIRS: &[&str] = &["target", ".git", ".claude", "results"];
 const SKIP_PATHS: &[&str] = &["tests/fixtures"];
 
 /// Walk `root` and return all lintable files, sorted by relative path.
-pub fn walk(root: &Path) -> io::Result<Vec<WalkEntry>> {
+pub(crate) fn walk(root: &Path) -> io::Result<Vec<WalkEntry>> {
     let mut out = Vec::new();
     let mut stack = vec![root.to_path_buf()];
     while let Some(dir) = stack.pop() {

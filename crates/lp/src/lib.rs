@@ -12,8 +12,8 @@
 
 #![warn(missing_docs)]
 
-pub mod problem;
-pub mod simplex;
+mod problem;
+mod simplex;
 
-pub use problem::{Constraint, LpProblem, Relation};
+pub use problem::{LpProblem, Relation};
 pub use simplex::{solve, LpError, LpSolution};

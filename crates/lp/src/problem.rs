@@ -14,7 +14,7 @@ pub enum Relation {
 
 /// One linear constraint `coeffs · x  (≤ | ≥ | =)  rhs`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Constraint {
+pub(crate) struct Constraint {
     /// Coefficients, one per variable.
     pub coeffs: Vec<f64>,
     /// Relation to the right-hand side.
@@ -54,17 +54,17 @@ impl LpProblem {
     }
 
     /// Number of decision variables.
-    pub fn n_vars(&self) -> usize {
+    pub(crate) fn n_vars(&self) -> usize {
         self.n_vars
     }
 
     /// Objective coefficients.
-    pub fn objective(&self) -> &[f64] {
+    pub(crate) fn objective(&self) -> &[f64] {
         &self.objective
     }
 
     /// The constraints.
-    pub fn constraints(&self) -> &[Constraint] {
+    pub(crate) fn constraints(&self) -> &[Constraint] {
         &self.constraints
     }
 }

@@ -1,4 +1,4 @@
-//! Point-forecast metrics: MSE (Table I's supplementary column) and MAE.
+//! Point-forecast metric: MSE (Table I's supplementary column).
 
 /// Mean squared error.
 ///
@@ -10,15 +10,6 @@ pub fn mse(actuals: &[f64], preds: &[f64]) -> f64 {
         return f64::NAN;
     }
     actuals.iter().zip(preds).map(|(y, p)| (y - p) * (y - p)).sum::<f64>() / actuals.len() as f64
-}
-
-/// Mean absolute error.
-pub fn mae(actuals: &[f64], preds: &[f64]) -> f64 {
-    assert_eq!(actuals.len(), preds.len(), "mae: length mismatch");
-    if actuals.is_empty() {
-        return f64::NAN;
-    }
-    actuals.iter().zip(preds).map(|(y, p)| (y - p).abs()).sum::<f64>() / actuals.len() as f64
 }
 
 #[cfg(test)]
@@ -33,21 +24,7 @@ mod tests {
     }
 
     #[test]
-    fn mae_known_value() {
-        assert_eq!(mae(&[0.0, 0.0], &[2.0, -2.0]), 2.0);
-    }
-
-    #[test]
     fn empty_is_nan() {
         assert!(mse(&[], &[]).is_nan());
-        assert!(mae(&[], &[]).is_nan());
-    }
-
-    #[test]
-    fn mse_dominated_by_outliers_more_than_mae() {
-        let actual = [0.0; 10];
-        let mut pred = [0.1; 10];
-        pred[0] = 5.0;
-        assert!(mse(&actual, &pred) / mse(&actual, &[0.1; 10]) > mae(&actual, &pred) / mae(&actual, &[0.1; 10]));
     }
 }

@@ -1,19 +1,12 @@
-//! Quantile-forecast metrics: quantile loss, weighted quantile loss,
-//! coverage, and mean weighted quantile loss (§IV-B of the paper).
+//! Quantile-forecast metrics: quantile loss, weighted quantile loss and
+//! coverage (§IV-B of the paper).
 
 /// Pinball loss summed over a forecast window (Eq. 2, one series):
 /// `QL_τ = Σ_h ρ_τ(y_h, ŷ_h)`.
 ///
-/// ```
-/// use rpas_metrics::quantile_loss;
-/// // Under-forecasting by 2 at τ=0.9 costs 0.9·2; over costs 0.1·2.
-/// assert!((quantile_loss(&[10.0], &[8.0], 0.9) - 1.8).abs() < 1e-12);
-/// assert!((quantile_loss(&[8.0], &[10.0], 0.9) - 0.2).abs() < 1e-12);
-/// ```
-///
 /// # Panics
 /// Panics if the slices differ in length.
-pub fn quantile_loss(actuals: &[f64], preds: &[f64], tau: f64) -> f64 {
+pub(crate) fn quantile_loss(actuals: &[f64], preds: &[f64], tau: f64) -> f64 {
     assert_eq!(actuals.len(), preds.len(), "quantile_loss: length mismatch");
     assert!((0.0..=1.0).contains(&tau), "quantile level out of range");
     actuals
@@ -52,26 +45,6 @@ pub fn coverage(actuals: &[f64], preds: &[f64]) -> f64 {
     }
     let hits = actuals.iter().zip(preds).filter(|(&y, &q)| q >= y).count();
     hits as f64 / actuals.len() as f64
-}
-
-/// `mean_wQL`: the average of `wQL_[τ]` over a set of quantile levels.
-/// `per_level[i]` holds the predictions for `taus[i]`.
-///
-/// # Panics
-/// Panics if `taus` and `per_level` differ in length.
-pub fn mean_weighted_quantile_loss(
-    actuals: &[f64],
-    per_level: &[Vec<f64>],
-    taus: &[f64],
-) -> f64 {
-    assert_eq!(per_level.len(), taus.len(), "mean_wQL: level count mismatch");
-    assert!(!taus.is_empty(), "mean_wQL: need at least one level");
-    let sum: f64 = taus
-        .iter()
-        .zip(per_level)
-        .map(|(&tau, preds)| weighted_quantile_loss(actuals, preds, tau))
-        .sum();
-    sum / taus.len() as f64
 }
 
 #[cfg(test)]
@@ -117,17 +90,6 @@ mod tests {
         let actual: Vec<f64> = (1..=10).map(|i| i as f64).collect();
         let pred = vec![8.0; 10];
         assert!((coverage(&actual, &pred) - 0.8).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mean_wql_averages_levels() {
-        let actual = [10.0, 10.0];
-        let lo = vec![9.0, 9.0]; // τ=0.1
-        let hi = vec![12.0, 12.0]; // τ=0.9
-        let m = mean_weighted_quantile_loss(&actual, &[lo.clone(), hi.clone()], &[0.1, 0.9]);
-        let w1 = weighted_quantile_loss(&actual, &lo, 0.1);
-        let w2 = weighted_quantile_loss(&actual, &hi, 0.9);
-        assert!((m - (w1 + w2) / 2.0).abs() < 1e-12);
     }
 
     #[test]

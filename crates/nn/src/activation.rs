@@ -22,7 +22,7 @@ pub enum Activation {
 impl Activation {
     /// Apply the activation to a scalar.
     #[inline]
-    pub fn apply(self, x: f64) -> f64 {
+    pub(crate) fn apply(self, x: f64) -> f64 {
         match self {
             Activation::Relu => x.max(0.0),
             Activation::Tanh => x.tanh(),
@@ -41,7 +41,7 @@ impl Activation {
 
     /// Derivative, expressed in terms of the *input* `x`.
     #[inline]
-    pub fn derivative(self, x: f64) -> f64 {
+    pub(crate) fn derivative(self, x: f64) -> f64 {
         match self {
             Activation::Relu => {
                 if x > 0.0 {
@@ -71,14 +71,14 @@ impl Activation {
     }
 
     /// Apply to a slice into a new vector.
-    pub fn apply_vec(self, xs: &[f64]) -> Vec<f64> {
+    pub(crate) fn apply_vec(self, xs: &[f64]) -> Vec<f64> {
         xs.iter().map(|&x| self.apply(x)).collect()
     }
 }
 
 /// Numerically-stable logistic sigmoid.
 #[inline]
-pub fn sigmoid(x: f64) -> f64 {
+pub(crate) fn sigmoid(x: f64) -> f64 {
     if x >= 0.0 {
         1.0 / (1.0 + (-x).exp())
     } else {
@@ -90,7 +90,7 @@ pub fn sigmoid(x: f64) -> f64 {
 /// An activation as a layer with a cache stack so it can sit inside
 /// unrolled sequence models.
 #[derive(Debug, Clone)]
-pub struct ActLayer {
+pub(crate) struct ActLayer {
     /// The activation function applied element-wise.
     pub act: Activation,
     cache: Vec<Vec<f64>>,
@@ -98,12 +98,12 @@ pub struct ActLayer {
 
 impl ActLayer {
     /// New activation layer.
-    pub fn new(act: Activation) -> Self {
+    pub(crate) fn new(act: Activation) -> Self {
         Self { act, cache: Vec::new() }
     }
 
     /// Forward pass; caches the pre-activation input.
-    pub fn forward(&mut self, x: &[f64]) -> Vec<f64> {
+    pub(crate) fn forward(&mut self, x: &[f64]) -> Vec<f64> {
         self.cache.push(x.to_vec());
         self.act.apply_vec(x)
     }
@@ -112,7 +112,7 @@ impl ActLayer {
     ///
     /// # Panics
     /// Panics if called more times than `forward`.
-    pub fn backward(&mut self, dy: &[f64]) -> Vec<f64> {
+    pub(crate) fn backward(&mut self, dy: &[f64]) -> Vec<f64> {
         let x = self.cache.pop().expect("ActLayer::backward without forward");
         assert_eq!(x.len(), dy.len(), "ActLayer::backward shape mismatch");
         x.iter().zip(dy).map(|(&xi, &d)| d * self.act.derivative(xi)).collect()

@@ -1,4 +1,4 @@
-//! Optimizers: Adam (the workhorse for every forecaster) and plain SGD.
+//! The optimizer: Adam, the workhorse for every forecaster.
 
 use crate::param::Param;
 
@@ -28,21 +28,10 @@ impl Adam {
         Self { lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, weight_decay: 0.0, t: 0 }
     }
 
-    /// Builder-style weight decay.
-    pub fn with_weight_decay(mut self, wd: f64) -> Self {
-        self.weight_decay = wd;
-        self
-    }
-
     /// Advance the step counter. Call once per optimisation step, before
     /// [`Adam::update`]-ing the parameters of that step.
     pub fn begin_step(&mut self) {
         self.t += 1;
-    }
-
-    /// Steps taken so far.
-    pub fn steps(&self) -> u64 {
-        self.t
     }
 
     /// Apply one Adam update to a single parameter using its accumulated
@@ -74,32 +63,11 @@ impl Adam {
     }
 }
 
-/// Vanilla stochastic gradient descent, mostly for tests and sanity checks.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f64,
-}
-
-impl Sgd {
-    /// New SGD optimizer.
-    pub fn new(lr: f64) -> Self {
-        Self { lr }
-    }
-
-    /// `p ← p − lr · grad`, leaving the gradient in place.
-    pub fn update(&self, p: &mut Param) {
-        for i in 0..p.data.len() {
-            p.data[i] -= self.lr * p.grad[i];
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Minimise f(x) = (x − 3)² with each optimizer.
+    /// Gradient of f(x) = (x − 3)².
     fn quadratic_grad(p: &Param) -> Vec<f64> {
         p.data.iter().map(|x| 2.0 * (x - 3.0)).collect()
     }
@@ -114,17 +82,6 @@ mod tests {
             opt.update(&mut p);
         }
         assert!((p.data[0] - 3.0).abs() < 1e-3, "got {}", p.data[0]);
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut p = Param::from_vec(vec![10.0]);
-        let opt = Sgd::new(0.1);
-        for _ in 0..200 {
-            p.grad = quadratic_grad(&p);
-            opt.update(&mut p);
-        }
-        assert!((p.data[0] - 3.0).abs() < 1e-6);
     }
 
     #[test]
@@ -145,7 +102,8 @@ mod tests {
     fn weight_decay_shrinks_params() {
         let mut p = Param::from_vec(vec![1.0]);
         p.grad = vec![0.0];
-        let mut opt = Adam::new(0.01).with_weight_decay(0.1);
+        let mut opt = Adam::new(0.01);
+        opt.weight_decay = 0.1;
         opt.begin_step();
         opt.update(&mut p);
         assert!(p.data[0] < 1.0);

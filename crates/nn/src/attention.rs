@@ -110,11 +110,6 @@ impl MultiHeadAttention {
         }
     }
 
-    /// Model dimension.
-    pub fn d_model(&self) -> usize {
-        self.d_model
-    }
-
     /// Self-attention over a `T × d_model` sequence; returns `T × d_model`.
     pub fn forward(&mut self, x: &Matrix) -> Matrix {
         assert_eq!(x.cols(), self.d_model, "MultiHeadAttention: input dim mismatch");

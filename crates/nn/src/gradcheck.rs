@@ -1,9 +1,8 @@
 //! Finite-difference gradient checking.
 //!
 //! Since this substrate has no autograd, every layer's hand-written backward
-//! pass is validated against central differences. The helpers here are used
-//! throughout the crate's tests and are public so the forecaster crate can
-//! gradient-check its composite models too.
+//! pass is validated against central differences. The helpers here are
+//! compiled for, and used throughout, the crate's unit tests.
 
 use crate::Layer;
 
@@ -34,7 +33,7 @@ fn perturb<L: Layer + ?Sized>(layer: &mut L, param_idx: usize, elem: usize, delt
 /// Checks every parameter element *and* the input gradient against central
 /// finite differences, returning the maximum relative error observed.
 #[allow(clippy::needless_range_loop)]
-pub fn check_layer<L, F>(layer: &mut L, input: &[f64], run: F) -> f64
+pub(crate) fn check_layer<L, F>(layer: &mut L, input: &[f64], run: F) -> f64
 where
     L: Layer + ?Sized,
     F: Fn(&mut L, &[f64]) -> (f64, Vec<f64>),
@@ -88,7 +87,7 @@ where
 
 /// Gradient-check a pure function `x ↦ (loss, dloss/dx)` (used for the loss
 /// functions, which are not layers).
-pub fn check_fn<F>(f: F, x: &[f64]) -> f64
+pub(crate) fn check_fn<F>(f: F, x: &[f64]) -> f64
 where
     F: Fn(&[f64]) -> (f64, Vec<f64>),
 {

@@ -9,7 +9,7 @@ use rpas_tsmath::rng::RngCore;
 
 /// Layer normalisation with learned gain `γ` and bias `β`.
 #[derive(Debug, Clone)]
-pub struct LayerNorm {
+pub(crate) struct LayerNorm {
     /// Learned per-feature gain, initialised to 1.
     pub gamma: Param,
     /// Learned per-feature bias, initialised to 0.
@@ -20,14 +20,14 @@ pub struct LayerNorm {
 
 impl LayerNorm {
     /// New layer norm over `dim` features.
-    pub fn new(dim: usize) -> Self {
+    pub(crate) fn new(dim: usize) -> Self {
         let mut gamma = Param::zeros(dim);
         gamma.data.iter_mut().for_each(|g| *g = 1.0);
         Self { gamma, beta: Param::zeros(dim), eps: 1e-6, cache: Vec::new() }
     }
 
     /// Forward pass.
-    pub fn forward(&mut self, x: &[f64]) -> Vec<f64> {
+    pub(crate) fn forward(&mut self, x: &[f64]) -> Vec<f64> {
         let n = x.len();
         assert_eq!(n, self.gamma.data.len(), "LayerNorm: dim mismatch");
         let mu = x.iter().sum::<f64>() / n as f64;
@@ -43,7 +43,7 @@ impl LayerNorm {
     /// Inference-only forward into a caller-owned buffer of length `dim`:
     /// the same values as [`LayerNorm::forward`], bit for bit, without the
     /// cache.
-    pub fn apply_into(&self, x: &[f64], y: &mut [f64]) {
+    pub(crate) fn apply_into(&self, x: &[f64], y: &mut [f64]) {
         let n = x.len();
         assert_eq!(n, self.gamma.data.len(), "LayerNorm: dim mismatch");
         assert_eq!(y.len(), n, "LayerNorm: output dim mismatch");
@@ -56,7 +56,7 @@ impl LayerNorm {
     }
 
     /// Backward pass; returns `dx`.
-    pub fn backward(&mut self, dy: &[f64]) -> Vec<f64> {
+    pub(crate) fn backward(&mut self, dy: &[f64]) -> Vec<f64> {
         let (xhat, inv_std) = self.cache.pop().expect("LayerNorm::backward without forward");
         let n = xhat.len() as f64;
         let mut dxhat = vec![0.0; xhat.len()];
@@ -126,11 +126,6 @@ impl GatedResidualNetwork {
             in_dim,
             out_dim,
         }
-    }
-
-    /// Output width.
-    pub fn out_dim(&self) -> usize {
-        self.out_dim
     }
 
     /// Forward pass.

@@ -99,16 +99,6 @@ impl GruCell {
         }
     }
 
-    /// Hidden-state dimension.
-    pub fn hidden_dim(&self) -> usize {
-        self.hidden_dim
-    }
-
-    /// Input dimension.
-    pub fn input_dim(&self) -> usize {
-        self.input_dim
-    }
-
     /// Fresh all-zero hidden state.
     pub fn init_state(&self) -> Vec<f64> {
         vec![0.0; self.hidden_dim]

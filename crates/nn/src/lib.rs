@@ -23,24 +23,25 @@
 
 #![warn(missing_docs)]
 
-pub mod activation;
-pub mod adam;
-pub mod attention;
-pub mod gradcheck;
-pub mod grn;
-pub mod gru;
+mod activation;
+mod adam;
+mod attention;
+#[cfg(test)]
+mod gradcheck;
+mod grn;
+mod gru;
 mod kmajor;
-pub mod linear;
+mod linear;
 pub mod loss;
-pub mod lstm;
-pub mod param;
-pub mod serialize;
-pub mod sequential;
+mod lstm;
+mod param;
+mod serialize;
+mod sequential;
 
-pub use activation::{ActLayer, Activation};
-pub use adam::{Adam, Sgd};
+pub use activation::Activation;
+pub use adam::Adam;
 pub use attention::MultiHeadAttention;
-pub use grn::{GatedResidualNetwork, LayerNorm};
+pub use grn::GatedResidualNetwork;
 pub use gru::{GruCell, GruStepper};
 pub use linear::Dense;
 pub use lstm::{LstmCell, LstmStepper};

@@ -28,13 +28,8 @@ impl Dense {
         }
     }
 
-    /// Input dimension.
-    pub fn in_dim(&self) -> usize {
-        self.in_dim
-    }
-
     /// Output dimension.
-    pub fn out_dim(&self) -> usize {
+    pub(crate) fn out_dim(&self) -> usize {
         self.out_dim
     }
 

@@ -120,16 +120,6 @@ impl LstmCell {
         }
     }
 
-    /// Hidden-state dimension.
-    pub fn hidden_dim(&self) -> usize {
-        self.hidden_dim
-    }
-
-    /// Input dimension.
-    pub fn input_dim(&self) -> usize {
-        self.input_dim
-    }
-
     /// Fresh all-zero state.
     pub fn init_state(&self) -> LstmState {
         LstmState { h: vec![0.0; self.hidden_dim], c: vec![0.0; self.hidden_dim] }

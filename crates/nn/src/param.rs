@@ -23,21 +23,15 @@ pub struct Param {
 
 impl Param {
     /// All-zero parameter of length `n` (typical for biases).
-    pub fn zeros(n: usize) -> Self {
+    pub(crate) fn zeros(n: usize) -> Self {
         Self { data: vec![0.0; n], grad: vec![0.0; n], m: vec![0.0; n], v: vec![0.0; n] }
     }
 
     /// Parameter initialised with Xavier/Glorot-uniform entries for a layer
     /// with the given fan-in and fan-out. `n` is the total element count.
-    pub fn xavier(n: usize, fan_in: usize, fan_out: usize, rng: &mut dyn RngCore) -> Self {
+    pub(crate) fn xavier(n: usize, fan_in: usize, fan_out: usize, rng: &mut dyn RngCore) -> Self {
         let limit = (6.0 / (fan_in + fan_out).max(1) as f64).sqrt();
         let data = (0..n).map(|_| (rng::uniform_open(rng) * 2.0 - 1.0) * limit).collect();
-        Self { data, grad: vec![0.0; n], m: vec![0.0; n], v: vec![0.0; n] }
-    }
-
-    /// Parameter with i.i.d. `N(0, std²)` entries.
-    pub fn gaussian(n: usize, std: f64, rng: &mut dyn RngCore) -> Self {
-        let data = (0..n).map(|_| rng::standard_normal(rng) * std).collect();
         Self { data, grad: vec![0.0; n], m: vec![0.0; n], v: vec![0.0; n] }
     }
 
@@ -45,21 +39,6 @@ impl Param {
     pub fn from_vec(data: Vec<f64>) -> Self {
         let n = data.len();
         Self { data, grad: vec![0.0; n], m: vec![0.0; n], v: vec![0.0; n] }
-    }
-
-    /// Number of scalar elements.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Whether the parameter is empty.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Zero the accumulated gradient.
-    pub fn zero_grad(&mut self) {
-        self.grad.iter_mut().for_each(|g| *g = 0.0);
     }
 }
 
@@ -71,11 +50,9 @@ mod tests {
     #[test]
     fn zeros_shape() {
         let p = Param::zeros(4);
-        assert_eq!(p.len(), 4);
+        assert_eq!(p.data.len(), 4);
         // rpas-lint: allow(F1, reason = "zeros() promises bitwise +0.0 initialisation; an epsilon would weaken the contract under test")
         assert!(p.data.iter().all(|&x| x == 0.0));
-        assert!(!p.is_empty());
-        assert!(Param::zeros(0).is_empty());
     }
 
     #[test]
@@ -87,23 +64,5 @@ mod tests {
         // Should actually use the range, not collapse to zero.
         let max = p.data.iter().cloned().fold(0.0f64, |a, b| a.max(b.abs()));
         assert!(max > 0.5 * limit);
-    }
-
-    #[test]
-    fn gaussian_std() {
-        let mut r = seeded(4);
-        let p = Param::gaussian(20_000, 0.3, &mut r);
-        let mean = p.data.iter().sum::<f64>() / p.len() as f64;
-        let var = p.data.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (p.len() - 1) as f64;
-        assert!(mean.abs() < 0.01);
-        assert!((var.sqrt() - 0.3).abs() < 0.01);
-    }
-
-    #[test]
-    fn zero_grad_clears() {
-        let mut p = Param::from_vec(vec![1.0, 2.0]);
-        p.grad = vec![3.0, 4.0];
-        p.zero_grad();
-        assert_eq!(p.grad, vec![0.0, 0.0]);
     }
 }

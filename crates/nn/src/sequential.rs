@@ -33,16 +33,6 @@ impl Mlp {
         Self { layers, acts }
     }
 
-    /// Input width.
-    pub fn in_dim(&self) -> usize {
-        self.layers[0].in_dim()
-    }
-
-    /// Output width.
-    pub fn out_dim(&self) -> usize {
-        self.layers.last().expect("Mlp::new guarantees at least one dense layer").out_dim()
-    }
-
     /// Forward pass with caching.
     pub fn forward(&mut self, x: &[f64]) -> Vec<f64> {
         let mut h = x.to_vec();
@@ -109,8 +99,6 @@ mod tests {
     fn shapes() {
         let mut r = seeded(1);
         let mut m = Mlp::new(&[3, 8, 5, 2], Activation::Relu, &mut r);
-        assert_eq!(m.in_dim(), 3);
-        assert_eq!(m.out_dim(), 2);
         let y = m.forward(&[0.1, 0.2, 0.3]);
         assert_eq!(y.len(), 2);
         assert_eq!(m.num_params(), 3 * 8 + 8 + 8 * 5 + 5 + 5 * 2 + 2);

@@ -40,7 +40,7 @@ impl EventName {
     }
 
     /// Whether a recorded `span` / `event` pair is this event.
-    pub fn is(self, span: &str, name: &str) -> bool {
+    pub(crate) fn is(self, span: &str, name: &str) -> bool {
         self.span == span && self.name == name
     }
 }

@@ -16,7 +16,7 @@ use std::fmt::Write as _;
 /// Text an event carries: borrowed when it is a literal of the program
 /// (catalogue names, field keys, label-like values such as `regime`), so
 /// it costs no allocation; owned when computed or read back from a file.
-pub type Text = Cow<'static, str>;
+pub(crate) type Text = Cow<'static, str>;
 
 /// Severity of an event, ordered from most to least severe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -91,7 +91,7 @@ impl Value {
     /// Append the value as a JSON fragment. Finite floats are
     /// `{}`-formatted with a decimal point or exponent forced, so the
     /// fragment round-trips as a float (`3` would re-parse as an integer).
-    pub fn write_json(&self, out: &mut String) {
+    pub(crate) fn write_json(&self, out: &mut String) {
         match self {
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Value::I64(i) => {
@@ -128,7 +128,7 @@ impl Value {
     }
 
     /// Render for the human-readable stderr sink (unquoted strings).
-    pub fn display(&self) -> String {
+    pub(crate) fn display(&self) -> String {
         match self {
             Value::Str(s) => s.to_string(),
             other => other.to_json(),
@@ -215,11 +215,6 @@ impl Fields {
         self.get(key).is_some()
     }
 
-    /// Keep only the fields `keep` accepts.
-    pub fn retain(&mut self, mut keep: impl FnMut(&str, &mut Value) -> bool) {
-        self.0.retain_mut(|(k, v)| keep(k, v));
-    }
-
     /// The fields in key order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = (&str, &Value)> {
         self.0.iter().map(|(k, v)| (k.as_ref(), v))
@@ -298,11 +293,11 @@ impl Event {
     }
 
     /// Append the event as one schema-v1 JSONL line (no trailing newline).
-    pub fn write_json(&self, out: &mut String) {
+    pub(crate) fn write_json(&self, out: &mut String) {
         self.write_json_as(out, self.seq, self.ts_us, self.wall_us, self.fields.iter());
     }
 
-    /// [`Event::write_json`] with the stamps and the field list the line
+    /// `Event::write_json` with the stamps and the field list the line
     /// shows given by the caller — how a consumer renders a renumbered or
     /// filtered view of a captured event without rebuilding it. `fields`
     /// must come in key order.
@@ -490,8 +485,8 @@ mod tests {
 
     /// [`Fields`] against the `BTreeMap<String, Value>` it replaced, under
     /// random inserts (literal and computed keys, from an alphabet small
-    /// enough to overwrite), `retain`s and lookups: same members in the
-    /// same order, same line.
+    /// enough to overwrite) and lookups: same members in the same order,
+    /// same line.
     #[test]
     fn fields_agree_with_the_btreemap_they_replaced() {
         const KEYS: [&str; 9] = ["step", "tau", "a", "", "wall_us", "ab", "B", "µ", "tenant"];
@@ -508,12 +503,6 @@ mod tests {
                     _ => Value::from(["aggressive", "q\"\n", ""][op % 3]),
                 };
                 match g.usize_in(0, 8) {
-                    0 => {
-                        let cut = g.usize_in(0, KEYS.len());
-                        let keep = |k: &str| KEYS.iter().position(|x| *x == k) >= Some(cut);
-                        e.fields.retain(|k, _| keep(k));
-                        oracle.retain(|k, _| keep(k));
-                    }
                     1..=2 => {
                         e.fields.insert(format!("{key}{}", op % 3).into(), value.clone());
                         oracle.insert(format!("{key}{}", op % 3), value);

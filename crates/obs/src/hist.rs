@@ -1,6 +1,5 @@
 //! Fixed-bucket histograms: cheap to record (one binary search per
-//! sample), deterministic to serialize, and summarizable into percentile
-//! estimates without retaining samples.
+//! sample) and deterministic to serialize, without retaining samples.
 //!
 //! Serialization: [`Histogram::encode`] renders the bucket state as one
 //! flat string, `le=<bound>:<count>;...;inf:<count>`, which is what the
@@ -34,20 +33,6 @@ impl Histogram {
         );
         let n = bounds.len() + 1;
         Self { bounds, counts: vec![0; n], count: 0, sum: 0.0 }
-    }
-
-    /// Ready-made bounds for sub-second latencies in microseconds
-    /// (1µs … 10s, one bucket per decade third).
-    pub fn latency_us() -> Self {
-        let mut bounds = Vec::new();
-        let mut b = 1.0;
-        while b <= 1e7 {
-            bounds.push(b);
-            bounds.push(b * 2.0);
-            bounds.push(b * 5.0);
-            b *= 10.0;
-        }
-        Self::new(bounds)
     }
 
     /// Record one sample (NaN samples are counted in the overflow bucket
@@ -115,41 +100,6 @@ impl Histogram {
         Ok(Self { bounds, counts, count, sum })
     }
 
-    /// Mean of the finite samples (NaN when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Estimate the `q`-quantile from bucket counts: the upper bound of
-    /// the bucket containing the target rank (the conventional
-    /// fixed-bucket estimator; +inf bucket reports the largest bound).
-    ///
-    /// # Panics
-    /// Panics unless `q ∈ [0, 1]`.
-    pub fn percentile(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in [0,1]");
-        if self.count == 0 {
-            return f64::NAN;
-        }
-        let rank = (q * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return if i < self.bounds.len() {
-                    self.bounds[i]
-                } else {
-                    *self.bounds.last().expect("non-empty bounds")
-                };
-            }
-        }
-        *self.bounds.last().expect("non-empty bounds")
-    }
-
     /// Canonical flat-string encoding (`le=10:4;le=100:9;inf:2`).
     pub fn encode(&self) -> String {
         let mut parts: Vec<String> = self
@@ -175,18 +125,6 @@ mod tests {
         }
         assert_eq!(h.count(), 4);
         assert_eq!(h.encode(), "le=10:2;le=100:1;inf:1");
-    }
-
-    #[test]
-    fn percentiles_report_bucket_bounds() {
-        let mut h = Histogram::new(vec![1.0, 2.0, 4.0, 8.0]);
-        for v in [0.5, 1.5, 1.6, 3.0, 3.5, 3.9, 5.0, 6.0] {
-            h.record(v);
-        }
-        assert_eq!(h.percentile(0.0), 1.0);
-        assert_eq!(h.percentile(0.5), 4.0);
-        assert_eq!(h.percentile(1.0), 8.0);
-        assert!(Histogram::new(vec![1.0]).percentile(0.5).is_nan());
     }
 
     #[test]
@@ -217,35 +155,11 @@ mod tests {
         h.record(f64::INFINITY);
         assert_eq!(h.encode(), "le=10:0;le=100:0;inf:1");
         // -inf is below every bound, so it stays in the first bucket —
-        // and, being non-finite, it is excluded from the mean.
+        // and, being non-finite, it is excluded from the sum.
         h.record(f64::NEG_INFINITY);
         assert_eq!(h.encode(), "le=10:1;le=100:0;inf:1");
         assert_eq!(h.count(), 2);
-        assert!((h.mean() - 0.0).abs() < f64::EPSILON);
-    }
-
-    #[test]
-    fn overflow_only_percentiles_saturate_at_largest_bound() {
-        // When every sample overflows, the estimator can only report the
-        // largest configured bound — pinned here so dashboards reading
-        // p99 of an overflowing histogram know the value is a floor.
-        let mut h = Histogram::new(vec![10.0, 100.0]);
-        h.record(1e9);
-        h.record(f64::INFINITY);
-        assert_eq!(h.percentile(0.0), 100.0);
-        assert_eq!(h.percentile(0.99), 100.0);
-        assert_eq!(h.percentile(1.0), 100.0);
-    }
-
-    #[test]
-    fn empty_histogram_quantiles_and_mean_are_nan() {
-        let h = Histogram::new(vec![1.0, 2.0]);
-        assert_eq!(h.count(), 0);
-        for q in [0.0, 0.5, 0.95, 1.0] {
-            assert!(h.percentile(q).is_nan());
-        }
-        assert!(h.mean().is_nan());
-        assert_eq!(h.encode(), "le=1:0;le=2:0;inf:0");
+        assert!((h.sum() - 0.0).abs() < f64::EPSILON);
     }
 
     #[test]
@@ -258,7 +172,6 @@ mod tests {
             Histogram::from_parts(h.bounds().to_vec(), h.counts().to_vec(), h.sum()).unwrap();
         assert_eq!(back, h, "from_parts is the exact inverse of the accessors");
         assert_eq!(back.sum().to_bits(), h.sum().to_bits());
-        assert_eq!(back.mean().to_bits(), h.mean().to_bits());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! `trace-report` can reject malformed lines with a real error rather
 //! than a partial match, and typed decoders that stream from it without
 //! a tree (`rpas-core`'s checkpoint loader). The writer side is
-//! [`escape_into`] plus `write_json` in [`crate::event`]; both append to
+//! [`escape_into`] plus `write_json` in `crate::event`; both append to
 //! a caller-owned buffer.
 
 use std::borrow::Cow;

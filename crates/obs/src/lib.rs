@@ -6,18 +6,18 @@
 //!
 //! * [`catalog`] — every `span/name` the workspace emits, declared once;
 //!   the only names [`Obs::emit`] and [`Obs::span`] take.
-//! * [`event`] — the structured event model: [`Level`], scalar [`Value`]s,
+//! * `event` — the structured event model: [`Level`], scalar [`Value`]s,
 //!   and [`Event`] records with deterministic content (wall-clock only
 //!   ever lives in the reserved `ts_us`/`wall_us`/`*_us` timing slots),
 //!   built once — literals borrowed, [`Fields`] one sorted vector — and
 //!   moved into the last sink.
-//! * [`sink`] — pluggable sinks behind the cheap [`Obs`] handle: no-op
+//! * `sink` — pluggable sinks behind the cheap [`Obs`] handle: no-op
 //!   (a single branch on the hot path; the event-building closure never
 //!   runs), human-readable stderr gated by `RPAS_LOG`, schema-v1 JSONL
 //!   via `--trace-out` / `RPAS_TRACE_OUT`, and the in-memory sink a
 //!   fleet captures each tenant's audit trail in (and tests read back).
-//! * [`hist`] — fixed-bucket [`Histogram`]s with percentile estimates and
-//!   a flat-string encoding that fits the JSONL schema.
+//! * `hist` — fixed-bucket [`Histogram`]s with a flat-string encoding
+//!   that fits the JSONL schema.
 //! * [`schema`] — the versioned JSONL schema and its validator (used by
 //!   `rpas-cli trace-report` and `scripts/verify.sh`).
 //! * [`json`] — the minimal in-tree JSON reader/writer backing it all.
@@ -44,13 +44,13 @@
 #![warn(missing_docs)]
 
 pub mod catalog;
-pub mod event;
-pub mod hist;
+mod event;
+mod hist;
 pub mod json;
 pub mod schema;
-pub mod sink;
+mod sink;
 
-pub use event::{Event, Fields, Level, Text, Value};
+pub use event::{Event, Fields, Level, Value};
 pub use hist::Histogram;
 pub use json::Json;
 pub use schema::{validate_line, TraceLine, SCHEMA_VERSION};

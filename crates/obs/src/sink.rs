@@ -374,7 +374,7 @@ pub struct SpanTimer {
 
 impl SpanTimer {
     /// Elapsed wall-clock so far.
-    pub fn elapsed_us(&self) -> u64 {
+    pub(crate) fn elapsed_us(&self) -> u64 {
         self.start.elapsed().as_micros() as u64
     }
 

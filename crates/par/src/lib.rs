@@ -25,7 +25,7 @@
 //! seed-determinism of a parallel binary). A set-but-unusable override
 //! (unparsable or zero) is ignored in favour of the hardware count, and
 //! reported once per process as a `warn` obs event so misconfigured runs
-//! are visible (see [`thread_override`] for the inspectable form).
+//! are visible (see `thread_override` for the inspectable form).
 #![warn(missing_docs)]
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -38,7 +38,7 @@ use std::sync::{Arc, Condvar, Mutex, Once};
 /// classification, so a caller (or a test) can see exactly why a given
 /// thread count was chosen.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ThreadOverride {
+pub(crate) enum ThreadOverride {
     /// `RPAS_THREADS` is not set; the hardware parallelism is used.
     Unset,
     /// `RPAS_THREADS` is a positive integer and caps the pool at this.
@@ -53,7 +53,7 @@ pub enum ThreadOverride {
 }
 
 /// Classify the current `RPAS_THREADS` setting without side effects.
-pub fn thread_override() -> ThreadOverride {
+pub(crate) fn thread_override() -> ThreadOverride {
     match std::env::var("RPAS_THREADS") {
         Err(_) => ThreadOverride::Unset,
         Ok(raw) => match raw.parse::<usize>() {
@@ -76,7 +76,7 @@ fn warn_ignored_override(raw: &str) {
 /// Worker threads to use for `jobs` independent jobs: the smaller of the
 /// machine's parallelism (or the `RPAS_THREADS` override) and the job
 /// count, and at least 1.
-pub fn worker_count(jobs: usize) -> usize {
+pub(crate) fn worker_count(jobs: usize) -> usize {
     let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let cap = match thread_override() {
         ThreadOverride::Unset => hw,
@@ -192,15 +192,10 @@ impl WorkerPool {
         Self { shared: Some(shared), handles, workers }
     }
 
-    /// A pool sized by [`worker_count`] for `jobs` jobs — reads
+    /// A pool sized by `worker_count` for `jobs` jobs — reads
     /// `RPAS_THREADS` at construction time.
     pub fn for_jobs(jobs: usize) -> Self {
         Self::new(worker_count(jobs.max(1)))
-    }
-
-    /// Total workers, the submitting thread included.
-    pub fn workers(&self) -> usize {
-        self.workers
     }
 
     fn worker_loop(shared: &PoolShared) {
@@ -243,7 +238,7 @@ impl WorkerPool {
     /// Propagates the first captured panic from any job, after all
     /// workers have finished the submission (so sibling jobs still run
     /// and the pool remains usable).
-    pub fn run<F>(&self, jobs: usize, f: F)
+    pub(crate) fn run<F>(&self, jobs: usize, f: F)
     where
         F: Fn(usize) + Sync,
     {
@@ -313,7 +308,7 @@ impl WorkerPool {
     /// Run `f` over `0..jobs` and return the results in index order.
     ///
     /// # Panics
-    /// Propagates a panic from any job (see [`WorkerPool::run`]).
+    /// Propagates a panic from any job (see `WorkerPool::run`).
     pub fn map_indexed<T, F>(&self, jobs: usize, f: F) -> Vec<T>
     where
         T: Send,

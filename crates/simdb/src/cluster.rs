@@ -9,7 +9,7 @@ use std::sync::Arc;
 /// step, and remaining warm-up (`None` for an active node).
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeSnapshot {
-    /// The node's [`NodeId`] value.
+    /// The node's `NodeId` value.
     pub id: u32,
     /// Simulation step at which the node was launched.
     pub launched_at_step: usize,
@@ -18,13 +18,13 @@ pub struct NodeSnapshot {
 }
 
 /// The cluster's full mutable state, as plain data — everything
-/// [`Cluster::restore`] needs to resume a pool mid-run (the warm-up model
+/// `Cluster::restore` needs to resume a pool mid-run (the warm-up model
 /// and storage handle are configuration, rebuilt from the spec).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSnapshot {
     /// Node list in pool order.
     pub nodes: Vec<NodeSnapshot>,
-    /// Next [`NodeId`] to assign.
+    /// Next `NodeId` to assign.
     pub next_id: u32,
     /// Scale-out operations performed so far.
     pub scale_out_events: usize,
@@ -36,7 +36,7 @@ pub struct ClusterSnapshot {
 
 /// A pool of compute nodes attached to one shared storage.
 #[derive(Debug)]
-pub struct Cluster {
+pub(crate) struct Cluster {
     nodes: Vec<ComputeNode>,
     next_id: u32,
     warmup: WarmupModel,
@@ -47,7 +47,11 @@ pub struct Cluster {
 
 impl Cluster {
     /// New cluster bootstrapped with `initial_nodes` already-active nodes.
-    pub fn new(initial_nodes: u32, warmup: WarmupModel, storage: Arc<SharedStorage>) -> Self {
+    pub(crate) fn new(
+        initial_nodes: u32,
+        warmup: WarmupModel,
+        storage: Arc<SharedStorage>,
+    ) -> Self {
         let nodes =
             (0..initial_nodes).map(|i| ComputeNode::active(NodeId(i), 0)).collect::<Vec<_>>();
         Self {
@@ -61,33 +65,41 @@ impl Cluster {
     }
 
     /// Total nodes (active + warming).
-    pub fn size(&self) -> u32 {
+    pub(crate) fn size(&self) -> u32 {
         self.nodes.len() as u32
     }
 
     /// Nodes currently able to serve.
-    pub fn active_count(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn active_count(&self) -> u32 {
         self.nodes.iter().filter(|n| n.is_active()).count() as u32
     }
 
     /// Borrow the node list.
-    pub fn nodes(&self) -> &[ComputeNode] {
+    #[cfg(test)]
+    pub(crate) fn nodes(&self) -> &[ComputeNode] {
         &self.nodes
     }
 
     /// Shared storage handle.
-    pub fn storage(&self) -> &SharedStorage {
+    pub(crate) fn storage(&self) -> &SharedStorage {
         &self.storage
     }
 
     /// Scale-out operations performed so far.
-    pub fn scale_out_events(&self) -> usize {
+    pub(crate) fn scale_out_events(&self) -> usize {
         self.scale_out_events
     }
 
     /// Scale-in operations performed so far.
-    pub fn scale_in_events(&self) -> usize {
+    pub(crate) fn scale_in_events(&self) -> usize {
         self.scale_in_events
+    }
+
+    /// [`Cluster::scale_to_delayed`] with no provisioning delay.
+    #[cfg(test)]
+    pub(crate) fn scale_to(&mut self, target: u32, step: usize) {
+        self.scale_to_delayed(target, step, 0.0);
     }
 
     /// Adjust the pool to `target` nodes at simulation step `step`.
@@ -96,15 +108,11 @@ impl Cluster {
     /// shared storage). Scale-in removes warming nodes first (cheapest to
     /// cancel), then active ones; removal is immediate — in a disaggregated
     /// architecture a compute node holds no exclusive state.
-    pub fn scale_to(&mut self, target: u32, step: usize) {
-        self.scale_to_delayed(target, step, 0.0);
-    }
-
-    /// [`Cluster::scale_to`] with `extra_warmup_secs` of provisioning
-    /// delay added to every node launched by this call — the mechanism
-    /// behind the fault injector's delayed-provisioning class. Scale-in
-    /// and no-op paths ignore the delay.
-    pub fn scale_to_delayed(&mut self, target: u32, step: usize, extra_warmup_secs: f64) {
+    ///
+    /// `extra_warmup_secs` of provisioning delay is added to every node
+    /// launched by this call — the mechanism behind the fault injector's
+    /// delayed-provisioning class. Scale-in and no-op paths ignore it.
+    pub(crate) fn scale_to_delayed(&mut self, target: u32, step: usize, extra_warmup_secs: f64) {
         let current = self.size();
         if target > current {
             self.scale_out_events += 1;
@@ -149,7 +157,7 @@ impl Cluster {
     /// outage, outside this simulator's scope. Returns how many nodes
     /// actually crashed. Crashes are not scale-in events: they read no
     /// checkpoints and count separately.
-    pub fn crash(&mut self, want: u32, _step: usize) -> u32 {
+    pub(crate) fn crash(&mut self, want: u32, _step: usize) -> u32 {
         let mut crashed = 0;
         while crashed < want && self.nodes.len() > 1 {
             let idx = self
@@ -168,12 +176,12 @@ impl Cluster {
     /// Advance one interval of `dt_secs`; returns the pool's effective
     /// serving capacity over the interval, in node-units (active nodes
     /// count 1.0, nodes finishing warm-up count their serving fraction).
-    pub fn tick(&mut self, dt_secs: f64) -> f64 {
+    pub(crate) fn tick(&mut self, dt_secs: f64) -> f64 {
         self.nodes.iter_mut().map(|n| n.tick(dt_secs)).sum()
     }
 
     /// Capture the pool's full mutable state (see [`ClusterSnapshot`]).
-    pub fn snapshot(&self) -> ClusterSnapshot {
+    pub(crate) fn snapshot(&self) -> ClusterSnapshot {
         ClusterSnapshot {
             nodes: self
                 .nodes
@@ -199,7 +207,7 @@ impl Cluster {
     /// built; storage *counters* are restored to absolute values so the
     /// bootstrap reads of the rebuilt pool do not double-count.
     #[deny(unused_variables)]
-    pub fn restore(&mut self, snap: &ClusterSnapshot) {
+    pub(crate) fn restore(&mut self, snap: &ClusterSnapshot) {
         // Exhaustive on purpose (no `..`), nested `NodeSnapshot` included:
         // a field added to either and not consumed here does not compile.
         let ClusterSnapshot { nodes, next_id, scale_out_events, scale_in_events, storage } = snap;
@@ -221,7 +229,8 @@ impl Cluster {
     }
 
     /// Seconds of warm-up remaining across the pool (0 when all active).
-    pub fn pending_warmup_secs(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn pending_warmup_secs(&self) -> f64 {
         self.nodes
             .iter()
             .map(|n| match n.state {
@@ -237,7 +246,8 @@ mod tests {
     use super::*;
 
     fn cluster(n: u32) -> Cluster {
-        Cluster::new(n, WarmupModel::new(1.0, 2.0), Arc::new(SharedStorage::new(4.0)))
+        let warmup = WarmupModel { attach_latency_secs: 1.0, rebuild_gb_per_sec: 2.0 };
+        Cluster::new(n, warmup, Arc::new(SharedStorage::new(4.0)))
     }
 
     #[test]

@@ -176,7 +176,7 @@ impl FaultConfig {
 
 /// Kind of workload anomaly at a step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AnomalyKind {
+pub(crate) enum AnomalyKind {
     /// No anomaly active.
     None,
     /// Short upward spike burst.
@@ -187,7 +187,7 @@ pub enum AnomalyKind {
 
 impl AnomalyKind {
     /// Stable lowercase label for obs fields and schedule lines.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             AnomalyKind::None => "none",
             AnomalyKind::Spike => "spike",
@@ -225,7 +225,7 @@ impl FaultCounts {
 }
 
 /// Recovery-time summary: lengths of SLO-violation runs attributable to an
-/// injected fault (the run starts within [`ATTRIBUTION_WINDOW`] steps of a
+/// injected fault (the run starts within `ATTRIBUTION_WINDOW` steps of a
 /// scheduled fault).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryStats {
@@ -239,7 +239,7 @@ pub struct RecoveryStats {
 
 /// How many steps after a scheduled fault a starting violation run is
 /// still attributed to it.
-pub const ATTRIBUTION_WINDOW: usize = 3;
+pub(crate) const ATTRIBUTION_WINDOW: usize = 3;
 
 /// A precomputed, per-step fault schedule. Build once with
 /// [`FaultPlan::build`]; the same `(config, seed, steps)` triple always
@@ -320,38 +320,28 @@ impl FaultPlan {
         &self.cfg
     }
 
-    /// The seed this plan was built from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Number of scheduled steps.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.scale_fail.len()
     }
 
-    /// Whether the plan covers zero steps.
-    pub fn is_empty(&self) -> bool {
-        self.scale_fail.is_empty()
-    }
-
     /// Is a scale-action failure armed at `t`?
-    pub fn scale_fail_at(&self, t: usize) -> bool {
+    pub(crate) fn scale_fail_at(&self, t: usize) -> bool {
         self.scale_fail.get(t).copied().unwrap_or(false)
     }
 
     /// Extra provisioning delay (in steps) armed for launches at `t`.
-    pub fn delay_steps_at(&self, t: usize) -> u32 {
+    pub(crate) fn delay_steps_at(&self, t: usize) -> u32 {
         self.delay_steps.get(t).copied().unwrap_or(0)
     }
 
     /// Does a node crash at `t`?
-    pub fn crash_at(&self, t: usize) -> bool {
+    pub(crate) fn crash_at(&self, t: usize) -> bool {
         self.crash.get(t).copied().unwrap_or(false)
     }
 
     /// Does the metric pipeline drop out at `t`?
-    pub fn dropout_at(&self, t: usize) -> bool {
+    pub(crate) fn dropout_at(&self, t: usize) -> bool {
         self.dropout.get(t).copied().unwrap_or(false)
     }
 
@@ -361,12 +351,12 @@ impl FaultPlan {
     }
 
     /// Anomaly kind at `t`.
-    pub fn anomaly_kind_at(&self, t: usize) -> AnomalyKind {
+    pub(crate) fn anomaly_kind_at(&self, t: usize) -> AnomalyKind {
         self.anomaly_kind.get(t).copied().unwrap_or(AnomalyKind::None)
     }
 
     /// Is *any* fault class scheduled at `t`?
-    pub fn any_fault_at(&self, t: usize) -> bool {
+    pub(crate) fn any_fault_at(&self, t: usize) -> bool {
         self.scale_fail_at(t)
             || self.delay_steps_at(t) > 0
             || self.crash_at(t)
@@ -434,7 +424,7 @@ impl FaultPlan {
 /// [`ATTRIBUTION_WINDOW`] steps after a scheduled fault — the
 /// recovery-time view of a chaos run. `violations[t]` is the per-step SLO
 /// violation flag from the simulation report.
-pub fn recovery_stats(violations: &[bool], plan: &FaultPlan) -> RecoveryStats {
+pub(crate) fn recovery_stats(violations: &[bool], plan: &FaultPlan) -> RecoveryStats {
     let mut episodes = Vec::new();
     let mut t = 0;
     while t < violations.len() {

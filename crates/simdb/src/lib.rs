@@ -20,26 +20,23 @@
 
 #![warn(missing_docs)]
 
-pub mod cluster;
-pub mod faults;
-pub mod fleet;
-pub mod node;
-pub mod policy;
-pub mod qos;
-pub mod report;
-pub mod simulator;
-pub mod storage;
-pub mod warmup;
+mod cluster;
+mod faults;
+mod fleet;
+mod node;
+mod policy;
+mod qos;
+mod report;
+mod simulator;
+mod storage;
+mod warmup;
 
-pub use cluster::{Cluster, ClusterSnapshot, NodeSnapshot};
-pub use faults::{recovery_stats, AnomalyKind, FaultConfig, FaultCounts, FaultPlan, RecoveryStats};
+pub use cluster::{ClusterSnapshot, NodeSnapshot};
+pub use faults::{FaultConfig, FaultCounts, FaultPlan, RecoveryStats};
 pub use fleet::{fleet_qos, tenant_qos, FleetQos, TenantQos};
-pub use node::{ComputeNode, NodeId, NodeState};
-pub use policy::{
-    FixedPolicy, Observation, OraclePolicy, PolicyHealth, ScaleOutcome, ScalingPolicy,
-};
+pub use policy::{FixedPolicy, Observation, PolicyHealth, ScaleOutcome, ScalingPolicy};
 pub use qos::{slo_report, LatencyModel, SloReport};
 pub use report::{SimulationReport, StepRecord};
 pub use simulator::{SessionSnapshot, SimConfig, SimSession, Simulation};
-pub use storage::{SharedStorage, StorageStats};
+pub use storage::StorageStats;
 pub use warmup::WarmupModel;

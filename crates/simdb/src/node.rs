@@ -2,11 +2,11 @@
 
 /// Opaque node identifier, unique within one cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct NodeId(pub u32);
+pub(crate) struct NodeId(pub u32);
 
 /// Lifecycle state of a compute node.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum NodeState {
+pub(crate) enum NodeState {
     /// Rebuilding in-memory components from the shared-storage checkpoint;
     /// cannot serve yet.
     WarmingUp {
@@ -19,7 +19,7 @@ pub enum NodeState {
 
 /// A stateless compute node over shared storage.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ComputeNode {
+pub(crate) struct ComputeNode {
     /// Node identifier.
     pub id: NodeId,
     /// Current lifecycle state.
@@ -30,7 +30,7 @@ pub struct ComputeNode {
 
 impl ComputeNode {
     /// A node starting its warm-up.
-    pub fn warming(id: NodeId, warmup_secs: f64, step: usize) -> Self {
+    pub(crate) fn warming(id: NodeId, warmup_secs: f64, step: usize) -> Self {
         let state = if warmup_secs <= 0.0 {
             NodeState::Active
         } else {
@@ -40,19 +40,19 @@ impl ComputeNode {
     }
 
     /// A node that is already serving (cluster bootstrap).
-    pub fn active(id: NodeId, step: usize) -> Self {
+    pub(crate) fn active(id: NodeId, step: usize) -> Self {
         Self { id, state: NodeState::Active, launched_at_step: step }
     }
 
     /// Whether the node can serve traffic right now.
-    pub fn is_active(&self) -> bool {
+    pub(crate) fn is_active(&self) -> bool {
         matches!(self.state, NodeState::Active)
     }
 
     /// Advance time by `dt` seconds, returning the fraction of the
     /// interval during which the node was able to serve (1.0 for an active
     /// node, partial when warm-up completes mid-interval, 0.0 otherwise).
-    pub fn tick(&mut self, dt_secs: f64) -> f64 {
+    pub(crate) fn tick(&mut self, dt_secs: f64) -> f64 {
         debug_assert!(dt_secs > 0.0);
         match self.state {
             NodeState::Active => 1.0,

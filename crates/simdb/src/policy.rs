@@ -137,20 +137,23 @@ impl ScalingPolicy for FixedPolicy {
 }
 
 /// Clairvoyant policy that knows the whole future workload — the
-/// minimum-cost feasible allocation, used as the lower bound in tests and
-/// ablations.
+/// minimum-cost feasible allocation, the lower bound the simulator's
+/// tests compare against.
+#[cfg(test)]
 #[derive(Debug, Clone)]
-pub struct OraclePolicy {
+pub(crate) struct OraclePolicy {
     future: Vec<f64>,
 }
 
+#[cfg(test)]
 impl OraclePolicy {
     /// New oracle over the full workload trace (indexed by step).
-    pub fn new(future: Vec<f64>) -> Self {
+    pub(crate) fn new(future: Vec<f64>) -> Self {
         Self { future }
     }
 }
 
+#[cfg(test)]
 impl ScalingPolicy for OraclePolicy {
     fn name(&self) -> &'static str {
         "oracle"

@@ -19,7 +19,6 @@ use crate::report::SimulationReport;
 /// ```
 /// use rpas_simdb::LatencyModel;
 /// let m = LatencyModel::new(5.0, 100.0);
-/// assert_eq!(m.mean_latency_ms(50.0), 10.0);      // ρ = 0.5 doubles latency
 /// let theta = m.max_utilization_for(120.0, 0.99); // SLO → scaling threshold
 /// assert!(theta > 0.0 && theta < 100.0);
 /// ```
@@ -43,13 +42,13 @@ impl LatencyModel {
     }
 
     /// Utilization of one node carrying `per_node_workload` units.
-    pub fn utilization(&self, per_node_workload: f64) -> f64 {
+    pub(crate) fn utilization(&self, per_node_workload: f64) -> f64 {
         (per_node_workload / self.node_capacity).max(0.0)
     }
 
     /// Mean query latency at the given per-node workload. Saturated or
     /// over-saturated nodes (`ρ ≥ 1`) return infinity.
-    pub fn mean_latency_ms(&self, per_node_workload: f64) -> f64 {
+    pub(crate) fn mean_latency_ms(&self, per_node_workload: f64) -> f64 {
         let rho = self.utilization(per_node_workload);
         if rho >= 1.0 {
             f64::INFINITY
@@ -62,7 +61,7 @@ impl LatencyModel {
     ///
     /// # Panics
     /// Panics unless `q ∈ (0, 1)`.
-    pub fn quantile_latency_ms(&self, per_node_workload: f64, q: f64) -> f64 {
+    pub(crate) fn quantile_latency_ms(&self, per_node_workload: f64, q: f64) -> f64 {
         assert!(q > 0.0 && q < 1.0, "quantile must be in (0,1)");
         let mean = self.mean_latency_ms(per_node_workload);
         mean * (1.0 / (1.0 - q)).ln()

@@ -57,11 +57,6 @@ impl SimulationReport {
         self.steps.iter().map(|s| s.pool_nodes).collect()
     }
 
-    /// Utilization series.
-    pub fn utilizations(&self) -> Vec<f64> {
-        self.steps.iter().map(|s| s.utilization).collect()
-    }
-
     /// Total node-intervals paid for.
     pub fn total_node_steps(&self) -> u64 {
         self.steps.iter().map(|s| s.pool_nodes as u64).sum()
@@ -71,7 +66,7 @@ impl SimulationReport {
     /// propagation: non-finite per-step utilizations (degenerate capacity
     /// arithmetic) are skipped, and a report with no usable steps yields
     /// `0.0` instead of `NaN` so downstream aggregation stays finite.
-    pub fn mean_utilization(&self) -> f64 {
+    pub(crate) fn mean_utilization(&self) -> f64 {
         let finite: Vec<f64> =
             self.steps.iter().map(|s| s.utilization).filter(|u| u.is_finite()).collect();
         if finite.is_empty() {

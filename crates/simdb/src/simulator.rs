@@ -560,7 +560,6 @@ mod tests {
         let mut p = FixedPolicy(1);
         let r = sim.run(&mut p);
         assert_eq!(r.allocations().len(), 7);
-        assert_eq!(r.utilizations().len(), 7);
         assert_eq!(r.steps.len(), 7);
     }
 

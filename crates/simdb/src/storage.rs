@@ -19,7 +19,7 @@ pub struct StorageStats {
 
 /// The shared storage pool under the compute layer.
 #[derive(Debug)]
-pub struct SharedStorage {
+pub(crate) struct SharedStorage {
     checkpoint_gb: f64,
     stats: Mutex<StorageStats>,
 }
@@ -29,18 +29,13 @@ impl SharedStorage {
     ///
     /// # Panics
     /// Panics on negative size.
-    pub fn new(checkpoint_gb: f64) -> Self {
+    pub(crate) fn new(checkpoint_gb: f64) -> Self {
         assert!(checkpoint_gb >= 0.0, "checkpoint size must be non-negative");
         Self { checkpoint_gb, stats: Mutex::new(StorageStats::default()) }
     }
 
-    /// Checkpoint size a warming node must rebuild from.
-    pub fn checkpoint_gb(&self) -> f64 {
-        self.checkpoint_gb
-    }
-
     /// Record a checkpoint read for a node warm-up and return its size.
-    pub fn load_checkpoint(&self) -> f64 {
+    pub(crate) fn load_checkpoint(&self) -> f64 {
         let mut s = self.stats.lock().expect("storage stats mutex poisoned");
         s.checkpoint_reads += 1;
         s.gb_read += self.checkpoint_gb;
@@ -48,7 +43,7 @@ impl SharedStorage {
     }
 
     /// Snapshot the counters.
-    pub fn stats(&self) -> StorageStats {
+    pub(crate) fn stats(&self) -> StorageStats {
         *self.stats.lock().expect("storage stats mutex poisoned")
     }
 
@@ -56,7 +51,7 @@ impl SharedStorage {
     /// the checkpoint-restore hook (a rebuilt cluster re-reads checkpoints
     /// during its bootstrap, so restore must set absolute values rather
     /// than add).
-    pub fn restore_stats(&self, stats: StorageStats) {
+    pub(crate) fn restore_stats(&self, stats: StorageStats) {
         *self.stats.lock().expect("storage stats mutex poisoned") = stats;
     }
 }

@@ -30,16 +30,6 @@ impl Default for WarmupModel {
 }
 
 impl WarmupModel {
-    /// New model.
-    ///
-    /// # Panics
-    /// Panics on non-positive bandwidth or negative latency.
-    pub fn new(attach_latency_secs: f64, rebuild_gb_per_sec: f64) -> Self {
-        assert!(attach_latency_secs >= 0.0, "latency must be non-negative");
-        assert!(rebuild_gb_per_sec > 0.0, "bandwidth must be positive");
-        Self { attach_latency_secs, rebuild_gb_per_sec }
-    }
-
     /// Warm-up time in seconds for a checkpoint of the given size.
     pub fn warmup_secs(&self, checkpoint_gb: f64) -> f64 {
         assert!(checkpoint_gb >= 0.0, "checkpoint size must be non-negative");
@@ -53,7 +43,7 @@ mod tests {
 
     #[test]
     fn linear_in_checkpoint_size() {
-        let m = WarmupModel::new(1.0, 2.0);
+        let m = WarmupModel { attach_latency_secs: 1.0, rebuild_gb_per_sec: 2.0 };
         assert_eq!(m.warmup_secs(0.0), 1.0);
         assert_eq!(m.warmup_secs(4.0), 3.0);
         assert_eq!(m.warmup_secs(8.0), 5.0);
@@ -69,11 +59,5 @@ mod tests {
             assert!(w < 30.0, "warmup {w}s for {gb}GB");
             assert!(w < 600.0 * 0.05, "must be negligible vs the 10-min interval");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "bandwidth must be positive")]
-    fn rejects_zero_bandwidth() {
-        WarmupModel::new(1.0, 0.0);
     }
 }

@@ -92,7 +92,7 @@ impl TraceDiff {
 /// Deterministic content rendering of one line: severity, `span/event`,
 /// and all non-timing fields (keys ending `_us` are timing by the
 /// schema contract; `seq`/`ts_us`/`wall_us` are never compared).
-pub fn content_line(line: &TraceLine) -> String {
+pub(crate) fn content_line(line: &TraceLine) -> String {
     let mut out = format!("{} {}/{}", line.level.as_str(), line.span, line.event);
     for (k, v) in &line.fields {
         if k.ends_with("_us") {

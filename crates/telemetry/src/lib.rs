@@ -2,17 +2,17 @@
 //!
 //! Three deterministic, std-only layers (DESIGN.md §11):
 //!
-//! 1. [`registry`] — a sharded [`MetricRegistry`] of labelled counters,
-//!    gauges, and fixed-bucket histograms. Fleet workers record through
+//! 1. `registry` — a sharded registry of labelled counters and
+//!    fixed-bucket histograms. Fleet workers record through
 //!    cheap cloneable handles without contending on one lock; snapshots
 //!    render to a canonical sorted text exposition. The [`Telemetry`]
 //!    front handle mirrors [`rpas_obs::Obs`]:
 //!    the dark (no-op) path is a single branch per recording.
-//! 2. [`slo`] — declarative objectives with error budgets and
+//! 2. `slo` — declarative objectives with error budgets and
 //!    multi-window burn-rate alerting over **sim ticks** (never wall
 //!    clock), emitting `slo/*` audit events through an existing
 //!    [`rpas_obs::Obs`] handle.
-//! 3. [`query`] / [`diff`] — offline tooling over recorded schema-v1
+//! 3. `query` / `diff` — offline tooling over recorded schema-v1
 //!    traces: filter/group/aggregate, and structural diff of two runs
 //!    (event-count deltas, first-divergence pointer).
 //!
@@ -20,18 +20,17 @@
 //! environment variable, or iterates a hash map. All rendered output is
 //! a pure function of what was recorded, so it is byte-identical across
 //! reruns and `RPAS_THREADS` settings (counters and per-key histograms
-//! are order-independent sums; gauges are only deterministic when each
-//! label set has a single writer — see DESIGN.md §11).
+//! are order-independent sums — see DESIGN.md §11).
 
-pub mod diff;
-pub mod query;
-pub mod registry;
-pub mod slo;
+mod diff;
+mod query;
+mod registry;
+mod slo;
 
 pub use diff::{diff_traces, Divergence, TraceDiff};
 pub use query::{run_query, Aggregate, GroupBy, QueryFilter, QueryResult};
 pub use registry::{
-    CellDump, CellValue, Counter, Gauge, HistogramHandle, MetricRegistry, Snapshot, SnapshotEntry,
-    SnapshotValue, Telemetry,
+    CellDump, CellValue, Counter, HistogramHandle, Snapshot, SnapshotEntry, SnapshotValue,
+    Telemetry,
 };
 pub use slo::{BurnAlert, BurnRule, RatioSeries, SloReport, SloSpec, SloStatus};

@@ -45,7 +45,7 @@ impl QueryFilter {
     }
 
     /// Whether `line` passes every constraint.
-    pub fn matches(&self, line: &TraceLine) -> bool {
+    pub(crate) fn matches(&self, line: &TraceLine) -> bool {
         if let Some(s) = &self.span {
             if &line.span != s {
                 return false;

@@ -2,17 +2,17 @@
 //!
 //! Layout: a fixed array of shards, each a `Mutex<BTreeMap<Key, Cell>>`.
 //! Handle *acquisition* locks one shard briefly; *recording* never takes
-//! a shard lock (counters and gauges are atomics, each histogram has its
-//! own mutex), so fleet workers on different metrics do not contend.
+//! a shard lock (counters are atomics, each histogram has its own
+//! mutex), so fleet workers on different metrics do not contend.
 //! Shard choice hashes the key with FNV-1a — a fixed algorithm, so the
 //! shard layout itself is deterministic (and irrelevant to output:
 //! snapshots re-sort all shards into one canonical order).
 //!
 //! Determinism: counter increments and histogram bucket counts are
 //! order-independent sums, so snapshots are byte-identical for any
-//! thread interleaving. Gauges are last-write-wins; they are only
-//! deterministic when each label set has a single writer (the fleet
-//! wiring labels every gauge by tenant for exactly this reason).
+//! thread interleaving. The gauge cell kind is part of the checkpoint
+//! schema and the exposition, but has no recording handle: nothing sets
+//! one, so a gauge only ever arrives through [`MetricRegistry::restore`].
 
 use rpas_obs::json::escape_str;
 use rpas_obs::Histogram;
@@ -108,7 +108,7 @@ pub struct Counter(Option<Arc<AtomicU64>>);
 
 impl Counter {
     /// Detached no-op handle (what a dark [`Telemetry`] hands out).
-    pub fn noop() -> Counter {
+    pub(crate) fn noop() -> Counter {
         Counter(None)
     }
 
@@ -119,36 +119,6 @@ impl Counter {
             c.fetch_add(n, Ordering::Relaxed);
         }
     }
-
-    /// Current value (0 when dark).
-    pub fn get(&self) -> u64 {
-        self.0.as_ref().map_or(0, |c| c.load(Ordering::Relaxed))
-    }
-}
-
-/// A last-write-wins gauge handle. Only deterministic with one writer
-/// per label set.
-#[derive(Clone, Default)]
-pub struct Gauge(Option<Arc<AtomicU64>>);
-
-impl Gauge {
-    /// Detached no-op handle.
-    pub fn noop() -> Gauge {
-        Gauge(None)
-    }
-
-    /// Set the current reading. Single branch when dark.
-    #[inline]
-    pub fn set(&self, v: f64) {
-        if let Some(g) = &self.0 {
-            g.store(v.to_bits(), Ordering::Relaxed);
-        }
-    }
-
-    /// Current reading (NaN when dark or never set).
-    pub fn get(&self) -> f64 {
-        self.0.as_ref().map_or(f64::NAN, |g| f64::from_bits(g.load(Ordering::Relaxed)))
-    }
 }
 
 /// A fixed-bucket histogram handle (buckets from [`rpas_obs::Histogram`]).
@@ -157,7 +127,7 @@ pub struct HistogramHandle(Option<Arc<Mutex<Histogram>>>);
 
 impl HistogramHandle {
     /// Detached no-op handle.
-    pub fn noop() -> HistogramHandle {
+    pub(crate) fn noop() -> HistogramHandle {
         HistogramHandle(None)
     }
 
@@ -168,18 +138,10 @@ impl HistogramHandle {
             h.lock().expect("histogram mutex poisoned").record(v);
         }
     }
-
-    /// Snapshot of this one histogram (empty default when dark).
-    pub fn value(&self) -> Histogram {
-        match &self.0 {
-            Some(h) => h.lock().expect("histogram mutex poisoned").clone(),
-            None => Histogram::new(vec![1.0]),
-        }
-    }
 }
 
 /// The sharded registry. Usually reached through [`Telemetry`].
-pub struct MetricRegistry {
+pub(crate) struct MetricRegistry {
     shards: Vec<Mutex<BTreeMap<Key, Cell>>>,
 }
 
@@ -191,7 +153,7 @@ impl Default for MetricRegistry {
 
 impl MetricRegistry {
     /// Empty registry with a fixed shard count.
-    pub fn new() -> MetricRegistry {
+    pub(crate) fn new() -> MetricRegistry {
         MetricRegistry { shards: (0..SHARDS).map(|_| Mutex::new(BTreeMap::new())).collect() }
     }
 
@@ -207,24 +169,10 @@ impl MetricRegistry {
     ///
     /// # Panics
     /// Panics if the key is already registered as a different kind.
-    pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
+    pub(crate) fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
         let key = Key::new(name, labels);
         match self.cell(key, || Cell::Counter(Arc::new(AtomicU64::new(0)))) {
             Cell::Counter(c) => Counter(Some(c)),
-            // rpas-lint: allow(P1, reason = "documented # Panics contract: a kind mismatch is a static wiring bug, and silently handing out a mismatched handle would corrupt the metric stream")
-            other => panic!("metric {name:?} already registered as {}", other.kind()),
-        }
-    }
-
-    /// Gauge handle for `name{labels}` (registered on first use, NaN
-    /// until first `set`).
-    ///
-    /// # Panics
-    /// Panics if the key is already registered as a different kind.
-    pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
-        let key = Key::new(name, labels);
-        match self.cell(key, || Cell::Gauge(Arc::new(AtomicU64::new(f64::NAN.to_bits())))) {
-            Cell::Gauge(g) => Gauge(Some(g)),
             // rpas-lint: allow(P1, reason = "documented # Panics contract: a kind mismatch is a static wiring bug, and silently handing out a mismatched handle would corrupt the metric stream")
             other => panic!("metric {name:?} already registered as {}", other.kind()),
         }
@@ -236,7 +184,12 @@ impl MetricRegistry {
     ///
     /// # Panics
     /// Panics on kind or bound mismatch with an earlier registration.
-    pub fn histogram(&self, name: &str, labels: &[(&str, &str)], bounds: &[f64]) -> HistogramHandle {
+    pub(crate) fn histogram(
+        &self,
+        name: &str,
+        labels: &[(&str, &str)],
+        bounds: &[f64],
+    ) -> HistogramHandle {
         let key = Key::new(name, labels);
         match self.cell(key, || Cell::Hist(Arc::new(Mutex::new(Histogram::new(bounds.to_vec()))))) {
             Cell::Hist(h) => {
@@ -261,7 +214,7 @@ impl MetricRegistry {
     /// identity and exact values (histogram sums included), so a
     /// checkpoint can [`MetricRegistry::restore`] the registry
     /// losslessly. Entries come back in canonical sorted key order.
-    pub fn dump(&self) -> Vec<CellDump> {
+    pub(crate) fn dump(&self) -> Vec<CellDump> {
         let mut merged: BTreeMap<Key, CellValue> = BTreeMap::new();
         for shard in &self.shards {
             let shard = shard.lock().expect("registry shard poisoned");
@@ -299,7 +252,7 @@ impl MetricRegistry {
     /// as a different kind or with different histogram bounds, and a
     /// histogram [`Histogram::from_parts`] refuses. Cells before the
     /// offending one stay restored.
-    pub fn restore(&self, cells: &[CellDump]) -> Result<(), String> {
+    pub(crate) fn restore(&self, cells: &[CellDump]) -> Result<(), String> {
         for dump in cells {
             let labels: Vec<(&str, &str)> =
                 dump.labels.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
@@ -345,7 +298,7 @@ impl MetricRegistry {
 
     /// Point-in-time snapshot of every registered metric, in one
     /// canonical sorted order (shard layout is invisible).
-    pub fn snapshot(&self) -> Snapshot {
+    pub(crate) fn snapshot(&self) -> Snapshot {
         let mut merged: BTreeMap<Key, SnapshotValue> = BTreeMap::new();
         for shard in &self.shards {
             let shard = shard.lock().expect("registry shard poisoned");
@@ -371,7 +324,7 @@ impl MetricRegistry {
     }
 }
 
-/// Exact value of one dumped cell (see [`MetricRegistry::dump`]).
+/// Exact value of one dumped cell (see `MetricRegistry::dump`).
 /// Gauges carry raw `f64` bits so an unset gauge's NaN round-trips
 /// bit-identically; histograms carry bounds, per-bucket counts, and the
 /// exact running sum (the display encoding drops the sum).
@@ -392,8 +345,8 @@ pub enum CellValue {
     },
 }
 
-/// One cell of a [`MetricRegistry::dump`]: structured identity plus
-/// exact value, sufficient to [`MetricRegistry::restore`] the cell.
+/// One cell of a `MetricRegistry::dump`: structured identity plus
+/// exact value, sufficient to `MetricRegistry::restore` the cell.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellDump {
     /// Metric name.
@@ -424,7 +377,7 @@ pub struct SnapshotEntry {
     pub value: SnapshotValue,
 }
 
-/// A canonical, sorted snapshot of a [`MetricRegistry`].
+/// A canonical, sorted snapshot of a `MetricRegistry`.
 #[derive(Debug, Clone, Default)]
 pub struct Snapshot {
     /// Entries sorted by rendered key.
@@ -434,7 +387,7 @@ pub struct Snapshot {
 impl Snapshot {
     /// Canonical text exposition: one `key kind value` line per metric,
     /// sorted, newline-terminated. Byte-identical across reruns and
-    /// thread counts (modulo single-writer gauges).
+    /// thread counts.
     pub fn exposition(&self) -> String {
         let mut out = String::new();
         for e in &self.entries {
@@ -480,8 +433,8 @@ fn fmt_f64(v: f64) -> String {
 }
 
 /// The cheap front handle: `Option<Arc<MetricRegistry>>`, cloned freely.
-/// Dark handles hand out detached [`Counter`]/[`Gauge`]/
-/// [`HistogramHandle`]s whose recording cost is a single branch.
+/// Dark handles hand out detached [`Counter`]/[`HistogramHandle`]s whose
+/// recording cost is a single branch.
 #[derive(Clone, Default)]
 pub struct Telemetry {
     inner: Option<Arc<MetricRegistry>>,
@@ -498,24 +451,11 @@ impl Telemetry {
         Telemetry { inner: Some(Arc::new(MetricRegistry::new())) }
     }
 
-    /// Whether recordings land anywhere.
-    pub fn is_live(&self) -> bool {
-        self.inner.is_some()
-    }
-
     /// Counter handle (detached when dark).
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
         match &self.inner {
             Some(r) => r.counter(name, labels),
             None => Counter::noop(),
-        }
-    }
-
-    /// Gauge handle (detached when dark).
-    pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
-        match &self.inner {
-            Some(r) => r.gauge(name, labels),
-            None => Gauge::noop(),
         }
     }
 
@@ -536,7 +476,7 @@ impl Telemetry {
     }
 
     /// Structured dump for checkpointing (empty when dark); see
-    /// [`MetricRegistry::dump`].
+    /// `MetricRegistry::dump`.
     pub fn dump(&self) -> Vec<CellDump> {
         match &self.inner {
             Some(r) => r.dump(),
@@ -545,10 +485,10 @@ impl Telemetry {
     }
 
     /// Restore dumped cells to their exact captured values (no-op when
-    /// dark); see [`MetricRegistry::restore`].
+    /// dark); see `MetricRegistry::restore`.
     ///
     /// # Errors
-    /// As [`MetricRegistry::restore`].
+    /// As `MetricRegistry::restore`.
     pub fn restore(&self, cells: &[CellDump]) -> Result<(), String> {
         match &self.inner {
             Some(r) => r.restore(cells),
@@ -560,6 +500,10 @@ impl Telemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn gauge_cell(name: &str, v: f64) -> CellDump {
+        CellDump { name: name.into(), labels: Vec::new(), value: CellValue::GaugeBits(v.to_bits()) }
+    }
 
     #[test]
     fn counters_accumulate_and_snapshot_sorted() {
@@ -598,15 +542,15 @@ mod tests {
     fn kind_mismatch_panics() {
         let tel = Telemetry::live();
         tel.counter("m", &[]).inc(1);
-        let _ = tel.gauge("m", &[]);
+        let _ = tel.histogram("m", &[], &[1.0]);
     }
 
     #[test]
     fn gauge_last_write_wins_and_histogram_buckets() {
         let tel = Telemetry::live();
-        let g = tel.gauge("util", &[]);
-        g.set(0.25);
-        g.set(0.5);
+        for v in [0.25f64, 0.5] {
+            tel.restore(&[gauge_cell("util", v)]).unwrap();
+        }
         let h = tel.histogram("lat", &[], &[1.0, 10.0]);
         h.record(1.0);
         h.record(5.0);
@@ -620,8 +564,6 @@ mod tests {
         let tel = Telemetry::noop();
         let c = tel.counter("x", &[]);
         c.inc(5);
-        assert_eq!(c.get(), 0);
-        assert!(!tel.is_live());
         assert!(tel.snapshot().entries.is_empty());
         assert_eq!(tel.snapshot().exposition(), "");
     }
@@ -640,15 +582,15 @@ mod tests {
                 });
             }
         });
-        assert_eq!(c.get(), 4000);
+        assert_eq!(tel.snapshot().counter_value("par.total"), Some(4000));
     }
 
     #[test]
     fn dump_restore_roundtrips_every_cell_kind_exactly() {
         let tel = Telemetry::live();
         tel.counter("sup.panics", &[("tenant", "t0003")]).inc(4);
-        tel.gauge("util", &[]).set(0.75);
-        let _never_set = tel.gauge("idle", &[]); // stays NaN
+        // No live code writes a gauge; the kind exists for checkpoints.
+        tel.restore(&[gauge_cell("util", 0.75), gauge_cell("idle", f64::NAN)]).unwrap();
         let h = tel.histogram("lat", &[("tenant", "t0003")], &[1.0, 10.0]);
         h.record(0.5);
         h.record(5.25);

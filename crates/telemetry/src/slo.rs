@@ -45,10 +45,10 @@ pub struct SloSpec {
 }
 
 impl SloSpec {
-    /// Whether [`evaluate`] can run this spec: `0 < objective ≤ 1` and
+    /// Whether `evaluate` can run this spec: `0 < objective ≤ 1` and
     /// every burn rule has `0 < short ≤ long`. Holders of outside input
     /// (the fleet config a checkpoint embeds) report the `Err`;
-    /// [`evaluate`] panics on it.
+    /// `evaluate` panics on it.
     pub fn validate(&self) -> Result<(), String> {
         if !(self.objective > 0.0 && self.objective <= 1.0) {
             return Err(format!("objective must be in (0, 1], got {}", self.objective));
@@ -103,15 +103,8 @@ pub struct RatioSeries {
 
 impl RatioSeries {
     /// Empty series.
-    pub fn new() -> RatioSeries {
+    pub(crate) fn new() -> RatioSeries {
         RatioSeries::default()
-    }
-
-    /// Append one tick.
-    pub fn push(&mut self, bad: u64, total: u64) {
-        debug_assert!(bad <= total, "bad count exceeds total");
-        self.bad.push(bad);
-        self.total.push(total);
     }
 
     /// One tick per flag: `true` → `(1, 1)`, `false` → `(0, 1)`.
@@ -123,7 +116,7 @@ impl RatioSeries {
     }
 
     /// Element-wise add (extending to the longer of the two).
-    pub fn merge(&mut self, other: &RatioSeries) {
+    pub(crate) fn merge(&mut self, other: &RatioSeries) {
         if other.len() > self.len() {
             self.bad.resize(other.len(), 0);
             self.total.resize(other.len(), 0);
@@ -135,13 +128,8 @@ impl RatioSeries {
     }
 
     /// Ticks covered.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.bad.len()
-    }
-
-    /// Whether no tick was pushed.
-    pub fn is_empty(&self) -> bool {
-        self.bad.is_empty()
     }
 
     fn sums(&self) -> (u64, u64) {
@@ -217,7 +205,12 @@ pub struct SloStatus {
 /// # Panics
 /// Panics unless `0 < objective ≤ 1` and each rule has
 /// `0 < short ≤ long`.
-pub fn evaluate(spec: &SloSpec, subject: &str, series: &RatioSeries, obs: &Obs) -> SloStatus {
+pub(crate) fn evaluate(
+    spec: &SloSpec,
+    subject: &str,
+    series: &RatioSeries,
+    obs: &Obs,
+) -> SloStatus {
     assert_eq!(spec.validate(), Ok(()), "invalid SLO spec");
     let (bad, total) = series.sums();
     let bad_fraction = if total == 0 { 0.0 } else { bad as f64 / total as f64 };
@@ -529,7 +522,8 @@ mod tests {
                     (false, false) => 1,
                 };
                 let bad = (0..total).filter(|_| g.f64_in(0.0, 1.0) < bad_rate).count() as u64;
-                series.push(if one_bad == Some(t) { total.min(1) } else { bad }, total);
+                series.bad.push(if one_bad == Some(t) { total.min(1) } else { bad });
+                series.total.push(total);
             }
             // Rules shorter and longer than the series; a zero factor fires
             // on a clean series and must keep taking the scan.

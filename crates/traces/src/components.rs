@@ -8,7 +8,7 @@ use rpas_tsmath::rng;
 /// peaking at `peak_frac` of the day (e.g. 0.58 ≈ 2 pm for business load).
 ///
 /// `t` is the step index, `steps_per_day` the number of samples per day.
-pub fn diurnal(t: usize, steps_per_day: usize, amplitude: f64, peak_frac: f64) -> f64 {
+pub(crate) fn diurnal(t: usize, steps_per_day: usize, amplitude: f64, peak_frac: f64) -> f64 {
     let phase = 2.0 * std::f64::consts::PI * (t % steps_per_day) as f64 / steps_per_day as f64;
     let peak = 2.0 * std::f64::consts::PI * peak_frac;
     amplitude * ((phase - peak).cos() + 0.25 * (2.0 * (phase - peak)).cos())
@@ -16,7 +16,7 @@ pub fn diurnal(t: usize, steps_per_day: usize, amplitude: f64, peak_frac: f64) -
 
 /// Weekly modulation: scales weekday load up and weekend load down.
 /// Returns a multiplicative factor around 1.0.
-pub fn weekly(t: usize, steps_per_day: usize, weekend_dip: f64) -> f64 {
+pub(crate) fn weekly(t: usize, steps_per_day: usize, weekend_dip: f64) -> f64 {
     let day = (t / steps_per_day) % 7;
     if day >= 5 {
         1.0 - weekend_dip
@@ -26,14 +26,14 @@ pub fn weekly(t: usize, steps_per_day: usize, weekend_dip: f64) -> f64 {
 }
 
 /// Linear trend in units per day.
-pub fn trend(t: usize, steps_per_day: usize, per_day: f64) -> f64 {
+pub(crate) fn trend(t: usize, steps_per_day: usize, per_day: f64) -> f64 {
     per_day * t as f64 / steps_per_day as f64
 }
 
 /// Stateful AR(1) noise process `n_t = φ n_{t−1} + ε_t`,
 /// `ε ~ N(0, σ²(1−φ²))` so the marginal std is `σ`.
 #[derive(Debug)]
-pub struct Ar1Noise {
+pub(crate) struct Ar1Noise {
     phi: f64,
     innovation_std: f64,
     state: f64,
@@ -42,21 +42,16 @@ pub struct Ar1Noise {
 impl Ar1Noise {
     /// New AR(1) process with autocorrelation `phi ∈ (−1, 1)` and marginal
     /// standard deviation `sigma`.
-    pub fn new(phi: f64, sigma: f64) -> Self {
+    pub(crate) fn new(phi: f64, sigma: f64) -> Self {
         assert!(phi.abs() < 1.0, "AR(1) requires |phi| < 1");
         assert!(sigma >= 0.0, "noise std must be non-negative");
         Self { phi, innovation_std: sigma * (1.0 - phi * phi).sqrt(), state: 0.0 }
     }
 
-    /// Advance one step and return the new noise value.
-    pub fn step(&mut self, rng_core: &mut dyn RngCore) -> f64 {
-        self.step_scaled(rng_core, 1.0)
-    }
-
     /// Advance one step with the innovation scaled by `scale` — the hook
     /// for conditional heteroskedasticity (busy or bursty periods are
     /// noisier in real cluster traces).
-    pub fn step_scaled(&mut self, rng_core: &mut dyn RngCore, scale: f64) -> f64 {
+    pub(crate) fn step_scaled(&mut self, rng_core: &mut dyn RngCore, scale: f64) -> f64 {
         debug_assert!(scale >= 0.0);
         self.state = self.phi * self.state
             + self.innovation_std * scale * rng::standard_normal(rng_core);
@@ -69,7 +64,7 @@ impl Ar1Noise {
 /// (heavy-tailed, shape `alpha`) that decays geometrically with factor
 /// `decay` per step. Multiple overlapping spikes accumulate.
 #[derive(Debug)]
-pub struct SpikeProcess {
+pub(crate) struct SpikeProcess {
     rate_per_step: f64,
     magnitude_scale: f64,
     alpha: f64,
@@ -81,14 +76,9 @@ pub struct SpikeProcess {
 }
 
 impl SpikeProcess {
-    /// New spike process with unbounded magnitudes.
-    pub fn new(rate_per_step: f64, magnitude_scale: f64, alpha: f64, decay: f64) -> Self {
-        Self::capped(rate_per_step, magnitude_scale, alpha, decay, f64::INFINITY)
-    }
-
     /// New spike process whose individual arrivals are capped (truncated
     /// Pareto) at `cap` workload units.
-    pub fn capped(
+    pub(crate) fn capped(
         rate_per_step: f64,
         magnitude_scale: f64,
         alpha: f64,
@@ -103,7 +93,7 @@ impl SpikeProcess {
     }
 
     /// Advance one step and return the total spike contribution.
-    pub fn step(&mut self, rng_core: &mut dyn RngCore) -> f64 {
+    pub(crate) fn step(&mut self, rng_core: &mut dyn RngCore) -> f64 {
         self.current *= self.decay;
         let arrivals = rng::poisson(rng_core, self.rate_per_step);
         for _ in 0..arrivals {
@@ -119,7 +109,7 @@ impl SpikeProcess {
 /// the baseline jumps by `N(0, shift_std²)` and stays there — modelling
 /// tenant arrivals/departures in a shared cluster.
 #[derive(Debug)]
-pub struct LevelShift {
+pub(crate) struct LevelShift {
     rate_per_step: f64,
     shift_std: f64,
     level: f64,
@@ -127,13 +117,13 @@ pub struct LevelShift {
 
 impl LevelShift {
     /// New level-shift process.
-    pub fn new(rate_per_step: f64, shift_std: f64) -> Self {
+    pub(crate) fn new(rate_per_step: f64, shift_std: f64) -> Self {
         assert!((0.0..=1.0).contains(&rate_per_step));
         Self { rate_per_step, shift_std, level: 0.0 }
     }
 
     /// Advance one step and return the current level offset.
-    pub fn step(&mut self, rng_core: &mut dyn RngCore) -> f64 {
+    pub(crate) fn step(&mut self, rng_core: &mut dyn RngCore) -> f64 {
         if rng::uniform_open(rng_core) < self.rate_per_step {
             self.level += rng::standard_normal(rng_core) * self.shift_std;
         }
@@ -187,9 +177,9 @@ mod tests {
         let mut p = Ar1Noise::new(0.7, 2.0);
         // Burn in, then sample.
         for _ in 0..100 {
-            p.step(&mut rng);
+            p.step_scaled(&mut rng, 1.0);
         }
-        let xs: Vec<f64> = (0..50_000).map(|_| p.step(&mut rng)).collect();
+        let xs: Vec<f64> = (0..50_000).map(|_| p.step_scaled(&mut rng, 1.0)).collect();
         assert!((stats::std_dev(&xs) - 2.0).abs() < 0.1);
         assert!((stats::autocorrelation(&xs, 1) - 0.7).abs() < 0.05);
     }
@@ -197,7 +187,7 @@ mod tests {
     #[test]
     fn spikes_are_nonnegative_and_decay() {
         let mut rng = seeded(2);
-        let mut s = SpikeProcess::new(0.05, 5.0, 1.5, 0.6);
+        let mut s = SpikeProcess::capped(0.05, 5.0, 1.5, 0.6, f64::INFINITY);
         let xs: Vec<f64> = (0..5000).map(|_| s.step(&mut rng)).collect();
         assert!(xs.iter().all(|&x| x >= 0.0));
         // With rate 0.05 most steps see no arrival; check decay between
@@ -222,7 +212,7 @@ mod tests {
     #[test]
     fn zero_rate_spike_process_is_silent() {
         let mut rng = seeded(3);
-        let mut s = SpikeProcess::new(0.0, 5.0, 1.5, 0.6);
+        let mut s = SpikeProcess::capped(0.0, 5.0, 1.5, 0.6, f64::INFINITY);
         for _ in 0..100 {
             assert_eq!(s.step(&mut rng), 0.0);
         }

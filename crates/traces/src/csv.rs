@@ -10,7 +10,7 @@ use std::path::Path;
 
 /// Write named numeric columns as CSV. Columns may have different lengths;
 /// shorter columns leave trailing cells empty.
-pub fn write_columns<W: Write>(
+pub(crate) fn write_columns<W: Write>(
     mut w: W,
     columns: &[(&str, &[f64])],
 ) -> io::Result<()> {
@@ -78,14 +78,6 @@ pub fn read_column<R: BufRead>(r: R, name: &str) -> io::Result<Option<Vec<f64>>>
     Ok(Some(out))
 }
 
-/// Load a trace back from a CSV produced by [`write_trace`].
-pub fn read_trace(path: impl AsRef<Path>, name: &str, interval_secs: u64) -> io::Result<Trace> {
-    let f = std::fs::File::open(path)?;
-    let col = read_column(io::BufReader::new(f), name)?
-        .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("column {name:?} missing")))?;
-    Ok(Trace::new(name, interval_secs, col))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,8 +113,8 @@ mod tests {
         let path = dir.join("trace.csv");
         let t = Trace::new("cpu", 600, vec![10.0, 20.0, 30.0]);
         write_trace(&path, &t).unwrap();
-        let back = read_trace(&path, "cpu", 600).unwrap();
-        assert_eq!(back.values, t.values);
+        let f = io::BufReader::new(std::fs::File::open(&path).unwrap());
+        assert_eq!(read_column(f, "cpu").unwrap().unwrap(), t.values);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -22,7 +22,12 @@ impl<'a> WindowDataset<'a> {
     ///
     /// # Panics
     /// Panics on zero context/horizon/stride.
-    pub fn with_stride(series: &'a [f64], context: usize, horizon: usize, stride: usize) -> Self {
+    pub(crate) fn with_stride(
+        series: &'a [f64],
+        context: usize,
+        horizon: usize,
+        stride: usize,
+    ) -> Self {
         assert!(context > 0 && horizon > 0 && stride > 0, "degenerate window spec");
         Self { series, context, horizon, stride }
     }
@@ -51,11 +56,6 @@ impl<'a> WindowDataset<'a> {
         let start = i * self.stride;
         let mid = start + self.context;
         (&self.series[start..mid], &self.series[mid..mid + self.horizon])
-    }
-
-    /// Iterate over all `(context, target)` examples.
-    pub fn iter(&self) -> impl Iterator<Item = (&'a [f64], &'a [f64])> + '_ {
-        (0..self.len()).map(move |i| self.example(i))
     }
 }
 
@@ -135,7 +135,6 @@ mod tests {
         let xs = [1.0, 2.0];
         let ds = WindowDataset::new(&xs, 3, 2);
         assert!(ds.is_empty());
-        assert_eq!(ds.iter().count(), 0);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use rpas_tsmath::rng;
 /// Everything that shapes a synthetic trace. All stochastic components are
 /// driven by `seed`, so equal configs produce identical traces.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TraceGeneratorConfig {
+pub(crate) struct TraceGeneratorConfig {
     /// Trace name.
     pub name: String,
     /// Number of samples to generate.
@@ -87,18 +87,8 @@ impl Default for TraceGeneratorConfig {
 }
 
 /// Synthetic trace generator; see [`TraceGeneratorConfig`] for the knobs.
-///
-/// ```
-/// use rpas_traces::{TraceGenerator, TraceGeneratorConfig};
-///
-/// let cfg = TraceGeneratorConfig { steps: 288, seed: 7, ..Default::default() };
-/// let trace = TraceGenerator::new(cfg.clone()).generate();
-/// assert_eq!(trace.len(), 288);
-/// // Seeded: the same config always yields the same trace.
-/// assert_eq!(trace, TraceGenerator::new(cfg).generate());
-/// ```
 #[derive(Debug, Clone)]
-pub struct TraceGenerator {
+pub(crate) struct TraceGenerator {
     cfg: TraceGeneratorConfig,
 }
 
@@ -107,20 +97,15 @@ impl TraceGenerator {
     ///
     /// # Panics
     /// Panics on degenerate configs (zero steps/day, non-positive base).
-    pub fn new(cfg: TraceGeneratorConfig) -> Self {
+    pub(crate) fn new(cfg: TraceGeneratorConfig) -> Self {
         assert!(cfg.steps_per_day > 0, "steps_per_day must be positive");
         assert!(cfg.base_level > 0.0, "base level must be positive");
         Self { cfg }
     }
 
-    /// Borrow the config.
-    pub fn config(&self) -> &TraceGeneratorConfig {
-        &self.cfg
-    }
-
     /// Generate the trace. Deterministic in the config (incl. seed);
     /// workload values are clamped non-negative.
-    pub fn generate(&self) -> Trace {
+    pub(crate) fn generate(&self) -> Trace {
         let c = &self.cfg;
         let mut r = rng::seeded(c.seed);
         let mut noise = Ar1Noise::new(c.noise_phi, c.noise_sigma);

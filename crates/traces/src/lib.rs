@@ -13,15 +13,14 @@
 
 #![warn(missing_docs)]
 
-pub mod components;
+mod components;
 pub mod csv;
-pub mod dataset;
-pub mod generator;
-pub mod presets;
-pub mod trace;
+mod dataset;
+mod generator;
+mod presets;
+mod trace;
 
 pub use dataset::{RollingWindows, WindowDataset};
-pub use generator::{TraceGenerator, TraceGeneratorConfig};
 pub use presets::{alibaba_like, google_like, ClusterTrace};
 pub use trace::{ResourceKind, Trace};
 
@@ -29,4 +28,4 @@ pub use trace::{ResourceKind, Trace};
 pub const STEPS_PER_DAY: usize = 144;
 
 /// The paper's aggregation interval, in seconds.
-pub const INTERVAL_SECS: u64 = 600;
+pub(crate) const INTERVAL_SECS: u64 = 600;

@@ -43,10 +43,6 @@ impl ClusterTrace {
     }
 }
 
-/// Default number of days generated by the presets: enough for 12-hour
-/// context/horizon rolling evaluation with a meaningful training split.
-pub const DEFAULT_DAYS: usize = 42;
-
 /// Alibaba-cluster-like trace (CPU/memory/disk), `days` long.
 pub fn alibaba_like(seed: u64, days: usize) -> ClusterTrace {
     let steps = days * STEPS_PER_DAY;

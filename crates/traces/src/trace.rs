@@ -55,11 +55,6 @@ impl Trace {
         self.values.is_empty()
     }
 
-    /// Duration covered, in seconds.
-    pub fn duration_secs(&self) -> u64 {
-        self.interval_secs * self.values.len() as u64
-    }
-
     /// Split into `(head, tail)` at `at` samples; the head keeps the name.
     ///
     /// # Panics
@@ -76,31 +71,6 @@ impl Trace {
     pub fn train_test_split(&self, train_frac: f64) -> (Trace, Trace) {
         assert!((0.0..=1.0).contains(&train_frac), "train fraction must be in [0,1]");
         self.split_at((self.len() as f64 * train_frac).floor() as usize)
-    }
-
-    /// Downsample by averaging consecutive blocks of `factor` samples
-    /// (mirrors the paper's "aggregate the data at 10-minute intervals").
-    /// A trailing partial block is dropped.
-    ///
-    /// # Panics
-    /// Panics if `factor == 0`.
-    pub fn aggregate(&self, factor: usize) -> Trace {
-        assert!(factor > 0, "aggregate factor must be positive");
-        let values: Vec<f64> = self
-            .values
-            .chunks_exact(factor)
-            .map(|c| c.iter().sum::<f64>() / factor as f64)
-            .collect();
-        Trace::new(self.name.clone(), self.interval_secs * factor as u64, values)
-    }
-
-    /// Clamp every sample to be ≥ 0 (resource usage cannot be negative).
-    pub fn clamp_non_negative(&mut self) {
-        for v in &mut self.values {
-            if *v < 0.0 {
-                *v = 0.0;
-            }
-        }
     }
 
     /// Borrow the values.
@@ -122,7 +92,6 @@ mod tests {
         let tr = t(vec![1.0, 2.0, 3.0]);
         assert_eq!(tr.len(), 3);
         assert!(!tr.is_empty());
-        assert_eq!(tr.duration_secs(), 1800);
         assert_eq!(tr.as_slice(), &[1.0, 2.0, 3.0]);
     }
 
@@ -140,21 +109,6 @@ mod tests {
         let (train, test) = tr.train_test_split(0.7);
         assert_eq!(train.len(), 7);
         assert_eq!(test.len(), 3);
-    }
-
-    #[test]
-    fn aggregate_means_blocks() {
-        let tr = t(vec![1.0, 3.0, 5.0, 7.0, 100.0]);
-        let agg = tr.aggregate(2);
-        assert_eq!(agg.values, vec![2.0, 6.0]); // trailing 100.0 dropped
-        assert_eq!(agg.interval_secs, 1200);
-    }
-
-    #[test]
-    fn clamp_non_negative() {
-        let mut tr = Trace::new("t", 1, vec![-1.0, 0.5]);
-        tr.clamp_non_negative();
-        assert_eq!(tr.values, vec![0.0, 0.5]);
     }
 
     #[test]

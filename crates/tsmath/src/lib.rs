@@ -13,21 +13,18 @@
 
 #![warn(missing_docs)]
 
-pub mod matrix;
-pub mod normal;
+mod matrix;
+mod normal;
 pub mod propcheck;
 pub mod rng;
 pub mod special;
 pub mod stats;
-pub mod studentt;
+mod studentt;
 pub mod vector;
 
 pub use matrix::Matrix;
 pub use normal::Normal;
 pub use studentt::StudentT;
-
-/// Absolute tolerance used across the crate's internal iterative routines.
-pub const EPS: f64 = 1e-12;
 
 /// A continuous univariate distribution, as needed by the probabilistic
 /// forecasters: density for NLL training, quantile for turning a learned

@@ -24,15 +24,6 @@ impl Matrix {
         Self { rows, cols, data: vec![v; rows * cols] }
     }
 
-    /// Identity matrix of order `n`.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
     /// Build from a flat row-major buffer.
     ///
     /// # Panics
@@ -69,11 +60,6 @@ impl Matrix {
         &self.data
     }
 
-    /// Mutably borrow the raw row-major buffer.
-    pub fn data_mut(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
     /// Borrow row `r` as a slice.
     pub fn row(&self, r: usize) -> &[f64] {
         assert!(r < self.rows, "row index out of range");
@@ -84,12 +70,6 @@ impl Matrix {
     pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
         assert!(r < self.rows, "row index out of range");
         &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Copy column `c` out into a new vector.
-    pub fn col(&self, c: usize) -> Vec<f64> {
-        assert!(c < self.cols, "col index out of range");
-        (0..self.rows).map(|r| self[(r, c)]).collect()
     }
 
     /// Transpose into a new matrix.
@@ -129,17 +109,6 @@ impl Matrix {
     pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(self.cols, x.len(), "matvec: dimension mismatch");
         (0..self.rows).map(|r| vector::dot(self.row(r), x)).collect()
-    }
-
-    /// `selfᵀ * x` without materialising the transpose.
-    #[allow(clippy::needless_range_loop)]
-    pub fn matvec_t(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(self.rows, x.len(), "matvec_t: dimension mismatch");
-        let mut out = vec![0.0; self.cols];
-        for r in 0..self.rows {
-            vector::axpy(x[r], self.row(r), &mut out);
-        }
-        out
     }
 
     /// Solve `A x = b` via LU decomposition with partial pivoting.
@@ -200,31 +169,6 @@ impl Matrix {
         Some(x)
     }
 
-    /// Cholesky factor `L` (lower triangular, `L Lᵀ = self`) of a symmetric
-    /// positive-definite matrix. Returns `None` if not SPD.
-    pub fn cholesky(&self) -> Option<Matrix> {
-        assert_eq!(self.rows, self.cols, "cholesky: matrix must be square");
-        let n = self.rows;
-        let mut l = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..=i {
-                let mut s = self[(i, j)];
-                for k in 0..j {
-                    s -= l[(i, k)] * l[(j, k)];
-                }
-                if i == j {
-                    if s <= 0.0 {
-                        return None;
-                    }
-                    l[(i, j)] = s.sqrt();
-                } else {
-                    l[(i, j)] = s / l[(j, j)];
-                }
-            }
-        }
-        Some(l)
-    }
-
     /// Ordinary least squares: minimise `‖A x − b‖₂` via the normal equations
     /// with a small ridge term `lambda` on the diagonal for conditioning.
     ///
@@ -238,11 +182,6 @@ impl Matrix {
         }
         let atb = at.matvec(b);
         ata.solve(&atb)
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        vector::norm2(&self.data)
     }
 }
 
@@ -268,14 +207,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn identity_matmul_is_noop() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        let i = Matrix::identity(2);
-        assert_eq!(a.matmul(&i), a);
-        assert_eq!(i.matmul(&a), a);
-    }
-
-    #[test]
     fn matmul_known_product() {
         let a = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
         let b = Matrix::from_rows(&[vec![7.0, 8.0], vec![9.0, 10.0], vec![11.0, 12.0]]);
@@ -294,13 +225,6 @@ mod tests {
     fn matvec_matches_matmul() {
         let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
         assert_eq!(a.matvec(&[5.0, 6.0]), vec![17.0, 39.0]);
-    }
-
-    #[test]
-    fn matvec_t_matches_transpose() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]);
-        let x = [1.0, 2.0, 3.0];
-        assert_eq!(a.matvec_t(&x), a.transpose().matvec(&x));
     }
 
     #[test]
@@ -325,24 +249,6 @@ mod tests {
     fn solve_singular_returns_none() {
         let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 4.0]]);
         assert!(a.solve(&[1.0, 2.0]).is_none());
-    }
-
-    #[test]
-    fn cholesky_reconstructs() {
-        let a = Matrix::from_rows(&[vec![4.0, 2.0], vec![2.0, 3.0]]);
-        let l = a.cholesky().unwrap();
-        let back = l.matmul(&l.transpose());
-        for r in 0..2 {
-            for c in 0..2 {
-                assert!((back[(r, c)] - a[(r, c)]).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn cholesky_rejects_non_spd() {
-        let a = Matrix::from_rows(&[vec![1.0, 5.0], vec![5.0, 1.0]]);
-        assert!(a.cholesky().is_none());
     }
 
     #[test]

@@ -24,11 +24,6 @@ impl Normal {
         assert!(sigma > 0.0, "Normal: sigma must be > 0, got {sigma}");
         Self { mu, sigma }
     }
-
-    /// The standard normal `N(0, 1)`.
-    pub fn standard() -> Self {
-        Self { mu: 0.0, sigma: 1.0 }
-    }
 }
 
 impl Distribution for Normal {

@@ -34,18 +34,12 @@ const BASE_SEED: u64 = 0x5250_4153_5043_4b31; // "RPAS" "PCK1"
 /// Random-input generator handed to each property case.
 pub struct Gen {
     rng: Rng64,
-    seed: u64,
 }
 
 impl Gen {
     /// Generator for one case, from its case seed.
-    pub fn new(seed: u64) -> Self {
-        Self { rng: seeded(seed), seed }
-    }
-
-    /// The case seed (included in failure reports).
-    pub fn seed(&self) -> u64 {
-        self.seed
+    pub(crate) fn new(seed: u64) -> Self {
+        Self { rng: seeded(seed) }
     }
 
     /// A raw `u64` (the `any::<u64>()` of the old suites).
@@ -121,7 +115,7 @@ where
 }
 
 /// Sentinel message for a discarded (skipped) case.
-pub const DISCARD: &str = "__propcheck_discard__";
+pub(crate) const DISCARD: &str = "__propcheck_discard__";
 
 /// `Err` value that makes [`forall`] skip the current case — an
 /// "assume"-style escape hatch for inputs the property does not apply

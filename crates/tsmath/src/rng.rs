@@ -40,7 +40,7 @@ impl Rng64 {
     /// Construct from a `u64` seed. The 256-bit state is expanded with
     /// SplitMix64 (the seeding procedure recommended by the xoshiro
     /// authors), so nearby seeds still yield uncorrelated streams.
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         let mut sm = seed;
         let mut next = || {
             sm = sm.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -133,7 +133,7 @@ pub fn standard_normal(rng: &mut dyn RngCore) -> f64 {
 ///
 /// # Panics
 /// Panics if `shape <= 0`.
-pub fn gamma(rng: &mut dyn RngCore, shape: f64) -> f64 {
+pub(crate) fn gamma(rng: &mut dyn RngCore, shape: f64) -> f64 {
     assert!(shape > 0.0, "gamma requires shape > 0, got {shape}");
     if shape < 1.0 {
         let u = uniform_open(rng);
@@ -159,14 +159,8 @@ pub fn gamma(rng: &mut dyn RngCore, shape: f64) -> f64 {
 }
 
 /// Chi-squared sample with `nu` degrees of freedom.
-pub fn chi_squared(rng: &mut dyn RngCore, nu: f64) -> f64 {
+pub(crate) fn chi_squared(rng: &mut dyn RngCore, nu: f64) -> f64 {
     2.0 * gamma(rng, nu / 2.0)
-}
-
-/// Exponential(rate) sample by inversion.
-pub fn exponential(rng: &mut dyn RngCore, rate: f64) -> f64 {
-    assert!(rate > 0.0, "exponential requires rate > 0");
-    -uniform_open(rng).ln() / rate
 }
 
 /// Pareto(scale `x_m`, shape `alpha`) sample by inversion — heavy-tailed
@@ -298,14 +292,6 @@ mod tests {
         let xs: Vec<f64> = (0..20_000).map(|_| chi_squared(&mut rng, 5.0)).collect();
         let (m, _) = moments(&xs);
         assert!((m - 5.0).abs() < 0.15, "mean {m}");
-    }
-
-    #[test]
-    fn exponential_mean() {
-        let mut rng = seeded(4);
-        let xs: Vec<f64> = (0..20_000).map(|_| exponential(&mut rng, 2.0)).collect();
-        let (m, _) = moments(&xs);
-        assert!((m - 0.5).abs() < 0.02, "mean {m}");
     }
 
     #[test]

@@ -37,24 +37,9 @@ pub fn ln_gamma(x: f64) -> f64 {
     0.5 * (2.0 * std::f64::consts::PI).ln() + (x + 0.5) * t.ln() - t + a.ln()
 }
 
-/// Error function. Uses the non-alternating Maclaurin-type series
-/// `erf(x) = (2/√π) e^{−x²} Σ (2x²)ⁿ x / (1·3···(2n+1))` for `|x| < 2.5`
-/// (absolute error ≲ 1e-15 there) and the Numerical-Recipes Chebyshev
-/// `erfc` fit in the tails, where its 1.2e-7 *relative* error on a tiny
-/// `erfc` keeps the absolute error of `erf` below ~5e-11.
-pub fn erf(x: f64) -> f64 {
-    if x.abs() < 2.5 {
-        erf_series(x)
-    } else if x > 0.0 {
-        1.0 - erfc_tail(x)
-    } else {
-        erfc_tail(-x) - 1.0
-    }
-}
-
 /// Complementary error function `1 − erf(x)`, accurate in both the bulk
 /// (via the series) and the tails (via the Chebyshev fit).
-pub fn erfc(x: f64) -> f64 {
+pub(crate) fn erfc(x: f64) -> f64 {
     if x.abs() < 2.5 {
         1.0 - erf_series(x)
     } else if x > 0.0 {
@@ -103,7 +88,7 @@ fn erfc_tail(x: f64) -> f64 {
 }
 
 /// Standard normal CDF.
-pub fn norm_cdf(x: f64) -> f64 {
+pub(crate) fn norm_cdf(x: f64) -> f64 {
     0.5 * erfc(-x / std::f64::consts::SQRT_2)
 }
 
@@ -261,11 +246,6 @@ pub fn digamma(x: f64) -> f64 {
         - inv2 * (1.0 / 12.0 - inv2 * (1.0 / 120.0 - inv2 * (1.0 / 252.0 - inv2 / 240.0)))
 }
 
-/// Natural log of the beta function `B(a, b)`.
-pub fn ln_beta(a: f64, b: f64) -> f64 {
-    ln_gamma(a) + ln_gamma(b) - ln_gamma(a + b)
-}
-
 /// Softplus `ln(1 + e^x)`, computed stably for large |x|. Used to map
 /// unconstrained network outputs to positive scale parameters (σ, ν).
 #[inline]
@@ -307,10 +287,10 @@ mod tests {
 
     #[test]
     fn erf_reference_values() {
-        assert!((erf(0.0)).abs() < 1e-15);
-        assert!((erf(1.0) - 0.842_700_792_949_714_9).abs() < 1e-13);
-        assert!((erf(-1.0) + 0.842_700_792_949_714_9).abs() < 1e-13);
-        assert!((erf(3.0) - 0.999_977_909_503_001_4).abs() < 1e-10);
+        assert!((erfc(0.0) - 1.0).abs() < 1e-15);
+        assert!((erfc(1.0) - (1.0 - 0.842_700_792_949_714_9)).abs() < 1e-13);
+        assert!((erfc(-1.0) - (1.0 + 0.842_700_792_949_714_9)).abs() < 1e-13);
+        assert!((erfc(3.0) - (1.0 - 0.999_977_909_503_001_4)).abs() < 1e-10);
         assert!((erfc(2.0) - 0.004_677_734_981_063_127).abs() < 1e-13);
     }
 

@@ -81,7 +81,7 @@ pub fn median(xs: &[f64]) -> f64 {
 
 /// Sample autocovariance at lag `k` (biased, denominator `n`, the standard
 /// convention for Yule–Walker estimation).
-pub fn autocovariance(xs: &[f64], k: usize) -> f64 {
+pub(crate) fn autocovariance(xs: &[f64], k: usize) -> f64 {
     assert!(k < xs.len(), "autocovariance lag out of range");
     let m = mean(xs);
     let n = xs.len();
@@ -237,11 +237,6 @@ impl RollingMoments {
         Self { buf: vec![0.0; window], head: 0, len: 0, m: RunningMoments::default() }
     }
 
-    /// Window capacity.
-    pub fn window(&self) -> usize {
-        self.buf.len()
-    }
-
     /// Samples currently retained (`<= window()`).
     pub fn len(&self) -> usize {
         self.len
@@ -250,11 +245,6 @@ impl RollingMoments {
     /// True before the first push.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// True once the window has filled (every further push evicts).
-    pub fn is_full(&self) -> bool {
-        self.len == self.buf.len()
     }
 
     /// Append a sample, evicting the oldest when full. The retained
@@ -295,11 +285,6 @@ impl RollingMoments {
     pub fn variance(&self) -> f64 {
         self.m.variance()
     }
-
-    /// Sample standard deviation of the retained window.
-    pub fn std_dev(&self) -> f64 {
-        self.m.std_dev()
-    }
 }
 
 /// Standardisation parameters learned from training data, applied to both
@@ -337,17 +322,6 @@ impl Standardizer {
     /// z-score a whole slice into a new vector.
     pub fn transform_vec(&self, xs: &[f64]) -> Vec<f64> {
         xs.iter().map(|&x| self.transform(x)).collect()
-    }
-
-    /// Invert a whole slice of z-scores.
-    pub fn inverse_vec(&self, zs: &[f64]) -> Vec<f64> {
-        zs.iter().map(|&z| self.inverse(z)).collect()
-    }
-
-    /// Rescale a standard deviation from z-space to data space.
-    #[inline]
-    pub fn inverse_scale(&self, sigma_z: f64) -> f64 {
-        sigma_z * self.std
     }
 }
 
@@ -465,7 +439,7 @@ mod tests {
             assert_eq!(roll.variance().to_bits(), batch.variance().to_bits(), "t={t}");
             assert_eq!(roll.mean().to_bits(), batch.mean().to_bits(), "t={t}");
         }
-        assert!(roll.is_full());
+        assert_eq!(roll.len(), 8);
     }
 
     #[test]

@@ -178,7 +178,7 @@ mod tests {
     #[test]
     fn heavier_tails_than_normal() {
         let t = StudentT::new(0.0, 1.0, 3.0);
-        let n = Normal::standard();
+        let n = Normal::new(0.0, 1.0);
         // At 4 sigma out, t density should dominate.
         assert!(t.pdf(4.0) > n.pdf(4.0));
         // And the extreme quantiles should be further out.
@@ -188,7 +188,7 @@ mod tests {
     #[test]
     fn converges_to_normal_for_large_nu() {
         let t = StudentT::new(0.0, 1.0, 1e6);
-        let n = Normal::standard();
+        let n = Normal::new(0.0, 1.0);
         for &p in &[0.1, 0.5, 0.9, 0.975] {
             assert!((t.quantile(p) - n.quantile(p)).abs() < 1e-3, "p={p}");
         }

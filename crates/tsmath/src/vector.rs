@@ -22,36 +22,10 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     }
 }
 
-/// Scale a vector in place: `x *= alpha`.
-#[inline]
-pub fn scale(alpha: f64, x: &mut [f64]) {
-    for xi in x {
-        *xi *= alpha;
-    }
-}
-
-/// Element-wise sum into a new vector.
-pub fn add(a: &[f64], b: &[f64]) -> Vec<f64> {
-    assert_eq!(a.len(), b.len(), "add: length mismatch");
-    a.iter().zip(b).map(|(x, y)| x + y).collect()
-}
-
-/// Element-wise difference into a new vector.
-pub fn sub(a: &[f64], b: &[f64]) -> Vec<f64> {
-    assert_eq!(a.len(), b.len(), "sub: length mismatch");
-    a.iter().zip(b).map(|(x, y)| x - y).collect()
-}
-
 /// Element-wise (Hadamard) product into a new vector.
 pub fn hadamard(a: &[f64], b: &[f64]) -> Vec<f64> {
     assert_eq!(a.len(), b.len(), "hadamard: length mismatch");
     a.iter().zip(b).map(|(x, y)| x * y).collect()
-}
-
-/// Euclidean (L2) norm.
-#[inline]
-pub fn norm2(x: &[f64]) -> f64 {
-    dot(x, x).sqrt()
 }
 
 /// Index of the maximum element (first one on ties).
@@ -69,27 +43,6 @@ pub fn argmax(x: &[f64]) -> Option<usize> {
         }
     }
     best.map(|(i, _)| i)
-}
-
-/// Clip every element into `[-limit, limit]`. Used for gradient clipping.
-pub fn clip(x: &mut [f64], limit: f64) {
-    debug_assert!(limit > 0.0);
-    for xi in x {
-        *xi = xi.clamp(-limit, limit);
-    }
-}
-
-/// Rescale the whole vector so its L2 norm does not exceed `max_norm`
-/// (global-norm gradient clipping). Returns the scaling factor applied.
-pub fn clip_norm(x: &mut [f64], max_norm: f64) -> f64 {
-    let n = norm2(x);
-    if n > max_norm && n > 0.0 {
-        let s = max_norm / n;
-        scale(s, x);
-        s
-    } else {
-        1.0
-    }
 }
 
 #[cfg(test)]
@@ -120,24 +73,8 @@ mod tests {
     }
 
     #[test]
-    fn scale_in_place() {
-        let mut x = vec![1.0, -2.0];
-        scale(-3.0, &mut x);
-        assert_eq!(x, vec![-3.0, 6.0]);
-    }
-
-    #[test]
     fn add_sub_hadamard() {
-        let a = [1.0, 2.0];
-        let b = [3.0, 5.0];
-        assert_eq!(add(&a, &b), vec![4.0, 7.0]);
-        assert_eq!(sub(&a, &b), vec![-2.0, -3.0]);
-        assert_eq!(hadamard(&a, &b), vec![3.0, 10.0]);
-    }
-
-    #[test]
-    fn norm2_pythagorean() {
-        assert!((norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-15);
+        assert_eq!(hadamard(&[1.0, 2.0], &[3.0, 5.0]), vec![3.0, 10.0]);
     }
 
     #[test]
@@ -146,23 +83,5 @@ mod tests {
         assert_eq!(argmax(&[]), None);
         assert_eq!(argmax(&[f64::NAN]), None);
         assert_eq!(argmax(&[f64::NAN, 2.0]), Some(1));
-    }
-
-    #[test]
-    fn clip_bounds_elements() {
-        let mut x = vec![-5.0, 0.5, 7.0];
-        clip(&mut x, 1.0);
-        assert_eq!(x, vec![-1.0, 0.5, 1.0]);
-    }
-
-    #[test]
-    fn clip_norm_rescales_only_when_needed() {
-        let mut x = vec![3.0, 4.0];
-        let s = clip_norm(&mut x, 10.0);
-        assert_eq!(s, 1.0);
-        assert_eq!(x, vec![3.0, 4.0]);
-        let s = clip_norm(&mut x, 1.0);
-        assert!((s - 0.2).abs() < 1e-15);
-        assert!((norm2(&x) - 1.0).abs() < 1e-12);
     }
 }

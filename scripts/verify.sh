@@ -30,7 +30,9 @@ echo "== offline tests (whole workspace) =="
 # equivalence property (rpas-telemetry), the per-predict allocation
 # ceilings (rpas-bench) and rpas-lint's selfcheck — workspace lint-clean,
 # lint-baseline.json byte-for-byte what a fresh sweep regenerates — all
-# live in member crates.
+# live in member crates. The CLI-level drills (chaos determinism and
+# trace round-trip, fleet thread-count invariance, kill/resume
+# byte-identity across thread counts) are root tests/cli_e2e.rs.
 cargo test -q --offline --workspace
 
 echo "== rpas-lint (replaces the old grep guards; DESIGN.md §9) =="
@@ -62,89 +64,6 @@ echo "$report" | grep -q "decision audit (Algorithm 1)" || {
 # so reaching this point certifies the whole file against schema v1.
 lines="$(wc -l < "$trace_tmp/t.jsonl")"
 echo "ok: $lines schema-v1 trace lines round-tripped through trace-report"
-
-echo "== chaos determinism (same seed → identical stdout + schedule) =="
-RPAS_LOG=off cargo run -q --release --offline --bin cli -- \
-    chaos --days 4 --profiles light --schedule-out "$trace_tmp/s1.jsonl" \
-    > "$trace_tmp/c1.txt"
-RPAS_LOG=off cargo run -q --release --offline --bin cli -- \
-    chaos --days 4 --profiles light --schedule-out "$trace_tmp/s2.jsonl" \
-    > "$trace_tmp/c2.txt"
-# The only permitted difference is the echoed --schedule-out path.
-diff <(grep -v "wrote fault schedules" "$trace_tmp/c1.txt") \
-     <(grep -v "wrote fault schedules" "$trace_tmp/c2.txt")
-diff "$trace_tmp/s1.jsonl" "$trace_tmp/s2.jsonl"
-grep -q '"kind"' "$trace_tmp/s1.jsonl" || {
-    echo "ERROR: fault schedule JSONL is empty" >&2
-    exit 1
-}
-echo "ok: chaos grid and fault schedule are deterministic"
-
-echo "== chaos trace round-trip (chaos --trace-out → trace-report) =="
-RPAS_LOG=off cargo run -q --release --offline --bin cli -- \
-    chaos --days 4 --profiles heavy --trace-out "$trace_tmp/chaos.jsonl" > /dev/null
-chaos_report="$(cargo run -q --release --offline --bin cli -- trace-report --trace "$trace_tmp/chaos.jsonl")"
-echo "$chaos_report" | grep -q "fault injection" || {
-    echo "ERROR: trace-report is missing the fault-injection section" >&2
-    exit 1
-}
-echo "$chaos_report" | grep -q "degradation ladder" || {
-    echo "ERROR: trace-report is missing the degradation-ladder section" >&2
-    exit 1
-}
-echo "ok: fault schedule and resilience ladder reconstruct from the trace"
-
-echo "== fleet thread-count invariance (64 tenants, 1 thread vs default) =="
-RPAS_LOG=off RPAS_THREADS=1 cargo run -q --release --offline --bin cli -- \
-    fleet --tenants 64 --days 2 --trace-out "$trace_tmp/f1.jsonl" \
-    > "$trace_tmp/f1.txt"
-RPAS_LOG=off cargo run -q --release --offline --bin cli -- \
-    fleet --tenants 64 --days 2 --trace-out "$trace_tmp/f2.jsonl" \
-    > "$trace_tmp/f2.txt"
-# The only permitted difference is the echoed --trace-out path.
-diff <(grep -v "tenant-scoped trace events" "$trace_tmp/f1.txt") \
-     <(grep -v "tenant-scoped trace events" "$trace_tmp/f2.txt")
-diff "$trace_tmp/f1.jsonl" "$trace_tmp/f2.jsonl"
-grep -q '"tenant":"t0000"' "$trace_tmp/f1.jsonl" || {
-    echo "ERROR: fleet trace is missing tenant-scoped events" >&2
-    exit 1
-}
-echo "ok: fleet summary and tenant trace independent of thread count"
-
-echo "== crash recovery (kill mid-tick → resume → byte-identical) =="
-# The supervised fleet's strongest claim (DESIGN.md §12): a run killed
-# mid-flight and resumed from its checkpoint is byte-identical to the
-# run that never died — stdout, sanitized trace, and metric exposition —
-# even when the kill and resume legs use different thread counts.
-RPAS_LOG=off cargo run -q --release --offline --bin cli -- \
-    fleet --tenants 16 --days 2 --faults heavy --slo-report \
-    --trace-out "$trace_tmp/cr_a.jsonl" --metrics-out "$trace_tmp/cr_a.m" \
-    > "$trace_tmp/cr_a.txt"
-RPAS_LOG=off RPAS_THREADS=1 cargo run -q --release --offline --bin cli -- \
-    fleet --tenants 16 --days 2 --faults heavy --slo-report \
-    --kill-at-tick 150 --checkpoint-out "$trace_tmp/cr.ckpt" > /dev/null
-RPAS_LOG=off RPAS_THREADS=2 cargo run -q --release --offline --bin cli -- \
-    fleet --resume-from "$trace_tmp/cr.ckpt" \
-    --trace-out "$trace_tmp/cr_b.jsonl" --metrics-out "$trace_tmp/cr_b.m" \
-    > "$trace_tmp/cr_b.txt"
-# The only permitted difference is the echoed output paths.
-diff <(grep -v "^wrote " "$trace_tmp/cr_a.txt") \
-     <(grep -v "^wrote " "$trace_tmp/cr_b.txt")
-diff "$trace_tmp/cr_a.jsonl" "$trace_tmp/cr_b.jsonl"
-diff "$trace_tmp/cr_a.m" "$trace_tmp/cr_b.m"
-grep -q "^availability      : " "$trace_tmp/cr_a.txt" || {
-    echo "ERROR: supervised fleet did not report the availability SLO" >&2
-    exit 1
-}
-# obs diff must self-zero across the crash boundary too.
-cargo run -q --release --offline --bin cli -- \
-    obs diff --a "$trace_tmp/cr_a.jsonl" --b "$trace_tmp/cr_b.jsonl" \
-    > "$trace_tmp/cr_diff.txt"
-grep -q "divergence        : none" "$trace_tmp/cr_diff.txt" || {
-    echo "ERROR: obs diff found divergence across the crash boundary" >&2
-    exit 1
-}
-echo "ok: kill/resume run byte-identical to the uninterrupted run"
 
 echo "== telemetry gate (SLO report, metrics, obs query/diff, noop budget) =="
 # 1. The SLO report and metric exposition must be byte-identical across

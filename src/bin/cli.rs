@@ -425,12 +425,6 @@ fn profile_defaults() -> (usize, usize, usize) {
     }
 }
 
-fn median(mut values: Vec<f64>) -> f64 {
-    assert!(!values.is_empty(), "median of empty series");
-    values.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    values[values.len() / 2]
-}
-
 /// Rolling-origin backtest over a trace with the Algorithm-1 adaptive
 /// manager, with the full decision audit flowing to `obs` (use
 /// `--trace-out` to capture it as JSONL for `trace-report`).
@@ -532,7 +526,7 @@ fn backtest(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>>
         None => {
             let first =
                 model.forecast_quantiles(&test_values[..context], horizon, &SCALING_LEVELS)?;
-            median(uncertainty_series(&first))
+            rpas::tsmath::stats::median(&uncertainty_series(&first))
         }
     };
 

@@ -207,6 +207,79 @@ fn chaos_trace_round_trips_through_trace_report() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `cli fleet <args>` with logging off, at `threads` workers (`None`: the
+/// host's default, whatever the caller's environment says).
+fn fleet(threads: Option<&str>, args: &[&str]) -> std::process::Output {
+    let mut cmd = cli();
+    cmd.env("RPAS_LOG", "off").env_remove("RPAS_THREADS");
+    if let Some(n) = threads {
+        cmd.env("RPAS_THREADS", n);
+    }
+    cmd.arg("fleet").args(args).output().expect("run fleet")
+}
+
+/// `fleet` stdout without the lines that echo an output path.
+fn fleet_stdout(out: &std::process::Output, echo: &str) -> String {
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let text = String::from_utf8_lossy(&out.stdout);
+    text.lines().filter(|l| !l.contains(echo)).map(|l| format!("{l}\n")).collect()
+}
+
+#[test]
+fn fleet_summary_and_trace_are_independent_of_thread_count() {
+    let dir = tmpdir("fleet-threads");
+    let run = |threads, trace: &std::path::Path| {
+        let trace = trace.to_str().expect("utf8");
+        fleet(threads, &["--tenants", "64", "--days", "2", "--trace-out", trace])
+    };
+    let (t1, t2) = (dir.join("f1.jsonl"), dir.join("f2.jsonl"));
+    let one = fleet_stdout(&run(Some("1"), &t1), "tenant-scoped trace events");
+    let default = fleet_stdout(&run(None, &t2), "tenant-scoped trace events");
+    assert_eq!(one, default, "fleet summary depends on the thread count");
+    let trace = std::fs::read_to_string(&t1).expect("trace");
+    assert!(trace.contains("\"tenant\":\"t0000\""), "no tenant-scoped events in the trace");
+    assert!(trace == std::fs::read_to_string(&t2).expect("trace"), "tenant trace differs");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// DESIGN.md §12 through the binary: a run killed mid-flight at one
+/// thread and resumed from its checkpoint at two is byte-identical to the
+/// run that never died — stdout, sanitised trace and metric exposition.
+#[test]
+fn fleet_killed_and_resumed_through_the_binary_is_byte_identical() {
+    let dir = tmpdir("fleet-resume");
+    let path = |name: &str| dir.join(name).to_str().expect("utf8").to_string();
+    let size = ["--tenants", "16", "--days", "2", "--faults", "heavy", "--slo-report"];
+    let (a_trace, a_metrics, ckpt) = (path("a.jsonl"), path("a.m"), path("fleet.ckpt"));
+    let (b_trace, b_metrics) = (path("b.jsonl"), path("b.m"));
+
+    let mut args = size.to_vec();
+    args.extend(["--trace-out", &a_trace, "--metrics-out", &a_metrics]);
+    let whole = fleet(None, &args);
+    let mut args = size.to_vec();
+    args.extend(["--kill-at-tick", "150", "--checkpoint-out", &ckpt]);
+    let killed = fleet(Some("1"), &args);
+    assert!(killed.status.success(), "{}", String::from_utf8_lossy(&killed.stderr));
+    let resumed = fleet(
+        Some("2"),
+        &["--resume-from", &ckpt, "--trace-out", &b_trace, "--metrics-out", &b_metrics],
+    );
+
+    let whole = fleet_stdout(&whole, "wrote ");
+    assert_eq!(whole, fleet_stdout(&resumed, "wrote "), "stdout differs across the crash");
+    assert!(whole.contains("\navailability      : "), "no availability SLO in {whole}");
+    for (a, b) in [(&a_trace, &b_trace), (&a_metrics, &b_metrics)] {
+        assert!(std::fs::read(a).expect("a") == std::fs::read(b).expect("b"), "{a} != {b}");
+    }
+    // obs diff must self-zero across the crash boundary too.
+    let diff =
+        cli().args(["obs", "diff", "--a", &a_trace, "--b", &b_trace]).output().expect("obs diff");
+    assert!(diff.status.success(), "{}", String::from_utf8_lossy(&diff.stderr));
+    let text = String::from_utf8_lossy(&diff.stdout);
+    assert!(text.contains("divergence        : none"), "{text}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn backtest_accepts_fault_injection() {
     let out = cli()

@@ -29,6 +29,8 @@
 //! Run: `cargo run --release -p rpas-bench --bin fleet`
 //! (`RPAS_PROFILE=quick` shrinks the fleet for a smoke test.)
 
+#![expect(clippy::disallowed_types, reason = "a timing program: Instant is what it measures with")]
+
 use rpas_bench::alloc::{self, AllocStats};
 use rpas_bench::bench_obs;
 use rpas_bench::output::workspace_file;

@@ -10,6 +10,8 @@
 //!
 //! Run: `cargo run --release -p rpas-bench --bin table2_3`
 
+#![expect(clippy::disallowed_types, reason = "a timing program: Instant is what it measures with")]
+
 use rpas_bench::output::f;
 use rpas_bench::{datasets, models, write_csv, ExperimentProfile, Table};
 use rpas_core::{

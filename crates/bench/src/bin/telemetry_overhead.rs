@@ -6,9 +6,8 @@
 //! bench measures that dark path — plus the live path and a registry
 //! lookup for context — and **fails (exit 1)** when the no-op counter
 //! median exceeds the budget pinned in `telemetry-budget.json` at the
-//! workspace root. The budget is a ratchet, in the spirit of
-//! `lint-baseline.json`: regressions fail, improvements can be frozen
-//! with `RPAS_WRITE_BUDGET=1`.
+//! workspace root. The budget is a ratchet: regressions fail,
+//! improvements can be frozen with `RPAS_WRITE_BUDGET=1`.
 //!
 //! Run: `cargo run --release -p rpas-bench --bin telemetry_overhead`
 

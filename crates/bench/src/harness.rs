@@ -9,6 +9,8 @@
 //! Criterion's default estimator). Set `RPAS_BENCH_SAMPLES` to trade
 //! precision for wall-clock.
 
+#![expect(clippy::disallowed_types, reason = "the timing harness: Instant is what it measures with")]
+
 use rpas_obs::catalog;
 use std::time::{Duration, Instant};
 
@@ -52,6 +54,7 @@ fn fmt_time(secs: f64) -> String {
 
 /// Measure one closure: warm up, calibrate the batch size, sample, and
 /// summarise.
+#[expect(clippy::expect_used, reason = "timings are finite; a NaN here means the harness is broken")]
 pub(crate) fn measure<T>(mut f: impl FnMut() -> T) -> Stats {
     // Warm-up + calibration: grow the batch until it clears TARGET_BATCH.
     let mut iters: u64 = 1;
@@ -99,6 +102,7 @@ pub struct BenchGroup {
     started: Instant,
 }
 
+#[expect(clippy::print_stdout, reason = "the printed table is a benches/ target's product")]
 impl BenchGroup {
     /// New empty group.
     pub fn new(name: &str) -> Self {

@@ -11,6 +11,8 @@
 //!   three.
 //! * `quick` — scaled-down settings for smoke-testing the harness
 //!   (minutes → seconds). Numbers are NOT comparable to the paper.
+// Library-code rules P1 / O1 (DESIGN.md §9); an exemption is a per-site `#[expect]`.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::print_stdout)]
 
 pub mod alloc;
 pub mod harness;

@@ -97,6 +97,7 @@ pub struct FittedQuantileModels {
 ///
 /// # Panics
 /// Panics if any fit fails (the harness controls series lengths).
+#[expect(clippy::expect_used, reason = "an experiment cannot run without its fitted models")]
 pub fn fit_all_quantile_models(
     p: &ExperimentProfile,
     train: &[f64],

@@ -54,6 +54,7 @@ impl Table {
     }
 
     /// Print to stdout with a title banner.
+    #[expect(clippy::print_stdout, reason = "the printed table is an experiment bin's product")]
     pub fn print(&self, title: &str) {
         println!("\n== {title} ==");
         print!("{}", self.render());
@@ -97,6 +98,7 @@ pub fn workspace_file(name: &str) -> PathBuf {
 }
 
 /// Write named columns as a CSV artifact under `results/`.
+#[expect(clippy::print_stdout, reason = "tells the operator where the CSV went")]
 pub fn write_csv(name: &str, columns: &[(&str, &[f64])]) {
     let path = results_path(name);
     if let Err(err) = rpas_traces::csv::write_columns_to_path(&path, columns) {

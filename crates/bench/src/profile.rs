@@ -79,6 +79,7 @@ impl ExperimentProfile {
     ///
     /// # Panics
     /// Panics on an unrecognised value, so typos fail loudly.
+    #[expect(clippy::panic, reason = "# Panics contract: a mistyped RPAS_PROFILE must fail loudly")]
     pub fn from_env() -> Self {
         match std::env::var("RPAS_PROFILE").as_deref() {
             Ok("quick") => Self::quick(),

@@ -37,6 +37,7 @@ pub struct BacktestReport {
 
 impl BacktestReport {
     /// The window with the worst under-provisioning rate.
+    #[expect(clippy::expect_used, reason = "under_rate is a ratio of counts, never NaN")]
     pub fn worst_window(&self) -> Option<&BacktestWindow> {
         self.windows
             .iter()
@@ -158,7 +159,7 @@ mod tests {
         // For a plan with zero under-provisioning, allocated ≥ oracle in
         // every window, so regret ≥ 0.
         let r = backtest(0.95);
-        // rpas-lint: allow(F1, reason = "under_rate is a ratio of integer counts; it is exactly zero iff no step under-provisioned")
+        // under_rate is a ratio of integer counts; it is exactly zero iff no step under-provisioned
         if r.overall.under_rate == 0.0 {
             assert!(r.cost_regret_node_steps >= 0);
             for w in &r.windows {

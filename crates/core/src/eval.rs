@@ -49,6 +49,7 @@ pub fn evaluate_plans_precomputed(
 /// Evaluate a point forecaster (Def. 3 planning) over the same protocol,
 /// feeding realised errors back after every window so padding-enhanced
 /// models update their pads.
+#[expect(clippy::expect_used, reason = "# Panics contract: a failed forecast here is a setup bug")]
 pub fn evaluate_plans_point<P: PointForecaster + ?Sized>(
     forecaster: &mut P,
     test_series: &[f64],

@@ -254,7 +254,6 @@ impl FleetConfig {
                 resilience: self.resilience,
                 faults: self
                     .faults
-                    .clone()
                     .map(|fc| (fc, child_seed(self.seed, 2 * i as u64 + 1))),
             })
             .collect()
@@ -359,7 +358,7 @@ impl TenantRun {
             SimSession::new(&trace, cfg).with_obs(obs).with_telemetry(tel, &labels);
         if let Some((fc, fault_seed)) = &spec.faults {
             session =
-                session.with_faults(FaultPlan::build(fc.clone(), *fault_seed, trace.len()));
+                session.with_faults(FaultPlan::build(*fc, *fault_seed, trace.len()));
         }
         Self { spec: spec.clone(), policy, session, capture }
     }

@@ -107,7 +107,7 @@ impl RobustAutoScalingManager {
             ScalingStrategy::Adaptive(_) => {}
             ScalingStrategy::Staircase(levels) => {
                 assert!(!levels.is_empty(), "staircase needs at least one rung");
-                // rpas-lint: allow(F1, reason = "config contract: the first rung must be written as literal 0.0 so every uncertainty maps to a rung")
+                // config contract: the first rung must be written as literal 0.0 so every uncertainty maps to a rung
                 assert!(levels[0].min_uncertainty == 0.0, "first rung must start at uncertainty 0");
                 assert!(
                     levels.windows(2).all(|w| w[0].min_uncertainty < w[1].min_uncertainty
@@ -155,6 +155,7 @@ impl RobustAutoScalingManager {
     }
 
     /// The strategy's choice at one horizon step.
+    #[expect(clippy::expect_used, reason = "new() asserts the staircase has a rung")]
     fn choose(&self, forecast: &QuantileForecast, i: usize) -> StepChoice {
         match &self.strategy {
             ScalingStrategy::Fixed { tau } => {
@@ -329,7 +330,7 @@ mod tests {
         assert_eq!(decisions[1].fields["tau"], rpas_obs::Value::F64(0.95));
 
         let summary = events.iter().find(|e| e.is(catalog::PLAN_SUMMARY)).expect("plan summary");
-        assert_eq!(summary.fields["objective_node_steps"], rpas_obs::Value::U64(u64::from(plan.total_nodes())));
+        assert_eq!(summary.fields["objective_node_steps"], rpas_obs::Value::U64(plan.total_nodes()));
         assert_eq!(summary.fields["conservative_steps"], rpas_obs::Value::U64(1));
         assert_eq!(summary.fields["regime_switches"], rpas_obs::Value::U64(1));
     }

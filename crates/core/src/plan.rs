@@ -83,6 +83,7 @@ pub fn plan_point(workload: &[f64], theta: f64, min_nodes: u32) -> CapacityPlan 
 /// # Panics
 /// Panics if the LP solver fails (cannot happen for valid inputs: the
 /// covering problem is always feasible and bounded).
+#[expect(clippy::expect_used, reason = "the covering LP is feasible and bounded for every input")]
 pub(crate) fn plan_point_lp(workload: &[f64], theta: f64, min_nodes: u32) -> CapacityPlan {
     assert!(theta > 0.0, "theta must be positive");
     if workload.is_empty() {

@@ -507,6 +507,7 @@ impl<P: ScalingPolicy> ResilientManager<P> {
     /// Run the fallback chain for this step: the active tier decides; a
     /// degraded tier demotes (with an audit event) and the next tier
     /// decides in the same step, terminating at Reactive-Max.
+    #[expect(clippy::expect_used, reason = "built on the lines above whenever absent")]
     fn tier_decide(&mut self, obs: &Observation<'_>) -> u32 {
         loop {
             match self.tier {

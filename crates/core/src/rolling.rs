@@ -36,8 +36,6 @@ use crate::plan::CapacityPlan;
 use rpas_forecast::{Forecaster, QuantileForecast};
 use rpas_obs::{catalog, Obs};
 use rpas_traces::RollingWindows;
-// rpas-lint: allow-file(D2, reason = "Instant feeds only the wall_us timing fields of obs events; no result depends on it (determinism.rs pins this)")
-use std::time::Instant;
 
 /// Parameters of the rolling-origin protocol: forecast `horizon` steps
 /// from the `context` samples before them, advancing by `horizon` so the
@@ -104,6 +102,8 @@ pub struct PlannedWindow {
 /// Panics if the series cannot fit one window, or a forecast fails (the
 /// caller controls context and horizon, so a failure is a setup bug, not
 /// a data condition).
+#[expect(clippy::disallowed_types, reason = "Instant feeds only obs wall_us fields; no result depends on it")]
+#[expect(clippy::expect_used, reason = "# Panics contract: a failed forecast here is a setup bug")]
 pub fn quantile_windows<F: Forecaster + ?Sized>(
     forecaster: &F,
     series: &[f64],
@@ -113,12 +113,12 @@ pub fn quantile_windows<F: Forecaster + ?Sized>(
 ) -> Vec<(QuantileForecast, Vec<f64>)> {
     let rw = spec.windows(series);
     assert!(!rw.is_empty(), "test series too short for one decision window");
-    let pass = Instant::now();
+    let pass = std::time::Instant::now();
     let out: Vec<_> = rw
         .iter()
         .enumerate()
         .map(|(k, (ctx, actual))| {
-            let t0 = Instant::now();
+            let t0 = std::time::Instant::now();
             let qf = forecaster
                 .forecast_quantiles(ctx, spec.horizon, levels)
                 .expect("forecast failed during rolling evaluation");

@@ -81,6 +81,7 @@ impl<P: ScalingPolicy> ScalingPolicy for ThrashLimited<P> {
         "thrash-limited"
     }
 
+    #[expect(clippy::expect_used, reason = "assigned on the line above")]
     fn decide(&mut self, obs: &Observation<'_>) -> u32 {
         let want = self.inner.decide(obs);
         let prev = self.last_target.unwrap_or(obs.current_nodes);

@@ -91,7 +91,7 @@ impl Arima {
             }
             x[0] = y0;
             let norm = x.iter().map(|v| v * v).sum::<f64>().sqrt();
-            // rpas-lint: allow(F1, reason = "division guard: only an exactly-zero norm divides by zero below; tiny norms are valid")
+            // division guard: only an exactly-zero norm divides by zero below; tiny norms are valid
             if norm == 0.0 {
                 return 0.0;
             }
@@ -248,6 +248,7 @@ impl Forecaster for Arima {
         Ok(())
     }
 
+    #[expect(clippy::expect_used, reason = "require_len above keeps every differenced context non-empty")]
     fn forecast_quantiles(
         &self,
         context: &[f64],

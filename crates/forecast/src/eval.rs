@@ -44,6 +44,7 @@ impl QuantileEvalReport {
 /// # Panics
 /// Panics if any window's forecast fails (the caller controls context and
 /// horizon, so a failure is a setup bug, not a data condition).
+#[expect(clippy::expect_used, reason = "# Panics contract: a failed forecast here is a setup bug")]
 pub fn evaluate_quantile<F: Forecaster + ?Sized>(
     model: &F,
     test_series: &[f64],

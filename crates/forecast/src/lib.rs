@@ -49,6 +49,9 @@
 //!   Error feedback for padding is a defaulted method of the same trait.
 
 #![warn(missing_docs)]
+// Library-code rules P1 / O1 (DESIGN.md §9); an exemption is a per-site `#[expect]`.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::print_stdout)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))] // F1
 
 mod arima;
 mod deepar;

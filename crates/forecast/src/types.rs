@@ -164,6 +164,7 @@ impl QuantileForecast {
     ///
     /// # Panics
     /// Panics if `step` is out of range or `level` outside `(0, 1)`.
+    #[expect(clippy::expect_used, reason = "every forecaster runs validate_levels, which rejects an empty grid")]
     pub fn at(&self, step: usize, level: f64) -> f64 {
         assert!(step < self.horizon(), "forecast step out of range");
         assert!(level > 0.0 && level < 1.0, "quantile level out of range");

@@ -267,7 +267,7 @@ pub fn solve(p: &LpProblem) -> Result<LpSolution, LpError> {
                 continue;
             }
             let cb = if b < n { p.objective()[b] } else { 0.0 };
-            // rpas-lint: allow(F1, reason = "exact-zero cost skip: adding a zero objective coefficient is a no-op, an epsilon would change reduced costs")
+            // exact-zero cost skip: adding a zero objective coefficient is a no-op, an epsilon would change reduced costs
             if cb != 0.0 {
                 for c in 0..cols {
                     let v = t.at(r, c);

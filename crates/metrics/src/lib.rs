@@ -8,6 +8,9 @@
 //!   (Figs. 9–12).
 
 #![warn(missing_docs)]
+// Library-code rules P1 / O1 (DESIGN.md §9); an exemption is a per-site `#[expect]`.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::print_stdout)]
+#![deny(clippy::indexing_slicing)] // P1: zero index sites stay zero
 
 mod point;
 pub mod provisioning;

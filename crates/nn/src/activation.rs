@@ -112,6 +112,7 @@ impl ActLayer {
     ///
     /// # Panics
     /// Panics if called more times than `forward`.
+    #[expect(clippy::expect_used, reason = "# Panics contract: backward without forward is a training-loop bug")]
     pub(crate) fn backward(&mut self, dy: &[f64]) -> Vec<f64> {
         let x = self.cache.pop().expect("ActLayer::backward without forward");
         assert_eq!(x.len(), dy.len(), "ActLayer::backward shape mismatch");

@@ -79,7 +79,7 @@ fn project_back(x: &Matrix, w: &[f64], dw: &mut [f64], dy: &Matrix, d: usize) ->
         let dyr = dy.row(r);
         for o in 0..d {
             let g = dyr[o];
-            // rpas-lint: allow(F1, reason = "exact-zero gradient skip: the axpy below is a no-op for g == ±0, an epsilon would alter training numerics")
+            // exact-zero gradient skip: the axpy below is a no-op for g == ±0, an epsilon would alter training numerics
             if g == 0.0 {
                 continue;
             }
@@ -144,7 +144,7 @@ impl MultiHeadAttention {
             for i in 0..t {
                 for j in 0..t {
                     let a = scores[(i, j)];
-                    // rpas-lint: allow(F1, reason = "exact-zero attention-weight skip: a zero weight contributes nothing, an epsilon would alter training numerics")
+                    // exact-zero attention-weight skip: a zero weight contributes nothing, an epsilon would alter training numerics
                     if a == 0.0 {
                         continue;
                     }
@@ -207,7 +207,7 @@ impl MultiHeadAttention {
             project_row(&self.wv.data, x.row(j), &mut row);
             for (h, (oh, vh)) in o.chunks_exact_mut(dk).zip(row.chunks_exact(dk)).enumerate() {
                 let a = scores[(h, j)];
-                // rpas-lint: allow(F1, reason = "exact-zero attention-weight skip, as in forward: attend_last is pinned to it bit for bit")
+                // exact-zero attention-weight skip, as in forward: attend_last is pinned to it bit for bit
                 if a == 0.0 {
                     continue;
                 }
@@ -222,6 +222,7 @@ impl MultiHeadAttention {
     }
 
     /// Backward pass; returns `dX`.
+    #[expect(clippy::expect_used, reason = "backward without forward is a training-loop bug")]
     pub fn backward(&mut self, dy: &Matrix) -> Matrix {
         let s = self.cache.pop().expect("MultiHeadAttention::backward without forward");
         let d = self.d_model;
@@ -260,7 +261,7 @@ impl MultiHeadAttention {
                 }
                 for j in 0..t {
                     let ds = a[(i, j)] * (da[(i, j)] - inner) * scale;
-                    // rpas-lint: allow(F1, reason = "exact-zero score-gradient skip: the axpy below is a no-op for ds == ±0, an epsilon would alter training numerics")
+                    // exact-zero score-gradient skip: the axpy below is a no-op for ds == ±0, an epsilon would alter training numerics
                     if ds == 0.0 {
                         continue;
                     }

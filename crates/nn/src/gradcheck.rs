@@ -32,7 +32,7 @@ fn perturb<L: Layer + ?Sized>(layer: &mut L, param_idx: usize, elem: usize, delt
 ///
 /// Checks every parameter element *and* the input gradient against central
 /// finite differences, returning the maximum relative error observed.
-#[allow(clippy::needless_range_loop)]
+#[expect(clippy::needless_range_loop, reason = "the index perturbs one element and reads its gradient twin")]
 pub(crate) fn check_layer<L, F>(layer: &mut L, input: &[f64], run: F) -> f64
 where
     L: Layer + ?Sized,

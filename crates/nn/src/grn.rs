@@ -56,6 +56,7 @@ impl LayerNorm {
     }
 
     /// Backward pass; returns `dx`.
+    #[expect(clippy::expect_used, reason = "backward without forward is a training-loop bug")]
     pub(crate) fn backward(&mut self, dy: &[f64]) -> Vec<f64> {
         let (xhat, inv_std) = self.cache.pop().expect("LayerNorm::backward without forward");
         let n = xhat.len() as f64;
@@ -181,6 +182,7 @@ impl GatedResidualNetwork {
     }
 
     /// Backward pass; returns `dx`.
+    #[expect(clippy::expect_used, reason = "backward without forward is a training-loop bug")]
     pub fn backward(&mut self, dy: &[f64]) -> Vec<f64> {
         let (gate_pre, sg, lv) = self.glu_cache.pop().expect("GRN::backward without forward");
         let dsum = self.norm.backward(dy);

@@ -61,6 +61,7 @@ impl Dense {
     ///
     /// # Panics
     /// Panics if called without a matching `forward`.
+    #[expect(clippy::expect_used, reason = "backward without forward is a training-loop bug")]
     pub fn backward(&mut self, dy: &[f64]) -> Vec<f64> {
         assert_eq!(dy.len(), self.out_dim, "Dense::backward: grad dim mismatch");
         let x = self.cache.pop().expect("Dense::backward without forward");

@@ -81,7 +81,7 @@ fn mat_acc(m: &[f64], x: &[f64], y: &mut [f64]) {
 fn mat_back(m: &[f64], dm: &mut [f64], x: &[f64], dy: &[f64], dx: &mut [f64]) {
     let cols = x.len();
     for (r, &d) in dy.iter().enumerate() {
-        // rpas-lint: allow(F1, reason = "exact-zero gradient skip: the axpy below is a no-op for d == ±0, an epsilon would alter training numerics")
+        // exact-zero gradient skip: the axpy below is a no-op for d == ±0, an epsilon would alter training numerics
         if d == 0.0 {
             continue;
         }
@@ -197,6 +197,7 @@ impl LstmCell {
 
     /// One BPTT step in reverse order. `dh`/`dc` are gradients into the
     /// output hidden and cell state. Returns `(dx, d_state_prev)`.
+    #[expect(clippy::expect_used, reason = "backward without forward is a training-loop bug")]
     pub fn backward(&mut self, dh: &[f64], dc_in: &[f64]) -> (Vec<f64>, LstmState) {
         let s = self.cache.pop().expect("LstmCell::backward without forward");
         let n = self.hidden_dim;

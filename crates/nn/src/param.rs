@@ -51,7 +51,7 @@ mod tests {
     fn zeros_shape() {
         let p = Param::zeros(4);
         assert_eq!(p.data.len(), 4);
-        // rpas-lint: allow(F1, reason = "zeros() promises bitwise +0.0 initialisation; an epsilon would weaken the contract under test")
+        // zeros() promises bitwise +0.0 initialisation; an epsilon would weaken the contract under test
         assert!(p.data.iter().all(|&x| x == 0.0));
     }
 

@@ -54,6 +54,7 @@ impl<'a> Cursor<'a> {
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
+    #[expect(clippy::expect_used, reason = "take(8) returned eight bytes or Err")]
     fn get_f64_le(&mut self) -> Result<f64, SerializeError> {
         let b = self.take(8)?;
         Ok(f64::from_le_bytes(b.try_into().expect("take(8) returns 8 bytes")))

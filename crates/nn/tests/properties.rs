@@ -214,7 +214,7 @@ fn pinball_loss_nonnegative() {
         prop_assert!(l >= 0.0);
         // Zero exactly when pred == target.
         let (l0, _) = loss::pinball(target, target, tau);
-        // rpas-lint: allow(F1, reason = "pinball(y, y, tau) is exactly zero by construction (tau * (y - y)); the test pins that identity")
+        // pinball(y, y, tau) is exactly zero by construction (tau * (y - y)); the test pins that identity
         prop_assert!(l0 == 0.0);
         Ok(())
     });

@@ -225,6 +225,7 @@ impl Fields {
 impl std::ops::Index<&str> for Fields {
     type Output = Value;
 
+    #[expect(clippy::expect_used, reason = "Index panics on a missing key, as a map's does; get() is the fallible form")]
     fn index(&self, key: &str) -> &Value {
         self.get(key).expect("no such field")
     }
@@ -270,7 +271,7 @@ impl Event {
     /// New event shell named by strings — with [`crate::Obs::info`], the
     /// escape hatch from [`crate::catalog`] that the frozen `ledger/`
     /// benchmark still uses. Workspace code builds events with
-    /// [`Event::of`] (lint rule E1).
+    /// [`Event::of`] (rule E1, `clippy.toml`).
     pub fn new(level: Level, span: &'static str, name: &'static str) -> Self {
         Self {
             seq: 0,

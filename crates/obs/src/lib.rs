@@ -42,6 +42,9 @@
 //! ```
 
 #![warn(missing_docs)]
+// Library-code rules P1 / O1 (DESIGN.md §9); an exemption is a per-site `#[expect]`.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::print_stdout)]
+#![expect(clippy::disallowed_methods, reason = "E1: this crate defines and tests the string-taking Obs::info / Event::new")]
 
 pub mod catalog;
 mod event;

@@ -8,6 +8,8 @@
 //! `Arc`, making `Obs` `Clone + Send + Sync` and trivially shareable with
 //! worker threads and policy objects.
 
+#![expect(clippy::disallowed_types, reason = "the workspace's clock: read here, only into ts_us / wall_us")]
+
 use crate::catalog::{self, EventName};
 use crate::event::{Event, Level};
 use std::io::Write;
@@ -50,6 +52,7 @@ impl StderrSink {
     }
 }
 
+#[expect(clippy::print_stderr, reason = "the stderr sink is where an event becomes a stderr line")]
 impl Sink for StderrSink {
     fn max_level(&self) -> Level {
         self.max_level
@@ -96,6 +99,7 @@ impl JsonlSink {
     }
 }
 
+#[expect(clippy::expect_used, reason = "poisoned: an emitter panicked mid-line, the trace is already lost")]
 impl Sink for JsonlSink {
     fn max_level(&self) -> Level {
         Level::Debug
@@ -140,6 +144,7 @@ impl MemorySink {
     /// Run `f` on the capture buffer under the sink's lock: read it in
     /// place (a checkpoint encodes it without a copy) or replace it whole
     /// (a restore hands back the buffer it decoded).
+    #[expect(clippy::expect_used, reason = "poisoned: a caller's closure panicked while holding the buffer")]
     pub fn with_events<R>(&self, f: impl FnOnce(&mut Vec<Event>) -> R) -> R {
         f(&mut self.events.lock().expect("memory sink poisoned"))
     }
@@ -243,6 +248,7 @@ impl Obs {
 
     /// As [`Obs::from_env`], but with the trace path supplied explicitly
     /// (CLI `--trace-out` overrides `RPAS_TRACE_OUT`).
+    #[expect(clippy::print_stderr, reason = "bootstrap: no sink exists yet to carry this warning")]
     pub fn from_env_with_trace(trace_out: Option<&str>) -> Self {
         let mut sinks: Vec<Box<dyn Sink>> = Vec::new();
         let level = match std::env::var("RPAS_LOG").ok().as_deref() {
@@ -295,7 +301,7 @@ impl Obs {
     /// Emit an info-level event named by strings. The escape hatch from
     /// [`catalog`]: it exists, with [`Event::new`], because the frozen
     /// benchmark under `ledger/` calls exactly these two signatures;
-    /// workspace code uses [`Obs::emit`] (lint rule E1), and the next
+    /// workspace code uses [`Obs::emit`] (rule E1, `clippy.toml`), and the next
     /// `benchmark` PR can move the ledger over and make both private.
     pub fn info(&self, span: &'static str, name: &'static str, build: impl FnOnce(&mut Event)) {
         self.emit_raw(Level::Info, span, name, build);

@@ -27,6 +27,9 @@
 //! reported once per process as a `warn` obs event so misconfigured runs
 //! are visible (see `thread_override` for the inspectable form).
 #![warn(missing_docs)]
+// Library-code rules P1 / O1 (DESIGN.md §9); an exemption is a per-site `#[expect]`.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::print_stdout)]
+#![deny(clippy::indexing_slicing)] // P1: zero index sites stay zero
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -162,6 +165,7 @@ impl<T> SendPtr<T> {
     }
 }
 
+#[expect(clippy::expect_used, reason = "pool invariants; a breach is a bug here, reported on the submitter")]
 impl WorkerPool {
     /// A pool with `workers` total workers (the submitting thread counts
     /// as one, so `workers − 1` threads are spawned). `workers <= 1`
@@ -404,6 +408,7 @@ impl WorkerPool {
     }
 }
 
+#[expect(clippy::expect_used, reason = "poisoned at drop: a worker died outside catch_unwind")]
 impl Drop for WorkerPool {
     fn drop(&mut self) {
         if let Some(shared) = &self.shared {

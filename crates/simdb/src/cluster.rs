@@ -112,6 +112,7 @@ impl Cluster {
     /// `extra_warmup_secs` of provisioning delay is added to every node
     /// launched by this call — the mechanism behind the fault injector's
     /// delayed-provisioning class. Scale-in and no-op paths ignore it.
+    #[expect(clippy::expect_used, reason = "to_remove <= node count, so a victim exists")]
     pub(crate) fn scale_to_delayed(&mut self, target: u32, step: usize, extra_warmup_secs: f64) {
         let current = self.size();
         if target > current {
@@ -157,6 +158,7 @@ impl Cluster {
     /// outage, outside this simulator's scope. Returns how many nodes
     /// actually crashed. Crashes are not scale-in events: they read no
     /// checkpoints and count separately.
+    #[expect(clippy::expect_used, reason = "the loop keeps at least two nodes, so a victim exists")]
     pub(crate) fn crash(&mut self, want: u32, _step: usize) -> u32 {
         let mut crashed = 0;
         while crashed < want && self.nodes.len() > 1 {

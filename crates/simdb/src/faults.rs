@@ -154,7 +154,7 @@ impl FaultConfig {
             if self.anomaly_max_steps == 0 {
                 return Err("anomaly probability set but anomaly_max is 0".into());
             }
-            if !(self.anomaly_max_mult > 1.0) || !self.anomaly_max_mult.is_finite() {
+            if self.anomaly_max_mult <= 1.0 || !self.anomaly_max_mult.is_finite() {
                 return Err(format!(
                     "anomaly_mult must be a finite value > 1, got {}",
                     self.anomaly_max_mult
@@ -262,6 +262,7 @@ impl FaultPlan {
     ///
     /// # Panics
     /// Panics if `cfg` fails [`FaultConfig::validate`].
+    #[expect(clippy::expect_used, reason = "# Panics contract: outside configs go through validate() first")]
     pub fn build(cfg: FaultConfig, seed: u64, steps: usize) -> Self {
         cfg.validate().expect("invalid fault config");
         let draw = |stream: u64, prob: f64| -> Vec<bool> {

@@ -71,6 +71,7 @@ pub struct FleetQos {
 ///
 /// # Panics
 /// Panics on an empty tenant list (a fleet has at least one tenant).
+#[expect(clippy::expect_used, reason = "the assert above rejects an empty tenant list")]
 pub fn fleet_qos(tenants: &[TenantQos]) -> FleetQos {
     assert!(!tenants.is_empty(), "fleet QoS needs at least one tenant");
     let total_steps: u64 = tenants.iter().map(|t| t.steps as u64).sum();

@@ -19,6 +19,8 @@
 //!   workload anomaly bursts (DESIGN.md §8).
 
 #![warn(missing_docs)]
+// Library-code rules P1 / O1 (DESIGN.md §9); an exemption is a per-site `#[expect]`.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::print_stdout)]
 
 mod cluster;
 mod faults;

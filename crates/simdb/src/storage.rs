@@ -24,6 +24,7 @@ pub(crate) struct SharedStorage {
     stats: Mutex<StorageStats>,
 }
 
+#[expect(clippy::expect_used, reason = "poisoned: a simulator thread panicked mid-step")]
 impl SharedStorage {
     /// New storage with the given checkpoint (in-memory state) size.
     ///

@@ -21,6 +21,9 @@
 //! a pure function of what was recorded, so it is byte-identical across
 //! reruns and `RPAS_THREADS` settings (counters and per-key histograms
 //! are order-independent sums — see DESIGN.md §11).
+// Library-code rules P1 / O1 (DESIGN.md §9); an exemption is a per-site `#[expect]`.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::print_stdout)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))] // F1
 
 mod diff;
 mod query;

@@ -133,6 +133,7 @@ impl HistogramHandle {
 
     /// Record one observation. Single branch when dark.
     #[inline]
+    #[expect(clippy::expect_used, reason = "poisoned: a recording thread panicked, the stream is already corrupt")]
     pub fn record(&self, v: f64) {
         if let Some(h) = &self.0 {
             h.lock().expect("histogram mutex poisoned").record(v);
@@ -151,6 +152,8 @@ impl Default for MetricRegistry {
     }
 }
 
+#[expect(clippy::panic, reason = "# Panics contract: a kind mismatch is a static wiring bug")]
+#[expect(clippy::expect_used, reason = "poisoned: a recording thread panicked, the stream is already corrupt")]
 impl MetricRegistry {
     /// Empty registry with a fixed shard count.
     pub(crate) fn new() -> MetricRegistry {
@@ -173,7 +176,6 @@ impl MetricRegistry {
         let key = Key::new(name, labels);
         match self.cell(key, || Cell::Counter(Arc::new(AtomicU64::new(0)))) {
             Cell::Counter(c) => Counter(Some(c)),
-            // rpas-lint: allow(P1, reason = "documented # Panics contract: a kind mismatch is a static wiring bug, and silently handing out a mismatched handle would corrupt the metric stream")
             other => panic!("metric {name:?} already registered as {}", other.kind()),
         }
     }
@@ -204,7 +206,6 @@ impl MetricRegistry {
                 }
                 HistogramHandle(Some(h))
             }
-            // rpas-lint: allow(P1, reason = "documented # Panics contract: a kind mismatch is a static wiring bug, and silently handing out a mismatched handle would corrupt the metric stream")
             other => panic!("metric {name:?} already registered as {}", other.kind()),
         }
     }

@@ -49,7 +49,8 @@ pub fn write_trace(path: impl AsRef<Path>, trace: &Trace) -> io::Result<()> {
 
 /// Read a single numeric column by name from CSV text.
 ///
-/// Returns `None` if the column is missing; parse failures become `Err`.
+/// Returns `None` if the column is missing; a cell that is not a finite
+/// number (unparsable, `NaN`, `±inf`) becomes `Err(InvalidData)` naming it.
 pub fn read_column<R: BufRead>(r: R, name: &str) -> io::Result<Option<Vec<f64>>> {
     let mut lines = r.lines();
     let header = match lines.next() {
@@ -70,9 +71,9 @@ pub fn read_column<R: BufRead>(r: R, name: &str) -> io::Result<Option<Vec<f64>>>
         if cell.is_empty() {
             continue;
         }
-        let v: f64 = cell
-            .parse()
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad cell {cell:?}: {e}")))?;
+        let v = cell.parse::<f64>().ok().filter(|v| v.is_finite()).ok_or_else(|| {
+            io::Error::new(io::ErrorKind::InvalidData, format!("bad cell {cell:?}: not a finite number"))
+        })?;
         out.push(v);
     }
     Ok(Some(out))
@@ -103,8 +104,12 @@ mod tests {
 
     #[test]
     fn bad_cell_is_error() {
-        let text = "x\nnot-a-number\n";
-        assert!(read_column(Cursor::new(text), "x").is_err());
+        for cell in ["not-a-number", "NaN", "inf", "-inf"] {
+            let text = format!("x\n1\n{cell}\n");
+            let err = read_column(Cursor::new(text), "x").unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{cell}");
+            assert!(err.to_string().contains(cell), "{cell}: {err}");
+        }
     }
 
     #[test]

@@ -12,6 +12,8 @@
 //! noise, heavy-tailed spikes, and 10-minute aggregation.
 
 #![warn(missing_docs)]
+// Library-code rules P1 / O1 (DESIGN.md §9); an exemption is a per-site `#[expect]`.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::print_stdout)]
 
 mod components;
 pub mod csv;

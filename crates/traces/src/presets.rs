@@ -38,6 +38,7 @@ impl ClusterTrace {
     ///
     /// # Panics
     /// Panics if the preset lacks a CPU channel (never for built-ins).
+    #[expect(clippy::expect_used, reason = "# Panics contract: every built-in preset has a CPU channel")]
     pub fn cpu(&self) -> &Trace {
         self.get(ResourceKind::Cpu).expect("preset without CPU channel")
     }

@@ -12,6 +12,9 @@
 //! learned `(μ, σ, ν)` parameters into quantile forecasts.
 
 #![warn(missing_docs)]
+// Library-code rules P1 / O1 (DESIGN.md §9); an exemption is a per-site `#[expect]`.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::print_stdout)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))] // F1
 
 mod matrix;
 mod normal;

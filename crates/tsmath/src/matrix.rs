@@ -93,7 +93,7 @@ impl Matrix {
         for i in 0..self.rows {
             for k in 0..self.cols {
                 let a = self[(i, k)];
-                // rpas-lint: allow(F1, reason = "exact-zero sparsity skip: axpy with a == ±0 is a no-op, an epsilon would change results")
+                // exact-zero sparsity skip: axpy with a == ±0 is a no-op, an epsilon would change results
                 if a == 0.0 {
                     continue;
                 }
@@ -146,7 +146,7 @@ impl Matrix {
             let pivot = a[(col, col)];
             for r in col + 1..n {
                 let factor = a[(r, col)] / pivot;
-                // rpas-lint: allow(F1, reason = "exact-zero elimination skip: a zero factor row-op is a no-op, an epsilon would change results")
+                // exact-zero elimination skip: a zero factor row-op is a no-op, an epsilon would change results
                 if factor == 0.0 {
                     continue;
                 }

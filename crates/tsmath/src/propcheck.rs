@@ -97,6 +97,7 @@ impl Gen {
 /// [`prop_assert!`](crate::prop_assert) / [`prop_assert_eq!`](crate::prop_assert_eq)
 /// macros build that message. Returning `Err` with the sentinel produced
 /// by [`prop_discard`] skips a case instead (the old `prop_assume!`).
+#[expect(clippy::panic, reason = "a failed property panics in the calling test, like an assert")]
 pub fn forall<F>(name: &str, cases: u32, mut prop: F)
 where
     F: FnMut(&mut Gen) -> Result<(), String>,

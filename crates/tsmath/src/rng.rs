@@ -174,7 +174,7 @@ pub fn pareto(rng: &mut dyn RngCore, x_m: f64, alpha: f64) -> f64 {
 /// normal approximation (rounded, clamped at 0) for large λ.
 pub fn poisson(rng: &mut dyn RngCore, lambda: f64) -> u64 {
     assert!(lambda >= 0.0, "poisson requires lambda >= 0");
-    // rpas-lint: allow(F1, reason = "exact degenerate-rate short-circuit; the Knuth loop below is correct for any lambda > 0")
+    // exact degenerate-rate short-circuit; the Knuth loop below is correct for any lambda > 0
     if lambda == 0.0 {
         return 0;
     }

@@ -157,14 +157,14 @@ pub fn norm_quantile(p: f64) -> f64 {
 ///
 /// # Panics
 /// Panics if `x` is outside `[0, 1]` or `a, b ≤ 0`.
+#[expect(clippy::float_cmp, reason = "exact domain boundary: (1 - x).ln() diverges only at exactly 1")]
 pub fn beta_inc(a: f64, b: f64, x: f64) -> f64 {
     assert!((0.0..=1.0).contains(&x), "beta_inc requires x in [0,1], got {x}");
     assert!(a > 0.0 && b > 0.0, "beta_inc requires a,b > 0");
-    // rpas-lint: allow(F1, reason = "exact domain boundaries: x.ln()/(1-x).ln() below diverge only at exactly 0 and 1")
+    // exact domain boundaries: x.ln()/(1-x).ln() below diverge only at exactly 0 and 1
     if x == 0.0 {
         return 0.0;
     }
-    // rpas-lint: allow(F1, reason = "exact domain boundaries: x.ln()/(1-x).ln() below diverge only at exactly 0 and 1")
     if x == 1.0 {
         return 1.0;
     }

@@ -50,6 +50,7 @@ pub fn max(xs: &[f64]) -> Option<f64> {
 ///
 /// # Panics
 /// Panics on an empty slice or `p` outside `[0, 1]`.
+#[expect(clippy::expect_used, reason = "# Panics contract: a NaN has no rank")]
 pub fn quantile(xs: &[f64], p: f64) -> f64 {
     let mut v: Vec<f64> = xs.to_vec();
     v.sort_by(|a, b| a.partial_cmp(b).expect("quantile: NaN in data"));

@@ -39,7 +39,7 @@ impl StudentT {
 
     /// CDF of the *standard* t distribution (μ=0, σ=1) with `nu` dof.
     fn std_cdf(nu: f64, t: f64) -> f64 {
-        // rpas-lint: allow(F1, reason = "exact symmetry-point shortcut; the CDF is continuous here so nearby t takes the general path correctly")
+        // exact symmetry-point shortcut; the CDF is continuous here so nearby t takes the general path correctly
         if t == 0.0 {
             return 0.5;
         }

@@ -56,7 +56,7 @@ fn main() {
 
     println!("step  median   q0.9   q0.99      U   | fixed.8 fixed.95 adaptive staircase");
     let plans: Vec<_> = strategies.iter().map(|(_, m)| m.plan(&qf)).collect();
-    #[allow(clippy::needless_range_loop)]
+    #[expect(clippy::needless_range_loop, reason = "h indexes the forecast and four plans alike")]
     for h in 0..horizon {
         println!(
             "{:>4} {:>8.1} {:>7.1} {:>7.1} {:>7.2} | {:>7} {:>8} {:>8} {:>9}",

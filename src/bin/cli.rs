@@ -122,7 +122,7 @@ fn normalize(mut args: Vec<String>) -> Vec<String> {
     for i in 0..args.len() {
         out.push(args[i].clone());
         if BOOL_FLAGS.contains(&args[i].as_str())
-            && !args.get(i + 1).is_some_and(|n| !n.starts_with("--"))
+            && args.get(i + 1).is_none_or(|n| n.starts_with("--"))
         {
             out.push("on".to_string());
         }
@@ -139,8 +139,8 @@ fn main() {
     match run(normalize(args)) {
         Ok(()) => {}
         Err(e) => {
-            // Through the obs stderr sink, never a raw stderr write (lint
-            // rule O1) — but not through RPAS_LOG: the reason for exit 1
+            // Through the obs stderr sink, never a raw stderr write (rule
+            // O1) — but not through RPAS_LOG: the reason for exit 1
             // is the one diagnostic `off` must not swallow.
             let obs = Obs::with_sink(Box::new(StderrSink::new(Level::Error)));
             obs.emit(catalog::CLI_FATAL, |ev| {
@@ -188,6 +188,9 @@ fn load_trace(a: &ParsedArgs) -> Result<(Trace, String), Box<dyn std::error::Err
     let f = std::fs::File::open(path)?;
     let values = read_column(std::io::BufReader::new(f), &column)?
         .ok_or_else(|| format!("column {column:?} not found in {path}"))?;
+    if values.is_empty() {
+        return Err(format!("column {column:?} of {path} has no rows").into());
+    }
     Ok((Trace::new(column.clone(), 600, values), column))
 }
 

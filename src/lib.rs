@@ -29,12 +29,14 @@
 //! # Ok::<(), rpas::forecast::ForecastError>(())
 //! ```
 #![warn(missing_docs)]
+// Library-code rules P1 / O1 (DESIGN.md §9); an exemption is a per-site `#[expect]`.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::print_stdout)]
+#![deny(clippy::indexing_slicing)] // P1: zero index sites stay zero
 
 pub mod cli;
 
 pub use rpas_core as core;
 pub use rpas_forecast as forecast;
-pub use rpas_lint as lint;
 pub use rpas_obs as obs;
 pub use rpas_par as par;
 pub use rpas_lp as lp;

@@ -86,6 +86,15 @@ fn bad_inputs_exit_nonzero_with_clean_errors() {
         .output()
         .expect("generate");
     assert!(ok.status.success());
+    // Trace files that used to reach an assert inside the library.
+    let hostile = |name: &str, body: &str| {
+        let path = dir.join(name);
+        std::fs::write(&path, body).expect("write hostile trace");
+        path
+    };
+    let nan = hostile("nan.csv", "step,x\n0,1\n1,NaN\n2,3\n");
+    let inf = hostile("inf.csv", "step,x\n0,1\n1,inf\n");
+    let header_only = hostile("header_only.csv", "step,x\n");
 
     let cases: Vec<(Vec<&str>, &str)> = vec![
         (vec!["unknown-command"], "unknown command"),
@@ -117,10 +126,32 @@ fn bad_inputs_exit_nonzero_with_clean_errors() {
             "must be in (0,1)",
         ),
         (vec!["plan", "--forecast"], "needs a value"),
+        (
+            vec!["simulate", "--trace", nan.to_str().expect("utf8"), "--column", "x"],
+            "bad cell \"NaN\"",
+        ),
+        (
+            vec![
+                "forecast",
+                "--trace",
+                inf.to_str().expect("utf8"),
+                "--column",
+                "x",
+                "--model",
+                "seasonal-naive",
+                "--out",
+                "x.csv",
+            ],
+            "bad cell \"inf\"",
+        ),
+        (
+            vec!["backtest", "--trace", header_only.to_str().expect("utf8"), "--column", "x"],
+            "has no rows",
+        ),
     ];
     for (args, expect) in cases {
         let out = cli().args(&args).output().expect("run");
-        assert!(!out.status.success(), "args {args:?} unexpectedly succeeded");
+        assert_eq!(out.status.code(), Some(1), "args {args:?} did not exit 1");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains(expect), "args {args:?}: stderr {err:?} missing {expect:?}");
         // A clean error, never a panic backtrace.
@@ -268,6 +299,12 @@ fn fleet_killed_and_resumed_through_the_binary_is_byte_identical() {
     let whole = fleet_stdout(&whole, "wrote ");
     assert_eq!(whole, fleet_stdout(&resumed, "wrote "), "stdout differs across the crash");
     assert!(whole.contains("\navailability      : "), "no availability SLO in {whole}");
+    assert!(whole.contains("\nSLO violation_rate"), "no SLO report in {whole}");
+    let exposition = std::fs::read_to_string(&a_metrics).expect("metrics");
+    assert!(
+        exposition.lines().any(|l| l.starts_with("sim.steps{tenant=\"t0000\"} counter")),
+        "no per-tenant counters in {exposition}"
+    );
     for (a, b) in [(&a_trace, &b_trace), (&a_metrics, &b_metrics)] {
         assert!(std::fs::read(a).expect("a") == std::fs::read(b).expect("b"), "{a} != {b}");
     }
@@ -277,6 +314,59 @@ fn fleet_killed_and_resumed_through_the_binary_is_byte_identical() {
     assert!(diff.status.success(), "{}", String::from_utf8_lossy(&diff.stderr));
     let text = String::from_utf8_lossy(&diff.stdout);
     assert!(text.contains("divergence        : none"), "{text}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn obs_query_violation_counts_agree_with_the_slo_report() {
+    let dir = tmpdir("slo-query");
+    let trace = dir.join("slo.jsonl").to_str().expect("utf8").to_string();
+    let out =
+        fleet(Some("1"), &["--tenants", "8", "--days", "2", "--slo-report", "--trace-out", &trace]);
+    let report = fleet_stdout(&out, "wrote ");
+    let query = cli()
+        .args(["obs", "query", "--trace", &trace, "--span", "sim", "--event", "step"])
+        .args(["--where", "violation=true", "--group-by", "tenant"])
+        .output()
+        .expect("obs query");
+    assert!(query.status.success(), "{}", String::from_utf8_lossy(&query.stderr));
+    let query = String::from_utf8_lossy(&query.stdout);
+
+    // `subject ticks bad ...` rows of the SLO table against `group value`
+    // rows of the query; a tenant with no violation has no query row.
+    let table = &report[report.find("\nSLO violation_rate").expect("SLO report")..];
+    let column = |text: &str, tenant: &str, col: usize| -> Option<u64> {
+        let row = text.lines().find(|l| l.split_whitespace().next() == Some(tenant))?;
+        row.split_whitespace().nth(col)?.parse().ok()
+    };
+    for tenant in ["t0000", "t0007"] {
+        let bad = column(table, tenant, 2).unwrap_or_else(|| panic!("no {tenant} in {table}"));
+        assert_eq!(column(&query, tenant, 1).unwrap_or(0), bad, "{tenant}: {query}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn backtest_trace_round_trips_through_trace_report() {
+    let dir = tmpdir("backtest-trace");
+    let trace = dir.join("t.jsonl");
+    let out = cli()
+        .env("RPAS_PROFILE", "quick")
+        .env("RPAS_LOG", "warn")
+        .args(["backtest", "--trace-out", trace.to_str().expect("utf8")])
+        .output()
+        .expect("run backtest");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    // trace-report schema-validates every line and fails on a violation,
+    // so success certifies the whole file against schema v1.
+    let rep = cli()
+        .args(["trace-report", "--trace", trace.to_str().expect("utf8")])
+        .output()
+        .expect("run trace-report");
+    assert!(rep.status.success(), "{}", String::from_utf8_lossy(&rep.stderr));
+    let text = String::from_utf8_lossy(&rep.stdout);
+    assert!(text.contains("plan/decision"), "{text}");
+    assert!(text.contains("decision audit (Algorithm 1)"), "{text}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

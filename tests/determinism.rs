@@ -460,11 +460,11 @@ fn rolling_windows_match_legacy_protocol() {
 
     let legacy = RollingWindows::new(&test, ctx_len, HORIZON);
     assert_eq!(engine.len(), legacy.len(), "window count diverged");
-    for k in 0..legacy.len() {
+    for (k, (engine_qf, engine_actuals)) in engine.iter().enumerate() {
         let (ctx, actuals) = legacy.window(k);
         let qf = fc.forecast_quantiles(ctx, HORIZON, &SCALING_LEVELS).expect("forecast");
-        assert_eq!(forecast_bits(&engine[k].0), forecast_bits(&qf), "window {k} forecast");
-        assert_eq!(engine[k].1, actuals, "window {k} actuals");
+        assert_eq!(forecast_bits(engine_qf), forecast_bits(&qf), "window {k} forecast");
+        assert_eq!(engine_actuals, actuals, "window {k} actuals");
     }
 
     // plan_windows and backtest_quantile must agree on window offsets too.

@@ -25,6 +25,7 @@ use rpas::traces::{alibaba_like, google_like, Trace};
 use rpas::tsmath::{rng, Matrix};
 
 #[test]
+#[expect(clippy::disallowed_methods, reason = "E1: ledger/ still calls Obs::info / Event::new, so its API list names them")]
 fn every_entry_of_the_ledgers_api_list_still_exists() {
     // rpas_traces
     let _ = google_like;

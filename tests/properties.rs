@@ -106,7 +106,7 @@ fn reference_plan(
                 ScalingStrategy::Fixed { tau } => *tau,
                 ScalingStrategy::Adaptive(c) => if u >= c.rho { c.tau_high } else { c.tau_low },
                 ScalingStrategy::Staircase(ladder) => {
-                    ladder.iter().filter(|l| u >= l.min_uncertainty).last().expect("rung 0").tau
+                    ladder.iter().rfind(|l| u >= l.min_uncertainty).expect("rung 0").tau
                 }
             };
             let w = qf.at(i, tau).max(0.0);

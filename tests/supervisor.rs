@@ -95,7 +95,7 @@ fn checkpoint_restore_at_any_tick_reproduces_the_run() {
     let mut sup = supervised(&cfg, &tel);
     let mut saved = Vec::new();
     loop {
-        if sup.ticks_done() % stride == 0 || sup.is_done() {
+        if sup.ticks_done().is_multiple_of(stride) || sup.is_done() {
             saved.push((sup.ticks_done(), checkpoint::save(&sup, &cfg, &tel).unwrap()));
         }
         if sup.is_done() {

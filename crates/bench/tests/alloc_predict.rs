@@ -1,5 +1,6 @@
 //! Allocation ratchet for one `forecast_quantiles` call of each neural
-//! and each Gaussian forecaster, and for one fleet replan.
+//! and each Gaussian forecaster, for one fleet replan, and for one TFT
+//! training window.
 //!
 //! DeepAR inference used to allocate on every GRU step of every sample
 //! path (80 591 allocations / 25.9 MB for 100 paths × 72 steps). It now
@@ -20,6 +21,11 @@
 //! `QuantilePredictivePolicy` adds the workload row and the plan, which is
 //! moved into the policy, not copied.
 //!
+//! TFT training runs attention on the one query row its loss reads
+//! (`MultiHeadAttention::forward_last` / `backward_last`); the fit row
+//! measures the bytes one more training window costs, so the all-rows
+//! `T × T` buffers cannot come back unnoticed.
+//!
 //! Kept to a single `#[test]` in its own binary: the counting allocator
 //! observes the whole process (see `alloc_ratchet.rs`).
 
@@ -38,6 +44,13 @@ static ALLOC: alloc::CountingAlloc = alloc::CountingAlloc;
 const MAX_DEEPAR_ALLOCS: u64 = 32;
 /// Ceiling on allocator calls per TFT predict.
 const MAX_TFT_ALLOCS: u64 = 64;
+
+/// Ceiling on bytes allocated per TFT training window at the ledger's
+/// shape (context 72, `d_model` 32, 4 heads, 7 levels): 1 206 016 B on the
+/// last-row attention pair, 1 627 424 B when attention trained all 72
+/// query rows (four heads' 72 × 72 weight and `dA` matrices, all-rows Q and
+/// its gradient), so that path coming back fails here.
+const MAX_TFT_FIT_BYTES_PER_WINDOW: u64 = 1_400_000;
 
 /// Allocator calls and bytes of one predict. The counters are process-wide
 /// and libtest's main thread allocates now and then while it waits for this
@@ -115,9 +128,36 @@ fn tft_allocations_are_constant_in_context(series: &[f64]) {
         "tft allocations grew with the context: {} at 12 steps, {} at 72",
         few.allocs, many.allocs
     );
-    // Eight 32 × 32 k-major gate matrices, the 72 × 32 enriched sequence
-    // and the 72 × 7 head output and result, plus the fixed buffers.
-    assert!(many.bytes < 128 * 1024, "tft predict requested {} bytes", many.bytes);
+    // Eighteen 32 × 32 k-major copies (8 KiB each) — the LSTM stepper's
+    // eight gate matrices, fc1 / fc2 / gate / lin of both GRN views, and
+    // attention's wk and wv — the 72 × 32 enriched sequence, the 72 × 9
+    // head output and the 72 × 7 result, plus the fixed buffers: 188 416 B
+    // here and 182 008 B at the ledger's shape (7-level head), against
+    // 105 472 B and 99 064 B with GRNs and K/V rows on `vector::dot`.
+    assert!(many.bytes < 192 * 1024, "tft predict requested {} bytes", many.bytes);
+}
+
+fn tft_fit_bytes_per_window(series: &[f64]) {
+    let cost = |windows_per_epoch| {
+        let mut model = Tft::new(TftConfig {
+            context: 72,
+            horizon: 72,
+            quantiles: SCALING_LEVELS.to_vec(),
+            epochs: 1,
+            windows_per_epoch,
+            seed: 5,
+            ..TftConfig::default()
+        });
+        let (fitted, stats) = alloc::measure(|| model.fit(series));
+        fitted.expect("fit");
+        stats.bytes
+    };
+    // What a window costs on top of what one fit costs whatever its budget.
+    let per_window = (cost(12) - cost(4)) / 8;
+    assert!(
+        per_window <= MAX_TFT_FIT_BYTES_PER_WINDOW,
+        "tft fit requested {per_window} bytes per training window (ceiling {MAX_TFT_FIT_BYTES_PER_WINDOW})"
+    );
 }
 
 /// One Gaussian forecaster's predict: at most `ceiling` allocator calls,
@@ -173,6 +213,7 @@ fn predict_allocations_are_constant_in_problem_size() {
     let series: Vec<f64> = (0..400).map(|t| 40.0 + 10.0 * (t as f64 * 0.26).sin()).collect();
     deepar_allocations_are_constant_in_paths_and_horizon(&series);
     tft_allocations_are_constant_in_context(&series);
+    tft_fit_bytes_per_window(&series);
     gaussian_allocations_are_constant_in_horizon(SeasonalNaive::new(24), &series, 3);
     gaussian_allocations_are_constant_in_horizon(LastValue::new(), &series, 3);
     gaussian_allocations_are_constant_in_horizon(Arima::new(ArimaConfig::default()), &series, 14);

@@ -4,7 +4,7 @@
 //! uncertainty of the forecasts" baseline of §IV-A).
 
 use crate::types::{require_len, validate_levels, ForecastError, Forecaster, QuantileForecast};
-use crate::window::require_finite;
+use crate::window::{require_finite, require_series};
 use rpas_tsmath::{stats, Matrix};
 
 /// ARIMA order configuration.
@@ -179,7 +179,7 @@ impl Forecaster for Arima {
     fn fit(&mut self, series: &[f64]) -> Result<(), ForecastError> {
         let (p, d, q) = (self.cfg.p, self.cfg.d, self.cfg.q);
         let m = (p + q).max(10); // stage-1 long-AR order
-        require_len(series, d + m + p.max(q) + 20)?;
+        require_series(self.name(), series, d + m + p.max(q) + 20)?;
 
         let w = stats::difference(series, d);
         let mean = stats::mean(&w);

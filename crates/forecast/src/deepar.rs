@@ -11,7 +11,7 @@
 //! * accuracy **degrades with horizon** (Fig. 8) because multi-step
 //!   forecasts are produced iteratively and errors accumulate.
 
-use crate::types::{require_len, validate_levels, ForecastError, Forecaster, QuantileForecast};
+use crate::types::{validate_levels, ForecastError, Forecaster, QuantileForecast};
 use crate::window::{self, ContextGuard};
 use rpas_nn::loss::{student_t_nll, NU_OFFSET, SIGMA_FLOOR};
 use rpas_nn::{Adam, Dense, GruCell};
@@ -132,7 +132,7 @@ impl Forecaster for DeepAr {
 
     fn fit(&mut self, series: &[f64]) -> Result<(), ForecastError> {
         let c = &self.cfg;
-        require_len(series, c.train_window + 1)?;
+        window::require_series(self.name(), series, c.train_window + 1)?;
         // Window dataset over the raw series; each sampled window is
         // rescaled by its own context mean (see `window_scale`). The
         // "target" split is irrelevant here (teacher forcing over the

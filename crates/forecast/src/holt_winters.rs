@@ -5,7 +5,7 @@
 //! widened with horizon by the smoothing-induced variance growth.
 
 use crate::types::{require_len, validate_levels, ForecastError, Forecaster, QuantileForecast};
-use crate::window::require_finite;
+use crate::window::{require_finite, require_series};
 use rpas_tsmath::stats;
 
 /// Holt–Winters configuration (additive trend + additive seasonality).
@@ -106,7 +106,7 @@ impl Forecaster for HoltWinters {
     }
 
     fn fit(&mut self, series: &[f64]) -> Result<(), ForecastError> {
-        require_len(series, self.min_series())?;
+        require_series(self.name(), series, self.min_series())?;
         let (_, residuals) = self.smooth(series);
         // Skip the first season: initialisation transients inflate it.
         let tail = &residuals[self.cfg.period.min(residuals.len() - 1)..];

@@ -29,11 +29,12 @@
 //!   the forecast-time guard (`NotFitted` → `HorizonTooLong` →
 //!   `SeriesTooShort` → tail slice → finite check), the
 //!   `"<model>: non-finite …"` → [`ForecastError::Unhealthy`] check reused
-//!   for head outputs, and the weight snapshot with its scaler extras.
+//!   for head outputs and for the training series every model's `fit`
+//!   starts from, and the weight snapshot with its scaler extras.
 //!   Consequence: *every* window model answers `Unhealthy` — never a panic,
 //!   a NaN or a finite number computed through one — on a non-finite value
-//!   in the context it reads or in its head output
-//!   (`tests/hostile_inputs.rs`).
+//!   in the context it reads or in its head output, and every `fit` in the
+//!   crate on one in its training series (`tests/hostile_inputs.rs`).
 //! * `grid` (private) — the quantile-grid head: the pinball step over a
 //!   horizon-major output and the decode to data units at any requested
 //!   levels, shared by MLP-quantile and TFT.

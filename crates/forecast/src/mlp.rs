@@ -146,7 +146,7 @@ impl Forecaster for MlpProb {
 
     fn fit(&mut self, series: &[f64]) -> Result<(), ForecastError> {
         let c = &self.cfg;
-        let (scaler, z) = window::standardize(series, c.context, c.horizon)?;
+        let (scaler, z) = window::standardize(self.name(), series, c.context, c.horizon)?;
         let ds = WindowDataset::new(&z, c.context, c.horizon);
 
         let mut r = rng::seeded(c.seed);

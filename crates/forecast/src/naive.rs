@@ -3,8 +3,9 @@
 //! learned model that cannot beat them is broken.
 
 use crate::types::{
-    require_len, validate_levels, ForecastError, Forecaster, PointForecaster, QuantileForecast,
+    validate_levels, ForecastError, Forecaster, PointForecaster, QuantileForecast,
 };
+use crate::window::require_series;
 use rpas_obs::{catalog, Obs};
 use rpas_tsmath::stats::{self, RunningMoments};
 
@@ -28,7 +29,7 @@ impl Forecaster for LastValue {
     }
 
     fn fit(&mut self, series: &[f64]) -> Result<(), ForecastError> {
-        require_len(series, 3)?;
+        require_series(Forecaster::name(self), series, 3)?;
         let diffs = stats::difference(series, 1);
         self.sigma1 = Some(stats::std_dev(&diffs).max(1e-9));
         Ok(())
@@ -182,7 +183,7 @@ impl Forecaster for SeasonalNaive {
     }
 
     fn fit(&mut self, series: &[f64]) -> Result<(), ForecastError> {
-        require_len(series, 2)?;
+        require_series(self.name(), series, 2)?;
         // Fold the residual stream through the one-pass accumulator —
         // the same op sequence `observe` extends, so the incremental
         // path stays bit-identical to a full re-fit.

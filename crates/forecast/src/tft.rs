@@ -139,7 +139,6 @@ impl Tft {
     /// z-scale) laid out `horizon-major`: `out[h * |grid| + i]`.
     fn forward_train(&self, net: &mut TftNet, zctx: &[f64]) -> Vec<f64> {
         let cfg_context = self.cfg.context;
-        let d = self.cfg.d_model;
         debug_assert_eq!(zctx.len(), cfg_context);
 
         let mut rows: Vec<Vec<f64>> = Vec::with_capacity(cfg_context);
@@ -153,34 +152,33 @@ impl Tft {
             rows.push(net.grn_enrich.forward(&state.h));
         }
         let x = Matrix::from_rows(&rows);
-        let a = net.attn.forward(&x);
+        // The head reads the decoding position only, so attention trains
+        // on that one query row.
+        let mut summed = net.attn.forward_last(&x);
         // Gated residual around attention at the decoding position.
-        let last = cfg_context - 1;
-        let summed: Vec<f64> = (0..d).map(|i| a[(last, i)] + x[(last, i)]).collect();
+        for (a, xi) in summed.iter_mut().zip(x.row(cfg_context - 1)) {
+            *a += xi;
+        }
         let post = net.grn_post.forward(&summed);
         net.head.forward(&post)
     }
 
-    /// Backward matching [`Tft::forward_train`].
-    fn backward_train(&self, net: &mut TftNet, dout: &[f64]) {
+    /// Backward matching [`Tft::forward_train`]; returns `d loss / d zctx`.
+    fn backward_train(&self, net: &mut TftNet, dout: &[f64]) -> Vec<f64> {
         let cfg_context = self.cfg.context;
         let d = self.cfg.d_model;
 
         let dpost = net.head.backward(dout);
         let dsum = net.grn_post.backward(&dpost);
-        let last = cfg_context - 1;
-        let mut da = Matrix::zeros(cfg_context, d);
-        for i in 0..d {
-            da[(last, i)] = dsum[i];
-        }
-        let mut dx = net.attn.backward(&da);
+        let mut dx = net.attn.backward_last(&dsum);
         // Residual path.
-        for i in 0..d {
-            dx[(last, i)] += dsum[i];
+        for (a, b) in dx.row_mut(cfg_context - 1).iter_mut().zip(&dsum) {
+            *a += b;
         }
         // Through enrichment GRN + LSTM, in reverse time order.
         let mut dstate_h = vec![0.0; d];
         let mut dstate_c = vec![0.0; d];
+        let mut dz = vec![0.0; cfg_context];
         for t in (0..cfg_context).rev() {
             let mut dh = net.grn_enrich.backward(dx.row(t));
             for (a, b) in dh.iter_mut().zip(&dstate_h) {
@@ -189,27 +187,29 @@ impl Tft {
             let (de, dprev) = net.lstm.backward(&dh, &dstate_c);
             dstate_h = dprev.h;
             dstate_c = dprev.c;
-            let _ = net.input_proj.backward(&de);
+            dz[t] = net.input_proj.backward(&de)[0];
         }
+        dz
     }
 
     /// Inference-only forward: the values of [`Tft::forward_train`], bit
-    /// for bit, on the shared net — no caches, one scratch set per call,
-    /// and only the attention row the head reads.
+    /// for bit, on the shared net — no caches, one LSTM stepper and one
+    /// k-major view per GRN per call, and only the attention row the head
+    /// reads.
     fn forward_infer(&self, net: &TftNet, zctx: &[f64]) -> Vec<f64> {
         let d = self.cfg.d_model;
         let last = zctx.len() - 1;
 
         let mut lstm = net.lstm.stepper();
+        let mut enrich = net.grn_enrich.view();
         let mut e = vec![0.0; d];
-        let mut scratch = Vec::new();
         let mut x = Matrix::zeros(zctx.len(), d);
         for (t, z) in zctx.iter().enumerate() {
             net.input_proj.apply_into(std::slice::from_ref(z), &mut e);
             for (v, p) in e.iter_mut().zip(self.posenc.row(t)) {
                 *v += p;
             }
-            net.grn_enrich.apply_into(lstm.step(&e), &mut scratch, x.row_mut(t));
+            enrich.apply_into(lstm.step(&e), x.row_mut(t));
         }
         // Gated residual around attention at the decoding position.
         let mut summed = net.attn.attend_last(&x);
@@ -217,7 +217,7 @@ impl Tft {
             *a += xi;
         }
         let mut post = vec![0.0; d];
-        net.grn_post.apply_into(&summed, &mut scratch, &mut post);
+        net.grn_post.view().apply_into(&summed, &mut post);
         net.head.apply(&post)
     }
 
@@ -255,7 +255,7 @@ impl Forecaster for Tft {
 
     fn fit(&mut self, series: &[f64]) -> Result<(), ForecastError> {
         let c = &self.cfg;
-        let (scaler, z) = window::standardize(series, c.context, c.horizon)?;
+        let (scaler, z) = window::standardize(self.name(), series, c.context, c.horizon)?;
         let ds = WindowDataset::new(&z, c.context, c.horizon);
 
         // The net initialises from its own stream of the same seed; this
@@ -414,6 +414,29 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits(), "window {start} output {i}: {a:e} vs {b:e}");
             }
         }
+    }
+
+    #[test]
+    fn whole_model_gradient_matches_finite_differences() {
+        // Every parameter of the composed net — input projection, LSTM,
+        // both GRNs, last-row attention, head — and the input, under a
+        // smooth loss (pinball is kinked at every target).
+        let m = Tft::new(TftConfig {
+            context: 5,
+            horizon: 2,
+            d_model: 4,
+            heads: 2,
+            quantiles: vec![0.1, 0.5, 0.9],
+            ..tiny_cfg()
+        });
+        let mut net = Tft::build_net(&m.cfg);
+        let zctx = [0.3, -1.1, 0.8, 1.7, -0.4];
+        let err = rpas_nn::gradcheck::check_layer(&mut net, &zctx, |net, z| {
+            let out = m.forward_train(net, z);
+            let loss = 0.5 * out.iter().map(|v| v * v).sum::<f64>();
+            (loss, m.backward_train(net, &out))
+        });
+        assert!(err < 1e-5, "TFT whole-model gradcheck err {err}");
     }
 
     #[test]

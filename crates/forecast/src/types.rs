@@ -30,6 +30,9 @@ pub enum ForecastError {
     /// that would otherwise have to panic, return NaN or — worse — return a
     /// finite number computed through one: on a non-finite value in the
     /// context window it reads, or a non-finite head output or sample.
+    /// Every `fit` in this crate raises it too, as
+    /// `"<model>: non-finite value in training series"`, before training on
+    /// a series holding NaN or ±∞.
     Unhealthy(String),
 }
 
@@ -225,7 +228,8 @@ pub trait Forecaster {
     /// Train on a historical workload series.
     ///
     /// # Errors
-    /// Fails when the series is too short for the model's context/horizon.
+    /// Fails when the series is too short for the model's context/horizon,
+    /// or holds a non-finite value (`Unhealthy`).
     fn fit(&mut self, series: &[f64]) -> Result<(), ForecastError>;
 
     /// Forecast `horizon` steps beyond `context` at the given quantile
@@ -259,7 +263,7 @@ pub trait PointForecaster {
     /// Train on a historical workload series.
     ///
     /// # Errors
-    /// Fails when the series is too short.
+    /// Fails when the series is too short or holds a non-finite value.
     fn fit(&mut self, series: &[f64]) -> Result<(), ForecastError>;
 
     /// Forecast `horizon` point values beyond `context`.

@@ -15,14 +15,29 @@ use rpas_tsmath::stats::Standardizer;
 /// Per-layer gradient-norm ceiling of every optimiser step.
 pub(crate) const CLIP_NORM: f64 = 5.0;
 
+/// What every `fit` checks first: `SeriesTooShort` unless the training
+/// series holds `needed` samples, then
+/// `Unhealthy("<model>: non-finite value in training series")` unless every
+/// one is finite — one NaN would otherwise panic a loss, poison a scaler
+/// or train a whole budget on NaN.
+pub(crate) fn require_series(
+    model: &str,
+    series: &[f64],
+    needed: usize,
+) -> Result<(), ForecastError> {
+    require_len(series, needed)?;
+    require_finite(model, "value in training series", series)
+}
+
 /// The global z-score of a training series and the series under it, for a
 /// model trained on `(context, horizon)` windows (more than one must fit).
 pub(crate) fn standardize(
+    model: &str,
     series: &[f64],
     context: usize,
     horizon: usize,
 ) -> Result<(Standardizer, Vec<f64>), ForecastError> {
-    require_len(series, context + horizon + 1)?;
+    require_series(model, series, context + horizon + 1)?;
     let scaler = Standardizer::fit(series);
     let z = scaler.transform_vec(series);
     Ok((scaler, z))

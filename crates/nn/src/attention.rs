@@ -5,21 +5,41 @@
 //! whole history — the "interpretable multi-head attention" block of Lim et
 //! al., simplified to shared value/output projections per head being plain
 //! slices of one projection.
+//!
+//! Its head reads one position, so the layer trains and predicts on row
+//! `T − 1` alone: [`MultiHeadAttention::forward_last`] /
+//! [`MultiHeadAttention::backward_last`] and
+//! [`MultiHeadAttention::attend_last`] share one last-row routine, and
+//! [`MultiHeadAttention::forward`] (all `T` rows, no cache) is the
+//! reference they are pinned against bit for bit.
 
+use crate::kmajor::KMajor;
 use crate::{Layer, Param};
 use rpas_tsmath::rng::RngCore;
+use rpas_tsmath::vector::{axpy, dot};
 use rpas_tsmath::Matrix;
 
+/// What [`MultiHeadAttention::backward_last`] needs from
+/// [`MultiHeadAttention::forward_last`].
 #[derive(Debug, Clone)]
-struct AttnCache {
+struct LastRowCache {
     x: Matrix,
-    q: Matrix,
+    /// Query row `T − 1`.
+    q: Vec<f64>,
     k: Matrix,
     v: Matrix,
-    /// Per-head attention weights, each `T × T`.
-    a: Vec<Matrix>,
-    /// Concatenated head outputs `T × d_model` (pre output-projection).
-    o: Matrix,
+    /// Row `h` holds head `h`'s attention weights of row `T − 1`.
+    a: Matrix,
+    /// Concatenated head outputs of row `T − 1` (pre output-projection).
+    o: Vec<f64>,
+}
+
+/// Row `T − 1` of the attention and the intermediates behind it.
+struct LastRow {
+    q: Vec<f64>,
+    a: Matrix,
+    o: Vec<f64>,
+    y: Vec<f64>,
 }
 
 /// Multi-head self-attention layer (no biases, as in the original
@@ -37,7 +57,7 @@ pub struct MultiHeadAttention {
     n_heads: usize,
     d_model: usize,
     causal: bool,
-    cache: Vec<AttnCache>,
+    cache: Vec<LastRowCache>,
 }
 
 /// Row-wise softmax, in place.
@@ -56,36 +76,49 @@ fn softmax_rows(m: &mut Matrix) {
     }
 }
 
-/// Project `x (T × d)` by a flat row-major `d × d` weight: `x Wᵀ`.
-fn project(x: &Matrix, w: &[f64], d: usize) -> Matrix {
-    let t = x.rows();
-    let mut out = Matrix::zeros(t, d);
-    for r in 0..t {
-        let xr = x.row(r);
-        for o in 0..d {
-            out[(r, o)] = rpas_tsmath::vector::dot(&w[o * d..(o + 1) * d], xr);
-        }
+/// `out = W x` for a flat row-major `d × d` weight, one `vector::dot` per
+/// output (the single-row projections).
+fn project_row(w: &[f64], x: &[f64], out: &mut [f64]) {
+    for (o, wr) in out.iter_mut().zip(w.chunks_exact(x.len())) {
+        *o = dot(wr, x);
+    }
+}
+
+/// `out = W x` on the k-major kernel: the same bits as [`project_row`],
+/// since `-0.0` is where `vector::dot`'s sum starts.
+fn project_row_kmajor(w: &KMajor, x: &[f64], out: &mut [f64]) {
+    out.fill(-0.0);
+    w.acc_into(x, out);
+}
+
+/// Project `x (T × d)` by a `d × d` weight: `x Wᵀ`.
+fn project(x: &Matrix, w: &KMajor) -> Matrix {
+    let mut out = Matrix::zeros(x.rows(), x.cols());
+    for r in 0..x.rows() {
+        project_row_kmajor(w, x.row(r), out.row_mut(r));
     }
     out
 }
 
+/// Backward of one row of [`project`]: `dW += dy ⊗ x`, `dx += dy W`.
+fn project_back_row(x: &[f64], w: &[f64], dw: &mut [f64], dy: &[f64], dx: &mut [f64]) {
+    let d = x.len();
+    for (o, &g) in dy.iter().enumerate() {
+        // exact-zero gradient skip: the axpy below is a no-op for g == ±0, an epsilon would alter training numerics
+        if g == 0.0 {
+            continue;
+        }
+        axpy(g, &w[o * d..(o + 1) * d], dx);
+        axpy(g, x, &mut dw[o * d..(o + 1) * d]);
+    }
+}
+
 /// Backward of [`project`]: given `dY`, accumulate `dW += Σ_r dy_r ⊗ x_r`
 /// and return `dX = dY W`.
-fn project_back(x: &Matrix, w: &[f64], dw: &mut [f64], dy: &Matrix, d: usize) -> Matrix {
-    let t = x.rows();
-    let mut dx = Matrix::zeros(t, d);
-    for r in 0..t {
-        let xr = x.row(r);
-        let dyr = dy.row(r);
-        for o in 0..d {
-            let g = dyr[o];
-            // exact-zero gradient skip: the axpy below is a no-op for g == ±0, an epsilon would alter training numerics
-            if g == 0.0 {
-                continue;
-            }
-            rpas_tsmath::vector::axpy(g, &w[o * d..(o + 1) * d], dx.row_mut(r));
-            rpas_tsmath::vector::axpy(g, xr, &mut dw[o * d..(o + 1) * d]);
-        }
+fn project_back(x: &Matrix, w: &[f64], dw: &mut [f64], dy: &Matrix) -> Matrix {
+    let mut dx = Matrix::zeros(x.rows(), x.cols());
+    for r in 0..x.rows() {
+        project_back_row(x.row(r), w, dw, dy.row(r), dx.row_mut(r));
     }
     dx
 }
@@ -110,23 +143,34 @@ impl MultiHeadAttention {
         }
     }
 
+    /// Head width and the score scale `1 / √d_k`.
+    fn head_dim(&self) -> (usize, f64) {
+        let dk = self.d_model / self.n_heads;
+        (dk, 1.0 / (dk as f64).sqrt())
+    }
+
+    /// A weight's k-major copy (see `crate::kmajor`).
+    fn kmajor(&self, w: &Param) -> KMajor {
+        KMajor::new(&w.data, self.d_model, self.d_model)
+    }
+
     /// Self-attention over a `T × d_model` sequence; returns `T × d_model`.
+    /// All `T` query rows, nothing cached: the reference the last-row
+    /// paths are pinned against.
     pub fn forward(&mut self, x: &Matrix) -> Matrix {
         assert_eq!(x.cols(), self.d_model, "MultiHeadAttention: input dim mismatch");
         let d = self.d_model;
         let t = x.rows();
-        let dk = d / self.n_heads;
-        let scale = 1.0 / (dk as f64).sqrt();
+        let (dk, scale) = self.head_dim();
 
-        let q = project(x, &self.wq.data, d);
-        let k = project(x, &self.wk.data, d);
-        let v = project(x, &self.wv.data, d);
+        let q = project(x, &self.kmajor(&self.wq));
+        let k = project(x, &self.kmajor(&self.wk));
+        let v = project(x, &self.kmajor(&self.wv));
 
         let mut o = Matrix::zeros(t, d);
-        let mut heads = Vec::with_capacity(self.n_heads);
+        let mut scores = Matrix::zeros(t, t);
         for h in 0..self.n_heads {
             let lo = h * dk;
-            let mut scores = Matrix::zeros(t, t);
             for i in 0..t {
                 for j in 0..t {
                     if self.causal && j > i {
@@ -153,132 +197,164 @@ impl MultiHeadAttention {
                     }
                 }
             }
-            heads.push(scores);
         }
-
-        let y = project(&o, &self.wo.data, d);
-        self.cache.push(AttnCache { x: x.clone(), q, k, v, a: heads, o });
-        y
+        project(&o, &self.kmajor(&self.wo))
     }
 
-    /// Inference-only attention output for the last position: row `T − 1`
-    /// of [`MultiHeadAttention::forward`], bit for bit, without the cache
-    /// and without the other `T − 1` query rows. The last row attends to
-    /// every position with or without the causal mask, so the mask does
-    /// not appear here.
-    ///
-    /// # Panics
-    /// Panics on an empty sequence or an input dim mismatch.
-    pub fn attend_last(&self, x: &Matrix) -> Vec<f64> {
-        assert_eq!(x.cols(), self.d_model, "MultiHeadAttention: input dim mismatch");
+    /// Row `T − 1` of [`MultiHeadAttention::forward`], with `key(j, row)` /
+    /// `value(j, row)` writing key / value row `j`: per head the score dot
+    /// from `+0.0` over the head's columns, `softmax_rows`, `o += a·v` for
+    /// `j` ascending with the exact-zero skip, then one output-projection
+    /// row — `forward`'s sums in `forward`'s order. The last row attends to
+    /// every position with or without the causal mask, so the mask does not
+    /// appear here.
+    fn last_row(
+        &self,
+        x: &Matrix,
+        mut key: impl FnMut(usize, &mut [f64]),
+        mut value: impl FnMut(usize, &mut [f64]),
+    ) -> LastRow {
         assert!(x.rows() > 0, "MultiHeadAttention: empty sequence");
         let d = self.d_model;
         let t = x.rows();
-        let dk = d / self.n_heads;
-        let scale = 1.0 / (dk as f64).sqrt();
+        let (dk, scale) = self.head_dim();
 
-        // One row of `project` at a time: K and V are consumed row by row,
-        // so neither is materialised.
-        let project_row = |w: &[f64], v: &[f64], out: &mut [f64]| {
-            for (o, wr) in out.iter_mut().zip(w.chunks_exact(d)) {
-                *o = rpas_tsmath::vector::dot(wr, v);
-            }
-        };
         let mut q = vec![0.0; d];
         project_row(&self.wq.data, x.row(t - 1), &mut q);
 
         // Row `h` holds head `h`'s scores, then its attention weights.
         let mut row = vec![0.0; d];
-        let mut scores = Matrix::zeros(self.n_heads, t);
+        let mut a = Matrix::zeros(self.n_heads, t);
         for j in 0..t {
-            project_row(&self.wk.data, x.row(j), &mut row);
+            key(j, &mut row);
             for (h, (qh, kh)) in q.chunks_exact(dk).zip(row.chunks_exact(dk)).enumerate() {
                 let mut s = 0.0;
                 for (qc, kc) in qh.iter().zip(kh) {
                     s += qc * kc;
                 }
-                scores[(h, j)] = s * scale;
+                a[(h, j)] = s * scale;
             }
         }
-        softmax_rows(&mut scores);
+        softmax_rows(&mut a);
 
         let mut o = vec![0.0; d];
         for j in 0..t {
-            project_row(&self.wv.data, x.row(j), &mut row);
+            value(j, &mut row);
             for (h, (oh, vh)) in o.chunks_exact_mut(dk).zip(row.chunks_exact(dk)).enumerate() {
-                let a = scores[(h, j)];
-                // exact-zero attention-weight skip, as in forward: attend_last is pinned to it bit for bit
-                if a == 0.0 {
+                let w = a[(h, j)];
+                // exact-zero attention-weight skip, as in forward: the last-row paths are pinned to it bit for bit
+                if w == 0.0 {
                     continue;
                 }
                 for (oc, vc) in oh.iter_mut().zip(vh) {
-                    *oc += a * vc;
+                    *oc += w * vc;
                 }
             }
         }
         let mut y = vec![0.0; d];
         project_row(&self.wo.data, &o, &mut y);
+        LastRow { q, a, o, y }
+    }
+
+    /// Inference-only attention output for the last position: row `T − 1`
+    /// of [`MultiHeadAttention::forward`], bit for bit, without the cache
+    /// and without the other `T − 1` query rows. K and V are projected one
+    /// row at a time through k-major copies of `wk` / `wv` and never
+    /// materialised.
+    ///
+    /// # Panics
+    /// Panics on an empty sequence or an input dim mismatch.
+    pub fn attend_last(&self, x: &Matrix) -> Vec<f64> {
+        assert_eq!(x.cols(), self.d_model, "MultiHeadAttention: input dim mismatch");
+        let (wk, wv) = (self.kmajor(&self.wk), self.kmajor(&self.wv));
+        let key = |j, row: &mut [f64]| project_row_kmajor(&wk, x.row(j), row);
+        let value = |j, row: &mut [f64]| project_row_kmajor(&wv, x.row(j), row);
+        self.last_row(x, key, value).y
+    }
+
+    /// Training forward for a loss that reads position `T − 1` only: row
+    /// `T − 1` of [`MultiHeadAttention::forward`], bit for bit. Caches `x`,
+    /// the last query, K, V, the `heads × T` weights and the last head
+    /// outputs for [`MultiHeadAttention::backward_last`].
+    ///
+    /// # Panics
+    /// Panics on an empty sequence or an input dim mismatch.
+    pub fn forward_last(&mut self, x: &Matrix) -> Vec<f64> {
+        assert_eq!(x.cols(), self.d_model, "MultiHeadAttention: input dim mismatch");
+        let k = project(x, &self.kmajor(&self.wk));
+        let v = project(x, &self.kmajor(&self.wv));
+        let key = |j, row: &mut [f64]| row.copy_from_slice(k.row(j));
+        let value = |j, row: &mut [f64]| row.copy_from_slice(v.row(j));
+        let LastRow { q, a, o, y } = self.last_row(x, key, value);
+        self.cache.push(LastRowCache { x: x.clone(), q, k, v, a, o });
         y
     }
 
-    /// Backward pass; returns `dX`.
+    /// Backward of [`MultiHeadAttention::forward_last`] given `dy_last`,
+    /// the loss gradient of row `T − 1`; accumulates the four weight
+    /// gradients and returns `dX` (`T × d_model`).
+    ///
+    /// This is the all-rows backward of [`MultiHeadAttention::forward`]
+    /// restricted to a `dY` that is zero outside row `T − 1`, in the same
+    /// order — output-projection row; `dA` / `dV` per head over `j`; the one
+    /// softmax row with its exact-zero `ds` skip; `dq` of row `T − 1` and
+    /// `dK` of every row; `wq` / `wk` / `wv` back-projections and
+    /// `dx = dx_q + (dx_k + dx_v)` over a zero matrix — so it is bit for bit
+    /// the same: for finite values, each term rows `< T − 1` would add is an
+    /// exact `+0.0` into a `+0.0` accumulator or is skipped by a `g == 0` /
+    /// `ds == 0` test.
     #[expect(clippy::expect_used, reason = "backward without forward is a training-loop bug")]
-    pub fn backward(&mut self, dy: &Matrix) -> Matrix {
-        let s = self.cache.pop().expect("MultiHeadAttention::backward without forward");
+    pub fn backward_last(&mut self, dy_last: &[f64]) -> Matrix {
+        let s = self.cache.pop().expect("MultiHeadAttention::backward_last without forward_last");
         let d = self.d_model;
         let t = s.x.rows();
-        let dk = d / self.n_heads;
-        let scale = 1.0 / (dk as f64).sqrt();
+        let (dk, scale) = self.head_dim();
 
         // Output projection.
-        let do_ = project_back(&s.o, &self.wo.data, &mut self.wo.grad, dy, d);
+        let mut do_ = vec![0.0; d];
+        project_back_row(&s.o, &self.wo.data, &mut self.wo.grad, dy_last, &mut do_);
 
-        let mut dq = Matrix::zeros(t, d);
+        let mut dq = vec![0.0; d];
         let mut dkm = Matrix::zeros(t, d);
         let mut dv = Matrix::zeros(t, d);
-
+        let mut da = vec![0.0; t];
         for h in 0..self.n_heads {
-            let lo = h * dk;
-            let a = &s.a[h];
-            // dA[i][j] = do_i · v_j (head slice); dV_j += Σ_i A[i][j] do_i.
-            let mut da = Matrix::zeros(t, t);
-            for i in 0..t {
-                for j in 0..t {
-                    let aij = a[(i, j)];
-                    let mut dot = 0.0;
-                    for c in 0..dk {
-                        dot += do_[(i, lo + c)] * s.v[(j, lo + c)];
-                        dv[(j, lo + c)] += aij * do_[(i, lo + c)];
-                    }
-                    da[(i, j)] = dot;
+            let (lo, hi) = (h * dk, (h + 1) * dk);
+            let a = s.a.row(h);
+            let (do_h, q_h) = (&do_[lo..hi], &s.q[lo..hi]);
+            // dA_j = do · v_j (head slice); dV_j += A_j do.
+            for (j, (daj, &aj)) in da.iter_mut().zip(a).enumerate() {
+                let mut dot = 0.0;
+                let dvj = &mut dv.row_mut(j)[lo..hi];
+                for ((&doc, vc), dvc) in do_h.iter().zip(&s.v.row(j)[lo..hi]).zip(dvj) {
+                    dot += doc * vc;
+                    *dvc += aj * doc;
                 }
+                *daj = dot;
             }
-            // Softmax backward per row: ds = A ∘ (dA − Σ_j A∘dA).
-            for i in 0..t {
-                let mut inner = 0.0;
-                for j in 0..t {
-                    inner += a[(i, j)] * da[(i, j)];
+            // Softmax backward of the one row: ds = A ∘ (dA − Σ_j A∘dA).
+            let mut inner = 0.0;
+            for (aj, daj) in a.iter().zip(&da) {
+                inner += aj * daj;
+            }
+            for (j, (&aj, &daj)) in a.iter().zip(&da).enumerate() {
+                let ds = aj * (daj - inner) * scale;
+                // exact-zero score-gradient skip: the axpys below are no-ops for ds == ±0, an epsilon would alter training numerics
+                if ds == 0.0 {
+                    continue;
                 }
-                for j in 0..t {
-                    let ds = a[(i, j)] * (da[(i, j)] - inner) * scale;
-                    // exact-zero score-gradient skip: the axpy below is a no-op for ds == ±0, an epsilon would alter training numerics
-                    if ds == 0.0 {
-                        continue;
-                    }
-                    for c in 0..dk {
-                        dq[(i, lo + c)] += ds * s.k[(j, lo + c)];
-                        dkm[(j, lo + c)] += ds * s.q[(i, lo + c)];
-                    }
-                }
+                axpy(ds, &s.k.row(j)[lo..hi], &mut dq[lo..hi]);
+                axpy(ds, q_h, &mut dkm.row_mut(j)[lo..hi]);
             }
         }
 
-        let mut dx = project_back(&s.x, &self.wq.data, &mut self.wq.grad, &dq, d);
-        let dx_k = project_back(&s.x, &self.wk.data, &mut self.wk.grad, &dkm, d);
-        let dx_v = project_back(&s.x, &self.wv.data, &mut self.wv.grad, &dv, d);
+        let mut dx = Matrix::zeros(t, d);
+        project_back_row(s.x.row(t - 1), &self.wq.data, &mut self.wq.grad, &dq, dx.row_mut(t - 1));
+        let dx_k = project_back(&s.x, &self.wk.data, &mut self.wk.grad, &dkm);
+        let dx_v = project_back(&s.x, &self.wv.data, &mut self.wv.grad, &dv);
         for i in 0..t {
-            for c in 0..d {
-                dx[(i, c)] += dx_k[(i, c)] + dx_v[(i, c)];
+            for ((x, k), v) in dx.row_mut(i).iter_mut().zip(dx_k.row(i)).zip(dx_v.row(i)) {
+                *x += k + v;
             }
         }
         dx
@@ -318,6 +394,7 @@ mod tests {
         let y = attn.forward(&x);
         assert_eq!(y.rows(), 5);
         assert_eq!(y.cols(), 4);
+        assert_eq!(attn.forward_last(&x).len(), 4);
     }
 
     #[test]
@@ -334,35 +411,46 @@ mod tests {
 
     #[test]
     fn causal_mask_blocks_future() {
-        let mut r = seeded(3);
-        let mut attn = MultiHeadAttention::new(4, 1, true, &mut r);
-        let x = seq(4, 4, 4);
-        let _ = attn.forward(&x);
-        let a = &attn.cache.last().unwrap().a[0];
-        for i in 0..4 {
-            for j in i + 1..4 {
-                assert_eq!(a[(i, j)], 0.0, "future leak at ({i},{j})");
+        // With a causal mask, position i attends to positions ≤ i only, so
+        // changing a later position leaves y[i] unchanged, bit for bit.
+        let mut r = seeded(5);
+        let mut attn = MultiHeadAttention::new(4, 2, true, &mut r);
+        let x1 = seq(4, 4, 6);
+        let y1 = attn.forward(&x1);
+        for j in 1..4 {
+            let mut x2 = x1.clone();
+            x2.row_mut(j).iter_mut().for_each(|v| *v += 1.0);
+            let y2 = attn.forward(&x2);
+            for i in 0..j {
+                assert_eq!(y1.row(i), y2.row(i), "future leak: row {j} moved row {i}");
             }
         }
     }
 
     #[test]
-    fn first_position_causal_output_ignores_rest() {
-        // With a causal mask, position 0 attends only to itself, so
-        // changing later positions must not change y[0].
-        let mut r = seeded(5);
-        let mut attn = MultiHeadAttention::new(4, 2, true, &mut r);
-        let x1 = seq(3, 4, 6);
-        let mut x2 = x1.clone();
-        for c in 0..4 {
-            x2[(2, c)] += 1.0;
-        }
-        let y1 = attn.forward(&x1);
-        let y2 = attn.forward(&x2);
-        for c in 0..4 {
-            assert!((y1[(0, c)] - y2[(0, c)]).abs() < 1e-12);
-        }
-        attn.clear_cache();
+    fn forward_caches_nothing() {
+        let mut r = seeded(3);
+        let mut attn = MultiHeadAttention::new(4, 1, true, &mut r);
+        let _ = attn.forward(&seq(4, 4, 4));
+        assert!(attn.cache.is_empty());
+        let _ = attn.forward_last(&seq(4, 4, 4));
+        assert_eq!(attn.cache.len(), 1);
+    }
+
+    #[test]
+    fn saturated_rows_have_exact_zero_weights() {
+        // What the exact-zero skips are for: large inputs drive some
+        // softmax weights of the last row to exactly +0.0.
+        let mut r = seeded(11);
+        let mut attn = MultiHeadAttention::new(8, 2, true, &mut r);
+        let x = Matrix::from_vec(
+            6,
+            8,
+            (0..48).map(|i| 40.0 * ((i * 7 % 11) as f64 / 5.0 - 1.0)).collect(),
+        );
+        let _ = attn.forward_last(&x);
+        let a = &attn.cache[0].a;
+        assert!(a.data().iter().any(|w| w.to_bits() == 0), "no weight underflowed: {a:?}");
     }
 
     #[test]
@@ -373,10 +461,9 @@ mod tests {
         let flat: Vec<f64> = x.data().to_vec();
         let err = gradcheck::check_layer(&mut attn, &flat, |layer, input| {
             let xm = Matrix::from_vec(3, 4, input.to_vec());
-            let y = layer.forward(&xm);
-            let loss = 0.5 * y.data().iter().map(|v| v * v).sum::<f64>();
-            let dy = y.clone();
-            let dx = layer.backward(&dy);
+            let y = layer.forward_last(&xm);
+            let loss = 0.5 * y.iter().map(|v| v * v).sum::<f64>();
+            let dx = layer.backward_last(&y);
             (loss, dx.data().to_vec())
         });
         assert!(err < 1e-5, "attention gradcheck err {err}");
@@ -390,10 +477,9 @@ mod tests {
         let flat: Vec<f64> = x.data().to_vec();
         let err = gradcheck::check_layer(&mut attn, &flat, |layer, input| {
             let xm = Matrix::from_vec(3, 2, input.to_vec());
-            let y = layer.forward(&xm);
-            let loss = y.data().iter().sum::<f64>();
-            let dy = Matrix::filled(3, 2, 1.0);
-            let dx = layer.backward(&dy);
+            let y = layer.forward_last(&xm);
+            let loss = y.iter().sum::<f64>();
+            let dx = layer.backward_last(&[1.0; 2]);
             (loss, dx.data().to_vec())
         });
         assert!(err < 1e-5, "causal attention gradcheck err {err}");

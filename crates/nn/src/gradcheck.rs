@@ -1,8 +1,9 @@
 //! Finite-difference gradient checking.
 //!
 //! Since this substrate has no autograd, every layer's hand-written backward
-//! pass is validated against central differences. The helpers here are
-//! compiled for, and used throughout, the crate's unit tests.
+//! pass is validated against central differences: [`check_layer`] runs in
+//! this crate's unit tests for each layer and in `rpas-forecast`'s for a
+//! whole model (any [`Layer`], e.g. TFT's full parameter vector).
 
 use crate::Layer;
 
@@ -33,7 +34,7 @@ fn perturb<L: Layer + ?Sized>(layer: &mut L, param_idx: usize, elem: usize, delt
 /// Checks every parameter element *and* the input gradient against central
 /// finite differences, returning the maximum relative error observed.
 #[expect(clippy::needless_range_loop, reason = "the index perturbs one element and reads its gradient twin")]
-pub(crate) fn check_layer<L, F>(layer: &mut L, input: &[f64], run: F) -> f64
+pub fn check_layer<L, F>(layer: &mut L, input: &[f64], run: F) -> f64
 where
     L: Layer + ?Sized,
     F: Fn(&mut L, &[f64]) -> (f64, Vec<f64>),
@@ -87,6 +88,7 @@ where
 
 /// Gradient-check a pure function `x ↦ (loss, dloss/dx)` (used for the loss
 /// functions, which are not layers).
+#[cfg(test)]
 pub(crate) fn check_fn<F>(f: F, x: &[f64]) -> f64
 where
     F: Fn(&[f64]) -> (f64, Vec<f64>),

@@ -3,6 +3,7 @@
 //! backward passes.
 
 use crate::activation::{sigmoid, ActLayer, Activation};
+use crate::kmajor::KMajorDense;
 use crate::linear::Dense;
 use crate::{Layer, Param};
 use rpas_tsmath::rng::RngCore;
@@ -147,38 +148,25 @@ impl GatedResidualNetwork {
         self.norm.forward(&summed)
     }
 
-    /// Inference-only forward into a caller-owned buffer of length
-    /// `out_dim`: the same values as [`GatedResidualNetwork::forward`], bit
-    /// for bit, without touching any cache. `scratch` is grown on first use
-    /// and can be shared by every GRN the caller applies.
-    pub fn apply_into(&self, x: &[f64], scratch: &mut Vec<f64>, y: &mut [f64]) {
-        assert_eq!(x.len(), self.in_dim, "GRN: input dim mismatch");
+    /// Inference view over this GRN's current weights: k-major copies of
+    /// fc1, fc2, gate, lin and skip plus one scratch set, built once per
+    /// inference call (as [`crate::LstmCell::stepper`] is) and applied at
+    /// every position of it.
+    pub fn view(&self) -> GrnView<'_> {
         let hidden = self.fc1.out_dim();
-        scratch.resize(hidden + 3 * self.out_dim, 0.0);
-        let (h, rest) = scratch.split_at_mut(hidden);
-        let (u, rest) = rest.split_at_mut(self.out_dim);
-        let (g, l) = rest.split_at_mut(self.out_dim);
-
-        self.fc1.apply_into(x, h);
-        h.iter_mut().for_each(|a| *a = self.elu.act.apply(*a));
-        self.fc2.apply_into(h, u);
-        self.gate.apply_into(u, g);
-        self.lin.apply_into(u, l);
-        for (gi, li) in g.iter_mut().zip(l.iter()) {
-            *gi = sigmoid(*gi) * li;
+        GrnView {
+            fc1: self.fc1.kmajor(),
+            fc2: self.fc2.kmajor(),
+            gate: self.gate.kmajor(),
+            lin: self.lin.kmajor(),
+            skip: self.skip.as_ref().map(Dense::kmajor),
+            elu: self.elu.act,
+            norm: &self.norm,
+            in_dim: self.in_dim,
+            hidden,
+            out_dim: self.out_dim,
+            scratch: vec![0.0; hidden + 3 * self.out_dim],
         }
-        // `l` and `u` are free again: the projected residual and the sum.
-        let residual = match &self.skip {
-            Some(d) => {
-                d.apply_into(x, l);
-                &*l
-            }
-            None => x,
-        };
-        for ((ui, r), gi) in u.iter_mut().zip(residual).zip(g.iter()) {
-            *ui = r + gi;
-        }
-        self.norm.apply_into(u, y);
     }
 
     /// Backward pass; returns `dx`.
@@ -210,6 +198,61 @@ impl GatedResidualNetwork {
             *a += b;
         }
         dx
+    }
+}
+
+/// Inference-only GRN, created by [`GatedResidualNetwork::view`]: the five
+/// projections on the k-major kernel (`crate::kmajor`) and every scratch
+/// buffer owned, so [`GrnView::apply_into`] neither caches nor allocates.
+/// Borrows the GRN, so the weights cannot change under it.
+#[derive(Debug)]
+pub struct GrnView<'a> {
+    fc1: KMajorDense<'a>,
+    fc2: KMajorDense<'a>,
+    gate: KMajorDense<'a>,
+    lin: KMajorDense<'a>,
+    skip: Option<KMajorDense<'a>>,
+    elu: Activation,
+    norm: &'a LayerNorm,
+    in_dim: usize,
+    hidden: usize,
+    out_dim: usize,
+    /// `h`, `u`, `g`, `l` of the forward pass.
+    scratch: Vec<f64>,
+}
+
+impl GrnView<'_> {
+    /// The GRN's output for `x` into a buffer of length `out_dim`: the same
+    /// values as [`GatedResidualNetwork::forward`], bit for bit.
+    ///
+    /// # Panics
+    /// Panics on an input or output dim mismatch.
+    pub fn apply_into(&mut self, x: &[f64], y: &mut [f64]) {
+        assert_eq!(x.len(), self.in_dim, "GRN: input dim mismatch");
+        let (h, rest) = self.scratch.split_at_mut(self.hidden);
+        let (u, rest) = rest.split_at_mut(self.out_dim);
+        let (g, l) = rest.split_at_mut(self.out_dim);
+
+        self.fc1.apply_into(x, h);
+        h.iter_mut().for_each(|a| *a = self.elu.apply(*a));
+        self.fc2.apply_into(h, u);
+        self.gate.apply_into(u, g);
+        self.lin.apply_into(u, l);
+        for (gi, li) in g.iter_mut().zip(l.iter()) {
+            *gi = sigmoid(*gi) * li;
+        }
+        // `l` and `u` are free again: the projected residual and the sum.
+        let residual = match &self.skip {
+            Some(d) => {
+                d.apply_into(x, l);
+                &*l
+            }
+            None => x,
+        };
+        for ((ui, r), gi) in u.iter_mut().zip(residual).zip(g.iter()) {
+            *ui = r + gi;
+        }
+        self.norm.apply_into(u, y);
     }
 }
 

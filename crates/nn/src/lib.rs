@@ -9,15 +9,21 @@
 //! * **No autograd.** Every layer caches what its backward pass needs on an
 //!   internal stack, so the same layer instance can be unrolled over a
 //!   sequence (weight sharing for BPTT) and then back-propagated in reverse
-//!   order. `gradcheck` validates every layer against central finite
+//!   order. [`gradcheck`] validates every layer — and, from
+//!   `rpas-forecast`'s tests, the whole TFT — against central finite
 //!   differences.
 //! * **Parameter-owned optimizer state.** Each [`Param`] carries its value,
 //!   its accumulated gradient, and its Adam moment buffers; the optimizer is
 //!   just hyperparameters plus a shared step counter.
-//! * **Inference takes `&self`.** `forward`/`backward` push and pop caches;
-//!   `apply`/`apply_into`, `stepper()` and `attend_last` cache nothing, so a
-//!   fitted net is shared, not cloned, and each is pinned bit for bit
-//!   against its `forward` twin (`tests/properties.rs`).
+//! * **Inference takes `&self`.** `forward`/`backward` (attention's
+//!   training pair is `forward_last`/`backward_last`, for the one row its
+//!   loss reads) push and pop caches; `apply`/`apply_into`, `stepper()`,
+//!   the GRN's `view()` and `attend_last` cache nothing, so a fitted net is
+//!   shared, not cloned. The steppers, the GRN view and attention's K/V
+//!   projections run on one k-major kernel, and each path is pinned bit for
+//!   bit against its `forward` twin (`tests/properties.rs`); attention's
+//!   all-rows `forward` caches nothing and is the reference for both
+//!   last-row paths.
 //! * **`f64` everywhere.** The workloads are small time series; determinism
 //!   and debuggability beat raw speed.
 
@@ -29,8 +35,7 @@
 mod activation;
 mod adam;
 mod attention;
-#[cfg(test)]
-mod gradcheck;
+pub mod gradcheck;
 mod grn;
 mod gru;
 mod kmajor;
@@ -44,7 +49,7 @@ mod sequential;
 pub use activation::Activation;
 pub use adam::Adam;
 pub use attention::MultiHeadAttention;
-pub use grn::GatedResidualNetwork;
+pub use grn::{GatedResidualNetwork, GrnView};
 pub use gru::{GruCell, GruStepper};
 pub use linear::Dense;
 pub use lstm::{LstmCell, LstmStepper};

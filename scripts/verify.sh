@@ -26,7 +26,10 @@ cargo build --release --offline
 
 echo "== offline tests (whole workspace) =="
 # Every member crate, not just the root package: the bit-identity pins
-# under the fast inference paths (rpas-nn, rpas-forecast), the checkpoint
+# under the fast inference paths (rpas-nn, rpas-forecast), the
+# training-identity pins (rpas-forecast's golden weight / epoch / forecast
+# hashes in tests/persistence.rs, rpas-nn's golden last-row attention-
+# gradient hash, the whole-TFT gradient check in tft.rs), the checkpoint
 # codec (rpas-core), the worker pool (rpas-par), the SLO early-out's
 # equivalence property (rpas-telemetry) and the per-predict allocation
 # ceilings (rpas-bench) all live in member crates.

@@ -190,6 +190,120 @@ fn deepar_matches_reference_sampling_loop() {
     }
 }
 
+/// `Tft::forecast_quantiles` before its inference paths, transcribed from
+/// public pieces only: the allocate-per-call `Dense::apply` /
+/// `LstmCell::apply`, the caching `GatedResidualNetwork::forward`, all `T`
+/// rows of `MultiHeadAttention::forward` of which the head reads the last,
+/// the sinusoidal positional encoding and the grid decode. `None` where the
+/// model must refuse: a context shorter than `cfg.context`.
+fn tft_reference(
+    cfg: &TftConfig,
+    weights: &[u8],
+    context: &[f64],
+    horizon: usize,
+) -> Option<Vec<u64>> {
+    use rpas::nn::{
+        load_weights, Dense, GatedResidualNetwork, Layer, LstmCell, MultiHeadAttention, Param,
+    };
+    use rpas::tsmath::{rng, Matrix};
+
+    /// `TftNet`'s layers in its `visit_params` order: one snapshot layer.
+    struct Net {
+        input_proj: Dense,
+        lstm: LstmCell,
+        grn_enrich: GatedResidualNetwork,
+        attn: MultiHeadAttention,
+        grn_post: GatedResidualNetwork,
+        head: Dense,
+    }
+    impl Layer for Net {
+        fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+            self.input_proj.visit_params(f);
+            self.lstm.visit_params(f);
+            self.grn_enrich.visit_params(f);
+            self.attn.visit_params(f);
+            self.grn_post.visit_params(f);
+            self.head.visit_params(f);
+        }
+        fn clear_cache(&mut self) {}
+    }
+
+    let d = cfg.d_model;
+    let mut init = rng::seeded(cfg.seed);
+    let mut net = Net {
+        input_proj: Dense::new(1, d, &mut init),
+        lstm: LstmCell::new(d, d, &mut init),
+        grn_enrich: GatedResidualNetwork::new(d, d, d, &mut init),
+        attn: MultiHeadAttention::new(d, cfg.heads, true, &mut init),
+        grn_post: GatedResidualNetwork::new(d, d, d, &mut init),
+        head: Dense::new(d, cfg.horizon * cfg.quantiles.len(), &mut init),
+    };
+    let [mean, std] = load_weights(&mut [&mut net], weights).expect("weights match config")[..]
+    else {
+        panic!("a TFT snapshot carries its scaler");
+    };
+
+    if context.len() < cfg.context {
+        return None;
+    }
+    let zctx: Vec<f64> =
+        context[context.len() - cfg.context..].iter().map(|v| (v - mean) / std).collect();
+    let mut state = net.lstm.init_state();
+    let mut rows = Vec::new();
+    for (t, &z) in zctx.iter().enumerate() {
+        let mut e = net.input_proj.apply(&[z]);
+        for (i, v) in e.iter_mut().enumerate() {
+            let angle = t as f64 / 10_000f64.powf(2.0 * (i / 2) as f64 / d as f64);
+            *v += if i % 2 == 0 { angle.sin() } else { angle.cos() };
+        }
+        state = net.lstm.apply(&e, &state);
+        rows.push(net.grn_enrich.forward(&state.h));
+    }
+    let x = Matrix::from_rows(&rows);
+    let last = cfg.context - 1;
+    let a = net.attn.forward(&x);
+    let summed: Vec<f64> = a.row(last).iter().zip(x.row(last)).map(|(a, x)| a + x).collect();
+    let out = net.head.apply(&net.grn_post.forward(&summed));
+
+    let nq = cfg.quantiles.len();
+    let grid = Matrix::from_vec(
+        horizon,
+        nq,
+        out[..horizon * nq].iter().map(|z| z * std + mean).collect(),
+    );
+    Some(forecast_bits(&QuantileForecast::new(cfg.quantiles.clone(), grid)))
+}
+
+#[test]
+fn tft_matches_reference_forward() {
+    // d 12 = one 8-row block + a 4-row tail of the k-major kernel.
+    let cfg = TftConfig {
+        context: CONTEXT,
+        horizon: HORIZON,
+        d_model: 12,
+        heads: 3,
+        quantiles: SCALING_LEVELS.to_vec(),
+        epochs: 2,
+        lr: 2e-3,
+        windows_per_epoch: 16,
+        seed: 9,
+    };
+    let (train, test) = fixed_series();
+    let mut model = Tft::new(cfg.clone());
+    model.fit(&train).expect("fit");
+    let weights = model.export_weights().expect("fitted");
+    // A context longer than, equal to, and shorter than `cfg.context`.
+    for ctx_len in [CONTEXT + 7, CONTEXT, 5] {
+        let ctx = &test[..ctx_len];
+        let fast = model.forecast_quantiles(ctx, HORIZON, &SCALING_LEVELS);
+        assert_eq!(
+            fast.as_ref().ok().map(forecast_bits),
+            tft_reference(&cfg, &weights, ctx, HORIZON),
+            "context length {ctx_len}: {fast:?}"
+        );
+    }
+}
+
 /// The loop every Gaussian forecaster (`LastValue`, `SeasonalNaive`,
 /// `Arima`, `HoltWinters`) ran before `QuantileForecast::gaussian`:
 /// `norm_quantile` inside both loops, one call per cell. `step(h)` is the

@@ -86,7 +86,7 @@ fn main() {
         std::hint::black_box(basic.plan(&qf));
     });
 
-    let mut t2 = Table::new(&["method", "execution time (ms)"]);
+    let mut t2 = Table::new(["method", "execution time (ms)"]);
     for (name, ms) in [
         ("Reactive-Max", t_rmax),
         ("Reactive-Average", t_ravg),
@@ -126,7 +126,7 @@ fn main() {
         }
     }) / opt_reps as f64;
 
-    let mut t3 = Table::new(&["component", "variant", "time (ms)"]);
+    let mut t3 = Table::new(["component", "variant", "time (ms)"]);
     t3.row(vec!["forecasting".into(), "DeepAR".into(), f(t_fc_deepar)]);
     t3.row(vec!["forecasting".into(), "TFT".into(), f(t_fc_tft)]);
     t3.row(vec!["optimization".into(), "Basic".into(), format!("{t_opt_basic:.6}")]);

@@ -1,10 +1,12 @@
 //! # rpas-bench
 //!
-//! The experiment harness: shared model constructors, dataset preparation,
-//! and table/CSV output used by the per-table/per-figure binaries (see
-//! `src/bin/`) and the `benches/` micro-benchmarks (see [`harness`]).
+//! The experiment harness: the paper's experiments as functions returning
+//! typed, shape-checked results ([`experiments`], rendered by the
+//! `experiments` bin and asserted by `tests/shapes.rs`), their shared
+//! model constructors, dataset preparation and table/CSV output, and the
+//! `benches/` micro-benchmarks' timing loop (see [`harness`]).
 //!
-//! Every binary honours the `RPAS_PROFILE` environment variable:
+//! The experiments honour the `RPAS_PROFILE` environment variable:
 //!
 //! * `full` (default) — paper-scale settings: context 72, horizon 72,
 //!   42-day traces, three training runs where the paper averages over
@@ -15,18 +17,18 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::print_stdout)]
 
 pub mod alloc;
+pub mod experiments;
 pub mod harness;
 pub mod models;
 pub mod output;
 mod profile;
 
-pub use models::{fit_all_quantile_models, FittedQuantileModels};
 pub use output::{write_csv, Table};
 pub use profile::{ExperimentProfile, Profile};
 
 use rpas_traces::{alibaba_like, google_like, Trace};
 
-/// Process-wide observability handle for the experiment binaries and the
+/// Process-wide observability handle for the bench binaries and the
 /// micro-benchmark harness, built once from the environment (`RPAS_LOG`
 /// stderr verbosity, `RPAS_TRACE_OUT` JSONL trace). Result tables still go
 /// to stdout; diagnostics and phase timings flow through this handle.

@@ -1,9 +1,10 @@
-//! Paper-configured model constructors shared by the experiment binaries.
+//! Paper-configured model constructors shared by the experiments and the
+//! micro-benchmarks.
 
 use crate::profile::ExperimentProfile;
 use rpas_forecast::{
     Arima, ArimaConfig, DeepAr, DeepArConfig, DistKind, Forecaster, MlpProb, MlpProbConfig,
-    Qb5000, Qb5000Config, Tft, TftConfig,
+    MlpQuantile, MlpQuantileConfig, Qb5000, Qb5000Config, Tft, TftConfig,
 };
 
 /// ARIMA with the orders used across the experiments.
@@ -19,6 +20,21 @@ pub fn mlp(p: &ExperimentProfile, seed: u64) -> MlpProb {
         hidden: vec![p.hidden * 2, p.hidden * 2],
         dist: DistKind::StudentT,
         epochs: p.epochs * 2, // MLP epochs are far cheaper than the RNNs'
+        lr: 1e-3,
+        windows_per_epoch: p.windows_per_epoch,
+        seed,
+    })
+}
+
+/// The MLP backbone trained on TFT's pinball grid (the grid-family
+/// ablation's middle row).
+pub(crate) fn mlp_quantile(p: &ExperimentProfile, grid: &[f64], seed: u64) -> MlpQuantile {
+    MlpQuantile::new(MlpQuantileConfig {
+        context: p.context,
+        horizon: p.horizon,
+        hidden: vec![p.hidden * 2, p.hidden * 2],
+        quantiles: grid.to_vec(),
+        epochs: p.epochs * 2,
         lr: 1e-3,
         windows_per_epoch: p.windows_per_epoch,
         seed,
@@ -62,11 +78,6 @@ pub fn tft(p: &ExperimentProfile, grid: &[f64], seed: u64) -> Tft {
     })
 }
 
-/// TFT trained to output only the 0.5 quantile — the paper's **TFT-point**.
-pub fn tft_point(p: &ExperimentProfile, seed: u64) -> Tft {
-    tft(p, &[0.5], seed)
-}
-
 /// QB5000 sized per the profile.
 pub fn qb5000(p: &ExperimentProfile, seed: u64) -> Qb5000 {
     Qb5000::new(Qb5000Config {
@@ -81,36 +92,34 @@ pub fn qb5000(p: &ExperimentProfile, seed: u64) -> Qb5000 {
     })
 }
 
-/// All four Table-I quantile forecasters, fitted on one training series.
-pub struct FittedQuantileModels {
-    /// ARIMA baseline.
-    pub arima: Arima,
-    /// Probabilistic MLP baseline.
-    pub mlp: MlpProb,
-    /// DeepAR (parametric-distribution family).
-    pub deepar: DeepAr,
-    /// TFT (quantile-grid family).
-    pub tft: Tft,
-}
-
-/// Fit all four models on `train` with the given seed and TFT grid.
+/// `model`, fitted on `train`.
 ///
 /// # Panics
-/// Panics if any fit fails (the harness controls series lengths).
+/// Panics if the fit fails (the harness controls series lengths).
 #[expect(clippy::expect_used, reason = "an experiment cannot run without its fitted models")]
-pub fn fit_all_quantile_models(
+pub(crate) fn fitted<F: Forecaster>(mut model: F, train: &[f64]) -> F {
+    model.fit(train).expect("experiment model fit");
+    model
+}
+
+/// A fitted forecaster as the experiments hold a list of them.
+pub(crate) type Fitted = Box<dyn Forecaster + Send + Sync>;
+
+/// The four Table-I quantile forecasters — ARIMA, MLP, DeepAR, TFT, in
+/// that order — fitted on `train` with the given seed and TFT grid.
+///
+/// # Panics
+/// Panics if any fit fails.
+pub(crate) fn fit_all_quantile_models(
     p: &ExperimentProfile,
     train: &[f64],
     grid: &[f64],
     seed: u64,
-) -> FittedQuantileModels {
-    let mut a = arima();
-    a.fit(train).expect("arima fit");
-    let mut m = mlp(p, seed);
-    m.fit(train).expect("mlp fit");
-    let mut d = deepar(p, seed);
-    d.fit(train).expect("deepar fit");
-    let mut t = tft(p, grid, seed);
-    t.fit(train).expect("tft fit");
-    FittedQuantileModels { arima: a, mlp: m, deepar: d, tft: t }
+) -> Vec<Fitted> {
+    vec![
+        Box::new(fitted(arima(), train)),
+        Box::new(fitted(mlp(p, seed), train)),
+        Box::new(fitted(deepar(p, seed), train)),
+        Box::new(fitted(tft(p, grid, seed), train)),
+    ]
 }

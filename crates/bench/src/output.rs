@@ -11,9 +11,9 @@ pub struct Table {
 }
 
 impl Table {
-    /// New table with the given column headers.
-    pub fn new(headers: &[&str]) -> Self {
-        Self { headers: headers.iter().map(|s| s.to_string()).collect(), rows: Vec::new() }
+    /// New table with the given column headers, borrowed or owned.
+    pub fn new<S: Into<String>>(headers: impl IntoIterator<Item = S>) -> Self {
+        Self { headers: headers.into_iter().map(Into::into).collect(), rows: Vec::new() }
     }
 
     /// Append a row of preformatted cells.
@@ -70,6 +70,11 @@ pub fn f(v: f64) -> String {
     }
 }
 
+/// A table row: a label, then each value formatted by [`f`].
+pub(crate) fn labelled(label: impl Into<String>, values: &[f64]) -> Vec<String> {
+    std::iter::once(label.into()).chain(values.iter().map(|&v| f(v))).collect()
+}
+
 /// Where a named artifact goes: flat under `$RPAS_RESULTS_DIR` when set
 /// (used by `scripts/verify.sh` to compare runs in isolation), otherwise
 /// under `subdir` of the workspace root.
@@ -97,11 +102,13 @@ pub fn workspace_file(name: &str) -> PathBuf {
     artifact_path("", name)
 }
 
-/// Write named columns as a CSV artifact under `results/`.
+/// Write named columns, borrowed or owned, as a CSV artifact under
+/// `results/`.
 #[expect(clippy::print_stdout, reason = "tells the operator where the CSV went")]
-pub fn write_csv(name: &str, columns: &[(&str, &[f64])]) {
+pub fn write_csv<N: AsRef<str>, C: AsRef<[f64]>>(name: &str, columns: &[(N, C)]) {
     let path = results_path(name);
-    if let Err(err) = rpas_traces::csv::write_columns_to_path(&path, columns) {
+    let columns: Vec<(&str, &[f64])> = columns.iter().map(|(n, c)| (n.as_ref(), c.as_ref())).collect();
+    if let Err(err) = rpas_traces::csv::write_columns_to_path(&path, &columns) {
         crate::bench_obs().emit(catalog::BENCH_WRITE_FAILED, |e| {
             e.field("path", path.display().to_string()).field("error", err.to_string());
         });
@@ -116,7 +123,7 @@ mod tests {
 
     #[test]
     fn table_renders_aligned() {
-        let mut t = Table::new(&["model", "mse"]);
+        let mut t = Table::new(["model", "mse"]);
         t.row(vec!["arima".into(), "411.1".into()]);
         t.row(vec!["tft".into(), "3.1".into()]);
         let s = t.render();
@@ -129,7 +136,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "width mismatch")]
     fn row_width_checked() {
-        let mut t = Table::new(&["a", "b"]);
+        let mut t = Table::new(["a", "b"]);
         t.row(vec!["only-one".into()]);
     }
 

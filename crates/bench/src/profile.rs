@@ -37,7 +37,7 @@ pub struct ExperimentProfile {
 impl ExperimentProfile {
     /// Paper-scale profile: 12-hour context and horizon at 10-minute
     /// sampling (72 steps each), 42-day traces, 3 runs.
-    pub(crate) fn full() -> Self {
+    pub fn full() -> Self {
         Self {
             profile: Profile::Full,
             trace_days: 42,
@@ -53,7 +53,7 @@ impl ExperimentProfile {
     }
 
     /// Scaled-down smoke-test profile.
-    pub(crate) fn quick() -> Self {
+    pub fn quick() -> Self {
         Self {
             profile: Profile::Quick,
             trace_days: 10,

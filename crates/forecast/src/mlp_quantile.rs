@@ -7,8 +7,8 @@
 //! implementation of quantile workload forecasting; this model is that
 //! idea with a neural basis, and doubles as an ablation partner for the
 //! TFT: same loss and output grid, no recurrence or attention. The
-//! `forecasters` Criterion bench and the `ablation_grid` experiment binary
-//! compare them.
+//! `forecasters` Criterion bench and the `ablation_grid` experiment
+//! (`rpas-bench`'s `experiments ablation_grid`) compare them.
 
 use crate::grid;
 use crate::mlp::relu_mlp;

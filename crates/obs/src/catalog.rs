@@ -93,6 +93,9 @@ catalog! {
     BENCH_TELEMETRY_BUDGET_EXCEEDED = Error "bench" / "telemetry_budget_exceeded";
     /// `telemetry-budget.json` is missing or unreadable.
     BENCH_TELEMETRY_BUDGET_MISSING = Error "bench" / "telemetry_budget_missing";
+    /// The `experiments` bin was given a name it does not know; `valid`
+    /// lists the ones it does.
+    BENCH_UNKNOWN_EXPERIMENT = Error "bench" / "unknown_experiment";
     /// A results file could not be written.
     BENCH_WRITE_FAILED = Warn "bench" / "write_failed";
     /// The CLI is exiting 1; `error` says why.

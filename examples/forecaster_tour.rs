@@ -3,7 +3,8 @@
 //! a miniature Table I.
 //!
 //! Uses small model sizes so the whole tour trains in about a minute in
-//! release mode; the `table1` bench binary runs the paper-scale version.
+//! release mode; `cargo run --release -p rpas-bench --bin experiments --
+//! table1` runs the paper-scale version.
 //!
 //! Run: `cargo run --release --example forecaster_tour`
 

@@ -5,16 +5,18 @@
 #      (root tests/hermetic.rs holds both lockfiles to path-only packages).
 #   2. Every member crate's tests, offline. The CLI-level drills (chaos
 #      and fleet determinism, kill/resume byte-identity, trace and
-#      obs-query round-trips) are root tests/cli_e2e.rs.
+#      obs-query round-trips) are root tests/cli_e2e.rs; the paper's shape
+#      claims at RPAS_PROFILE=quick are crates/bench/tests/shapes.rs.
 #   3. clippy with -D warnings: its default set plus the workspace's static
 #      rules D2 / O1 / P1 / F1 / E1 (clippy.toml; DESIGN.md §9).
 #   4. Two timing budgets: the telemetry dark path (telemetry-budget.json)
 #      and the supervised fleet hot path (fleet-budget.json).
 #   5. The benchmark ledger's self-check (`--check`, BENCHMARK.json).
 #
-# Optional: RPAS_VERIFY_PARALLEL=1 additionally checks that the table1
-# experiment produces byte-identical CSV output single-threaded vs
-# parallel (slow — trains real models, even under RPAS_PROFILE=quick).
+# Optional: RPAS_VERIFY_PARALLEL=1 additionally checks that `experiments
+# table1` produces byte-identical CSV output single-threaded vs parallel,
+# and asserts every shape claim at the paper-scale profile
+# (crates/bench/tests/shapes.rs's #[ignore]d test; ~6 min in release).
 #
 # Usage: scripts/verify.sh   (from anywhere; cd's to the repo root)
 
@@ -97,11 +99,15 @@ if [[ "${RPAS_VERIFY_PARALLEL:-0}" == "1" ]]; then
     tmp="$(mktemp -d)"
     trap 'rm -rf "$tmp" "$trace_tmp"' EXIT
     RPAS_PROFILE=quick RPAS_THREADS=1 RPAS_RESULTS_DIR="$tmp/seq" \
-        cargo run -q --release --offline -p rpas-bench --bin table1
+        cargo run -q --release --offline -p rpas-bench --bin experiments -- table1
     RPAS_PROFILE=quick RPAS_RESULTS_DIR="$tmp/par" \
-        cargo run -q --release --offline -p rpas-bench --bin table1
+        cargo run -q --release --offline -p rpas-bench --bin experiments -- table1
     diff -r "$tmp/seq" "$tmp/par"
     echo "ok: table1 output independent of thread count"
+
+    echo "== shape claims at the full profile =="
+    cargo test -q --release --offline -p rpas-bench --test shapes -- --ignored
+    echo "ok: every full-profile shape claim holds"
 fi
 
 echo "verify: all checks passed"

@@ -33,6 +33,7 @@ const NOT_IN_SMOKES: &[EventName] = &[
     catalog::BENCH_SPAN_CLOSE,
     catalog::BENCH_TELEMETRY_BUDGET_EXCEEDED,
     catalog::BENCH_TELEMETRY_BUDGET_MISSING,
+    catalog::BENCH_UNKNOWN_EXPERIMENT,
     catalog::BENCH_WRITE_FAILED,
     // The `cli` binary (`tests/cli_e2e.rs` drives it).
     catalog::CLI_FATAL,

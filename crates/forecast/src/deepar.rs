@@ -76,6 +76,35 @@ fn window_scale(context: &[f64]) -> (f64, f64) {
     (m, sd)
 }
 
+/// One teacher-forced pass over a z-scored window: step `t` reads
+/// `win[t − 1]` and is scored by the Student-t NLL of `win[t]`. Adds the
+/// mean step loss into `loss` and accumulates the BPTT gradients in `gru`
+/// and `head`.
+fn teacher_forced(gru: &mut GruCell, head: &mut Dense, win: &[f64], loss: &mut f64) {
+    let steps = win.len() - 1;
+    let mut h = gru.init_state();
+    let mut d_outs: Vec<[f64; 3]> = Vec::with_capacity(steps);
+    for t in 1..win.len() {
+        h = gru.forward(&[win[t - 1]], &h);
+        let out = head.forward(&h);
+        let (l, dmu, dsr, dnr) = student_t_nll(out[0], out[1], out[2], win[t]);
+        let s = 1.0 / steps as f64;
+        *loss += l * s;
+        d_outs.push([dmu * s, dsr * s, dnr * s]);
+    }
+
+    // BPTT in reverse.
+    let mut dh_next = vec![0.0; h.len()];
+    for d in d_outs.iter().rev() {
+        let mut dh = head.backward(&d[..]);
+        for (a, b) in dh.iter_mut().zip(&dh_next) {
+            *a += b;
+        }
+        let (_dx, dh_prev) = gru.backward(&dh);
+        dh_next = dh_prev;
+    }
+}
+
 impl DeepAr {
     /// New unfitted model.
     ///
@@ -151,31 +180,7 @@ impl Forecaster for DeepAr {
             |raw_win, _, loss| {
                 let (m, sd) = window_scale(&raw_win[..c.context.min(raw_win.len())]);
                 let win: Vec<f64> = raw_win.iter().map(|v| (v - m) / sd).collect();
-                let steps = win.len() - 1;
-
-                // Teacher-forced forward pass.
-                let mut h = gru.init_state();
-                let mut d_outs: Vec<[f64; 3]> = Vec::with_capacity(steps);
-                for t in 1..win.len() {
-                    h = gru.forward(&[win[t - 1]], &h);
-                    let out = head.forward(&h);
-                    let (l, dmu, dsr, dnr) = student_t_nll(out[0], out[1], out[2], win[t]);
-                    let s = 1.0 / steps as f64;
-                    *loss += l * s;
-                    d_outs.push([dmu * s, dsr * s, dnr * s]);
-                }
-
-                // BPTT in reverse.
-                let mut dh_next = vec![0.0; c.hidden];
-                for d in d_outs.iter().rev() {
-                    let mut dh = head.backward(&d[..]);
-                    for (a, b) in dh.iter_mut().zip(&dh_next) {
-                        *a += b;
-                    }
-                    let (_dx, dh_prev) = gru.backward(&dh);
-                    dh_next = dh_prev;
-                }
-
+                teacher_forced(&mut gru, &mut head, &win, loss);
                 // The components clip independently; the audit records
                 // their combined pre-clip global norm.
                 window::clip_and_step(&mut opt, &mut [&mut gru, &mut head])
@@ -336,6 +341,38 @@ mod tests {
         let f = m.forecast_quantiles(&series[..24], 3, &[0.123, 0.456, 0.987]).unwrap();
         assert_eq!(f.levels(), &[0.123, 0.456, 0.987]);
         assert!(f.is_monotone());
+    }
+
+    /// GRU and head as one parameter set, for the gradient check.
+    struct Net(GruCell, Dense);
+
+    impl rpas_nn::Layer for Net {
+        fn visit_params(&mut self, f: &mut dyn FnMut(&mut rpas_nn::Param)) {
+            self.0.visit_params(f);
+            self.1.visit_params(f);
+        }
+
+        fn clear_cache(&mut self) {
+            self.0.clear_cache();
+            self.1.clear_cache();
+        }
+    }
+
+    #[test]
+    fn whole_model_gradient_matches_finite_differences() {
+        // Every GRU and head parameter through the Student-t NLL and the
+        // softplus links of σ and ν, across a teacher-forced unroll: the
+        // backward reads `1 − h̃²` and `s (1 − s)` off the forward's values.
+        let m = DeepAr::new(DeepArConfig { hidden: 4, ..tiny_cfg() });
+        let (gru, head) = m.build_net(&mut seeded(8));
+        let mut net = Net(gru, head);
+        let win = [0.3, -1.1, 0.8, 1.7, -0.4, 2.6, -2.2];
+        let err = rpas_nn::gradcheck::check_layer(&mut net, &[], |net, _| {
+            let mut loss = 0.0;
+            teacher_forced(&mut net.0, &mut net.1, &win, &mut loss);
+            (loss, Vec::new())
+        });
+        assert!(err < 1e-6, "DeepAR whole-model gradcheck err {err}");
     }
 
     #[test]

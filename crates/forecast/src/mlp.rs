@@ -120,6 +120,34 @@ impl MlpProb {
         }
     }
 
+    /// Forward `ctx`, add the mean per-step NLL of `tgt` under the head's
+    /// distributions into `loss`, and back-propagate it through `net`
+    /// (gradients accumulate there). Returns `d loss / d ctx`.
+    fn nll_pass(&self, net: &mut Mlp, ctx: &[f64], tgt: &[f64], loss: &mut f64) -> Vec<f64> {
+        let k = self.params_per_step;
+        let steps = self.cfg.horizon as f64;
+        let out = net.forward(ctx);
+        let mut dout = vec![0.0; out.len()];
+        for (h, &y) in tgt.iter().enumerate() {
+            let o = &out[h * k..(h + 1) * k];
+            let (l, grad) = match self.cfg.dist {
+                DistKind::Gaussian => {
+                    let (l, dmu, dsr) = gaussian_nll(o[0], o[1], y);
+                    (l, [dmu, dsr, 0.0])
+                }
+                DistKind::StudentT => {
+                    let (l, dmu, dsr, dnr) = student_t_nll(o[0], o[1], o[2], y);
+                    (l, [dmu, dsr, dnr])
+                }
+            };
+            *loss += l / steps;
+            for (d, g) in dout[h * k..(h + 1) * k].iter_mut().zip(grad) {
+                *d = g / steps;
+            }
+        }
+        net.backward(&dout)
+    }
+
     /// The untrained network, initialised from `r`.
     fn build_net(&self, r: &mut Rng64) -> Mlp {
         let c = &self.cfg;
@@ -153,34 +181,13 @@ impl Forecaster for MlpProb {
         let mut net = self.build_net(&mut r);
         let mut opt = Adam::new(c.lr);
 
-        let k = self.params_per_step;
-        let steps = c.horizon as f64;
         window::train(
             &ds,
             c.epochs,
             c.windows_per_epoch,
             &mut r,
             |ctx, tgt, loss| {
-                let out = net.forward(ctx);
-                let mut dout = vec![0.0; out.len()];
-                for (h, &y) in tgt.iter().enumerate() {
-                    let o = &out[h * k..(h + 1) * k];
-                    let (l, grad) = match c.dist {
-                        DistKind::Gaussian => {
-                            let (l, dmu, dsr) = gaussian_nll(o[0], o[1], y);
-                            (l, [dmu, dsr, 0.0])
-                        }
-                        DistKind::StudentT => {
-                            let (l, dmu, dsr, dnr) = student_t_nll(o[0], o[1], o[2], y);
-                            (l, [dmu, dsr, dnr])
-                        }
-                    };
-                    *loss += l / steps;
-                    for (d, g) in dout[h * k..(h + 1) * k].iter_mut().zip(grad) {
-                        *d = g / steps;
-                    }
-                }
-                let _ = net.backward(&dout);
+                let _ = self.nll_pass(&mut net, ctx, tgt, loss);
                 let norm = net.clip_grad_norm(window::CLIP_NORM);
                 opt.step_layer(&mut net);
                 norm
@@ -288,6 +295,30 @@ mod tests {
         let f = m.forecast_quantiles(&series[..12], 4, &[0.1, 0.5, 0.9]).unwrap();
         assert!(f.is_monotone());
         assert!(f.median().iter().all(|v| v.is_finite()));
+    }
+
+    #[test]
+    fn whole_model_gradient_matches_finite_differences() {
+        // Every parameter and the context through both heads' NLL and
+        // their softplus links. Tanh hidden layers: ReLU is kinked at 0.
+        let ctx = [0.4, -1.3, 0.9, 2.1];
+        let tgt = [0.7, -0.6, 1.8];
+        for dist in [DistKind::Gaussian, DistKind::StudentT] {
+            let m = MlpProb::new(MlpProbConfig {
+                context: ctx.len(),
+                horizon: tgt.len(),
+                dist,
+                ..tiny_cfg()
+            });
+            let widths = [ctx.len(), 5, tgt.len() * m.params_per_step];
+            let mut net = Mlp::new(&widths, Activation::Tanh, &mut seeded(9));
+            let err = rpas_nn::gradcheck::check_layer(&mut net, &ctx, |net, ctx| {
+                let mut loss = 0.0;
+                let dx = m.nll_pass(net, ctx, &tgt, &mut loss);
+                (loss, dx)
+            });
+            assert!(err < 1e-6, "{dist:?} head gradcheck err {err}");
+        }
     }
 
     #[test]

@@ -7,6 +7,7 @@ use crate::window::{self, ContextGuard};
 use rpas_nn::loss::mse;
 use rpas_nn::{Adam, Dense, LstmCell};
 use rpas_traces::WindowDataset;
+use rpas_tsmath::elementary::exp;
 use rpas_tsmath::stats::Standardizer;
 use rpas_tsmath::{rng, Matrix};
 
@@ -89,7 +90,7 @@ impl Qb5000 {
         let mut total = 0.0;
         for stored in &f.kernel_ctx {
             let d2: f64 = stored.iter().zip(zctx).map(|(a, b)| (a - b) * (a - b)).sum();
-            let w = (-d2 / (2.0 * f.bandwidth * f.bandwidth)).exp();
+            let w = exp(-d2 / (2.0 * f.bandwidth * f.bandwidth));
             weights.push(w);
             total += w;
         }

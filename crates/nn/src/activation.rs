@@ -1,6 +1,8 @@
 //! Element-wise activation functions and a stack-caching activation layer.
 
 use crate::{Layer, Param};
+use rpas_tsmath::elementary::{exp, sigmoid, tanh};
+use rpas_tsmath::special::softplus;
 
 /// Supported element-wise activations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,14 +27,14 @@ impl Activation {
     pub(crate) fn apply(self, x: f64) -> f64 {
         match self {
             Activation::Relu => x.max(0.0),
-            Activation::Tanh => x.tanh(),
+            Activation::Tanh => tanh(x),
             Activation::Sigmoid => sigmoid(x),
-            Activation::Softplus => rpas_tsmath::special::softplus(x),
+            Activation::Softplus => softplus(x),
             Activation::Elu => {
                 if x >= 0.0 {
                     x
                 } else {
-                    x.exp() - 1.0
+                    exp(x) - 1.0
                 }
             }
             Activation::Identity => x,
@@ -51,19 +53,19 @@ impl Activation {
                 }
             }
             Activation::Tanh => {
-                let t = x.tanh();
+                let t = tanh(x);
                 1.0 - t * t
             }
             Activation::Sigmoid => {
                 let s = sigmoid(x);
                 s * (1.0 - s)
             }
-            Activation::Softplus => rpas_tsmath::special::softplus_prime(x),
+            Activation::Softplus => sigmoid(x),
             Activation::Elu => {
                 if x >= 0.0 {
                     1.0
                 } else {
-                    x.exp()
+                    exp(x)
                 }
             }
             Activation::Identity => 1.0,
@@ -73,17 +75,6 @@ impl Activation {
     /// Apply to a slice into a new vector.
     pub(crate) fn apply_vec(self, xs: &[f64]) -> Vec<f64> {
         xs.iter().map(|&x| self.apply(x)).collect()
-    }
-}
-
-/// Numerically-stable logistic sigmoid.
-#[inline]
-pub(crate) fn sigmoid(x: f64) -> f64 {
-    if x >= 0.0 {
-        1.0 / (1.0 + (-x).exp())
-    } else {
-        let e = x.exp();
-        e / (1.0 + e)
     }
 }
 
@@ -170,6 +161,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "std oracle")]
     fn act_layer_stack_semantics() {
         let mut l = ActLayer::new(Activation::Tanh);
         let y1 = l.forward(&[0.5]);

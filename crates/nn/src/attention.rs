@@ -15,6 +15,7 @@
 
 use crate::kmajor::KMajor;
 use crate::{Layer, Param};
+use rpas_tsmath::elementary::exp;
 use rpas_tsmath::rng::RngCore;
 use rpas_tsmath::vector::{axpy, dot};
 use rpas_tsmath::Matrix;
@@ -67,7 +68,7 @@ fn softmax_rows(m: &mut Matrix) {
         let max = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         let mut sum = 0.0;
         for v in row.iter_mut() {
-            *v = (*v - max).exp();
+            *v = exp(*v - max);
             sum += *v;
         }
         for v in row.iter_mut() {

@@ -2,10 +2,11 @@
 //! Temporal Fusion Transformer (Lim et al., 2021), both with hand-written
 //! backward passes.
 
-use crate::activation::{sigmoid, ActLayer, Activation};
+use crate::activation::{ActLayer, Activation};
 use crate::kmajor::KMajorDense;
 use crate::linear::Dense;
 use crate::{Layer, Param};
+use rpas_tsmath::elementary::sigmoid;
 use rpas_tsmath::rng::RngCore;
 
 /// Layer normalisation with learned gain `γ` and bias `β`.

@@ -4,9 +4,9 @@
 //! cell keeps a LIFO cache so `backward` calls in reverse order implement
 //! truncated BPTT with weight sharing.
 
-use crate::activation::sigmoid;
 use crate::kmajor::KMajorGate;
 use crate::{Layer, Param};
+use rpas_tsmath::elementary::{sigmoid, tanh};
 use rpas_tsmath::rng::RngCore;
 use rpas_tsmath::vector;
 
@@ -156,7 +156,7 @@ impl GruCell {
         let mut ah = self.bh.data.clone();
         mat_acc(&self.wh.data, x, &mut ah);
         mat_acc(&self.uh.data, &rh, &mut ah);
-        let h_tilde: Vec<f64> = ah.iter().map(|&a| a.tanh()).collect();
+        let h_tilde: Vec<f64> = ah.iter().map(|&a| tanh(a)).collect();
 
         let mut h = vec![0.0; n];
         for i in 0..n {
@@ -264,7 +264,7 @@ impl GruStepper<'_> {
         }
         self.candidate.pre_activation(x, &self.rh, &mut self.ah);
         for ((h, &z), &a) in self.h.iter_mut().zip(&self.z).zip(&self.ah) {
-            *h = (1.0 - z) * *h + z * a.tanh();
+            *h = (1.0 - z) * *h + z * tanh(a);
         }
         &self.h
     }

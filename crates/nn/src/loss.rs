@@ -11,7 +11,8 @@
 //!   quantile level and is trained with the pinball (quantile) loss of
 //!   Eq. (1)/(2).
 
-use rpas_tsmath::special::{digamma, ln_gamma, softplus, softplus_prime};
+use rpas_tsmath::elementary::sigmoid;
+use rpas_tsmath::special::{digamma, ln_gamma, softplus};
 
 /// Floor applied to σ after softplus so likelihoods stay finite.
 pub const SIGMA_FLOOR: f64 = 1e-4;
@@ -44,7 +45,7 @@ pub fn gaussian_nll(mu: f64, sigma_raw: f64, y: f64) -> (f64, f64, f64) {
     let nll = 0.5 * (2.0 * std::f64::consts::PI).ln() + sigma.ln() + 0.5 * z * z;
     let d_mu = -z / sigma;
     let d_sigma = (1.0 - z * z) / sigma;
-    (nll, d_mu, d_sigma * softplus_prime(sigma_raw))
+    (nll, d_mu, d_sigma * sigmoid(sigma_raw))
 }
 
 /// Student-t negative log-likelihood of `y` under the location-scale t with
@@ -69,7 +70,7 @@ pub fn student_t_nll(mu: f64, sigma_raw: f64, nu_raw: f64, y: f64) -> (f64, f64,
         + 0.5 * a.ln()
         - (nu + 1.0) * z * z / (2.0 * nu * nu * a);
 
-    (nll, d_mu, d_sigma * softplus_prime(sigma_raw), d_nu * softplus_prime(nu_raw))
+    (nll, d_mu, d_sigma * sigmoid(sigma_raw), d_nu * sigmoid(nu_raw))
 }
 
 /// Pinball (quantile) loss of Eq. (1):

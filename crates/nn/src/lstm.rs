@@ -3,9 +3,9 @@
 //! Used by the QB5000 hybrid forecaster (its neural component is an LSTM,
 //! following Ma et al., SIGMOD 2018) and by the TFT-style encoder.
 
-use crate::activation::sigmoid;
 use crate::kmajor::KMajorGate;
 use crate::{Layer, Param};
+use rpas_tsmath::elementary::{sigmoid, tanh};
 use rpas_tsmath::rng::RngCore;
 use rpas_tsmath::vector;
 
@@ -184,13 +184,13 @@ impl LstmCell {
         let i: Vec<f64> = gate(&self.wi, &self.ui, &self.bi).iter().map(|&a| sigmoid(a)).collect();
         let f: Vec<f64> = gate(&self.wf, &self.uf, &self.bf).iter().map(|&a| sigmoid(a)).collect();
         let o: Vec<f64> = gate(&self.wo, &self.uo, &self.bo).iter().map(|&a| sigmoid(a)).collect();
-        let g: Vec<f64> = gate(&self.wg, &self.ug, &self.bg).iter().map(|&a| a.tanh()).collect();
+        let g: Vec<f64> = gate(&self.wg, &self.ug, &self.bg).iter().map(|&a| tanh(a)).collect();
 
         let mut c = vec![0.0; n];
         let mut h = vec![0.0; n];
         for k in 0..n {
             c[k] = f[k] * state.c[k] + i[k] * g[k];
-            h[k] = o[k] * c[k].tanh();
+            h[k] = o[k] * tanh(c[k]);
         }
         (LstmState { h, c }, [i, f, o, g])
     }
@@ -212,7 +212,7 @@ impl LstmCell {
         let mut do_ = vec![0.0; n];
         let mut dc = dc_in.to_vec();
         for k in 0..n {
-            let tc = s.c[k].tanh();
+            let tc = tanh(s.c[k]);
             do_[k] = dh[k] * tc;
             dc[k] += dh[k] * s.o[k] * (1.0 - tc * tc);
         }
@@ -267,7 +267,7 @@ pub struct LstmStepper<'a> {
     input_dim: usize,
     h: Vec<f64>,
     c: Vec<f64>,
-    /// Gate pre-activations; the nonlinearity is applied as they are consumed.
+    /// Gate pre-activations, then (in place) the gates.
     i: Vec<f64>,
     f: Vec<f64>,
     o: Vec<f64>,
@@ -291,10 +291,17 @@ impl LstmStepper<'_> {
         self.forget.pre_activation(x, &self.h, &mut self.f);
         self.output.pre_activation(x, &self.h, &mut self.o);
         self.candidate.pre_activation(x, &self.h, &mut self.g);
+        // One pass per nonlinearity, then the state update: short
+        // independent iterations run faster than one loop that chains
+        // tanh(g) → c → tanh(c) per unit (DESIGN.md §13). Same arithmetic.
+        for a in self.i.iter_mut().chain(&mut self.f).chain(&mut self.o) {
+            *a = sigmoid(*a);
+        }
+        self.g.iter_mut().for_each(|a| *a = tanh(*a));
         let gates = self.i.iter().zip(&self.f).zip(&self.o).zip(&self.g);
         for ((h, c), (((&i, &f), &o), &g)) in self.h.iter_mut().zip(&mut self.c).zip(gates) {
-            *c = sigmoid(f) * *c + sigmoid(i) * g.tanh();
-            *h = sigmoid(o) * c.tanh();
+            *c = f * *c + i * g;
+            *h = o * tanh(*c);
         }
         &self.h
     }

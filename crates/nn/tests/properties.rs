@@ -192,7 +192,8 @@ fn last_row_gradients(attn: &mut MultiHeadAttention, x: &Matrix, dy_last: &[f64]
 fn attention_last_row_gradients_match_golden_hash() {
     // Committed at the parent of the last-row training pair, from the
     // all-rows `forward` + `backward`: the pair must reproduce every bit.
-    const GOLDEN: u64 = 0x70fe_2b5e_cfbb_2688;
+    // Re-pinned once, when softmax's `exp` left the host's libm.
+    const GOLDEN: u64 = 0x8e99_1634_d3da_6710;
     const HEADS: [usize; 3] = [1, 2, 4];
     const LEN: [usize; 4] = [1, 2, 5, 72];
     // Soft attention rows to saturated ones (softmax weights of exactly 0).

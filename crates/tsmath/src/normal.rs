@@ -102,6 +102,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "std oracle")]
     fn ln_pdf_matches_pdf() {
         let n = Normal::new(0.0, 1.0);
         for &x in &[-2.0, 0.0, 1.3] {

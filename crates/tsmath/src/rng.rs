@@ -179,7 +179,7 @@ pub fn poisson(rng: &mut dyn RngCore, lambda: f64) -> u64 {
         return 0;
     }
     if lambda < 30.0 {
-        let l = (-lambda).exp();
+        let l = crate::elementary::exp(-lambda);
         let mut k = 0u64;
         let mut p = 1.0;
         loop {

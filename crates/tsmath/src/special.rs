@@ -6,6 +6,8 @@
 //! Acklam formulations with accuracy well beyond what the forecasting
 //! stack requires (~1e-10 absolute over the ranges exercised).
 
+use crate::elementary::exp;
+
 /// Natural log of the gamma function via the Lanczos approximation (g = 7).
 ///
 /// Valid for `x > 0`.
@@ -37,10 +39,13 @@ pub fn ln_gamma(x: f64) -> f64 {
     0.5 * (2.0 * std::f64::consts::PI).ln() + (x + 0.5) * t.ln() - t + a.ln()
 }
 
-/// Complementary error function `1 − erf(x)`, accurate in both the bulk
-/// (via the series) and the tails (via the Chebyshev fit).
+/// Where [`erfc`] switches from the series to the continued fraction.
+const ERFC_TAIL: f64 = 2.5;
+
+/// Complementary error function `1 − erf(x)`: the series in the bulk, the
+/// continued fraction in the tails (relative error ~1e-15 there).
 pub(crate) fn erfc(x: f64) -> f64 {
-    if x.abs() < 2.5 {
+    if x.abs() < ERFC_TAIL {
         1.0 - erf_series(x)
     } else if x > 0.0 {
         erfc_tail(x)
@@ -64,27 +69,29 @@ fn erf_series(x: f64) -> f64 {
         }
         n += 1.0;
     }
-    2.0 / std::f64::consts::PI.sqrt() * (-x2).exp() * sum
+    2.0 / std::f64::consts::PI.sqrt() * exp(-x2) * sum
 }
 
-/// Numerical-Recipes `erfc` Chebyshev fit for `x ≥ 0` (fractional error
-/// < 1.2e-7); only used in the tail where that is ample.
+/// `erfc x` for `x ≥ ERFC_TAIL` from Laplace's continued fraction
+/// `e^{−x²} / √π · 1 / (x + (1/2) / (x + 1 / (x + (3/2) / (x + …))))`,
+/// evaluated bottom-up from a fixed depth that has converged to the last
+/// bit by x = 2.5. `e^{−x²}` is taken as `e^{−s²} e^{(s − x)(s + x)}` with
+/// `s` the upper half of `x`'s bits, so `s²` is exact and `x²`'s rounding
+/// does not reach the result.
 fn erfc_tail(x: f64) -> f64 {
-    debug_assert!(x >= 0.0);
-    let z = x.abs();
-    let t = 1.0 / (1.0 + 0.5 * z);
-    
-    t
-        * (-z * z - 1.265_512_23
-            + t * (1.000_023_68
-                + t * (0.374_091_96
-                    + t * (0.096_784_18
-                        + t * (-0.186_288_06
-                            + t * (0.278_868_07
-                                + t * (-1.135_203_98
-                                    + t * (1.488_515_87
-                                        + t * (-0.822_152_23 + t * 0.170_872_77)))))))))
-        .exp()
+    debug_assert!(x >= ERFC_TAIL);
+    // erfc underflows to 0 from x ≈ 27.3; returning it here keeps x = ∞ off
+    // `∞ − ∞` below.
+    if x > 27.5 {
+        return 0.0;
+    }
+    const DEPTH: u32 = 50;
+    let mut t = x;
+    for n in (1..=DEPTH).rev() {
+        t = x + 0.5 * f64::from(n) / t;
+    }
+    let s = f64::from_bits(x.to_bits() & 0xffff_ffff_0000_0000);
+    exp(-s * s) * exp((s - x) * (s + x)) / (std::f64::consts::PI.sqrt() * t)
 }
 
 /// Standard normal CDF.
@@ -93,7 +100,8 @@ pub(crate) fn norm_cdf(x: f64) -> f64 {
 }
 
 /// Inverse standard-normal CDF via Peter Acklam's rational approximation,
-/// polished with one Halley step (absolute error < 1e-13 on (0, 1)).
+/// polished with one Halley step (absolute error < 1e-13 on (0, 1); under
+/// 1e-14 against AS241 at p = 1e-4, 1e-6, 1e-9 and 1e-12).
 ///
 /// # Panics
 /// Panics if `p` is outside `(0, 1)`.
@@ -146,9 +154,14 @@ pub fn norm_quantile(p: f64) -> f64 {
             / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
     };
 
-    // One Halley refinement step against the true CDF.
-    let e = norm_cdf(x) - p;
-    let u = e * (2.0 * std::f64::consts::PI).sqrt() * (x * x / 2.0).exp();
+    // One Halley refinement step against the true CDF. Where erfc is in its
+    // upper tail, F(x) = 1 − Q(x) rounds by up to 1e-16, more than the error
+    // being corrected, so `F(x) − p` is taken as `(1 − p) − Q(x)` there:
+    // both terms small, `1 − p` exact. (Below the tail the direct form is
+    // kept, which leaves the bits at the planning levels 0.5–0.99 alone.)
+    let z = x / std::f64::consts::SQRT_2;
+    let e = if z > ERFC_TAIL { (1.0 - p) - 0.5 * erfc(z) } else { norm_cdf(x) - p };
+    let u = e * (2.0 * std::f64::consts::PI).sqrt() * exp(x * x / 2.0);
     x - u / (1.0 + x * u / 2.0)
 }
 
@@ -169,7 +182,7 @@ pub fn beta_inc(a: f64, b: f64, x: f64) -> f64 {
         return 1.0;
     }
     let ln_front = ln_gamma(a + b) - ln_gamma(a) - ln_gamma(b) + a * x.ln() + b * (1.0 - x).ln();
-    let front = ln_front.exp();
+    let front = exp(ln_front);
     if x < (a + 1.0) / (a + b + 2.0) {
         front * betacf(a, b, x) / a
     } else {
@@ -247,22 +260,17 @@ pub fn digamma(x: f64) -> f64 {
 }
 
 /// Softplus `ln(1 + e^x)`, computed stably for large |x|. Used to map
-/// unconstrained network outputs to positive scale parameters (σ, ν).
+/// unconstrained network outputs to positive scale parameters (σ, ν); its
+/// derivative is [`crate::elementary::sigmoid`].
 #[inline]
 pub fn softplus(x: f64) -> f64 {
     if x > 30.0 {
         x
     } else if x < -30.0 {
-        x.exp()
+        exp(x)
     } else {
-        x.exp().ln_1p()
+        exp(x).ln_1p()
     }
-}
-
-/// Derivative of softplus = logistic sigmoid.
-#[inline]
-pub fn softplus_prime(x: f64) -> f64 {
-    1.0 / (1.0 + (-x).exp())
 }
 
 #[cfg(test)]
@@ -295,6 +303,27 @@ mod tests {
     }
 
     #[test]
+    fn erfc_tail_is_accurate_to_the_last_digits() {
+        // Correctly rounded values (40-digit arithmetic).
+        let reference = [
+            (2.5, 4.069_520_174_449_589e-4),
+            (3.0, 2.209_049_699_858_544e-5),
+            (4.0, 1.541_725_790_028_002e-8),
+            (5.0, 1.537_459_794_428_035e-12),
+            (10.0, 2.088_487_583_762_545e-45),
+            (20.0, 5.395_865_611_607_901e-176),
+            (26.0, 5.663_192_408_856_143e-296),
+        ];
+        for (x, want) in reference {
+            assert!((erfc(x) / want - 1.0).abs() < 1e-15, "erfc({x}) = {:e}", erfc(x));
+            assert!((erfc(-x) - (2.0 - want)).abs() < 1e-15, "erfc(-{x})");
+        }
+        assert_eq!(erfc(30.0), 0.0);
+        assert_eq!(erfc(f64::INFINITY), 0.0);
+        assert_eq!(erfc(f64::NEG_INFINITY), 2.0);
+    }
+
+    #[test]
     fn norm_cdf_symmetry() {
         for &x in &[0.1, 0.5, 1.0, 2.0, 3.5] {
             assert!((norm_cdf(x) + norm_cdf(-x) - 1.0).abs() < 1e-12, "x={x}");
@@ -315,6 +344,23 @@ mod tests {
         assert!(norm_quantile(0.5).abs() < 1e-12);
         assert!((norm_quantile(0.975) - 1.959_963_984_540_054).abs() < 1e-8);
         assert!((norm_quantile(0.841_344_746_068_543) - 1.0).abs() < 1e-7);
+    }
+
+    #[test]
+    fn norm_quantile_tails_match_as241() {
+        // AS241 (Python's `statistics.NormalDist().inv_cdf`) at p and at the
+        // double nearest 1 − p, whose quantile is not −x(p): 1 − 1e-9 is
+        // 2.8e-17 off, which moves x by 4.6e-9.
+        let reference = [
+            (1e-4, -3.719_016_485_455_68, 3.719_016_485_455_708_4),
+            (1e-6, -4.753_424_308_822_899, 4.753_424_308_817_089),
+            (1e-9, -5.997_807_015_007_686_5, 5.997_807_019_601_638),
+        ];
+        for (p, lower, upper) in reference {
+            assert!((norm_quantile(p) - lower).abs() <= 1e-12, "p = {p:e}: {}", norm_quantile(p));
+            let q = 1.0 - p;
+            assert!((norm_quantile(q) - upper).abs() <= 1e-12, "p = {q}: {}", norm_quantile(q));
+        }
     }
 
     #[test]
@@ -384,7 +430,7 @@ mod tests {
         for &x in &[-2.0, 0.0, 1.5] {
             let h = 1e-6;
             let num = (softplus(x + h) - softplus(x - h)) / (2.0 * h);
-            assert!((num - softplus_prime(x)).abs() < 1e-6);
+            assert!((num - crate::elementary::sigmoid(x)).abs() < 1e-6);
         }
     }
 }

@@ -8,7 +8,7 @@
 #      obs-query round-trips) are root tests/cli_e2e.rs; the paper's shape
 #      claims at RPAS_PROFILE=quick are crates/bench/tests/shapes.rs.
 #   3. clippy with -D warnings: its default set plus the workspace's static
-#      rules D2 / O1 / P1 / F1 / E1 (clippy.toml; DESIGN.md §9).
+#      rules D2 / D3 / O1 / P1 / F1 / E1 (clippy.toml; DESIGN.md §9).
 #   4. Two timing budgets: the telemetry dark path (telemetry-budget.json)
 #      and the supervised fleet hot path (fleet-budget.json).
 #   5. The benchmark ledger's self-check (`--check`, BENCHMARK.json).

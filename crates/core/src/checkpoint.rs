@@ -374,7 +374,8 @@ trait Record {
 }
 
 macro_rules! record {
-    ($ty:ident { $key0:literal => $field0:ident $(, $key:literal => $field:ident)* $(,)? }) => {
+    ($ty:ident { $key0:literal => $field0:ident $(, $key:literal => $field:ident)* $(,)? }
+        $(check $check:path)?) => {
         impl Record for $ty {
             fn enc_rows(&self, out: &mut String) {
                 row(out, concat!("\"", $key0, "\":"), &self.$field0);
@@ -389,7 +390,9 @@ macro_rules! record {
             }
             fn dec(r: &mut Reader<'_>, what: &str) -> Result<Self, String> {
                 members!(r, what => { $key0 => $field0 $(, $key => $field)* });
-                Ok($ty { $field0 $(, $field)* })
+                let v = $ty { $field0 $(, $field)* };
+                $($check(&v).map_err(|why| format!("{what}: {why}"))?;)?
+                Ok(v)
             }
         }
     };
@@ -489,7 +492,19 @@ record!(NaiveSnapshot {
     "plan_start" => plan_start,
     "degraded" => degraded,
     "sigma" => sigma,
-});
+} check fitted_sigma);
+
+/// A fit leaves a finite sigma ≥ 1e-9 (or none); any other value would
+/// turn every forecast cell of the tenant into NaN.
+fn fitted_sigma(state: &NaiveSnapshot) -> Result<(), String> {
+    match state.sigma {
+        Some(sigma) if !(sigma.is_finite() && sigma > 0.0) => {
+            Err(format!("sigma {sigma} is not a finite positive spread"))
+        }
+        _ => Ok(()),
+    }
+}
+
 record!(ResilientSnapshot {
     "tier" => tier,
     "last_target" => last_target,
@@ -1210,6 +1225,15 @@ mod tests {
             assert_ne!(edited, text, "{from} not found");
             edited
         };
+        // A spread no fit produces: NaN, zero or negative.
+        const SIGMA: &str = "\"sigma\":\"f:";
+        let first_sigma = text.find(SIGMA).expect("a fitted sigma") + SIGMA.len();
+        let sigma_line = text[..first_sigma].lines().count();
+        let sigma = |bits: &str| {
+            let mut edited = text.clone();
+            edited.replace_range(first_sigma..first_sigma + 16, bits);
+            edited
+        };
         for (hostile, line, why) in [
             (
                 edit("\"session\":{\"t\":\"u:0\"", "\"session\":{\"t\":\"u:99999\""),
@@ -1223,6 +1247,9 @@ mod tests {
             ),
             (infinite_bound, 8, "cells: metric \"sim.utilization_ratio\": histogram bounds must"),
             (edit("\"counter\":", "\"gauge_bits\":"), 8, "already registered as counter"),
+            (sigma("7ff8000000000000"), sigma_line, "sigma NaN is not a finite positive"),
+            (sigma("0000000000000000"), sigma_line, "sigma 0 is not a finite positive"),
+            (sigma("bff0000000000000"), sigma_line, "sigma -1 is not a finite positive"),
         ] {
             let err = load(&hostile, &Telemetry::live(), Obs::noop()).err().unwrap();
             assert!(err.starts_with(&format!("line {line}: ")) && err.contains(why), "{err}");

@@ -23,10 +23,9 @@
 //!    ([`ScaleOutcome::Rejected`]) is retried up to a configured number
 //!    of times, waiting a backoff interval between attempts.
 //!
-//! Every transition is audited through `resilience/*` obs events
-//! (`fallback`, `recover`, `hold_last`, `retry`, `retry_exhausted`,
-//! `backstop`, `guardrail_clamp`), so a trace replay reconstructs the
-//! full degradation ladder.
+//! Every transition is one `resilience/*` catalogue event, recorded with
+//! its counter in one call, so a trace replay reconstructs the full
+//! degradation ladder and the registry holds its sums.
 
 use crate::autoscaler::{QuantilePredictivePolicy, ReplanSchedule};
 use crate::manager::{RobustAutoScalingManager, ScalingStrategy};
@@ -35,7 +34,7 @@ use crate::thrash::clamp_step;
 use rpas_forecast::{ForecastError, Forecaster, QuantileForecast, SeasonalNaive};
 use rpas_obs::{catalog, Obs};
 use rpas_simdb::{Observation, PolicyHealth, ScaleOutcome, ScalingPolicy};
-use rpas_telemetry::{Counter, Telemetry};
+use rpas_telemetry::{Recorder, Telemetry};
 
 /// Forecast plausibility gate: wraps a [`Forecaster`] and converts
 /// non-finite or implausibly large outputs into
@@ -43,20 +42,24 @@ use rpas_telemetry::{Counter, Telemetry};
 /// sane numbers.
 ///
 /// "Implausibly large" means any forecast value above
-/// `magnitude_factor × max(context peak, magnitude_floor)` — a forecast
+/// `MAGNITUDE_FACTOR × max(context peak, MAGNITUDE_FLOOR)` — a forecast
 /// two orders of magnitude above anything recently observed is treated as
 /// a model failure, not a demand signal.
 #[derive(Debug, Clone)]
 pub struct ForecastHealthGate<F> {
     inner: F,
-    magnitude_factor: f64,
-    magnitude_floor: f64,
 }
 
+/// How far above the context peak a forecast may go before it is
+/// implausible.
+const MAGNITUDE_FACTOR: f64 = 100.0;
+/// The peak the plausibility bound never falls below (an idle context).
+const MAGNITUDE_FLOOR: f64 = 1.0;
+
 impl<F> ForecastHealthGate<F> {
-    /// Gate with the default limits (factor 100, floor 1.0).
+    /// Gate `inner`'s forecasts.
     pub fn new(inner: F) -> Self {
-        Self { inner, magnitude_factor: 100.0, magnitude_floor: 1.0 }
+        Self { inner }
     }
 
     /// Access the wrapped forecaster.
@@ -72,14 +75,9 @@ impl<F> ForecastHealthGate<F> {
 
 /// Check a forecast for health problems relative to its context. Returns
 /// a description of the first problem found, or `None` when healthy.
-pub(crate) fn forecast_health(
-    qf: &QuantileForecast,
-    context: &[f64],
-    magnitude_factor: f64,
-    magnitude_floor: f64,
-) -> Option<String> {
+pub(crate) fn forecast_health(qf: &QuantileForecast, context: &[f64]) -> Option<String> {
     let peak = context.iter().cloned().fold(0.0f64, f64::max);
-    let cap = magnitude_factor * peak.max(magnitude_floor);
+    let cap = MAGNITUDE_FACTOR * peak.max(MAGNITUDE_FLOOR);
     let values = qf.values();
     for h in 0..values.rows() {
         for &v in values.row(h) {
@@ -112,7 +110,7 @@ impl<F: Forecaster> Forecaster for ForecastHealthGate<F> {
         levels: &[f64],
     ) -> Result<QuantileForecast, ForecastError> {
         let qf = self.inner.forecast_quantiles(context, horizon, levels)?;
-        match forecast_health(&qf, context, self.magnitude_factor, self.magnitude_floor) {
+        match forecast_health(&qf, context) {
             None => Ok(qf),
             Some(problem) => Err(ForecastError::Unhealthy(problem)),
         }
@@ -248,8 +246,8 @@ pub(crate) struct NaiveSnapshot {
 
 /// Checkpointable state of a [`ResilientManager`], *excluding* the wrapped
 /// primary policy (the caller snapshots that separately via its own
-/// accessors). The Reactive-Max backstop is stateless and the obs/telemetry
-/// handles are reattached at rebuild, so this plus the primary's state
+/// accessors). The Reactive-Max backstop is stateless and the recorder is
+/// reattached at rebuild, so this plus the primary's state
 /// fully determines future decisions.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ResilientSnapshot {
@@ -265,36 +263,6 @@ pub(crate) struct ResilientSnapshot {
     pub naive: Option<NaiveSnapshot>,
 }
 
-/// Registry counters for the degradation ladder, one per transition
-/// kind (all dark by default; see [`ResilientManager::with_telemetry`]).
-/// They complement — never replace — the `resilience/*` audit events:
-/// events carry the per-step detail, counters give the fleet-wide sums
-/// an SLO dashboard reads.
-#[derive(Default, Clone)]
-struct ResilienceMetrics {
-    fallbacks: Counter,
-    recoveries: Counter,
-    hold_last: Counter,
-    retries: Counter,
-    retries_exhausted: Counter,
-    backstop_overrides: Counter,
-    guardrail_clamps: Counter,
-}
-
-impl ResilienceMetrics {
-    fn new(tel: &Telemetry, labels: &[(&str, &str)]) -> Self {
-        Self {
-            fallbacks: tel.counter("resilience.fallbacks", labels),
-            recoveries: tel.counter("resilience.recoveries", labels),
-            hold_last: tel.counter("resilience.hold_last", labels),
-            retries: tel.counter("resilience.retries", labels),
-            retries_exhausted: tel.counter("resilience.retries_exhausted", labels),
-            backstop_overrides: tel.counter("resilience.backstop_overrides", labels),
-            guardrail_clamps: tel.counter("resilience.guardrail_clamps", labels),
-        }
-    }
-}
-
 /// Resilience wrapper: fallback chain + backstop + hold-last + bounded
 /// retry + guardrails around any [`ScalingPolicy`]. See the module docs
 /// for the full defence ladder.
@@ -307,8 +275,7 @@ pub struct ResilientManager<P> {
     last_target: Option<u32>,
     probation: usize,
     retry: Option<Retry>,
-    obs: Obs,
-    tel: ResilienceMetrics,
+    rec: Recorder,
 }
 
 impl<P: ScalingPolicy> ResilientManager<P> {
@@ -328,25 +295,22 @@ impl<P: ScalingPolicy> ResilientManager<P> {
             last_target: None,
             probation: 0,
             retry: None,
-            obs: Obs::noop(),
-            tel: ResilienceMetrics::default(),
+            rec: Recorder::default(),
         }
     }
 
     /// Builder: attach an observability handle; every resilience
     /// transition then emits a `resilience/*` event.
     pub fn with_obs(mut self, obs: Obs) -> Self {
-        self.obs = obs;
+        self.rec.set_obs(obs);
         self
     }
 
-    /// Builder: count degradation-ladder transitions into a
-    /// [`Telemetry`] registry (`resilience.fallbacks`, `.recoveries`,
-    /// `.hold_last`, `.retries`, `.retries_exhausted`,
-    /// `.backstop_overrides`, `.guardrail_clamps`), all carrying
-    /// `labels` (the fleet passes `tenant`).
+    /// Builder: count every `resilience/*` event into the counter its
+    /// catalogue entry declares, in `tel` under `labels` (the fleet
+    /// passes `tenant`).
     pub(crate) fn with_telemetry(mut self, tel: &Telemetry, labels: &[(&str, &str)]) -> Self {
-        self.tel = ResilienceMetrics::new(tel, labels);
+        self.rec.resolve(tel, labels, &[catalog::RESILIENCE_SPAN]);
         self
     }
 
@@ -425,8 +389,7 @@ impl<P: ScalingPolicy> ResilientManager<P> {
                             wait: self.cfg.retry_backoff_steps,
                         });
                         if left > 0 {
-                            self.tel.retries.inc(1);
-                            self.obs.emit(catalog::RESILIENCE_RETRY, |e| {
+                            self.rec.emit(catalog::RESILIENCE_RETRY, |e| {
                                 e.field("step", obs.step as u64)
                                     .field("want", u64::from(want))
                                     .field("left", u64::from(left));
@@ -444,8 +407,7 @@ impl<P: ScalingPolicy> ResilientManager<P> {
                         } else {
                             r.wait = self.cfg.retry_backoff_steps;
                             let (want, left) = (r.want, r.left);
-                            self.tel.retries.inc(1);
-                            self.obs.emit(catalog::RESILIENCE_RETRY, |e| {
+                            self.rec.emit(catalog::RESILIENCE_RETRY, |e| {
                                 e.field("step", obs.step as u64)
                                     .field("want", u64::from(want))
                                     .field("left", u64::from(left));
@@ -462,8 +424,7 @@ impl<P: ScalingPolicy> ResilientManager<P> {
     }
 
     fn emit_retry_exhausted(&self, step: usize, want: u32) {
-        self.tel.retries_exhausted.inc(1);
-        self.obs.emit(catalog::RESILIENCE_RETRY_EXHAUSTED, |e| {
+        self.rec.emit(catalog::RESILIENCE_RETRY_EXHAUSTED, |e| {
             e.field("step", step as u64).field("want", u64::from(want));
         });
     }
@@ -472,8 +433,7 @@ impl<P: ScalingPolicy> ResilientManager<P> {
         let from = self.tier;
         self.tier = self.tier.demoted();
         self.probation = 0;
-        self.tel.fallbacks.inc(1);
-        self.obs.emit(catalog::RESILIENCE_FALLBACK, |e| {
+        self.rec.emit(catalog::RESILIENCE_FALLBACK, |e| {
             e.field("step", step as u64)
                 .field("from", from.label())
                 .field("to", self.tier.label());
@@ -485,7 +445,7 @@ impl<P: ScalingPolicy> ResilientManager<P> {
     /// `(naive_period, naive_horizon)` grid. A freshly demoted manager and
     /// a resumed one both start from this.
     fn unfitted_naive(&self, theta: f64, min_nodes: u32) -> NaiveFallback {
-        let sn = SeasonalNaive::new(self.cfg.naive_period).with_obs(self.obs.clone());
+        let sn = SeasonalNaive::new(self.cfg.naive_period).with_obs(self.rec.obs().clone());
         let manager =
             RobustAutoScalingManager::new(theta, min_nodes, ScalingStrategy::Fixed { tau: 0.9 });
         QuantilePredictivePolicy::new(
@@ -550,8 +510,7 @@ impl<P: ScalingPolicy> ResilientManager<P> {
         let hi = self.cfg.max_nodes.max(obs.min_nodes);
         let granted = stepped.clamp(obs.min_nodes, hi);
         if granted != want {
-            self.tel.guardrail_clamps.inc(1);
-            self.obs.emit(catalog::RESILIENCE_GUARDRAIL_CLAMP, |e| {
+            self.rec.emit(catalog::RESILIENCE_GUARDRAIL_CLAMP, |e| {
                 e.field("step", obs.step as u64)
                     .field("want", u64::from(want))
                     .field("granted", u64::from(granted));
@@ -575,8 +534,7 @@ impl<P: ScalingPolicy> ScalingPolicy for ResilientManager<P> {
         // is nothing to hold yet.)
         if !obs.metrics_fresh {
             if let Some(held) = self.last_target {
-                self.tel.hold_last.inc(1);
-                self.obs.emit(catalog::RESILIENCE_HOLD_LAST, |e| {
+                self.rec.emit(catalog::RESILIENCE_HOLD_LAST, |e| {
                     e.field("step", obs.step as u64).field("target", u64::from(held));
                 });
                 return self.guard(obs, held);
@@ -608,8 +566,7 @@ impl<P: ScalingPolicy> ScalingPolicy for ResilientManager<P> {
                 if self.tier == Tier::SeasonalNaive {
                     self.naive = None; // refit on fresh history
                 }
-                self.tel.recoveries.inc(1);
-                self.obs.emit(catalog::RESILIENCE_RECOVER, |e| {
+                self.rec.emit(catalog::RESILIENCE_RECOVER, |e| {
                     e.field("step", obs.step as u64)
                         .field("from", from.label())
                         .field("to", self.tier.label());
@@ -622,8 +579,7 @@ impl<P: ScalingPolicy> ScalingPolicy for ResilientManager<P> {
         // Always-on safety floor: never allocate below Reactive-Max.
         let floor = self.backstop.decide(obs);
         let target = if floor > tier_target {
-            self.tel.backstop_overrides.inc(1);
-            self.obs.emit(catalog::RESILIENCE_BACKSTOP, |e| {
+            self.rec.emit(catalog::RESILIENCE_BACKSTOP, |e| {
                 e.field("step", obs.step as u64)
                     .field("tier_target", u64::from(tier_target))
                     .field("floor", u64::from(floor));
@@ -745,38 +701,6 @@ mod tests {
         // → demoted again in the same step.
         assert!(count(&mem, catalog::RESILIENCE_RECOVER) > 0);
         assert_eq!(m.tier(), Tier::SeasonalNaive);
-    }
-
-    #[test]
-    fn telemetry_counters_match_resilience_events() {
-        let mem = MemorySink::new();
-        let tel = Telemetry::live();
-        let mut m = ResilientManager::with_config(FailsAfter { from: 2, seen: 0 }, cfg_small())
-            .with_obs(Obs::with_sink(Box::new(mem.clone())))
-            .with_telemetry(&tel, &[("tenant", "t0000")]);
-        let h: Vec<f64> = (0..16).map(|t| 60.0 + 10.0 * ((t % 4) as f64)).collect();
-        for step in 0..8 {
-            let obs = Observation::new(step, &h, 2, 60.0, 1);
-            m.decide(&obs);
-        }
-        // Every ladder transition increments a counter exactly when the
-        // matching resilience/* event is emitted.
-        let snap = tel.snapshot();
-        let val = |metric: &str| {
-            snap.counter_value(&format!("{metric}{{tenant=\"t0000\"}}")).unwrap_or(0)
-        };
-        assert!(count(&mem, catalog::RESILIENCE_FALLBACK) > 0, "scenario must demote");
-        for (metric, name) in [
-            ("resilience.fallbacks", catalog::RESILIENCE_FALLBACK),
-            ("resilience.recoveries", catalog::RESILIENCE_RECOVER),
-            ("resilience.hold_last", catalog::RESILIENCE_HOLD_LAST),
-            ("resilience.retries", catalog::RESILIENCE_RETRY),
-            ("resilience.retries_exhausted", catalog::RESILIENCE_RETRY_EXHAUSTED),
-            ("resilience.backstop_overrides", catalog::RESILIENCE_BACKSTOP),
-            ("resilience.guardrail_clamps", catalog::RESILIENCE_GUARDRAIL_CLAMP),
-        ] {
-            assert_eq!(val(metric), count(&mem, name), "{metric} vs {name}");
-        }
     }
 
     #[test]

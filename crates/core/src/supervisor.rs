@@ -5,9 +5,10 @@
 //! pool and take the whole control plane down. [`FleetSupervisor`] wraps
 //! the engine in a supervision tree: every tenant tick runs inside
 //! `catch_unwind` on the engine's persistent `rpas-par` worker pool, a
-//! panic is converted into a `supervisor/panic` obs event plus a
-//! `supervisor.panics` counter, and a per-tenant circuit breaker
-//! quarantines tenants that keep failing.
+//! panic is converted into one `supervisor/panic` record (the counter
+//! its catalogue entry declares, the fleet event and the tenant's
+//! captured copy), and a per-tenant circuit breaker quarantines tenants
+//! that keep failing.
 //!
 //! Quarantine state machine (per tenant):
 //!
@@ -33,9 +34,9 @@
 //! executed prefix instead of livelocking the fleet.
 
 use crate::fleet::{FleetEngine, FleetReport, QuarantineRecord, TenantRun};
-use rpas_obs::{catalog, Event, Obs, Sink};
+use rpas_obs::{catalog, Event, Sink};
 use rpas_par::panic_message;
-use rpas_telemetry::{Counter, RatioSeries, SloReport, SloSpec, Telemetry};
+use rpas_telemetry::{RatioSeries, Recorder, SloReport, SloSpec, Telemetry};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -136,15 +137,6 @@ impl TenantGuard {
     }
 }
 
-/// Per-tenant supervisor counters (dark when the fleet runs without a
-/// live [`Telemetry`] registry).
-#[derive(Default, Clone)]
-struct GuardMetrics {
-    panics: Counter,
-    quarantines: Counter,
-    restores: Counter,
-}
-
 /// Panic isolation + tenant quarantine around a [`FleetEngine`]. Build
 /// the engine first (its construction is panic-free by contract), then
 /// wrap it; drive with [`FleetSupervisor::tick`] or
@@ -154,18 +146,26 @@ pub struct FleetSupervisor {
     pub(crate) engine: FleetEngine,
     pub(crate) cfg: SupervisorConfig,
     pub(crate) guards: Vec<TenantGuard>,
-    metrics: Vec<GuardMetrics>,
+    /// Per tenant: the fleet obs handle plus that tenant's
+    /// `supervisor.*` counters.
+    recorders: Vec<Recorder>,
     /// Next supervised tick (0-based; also the count of ticks executed).
     pub(crate) tick: u64,
     /// Total supervised ticks: the longest tenant trace length.
     pub(crate) total_ticks: u64,
 }
 
-/// Append a `supervisor/*` event to a tenant's capture buffer, so the
-/// supervision history is part of the deterministic tenant-scoped trace.
-/// Timing fields are irrelevant: the fleet's trace serialization strips
-/// them and renumbers `seq`.
-fn capture_event(run: &TenantRun, name: catalog::EventName, build: impl FnOnce(&mut Event)) {
+/// Record one supervision fact: its counter and the fleet-level event,
+/// which carries `tenant`, through `rec`, and the same event appended to
+/// the tenant's capture buffer, so the supervision history is part of
+/// the deterministic tenant-scoped trace. Fields serialize sorted by
+/// key, so one `build` serves both copies; timing fields are irrelevant,
+/// since the fleet's trace serialization strips them and renumbers `seq`.
+fn record(rec: &Recorder, run: &TenantRun, name: catalog::EventName, build: impl Fn(&mut Event)) {
+    rec.emit(name, |e| {
+        e.field("tenant", run.spec.id.to_string());
+        build(e);
+    });
     if let Some(mem) = &run.capture {
         let mut ev = Event::of(name);
         build(&mut ev);
@@ -179,9 +179,9 @@ impl FleetSupervisor {
         Self::wrap_with(engine, SupervisorConfig::default(), &Telemetry::noop())
     }
 
-    /// Wrap an engine with explicit tuning; supervisor counters
-    /// (`supervisor.panics`, `.quarantines`, `.restores`) record into
-    /// `tel` under a `tenant="tNNNN"` label.
+    /// Wrap an engine with explicit tuning; the counters the
+    /// `supervisor/*` catalogue entries declare record into `tel` under
+    /// a `tenant="tNNNN"` label.
     ///
     /// # Panics
     /// Panics on a degenerate config.
@@ -191,20 +191,18 @@ impl FleetSupervisor {
             engine.runs.iter().map(|run| run.session.len() as u64).max().unwrap_or(0);
         let guards =
             engine.runs.iter().map(|_| TenantGuard::new(total_ticks)).collect();
-        let metrics = engine
+        let recorders = engine
             .runs
             .iter()
             .map(|run| {
                 let tenant = run.spec.id.to_string();
-                let labels: [(&str, &str); 1] = [("tenant", tenant.as_str())];
-                GuardMetrics {
-                    panics: tel.counter("supervisor.panics", &labels),
-                    quarantines: tel.counter("supervisor.quarantines", &labels),
-                    restores: tel.counter("supervisor.restores", &labels),
-                }
+                let mut rec = Recorder::default();
+                rec.set_obs(engine.obs.clone());
+                rec.resolve(tel, &[("tenant", &tenant)], &[catalog::SUPERVISOR_PANIC.span()]);
+                rec
             })
             .collect();
-        Self { engine, cfg, guards, metrics, tick: 0, total_ticks }
+        Self { engine, cfg, guards, recorders, tick: 0, total_ticks }
     }
 
     /// Supervised ticks executed so far.
@@ -268,18 +266,17 @@ impl FleetSupervisor {
     /// tick-major and tenant-major iteration produce identical bytes;
     /// tenant-major needs one pool fan-out per call instead of one per
     /// tick. The only cross-tenant artifact is the interleaving of
-    /// fleet-level `engine.obs` events, which was already worker-order
-    /// dependent and is never byte-compared.
+    /// fleet-level events, which was already worker-order dependent and
+    /// is never byte-compared.
     fn run_range(&mut self, from: u64, to: u64) -> usize {
         let cfg = self.cfg;
-        let obs = &self.engine.obs;
-        let metrics = &self.metrics;
+        let recorders = &self.recorders;
         let stepped = std::sync::atomic::AtomicUsize::new(0);
         self.engine.pool.for_each_mut2(
             &mut self.engine.runs,
             &mut self.guards,
             |i, run, guard| {
-                let n = supervise_tenant_range(&cfg, obs, &metrics[i], run, guard, from, to);
+                let n = supervise_tenant_range(&cfg, &recorders[i], run, guard, from, to);
                 if n > 0 {
                     // Contended-cache write only when work happened, so a
                     // drained tenant's ticks stay read-only.
@@ -339,8 +336,7 @@ impl FleetSupervisor {
 /// of idling through the rest of the fleet bound.
 fn supervise_tenant_range(
     cfg: &SupervisorConfig,
-    obs: &Obs,
-    metrics: &GuardMetrics,
+    rec: &Recorder,
     run: &mut TenantRun,
     guard: &mut TenantGuard,
     from: u64,
@@ -348,7 +344,7 @@ fn supervise_tenant_range(
 ) -> usize {
     let mut stepped = 0;
     for tick in from..to {
-        admit_expired(obs, metrics, run, guard, tick);
+        admit_expired(rec, run, guard, tick);
         let unfinished = !run.is_done();
         let eligible =
             unfinished && !matches!(guard.health, TenantHealth::Quarantined { .. });
@@ -361,11 +357,11 @@ fn supervise_tenant_range(
                     if advanced {
                         stepped += 1;
                     }
-                    on_clean_tick(cfg, obs, run, guard, tick);
+                    on_clean_tick(cfg, rec, run, guard, tick);
                 }
                 Err(payload) => {
                     panicked = true;
-                    on_panic(cfg, obs, metrics, run, guard, tick, panic_message(payload));
+                    on_panic(cfg, rec, run, guard, tick, panic_message(payload));
                 }
             }
         }
@@ -379,22 +375,12 @@ fn supervise_tenant_range(
 }
 
 /// Quarantine expiry: re-admit on probation.
-fn admit_expired(
-    obs: &Obs,
-    metrics: &GuardMetrics,
-    run: &TenantRun,
-    guard: &mut TenantGuard,
-    tick: u64,
-) {
+fn admit_expired(rec: &Recorder, run: &TenantRun, guard: &mut TenantGuard, tick: u64) {
     if let TenantHealth::Quarantined { until_tick, .. } = &guard.health {
         if tick >= *until_tick {
             guard.health = TenantHealth::Probation { clean_ticks: 0 };
             guard.failures.clear();
-            metrics.restores.inc(1);
-            obs.emit(catalog::SUPERVISOR_RESTORE, |e| {
-                e.field("tenant", run.spec.id.to_string()).field("tick", tick);
-            });
-            capture_event(run, catalog::SUPERVISOR_RESTORE, |e| {
+            record(rec, run, catalog::SUPERVISOR_RESTORE, |e| {
                 e.field("tick", tick);
             });
         }
@@ -403,20 +389,13 @@ fn admit_expired(
 
 fn on_panic(
     cfg: &SupervisorConfig,
-    obs: &Obs,
-    metrics: &GuardMetrics,
+    rec: &Recorder,
     run: &TenantRun,
     guard: &mut TenantGuard,
     tick: u64,
     message: String,
 ) {
-    metrics.panics.inc(1);
-    obs.emit(catalog::SUPERVISOR_PANIC, |e| {
-        e.field("tenant", run.spec.id.to_string())
-            .field("tick", tick)
-            .field("error", message.clone());
-    });
-    capture_event(run, catalog::SUPERVISOR_PANIC, |e| {
+    record(rec, run, catalog::SUPERVISOR_PANIC, |e| {
         e.field("tick", tick).field("error", message.clone());
     });
 
@@ -437,14 +416,13 @@ fn on_panic(
         _ => None,
     };
     if let Some(reason) = reason {
-        quarantine(cfg, obs, metrics, run, guard, tick, reason);
+        quarantine(cfg, rec, run, guard, tick, reason);
     }
 }
 
 fn quarantine(
     cfg: &SupervisorConfig,
-    obs: &Obs,
-    metrics: &GuardMetrics,
+    rec: &Recorder,
     run: &TenantRun,
     guard: &mut TenantGuard,
     tick: u64,
@@ -460,16 +438,8 @@ fn quarantine(
     guard.health =
         TenantHealth::Quarantined { until_tick, reason: Arc::clone(&reason) };
     guard.failures.clear();
-    metrics.quarantines.inc(1);
     let strikes = guard.strikes;
-    obs.emit(catalog::SUPERVISOR_QUARANTINE, |e| {
-        e.field("tenant", run.spec.id.to_string())
-            .field("tick", tick)
-            .field("until_tick", until_tick)
-            .field("strikes", u64::from(strikes))
-            .field("reason", reason.to_string());
-    });
-    capture_event(run, catalog::SUPERVISOR_QUARANTINE, |e| {
+    record(rec, run, catalog::SUPERVISOR_QUARANTINE, |e| {
         e.field("tick", tick)
             .field("until_tick", until_tick)
             .field("strikes", u64::from(strikes))
@@ -479,7 +449,7 @@ fn quarantine(
 
 fn on_clean_tick(
     cfg: &SupervisorConfig,
-    obs: &Obs,
+    rec: &Recorder,
     run: &TenantRun,
     guard: &mut TenantGuard,
     tick: u64,
@@ -488,10 +458,7 @@ fn on_clean_tick(
         *clean_ticks += 1;
         if *clean_ticks >= cfg.probation_ticks {
             guard.health = TenantHealth::Healthy;
-            obs.emit(catalog::SUPERVISOR_HEALTHY, |e| {
-                e.field("tenant", run.spec.id.to_string()).field("tick", tick);
-            });
-            capture_event(run, catalog::SUPERVISOR_HEALTHY, |e| {
+            record(rec, run, catalog::SUPERVISOR_HEALTHY, |e| {
                 e.field("tick", tick);
             });
         }

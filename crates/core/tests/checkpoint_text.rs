@@ -217,7 +217,6 @@ fn out_of_range_edits_that_always_loaded_still_load_and_run_to_finish() {
         ("plan_start out of range", in_tenant_0("plan_start", "u:99999")),
         ("header tick out of range", set(&text, "tick", "u:99999")),
         ("empty plan", format!("{header}\n{}{}", &tenants[..plan], &tenants[plan_end..])),
-        ("NaN sigma", in_tenant_0("sigma", "f:7ff8000000000000")),
         ("next_id 0", in_tenant_0("next_id", "u:0")),
         ("over-long outage", in_tenant_0("outage", &"01".repeat(5_000))),
         ("duplicate id", text.replacen("\"id\":\"u:0\"", "\"id\":\"u:0\",\"id\":\"u:0\"", 1)),

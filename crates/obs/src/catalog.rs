@@ -7,6 +7,12 @@
 //! rename is one edit, an unknown name is a compile error, and an entry
 //! nobody uses shows up in `tests/event_catalog.rs`.
 //!
+//! An entry that ends in `counts "<metric>"` also names the telemetry
+//! counter the event increments, so the entries that declare one are the
+//! list of counted events. `rpas_telemetry::Recorder::emit` records
+//! both from one call, and several entries may share one metric (the
+//! `fault/*` events all count into `sim.faults`).
+//!
 //! ```compile_fail
 //! // Private fields: a name cannot be made up at the emit site.
 //! let _ = rpas_obs::catalog::EventName { level: rpas_obs::Level::Info, span: "plan", name: "x" };
@@ -14,13 +20,14 @@
 
 use crate::event::Level;
 
-/// One declared event: its level, span and name. Obtainable only as one
-/// of this module's constants.
+/// One declared event: its level, span, name and, if it counts, its
+/// counter. Obtainable only as one of this module's constants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EventName {
     level: Level,
     span: &'static str,
     name: &'static str,
+    counts: Option<(usize, &'static str)>,
 }
 
 impl EventName {
@@ -37,6 +44,17 @@ impl EventName {
     /// The event name within its span.
     pub const fn name(self) -> &'static str {
         self.name
+    }
+
+    /// The metric this event increments, if its entry declares one.
+    pub fn counter(self) -> Option<&'static str> {
+        self.counts.map(|(_, metric)| metric)
+    }
+
+    /// This entry's index among the [`COUNTED`] entries that declare a
+    /// counter, so a recorder finds the counter without a name lookup.
+    pub fn counter_slot(self) -> Option<usize> {
+        self.counts.map(|(slot, _)| slot)
     }
 
     /// Whether a recorded `span` / `event` pair is this event.
@@ -58,15 +76,30 @@ pub fn find(span: &str, name: &str) -> Option<EventName> {
 }
 
 macro_rules! catalog {
-    ($($(#[$doc:meta])+ $id:ident = $level:ident $span:literal / $name:literal;)+) => {
+    (@counts $id:ident) => { None };
+    (@counts $id:ident $metric:literal) => { Some((Slot::$id as usize, $metric)) };
+    ($($(#[$doc:meta])+ $id:ident = $level:ident $span:literal / $name:literal
+        $(counts $metric:literal)?;)+) => {
+        /// The entries that declare a counter, numbered in catalogue order.
+        #[expect(non_camel_case_types, reason = "variants are the entries' own names")]
+        enum Slot { $($(#[doc = $metric] $id,)?)+ Count }
+
         $(
             $(#[$doc])+
-            pub const $id: EventName =
-                EventName { level: Level::$level, span: $span, name: $name };
+            pub const $id: EventName = EventName {
+                level: Level::$level,
+                span: $span,
+                name: $name,
+                counts: catalog!(@counts $id $($metric)?),
+            };
         )+
 
         /// Every declared event, sorted by `span/name`.
         pub const ALL: &[EventName] = &[$($id),+];
+
+        /// How many entries declare a counter: one past the last
+        /// [`EventName::counter_slot`].
+        pub const COUNTED: usize = Slot::Count as usize;
     };
 }
 
@@ -105,15 +138,15 @@ catalog! {
     /// `forecast` is about to fit a model.
     CLI_TRAIN_START = Info "cli" / "train_start";
     /// An injected workload anomaly burst hit this step.
-    FAULT_ANOMALY = Info "fault" / "anomaly";
+    FAULT_ANOMALY = Info "fault" / "anomaly" counts "sim.faults";
     /// The policy saw a stale observation this step.
-    FAULT_METRIC_DROPOUT = Info "fault" / "metric_dropout";
+    FAULT_METRIC_DROPOUT = Info "fault" / "metric_dropout" counts "sim.faults";
     /// An injected crash took nodes away.
-    FAULT_NODE_CRASH = Info "fault" / "node_crash";
+    FAULT_NODE_CRASH = Info "fault" / "node_crash" counts "sim.faults";
     /// A scale-up was delayed.
-    FAULT_PROVISION_DELAY = Info "fault" / "provision_delay";
+    FAULT_PROVISION_DELAY = Info "fault" / "provision_delay" counts "sim.faults";
     /// A scaling request was dropped.
-    FAULT_SCALE_FAIL = Info "fault" / "scale_fail";
+    FAULT_SCALE_FAIL = Info "fault" / "scale_fail" counts "sim.faults";
     /// `fleet --kill-at-tick` stopped the run.
     FLEET_KILLED = Warn "fleet" / "killed";
     /// `fleet --resume-from` rebuilt a fleet from a checkpoint.
@@ -135,19 +168,21 @@ catalog! {
     /// Roll-up of one plan: objective, delta, regime counts.
     PLAN_SUMMARY = Info "plan" / "summary";
     /// The Reactive-Max floor overrode the active tier's target.
-    RESILIENCE_BACKSTOP = Debug "resilience" / "backstop";
+    RESILIENCE_BACKSTOP = Debug "resilience" / "backstop" counts "resilience.backstop_overrides";
     /// The ladder stepped down a level.
-    RESILIENCE_FALLBACK = Warn "resilience" / "fallback";
+    RESILIENCE_FALLBACK = Warn "resilience" / "fallback" counts "resilience.fallbacks";
     /// A target was clamped by the step-delta / node-count guardrails.
-    RESILIENCE_GUARDRAIL_CLAMP = Info "resilience" / "guardrail_clamp";
+    RESILIENCE_GUARDRAIL_CLAMP = Info "resilience" / "guardrail_clamp"
+        counts "resilience.guardrail_clamps";
     /// Stale metrics: the last granted target was held.
-    RESILIENCE_HOLD_LAST = Warn "resilience" / "hold_last";
+    RESILIENCE_HOLD_LAST = Warn "resilience" / "hold_last" counts "resilience.hold_last";
     /// The ladder stepped back up.
-    RESILIENCE_RECOVER = Info "resilience" / "recover";
+    RESILIENCE_RECOVER = Info "resilience" / "recover" counts "resilience.recoveries";
     /// A rejected scaling request is being re-requested after backoff.
-    RESILIENCE_RETRY = Warn "resilience" / "retry";
+    RESILIENCE_RETRY = Warn "resilience" / "retry" counts "resilience.retries";
     /// A rejected scaling request ran out of retries.
-    RESILIENCE_RETRY_EXHAUSTED = Warn "resilience" / "retry_exhausted";
+    RESILIENCE_RETRY_EXHAUSTED = Warn "resilience" / "retry_exhausted"
+        counts "resilience.retries_exhausted";
     /// Roll-up of a rolling-origin evaluation.
     ROLLING_EVAL = Info "rolling" / "eval";
     /// One rolling-origin window.
@@ -155,7 +190,7 @@ catalog! {
     /// End-of-run simulator report.
     SIM_REPORT = Info "sim" / "report";
     /// One simulator step: workload, nodes, utilisation, violation.
-    SIM_STEP = Debug "sim" / "step";
+    SIM_STEP = Debug "sim" / "step" counts "sim.steps";
     /// The run had zero-workload steps (once per run, with the count).
     SIM_ZERO_WORKLOAD = Warn "sim" / "zero_workload";
     /// A burn-rate window pair fired.
@@ -165,11 +200,11 @@ catalog! {
     /// A tenant finished probation.
     SUPERVISOR_HEALTHY = Info "supervisor" / "healthy";
     /// A tenant's tick panicked and was isolated.
-    SUPERVISOR_PANIC = Warn "supervisor" / "panic";
+    SUPERVISOR_PANIC = Warn "supervisor" / "panic" counts "supervisor.panics";
     /// A tenant was circuit-broken into quarantine.
-    SUPERVISOR_QUARANTINE = Warn "supervisor" / "quarantine";
+    SUPERVISOR_QUARANTINE = Warn "supervisor" / "quarantine" counts "supervisor.quarantines";
     /// A quarantined tenant was re-admitted on probation.
-    SUPERVISOR_RESTORE = Info "supervisor" / "restore";
+    SUPERVISOR_RESTORE = Info "supervisor" / "restore" counts "supervisor.restores";
     /// One DeepAR training epoch: loss and gradient norm.
     TRAIN_DEEPAR_EPOCH = Debug "train.deepar" / "epoch";
     /// One quantile-MLP training epoch.

@@ -152,27 +152,20 @@ impl Cluster {
         }
     }
 
-    /// Crash up to `want` nodes at step `step`: the most recently launched
-    /// nodes die first (they are the least warmed-in), but the pool never
-    /// drops below one node — a cluster with every node gone is a total
-    /// outage, outside this simulator's scope. Returns how many nodes
-    /// actually crashed. Crashes are not scale-in events: they read no
-    /// checkpoints and count separately.
-    #[expect(clippy::expect_used, reason = "the loop keeps at least two nodes, so a victim exists")]
-    pub(crate) fn crash(&mut self, want: u32, _step: usize) -> u32 {
-        let mut crashed = 0;
-        while crashed < want && self.nodes.len() > 1 {
-            let idx = self
-                .nodes
-                .iter()
-                .enumerate()
-                .max_by_key(|(_, n)| n.launched_at_step)
-                .map(|(i, _)| i)
-                .expect("crashing from non-empty pool");
-            self.nodes.remove(idx);
-            crashed += 1;
+    /// Crash one node: the most recently launched dies (it is the least
+    /// warmed-in), but the pool never drops below one node — a cluster
+    /// with every node gone is a total outage, outside this simulator's
+    /// scope. Returns whether a node went down. Crashes are not scale-in
+    /// events: they read no checkpoints and count separately.
+    pub(crate) fn crash(&mut self) -> bool {
+        if self.nodes.len() < 2 {
+            return false;
         }
-        crashed
+        let newest = self.nodes.iter().enumerate().max_by_key(|(_, n)| n.launched_at_step);
+        if let Some((idx, _)) = newest {
+            self.nodes.remove(idx);
+        }
+        true
     }
 
     /// Advance one interval of `dt_secs`; returns the pool's effective
@@ -355,14 +348,14 @@ mod tests {
         let mut c = cluster(1);
         c.scale_to(3, 5);
         c.tick(600.0); // everyone active
-        assert_eq!(c.crash(1, 6), 1);
+        assert!(c.crash());
         assert_eq!(c.size(), 2);
         // Survivors are the oldest nodes.
         assert!(c.nodes().iter().all(|n| n.launched_at_step <= 5));
-        // Asking for more than available leaves the last node standing.
-        assert_eq!(c.crash(10, 7), 1);
+        // The last node always stands.
+        assert!(c.crash());
         assert_eq!(c.size(), 1);
-        assert_eq!(c.crash(1, 8), 0);
+        assert!(!c.crash());
         assert_eq!(c.size(), 1);
         // Crashes are not scale events and read no checkpoints.
         assert_eq!(c.scale_in_events(), 0);

@@ -15,7 +15,7 @@ use crate::storage::SharedStorage;
 use crate::warmup::WarmupModel;
 use rpas_metrics::provisioning_rates_over;
 use rpas_obs::{catalog, Level, Obs};
-use rpas_telemetry::{Counter, HistogramHandle, Telemetry};
+use rpas_telemetry::{Counter, HistogramHandle, Recorder, Telemetry};
 use rpas_traces::Trace;
 use std::sync::Arc;
 
@@ -121,32 +121,10 @@ impl<'a> Simulation<'a> {
     }
 }
 
-/// Registry handles one session records through (all dark by default;
-/// see [`SimSession::with_telemetry`]). Bucket bounds of the
-/// utilization histogram are fractions of `θ`, so `>1` buckets count
-/// SLO-violating intervals.
-#[derive(Default, Clone)]
-struct SessionMetrics {
-    steps: Counter,
-    violations: Counter,
-    faults: Counter,
-    utilization: HistogramHandle,
-}
-
-impl SessionMetrics {
-    /// Utilization-to-θ ratio buckets (inclusive upper bounds; the
-    /// implicit overflow bucket holds ratios beyond 2θ).
-    const UTIL_BOUNDS: [f64; 7] = [0.25, 0.5, 0.75, 0.9, 1.0, 1.5, 2.0];
-
-    fn new(tel: &Telemetry, labels: &[(&str, &str)]) -> Self {
-        Self {
-            steps: tel.counter("sim.steps", labels),
-            violations: tel.counter("sim.violations", labels),
-            faults: tel.counter("sim.faults", labels),
-            utilization: tel.histogram("sim.utilization_ratio", labels, &Self::UTIL_BOUNDS),
-        }
-    }
-}
+/// Utilization-to-θ ratio buckets of the `sim.utilization_ratio`
+/// histogram (inclusive upper bounds; the implicit overflow bucket holds
+/// ratios beyond 2θ), so `>1` buckets count SLO-violating intervals.
+const UTIL_BOUNDS: [f64; 7] = [0.25, 0.5, 0.75, 0.9, 1.0, 1.5, 2.0];
 
 /// The full mutable state of a [`SimSession`], as plain data — the unit
 /// the fleet checkpoint format serializes per tenant. Together with the
@@ -178,8 +156,9 @@ pub struct SessionSnapshot {
 /// table between ticks.
 pub struct SimSession {
     cfg: SimConfig,
-    obs: Obs,
-    tel: SessionMetrics,
+    rec: Recorder,
+    violations: Counter,
+    utilization: HistogramHandle,
     faults: Option<FaultPlan>,
     /// Realised workload: anomaly bursts layered on the base trace.
     w: Vec<f64>,
@@ -210,8 +189,9 @@ impl SimSession {
         let w = trace.as_slice().to_vec();
         Self {
             cfg,
-            obs: Obs::noop(),
-            tel: SessionMetrics::default(),
+            rec: Recorder::default(),
+            violations: Counter::default(),
+            utilization: HistogramHandle::default(),
             faults: None,
             dt: trace.interval_secs as f64,
             steps: Vec::with_capacity(w.len()),
@@ -227,18 +207,20 @@ impl SimSession {
     /// Builder: attach an observability handle (see
     /// [`Simulation::with_obs`] for the events emitted).
     pub fn with_obs(mut self, obs: Obs) -> Self {
-        self.obs = obs;
+        self.rec.set_obs(obs);
         self
     }
 
     /// Builder: record per-tick metrics into a [`Telemetry`] registry —
-    /// `sim.steps`/`sim.violations`/`sim.faults` counters and a
-    /// `sim.utilization_ratio` histogram (utilization as a fraction of
-    /// `θ`), all carrying `labels` (the fleet passes `tenant`). A dark
-    /// handle keeps the loop exactly as fast as before: every recording
-    /// is a single branch.
+    /// the counters the `sim/step` and `fault/*` catalogue entries
+    /// declare, a `sim.violations` counter and a `sim.utilization_ratio`
+    /// histogram (utilization as a fraction of `θ`), all carrying
+    /// `labels` (the fleet passes `tenant`). A dark handle keeps the loop
+    /// exactly as fast as before: every recording is a single branch.
     pub fn with_telemetry(mut self, tel: &Telemetry, labels: &[(&str, &str)]) -> Self {
-        self.tel = SessionMetrics::new(tel, labels);
+        self.rec.resolve(tel, labels, &[catalog::FAULT_SPAN, catalog::SIM_STEP.span()]);
+        self.violations = tel.counter("sim.violations", labels);
+        self.utilization = tel.histogram("sim.utilization_ratio", labels, &UTIL_BOUNDS);
         self
     }
 
@@ -334,9 +316,8 @@ impl SimSession {
             self.visible = t;
         } else {
             self.counts.metric_dropout += 1;
-            self.tel.faults.inc(1);
             let visible = self.visible;
-            self.obs.emit(catalog::FAULT_METRIC_DROPOUT, |e| {
+            self.rec.emit(catalog::FAULT_METRIC_DROPOUT, |e| {
                 e.field("step", t).field("stale_after", visible);
             });
         }
@@ -344,8 +325,7 @@ impl SimSession {
             let m = p.anomaly_mult_at(t);
             if m != 1.0 {
                 self.counts.anomaly_steps += 1;
-                self.tel.faults.inc(1);
-                self.obs.emit(catalog::FAULT_ANOMALY, |e| {
+                self.rec.emit(catalog::FAULT_ANOMALY, |e| {
                     e.field("step", t)
                         .field("mult", m)
                         .field("burst", p.anomaly_kind_at(t).label());
@@ -367,8 +347,7 @@ impl SimSession {
             ScaleOutcome::NoChange
         } else if fp.is_some_and(|p| p.scale_fail_at(t)) {
             self.counts.scale_fail += 1;
-            self.tel.faults.inc(1);
-            self.obs.emit(catalog::FAULT_SCALE_FAIL, |e| {
+            self.rec.emit(catalog::FAULT_SCALE_FAIL, |e| {
                 e.field("step", t).field("requested", target).field("current", current);
             });
             ScaleOutcome::Rejected
@@ -377,8 +356,7 @@ impl SimSession {
             self.cluster.scale_to_delayed(target, t, delay as f64 * self.dt);
             if delay > 0 {
                 self.counts.provision_delay += 1;
-                self.tel.faults.inc(1);
-                self.obs.emit(catalog::FAULT_PROVISION_DELAY, |e| {
+                self.rec.emit(catalog::FAULT_PROVISION_DELAY, |e| {
                     e.field("step", t)
                         .field("extra_steps", delay)
                         .field("launched", target - current);
@@ -388,27 +366,22 @@ impl SimSession {
                 ScaleOutcome::Applied
             }
         };
-        if self.faults.as_ref().is_some_and(|p| p.crash_at(t)) {
-            let crashed = self.cluster.crash(1, t);
-            if crashed > 0 {
-                self.counts.node_crash += crashed as u64;
-                self.tel.faults.inc(crashed as u64);
-                let pool = self.cluster.size();
-                self.obs.emit(catalog::FAULT_NODE_CRASH, |e| {
-                    e.field("step", t).field("count", crashed).field("pool", pool);
-                });
-            }
+        if self.faults.as_ref().is_some_and(|p| p.crash_at(t)) && self.cluster.crash() {
+            self.counts.node_crash += 1;
+            let pool = self.cluster.size();
+            self.rec.emit(catalog::FAULT_NODE_CRASH, |e| {
+                e.field("step", t).field("count", 1u32).field("pool", pool);
+            });
         }
         let pool = self.cluster.size();
         let capacity = self.cluster.tick(self.dt).max(1e-9);
         let utilization = workload / capacity;
         let violation = utilization > self.cfg.theta * (1.0 + 1e-9);
-        self.tel.steps.inc(1);
         if violation {
-            self.tel.violations.inc(1);
+            self.violations.inc(1);
         }
-        self.tel.utilization.record(utilization / self.cfg.theta);
-        self.obs.emit(catalog::SIM_STEP, |e| {
+        self.utilization.record(utilization / self.cfg.theta);
+        self.rec.emit(catalog::SIM_STEP, |e| {
             e.field("step", t)
                 .field("workload", workload)
                 .field("nodes", pool)
@@ -432,7 +405,8 @@ impl SimSession {
     /// [`SimulationReport`]. `policy_name` labels the report (callers
     /// with a live policy pass `policy.name()`).
     pub fn finish(self, policy_name: &str) -> SimulationReport {
-        let Self { cfg, obs, faults, w, cluster, counts, steps, .. } = self;
+        let Self { cfg, rec, faults, w, cluster, counts, steps, .. } = self;
+        let obs = rec.obs();
         // Account only the executed prefix, so finishing a partially
         // stepped session still yields a self-consistent report.
         let w = &w[..steps.len()];

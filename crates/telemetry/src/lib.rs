@@ -7,7 +7,9 @@
 //!    cheap cloneable handles without contending on one lock; snapshots
 //!    render to a canonical sorted text exposition. The [`Telemetry`]
 //!    front handle mirrors [`rpas_obs::Obs`]:
-//!    the dark (no-op) path is a single branch per recording.
+//!    the dark (no-op) path is a single branch per recording. A
+//!    [`Recorder`] pairs an [`rpas_obs::Obs`] with the counters the
+//!    catalogue says its events increment, so one call records both.
 //! 2. `slo` — declarative objectives with error budgets and
 //!    multi-window burn-rate alerting over **sim ticks** (never wall
 //!    clock), emitting `slo/*` audit events through an existing
@@ -33,7 +35,7 @@ mod slo;
 pub use diff::{diff_traces, Divergence, TraceDiff};
 pub use query::{run_query, Aggregate, GroupBy, QueryFilter, QueryResult};
 pub use registry::{
-    CellDump, CellValue, Counter, HistogramHandle, Snapshot, SnapshotEntry, SnapshotValue,
-    Telemetry,
+    CellDump, CellValue, Counter, HistogramHandle, Recorder, Snapshot, SnapshotEntry,
+    SnapshotValue, Telemetry,
 };
 pub use slo::{BurnAlert, BurnRule, RatioSeries, SloReport, SloSpec, SloStatus};

@@ -5,6 +5,7 @@
 //! through `BTreeMap`s, so output order is canonical regardless of input
 //! interleaving.
 
+use crate::registry::fmt_f64;
 use rpas_obs::{catalog, Json, Level, TraceLine};
 use std::collections::BTreeMap;
 
@@ -177,7 +178,7 @@ impl QueryResult {
             self.rows.iter().map(|r| r.key.len()).max().unwrap_or(0).max("group".len());
         let mut out = format!("{:<width$}  {:>14}\n", "group", "value");
         for r in &self.rows {
-            out.push_str(&format!("{:<width$}  {:>14}\n", r.key, fmt_value(r.value)));
+            out.push_str(&format!("{:<width$}  {:>14}\n", r.key, fmt_f64(r.value)));
         }
         out.push_str(&format!("matched {} of {} line(s)\n", self.matched, self.scanned));
         out
@@ -233,19 +234,9 @@ pub(crate) fn render_json(j: &Json) -> String {
     match j {
         Json::Null => "null".to_string(),
         Json::Bool(b) => b.to_string(),
-        Json::Num(n) => fmt_value(*n),
+        Json::Num(n) => fmt_f64(*n),
         Json::Str(s) => s.clone(),
         Json::Arr(_) | Json::Obj(_) => "(composite)".to_string(),
-    }
-}
-
-fn fmt_value(v: f64) -> String {
-    if v.is_nan() {
-        "NaN".to_string()
-    } else if v.is_infinite() {
-        if v > 0.0 { "inf".to_string() } else { "-inf".to_string() }
-    } else {
-        format!("{v}")
     }
 }
 

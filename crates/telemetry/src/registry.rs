@@ -14,8 +14,9 @@
 //! schema and the exposition, but has no recording handle: nothing sets
 //! one, so a gauge only ever arrives through [`MetricRegistry::restore`].
 
+use rpas_obs::catalog::{self, EventName};
 use rpas_obs::json::escape_str;
-use rpas_obs::Histogram;
+use rpas_obs::{Event, Histogram, Obs};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -102,16 +103,12 @@ impl Cell {
     }
 }
 
-/// A monotonically increasing counter handle.
+/// A monotonically increasing counter handle (detached, recording
+/// nothing, by default — what a dark [`Telemetry`] hands out).
 #[derive(Clone, Default)]
 pub struct Counter(Option<Arc<AtomicU64>>);
 
 impl Counter {
-    /// Detached no-op handle (what a dark [`Telemetry`] hands out).
-    pub(crate) fn noop() -> Counter {
-        Counter(None)
-    }
-
     /// Add `n`. Single branch when dark.
     #[inline]
     pub fn inc(&self, n: u64) {
@@ -126,11 +123,6 @@ impl Counter {
 pub struct HistogramHandle(Option<Arc<Mutex<Histogram>>>);
 
 impl HistogramHandle {
-    /// Detached no-op handle.
-    pub(crate) fn noop() -> HistogramHandle {
-        HistogramHandle(None)
-    }
-
     /// Record one observation. Single branch when dark.
     #[inline]
     #[expect(clippy::expect_used, reason = "poisoned: a recording thread panicked, the stream is already corrupt")]
@@ -421,9 +413,10 @@ impl Snapshot {
     }
 }
 
-/// Deterministic f64 rendering shared by exposition lines: shortest
-/// round-trip for finite values, explicit markers otherwise.
-fn fmt_f64(v: f64) -> String {
+/// Deterministic f64 rendering shared by exposition lines and query
+/// results: shortest round-trip for finite values, explicit markers
+/// otherwise.
+pub(crate) fn fmt_f64(v: f64) -> String {
     if v.is_nan() {
         "NaN".to_string()
     } else if v.is_infinite() {
@@ -456,7 +449,7 @@ impl Telemetry {
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
         match &self.inner {
             Some(r) => r.counter(name, labels),
-            None => Counter::noop(),
+            None => Counter::default(),
         }
     }
 
@@ -464,7 +457,7 @@ impl Telemetry {
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)], bounds: &[f64]) -> HistogramHandle {
         match &self.inner {
             Some(r) => r.histogram(name, labels, bounds),
-            None => HistogramHandle::noop(),
+            None => HistogramHandle::default(),
         }
     }
 
@@ -495,6 +488,50 @@ impl Telemetry {
             Some(r) => r.restore(cells),
             None => Ok(()),
         }
+    }
+}
+
+/// An [`Obs`] handle plus the counters its events declare in
+/// [`catalog`] (`counts "<metric>"`), resolved once and found by
+/// [`EventName::counter_slot`]: one [`Recorder::emit`] records both.
+/// The default is dark.
+#[derive(Clone, Default)]
+pub struct Recorder {
+    obs: Obs,
+    counters: [Counter; catalog::COUNTED],
+}
+
+impl Recorder {
+    /// Replace the obs handle; the counters stay.
+    pub fn set_obs(&mut self, obs: Obs) {
+        self.obs = obs;
+    }
+
+    /// Resolve, under `labels`, the counter of every entry in `spans`
+    /// that declares one (entries sharing a metric share its cell), so
+    /// each registers at zero before its first event.
+    pub fn resolve(&mut self, tel: &Telemetry, labels: &[(&str, &str)], spans: &[&str]) {
+        for name in catalog::ALL.iter().filter(|n| spans.contains(&n.span())) {
+            if let (Some(slot), Some(metric)) = (name.counter_slot(), name.counter()) {
+                self.counters[slot] = tel.counter(metric, labels);
+            }
+        }
+    }
+
+    /// The obs handle events go to.
+    pub fn obs(&self) -> &Obs {
+        &self.obs
+    }
+
+    /// Increment `name`'s counter, if it declares one, then emit `name`.
+    /// The counter counts on a dark handle too; `build` runs only when a
+    /// sink listens.
+    #[inline]
+    pub fn emit(&self, name: EventName, build: impl FnOnce(&mut Event)) {
+        if let Some(slot) = name.counter_slot() {
+            self.counters[slot].inc(1);
+        }
+        self.obs.emit(name, build);
     }
 }
 

@@ -4,7 +4,8 @@
 //! must be a catalogue entry at its declared level, and every catalogue
 //! entry must be produced by one of the two runs or be named in
 //! [`NOT_IN_SMOKES`] — so an entry nothing emits can only hide in a list
-//! a reviewer reads.
+//! a reviewer reads. The fleet smoke's counters must also equal its
+//! captured events, per tenant, for every entry that declares one.
 
 use rpas::core::{
     backtest_quantile, AdaptiveConfig, FleetConfig, FleetEngine, FleetSupervisor,
@@ -12,11 +13,11 @@ use rpas::core::{
 };
 use rpas::forecast::{Forecaster, SeasonalNaive, SCALING_LEVELS};
 use rpas::obs::catalog::{self, EventName};
-use rpas::obs::{schema, Level, MemorySink, Obs};
+use rpas::obs::{schema, Level, MemorySink, Obs, TraceLine};
 use rpas::simdb::{FaultConfig, Observation, PolicyHealth, ScalingPolicy};
 use rpas::telemetry::{SloSpec, Telemetry};
 use rpas::traces::{alibaba_like, STEPS_PER_DAY};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::OnceLock;
 
 /// Catalogue entries neither smoke below emits, each with where it does
@@ -133,11 +134,20 @@ impl ScalingPolicy for AlwaysPanics {
     }
 }
 
-/// Names in the tenant-scoped trace of a supervised, faulted, SLO-watched
-/// fleet with one poisoned tenant.
-fn fleet_smoke() -> &'static BTreeSet<String> {
-    static SEEN: OnceLock<BTreeSet<String>> = OnceLock::new();
-    SEEN.get_or_init(|| {
+/// What a supervised, faulted, SLO-watched fleet with one poisoned
+/// tenant leaves behind.
+struct FleetSmoke {
+    /// Names in its tenant-scoped trace.
+    seen: BTreeSet<String>,
+    /// The trace itself, parsed.
+    lines: Vec<TraceLine>,
+    /// The live registry's exposition at finish.
+    exposition: String,
+}
+
+fn fleet_smoke() -> &'static FleetSmoke {
+    static SMOKE: OnceLock<FleetSmoke> = OnceLock::new();
+    SMOKE.get_or_init(|| {
         let mut cfg = FleetConfig::new(8, 42);
         cfg.days = 1;
         cfg.capture_events = true;
@@ -157,12 +167,14 @@ fn fleet_smoke() -> &'static BTreeSet<String> {
 
         assert!(!report.trace_lines.is_empty(), "fleet smoke produced no trace");
         let mut seen = BTreeSet::new();
+        let mut lines = Vec::with_capacity(report.trace_lines.len());
         for line in &report.trace_lines {
             let parsed = schema::validate_line(line)
                 .unwrap_or_else(|e| panic!("trace line failed schema validation: {e}\n{line}"));
             record(&mut seen, &parsed.span, &parsed.event, parsed.level, "fleet smoke");
+            lines.push(parsed);
         }
-        seen
+        FleetSmoke { seen, lines, exposition: tel.snapshot().exposition() }
     })
 }
 
@@ -190,7 +202,7 @@ fn backtest_events_are_all_catalogued() {
 #[test]
 fn fleet_smoke_trace_is_fully_catalogued() {
     assert_flowed(
-        fleet_smoke(),
+        &fleet_smoke().seen,
         &[
             catalog::SIM_STEP,
             catalog::FAULT_ANOMALY,
@@ -199,6 +211,48 @@ fn fleet_smoke_trace_is_fully_catalogued() {
         ],
         "fleet",
     );
+}
+
+#[test]
+fn fleet_smoke_counters_equal_its_captured_events() {
+    let smoke = fleet_smoke();
+    // Captured lines per `metric{tenant="…"}` cell; entries that share a
+    // metric add up in its cell.
+    let mut captured: BTreeMap<String, u64> = BTreeMap::new();
+    for line in &smoke.lines {
+        let name = catalog::find(&line.span, &line.event).expect("catalogued");
+        if let Some(metric) = name.counter() {
+            let tenant = line.fields["tenant"].as_str().expect("tenant-scoped line");
+            *captured.entry(format!("{metric}{{tenant=\"{tenant}\"}}")).or_default() += 1;
+        }
+    }
+    let declared: BTreeSet<&str> = catalog::ALL.iter().filter_map(|n| n.counter()).collect();
+    let mut counted = BTreeSet::new();
+    for row in smoke.exposition.lines() {
+        let (cell, value) = row.split_once(" counter ").unwrap_or((row, ""));
+        let metric = cell.split('{').next().unwrap_or(cell);
+        if !declared.contains(metric) {
+            continue;
+        }
+        let value: u64 = value.parse().unwrap_or_else(|_| panic!("not a counter row: {row}"));
+        assert_eq!(value, captured.remove(cell).unwrap_or(0), "{cell}: counter vs captured lines");
+        if value > 0 {
+            counted.insert(metric);
+        }
+    }
+    assert!(captured.is_empty(), "captured events no counter cell holds: {captured:?}");
+    // The check compared real counts, not only zero rows.
+    for metric in [
+        "sim.steps",
+        "sim.faults",
+        "resilience.hold_last",
+        "resilience.retries",
+        "supervisor.panics",
+        "supervisor.quarantines",
+        "supervisor.restores",
+    ] {
+        assert!(counted.contains(metric), "the smoke counted no `{metric}`");
+    }
 }
 
 #[test]
@@ -222,7 +276,7 @@ fn catalogue_is_sorted_unique_and_in_the_schema_charset() {
 
 #[test]
 fn every_entry_is_emitted_by_a_smoke_or_pinned_as_not() {
-    let emitted: BTreeSet<&String> = backtest_smoke().union(fleet_smoke()).collect();
+    let emitted: BTreeSet<&String> = backtest_smoke().union(&fleet_smoke().seen).collect();
     let pinned: BTreeSet<String> = NOT_IN_SMOKES.iter().map(EventName::to_string).collect();
     assert_eq!(pinned.len(), NOT_IN_SMOKES.len(), "NOT_IN_SMOKES repeats an entry");
     let mut problems = Vec::new();

@@ -1,4 +1,5 @@
-//! Allocation budget of emitting one event.
+//! Allocation budget of emitting one event, and of rendering the
+//! captured ones.
 //!
 //! A captured event used to cost ~16 allocations: two `String`s for the
 //! span and name, a `String` and a map node per field, and the whole lot
@@ -12,14 +13,24 @@
 //! emit sites, as the allocations a run makes with a capturing handle
 //! beyond the same run with a dark one.
 //!
+//! At the other end, `FleetSupervisor::finish` renders every captured
+//! event into the fleet's trace: one exact-size line per event and
+//! nothing per field (numbers are written into the line's buffer, no
+//! `String` per value), plus a fixed handful per tenant. That is pinned
+//! as a shape at two fleet lengths.
+//!
 //! Kept to a single `#[test]` in its own binary: the counting allocator
 //! observes the whole process (see `alloc_ratchet.rs`).
 
 use rpas_bench::alloc;
-use rpas_core::{RobustAutoScalingManager, ScalingStrategy};
+use rpas_core::{
+    FleetConfig, FleetEngine, FleetSupervisor, ReplanSchedule, RobustAutoScalingManager,
+    ScalingStrategy, SupervisorConfig,
+};
 use rpas_forecast::QuantileForecast;
-use rpas_obs::{catalog, MemorySink, Obs};
-use rpas_simdb::{Observation, ScalingPolicy, SimConfig, SimSession};
+use rpas_obs::{catalog, json, MemorySink, Obs};
+use rpas_simdb::{FaultConfig, Observation, ScalingPolicy, SimConfig, SimSession};
+use rpas_telemetry::{SloSpec, Telemetry};
 use rpas_traces::Trace;
 use rpas_tsmath::Matrix;
 
@@ -27,6 +38,14 @@ use rpas_tsmath::Matrix;
 static ALLOC: alloc::CountingAlloc = alloc::CountingAlloc;
 
 const STEPS: usize = 64;
+
+/// Tenants of the fleet whose `finish` is counted.
+const TENANTS: u64 = 8;
+/// What `finish` may allocate per tenant beyond one line per captured
+/// event: its label, violation flags and SLO series, the session report,
+/// the growth of the fleet-wide vectors (measured 32 at two days, 34 at
+/// four).
+const FINISH_PER_TENANT: u64 = 40;
 
 struct Hold;
 
@@ -124,4 +143,47 @@ fn an_emitted_event_allocates_its_field_vector_and_nothing_else() {
     });
     assert_eq!((first.len(), last.len()), (5, 5));
     assert_eq!(fan_out, 2, "one build and one copy");
+
+    // A number is written into the caller's buffer, the 301 digits of
+    // 1e300 and the 323 zeros of 5e-324 included.
+    let mut out = String::with_capacity(1024);
+    let numbers = cost(|| {
+        for x in [0.95, -1.5e-7, 102.69192879067386, 3.0, 1e300, 5e-324, f64::NAN] {
+            out.clear();
+            json::write_f64(&mut out, x);
+            json::write_u64(&mut out, u64::MAX);
+        }
+    });
+    assert_eq!(numbers, 0, "writing a number allocated");
+
+    // `finish` on a capturing fleet: one allocation per rendered line,
+    // plus the per-tenant constant, at two lengths.
+    let mut lines_at = Vec::new();
+    for days in [2, 4] {
+        let mut cfg = FleetConfig::new(TENANTS as usize, 11);
+        cfg.days = days;
+        cfg.schedule = ReplanSchedule { context: 48, horizon: 24 };
+        cfg.capture_events = true;
+        cfg.faults = Some(FaultConfig::light());
+        cfg.slo = Some(SloSpec::violation_rate_default());
+        let (allocs, lines) = (0..3)
+            .map(|_| {
+                let tel = Telemetry::live();
+                let engine = FleetEngine::with_telemetry(&cfg, &tel);
+                let mut sup = FleetSupervisor::wrap_with(engine, SupervisorConfig::default(), &tel);
+                sup.run_to_completion();
+                let (report, stats) = alloc::measure(|| sup.finish());
+                (stats.allocs, report.trace_lines.len() as u64)
+            })
+            .min()
+            .expect("three repeats");
+        let ceiling = lines + FINISH_PER_TENANT * TENANTS;
+        assert!(
+            allocs <= ceiling,
+            "{days} days: finish allocated {allocs} times for {lines} lines (ceiling {ceiling})"
+        );
+        lines_at.push(lines);
+    }
+    // The two lengths really are different problem sizes.
+    assert!(lines_at[1] > 3 * lines_at[0] / 2, "{lines_at:?}");
 }

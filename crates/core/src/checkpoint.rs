@@ -67,7 +67,7 @@ use crate::fleet::{FleetConfig, FleetEngine, TenantPolicy, TenantPolicyKind, Tra
 use crate::resilient::{NaiveSnapshot, ResilienceConfig, ResilientSnapshot, Tier};
 use crate::supervisor::{FleetSupervisor, SupervisorConfig, TenantGuard, TenantHealth};
 use rpas_forecast::SeasonalNaive;
-use rpas_obs::json::{escape_into, Kind, Reader};
+use rpas_obs::json::{escape_into, f64_string, Kind, Reader};
 use rpas_obs::{catalog, Event, Fields, Level, Obs, Value};
 use rpas_simdb::{
     ClusterSnapshot, FaultConfig, FaultCounts, NodeSnapshot, ScaleOutcome, SessionSnapshot,
@@ -499,7 +499,7 @@ record!(NaiveSnapshot {
 fn fitted_sigma(state: &NaiveSnapshot) -> Result<(), String> {
     match state.sigma {
         Some(sigma) if !(sigma.is_finite() && sigma > 0.0) => {
-            Err(format!("sigma {sigma} is not a finite positive spread"))
+            Err(format!("sigma {} is not a finite positive spread", f64_string(sigma)))
         }
         _ => Ok(()),
     }
@@ -924,7 +924,10 @@ fn read_header(line: &str) -> Result<(u64, u64, FleetConfig, SupervisorConfig), 
         Kind::Num => {
             let v = at.number()?;
             if v.fract().abs() > 0.0 || !(0.0..=f64::from(u32::MAX)).contains(&v) {
-                return Err(format!("header.version: {v} is not an integral version number"));
+                return Err(format!(
+                    "header.version: {} is not an integral version number",
+                    f64_string(v)
+                ));
             }
             v as u64
         }
@@ -971,7 +974,7 @@ fn apply_line(
             else {
                 return Err(format!("tenant {id} beyond fleet size {tenants}"));
             };
-            run.session.restore(&session).map_err(|e| format!("session: {e}"))?;
+            run.session.restore(session).map_err(|e| format!("session: {e}"))?;
             let (theta, min_nodes) = (run.spec.theta, run.spec.min_nodes);
             policy.restore(&mut run.policy, theta, min_nodes)?;
             if let Some(mem) = &run.capture {
@@ -1014,8 +1017,8 @@ fn apply_line(
 /// # Errors
 /// Malformed or truncated text, a wrong schema or version, a
 /// configuration no fleet can be built from, and state that does not fit
-/// the rebuilt fleet (a session cursor beyond its trace, a metric cell of
-/// another kind or shape).
+/// the rebuilt fleet (a session cursor beyond its trace or contradicting
+/// its step records, a metric cell of another kind or shape).
 pub fn load(text: &str, tel: &Telemetry, obs: Obs) -> Result<(FleetSupervisor, FleetConfig), String> {
     let mut lines = text.lines().enumerate().filter(|(_, l)| !l.trim().is_empty());
     let (_, header) = lines.next().ok_or("empty checkpoint")?;
@@ -1234,7 +1237,35 @@ mod tests {
             edited.replace_range(first_sigma..first_sigma + 16, bits);
             edited
         };
+        // A session cursor its own step records contradict: a run leaves
+        // one record per executed tick and its delivered prefix never
+        // past the cursor.
+        let ran_tel = Telemetry::live();
+        let mut ran = FleetSupervisor::wrap_with(
+            FleetEngine::with_telemetry(&cfg, &ran_tel),
+            SupervisorConfig::default(),
+            &ran_tel,
+        );
+        for _ in 0..60 {
+            ran.tick();
+        }
+        let ran = save(&ran, &cfg, &ran_tel).unwrap();
+        let edit_ran = |from: &str, to: &str| {
+            let edited = ran.replacen(from, to, 1);
+            assert_ne!(edited, ran, "{from} not found");
+            edited
+        };
         for (hostile, line, why) in [
+            (
+                edit_ran("\"session\":{\"t\":\"u:60\"", "\"session\":{\"t\":\"u:10\""),
+                2,
+                "session: snapshot cursor 10 but 60 step records",
+            ),
+            (
+                edit_ran("\"visible\":\"u:", "\"visible\":\"u:99999"),
+                2,
+                "session: snapshot visible prefix 99999",
+            ),
             (
                 edit("\"session\":{\"t\":\"u:0\"", "\"session\":{\"t\":\"u:99999\""),
                 2,

@@ -3,6 +3,7 @@
 //! average per-node workload below the threshold at every step.
 
 use rpas_lp::{solve, LpProblem, Relation};
+use rpas_obs::json::f64_string;
 
 /// A per-step allocation of compute nodes over a decision horizon.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,7 +69,7 @@ pub fn plan_point(workload: &[f64], theta: f64, min_nodes: u32) -> CapacityPlan 
         workload
             .iter()
             .map(|&w| {
-                assert!(w.is_finite() && w >= 0.0, "invalid workload {w}");
+                assert!(w.is_finite() && w >= 0.0, "invalid workload {}", f64_string(w));
                 rpas_metrics::provisioning::required_nodes(w, theta, min_nodes)
             })
             .collect(),
@@ -92,7 +93,7 @@ pub(crate) fn plan_point_lp(workload: &[f64], theta: f64, min_nodes: u32) -> Cap
     let h = workload.len();
     let mut p = LpProblem::minimize(vec![1.0; h]);
     for (t, &w) in workload.iter().enumerate() {
-        assert!(w.is_finite() && w >= 0.0, "invalid workload {w}");
+        assert!(w.is_finite() && w >= 0.0, "invalid workload {}", f64_string(w));
         let mut row = vec![0.0; h];
         row[t] = theta;
         p = p.constraint(row, Relation::Ge, w);

@@ -32,6 +32,7 @@ use crate::manager::{RobustAutoScalingManager, ScalingStrategy};
 use crate::reactive::ReactiveMax;
 use crate::thrash::clamp_step;
 use rpas_forecast::{ForecastError, Forecaster, QuantileForecast, SeasonalNaive};
+use rpas_obs::json::f64_string;
 use rpas_obs::{catalog, Obs};
 use rpas_simdb::{Observation, PolicyHealth, ScaleOutcome, ScalingPolicy};
 use rpas_telemetry::{Recorder, Telemetry};
@@ -82,7 +83,7 @@ pub(crate) fn forecast_health(qf: &QuantileForecast, context: &[f64]) -> Option<
     for h in 0..values.rows() {
         for &v in values.row(h) {
             if !v.is_finite() {
-                return Some(format!("non-finite value {v} at horizon {h}"));
+                return Some(format!("non-finite value {} at horizon {h}", f64_string(v)));
             }
             if v > cap {
                 return Some(format!(

@@ -212,8 +212,6 @@ fn out_of_range_edits_that_always_loaded_still_load_and_run_to_finish() {
     let plan_end = plan + tenants[plan..].find(']').unwrap();
 
     let edits = [
-        ("t below steps.len()", in_tenant_0("t", "u:10")),
-        ("visible out of range", in_tenant_0("visible", "u:99999")),
         ("plan_start out of range", in_tenant_0("plan_start", "u:99999")),
         ("header tick out of range", set(&text, "tick", "u:99999")),
         ("empty plan", format!("{header}\n{}{}", &tenants[..plan], &tenants[plan_end..])),

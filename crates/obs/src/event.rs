@@ -9,9 +9,8 @@
 //! (see [`Event::content_line`]) while still carrying real timings.
 
 use crate::catalog::EventName;
-use crate::json::escape_into;
+use crate::json::{escape_into, write_f64, write_u64};
 use std::borrow::Cow;
-use std::fmt::Write as _;
 
 /// Text an event carries: borrowed when it is a literal of the program
 /// (catalogue names, field keys, label-like values such as `regime`), so
@@ -71,25 +70,9 @@ pub enum Value {
     Str(Text),
 }
 
-/// Append `n` in decimal: the bytes of `write!(out, "{n}")` without the
-/// `fmt` machinery (every line renders `seq`, `ts_us` and its counts).
-fn push_u64(out: &mut String, mut n: u64) {
-    let mut buf = [b'0'; 20];
-    let mut start = buf.len();
-    for digit in buf.iter_mut().rev() {
-        *digit += (n % 10) as u8;
-        start -= 1;
-        n /= 10;
-        if n == 0 {
-            break;
-        }
-    }
-    out.extend(buf.iter().skip(start).map(|&b| char::from(b)));
-}
-
 impl Value {
-    /// Append the value as a JSON fragment. Finite floats are
-    /// `{}`-formatted with a decimal point or exponent forced, so the
+    /// Append the value as a JSON fragment. Finite floats are the bytes
+    /// of `{}` ([`write_f64`]) with a decimal point forced, so the
     /// fragment round-trips as a float (`3` would re-parse as an integer).
     pub(crate) fn write_json(&self, out: &mut String) {
         match self {
@@ -98,17 +81,15 @@ impl Value {
                 if *i < 0 {
                     out.push('-');
                 }
-                push_u64(out, i.unsigned_abs());
+                write_u64(out, i.unsigned_abs());
             }
-            Value::U64(u) => push_u64(out, *u),
+            Value::U64(u) => write_u64(out, *u),
             Value::F64(x) if x.is_nan() => out.push_str("\"NaN\""),
             Value::F64(x) if x.is_infinite() => {
                 out.push_str(if *x > 0.0 { "\"inf\"" } else { "\"-inf\"" });
             }
             Value::F64(x) => {
-                let start = out.len();
-                let _ = write!(out, "{x}");
-                if !out[start..].contains(['.', 'e', 'E']) {
+                if !write_f64(out, *x) {
                     out.push_str(".0");
                 }
             }
@@ -311,11 +292,11 @@ impl Event {
         fields: impl Iterator<Item = (&'a str, &'a Value)>,
     ) {
         out.push_str("{\"v\":");
-        push_u64(out, crate::schema::SCHEMA_VERSION);
+        write_u64(out, crate::schema::SCHEMA_VERSION);
         out.push_str(",\"seq\":");
-        push_u64(out, seq);
+        write_u64(out, seq);
         out.push_str(",\"ts_us\":");
-        push_u64(out, ts_us);
+        write_u64(out, ts_us);
         out.push_str(",\"level\":\"");
         out.push_str(self.level.as_str());
         out.push_str("\",\"span\":\"");
@@ -332,7 +313,7 @@ impl Event {
         out.push('}');
         if let Some(w) = wall_us {
             out.push_str(",\"wall_us\":");
-            push_u64(out, w);
+            write_u64(out, w);
         }
         out.push('}');
     }

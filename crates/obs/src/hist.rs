@@ -1,10 +1,12 @@
 //! Fixed-bucket histograms: cheap to record (one binary search per
 //! sample) and deterministic to serialize, without retaining samples.
 //!
-//! Serialization: [`Histogram::encode`] renders the bucket state as one
-//! flat string, `le=<bound>:<count>;...;inf:<count>`, which is what the
+//! Serialization: [`Histogram::encode_into`] renders the bucket state as
+//! one flat string, `le=<bound>:<count>;...;inf:<count>`, which is what the
 //! metric exposition prints; [`Histogram::from_parts`] is the lossless
 //! inverse of the accessors, for checkpoint restore.
+
+use crate::json::{write_f64, write_u64};
 
 /// A histogram over fixed, strictly increasing bucket upper bounds, plus
 /// an implicit `+inf` overflow bucket.
@@ -75,7 +77,7 @@ impl Histogram {
     /// Reassemble a histogram from previously captured state — the exact
     /// inverse of reading [`Histogram::bounds`]/[`Histogram::counts`]/
     /// [`Histogram::sum`], for checkpoint restore paths that must be
-    /// lossless (the flat-string [`Histogram::encode`] drops the sum).
+    /// lossless (the flat-string [`Histogram::encode_into`] drops the sum).
     ///
     /// # Errors
     /// The parts come from a file, so a shape [`Histogram::new`] would
@@ -100,22 +102,30 @@ impl Histogram {
         Ok(Self { bounds, counts, count, sum })
     }
 
-    /// Canonical flat-string encoding (`le=10:4;le=100:9;inf:2`).
-    pub fn encode(&self) -> String {
-        let mut parts: Vec<String> = self
-            .bounds
-            .iter()
-            .zip(&self.counts)
-            .map(|(b, c)| format!("le={b}:{c}"))
-            .collect();
-        parts.push(format!("inf:{}", self.counts[self.bounds.len()]));
-        parts.join(";")
+    /// Append the canonical flat-string encoding
+    /// (`le=10:4;le=100:9;inf:2`).
+    pub fn encode_into(&self, out: &mut String) {
+        for (b, c) in self.bounds.iter().zip(&self.counts) {
+            out.push_str("le=");
+            write_f64(out, *b);
+            out.push(':');
+            write_u64(out, *c);
+            out.push(';');
+        }
+        out.push_str("inf:");
+        write_u64(out, self.counts[self.bounds.len()]);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn encode(h: &Histogram) -> String {
+        let mut out = String::new();
+        h.encode_into(&mut out);
+        out
+    }
 
     #[test]
     fn records_into_correct_buckets() {
@@ -124,14 +134,14 @@ mod tests {
             h.record(v);
         }
         assert_eq!(h.count(), 4);
-        assert_eq!(h.encode(), "le=10:2;le=100:1;inf:1");
+        assert_eq!(encode(&h), "le=10:2;le=100:1;inf:1");
     }
 
     #[test]
     fn nan_lands_in_overflow() {
         let mut h = Histogram::new(vec![1.0]);
         h.record(f64::NAN);
-        assert_eq!(h.encode(), "le=1:0;inf:1");
+        assert_eq!(encode(&h), "le=1:0;inf:1");
     }
 
     #[test]
@@ -141,23 +151,23 @@ mod tests {
         let mut h = Histogram::new(vec![10.0, 100.0]);
         h.record(10.0);
         h.record(100.0);
-        assert_eq!(h.encode(), "le=10:1;le=100:1;inf:0");
+        assert_eq!(encode(&h), "le=10:1;le=100:1;inf:0");
         // The next representable value above the edge overflows to the
         // following bucket.
         let mut h2 = Histogram::new(vec![10.0, 100.0]);
         h2.record(10.0_f64.next_up());
-        assert_eq!(h2.encode(), "le=10:0;le=100:1;inf:0");
+        assert_eq!(encode(&h2), "le=10:0;le=100:1;inf:0");
     }
 
     #[test]
     fn infinities_land_in_overflow_bucket() {
         let mut h = Histogram::new(vec![10.0, 100.0]);
         h.record(f64::INFINITY);
-        assert_eq!(h.encode(), "le=10:0;le=100:0;inf:1");
+        assert_eq!(encode(&h), "le=10:0;le=100:0;inf:1");
         // -inf is below every bound, so it stays in the first bucket —
         // and, being non-finite, it is excluded from the sum.
         h.record(f64::NEG_INFINITY);
-        assert_eq!(h.encode(), "le=10:1;le=100:0;inf:1");
+        assert_eq!(encode(&h), "le=10:1;le=100:0;inf:1");
         assert_eq!(h.count(), 2);
         assert!((h.sum() - 0.0).abs() < f64::EPSILON);
     }

@@ -8,12 +8,16 @@
 //! `trace-report` can reject malformed lines with a real error rather
 //! than a partial match, and typed decoders that stream from it without
 //! a tree (`rpas-core`'s checkpoint loader). The writer side is
-//! [`escape_into`] plus `write_json` in `crate::event`; both append to
-//! a caller-owned buffer.
+//! [`escape_into`], the number writers [`write_f64`] / [`write_u64`] and
+//! `write_json` in `crate::event`; all append to a caller-owned buffer.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+
+mod number;
+
+pub use number::{f64_string, write_f64, write_u64};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,22 +66,22 @@ impl Json {
 /// quotes. Every escaped character is ASCII, so the runs between them are
 /// copied whole.
 pub fn escape_into(out: &mut String, s: &str) {
+    let bytes = s.as_bytes();
     let mut run = 0;
-    for (i, b) in s.bytes().enumerate() {
-        let escaped = match b {
-            b'"' => "\\\"",
-            b'\\' => "\\\\",
-            b'\n' => "\\n",
-            b'\r' => "\\r",
-            b'\t' => "\\t",
-            0x00..=0x1f => "",
-            _ => continue,
-        };
+    // One predicate per byte to find the next escape: keys, names and
+    // labels rarely hold one, so most strings are a single copy.
+    while let Some(at) = bytes[run..].iter().position(|&b| b < 0x20 || b == b'"' || b == b'\\') {
+        let i = run + at;
         out.push_str(&s[run..i]);
-        if escaped.is_empty() {
-            let _ = write!(out, "\\u{b:04x}");
-        } else {
-            out.push_str(escaped);
+        match bytes[i] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            b => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
         }
         run = i + 1;
     }

@@ -18,7 +18,7 @@
 //! and excluded from deterministic-content comparisons.
 
 use crate::event::Level;
-use crate::json::{parse, Json};
+use crate::json::{f64_string, parse, Json};
 
 /// Current trace-format version, written into every line's `v` member.
 pub const SCHEMA_VERSION: u64 = 1;
@@ -76,7 +76,7 @@ fn req_uint(obj: &std::collections::BTreeMap<String, Json>, key: &str) -> Result
         .as_num()
         .ok_or_else(|| format!("member {key:?} must be a number"))?;
     if n < 0.0 || n.fract() != 0.0 || !n.is_finite() {
-        return Err(format!("member {key:?} must be a non-negative integer, got {n}"));
+        return Err(format!("member {key:?} must be a non-negative integer, got {}", f64_string(n)));
     }
     Ok(n as u64)
 }

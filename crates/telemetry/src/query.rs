@@ -5,9 +5,10 @@
 //! through `BTreeMap`s, so output order is canonical regardless of input
 //! interleaving.
 
-use crate::registry::fmt_f64;
+use rpas_obs::json::{f64_string, write_f64};
 use rpas_obs::{catalog, Json, Level, TraceLine};
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 /// Conjunctive line filter; `None` members match everything.
 #[derive(Debug, Clone, Default)]
@@ -177,10 +178,13 @@ impl QueryResult {
         let width =
             self.rows.iter().map(|r| r.key.len()).max().unwrap_or(0).max("group".len());
         let mut out = format!("{:<width$}  {:>14}\n", "group", "value");
+        let mut value = String::new();
         for r in &self.rows {
-            out.push_str(&format!("{:<width$}  {:>14}\n", r.key, fmt_f64(r.value)));
+            value.clear();
+            write_f64(&mut value, r.value);
+            let _ = writeln!(out, "{:<width$}  {value:>14}", r.key);
         }
-        out.push_str(&format!("matched {} of {} line(s)\n", self.matched, self.scanned));
+        let _ = writeln!(out, "matched {} of {} line(s)", self.matched, self.scanned);
         out
     }
 }
@@ -234,7 +238,7 @@ pub(crate) fn render_json(j: &Json) -> String {
     match j {
         Json::Null => "null".to_string(),
         Json::Bool(b) => b.to_string(),
-        Json::Num(n) => fmt_f64(*n),
+        Json::Num(n) => f64_string(*n),
         Json::Str(s) => s.clone(),
         Json::Arr(_) | Json::Obj(_) => "(composite)".to_string(),
     }

@@ -15,7 +15,7 @@
 //! one, so a gauge only ever arrives through [`MetricRegistry::restore`].
 
 use rpas_obs::catalog::{self, EventName};
-use rpas_obs::json::escape_str;
+use rpas_obs::json::{escape_str, write_f64, write_u64};
 use rpas_obs::{Event, Histogram, Obs};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -384,22 +384,24 @@ impl Snapshot {
     pub fn exposition(&self) -> String {
         let mut out = String::new();
         for e in &self.entries {
+            out.push_str(&e.name);
             match &e.value {
                 SnapshotValue::Counter(v) => {
-                    out.push_str(&format!("{} counter {v}\n", e.name));
+                    out.push_str(" counter ");
+                    write_u64(&mut out, *v);
                 }
                 SnapshotValue::Gauge(v) => {
-                    out.push_str(&format!("{} gauge {}\n", e.name, fmt_f64(*v)));
+                    out.push_str(" gauge ");
+                    write_f64(&mut out, *v);
                 }
                 SnapshotValue::Histogram(h) => {
-                    out.push_str(&format!(
-                        "{} histogram count={} {}\n",
-                        e.name,
-                        h.count(),
-                        h.encode()
-                    ));
+                    out.push_str(" histogram count=");
+                    write_u64(&mut out, h.count());
+                    out.push(' ');
+                    h.encode_into(&mut out);
                 }
             }
+            out.push('\n');
         }
         out
     }
@@ -410,19 +412,6 @@ impl Snapshot {
             SnapshotValue::Counter(v) => Some(*v),
             _ => None,
         })
-    }
-}
-
-/// Deterministic f64 rendering shared by exposition lines and query
-/// results: shortest round-trip for finite values, explicit markers
-/// otherwise.
-pub(crate) fn fmt_f64(v: f64) -> String {
-    if v.is_nan() {
-        "NaN".to_string()
-    } else if v.is_infinite() {
-        if v > 0.0 { "inf".to_string() } else { "-inf".to_string() }
-    } else {
-        format!("{v}")
     }
 }
 

@@ -13,6 +13,7 @@
 //! still happening). Audit events land on an [`Obs`] handle under the
 //! `slo` span.
 
+use rpas_obs::json::f64_string;
 use rpas_obs::{catalog, Obs};
 use std::borrow::Borrow;
 
@@ -29,7 +30,7 @@ pub struct BurnRule {
 
 impl BurnRule {
     fn label(&self) -> String {
-        format!("{}/{}x{}", self.long, self.short, self.factor)
+        format!("{}/{}x{}", self.long, self.short, f64_string(self.factor))
     }
 }
 
@@ -51,7 +52,7 @@ impl SloSpec {
     /// `evaluate` panics on it.
     pub fn validate(&self) -> Result<(), String> {
         if !(self.objective > 0.0 && self.objective <= 1.0) {
-            return Err(format!("objective must be in (0, 1], got {}", self.objective));
+            return Err(format!("objective must be in (0, 1], got {}", f64_string(self.objective)));
         }
         match self.burn.iter().find(|r| r.short == 0 || r.short > r.long) {
             Some(rule) => Err(format!("burn rule {} needs 0 < short ≤ long", rule.label())),

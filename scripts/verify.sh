@@ -7,6 +7,9 @@
 #      and fleet determinism, kill/resume byte-identity, trace and
 #      obs-query round-trips) are root tests/cli_e2e.rs; the paper's shape
 #      claims at RPAS_PROFILE=quick are crates/bench/tests/shapes.rs.
+#   2b. The number writer's 30 M-double sweep against `format!("{x}")`
+#      (rpas-obs json::number::tests::sweep_agrees_with_std_display,
+#      #[ignore]d in the workspace run; ~10 s in release).
 #   3. clippy with -D warnings: its default set plus the workspace's static
 #      rules D2 / D3 / O1 / P1 / F1 / E1 (clippy.toml; DESIGN.md §9).
 #   4. Two timing budgets: the telemetry dark path (telemetry-budget.json)
@@ -36,6 +39,12 @@ echo "== offline tests (whole workspace) =="
 # equivalence property (rpas-telemetry) and the per-predict allocation
 # ceilings (rpas-bench) all live in member crates.
 cargo test -q --offline --workspace
+
+echo "== number writer sweep (30 M doubles against format!, release) =="
+# Every trace, exposition and report number goes through
+# rpas_obs::json::write_f64; its bytes are contract (every digest).
+cargo test -q --release --offline -p rpas-obs --lib -- --ignored --exact \
+    json::number::tests::sweep_agrees_with_std_display
 
 echo "== clippy: default set + static rules (clippy.toml; DESIGN.md §9) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings

@@ -67,15 +67,15 @@ use crate::fleet::{FleetConfig, FleetEngine, TenantPolicy, TenantPolicyKind, Tra
 use crate::resilient::{NaiveSnapshot, ResilienceConfig, ResilientSnapshot, Tier};
 use crate::supervisor::{FleetSupervisor, SupervisorConfig, TenantGuard, TenantHealth};
 use rpas_forecast::SeasonalNaive;
-use rpas_obs::json::{escape_into, f64_string, Kind, Reader};
-use rpas_obs::{catalog, Event, Fields, Level, Obs, Value};
+use rpas_obs::catalog::{self, EventName};
+use rpas_obs::json::{escape_into, f64_string, write_u64, Kind, Reader};
+use rpas_obs::{Event, Fields, Level, Obs, Value};
 use rpas_simdb::{
     ClusterSnapshot, FaultConfig, FaultCounts, NodeSnapshot, ScaleOutcome, SessionSnapshot,
     StepRecord, StorageStats,
 };
 use rpas_telemetry::{BurnRule, CellDump, CellValue, SloSpec, Telemetry};
 use std::borrow::Cow;
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// Schema identifier in the header line.
@@ -204,13 +204,52 @@ fn enc_str(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Append the tagged scalar `"<tag><digits of n>"`, `tag` carrying any
+/// sign: the bytes `format!` would write, without `core::fmt`.
+fn enc_tagged(out: &mut String, tag: &str, n: u64) {
+    out.push_str(tag);
+    write_u64(out, n);
+    out.push('"');
+}
+
+/// Append `"f:<bits>"`: the 16 lowercase hex nibbles of `bits`, high
+/// first, as `{:016x}` writes them, two per push from [`HEX_PAIRS`].
+fn enc_f64_bits(out: &mut String, bits: u64) {
+    out.push_str("\"f:");
+    for byte in bits.to_be_bytes() {
+        let at = 2 * byte as usize;
+        out.push_str(HEX_PAIRS.get(at..at + 2).unwrap_or_default());
+    }
+    out.push('"');
+}
+
+/// `"000102…feff"`: the two hex digits of every byte, in order, derived
+/// at compile time (a slice of it needs no UTF-8 check at run time).
+const HEX_PAIRS: &str = {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    const BYTES: [u8; 512] = {
+        let mut b = [0u8; 512];
+        let mut i = 0;
+        while i < 256 {
+            b[2 * i] = HEX[i >> 4];
+            b[2 * i + 1] = HEX[i & 0xf];
+            i += 1;
+        }
+        b
+    };
+    match std::str::from_utf8(&BYTES) {
+        Ok(s) => s,
+        Err(_) => "",
+    }
+};
+
 // ---------------------------------------------------------------------
 // scalars, containers, label enums
 // ---------------------------------------------------------------------
 
 impl Codec for u64 {
     fn enc(&self, out: &mut String) {
-        let _ = write!(out, "\"u:{self}\"");
+        enc_tagged(out, "\"u:", *self);
     }
     fn dec(r: &mut Reader<'_>, what: &str) -> Result<Self, String> {
         u64_from(&text(r, what, "a \"u:\"-tagged string")?, what)
@@ -237,7 +276,7 @@ narrow_uint!(u32, usize);
 
 impl Codec for f64 {
     fn enc(&self, out: &mut String) {
-        let _ = write!(out, "\"f:{:016x}\"", self.to_bits());
+        enc_f64_bits(out, self.to_bits());
     }
     fn dec(r: &mut Reader<'_>, what: &str) -> Result<Self, String> {
         f64_from(&text(r, what, "a \"f:\"-tagged string")?, what)
@@ -568,7 +607,7 @@ impl Codec for Value {
         match self {
             Value::Bool(b) => out.push_str(if *b { "\"b:1\"" } else { "\"b:0\"" }),
             Value::I64(i) => {
-                let _ = write!(out, "\"i:{i}\"");
+                enc_tagged(out, if *i < 0 { "\"i:-" } else { "\"i:" }, i.unsigned_abs());
             }
             Value::U64(u) => u.enc(out),
             Value::F64(x) => x.enc(out),
@@ -597,32 +636,39 @@ impl Codec for Value {
 
 /// The fields of a captured event, minus the `*_us` wall-clock timings
 /// (they are not state).
-impl Codec for Fields {
-    fn enc(&self, out: &mut String) {
-        out.push('{');
-        let fields = self.iter().filter(|(k, _)| !k.ends_with("_us"));
-        for (i, (k, v)) in fields.enumerate() {
-            out.push_str(if i > 0 { "," } else { "" });
-            enc_str(k, out);
-            row(out, ":", v);
-        }
-        out.push('}');
+fn enc_fields(fields: &Fields, out: &mut String) {
+    out.push('{');
+    let fields = fields.iter().filter(|(k, _)| !k.ends_with("_us"));
+    for (i, (k, v)) in fields.enumerate() {
+        out.push_str(if i > 0 { "," } else { "" });
+        enc_str(k, out);
+        row(out, ":", v);
     }
-    fn dec(r: &mut Reader<'_>, what: &str) -> Result<Self, String> {
-        let mut fields = Fields::default();
-        obj(r, what)?;
-        while let Some(key) = r.next_key()? {
-            let value = Value::dec(r, &key)?;
-            fields.insert(key.into_owned().into(), value);
-        }
-        Ok(fields)
+    out.push('}');
+}
+
+/// An event's fields back: a key in `declared` (its catalogue entry's
+/// list) is borrowed from the list, as it was at the emit site; any
+/// other is owned. Either way the key holds the same text.
+fn dec_fields(r: &mut Reader<'_>, declared: &'static [&'static str]) -> Result<Fields, String> {
+    let mut fields = Fields::default();
+    obj(r, "event.f")?;
+    while let Some(key) = r.next_key()? {
+        let value = Value::dec(r, &key)?;
+        let key = match declared.iter().find(|k| key == **k) {
+            Some(k) => Cow::Borrowed(*k),
+            None => Cow::Owned(key.into_owned()),
+        };
+        fields.insert(key, value);
     }
+    Ok(fields)
 }
 
 /// A captured event minus what is not state: `seq` / `ts_us` / `wall_us`
 /// are re-stamped on re-emit. A `span/name` this build's catalogue
-/// declares is borrowed from it on load, as it was at the emit site; one
-/// it does not (a checkpoint from another build) is kept, owned.
+/// declares is borrowed from it on load, as it was at the emit site, and
+/// so are the keys its entry lists; one it does not (a checkpoint from
+/// another build) is kept, owned.
 impl Codec for Event {
     fn enc(&self, out: &mut String) {
         row(out, "{\"l\":", &self.level);
@@ -630,7 +676,8 @@ impl Codec for Event {
         enc_str(&self.span, out);
         out.push_str(",\"n\":");
         enc_str(&self.name, out);
-        row(out, ",\"f\":", &self.fields);
+        out.push_str(",\"f\":");
+        enc_fields(&self.fields, out);
         out.push('}');
     }
     fn dec(r: &mut Reader<'_>, what: &str) -> Result<Self, String> {
@@ -638,7 +685,13 @@ impl Codec for Event {
             "l" => level,
             "s" => span = text(r, "s", "string")?,
             "n" => name = text(r, "n", "string")?,
-            "f" => fields = Codec::dec(r, "event.f")?,
+            // `save` writes `s` and `n` first; an `f` read before them
+            // cannot know its entry, and owns every key.
+            "f" => fields = {
+                let known = span.as_deref().zip(name.as_deref());
+                let entry = known.and_then(|(s, n)| catalog::find(s, n));
+                dec_fields(r, entry.map_or(&[], EventName::keys))?
+            },
         });
         let (span, name) = match catalog::find(&span, &name) {
             Some(known) => (Cow::Borrowed(known.span()), Cow::Borrowed(known.name())),
@@ -871,8 +924,10 @@ pub fn save(sup: &FleetSupervisor, cfg: &FleetConfig, tel: &Telemetry) -> Result
             runs.len()
         ));
     }
-    let mut out = String::new();
-    let _ = write!(out, "{{\"kind\":\"header\",\"schema\":\"{SCHEMA}\",\"version\":{VERSION}");
+    let mut out = String::from("{\"kind\":\"header\",\"schema\":\"");
+    out.push_str(SCHEMA);
+    out.push_str("\",\"version\":");
+    write_u64(&mut out, VERSION);
     row(&mut out, ",\"tick\":", &sup.tick);
     row(&mut out, ",\"total_ticks\":", &sup.total_ticks);
     row(&mut out, ",\"config\":", cfg);
@@ -962,7 +1017,7 @@ fn apply_line(
                 "id" => id: usize,
                 "policy" => policy: PolicyState,
                 "session" => session,
-                "guard" => guard,
+                "guard" => guard: TenantGuard,
                 "events" => events: Vec<Event>,
             });
             r.end()?;
@@ -974,6 +1029,14 @@ fn apply_line(
             else {
                 return Err(format!("tenant {id} beyond fleet size {tenants}"));
             };
+            // A supervised tick records at most one outage flag.
+            if guard.outage.len() as u64 > sup.tick {
+                return Err(format!(
+                    "guard: {} outage flags for {} supervised ticks",
+                    guard.outage.len(),
+                    sup.tick
+                ));
+            }
             run.session.restore(session).map_err(|e| format!("session: {e}"))?;
             let (theta, min_nodes) = (run.spec.theta, run.spec.min_nodes);
             policy.restore(&mut run.policy, theta, min_nodes)?;
@@ -1017,12 +1080,16 @@ fn apply_line(
 /// # Errors
 /// Malformed or truncated text, a wrong schema or version, a
 /// configuration no fleet can be built from, and state that does not fit
-/// the rebuilt fleet (a session cursor beyond its trace or contradicting
-/// its step records, a metric cell of another kind or shape).
+/// the rebuilt fleet (a header `tick` past `total_ticks`, a session cursor
+/// beyond its trace or contradicting its step records, more outage flags
+/// than supervised ticks, a metric cell of another kind or shape).
 pub fn load(text: &str, tel: &Telemetry, obs: Obs) -> Result<(FleetSupervisor, FleetConfig), String> {
     let mut lines = text.lines().enumerate().filter(|(_, l)| !l.trim().is_empty());
     let (_, header) = lines.next().ok_or("empty checkpoint")?;
     let (tick, total_ticks, cfg, sup_cfg) = read_header(header)?;
+    if tick > total_ticks {
+        return Err(format!("header: tick {tick} is past total_ticks {total_ticks}"));
+    }
     cfg.validate().map_err(|why| format!("header.config: {why}"))?;
     sup_cfg.validate().map_err(|why| format!("header.supervisor: {why}"))?;
 
@@ -1281,10 +1348,21 @@ mod tests {
             (sigma("7ff8000000000000"), sigma_line, "sigma NaN is not a finite positive"),
             (sigma("0000000000000000"), sigma_line, "sigma 0 is not a finite positive"),
             (sigma("bff0000000000000"), sigma_line, "sigma -1 is not a finite positive"),
+            // A supervised tick records at most one outage flag: 61 after
+            // 60 ticks is a history no run has.
+            (
+                edit_ran("\"outage\":\"", "\"outage\":\"0"),
+                2,
+                "guard: 61 outage flags for 60 supervised ticks",
+            ),
         ] {
             let err = load(&hostile, &Telemetry::live(), Obs::noop()).err().unwrap();
             assert!(err.starts_with(&format!("line {line}: ")) && err.contains(why), "{err}");
         }
+        // A fleet saved mid-run cannot be past the end of its own run.
+        let past_the_end = edit("\"tick\":\"u:0\"", "\"tick\":\"u:289\"");
+        let err = load(&past_the_end, &Telemetry::live(), Obs::noop()).err().unwrap();
+        assert_eq!(err, "header: tick 289 is past total_ticks 288");
 
         // 100 KB of `[` is an `Err`, not a stack overflow: a typed
         // decoder refuses the first level it did not expect, and under a
@@ -1300,12 +1378,37 @@ mod tests {
         }
     }
 
+    /// The tagged-scalar writers against `core::fmt`: a `u:` / `i:` body
+    /// is `{}`, an `f:` body `{:016x}` of the bits.
+    #[test]
+    fn scalar_writers_write_the_bytes_of_core_fmt() {
+        use rpas_tsmath::prop_assert;
+        use rpas_tsmath::propcheck::forall;
+        let agrees = |n: u64| {
+            let i = n as i64;
+            let mut out = String::from("kept|");
+            n.enc(&mut out);
+            Value::I64(i).enc(&mut out);
+            enc_f64_bits(&mut out, n);
+            let want = format!("kept|\"u:{n}\"\"i:{i}\"\"f:{n:016x}\"");
+            prop_assert!(out == want, "{n:#x}: wrote {out:?}, want {want:?}");
+            Ok(())
+        };
+        for n in [0, 1, 9, 10, u64::MAX, i64::MIN as u64, i64::MAX as u64, 0xf, 1 << 60] {
+            agrees(n).unwrap();
+        }
+        forall("checkpoint_scalars_vs_fmt", 20_000, |g| agrees(g.u64() >> g.usize_in(0, 64)));
+    }
+
     #[test]
     fn tagged_values_roundtrip_exactly() {
         for v in [
             Value::Bool(true),
             Value::Bool(false),
             Value::I64(-42),
+            Value::I64(i64::MIN),
+            Value::I64(0),
+            Value::U64(0),
             Value::U64(u64::MAX),
             Value::F64(0.1 + 0.2),
             Value::F64(-0.0),

@@ -213,10 +213,8 @@ fn out_of_range_edits_that_always_loaded_still_load_and_run_to_finish() {
 
     let edits = [
         ("plan_start out of range", in_tenant_0("plan_start", "u:99999")),
-        ("header tick out of range", set(&text, "tick", "u:99999")),
         ("empty plan", format!("{header}\n{}{}", &tenants[..plan], &tenants[plan_end..])),
         ("next_id 0", in_tenant_0("next_id", "u:0")),
-        ("over-long outage", in_tenant_0("outage", &"01".repeat(5_000))),
         ("duplicate id", text.replacen("\"id\":\"u:0\"", "\"id\":\"u:0\",\"id\":\"u:0\"", 1)),
     ];
     for (what, edit) in edits {

@@ -7,6 +7,12 @@
 //! rename is one edit, an unknown name is a compile error, and an entry
 //! nobody uses shows up in `tests/event_catalog.rs`.
 //!
+//! Each entry lists, sorted, the field keys its event may carry
+//! (`keys [...]`). A debug build checks every [`crate::Obs::emit`]
+//! against the list, so a key set at an emit site is declared here; the
+//! checkpoint loader borrows a declared key from the list instead of
+//! owning a copy of it.
+//!
 //! An entry that ends in `counts "<metric>"` also names the telemetry
 //! counter the event increments, so the entries that declare one are the
 //! list of counted events. `rpas_telemetry::Recorder::emit` records
@@ -20,13 +26,14 @@
 
 use crate::event::Level;
 
-/// One declared event: its level, span, name and, if it counts, its
-/// counter. Obtainable only as one of this module's constants.
+/// One declared event: its level, span, name, field keys and, if it
+/// counts, its counter. Obtainable only as one of this module's constants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EventName {
     level: Level,
     span: &'static str,
     name: &'static str,
+    keys: &'static [&'static str],
     counts: Option<(usize, &'static str)>,
 }
 
@@ -44,6 +51,11 @@ impl EventName {
     /// The event name within its span.
     pub const fn name(self) -> &'static str {
         self.name
+    }
+
+    /// The field keys the event may carry, sorted.
+    pub const fn keys(self) -> &'static [&'static str] {
+        self.keys
     }
 
     /// The metric this event increments, if its entry declares one.
@@ -69,17 +81,11 @@ impl std::fmt::Display for EventName {
     }
 }
 
-/// The catalogue entry for a recorded `span` / `name` pair, if this build
-/// declares one (an old or foreign trace may carry names it does not).
-pub fn find(span: &str, name: &str) -> Option<EventName> {
-    ALL.iter().copied().find(|n| n.is(span, name))
-}
-
 macro_rules! catalog {
     (@counts $id:ident) => { None };
     (@counts $id:ident $metric:literal) => { Some((Slot::$id as usize, $metric)) };
     ($($(#[$doc:meta])+ $id:ident = $level:ident $span:literal / $name:literal
-        $(counts $metric:literal)?;)+) => {
+        keys [$($key:ident),* $(,)?] $(counts $metric:literal)?;)+) => {
         /// The entries that declare a counter, numbered in catalogue order.
         #[expect(non_camel_case_types, reason = "variants are the entries' own names")]
         enum Slot { $($(#[doc = $metric] $id,)?)+ Count }
@@ -90,12 +96,24 @@ macro_rules! catalog {
                 level: Level::$level,
                 span: $span,
                 name: $name,
+                keys: &[$(stringify!($key)),*],
                 counts: catalog!(@counts $id $($metric)?),
             };
         )+
 
         /// Every declared event, sorted by `span/name`.
         pub const ALL: &[EventName] = &[$($id),+];
+
+        /// The catalogue entry for a recorded `span` / `name` pair, if
+        /// this build declares one (an old or foreign trace may carry
+        /// names it does not). One `match` over the literals, which the
+        /// compiler turns into length and word compares.
+        pub fn find(span: &str, name: &str) -> Option<EventName> {
+            match (span, name) {
+                $(($span, $name) => Some($id),)+
+                _ => None,
+            }
+        }
 
         /// How many entries declare a counter: one past the last
         /// [`EventName::counter_slot`].
@@ -105,114 +123,143 @@ macro_rules! catalog {
 
 catalog! {
     /// A `backtest` phase (`fit`, `rolling`) closed; carries `wall_us`.
-    BACKTEST_SPAN_CLOSE = Info "backtest" / "span_close";
+    BACKTEST_SPAN_CLOSE = Info "backtest" / "span_close" keys [model, phase, samples, windows];
     /// Allocation profile of the fleet bench's supervised ticks.
-    BENCH_FLEET_ALLOC_PROFILE = Debug "bench" / "fleet_alloc_profile";
+    BENCH_FLEET_ALLOC_PROFILE = Debug "bench" / "fleet_alloc_profile"
+        keys [build_allocs, run_allocs, steady_allocs, steady_ticks];
     /// The fleet bench broke a `fleet-budget.json` ceiling.
-    BENCH_FLEET_BUDGET_EXCEEDED = Error "bench" / "fleet_budget_exceeded";
+    BENCH_FLEET_BUDGET_EXCEEDED = Error "bench" / "fleet_budget_exceeded"
+        keys [steady_allocs_per_tick, supervised_overhead_frac];
     /// `fleet-budget.json` is missing or unreadable.
-    BENCH_FLEET_BUDGET_MISSING = Error "bench" / "fleet_budget_missing";
+    BENCH_FLEET_BUDGET_MISSING = Error "bench" / "fleet_budget_missing" keys [error];
     /// Supervised vs bare fleet tick overhead.
-    BENCH_FLEET_SUPERVISOR_OVERHEAD = Debug "bench" / "fleet_supervisor_overhead";
+    BENCH_FLEET_SUPERVISOR_OVERHEAD = Debug "bench" / "fleet_supervisor_overhead"
+        keys [overhead_frac, run_us];
     /// Live vs dark telemetry fleet tick overhead.
-    BENCH_FLEET_TELEMETRY_OVERHEAD = Debug "bench" / "fleet_telemetry_overhead";
+    BENCH_FLEET_TELEMETRY_OVERHEAD = Debug "bench" / "fleet_telemetry_overhead"
+        keys [overhead_frac, run_us];
     /// One fleet bench throughput row.
-    BENCH_FLEET_THROUGHPUT = Debug "bench" / "fleet_throughput";
+    BENCH_FLEET_THROUGHPUT = Debug "bench" / "fleet_throughput"
+        keys [build_us, run_us, tenant_ticks_per_sec, tenants, threads];
     /// One `BenchGroup` measurement.
-    BENCH_MEASUREMENT = Debug "bench" / "measurement";
+    BENCH_MEASUREMENT = Debug "bench" / "measurement"
+        keys [group, iters, mean_us, median_us, min_us, name];
     /// A `BenchGroup` finished; carries `wall_us`.
-    BENCH_SPAN_CLOSE = Info "bench" / "span_close";
+    BENCH_SPAN_CLOSE = Info "bench" / "span_close" keys [benchmarks, phase];
     /// The telemetry dark path broke `telemetry-budget.json`.
-    BENCH_TELEMETRY_BUDGET_EXCEEDED = Error "bench" / "telemetry_budget_exceeded";
+    BENCH_TELEMETRY_BUDGET_EXCEEDED = Error "bench" / "telemetry_budget_exceeded"
+        keys [budget_ns, noop_ns];
     /// `telemetry-budget.json` is missing or unreadable.
-    BENCH_TELEMETRY_BUDGET_MISSING = Error "bench" / "telemetry_budget_missing";
+    BENCH_TELEMETRY_BUDGET_MISSING = Error "bench" / "telemetry_budget_missing" keys [error];
     /// The `experiments` bin was given a name it does not know; `valid`
     /// lists the ones it does.
-    BENCH_UNKNOWN_EXPERIMENT = Error "bench" / "unknown_experiment";
+    BENCH_UNKNOWN_EXPERIMENT = Error "bench" / "unknown_experiment" keys [name, valid];
     /// A results file could not be written.
-    BENCH_WRITE_FAILED = Warn "bench" / "write_failed";
+    BENCH_WRITE_FAILED = Warn "bench" / "write_failed" keys [error, path];
     /// The CLI is exiting 1; `error` says why.
-    CLI_FATAL = Error "cli" / "fatal";
+    CLI_FATAL = Error "cli" / "fatal" keys [error, hint];
     /// `--save-weights` on a model that exports none.
-    CLI_NO_WEIGHT_SNAPSHOT = Warn "cli" / "no_weight_snapshot";
+    CLI_NO_WEIGHT_SNAPSHOT = Warn "cli" / "no_weight_snapshot" keys [model];
     /// `forecast` is about to fit a model.
-    CLI_TRAIN_START = Info "cli" / "train_start";
+    CLI_TRAIN_START = Info "cli" / "train_start" keys [model, samples];
     /// An injected workload anomaly burst hit this step.
-    FAULT_ANOMALY = Info "fault" / "anomaly" counts "sim.faults";
+    FAULT_ANOMALY = Info "fault" / "anomaly" keys [burst, mult, step] counts "sim.faults";
     /// The policy saw a stale observation this step.
-    FAULT_METRIC_DROPOUT = Info "fault" / "metric_dropout" counts "sim.faults";
+    FAULT_METRIC_DROPOUT = Info "fault" / "metric_dropout" keys [stale_after, step]
+        counts "sim.faults";
     /// An injected crash took nodes away.
-    FAULT_NODE_CRASH = Info "fault" / "node_crash" counts "sim.faults";
+    FAULT_NODE_CRASH = Info "fault" / "node_crash" keys [count, pool, step] counts "sim.faults";
     /// A scale-up was delayed.
-    FAULT_PROVISION_DELAY = Info "fault" / "provision_delay" counts "sim.faults";
+    FAULT_PROVISION_DELAY = Info "fault" / "provision_delay" keys [extra_steps, launched, step]
+        counts "sim.faults";
     /// A scaling request was dropped.
-    FAULT_SCALE_FAIL = Info "fault" / "scale_fail" counts "sim.faults";
+    FAULT_SCALE_FAIL = Info "fault" / "scale_fail" keys [current, requested, step]
+        counts "sim.faults";
     /// `fleet --kill-at-tick` stopped the run.
-    FLEET_KILLED = Warn "fleet" / "killed";
+    FLEET_KILLED = Warn "fleet" / "killed" keys [path, tick];
     /// `fleet --resume-from` rebuilt a fleet from a checkpoint.
-    FLEET_RESUME = Info "fleet" / "resume";
+    FLEET_RESUME = Info "fleet" / "resume" keys [path, tick];
     /// `fleet` built its tenants and is about to tick.
-    FLEET_START = Info "fleet" / "start";
+    FLEET_START = Info "fleet" / "start" keys [days, seed, tenants];
     /// Context shorter than a season: flat forecast from the last value.
-    FORECAST_FLAT_FALLBACK = Warn "forecast" / "flat_fallback";
+    FORECAST_FLAT_FALLBACK = Warn "forecast" / "flat_fallback" keys [context, last, model, period];
     /// Too little history for a seasonal residual sigma.
-    FORECAST_SHORT_HISTORY_SIGMA = Warn "forecast" / "short_history_sigma";
+    FORECAST_SHORT_HISTORY_SIGMA = Warn "forecast" / "short_history_sigma"
+        keys [got, model, needed, period];
     /// The `--trace-out` / `RPAS_TRACE_OUT` file could not be created.
-    OBS_TRACE_OPEN_FAILED = Warn "obs" / "trace_open_failed";
+    OBS_TRACE_OPEN_FAILED = Warn "obs" / "trace_open_failed" keys [error, path];
     /// `RPAS_THREADS` held something other than a positive integer.
-    PAR_THREADS_OVERRIDE_IGNORED = Warn "par" / "threads_override_ignored";
+    PAR_THREADS_OVERRIDE_IGNORED = Warn "par" / "threads_override_ignored" keys [expected, raw];
     /// One Algorithm 1 step: uncertainty, regime, quantile, nodes.
-    PLAN_DECISION = Debug "plan" / "decision";
+    PLAN_DECISION = Debug "plan" / "decision"
+        keys [regime, rho, step, strategy, tau, uncertainty, workload];
     /// A non-finite forecast cell was planned at the floor.
-    PLAN_NON_FINITE_WORKLOAD = Warn "plan" / "non_finite_workload";
+    PLAN_NON_FINITE_WORKLOAD = Warn "plan" / "non_finite_workload" keys [raw, step, tau];
     /// Roll-up of one plan: objective, delta, regime counts.
-    PLAN_SUMMARY = Info "plan" / "summary";
+    PLAN_SUMMARY = Info "plan" / "summary" keys [
+        conservative_steps, horizon, objective_node_steps, plan_delta, regime_switches, strategy,
+        theta,
+    ];
     /// The Reactive-Max floor overrode the active tier's target.
-    RESILIENCE_BACKSTOP = Debug "resilience" / "backstop" counts "resilience.backstop_overrides";
+    RESILIENCE_BACKSTOP = Debug "resilience" / "backstop" keys [floor, step, tier_target]
+        counts "resilience.backstop_overrides";
     /// The ladder stepped down a level.
-    RESILIENCE_FALLBACK = Warn "resilience" / "fallback" counts "resilience.fallbacks";
+    RESILIENCE_FALLBACK = Warn "resilience" / "fallback" keys [from, step, to]
+        counts "resilience.fallbacks";
     /// A target was clamped by the step-delta / node-count guardrails.
-    RESILIENCE_GUARDRAIL_CLAMP = Info "resilience" / "guardrail_clamp"
+    RESILIENCE_GUARDRAIL_CLAMP = Info "resilience" / "guardrail_clamp" keys [granted, step, want]
         counts "resilience.guardrail_clamps";
     /// Stale metrics: the last granted target was held.
-    RESILIENCE_HOLD_LAST = Warn "resilience" / "hold_last" counts "resilience.hold_last";
+    RESILIENCE_HOLD_LAST = Warn "resilience" / "hold_last" keys [step, target]
+        counts "resilience.hold_last";
     /// The ladder stepped back up.
-    RESILIENCE_RECOVER = Info "resilience" / "recover" counts "resilience.recoveries";
+    RESILIENCE_RECOVER = Info "resilience" / "recover" keys [from, step, to]
+        counts "resilience.recoveries";
     /// A rejected scaling request is being re-requested after backoff.
-    RESILIENCE_RETRY = Warn "resilience" / "retry" counts "resilience.retries";
+    RESILIENCE_RETRY = Warn "resilience" / "retry" keys [left, step, want]
+        counts "resilience.retries";
     /// A rejected scaling request ran out of retries.
-    RESILIENCE_RETRY_EXHAUSTED = Warn "resilience" / "retry_exhausted"
+    RESILIENCE_RETRY_EXHAUSTED = Warn "resilience" / "retry_exhausted" keys [step, want]
         counts "resilience.retries_exhausted";
     /// Roll-up of a rolling-origin evaluation.
-    ROLLING_EVAL = Info "rolling" / "eval";
+    ROLLING_EVAL = Info "rolling" / "eval" keys [context, forecaster, horizon, windows];
     /// One rolling-origin window.
-    ROLLING_WINDOW = Debug "rolling" / "window";
+    ROLLING_WINDOW = Debug "rolling" / "window" keys [forecast_us, horizon, index, start];
     /// End-of-run simulator report.
-    SIM_REPORT = Info "sim" / "report";
+    SIM_REPORT = Info "sim" / "report" keys [
+        faults_applied, mean_utilization, node_steps, over_rate, policy, scale_in_events,
+        scale_out_events, steps, under_rate, violation_rate,
+    ];
     /// One simulator step: workload, nodes, utilisation, violation.
-    SIM_STEP = Debug "sim" / "step" counts "sim.steps";
+    SIM_STEP = Debug "sim" / "step" keys [nodes, step, utilization, violation, workload]
+        counts "sim.steps";
     /// The run had zero-workload steps (once per run, with the count).
-    SIM_ZERO_WORKLOAD = Warn "sim" / "zero_workload";
+    SIM_ZERO_WORKLOAD = Warn "sim" / "zero_workload" keys [policy, steps, total];
     /// A burn-rate window pair fired.
-    SLO_BURN_ALERT = Warn "slo" / "burn_alert";
+    SLO_BURN_ALERT = Warn "slo" / "burn_alert"
+        keys [active_ticks, first_tick, peak_burn, rule, slo, subject];
     /// One SLO subject's budget accounting.
-    SLO_STATUS = Info "slo" / "status";
+    SLO_STATUS = Info "slo" / "status"
+        keys [bad, bad_fraction, budget_remaining, met, objective, slo, subject, ticks, total];
     /// A tenant finished probation.
-    SUPERVISOR_HEALTHY = Info "supervisor" / "healthy";
+    SUPERVISOR_HEALTHY = Info "supervisor" / "healthy" keys [tenant, tick];
     /// A tenant's tick panicked and was isolated.
-    SUPERVISOR_PANIC = Warn "supervisor" / "panic" counts "supervisor.panics";
+    SUPERVISOR_PANIC = Warn "supervisor" / "panic" keys [error, tenant, tick]
+        counts "supervisor.panics";
     /// A tenant was circuit-broken into quarantine.
-    SUPERVISOR_QUARANTINE = Warn "supervisor" / "quarantine" counts "supervisor.quarantines";
+    SUPERVISOR_QUARANTINE = Warn "supervisor" / "quarantine"
+        keys [reason, strikes, tenant, tick, until_tick] counts "supervisor.quarantines";
     /// A quarantined tenant was re-admitted on probation.
-    SUPERVISOR_RESTORE = Info "supervisor" / "restore" counts "supervisor.restores";
+    SUPERVISOR_RESTORE = Info "supervisor" / "restore" keys [tenant, tick]
+        counts "supervisor.restores";
     /// One DeepAR training epoch: loss and gradient norm.
-    TRAIN_DEEPAR_EPOCH = Debug "train.deepar" / "epoch";
+    TRAIN_DEEPAR_EPOCH = Debug "train.deepar" / "epoch" keys [epoch, grad_norm, loss];
     /// One quantile-MLP training epoch.
-    TRAIN_MLP_QUANTILE_EPOCH = Debug "train.mlp-quantile" / "epoch";
+    TRAIN_MLP_QUANTILE_EPOCH = Debug "train.mlp-quantile" / "epoch" keys [epoch, grad_norm, loss];
     /// One distribution-head MLP training epoch.
-    TRAIN_MLP_EPOCH = Debug "train.mlp" / "epoch";
+    TRAIN_MLP_EPOCH = Debug "train.mlp" / "epoch" keys [epoch, grad_norm, loss];
     /// One TFT training epoch.
-    TRAIN_TFT_EPOCH = Debug "train.tft" / "epoch";
+    TRAIN_TFT_EPOCH = Debug "train.tft" / "epoch" keys [epoch, grad_norm, loss];
 }
 
 /// Span of the applied-fault events (`FAULT_*`), for consumers that tally

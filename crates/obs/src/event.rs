@@ -173,10 +173,16 @@ impl Fields {
     /// Captured events stay resident, so spare room is paid for in memory.
     const ROOM: usize = 5;
 
-    /// Set `key` to `value` (last write wins).
+    /// Set `key` to `value` (last write wins). A key that sorts after
+    /// every one present, as each does when an emit site or a checkpoint
+    /// lists them in order, is appended without a search.
     pub fn insert(&mut self, key: Text, value: Value) {
         if self.0.is_empty() {
             self.0.reserve_exact(Self::ROOM);
+        }
+        if self.0.last().is_none_or(|(last, _)| *last < key) {
+            self.0.push((key, value));
+            return;
         }
         let at = self.0.partition_point(|(k, _)| *k < key);
         match self.0.get_mut(at) {

@@ -178,16 +178,19 @@ impl<'a> Reader<'a> {
         Self { src, pos: 0, depth: 0, fresh: false }
     }
 
+    #[inline]
     fn peek_byte(&self) -> Option<u8> {
         self.src.as_bytes().get(self.pos).copied()
     }
 
+    #[inline]
     fn skip_ws(&mut self) {
         while matches!(self.peek_byte(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
+    #[inline]
     fn expect_byte(&mut self, b: u8) -> Result<(), String> {
         let found = self.peek_byte();
         if found == Some(b) {
@@ -209,6 +212,7 @@ impl<'a> Reader<'a> {
 
     /// Skip whitespace and classify the value that follows by its first
     /// byte, consuming nothing else.
+    #[inline]
     pub fn peek(&mut self) -> Result<Kind, String> {
         self.skip_ws();
         match self.peek_byte() {
@@ -224,6 +228,7 @@ impl<'a> Reader<'a> {
         }
     }
 
+    #[inline]
     fn open(&mut self, bracket: u8) -> Result<(), String> {
         self.skip_ws();
         self.expect_byte(bracket)?;
@@ -237,6 +242,7 @@ impl<'a> Reader<'a> {
 
     /// Step to the next member of the open container: `true` in front of
     /// it, `false` once the closing bracket has been consumed.
+    #[inline]
     fn next_member(&mut self, close: u8) -> Result<bool, String> {
         self.skip_ws();
         let first = std::mem::replace(&mut self.fresh, false);
@@ -262,12 +268,14 @@ impl<'a> Reader<'a> {
 
     /// Enter an object; follow with [`Reader::next_key`] until it
     /// answers `None`.
+    #[inline]
     pub fn begin_object(&mut self) -> Result<(), String> {
         self.open(b'{')
     }
 
     /// The next member's key, leaving the reader in front of its value;
     /// `None` once the object is closed (and left).
+    #[inline]
     pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, String> {
         if !self.next_member(b'}')? {
             return Ok(None);
@@ -280,12 +288,14 @@ impl<'a> Reader<'a> {
 
     /// Enter an array; follow with [`Reader::next_element`] until it
     /// answers `false`.
+    #[inline]
     pub fn begin_array(&mut self) -> Result<(), String> {
         self.open(b'[')
     }
 
     /// `true` in front of the next element; `false` once the array is
     /// closed (and left).
+    #[inline]
     pub fn next_element(&mut self) -> Result<bool, String> {
         self.next_member(b']')
     }
@@ -293,6 +303,7 @@ impl<'a> Reader<'a> {
     /// A string value: borrowed from the source unless it contains an
     /// escape. `\u` escapes that are not a scalar value on their own
     /// (surrogates) decode to U+FFFD.
+    #[inline]
     pub fn string(&mut self) -> Result<Cow<'a, str>, String> {
         self.skip_ws();
         self.expect_byte(b'"')?;
@@ -358,6 +369,7 @@ impl<'a> Reader<'a> {
     }
 
     /// A number, as `f64` (`str::parse` decides what is one).
+    #[inline]
     pub fn number(&mut self) -> Result<f64, String> {
         self.skip_ws();
         let start = self.pos;
@@ -372,6 +384,7 @@ impl<'a> Reader<'a> {
     }
 
     /// `true` or `false`.
+    #[inline]
     pub fn bool(&mut self) -> Result<bool, String> {
         self.skip_ws();
         let v = self.peek_byte() == Some(b't');
@@ -380,6 +393,7 @@ impl<'a> Reader<'a> {
     }
 
     /// `null`.
+    #[inline]
     pub fn null(&mut self) -> Result<(), String> {
         self.skip_ws();
         self.literal("null")
@@ -410,6 +424,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Require that only whitespace remains.
+    #[inline]
     pub fn end(&mut self) -> Result<(), String> {
         self.skip_ws();
         if self.pos == self.src.len() {

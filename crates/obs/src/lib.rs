@@ -32,7 +32,7 @@
 //! let mem = MemorySink::new();
 //! let obs = Obs::with_sink(Box::new(mem.clone()));
 //! obs.emit(catalog::PLAN_SUMMARY, |e| {
-//!     e.field("nodes", 7u64).field("tau", 0.95);
+//!     e.field("horizon", 24u64).field("theta", 60.0);
 //! });
 //! assert_eq!(mem.events().len(), 1);
 //!

@@ -294,8 +294,20 @@ impl Obs {
 
     /// Emit one catalogued event: the closure builds fields onto a fresh
     /// [`Event`] and runs only if some sink listens at the event's level.
+    /// A debug build checks that every key it set is one the event's
+    /// catalogue entry declares.
     pub fn emit(&self, name: EventName, build: impl FnOnce(&mut Event)) {
-        self.emit_raw(name.level(), name.span(), name.name(), build);
+        self.emit_raw(name.level(), name.span(), name.name(), |event| {
+            build(event);
+            if cfg!(debug_assertions) {
+                for (key, _) in event.fields.iter() {
+                    assert!(
+                        name.keys().contains(&key),
+                        "`{name}` set field {key:?}, which its catalogue entry does not declare"
+                    );
+                }
+            }
+        });
     }
 
     /// Emit an info-level event named by strings. The escape hatch from
@@ -429,6 +441,21 @@ mod tests {
         assert!(!obs.enabled(Level::Error));
     }
 
+    /// A key the event's catalogue entry does not list fails the emit in
+    /// a debug build; the string-named escape hatch is not checked.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "`sim/step` set field \"policy\", which its catalogue entry does not declare")]
+    fn an_undeclared_key_fails_a_debug_emit() {
+        let obs = Obs::with_sink(Box::new(MemorySink::new()));
+        obs.info("x", "y", |e| {
+            e.field("anything", 1u64);
+        });
+        obs.emit(catalog::SIM_STEP, |e| {
+            e.field("step", 1u64).field("policy", "hold");
+        });
+    }
+
     /// Every sink but the last sees the event by reference; the last is
     /// given it, unless the event is below its level.
     #[test]
@@ -482,7 +509,7 @@ mod tests {
         let mem = MemorySink::new();
         let obs = Obs::with_sink(Box::new(mem.clone()));
         obs.emit(catalog::PLAN_SUMMARY, |e| {
-            e.field("k", 1u64);
+            e.field("horizon", 1u64);
         });
         obs.emit(catalog::PLAN_DECISION, |_| {});
         let ev = mem.events();
@@ -541,7 +568,7 @@ mod tests {
             let obs =
                 Obs::with_sink(Box::new(JsonlSink::create(&path).expect("create trace file")));
             obs.emit(catalog::PLAN_SUMMARY, |e| {
-                e.field("nodes", 42u64);
+                e.field("horizon", 42u64);
             });
             obs.flush();
         }

@@ -7,6 +7,10 @@
 #      and fleet determinism, kill/resume byte-identity, trace and
 #      obs-query round-trips) are root tests/cli_e2e.rs; the paper's shape
 #      claims at RPAS_PROFILE=quick are crates/bench/tests/shapes.rs.
+#      It is a debug build, so every emit a test makes is also checked
+#      against its catalogue entry's `keys [...]` list (an undeclared key
+#      panics), and crates/bench/tests/alloc_checkpoint.rs holds
+#      checkpoint `load` to 2 allocations per captured event.
 #   2b. The number writer's 30 M-double sweep against `format!("{x}")`
 #      (rpas-obs json::number::tests::sweep_agrees_with_std_display,
 #      #[ignore]d in the workspace run; ~10 s in release).

@@ -271,6 +271,28 @@ fn catalogue_is_sorted_unique_and_in_the_schema_charset() {
     for name in catalog::ALL {
         assert!(well_formed(name.span()) && well_formed(name.name()), "`{name}`");
         assert_eq!(catalog::find(name.span(), name.name()), Some(*name));
+        // Declared keys: sorted and unique, like an event's fields, and in
+        // the same charset, so a key needs no escaping either.
+        let keys = name.keys();
+        for pair in keys.windows(2) {
+            assert!(pair[0] < pair[1], "`{name}`: key `{}` then `{}`", pair[0], pair[1]);
+        }
+        assert!(keys.iter().all(|k| well_formed(k)), "`{name}` keys {keys:?}");
+    }
+    // `find` tells apart a span that is a prefix of another, and refuses a
+    // pair whose joined text is an entry's but split elsewhere.
+    for entry in [catalog::TRAIN_MLP_EPOCH, catalog::TRAIN_MLP_QUANTILE_EPOCH] {
+        assert_eq!(catalog::find(entry.span(), "epoch"), Some(entry));
+    }
+    for (span, name) in [
+        ("train.mlp", "quantile/epoch"),
+        ("train", "mlp/epoch"),
+        ("train.mlp/epoch", ""),
+        ("sim", "steps"),
+        ("si", "m/step"),
+        ("", ""),
+    ] {
+        assert_eq!(catalog::find(span, name), None, "`{span}` / `{name}`");
     }
 }
 

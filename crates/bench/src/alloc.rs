@@ -5,13 +5,11 @@
 //! `format!` to a tick handler. This module makes it checkable: a
 //! [`CountingAlloc`] wrapper around the [`System`] allocator that, while
 //! armed, counts every allocation (and reallocation) crossing the global
-//! allocator. The counters follow the same dark-path discipline as the
-//! telemetry registry — disarmed, each allocator call pays one relaxed
-//! atomic load and nothing else, so installing the wrapper does not
-//! perturb the timings measured by the same binary.
+//! allocator. Disarmed, each allocator call pays one relaxed atomic load
+//! and nothing else.
 //!
-//! Install it per binary (it is deliberately **not** installed by the
-//! library, so ordinary experiment bins keep the plain system
+//! Install it per test binary (it is deliberately **not** installed by
+//! the library, so the `experiments` bin keeps the plain system
 //! allocator):
 //!
 //! ```ignore
@@ -25,7 +23,7 @@
 //! Deallocations are not tracked: the budget guards *pressure* (how
 //! often the hot path hits the allocator), not leaks. Counts are exact
 //! and deterministic for single-threaded sections (`RPAS_THREADS=1`),
-//! which is how the fleet bench and the `alloc_ratchet` test use them.
+//! which is how the `alloc_*` tests use them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -1,4 +1,4 @@
-//! The paper's evaluation — Table I, Figs. 5–12 — and the two ablations:
+//! The paper's evaluation — Tables I–III, Figs. 5–12 — and the two ablations:
 //! `experiments [name…]` runs the named experiments (all of them when none
 //! is named), in the order of `rpas_bench::experiments::EXPERIMENTS`, at
 //! `RPAS_PROFILE`, prints their tables, writes their CSVs, then prints one

@@ -1,10 +1,11 @@
-//! The paper's evaluation (§IV: Table I, Figs. 5–12) and the two
+//! The paper's evaluation (§IV: Tables I–III, Figs. 5–12) and the two
 //! ablations, one function per experiment. Each returns a typed result
 //! that renders the tables and CSVs the `experiments` bin prints and
 //! checks its own shape claims ([`Report::shapes`]): the bin prints them,
 //! `tests/shapes.rs` asserts them.
 
 mod forecasting;
+mod overhead;
 mod scaling;
 
 use crate::{ExperimentProfile, Profile};
@@ -18,7 +19,7 @@ use rpas_obs::Obs;
 pub type Runner = fn(&ExperimentProfile) -> Box<dyn Report>;
 
 /// Every experiment, in run order, by the name the `experiments` bin takes.
-pub const EXPERIMENTS: [(&str, Runner); 11] = [
+pub const EXPERIMENTS: [(&str, Runner); 12] = [
     ("table1", |p| Box::new(forecasting::table1(p))),
     ("fig5", |_| Box::new(scaling::fig5())),
     ("fig6", |p| Box::new(forecasting::fig6(p))),
@@ -30,6 +31,7 @@ pub const EXPERIMENTS: [(&str, Runner); 11] = [
     ("fig12", |p| Box::new(scaling::fig12(p))),
     ("ablation_grid", |p| Box::new(forecasting::ablation_grid(p))),
     ("ablation_staircase", |p| Box::new(scaling::ablation_staircase(p))),
+    ("table2_3", |p| Box::new(overhead::table2_3(p))),
 ];
 
 /// A finished experiment.

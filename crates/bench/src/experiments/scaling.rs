@@ -17,7 +17,7 @@ use rpas_tsmath::stats::{median, quantile};
 
 /// DeepAR and TFT on the scaling grid — the two models the scaling
 /// figures plan with — fitted on `train` side by side.
-fn scaling_models(p: &ExperimentProfile, train: &[f64]) -> Vec<Fitted> {
+pub(super) fn scaling_models(p: &ExperimentProfile, train: &[f64]) -> Vec<Fitted> {
     WorkerPool::for_jobs(2).map_indexed(2, |i| -> Fitted {
         match i {
             0 => Box::new(fitted(models::deepar(p, 1), train)),

@@ -3,8 +3,7 @@
 //! The experiment harness: the paper's experiments as functions returning
 //! typed, shape-checked results ([`experiments`], rendered by the
 //! `experiments` bin and asserted by `tests/shapes.rs`), their shared
-//! model constructors, dataset preparation and table/CSV output, and the
-//! `benches/` micro-benchmarks' timing loop (see [`harness`]).
+//! model constructors, dataset preparation and table/CSV output.
 //!
 //! The experiments honour the `RPAS_PROFILE` environment variable:
 //!
@@ -18,47 +17,44 @@
 
 pub mod alloc;
 pub mod experiments;
-pub mod harness;
-pub mod models;
-pub mod output;
+mod models;
+mod output;
 mod profile;
 
-pub use output::{write_csv, Table};
+use output::{write_csv, Table};
 pub use profile::{ExperimentProfile, Profile};
 
 use rpas_traces::{alibaba_like, google_like, Trace};
 
-/// Process-wide observability handle for the bench binaries and the
-/// micro-benchmark harness, built once from the environment (`RPAS_LOG`
-/// stderr verbosity, `RPAS_TRACE_OUT` JSONL trace). Result tables still go
-/// to stdout; diagnostics and phase timings flow through this handle.
-pub fn bench_obs() -> &'static rpas_obs::Obs {
+/// Process-wide observability handle for the `experiments` bin, built
+/// once from the environment (`RPAS_LOG` stderr verbosity,
+/// `RPAS_TRACE_OUT` JSONL trace). Result tables still go to stdout;
+/// diagnostics flow through this handle.
+pub(crate) fn bench_obs() -> &'static rpas_obs::Obs {
     static OBS: std::sync::OnceLock<rpas_obs::Obs> = std::sync::OnceLock::new();
     OBS.get_or_init(rpas_obs::Obs::from_env)
 }
 
 /// One prepared dataset: name + train/test split of the CPU trace.
 #[derive(Debug, Clone)]
-pub struct Dataset {
+pub(crate) struct Dataset {
     /// Dataset display name (`alibaba` / `google`).
     pub name: &'static str,
     /// Training series (first 70%).
     pub train: Vec<f64>,
     /// Held-out series (last 30%).
     pub test: Vec<f64>,
-    /// The full trace (for simulator-level experiments).
-    pub full: Trace,
 }
 
 /// Build both evaluation datasets at the profile's length.
-pub fn datasets(p: &ExperimentProfile) -> Vec<Dataset> {
-    let mk = |name: &'static str, trace: Trace| {
+pub(crate) fn datasets(p: &ExperimentProfile) -> Vec<Dataset> {
+    let mk = |name: &'static str, trace: &Trace| {
         let (train, test) = trace.train_test_split(0.7);
-        Dataset { name, train: train.values, test: test.values, full: trace }
+        Dataset { name, train: train.values, test: test.values }
     };
     vec![
-        mk("alibaba", alibaba_like(p.trace_seed, p.trace_days).cpu().clone()),
-        mk("google", google_like(p.trace_seed, p.trace_days).cpu().clone()),
+        mk("alibaba", alibaba_like(p.trace_seed, p.trace_days).cpu()),
+        mk("google", google_like(p.trace_seed, p.trace_days).cpu()),
     ]
 }
 
@@ -72,7 +68,7 @@ mod tests {
         let ds = datasets(&p);
         assert_eq!(ds.len(), 2);
         for d in &ds {
-            let n = d.full.len();
+            let n = p.trace_days * rpas_traces::STEPS_PER_DAY;
             assert_eq!(d.train.len(), (n as f64 * 0.7).floor() as usize);
             assert_eq!(d.train.len() + d.test.len(), n);
         }

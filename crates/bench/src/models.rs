@@ -1,5 +1,4 @@
-//! Paper-configured model constructors shared by the experiments and the
-//! micro-benchmarks.
+//! Paper-configured model constructors shared by the experiments.
 
 use crate::profile::ExperimentProfile;
 use rpas_forecast::{
@@ -8,12 +7,12 @@ use rpas_forecast::{
 };
 
 /// ARIMA with the orders used across the experiments.
-pub fn arima() -> Arima {
+pub(crate) fn arima() -> Arima {
     Arima::new(ArimaConfig { p: 5, d: 1, q: 1 })
 }
 
 /// Probabilistic MLP sized per the profile.
-pub fn mlp(p: &ExperimentProfile, seed: u64) -> MlpProb {
+pub(crate) fn mlp(p: &ExperimentProfile, seed: u64) -> MlpProb {
     MlpProb::new(MlpProbConfig {
         context: p.context,
         horizon: p.horizon,
@@ -48,7 +47,7 @@ pub(crate) fn mlp_quantile(p: &ExperimentProfile, grid: &[f64], seed: u64) -> Ml
 /// period before the forecast region for the hidden state to carry the
 /// phase — and benefits from more capacity/epochs (calibrated in
 /// EXPERIMENTS.md).
-pub fn deepar(p: &ExperimentProfile, seed: u64) -> DeepAr {
+pub(crate) fn deepar(p: &ExperimentProfile, seed: u64) -> DeepAr {
     DeepAr::new(DeepArConfig {
         context: p.context,
         train_window: p.context + 3 * p.horizon,
@@ -64,7 +63,7 @@ pub fn deepar(p: &ExperimentProfile, seed: u64) -> DeepAr {
 /// TFT sized per the profile, trained on the given quantile grid.
 /// Pinball-loss training converges slower than NLL, so TFT gets a larger
 /// epoch budget (calibrated in EXPERIMENTS.md).
-pub fn tft(p: &ExperimentProfile, grid: &[f64], seed: u64) -> Tft {
+pub(crate) fn tft(p: &ExperimentProfile, grid: &[f64], seed: u64) -> Tft {
     Tft::new(TftConfig {
         context: p.context,
         horizon: p.horizon,
@@ -79,7 +78,7 @@ pub fn tft(p: &ExperimentProfile, grid: &[f64], seed: u64) -> Tft {
 }
 
 /// QB5000 sized per the profile.
-pub fn qb5000(p: &ExperimentProfile, seed: u64) -> Qb5000 {
+pub(crate) fn qb5000(p: &ExperimentProfile, seed: u64) -> Qb5000 {
     Qb5000::new(Qb5000Config {
         context: p.context,
         horizon: p.horizon,

@@ -5,14 +5,14 @@ use std::path::PathBuf;
 
 /// A simple aligned text table (what the binaries print to stdout).
 #[derive(Debug, Clone)]
-pub struct Table {
+pub(crate) struct Table {
     headers: Vec<String>,
     rows: Vec<Vec<String>>,
 }
 
 impl Table {
     /// New table with the given column headers, borrowed or owned.
-    pub fn new<S: Into<String>>(headers: impl IntoIterator<Item = S>) -> Self {
+    pub(crate) fn new<S: Into<String>>(headers: impl IntoIterator<Item = S>) -> Self {
         Self { headers: headers.into_iter().map(Into::into).collect(), rows: Vec::new() }
     }
 
@@ -20,7 +20,7 @@ impl Table {
     ///
     /// # Panics
     /// Panics if the width differs from the header row.
-    pub fn row(&mut self, cells: Vec<String>) {
+    pub(crate) fn row(&mut self, cells: Vec<String>) {
         assert_eq!(cells.len(), self.headers.len(), "table row width mismatch");
         self.rows.push(cells);
     }
@@ -55,14 +55,14 @@ impl Table {
 
     /// Print to stdout with a title banner.
     #[expect(clippy::print_stdout, reason = "the printed table is an experiment bin's product")]
-    pub fn print(&self, title: &str) {
+    pub(crate) fn print(&self, title: &str) {
         println!("\n== {title} ==");
         print!("{}", self.render());
     }
 }
 
 /// Format a float for a table cell (4 significant decimals).
-pub fn f(v: f64) -> String {
+pub(crate) fn f(v: f64) -> String {
     if v.abs() >= 100.0 {
         format!("{v:.1}")
     } else {
@@ -75,10 +75,10 @@ pub(crate) fn labelled(label: impl Into<String>, values: &[f64]) -> Vec<String> 
     std::iter::once(label.into()).chain(values.iter().map(|&v| f(v))).collect()
 }
 
-/// Where a named artifact goes: flat under `$RPAS_RESULTS_DIR` when set
-/// (used by `scripts/verify.sh` to compare runs in isolation), otherwise
-/// under `subdir` of the workspace root.
-fn artifact_path(subdir: &str, name: &str) -> PathBuf {
+/// Where experiment artifacts (the CSVs) are written: flat under
+/// `$RPAS_RESULTS_DIR` when set (to compare runs in isolation), otherwise
+/// under `results/` at the workspace root.
+pub(crate) fn results_path(name: &str) -> PathBuf {
     if let Ok(dir) = std::env::var("RPAS_RESULTS_DIR") {
         return PathBuf::from(dir).join(name);
     }
@@ -86,26 +86,13 @@ fn artifact_path(subdir: &str, name: &str) -> PathBuf {
         .map(PathBuf::from)
         .map(|p| p.parent().and_then(|p| p.parent()).map(|p| p.to_path_buf()).unwrap_or(p))
         .unwrap_or_else(|_| PathBuf::from("."));
-    root.join(subdir).join(name)
-}
-
-/// Where experiment artifacts (the CSVs) are written: `results/` in the
-/// workspace, or `$RPAS_RESULTS_DIR`.
-pub(crate) fn results_path(name: &str) -> PathBuf {
-    artifact_path("results", name)
-}
-
-/// A file at the workspace root — the committed bench rows and budgets
-/// (`BENCH_fleet.json`, `fleet-budget.json`, `telemetry-budget.json`) —
-/// or its stand-in under `$RPAS_RESULTS_DIR`.
-pub fn workspace_file(name: &str) -> PathBuf {
-    artifact_path("", name)
+    root.join("results").join(name)
 }
 
 /// Write named columns, borrowed or owned, as a CSV artifact under
 /// `results/`.
 #[expect(clippy::print_stdout, reason = "tells the operator where the CSV went")]
-pub fn write_csv<N: AsRef<str>, C: AsRef<[f64]>>(name: &str, columns: &[(N, C)]) {
+pub(crate) fn write_csv<N: AsRef<str>, C: AsRef<[f64]>>(name: &str, columns: &[(N, C)]) {
     let path = results_path(name);
     let columns: Vec<(&str, &[f64])> = columns.iter().map(|(n, c)| (n.as_ref(), c.as_ref())).collect();
     if let Err(err) = rpas_traces::csv::write_columns_to_path(&path, &columns) {

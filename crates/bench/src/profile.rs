@@ -68,13 +68,6 @@ impl ExperimentProfile {
         }
     }
 
-    /// Criterion-bench profile: paper-scale *inference* dimensions
-    /// (context/horizon 72, hidden 32, 100 DeepAR samples) with minimal
-    /// training — benches measure the decision path, not training quality.
-    pub fn bench() -> Self {
-        Self { epochs: 2, windows_per_epoch: 24, training_runs: 1, trace_days: 14, ..Self::full() }
-    }
-
     /// Resolve from `RPAS_PROFILE` (default `full`).
     ///
     /// # Panics

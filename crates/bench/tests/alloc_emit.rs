@@ -7,7 +7,9 @@
 //! and label-like values are borrowed literals, the fields are one
 //! vector, and a handle gives the finished event to its last sink. What
 //! is left is the field vector (one allocation for up to five fields, one
-//! regrowth beyond) plus one per *computed* string value.
+//! regrowth beyond) plus one per *computed* string value. With nothing
+//! listening, emitting and resolving metrics allocate nothing, and a
+//! resolved live counter or histogram records without allocating.
 //!
 //! The two audits a fleet captures every tick are measured at their real
 //! emit sites, as the allocations a run makes with a capturing handle
@@ -87,7 +89,9 @@ fn stepping(trace: &Trace, obs: &Obs) -> u64 {
 fn an_emitted_event_allocates_its_field_vector_and_nothing_else() {
     assert!(alloc::installed(), "counting allocator must route this binary's allocations");
 
-    // Nothing listening: emit, span open and span close are free.
+    // Nothing listening: emit, span open and span close are free, and so
+    // are resolving and recording metrics in a dark registry. A live
+    // registry's metrics, once resolved, count and record for free.
     let dark = Obs::noop();
     let dark_cost = cost(|| {
         dark.emit(catalog::SIM_STEP, |e| {
@@ -98,7 +102,26 @@ fn an_emitted_event_allocates_its_field_vector_and_nothing_else() {
         });
         drop(dark.span(catalog::BACKTEST_SPAN_CLOSE, "rolling"));
     });
-    assert_eq!(dark_cost, 0, "the dark handle allocated");
+    let (labels, bounds) = ([("tenant", "t0")], [0.5, 1.0, 2.0]);
+    let dark_tel = Telemetry::noop();
+    let dark_metrics = cost(|| {
+        dark_tel.counter("sim.steps", &labels).inc(1);
+        dark_tel.histogram("sim.utilization_ratio", &labels, &bounds).record(0.7);
+    });
+    let live = Telemetry::live();
+    let counter = live.counter("sim.steps", &labels);
+    let hist = live.histogram("sim.utilization_ratio", &labels, &bounds);
+    let live_metrics = cost(|| {
+        for i in 0..1000 {
+            counter.inc(1);
+            hist.record(f64::from(i) / 400.0);
+        }
+    });
+    assert_eq!(
+        (dark_cost, dark_metrics, live_metrics),
+        (0, 0, 0),
+        "allocations: dark handle, dark registry, resolved live metrics"
+    );
 
     // `sim/step`: five scalar fields, once per tenant per tick.
     let trace = Trace::new("ramp", 600, (0..STEPS).map(|t| 50.0 + t as f64).collect());

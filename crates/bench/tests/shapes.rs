@@ -37,7 +37,9 @@ macro_rules! at_quick {
     )+};
 }
 
-at_quick!(table1 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 ablation_grid ablation_staircase);
+at_quick!(
+    table1 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 ablation_grid ablation_staircase table2_3
+);
 
 #[test]
 #[ignore = "paper scale: ~6 min in release; scripts/verify.sh runs it under RPAS_VERIFY_PARALLEL=1"]

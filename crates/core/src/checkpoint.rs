@@ -522,7 +522,27 @@ record!(SessionSnapshot {
     "counts" => counts,
     "cluster" => cluster,
     "steps" => steps,
-});
+} check once_per_step);
+
+/// A counter that moves at most once per step cannot pass the step
+/// cursor; one that did would overflow where no run can.
+fn once_per_step(s: &SessionSnapshot) -> Result<(), String> {
+    let (c, cluster) = (&s.counts, &s.cluster);
+    let counters = [
+        ("counts.scale_fail", c.scale_fail),
+        ("counts.provision_delay", c.provision_delay),
+        ("counts.node_crash", c.node_crash),
+        ("counts.metric_dropout", c.metric_dropout),
+        ("counts.anomaly_steps", c.anomaly_steps),
+        ("cluster.scale_out", cluster.scale_out_events as u64),
+        ("cluster.scale_in", cluster.scale_in_events as u64),
+    ];
+    match counters.into_iter().find(|&(_, n)| n > s.t as u64) {
+        Some((name, n)) => Err(format!("{name} {n} exceeds the step cursor {}", s.t)),
+        None => Ok(()),
+    }
+}
+
 // The one plan-state record: the rolling-plan cursor and fitted sigma of
 // a seasonal-naive predictive policy, whether it runs as a `predictive`
 // tenant, as a resilient tenant's primary, or as its fallback.
@@ -888,7 +908,7 @@ impl PolicyState {
                 restore_plan_state(p, state);
             }
             (TenantPolicy::Resilient(m), PolicyState::Resilient { ladder, primary }) => {
-                m.restore_state(&ladder, theta, min_nodes);
+                m.restore_state(&ladder, theta, min_nodes).map_err(|e| format!("policy: {e}"))?;
                 restore_plan_state(m.primary_mut(), primary);
             }
             (policy, _) => {
@@ -1001,6 +1021,25 @@ fn read_header(line: &str) -> Result<(u64, u64, FleetConfig, SupervisorConfig), 
     Ok((tick, total_ticks, cfg, sup_cfg))
 }
 
+/// A guard `ticks` supervised ticks can leave: a tick records at most one
+/// outage flag and one strike, and probation ends at `probation_ticks`
+/// clean ticks.
+fn guard_fits(guard: &TenantGuard, ticks: u64, probation_ticks: u64) -> Result<(), String> {
+    let (outage, strikes) = (guard.outage.len(), guard.strikes);
+    if outage as u64 > ticks {
+        return Err(format!("guard: {outage} outage flags for {ticks} supervised ticks"));
+    }
+    if u64::from(strikes) > ticks {
+        return Err(format!("guard: {strikes} strikes for {ticks} supervised ticks"));
+    }
+    match guard.health {
+        TenantHealth::Probation { clean_ticks } if clean_ticks >= probation_ticks => Err(format!(
+            "guard: {clean_ticks} clean ticks on a probation that ends at {probation_ticks}"
+        )),
+        _ => Ok(()),
+    }
+}
+
 /// Decode one line after the header — whole, into locals — and then
 /// apply it to the rebuilt fleet; `seen` counts the tenant lines so far.
 /// Answers whether this was the `end` line.
@@ -1029,14 +1068,7 @@ fn apply_line(
             else {
                 return Err(format!("tenant {id} beyond fleet size {tenants}"));
             };
-            // A supervised tick records at most one outage flag.
-            if guard.outage.len() as u64 > sup.tick {
-                return Err(format!(
-                    "guard: {} outage flags for {} supervised ticks",
-                    guard.outage.len(),
-                    sup.tick
-                ));
-            }
+            guard_fits(&guard, sup.tick, sup.cfg.probation_ticks)?;
             run.session.restore(session).map_err(|e| format!("session: {e}"))?;
             let (theta, min_nodes) = (run.spec.theta, run.spec.min_nodes);
             policy.restore(&mut run.policy, theta, min_nodes)?;
@@ -1081,8 +1113,9 @@ fn apply_line(
 /// Malformed or truncated text, a wrong schema or version, a
 /// configuration no fleet can be built from, and state that does not fit
 /// the rebuilt fleet (a header `tick` past `total_ticks`, a session cursor
-/// beyond its trace or contradicting its step records, more outage flags
-/// than supervised ticks, a metric cell of another kind or shape).
+/// beyond its trace or contradicting its step records or counters, more
+/// outage flags or strikes than supervised ticks, a probation past its
+/// end, a metric cell of another kind or shape).
 pub fn load(text: &str, tel: &Telemetry, obs: Obs) -> Result<(FleetSupervisor, FleetConfig), String> {
     let mut lines = text.lines().enumerate().filter(|(_, l)| !l.trim().is_empty());
     let (_, header) = lines.next().ok_or("empty checkpoint")?;
@@ -1322,7 +1355,25 @@ mod tests {
             assert_ne!(edited, ran, "{from} not found");
             edited
         };
+        // Counters 60 ticks cannot reach: a fault or scale count moves at
+        // most once a step and a strike once a tick, and a probation ends
+        // at its length (4 supervised ticks, 12 resilient steps).
+        let beyond =
+            |key: &str| edit_ran(&format!("\"{key}\":\"u:"), &format!("\"{key}\":\"u:1000"));
+        let probation = ran.find("\"probation\":").expect("a resilient tenant");
+        let probation_line = ran[..probation].lines().count();
+        let on_probation = "{\"state\":\"probation\",\"clean\":\"u:4\"}";
         for (hostile, line, why) in [
+            (beyond("scale_fail"), 2, "session: counts.scale_fail 1000"),
+            (beyond("provision_delay"), 2, "session: counts.provision_delay 1000"),
+            (beyond("node_crash"), 2, "session: counts.node_crash 1000"),
+            (beyond("metric_dropout"), 2, "session: counts.metric_dropout 1000"),
+            (beyond("anomaly_steps"), 2, "session: counts.anomaly_steps 1000"),
+            (beyond("scale_out"), 2, "session: cluster.scale_out 1000"),
+            (beyond("scale_in"), 2, "session: cluster.scale_in 1000"),
+            (beyond("strikes"), 2, "guard: 1000"),
+            (edit_ran("{\"state\":\"healthy\"}", on_probation), 2, "guard: 4 clean ticks"),
+            (beyond("probation"), probation_line, "policy: probation 1000"),
             (
                 edit_ran("\"session\":{\"t\":\"u:60\"", "\"session\":{\"t\":\"u:10\""),
                 2,

@@ -358,11 +358,24 @@ impl<P: ScalingPolicy> ResilientManager<P> {
     /// on them); the fallback is rebuilt without re-running its fit.
     ///
     /// [`build_naive`]: ResilientManager::build_naive
+    ///
+    /// # Errors
+    /// A `probation` no run leaves: a demoted tier is promoted when it
+    /// reaches `probation_steps`.
     #[deny(unused_variables)]
-    pub(crate) fn restore_state(&mut self, snap: &ResilientSnapshot, theta: f64, min_nodes: u32) {
+    pub(crate) fn restore_state(
+        &mut self,
+        snap: &ResilientSnapshot,
+        theta: f64,
+        min_nodes: u32,
+    ) -> Result<(), String> {
         // Exhaustive on purpose (no `..`), nested `NaiveSnapshot` included:
         // a field added to either and not consumed here does not compile.
         let ResilientSnapshot { tier, last_target, probation, retry, naive } = snap;
+        let ends = self.cfg.probation_steps;
+        if *probation >= ends.max(1) {
+            return Err(format!("probation {probation} on a probation that ends at {ends}"));
+        }
         self.tier = *tier;
         self.last_target = *last_target;
         self.probation = *probation;
@@ -373,6 +386,7 @@ impl<P: ScalingPolicy> ResilientManager<P> {
             fallback.restore_plan_state(plan.clone(), *plan_start, *degraded);
             fallback
         });
+        Ok(())
     }
 
     /// Account for the outcome of the previous step's scale request,
@@ -877,7 +891,7 @@ mod tests {
         let snap = original.snapshot_state();
         let mut restored =
             ResilientManager::with_config(FailsAfter { from: 2, seen: 8 }, cfg_small());
-        restored.restore_state(&snap, 60.0, 1);
+        restored.restore_state(&snap, 60.0, 1).unwrap();
         assert_eq!(restored.snapshot_state(), snap, "roundtrip must be lossless");
         assert_eq!(run(&mut original, 8..24), run(&mut restored, 8..24));
     }

@@ -7,7 +7,7 @@
 //! the `context` samples before it, and score the concatenation of all
 //! windows. This module owns that loop for everything that plans from a
 //! [`QuantileForecast`]: `crate::eval`'s quantile evaluators,
-//! `crate::backtest`, and the bench binaries.
+//! `crate::backtest`, and the `experiments` driver.
 //!
 //! Two loops over the same [`rpas_traces::RollingWindows`] grid are
 //! deliberately *not* routed through here, for layering reasons:

@@ -210,18 +210,37 @@ fn out_of_range_edits_that_always_loaded_still_load_and_run_to_finish() {
     let in_tenant_0 = |key: &str, value: &str| format!("{header}\n{}", set(tenants, key, value));
     let plan = tenants.find("\"plan\":[").unwrap() + "\"plan\":[".len();
     let plan_end = plan + tenants[plan..].find(']').unwrap();
+    // The first histogram's total at `u64::MAX`: its first bucket takes
+    // what the others leave.
+    let counts = text.find("\"counts\":[\"").unwrap() + "\"counts\":[".len();
+    let counts_end = counts + text[counts..].find(']').unwrap();
+    let (_, rest) = text[counts..counts_end].split_once(',').unwrap();
+    let others: u64 =
+        rest.split(',').map(|c| c.trim_matches('"')[2..].parse::<u64>().unwrap()).sum();
+    let hist_at_max =
+        format!("{}\"u:{}\",{rest}{}", &text[..counts], u64::MAX - others, &text[counts_end..]);
 
     let edits = [
         ("plan_start out of range", in_tenant_0("plan_start", "u:99999")),
         ("empty plan", format!("{header}\n{}{}", &tenants[..plan], &tenants[plan_end..])),
         ("next_id 0", in_tenant_0("next_id", "u:0")),
         ("duplicate id", text.replacen("\"id\":\"u:0\"", "\"id\":\"u:0\",\"id\":\"u:0\"", 1)),
+        // Counters that can move by more than one a step wrap, in a debug
+        // build as in a release one.
+        ("next_id at u32::MAX", in_tenant_0("next_id", &format!("u:{}", u32::MAX))),
+        (
+            "checkpoint_reads at u64::MAX",
+            in_tenant_0("checkpoint_reads", &format!("u:{}", u64::MAX)),
+        ),
+        ("a histogram's count at u64::MAX", hist_at_max),
     ];
     for (what, edit) in edits {
         assert_ne!(edit, text, "{what} changed nothing");
         let (mut resumed, _) = load(&edit, &Telemetry::live(), Obs::noop())
             .unwrap_or_else(|e| panic!("{what} no longer loads: {e}"));
         resumed.run_to_completion();
-        assert_eq!(resumed.finish().tenants.len(), 3, "{what}");
+        let report = resumed.finish();
+        assert_eq!(report.tenants.len(), 3, "{what}");
+        assert!(report.quarantined.is_empty(), "{what}: {:?}", report.quarantined);
     }
 }

@@ -124,33 +124,8 @@ macro_rules! catalog {
 catalog! {
     /// A `backtest` phase (`fit`, `rolling`) closed; carries `wall_us`.
     BACKTEST_SPAN_CLOSE = Info "backtest" / "span_close" keys [model, phase, samples, windows];
-    /// Allocation profile of the fleet bench's supervised ticks.
-    BENCH_FLEET_ALLOC_PROFILE = Debug "bench" / "fleet_alloc_profile"
-        keys [build_allocs, run_allocs, steady_allocs, steady_ticks];
-    /// The fleet bench broke a `fleet-budget.json` ceiling.
-    BENCH_FLEET_BUDGET_EXCEEDED = Error "bench" / "fleet_budget_exceeded"
-        keys [steady_allocs_per_tick, supervised_overhead_frac];
-    /// `fleet-budget.json` is missing or unreadable.
-    BENCH_FLEET_BUDGET_MISSING = Error "bench" / "fleet_budget_missing" keys [error];
-    /// Supervised vs bare fleet tick overhead.
-    BENCH_FLEET_SUPERVISOR_OVERHEAD = Debug "bench" / "fleet_supervisor_overhead"
-        keys [overhead_frac, run_us];
-    /// Live vs dark telemetry fleet tick overhead.
-    BENCH_FLEET_TELEMETRY_OVERHEAD = Debug "bench" / "fleet_telemetry_overhead"
-        keys [overhead_frac, run_us];
-    /// One fleet bench throughput row.
-    BENCH_FLEET_THROUGHPUT = Debug "bench" / "fleet_throughput"
-        keys [build_us, run_us, tenant_ticks_per_sec, tenants, threads];
-    /// One `BenchGroup` measurement.
-    BENCH_MEASUREMENT = Debug "bench" / "measurement"
-        keys [group, iters, mean_us, median_us, min_us, name];
-    /// A `BenchGroup` finished; carries `wall_us`.
-    BENCH_SPAN_CLOSE = Info "bench" / "span_close" keys [benchmarks, phase];
-    /// The telemetry dark path broke `telemetry-budget.json`.
-    BENCH_TELEMETRY_BUDGET_EXCEEDED = Error "bench" / "telemetry_budget_exceeded"
-        keys [budget_ns, noop_ns];
-    /// `telemetry-budget.json` is missing or unreadable.
-    BENCH_TELEMETRY_BUDGET_MISSING = Error "bench" / "telemetry_budget_missing" keys [error];
+    /// The benchmark ledger's emit probe: one tenant-step measurement.
+    BENCH_MEASUREMENT = Info "bench" / "measurement" keys [step, tenant, utilization, violation];
     /// The `experiments` bin was given a name it does not know; `valid`
     /// lists the ones it does.
     BENCH_UNKNOWN_EXPERIMENT = Error "bench" / "unknown_experiment" keys [name, valid];

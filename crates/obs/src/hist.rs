@@ -45,8 +45,9 @@ impl Histogram {
         } else {
             self.bounds.partition_point(|&b| b < v)
         };
-        self.counts[idx] += 1;
-        self.count += 1;
+        // Wrapping, as counters do: a restored count may sit at the top.
+        self.counts[idx] = self.counts[idx].wrapping_add(1);
+        self.count = self.count.wrapping_add(1);
         if v.is_finite() {
             self.sum += v;
         }

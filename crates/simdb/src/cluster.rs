@@ -24,7 +24,9 @@ pub struct NodeSnapshot {
 pub struct ClusterSnapshot {
     /// Node list in pool order.
     pub nodes: Vec<NodeSnapshot>,
-    /// Next `NodeId` to assign.
+    /// Next `NodeId` to assign. A `NodeId` is a label that nothing but
+    /// [`ClusterSnapshot`] reads, so any value is valid (0 and an id
+    /// already in `nodes` included) and it wraps at `u32::MAX`.
     pub next_id: u32,
     /// Scale-out operations performed so far.
     pub scale_out_events: usize,
@@ -121,7 +123,7 @@ impl Cluster {
                 let gb = self.storage.load_checkpoint();
                 let w = self.warmup.warmup_secs(gb) + extra_warmup_secs.max(0.0);
                 let id = NodeId(self.next_id);
-                self.next_id += 1;
+                self.next_id = self.next_id.wrapping_add(1);
                 self.nodes.push(ComputeNode::warming(id, w, step));
             }
         } else if target < current {

@@ -11,7 +11,8 @@ use std::sync::Mutex;
 /// Counters describing checkpoint activity on the shared storage.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StorageStats {
-    /// Number of checkpoint reads (one per node warm-up).
+    /// Number of checkpoint reads (one per node warm-up), wrapping at
+    /// `u64::MAX`.
     pub checkpoint_reads: u64,
     /// Total gigabytes served for warm-ups.
     pub gb_read: f64,
@@ -38,7 +39,7 @@ impl SharedStorage {
     /// Record a checkpoint read for a node warm-up and return its size.
     pub(crate) fn load_checkpoint(&self) -> f64 {
         let mut s = self.stats.lock().expect("storage stats mutex poisoned");
-        s.checkpoint_reads += 1;
+        s.checkpoint_reads = s.checkpoint_reads.wrapping_add(1);
         s.gb_read += self.checkpoint_gb;
         self.checkpoint_gb
     }

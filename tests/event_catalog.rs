@@ -23,17 +23,10 @@ use std::sync::OnceLock;
 /// Catalogue entries neither smoke below emits, each with where it does
 /// come from.
 const NOT_IN_SMOKES: &[EventName] = &[
-    // `rpas-bench` harness and its budget-gated bins.
-    catalog::BENCH_FLEET_ALLOC_PROFILE,
-    catalog::BENCH_FLEET_BUDGET_EXCEEDED,
-    catalog::BENCH_FLEET_BUDGET_MISSING,
-    catalog::BENCH_FLEET_SUPERVISOR_OVERHEAD,
-    catalog::BENCH_FLEET_TELEMETRY_OVERHEAD,
-    catalog::BENCH_FLEET_THROUGHPUT,
+    // The benchmark ledger's emit probes (`ledger/src/probes.rs`), which
+    // name it by string.
     catalog::BENCH_MEASUREMENT,
-    catalog::BENCH_SPAN_CLOSE,
-    catalog::BENCH_TELEMETRY_BUDGET_EXCEEDED,
-    catalog::BENCH_TELEMETRY_BUDGET_MISSING,
+    // The `experiments` bin.
     catalog::BENCH_UNKNOWN_EXPERIMENT,
     catalog::BENCH_WRITE_FAILED,
     // The `cli` binary (`tests/cli_e2e.rs` drives it).

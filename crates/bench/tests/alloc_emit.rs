@@ -12,25 +12,28 @@
 //! resolved live counter or histogram records without allocating.
 //!
 //! The two audits a fleet captures every tick are measured at their real
-//! emit sites, as the allocations a run makes with a capturing handle
-//! beyond the same run with a dark one.
+//! emit sites, as the allocations a run makes with a handle on the
+//! fleet's `Capture` beyond the same run with a dark one. A capture
+//! only keeps the event on the tick; rendering waits for a save or
+//! `finish`.
 //!
-//! At the other end, `FleetSupervisor::finish` renders every captured
-//! event into the fleet's trace: one exact-size line per event and
-//! nothing per field (numbers are written into the line's buffer, no
-//! `String` per value), plus a fixed handful per tenant. That is pinned
-//! as a shape at two fleet lengths.
+//! At the other end, `FleetSupervisor::finish` settles every capture —
+//! each event rendered into its tenant's bodies, nothing per field
+//! (numbers are written into the buffer, no `String` per value) — and
+//! copies each body behind its line's head into one exact-size line,
+//! plus a fixed handful per tenant. That is pinned as a shape at two
+//! fleet lengths.
 //!
 //! Kept to a single `#[test]` in its own binary: the counting allocator
 //! observes the whole process (see `alloc_ratchet.rs`).
 
 use rpas_bench::alloc;
 use rpas_core::{
-    FleetConfig, FleetEngine, FleetSupervisor, ReplanSchedule, RobustAutoScalingManager,
+    Capture, FleetConfig, FleetEngine, FleetSupervisor, ReplanSchedule, RobustAutoScalingManager,
     ScalingStrategy, SupervisorConfig,
 };
 use rpas_forecast::QuantileForecast;
-use rpas_obs::{catalog, json, MemorySink, Obs};
+use rpas_obs::{catalog, json, validate_line, Obs, TraceLine};
 use rpas_simdb::{FaultConfig, Observation, ScalingPolicy, SimConfig, SimSession};
 use rpas_telemetry::{SloSpec, Telemetry};
 use rpas_traces::Trace;
@@ -45,9 +48,9 @@ const STEPS: usize = 64;
 const TENANTS: u64 = 8;
 /// What `finish` may allocate per tenant beyond one line per captured
 /// event: its label, violation flags and SLO series, the session report,
-/// the growth of the fleet-wide vectors (measured 32 at two days, 34 at
-/// four).
-const FINISH_PER_TENANT: u64 = 40;
+/// the growth of its rendered bodies and of the fleet-wide vectors
+/// (measured 37 at two days, 39 at four; 32 and 34 before the bodies).
+const FINISH_PER_TENANT: u64 = 44;
 
 struct Hold;
 
@@ -60,12 +63,21 @@ impl ScalingPolicy for Hold {
     }
 }
 
-/// A capturing handle whose buffer never has to grow, and the buffer.
-fn capturing() -> (MemorySink, Obs) {
-    let mem = MemorySink::new();
-    mem.with_events(|events| events.reserve(4 * STEPS));
-    let obs = Obs::with_sink(Box::new(mem.clone()));
-    (mem, obs)
+/// A handle on a fresh capture, and the capture. Its pending events
+/// double their vector as they come, so of five repeats of 64 or 65
+/// events into one capture one grows it not at all, and the smallest
+/// count is that repeat's.
+fn capturing() -> (Capture, Obs) {
+    let capture = Capture::new("t0000".to_string());
+    let obs = Obs::with_sink(Box::new(capture.clone()));
+    (capture, obs)
+}
+
+/// Every event `capture` holds, rendered and read back.
+fn captured(capture: &Capture) -> Vec<TraceLine> {
+    let mut lines = Vec::new();
+    capture.append_lines(&mut lines);
+    lines.iter().map(|l| validate_line(l).expect("a trace line")).collect()
 }
 
 /// The smallest count of a few repeats: the counters are process-wide and
@@ -125,11 +137,11 @@ fn an_emitted_event_allocates_its_field_vector_and_nothing_else() {
 
     // `sim/step`: five scalar fields, once per tenant per tick.
     let trace = Trace::new("ramp", 600, (0..STEPS).map(|t| 50.0 + t as f64).collect());
-    let (mem, obs) = capturing();
+    let (capture, obs) = capturing();
     let lit = stepping(&trace, &obs);
-    let events = mem.drain();
+    let events = captured(&capture);
     assert_eq!(events.len(), 5 * STEPS, "one sim/step per step of each repeat");
-    assert!(events.iter().all(|e| e.is(catalog::SIM_STEP) && e.fields.iter().len() == 5));
+    assert!(events.iter().all(|e| e.is(catalog::SIM_STEP) && e.fields.len() == 5 + 1));
     drop(events);
     let per_step = (lit - stepping(&trace, &Obs::noop())) as f64 / STEPS as f64;
     assert!(per_step <= 1.0, "a captured sim/step cost {per_step} allocations");
@@ -142,10 +154,10 @@ fn an_emitted_event_allocates_its_field_vector_and_nothing_else() {
         Matrix::from_rows(&vec![vec![90.0, 100.0, 130.0]; STEPS]),
     );
     let manager = RobustAutoScalingManager::new(60.0, 1, ScalingStrategy::Fixed { tau: 0.9 });
-    let (mem, obs) = capturing();
+    let (capture, obs) = capturing();
     let audited = manager.clone().with_obs(obs);
     let lit = cost(|| drop(audited.plan(&forecast)));
-    let events = mem.drain();
+    let events = captured(&capture);
     assert_eq!(events.iter().filter(|e| e.is(catalog::PLAN_DECISION)).count(), 5 * STEPS);
     assert_eq!(events.iter().filter(|e| e.is(catalog::PLAN_SUMMARY)).count(), 5);
     drop(events);
@@ -164,7 +176,7 @@ fn an_emitted_event_allocates_its_field_vector_and_nothing_else() {
             e.field("step", 1u64).field("violation", false);
         });
     });
-    assert_eq!((first.len(), last.len()), (5, 5));
+    assert_eq!((captured(&first).len(), captured(&last).len()), (5, 5));
     assert_eq!(fan_out, 2, "one build and one copy");
 
     // A number is written into the caller's buffer, the 301 digits of

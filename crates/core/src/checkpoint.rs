@@ -1,4 +1,4 @@
-//! Deterministic fleet checkpoint/restore (schema v1).
+//! Deterministic fleet checkpoint/restore (schema v2).
 //!
 //! A checkpoint captures the *entire* mutable state of a supervised
 //! fleet — per-tenant session cursors, policy/forecaster state,
@@ -24,19 +24,19 @@
 //! in between. One object per line:
 //!
 //! ```text
-//! {"kind":"header","schema":"rpas-fleet-checkpoint","version":1,...}
+//! {"kind":"header","schema":"rpas-fleet-checkpoint","version":2,...}
 //! {"kind":"tenant","id":"u:0",...}          # one per tenant, in order
 //! {"kind":"telemetry","cells":[...]}
 //! {"kind":"end","tenants":"u:N"}
 //! ```
 //!
-//! Numbers travel as *tagged strings* because a JSON number is a lossy
-//! `f64` in this workspace's parser: `"u:<dec>"` / `"i:<dec>"` for
-//! integers (seeds use the full 64-bit range), `"f:<16-hex>"` for the
-//! IEEE-754 bits of a double (lossless for every value including -0.0,
-//! NaN and infinities). Captured event fields use the same tags plus
-//! `"s:<text>"` / `"b:0|1"` so [`rpas_obs::Value`] variants round-trip
-//! exactly.
+//! State numbers travel as *tagged strings* because a JSON number is a
+//! lossy `f64` in this workspace's parser: `"u:<dec>"` for integers
+//! (seeds use the full 64-bit range), `"f:<16-hex>"` for the IEEE-754
+//! bits of a double (lossless for every value including -0.0, NaN and
+//! infinities). A tenant's captured events are the bodies its
+//! [`crate::Capture`] rendered, each a trace line less `"v":1,"seq":N,`,
+//! which `save` copies out and `load` checks (`body`) and copies back.
 //!
 //! ## Reading, and forward compatibility
 //!
@@ -48,7 +48,7 @@
 //!   fills one slot per member it knows; a slot left empty is a
 //!   `missing key` error.
 //! * *Unknown keys are ignored* — validated as JSON and skipped — so a
-//!   future v1.x writer may add fields without breaking v1 readers;
+//!   future v2.x writer may add fields without breaking v2 readers;
 //!   anything that changes the meaning of existing fields must bump
 //!   `version`.
 //! * *A repeated key* (no writer emits one): every occurrence is decoded
@@ -63,13 +63,14 @@
 //! the header the error names its line.
 
 use crate::autoscaler::{QuantilePredictivePolicy, ReplanSchedule};
-use crate::fleet::{FleetConfig, FleetEngine, TenantPolicy, TenantPolicyKind, TracePreset};
+use crate::fleet::{
+    FleetConfig, FleetEngine, TenantId, TenantPolicy, TenantPolicyKind, TracePreset, MIN_BODY,
+};
 use crate::resilient::{NaiveSnapshot, ResilienceConfig, ResilientSnapshot, Tier};
 use crate::supervisor::{FleetSupervisor, SupervisorConfig, TenantGuard, TenantHealth};
 use rpas_forecast::SeasonalNaive;
-use rpas_obs::catalog::{self, EventName};
 use rpas_obs::json::{escape_into, f64_string, write_u64, Kind, Reader};
-use rpas_obs::{Event, Fields, Level, Obs, Value};
+use rpas_obs::{Level, Obs};
 use rpas_simdb::{
     ClusterSnapshot, FaultConfig, FaultCounts, NodeSnapshot, ScaleOutcome, SessionSnapshot,
     StepRecord, StorageStats,
@@ -80,8 +81,8 @@ use std::sync::Arc;
 
 /// Schema identifier in the header line.
 pub(crate) const SCHEMA: &str = "rpas-fleet-checkpoint";
-/// Current schema version.
-pub(crate) const VERSION: u64 = 1;
+/// Current schema version, as the header writes it.
+pub(crate) const VERSION: &str = "2";
 
 /// The wire format of one type, both directions side by side: `enc`
 /// appends the value's JSON text, `dec` reads it back from the reader's
@@ -175,6 +176,15 @@ fn tag<'a>(r: &Reader<'a>, key: &str, what: &str) -> Result<Cow<'a, str>, String
     text(&mut at, key, "string")
 }
 
+/// The text of the value at `r` as written (`src` is `r`'s source),
+/// validated and stepped over.
+fn token<'s>(r: &mut Reader<'_>, src: &'s str) -> Result<&'s str, String> {
+    r.peek()?;
+    let start = r.offset();
+    r.skip_value()?;
+    Ok(src.get(start..r.offset()).unwrap_or_default())
+}
+
 /// Append `lead` (punctuation plus a quoted key) and then `v`.
 fn row<T: Codec>(out: &mut String, lead: &str, v: &T) {
     out.push_str(lead);
@@ -186,29 +196,9 @@ fn untag<'s>(s: &'s str, tag: &str, what: &str) -> Result<&'s str, String> {
     s.strip_prefix(tag).ok_or_else(|| format!("{what}: expected {tag:?} tag, got {s:?}"))
 }
 
-fn u64_from(s: &str, what: &str) -> Result<u64, String> {
-    let rest = untag(s, "u:", what)?;
-    rest.parse().map_err(|e| format!("{what}: bad u64 {rest:?}: {e}"))
-}
-
-fn f64_from(s: &str, what: &str) -> Result<f64, String> {
-    let rest = untag(s, "f:", what)?;
-    let bits = u64::from_str_radix(rest, 16)
-        .map_err(|e| format!("{what}: bad f64 bits {rest:?}: {e}"))?;
-    Ok(f64::from_bits(bits))
-}
-
 fn enc_str(s: &str, out: &mut String) {
     out.push('"');
     escape_into(out, s);
-    out.push('"');
-}
-
-/// Append the tagged scalar `"<tag><digits of n>"`, `tag` carrying any
-/// sign: the bytes `format!` would write, without `core::fmt`.
-fn enc_tagged(out: &mut String, tag: &str, n: u64) {
-    out.push_str(tag);
-    write_u64(out, n);
     out.push('"');
 }
 
@@ -247,12 +237,17 @@ const HEX_PAIRS: &str = {
 // scalars, containers, label enums
 // ---------------------------------------------------------------------
 
+/// `"u:<digits>"`: the bytes `format!` would write, without `core::fmt`.
 impl Codec for u64 {
     fn enc(&self, out: &mut String) {
-        enc_tagged(out, "\"u:", *self);
+        out.push_str("\"u:");
+        write_u64(out, *self);
+        out.push('"');
     }
     fn dec(r: &mut Reader<'_>, what: &str) -> Result<Self, String> {
-        u64_from(&text(r, what, "a \"u:\"-tagged string")?, what)
+        let s = text(r, what, "a \"u:\"-tagged string")?;
+        let rest = untag(&s, "u:", what)?;
+        rest.parse().map_err(|e| format!("{what}: bad u64 {rest:?}: {e}"))
     }
 }
 
@@ -279,7 +274,11 @@ impl Codec for f64 {
         enc_f64_bits(out, self.to_bits());
     }
     fn dec(r: &mut Reader<'_>, what: &str) -> Result<Self, String> {
-        f64_from(&text(r, what, "a \"f:\"-tagged string")?, what)
+        let s = text(r, what, "a \"f:\"-tagged string")?;
+        let rest = untag(&s, "f:", what)?;
+        let bits = u64::from_str_radix(rest, 16)
+            .map_err(|e| format!("{what}: bad f64 bits {rest:?}: {e}"))?;
+        Ok(f64::from_bits(bits))
     }
 }
 
@@ -396,35 +395,23 @@ macro_rules! label_codec {
     )+};
 }
 label_codec!(TenantPolicyKind: name, TracePreset: name, ScaleOutcome: label, Tier: label);
-label_codec!(Level: as_str);
 
 // ---------------------------------------------------------------------
 // table-driven structs
 // ---------------------------------------------------------------------
 
-/// A struct that travels as a JSON object. [`record!`] derives both
-/// directions from one `"key" => field` table: the writer walks the rows
-/// in order, the reader fills one slot per row ([`members!`]) and builds
-/// the struct *literal* from the slots, so a field without a row does not
-/// compile and the two cannot drift. The rows are exposed without their
-/// braces so that a tagged union can splice them into its own object.
-trait Record {
-    fn enc_rows(&self, out: &mut String);
-}
-
+/// A struct that travels as a JSON object, both directions derived from
+/// one `"key" => field` table: the writer walks the rows in order, the
+/// reader fills one slot per row ([`members!`]) and builds the struct
+/// *literal* from the slots, so a field without a row does not compile
+/// and the two cannot drift.
 macro_rules! record {
     ($ty:ident { $key0:literal => $field0:ident $(, $key:literal => $field:ident)* $(,)? }
         $(check $check:path)?) => {
-        impl Record for $ty {
-            fn enc_rows(&self, out: &mut String) {
-                row(out, concat!("\"", $key0, "\":"), &self.$field0);
-                $(row(out, concat!(",\"", $key, "\":"), &self.$field);)*
-            }
-        }
         impl Codec for $ty {
             fn enc(&self, out: &mut String) {
-                out.push('{');
-                self.enc_rows(out);
+                row(out, concat!("{\"", $key0, "\":"), &self.$field0);
+                $(row(out, concat!(",\"", $key, "\":"), &self.$field);)*
                 out.push('}');
             }
             fn dec(r: &mut Reader<'_>, what: &str) -> Result<Self, String> {
@@ -467,6 +454,22 @@ macro_rules! array_record {
     };
 }
 
+record!(ReplanSchedule { "context" => context, "horizon" => horizon });
+record!(FleetConfig {
+    "tenants" => tenants,
+    "seed" => seed,
+    "days" => days,
+    "theta" => theta,
+    "min_nodes" => min_nodes,
+    "tau" => tau,
+    "schedule" => schedule,
+    "policies" => policies,
+    "presets" => presets,
+    "resilience" => resilience,
+    "faults" => faults,
+    "capture_events" => capture_events,
+    "slo" => slo,
+});
 record!(ResilienceConfig {
     "max_nodes" => max_nodes,
     "max_step_delta" => max_step_delta,
@@ -551,15 +554,18 @@ record!(NaiveSnapshot {
     "plan_start" => plan_start,
     "degraded" => degraded,
     "sigma" => sigma,
-} check fitted_sigma);
+} check naive_state);
 
 /// A fit leaves a finite sigma ≥ 1e-9 (or none); any other value would
-/// turn every forecast cell of the tenant into NaN.
-fn fitted_sigma(state: &NaiveSnapshot) -> Result<(), String> {
-    match state.sigma {
-        Some(sigma) if !(sigma.is_finite() && sigma > 0.0) => {
+/// turn every forecast cell of the tenant into NaN. A plan is empty only
+/// before the first replan, whose cursor is still 0 (a replan writes a
+/// whole horizon, and a failed one keeps the plan it had).
+fn naive_state(state: &NaiveSnapshot) -> Result<(), String> {
+    match (state.sigma, state.plan.is_empty(), state.plan_start) {
+        (Some(sigma), _, _) if !(sigma.is_finite() && sigma > 0.0) => {
             Err(format!("sigma {} is not a finite positive spread", f64_string(sigma)))
         }
+        (_, true, start) if start > 0 => Err(format!("an empty plan starting at step {start}")),
         _ => Ok(()),
     }
 }
@@ -575,151 +581,6 @@ record!(ResilientSnapshot {
 // ---------------------------------------------------------------------
 // irregular shapes, written by hand
 // ---------------------------------------------------------------------
-
-/// Schema v1 flattens `schedule` into `context` / `horizon` members.
-impl Codec for FleetConfig {
-    fn enc(&self, out: &mut String) {
-        row(out, "{\"tenants\":", &self.tenants);
-        row(out, ",\"seed\":", &self.seed);
-        row(out, ",\"days\":", &self.days);
-        row(out, ",\"theta\":", &self.theta);
-        row(out, ",\"min_nodes\":", &self.min_nodes);
-        row(out, ",\"tau\":", &self.tau);
-        row(out, ",\"context\":", &self.schedule.context);
-        row(out, ",\"horizon\":", &self.schedule.horizon);
-        row(out, ",\"policies\":", &self.policies);
-        row(out, ",\"presets\":", &self.presets);
-        row(out, ",\"resilience\":", &self.resilience);
-        row(out, ",\"faults\":", &self.faults);
-        row(out, ",\"capture_events\":", &self.capture_events);
-        row(out, ",\"slo\":", &self.slo);
-        out.push('}');
-    }
-    fn dec(r: &mut Reader<'_>, what: &str) -> Result<Self, String> {
-        members!(r, what => {
-            "tenants" => tenants,
-            "seed" => seed,
-            "days" => days,
-            "theta" => theta,
-            "min_nodes" => min_nodes,
-            "tau" => tau,
-            "context" => context,
-            "horizon" => horizon,
-            "policies" => policies,
-            "presets" => presets,
-            "resilience" => resilience,
-            "faults" => faults,
-            "capture_events" => capture_events,
-            "slo" => slo,
-        });
-        let schedule = ReplanSchedule { context, horizon };
-        Ok(FleetConfig {
-            tenants, seed, days, theta, min_nodes, tau, schedule, policies, presets, resilience,
-            faults, capture_events, slo,
-        })
-    }
-}
-
-/// Captured event fields keep their [`Value`] variant through a tag:
-/// `u:` / `f:` as everywhere else, plus `i:<dec>`, `s:<text>`, `b:0|1`.
-impl Codec for Value {
-    fn enc(&self, out: &mut String) {
-        match self {
-            Value::Bool(b) => out.push_str(if *b { "\"b:1\"" } else { "\"b:0\"" }),
-            Value::I64(i) => {
-                enc_tagged(out, if *i < 0 { "\"i:-" } else { "\"i:" }, i.unsigned_abs());
-            }
-            Value::U64(u) => u.enc(out),
-            Value::F64(x) => x.enc(out),
-            Value::Str(s) => {
-                out.push_str("\"s:");
-                escape_into(out, s);
-                out.push('"');
-            }
-        }
-    }
-    fn dec(r: &mut Reader<'_>, what: &str) -> Result<Self, String> {
-        let s = &*text(r, what, "a tagged string")?;
-        match (s.get(..2).unwrap_or(s), s.get(2..).unwrap_or("")) {
-            ("s:", text) => Ok(Value::from(text.to_string())),
-            ("i:", dec) => {
-                dec.parse().map(Value::I64).map_err(|e| format!("{what}: bad i64 {dec:?}: {e}"))
-            }
-            ("u:", _) => u64_from(s, what).map(Value::U64),
-            ("f:", _) => f64_from(s, what).map(Value::F64),
-            ("b:", "1") => Ok(Value::Bool(true)),
-            ("b:", "0") => Ok(Value::Bool(false)),
-            _ => Err(format!("{what}: unknown value tag {s:?}")),
-        }
-    }
-}
-
-/// The fields of a captured event, minus the `*_us` wall-clock timings
-/// (they are not state).
-fn enc_fields(fields: &Fields, out: &mut String) {
-    out.push('{');
-    let fields = fields.iter().filter(|(k, _)| !k.ends_with("_us"));
-    for (i, (k, v)) in fields.enumerate() {
-        out.push_str(if i > 0 { "," } else { "" });
-        enc_str(k, out);
-        row(out, ":", v);
-    }
-    out.push('}');
-}
-
-/// An event's fields back: a key in `declared` (its catalogue entry's
-/// list) is borrowed from the list, as it was at the emit site; any
-/// other is owned. Either way the key holds the same text.
-fn dec_fields(r: &mut Reader<'_>, declared: &'static [&'static str]) -> Result<Fields, String> {
-    let mut fields = Fields::default();
-    obj(r, "event.f")?;
-    while let Some(key) = r.next_key()? {
-        let value = Value::dec(r, &key)?;
-        let key = match declared.iter().find(|k| key == **k) {
-            Some(k) => Cow::Borrowed(*k),
-            None => Cow::Owned(key.into_owned()),
-        };
-        fields.insert(key, value);
-    }
-    Ok(fields)
-}
-
-/// A captured event minus what is not state: `seq` / `ts_us` / `wall_us`
-/// are re-stamped on re-emit. A `span/name` this build's catalogue
-/// declares is borrowed from it on load, as it was at the emit site, and
-/// so are the keys its entry lists; one it does not (a checkpoint from
-/// another build) is kept, owned.
-impl Codec for Event {
-    fn enc(&self, out: &mut String) {
-        row(out, "{\"l\":", &self.level);
-        out.push_str(",\"s\":");
-        enc_str(&self.span, out);
-        out.push_str(",\"n\":");
-        enc_str(&self.name, out);
-        out.push_str(",\"f\":");
-        enc_fields(&self.fields, out);
-        out.push('}');
-    }
-    fn dec(r: &mut Reader<'_>, what: &str) -> Result<Self, String> {
-        members!(r, what => {
-            "l" => level,
-            "s" => span = text(r, "s", "string")?,
-            "n" => name = text(r, "n", "string")?,
-            // `save` writes `s` and `n` first; an `f` read before them
-            // cannot know its entry, and owns every key.
-            "f" => fields = {
-                let known = span.as_deref().zip(name.as_deref());
-                let entry = known.and_then(|(s, n)| catalog::find(s, n));
-                dec_fields(r, entry.map_or(&[], EventName::keys))?
-            },
-        });
-        let (span, name) = match catalog::find(&span, &name) {
-            Some(known) => (Cow::Borrowed(known.span()), Cow::Borrowed(known.name())),
-            None => (Cow::Owned(span.into_owned()), Cow::Owned(name.into_owned())),
-        };
-        Ok(Event { seq: 0, ts_us: 0, level, span, name, fields, wall_us: None })
-    }
-}
 
 impl Codec for TenantHealth {
     fn enc(&self, out: &mut String) {
@@ -839,8 +700,7 @@ impl Codec for PolicyState {
                 row(out, "{\"kind\":\"predictive\",\"state\":", state)
             }
             PolicyState::Resilient { ladder, primary } => {
-                out.push_str("{\"kind\":\"resilient\",");
-                ladder.enc_rows(out);
+                row(out, "{\"kind\":\"resilient\",\"ladder\":", ladder);
                 row(out, ",\"primary\":", primary);
             }
         }
@@ -857,12 +717,7 @@ impl Codec for PolicyState {
                 Ok(PolicyState::Predictive(state))
             }
             "resilient" => {
-                // The ladder's rows are spliced into this object: read
-                // them as a record from a copy of the cursor (to which
-                // `kind` and `primary` are unknown keys), then walk the
-                // object itself for the rest.
-                let ladder = ResilientSnapshot::dec(&mut r.clone(), what)?;
-                members!(r, what, once("kind") => { "primary" => primary });
+                members!(r, what, once("kind") => { "ladder" => ladder, "primary" => primary });
                 Ok(PolicyState::Resilient { ladder, primary })
             }
             other => Err(format!("{what}: unknown policy kind {other:?}")),
@@ -899,6 +754,20 @@ impl PolicyState {
         }
     }
 
+    /// A plan cursor past the step cursor `t` is a history no run has: a
+    /// replan starts its plan at the step it runs in.
+    fn plans_fit(&self, t: usize) -> Result<(), String> {
+        let plans = match self {
+            PolicyState::ReactiveMax => [None, None],
+            PolicyState::Predictive(state) => [Some(state), None],
+            PolicyState::Resilient { ladder, primary } => [Some(primary), ladder.naive.as_ref()],
+        };
+        match plans.into_iter().flatten().find(|state| state.plan_start > t) {
+            Some(late) => Err(format!("plan_start {} is past the step cursor {t}", late.plan_start)),
+            None => Ok(()),
+        }
+    }
+
     /// Overwrite the state of the rebuilt `policy`; `theta` / `min_nodes`
     /// parameterise a resilient tenant's fallback planner.
     fn restore(self, policy: &mut TenantPolicy, theta: f64, min_nodes: u32) -> Result<(), String> {
@@ -926,7 +795,7 @@ impl PolicyState {
 // save / load
 // ---------------------------------------------------------------------
 
-/// Serialize a supervised fleet into the schema-v1 checkpoint text.
+/// Serialize a supervised fleet into the schema-v2 checkpoint text.
 /// `cfg` must be the configuration the fleet was built from (the engine
 /// does not retain it); `tel` is the fleet's telemetry registry (pass
 /// [`Telemetry::noop`] when running dark).
@@ -936,7 +805,7 @@ impl PolicyState {
 /// [`FleetEngine::set_policy`]) — such state has no spec to rebuild
 /// from.
 pub fn save(sup: &FleetSupervisor, cfg: &FleetConfig, tel: &Telemetry) -> Result<String, String> {
-    let runs = sup.engine.runs();
+    let runs = &sup.engine.runs;
     if cfg.tenants != runs.len() {
         return Err(format!(
             "config describes {} tenants but the fleet has {}",
@@ -947,7 +816,7 @@ pub fn save(sup: &FleetSupervisor, cfg: &FleetConfig, tel: &Telemetry) -> Result
     let mut out = String::from("{\"kind\":\"header\",\"schema\":\"");
     out.push_str(SCHEMA);
     out.push_str("\",\"version\":");
-    write_u64(&mut out, VERSION);
+    out.push_str(VERSION);
     row(&mut out, ",\"tick\":", &sup.tick);
     row(&mut out, ",\"total_ticks\":", &sup.total_ticks);
     row(&mut out, ",\"config\":", cfg);
@@ -959,13 +828,16 @@ pub fn save(sup: &FleetSupervisor, cfg: &FleetConfig, tel: &Telemetry) -> Result
         row(&mut out, ",\"policy\":", &PolicyState::of(&run.policy)?);
         row(&mut out, ",\"session\":", &run.session.snapshot());
         row(&mut out, ",\"guard\":", guard);
-        out.push_str(",\"events\":");
-        // Encoded in place under the sink's lock, not from a copy.
-        match &run.capture {
-            Some(mem) => mem.with_events(|events| events.enc(&mut out)),
-            None => out.push_str("[]"),
+        // Each body is rendered once, by the first save or `finish` that
+        // settles the capture, and copied from under its lock.
+        out.push_str(",\"events\":[");
+        if let Some(capture) = &run.capture {
+            for (i, body) in capture.settled().bodies().enumerate() {
+                out.push_str(if i > 0 { ",{" } else { "{" });
+                out.push_str(body);
+            }
         }
-        out.push_str("}\n");
+        out.push_str("]}\n");
     }
 
     row(&mut out, "{\"kind\":\"telemetry\",\"cells\":", &tel.dump());
@@ -975,11 +847,86 @@ pub fn save(sup: &FleetSupervisor, cfg: &FleetConfig, tel: &Telemetry) -> Result
     Ok(out)
 }
 
+/// A tenant's captured events: each element of its `events` array is
+/// checked as a trace line's body in one pass ([`body`]) and its bytes
+/// after the `{` copied (`line` is `r`'s source, `label` the tenant's).
+fn bodies(r: &mut Reader<'_>, line: &str, label: &str) -> Result<(String, Vec<usize>), String> {
+    // The rest of the line bounds the bodies' bytes, and so their count.
+    let left = line.len().saturating_sub(r.offset());
+    let (mut text, mut ends) = (String::with_capacity(left), Vec::with_capacity(left / MIN_BODY));
+    let mut keys = Vec::new();
+    arr(r, "events")?;
+    while r.next_element()? {
+        obj(r, "events")?;
+        let start = r.offset();
+        body(r, line, label, &mut keys).map_err(|e| format!("event {}: {e}", ends.len()))?;
+        text.push_str(line.get(start..r.offset()).unwrap_or_default());
+        ends.push(text.len());
+    }
+    Ok((text, ends))
+}
+
+/// A body's members: exactly `ts_us` (the literal `0`), `level` (one of
+/// the four), `span`, `event` and `fields`, each once and in any order —
+/// so no `v`, `seq` or `wall_us` — with `fields` an object of scalars, no
+/// key twice (`keys` is scratch space), no `*_us` key and a `tenant` of
+/// `label`.
+fn body<'a>(r: &mut Reader<'a>, line: &str, label: &str, keys: &mut Vec<Cow<'a, str>>) -> Result<(), String> {
+    const MEMBERS: [&str; 5] = ["ts_us", "level", "span", "event", "fields"];
+    let mut seen = [false; MEMBERS.len()];
+    while let Some(key) = r.next_key()? {
+        match MEMBERS.iter().position(|m| *m == key).map(|i| std::mem::replace(&mut seen[i], true)) {
+            None => return Err(format!("member {key:?} is not one of a captured event's")),
+            Some(true) => return Err(format!("repeated member {key:?}")),
+            Some(false) if key == "ts_us" => {
+                if token(r, line)? != "0" {
+                    return Err("ts_us is not 0".to_string());
+                }
+            }
+            Some(false) if key == "fields" => {
+                keys.clear();
+                obj(r, "fields")?;
+                while let Some(key) = r.next_key()? {
+                    if key.ends_with("_us") {
+                        return Err(format!("field {key:?} is a timing"));
+                    } else if keys.contains(&key) {
+                        return Err(format!("repeated field {key:?}"));
+                    }
+                    if key == "tenant" {
+                        let tenant = text(r, "fields.tenant", "string")?;
+                        if tenant != label {
+                            return Err(format!("field tenant {tenant:?} on the line of tenant {label}"));
+                        }
+                    } else if matches!(r.peek()?, Kind::Bool | Kind::Num | Kind::Str) {
+                        r.skip_value()?;
+                    } else {
+                        return Err(format!("field {key:?} is not a scalar"));
+                    }
+                    keys.push(key);
+                }
+                if !keys.iter().any(|k| k == "tenant") {
+                    return Err("no tenant field".to_string());
+                }
+            }
+            Some(false) => {
+                let value = text(r, &key, "string")?;
+                if key == "level" && Level::parse(&value).is_none() {
+                    return Err(format!("unknown level {value:?}"));
+                }
+            }
+        }
+    }
+    match MEMBERS.iter().zip(seen).find(|&(_, seen)| !seen) {
+        Some((missing, _)) => Err(format!("missing member {missing:?}")),
+        None => Ok(()),
+    }
+}
+
 /// The header line: `(tick, total_ticks, config, supervisor)`. `kind`,
 /// `schema` and `version` are read by look-ahead and checked *before*
-/// anything whose shape a version may change is decoded, so a v2 file
-/// answers "unsupported version", not a complaint about a member v2
-/// reshaped. The line (about a kilobyte) is validated whole first, so a
+/// anything whose shape a version may change is decoded, so a v1 or v3
+/// file answers "unsupported version", not a complaint about a member
+/// that version shapes differently. The line (about a kilobyte) is validated whole first, so a
 /// malformed header says so whatever the look-aheads would have met.
 fn read_header(line: &str) -> Result<(u64, u64, FleetConfig, SupervisorConfig), String> {
     let r = &mut Reader::new(line);
@@ -994,20 +941,9 @@ fn read_header(line: &str) -> Result<(u64, u64, FleetConfig, SupervisorConfig), 
     if schema != SCHEMA {
         return Err(format!("unknown checkpoint schema {schema:?}"));
     }
+    // Any token but the one `save` writes is another format.
     let mut at = find(*r, "version", "header")?.ok_or("header: missing key \"version\"")?;
-    let version = match at.peek()? {
-        Kind::Num => {
-            let v = at.number()?;
-            if v.fract().abs() > 0.0 || !(0.0..=f64::from(u32::MAX)).contains(&v) {
-                return Err(format!(
-                    "header.version: {} is not an integral version number",
-                    f64_string(v)
-                ));
-            }
-            v as u64
-        }
-        _ => u64::dec(&mut at, "header.version")?,
-    };
+    let version = token(&mut at, line)?;
     if version != VERSION {
         return Err(format!("unsupported checkpoint version {version} (reader supports {VERSION})"));
     }
@@ -1052,12 +988,14 @@ fn apply_line(
     let r = &mut Reader::new(line);
     match &*tag(r, "kind", "line")? {
         "tenant" => {
+            // The label of the tenant this line must be (`id` is checked below).
+            let label = TenantId(*seen as u32).to_string();
             members!(r, "tenant", once("kind") => {
                 "id" => id: usize,
                 "policy" => policy: PolicyState,
-                "session" => session,
+                "session" => session: SessionSnapshot,
                 "guard" => guard: TenantGuard,
-                "events" => events: Vec<Event>,
+                "events" => events = bodies(r, line, &label)?,
             });
             r.end()?;
             if id != *seen {
@@ -1069,17 +1007,17 @@ fn apply_line(
                 return Err(format!("tenant {id} beyond fleet size {tenants}"));
             };
             guard_fits(&guard, sup.tick, sup.cfg.probation_ticks)?;
+            let cursor = session.t;
             run.session.restore(session).map_err(|e| format!("session: {e}"))?;
+            policy.plans_fit(cursor).map_err(|e| format!("tenant {id}: {e}"))?;
             let (theta, min_nodes) = (run.spec.theta, run.spec.min_nodes);
             policy.restore(&mut run.policy, theta, min_nodes)?;
-            if let Some(mem) = &run.capture {
-                // The checkpoint's buffer already holds the rebuild's
-                // build-time events, so it replaces the sink's.
-                mem.with_events(|buf| *buf = events);
-            } else if !events.is_empty() {
-                return Err(format!(
-                    "tenant {id} has captured events but the config disables capture"
-                ));
+            match &run.capture {
+                // The checkpoint's bodies already hold the rebuild's
+                // build-time events, so they replace the capture's.
+                Some(capture) => capture.restore(events),
+                None if events.1.is_empty() => {}
+                None => return Err(format!("tenant {id} has captured events but capture is off")),
             }
             *slot = guard;
             *seen += 1;
@@ -1113,9 +1051,10 @@ fn apply_line(
 /// Malformed or truncated text, a wrong schema or version, a
 /// configuration no fleet can be built from, and state that does not fit
 /// the rebuilt fleet (a header `tick` past `total_ticks`, a session cursor
-/// beyond its trace or contradicting its step records or counters, more
-/// outage flags or strikes than supervised ticks, a probation past its
-/// end, a metric cell of another kind or shape).
+/// beyond its trace or contradicting its step records or counters, a plan
+/// cursor past it, more outage flags or strikes than supervised ticks, a
+/// probation past its end, a metric cell of another kind or shape, a
+/// captured event that is not its tenant's trace-line body).
 pub fn load(text: &str, tel: &Telemetry, obs: Obs) -> Result<(FleetSupervisor, FleetConfig), String> {
     let mut lines = text.lines().enumerate().filter(|(_, l)| !l.trim().is_empty());
     let (_, header) = lines.next().ok_or("empty checkpoint")?;
@@ -1259,12 +1198,14 @@ mod tests {
             .unwrap()
             .contains("truncated"));
 
-        // A future version is refused rather than misread.
-        let bumped = text.replacen("\"version\":1", "\"version\":2", 1);
-        assert!(load(&bumped, &Telemetry::noop(), Obs::noop())
-            .err()
-            .unwrap()
-            .contains("unsupported checkpoint version"));
+        // A future version is refused rather than misread, and so is v1,
+        // whose events were tagged scalars; the version is the token `save`
+        // writes, not a number that rounds or parses to it.
+        for version in ["1", "3", "2.5", "2.0", "\"u:2\""] {
+            let other = text.replacen("\"version\":2", &format!("\"version\":{version}"), 1);
+            let err = load(&other, &Telemetry::noop(), Obs::noop()).err().unwrap();
+            assert!(err.starts_with(&format!("unsupported checkpoint version {version} ")), "{err}");
+        }
 
         // A foreign schema string is refused.
         let alien = text.replacen(SCHEMA, "someone-elses-format", 1);
@@ -1272,13 +1213,6 @@ mod tests {
             .err()
             .unwrap()
             .contains("unknown checkpoint schema"));
-
-        // A fractional bare-number version is not truncated into a valid one.
-        let fractional = text.replacen("\"version\":1", "\"version\":1.5", 1);
-        assert!(load(&fractional, &Telemetry::noop(), Obs::noop())
-            .err()
-            .unwrap()
-            .contains("not an integral version"));
 
         // `end` closes the file: an early one that matches the running
         // count must not hide a missing tail, and nothing may follow the
@@ -1363,6 +1297,13 @@ mod tests {
         let probation = ran.find("\"probation\":").expect("a resilient tenant");
         let probation_line = ran[..probation].lines().count();
         let on_probation = "{\"state\":\"probation\",\"clean\":\"u:4\"}";
+        // Tenant 0 replanned at step 48: a plan of 24 targets from there.
+        let plan = ran.find("\"plan\":[").expect("a plan") + "\"plan\":[".len();
+        let plan_end = plan + ran[plan..].find(']').expect("the plan's end");
+        let no_plan = format!("{}{}", &ran[..plan], &ran[plan_end..]);
+        // Tenant 0's first captured event, and its fields.
+        let event = |to: &str| edit_ran("\"events\":[{", &format!("\"events\":[{{{to}"));
+        let field = |to: &str| edit_ran("\"fields\":{", &format!("\"fields\":{{{to}"));
         for (hostile, line, why) in [
             (beyond("scale_fail"), 2, "session: counts.scale_fail 1000"),
             (beyond("provision_delay"), 2, "session: counts.provision_delay 1000"),
@@ -1406,6 +1347,31 @@ mod tests {
                 2,
                 "guard: 61 outage flags for 60 supervised ticks",
             ),
+            // A replan starts its plan at the step it runs in, and writes
+            // a whole horizon.
+            (beyond("plan_start"), 2, "tenant 0: plan_start 100048 is past the step cursor 60"),
+            (no_plan, 2, "state: an empty plan starting at step 48"),
+            // A captured event is a trace line's body: exactly its five
+            // members, once each, `ts_us` 0 and a known level ...
+            (edit_ran("[{\"ts_us\":0,", "[{\"ts_us\":7,"), 2, "event 0: ts_us is not 0"),
+            (edit_ran("[{\"ts_us\":0,\"level\":\"", "[{\"ts_us\":0,\"level\":\"x"), 2, "event 0: unknown level \"x"),
+            (edit_ran("[{\"ts_us\":0,", "[{"), 2, "event 0: missing member \"ts_us\""),
+            (event("\"ts_us\":0,"), 2, "event 0: repeated member \"ts_us\""),
+            (event("\"v\":1,"), 2, "event 0: member \"v\" is not one of a captured event's"),
+            (event("\"seq\":0,"), 2, "event 0: member \"seq\" is not one"),
+            (event("\"wall_us\":5,"), 2, "event 0: member \"wall_us\" is not one"),
+            (event("\"later\":1,"), 2, "event 0: member \"later\" is not one"),
+            (event("\"span\":7,"), 2, "event 0: span: expected string"),
+            // ... whose fields are unique scalars, no timing among them,
+            // and the tenant's own label.
+            (edit_ran("\"fields\":{", "\"fields\":[],\"was\":{"), 2, "event 0: fields: expected object"),
+            (field("\"deep\":[1],"), 2, "event 0: field \"deep\" is not a scalar"),
+            (field("\"none\":null,"), 2, "event 0: field \"none\" is not a scalar"),
+            (field("\"a\":1,\"a\":1,"), 2, "event 0: repeated field \"a\""),
+            (field("\"fit_us\":5,"), 2, "event 0: field \"fit_us\" is a timing"),
+            (edit_ran("\"tenant\":\"t0000\"", "\"tenant\":\"t0001\""), 2, "event 0: field tenant \"t0001\" on the line of tenant t0000"),
+            (edit_ran("\"tenant\":\"t0000\"", "\"tenant\":7"), 2, "event 0: fields.tenant: expected string"),
+            (edit_ran("\"tenant\":\"t0000\"", "\"tenant0\":\"t0000\""), 2, "event 0: no tenant field"),
         ] {
             let err = load(&hostile, &Telemetry::live(), Obs::noop()).err().unwrap();
             assert!(err.starts_with(&format!("line {line}: ")) && err.contains(why), "{err}");
@@ -1421,7 +1387,7 @@ mod tests {
         let bomb = "[".repeat(100_000);
         for (hostile, why) in [
             (edit("\"events\":[", &format!("\"events\":[{bomb}")), "events: expected object"),
-            (edit("\"events\":[", &format!("\"events\":[{{\"later\":{bomb}")), "nesting deeper than"),
+            (edit_ran("\"events\":[", &format!("\"events\":[{{\"fields\":{bomb}")), "fields: expected object"),
             (edit("\"id\":", &format!("\"later\":{bomb},\"id\":")), "nesting deeper than"),
         ] {
             let err = load(&hostile, &Telemetry::noop(), Obs::noop()).err().unwrap();
@@ -1429,19 +1395,17 @@ mod tests {
         }
     }
 
-    /// The tagged-scalar writers against `core::fmt`: a `u:` / `i:` body
-    /// is `{}`, an `f:` body `{:016x}` of the bits.
+    /// The tagged-scalar writers against `core::fmt`: a `u:` body is `{}`,
+    /// an `f:` body `{:016x}` of the bits.
     #[test]
     fn scalar_writers_write_the_bytes_of_core_fmt() {
         use rpas_tsmath::prop_assert;
         use rpas_tsmath::propcheck::forall;
         let agrees = |n: u64| {
-            let i = n as i64;
             let mut out = String::from("kept|");
             n.enc(&mut out);
-            Value::I64(i).enc(&mut out);
             enc_f64_bits(&mut out, n);
-            let want = format!("kept|\"u:{n}\"\"i:{i}\"\"f:{n:016x}\"");
+            let want = format!("kept|\"u:{n}\"\"f:{n:016x}\"");
             prop_assert!(out == want, "{n:#x}: wrote {out:?}, want {want:?}");
             Ok(())
         };
@@ -1451,31 +1415,37 @@ mod tests {
         forall("checkpoint_scalars_vs_fmt", 20_000, |g| agrees(g.u64() >> g.usize_in(0, 64)));
     }
 
+    /// A checkpoint's events are trace lines: each element of an `events`
+    /// array, behind the head `finish` would give it, is a line the
+    /// schema validator (and so `obs query`) reads.
     #[test]
-    fn tagged_values_roundtrip_exactly() {
-        for v in [
-            Value::Bool(true),
-            Value::Bool(false),
-            Value::I64(-42),
-            Value::I64(i64::MIN),
-            Value::I64(0),
-            Value::U64(0),
-            Value::U64(u64::MAX),
-            Value::F64(0.1 + 0.2),
-            Value::F64(-0.0),
-            Value::F64(f64::INFINITY),
-            Value::Str("hello \"world\"\nu:not-a-tag".into()),
-        ] {
-            let mut enc = String::new();
-            v.enc(&mut enc);
-            assert_eq!(Value::dec(&mut Reader::new(&enc), "value").unwrap(), v, "roundtrip of {v:?}");
+    fn every_saved_event_is_a_trace_line_behind_its_head() {
+        let cfg = chaotic_cfg();
+        let tel = Telemetry::live();
+        let mut sup = FleetSupervisor::wrap_with(
+            FleetEngine::with_telemetry(&cfg, &tel),
+            SupervisorConfig::default(),
+            &tel,
+        );
+        for _ in 0..97 {
+            sup.tick();
         }
-        // NaN: bitwise equality (PartialEq fails on NaN by design).
-        let mut enc = String::new();
-        Value::F64(f64::NAN).enc(&mut enc);
-        match Value::dec(&mut Reader::new(&enc), "value").unwrap() {
-            Value::F64(x) => assert_eq!(x.to_bits(), f64::NAN.to_bits()),
-            other => panic!("expected F64, got {other:?}"),
+        let text = save(&sup, &cfg, &tel).unwrap();
+        let mut events = 0;
+        for (n, line) in text.lines().enumerate().filter(|(_, l)| l.contains("\"kind\":\"tenant\"")) {
+            let label = TenantId(n as u32 - 1).to_string();
+            let mut r = find(Reader::new(line), "events", "line").unwrap().expect("an events member");
+            r.begin_array().unwrap();
+            while r.next_element().unwrap() {
+                let start = r.offset();
+                r.skip_value().unwrap();
+                let element = &line[start + 1..r.offset()];
+                let trace_line = rpas_obs::validate_line(&format!("{{\"v\":1,\"seq\":0,{element}"))
+                    .unwrap_or_else(|e| panic!("{e}: {element}"));
+                assert_eq!(trace_line.str("tenant"), Some(label.as_str()));
+                events += 1;
+            }
         }
+        assert!(events > 6 * 97, "{events} events");
     }
 }

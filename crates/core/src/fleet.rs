@@ -16,23 +16,24 @@
 //! from the fleet seed via `child_seed`, tenants never share mutable
 //! state, and the pool preserves tenant order — so fleet results are
 //! byte-identical for any `RPAS_THREADS`, including the captured
-//! tenant-scoped event log (timing fields are stripped at serialization
-//! time; see [`FleetReport::trace_lines`]).
+//! tenant-scoped event log (timing fields are stripped when a [`Capture`]
+//! renders it; see [`FleetReport::trace_lines`]).
 
 use crate::autoscaler::{QuantilePredictivePolicy, ReplanSchedule};
 use crate::manager::{RobustAutoScalingManager, ScalingStrategy};
 use crate::reactive::ReactiveMax;
 use crate::resilient::{ResilienceConfig, ResilientManager};
 use rpas_forecast::{Forecaster, SeasonalNaive};
-use rpas_obs::{Event, MemorySink, Obs, Value};
+use rpas_obs::{Event, Level, Obs, Sink, Value};
 use rpas_par::WorkerPool;
 use rpas_telemetry::{RatioSeries, SloReport, SloSpec, Telemetry};
 use rpas_simdb::{
     fleet_qos, tenant_qos, FaultConfig, FaultPlan, FleetQos, ScalingPolicy, SimConfig,
     SimSession, SimulationReport, TenantQos,
 };
-use rpas_traces::{alibaba_like, google_like, Trace};
+use rpas_traces::{alibaba_like_cpu, google_like_cpu, Trace};
 use rpas_tsmath::rng::child_seed;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Identity of one tenant within a fleet (dense, 0-based).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -73,8 +74,8 @@ impl TracePreset {
 
     fn build(self, seed: u64, days: usize) -> Trace {
         match self {
-            TracePreset::Alibaba => alibaba_like(seed, days).cpu().clone(),
-            TracePreset::Google => google_like(seed, days).cpu().clone(),
+            TracePreset::Alibaba => alibaba_like_cpu(seed, days),
+            TracePreset::Google => google_like_cpu(seed, days),
         }
     }
 }
@@ -296,6 +297,102 @@ impl TenantPolicy {
     }
 }
 
+/// One tenant's captured trace, the sink its obs handle writes to. A tick
+/// only pushes the event; a save or `finish` *settles* the capture,
+/// rendering each pending event once into its body: its schema-v1 line
+/// after `"seq":N,`, timings and its own `tenant` dropped, the tenant's
+/// label in its sorted place, `ts_us` 0. `finish` puts each body behind
+/// its line's head, and a checkpoint stores the bodies.
+#[derive(Clone)]
+pub struct Capture(Arc<Mutex<Captured>>);
+
+/// Under a [`Capture`]'s lock: the label, the bodies back to back in
+/// `text`, where each ends, and the events not rendered yet.
+pub(crate) struct Captured {
+    label: Value,
+    text: String,
+    ends: Vec<usize>,
+    pending: Vec<Event>,
+}
+
+/// No body is shorter: its five members' fixed bytes and the label.
+pub(crate) const MIN_BODY: usize = 64;
+
+impl Capture {
+    /// An empty capture for the tenant labelled `label` (`t0042`).
+    pub fn new(label: String) -> Self {
+        let (label, text, ends, pending) = (Value::from(label), String::new(), Vec::new(), Vec::new());
+        Self(Arc::new(Mutex::new(Captured { label, text, ends, pending })))
+    }
+
+    /// The capture, locked; nothing panics while holding it.
+    fn lock(&self) -> MutexGuard<'_, Captured> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Settle, then append one line per captured event to `lines`, each
+    /// numbered by its position there and allocated at its exact size.
+    pub fn append_lines(&self, lines: &mut Vec<String>) {
+        let captured = self.settled();
+        lines.reserve(captured.ends.len());
+        let mut head = String::new();
+        for body in captured.bodies() {
+            head.clear();
+            Event::write_head(&mut head, lines.len() as u64);
+            let mut line = String::with_capacity(head.len() + body.len());
+            line.push_str(&head);
+            line.push_str(body);
+            lines.push(line);
+        }
+    }
+
+    /// Settle, and hold the lock while the caller reads the bodies.
+    pub(crate) fn settled(&self) -> MutexGuard<'_, Captured> {
+        let mut captured = self.lock();
+        let Captured { label, text, ends, pending } = &mut *captured;
+        text.reserve(MIN_BODY * pending.len());
+        ends.reserve(pending.len());
+        for ev in std::mem::take(pending) {
+            let kept = || ev.fields.iter().filter(|(k, _)| !k.ends_with("_us") && *k != "tenant");
+            let fields = kept()
+                .take_while(|(k, _)| *k < "tenant")
+                .chain(std::iter::once(("tenant", &*label)))
+                .chain(kept().skip_while(|(k, _)| *k < "tenant"));
+            ev.write_body(text, 0, None, fields);
+            ends.push(text.len());
+        }
+        captured
+    }
+
+    /// Replace everything captured with the bodies a checkpoint held.
+    pub(crate) fn restore(&self, (text, ends): (String, Vec<usize>)) {
+        let mut captured = self.lock();
+        (captured.text, captured.ends, captured.pending) = (text, ends, Vec::new());
+    }
+}
+
+impl Captured {
+    /// The rendered bodies, in capture order.
+    pub(crate) fn bodies(&self) -> impl Iterator<Item = &str> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts.zip(&self.ends).map(|(start, &end)| self.text.get(start..end).unwrap_or_default())
+    }
+}
+
+impl Sink for Capture {
+    fn max_level(&self) -> Level {
+        Level::Debug
+    }
+
+    fn emit(&self, event: &Event) {
+        self.emit_owned(event.clone());
+    }
+
+    fn emit_owned(&self, event: Event) {
+        self.lock().pending.push(event);
+    }
+}
+
 /// One tenant's live state: its spec, its scaling policy (with any fitted
 /// forecaster inside), its steppable simulation, and the optional event
 /// capture.
@@ -303,7 +400,7 @@ pub(crate) struct TenantRun {
     pub(crate) spec: TenantSpec,
     pub(crate) policy: TenantPolicy,
     pub(crate) session: SimSession,
-    pub(crate) capture: Option<MemorySink>,
+    pub(crate) capture: Option<Capture>,
 }
 
 impl TenantRun {
@@ -313,18 +410,13 @@ impl TenantRun {
     /// the simulation session.
     fn build(spec: &TenantSpec, capture_events: bool, tel: &Telemetry) -> Self {
         let trace = spec.preset.build(spec.trace_seed, spec.days);
-        let (capture, obs) = if capture_events {
-            let mem = MemorySink::new();
-            let obs = Obs::with_sink(Box::new(mem.clone()));
-            (Some(mem), obs)
-        } else {
-            (None, Obs::noop())
-        };
         // Every handle this tenant records through carries its id, so
         // per-tenant cells have a single writer (gauge-safe) and
         // fleet-wide values are label-sums over tenants.
         let tenant_label = spec.id.to_string();
         let labels: [(&str, &str); 1] = [("tenant", tenant_label.as_str())];
+        let capture = capture_events.then(|| Capture::new(tenant_label.clone()));
+        let obs = capture.as_ref().map_or_else(Obs::noop, |c| Obs::with_sink(Box::new(c.clone())));
 
         let make_predictive = || {
             let mut fc = SeasonalNaive::new(spec.schedule.context);
@@ -412,10 +504,10 @@ pub struct FleetReport {
     /// Fleet-level aggregate.
     pub qos: FleetQos,
     /// Schema-v1 JSONL lines of every captured tenant event, in tenant
-    /// order, with a `tenant` field added and all timing stripped
-    /// (`seq` renumbered, `ts_us`/`wall_us`/`*_us` removed) — so the
-    /// trace is byte-identical across reruns and thread counts. Empty
-    /// when `capture_events` was off.
+    /// order, as each tenant's [`Capture`] rendered them (a `tenant`
+    /// field added, all timing stripped) and numbered fleet-wide by
+    /// `seq` — so the trace is byte-identical across reruns and thread
+    /// counts. Empty when `capture_events` was off.
     pub trace_lines: Vec<String>,
     /// SLO evaluation (per tenant + `fleet`), present when
     /// [`FleetConfig::slo`] was set.
@@ -439,19 +531,6 @@ impl FleetReport {
         idx.truncate(n);
         idx
     }
-}
-
-/// Append one captured event as a deterministic, tenant-scoped schema-v1
-/// JSONL line: `seq` as given, no wall clock, and `tenant` (the tenant's
-/// label as a [`Value`]) in its sorted place among the fields, over any
-/// `tenant` the event carried itself.
-fn sanitize_event(line: &mut String, ev: &Event, tenant: &Value, seq: u64) {
-    let kept = || ev.fields.iter().filter(|(k, _)| !k.ends_with("_us") && *k != "tenant");
-    let fields = kept()
-        .take_while(|(k, _)| *k < "tenant")
-        .chain(std::iter::once(("tenant", tenant)))
-        .chain(kept().skip_while(|(k, _)| *k < "tenant"));
-    ev.write_json_as(line, seq, 0, None, fields);
 }
 
 /// A fleet of tenants advanced in lockstep over a persistent worker
@@ -493,11 +572,6 @@ impl FleetEngine {
     pub fn with_obs(mut self, obs: Obs) -> Self {
         self.obs = obs;
         self
-    }
-
-    /// Access the tenant runs (tenant-id order).
-    pub(crate) fn runs(&self) -> &[TenantRun] {
-        &self.runs
     }
 
     /// Replace one tenant's policy with an arbitrary implementation — the
@@ -542,19 +616,16 @@ impl FleetEngine {
     /// supervisor passes the tenants still quarantined at shutdown and
     /// the fleet-availability evaluation. Quarantined tenants take the
     /// same path as everyone else — their sessions are finished on the
-    /// executed prefix and their capture buffers are *drained* into the
-    /// trace, never dropped.
+    /// executed prefix and their captures go into the trace, never
+    /// dropped.
     pub(crate) fn finish_supervised(
         self,
         quarantined: Vec<QuarantineRecord>,
         availability: Option<SloReport>,
     ) -> FleetReport {
         let mut tenants = Vec::with_capacity(self.runs.len());
-        let captured = |run: &TenantRun| run.capture.as_ref().map_or(0, MemorySink::len);
-        let mut trace_lines = Vec::with_capacity(self.runs.iter().map(captured).sum());
+        let mut trace_lines = Vec::new();
         let mut subjects: Vec<(String, RatioSeries)> = Vec::new();
-        // Every line is rendered here and stored as an exact-size copy.
-        let mut line = String::new();
         for run in self.runs {
             let TenantRun { spec, policy, session, capture } = run;
             if self.slo.is_some() {
@@ -578,15 +649,8 @@ impl FleetEngine {
                 let report: SimulationReport = session.finish(policy.name());
                 (tenant_qos(&report), report.faults.total())
             };
-            if let Some(mem) = capture {
-                // drain, not events(): the sink is finished with, so take
-                // the buffer instead of cloning it.
-                let tenant = Value::from(spec.id.to_string());
-                for ev in mem.drain() {
-                    line.clear();
-                    sanitize_event(&mut line, &ev, &tenant, trace_lines.len() as u64);
-                    trace_lines.push(line.clone());
-                }
+            if let Some(capture) = capture {
+                capture.append_lines(&mut trace_lines);
             }
             tenants.push(TenantSummary {
                 id: spec.id,
@@ -608,7 +672,7 @@ impl FleetEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rpas_obs::catalog;
+    use rpas_obs::{catalog, MemorySink};
 
     fn small_cfg() -> FleetConfig {
         let mut cfg = FleetConfig::new(6, 11);

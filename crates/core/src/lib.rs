@@ -57,7 +57,7 @@ pub use eval::{
     evaluate_plans_point, evaluate_plans_precomputed, evaluate_plans_quantile, evaluate_reactive,
 };
 pub use fleet::{
-    FleetConfig, FleetEngine, FleetReport, QuarantineRecord, TenantId, TenantPolicyKind,
+    Capture, FleetConfig, FleetEngine, FleetReport, QuarantineRecord, TenantId, TenantPolicyKind,
     TenantSummary, TracePreset,
 };
 pub use manager::{PlanningBackend, RobustAutoScalingManager, ScalingStrategy};

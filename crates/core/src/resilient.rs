@@ -237,9 +237,12 @@ type NaiveFallback = QuantilePredictivePolicy<ForecastHealthGate<SeasonalNaive>>
 pub(crate) struct NaiveSnapshot {
     /// Fitted residual spread of the seasonal-naive model.
     pub sigma: Option<f64>,
-    /// Current rolling plan (node targets from `plan_start`).
+    /// Current rolling plan (node targets from `plan_start`). Empty
+    /// before the first replan, and only then: a replan writes a whole
+    /// horizon, and a failed one keeps the plan it had.
     pub plan: Vec<u32>,
-    /// Step at which `plan` starts.
+    /// Step at which `plan` starts: the step its replan ran in, so never
+    /// past the session's step cursor; 0 while `plan` is empty.
     pub plan_start: usize,
     /// Whether the most recent replan fell back to the reactive bootstrap.
     pub degraded: bool,

@@ -156,20 +156,18 @@ pub struct FleetSupervisor {
 }
 
 /// Record one supervision fact: its counter and the fleet-level event,
-/// which carries `tenant`, through `rec`, and the same event appended to
-/// the tenant's capture buffer, so the supervision history is part of
-/// the deterministic tenant-scoped trace. Fields serialize sorted by
-/// key, so one `build` serves both copies; timing fields are irrelevant,
-/// since the fleet's trace serialization strips them and renumbers `seq`.
+/// which carries `tenant`, through `rec`, and the same event pushed into
+/// the tenant's capture (one `build` serves both: fields serialize sorted
+/// by key, and the capture strips timings and takes `seq` from the fleet).
 fn record(rec: &Recorder, run: &TenantRun, name: catalog::EventName, build: impl Fn(&mut Event)) {
     rec.emit(name, |e| {
         e.field("tenant", run.spec.id.to_string());
         build(e);
     });
-    if let Some(mem) = &run.capture {
+    if let Some(capture) = &run.capture {
         let mut ev = Event::of(name);
         build(&mut ev);
-        mem.emit_owned(ev);
+        capture.emit_owned(ev);
     }
 }
 
@@ -262,7 +260,7 @@ impl FleetSupervisor {
     /// persistent worker pool. Returns the number of clean steps.
     ///
     /// The per-tenant state machine (session cursor, circuit breaker,
-    /// outage series, capture buffer) has no cross-tenant coupling, so
+    /// outage series, capture) has no cross-tenant coupling, so
     /// tick-major and tenant-major iteration produce identical bytes;
     /// tenant-major needs one pool fan-out per call instead of one per
     /// tick. The only cross-tenant artifact is the interleaving of
@@ -289,8 +287,8 @@ impl FleetSupervisor {
 
     /// Finish the supervised run: evaluate the fleet-availability SLO
     /// over the per-tenant outage series, collect the still-quarantined
-    /// tenants, and aggregate the fleet report (draining every capture
-    /// buffer, quarantined tenants included).
+    /// tenants, and aggregate the fleet report (every tenant's capture,
+    /// quarantined tenants' included).
     pub fn finish(self) -> FleetReport {
         // One outage series alive at a time: each is built when the
         // evaluation asks for it and dropped once merged.

@@ -9,9 +9,7 @@
 //!
 //! Each entry lists, sorted, the field keys its event may carry
 //! (`keys [...]`). A debug build checks every [`crate::Obs::emit`]
-//! against the list, so a key set at an emit site is declared here; the
-//! checkpoint loader borrows a declared key from the list instead of
-//! owning a copy of it.
+//! against the list, so a key set at an emit site is declared here.
 //!
 //! An entry that ends in `counts "<metric>"` also names the telemetry
 //! counter the event increments, so the entries that declare one are the

@@ -14,7 +14,7 @@ use std::borrow::Cow;
 
 /// Text an event carries: borrowed when it is a literal of the program
 /// (catalogue names, field keys, label-like values such as `regime`), so
-/// it costs no allocation; owned when computed or read back from a file.
+/// it costs no allocation; owned when computed.
 pub(crate) type Text = Cow<'static, str>;
 
 /// Severity of an event, ordered from most to least severe.
@@ -174,9 +174,9 @@ impl Fields {
     const ROOM: usize = 5;
 
     /// Set `key` to `value` (last write wins). A key that sorts after
-    /// every one present, as each does when an emit site or a checkpoint
-    /// lists them in order, is appended without a search.
-    pub fn insert(&mut self, key: Text, value: Value) {
+    /// every one present, as each does when an emit site lists them in
+    /// order, is appended without a search.
+    pub(crate) fn insert(&mut self, key: Text, value: Value) {
         if self.0.is_empty() {
             self.0.reserve_exact(Self::ROOM);
         }
@@ -280,28 +280,35 @@ impl Event {
         self
     }
 
-    /// Append the event as one schema-v1 JSONL line (no trailing newline).
+    /// Append the event as one schema-v1 JSONL line (no trailing newline):
+    /// [`Event::write_head`], then [`Event::write_body`].
     pub(crate) fn write_json(&self, out: &mut String) {
-        self.write_json_as(out, self.seq, self.ts_us, self.wall_us, self.fields.iter());
+        Self::write_head(out, self.seq);
+        self.write_body(out, self.ts_us, self.wall_us, self.fields.iter());
     }
 
-    /// `Event::write_json` with the stamps and the field list the line
-    /// shows given by the caller — how a consumer renders a renumbered or
-    /// filtered view of a captured event without rebuilding it. `fields`
-    /// must come in key order.
-    pub fn write_json_as<'a>(
-        &self,
-        out: &mut String,
-        seq: u64,
-        ts_us: u64,
-        wall_us: Option<u64>,
-        fields: impl Iterator<Item = (&'a str, &'a Value)>,
-    ) {
+    /// Append what every schema-v1 line starts with, `{"v":1,"seq":N,`.
+    pub fn write_head(out: &mut String, seq: u64) {
         out.push_str("{\"v\":");
         write_u64(out, crate::schema::SCHEMA_VERSION);
         out.push_str(",\"seq\":");
         write_u64(out, seq);
-        out.push_str(",\"ts_us\":");
+        out.push(',');
+    }
+
+    /// Append the rest of the line, from `"ts_us"` to the closing brace,
+    /// with the stamps and the field list the line shows given by the
+    /// caller — how a consumer renders a renumbered or filtered view of a
+    /// captured event without rebuilding it. `fields` must come in key
+    /// order.
+    pub fn write_body<'a>(
+        &self,
+        out: &mut String,
+        ts_us: u64,
+        wall_us: Option<u64>,
+        fields: impl Iterator<Item = (&'a str, &'a Value)>,
+    ) {
+        out.push_str("\"ts_us\":");
         write_u64(out, ts_us);
         out.push_str(",\"level\":\"");
         out.push_str(self.level.as_str());

@@ -9,7 +9,8 @@
 //! than a partial match, and typed decoders that stream from it without
 //! a tree (`rpas-core`'s checkpoint loader). The writer side is
 //! [`escape_into`], the number writers [`write_f64`] / [`write_u64`] and
-//! `write_json` in `crate::event`; all append to a caller-owned buffer.
+//! the line writers in `crate::event` (`Event::write_head` /
+//! `Event::write_body`); all append to a caller-owned buffer.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -371,6 +372,14 @@ impl<'a> Reader<'a> {
     /// A number, as `f64` (`str::parse` decides what is one).
     #[inline]
     pub fn number(&mut self) -> Result<f64, String> {
+        let (start, text) = self.number_token();
+        text.parse().map_err(|_| bad_number(start, text))
+    }
+
+    /// Step over the token [`Reader::number`] would parse: an optional
+    /// `-`, then every byte a number may hold. Answers where it started.
+    #[inline]
+    fn number_token(&mut self) -> (usize, &'a str) {
         self.skip_ws();
         let start = self.pos;
         if self.peek_byte() == Some(b'-') {
@@ -379,8 +388,13 @@ impl<'a> Reader<'a> {
         while matches!(self.peek_byte(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
             self.pos += 1;
         }
-        let text = &self.src[start..self.pos];
-        text.parse().map_err(|_| format!("invalid number {text:?} at offset {start}"))
+        (start, &self.src[start..self.pos])
+    }
+
+    /// The offset of the next unread byte in the source.
+    #[inline]
+    pub fn offset(&self) -> usize {
+        self.pos
     }
 
     /// `true` or `false`.
@@ -400,11 +414,19 @@ impl<'a> Reader<'a> {
     }
 
     /// Validate and step over one value of any kind without building it.
+    /// A number is checked against its grammar, not converted.
     pub fn skip_value(&mut self) -> Result<(), String> {
         match self.peek()? {
             Kind::Null => self.null(),
             Kind::Bool => self.bool().map(drop),
-            Kind::Num => self.number().map(drop),
+            Kind::Num => {
+                let (start, text) = self.number_token();
+                if is_number(text.as_bytes()) {
+                    Ok(())
+                } else {
+                    Err(bad_number(start, text))
+                }
+            }
             Kind::Str => self.string().map(drop),
             Kind::Arr => {
                 self.begin_array()?;
@@ -433,6 +455,38 @@ impl<'a> Reader<'a> {
             Err(format!("trailing bytes at offset {}", self.pos))
         }
     }
+}
+
+fn bad_number(start: usize, text: &str) -> String {
+    format!("invalid number {text:?} at offset {start}")
+}
+
+/// Whether `str::parse::<f64>` accepts `token`, for a token of the bytes
+/// `[-+.eE0-9]` (what [`Reader::number_token`] takes): an optional sign,
+/// digits with an optional fraction or `.` and digits, then an optional
+/// exponent of a sign and digits.
+fn is_number(token: &[u8]) -> bool {
+    let digits = |at: usize| token[at..].iter().take_while(|b| b.is_ascii_digit()).count();
+    let mut at = usize::from(matches!(token.first(), Some(b'-' | b'+')));
+    let whole = digits(at);
+    at += whole;
+    let mut fraction = 0;
+    if token.get(at) == Some(&b'.') {
+        fraction = digits(at + 1);
+        at += 1 + fraction;
+    }
+    if whole + fraction == 0 {
+        return false;
+    }
+    if matches!(token.get(at), Some(b'e' | b'E')) {
+        at += 1 + usize::from(matches!(token.get(at + 1), Some(b'-' | b'+')));
+        let exponent = digits(at);
+        if exponent == 0 {
+            return false;
+        }
+        at += exponent;
+    }
+    at == token.len()
 }
 
 #[cfg(test)]
@@ -798,6 +852,31 @@ mod tests {
         });
         // The mutants exercise both verdicts, not only the easy one.
         assert!((500..8500).contains(&accepted), "{accepted} of 9000 mutants parsed");
+    }
+
+    /// `skip_value`'s number check against the conversion `number` runs,
+    /// over tokens of every byte a number token may hold.
+    #[test]
+    fn the_number_grammar_accepts_what_str_parse_accepts() {
+        const BYTES: &[u8] = b"-+.eE0123456789";
+        let agrees = |token: &str| {
+            let parsed = token.parse::<f64>().is_ok();
+            prop_assert!(is_number(token.as_bytes()) == parsed, "{token:?}: parse ok = {parsed}");
+            Ok(())
+        };
+        for token in ["", "-", "+", ".", "0", "-0", "1.", ".5", "-.5", "+1", "1e5", "1E-2", "1e", "1e+",
+            "e5", ".e5", "1.e5", "--1", "-+1", "1e5.0", "1.2.3", "007"]
+        {
+            agrees(token).unwrap();
+        }
+        let mut accepted = 0;
+        forall("json_number_grammar_vs_parse", 20_000, |g| {
+            let token: String =
+                (0..g.usize_in(0, 13)).map(|_| char::from(BYTES[g.usize_in(0, BYTES.len())])).collect();
+            accepted += usize::from(token.parse::<f64>().is_ok());
+            agrees(&token)
+        });
+        assert!(accepted > 500, "only {accepted} of the drawn tokens were numbers");
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! * `sink` — pluggable sinks behind the cheap [`Obs`] handle: no-op
 //!   (a single branch on the hot path; the event-building closure never
 //!   runs), human-readable stderr gated by `RPAS_LOG`, schema-v1 JSONL
-//!   via `--trace-out` / `RPAS_TRACE_OUT`, and the in-memory sink a
-//!   fleet captures each tenant's audit trail in (and tests read back).
+//!   via `--trace-out` / `RPAS_TRACE_OUT`, and the in-memory sink tests
+//!   read events back from.
 //! * `hist` — fixed-bucket [`Histogram`]s with a flat-string encoding
 //!   that fits the JSONL schema.
 //! * [`schema`] — the versioned JSONL schema and its validator (used by

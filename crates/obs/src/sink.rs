@@ -125,11 +125,11 @@ impl Drop for JsonlSink {
     }
 }
 
-/// In-memory sink: the fleet's per-tenant capture buffer (checkpointed
-/// with the tenant, drained into the fleet trace) and what tests read
-/// events back from. Records every event; a clone of the handle reads
-/// them after the instrumented code ran. As a handle's last sink it keeps
-/// the event it is given, so capturing costs no copy.
+/// In-memory sink: what tests and probes read events back from. Records
+/// every event; a clone of the handle reads them after the instrumented
+/// code ran. As a handle's last sink it keeps the event it is given, so
+/// capturing costs no copy. (A fleet captures each tenant's trace in its
+/// own type, `rpas_core::Capture`, which renders the events as lines.)
 #[derive(Clone, Default)]
 pub struct MemorySink {
     events: Arc<Mutex<Vec<Event>>>,
@@ -141,11 +141,9 @@ impl MemorySink {
         Self::default()
     }
 
-    /// Run `f` on the capture buffer under the sink's lock: read it in
-    /// place (a checkpoint encodes it without a copy) or replace it whole
-    /// (a restore hands back the buffer it decoded).
-    #[expect(clippy::expect_used, reason = "poisoned: a caller's closure panicked while holding the buffer")]
-    pub fn with_events<R>(&self, f: impl FnOnce(&mut Vec<Event>) -> R) -> R {
+    /// Run `f` on the captured events under the sink's lock.
+    #[expect(clippy::expect_used, reason = "poisoned: a push panicked while holding the buffer")]
+    fn with_events<R>(&self, f: impl FnOnce(&mut Vec<Event>) -> R) -> R {
         f(&mut self.events.lock().expect("memory sink poisoned"))
     }
 

@@ -23,7 +23,7 @@ mod presets;
 mod trace;
 
 pub use dataset::{RollingWindows, WindowDataset};
-pub use presets::{alibaba_like, google_like, ClusterTrace};
+pub use presets::{alibaba_like, alibaba_like_cpu, google_like, google_like_cpu, ClusterTrace};
 pub use trace::{ResourceKind, Trace};
 
 /// Steps per day at the paper's 10-minute aggregation interval.

@@ -46,29 +46,7 @@ impl ClusterTrace {
 
 /// Alibaba-cluster-like trace (CPU/memory/disk), `days` long.
 pub fn alibaba_like(seed: u64, days: usize) -> ClusterTrace {
-    let steps = days * STEPS_PER_DAY;
-    let cpu = TraceGeneratorConfig {
-        name: "alibaba-cpu".into(),
-        steps,
-        base_level: 120.0,
-        daily_amplitude: 35.0,
-        daily_peak_frac: 0.58,
-        weekend_dip: 0.12,
-        trend_per_day: 0.15,
-        noise_sigma: 4.5,
-        noise_phi: 0.55,
-        spikes_per_day: 1.5,
-        spike_magnitude: 12.0,
-        spike_alpha: 2.2,
-        spike_cap: 80.0,
-        spike_decay: 0.55,
-        level_noise_coupling: 1.5,
-        spike_noise_coupling: 0.5,
-        level_shifts_per_day: 0.0,
-        level_shift_std: 0.0,
-        seed: child_seed(seed, 0),
-        ..Default::default()
-    };
+    let cpu = alibaba_cpu_config(seed, days);
     let mem = TraceGeneratorConfig {
         name: "alibaba-memory".into(),
         base_level: 200.0,
@@ -102,14 +80,70 @@ pub fn alibaba_like(seed: u64, days: usize) -> ClusterTrace {
     }
 }
 
+/// The CPU channel of [`alibaba_like`] alone, the same values: each
+/// channel draws from its own child seed.
+pub fn alibaba_like_cpu(seed: u64, days: usize) -> Trace {
+    TraceGenerator::new(alibaba_cpu_config(seed, days)).generate()
+}
+
+fn alibaba_cpu_config(seed: u64, days: usize) -> TraceGeneratorConfig {
+    TraceGeneratorConfig {
+        name: "alibaba-cpu".into(),
+        steps: days * STEPS_PER_DAY,
+        base_level: 120.0,
+        daily_amplitude: 35.0,
+        daily_peak_frac: 0.58,
+        weekend_dip: 0.12,
+        trend_per_day: 0.15,
+        noise_sigma: 4.5,
+        noise_phi: 0.55,
+        spikes_per_day: 1.5,
+        spike_magnitude: 12.0,
+        spike_alpha: 2.2,
+        spike_cap: 80.0,
+        spike_decay: 0.55,
+        level_noise_coupling: 1.5,
+        spike_noise_coupling: 0.5,
+        level_shifts_per_day: 0.0,
+        level_shift_std: 0.0,
+        seed: child_seed(seed, 0),
+        ..Default::default()
+    }
+}
+
 /// Google-cluster-like trace (CPU/memory), `days` long. Much burstier than
 /// the Alibaba-like preset: weaker seasonality, heavy-tailed spikes, and
 /// level shifts as jobs arrive and finish.
 pub fn google_like(seed: u64, days: usize) -> ClusterTrace {
-    let steps = days * STEPS_PER_DAY;
-    let cpu = TraceGeneratorConfig {
+    let cpu = google_cpu_config(seed, days);
+    let mem = TraceGeneratorConfig {
+        name: "google-memory".into(),
+        base_level: 90.0,
+        daily_amplitude: 8.0,
+        noise_sigma: 6.0,
+        spikes_per_day: 4.0,
+        spike_magnitude: 18.0,
+        seed: child_seed(seed, 11),
+        ..cpu.clone()
+    };
+    ClusterTrace {
+        name: "google".into(),
+        resources: vec![
+            (ResourceKind::Cpu, TraceGenerator::new(cpu).generate()),
+            (ResourceKind::Memory, TraceGenerator::new(mem).generate()),
+        ],
+    }
+}
+
+/// The CPU channel of [`google_like`] alone, the same values.
+pub fn google_like_cpu(seed: u64, days: usize) -> Trace {
+    TraceGenerator::new(google_cpu_config(seed, days)).generate()
+}
+
+fn google_cpu_config(seed: u64, days: usize) -> TraceGeneratorConfig {
+    TraceGeneratorConfig {
         name: "google-cpu".into(),
-        steps,
+        steps: days * STEPS_PER_DAY,
         base_level: 60.0,
         daily_amplitude: 10.0,
         daily_peak_frac: 0.5,
@@ -128,23 +162,6 @@ pub fn google_like(seed: u64, days: usize) -> ClusterTrace {
         level_shift_std: 6.0,
         seed: child_seed(seed, 10),
         ..Default::default()
-    };
-    let mem = TraceGeneratorConfig {
-        name: "google-memory".into(),
-        base_level: 90.0,
-        daily_amplitude: 8.0,
-        noise_sigma: 6.0,
-        spikes_per_day: 4.0,
-        spike_magnitude: 18.0,
-        seed: child_seed(seed, 11),
-        ..cpu.clone()
-    };
-    ClusterTrace {
-        name: "google".into(),
-        resources: vec![
-            (ResourceKind::Cpu, TraceGenerator::new(cpu).generate()),
-            (ResourceKind::Memory, TraceGenerator::new(mem).generate()),
-        ],
     }
 }
 
@@ -195,5 +212,13 @@ mod tests {
     fn deterministic_presets() {
         assert_eq!(alibaba_like(9, 3).cpu().values, alibaba_like(9, 3).cpu().values);
         assert_eq!(google_like(9, 3).cpu().values, google_like(9, 3).cpu().values);
+    }
+
+    #[test]
+    fn a_cpu_channel_alone_is_the_presets_cpu_channel() {
+        for (seed, days) in [(9, 3), (1, 1), (42, 4)] {
+            assert_eq!(&alibaba_like_cpu(seed, days), alibaba_like(seed, days).cpu());
+            assert_eq!(&google_like_cpu(seed, days), google_like(seed, days).cpu());
+        }
     }
 }

@@ -214,13 +214,16 @@ fn checkpoints_from_quarantined_fleets_roundtrip() {
 }
 
 // ---------------------------------------------------------------------
-// schema-v1 golden pin
+// schema-v2 golden pin
 // ---------------------------------------------------------------------
 
-/// `tests/fixtures/checkpoint_v1.jsonl`, written by the `save` of the
-/// commit before `checkpoint.rs` became table-driven: the fleet below,
-/// resumed from [`doctored`] at tick 52 and killed at tick 57.
-const GOLDEN: &str = include_str!("fixtures/checkpoint_v1.jsonl");
+/// `tests/fixtures/checkpoint_v2.jsonl`: the fleet below, resumed from
+/// [`doctored`] at tick 52 and killed at tick 57. Its state holds the
+/// values of the v1 fixture it replaced (written by the `save` of the
+/// commit before `checkpoint.rs` became table-driven), with the replan
+/// `schedule` and a resilient tenant's `ladder` nested; its events are
+/// the v1 fixture's events rendered as trace-line bodies.
+const GOLDEN: &str = include_str!("fixtures/checkpoint_v2.jsonl");
 
 fn golden_cfg() -> FleetConfig {
     let mut cfg = FleetConfig::new(4, 42);
@@ -279,7 +282,7 @@ fn doctored(natural: &str) -> String {
 }
 
 #[test]
-fn golden_v1_checkpoint_is_written_byte_for_byte_and_resumes() {
+fn golden_v2_checkpoint_is_written_byte_for_byte_and_resumes() {
     for covered in [
         r#""tier":"seasonal-naive""#,
         r#""naive":{"plan":["#,
@@ -306,7 +309,7 @@ fn golden_v1_checkpoint_is_written_byte_for_byte_and_resumes() {
     let saved = checkpoint::save(&uninterrupted, &cfg, &tel).unwrap();
     assert!(
         saved == GOLDEN,
-        "schema-v1 text moved; first difference at byte {:?}",
+        "schema-v2 text moved; first difference at byte {:?}",
         saved.bytes().zip(GOLDEN.bytes()).position(|(a, b)| a != b)
     );
     uninterrupted.run_to_completion();

@@ -5,12 +5,12 @@
 //! targets is a *fleet* — thousands of instances, each with its own
 //! trace, forecaster state, and scaling loop, sharing one scheduler and
 //! one hardware budget. This module expresses that shape: a
-//! [`TenantSpec`] describes one tenant (trace seed, replan schedule,
-//! policy choice, θ, optional fault profile), a [`TenantRun`] holds its
-//! live state (fitted forecaster, policy ladder, steppable
-//! [`SimSession`]), and a [`FleetEngine`] advances all tenants one
-//! decision tick at a time by fanning tenant steps over the shared
-//! worker pool (`rpas-par`).
+//! [`FleetConfig`] is the grid every tenant is built from (trace seeds,
+//! replan schedule, policy mix, θ, optional fault profile), a
+//! [`TenantRun`] is one tenant's whole record (fitted forecaster, policy
+//! ladder, steppable [`SimSession`], capture, circuit breaker), and a
+//! [`FleetEngine`] advances all tenants one decision tick at a time by
+//! fanning tenant steps over the shared worker pool (`rpas-par`).
 //!
 //! Determinism contract: every tenant derives its trace and fault seeds
 //! from the fleet seed via `child_seed`, tenants never share mutable
@@ -23,10 +23,11 @@ use crate::autoscaler::{QuantilePredictivePolicy, ReplanSchedule};
 use crate::manager::{RobustAutoScalingManager, ScalingStrategy};
 use crate::reactive::ReactiveMax;
 use crate::resilient::{ResilienceConfig, ResilientManager};
+use crate::supervisor::TenantGuard;
 use rpas_forecast::{Forecaster, SeasonalNaive};
 use rpas_obs::{Event, Level, Obs, Sink, Value};
 use rpas_par::WorkerPool;
-use rpas_telemetry::{RatioSeries, SloReport, SloSpec, Telemetry};
+use rpas_telemetry::{RatioSeries, Recorder, SloReport, SloSpec, Telemetry};
 use rpas_simdb::{
     fleet_qos, tenant_qos, FaultConfig, FaultPlan, FleetQos, ScalingPolicy, SimConfig,
     SimSession, SimulationReport, TenantQos,
@@ -114,39 +115,10 @@ impl TenantPolicyKind {
     }
 }
 
-/// Everything needed to (re)build one tenant deterministically.
-#[derive(Debug, Clone)]
-pub(crate) struct TenantSpec {
-    /// Tenant identity (position in the fleet).
-    pub id: TenantId,
-    /// Workload family.
-    pub preset: TracePreset,
-    /// Seed for the tenant's synthetic trace (a fleet-seed child).
-    pub trace_seed: u64,
-    /// Trace length in days.
-    pub days: usize,
-    /// Scaling threshold θ (max average workload per node).
-    pub theta: f64,
-    /// Minimum pool size.
-    pub min_nodes: u32,
-    /// Robust quantile τ for the predictive manager.
-    pub tau: f64,
-    /// Replan schedule; `context` doubles as the seasonal period of the
-    /// tenant's forecaster.
-    pub schedule: ReplanSchedule,
-    /// Scaling policy choice.
-    pub policy: TenantPolicyKind,
-    /// Tuning for the resilience ladder (used by `Resilient` tenants).
-    pub resilience: ResilienceConfig,
-    /// Optional fault injection: config plus the tenant's fault seed
-    /// (another fleet-seed child).
-    pub faults: Option<(FaultConfig, u64)>,
-}
-
-/// Fleet-level configuration: the grid from which per-tenant specs are
-/// derived. Policies and presets are assigned round-robin over the
-/// tenant index, and every per-tenant seed is a `child_seed` of the
-/// fleet seed — two fleets with the same config are identical.
+/// Fleet-level configuration: the grid every tenant is built from.
+/// Policies and presets are assigned round-robin over the tenant index,
+/// and every per-tenant seed is a `child_seed` of the fleet seed — two
+/// fleets with the same config are identical.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Number of tenants.
@@ -232,32 +204,6 @@ impl FleetConfig {
             slo.validate().map_err(|why| format!("slo: {why}"))?;
         }
         Ok(())
-    }
-
-    /// Expand the grid into one spec per tenant.
-    ///
-    /// # Panics
-    /// Panics when [`FleetConfig::validate`] rejects the configuration.
-    pub(crate) fn specs(&self) -> Vec<TenantSpec> {
-        assert_eq!(self.validate(), Ok(()), "invalid fleet config");
-        (0..self.tenants)
-            .map(|i| TenantSpec {
-                id: TenantId(i as u32),
-                preset: self.presets[i % self.presets.len()],
-                // Even/odd children keep trace and fault streams disjoint.
-                trace_seed: child_seed(self.seed, 2 * i as u64),
-                days: self.days,
-                theta: self.theta,
-                min_nodes: self.min_nodes,
-                tau: self.tau,
-                schedule: self.schedule,
-                policy: self.policies[i % self.policies.len()],
-                resilience: self.resilience,
-                faults: self
-                    .faults
-                    .map(|fc| (fc, child_seed(self.seed, 2 * i as u64 + 1))),
-            })
-            .collect()
     }
 }
 
@@ -393,66 +339,86 @@ impl Sink for Capture {
     }
 }
 
-/// One tenant's live state: its spec, its scaling policy (with any fitted
-/// forecaster inside), its steppable simulation, and the optional event
-/// capture.
+/// One tenant, whole: who it is and what it was configured to run, its
+/// scaling policy (with any fitted forecaster inside), its steppable
+/// simulation, its optional event capture, and its supervision state —
+/// circuit breaker and `supervisor.*` counters, empty and dark until
+/// [`crate::FleetSupervisor::wrap_with`] arms them.
 pub(crate) struct TenantRun {
-    pub(crate) spec: TenantSpec,
+    pub(crate) id: TenantId,
+    pub(crate) preset: TracePreset,
+    /// The configured policy kind (a [`FleetEngine::set_policy`] swap
+    /// does not change it).
+    pub(crate) kind: TenantPolicyKind,
     pub(crate) policy: TenantPolicy,
     pub(crate) session: SimSession,
     pub(crate) capture: Option<Capture>,
+    pub(crate) guard: TenantGuard,
+    /// The fleet obs handle plus this tenant's `supervisor.*` counters.
+    pub(crate) rec: Recorder,
 }
 
 impl TenantRun {
-    /// Build one tenant from its spec: generate the trace, fit the
-    /// forecaster on the first half (tenants with too little history
-    /// degrade to the reactive bootstrap), assemble the policy, and open
-    /// the simulation session.
-    fn build(spec: &TenantSpec, capture_events: bool, tel: &Telemetry) -> Self {
-        let trace = spec.preset.build(spec.trace_seed, spec.days);
+    /// Build tenant `i` of the fleet `cfg`: its policy and preset by
+    /// round-robin over the mixes, its trace and fault seeds as children
+    /// of the fleet seed. Generate the trace, fit the forecaster on the
+    /// first half (tenants with too little history degrade to the
+    /// reactive bootstrap), assemble the policy, and open the simulation
+    /// session.
+    fn build(cfg: &FleetConfig, i: usize, tel: &Telemetry) -> Self {
+        let id = TenantId(i as u32);
+        let preset = cfg.presets[i % cfg.presets.len()];
+        let kind = cfg.policies[i % cfg.policies.len()];
+        // Even/odd children keep trace and fault streams disjoint.
+        let trace = preset.build(child_seed(cfg.seed, 2 * i as u64), cfg.days);
         // Every handle this tenant records through carries its id, so
         // per-tenant cells have a single writer (gauge-safe) and
         // fleet-wide values are label-sums over tenants.
-        let tenant_label = spec.id.to_string();
+        let tenant_label = id.to_string();
         let labels: [(&str, &str); 1] = [("tenant", tenant_label.as_str())];
-        let capture = capture_events.then(|| Capture::new(tenant_label.clone()));
+        let capture = cfg.capture_events.then(|| Capture::new(tenant_label.clone()));
         let obs = capture.as_ref().map_or_else(Obs::noop, |c| Obs::with_sink(Box::new(c.clone())));
 
         let make_predictive = || {
-            let mut fc = SeasonalNaive::new(spec.schedule.context);
+            let mut fc = SeasonalNaive::new(cfg.schedule.context);
             // A trace shorter than one season leaves the forecaster
             // unfitted; the policy then serves from its reactive
             // bootstrap (and a Resilient wrapper demotes it).
             let _ = fc.fit(&trace.values[..trace.len() / 2]);
             let manager =
-                RobustAutoScalingManager::new(spec.theta, spec.min_nodes, ScalingStrategy::Fixed {
-                    tau: spec.tau,
+                RobustAutoScalingManager::new(cfg.theta, cfg.min_nodes, ScalingStrategy::Fixed {
+                    tau: cfg.tau,
                 })
                 .with_obs(obs.clone());
-            QuantilePredictivePolicy::new("predictive", fc, manager, spec.schedule)
+            QuantilePredictivePolicy::new("predictive", fc, manager, cfg.schedule)
         };
-        let policy = match spec.policy {
+        let policy = match kind {
             TenantPolicyKind::ReactiveMax => TenantPolicy::ReactiveMax(ReactiveMax::new(6)),
             TenantPolicyKind::Predictive => TenantPolicy::Predictive(make_predictive()),
             TenantPolicyKind::Resilient => TenantPolicy::Resilient(Box::new(
-                ResilientManager::with_config(make_predictive(), spec.resilience)
+                ResilientManager::with_config(make_predictive(), cfg.resilience)
                     .with_obs(obs.clone())
                     .with_telemetry(tel, &labels),
             )),
         };
 
-        let cfg = SimConfig {
-            theta: spec.theta,
-            min_nodes: spec.min_nodes,
-            ..SimConfig::default()
-        };
+        let sim = SimConfig { theta: cfg.theta, min_nodes: cfg.min_nodes, ..SimConfig::default() };
         let mut session =
-            SimSession::new(&trace, cfg).with_obs(obs).with_telemetry(tel, &labels);
-        if let Some((fc, fault_seed)) = &spec.faults {
-            session =
-                session.with_faults(FaultPlan::build(*fc, *fault_seed, trace.len()));
+            SimSession::new(&trace, sim).with_obs(obs).with_telemetry(tel, &labels);
+        if let Some(faults) = cfg.faults {
+            let fault_seed = child_seed(cfg.seed, 2 * i as u64 + 1);
+            session = session.with_faults(FaultPlan::build(faults, fault_seed, trace.len()));
         }
-        Self { spec: spec.clone(), policy, session, capture }
+        Self {
+            id,
+            preset,
+            kind,
+            policy,
+            session,
+            capture,
+            guard: TenantGuard::new(0),
+            rec: Recorder::default(),
+        }
     }
 
     /// Whether the tenant's trace is exhausted.
@@ -558,12 +524,13 @@ impl FleetEngine {
     /// ladder records through `tel` under a `tenant="tNNNN"` label. Pass
     /// [`Telemetry::noop`] (or call [`FleetEngine::new`]) to keep the
     /// dark path.
+    ///
+    /// # Panics
+    /// Panics when [`FleetConfig::validate`] rejects the configuration.
     pub fn with_telemetry(cfg: &FleetConfig, tel: &Telemetry) -> Self {
-        let specs = cfg.specs();
-        let capture = cfg.capture_events;
-        let pool = WorkerPool::for_jobs(specs.len());
-        let runs = pool
-            .map_indexed(specs.len(), |i| TenantRun::build(&specs[i], capture, tel));
+        assert_eq!(cfg.validate(), Ok(()), "invalid fleet config");
+        let pool = WorkerPool::for_jobs(cfg.tenants);
+        let runs = pool.map_indexed(cfg.tenants, |i| TenantRun::build(cfg, i, tel));
         Self { runs, slo: cfg.slo.clone(), obs: Obs::noop(), pool }
     }
 
@@ -609,30 +576,28 @@ impl FleetEngine {
     /// Finish every tenant's session and aggregate the fleet report.
     /// Unfinished tenants are scored on their executed prefix.
     pub fn finish(self) -> FleetReport {
-        self.finish_supervised(Vec::new(), None)
+        self.finish_supervised(None)
     }
 
-    /// [`FleetEngine::finish`] with supervision results attached: the
-    /// supervisor passes the tenants still quarantined at shutdown and
-    /// the fleet-availability evaluation. Quarantined tenants take the
-    /// same path as everyone else — their sessions are finished on the
-    /// executed prefix and their captures go into the trace, never
+    /// [`FleetEngine::finish`] with the supervisor's fleet-availability
+    /// evaluation attached, and the tenants whose breaker is still open
+    /// listed (none when no supervisor armed one). Quarantined tenants
+    /// take the same path as everyone else — their sessions are finished
+    /// on the executed prefix and their captures go into the trace, never
     /// dropped.
-    pub(crate) fn finish_supervised(
-        self,
-        quarantined: Vec<QuarantineRecord>,
-        availability: Option<SloReport>,
-    ) -> FleetReport {
+    pub(crate) fn finish_supervised(self, availability: Option<SloReport>) -> FleetReport {
         let mut tenants = Vec::with_capacity(self.runs.len());
         let mut trace_lines = Vec::new();
         let mut subjects: Vec<(String, RatioSeries)> = Vec::new();
+        let mut quarantined = Vec::new();
         for run in self.runs {
-            let TenantRun { spec, policy, session, capture } = run;
+            let TenantRun { id, preset, kind, policy, session, capture, guard, rec: _ } = run;
             if self.slo.is_some() {
                 let flags: Vec<bool> =
                     session.records().iter().map(|s| s.violation).collect();
-                subjects.push((spec.id.to_string(), RatioSeries::from_bools(&flags)));
+                subjects.push((id.to_string(), RatioSeries::from_bools(&flags)));
             }
+            quarantined.extend(guard.quarantine_record(id));
             let (qos, faults_applied) = if session.records().is_empty() {
                 // A tenant that never completed a tick (quarantined from
                 // its first decision) has no allocation to score; its
@@ -653,9 +618,9 @@ impl FleetEngine {
                 capture.append_lines(&mut trace_lines);
             }
             tenants.push(TenantSummary {
-                id: spec.id,
-                preset: spec.preset.name(),
-                policy: spec.policy.name(),
+                id,
+                preset: preset.name(),
+                policy: kind.name(),
                 qos,
                 faults_applied,
             });
@@ -682,19 +647,31 @@ mod tests {
     }
 
     #[test]
-    fn specs_cycle_policies_and_presets_with_distinct_seeds() {
+    fn tenants_cycle_policies_and_presets_with_distinct_seeds() {
         let cfg = small_cfg();
-        let specs = cfg.specs();
-        assert_eq!(specs.len(), 6);
-        assert_eq!(specs[0].policy, TenantPolicyKind::Predictive);
-        assert_eq!(specs[1].policy, TenantPolicyKind::Resilient);
-        assert_eq!(specs[2].policy, TenantPolicyKind::ReactiveMax);
-        assert_eq!(specs[0].preset, TracePreset::Alibaba);
-        assert_eq!(specs[1].preset, TracePreset::Google);
-        let mut seeds: Vec<u64> = specs.iter().map(|s| s.trace_seed).collect();
-        seeds.sort_unstable();
-        seeds.dedup();
-        assert_eq!(seeds.len(), 6, "child seeds must be distinct");
+        let mut engine = FleetEngine::new(&cfg);
+        let runs = &engine.runs;
+        assert_eq!(runs.len(), 6);
+        assert!(runs.iter().enumerate().all(|(i, run)| run.id == TenantId(i as u32)));
+        let kinds: Vec<TenantPolicyKind> = runs.iter().map(|run| run.kind).collect();
+        let presets: Vec<TracePreset> = runs.iter().map(|run| run.preset).collect();
+        let (p, r, m) =
+            (TenantPolicyKind::Predictive, TenantPolicyKind::Resilient, TenantPolicyKind::ReactiveMax);
+        assert_eq!(kinds, [p, r, m, p, r, m]);
+        let (a, g) = (TracePreset::Alibaba, TracePreset::Google);
+        assert_eq!(presets, [a, g, a, g, a, g]);
+        assert!(runs.iter().all(|run| run.policy.name() == run.kind.name()));
+        // Each tenant replays its own child seed's trace, even where two
+        // share a preset.
+        engine.run_to_completion();
+        let mut traces: Vec<Vec<u64>> = engine
+            .runs
+            .iter()
+            .map(|run| run.session.records().iter().map(|s| s.workload.to_bits()).collect())
+            .collect();
+        traces.sort_unstable();
+        traces.dedup();
+        assert_eq!(traces.len(), 6, "child seeds must be distinct");
     }
 
     #[test]

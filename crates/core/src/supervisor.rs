@@ -33,10 +33,10 @@
 //! longest tenant trace, so an always-failing tenant ends scored on its
 //! executed prefix instead of livelocking the fleet.
 
-use crate::fleet::{FleetEngine, FleetReport, QuarantineRecord, TenantRun};
+use crate::fleet::{FleetEngine, FleetReport, QuarantineRecord, TenantId, TenantRun};
 use rpas_obs::{catalog, Event, Sink};
 use rpas_par::panic_message;
-use rpas_telemetry::{RatioSeries, Recorder, SloReport, SloSpec, Telemetry};
+use rpas_telemetry::{RatioSeries, SloReport, SloSpec, Telemetry};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -126,13 +126,27 @@ pub(crate) struct TenantGuard {
 impl TenantGuard {
     /// Fresh guard with its outage series pre-reserved for the whole
     /// run, so the supervised tick loop never reallocates it.
-    fn new(total_ticks: u64) -> Self {
+    pub(crate) fn new(total_ticks: u64) -> Self {
         Self {
             health: TenantHealth::Healthy,
             failures: Vec::new(),
             strikes: 0,
             last_error: None,
             outage: Vec::with_capacity(total_ticks as usize),
+        }
+    }
+
+    /// Tenant `id`'s record for the fleet report, if its breaker is open.
+    pub(crate) fn quarantine_record(&self, id: TenantId) -> Option<QuarantineRecord> {
+        match &self.health {
+            TenantHealth::Quarantined { until_tick, reason } => Some(QuarantineRecord {
+                id,
+                reason: reason.to_string(),
+                last_error: self.last_error.as_ref().map(|s| s.to_string()),
+                strikes: self.strikes,
+                until_tick: *until_tick,
+            }),
+            _ => None,
         }
     }
 }
@@ -145,10 +159,6 @@ impl TenantGuard {
 pub struct FleetSupervisor {
     pub(crate) engine: FleetEngine,
     pub(crate) cfg: SupervisorConfig,
-    pub(crate) guards: Vec<TenantGuard>,
-    /// Per tenant: the fleet obs handle plus that tenant's
-    /// `supervisor.*` counters.
-    recorders: Vec<Recorder>,
     /// Next supervised tick (0-based; also the count of ticks executed).
     pub(crate) tick: u64,
     /// Total supervised ticks: the longest tenant trace length.
@@ -156,12 +166,13 @@ pub struct FleetSupervisor {
 }
 
 /// Record one supervision fact: its counter and the fleet-level event,
-/// which carries `tenant`, through `rec`, and the same event pushed into
-/// the tenant's capture (one `build` serves both: fields serialize sorted
-/// by key, and the capture strips timings and takes `seq` from the fleet).
-fn record(rec: &Recorder, run: &TenantRun, name: catalog::EventName, build: impl Fn(&mut Event)) {
-    rec.emit(name, |e| {
-        e.field("tenant", run.spec.id.to_string());
+/// which carries `tenant`, through the run's `rec`, and the same event
+/// pushed into the tenant's capture (one `build` serves both: fields
+/// serialize sorted by key, and the capture strips timings and takes
+/// `seq` from the fleet).
+fn record(run: &TenantRun, name: catalog::EventName, build: impl Fn(&mut Event)) {
+    run.rec.emit(name, |e| {
+        e.field("tenant", run.id.to_string());
         build(e);
     });
     if let Some(capture) = &run.capture {
@@ -177,30 +188,23 @@ impl FleetSupervisor {
         Self::wrap_with(engine, SupervisorConfig::default(), &Telemetry::noop())
     }
 
-    /// Wrap an engine with explicit tuning; the counters the
-    /// `supervisor/*` catalogue entries declare record into `tel` under
-    /// a `tenant="tNNNN"` label.
+    /// Wrap an engine with explicit tuning: arm every tenant's circuit
+    /// breaker, and its counters the `supervisor/*` catalogue entries
+    /// declare, which record into `tel` under a `tenant="tNNNN"` label.
     ///
     /// # Panics
     /// Panics on a degenerate config.
-    pub fn wrap_with(engine: FleetEngine, cfg: SupervisorConfig, tel: &Telemetry) -> Self {
+    pub fn wrap_with(mut engine: FleetEngine, cfg: SupervisorConfig, tel: &Telemetry) -> Self {
         assert_eq!(cfg.validate(), Ok(()), "invalid supervisor config");
         let total_ticks =
             engine.runs.iter().map(|run| run.session.len() as u64).max().unwrap_or(0);
-        let guards =
-            engine.runs.iter().map(|_| TenantGuard::new(total_ticks)).collect();
-        let recorders = engine
-            .runs
-            .iter()
-            .map(|run| {
-                let tenant = run.spec.id.to_string();
-                let mut rec = Recorder::default();
-                rec.set_obs(engine.obs.clone());
-                rec.resolve(tel, &[("tenant", &tenant)], &[catalog::SUPERVISOR_PANIC.span()]);
-                rec
-            })
-            .collect();
-        Self { engine, cfg, guards, recorders, tick: 0, total_ticks }
+        for run in &mut engine.runs {
+            run.guard = TenantGuard::new(total_ticks);
+            run.rec.set_obs(engine.obs.clone());
+            let tenant = run.id.to_string();
+            run.rec.resolve(tel, &[("tenant", &tenant)], &[catalog::SUPERVISOR_PANIC.span()]);
+        }
+        Self { engine, cfg, tick: 0, total_ticks }
     }
 
     /// Supervised ticks executed so far.
@@ -217,7 +221,7 @@ impl FleetSupervisor {
 
     /// A tenant's current supervision state.
     pub fn health(&self, tenant: usize) -> &TenantHealth {
-        &self.guards[tenant].health
+        &self.engine.runs[tenant].guard.health
     }
 
     /// Whether the supervised run has executed every tick.
@@ -268,20 +272,15 @@ impl FleetSupervisor {
     /// is never byte-compared.
     fn run_range(&mut self, from: u64, to: u64) -> usize {
         let cfg = self.cfg;
-        let recorders = &self.recorders;
         let stepped = std::sync::atomic::AtomicUsize::new(0);
-        self.engine.pool.for_each_mut2(
-            &mut self.engine.runs,
-            &mut self.guards,
-            |i, run, guard| {
-                let n = supervise_tenant_range(&cfg, &recorders[i], run, guard, from, to);
-                if n > 0 {
-                    // Contended-cache write only when work happened, so a
-                    // drained tenant's ticks stay read-only.
-                    stepped.fetch_add(n, std::sync::atomic::Ordering::Relaxed);
-                }
-            },
-        );
+        self.engine.pool.for_each_mut(&mut self.engine.runs, |_, run| {
+            let n = supervise_tenant_range(&cfg, run, from, to);
+            if n > 0 {
+                // Contended-cache write only when work happened, so a
+                // drained tenant's ticks stay read-only.
+                stepped.fetch_add(n, std::sync::atomic::Ordering::Relaxed);
+            }
+        });
         stepped.into_inner()
     }
 
@@ -292,31 +291,15 @@ impl FleetSupervisor {
     pub fn finish(self) -> FleetReport {
         // One outage series alive at a time: each is built when the
         // evaluation asks for it and dropped once merged.
-        let subjects = self.engine.runs.iter().zip(&self.guards).map(|(run, guard)| {
-            (run.spec.id.to_string(), RatioSeries::from_bools(&guard.outage))
+        let subjects = self.engine.runs.iter().map(|run| {
+            (run.id.to_string(), RatioSeries::from_bools(&run.guard.outage))
         });
         let availability = SloReport::evaluate(
             &SloSpec::fleet_availability_default(),
             subjects,
             &self.engine.obs,
         );
-        let quarantined: Vec<QuarantineRecord> = self
-            .engine
-            .runs
-            .iter()
-            .zip(&self.guards)
-            .filter_map(|(run, guard)| match &guard.health {
-                TenantHealth::Quarantined { until_tick, reason } => Some(QuarantineRecord {
-                    id: run.spec.id,
-                    reason: reason.to_string(),
-                    last_error: guard.last_error.as_ref().map(|s| s.to_string()),
-                    strikes: guard.strikes,
-                    until_tick: *until_tick,
-                }),
-                _ => None,
-            })
-            .collect();
-        self.engine.finish_supervised(quarantined, Some(availability))
+        self.engine.finish_supervised(Some(availability))
     }
 }
 
@@ -332,20 +315,13 @@ impl FleetSupervisor {
 /// A tenant whose trace is done and whose breaker is closed can never
 /// emit another event or outage flag, so the loop exits early instead
 /// of idling through the rest of the fleet bound.
-fn supervise_tenant_range(
-    cfg: &SupervisorConfig,
-    rec: &Recorder,
-    run: &mut TenantRun,
-    guard: &mut TenantGuard,
-    from: u64,
-    to: u64,
-) -> usize {
+fn supervise_tenant_range(cfg: &SupervisorConfig, run: &mut TenantRun, from: u64, to: u64) -> usize {
     let mut stepped = 0;
     for tick in from..to {
-        admit_expired(rec, run, guard, tick);
+        admit_expired(run, tick);
         let unfinished = !run.is_done();
         let eligible =
-            unfinished && !matches!(guard.health, TenantHealth::Quarantined { .. });
+            unfinished && !matches!(run.guard.health, TenantHealth::Quarantined { .. });
         let mut panicked = false;
         if eligible {
             match catch_unwind(AssertUnwindSafe(|| {
@@ -355,17 +331,17 @@ fn supervise_tenant_range(
                     if advanced {
                         stepped += 1;
                     }
-                    on_clean_tick(cfg, rec, run, guard, tick);
+                    on_clean_tick(cfg, run, tick);
                 }
                 Err(payload) => {
                     panicked = true;
-                    on_panic(cfg, rec, run, guard, tick, panic_message(payload));
+                    on_panic(cfg, run, tick, panic_message(payload));
                 }
             }
         }
         if unfinished {
-            guard.outage.push(!eligible || panicked);
-        } else if !matches!(guard.health, TenantHealth::Quarantined { .. }) {
+            run.guard.outage.push(!eligible || panicked);
+        } else if !matches!(run.guard.health, TenantHealth::Quarantined { .. }) {
             break;
         }
     }
@@ -373,30 +349,24 @@ fn supervise_tenant_range(
 }
 
 /// Quarantine expiry: re-admit on probation.
-fn admit_expired(rec: &Recorder, run: &TenantRun, guard: &mut TenantGuard, tick: u64) {
-    if let TenantHealth::Quarantined { until_tick, .. } = &guard.health {
+fn admit_expired(run: &mut TenantRun, tick: u64) {
+    if let TenantHealth::Quarantined { until_tick, .. } = &run.guard.health {
         if tick >= *until_tick {
-            guard.health = TenantHealth::Probation { clean_ticks: 0 };
-            guard.failures.clear();
-            record(rec, run, catalog::SUPERVISOR_RESTORE, |e| {
+            run.guard.health = TenantHealth::Probation { clean_ticks: 0 };
+            run.guard.failures.clear();
+            record(run, catalog::SUPERVISOR_RESTORE, |e| {
                 e.field("tick", tick);
             });
         }
     }
 }
 
-fn on_panic(
-    cfg: &SupervisorConfig,
-    rec: &Recorder,
-    run: &TenantRun,
-    guard: &mut TenantGuard,
-    tick: u64,
-    message: String,
-) {
-    record(rec, run, catalog::SUPERVISOR_PANIC, |e| {
+fn on_panic(cfg: &SupervisorConfig, run: &mut TenantRun, tick: u64, message: String) {
+    record(run, catalog::SUPERVISOR_PANIC, |e| {
         e.field("tick", tick).field("error", message.clone());
     });
 
+    let guard = &mut run.guard;
     guard.failures.retain(|&t| tick - t < cfg.failure_window);
     guard.failures.push(tick);
     guard.last_error = Some(Arc::from(message));
@@ -414,18 +384,12 @@ fn on_panic(
         _ => None,
     };
     if let Some(reason) = reason {
-        quarantine(cfg, rec, run, guard, tick, reason);
+        quarantine(cfg, run, tick, reason);
     }
 }
 
-fn quarantine(
-    cfg: &SupervisorConfig,
-    rec: &Recorder,
-    run: &TenantRun,
-    guard: &mut TenantGuard,
-    tick: u64,
-    reason: Arc<str>,
-) {
+fn quarantine(cfg: &SupervisorConfig, run: &mut TenantRun, tick: u64, reason: Arc<str>) {
+    let guard = &mut run.guard;
     guard.strikes += 1;
     let exponent = u32::min(guard.strikes - 1, 32);
     let backoff = cfg
@@ -437,7 +401,7 @@ fn quarantine(
         TenantHealth::Quarantined { until_tick, reason: Arc::clone(&reason) };
     guard.failures.clear();
     let strikes = guard.strikes;
-    record(rec, run, catalog::SUPERVISOR_QUARANTINE, |e| {
+    record(run, catalog::SUPERVISOR_QUARANTINE, |e| {
         e.field("tick", tick)
             .field("until_tick", until_tick)
             .field("strikes", u64::from(strikes))
@@ -445,18 +409,12 @@ fn quarantine(
     });
 }
 
-fn on_clean_tick(
-    cfg: &SupervisorConfig,
-    rec: &Recorder,
-    run: &TenantRun,
-    guard: &mut TenantGuard,
-    tick: u64,
-) {
-    if let TenantHealth::Probation { clean_ticks } = &mut guard.health {
+fn on_clean_tick(cfg: &SupervisorConfig, run: &mut TenantRun, tick: u64) {
+    if let TenantHealth::Probation { clean_ticks } = &mut run.guard.health {
         *clean_ticks += 1;
         if *clean_ticks >= cfg.probation_ticks {
-            guard.health = TenantHealth::Healthy;
-            record(rec, run, catalog::SUPERVISOR_HEALTHY, |e| {
+            run.guard.health = TenantHealth::Healthy;
+            record(run, catalog::SUPERVISOR_HEALTHY, |e| {
                 e.field("tick", tick);
             });
         }

@@ -80,17 +80,6 @@ pub struct SeasonalNaive {
     period: usize,
     sigma: Option<f64>,
     obs: Obs,
-    /// Running moments of the residual stream behind `sigma`. Batch
-    /// [`Forecaster::fit`] folds its residuals through this same
-    /// accumulator, so [`SeasonalNaive::observe`] can extend it one
-    /// sample at a time and land on bit-identical sigmas
-    /// (`tests/properties.rs` pins the equality).
-    resid: RunningMoments,
-    /// Ring of the last `period` observations (chronological from
-    /// `tail_head`), so `observe` can form the seasonal residual
-    /// `x_t − x_{t−period}` in O(1).
-    tail: Vec<f64>,
-    tail_head: usize,
 }
 
 impl SeasonalNaive {
@@ -101,14 +90,7 @@ impl SeasonalNaive {
     /// Panics if `period == 0`.
     pub fn new(period: usize) -> Self {
         assert!(period > 0, "seasonal period must be positive");
-        Self {
-            period,
-            sigma: None,
-            obs: Obs::noop(),
-            resid: RunningMoments::new(),
-            tail: Vec::new(),
-            tail_head: 0,
-        }
+        Self { period, sigma: None, obs: Obs::noop() }
     }
 
     /// Builder: attach an observability handle; the degraded fit and
@@ -129,51 +111,9 @@ impl SeasonalNaive {
     /// Restore a previously captured [`SeasonalNaive::sigma`] — used by
     /// checkpoint restore, where the original fit history (e.g. the
     /// runtime-visible window the resilience ladder fitted on at demotion
-    /// time) is no longer available. The incremental residual stream is
-    /// *not* part of the captured state: a restored model must be re-fit
-    /// before [`SeasonalNaive::observe`] can continue the update.
+    /// time) is no longer available.
     pub fn restore_sigma(&mut self, sigma: Option<f64>) {
         self.sigma = sigma;
-        self.resid = RunningMoments::new();
-        self.tail.clear();
-        self.tail_head = 0;
-    }
-
-    /// Sigma finalisation shared by the batch fit and the incremental
-    /// update: same accumulator, same clamping, bit-identical results.
-    fn sigma_from(resid: &RunningMoments) -> f64 {
-        let sigma = if resid.count() < 2 { 0.0 } else { resid.std_dev() };
-        if sigma.is_finite() {
-            sigma.max(1e-9)
-        } else {
-            1e-9
-        }
-    }
-
-    /// Extend the fitted history by one observation in O(1): the new
-    /// sample's seasonal residual `x − x_{t−period}` is pushed into the
-    /// running sum/sum-of-squares and `sigma` is re-derived — no window
-    /// re-scan, no allocation.
-    ///
-    /// After a fit on at least two full seasons, observing the rest of
-    /// the series one sample at a time produces a sigma bit-identical to
-    /// re-fitting on the whole series (pinned in `tests/properties.rs`).
-    /// After a *short-history* fit the residual stream starts on one-step
-    /// differences and continues on seasonal residuals as enough history
-    /// accumulates — a degraded but monotone continuation, mirroring the
-    /// degraded fit itself.
-    pub fn observe(&mut self, x: f64) {
-        if self.tail.len() < self.period {
-            // Not a full season of history yet: the sample only extends
-            // the ring; no seasonal residual exists.
-            self.tail.push(x);
-            return;
-        }
-        let oldest = self.tail[self.tail_head];
-        self.tail[self.tail_head] = x;
-        self.tail_head = (self.tail_head + 1) % self.period;
-        self.resid.push(x - oldest);
-        self.sigma = Some(Self::sigma_from(&self.resid));
     }
 }
 
@@ -184,9 +124,6 @@ impl Forecaster for SeasonalNaive {
 
     fn fit(&mut self, series: &[f64]) -> Result<(), ForecastError> {
         require_series(self.name(), series, 2)?;
-        // Fold the residual stream through the one-pass accumulator —
-        // the same op sequence `observe` extends, so the incremental
-        // path stays bit-identical to a full re-fit.
         let mut resid = RunningMoments::new();
         if series.len() < 2 * self.period {
             // Not enough history for seasonal residuals: estimate the
@@ -205,14 +142,8 @@ impl Forecaster for SeasonalNaive {
                 resid.push(series[t] - series[t - self.period]);
             }
         }
-        self.sigma = Some(Self::sigma_from(&resid));
-        self.resid = resid;
-        // Retain the last (up to) `period` observations so `observe` can
-        // continue the seasonal residual stream.
-        let keep = series.len().min(self.period);
-        self.tail.clear();
-        self.tail.extend_from_slice(&series[series.len() - keep..]);
-        self.tail_head = 0;
+        let sigma = if resid.count() < 2 { 0.0 } else { resid.std_dev() };
+        self.sigma = Some(if sigma.is_finite() { sigma.max(1e-9) } else { 1e-9 });
         Ok(())
     }
 
@@ -353,27 +284,6 @@ mod tests {
         assert!((f.at(0, 0.5) - 7.0).abs() < 1e-9);
         assert!(f.at(0, 0.9) > f.at(0, 0.1));
         assert!(f.values().row(0).iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
-    fn seasonal_naive_observe_matches_refit_bitwise() {
-        // Incremental O(1) updates land on the exact bits of a batch
-        // re-fit (the broader randomized pin lives in tests/properties.rs).
-        let period = 6;
-        let series: Vec<f64> =
-            (0..60).map(|i| ((i % period) as f64) * 3.0 + (i as f64 * 0.11).sin()).collect();
-        let split = 24; // ≥ 2 seasons
-        let mut inc = SeasonalNaive::new(period);
-        Forecaster::fit(&mut inc, &series[..split]).expect("two seasons fit");
-        for &x in &series[split..] {
-            inc.observe(x);
-        }
-        let mut full = SeasonalNaive::new(period);
-        Forecaster::fit(&mut full, &series).expect("full fit");
-        assert_eq!(
-            inc.sigma().expect("fitted").to_bits(),
-            full.sigma().expect("fitted").to_bits()
-        );
     }
 
     #[test]

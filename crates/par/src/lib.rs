@@ -371,41 +371,6 @@ impl WorkerPool {
             f(i, item);
         });
     }
-
-    /// Zip variant of [`WorkerPool::for_each_mut`]: apply
-    /// `f(i, &mut a[i], &mut b[i])` to every index. The fleet supervisor
-    /// uses this to advance each tenant run together with its circuit
-    /// breaker in one fan-out.
-    ///
-    /// # Panics
-    /// Panics when the slices have different lengths.
-    pub fn for_each_mut2<A, B, F>(&self, a: &mut [A], b: &mut [B], f: F)
-    where
-        A: Send,
-        B: Send,
-        F: Fn(usize, &mut A, &mut B) + Sync,
-    {
-        assert_eq!(a.len(), b.len(), "zipped slices must have equal length");
-        let jobs = a.len();
-        if jobs == 0 {
-            return;
-        }
-        if self.workers == 1 || jobs == 1 {
-            for (i, (ai, bi)) in a.iter_mut().zip(b.iter_mut()).enumerate() {
-                f(i, ai, bi);
-            }
-            return;
-        }
-        let base_a = SendPtr(a.as_mut_ptr());
-        let base_b = SendPtr(b.as_mut_ptr());
-        self.run(jobs, |i| {
-            // SAFETY: disjoint indices → disjoint `&mut` into each slice;
-            // both slices outlive `run`.
-            let ai = unsafe { &mut *base_a.get().add(i) };
-            let bi = unsafe { &mut *base_b.get().add(i) };
-            f(i, ai, bi);
-        });
-    }
 }
 
 #[expect(clippy::expect_used, reason = "poisoned at drop: a worker died outside catch_unwind")]
@@ -506,28 +471,6 @@ mod tests {
             pool.for_each_mut(&mut items, |_, v| *v += 1);
             assert!(items.iter().all(|&v| v == round), "round {round}: {items:?}");
         }
-    }
-
-    #[test]
-    fn pool_zip_variant_advances_both_slices() {
-        let pool = WorkerPool::new(3);
-        let mut a: Vec<usize> = (0..40).collect();
-        let mut b: Vec<usize> = vec![0; 40];
-        pool.for_each_mut2(&mut a, &mut b, |i, ai, bi| {
-            *ai += 1;
-            *bi = i * 2;
-        });
-        assert_eq!(a, (1..41).collect::<Vec<_>>());
-        assert_eq!(b, (0..40).map(|i| i * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    #[should_panic(expected = "equal length")]
-    fn pool_zip_variant_rejects_length_mismatch() {
-        let pool = WorkerPool::new(1);
-        let mut a = [1usize; 3];
-        let mut b = [1usize; 4];
-        pool.for_each_mut2(&mut a, &mut b, |_, _, _| {});
     }
 
     #[test]

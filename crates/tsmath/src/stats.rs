@@ -217,7 +217,7 @@ impl RunningMoments {
 /// order-sensitive, so a subtract-based update would drift from the
 /// batch fold, and this workspace pins windowed statistics bit-for-bit
 /// against their batch recomputation (`tests/properties.rs`). Callers
-/// with growing histories (the seasonal-naive residual stream) use
+/// with growing histories (the seasonal-naive residual fold) use
 /// [`RunningMoments`] directly and never pay the eviction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RollingMoments {

@@ -83,7 +83,7 @@ COMMANDS
              quarantine after repeated failures, and re-admitted through
              probation with exponential backoff. The fleet-availability
              SLO (quarantine-skipped ticks) is always evaluated.
-             --checkpoint-out FILE — write a schema-v1 fleet checkpoint
+             --checkpoint-out FILE — write a schema-v2 fleet checkpoint
              (at the kill point, or after the run completes)
              --kill-at-tick N  — chaos mode: stop after N ticks, write
              the checkpoint, and exit without reports
@@ -499,12 +499,7 @@ fn backtest(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>>
     let test_values: &[f64] = match a.get("faults") {
         None => &test.values,
         Some(spec) => {
-            let fcfg = match spec {
-                "none" => FaultConfig::none(),
-                "light" => FaultConfig::light(),
-                "heavy" => FaultConfig::heavy(),
-                s => FaultConfig::from_spec(s)?,
-            };
+            let fcfg = FaultConfig::from_spec(spec)?;
             let fault_seed: u64 = a.get_or("fault-seed", 101)?;
             let plan = FaultPlan::build(fcfg, fault_seed, test.len());
             faulted = test
@@ -631,13 +626,7 @@ fn chaos(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>> {
 
     let mut plans: Vec<(String, FaultPlan)> = Vec::new();
     for name in profiles_raw.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-        let cfg = match name {
-            "none" => FaultConfig::none(),
-            "light" => FaultConfig::light(),
-            "heavy" => FaultConfig::heavy(),
-            spec => FaultConfig::from_spec(spec)?,
-        };
-        cfg.validate()?;
+        let cfg = FaultConfig::from_spec(name)?;
         plans.push((name.to_string(), FaultPlan::build(cfg, fault_seed, trace.len())));
     }
     if plans.is_empty() {
@@ -795,13 +784,7 @@ fn fleet(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>> {
         let faults_raw = a.get("faults").unwrap_or("none");
         let faults = match faults_raw {
             "none" => None,
-            "light" => Some(FaultConfig::light()),
-            "heavy" => Some(FaultConfig::heavy()),
-            spec => {
-                let cfg = FaultConfig::from_spec(spec)?;
-                cfg.validate()?;
-                Some(cfg)
-            }
+            spec => Some(FaultConfig::from_spec(spec)?),
         };
 
         let slo_report = match a.get("slo-report").unwrap_or("off") {

@@ -148,6 +148,13 @@ fn bad_inputs_exit_nonzero_with_clean_errors() {
             vec!["backtest", "--trace", header_only.to_str().expect("utf8"), "--column", "x"],
             "has no rows",
         ),
+        // Every `--faults` / `--profiles` value goes through the one
+        // fault-spec parser, which validates what it builds.
+        (vec!["fleet", "--faults", "crash=2"], "fault probability crash=2 outside [0, 1]"),
+        (
+            vec!["chaos", "--days", "4", "--profiles", "light,bogus=1"],
+            "unknown fault spec key \"bogus\"",
+        ),
     ];
     for (args, expect) in cases {
         let out = cli().args(&args).output().expect("run");

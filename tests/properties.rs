@@ -352,40 +352,6 @@ fn resilient_targets_never_leave_the_envelope() {
 }
 
 #[test]
-fn seasonal_naive_incremental_sigma_matches_batch_refit() {
-    use rpas::forecast::{Forecaster, SeasonalNaive};
-
-    forall("seasonal_naive_incremental_sigma_matches_batch_refit", 64, |g| {
-        let period = g.usize_in(1, 12);
-        // ≥ two full seasons so the fit takes the seasonal-residual
-        // branch that `observe` continues.
-        let split = 2 * period + g.usize_in(0, 24);
-        let extra = g.usize_in(1, 40);
-        let n = split + extra;
-        let series = g.vec_f64(0.0, 500.0, n, n + 1);
-
-        let mut inc = SeasonalNaive::new(period);
-        Forecaster::fit(&mut inc, &series[..split]).expect("two seasons fit");
-        for &x in &series[split..] {
-            inc.observe(x);
-        }
-        let mut full = SeasonalNaive::new(period);
-        Forecaster::fit(&mut full, &series).expect("full fit");
-        let (inc_bits, full_bits) = (
-            inc.sigma().expect("fitted").to_bits(),
-            full.sigma().expect("fitted").to_bits(),
-        );
-        prop_assert!(
-            inc_bits == full_bits,
-            "O(1) observe must land on the exact bits of a batch re-fit \
-             (period {period}, split {split}, +{extra} samples): \
-             {inc_bits:#x} != {full_bits:#x}"
-        );
-        Ok(())
-    });
-}
-
-#[test]
 fn rolling_moments_match_batch_refold_at_random_windows() {
     use rpas_tsmath::stats::{RollingMoments, RunningMoments};
 

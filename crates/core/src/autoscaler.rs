@@ -136,7 +136,7 @@ mod tests {
     use super::*;
     use crate::manager::ScalingStrategy;
     use rpas_forecast::SeasonalNaive;
-    use rpas_simdb::{SimConfig, Simulation};
+    use rpas_simdb::{SimConfig, SimSession};
     use rpas_traces::Trace;
 
     fn periodic_trace(n: usize) -> Trace {
@@ -156,7 +156,7 @@ mod tests {
             manager,
             ReplanSchedule { context: 16, horizon: 8 },
         );
-        let sim = Simulation::new(&trace, SimConfig::default());
+        let sim = SimSession::new(&trace, SimConfig::default());
         let report = sim.run(&mut policy);
         assert_eq!(report.steps.len(), 200);
         // After bootstrap, the 0.9-quantile seasonal-naive plan on a purely

@@ -5,32 +5,16 @@
 
 use crate::manager::RobustAutoScalingManager;
 use crate::plan::plan_point;
-use crate::rolling::{self, RollingSpec};
-use rpas_forecast::{Forecaster, PointForecaster};
+use crate::rolling::RollingSpec;
+use rpas_forecast::PointForecaster;
 use rpas_metrics::{provisioning_rates, ProvisioningReport};
 use rpas_simdb::{Observation, ScalingPolicy};
 
-/// Evaluate a quantile forecaster + manager over rolling decision windows.
-///
-/// # Panics
-/// Panics if the test series cannot fit one window or a forecast fails.
-pub fn evaluate_plans_quantile<F: Forecaster + ?Sized>(
-    forecaster: &F,
-    test_series: &[f64],
-    context: usize,
-    horizon: usize,
-    manager: &RobustAutoScalingManager,
-    levels: &[f64],
-) -> ProvisioningReport {
-    let spec = RollingSpec::new(context, horizon);
-    let windows = rolling::quantile_windows(forecaster, test_series, spec, levels, manager.obs());
-    evaluate_plans_precomputed(&windows, manager)
-}
-
-/// Evaluate a manager against *precomputed* per-window forecasts (paired
-/// with their realised actuals). Use this when sweeping many strategies
-/// over the same forecaster — Figs. 11/12 style — so the expensive
-/// forecasting pass runs once instead of once per strategy cell.
+/// Evaluate a manager against per-window quantile forecasts paired with
+/// their realised actuals, as [`crate::rolling::quantile_windows`]
+/// produces them. Sweeping many strategies over one forecaster — Figs.
+/// 11/12 style — reuses the windows, so the expensive forecasting pass
+/// runs once instead of once per strategy cell.
 pub fn evaluate_plans_precomputed(
     windows: &[(rpas_forecast::QuantileForecast, Vec<f64>)],
     manager: &RobustAutoScalingManager,
@@ -100,7 +84,9 @@ mod tests {
     use super::*;
     use crate::manager::ScalingStrategy;
     use crate::reactive::{ReactiveAvg, ReactiveMax};
-    use rpas_forecast::{LastValue, SeasonalNaive};
+    use crate::rolling::quantile_windows;
+    use rpas_forecast::{Forecaster, LastValue, SeasonalNaive};
+    use rpas_obs::Obs;
 
     fn periodic(n: usize) -> Vec<f64> {
         (0..n).map(|t| 60.0 + 50.0 * ((t % 8) as f64 / 7.0)).collect()
@@ -114,7 +100,9 @@ mod tests {
         sn.fit(train).unwrap();
         let manager =
             RobustAutoScalingManager::new(60.0, 1, ScalingStrategy::Fixed { tau: 0.9 });
-        let r = evaluate_plans_quantile(&sn, test, 16, 8, &manager, &[0.5, 0.9]);
+        let spec = RollingSpec::new(16, 8);
+        let windows = quantile_windows(&sn, test, spec, &[0.5, 0.9], &Obs::noop());
+        let r = evaluate_plans_precomputed(&windows, &manager);
         assert!(r.under_rate < 0.05, "under {r:?}");
     }
 
@@ -127,8 +115,10 @@ mod tests {
         let mut lv = LastValue::new();
         Forecaster::fit(&mut lv, train).unwrap();
         let mk = |tau| RobustAutoScalingManager::new(60.0, 1, ScalingStrategy::Fixed { tau });
-        let lo = evaluate_plans_quantile(&lv, test, 16, 8, &mk(0.5), &[0.5, 0.9, 0.95]);
-        let hi = evaluate_plans_quantile(&lv, test, 16, 8, &mk(0.95), &[0.5, 0.9, 0.95]);
+        let spec = RollingSpec::new(16, 8);
+        let windows = quantile_windows(&lv, test, spec, &[0.5, 0.9, 0.95], &Obs::noop());
+        let lo = evaluate_plans_precomputed(&windows, &mk(0.5));
+        let hi = evaluate_plans_precomputed(&windows, &mk(0.95));
         assert!(hi.under_rate <= lo.under_rate, "hi {hi:?} lo {lo:?}");
         assert!(hi.over_rate >= lo.over_rate);
     }

@@ -6,21 +6,21 @@
 //! * `plan` — the deterministic auto-scaling optimization of Definition 3
 //!   (closed form and through the `rpas-lp` simplex, as the paper's
 //!   "standard linear programming solvers").
-//! * `robust` — the robust counterpart of Definitions 4/Eq. 6: allocate
-//!   against a chosen quantile forecast instead of a point forecast
-//!   (paper-named entry points over the manager).
 //! * `uncertainty` — the quantile-spread uncertainty metric `U` (Eq. 8).
 //! * `adaptive` — the parameters of Algorithm 1 (uncertainty-aware
 //!   adaptive scaling) and of its staircase multi-level extension
-//!   (Definition 5), plus their paper-named entry points.
+//!   (Definition 5).
 //! * `reactive` — Reactive-Max and Reactive-Avg baselines (Autopilot-like
 //!   moving-window scalers).
 //! * `thrash` — §V-A scale smoothing: per-step delta limits + cooldown.
 //! * `resilient` — graceful-degradation pipeline: forecast health gates,
 //!   a predictive → seasonal-naive → Reactive-Max fallback chain, bounded
 //!   retry for failed scale actions and hard guardrails.
-//! * `manager` — [`manager::RobustAutoScalingManager`], the one
-//!   implementation of strategy → `τ_t` → workload bound → plan.
+//! * `manager` — [`manager::RobustAutoScalingManager`], the one planner:
+//!   strategy → `τ_t` → workload bound → plan, for the fixed-`τ` robust
+//!   counterpart of Definition 4 / Eq. 6 (allocate against a chosen
+//!   quantile forecast instead of a point forecast), Algorithm 1 and the
+//!   staircase alike.
 //! * `autoscaler` — end-to-end [`rpas_simdb::ScalingPolicy`]
 //!   implementations that own a forecaster and replan on a rolling horizon.
 //! * [`rolling`] — the shared rolling-origin evaluation engine: window
@@ -44,18 +44,15 @@ mod manager;
 mod plan;
 mod reactive;
 mod resilient;
-mod robust;
 pub mod rolling;
 mod supervisor;
 mod thrash;
 mod uncertainty;
 
-pub use adaptive::{plan_adaptive, plan_staircase, AdaptiveConfig, StaircaseLevel};
+pub use adaptive::{AdaptiveConfig, StaircaseLevel};
 pub use autoscaler::{QuantilePredictivePolicy, ReplanSchedule};
 pub use backtest::{backtest_quantile, BacktestReport, BacktestWindow};
-pub use eval::{
-    evaluate_plans_point, evaluate_plans_precomputed, evaluate_plans_quantile, evaluate_reactive,
-};
+pub use eval::{evaluate_plans_point, evaluate_plans_precomputed, evaluate_reactive};
 pub use fleet::{
     Capture, FleetConfig, FleetEngine, FleetReport, QuarantineRecord, TenantId, TenantPolicyKind,
     TenantSummary, TracePreset,
@@ -64,7 +61,6 @@ pub use manager::{PlanningBackend, RobustAutoScalingManager, ScalingStrategy};
 pub use plan::{plan_point, CapacityPlan};
 pub use reactive::{ReactiveAvg, ReactiveMax};
 pub use resilient::{ForecastHealthGate, ResilienceConfig, ResilientManager};
-pub use robust::{plan_robust, plan_robust_lp};
 pub use rolling::{plan_windows, quantile_windows, PlannedWindow, RollingSpec};
 pub use supervisor::{FleetSupervisor, SupervisorConfig, TenantHealth};
 pub use thrash::{smooth_plan, ThrashConfig, ThrashLimited};

@@ -281,26 +281,106 @@ mod tests {
         )
     }
 
+    /// Three steps on levels {0.5, 0.9}, the last with a negative median.
+    fn forecast_with_negative_median() -> QuantileForecast {
+        QuantileForecast::new(
+            vec![0.5, 0.9],
+            Matrix::from_rows(&[vec![100.0, 130.0], vec![50.0, 80.0], vec![-5.0, 10.0]]),
+        )
+    }
+
+    fn fixed(tau: f64) -> RobustAutoScalingManager {
+        RobustAutoScalingManager::new(60.0, 1, ScalingStrategy::Fixed { tau })
+    }
+
     #[test]
     fn simplex_backend_agrees_with_closed_form() {
-        for strategy in [
-            ScalingStrategy::Fixed { tau: 0.9 },
-            ScalingStrategy::Adaptive(AdaptiveConfig::new(0.5, 0.95, 5.0)),
-        ] {
-            let a = RobustAutoScalingManager::new(60.0, 1, strategy.clone()).plan(&forecast());
-            let b = RobustAutoScalingManager::new(60.0, 1, strategy)
-                .with_backend(PlanningBackend::Simplex)
-                .plan(&forecast());
-            assert_eq!(a, b);
+        let adaptive = ScalingStrategy::Adaptive(AdaptiveConfig::new(0.5, 0.95, 5.0));
+        let mut rows =
+            vec![(forecast(), ScalingStrategy::Fixed { tau: 0.9 }), (forecast(), adaptive)];
+        for tau in [0.5, 0.6, 0.75, 0.9] {
+            rows.push((forecast_with_negative_median(), ScalingStrategy::Fixed { tau }));
+        }
+        for (f, strategy) in rows {
+            let closed = RobustAutoScalingManager::new(60.0, 1, strategy.clone());
+            let simplex = closed.clone().with_backend(PlanningBackend::Simplex);
+            assert_eq!(closed.plan(&f), simplex.plan(&f), "{strategy:?}");
         }
     }
 
     #[test]
     fn effective_workload_reflects_strategy() {
-        let m = RobustAutoScalingManager::new(60.0, 1, ScalingStrategy::Fixed { tau: 0.5 });
-        assert_eq!(m.effective_workload(&forecast()), vec![100.0, 100.0]);
-        let m = RobustAutoScalingManager::new(60.0, 1, ScalingStrategy::Fixed { tau: 0.95 });
-        assert_eq!(m.effective_workload(&forecast()), vec![102.0, 220.0]);
+        // Per forecast, ascending τ: (τ, workload bound, plan at θ = 60).
+        // Each plan must cover the one before it.
+        let groups = [
+            (
+                forecast(),
+                vec![(0.5, vec![100.0, 100.0], vec![2, 2]), (0.95, vec![102.0, 220.0], vec![2, 4])],
+            ),
+            (
+                forecast_with_negative_median(),
+                vec![
+                    // The negative median clamps to 0, so the floor applies.
+                    (0.5, vec![100.0, 50.0, 0.0], vec![2, 1, 1]),
+                    // τ = 0.7 interpolates halfway between the 0.5 and 0.9 columns.
+                    (0.7, vec![115.0, 65.0, 2.5], vec![2, 2, 1]),
+                    (0.9, vec![130.0, 80.0, 10.0], vec![3, 2, 1]),
+                ],
+            ),
+        ];
+        for (f, rows) in groups {
+            let mut below: Vec<u32> = Vec::new();
+            for (tau, workload, nodes) in rows {
+                let w = fixed(tau).effective_workload(&f);
+                assert_eq!(w.len(), workload.len());
+                for (got, want) in w.iter().zip(&workload) {
+                    assert!((got - want).abs() < 1e-9, "τ {tau}: {w:?} != {workload:?}");
+                }
+                let plan = fixed(tau).plan(&f);
+                assert_eq!(plan.as_slice(), &nodes[..], "τ {tau}");
+                assert!(below.iter().zip(&nodes).all(|(b, c)| b <= c), "τ {tau} not monotone");
+                below = nodes;
+            }
+        }
+    }
+
+    #[test]
+    fn adaptive_and_staircase_plans_lie_between_their_anchors() {
+        // (strategy, τ of the lower anchor, τ of the upper anchor, plan):
+        // every plan lies between the fixed plans at its anchors, so equal
+        // anchors pin it to that fixed plan. Step 0 of `forecast()` is
+        // tight (U ≈ 1.1), step 1 wide.
+        let adaptive = |lo, hi, rho| ScalingStrategy::Adaptive(AdaptiveConfig::new(lo, hi, rho));
+        let ladder = |rungs: &[(f64, f64)]| {
+            let rungs = rungs.iter().map(|&(min_uncertainty, tau)| StaircaseLevel {
+                min_uncertainty,
+                tau,
+            });
+            ScalingStrategy::Staircase(rungs.collect())
+        };
+        let rows = [
+            // Algorithm 1: τ₁ on the tight step, τ₂ on the wide one.
+            (adaptive(0.5, 0.95, 5.0), 0.5, 0.95, [2, 4]),
+            // ρ = 0: every step is conservative — the τ₂ plan.
+            (adaptive(0.5, 0.95, 0.0), 0.95, 0.95, [2, 4]),
+            // Huge ρ: every step is aggressive — the τ₁ plan.
+            (adaptive(0.5, 0.95, 1e9), 0.5, 0.5, [2, 2]),
+            // τ₁ = τ₂ reduces to the fixed plan.
+            (adaptive(0.9, 0.9, 3.0), 0.9, 0.9, [2, 3]),
+            // Three rungs: the tight step stays on the bottom one, the
+            // wide step reaches the top.
+            (ladder(&[(0.0, 0.5), (2.0, 0.9), (10.0, 0.95)]), 0.5, 0.95, [2, 4]),
+            // One rung is the fixed plan.
+            (ladder(&[(0.0, 0.9)]), 0.9, 0.9, [2, 3]),
+        ];
+        for (strategy, lo, hi, nodes) in rows {
+            let plan = RobustAutoScalingManager::new(60.0, 1, strategy.clone()).plan(&forecast());
+            assert_eq!(plan.as_slice(), &nodes, "{strategy:?}");
+            let (lo, hi) = (fixed(lo).plan(&forecast()), fixed(hi).plan(&forecast()));
+            for t in 0..plan.len() {
+                assert!(lo.at(t) <= plan.at(t) && plan.at(t) <= hi.at(t), "{strategy:?} step {t}");
+            }
+        }
     }
 
     #[test]
@@ -390,12 +470,6 @@ mod tests {
     #[should_panic(expected = "tau must be in (0,1)")]
     fn rejects_ladder_tau_out_of_range() {
         staircase(&[(0.0, 0.5), (2.0, 1.0)]);
-    }
-
-    #[test]
-    fn well_formed_ladder_is_accepted() {
-        let m = staircase(&[(0.0, 0.5), (2.0, 0.9), (10.0, 0.95)]);
-        assert_eq!(m.plan(&forecast()).as_slice(), &[2, 4]);
     }
 
     #[test]

@@ -97,19 +97,19 @@ pub fn fleet_qos(tenants: &[TenantQos]) -> FleetQos {
 mod tests {
     use super::*;
     use crate::policy::{FixedPolicy, OraclePolicy};
-    use crate::simulator::{SimConfig, Simulation};
+    use crate::simulator::{SimConfig, SimSession};
     use rpas_metrics::provisioning::required_nodes;
     use rpas_traces::Trace;
 
     fn run(values: Vec<f64>, nodes: u32) -> SimulationReport {
         let tr = Trace::new("w", 600, values);
-        Simulation::new(&tr, SimConfig::default()).run(&mut FixedPolicy(nodes))
+        SimSession::new(&tr, SimConfig::default()).run(&mut FixedPolicy(nodes))
     }
 
     #[test]
     fn oracle_tenant_has_zero_regret() {
         let tr = Trace::new("w", 600, vec![30.0, 130.0, 250.0, 90.0]);
-        let report = Simulation::new(&tr, SimConfig::default())
+        let report = SimSession::new(&tr, SimConfig::default())
             .run(&mut OraclePolicy::new(tr.values.clone()));
         let q = tenant_qos(&report);
         assert_eq!(q.regret_node_steps, 0);

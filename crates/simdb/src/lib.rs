@@ -39,6 +39,6 @@ pub use fleet::{fleet_qos, tenant_qos, FleetQos, TenantQos};
 pub use policy::{FixedPolicy, Observation, PolicyHealth, ScaleOutcome, ScalingPolicy};
 pub use qos::{slo_report, LatencyModel, SloReport};
 pub use report::{SimulationReport, StepRecord};
-pub use simulator::{SessionSnapshot, SimConfig, SimSession, Simulation};
+pub use simulator::{SessionSnapshot, SimConfig, SimSession};
 pub use storage::StorageStats;
 pub use warmup::WarmupModel;

@@ -129,7 +129,7 @@ pub fn slo_report(
 mod tests {
     use super::*;
     use crate::policy::{FixedPolicy, OraclePolicy};
-    use crate::simulator::{SimConfig, Simulation};
+    use crate::simulator::{SimConfig, SimSession};
     use rpas_traces::Trace;
 
     #[test]
@@ -175,7 +175,7 @@ mod tests {
     fn slo_report_over_simulation() {
         let trace = Trace::new("w", 600, vec![40.0, 80.0, 120.0, 240.0]);
         let cfg = SimConfig { theta: 60.0, ..Default::default() };
-        let sim = Simulation::new(&trace, cfg);
+        let sim = SimSession::new(&trace, cfg);
         let mut oracle = OraclePolicy::new(trace.values.clone());
         let report = sim.run(&mut oracle);
         let model = LatencyModel::new(5.0, 100.0);
@@ -188,7 +188,7 @@ mod tests {
     #[test]
     fn undersized_cluster_saturates() {
         let trace = Trace::new("w", 600, vec![500.0; 5]);
-        let sim = Simulation::new(&trace, SimConfig { theta: 60.0, ..Default::default() });
+        let sim = SimSession::new(&trace, SimConfig { theta: 60.0, ..Default::default() });
         let mut fixed = FixedPolicy(1);
         let report = sim.run(&mut fixed);
         let model = LatencyModel::new(5.0, 100.0);

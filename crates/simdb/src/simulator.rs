@@ -1,11 +1,11 @@
 //! The discrete-time simulation loop tying workload, cluster, and policy
 //! together.
 //!
-//! Two entry points share one implementation: [`Simulation::run`] drives a
-//! policy over a whole trace in one call (the original single-series
-//! API), and [`SimSession`] exposes the same loop one decision tick at a
-//! time so a fleet engine can interleave many independent sessions (each
-//! tenant owns a `SimSession`; see `rpas_core::fleet`).
+//! [`SimSession`] is the one entry point: [`SimSession::run`] drives a
+//! policy over the whole trace in one call, and [`SimSession::step`]
+//! advances the same loop one decision tick at a time so a fleet engine
+//! can interleave many independent sessions (each tenant owns a
+//! `SimSession`; see `rpas_core::fleet`).
 
 use crate::cluster::{Cluster, ClusterSnapshot};
 use crate::faults::{recovery_stats, FaultCounts, FaultPlan};
@@ -46,81 +46,6 @@ impl Default for SimConfig {
     }
 }
 
-/// A configured simulation run.
-pub struct Simulation<'a> {
-    cfg: SimConfig,
-    trace: &'a Trace,
-    obs: Obs,
-    faults: Option<FaultPlan>,
-}
-
-impl<'a> Simulation<'a> {
-    /// New simulation over a workload trace.
-    ///
-    /// # Panics
-    /// Panics on an empty trace, non-positive `theta`, or `min > max`.
-    pub fn new(trace: &'a Trace, cfg: SimConfig) -> Self {
-        assert!(!trace.is_empty(), "cannot simulate an empty trace");
-        assert!(cfg.theta > 0.0, "theta must be positive");
-        assert!(cfg.min_nodes <= cfg.max_nodes, "min_nodes must not exceed max_nodes");
-        assert!(cfg.min_nodes >= 1, "a serving cluster needs at least one node");
-        Self { cfg, trace, obs: Obs::noop(), faults: None }
-    }
-
-    /// Builder: attach an observability handle. [`Simulation::run`] then
-    /// emits one `sim/step` debug event per interval (utilization, SLO
-    /// violation flag), a `sim/zero_workload` warn if the trace contains
-    /// idle intervals (utilization metrics degenerate there), and a
-    /// `sim/report` info summary per run.
-    pub fn with_obs(mut self, obs: Obs) -> Self {
-        self.obs = obs;
-        self
-    }
-
-    /// Builder: inject faults from a precomputed [`FaultPlan`]. The run
-    /// then layers anomaly multipliers on the trace, rejects or delays
-    /// scale actions, crashes nodes, and withholds metric updates per the
-    /// plan, emitting one `fault/*` info event per applied fault.
-    ///
-    /// # Panics
-    /// Panics if the plan was built for a different number of steps.
-    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        assert_eq!(
-            plan.len(),
-            self.trace.len(),
-            "fault plan length must match the trace"
-        );
-        self.faults = Some(plan);
-        self
-    }
-
-    /// Run the policy over the whole trace.
-    ///
-    /// Per step: the policy observes realised history, picks a target, the
-    /// cluster scales (scale-outs start warm-up), time advances one
-    /// interval, and the realised workload is accounted against the
-    /// effective capacity.
-    ///
-    /// Under a [`FaultPlan`] (see [`Simulation::with_faults`]) the loop
-    /// additionally consults the plan each step: workload anomalies change
-    /// the realised series, dropouts freeze the history the policy sees
-    /// (`metrics_fresh: false`), scale actions can be rejected or delayed
-    /// (surfaced as [`ScaleOutcome`] on the next observation), and node
-    /// crashes shrink the pool before capacity accounting.
-    ///
-    /// This delegates to a [`SimSession`] stepped to completion, so the
-    /// whole-trace and tick-at-a-time APIs cannot drift apart.
-    pub fn run<P: ScalingPolicy + ?Sized>(&self, policy: &mut P) -> SimulationReport {
-        let mut session =
-            SimSession::new(self.trace, self.cfg).with_obs(self.obs.clone());
-        if let Some(plan) = &self.faults {
-            session = session.with_faults(plan.clone());
-        }
-        while session.step(policy) {}
-        session.finish(policy.name())
-    }
-}
-
 /// Utilization-to-θ ratio buckets of the `sim.utilization_ratio`
 /// histogram (inclusive upper bounds; the implicit overflow bucket holds
 /// ratios beyond 2θ), so `>1` buckets count SLO-violating intervals.
@@ -149,11 +74,14 @@ pub struct SessionSnapshot {
 
 /// The simulation loop as a resumable state machine: one [`SimSession`]
 /// is one policy driving one cluster over one realised workload series,
-/// advanced one decision tick at a time with [`SimSession::step`].
+/// advanced one decision tick at a time with [`SimSession::step`] or to
+/// the end with [`SimSession::run`].
 ///
-/// Unlike [`Simulation`] it owns its workload (copied from the trace at
-/// construction), so it is `Send` and can be parked in a fleet's tenant
-/// table between ticks.
+/// It owns its workload (copied from the trace at construction), so it is
+/// `Send` and can be parked in a fleet's tenant table between ticks. It is
+/// deliberately not `Clone`: its cluster holds an `Arc<SharedStorage>`, so
+/// a clone would pool `checkpoint_reads` with the original; build one
+/// session per run instead.
 pub struct SimSession {
     cfg: SimConfig,
     rec: Recorder,
@@ -177,8 +105,7 @@ impl SimSession {
     /// with the builders *before* the first [`SimSession::step`].
     ///
     /// # Panics
-    /// Panics on an empty trace, non-positive `theta`, or `min > max`
-    /// (same contract as [`Simulation::new`]).
+    /// Panics on an empty trace, non-positive `theta`, or `min > max`.
     pub fn new(trace: &Trace, cfg: SimConfig) -> Self {
         assert!(!trace.is_empty(), "cannot simulate an empty trace");
         assert!(cfg.theta > 0.0, "theta must be positive");
@@ -204,8 +131,12 @@ impl SimSession {
         }
     }
 
-    /// Builder: attach an observability handle (see
-    /// [`Simulation::with_obs`] for the events emitted).
+    /// Builder: attach an observability handle. The run then emits one
+    /// `sim/step` debug event per interval (utilization, SLO violation
+    /// flag), one `fault/*` info event per applied fault, and from
+    /// [`SimSession::finish`] a `sim/zero_workload` warn if the trace
+    /// contains idle intervals (utilization metrics degenerate there) and
+    /// a `sim/report` info summary.
     pub fn with_obs(mut self, obs: Obs) -> Self {
         self.rec.set_obs(obs);
         self
@@ -224,8 +155,12 @@ impl SimSession {
         self
     }
 
-    /// Builder: inject faults from a precomputed [`FaultPlan`]; the
-    /// realised workload is re-derived with the plan's anomaly bursts.
+    /// Builder: inject faults from a precomputed [`FaultPlan`]. The
+    /// realised workload is re-derived with the plan's anomaly bursts, and
+    /// each step consults the plan: dropouts freeze the history the policy
+    /// sees (`metrics_fresh: false`), scale actions can be rejected or
+    /// delayed (surfaced as [`ScaleOutcome`] on the next observation), and
+    /// node crashes shrink the pool before capacity accounting.
     ///
     /// # Panics
     /// Panics if the plan was built for a different number of steps, or
@@ -412,6 +347,13 @@ impl SimSession {
         true
     }
 
+    /// Run the policy over every remaining tick, then
+    /// [`finish`](SimSession::finish) under `policy.name()`.
+    pub fn run<P: ScalingPolicy + ?Sized>(mut self, policy: &mut P) -> SimulationReport {
+        while self.step(policy) {}
+        self.finish(policy.name())
+    }
+
     /// Close the run: emit the aggregate events and build the
     /// [`SimulationReport`]. `policy_name` labels the report (callers
     /// with a live policy pass `policy.name()`).
@@ -483,7 +425,7 @@ mod tests {
     #[test]
     fn oracle_never_under_provisions() {
         let tr = trace(vec![30.0, 130.0, 250.0, 90.0, 10.0, 400.0]);
-        let sim = Simulation::new(&tr, SimConfig::default());
+        let sim = SimSession::new(&tr, SimConfig::default());
         let mut p = OraclePolicy::new(tr.values.clone());
         let r = sim.run(&mut p);
         assert_eq!(r.provisioning.under_rate, 0.0);
@@ -498,7 +440,7 @@ mod tests {
     #[test]
     fn undersized_fixed_policy_violates() {
         let tr = trace(vec![200.0; 10]);
-        let sim = Simulation::new(&tr, SimConfig::default());
+        let sim = SimSession::new(&tr, SimConfig::default());
         let mut p = FixedPolicy(1);
         let r = sim.run(&mut p);
         assert_eq!(r.provisioning.under_rate, 1.0);
@@ -508,7 +450,7 @@ mod tests {
     #[test]
     fn oversized_fixed_policy_over_provisions() {
         let tr = trace(vec![30.0; 8]);
-        let sim = Simulation::new(&tr, SimConfig::default());
+        let sim = SimSession::new(&tr, SimConfig::default());
         let mut p = FixedPolicy(10);
         let r = sim.run(&mut p);
         assert_eq!(r.provisioning.over_rate, 1.0);
@@ -520,7 +462,7 @@ mod tests {
     fn max_nodes_clamps_requests() {
         let tr = trace(vec![100.0; 4]);
         let cfg = SimConfig { max_nodes: 2, ..Default::default() };
-        let sim = Simulation::new(&tr, cfg);
+        let sim = SimSession::new(&tr, cfg);
         let mut p = FixedPolicy(50);
         let r = sim.run(&mut p);
         assert!(r.allocations().iter().all(|&c| c == 2));
@@ -529,7 +471,7 @@ mod tests {
     #[test]
     fn checkpoint_reads_match_scale_outs() {
         let tr = trace(vec![30.0, 300.0, 30.0, 300.0, 30.0]);
-        let sim = Simulation::new(&tr, SimConfig::default());
+        let sim = SimSession::new(&tr, SimConfig::default());
         let mut p = OraclePolicy::new(tr.values.clone());
         let r = sim.run(&mut p);
         // 30→300 requires +4 nodes twice: 8 checkpoint reads.
@@ -541,7 +483,7 @@ mod tests {
     #[test]
     fn report_series_lengths() {
         let tr = trace(vec![10.0; 7]);
-        let sim = Simulation::new(&tr, SimConfig::default());
+        let sim = SimSession::new(&tr, SimConfig::default());
         let mut p = FixedPolicy(1);
         let r = sim.run(&mut p);
         assert_eq!(r.allocations().len(), 7);
@@ -552,14 +494,14 @@ mod tests {
     #[should_panic(expected = "empty trace")]
     fn empty_trace_rejected() {
         let tr = trace(vec![]);
-        let _ = Simulation::new(&tr, SimConfig::default());
+        let _ = SimSession::new(&tr, SimConfig::default());
     }
 
     #[test]
     fn run_emits_step_events_and_report_summary() {
         let tr = trace(vec![30.0, 0.0, 250.0]);
         let mem = rpas_obs::MemorySink::new();
-        let sim = Simulation::new(&tr, SimConfig::default())
+        let sim = SimSession::new(&tr, SimConfig::default())
             .with_obs(Obs::with_sink(Box::new(mem.clone())));
         let _ = sim.run(&mut FixedPolicy(2));
 
@@ -579,7 +521,7 @@ mod tests {
         // one aggregated warning, not one per step.
         let tr = trace(vec![0.0; 25]);
         let mem = rpas_obs::MemorySink::new();
-        let sim = Simulation::new(&tr, SimConfig::default())
+        let sim = SimSession::new(&tr, SimConfig::default())
             .with_obs(Obs::with_sink(Box::new(mem.clone())));
         let _ = sim.run(&mut FixedPolicy(1));
         let warns: Vec<_> =
@@ -593,11 +535,9 @@ mod tests {
     fn telemetry_counters_match_the_report() {
         let tr = trace(vec![200.0, 30.0, 200.0, 30.0, 200.0]);
         let tel = Telemetry::live();
-        let mut session = SimSession::new(&tr, SimConfig::default())
-            .with_telemetry(&tel, &[("tenant", "t0000")]);
-        let mut p = FixedPolicy(1);
-        while session.step(&mut p) {}
-        let r = session.finish(p.name());
+        let r = SimSession::new(&tr, SimConfig::default())
+            .with_telemetry(&tel, &[("tenant", "t0000")])
+            .run(&mut FixedPolicy(1));
         let snap = tel.snapshot();
         let violations = r.steps.iter().filter(|s| s.violation).count() as u64;
         assert_eq!(snap.counter_value("sim.steps{tenant=\"t0000\"}"), Some(5));
@@ -611,21 +551,19 @@ mod tests {
     #[test]
     fn dark_telemetry_does_not_change_the_run() {
         let tr = trace(vec![30.0, 130.0, 250.0, 90.0]);
-        let dark = Simulation::new(&tr, SimConfig::default()).run(&mut FixedPolicy(3));
+        let dark = SimSession::new(&tr, SimConfig::default()).run(&mut FixedPolicy(3));
         let tel = Telemetry::live();
-        let mut session =
-            SimSession::new(&tr, SimConfig::default()).with_telemetry(&tel, &[]);
-        let mut p = FixedPolicy(3);
-        while session.step(&mut p) {}
-        let lit = session.finish(p.name());
+        let lit = SimSession::new(&tr, SimConfig::default())
+            .with_telemetry(&tel, &[])
+            .run(&mut FixedPolicy(3));
         assert_eq!(dark.steps, lit.steps);
     }
 
     #[test]
     fn observability_does_not_change_the_run() {
         let tr = trace(vec![30.0, 130.0, 250.0, 90.0]);
-        let dark = Simulation::new(&tr, SimConfig::default()).run(&mut FixedPolicy(3));
-        let lit = Simulation::new(&tr, SimConfig::default())
+        let dark = SimSession::new(&tr, SimConfig::default()).run(&mut FixedPolicy(3));
+        let lit = SimSession::new(&tr, SimConfig::default())
             .with_obs(Obs::with_sink(Box::new(rpas_obs::MemorySink::new())))
             .run(&mut FixedPolicy(3));
         assert_eq!(dark.steps, lit.steps);
@@ -678,7 +616,7 @@ mod fault_tests {
         let tr = trace((0..200).map(|i| 100.0 + 50.0 * ((i as f64) * 0.3).sin()).collect());
         let run = || {
             let plan = FaultPlan::build(FaultConfig::heavy(), 42, tr.len());
-            Simulation::new(&tr, SimConfig::default())
+            SimSession::new(&tr, SimConfig::default())
                 .with_faults(plan)
                 .run(&mut FixedPolicy(3))
         };
@@ -697,7 +635,7 @@ mod fault_tests {
             7,
             300,
         );
-        let r = Simulation::new(&tr, SimConfig::default())
+        let r = SimSession::new(&tr, SimConfig::default())
             .with_faults(plan.clone())
             .run(&mut FixedPolicy(2));
         assert!(r.faults.anomaly_steps > 0);
@@ -712,7 +650,7 @@ mod fault_tests {
         let tr = trace(vec![50.0; 20]);
         let plan = FaultPlan::build(FaultConfig::from_spec("dropout=1").unwrap(), 3, 20);
         let mut probe = Probe::new(1);
-        let r = Simulation::new(&tr, SimConfig::default()).with_faults(plan).run(&mut probe);
+        let r = SimSession::new(&tr, SimConfig::default()).with_faults(plan).run(&mut probe);
         // Every step dropped: the policy never sees fresh metrics and the
         // visible history never advances past the start.
         assert!(probe.fresh.iter().all(|&f| !f));
@@ -725,7 +663,7 @@ mod fault_tests {
         let tr = trace(vec![50.0; 10]);
         let plan = FaultPlan::build(FaultConfig::from_spec("scale_fail=1").unwrap(), 5, 10);
         let mut probe = Probe::new(4);
-        let r = Simulation::new(&tr, SimConfig::default()).with_faults(plan).run(&mut probe);
+        let r = SimSession::new(&tr, SimConfig::default()).with_faults(plan).run(&mut probe);
         // Every attempt rejected: the pool never grows past min_nodes.
         assert!(r.steps.iter().all(|s| s.pool_nodes == 1));
         assert!(r.steps.iter().all(|s| s.target_nodes == 4));
@@ -739,7 +677,7 @@ mod fault_tests {
     fn crashes_shrink_the_pool_before_accounting() {
         let tr = trace(vec![50.0; 12]);
         let plan = FaultPlan::build(FaultConfig::from_spec("crash=1").unwrap(), 9, 12);
-        let r = Simulation::new(&tr, SimConfig::default()).with_faults(plan).run(&mut FixedPolicy(4));
+        let r = SimSession::new(&tr, SimConfig::default()).with_faults(plan).run(&mut FixedPolicy(4));
         // Each step: scale to 4, then one node crashes → the pool the
         // interval is served with stays below the target.
         assert!(r.steps.iter().all(|s| s.pool_nodes < s.target_nodes));
@@ -749,12 +687,12 @@ mod fault_tests {
     #[test]
     fn provision_delay_reduces_early_capacity() {
         let tr = trace(vec![300.0; 8]);
-        let clean = Simulation::new(&tr, SimConfig::default()).run(&mut FixedPolicy(5));
+        let clean = SimSession::new(&tr, SimConfig::default()).run(&mut FixedPolicy(5));
         let plan =
             FaultPlan::build(FaultConfig::from_spec("delay=1,delay_max=4").unwrap(), 2, 8);
         let mut probe = Probe::new(5);
         let slowed =
-            Simulation::new(&tr, SimConfig::default()).with_faults(plan).run(&mut probe);
+            SimSession::new(&tr, SimConfig::default()).with_faults(plan).run(&mut probe);
         assert!(slowed.faults.provision_delay > 0);
         assert!(
             slowed.steps[0].effective_capacity < clean.steps[0].effective_capacity,
@@ -771,7 +709,7 @@ mod fault_tests {
         let tr = trace((0..150).map(|i| 80.0 + (i % 7) as f64 * 30.0).collect());
         let plan = FaultPlan::build(FaultConfig::heavy(), 13, 150);
         let mem = rpas_obs::MemorySink::new();
-        let r = Simulation::new(&tr, SimConfig::default())
+        let r = SimSession::new(&tr, SimConfig::default())
             .with_obs(Obs::with_sink(Box::new(mem.clone())))
             .with_faults(plan)
             .run(&mut FixedPolicy(3));
@@ -791,7 +729,7 @@ mod fault_tests {
     #[test]
     fn clean_run_reports_no_faults() {
         let tr = trace(vec![90.0; 6]);
-        let r = Simulation::new(&tr, SimConfig::default()).run(&mut FixedPolicy(2));
+        let r = SimSession::new(&tr, SimConfig::default()).run(&mut FixedPolicy(2));
         assert_eq!(r.faults, FaultCounts::default());
         assert!(r.recovery.is_none());
     }
@@ -801,7 +739,7 @@ mod fault_tests {
     fn mismatched_plan_length_rejected() {
         let tr = trace(vec![50.0; 10]);
         let plan = FaultPlan::build(FaultConfig::light(), 1, 5);
-        let _ = Simulation::new(&tr, SimConfig::default()).with_faults(plan);
+        let _ = SimSession::new(&tr, SimConfig::default()).with_faults(plan);
     }
 }
 
@@ -822,10 +760,7 @@ mod snapshot_tests {
         let tr = google_like(3, 1).cpu().clone();
         // Uninterrupted reference run (oracle policy is stateless given
         // the trace, so snapshot/restore needs no policy state here).
-        let mut full = session(&tr);
-        let mut p = OraclePolicy::new(tr.values.clone());
-        while full.step(&mut p) {}
-        let reference = full.finish("oracle");
+        let reference = session(&tr).run(&mut OraclePolicy::new(tr.values.clone()));
 
         for cut in [0usize, 1, 37, 143] {
             let mut first = session(&tr);
@@ -838,9 +773,7 @@ mod snapshot_tests {
 
             let mut resumed = session(&tr);
             resumed.restore(snap).unwrap();
-            let mut p2 = OraclePolicy::new(tr.values.clone());
-            while resumed.step(&mut p2) {}
-            let report = resumed.finish("oracle");
+            let report = resumed.run(&mut OraclePolicy::new(tr.values.clone()));
             assert_eq!(report, reference, "resume at tick {cut} diverged");
         }
     }
@@ -893,7 +826,7 @@ mod determinism_tests {
     fn simulation_is_deterministic() {
         let trace: Trace = google_like(11, 3).cpu().clone();
         let run = || {
-            let sim = Simulation::new(&trace, SimConfig::default());
+            let sim = SimSession::new(&trace, SimConfig::default());
             let mut p = OraclePolicy::new(trace.values.clone());
             sim.run(&mut p)
         };

@@ -10,7 +10,7 @@ use rpas::core::{
     ScalingStrategy, ThrashConfig, ThrashLimited,
 };
 use rpas::forecast::{Forecaster, SeasonalNaive};
-use rpas::simdb::{SimConfig, Simulation};
+use rpas::simdb::{ScalingPolicy, SimConfig, SimSession};
 use rpas::traces::{google_like, STEPS_PER_DAY};
 
 fn main() {
@@ -22,12 +22,13 @@ fn main() {
         test.len() / STEPS_PER_DAY
     );
 
+    // One session per run: a session is one policy over one cluster.
     let cfg = SimConfig { theta: 60.0, min_nodes: 1, max_nodes: 64, ..Default::default() };
-    let sim = Simulation::new(&test, cfg);
+    let simulate = |policy: &mut dyn ScalingPolicy| SimSession::new(&test, cfg).run(policy);
 
     // Reactive baseline.
     let mut reactive = ReactiveAvg::paper_default();
-    let r_reactive = sim.run(&mut reactive);
+    let r_reactive = simulate(&mut reactive);
 
     // Robust predictive policy (fixed τ = 0.9).
     let mut fc = SeasonalNaive::new(STEPS_PER_DAY);
@@ -39,7 +40,7 @@ fn main() {
         manager,
         ReplanSchedule { context: STEPS_PER_DAY, horizon: 72 },
     );
-    let r_robust = sim.run(&mut robust);
+    let r_robust = simulate(&mut robust);
 
     // The same policy behind a thrash limiter.
     let mut fc2 = SeasonalNaive::new(STEPS_PER_DAY);
@@ -55,7 +56,7 @@ fn main() {
         inner,
         ThrashConfig { max_step_delta: 2, direction_cooldown: 3 },
     );
-    let r_smooth = sim.run(&mut smooth);
+    let r_smooth = simulate(&mut smooth);
 
     println!(
         "\n{:<14} {:>10} {:>10} {:>10} {:>12} {:>12}",

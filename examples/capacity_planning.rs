@@ -6,7 +6,7 @@
 //! Run: `cargo run --release --example capacity_planning`
 
 use rpas::core::{
-    plan_robust, plan_robust_lp, uncertainty_series, AdaptiveConfig, RobustAutoScalingManager,
+    uncertainty_series, AdaptiveConfig, PlanningBackend, RobustAutoScalingManager,
     ScalingStrategy, StaircaseLevel,
 };
 use rpas::forecast::{Forecaster, SeasonalNaive, SCALING_LEVELS};
@@ -25,9 +25,9 @@ fn main() {
     let u = uncertainty_series(&qf);
 
     // Closed form and simplex must agree (the paper's "standard LP solver").
-    let closed = plan_robust(&qf, 0.9, theta, 1);
-    let via_lp = plan_robust_lp(&qf, 0.9, theta, 1);
-    assert_eq!(closed, via_lp, "closed-form and simplex plans must agree");
+    let robust = RobustAutoScalingManager::new(theta, 1, ScalingStrategy::Fixed { tau: 0.9 });
+    let via_lp = robust.clone().with_backend(PlanningBackend::Simplex);
+    assert_eq!(robust.plan(&qf), via_lp.plan(&qf), "closed-form and simplex plans must agree");
 
     let strategies: Vec<(&str, RobustAutoScalingManager)> = vec![
         ("fixed τ=0.8", RobustAutoScalingManager::new(theta, 1, ScalingStrategy::Fixed { tau: 0.8 })),

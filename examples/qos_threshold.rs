@@ -6,7 +6,7 @@
 
 use rpas::core::{QuantilePredictivePolicy, ReplanSchedule, RobustAutoScalingManager, ScalingStrategy};
 use rpas::forecast::{Forecaster, SeasonalNaive};
-use rpas::simdb::{slo_report, LatencyModel, SimConfig, Simulation};
+use rpas::simdb::{slo_report, LatencyModel, SimConfig, SimSession};
 use rpas::traces::{alibaba_like, STEPS_PER_DAY};
 
 fn main() {
@@ -34,8 +34,8 @@ fn main() {
             manager,
             ReplanSchedule { context: STEPS_PER_DAY, horizon: 72 },
         );
-        let sim = Simulation::new(&test, SimConfig { theta, ..Default::default() });
-        let report = sim.run(&mut policy);
+        let report = SimSession::new(&test, SimConfig { theta, ..Default::default() })
+            .run(&mut policy);
         let slo = slo_report(&report, &model, slo_ms, 0.99);
         println!(
             "τ={tau:<5} SLO compliance {:>6.2}%  mean p99 {:>7.1} ms  saturated steps {:>3}  avg nodes {:.2}",

@@ -11,12 +11,14 @@
 #      against its catalogue entry's `keys [...]` list (an undeclared key
 #      panics), and crates/bench/tests/alloc_checkpoint.rs holds
 #      checkpoint `load` to 2 allocations per captured event.
-#   3. The number writer's 30 M-double sweep against `format!("{x}")`
+#   3. Four of the five examples, run (not only compiled) in the dev
+#      profile; a non-zero exit fails the gate.
+#   4. The number writer's 30 M-double sweep against `format!("{x}")`
 #      (rpas-obs json::number::tests::sweep_agrees_with_std_display,
 #      #[ignore]d in the workspace run; ~10 s in release).
-#   4. clippy with -D warnings: its default set plus the workspace's static
+#   5. clippy with -D warnings: its default set plus the workspace's static
 #      rules D2 / D3 / O1 / P1 / F1 / E1 (clippy.toml; DESIGN.md §9).
-#   5. The benchmark ledger's self-check (`--check`, BENCHMARK.json), the
+#   6. The benchmark ledger's self-check (`--check`, BENCHMARK.json), the
 #      only timing gate. The dark telemetry path and the supervised steady
 #      tick are held by allocation counts in step 2 (crates/bench/tests/
 #      alloc_emit.rs, alloc_ratchet.rs); the ledger reports their time
@@ -45,6 +47,13 @@ echo "== offline tests (whole workspace) =="
 # equivalence property (rpas-telemetry) and the per-predict allocation
 # ceilings (rpas-bench) all live in member crates.
 cargo test -q --offline --workspace
+
+echo "== examples (run, not only compiled) =="
+# Each of these four takes milliseconds in the dev profile.
+# forecaster_tour is left out: it trains five models (~8 s).
+for example in quickstart capacity_planning adaptive_simulation qos_threshold; do
+    cargo run -q --offline --example "$example" > /dev/null
+done
 
 echo "== number writer sweep (30 M doubles against format!, release) =="
 # Every trace, exposition and report number goes through

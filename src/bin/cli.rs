@@ -24,7 +24,7 @@ use rpas::obs::{catalog, validate_line, Level, Obs, StderrSink, TraceLine};
 use rpas::telemetry::{
     diff_traces, run_query, Aggregate, GroupBy, QueryFilter, SloSpec, Telemetry,
 };
-use rpas::simdb::{FaultConfig, FaultPlan, SimConfig, Simulation, SimulationReport};
+use rpas::simdb::{FaultConfig, FaultPlan, SimConfig, SimSession, SimulationReport};
 use rpas::traces::csv::{read_column, write_columns_to_path, write_trace};
 use rpas::traces::{alibaba_like, google_like, Trace, STEPS_PER_DAY};
 
@@ -312,12 +312,19 @@ fn forecast(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>>
     Ok(())
 }
 
+/// The `--theta` check every command that takes it shares: NaN and ±∞
+/// parse as `f64`, and the library asserts on them or plans nonsense.
+fn positive_theta(theta: f64) -> Result<f64, Box<dyn std::error::Error>> {
+    if theta > 0.0 && theta.is_finite() {
+        Ok(theta)
+    } else {
+        Err(format!("--theta must be positive and finite, got {theta}").into())
+    }
+}
+
 fn plan(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>> {
     let path = a.require("forecast")?;
-    let theta: f64 = a.require_parsed("theta")?;
-    if theta <= 0.0 {
-        return Err("--theta must be positive".into());
-    }
+    let theta = positive_theta(a.require_parsed("theta")?)?;
     let tau: f64 = a.get_or("tau", 0.9)?;
     if !(0.0..1.0).contains(&tau) || tau == 0.0 {
         return Err(format!("--tau must be in (0,1), got {tau}").into());
@@ -339,6 +346,15 @@ fn plan(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>> {
         return Err("no q<level> columns found in forecast file".into());
     }
     let horizon = series[0].len();
+    if let Some((i, col)) = series.iter().enumerate().find(|(_, c)| c.len() != horizon) {
+        return Err(format!(
+            "forecast column q{} has {} rows but q{} has {horizon}",
+            levels[i],
+            col.len(),
+            levels[0]
+        )
+        .into());
+    }
     let mut values = rpas::tsmath::Matrix::zeros(horizon, levels.len());
     for (i, col) in series.iter().enumerate() {
         for (h, &v) in col.iter().enumerate() {
@@ -363,10 +379,7 @@ fn plan(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>> {
 
 fn simulate(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>> {
     let (trace, _) = load_trace(a)?;
-    let theta: f64 = a.get_or("theta", 60.0)?;
-    if theta <= 0.0 {
-        return Err("--theta must be positive".into());
-    }
+    let theta = positive_theta(a.get_or("theta", 60.0)?)?;
     let policy_name = a.require("policy")?;
     let period: usize = a.get_or("period", STEPS_PER_DAY)?;
     if period == 0 {
@@ -374,14 +387,12 @@ fn simulate(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>>
     }
 
     let cfg = SimConfig { theta, ..Default::default() };
-    let sim = Simulation::new(&trace, cfg).with_obs(obs.clone());
+    let session = SimSession::new(&trace, cfg).with_obs(obs.clone());
 
     let report = if policy_name == "reactive-max" {
-        let mut p = ReactiveMax::new(6);
-        sim.run(&mut p)
+        session.run(&mut ReactiveMax::new(6))
     } else if policy_name == "reactive-avg" {
-        let mut p = ReactiveAvg::paper_default();
-        sim.run(&mut p)
+        session.run(&mut ReactiveAvg::paper_default())
     } else if let Some(tau_s) = policy_name.strip_prefix("robust-") {
         let tau: f64 = tau_s.parse().map_err(|_| format!("bad tau in {policy_name:?}"))?;
         if tau <= 0.0 || tau >= 1.0 {
@@ -401,7 +412,7 @@ fn simulate(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>>
             manager,
             ReplanSchedule { context: period, horizon: period.min(72) },
         );
-        sim.run(&mut p)
+        session.run(&mut p)
     } else {
         return Err(format!("unknown policy {policy_name:?}").into());
     };
@@ -452,10 +463,7 @@ fn backtest(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>>
     if context == 0 || horizon == 0 {
         return Err("--context and --horizon must be at least 1".into());
     }
-    let theta: f64 = a.get_or("theta", 60.0)?;
-    if theta <= 0.0 {
-        return Err("--theta must be positive".into());
-    }
+    let theta = positive_theta(a.get_or("theta", 60.0)?)?;
     let min_nodes: u32 = a.get_or("min-nodes", 1)?;
     let train_frac: f64 = a.get_or("train-frac", 0.7)?;
     if !(0.0..=1.0).contains(&train_frac) {
@@ -606,10 +614,7 @@ fn chaos(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>> {
     let preset = a.get("preset").unwrap_or("alibaba");
     let days: usize = a.get_or("days", days_d.max(4))?;
     let seed: u64 = a.get_or("seed", 7)?;
-    let theta: f64 = a.get_or("theta", 60.0)?;
-    if theta <= 0.0 {
-        return Err("--theta must be positive".into());
-    }
+    let theta = positive_theta(a.get_or("theta", 60.0)?)?;
     let fault_seed: u64 = a.get_or("fault-seed", 101)?;
     let profiles_raw = a.get("profiles").unwrap_or("none,light,heavy");
 
@@ -644,15 +649,16 @@ fn chaos(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>> {
 
     let sim_cfg = SimConfig { theta, ..Default::default() };
     for (name, plan) in &plans {
-        let sim = Simulation::new(&trace, sim_cfg).with_obs(obs.clone());
-        let sim =
-            if plan.config().is_none() { sim } else { sim.with_faults(plan.clone()) };
+        // One session per policy run, all under the same fault schedule.
+        let session = || {
+            let s = SimSession::new(&trace, sim_cfg).with_obs(obs.clone());
+            if plan.config().is_none() { s } else { s.with_faults(plan.clone()) }
+        };
 
-        let mut rmax = ReactiveMax::new(6);
-        chaos_row(name, "reactive-max", &sim.run(&mut rmax));
+        chaos_row(name, "reactive-max", &session().run(&mut ReactiveMax::new(6)));
 
         let mut bare = chaos_predictive(&trace, period, theta, "predictive", obs)?;
-        chaos_row(name, "predictive", &sim.run(&mut bare));
+        chaos_row(name, "predictive", &session().run(&mut bare));
 
         let primary = chaos_predictive(&trace, period, theta, "primary", obs)?;
         let rcfg = ResilienceConfig {
@@ -663,7 +669,7 @@ fn chaos(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>> {
         };
         let mut resilient =
             ResilientManager::with_config(primary, rcfg).with_obs(obs.clone());
-        chaos_row(name, "resilient", &sim.run(&mut resilient));
+        chaos_row(name, "resilient", &session().run(&mut resilient));
     }
 
     if let Some(path) = a.get("schedule-out") {
@@ -749,10 +755,7 @@ fn fleet(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>> {
         if days < 2 {
             return Err("--days must be at least 2 (forecasters fit on the first half)".into());
         }
-        let theta: f64 = a.get_or("theta", 60.0)?;
-        if theta <= 0.0 {
-            return Err("--theta must be positive".into());
-        }
+        let theta = positive_theta(a.get_or("theta", 60.0)?)?;
         let min_nodes: u32 = a.get_or("min-nodes", 1)?;
         let tau: f64 = a.get_or("tau", 0.9)?;
         if !(0.0 < tau && tau < 1.0) {

@@ -8,9 +8,7 @@ use rpas::core::{
     RobustAutoScalingManager, ScalingStrategy,
 };
 use rpas::forecast::{Forecaster, SeasonalNaive};
-use rpas::simdb::{
-    FaultConfig, FaultPlan, ScalingPolicy, SimConfig, Simulation, SimulationReport,
-};
+use rpas::simdb::{FaultConfig, FaultPlan, ScalingPolicy, SimConfig, SimSession, SimulationReport};
 use rpas::traces::{alibaba_like, Trace, STEPS_PER_DAY};
 
 const THETA: f64 = 60.0;
@@ -47,10 +45,10 @@ fn run(
     fault_cfg: Option<FaultConfig>,
     policy: &mut dyn ScalingPolicy,
 ) -> SimulationReport {
-    let sim = Simulation::new(trace, SimConfig { theta: THETA, ..Default::default() });
+    let session = SimSession::new(trace, SimConfig { theta: THETA, ..Default::default() });
     match fault_cfg {
-        Some(c) => sim.with_faults(FaultPlan::build(c, FAULT_SEED, trace.len())).run(policy),
-        None => sim.run(policy),
+        Some(c) => session.with_faults(FaultPlan::build(c, FAULT_SEED, trace.len())).run(policy),
+        None => session.run(policy),
     }
 }
 

@@ -95,6 +95,11 @@ fn bad_inputs_exit_nonzero_with_clean_errors() {
     let nan = hostile("nan.csv", "step,x\n0,1\n1,NaN\n2,3\n");
     let inf = hostile("inf.csv", "step,x\n0,1\n1,inf\n");
     let header_only = hostile("header_only.csv", "step,x\n");
+    // Quantile columns of unequal length, either way round.
+    let longer = hostile("longer.csv", "q0.5,q0.9\n100,130\n,80\n");
+    let shorter = hostile("shorter.csv", "q0.5,q0.9\n100,130\n50,\n");
+    let trace_arg = trace.to_str().expect("utf8");
+    let plan_of = |forecast| vec!["plan", "--forecast", forecast, "--theta", "60", "--out", "p.csv"];
 
     let cases: Vec<(Vec<&str>, &str)> = vec![
         (vec!["unknown-command"], "unknown command"),
@@ -155,6 +160,32 @@ fn bad_inputs_exit_nonzero_with_clean_errors() {
             vec!["chaos", "--days", "4", "--profiles", "light,bogus=1"],
             "unknown fault spec key \"bogus\"",
         ),
+        // NaN and ∞ parse as numbers; every `--theta` refuses them.
+        (
+            vec!["plan", "--forecast", "f.csv", "--theta", "NaN", "--out", "p.csv"],
+            "--theta must be positive and finite, got NaN",
+        ),
+        (
+            vec![
+                "simulate",
+                "--trace",
+                trace_arg,
+                "--column",
+                "alibaba-cpu",
+                "--theta",
+                "NaN",
+                "--policy",
+                "reactive-max",
+            ],
+            "--theta must be positive and finite, got NaN",
+        ),
+        (
+            vec!["backtest", "--days", "3", "--theta", "inf"],
+            "--theta must be positive and finite, got inf",
+        ),
+        (vec!["chaos", "--theta", "NaN"], "--theta must be positive and finite, got NaN"),
+        (plan_of(longer.to_str().expect("utf8")), "forecast column q0.9 has 2 rows but q0.5 has 1"),
+        (plan_of(shorter.to_str().expect("utf8")), "forecast column q0.9 has 1 rows but q0.5 has 2"),
     ];
     for (args, expect) in cases {
         let out = cli().args(&args).output().expect("run");

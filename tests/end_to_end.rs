@@ -3,14 +3,15 @@
 //! provisioning metrics — wired through the public `rpas` API.
 
 use rpas::core::{
-    evaluate_plans_quantile, evaluate_reactive, plan_robust, plan_robust_lp, AdaptiveConfig,
-    QuantilePredictivePolicy, ReactiveAvg, ReactiveMax, ReplanSchedule,
-    RobustAutoScalingManager, ScalingStrategy,
+    evaluate_plans_precomputed, evaluate_reactive, quantile_windows, AdaptiveConfig,
+    PlanningBackend, QuantilePredictivePolicy, ReactiveAvg, ReactiveMax, ReplanSchedule,
+    RobustAutoScalingManager, RollingSpec, ScalingStrategy,
 };
 use rpas::forecast::{
     DeepAr, DeepArConfig, Forecaster, SeasonalNaive, Tft, TftConfig, SCALING_LEVELS,
 };
-use rpas::simdb::{SimConfig, Simulation};
+use rpas::obs::Obs;
+use rpas::simdb::{SimConfig, SimSession};
 use rpas::traces::{alibaba_like, google_like, STEPS_PER_DAY};
 
 const THETA: f64 = 60.0;
@@ -64,11 +65,9 @@ fn closed_form_and_simplex_agree_on_real_forecasts() {
         .forecast_quantiles(&test.values[..STEPS_PER_DAY], 36, &SCALING_LEVELS)
         .expect("forecast");
     for &tau in &[0.5, 0.8, 0.95] {
-        assert_eq!(
-            plan_robust(&qf, tau, THETA, 1),
-            plan_robust_lp(&qf, tau, THETA, 1),
-            "tau {tau}"
-        );
+        let manager = RobustAutoScalingManager::new(THETA, 1, ScalingStrategy::Fixed { tau });
+        let simplex = manager.clone().with_backend(PlanningBackend::Simplex);
+        assert_eq!(manager.plan(&qf), simplex.plan(&qf), "tau {tau}");
     }
 }
 
@@ -82,8 +81,9 @@ fn robust_beats_reactive_on_under_provisioning() {
     let mut fc = SeasonalNaive::new(STEPS_PER_DAY);
     fc.fit(&train.values).expect("fit");
     let manager = RobustAutoScalingManager::new(THETA, 1, ScalingStrategy::Fixed { tau: 0.95 });
-    let robust =
-        evaluate_plans_quantile(&fc, &test.values, STEPS_PER_DAY, 72, &manager, &SCALING_LEVELS);
+    let spec = RollingSpec::new(STEPS_PER_DAY, 72);
+    let windows = quantile_windows(&fc, &test.values, spec, &SCALING_LEVELS, &Obs::noop());
+    let robust = evaluate_plans_precomputed(&windows, &manager);
 
     let mut ravg = ReactiveAvg::paper_default();
     let reactive = evaluate_reactive(&mut ravg, &test.values, THETA, 1);
@@ -120,8 +120,10 @@ fn adaptive_reduces_overprovisioning_without_losing_robustness() {
         ScalingStrategy::Adaptive(AdaptiveConfig::new(0.8, 0.95, rho)),
     );
 
-    let r_hi = evaluate_plans_quantile(&tft, &test.values, 48, 24, &fixed_hi, &SCALING_LEVELS);
-    let r_ad = evaluate_plans_quantile(&tft, &test.values, 48, 24, &adaptive, &SCALING_LEVELS);
+    let spec = RollingSpec::new(48, 24);
+    let windows = quantile_windows(&tft, &test.values, spec, &SCALING_LEVELS, &Obs::noop());
+    let r_hi = evaluate_plans_precomputed(&windows, &fixed_hi);
+    let r_ad = evaluate_plans_precomputed(&windows, &adaptive);
 
     assert!(r_ad.avg_allocated <= r_hi.avg_allocated + 1e-9, "{r_ad:?} vs {r_hi:?}");
     assert!(r_ad.over_rate <= r_hi.over_rate + 1e-9);
@@ -153,8 +155,8 @@ fn deepar_pipeline_through_simulator() {
         manager,
         ReplanSchedule { context: 48, horizon: 24 },
     );
-    let sim = Simulation::new(&test, SimConfig { theta: THETA, ..Default::default() });
-    let report = sim.run(&mut policy);
+    let report = SimSession::new(&test, SimConfig { theta: THETA, ..Default::default() })
+        .run(&mut policy);
 
     assert_eq!(report.steps.len(), test.len());
     // The warm-up model keeps scale-outs cheap: pool capacity deficits from
@@ -170,11 +172,9 @@ fn deepar_pipeline_through_simulator() {
 #[test]
 fn reactive_max_vs_avg_ordering_end_to_end() {
     let trace = google_like(6, 10).cpu().clone();
-    let sim = Simulation::new(&trace, SimConfig { theta: THETA, ..Default::default() });
-    let mut rmax = ReactiveMax::new(6);
-    let mut ravg = ReactiveAvg::paper_default();
-    let r1 = sim.run(&mut rmax);
-    let r2 = sim.run(&mut ravg);
+    let cfg = SimConfig { theta: THETA, ..Default::default() };
+    let r1 = SimSession::new(&trace, cfg).run(&mut ReactiveMax::new(6));
+    let r2 = SimSession::new(&trace, cfg).run(&mut ReactiveAvg::paper_default());
     // Max is the more conservative reactive policy.
     assert!(r1.provisioning.under_rate <= r2.provisioning.under_rate);
     assert!(r1.total_node_steps() >= r2.total_node_steps());

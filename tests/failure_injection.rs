@@ -6,7 +6,7 @@ use rpas::core::{
     QuantilePredictivePolicy, ReplanSchedule, RobustAutoScalingManager, ScalingStrategy,
 };
 use rpas::forecast::{ForecastError, Forecaster, QuantileForecast};
-use rpas::simdb::{SimConfig, Simulation};
+use rpas::simdb::{SimConfig, SimSession};
 use rpas::traces::Trace;
 use rpas::tsmath::Matrix;
 use std::cell::Cell;
@@ -68,8 +68,7 @@ fn policy_survives_forecaster_outage() {
         manager,
         ReplanSchedule { context: 12, horizon: 12 },
     );
-    let sim = Simulation::new(&trace, SimConfig::default());
-    let report = sim.run(&mut policy);
+    let report = SimSession::new(&trace, SimConfig::default()).run(&mut policy);
 
     // Every step produced a decision, and the pool never dropped below the
     // minimum even after the outage.
@@ -91,8 +90,7 @@ fn forecaster_that_never_works_degrades_to_reactive_bootstrap() {
         manager,
         ReplanSchedule { context: 12, horizon: 12 },
     );
-    let sim = Simulation::new(&trace, SimConfig::default());
-    let report = sim.run(&mut policy);
+    let report = SimSession::new(&trace, SimConfig::default()).run(&mut policy);
     // After the first observation the bootstrap peak covers the constant
     // workload (ceil(150/60) = 3 nodes).
     let tail = &report.steps[2..];
@@ -114,8 +112,7 @@ fn flaky_forecaster_error_is_not_sticky() {
         manager,
         ReplanSchedule { context: 24, horizon: 8 },
     );
-    let sim = Simulation::new(&trace, SimConfig::default());
-    let report = sim.run(&mut policy);
+    let report = SimSession::new(&trace, SimConfig::default()).run(&mut policy);
     // Bootstrap covers the first 24 steps, plans cover the rest; the ramp
     // keeps rising so allocations must keep rising too.
     let early = report.steps[10].target_nodes;

@@ -2,9 +2,8 @@
 //! that must hold for arbitrary forecasts, thresholds, and strategies.
 
 use rpas::core::{
-    plan_adaptive, plan_robust, plan_robust_lp, plan_staircase, smooth_plan, uncertainty_at,
-    AdaptiveConfig, PlanningBackend, RobustAutoScalingManager, ScalingStrategy, StaircaseLevel,
-    ThrashConfig,
+    smooth_plan, uncertainty_at, AdaptiveConfig, CapacityPlan, PlanningBackend,
+    RobustAutoScalingManager, ScalingStrategy, StaircaseLevel, ThrashConfig,
 };
 use rpas::forecast::QuantileForecast;
 use rpas::tsmath::Matrix;
@@ -26,6 +25,22 @@ fn random_forecast(g: &mut Gen) -> QuantileForecast {
     QuantileForecast::new(levels, values)
 }
 
+/// The manager's plan under `strategy` through `backend`.
+fn plan_with(
+    qf: &QuantileForecast,
+    strategy: ScalingStrategy,
+    backend: PlanningBackend,
+    theta: f64,
+    min_nodes: u32,
+) -> CapacityPlan {
+    RobustAutoScalingManager::new(theta, min_nodes, strategy).with_backend(backend).plan(qf)
+}
+
+/// The robust plan at a fixed quantile level (Eq. 6), closed form.
+fn plan_fixed(qf: &QuantileForecast, tau: f64, theta: f64) -> CapacityPlan {
+    plan_with(qf, ScalingStrategy::Fixed { tau }, PlanningBackend::ClosedForm, theta, 1)
+}
+
 #[test]
 fn robust_plan_feasible_at_its_quantile() {
     forall("robust_plan_feasible_at_its_quantile", 48, |g| {
@@ -33,7 +48,7 @@ fn robust_plan_feasible_at_its_quantile() {
         let levels = [0.5, 0.7, 0.8, 0.9, 0.95];
         let tau = levels[g.usize_in(0, 5)];
         let theta = g.f64_in(10.0, 200.0);
-        let plan = plan_robust(&qf, tau, theta, 1);
+        let plan = plan_fixed(&qf, tau, theta);
         for t in 0..qf.horizon() {
             let w = qf.at(t, tau).max(0.0);
             prop_assert!(
@@ -51,8 +66,8 @@ fn robust_plan_monotone_in_tau() {
     forall("robust_plan_monotone_in_tau", 48, |g| {
         let qf = random_forecast(g);
         let theta = g.f64_in(10.0, 200.0);
-        let lo = plan_robust(&qf, 0.7, theta, 1);
-        let hi = plan_robust(&qf, 0.9, theta, 1);
+        let lo = plan_fixed(&qf, 0.7, theta);
+        let hi = plan_fixed(&qf, 0.9, theta);
         for t in 0..qf.horizon() {
             prop_assert!(hi.at(t) >= lo.at(t));
         }
@@ -65,7 +80,9 @@ fn lp_equals_closed_form() {
     forall("lp_equals_closed_form", 48, |g| {
         let qf = random_forecast(g);
         let theta = g.f64_in(10.0, 200.0);
-        prop_assert_eq!(plan_robust(&qf, 0.9, theta, 1), plan_robust_lp(&qf, 0.9, theta, 1));
+        let fixed = ScalingStrategy::Fixed { tau: 0.9 };
+        let simplex = plan_with(&qf, fixed, PlanningBackend::Simplex, theta, 1);
+        prop_assert_eq!(plan_fixed(&qf, 0.9, theta), simplex);
         Ok(())
     });
 }
@@ -77,9 +94,10 @@ fn adaptive_plan_bounded_by_fixed_plans() {
         let rho = g.f64_in(0.0, 100.0);
         let theta = g.f64_in(10.0, 200.0);
         let cfg = AdaptiveConfig::new(0.7, 0.95, rho);
-        let adaptive = plan_adaptive(&qf, cfg, theta, 1);
-        let lo = plan_robust(&qf, 0.7, theta, 1);
-        let hi = plan_robust(&qf, 0.95, theta, 1);
+        let adaptive = ScalingStrategy::Adaptive(cfg);
+        let adaptive = plan_with(&qf, adaptive, PlanningBackend::ClosedForm, theta, 1);
+        let lo = plan_fixed(&qf, 0.7, theta);
+        let hi = plan_fixed(&qf, 0.95, theta);
         for t in 0..qf.horizon() {
             prop_assert!(adaptive.at(t) >= lo.at(t));
             prop_assert!(adaptive.at(t) <= hi.at(t));
@@ -141,9 +159,7 @@ fn manager_matches_the_paper_transcription() {
         ] {
             let expected = reference_plan(&qf, &strategy, theta, min_nodes);
             for backend in [PlanningBackend::ClosedForm, PlanningBackend::Simplex] {
-                let plan = RobustAutoScalingManager::new(theta, min_nodes, strategy.clone())
-                    .with_backend(backend)
-                    .plan(&qf);
+                let plan = plan_with(&qf, strategy.clone(), backend, theta, min_nodes);
                 prop_assert!(
                     plan.as_slice() == &expected[..],
                     "{strategy:?} via {backend:?}: {plan:?} != reference {expected:?}"
@@ -157,7 +173,8 @@ fn manager_matches_the_paper_transcription() {
 #[test]
 fn non_finite_cells_fall_to_the_floor_on_every_entry_point() {
     // A poisoned forecast may degrade a plan but never poison it: the
-    // step plans at the `min_nodes` floor, on every entry point alike.
+    // step plans at the `min_nodes` floor, under every strategy on both
+    // backends alike.
     let (inf, nan) = (f64::INFINITY, f64::NAN);
     let qf = QuantileForecast::new(
         vec![0.5, 0.9],
@@ -166,21 +183,15 @@ fn non_finite_cells_fall_to_the_floor_on_every_entry_point() {
     let (theta, min_nodes) = (50.0, 2);
     let ladder = vec![StaircaseLevel { min_uncertainty: 0.0, tau: 0.9 }];
     let adaptive = AdaptiveConfig::new(0.5, 0.9, 0.0);
-    let mut plans = vec![
-        plan_robust(&qf, 0.9, theta, min_nodes),
-        plan_robust_lp(&qf, 0.9, theta, min_nodes),
-        plan_adaptive(&qf, adaptive, theta, min_nodes),
-        plan_staircase(&qf, &ladder, theta, min_nodes),
-    ];
     for strategy in [
         ScalingStrategy::Fixed { tau: 0.9 },
         ScalingStrategy::Adaptive(adaptive),
         ScalingStrategy::Staircase(ladder),
     ] {
-        plans.push(RobustAutoScalingManager::new(theta, min_nodes, strategy).plan(&qf));
-    }
-    for plan in &plans {
-        assert_eq!(plan.as_slice(), &[2, 2, 2, 3]);
+        for backend in [PlanningBackend::ClosedForm, PlanningBackend::Simplex] {
+            let plan = plan_with(&qf, strategy.clone(), backend, theta, min_nodes);
+            assert_eq!(plan.as_slice(), &[2, 2, 2, 3], "{strategy:?} via {backend:?}");
+        }
     }
 }
 
@@ -201,7 +212,7 @@ fn smoothing_respects_delta_limit() {
         let qf = random_forecast(g);
         let max_delta = g.u32_in(1, 4);
         let initial = g.u32_in(1, 10);
-        let plan = plan_robust(&qf, 0.9, 60.0, 1);
+        let plan = plan_fixed(&qf, 0.9, 60.0);
         let cfg = ThrashConfig { max_step_delta: max_delta, direction_cooldown: 0 };
         let smoothed = smooth_plan(&plan, initial, cfg, false);
         let mut prev = initial;
@@ -221,7 +232,7 @@ fn smoothing_with_burst_up_never_below_plain_smoothing() {
         // smoothing (it can only allocate more).
         let qf = random_forecast(g);
         let initial = g.u32_in(1, 10);
-        let plan = plan_robust(&qf, 0.9, 60.0, 1);
+        let plan = plan_fixed(&qf, 0.9, 60.0);
         let cfg = ThrashConfig { max_step_delta: 1, direction_cooldown: 0 };
         let a = smooth_plan(&plan, initial, cfg, true);
         let b = smooth_plan(&plan, initial, cfg, false);
@@ -295,7 +306,7 @@ fn resilient_targets_never_leave_the_envelope() {
         ForecastHealthGate, QuantilePredictivePolicy, ReplanSchedule, ResilienceConfig,
         ResilientManager, RobustAutoScalingManager, ScalingStrategy,
     };
-    use rpas::simdb::{FaultConfig, FaultPlan, SimConfig, Simulation};
+    use rpas::simdb::{FaultConfig, FaultPlan, SimConfig, SimSession};
     use rpas::traces::Trace;
 
     forall("resilient_targets_never_leave_the_envelope", 24, |g| {
@@ -338,7 +349,7 @@ fn resilient_targets_never_leave_the_envelope() {
             Recorder { inner: ResilientManager::with_config(primary, rcfg), emitted: Vec::new() };
 
         let cfg = SimConfig { theta, min_nodes, ..Default::default() };
-        let report = Simulation::new(&trace, cfg).with_faults(plan).run(&mut rec);
+        let report = SimSession::new(&trace, cfg).with_faults(plan).run(&mut rec);
         prop_assert_eq!(report.steps.len(), steps);
         prop_assert_eq!(rec.emitted.len(), steps);
         for (t, &granted) in rec.emitted.iter().enumerate() {

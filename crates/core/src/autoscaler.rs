@@ -51,29 +51,16 @@ impl<F: Forecaster> QuantilePredictivePolicy<F> {
         }
     }
 
-    /// Access the wrapped forecaster.
-    pub(crate) fn forecaster(&self) -> &F {
-        &self.forecaster
-    }
-
-    /// Mutable access to the wrapped forecaster, for checkpoint restore
-    /// (re-injecting fitted state without re-running the fit).
+    /// Mutable access to the wrapped forecaster (the resilience ladder
+    /// fits its fallback through it).
     pub(crate) fn forecaster_mut(&mut self) -> &mut F {
         &mut self.forecaster
     }
 
-    /// The rolling-plan cursor: `(plan, plan_start, degraded)`. Together
-    /// with the forecaster's fitted state this is the policy's entire
-    /// mutable state, which makes it checkpointable.
-    pub(crate) fn plan_state(&self) -> (&[u32], usize, bool) {
-        (&self.plan, self.plan_start, self.degraded)
-    }
-
-    /// Overwrite the rolling-plan cursor from a checkpoint.
-    pub(crate) fn restore_plan_state(&mut self, plan: Vec<u32>, plan_start: usize, degraded: bool) {
-        self.plan = plan;
-        self.plan_start = plan_start;
-        self.degraded = degraded;
+    /// The step the current rolling plan starts at: the step of the last
+    /// successful replan, 0 before the first.
+    pub(crate) fn plan_start(&self) -> usize {
+        self.plan_start
     }
 
     fn position_in_plan(&self, step: usize) -> Option<usize> {

@@ -208,9 +208,10 @@ impl FleetConfig {
 }
 
 /// A tenant's policy in concrete form. The fleet builds one of the three
-/// named variants — keeping the concrete types (rather than a trait
-/// object) is what makes policy state checkpointable. `Custom` is the
-/// chaos/testing escape hatch ([`FleetEngine::set_policy`]); tenants
+/// named variants from its config, so a checkpoint's header rebuilds it,
+/// and the concrete types let the checkpoint digest read plan cursors.
+/// `Custom` is the chaos/testing escape hatch
+/// ([`FleetEngine::set_policy`]); no config describes it, so tenants
 /// running one cannot be checkpointed.
 pub(crate) enum TenantPolicy {
     /// Reactive-Max baseline (stateless).
@@ -248,13 +249,13 @@ impl TenantPolicy {
 /// rendering each pending event once into its body: its schema-v1 line
 /// after `"seq":N,`, timings and its own `tenant` dropped, the tenant's
 /// label in its sorted place, `ts_us` 0. `finish` puts each body behind
-/// its line's head, and a checkpoint stores the bodies.
+/// its line's head.
 #[derive(Clone)]
 pub struct Capture(Arc<Mutex<Captured>>);
 
 /// Under a [`Capture`]'s lock: the label, the bodies back to back in
 /// `text`, where each ends, and the events not rendered yet.
-pub(crate) struct Captured {
+struct Captured {
     label: Value,
     text: String,
     ends: Vec<usize>,
@@ -262,7 +263,7 @@ pub(crate) struct Captured {
 }
 
 /// No body is shorter: its five members' fixed bytes and the label.
-pub(crate) const MIN_BODY: usize = 64;
+const MIN_BODY: usize = 64;
 
 impl Capture {
     /// An empty capture for the tenant labelled `label` (`t0042`).
@@ -292,8 +293,15 @@ impl Capture {
         }
     }
 
+    /// Events captured so far, rendered or not (the checkpoint digest
+    /// counts them without rendering any).
+    pub(crate) fn len(&self) -> usize {
+        let captured = self.lock();
+        captured.ends.len() + captured.pending.len()
+    }
+
     /// Settle, and hold the lock while the caller reads the bodies.
-    pub(crate) fn settled(&self) -> MutexGuard<'_, Captured> {
+    fn settled(&self) -> MutexGuard<'_, Captured> {
         let mut captured = self.lock();
         let Captured { label, text, ends, pending } = &mut *captured;
         text.reserve(MIN_BODY * pending.len());
@@ -309,17 +317,11 @@ impl Capture {
         }
         captured
     }
-
-    /// Replace everything captured with the bodies a checkpoint held.
-    pub(crate) fn restore(&self, (text, ends): (String, Vec<usize>)) {
-        let mut captured = self.lock();
-        (captured.text, captured.ends, captured.pending) = (text, ends, Vec::new());
-    }
 }
 
 impl Captured {
     /// The rendered bodies, in capture order.
-    pub(crate) fn bodies(&self) -> impl Iterator<Item = &str> {
+    fn bodies(&self) -> impl Iterator<Item = &str> {
         let starts = std::iter::once(0).chain(self.ends.iter().copied());
         starts.zip(&self.ends).map(|(start, &end)| self.text.get(start..end).unwrap_or_default())
     }
@@ -336,6 +338,11 @@ impl Sink for Capture {
 
     fn emit_owned(&self, event: Event) {
         self.lock().pending.push(event);
+    }
+
+    /// A body's `ts_us` is always 0, so capturing reads no clock.
+    fn reads_clock(&self) -> bool {
+        false
     }
 }
 
@@ -609,7 +616,7 @@ impl FleetEngine {
                     node_steps: 0,
                     regret_node_steps: 0,
                 };
-                (zero, session.snapshot().counts.total())
+                (zero, session.fault_counts().total())
             } else {
                 let report: SimulationReport = session.finish(policy.name());
                 (tenant_qos(&report), report.faults.total())

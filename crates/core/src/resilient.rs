@@ -62,16 +62,6 @@ impl<F> ForecastHealthGate<F> {
     pub fn new(inner: F) -> Self {
         Self { inner }
     }
-
-    /// Access the wrapped forecaster.
-    pub(crate) fn inner(&self) -> &F {
-        &self.inner
-    }
-
-    /// Mutable access to the wrapped forecaster, for checkpoint restore.
-    pub(crate) fn inner_mut(&mut self) -> &mut F {
-        &mut self.inner
-    }
 }
 
 /// Check a forecast for health problems relative to its context. Returns
@@ -183,22 +173,12 @@ pub(crate) enum Tier {
 }
 
 impl Tier {
-    /// Stable lowercase label for obs fields and checkpoints.
+    /// Stable lowercase label for obs fields and the checkpoint digest.
     pub(crate) fn label(self) -> &'static str {
         match self {
             Tier::Primary => "primary",
             Tier::SeasonalNaive => "seasonal-naive",
             Tier::ReactiveMax => "reactive-max",
-        }
-    }
-
-    /// Inverse of [`Tier::label`], for checkpoint restore.
-    pub(crate) fn parse(label: &str) -> Option<Self> {
-        match label {
-            "primary" => Some(Tier::Primary),
-            "seasonal-naive" => Some(Tier::SeasonalNaive),
-            "reactive-max" => Some(Tier::ReactiveMax),
-            _ => None,
         }
     }
 
@@ -225,47 +205,6 @@ struct Retry {
 }
 
 type NaiveFallback = QuantilePredictivePolicy<ForecastHealthGate<SeasonalNaive>>;
-
-/// Checkpointable state of the tier-1 seasonal-naive fallback: the fitted
-/// residual spread plus the rolling-plan cursor. Everything else about the
-/// fallback (period, horizon, health-gate limits, planning strategy) is
-/// derived from [`ResilienceConfig`] and the tenant parameters at restore.
-/// The fleet checkpoint writes every seasonal-naive predictive policy —
-/// fallback, resilient primary or plain `predictive` tenant — as this
-/// one record.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct NaiveSnapshot {
-    /// Fitted residual spread of the seasonal-naive model.
-    pub sigma: Option<f64>,
-    /// Current rolling plan (node targets from `plan_start`). Empty
-    /// before the first replan, and only then: a replan writes a whole
-    /// horizon, and a failed one keeps the plan it had.
-    pub plan: Vec<u32>,
-    /// Step at which `plan` starts: the step its replan ran in, so never
-    /// past the session's step cursor; 0 while `plan` is empty.
-    pub plan_start: usize,
-    /// Whether the most recent replan fell back to the reactive bootstrap.
-    pub degraded: bool,
-}
-
-/// Checkpointable state of a [`ResilientManager`], *excluding* the wrapped
-/// primary policy (the caller snapshots that separately via its own
-/// accessors). The Reactive-Max backstop is stateless and the recorder is
-/// reattached at rebuild, so this plus the primary's state
-/// fully determines future decisions.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct ResilientSnapshot {
-    /// Active fallback tier.
-    pub tier: Tier,
-    /// Last granted target (guardrail anchor / hold-last value).
-    pub last_target: Option<u32>,
-    /// Healthy steps accumulated at a demoted tier.
-    pub probation: usize,
-    /// Active retry ladder as `(want, left, wait)`.
-    pub retry: Option<(u32, u32, u32)>,
-    /// Tier-1 fallback state, when one has been built.
-    pub naive: Option<NaiveSnapshot>,
-}
 
 /// Resilience wrapper: fallback chain + backstop + hold-last + bounded
 /// retry + guardrails around any [`ScalingPolicy`]. See the module docs
@@ -329,67 +268,11 @@ impl<P: ScalingPolicy> ResilientManager<P> {
         &self.primary
     }
 
-    /// Mutable access to the wrapped primary policy, for checkpoint
-    /// restore of its own state.
-    pub(crate) fn primary_mut(&mut self) -> &mut P {
-        &mut self.primary
-    }
-
-    /// Capture the manager's mutable state (see [`ResilientSnapshot`] for
-    /// what is and is not included).
-    pub(crate) fn snapshot_state(&self) -> ResilientSnapshot {
-        ResilientSnapshot {
-            tier: self.tier,
-            last_target: self.last_target,
-            probation: self.probation,
-            retry: self.retry.map(|r| (r.want, r.left, r.wait)),
-            naive: self.naive.as_ref().map(|n| {
-                let (plan, plan_start, degraded) = n.plan_state();
-                NaiveSnapshot {
-                    sigma: n.forecaster().inner().sigma(),
-                    plan: plan.to_vec(),
-                    plan_start,
-                    degraded,
-                }
-            }),
-        }
-    }
-
-    /// Overwrite the manager's mutable state from a checkpoint. `theta`
-    /// and `min_nodes` are the tenant parameters [`build_naive`] would
-    /// have seen at demote time (the fallback's planner is parameterised
-    /// on them); the fallback is rebuilt without re-running its fit.
-    ///
-    /// [`build_naive`]: ResilientManager::build_naive
-    ///
-    /// # Errors
-    /// A `probation` no run leaves: a demoted tier is promoted when it
-    /// reaches `probation_steps`.
-    #[deny(unused_variables)]
-    pub(crate) fn restore_state(
-        &mut self,
-        snap: &ResilientSnapshot,
-        theta: f64,
-        min_nodes: u32,
-    ) -> Result<(), String> {
-        // Exhaustive on purpose (no `..`), nested `NaiveSnapshot` included:
-        // a field added to either and not consumed here does not compile.
-        let ResilientSnapshot { tier, last_target, probation, retry, naive } = snap;
-        let ends = self.cfg.probation_steps;
-        if *probation >= ends.max(1) {
-            return Err(format!("probation {probation} on a probation that ends at {ends}"));
-        }
-        self.tier = *tier;
-        self.last_target = *last_target;
-        self.probation = *probation;
-        self.retry = retry.map(|(want, left, wait)| Retry { want, left, wait });
-        self.naive = naive.as_ref().map(|NaiveSnapshot { sigma, plan, plan_start, degraded }| {
-            let mut fallback = self.unfitted_naive(theta, min_nodes);
-            fallback.forecaster_mut().inner_mut().restore_sigma(*sigma);
-            fallback.restore_plan_state(plan.clone(), *plan_start, *degraded);
-            fallback
-        });
-        Ok(())
+    /// The ladder's position, for the checkpoint digest: the active tier
+    /// and where the seasonal-naive fallback's plan starts, once one has
+    /// been built.
+    pub(crate) fn ladder(&self) -> (Tier, Option<usize>) {
+        (self.tier, self.naive.as_ref().map(|n| n.plan_start()))
     }
 
     /// Account for the outcome of the previous step's scale request,
@@ -458,26 +341,23 @@ impl<P: ScalingPolicy> ResilientManager<P> {
         });
     }
 
-    /// The tier-1 fallback before it has seen data: seasonal-naive behind
-    /// the health gate, planned at a fixed τ = 0.9 on the configured
-    /// `(naive_period, naive_horizon)` grid. A freshly demoted manager and
-    /// a resumed one both start from this.
-    fn unfitted_naive(&self, theta: f64, min_nodes: u32) -> NaiveFallback {
+    /// Build and fit the tier-1 seasonal-naive fallback from the visible
+    /// history: seasonal-naive behind the health gate, planned at a fixed
+    /// τ = 0.9 on the configured `(naive_period, naive_horizon)` grid.
+    /// `None` when even that model cannot fit (history < 2).
+    fn build_naive(&self, obs: &Observation<'_>) -> Option<NaiveFallback> {
         let sn = SeasonalNaive::new(self.cfg.naive_period).with_obs(self.rec.obs().clone());
-        let manager =
-            RobustAutoScalingManager::new(theta, min_nodes, ScalingStrategy::Fixed { tau: 0.9 });
-        QuantilePredictivePolicy::new(
+        let manager = RobustAutoScalingManager::new(
+            obs.theta,
+            obs.min_nodes,
+            ScalingStrategy::Fixed { tau: 0.9 },
+        );
+        let mut fallback = QuantilePredictivePolicy::new(
             "resilient-naive",
             ForecastHealthGate::new(sn),
             manager,
             ReplanSchedule { context: self.cfg.naive_period, horizon: self.cfg.naive_horizon },
-        )
-    }
-
-    /// Build and fit the tier-1 seasonal-naive fallback from the visible
-    /// history. `None` when even that model cannot fit (history < 2).
-    fn build_naive(&self, obs: &Observation<'_>) -> Option<NaiveFallback> {
-        let mut fallback = self.unfitted_naive(obs.theta, obs.min_nodes);
+        );
         fallback.forecaster_mut().fit(obs.history).ok()?;
         Some(fallback)
     }
@@ -867,44 +747,6 @@ mod tests {
         // A sane forecast passes.
         let gate = ForecastHealthGate::new(Wild(110.0));
         assert!(gate.forecast_quantiles(&ctx, 2, &[0.5]).is_ok());
-    }
-
-    #[test]
-    fn snapshot_restore_reproduces_decisions_mid_degradation() {
-        // Drive a manager into the seasonal-naive tier (with an active
-        // retry ladder), snapshot it, rebuild a fresh manager from spec,
-        // restore, and check both make identical decisions from there on.
-        let h: Vec<f64> = (0..32).map(|t| 60.0 + 30.0 * ((t % 4) as f64)).collect();
-        let run = |m: &mut ResilientManager<FailsAfter>, steps: std::ops::Range<usize>| {
-            steps
-                .map(|step| {
-                    let mut obs = Observation::new(step, &h, 2, 60.0, 1);
-                    if step == 5 {
-                        obs.last_scale = ScaleOutcome::Rejected;
-                    }
-                    m.decide(&obs)
-                })
-                .collect::<Vec<u32>>()
-        };
-        let mut original =
-            ResilientManager::with_config(FailsAfter { from: 2, seen: 0 }, cfg_small());
-        let _ = run(&mut original, 0..8);
-        assert_ne!(original.tier(), Tier::Primary, "scenario must demote");
-
-        let snap = original.snapshot_state();
-        let mut restored =
-            ResilientManager::with_config(FailsAfter { from: 2, seen: 8 }, cfg_small());
-        restored.restore_state(&snap, 60.0, 1).unwrap();
-        assert_eq!(restored.snapshot_state(), snap, "roundtrip must be lossless");
-        assert_eq!(run(&mut original, 8..24), run(&mut restored, 8..24));
-    }
-
-    #[test]
-    fn tier_labels_roundtrip_through_parse() {
-        for tier in [Tier::Primary, Tier::SeasonalNaive, Tier::ReactiveMax] {
-            assert_eq!(Tier::parse(tier.label()), Some(tier));
-        }
-        assert_eq!(Tier::parse("bogus"), None);
     }
 
     #[test]

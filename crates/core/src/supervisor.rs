@@ -34,7 +34,7 @@
 //! executed prefix instead of livelocking the fleet.
 
 use crate::fleet::{FleetEngine, FleetReport, QuarantineRecord, TenantId, TenantRun};
-use rpas_obs::{catalog, Event, Sink};
+use rpas_obs::{catalog, Event, Obs, Sink};
 use rpas_par::panic_message;
 use rpas_telemetry::{RatioSeries, SloReport, SloSpec, Telemetry};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -260,6 +260,16 @@ impl FleetSupervisor {
         self.tick = to;
     }
 
+    /// Route the fleet-level events (`supervisor/*`, and `slo/*` at
+    /// [`FleetSupervisor::finish`]) to `obs`; the checkpoint loader
+    /// attaches the caller's handle once its replay is done.
+    pub(crate) fn set_obs(&mut self, obs: Obs) {
+        for run in &mut self.engine.runs {
+            run.rec.set_obs(obs.clone());
+        }
+        self.engine.obs = obs;
+    }
+
     /// Supervise every tenant over ticks `[from, to)` on the engine's
     /// persistent worker pool. Returns the number of clean steps.
     ///
@@ -270,7 +280,7 @@ impl FleetSupervisor {
     /// tick. The only cross-tenant artifact is the interleaving of
     /// fleet-level events, which was already worker-order dependent and
     /// is never byte-compared.
-    fn run_range(&mut self, from: u64, to: u64) -> usize {
+    pub(crate) fn run_range(&mut self, from: u64, to: u64) -> usize {
         let cfg = self.cfg;
         let stepped = std::sync::atomic::AtomicUsize::new(0);
         self.engine.pool.for_each_mut(&mut self.engine.runs, |_, run| {

@@ -1,32 +1,26 @@
 //! What the checkpoint *reader* promises about text no `save` writes:
 //! member order is free, unknown members are ignored, a repeated record
-//! member keeps its last value, a repeated tag is refused, a captured
-//! event's body is kept byte for byte, and a set of out-of-range edits
-//! that have always loaded still load and run.
+//! member keeps its last value and a repeated tag is refused.
 //!
-//! The schema-v2 fixture is the subject throughout: every variation of
-//! it must load to the state that saves back as the fixture's own bytes.
+//! The schema-v3 fixture is the subject throughout: every variation of
+//! it must load to the fleet that saves back as the fixture's own bytes.
 
 use rpas_core::checkpoint::{load, save};
-use rpas_core::{FleetConfig, FleetEngine, FleetSupervisor, ReplanSchedule, SupervisorConfig};
 use rpas_obs::json::{escape_str, parse};
 use rpas_obs::{Json, Obs};
-use rpas_simdb::FaultConfig;
-use rpas_telemetry::{SloSpec, Telemetry};
+use rpas_telemetry::Telemetry;
 
-const GOLDEN: &str = include_str!("../../../tests/fixtures/checkpoint_v2.jsonl");
+const GOLDEN: &str = include_str!("../../../tests/fixtures/checkpoint_v3.jsonl");
 
-/// Members a reader finds by look-ahead: a union's tag, or the member
-/// whose presence is the tag.
-const TAGS: [&str; 5] = ["kind", "state", "counter", "gauge_bits", "hist"];
+/// Members a reader finds by look-ahead.
+const TAGS: [&str; 3] = ["kind", "schema", "version"];
 
-/// How [`render`] lays out every object of a line.
+/// How [`relaid`] lays out every object of a line.
 struct Layout {
     /// Keys descending with the tags last; ascending (tags wherever they
     /// sort) otherwise. Neither is the order `save` writes.
     tags_last: bool,
-    /// An unknown member put first in every state object (a captured
-    /// event is not one: its body is kept as written, see [`relaid`]).
+    /// An unknown member put first in every object.
     unknown: Option<&'static str>,
 }
 
@@ -64,23 +58,11 @@ fn render(j: &Json, layout: &Layout, out: &mut String) {
     }
 }
 
-/// The fixture with every state object laid out by `layout`. A tenant
-/// line's `events` member (its last, as `save` writes it) is moved to the
-/// front of the line as written: its bodies are trace-line text, which a
-/// tree would re-render.
+/// The fixture with every object of both lines laid out by `layout`.
 fn relaid(layout: &Layout) -> String {
     let mut out = String::new();
     for line in GOLDEN.lines() {
-        let (state, events) = match line.split_once(",\"events\":") {
-            Some((state, events)) => (format!("{state}}}"), Some(&events[..events.len() - 1])),
-            None => (line.to_string(), None),
-        };
-        let mut rendered = String::new();
-        render(&parse(&state).expect("fixture line"), layout, &mut rendered);
-        match events {
-            Some(events) => out.push_str(&format!("{{\"events\":{events},{}", &rendered[1..])),
-            None => out.push_str(&rendered),
-        }
+        render(&parse(line).expect("fixture line"), layout, &mut out);
         out.push('\n');
     }
     out
@@ -100,10 +82,9 @@ fn member_order_is_free() {
         assert_ne!(text, GOLDEN);
         assert_eq!(text.len(), GOLDEN.len(), "same members, another order");
         if tags_last {
-            assert!(text.starts_with("{\"version\":2,"), "{}", &text[..40]);
-            assert!(text.contains(",\"kind\":\"tenant\"}\n"));
-            assert!(text.contains(",\"state\":\"quarantined\"}"));
-            assert!(text.contains("{\"tier\":\"seasonal-naive\",\"retry\":"));
+            assert!(text.starts_with("{\"total_ticks\":"), "{}", &text[..40]);
+            assert!(text.contains(",\"kind\":\"header\"}\n"));
+            assert!(text.contains(",\"kind\":\"digest\"}\n"));
         }
         assert!(resaved(&text).expect("order-free") == GOLDEN, "tags_last = {tags_last}");
     }
@@ -117,15 +98,12 @@ fn unknown_members_are_ignored_at_every_level() {
             let text = relaid(&Layout { tags_last, unknown: Some(unknown) });
             let first = format!("{{\"later\":{unknown},");
             for level in [
-                "", "\"config\":", "\"schedule\":", "\"resilience\":", "\"faults\":", "\"slo\":", "\"burn\":[",
-                "\"supervisor\":", "\"policy\":", "\"state\":", "\"ladder\":", "\"primary\":", "\"naive\":",
-                "\"session\":", "\"counts\":", "\"cluster\":", "\"storage\":", "\"guard\":",
-                "\"health\":", "\"cells\":[", "\"hist\":",
+                "", "\"config\":", "\"schedule\":", "\"resilience\":", "\"faults\":", "\"slo\":",
+                "\"burn\":[", "\"supervisor\":", "\n",
             ] {
                 let injected = text.contains(&format!("{level}{first}"));
                 assert!(injected, "no unknown member under {level:?}");
             }
-            assert!(!text.contains("\"events\":[{\"later\""), "an event's members are closed");
             assert!(resaved(&text).expect("unknown members") == GOLDEN, "{unknown} / {tags_last}");
         }
     }
@@ -141,14 +119,14 @@ fn edited(from: &str, to: &str) -> String {
 fn a_repeated_record_member_keeps_its_last_value_and_a_repeated_tag_is_refused() {
     // Records: one slot per row, overwritten in file order.
     for (from, to) in [
-        ("\"id\":\"u:0\"", "\"id\":\"u:3\",\"id\":\"u:0\""),
-        ("\"plan_start\":\"u:49\"", "\"plan_start\":\"u:0\",\"plan_start\":\"u:49\""),
         ("\"tick\":\"u:57\"", "\"tick\":\"u:1\",\"tick\":\"u:57\""),
+        ("\"seed\":\"u:42\"", "\"seed\":\"u:7\",\"seed\":\"u:42\""),
+        ("\"fnv1a\":\"", "\"fnv1a\":\"0000000000000000\",\"fnv1a\":\""),
     ] {
         assert!(resaved(&edited(from, to)).expect("last one wins") == GOLDEN, "{to}");
     }
-    let err = resaved(&edited("\"id\":\"u:0\"", "\"id\":\"u:0\",\"id\":\"u:3\"")).unwrap_err();
-    assert!(err.contains("out of order: expected 0, got 3"), "{err}");
+    let err = resaved(&edited("\"tick\":\"u:57\"", "\"tick\":\"u:57\",\"tick\":\"u:56\"")).unwrap_err();
+    assert!(err.starts_with("digest mismatch: "), "{err}");
     // Every occurrence is decoded on the way, so an earlier one of the
     // wrong type is refused where a tree would never have looked at it.
     let err = resaved(&edited("\"tick\":\"u:57\"", "\"tick\":true,\"tick\":\"u:57\"")).unwrap_err();
@@ -157,108 +135,13 @@ fn a_repeated_record_member_keeps_its_last_value_and_a_repeated_tag_is_refused()
     // Tags are read by look-ahead, which stops at the first occurrence;
     // a second one is an error, not a silent first-wins.
     for (from, twice) in [
-        ("\"version\":2", "\"version\":2,\"version\":2"),
-        ("\"kind\":\"tenant\"", "\"kind\":\"tenant\",\"kind\":\"tenant\""),
-        ("\"kind\":\"predictive\"", "\"kind\":\"predictive\",\"kind\":\"reactive-max\""),
-        ("\"kind\":\"resilient\"", "\"kind\":\"resilient\",\"kind\":\"resilient\""),
-        ("\"state\":\"healthy\"", "\"state\":\"healthy\",\"state\":\"healthy\""),
-        ("\"counter\":", "\"counter\":\"u:1\",\"counter\":"),
-        ("\"kind\":\"end\"", "\"kind\":\"end\",\"kind\":\"end\""),
+        ("\"version\":3", "\"version\":3,\"version\":3"),
+        ("\"kind\":\"header\"", "\"kind\":\"header\",\"kind\":\"header\""),
+        ("\"schema\":\"", "\"schema\":\"rpas-fleet-checkpoint\",\"schema\":\""),
+        ("\"kind\":\"digest\"", "\"kind\":\"digest\",\"kind\":\"digest\""),
     ] {
         let err = resaved(&edited(from, twice)).unwrap_err();
         assert!(err.contains("duplicate member"), "{twice}: {err}");
-        assert_eq!(err.starts_with("line "), !from.contains("version"), "{twice}: {err}");
-    }
-}
-
-/// A captured event's body is trace-line text: whatever its member and
-/// field order or spacing, `load` keeps its bytes and `save` writes them
-/// back, and its `span/event` need not be one this build's catalogue
-/// declares.
-#[test]
-fn an_events_body_is_kept_byte_for_byte_and_a_foreign_name_survives() {
-    let body = "{\"ts_us\":0,\"level\":\"info\",\"span\":\"fault\",\"event\":\"anomaly\",\
-                \"fields\":{\"burst\":\"spike\",\"mult\":3.5756384913665853,\"step\":0,\"tenant\":\"t0000\"}}";
-    for relaid in [
-        "{\"fields\":{\"step\":0,\"tenant\":\"t0000\",\"burst\":\"spike\",\"mult\":3.5756384913665853},\
-         \"event\":\"anomaly\",\"span\":\"fault\",\"level\":\"info\",\"ts_us\":0}",
-        "{ \"ts_us\" : 0 , \"level\":\"info\",\"span\":\"fault\",\"event\":\"anomaly\",\
-         \"fields\":{\"burst\":\"sp\\u0069ke\",\"mult\":3.57563849136658530e0,\"step\":-0,\"tenant\":\"t0000\"} }",
-    ] {
-        let edited = edited(body, relaid);
-        assert!(resaved(&edited).expect("a body in any order") == edited, "{relaid}");
-    }
-    let foreign = edited(
-        "\"span\":\"fault\",\"event\":\"anomaly\"",
-        "\"span\":\"fault.v2\",\"event\":\"from \\\"another\\\" build\"",
-    );
-    assert!(resaved(&foreign).expect("an uncatalogued name") == foreign);
-}
-
-/// `text` with the string value of the first `"key":"…"` set to `value`.
-fn set(text: &str, key: &str, value: &str) -> String {
-    let lead = format!("\"{key}\":\"");
-    let start = text.find(&lead).unwrap_or_else(|| panic!("no {key} member")) + lead.len();
-    let end = start + text[start..].find('"').expect("closing quote");
-    format!("{}{value}{}", &text[..start], &text[end..])
-}
-
-#[test]
-fn out_of_range_edits_that_always_loaded_still_load_and_run_to_finish() {
-    let mut cfg = FleetConfig::new(3, 42);
-    cfg.days = 1;
-    cfg.schedule = ReplanSchedule { context: 48, horizon: 24 };
-    cfg.capture_events = true;
-    cfg.faults = Some(FaultConfig::heavy());
-    cfg.slo = Some(SloSpec::violation_rate_default());
-    let tel = Telemetry::live();
-    let mut sup = FleetSupervisor::wrap_with(
-        FleetEngine::with_telemetry(&cfg, &tel),
-        SupervisorConfig::default(),
-        &tel,
-    );
-    for _ in 0..60 {
-        sup.tick();
-    }
-    let text = save(&sup, &cfg, &tel).unwrap();
-    let (header, tenants) = text.split_once('\n').unwrap();
-    let in_tenant_0 = |key: &str, value: &str| format!("{header}\n{}", set(tenants, key, value));
-    let plan = tenants.find("\"plan\":[").unwrap() + "\"plan\":[".len();
-    let plan_end = plan + tenants[plan..].find(']').unwrap();
-    // The first histogram's total at `u64::MAX`: its first bucket takes
-    // what the others leave.
-    let counts = text.find("\"counts\":[\"").unwrap() + "\"counts\":[".len();
-    let counts_end = counts + text[counts..].find(']').unwrap();
-    let (_, rest) = text[counts..counts_end].split_once(',').unwrap();
-    let others: u64 =
-        rest.split(',').map(|c| c.trim_matches('"')[2..].parse::<u64>().unwrap()).sum();
-    let hist_at_max =
-        format!("{}\"u:{}\",{rest}{}", &text[..counts], u64::MAX - others, &text[counts_end..]);
-
-    // An empty plan is the state before the first replan, whose cursor
-    // is 0; `checkpoint::tests::corrupted_checkpoints_are_rejected` holds
-    // a plan cursor past the step cursor, and an empty plan with one.
-    let unplanned = set(&format!("{}{}", &tenants[..plan], &tenants[plan_end..]), "plan_start", "u:0");
-    let edits = [
-        ("empty plan at step 0", format!("{header}\n{unplanned}")),
-        ("next_id 0", in_tenant_0("next_id", "u:0")),
-        ("duplicate id", text.replacen("\"id\":\"u:0\"", "\"id\":\"u:0\",\"id\":\"u:0\"", 1)),
-        // Counters that can move by more than one a step wrap, in a debug
-        // build as in a release one.
-        ("next_id at u32::MAX", in_tenant_0("next_id", &format!("u:{}", u32::MAX))),
-        (
-            "checkpoint_reads at u64::MAX",
-            in_tenant_0("checkpoint_reads", &format!("u:{}", u64::MAX)),
-        ),
-        ("a histogram's count at u64::MAX", hist_at_max),
-    ];
-    for (what, edit) in edits {
-        assert_ne!(edit, text, "{what} changed nothing");
-        let (mut resumed, _) = load(&edit, &Telemetry::live(), Obs::noop())
-            .unwrap_or_else(|e| panic!("{what} no longer loads: {e}"));
-        resumed.run_to_completion();
-        let report = resumed.finish();
-        assert_eq!(report.tenants.len(), 3, "{what}");
-        assert!(report.quarantined.is_empty(), "{what}: {:?}", report.quarantined);
+        assert_eq!(err.starts_with("line 2: "), from.contains("digest"), "{twice}: {err}");
     }
 }

@@ -101,19 +101,8 @@ impl SeasonalNaive {
     }
 
     /// The fitted residual spread (`None` before [`Forecaster::fit`]).
-    /// Together with [`SeasonalNaive::restore_sigma`] this is the model's
-    /// entire mutable state, which makes it checkpointable without
-    /// re-running the fit.
     pub fn sigma(&self) -> Option<f64> {
         self.sigma
-    }
-
-    /// Restore a previously captured [`SeasonalNaive::sigma`] — used by
-    /// checkpoint restore, where the original fit history (e.g. the
-    /// runtime-visible window the resilience ladder fitted on at demotion
-    /// time) is no longer available.
-    pub fn restore_sigma(&mut self, sigma: Option<f64>) {
-        self.sigma = sigma;
     }
 }
 

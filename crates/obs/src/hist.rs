@@ -3,8 +3,7 @@
 //!
 //! Serialization: [`Histogram::encode_into`] renders the bucket state as
 //! one flat string, `le=<bound>:<count>;...;inf:<count>`, which is what the
-//! metric exposition prints; [`Histogram::from_parts`] is the lossless
-//! inverse of the accessors, for checkpoint restore.
+//! metric exposition prints.
 
 use crate::json::{write_f64, write_u64};
 
@@ -18,10 +17,6 @@ pub struct Histogram {
     sum: f64,
 }
 
-fn finite_and_increasing(bounds: &[f64]) -> bool {
-    bounds.windows(2).all(|w| w[0] < w[1]) && bounds.iter().all(|b| b.is_finite())
-}
-
 impl Histogram {
     /// New histogram with the given inclusive upper bounds.
     ///
@@ -30,7 +25,7 @@ impl Histogram {
     pub fn new(bounds: Vec<f64>) -> Self {
         assert!(!bounds.is_empty(), "histogram needs at least one bucket bound");
         assert!(
-            finite_and_increasing(&bounds),
+            bounds.windows(2).all(|w| w[0] < w[1]) && bounds.iter().all(|b| b.is_finite()),
             "histogram bounds must be finite and strictly increasing"
         );
         let n = bounds.len() + 1;
@@ -45,7 +40,7 @@ impl Histogram {
         } else {
             self.bounds.partition_point(|&b| b < v)
         };
-        // Wrapping, as counters do: a restored count may sit at the top.
+        // Wrapping, as counters do.
         self.counts[idx] = self.counts[idx].wrapping_add(1);
         self.count = self.count.wrapping_add(1);
         if v.is_finite() {
@@ -64,43 +59,9 @@ impl Histogram {
         &self.bounds
     }
 
-    /// Per-bucket counts, one per bound plus the trailing `+inf` overflow
-    /// bucket (so `counts().len() == bounds().len() + 1`).
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
     /// Running sum of the finite samples.
     pub fn sum(&self) -> f64 {
         self.sum
-    }
-
-    /// Reassemble a histogram from previously captured state — the exact
-    /// inverse of reading [`Histogram::bounds`]/[`Histogram::counts`]/
-    /// [`Histogram::sum`], for checkpoint restore paths that must be
-    /// lossless (the flat-string [`Histogram::encode_into`] drops the sum).
-    ///
-    /// # Errors
-    /// The parts come from a file, so a shape [`Histogram::new`] would
-    /// panic on is an `Err` here: empty, non-finite or non-increasing
-    /// bounds, `counts` not one longer than `bounds`, or a total count
-    /// beyond `u64`.
-    pub fn from_parts(bounds: Vec<f64>, counts: Vec<u64>, sum: f64) -> Result<Self, String> {
-        if bounds.is_empty() || !finite_and_increasing(&bounds) {
-            return Err("histogram bounds must be non-empty, finite and strictly increasing".into());
-        }
-        if counts.len() != bounds.len() + 1 {
-            return Err(format!(
-                "histogram has {} counts for {} bounds plus overflow",
-                counts.len(),
-                bounds.len()
-            ));
-        }
-        let count = counts
-            .iter()
-            .try_fold(0u64, |total, &c| total.checked_add(c))
-            .ok_or("histogram counts overflow u64")?;
-        Ok(Self { bounds, counts, count, sum })
     }
 
     /// Append the canonical flat-string encoding
@@ -171,35 +132,6 @@ mod tests {
         assert_eq!(encode(&h), "le=10:1;le=100:0;inf:1");
         assert_eq!(h.count(), 2);
         assert!((h.sum() - 0.0).abs() < f64::EPSILON);
-    }
-
-    #[test]
-    fn from_parts_roundtrips_exactly_including_sum() {
-        let mut h = Histogram::new(vec![10.0, 100.0]);
-        for v in [5.0, 50.0, 500.0, 0.125] {
-            h.record(v);
-        }
-        let back =
-            Histogram::from_parts(h.bounds().to_vec(), h.counts().to_vec(), h.sum()).unwrap();
-        assert_eq!(back, h, "from_parts is the exact inverse of the accessors");
-        assert_eq!(back.sum().to_bits(), h.sum().to_bits());
-    }
-
-    #[test]
-    fn from_parts_refuses_what_new_would_panic_on() {
-        for (bounds, counts, why) in [
-            (vec![], vec![0], "bounds"),
-            (vec![1.0, 1.0], vec![0, 0, 0], "bounds"),
-            (vec![2.0, 1.0], vec![0, 0, 0], "bounds"),
-            (vec![f64::INFINITY], vec![0, 0], "bounds"),
-            (vec![f64::NAN, 1.0], vec![0, 0, 0], "bounds"),
-            (vec![1.0, 2.0], vec![0, 0], "2 counts for 2 bounds"),
-            (vec![1.0, 2.0], vec![0, 0, 0, 0], "4 counts for 2 bounds"),
-            (vec![1.0], vec![u64::MAX, 1], "overflow"),
-        ] {
-            let err = Histogram::from_parts(bounds, counts, 0.0).unwrap_err();
-            assert!(err.contains(why), "{err}");
-        }
     }
 
     #[test]

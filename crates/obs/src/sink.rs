@@ -35,6 +35,13 @@ pub trait Sink: Send + Sync {
 
     /// Flush buffered output (JSONL file sink); default no-op.
     fn flush(&self) {}
+
+    /// Whether the sink reads an event's `ts_us`. A handle reads the
+    /// clock only when one of its sinks does; otherwise every event
+    /// keeps `ts_us` 0.
+    fn reads_clock(&self) -> bool {
+        true
+    }
 }
 
 /// Human-readable stderr sink (the `RPAS_LOG` target). This is the one
@@ -188,6 +195,8 @@ struct Inner {
     sinks: Vec<Box<dyn Sink>>,
     /// Most verbose level any sink wants; pre-computed gate for `enabled`.
     max_level: Level,
+    /// Whether any sink reads `ts_us` (see [`Sink::reads_clock`]).
+    clock: bool,
     seq: AtomicU64,
 }
 
@@ -228,7 +237,8 @@ impl Obs {
         let Some(max_level) = sinks.iter().map(|s| s.max_level()).max() else {
             return Self::noop();
         };
-        Self { inner: Some(Arc::new(Inner { sinks, max_level, seq: AtomicU64::new(0) })) }
+        let clock = sinks.iter().any(|s| s.reads_clock());
+        Self { inner: Some(Arc::new(Inner { sinks, max_level, clock, seq: AtomicU64::new(0) })) }
     }
 
     /// Build from the environment:
@@ -339,10 +349,12 @@ impl Obs {
 
     fn dispatch(inner: &Inner, mut event: Event) {
         event.seq = inner.seq.fetch_add(1, Ordering::Relaxed);
-        event.ts_us = SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map(|d| d.as_micros() as u64)
-            .unwrap_or(0);
+        if inner.clock {
+            event.ts_us = SystemTime::now()
+                .duration_since(UNIX_EPOCH)
+                .map(|d| d.as_micros() as u64)
+                .unwrap_or(0);
+        }
         let Some((last, rest)) = inner.sinks.split_last() else { return };
         for sink in rest {
             if event.level <= sink.max_level() {
@@ -484,6 +496,30 @@ mod tests {
         obs.emit(catalog::PLAN_DECISION, |_| {});
         let read = |t: &Tally| (t.borrowed.load(Ordering::Relaxed), t.owned.load(Ordering::Relaxed));
         assert_eq!((read(&first), read(&last)), ((2, 0), (0, 1)));
+    }
+
+    /// The clock is read for an event when some sink of the handle reads
+    /// `ts_us`, and never for a handle whose sinks all ignore it.
+    #[test]
+    fn the_clock_is_read_only_for_a_sink_that_reads_it() {
+        struct Untimed(MemorySink);
+        impl Sink for Untimed {
+            fn max_level(&self) -> Level {
+                Level::Debug
+            }
+            fn emit(&self, e: &Event) {
+                self.0.emit(e);
+            }
+            fn reads_clock(&self) -> bool {
+                false
+            }
+        }
+        let (untimed, timed) = (MemorySink::new(), MemorySink::new());
+        Obs::with_sink(Box::new(Untimed(untimed.clone()))).emit(catalog::PLAN_DECISION, |_| {});
+        assert_eq!(untimed.events()[0].ts_us, 0);
+        let both = Obs::multi(vec![Box::new(Untimed(untimed.clone())), Box::new(timed.clone())]);
+        both.emit(catalog::PLAN_DECISION, |_| {});
+        assert!(untimed.events()[1].ts_us > 0 && timed.events()[0].ts_us > 0);
     }
 
     #[test]

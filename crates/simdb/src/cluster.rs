@@ -1,46 +1,14 @@
 //! The compute-node pool: scale-out/scale-in mechanics over shared storage.
 
-use crate::node::{ComputeNode, NodeId, NodeState};
-use crate::storage::{SharedStorage, StorageStats};
+use crate::node::ComputeNode;
+use crate::storage::SharedStorage;
 use crate::warmup::WarmupModel;
 use std::sync::Arc;
-
-/// One node's state inside a [`ClusterSnapshot`]: identifier, launch
-/// step, and remaining warm-up (`None` for an active node).
-#[derive(Debug, Clone, PartialEq)]
-pub struct NodeSnapshot {
-    /// The node's `NodeId` value.
-    pub id: u32,
-    /// Simulation step at which the node was launched.
-    pub launched_at_step: usize,
-    /// Seconds of warm-up remaining, or `None` when serving.
-    pub warming_remaining_secs: Option<f64>,
-}
-
-/// The cluster's full mutable state, as plain data — everything
-/// `Cluster::restore` needs to resume a pool mid-run (the warm-up model
-/// and storage handle are configuration, rebuilt from the spec).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClusterSnapshot {
-    /// Node list in pool order.
-    pub nodes: Vec<NodeSnapshot>,
-    /// Next `NodeId` to assign. A `NodeId` is a label that nothing but
-    /// [`ClusterSnapshot`] reads, so any value is valid (0 and an id
-    /// already in `nodes` included) and it wraps at `u32::MAX`.
-    pub next_id: u32,
-    /// Scale-out operations performed so far.
-    pub scale_out_events: usize,
-    /// Scale-in operations performed so far.
-    pub scale_in_events: usize,
-    /// Shared-storage checkpoint counters.
-    pub storage: StorageStats,
-}
 
 /// A pool of compute nodes attached to one shared storage.
 #[derive(Debug)]
 pub(crate) struct Cluster {
     nodes: Vec<ComputeNode>,
-    next_id: u32,
     warmup: WarmupModel,
     storage: Arc<SharedStorage>,
     scale_out_events: usize,
@@ -54,11 +22,9 @@ impl Cluster {
         warmup: WarmupModel,
         storage: Arc<SharedStorage>,
     ) -> Self {
-        let nodes =
-            (0..initial_nodes).map(|i| ComputeNode::active(NodeId(i), 0)).collect::<Vec<_>>();
+        let nodes = (0..initial_nodes).map(|_| ComputeNode::active(0)).collect::<Vec<_>>();
         Self {
             nodes,
-            next_id: initial_nodes,
             warmup,
             storage,
             scale_out_events: 0,
@@ -122,9 +88,7 @@ impl Cluster {
             for _ in 0..(target - current) {
                 let gb = self.storage.load_checkpoint();
                 let w = self.warmup.warmup_secs(gb) + extra_warmup_secs.max(0.0);
-                let id = NodeId(self.next_id);
-                self.next_id = self.next_id.wrapping_add(1);
-                self.nodes.push(ComputeNode::warming(id, w, step));
+                self.nodes.push(ComputeNode::warming(w, step));
             }
         } else if target < current {
             self.scale_in_events += 1;
@@ -177,62 +141,14 @@ impl Cluster {
         self.nodes.iter_mut().map(|n| n.tick(dt_secs)).sum()
     }
 
-    /// Capture the pool's full mutable state (see [`ClusterSnapshot`]).
-    pub(crate) fn snapshot(&self) -> ClusterSnapshot {
-        ClusterSnapshot {
-            nodes: self
-                .nodes
-                .iter()
-                .map(|n| NodeSnapshot {
-                    id: n.id.0,
-                    launched_at_step: n.launched_at_step,
-                    warming_remaining_secs: match n.state {
-                        NodeState::WarmingUp { remaining_secs } => Some(remaining_secs),
-                        NodeState::Active => None,
-                    },
-                })
-                .collect(),
-            next_id: self.next_id,
-            scale_out_events: self.scale_out_events,
-            scale_in_events: self.scale_in_events,
-            storage: self.storage.stats(),
-        }
-    }
-
-    /// Overwrite the pool's mutable state with a previously captured
-    /// snapshot. The warm-up model and storage configuration stay as
-    /// built; storage *counters* are restored to absolute values so the
-    /// bootstrap reads of the rebuilt pool do not double-count.
-    #[deny(unused_variables)]
-    pub(crate) fn restore(&mut self, snap: &ClusterSnapshot) {
-        // Exhaustive on purpose (no `..`), nested `NodeSnapshot` included:
-        // a field added to either and not consumed here does not compile.
-        let ClusterSnapshot { nodes, next_id, scale_out_events, scale_in_events, storage } = snap;
-        self.nodes = nodes
-            .iter()
-            .map(|&NodeSnapshot { id, launched_at_step, warming_remaining_secs }| ComputeNode {
-                id: NodeId(id),
-                launched_at_step,
-                state: match warming_remaining_secs {
-                    Some(remaining_secs) => NodeState::WarmingUp { remaining_secs },
-                    None => NodeState::Active,
-                },
-            })
-            .collect();
-        self.next_id = *next_id;
-        self.scale_out_events = *scale_out_events;
-        self.scale_in_events = *scale_in_events;
-        self.storage.restore_stats(*storage);
-    }
-
     /// Seconds of warm-up remaining across the pool (0 when all active).
     #[cfg(test)]
     pub(crate) fn pending_warmup_secs(&self) -> f64 {
         self.nodes
             .iter()
             .map(|n| match n.state {
-                NodeState::WarmingUp { remaining_secs } => remaining_secs,
-                NodeState::Active => 0.0,
+                crate::node::NodeState::WarmingUp { remaining_secs } => remaining_secs,
+                crate::node::NodeState::Active => 0.0,
             })
             .sum()
     }
@@ -316,33 +232,6 @@ mod tests {
         let mut zero = cluster(1);
         zero.scale_to_delayed(2, 0, 0.0);
         assert_eq!(zero.pending_warmup_secs(), fast.pending_warmup_secs());
-    }
-
-    #[test]
-    fn snapshot_restore_roundtrips_mid_run_state() {
-        let mut c = cluster(2);
-        c.scale_to(5, 3); // 3 warming nodes, 3 checkpoint reads
-        c.tick(1.0); // shave warm-up, keep nodes warming
-        let snap = c.snapshot();
-        assert_eq!(snap.nodes.len(), 5);
-        assert_eq!(snap.storage.checkpoint_reads, 3);
-
-        // A freshly built cluster (whose bootstrap state differs) restores
-        // to exactly the captured pool, including storage counters.
-        let mut fresh = cluster(2);
-        fresh.restore(&snap);
-        assert_eq!(fresh.snapshot(), snap);
-        assert_eq!(fresh.size(), 5);
-        assert_eq!(fresh.active_count(), 2);
-        assert_eq!(fresh.storage().stats().checkpoint_reads, 3);
-        assert!((fresh.pending_warmup_secs() - c.pending_warmup_secs()).abs() < 1e-12);
-
-        // The restored pool evolves identically to the original.
-        let (a, b) = (c.tick(600.0), fresh.tick(600.0));
-        assert!((a - b).abs() < 1e-12);
-        c.scale_to(1, 4);
-        fresh.scale_to(1, 4);
-        assert_eq!(fresh.snapshot(), c.snapshot());
     }
 
     #[test]

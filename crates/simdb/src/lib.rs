@@ -33,12 +33,10 @@ mod simulator;
 mod storage;
 mod warmup;
 
-pub use cluster::{ClusterSnapshot, NodeSnapshot};
 pub use faults::{FaultConfig, FaultCounts, FaultPlan, RecoveryStats};
 pub use fleet::{fleet_qos, tenant_qos, FleetQos, TenantQos};
 pub use policy::{FixedPolicy, Observation, PolicyHealth, ScaleOutcome, ScalingPolicy};
 pub use qos::{slo_report, LatencyModel, SloReport};
 pub use report::{SimulationReport, StepRecord};
-pub use simulator::{SessionSnapshot, SimConfig, SimSession};
-pub use storage::StorageStats;
+pub use simulator::{SimConfig, SimSession};
 pub use warmup::WarmupModel;

@@ -1,9 +1,5 @@
 //! Compute nodes of the disaggregated database.
 
-/// Opaque node identifier, unique within one cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub(crate) struct NodeId(pub u32);
-
 /// Lifecycle state of a compute node.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum NodeState {
@@ -20,8 +16,6 @@ pub(crate) enum NodeState {
 /// A stateless compute node over shared storage.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ComputeNode {
-    /// Node identifier.
-    pub id: NodeId,
     /// Current lifecycle state.
     pub state: NodeState,
     /// Simulation step at which the node was launched.
@@ -30,18 +24,18 @@ pub(crate) struct ComputeNode {
 
 impl ComputeNode {
     /// A node starting its warm-up.
-    pub(crate) fn warming(id: NodeId, warmup_secs: f64, step: usize) -> Self {
+    pub(crate) fn warming(warmup_secs: f64, step: usize) -> Self {
         let state = if warmup_secs <= 0.0 {
             NodeState::Active
         } else {
             NodeState::WarmingUp { remaining_secs: warmup_secs }
         };
-        Self { id, state, launched_at_step: step }
+        Self { state, launched_at_step: step }
     }
 
     /// A node that is already serving (cluster bootstrap).
-    pub(crate) fn active(id: NodeId, step: usize) -> Self {
-        Self { id, state: NodeState::Active, launched_at_step: step }
+    pub(crate) fn active(step: usize) -> Self {
+        Self { state: NodeState::Active, launched_at_step: step }
     }
 
     /// Whether the node can serve traffic right now.
@@ -75,14 +69,14 @@ mod tests {
 
     #[test]
     fn active_node_serves_full_interval() {
-        let mut n = ComputeNode::active(NodeId(1), 0);
+        let mut n = ComputeNode::active(0);
         assert!(n.is_active());
         assert_eq!(n.tick(600.0), 1.0);
     }
 
     #[test]
     fn warming_node_becomes_active_with_partial_service() {
-        let mut n = ComputeNode::warming(NodeId(2), 60.0, 0);
+        let mut n = ComputeNode::warming(60.0, 0);
         assert!(!n.is_active());
         // 600 s interval, 60 s warm-up: serves 90% of the interval.
         let frac = n.tick(600.0);
@@ -93,7 +87,7 @@ mod tests {
 
     #[test]
     fn long_warmup_spans_intervals() {
-        let mut n = ComputeNode::warming(NodeId(3), 900.0, 0);
+        let mut n = ComputeNode::warming(900.0, 0);
         assert_eq!(n.tick(600.0), 0.0);
         assert!(!n.is_active());
         let frac = n.tick(600.0);
@@ -103,7 +97,7 @@ mod tests {
 
     #[test]
     fn zero_warmup_is_immediately_active() {
-        let n = ComputeNode::warming(NodeId(4), 0.0, 2);
+        let n = ComputeNode::warming(0.0, 2);
         assert!(n.is_active());
     }
 }

@@ -21,29 +21,6 @@ pub enum ScaleOutcome {
     Rejected,
 }
 
-impl ScaleOutcome {
-    /// Stable lowercase label for obs fields and reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            ScaleOutcome::NoChange => "no_change",
-            ScaleOutcome::Applied => "applied",
-            ScaleOutcome::Delayed => "delayed",
-            ScaleOutcome::Rejected => "rejected",
-        }
-    }
-
-    /// Inverse of [`ScaleOutcome::label`], for checkpoint restore.
-    pub fn parse(label: &str) -> Option<Self> {
-        match label {
-            "no_change" => Some(ScaleOutcome::NoChange),
-            "applied" => Some(ScaleOutcome::Applied),
-            "delayed" => Some(ScaleOutcome::Delayed),
-            "rejected" => Some(ScaleOutcome::Rejected),
-            _ => None,
-        }
-    }
-}
-
 /// Self-reported health of a policy's decision pipeline, polled by the
 /// degradation ladder (`rpas-core`'s `ResilientManager`) after each
 /// decision to drive fallback-tier descent.
@@ -192,14 +169,5 @@ mod tests {
         let obs = Observation::new(3, &[1.0], 2, 60.0, 1);
         assert!(obs.metrics_fresh);
         assert_eq!(obs.last_scale, ScaleOutcome::NoChange);
-    }
-
-    #[test]
-    fn scale_outcome_labels_are_stable() {
-        assert_eq!(ScaleOutcome::NoChange.label(), "no_change");
-        assert_eq!(ScaleOutcome::Applied.label(), "applied");
-        assert_eq!(ScaleOutcome::Delayed.label(), "delayed");
-        assert_eq!(ScaleOutcome::Rejected.label(), "rejected");
-        assert_eq!(ScaleOutcome::default(), ScaleOutcome::NoChange);
     }
 }

@@ -7,7 +7,7 @@
 //! can interleave many independent sessions (each tenant owns a
 //! `SimSession`; see `rpas_core::fleet`).
 
-use crate::cluster::{Cluster, ClusterSnapshot};
+use crate::cluster::Cluster;
 use crate::faults::{recovery_stats, FaultCounts, FaultPlan};
 use crate::policy::{Observation, ScaleOutcome, ScalingPolicy};
 use crate::report::{SimulationReport, StepRecord};
@@ -50,27 +50,6 @@ impl Default for SimConfig {
 /// histogram (inclusive upper bounds; the implicit overflow bucket holds
 /// ratios beyond 2θ), so `>1` buckets count SLO-violating intervals.
 const UTIL_BOUNDS: [f64; 7] = [0.25, 0.5, 0.75, 0.9, 1.0, 1.5, 2.0];
-
-/// The full mutable state of a [`SimSession`], as plain data — the unit
-/// the fleet checkpoint format serializes per tenant. Together with the
-/// session's immutable spec (trace, [`SimConfig`], fault plan — all
-/// deterministic functions of seeds) this is sufficient to resume the
-/// run exactly where it stopped; see [`SimSession::restore`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct SessionSnapshot {
-    /// Next tick to execute.
-    pub t: usize,
-    /// Prefix of the workload the metric pipeline has delivered.
-    pub visible: usize,
-    /// Outcome of the previous interval's scale request.
-    pub last_scale: ScaleOutcome,
-    /// Faults applied so far.
-    pub counts: FaultCounts,
-    /// Step records produced so far (one per executed tick).
-    pub steps: Vec<StepRecord>,
-    /// The compute pool's state.
-    pub cluster: ClusterSnapshot,
-}
 
 /// The simulation loop as a resumable state machine: one [`SimSession`]
 /// is one policy driving one cluster over one realised workload series,
@@ -195,55 +174,14 @@ impl SimSession {
         &self.steps
     }
 
-    /// Capture the session's full mutable state (see [`SessionSnapshot`]).
-    /// Everything else — config, realised workload, fault plan, handles —
-    /// is rebuilt from the original spec on restore.
-    pub fn snapshot(&self) -> SessionSnapshot {
-        SessionSnapshot {
-            t: self.t,
-            visible: self.visible,
-            last_scale: self.last_scale,
-            counts: self.counts,
-            steps: self.steps.clone(),
-            cluster: self.cluster.snapshot(),
-        }
+    /// Faults applied so far.
+    pub fn fault_counts(&self) -> FaultCounts {
+        self.counts
     }
 
-    /// Overwrite the session's mutable state with a previously captured
-    /// snapshot. Must be applied to a session built from the *same* spec
-    /// (same trace, config, and fault plan); continuing the restored
-    /// session then produces exactly the steps the original would have.
-    ///
-    /// # Errors
-    /// A snapshot comes from a checkpoint file, so one no run of this
-    /// session could have produced is an `Err` (and the session is left
-    /// untouched), not a panic: a cursor beyond the trace, step records
-    /// that are not one per executed tick, or a delivered prefix ahead of
-    /// the cursor (the next metric-dropout tick would slice past it).
-    #[deny(unused_variables)]
-    pub fn restore(&mut self, snap: SessionSnapshot) -> Result<(), String> {
-        // Exhaustive on purpose (no `..`): a field added to the snapshot
-        // and not consumed here does not compile.
-        let SessionSnapshot { t, visible, last_scale, counts, steps, cluster } = snap;
-        if t > self.w.len() {
-            return Err(format!("snapshot cursor {t} beyond trace length {}", self.w.len()));
-        }
-        if steps.len() != t {
-            return Err(format!("snapshot cursor {t} but {} step records", steps.len()));
-        }
-        if visible > t {
-            return Err(format!("snapshot visible prefix {visible} beyond cursor {t}"));
-        }
-        self.t = t;
-        self.visible = visible;
-        self.last_scale = last_scale;
-        self.counts = counts;
-        // Moved, not cloned; the decoder's spare capacity is trimmed, or
-        // a loaded fleet would keep it resident (+1.6 MB at 64 tenants).
-        self.steps = steps;
-        self.steps.shrink_to_fit();
-        self.cluster.restore(&cluster);
-        Ok(())
+    /// Scale-out and scale-in operations performed so far.
+    pub fn scale_events(&self) -> (usize, usize) {
+        (self.cluster.scale_out_events(), self.cluster.scale_in_events())
     }
 
     /// Execute one decision tick: the policy observes realised history,
@@ -740,79 +678,6 @@ mod fault_tests {
         let tr = trace(vec![50.0; 10]);
         let plan = FaultPlan::build(FaultConfig::light(), 1, 5);
         let _ = SimSession::new(&tr, SimConfig::default()).with_faults(plan);
-    }
-}
-
-#[cfg(test)]
-mod snapshot_tests {
-    use super::*;
-    use crate::faults::{FaultConfig, FaultPlan};
-    use crate::policy::OraclePolicy;
-    use rpas_traces::google_like;
-
-    fn session(tr: &rpas_traces::Trace) -> SimSession {
-        let plan = FaultPlan::build(FaultConfig::heavy(), 5, tr.len());
-        SimSession::new(tr, SimConfig::default()).with_faults(plan)
-    }
-
-    #[test]
-    fn restore_at_any_tick_reproduces_the_uninterrupted_run() {
-        let tr = google_like(3, 1).cpu().clone();
-        // Uninterrupted reference run (oracle policy is stateless given
-        // the trace, so snapshot/restore needs no policy state here).
-        let reference = session(&tr).run(&mut OraclePolicy::new(tr.values.clone()));
-
-        for cut in [0usize, 1, 37, 143] {
-            let mut first = session(&tr);
-            let mut p1 = OraclePolicy::new(tr.values.clone());
-            for _ in 0..cut {
-                assert!(first.step(&mut p1));
-            }
-            let snap = first.snapshot();
-            assert_eq!(snap.t, cut);
-
-            let mut resumed = session(&tr);
-            resumed.restore(snap).unwrap();
-            let report = resumed.run(&mut OraclePolicy::new(tr.values.clone()));
-            assert_eq!(report, reference, "resume at tick {cut} diverged");
-        }
-    }
-
-    #[test]
-    fn snapshot_roundtrips_through_restore() {
-        let tr = google_like(9, 1).cpu().clone();
-        let mut s = session(&tr);
-        let mut p = OraclePolicy::new(tr.values.clone());
-        for _ in 0..50 {
-            s.step(&mut p);
-        }
-        let snap = s.snapshot();
-        let mut fresh = session(&tr);
-        fresh.restore(snap.clone()).unwrap();
-        assert_eq!(fresh.snapshot(), snap);
-    }
-
-    #[test]
-    fn cursor_contradicting_the_trace_or_its_records_rejected() {
-        let tr = google_like(9, 1).cpu().clone();
-        let mut s = session(&tr);
-        let mut p = OraclePolicy::new(tr.values.clone());
-        for _ in 0..20 {
-            s.step(&mut p);
-        }
-        let untouched = s.snapshot();
-        let beyond = SessionSnapshot { t: tr.len() + 1, ..untouched.clone() };
-        let behind = SessionSnapshot { t: 10, ..untouched.clone() };
-        let ahead = SessionSnapshot { visible: 21, ..untouched.clone() };
-        for (snap, why) in [
-            (beyond, "beyond trace length"),
-            (behind, "cursor 10 but 20 step records"),
-            (ahead, "visible prefix 21 beyond cursor 20"),
-        ] {
-            let err = s.restore(snap).unwrap_err();
-            assert!(err.contains(why), "{err}");
-            assert_eq!(s.snapshot(), untouched);
-        }
     }
 }
 

@@ -10,7 +10,7 @@ use std::sync::Mutex;
 
 /// Counters describing checkpoint activity on the shared storage.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct StorageStats {
+pub(crate) struct StorageStats {
     /// Number of checkpoint reads (one per node warm-up), wrapping at
     /// `u64::MAX`.
     pub checkpoint_reads: u64,
@@ -47,14 +47,6 @@ impl SharedStorage {
     /// Snapshot the counters.
     pub(crate) fn stats(&self) -> StorageStats {
         *self.stats.lock().expect("storage stats mutex poisoned")
-    }
-
-    /// Overwrite the counters with previously captured [`StorageStats`] —
-    /// the checkpoint-restore hook (a rebuilt cluster re-reads checkpoints
-    /// during its bootstrap, so restore must set absolute values rather
-    /// than add).
-    pub(crate) fn restore_stats(&self, stats: StorageStats) {
-        *self.stats.lock().expect("storage stats mutex poisoned") = stats;
     }
 }
 

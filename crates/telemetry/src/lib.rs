@@ -35,7 +35,6 @@ mod slo;
 pub use diff::{diff_traces, Divergence, TraceDiff};
 pub use query::{run_query, Aggregate, GroupBy, QueryFilter, QueryResult};
 pub use registry::{
-    CellDump, CellValue, Counter, HistogramHandle, Recorder, Snapshot, SnapshotEntry,
-    SnapshotValue, Telemetry,
+    Counter, HistogramHandle, Recorder, Snapshot, SnapshotEntry, SnapshotValue, Telemetry,
 };
 pub use slo::{BurnAlert, BurnRule, RatioSeries, SloReport, SloSpec, SloStatus};

@@ -10,12 +10,10 @@
 //!
 //! Determinism: counter increments and histogram bucket counts are
 //! order-independent sums, so snapshots are byte-identical for any
-//! thread interleaving. The gauge cell kind is part of the checkpoint
-//! schema and the exposition, but has no recording handle: nothing sets
-//! one, so a gauge only ever arrives through [`MetricRegistry::restore`].
+//! thread interleaving.
 
 use rpas_obs::catalog::{self, EventName};
-use rpas_obs::json::{escape_str, write_f64, write_u64};
+use rpas_obs::json::{escape_str, write_u64};
 use rpas_obs::{Event, Histogram, Obs};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -85,7 +83,6 @@ impl Key {
 #[derive(Clone)]
 enum Cell {
     Counter(Arc<AtomicU64>),
-    Gauge(Arc<AtomicU64>), // f64 bits; starts at NaN
     Hist(Arc<Mutex<Histogram>>),
 }
 
@@ -97,7 +94,6 @@ impl Cell {
     fn kind(&self) -> &'static str {
         match self {
             Cell::Counter(_) => "counter",
-            Cell::Gauge(_) => "gauge",
             Cell::Hist(_) => "histogram",
         }
     }
@@ -202,93 +198,6 @@ impl MetricRegistry {
         }
     }
 
-    /// Structured dump of every registered cell — unlike [`Snapshot`],
-    /// which renders keys to display strings, this keeps `(name, labels)`
-    /// identity and exact values (histogram sums included), so a
-    /// checkpoint can [`MetricRegistry::restore`] the registry
-    /// losslessly. Entries come back in canonical sorted key order.
-    pub(crate) fn dump(&self) -> Vec<CellDump> {
-        let mut merged: BTreeMap<Key, CellValue> = BTreeMap::new();
-        for shard in &self.shards {
-            let shard = shard.lock().expect("registry shard poisoned");
-            for (key, cell) in shard.iter() {
-                let value = match cell {
-                    Cell::Counter(c) => CellValue::Counter(c.load(Ordering::Relaxed)),
-                    Cell::Gauge(g) => CellValue::GaugeBits(g.load(Ordering::Relaxed)),
-                    Cell::Hist(h) => {
-                        let h = h.lock().expect("histogram mutex poisoned");
-                        CellValue::Hist {
-                            bounds: h.bounds().to_vec(),
-                            counts: h.counts().to_vec(),
-                            sum: h.sum(),
-                        }
-                    }
-                };
-                merged.insert(key.clone(), value);
-            }
-        }
-        merged
-            .into_iter()
-            .map(|(key, value)| CellDump { name: key.name, labels: key.labels, value })
-            .collect()
-    }
-
-    /// Re-create every dumped cell with its exact captured value,
-    /// overwriting (not adding to) any existing cell of the same key —
-    /// restore is absolute, so it can be applied on top of a freshly
-    /// rebuilt registry whose wiring already registered the cells at
-    /// zero.
-    ///
-    /// # Errors
-    /// The dump comes from a checkpoint file, so what the handle
-    /// constructors panic on is an `Err` here: a key already registered
-    /// as a different kind or with different histogram bounds, and a
-    /// histogram [`Histogram::from_parts`] refuses. Cells before the
-    /// offending one stay restored.
-    pub(crate) fn restore(&self, cells: &[CellDump]) -> Result<(), String> {
-        for dump in cells {
-            let labels: Vec<(&str, &str)> =
-                dump.labels.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
-            let key = Key::new(&dump.name, &labels);
-            let clash = |with: &Cell| {
-                format!("metric {:?} already registered as {}", dump.name, with.kind())
-            };
-            match &dump.value {
-                CellValue::Counter(v) => {
-                    match self.cell(key, || Cell::Counter(Arc::new(AtomicU64::new(0)))) {
-                        Cell::Counter(c) => c.store(*v, Ordering::Relaxed),
-                        other => return Err(clash(&other)),
-                    }
-                }
-                CellValue::GaugeBits(bits) => {
-                    let make = || Cell::Gauge(Arc::new(AtomicU64::new(f64::NAN.to_bits())));
-                    match self.cell(key, make) {
-                        Cell::Gauge(g) => g.store(*bits, Ordering::Relaxed),
-                        other => return Err(clash(&other)),
-                    }
-                }
-                CellValue::Hist { bounds, counts, sum } => {
-                    let restored = Histogram::from_parts(bounds.clone(), counts.clone(), *sum)
-                        .map_err(|why| format!("metric {:?}: {why}", dump.name))?;
-                    match self.cell(key, || Cell::Hist(Arc::new(Mutex::new(restored.clone())))) {
-                        Cell::Hist(h) => {
-                            let mut cur = h.lock().expect("histogram mutex poisoned");
-                            if !same_bits(cur.bounds(), bounds) {
-                                return Err(format!(
-                                    "metric {:?} already registered with different bounds",
-                                    dump.name
-                                ));
-                            }
-                            *cur = restored;
-                        }
-                        other => return Err(clash(&other)),
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Point-in-time snapshot of every registered metric, in one
     /// canonical sorted order (shard layout is invisible).
     pub(crate) fn snapshot(&self) -> Snapshot {
@@ -298,9 +207,6 @@ impl MetricRegistry {
             for (key, cell) in shard.iter() {
                 let value = match cell {
                     Cell::Counter(c) => SnapshotValue::Counter(c.load(Ordering::Relaxed)),
-                    Cell::Gauge(g) => {
-                        SnapshotValue::Gauge(f64::from_bits(g.load(Ordering::Relaxed)))
-                    }
                     Cell::Hist(h) => SnapshotValue::Histogram(
                         h.lock().expect("histogram mutex poisoned").clone(),
                     ),
@@ -317,46 +223,11 @@ impl MetricRegistry {
     }
 }
 
-/// Exact value of one dumped cell (see `MetricRegistry::dump`).
-/// Gauges carry raw `f64` bits so an unset gauge's NaN round-trips
-/// bit-identically; histograms carry bounds, per-bucket counts, and the
-/// exact running sum (the display encoding drops the sum).
-#[derive(Debug, Clone, PartialEq)]
-pub enum CellValue {
-    /// Monotonic count.
-    Counter(u64),
-    /// Last-written reading as `f64::to_bits`.
-    GaugeBits(u64),
-    /// Full histogram state.
-    Hist {
-        /// Inclusive upper bounds (the histogram's schema).
-        bounds: Vec<f64>,
-        /// Per-bucket counts, one per bound plus overflow.
-        counts: Vec<u64>,
-        /// Exact running sum of finite samples.
-        sum: f64,
-    },
-}
-
-/// One cell of a `MetricRegistry::dump`: structured identity plus
-/// exact value, sufficient to `MetricRegistry::restore` the cell.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CellDump {
-    /// Metric name.
-    pub name: String,
-    /// Sorted, deduplicated labels.
-    pub labels: Vec<(String, String)>,
-    /// The exact captured value.
-    pub value: CellValue,
-}
-
 /// Snapshotted value of one metric.
 #[derive(Debug, Clone)]
 pub enum SnapshotValue {
     /// Monotonic count.
     Counter(u64),
-    /// Last-written reading (NaN if never set).
-    Gauge(f64),
     /// Full bucket state.
     Histogram(Histogram),
 }
@@ -389,10 +260,6 @@ impl Snapshot {
                 SnapshotValue::Counter(v) => {
                     out.push_str(" counter ");
                     write_u64(&mut out, *v);
-                }
-                SnapshotValue::Gauge(v) => {
-                    out.push_str(" gauge ");
-                    write_f64(&mut out, *v);
                 }
                 SnapshotValue::Histogram(h) => {
                     out.push_str(" histogram count=");
@@ -457,27 +324,6 @@ impl Telemetry {
             None => Snapshot::default(),
         }
     }
-
-    /// Structured dump for checkpointing (empty when dark); see
-    /// `MetricRegistry::dump`.
-    pub fn dump(&self) -> Vec<CellDump> {
-        match &self.inner {
-            Some(r) => r.dump(),
-            None => Vec::new(),
-        }
-    }
-
-    /// Restore dumped cells to their exact captured values (no-op when
-    /// dark); see `MetricRegistry::restore`.
-    ///
-    /// # Errors
-    /// As `MetricRegistry::restore`.
-    pub fn restore(&self, cells: &[CellDump]) -> Result<(), String> {
-        match &self.inner {
-            Some(r) => r.restore(cells),
-            None => Ok(()),
-        }
-    }
 }
 
 /// An [`Obs`] handle plus the counters its events declare in
@@ -528,10 +374,6 @@ impl Recorder {
 mod tests {
     use super::*;
 
-    fn gauge_cell(name: &str, v: f64) -> CellDump {
-        CellDump { name: name.into(), labels: Vec::new(), value: CellValue::GaugeBits(v.to_bits()) }
-    }
-
     #[test]
     fn counters_accumulate_and_snapshot_sorted() {
         let tel = Telemetry::live();
@@ -573,17 +415,14 @@ mod tests {
     }
 
     #[test]
-    fn gauge_last_write_wins_and_histogram_buckets() {
+    fn histogram_buckets() {
         let tel = Telemetry::live();
-        for v in [0.25f64, 0.5] {
-            tel.restore(&[gauge_cell("util", v)]).unwrap();
-        }
         let h = tel.histogram("lat", &[], &[1.0, 10.0]);
         h.record(1.0);
         h.record(5.0);
         h.record(100.0);
         let exp = tel.snapshot().exposition();
-        assert_eq!(exp, "lat histogram count=3 le=1:1;le=10:1;inf:1\nutil gauge 0.5\n");
+        assert_eq!(exp, "lat histogram count=3 le=1:1;le=10:1;inf:1\n");
     }
 
     #[test]
@@ -610,45 +449,5 @@ mod tests {
             }
         });
         assert_eq!(tel.snapshot().counter_value("par.total"), Some(4000));
-    }
-
-    #[test]
-    fn dump_restore_roundtrips_every_cell_kind_exactly() {
-        let tel = Telemetry::live();
-        tel.counter("sup.panics", &[("tenant", "t0003")]).inc(4);
-        // No live code writes a gauge; the kind exists for checkpoints.
-        tel.restore(&[gauge_cell("util", 0.75), gauge_cell("idle", f64::NAN)]).unwrap();
-        let h = tel.histogram("lat", &[("tenant", "t0003")], &[1.0, 10.0]);
-        h.record(0.5);
-        h.record(5.25);
-        h.record(100.0);
-
-        let dump = tel.dump();
-        assert_eq!(dump.len(), 4);
-
-        // Restore onto a fresh registry whose wiring pre-registered some
-        // of the cells at zero (the checkpoint-restore situation).
-        let fresh = Telemetry::live();
-        fresh.counter("sup.panics", &[("tenant", "t0003")]).inc(0);
-        let _ = fresh.histogram("lat", &[("tenant", "t0003")], &[1.0, 10.0]);
-        fresh.restore(&dump).unwrap();
-        assert_eq!(fresh.snapshot().exposition(), tel.snapshot().exposition());
-        assert_eq!(fresh.dump(), dump, "dump∘restore is the identity");
-
-        // Counters keep counting after a restore (absolute, not additive).
-        fresh.counter("sup.panics", &[("tenant", "t0003")]).inc(1);
-        assert_eq!(
-            fresh.snapshot().counter_value("sup.panics{tenant=\"t0003\"}"),
-            Some(5)
-        );
-        // Restoring again overwrites rather than accumulates.
-        fresh.restore(&dump).unwrap();
-        assert_eq!(fresh.dump(), dump);
-
-        // Dark handles dump nothing and ignore restores.
-        let dark = Telemetry::noop();
-        assert!(dark.dump().is_empty());
-        dark.restore(&dump).unwrap();
-        assert!(dark.snapshot().entries.is_empty());
     }
 }

@@ -10,15 +10,20 @@
 #      It is a debug build, so every emit a test makes is also checked
 #      against its catalogue entry's `keys [...]` list (an undeclared key
 #      panics), and crates/bench/tests/alloc_checkpoint.rs holds
-#      checkpoint `load` to 2 allocations per captured event.
+#      checkpoint `save` to one metric exposition plus a constant and
+#      `load` to a rebuild and replay of the fleet plus the same.
 #   3. Four of the five examples, run (not only compiled) in the dev
 #      profile; a non-zero exit fails the gate.
 #   4. The number writer's 30 M-double sweep against `format!("{x}")`
 #      (rpas-obs json::number::tests::sweep_agrees_with_std_display,
 #      #[ignore]d in the workspace run; ~10 s in release).
-#   5. clippy with -D warnings: its default set plus the workspace's static
+#   5. Kill/resume at every tick of the 64-tenant fleet in release
+#      (tests/supervisor.rs::checkpoint_restore_at_any_tick_reproduces_the_run
+#      with RPAS_CHECKPOINT_EVERY_TICK=1; step 2 resumes every 47th tick
+#      only). Its time is printed; ~15 s on a 2-core host.
+#   6. clippy with -D warnings: its default set plus the workspace's static
 #      rules D2 / D3 / O1 / P1 / F1 / E1 (clippy.toml; DESIGN.md §9).
-#   6. The benchmark ledger's self-check (`--check`, BENCHMARK.json), the
+#   7. The benchmark ledger's self-check (`--check`, BENCHMARK.json), the
 #      only timing gate. The dark telemetry path and the supervised steady
 #      tick are held by allocation counts in step 2 (crates/bench/tests/
 #      alloc_emit.rs, alloc_ratchet.rs); the ledger reports their time
@@ -43,7 +48,7 @@ echo "== offline tests (whole workspace) =="
 # training-identity pins (rpas-forecast's golden weight / epoch / forecast
 # hashes in tests/persistence.rs, rpas-nn's golden last-row attention-
 # gradient hash, the whole-TFT gradient check in tft.rs), the checkpoint
-# codec (rpas-core), the worker pool (rpas-par), the SLO early-out's
+# header codec and digest (rpas-core), the worker pool (rpas-par), the SLO early-out's
 # equivalence property (rpas-telemetry) and the per-predict allocation
 # ceilings (rpas-bench) all live in member crates.
 cargo test -q --offline --workspace
@@ -60,6 +65,12 @@ echo "== number writer sweep (30 M doubles against format!, release) =="
 # rpas_obs::json::write_f64; its bytes are contract (every digest).
 cargo test -q --release --offline -p rpas-obs --lib -- --ignored --exact \
     json::number::tests::sweep_agrees_with_std_display
+
+echo "== kill/resume at every tick of the 64-tenant fleet (release) =="
+start=$SECONDS
+RPAS_CHECKPOINT_EVERY_TICK=1 cargo test -q --release --offline --test supervisor -- --exact \
+    checkpoint_restore_at_any_tick_reproduces_the_run
+echo "ok: every tick resumes byte-identically ($((SECONDS - start)) s)"
 
 echo "== clippy: default set + static rules (clippy.toml; DESIGN.md §9) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings

@@ -83,13 +83,16 @@ COMMANDS
              quarantine after repeated failures, and re-admitted through
              probation with exponential backoff. The fleet-availability
              SLO (quarantine-skipped ticks) is always evaluated.
-             --checkpoint-out FILE — write a schema-v2 fleet checkpoint
-             (at the kill point, or after the run completes)
+             --checkpoint-out FILE — write a schema-v3 fleet checkpoint
+             (at the kill point, or after the run completes): the
+             fleet's config plus a digest of its state
              --kill-at-tick N  — chaos mode: stop after N ticks, write
              the checkpoint, and exit without reports
-             --resume-from FILE — rebuild the fleet from a checkpoint
-             and continue; reports/traces/metrics are byte-identical to
-             the uninterrupted run (shape flags are ignored)
+             --resume-from FILE — rebuild the fleet from a checkpoint,
+             replay it to the checkpoint's tick and continue;
+             reports/traces/metrics are byte-identical to the
+             uninterrupted run. The checkpoint is the whole fleet, so
+             the shape flags (--tenants … --slo-report) are refused
   trace-report  summarize a schema-v1 JSONL trace
              --trace FILE
   obs query  filter/group/aggregate a schema-v1 JSONL trace
@@ -705,6 +708,13 @@ fn fault_label(faults: &Option<FaultConfig>) -> String {
     }
 }
 
+/// The `fleet` flags that shape the fleet, all of which a checkpoint's
+/// header fixes.
+const FLEET_SHAPE_FLAGS: [&str; 12] = [
+    "tenants", "seed", "days", "theta", "min-nodes", "tau", "context", "horizon", "policies",
+    "presets", "faults", "slo-report",
+];
+
 /// Multi-tenant fleet simulation: N tenants, each with its own trace
 /// (child-seeded from --seed), forecaster state, and scaling policy,
 /// advanced under a [`FleetSupervisor`] over the shared worker pool —
@@ -726,8 +736,9 @@ fn fleet(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // The registry only pays its recording cost when something will read
-    // it; otherwise every handle stays on the dark path. Checkpoints
-    // embed the registry, so they force it live too.
+    // it; otherwise every handle stays on the dark path. A checkpoint's
+    // digest covers the registry, so saving and resuming both record
+    // into a live one.
     let tel = if metrics_out.is_some() || checkpoint_out.is_some() || resume_from.is_some() {
         Telemetry::live()
     } else {
@@ -736,7 +747,14 @@ fn fleet(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>> {
 
     let (mut sup, cfg) = if let Some(path) = resume_from {
         // Everything about the fleet — tenant mix, seeds, faults, SLO —
-        // comes from the checkpoint; shape flags are ignored on resume.
+        // comes from the checkpoint's header, so a flag that would shape
+        // another fleet is an error rather than silently dropped.
+        if let Some(flag) = FLEET_SHAPE_FLAGS.iter().find(|flag| a.get(flag).is_some()) {
+            return Err(format!(
+                "--{flag} cannot be combined with --resume-from: the checkpoint's header fixes the fleet"
+            )
+            .into());
+        }
         let text = std::fs::read_to_string(path)?;
         let (sup, cfg) = rpas::core::checkpoint::load(&text, &tel, obs.clone())
             .map_err(|e| format!("{path}: {e}"))?;
@@ -807,8 +825,9 @@ fn fleet(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>> {
             presets,
             resilience: ResilienceConfig::default(),
             faults,
-            // Checkpoints carry the capture buffers, so a kill run must
-            // record even though it never writes the trace itself.
+            // A resumed run captures only if the header says so, so a
+            // kill run must record even though it never writes the trace
+            // itself.
             capture_events: trace_out.is_some() || checkpoint_out.is_some(),
             slo: slo_report.then(SloSpec::violation_rate_default),
         };

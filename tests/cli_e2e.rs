@@ -98,6 +98,10 @@ fn bad_inputs_exit_nonzero_with_clean_errors() {
     // Quantile columns of unequal length, either way round.
     let longer = hostile("longer.csv", "q0.5,q0.9\n100,130\n,80\n");
     let shorter = hostile("shorter.csv", "q0.5,q0.9\n100,130\n50,\n");
+    // A checkpoint as schema v2 headed it.
+    let golden = include_str!("fixtures/checkpoint_v3.jsonl");
+    let v2 = hostile("v2.ckpt", &golden.replacen("\"version\":3", "\"version\":2", 1));
+    let v2 = v2.to_str().expect("utf8");
     let trace_arg = trace.to_str().expect("utf8");
     let plan_of = |forecast| vec!["plan", "--forecast", forecast, "--theta", "60", "--out", "p.csv"];
 
@@ -186,6 +190,16 @@ fn bad_inputs_exit_nonzero_with_clean_errors() {
         (vec!["chaos", "--theta", "NaN"], "--theta must be positive and finite, got NaN"),
         (plan_of(longer.to_str().expect("utf8")), "forecast column q0.9 has 2 rows but q0.5 has 1"),
         (plan_of(shorter.to_str().expect("utf8")), "forecast column q0.9 has 1 rows but q0.5 has 2"),
+        // A checkpoint is the whole fleet: a shape flag beside it is
+        // refused, and one of another schema version says to re-run.
+        (
+            vec!["fleet", "--resume-from", v2, "--days", "3"],
+            "--days cannot be combined with --resume-from",
+        ),
+        (
+            vec!["fleet", "--resume-from", v2],
+            "unsupported checkpoint version 2: this build reads version 3 only; re-run the fleet",
+        ),
     ];
     for (args, expect) in cases {
         let out = cli().args(&args).output().expect("run");

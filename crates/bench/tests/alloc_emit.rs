@@ -14,15 +14,13 @@
 //! The two audits a fleet captures every tick are measured at their real
 //! emit sites, as the allocations a run makes with a handle on the
 //! fleet's `Capture` beyond the same run with a dark one. A capture
-//! only keeps the event on the tick; rendering waits for a save or
-//! `finish`.
+//! only keeps the event on the tick; rendering waits for `finish`.
 //!
-//! At the other end, `FleetSupervisor::finish` settles every capture —
-//! each event rendered into its tenant's bodies, nothing per field
-//! (numbers are written into the buffer, no `String` per value) — and
-//! copies each body behind its line's head into one exact-size line,
-//! plus a fixed handful per tenant. That is pinned as a shape at two
-//! fleet lengths.
+//! At the other end, `FleetSupervisor::finish` renders every captured
+//! event once into a reused buffer, nothing per field (numbers are
+//! written into the buffer, no `String` per value), and copies it into
+//! one exact-size line, plus a fixed handful per tenant. That is pinned
+//! as a shape at two fleet lengths.
 //!
 //! Kept to a single `#[test]` in its own binary: the counting allocator
 //! observes the whole process (see `alloc_ratchet.rs`).
@@ -48,8 +46,8 @@ const STEPS: usize = 64;
 const TENANTS: u64 = 8;
 /// What `finish` may allocate per tenant beyond one line per captured
 /// event: its label, violation flags and SLO series, the session report,
-/// the growth of its rendered bodies and of the fleet-wide vectors
-/// (measured 37 at two days, 39 at four; 32 and 34 before the bodies).
+/// the growth of its render buffer and of the fleet-wide vectors
+/// (measured 37 at two days, 39 at four).
 const FINISH_PER_TENANT: u64 = 44;
 
 struct Hold;
@@ -63,7 +61,7 @@ impl ScalingPolicy for Hold {
     }
 }
 
-/// A handle on a fresh capture, and the capture. Its pending events
+/// A handle on a fresh capture, and the capture. Its events
 /// double their vector as they come, so of five repeats of 64 or 65
 /// events into one capture one grows it not at all, and the smallest
 /// count is that repeat's.
@@ -152,7 +150,8 @@ fn an_emitted_event_allocates_its_field_vector_and_nothing_else() {
     let forecast = QuantileForecast::new(
         vec![0.1, 0.5, 0.9],
         Matrix::from_rows(&vec![vec![90.0, 100.0, 130.0]; STEPS]),
-    );
+    )
+    .expect("finite cells");
     let manager = RobustAutoScalingManager::new(60.0, 1, ScalingStrategy::Fixed { tau: 0.9 });
     let (capture, obs) = capturing();
     let audited = manager.clone().with_obs(obs);

@@ -245,31 +245,22 @@ impl TenantPolicy {
 }
 
 /// One tenant's captured trace, the sink its obs handle writes to. A tick
-/// only pushes the event; a save or `finish` *settles* the capture,
-/// rendering each pending event once into its body: its schema-v1 line
-/// after `"seq":N,`, timings and its own `tenant` dropped, the tenant's
-/// label in its sorted place, `ts_us` 0. `finish` puts each body behind
-/// its line's head.
+/// only pushes the event; `finish` renders each one once, as its schema-v1
+/// line numbered by its place in the fleet trace, timings and its own
+/// `tenant` dropped, the tenant's label in its sorted place, `ts_us` 0.
 #[derive(Clone)]
 pub struct Capture(Arc<Mutex<Captured>>);
 
-/// Under a [`Capture`]'s lock: the label, the bodies back to back in
-/// `text`, where each ends, and the events not rendered yet.
+/// Under a [`Capture`]'s lock: the label and the events in capture order.
 struct Captured {
     label: Value,
-    text: String,
-    ends: Vec<usize>,
-    pending: Vec<Event>,
+    events: Vec<Event>,
 }
-
-/// No body is shorter: its five members' fixed bytes and the label.
-const MIN_BODY: usize = 64;
 
 impl Capture {
     /// An empty capture for the tenant labelled `label` (`t0042`).
     pub fn new(label: String) -> Self {
-        let (label, text, ends, pending) = (Value::from(label), String::new(), Vec::new(), Vec::new());
-        Self(Arc::new(Mutex::new(Captured { label, text, ends, pending })))
+        Self(Arc::new(Mutex::new(Captured { label: Value::from(label), events: Vec::new() })))
     }
 
     /// The capture, locked; nothing panics while holding it.
@@ -277,53 +268,34 @@ impl Capture {
         self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Settle, then append one line per captured event to `lines`, each
-    /// numbered by its position there and allocated at its exact size.
+    /// Move every captured event into `lines` as its line, numbered by its
+    /// position there and allocated at its exact size; the capture is left
+    /// empty. Each event is dropped before its line is allocated, so the
+    /// line reuses the event's memory: holding the events to the end, or
+    /// dropping each after its line, put `fleet_observed` `peak_rss_mb` up
+    /// 7–8 %.
     pub fn append_lines(&self, lines: &mut Vec<String>) {
-        let captured = self.settled();
-        lines.reserve(captured.ends.len());
-        let mut head = String::new();
-        for body in captured.bodies() {
-            head.clear();
-            Event::write_head(&mut head, lines.len() as u64);
-            let mut line = String::with_capacity(head.len() + body.len());
-            line.push_str(&head);
-            line.push_str(body);
-            lines.push(line);
-        }
-    }
-
-    /// Events captured so far, rendered or not (the checkpoint digest
-    /// counts them without rendering any).
-    pub(crate) fn len(&self) -> usize {
-        let captured = self.lock();
-        captured.ends.len() + captured.pending.len()
-    }
-
-    /// Settle, and hold the lock while the caller reads the bodies.
-    fn settled(&self) -> MutexGuard<'_, Captured> {
         let mut captured = self.lock();
-        let Captured { label, text, ends, pending } = &mut *captured;
-        text.reserve(MIN_BODY * pending.len());
-        ends.reserve(pending.len());
-        for ev in std::mem::take(pending) {
+        let events = std::mem::take(&mut captured.events);
+        lines.reserve(events.len());
+        let mut line = String::new();
+        for ev in events {
             let kept = || ev.fields.iter().filter(|(k, _)| !k.ends_with("_us") && *k != "tenant");
             let fields = kept()
                 .take_while(|(k, _)| *k < "tenant")
-                .chain(std::iter::once(("tenant", &*label)))
+                .chain(std::iter::once(("tenant", &captured.label)))
                 .chain(kept().skip_while(|(k, _)| *k < "tenant"));
-            ev.write_body(text, 0, None, fields);
-            ends.push(text.len());
+            line.clear();
+            ev.write_line(&mut line, lines.len() as u64, 0, None, fields);
+            drop(ev);
+            lines.push(line.as_str().to_owned());
         }
-        captured
     }
-}
 
-impl Captured {
-    /// The rendered bodies, in capture order.
-    fn bodies(&self) -> impl Iterator<Item = &str> {
-        let starts = std::iter::once(0).chain(self.ends.iter().copied());
-        starts.zip(&self.ends).map(|(start, &end)| self.text.get(start..end).unwrap_or_default())
+    /// Events captured so far (the checkpoint digest counts them without
+    /// rendering any).
+    pub(crate) fn len(&self) -> usize {
+        self.lock().events.len()
     }
 }
 
@@ -337,10 +309,10 @@ impl Sink for Capture {
     }
 
     fn emit_owned(&self, event: Event) {
-        self.lock().pending.push(event);
+        self.lock().events.push(event);
     }
 
-    /// A body's `ts_us` is always 0, so capturing reads no clock.
+    /// A line's `ts_us` is always 0, so capturing reads no clock.
     fn reads_clock(&self) -> bool {
         false
     }

@@ -8,6 +8,11 @@
 //! `plan/summary` info event per plan (LP objective, plan delta, regime
 //! switch count) — enough to replay Algorithm 1's conservative↔aggressive
 //! switching from the trace alone.
+//!
+//! The manager checks no forecast cell: a [`QuantileForecast`] is finite
+//! at every level by construction (`QuantileForecast::new` refuses a
+//! non-finite cell or an overflowing spread), so its only repair is the
+//! floor at zero workload.
 
 use crate::adaptive::{AdaptiveConfig, StaircaseLevel};
 use crate::plan::{plan_point, plan_point_lp, CapacityPlan};
@@ -74,10 +79,11 @@ struct StepChoice {
 /// let f = QuantileForecast::new(
 ///     vec![0.5, 0.9],
 ///     Matrix::from_rows(&[vec![100.0, 130.0]]),
-/// );
+/// )?;
 /// let manager = RobustAutoScalingManager::new(60.0, 1, ScalingStrategy::Fixed { tau: 0.9 });
 /// // Covering the 0.9-quantile workload (130) at θ=60 needs 3 nodes.
 /// assert_eq!(manager.plan(&f).as_slice(), &[3]);
+/// # Ok::<(), rpas_forecast::ForecastError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct RobustAutoScalingManager {
@@ -186,25 +192,13 @@ impl RobustAutoScalingManager {
 
     /// The per-step workload bound the strategy selects from the forecast
     /// (the `ŵ_t^{τ_t}` series fed into the optimization). Emits one
-    /// `plan/decision` debug event per step when observability is on.
-    ///
-    /// Non-finite forecast values (a NaN or ±∞ that slipped past the
-    /// forecaster) are clamped to `0.0` with a `plan/non_finite_workload`
-    /// warn, so a poisoned forecast can degrade a plan but never poison
-    /// it — the plan itself stays finite and the min-nodes floor applies.
+    /// `plan/decision` debug event per step when observability is on. A
+    /// negative workload floors at zero.
     pub(crate) fn effective_workload(&self, forecast: &QuantileForecast) -> Vec<f64> {
         (0..forecast.horizon())
             .map(|i| {
                 let choice = self.choose(forecast, i);
-                let raw = forecast.at(i, choice.tau);
-                let w = if raw.is_finite() {
-                    raw.max(0.0)
-                } else {
-                    self.obs.emit(catalog::PLAN_NON_FINITE_WORKLOAD, |e| {
-                        e.field("step", i).field("tau", choice.tau).field("raw", raw);
-                    });
-                    0.0
-                };
+                let w = forecast.at(i, choice.tau).max(0.0);
                 self.obs.emit(catalog::PLAN_DECISION, |e| {
                     e.field("step", i)
                         .field("strategy", self.strategy.audit_name())
@@ -279,6 +273,7 @@ mod tests {
                 vec![60.0, 100.0, 180.0, 220.0],
             ]),
         )
+        .unwrap()
     }
 
     /// Three steps on levels {0.5, 0.9}, the last with a negative median.
@@ -287,6 +282,7 @@ mod tests {
             vec![0.5, 0.9],
             Matrix::from_rows(&[vec![100.0, 130.0], vec![50.0, 80.0], vec![-5.0, 10.0]]),
         )
+        .unwrap()
     }
 
     fn fixed(tau: f64) -> RobustAutoScalingManager {
@@ -470,21 +466,5 @@ mod tests {
     #[should_panic(expected = "tau must be in (0,1)")]
     fn rejects_ladder_tau_out_of_range() {
         staircase(&[(0.0, 0.5), (2.0, 1.0)]);
-    }
-
-    #[test]
-    fn non_finite_forecast_values_clamp_to_zero_with_warn() {
-        let mem = MemorySink::new();
-        let m = RobustAutoScalingManager::new(60.0, 2, ScalingStrategy::Fixed { tau: 0.9 })
-            .with_obs(Obs::with_sink(Box::new(mem.clone())));
-        let f = QuantileForecast::new(
-            vec![0.9],
-            Matrix::from_rows(&[vec![f64::INFINITY], vec![120.0]]),
-        );
-        let plan = m.plan(&f);
-        // The poisoned step falls to the min-nodes floor; the healthy step
-        // plans normally. The plan itself never carries garbage.
-        assert_eq!(plan.as_slice(), &[2, 2]);
-        assert!(mem.events().iter().any(|e| e.is(catalog::PLAN_NON_FINITE_WORKLOAD)));
     }
 }

@@ -79,7 +79,10 @@ pub fn plan_point(workload: &[f64], theta: f64, min_nodes: u32) -> CapacityPlan 
 /// The same optimization routed through the simplex solver — the paper's
 /// "solved using standard linear programming solvers" path. The LP
 /// relaxation is solved and then rounded up to integral nodes; because the
-/// constraint matrix is diagonal the rounding preserves optimality.
+/// constraint matrix is diagonal the rounding preserves optimality. Each
+/// constraint `θ·c_t ≥ w_t` is posed in node units, `c_t ≥ w_t/θ`, capped
+/// at `u32::MAX` nodes (where the closed form saturates), so phase 1's sum
+/// of right-hand sides stays finite for any finite workload.
 ///
 /// # Panics
 /// Panics if the LP solver fails (cannot happen for valid inputs: the
@@ -95,8 +98,8 @@ pub(crate) fn plan_point_lp(workload: &[f64], theta: f64, min_nodes: u32) -> Cap
     for (t, &w) in workload.iter().enumerate() {
         assert!(w.is_finite() && w >= 0.0, "invalid workload {}", f64_string(w));
         let mut row = vec![0.0; h];
-        row[t] = theta;
-        p = p.constraint(row, Relation::Ge, w);
+        row[t] = 1.0;
+        p = p.constraint(row, Relation::Ge, (w / theta).min(f64::from(u32::MAX)));
     }
     let sol = solve(&p).expect("covering LP is always feasible and bounded");
     CapacityPlan::new(
@@ -130,10 +133,10 @@ mod tests {
 
     #[test]
     fn lp_matches_closed_form() {
-        let w = [30.5, 75.0, 120.0, 0.0, 299.9, 61.0];
-        let a = plan_point(&w, 60.0, 1);
-        let b = plan_point_lp(&w, 60.0, 1);
-        assert_eq!(a, b);
+        // The second set is past `u32::MAX` nodes, and its sum overflows.
+        for w in [&[30.5, 75.0, 120.0, 0.0, 299.9, 61.0][..], &[f64::MAX, 1e300, f64::MAX]] {
+            assert_eq!(plan_point(w, 60.0, 1), plan_point_lp(w, 60.0, 1));
+        }
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! wrapped policy:
 //!
 //! 1. **Forecast health gating** — [`ForecastHealthGate`] rejects
-//!    non-finite or implausibly large forecasts before they reach the
-//!    planner (the wrapped policy then reports
-//!    [`PolicyHealth::Degraded`]).
+//!    implausibly large forecasts before they reach the planner (a
+//!    non-finite one cannot be built: `QuantileForecast::new` refuses it
+//!    as `Unhealthy`); either way the wrapped policy then reports
+//!    [`PolicyHealth::Degraded`].
 //! 2. **A fallback chain** — primary predictive → seasonal-naive
 //!    predictive → Reactive-Max, demoting on degradation and re-promoting
 //!    optimistically after a probation period.
@@ -32,15 +33,14 @@ use crate::manager::{RobustAutoScalingManager, ScalingStrategy};
 use crate::reactive::ReactiveMax;
 use crate::thrash::clamp_step;
 use rpas_forecast::{ForecastError, Forecaster, QuantileForecast, SeasonalNaive};
-use rpas_obs::json::f64_string;
 use rpas_obs::{catalog, Obs};
 use rpas_simdb::{Observation, PolicyHealth, ScaleOutcome, ScalingPolicy};
 use rpas_telemetry::{Recorder, Telemetry};
 
 /// Forecast plausibility gate: wraps a [`Forecaster`] and converts
-/// non-finite or implausibly large outputs into
-/// [`ForecastError::Unhealthy`], so downstream planning only ever sees
-/// sane numbers.
+/// implausibly large outputs into [`ForecastError::Unhealthy`], so
+/// downstream planning only ever sees sane numbers. (Finiteness needs no
+/// gate: [`QuantileForecast::new`] refuses a non-finite forecast.)
 ///
 /// "Implausibly large" means any forecast value above
 /// `MAGNITUDE_FACTOR × max(context peak, MAGNITUDE_FLOOR)` — a forecast
@@ -72,9 +72,6 @@ pub(crate) fn forecast_health(qf: &QuantileForecast, context: &[f64]) -> Option<
     let values = qf.values();
     for h in 0..values.rows() {
         for &v in values.row(h) {
-            if !v.is_finite() {
-                return Some(format!("non-finite value {} at horizon {h}", f64_string(v)));
-            }
             if v > cap {
                 return Some(format!(
                     "implausible magnitude {v:.3} at horizon {h} (cap {cap:.3})"
@@ -730,7 +727,7 @@ mod tests {
                         v[(h, i)] = self.0;
                     }
                 }
-                Ok(QuantileForecast::new(levels.to_vec(), v))
+                QuantileForecast::new(levels.to_vec(), v)
             }
         }
         let ctx = [100.0, 90.0];

@@ -28,10 +28,11 @@ use rpas_forecast::QuantileForecast;
 /// use rpas_tsmath::Matrix;
 ///
 /// let narrow = QuantileForecast::new(vec![0.1, 0.5, 0.9],
-///     Matrix::from_rows(&[vec![99.0, 100.0, 101.0]]));
+///     Matrix::from_rows(&[vec![99.0, 100.0, 101.0]]))?;
 /// let wide = QuantileForecast::new(vec![0.1, 0.5, 0.9],
-///     Matrix::from_rows(&[vec![60.0, 100.0, 140.0]]));
+///     Matrix::from_rows(&[vec![60.0, 100.0, 140.0]]))?;
 /// assert!(uncertainty_at(&wide, 0) > uncertainty_at(&narrow, 0));
+/// # Ok::<(), rpas_forecast::ForecastError>(())
 /// ```
 ///
 /// # Panics
@@ -56,7 +57,7 @@ mod tests {
     use rpas_tsmath::Matrix;
 
     fn qf(rows: &[Vec<f64>], levels: Vec<f64>) -> QuantileForecast {
-        QuantileForecast::new(levels, Matrix::from_rows(rows))
+        QuantileForecast::new(levels, Matrix::from_rows(rows)).unwrap()
     }
 
     #[test]

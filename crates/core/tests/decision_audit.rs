@@ -22,7 +22,7 @@ fn forecast_with_spreads(spreads: &[f64]) -> QuantileForecast {
         values[(h, 1)] = 50.0;
         values[(h, 2)] = 50.0 + s;
     }
-    QuantileForecast::new(levels, values)
+    QuantileForecast::new(levels, values).expect("finite cells")
 }
 
 #[test]

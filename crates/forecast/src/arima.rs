@@ -306,7 +306,7 @@ impl Forecaster for Arima {
             }
         }
         let mut cum = 0.0;
-        Ok(QuantileForecast::gaussian(levels, horizon, |h| {
+        QuantileForecast::gaussian(levels, horizon, |h| {
             cum += psi[h] * psi[h];
             // Stationarity cap: a stationary ARMA's forecast variance is
             // bounded by the marginal variance (scaled by (h+1) per order
@@ -315,7 +315,7 @@ impl Forecaster for Arima {
             // the psi recursion explode over long horizons.
             let cap = f.marginal_var * ((h + 1) as f64).powi(d as i32);
             (point[h], (f.sigma2 * cum).min(cap).sqrt())
-        }))
+        })
     }
 }
 

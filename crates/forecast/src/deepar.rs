@@ -257,7 +257,7 @@ impl Forecaster for DeepAr {
                 values[(t, i)] = stats::quantile_sorted(step, l) * sd + m;
             }
         }
-        Ok(QuantileForecast::new(levels.to_vec(), values))
+        QuantileForecast::new(levels.to_vec(), values)
     }
 
     fn export_weights(&mut self) -> Option<Vec<u8>> {

@@ -57,7 +57,7 @@ pub(crate) fn decode(
             grid_vals[(h, i)] = scaler.inverse(out[h * nq + i]);
         }
     }
-    let trained = QuantileForecast::new(grid.to_vec(), grid_vals);
+    let trained = QuantileForecast::new(grid.to_vec(), grid_vals)?;
     if levels == grid {
         return Ok(trained);
     }
@@ -67,5 +67,5 @@ pub(crate) fn decode(
             values[(h, i)] = trained.at(h, l);
         }
     }
-    Ok(QuantileForecast::new(levels.to_vec(), values))
+    QuantileForecast::new(levels.to_vec(), values)
 }

@@ -131,14 +131,14 @@ impl Forecaster for HoltWinters {
 
         let mut damped_sum = 0.0;
         let mut damp = phi;
-        Ok(QuantileForecast::gaussian(levels, horizon, |h| {
+        QuantileForecast::gaussian(levels, horizon, |h| {
             damped_sum += damp;
             damp *= phi;
             let point =
                 state.level + damped_sum * state.trend + state.seasonal[(state.next_slot + h) % m];
             // Forecast-variance growth ≈ 1 + (h)·α² for additive smoothing.
             (point, f.residual_std * (1.0 + h as f64 * self.cfg.alpha.powi(2)).sqrt())
-        }))
+        })
     }
 }
 

@@ -219,7 +219,7 @@ impl Forecaster for MlpProb {
                 values[(h, i)] = scaler.inverse(dist.quantile(l));
             }
         }
-        Ok(QuantileForecast::new(levels.to_vec(), values))
+        QuantileForecast::new(levels.to_vec(), values)
     }
 
     fn export_weights(&mut self) -> Option<Vec<u8>> {

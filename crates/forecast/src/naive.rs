@@ -44,9 +44,7 @@ impl Forecaster for LastValue {
         validate_levels(levels)?;
         let sigma1 = self.sigma1.ok_or(ForecastError::NotFitted)?;
         let last = *context.last().ok_or(ForecastError::SeriesTooShort { needed: 1, got: 0 })?;
-        Ok(QuantileForecast::gaussian(levels, horizon, |h| {
-            (last, sigma1 * ((h + 1) as f64).sqrt())
-        }))
+        QuantileForecast::gaussian(levels, horizon, |h| (last, sigma1 * ((h + 1) as f64).sqrt()))
     }
 }
 
@@ -157,10 +155,10 @@ impl Forecaster for SeasonalNaive {
                     .field("context", context.len() as u64)
                     .field("last", last);
             });
-            return Ok(QuantileForecast::gaussian(levels, horizon, |_| (last, sigma)));
+            return QuantileForecast::gaussian(levels, horizon, |_| (last, sigma));
         }
         let season = &context[context.len() - self.period..];
-        Ok(QuantileForecast::gaussian(levels, horizon, |h| (season[h % self.period], sigma)))
+        QuantileForecast::gaussian(levels, horizon, |h| (season[h % self.period], sigma))
     }
 }
 

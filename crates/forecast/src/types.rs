@@ -24,12 +24,13 @@ pub enum ForecastError {
         /// Requested horizon.
         requested: usize,
     },
-    /// A forecast failed a health check (non-finite values, implausible
-    /// magnitude). Raised by health gates wrapping a forecaster, and by
-    /// every window-trained model (MLP, MLP-quantile, DeepAR, TFT, QB5000)
-    /// that would otherwise have to panic, return NaN or — worse — return a
-    /// finite number computed through one: on a non-finite value in the
-    /// context window it reads, or a non-finite head output or sample.
+    /// A forecast failed a health check. [`QuantileForecast::new`] raises
+    /// it for a row holding a non-finite value or whose spread overflows,
+    /// so no forecast carries one; health gates wrapping a forecaster raise
+    /// it for an implausible magnitude. Every window-trained model (MLP,
+    /// MLP-quantile, DeepAR, TFT, QB5000) raises it, naming itself, on a
+    /// non-finite value in the context window it reads, or a non-finite
+    /// head output or sample, before computing a number through one.
     /// Every `fit` in this crate raises it too, as
     /// `"<model>: non-finite value in training series"`, before training on
     /// a series holding NaN or ±∞.
@@ -64,10 +65,11 @@ impl std::error::Error for ForecastError {}
 /// let f = QuantileForecast::new(
 ///     vec![0.1, 0.5, 0.9],
 ///     Matrix::from_rows(&[vec![80.0, 100.0, 120.0]]),
-/// );
+/// )?;
 /// assert_eq!(f.at(0, 0.5), 100.0);      // exact level
 /// assert_eq!(f.at(0, 0.7), 110.0);      // interpolated
 /// assert_eq!(f.median(), vec![100.0]);
+/// # Ok::<(), rpas_forecast::ForecastError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantileForecast {
@@ -76,31 +78,45 @@ pub struct QuantileForecast {
 }
 
 impl QuantileForecast {
-    /// Build a forecast; levels must be strictly increasing in `(0, 1)`.
+    /// Build a forecast. This is the one place the forecast contract is
+    /// checked, so every `QuantileForecast` is well-formed.
     ///
     /// Quantile crossings (a lower level forecasting above a higher one)
     /// are repaired by sorting each step's values — the standard
     /// "rearrangement" fix for independently-predicted quantiles.
     ///
-    /// # Panics
-    /// Panics if shapes disagree or levels are not strictly increasing.
-    pub fn new(levels: Vec<f64>, mut values: Matrix) -> Self {
-        assert_eq!(values.cols(), levels.len(), "QuantileForecast: shape mismatch");
-        assert!(
-            levels.windows(2).all(|w| w[0] < w[1]),
-            "QuantileForecast: levels must be strictly increasing"
-        );
-        assert!(
-            levels.iter().all(|&l| l > 0.0 && l < 1.0),
-            "QuantileForecast: levels must be in (0, 1)"
-        );
+    /// # Errors
+    /// `InvalidConfig` if `levels` is not a valid level set (non-empty,
+    /// strictly increasing, inside `(0, 1)`) or `values` does not hold one
+    /// column per level. `Unhealthy`, naming the step, if a row holds a
+    /// non-finite value or its spread (highest minus lowest value after
+    /// rearrangement) overflows — so [`QuantileForecast::at`] is finite at
+    /// every level in `(0, 1)`.
+    pub fn new(levels: Vec<f64>, mut values: Matrix) -> Result<Self, ForecastError> {
+        validate_levels(&levels)?;
+        if values.cols() != levels.len() {
+            return Err(ForecastError::InvalidConfig(format!(
+                "{} quantile levels but {} forecast columns",
+                levels.len(),
+                values.cols()
+            )));
+        }
         for h in 0..values.rows() {
             let row = values.row_mut(h);
+            // Before the crossing test: a NaN compares false and would
+            // skip the rearrangement.
+            if !row.iter().all(|v| v.is_finite()) {
+                return Err(ForecastError::Unhealthy(format!("non-finite value at step {h}")));
+            }
             if row.windows(2).any(|w| w[0] > w[1]) {
                 row.sort_by(|a, b| a.total_cmp(b));
             }
+            if !(row[row.len() - 1] - row[0]).is_finite() {
+                let why = format!("quantile spread overflows at step {h}");
+                return Err(ForecastError::Unhealthy(why));
+            }
         }
-        Self { levels, values }
+        Ok(Self { levels, values })
     }
 
     /// Gaussian forecast: `step(h)` gives step `h`'s `(center, sd)` and
@@ -108,13 +124,15 @@ impl QuantileForecast {
     /// z-score of a level does not depend on the step, so each is
     /// evaluated once per call, not once per cell.
     ///
-    /// # Panics
-    /// Panics as [`QuantileForecast::new`] does on a malformed level set.
+    /// # Errors
+    /// As [`QuantileForecast::new`].
     pub fn gaussian(
         levels: &[f64],
         horizon: usize,
         mut step: impl FnMut(usize) -> (f64, f64),
-    ) -> Self {
+    ) -> Result<Self, ForecastError> {
+        // Before the z-scores: `norm_quantile` asserts its level is in (0, 1).
+        validate_levels(levels)?;
         let z: Vec<f64> = levels.iter().map(|&l| norm_quantile(l)).collect();
         let mut values = Matrix::zeros(horizon, levels.len());
         for h in 0..horizon {
@@ -163,11 +181,11 @@ impl QuantileForecast {
     ///   symmetrically.
     ///
     /// Because construction rearranges crossing quantiles, the result is
-    /// monotone non-decreasing in `level` for a fixed `step`.
+    /// monotone non-decreasing in `level` for a fixed `step`, and because it
+    /// refuses a row whose spread overflows, it is finite.
     ///
     /// # Panics
     /// Panics if `step` is out of range or `level` outside `(0, 1)`.
-    #[expect(clippy::expect_used, reason = "every forecaster runs validate_levels, which rejects an empty grid")]
     pub fn at(&self, step: usize, level: f64) -> f64 {
         assert!(step < self.horizon(), "forecast step out of range");
         assert!(level > 0.0 && level < 1.0, "quantile level out of range");
@@ -186,7 +204,7 @@ impl QuantileForecast {
                 }
             }
             // level above the highest stored level: clamp.
-            None => *row.last().expect("non-empty levels"),
+            None => row[row.len() - 1],
         }
     }
 
@@ -236,8 +254,10 @@ pub trait Forecaster {
     /// levels (strictly increasing, each in `(0, 1)`).
     ///
     /// # Errors
-    /// Fails when unfitted, the context is too short, or the horizon
-    /// exceeds the fitted maximum.
+    /// Fails when unfitted, the context is too short, the horizon exceeds
+    /// the fitted maximum, the level set is invalid (`InvalidConfig`), or
+    /// the forecast would not be well-formed (`Unhealthy`, see
+    /// [`QuantileForecast::new`]).
     fn forecast_quantiles(
         &self,
         context: &[f64],
@@ -321,7 +341,9 @@ pub(crate) fn require_len(series: &[f64], needed: usize) -> Result<(), ForecastE
     Ok(())
 }
 
-/// Validate a requested level set (shared by the model impls).
+/// The level rule: a level set is non-empty, strictly increasing and inside
+/// `(0, 1)`. [`QuantileForecast::new`] applies it, and each model before
+/// its own arithmetic.
 pub(crate) fn validate_levels(levels: &[f64]) -> Result<(), ForecastError> {
     if levels.is_empty() {
         return Err(ForecastError::InvalidConfig("empty quantile level set".into()));
@@ -345,6 +367,7 @@ mod tests {
             vec![0.1, 0.5, 0.9],
             Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![10.0, 20.0, 30.0]]),
         )
+        .unwrap()
     }
 
     #[test]
@@ -412,22 +435,58 @@ mod tests {
         let f = QuantileForecast::new(
             vec![0.1, 0.5, 0.9],
             Matrix::from_rows(&[vec![3.0, 1.0, 2.0]]),
-        );
+        )
+        .unwrap();
         assert!(f.is_monotone());
         assert_eq!(f.at(0, 0.1), 1.0);
         assert_eq!(f.at(0, 0.9), 3.0);
     }
 
     #[test]
-    #[should_panic(expected = "strictly increasing")]
     fn rejects_unsorted_levels() {
-        QuantileForecast::new(vec![0.5, 0.1], Matrix::zeros(1, 2));
+        let e = QuantileForecast::new(vec![0.5, 0.1], Matrix::zeros(1, 2)).unwrap_err();
+        assert_eq!(e, ForecastError::InvalidConfig("levels must be strictly increasing".into()));
     }
 
     #[test]
-    #[should_panic(expected = "in (0, 1)")]
     fn rejects_boundary_levels() {
-        QuantileForecast::new(vec![0.5, 1.0], Matrix::zeros(1, 2));
+        let e = QuantileForecast::new(vec![0.5, 1.0], Matrix::zeros(1, 2)).unwrap_err();
+        assert_eq!(e, ForecastError::InvalidConfig("levels must lie in (0,1)".into()));
+    }
+
+    #[test]
+    fn rejects_an_empty_level_set_and_a_shape_mismatch() {
+        let e = QuantileForecast::new(vec![], Matrix::zeros(1, 0)).unwrap_err();
+        assert_eq!(e, ForecastError::InvalidConfig("empty quantile level set".into()));
+        let e = QuantileForecast::new(vec![0.5], Matrix::zeros(1, 2)).unwrap_err();
+        assert!(matches!(e, ForecastError::InvalidConfig(_)), "{e:?}");
+    }
+
+    #[test]
+    fn rejects_a_non_finite_cell_or_an_overflowing_spread_naming_the_step() {
+        let levels = vec![0.5, 0.9];
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            // NaN first in a crossing row: the cell check runs before the sort.
+            let rows = [vec![1.0, 2.0], vec![bad, 1.0]];
+            let e = QuantileForecast::new(levels.clone(), Matrix::from_rows(&rows)).unwrap_err();
+            assert_eq!(e, ForecastError::Unhealthy("non-finite value at step 1".into()));
+        }
+        // Finite cells whose spread is not: `at` would interpolate to ±∞.
+        let rows = [vec![f64::MAX, -f64::MAX]];
+        let e = QuantileForecast::new(levels.clone(), Matrix::from_rows(&rows)).unwrap_err();
+        assert_eq!(e, ForecastError::Unhealthy("quantile spread overflows at step 0".into()));
+        // A finite spread at the edge of the range is kept, and `at` is finite.
+        let f = QuantileForecast::new(levels, Matrix::from_rows(&[vec![-1.0, f64::MAX]])).unwrap();
+        assert!(f.at(0, 0.7).is_finite());
+    }
+
+    #[test]
+    fn gaussian_refuses_a_bad_level_set_before_any_z_score() {
+        let e = QuantileForecast::gaussian(&[0.5, 1.0], 1, |_| (0.0, 1.0)).unwrap_err();
+        assert!(matches!(e, ForecastError::InvalidConfig(_)), "{e:?}");
+        let sd = [1.0, f64::MAX / 2.0];
+        let e = QuantileForecast::gaussian(&[0.1, 0.9], 2, |h| (0.0, sd[h])).unwrap_err();
+        assert_eq!(e, ForecastError::Unhealthy("quantile spread overflows at step 1".into()));
     }
 
     #[test]

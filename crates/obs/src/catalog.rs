@@ -166,8 +166,6 @@ catalog! {
     /// One Algorithm 1 step: uncertainty, regime, quantile, nodes.
     PLAN_DECISION = Debug "plan" / "decision"
         keys [regime, rho, step, strategy, tau, uncertainty, workload];
-    /// A non-finite forecast cell was planned at the floor.
-    PLAN_NON_FINITE_WORKLOAD = Warn "plan" / "non_finite_workload" keys [raw, step, tau];
     /// Roll-up of one plan: objective, delta, regime counts.
     PLAN_SUMMARY = Info "plan" / "summary" keys [
         conservative_steps, horizon, objective_node_steps, plan_delta, regime_switches, strategy,

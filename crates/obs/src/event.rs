@@ -280,35 +280,28 @@ impl Event {
         self
     }
 
-    /// Append the event as one schema-v1 JSONL line (no trailing newline):
-    /// [`Event::write_head`], then [`Event::write_body`].
+    /// Append the event as one schema-v1 JSONL line (no trailing newline).
     pub(crate) fn write_json(&self, out: &mut String) {
-        Self::write_head(out, self.seq);
-        self.write_body(out, self.ts_us, self.wall_us, self.fields.iter());
+        self.write_line(out, self.seq, self.ts_us, self.wall_us, self.fields.iter());
     }
 
-    /// Append what every schema-v1 line starts with, `{"v":1,"seq":N,`.
-    pub fn write_head(out: &mut String, seq: u64) {
-        out.push_str("{\"v\":");
-        write_u64(out, crate::schema::SCHEMA_VERSION);
-        out.push_str(",\"seq\":");
-        write_u64(out, seq);
-        out.push(',');
-    }
-
-    /// Append the rest of the line, from `"ts_us"` to the closing brace,
-    /// with the stamps and the field list the line shows given by the
-    /// caller — how a consumer renders a renumbered or filtered view of a
-    /// captured event without rebuilding it. `fields` must come in key
-    /// order.
-    pub fn write_body<'a>(
+    /// Append one schema-v1 line (no trailing newline) with the stamps and
+    /// the field list the line shows given by the caller — how a consumer
+    /// renders a renumbered or filtered view of a captured event without
+    /// rebuilding it. `fields` must come in key order.
+    pub fn write_line<'a>(
         &self,
         out: &mut String,
+        seq: u64,
         ts_us: u64,
         wall_us: Option<u64>,
         fields: impl Iterator<Item = (&'a str, &'a Value)>,
     ) {
-        out.push_str("\"ts_us\":");
+        out.push_str("{\"v\":");
+        write_u64(out, crate::schema::SCHEMA_VERSION);
+        out.push_str(",\"seq\":");
+        write_u64(out, seq);
+        out.push_str(",\"ts_us\":");
         write_u64(out, ts_us);
         out.push_str(",\"level\":\"");
         out.push_str(self.level.as_str());

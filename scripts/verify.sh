@@ -12,8 +12,10 @@
 #      panics), and crates/bench/tests/alloc_checkpoint.rs holds
 #      checkpoint `save` to one metric exposition plus a constant and
 #      `load` to a rebuild and replay of the fleet plus the same.
-#   3. Four of the five examples, run (not only compiled) in the dev
-#      profile; a non-zero exit fails the gate.
+#   3. All five examples, run (not only compiled) in the dev profile; a
+#      non-zero exit fails the gate. forecaster_tour, the one that builds
+#      forecasts from five model families (and the only caller of
+#      wql_at / coverage_at), trains them; ~8 s, time printed.
 #   4. The number writer's 30 M-double sweep against `format!("{x}")`
 #      (rpas-obs json::number::tests::sweep_agrees_with_std_display,
 #      #[ignore]d in the workspace run; ~10 s in release).
@@ -54,11 +56,13 @@ echo "== offline tests (whole workspace) =="
 cargo test -q --offline --workspace
 
 echo "== examples (run, not only compiled) =="
-# Each of these four takes milliseconds in the dev profile.
-# forecaster_tour is left out: it trains five models (~8 s).
-for example in quickstart capacity_planning adaptive_simulation qos_threshold; do
+# Each of the first four takes milliseconds in the dev profile;
+# forecaster_tour trains five models.
+start=$SECONDS
+for example in quickstart capacity_planning adaptive_simulation qos_threshold forecaster_tour; do
     cargo run -q --offline --example "$example" > /dev/null
 done
+echo "ok: every example ran ($((SECONDS - start)) s)"
 
 echo "== number writer sweep (30 M doubles against format!, release) =="
 # Every trace, exposition and report number goes through

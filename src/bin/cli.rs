@@ -200,6 +200,9 @@ fn load_trace(a: &ParsedArgs) -> Result<(Trace, String), Box<dyn std::error::Err
 fn generate(a: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
     let preset = a.get("preset").unwrap_or("alibaba");
     let days: usize = a.get_or("days", 14)?;
+    if days == 0 {
+        return Err("--days must be at least 1".into());
+    }
     let seed: u64 = a.get_or("seed", 7)?;
     let resource = a.get("resource").unwrap_or("cpu");
     let out = a.require("out")?;
@@ -364,7 +367,7 @@ fn plan(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>> {
             values[(h, i)] = v;
         }
     }
-    let qf = rpas::forecast::QuantileForecast::new(levels, values);
+    let qf = rpas::forecast::QuantileForecast::new(levels, values)?;
     let manager = RobustAutoScalingManager::new(theta, min_nodes, ScalingStrategy::Fixed { tau })
         .with_obs(obs.clone());
     let plan = manager.plan(&qf);
@@ -477,6 +480,10 @@ fn backtest(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>>
     if !(0.0 < tau_low && tau_low <= tau_high && tau_high < 1.0) {
         return Err("need 0 < --tau-low <= --tau-high < 1".into());
     }
+    let rho: Option<f64> = a.get("rho").map(|_| a.require_parsed("rho")).transpose()?;
+    if let Some(rho) = rho.filter(|r| !(*r >= 0.0 && r.is_finite())) {
+        return Err(format!("--rho must be non-negative and finite, got {rho}").into());
+    }
     let model_name = a.get("model").unwrap_or("seasonal-naive");
 
     // The seasonal period follows the context window so one window of
@@ -530,8 +537,8 @@ fn backtest(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>>
     // Default ρ: the median uncertainty of the first forecast window, so
     // the conservative/aggressive split lands mid-scale for the trace at
     // hand instead of needing a hand-tuned absolute threshold.
-    let rho: f64 = match a.get("rho") {
-        Some(raw) => raw.parse().map_err(|_| format!("bad --rho value {raw:?}"))?,
+    let rho = match rho {
+        Some(rho) => rho,
         None => {
             let first =
                 model.forecast_quantiles(&test_values[..context], horizon, &SCALING_LEVELS)?;

@@ -98,6 +98,8 @@ fn bad_inputs_exit_nonzero_with_clean_errors() {
     // Quantile columns of unequal length, either way round.
     let longer = hostile("longer.csv", "q0.5,q0.9\n100,130\n,80\n");
     let shorter = hostile("shorter.csv", "q0.5,q0.9\n100,130\n50,\n");
+    // Finite cells whose spread is not: interpolating at τ=0.85 overflowed.
+    let overflow = hostile("overflow.csv", "q0.5,q0.9\n-1e308,1e308\n");
     // A checkpoint as schema v2 headed it.
     let golden = include_str!("fixtures/checkpoint_v3.jsonl");
     let v2 = hostile("v2.ckpt", &golden.replacen("\"version\":3", "\"version\":2", 1));
@@ -190,6 +192,25 @@ fn bad_inputs_exit_nonzero_with_clean_errors() {
         (vec!["chaos", "--theta", "NaN"], "--theta must be positive and finite, got NaN"),
         (plan_of(longer.to_str().expect("utf8")), "forecast column q0.9 has 2 rows but q0.5 has 1"),
         (plan_of(shorter.to_str().expect("utf8")), "forecast column q0.9 has 1 rows but q0.5 has 2"),
+        (
+            [plan_of(overflow.to_str().expect("utf8")), vec!["--tau", "0.85"]].concat(),
+            "unhealthy forecast: quantile spread overflows at step 0",
+        ),
+        // `--rho` reached an assert inside `AdaptiveConfig::new`.
+        (
+            vec!["backtest", "--days", "3", "--rho", "-1"],
+            "--rho must be non-negative and finite, got -1",
+        ),
+        (
+            vec!["backtest", "--days", "3", "--rho", "NaN"],
+            "--rho must be non-negative and finite, got NaN",
+        ),
+        (
+            vec!["backtest", "--days", "3", "--rho", "inf"],
+            "--rho must be non-negative and finite, got inf",
+        ),
+        // A header-only trace that every reader then refused.
+        (vec!["generate", "--days", "0", "--out", "x.csv"], "--days must be at least 1"),
         // A checkpoint is the whole fleet: a shape flag beside it is
         // refused, and one of another schema version says to re-run.
         (

@@ -271,7 +271,7 @@ fn tft_reference(
         nq,
         out[..horizon * nq].iter().map(|z| z * std + mean).collect(),
     );
-    Some(forecast_bits(&QuantileForecast::new(cfg.quantiles.clone(), grid)))
+    Some(forecast_bits(&QuantileForecast::new(cfg.quantiles.clone(), grid).expect("finite head")))
 }
 
 #[test]

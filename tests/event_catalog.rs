@@ -42,8 +42,6 @@ const NOT_IN_SMOKES: &[EventName] = &[
     // Environment problems: unwritable trace path, malformed RPAS_THREADS.
     catalog::OBS_TRACE_OPEN_FAILED,
     catalog::PAR_THREADS_OVERRIDE_IGNORED,
-    // Non-finite forecast cells (`tests/properties.rs`).
-    catalog::PLAN_NON_FINITE_WORKLOAD,
     // Degradation-ladder rungs one day of heavy faults does not reach
     // (`tests/failure_injection.rs`, `tests/chaos_e2e.rs`).
     catalog::RESILIENCE_BACKSTOP,

@@ -53,7 +53,7 @@ impl Forecaster for FlakyForecaster {
                 values[(h, i)] = last * (0.9 + 0.2 * l);
             }
         }
-        Ok(QuantileForecast::new(levels.to_vec(), values))
+        QuantileForecast::new(levels.to_vec(), values)
     }
 }
 

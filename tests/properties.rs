@@ -5,7 +5,7 @@ use rpas::core::{
     smooth_plan, uncertainty_at, AdaptiveConfig, CapacityPlan, PlanningBackend,
     RobustAutoScalingManager, ScalingStrategy, StaircaseLevel, ThrashConfig,
 };
-use rpas::forecast::QuantileForecast;
+use rpas::forecast::{ForecastError, QuantileForecast};
 use rpas::tsmath::Matrix;
 use rpas_tsmath::propcheck::{forall, Gen};
 use rpas_tsmath::{prop_assert, prop_assert_eq};
@@ -22,7 +22,7 @@ fn random_forecast(g: &mut Gen) -> QuantileForecast {
             v += g.f64_in(0.0, 40.0);
         }
     }
-    QuantileForecast::new(levels, values)
+    QuantileForecast::new(levels, values).expect("finite monotone cells")
 }
 
 /// The manager's plan under `strategy` through `backend`.
@@ -170,29 +170,75 @@ fn manager_matches_the_paper_transcription() {
     });
 }
 
-#[test]
-fn non_finite_cells_fall_to_the_floor_on_every_entry_point() {
-    // A poisoned forecast may degrade a plan but never poison it: the
-    // step plans at the `min_nodes` floor, under every strategy on both
-    // backends alike.
-    let (inf, nan) = (f64::INFINITY, f64::NAN);
-    let qf = QuantileForecast::new(
-        vec![0.5, 0.9],
-        Matrix::from_rows(&[vec![100.0, inf], vec![-inf, -inf], vec![nan, nan], vec![100.0, 120.0]]),
-    );
-    let (theta, min_nodes) = (50.0, 2);
-    let ladder = vec![StaircaseLevel { min_uncertainty: 0.0, tau: 0.9 }];
-    let adaptive = AdaptiveConfig::new(0.5, 0.9, 0.0);
-    for strategy in [
-        ScalingStrategy::Fixed { tau: 0.9 },
-        ScalingStrategy::Adaptive(adaptive),
-        ScalingStrategy::Staircase(ladder),
-    ] {
-        for backend in [PlanningBackend::ClosedForm, PlanningBackend::Simplex] {
-            let plan = plan_with(&qf, strategy.clone(), backend, theta, min_nodes);
-            assert_eq!(plan.as_slice(), &[2, 2, 2, 3], "{strategy:?} via {backend:?}");
-        }
+/// One forecast cell of any magnitude: ordinary, up to ±`f64::MAX`, or
+/// NaN / ±∞.
+fn any_cell(g: &mut Gen) -> f64 {
+    match g.usize_in(0, 10) {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        2 => f64::NEG_INFINITY,
+        3 => f64::MAX * g.f64_in(-1.0, 1.0),
+        4 => [f64::MAX, -f64::MAX][g.usize_in(0, 2)],
+        _ => g.f64_in(-50.0, 400.0),
     }
+}
+
+#[test]
+fn a_forecast_is_built_exactly_when_its_rows_are_finite_and_every_one_plans() {
+    forall("a_forecast_is_built_exactly_when_its_rows_are_finite_and_every_one_plans", 256, |g| {
+        let levels = vec![0.5, 0.7, 0.8, 0.9, 0.95];
+        let horizon = g.usize_in(1, 4);
+        let mut values = Matrix::zeros(horizon, levels.len());
+        // Per row: ordinary cells only (crossings included), or any cells.
+        for h in 0..horizon {
+            let ordinary = g.usize_in(0, 2) == 0;
+            for i in 0..levels.len() {
+                values[(h, i)] = if ordinary { g.f64_in(-50.0, 400.0) } else { any_cell(g) };
+            }
+        }
+        // The first step whose cells are not all finite or whose spread
+        // (max − min, what rearrangement leaves between the end columns)
+        // overflows.
+        let bad_step = (0..horizon).find(|&h| {
+            let row = values.row(h);
+            let (lo, hi) = row.iter().fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
+                (lo.min(v), hi.max(v))
+            });
+            !row.iter().all(|v| v.is_finite()) || !(hi - lo).is_finite()
+        });
+        let qf = match (QuantileForecast::new(levels, values), bad_step) {
+            (Ok(qf), None) => qf,
+            (Err(ForecastError::Unhealthy(msg)), Some(h)) => {
+                prop_assert!(msg.ends_with(&format!("at step {h}")), "{msg:?} names no step {h}");
+                return Ok(());
+            }
+            (got, bad) => return Err(format!("new gave {got:?} for first bad step {bad:?}")),
+        };
+        prop_assert!(qf.is_monotone());
+        for _ in 0..8 {
+            let level = g.f64_in(1e-9, 1.0 - 1e-9);
+            for h in 0..horizon {
+                prop_assert!(qf.at(h, level).is_finite(), "at({h}, {level}) = {}", qf.at(h, level));
+            }
+        }
+        let (theta, min_nodes) = (g.f64_in(10.0, 200.0), g.u32_in(1, 4));
+        let ladder = vec![
+            StaircaseLevel { min_uncertainty: 0.0, tau: 0.7 },
+            StaircaseLevel { min_uncertainty: g.f64_in(1.0, 100.0), tau: 0.95 },
+        ];
+        for strategy in [
+            ScalingStrategy::Fixed { tau: g.f64_in(0.05, 0.99) },
+            ScalingStrategy::Adaptive(AdaptiveConfig::new(0.5, 0.9, g.f64_in(0.0, 100.0))),
+            ScalingStrategy::Staircase(ladder),
+        ] {
+            for backend in [PlanningBackend::ClosedForm, PlanningBackend::Simplex] {
+                let plan = plan_with(&qf, strategy.clone(), backend, theta, min_nodes);
+                prop_assert_eq!(plan.len(), horizon);
+                prop_assert!(plan.as_slice().iter().all(|&c| c >= min_nodes), "{plan:?}");
+            }
+        }
+        Ok(())
+    });
 }
 
 #[test]
@@ -278,7 +324,7 @@ impl rpas::forecast::Forecaster for HostileForecaster {
                 values[(h, i)] = fill;
             }
         }
-        Ok(rpas::forecast::QuantileForecast::new(levels.to_vec(), values))
+        rpas::forecast::QuantileForecast::new(levels.to_vec(), values)
     }
 }
 

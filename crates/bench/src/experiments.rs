@@ -10,9 +10,11 @@ mod scaling;
 
 use crate::{ExperimentProfile, Profile};
 use rpas_core::{
-    quantile_windows, uncertainty_series, RobustAutoScalingManager, RollingSpec, ScalingStrategy,
+    backtest, quantile_windows, uncertainty_series, RobustAutoScalingManager, RollingSpec,
+    ScalingStrategy,
 };
 use rpas_forecast::{Forecaster, QuantileForecast};
+use rpas_metrics::ProvisioningReport;
 use rpas_obs::Obs;
 
 /// Runs one experiment at a profile, to its report.
@@ -99,6 +101,16 @@ fn windows<F: Forecaster + ?Sized>(
     levels: &[f64],
 ) -> Vec<(QuantileForecast, Vec<f64>)> {
     quantile_windows(model, test, RollingSpec::new(p.context, p.horizon), levels, &Obs::noop())
+}
+
+/// The overall provisioning rates of `strategy`'s plans for the forecasts
+/// of [`windows`].
+fn score(
+    windows: &[(QuantileForecast, Vec<f64>)],
+    p: &ExperimentProfile,
+    strategy: ScalingStrategy,
+) -> ProvisioningReport {
+    backtest(windows, RollingSpec::new(p.context, p.horizon), &manager(strategy)).overall
 }
 
 /// The uncertainty metric `U` (Eq. 8) at every step of every window.

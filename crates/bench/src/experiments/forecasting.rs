@@ -5,10 +5,11 @@ use super::{lowest, vs, windows, Named, Report, Scope, Shape};
 use crate::models::{self, fit_all_quantile_models, fitted, Fitted};
 use crate::output::{f, labelled};
 use crate::{datasets, write_csv, ExperimentProfile, Table};
-use rpas_core::{uncertainty_series, RollingSpec};
-use rpas_forecast::{
-    evaluate_quantile, Forecaster, QuantileEvalReport, QuantileForecast, EVAL_LEVELS,
+use rpas_core::{
+    evaluate_quantile, quantile_windows, uncertainty_series, QuantileEvalReport, RollingSpec,
 };
+use rpas_forecast::{Forecaster, QuantileForecast, EVAL_LEVELS};
+use rpas_obs::Obs;
 use rpas_par::WorkerPool;
 
 /// Per trace, one evaluation report per model.
@@ -25,7 +26,9 @@ fn evaluate(
     p: &ExperimentProfile,
     horizon: usize,
 ) -> QuantileEvalReport {
-    evaluate_quantile(model.as_ref(), test, p.context, horizon, &EVAL_LEVELS)
+    let spec = RollingSpec::new(p.context, horizon);
+    let windows = quantile_windows(model.as_ref(), test, spec, &EVAL_LEVELS, &Obs::noop());
+    evaluate_quantile(model.name(), &windows)
 }
 
 /// **Table I** — mean_wQL, wQL and coverage at 0.7 / 0.8 / 0.9, and MSE of

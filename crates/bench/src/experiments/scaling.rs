@@ -1,13 +1,13 @@
 //! Auto-scaling experiments: Figs. 5 and 9–12 and the staircase ablation.
 
-use super::{manager, uncertainties, vs, windows, Named, Report, Scope, Shape, THETA};
+use super::{score, uncertainties, vs, windows, Named, Report, Scope, Shape, THETA};
 use crate::models::{self, fitted, Fitted};
 use crate::output::{f, labelled};
 use crate::{datasets, write_csv, ExperimentProfile, Table};
 use rpas_core::ScalingStrategy::{Adaptive, Fixed, Staircase};
 use rpas_core::{
-    evaluate_plans_point, evaluate_plans_precomputed, evaluate_reactive, AdaptiveConfig,
-    ReactiveAvg, ReactiveMax, StaircaseLevel,
+    evaluate_plans_point, evaluate_reactive, AdaptiveConfig, ReactiveAvg, ReactiveMax,
+    StaircaseLevel,
 };
 use rpas_forecast::{PaddedForecaster, PointForecaster, PointFromQuantile, SCALING_LEVELS};
 use rpas_metrics::ProvisioningReport;
@@ -141,7 +141,7 @@ pub(crate) fn fig9(p: &ExperimentProfile) -> Fig9 {
             let mut rows = Vec::new();
             for tau in [0.6, 0.8, 0.9, 0.95] {
                 for (model, w) in &forecasts {
-                    let report = evaluate_plans_precomputed(w, &manager(Fixed { tau }));
+                    let report = score(w, p, Fixed { tau });
                     rows.push(Scaler { name: format!("{model}-{tau}"), tau: Some(tau), report });
                 }
             }
@@ -228,7 +228,7 @@ pub(crate) fn fig10(p: &ExperimentProfile) -> Fig10 {
         let sweep = |m: &Fitted| {
             // Forecast every window once; the τ sweep reuses them.
             let w = windows(m.as_ref(), &ds.test, p, &SCALING_LEVELS);
-            let plan = |&tau: &f64| evaluate_plans_precomputed(&w, &manager(Fixed { tau }));
+            let plan = |&tau: &f64| score(&w, p, Fixed { tau });
             (m.name(), SCALING_LEVELS.iter().map(plan).collect())
         };
         (ds.name, scaling_models(p, &ds.train).iter().map(sweep).collect())
@@ -303,8 +303,8 @@ pub(crate) fn fig11(p: &ExperimentProfile) -> Fig11 {
         let mut cells = Vec::new();
         for (i, &t1) in SCALING_LEVELS.iter().enumerate() {
             for &t2 in &SCALING_LEVELS[i..] {
-                let mgr = manager(Adaptive(AdaptiveConfig::new(t1, t2, rho)));
-                cells.push((t1, t2, evaluate_plans_precomputed(&w, &mgr)));
+                let cell = score(&w, p, Adaptive(AdaptiveConfig::new(t1, t2, rho)));
+                cells.push((t1, t2, cell));
             }
         }
         Heatmap { model: m.name(), rho, cells }
@@ -392,7 +392,7 @@ pub(crate) fn fig12(p: &ExperimentProfile) -> Fig12 {
     let mut rho: Vec<f64> = (0..=10).map(|i| quantile(&us, i as f64 / 10.0)).collect();
     // Algorithm 1 sends U ≥ ρ to τ₂, so only a ρ above max U plans all-τ₁.
     rho.push(rho[10].next_up());
-    let plan = |strategy| evaluate_plans_precomputed(&w, &manager(strategy));
+    let plan = |strategy| score(&w, p, strategy);
     let sweep = |(t1, t2): (f64, f64)| {
         let reports = rho.iter().map(|&r| plan(Adaptive(AdaptiveConfig::new(t1, t2, r)))).collect();
         ((t1, t2), reports, [t1, t2].map(|tau| plan(Fixed { tau })))
@@ -458,7 +458,7 @@ pub(crate) fn ablation_staircase(p: &ExperimentProfile) -> AblationStaircase {
         ),
     ];
     AblationStaircase(
-        strategies.map(|(name, s)| (name, evaluate_plans_precomputed(&w, &manager(s)))).into(),
+        strategies.map(|(name, s)| (name, score(&w, p, s))).into(),
     )
 }
 

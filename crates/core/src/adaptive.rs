@@ -24,11 +24,23 @@ impl AdaptiveConfig {
     /// New config.
     ///
     /// # Panics
-    /// Panics unless `0 < τ₁ ≤ τ₂ < 1` and `ρ ≥ 0`.
+    /// As [`AdaptiveConfig::check`].
     pub fn new(tau_low: f64, tau_high: f64, rho: f64) -> Self {
-        assert!(tau_low > 0.0 && tau_high < 1.0 && tau_low <= tau_high, "need 0 < τ₁ ≤ τ₂ < 1");
-        assert!(rho >= 0.0, "uncertainty threshold must be non-negative");
-        Self { tau_low, tau_high, rho }
+        let cfg = Self { tau_low, tau_high, rho };
+        cfg.check();
+        cfg
+    }
+
+    /// The rule every Algorithm 1 config meets, whether built by
+    /// [`AdaptiveConfig::new`] or as a struct literal (the manager checks
+    /// the latter).
+    ///
+    /// # Panics
+    /// Panics unless `0 < τ₁ ≤ τ₂ < 1` and `ρ ≥ 0` (so no field is NaN).
+    pub(crate) fn check(&self) {
+        let (lo, hi) = (self.tau_low, self.tau_high);
+        assert!(lo > 0.0 && hi < 1.0 && lo <= hi, "need 0 < τ₁ ≤ τ₂ < 1");
+        assert!(self.rho >= 0.0, "uncertainty threshold must be non-negative");
     }
 }
 

@@ -9,9 +9,9 @@ use rpas_simdb::{Observation, PolicyHealth, ScalingPolicy};
 
 /// Rolling replan parameters: the online policies replan on exactly the
 /// grid of the offline rolling-origin protocol, so this is the same
-/// `(context, horizon)` pair as [`crate::rolling::RollingSpec`] — kept
-/// under its established name here.
-pub use crate::rolling::RollingSpec as ReplanSchedule;
+/// `(context, horizon)` pair as [`crate::RollingSpec`] — kept under its
+/// established name here.
+pub use crate::eval::RollingSpec as ReplanSchedule;
 
 /// Bootstrap behaviour while the realised history is still shorter than
 /// the context window: size the cluster reactively for the recent peak.

@@ -23,11 +23,12 @@
 //!   staircase alike.
 //! * `autoscaler` — end-to-end [`rpas_simdb::ScalingPolicy`]
 //!   implementations that own a forecaster and replan on a rolling horizon.
-//! * [`rolling`] — the shared rolling-origin evaluation engine: window
-//!   spec/iterator plus the forecast and fit/forecast/plan drivers behind
-//!   the offline quantile experiments.
-//! * `eval` — the Fig. 9–12 evaluation protocol (rolling plans vs
-//!   realised workload).
+//! * `eval` — the rolling-origin evaluation protocol of §IV, in one place:
+//!   the window grid ([`RollingSpec`]), the one forecast pass
+//!   ([`quantile_windows`]) and its two scorers, forecast quality
+//!   ([`evaluate_quantile`], Table I / Fig. 8) and plans ([`backtest`],
+//!   Figs. 9–12 and the CLI `backtest`); plus the point-forecast and
+//!   reactive protocols, which cannot forecast every window up front.
 
 #![warn(missing_docs)]
 // Library-code rules P1 / O1 (DESIGN.md §9); an exemption is a per-site `#[expect]`.
@@ -36,7 +37,6 @@
 
 mod adaptive;
 mod autoscaler;
-mod backtest;
 pub mod checkpoint;
 mod eval;
 mod fleet;
@@ -44,15 +44,16 @@ mod manager;
 mod plan;
 mod reactive;
 mod resilient;
-pub mod rolling;
 mod supervisor;
 mod thrash;
 mod uncertainty;
 
 pub use adaptive::{AdaptiveConfig, StaircaseLevel};
 pub use autoscaler::{QuantilePredictivePolicy, ReplanSchedule};
-pub use backtest::{backtest_quantile, BacktestReport, BacktestWindow};
-pub use eval::{evaluate_plans_point, evaluate_plans_precomputed, evaluate_reactive};
+pub use eval::{
+    backtest, evaluate_plans_point, evaluate_quantile, evaluate_reactive, quantile_windows,
+    BacktestReport, BacktestWindow, QuantileEvalReport, RollingSpec,
+};
 pub use fleet::{
     Capture, FleetConfig, FleetEngine, FleetReport, QuarantineRecord, TenantId, TenantPolicyKind,
     TenantSummary, TracePreset,
@@ -61,7 +62,6 @@ pub use manager::{PlanningBackend, RobustAutoScalingManager, ScalingStrategy};
 pub use plan::{plan_point, CapacityPlan};
 pub use reactive::{ReactiveAvg, ReactiveMax};
 pub use resilient::{ForecastHealthGate, ResilienceConfig, ResilientManager};
-pub use rolling::{plan_windows, quantile_windows, PlannedWindow, RollingSpec};
 pub use supervisor::{FleetSupervisor, SupervisorConfig, TenantHealth};
 pub use thrash::{smooth_plan, ThrashConfig, ThrashLimited};
 pub use uncertainty::{uncertainty_at, uncertainty_series};

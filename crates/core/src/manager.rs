@@ -102,15 +102,16 @@ impl RobustAutoScalingManager {
     /// Panics on non-positive `theta` or a malformed strategy: a fixed
     /// `τ ∉ (0,1)`, or a staircase ladder that is empty, does not start at
     /// uncertainty 0 (so some step would match no rung), does not ascend
-    /// in both uncertainty and `τ`, or carries a `τ ∉ (0,1)`.
-    /// ([`AdaptiveConfig::new`] validates its own levels.)
+    /// in both uncertainty and `τ`, or carries a `τ ∉ (0,1)`; an adaptive
+    /// config that breaks [`AdaptiveConfig::new`]'s rule, even when
+    /// written as a struct literal.
     pub fn new(theta: f64, min_nodes: u32, strategy: ScalingStrategy) -> Self {
         assert!(theta > 0.0, "theta must be positive");
         match &strategy {
             ScalingStrategy::Fixed { tau } => {
                 assert!(*tau > 0.0 && *tau < 1.0, "tau must be in (0,1)");
             }
-            ScalingStrategy::Adaptive(_) => {}
+            ScalingStrategy::Adaptive(cfg) => cfg.check(),
             ScalingStrategy::Staircase(levels) => {
                 assert!(!levels.is_empty(), "staircase needs at least one rung");
                 // config contract: the first rung must be written as literal 0.0 so every uncertainty maps to a rung
@@ -153,11 +154,6 @@ impl RobustAutoScalingManager {
     /// Minimum pool size.
     pub(crate) fn min_nodes(&self) -> u32 {
         self.min_nodes
-    }
-
-    /// The attached observability handle.
-    pub(crate) fn obs(&self) -> &Obs {
-        &self.obs
     }
 
     /// The strategy's choice at one horizon step.
@@ -466,5 +462,39 @@ mod tests {
     #[should_panic(expected = "tau must be in (0,1)")]
     fn rejects_ladder_tau_out_of_range() {
         staircase(&[(0.0, 0.5), (2.0, 1.0)]);
+    }
+
+    fn adaptive(tau_low: f64, tau_high: f64, rho: f64) -> RobustAutoScalingManager {
+        let cfg = AdaptiveConfig { tau_low, tau_high, rho };
+        RobustAutoScalingManager::new(60.0, 1, ScalingStrategy::Adaptive(cfg))
+    }
+
+    #[test]
+    #[should_panic(expected = "need 0 < τ₁ ≤ τ₂ < 1")]
+    fn rejects_a_literal_adaptive_level_out_of_range() {
+        adaptive(1.5, 0.9, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "need 0 < τ₁ ≤ τ₂ < 1")]
+    fn rejects_a_literal_inverted_adaptive_pair() {
+        adaptive(0.95, 0.8, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "need 0 < τ₁ ≤ τ₂ < 1")]
+    fn rejects_a_literal_nan_adaptive_level() {
+        adaptive(f64::NAN, 0.9, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "uncertainty threshold must be non-negative")]
+    fn rejects_a_literal_nan_rho() {
+        adaptive(0.8, 0.95, f64::NAN);
+    }
+
+    #[test]
+    fn accepts_a_well_formed_literal_adaptive_config() {
+        adaptive(0.8, 0.95, 1.0);
     }
 }

@@ -201,8 +201,8 @@ mod tests {
 
     #[test]
     fn beats_seasonal_naive_on_trend_plus_season() {
-        use crate::eval::evaluate_quantile;
         use crate::naive::SeasonalNaive;
+        use rpas_traces::WindowDataset;
         let period = 24;
         let mut r = seeded(3);
         let series: Vec<f64> = (0..1200)
@@ -217,9 +217,21 @@ mod tests {
         hw.fit(train).unwrap();
         let mut sn = SeasonalNaive::new(period);
         sn.fit(train).unwrap();
-        let rh = evaluate_quantile(&hw, test, 2 * period + 1, period, &[0.1, 0.5, 0.9]);
-        let rs = evaluate_quantile(&sn, test, 2 * period + 1, period, &[0.1, 0.5, 0.9]);
-        assert!(rh.mse < rs.mse, "hw {} vs sn {}", rh.mse, rs.mse);
+        // MSE of the level-mean forecast over the rolling grid.
+        let mse = |m: &dyn Forecaster| {
+            let grid = WindowDataset::rolling(test, 2 * period + 1, period);
+            let (mut sum, mut n) = (0.0, 0);
+            for (ctx, actual) in grid.iter() {
+                let f = m.forecast_quantiles(ctx, period, &[0.1, 0.5, 0.9]).unwrap();
+                for (p, a) in f.level_mean().iter().zip(actual) {
+                    sum += (p - a) * (p - a);
+                    n += 1;
+                }
+            }
+            sum / n as f64
+        };
+        let (rh, rs) = (mse(&hw), mse(&sn));
+        assert!(rh < rs, "hw {rh} vs sn {rs}");
     }
 
     #[test]

@@ -56,7 +56,6 @@
 
 mod arima;
 mod deepar;
-mod eval;
 mod grid;
 mod holt_winters;
 mod mlp;
@@ -70,7 +69,6 @@ mod window;
 
 pub use arima::{Arima, ArimaConfig};
 pub use deepar::{DeepAr, DeepArConfig};
-pub use eval::{evaluate_quantile, QuantileEvalReport};
 pub use holt_winters::{HoltWinters, HoltWintersConfig};
 pub use mlp::{DistKind, MlpProb, MlpProbConfig};
 pub use mlp_quantile::{MlpQuantile, MlpQuantileConfig};

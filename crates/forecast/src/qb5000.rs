@@ -145,7 +145,7 @@ impl PointForecaster for Qb5000 {
         let mut targets = Vec::new();
         let mut i = 0;
         while i < n {
-            let (ctx, tgt) = ds.example(i);
+            let (ctx, tgt) = ds.window(i);
             let mut row = ctx.to_vec();
             row.push(1.0); // bias
             rows.push(row);
@@ -199,7 +199,7 @@ impl PointForecaster for Qb5000 {
         let mut kernel_tgt = Vec::new();
         let mut i = 0;
         while i < n && kernel_ctx.len() < c.kernel_pairs {
-            let (ctx, tgt) = ds.example(i);
+            let (ctx, tgt) = ds.window(i);
             kernel_ctx.push(ctx.to_vec());
             kernel_tgt.push(tgt.to_vec());
             i += k_stride;

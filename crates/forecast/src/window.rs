@@ -84,7 +84,7 @@ pub(crate) fn train(
         let mut norm_sum = 0.0;
         for _ in 0..windows_per_epoch {
             let idx = (rng::uniform_open(r) * ds.len() as f64) as usize;
-            let (ctx, tgt) = ds.example(idx.min(ds.len() - 1));
+            let (ctx, tgt) = ds.window(idx.min(ds.len() - 1));
             norm_sum += step(ctx, tgt, &mut loss);
         }
         on_epoch(EpochStats {

@@ -1,9 +1,14 @@
-//! Windowing utilities: turn a trace into supervised forecasting examples
-//! and rolling evaluation windows.
+//! Windowing: turn a series into supervised forecasting examples and into
+//! the rolling evaluation grid.
 
-/// A sliding-window forecasting dataset over a series: each example pairs a
-/// `context`-length input window with the following `horizon`-length target
-/// window.
+/// Windows over a series, each pairing a `context`-length input with the
+/// `horizon`-length target right after it, window starts `stride` apart.
+///
+/// At stride 1 ([`WindowDataset::new`]) these are the training examples of
+/// the window models. At stride = horizon ([`WindowDataset::rolling`]) they
+/// are the paper's rolling-origin evaluation grid: window `k` forecasts
+/// `[c + k·h, c + (k+1)·h)` from the `c` samples before it, and the targets
+/// tile the series without overlap.
 #[derive(Debug, Clone)]
 pub struct WindowDataset<'a> {
     series: &'a [f64],
@@ -13,26 +18,26 @@ pub struct WindowDataset<'a> {
 }
 
 impl<'a> WindowDataset<'a> {
-    /// New dataset with stride 1.
+    /// Every window, stride 1.
     pub fn new(series: &'a [f64], context: usize, horizon: usize) -> Self {
         Self::with_stride(series, context, horizon, 1)
     }
 
-    /// New dataset with an explicit stride between window starts.
+    /// The non-overlapping rolling grid, stride = `horizon`.
+    pub fn rolling(series: &'a [f64], context: usize, horizon: usize) -> Self {
+        Self::with_stride(series, context, horizon, horizon)
+    }
+
+    /// Windows `stride` apart.
     ///
     /// # Panics
     /// Panics on zero context/horizon/stride.
-    pub(crate) fn with_stride(
-        series: &'a [f64],
-        context: usize,
-        horizon: usize,
-        stride: usize,
-    ) -> Self {
+    fn with_stride(series: &'a [f64], context: usize, horizon: usize, stride: usize) -> Self {
         assert!(context > 0 && horizon > 0 && stride > 0, "degenerate window spec");
         Self { series, context, horizon, stride }
     }
 
-    /// Number of examples.
+    /// Number of complete windows.
     pub fn len(&self) -> usize {
         let need = self.context + self.horizon;
         if self.series.len() < need {
@@ -47,60 +52,20 @@ impl<'a> WindowDataset<'a> {
         self.len() == 0
     }
 
-    /// The `i`-th `(context, target)` example.
+    /// The `i`-th `(context, target)` window.
     ///
     /// # Panics
     /// Panics if `i >= len()`.
-    pub fn example(&self, i: usize) -> (&'a [f64], &'a [f64]) {
+    pub fn window(&self, i: usize) -> (&'a [f64], &'a [f64]) {
         assert!(i < self.len(), "window index out of range");
         let start = i * self.stride;
         let mid = start + self.context;
         (&self.series[start..mid], &self.series[mid..mid + self.horizon])
     }
-}
 
-/// Non-overlapping rolling evaluation windows over a held-out series:
-/// window `k` forecasts `[k·horizon + context, (k+1)·horizon + context)`
-/// from the `context` samples before it — the paper's rolling multi-horizon
-/// evaluation protocol.
-#[derive(Debug, Clone)]
-pub struct RollingWindows<'a> {
-    series: &'a [f64],
-    context: usize,
-    horizon: usize,
-}
-
-impl<'a> RollingWindows<'a> {
-    /// New rolling evaluation over `series`.
-    pub fn new(series: &'a [f64], context: usize, horizon: usize) -> Self {
-        assert!(context > 0 && horizon > 0, "degenerate window spec");
-        Self { series, context, horizon }
-    }
-
-    /// Number of complete evaluation windows.
-    pub fn len(&self) -> usize {
-        if self.series.len() < self.context + self.horizon {
-            0
-        } else {
-            (self.series.len() - self.context) / self.horizon
-        }
-    }
-
-    /// Whether there are no complete windows.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The `k`-th `(context, actuals)` window.
-    pub fn window(&self, k: usize) -> (&'a [f64], &'a [f64]) {
-        assert!(k < self.len(), "rolling window index out of range");
-        let mid = self.context + k * self.horizon;
-        (&self.series[mid - self.context..mid], &self.series[mid..mid + self.horizon])
-    }
-
-    /// Iterate all windows.
+    /// Every window, in order.
     pub fn iter(&self) -> impl Iterator<Item = (&'a [f64], &'a [f64])> + '_ {
-        (0..self.len()).map(move |k| self.window(k))
+        (0..self.len()).map(move |i| self.window(i))
     }
 }
 
@@ -113,10 +78,10 @@ mod tests {
         let xs: Vec<f64> = (0..10).map(|i| i as f64).collect();
         let ds = WindowDataset::new(&xs, 3, 2);
         assert_eq!(ds.len(), 6);
-        let (c, t) = ds.example(0);
+        let (c, t) = ds.window(0);
         assert_eq!(c, &[0.0, 1.0, 2.0]);
         assert_eq!(t, &[3.0, 4.0]);
-        let (c, t) = ds.example(5);
+        let (c, t) = ds.window(5);
         assert_eq!(c, &[5.0, 6.0, 7.0]);
         assert_eq!(t, &[8.0, 9.0]);
     }
@@ -126,7 +91,7 @@ mod tests {
         let xs: Vec<f64> = (0..10).map(|i| i as f64).collect();
         let ds = WindowDataset::with_stride(&xs, 3, 2, 2);
         assert_eq!(ds.len(), 3);
-        let (c, _) = ds.example(1);
+        let (c, _) = ds.window(1);
         assert_eq!(c, &[2.0, 3.0, 4.0]);
     }
 
@@ -140,7 +105,7 @@ mod tests {
     #[test]
     fn rolling_windows_are_disjoint_targets() {
         let xs: Vec<f64> = (0..20).map(|i| i as f64).collect();
-        let rw = RollingWindows::new(&xs, 4, 3);
+        let rw = WindowDataset::rolling(&xs, 4, 3);
         assert_eq!(rw.len(), 5);
         let mut covered = Vec::new();
         for (ctx, act) in rw.iter() {
@@ -156,7 +121,7 @@ mod tests {
     #[test]
     fn rolling_context_precedes_target() {
         let xs: Vec<f64> = (0..12).map(|i| i as f64).collect();
-        let rw = RollingWindows::new(&xs, 3, 3);
+        let rw = WindowDataset::rolling(&xs, 3, 3);
         let (ctx, act) = rw.window(1);
         assert_eq!(ctx, &[3.0, 4.0, 5.0]);
         assert_eq!(act, &[6.0, 7.0, 8.0]);

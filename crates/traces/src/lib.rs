@@ -2,8 +2,9 @@
 //!
 //! Workload-trace substrate: synthetic resource-usage traces with the
 //! statistical structure of the Alibaba and Google cluster traces used in
-//! the paper's evaluation, plus windowing utilities that turn a trace into
-//! forecasting datasets.
+//! the paper's evaluation, plus [`WindowDataset`], the one window type: the
+//! training examples of the window models at stride 1, and the rolling
+//! evaluation grid at stride = horizon.
 //!
 //! The real traces are multi-gigabyte downloads; per the reproduction's
 //! substitution rule (see `DESIGN.md` §2) we generate seeded synthetic
@@ -22,7 +23,7 @@ mod generator;
 mod presets;
 mod trace;
 
-pub use dataset::{RollingWindows, WindowDataset};
+pub use dataset::WindowDataset;
 pub use presets::{alibaba_like, alibaba_like_cpu, google_like, google_like_cpu, ClusterTrace};
 pub use trace::{ResourceKind, Trace};
 

@@ -8,10 +8,12 @@
 //!
 //! Run: `cargo run --release --example forecaster_tour`
 
+use rpas::core::{evaluate_quantile, quantile_windows, RollingSpec};
 use rpas::forecast::{
-    evaluate_quantile, Arima, ArimaConfig, DeepAr, DeepArConfig, DistKind, Forecaster, MlpProb,
-    MlpProbConfig, SeasonalNaive, Tft, TftConfig, EVAL_LEVELS,
+    Arima, ArimaConfig, DeepAr, DeepArConfig, DistKind, Forecaster, MlpProb, MlpProbConfig,
+    SeasonalNaive, Tft, TftConfig, EVAL_LEVELS,
 };
+use rpas::obs::Obs;
 use rpas::traces::{alibaba_like, STEPS_PER_DAY};
 
 fn main() {
@@ -80,7 +82,10 @@ fn main() {
         "model", "mean_wQL", "wQL[0.9]", "Cov[0.9]", "MSE", "windows"
     );
     for (name, model) in &models {
-        let r = evaluate_quantile(model.as_ref(), &test.values, context, horizon, &EVAL_LEVELS);
+        let spec = RollingSpec::new(context, horizon);
+        let windows =
+            quantile_windows(model.as_ref(), &test.values, spec, &EVAL_LEVELS, &Obs::noop());
+        let r = evaluate_quantile(model.name(), &windows);
         println!(
             "{:<16} {:>9.4} {:>9.4} {:>9.3} {:>9.1} {:>9}",
             name,

@@ -4,7 +4,9 @@
 # `#[cfg(test)]` that opens the file's first test `mod` (a `#[cfg(test)]`
 # line followed by a `mod <name> {` line); a file with no test `mod`
 # counts whole. Blank and comment lines count. One row per package, then
-# the workspace total.
+# the workspace total. Two more rows count every line of every `.rs` file,
+# tests included: under `crates src tests examples` (the unit ROADMAP
+# states its size targets in), and the same plus `ledger/src`.
 #
 # Usage: scripts/loc.sh [ROOT]   (ROOT defaults to this script's repo, so
 #                                 a second checkout can be counted the
@@ -43,3 +45,10 @@ for dir in crates/*/ .; do
     sum=$((sum + n))
 done
 printf '%-16s %6d\n' "workspace" "$sum"
+
+# Every line of the `.rs` files under the directories named, summed.
+all_lines() {
+    find "$@" -name '*.rs' -print0 | xargs -0 cat | wc -l
+}
+printf '%-16s %6d\n' "all .rs" "$(all_lines crates src tests examples)"
+printf '%-16s %6d\n' "all .rs+ledger" "$(all_lines crates src tests examples ledger/src)"

@@ -11,9 +11,9 @@
 
 use rpas::cli::ParsedArgs;
 use rpas::core::{
-    backtest_quantile, uncertainty_series, AdaptiveConfig, FleetConfig, FleetEngine,
+    quantile_windows, uncertainty_series, AdaptiveConfig, FleetConfig, FleetEngine,
     FleetSupervisor, QuantilePredictivePolicy, ReactiveAvg, ReactiveMax, ReplanSchedule,
-    ResilienceConfig, ResilientManager, RobustAutoScalingManager, ScalingStrategy,
+    ResilienceConfig, ResilientManager, RobustAutoScalingManager, RollingSpec, ScalingStrategy,
     SupervisorConfig, TenantPolicyKind, TracePreset,
 };
 use rpas::forecast::{
@@ -112,13 +112,63 @@ ENVIRONMENT
 Any command also accepts --trace-out FILE, overriding RPAS_TRACE_OUT.
 ";
 
+/// A command's body.
+type Command = fn(&ParsedArgs, &Obs) -> Result<(), Box<dyn std::error::Error>>;
+
+/// Every command: its name, the flags it reads (as USAGE lists them) and
+/// its body. Any command also takes the global `--trace-out`; `run`
+/// refuses every other flag before the command starts.
+const COMMANDS: [(&str, &[&str], Command); 10] = [
+    ("generate", &["preset", "days", "seed", "resource", "out"], |a, _| generate(a)),
+    (
+        "forecast",
+        &[
+            "trace", "column", "model", "context", "horizon", "train-frac", "seed", "out",
+            "save-weights",
+        ],
+        forecast,
+    ),
+    ("plan", &["forecast", "theta", "tau", "min-nodes", "out"], plan),
+    ("simulate", &["trace", "column", "theta", "policy", "period"], simulate),
+    (
+        "backtest",
+        &[
+            "trace", "column", "preset", "days", "seed", "model", "theta", "min-nodes",
+            "train-frac", "tau-low", "tau-high", "rho", "context", "horizon", "faults",
+            "fault-seed",
+        ],
+        backtest,
+    ),
+    (
+        "chaos",
+        &["preset", "days", "seed", "theta", "fault-seed", "profiles", "schedule-out"],
+        chaos,
+    ),
+    (
+        "fleet",
+        &[
+            "tenants", "seed", "days", "theta", "min-nodes", "tau", "context", "horizon",
+            "policies", "presets", "faults", "worst", "slo-report", "metrics-out",
+            "checkpoint-out", "kill-at-tick", "resume-from",
+        ],
+        fleet,
+    ),
+    ("trace-report", &["trace"], |a, _| trace_report(a)),
+    (
+        "obs query",
+        &["trace", "span", "event", "level", "tenant", "where", "group-by", "agg"],
+        |a, _| obs_query(a),
+    ),
+    ("obs diff", &["a", "b"], |a, _| obs_diff(a)),
+];
+
 /// Pre-parse normalization: fold the two-token `obs query`/`obs diff`
 /// spellings into one command, and give bare boolean flags an explicit
 /// value (the flag grammar is strictly `--key value`).
 fn normalize(mut args: Vec<String>) -> Vec<String> {
     if args.len() >= 2 && args[0] == "obs" && !args[1].starts_with("--") {
         let sub = args.remove(1);
-        args[0] = format!("obs-{sub}");
+        args[0] = format!("obs {sub}");
     }
     const BOOL_FLAGS: &[&str] = &["--slo-report"];
     let mut out = Vec::with_capacity(args.len() + 1);
@@ -157,6 +207,11 @@ fn main() {
 
 fn run(args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
     let a = ParsedArgs::parse(args)?;
+    let (_, flags, command) = COMMANDS
+        .iter()
+        .find(|(name, ..)| *name == a.command)
+        .ok_or_else(|| format!("unknown command {:?}", a.command))?;
+    a.only(&[flags, &["trace-out"][..]].concat())?;
     // Every command shares one observability handle: stderr verbosity from
     // RPAS_LOG, plus a schema-v1 JSONL trace when --trace-out (or
     // RPAS_TRACE_OUT) is set. `fleet` is the exception: its --trace-out is
@@ -168,19 +223,7 @@ fn run(args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
     } else {
         Obs::from_env_with_trace(a.get("trace-out"))
     };
-    let result = match a.command.as_str() {
-        "generate" => generate(&a),
-        "forecast" => forecast(&a, &obs),
-        "plan" => plan(&a, &obs),
-        "simulate" => simulate(&a, &obs),
-        "backtest" => backtest(&a, &obs),
-        "chaos" => chaos(&a, &obs),
-        "fleet" => fleet(&a, &obs),
-        "trace-report" => trace_report(&a),
-        "obs-query" => obs_query(&a),
-        "obs-diff" => obs_diff(&a),
-        other => Err(format!("unknown command {other:?}").into()),
-    };
+    let result = command(&a, &obs);
     obs.flush();
     result
 }
@@ -554,8 +597,11 @@ fn backtest(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>>
     .with_obs(obs.clone());
 
     let bt_timer = obs.span(catalog::BACKTEST_SPAN_CLOSE, "rolling");
-    let report =
-        backtest_quantile(&*model, test_values, context, horizon, &manager, &SCALING_LEVELS);
+    // Forecast every window, then plan them: the trace carries every
+    // `rolling/*` event ahead of the manager's `plan/*` audit.
+    let spec = RollingSpec::new(context, horizon);
+    let windows = quantile_windows(&*model, test_values, spec, &SCALING_LEVELS, obs);
+    let report = rpas::core::backtest(&windows, spec, &manager);
     bt_timer.finish(|e| {
         e.field("windows", report.windows.len());
     });
@@ -741,6 +787,7 @@ fn fleet(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>> {
     if kill_at.is_some() && checkpoint_out.is_none() {
         return Err("--kill-at-tick requires --checkpoint-out (a crash without a checkpoint loses the run)".into());
     }
+    let worst: usize = a.get_or("worst", 5)?;
 
     // The registry only pays its recording cost when something will read
     // it; otherwise every handle stays on the dark path. A checkpoint's
@@ -890,7 +937,6 @@ fn fleet(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>> {
     println!("P95 regret        : {}", report.qos.p95_regret_node_steps);
     println!("max regret        : {}", report.qos.max_regret_node_steps);
 
-    let worst: usize = a.get_or("worst", 5)?;
     if worst > 0 {
         println!(
             "{:<6} {:<13} {:<8} {:>9} {:>7} {:>7}",
@@ -1185,4 +1231,30 @@ fn decision_audit_summary(lines: &[TraceLine]) {
     println!("  plans             : {plans}");
     println!("  objective         : {node_steps} node-steps");
     println!("  plan delta        : {delta} node-level changes");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    #[test]
+    fn every_command_reads_exactly_the_flags_usage_lists() {
+        let commands = &USAGE[USAGE.find("COMMANDS").unwrap()..USAGE.find("ENVIRONMENT").unwrap()];
+        let mut blocks: Vec<(&str, BTreeSet<&str>)> = Vec::new();
+        for line in commands.lines().skip(1) {
+            let head = line.strip_prefix("  ").filter(|l| !l.starts_with(' '));
+            if let Some(name) = head.and_then(|l| COMMANDS.iter().find(|c| l.starts_with(c.0))) {
+                blocks.push((name.0, BTreeSet::new()));
+            }
+            let flags = line.split(|c: char| !(c.is_ascii_lowercase() || c == '-'));
+            let (_, listed) = blocks.last_mut().unwrap();
+            listed.extend(flags.filter_map(|w| w.strip_prefix("--")).filter(|f| *f != "trace-out"));
+        }
+        let table: Vec<(&str, BTreeSet<&str>)> = COMMANDS
+            .iter()
+            .map(|(name, flags, _)| (*name, flags.iter().copied().collect()))
+            .collect();
+        assert_eq!(blocks, table);
+    }
 }

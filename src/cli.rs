@@ -35,6 +35,13 @@ pub enum CliError {
     },
     /// A flag was supplied twice.
     DuplicateFlag(String),
+    /// A flag the command does not read (a misspelling, usually).
+    UnknownFlag {
+        /// The flag name.
+        flag: String,
+        /// The command it was given to.
+        command: String,
+    },
 }
 
 impl std::fmt::Display for CliError {
@@ -48,6 +55,9 @@ impl std::fmt::Display for CliError {
                 write!(f, "--{flag} {value:?}: expected {expected}")
             }
             CliError::DuplicateFlag(k) => write!(f, "flag --{k} given twice"),
+            CliError::UnknownFlag { flag, command } => {
+                write!(f, "--{flag} is not a flag of {command}")
+            }
         }
     }
 }
@@ -77,6 +87,17 @@ impl ParsedArgs {
             }
         }
         Ok(Self { command, flags })
+    }
+
+    /// Refuse any flag outside `known`, so a misspelt flag is an error
+    /// instead of silently falling back to a default.
+    pub fn only(&self, known: &[&str]) -> Result<(), CliError> {
+        match self.flags.keys().find(|k| !known.contains(&k.as_str())) {
+            None => Ok(()),
+            Some(flag) => {
+                Err(CliError::UnknownFlag { flag: flag.clone(), command: self.command.clone() })
+            }
+        }
     }
 
     /// Optional string flag.
@@ -161,6 +182,20 @@ mod tests {
             args(&["x", "stray"]).unwrap_err(),
             CliError::UnexpectedPositional("stray".into())
         );
+    }
+
+    #[test]
+    fn flag_outside_the_known_list_rejected() {
+        let a = args(&["fleet", "--tenant", "2", "--days", "2"]).unwrap();
+        assert_eq!(
+            a.only(&["tenants", "days"]),
+            Err(CliError::UnknownFlag { flag: "tenant".into(), command: "fleet".into() })
+        );
+        assert_eq!(
+            a.only(&["tenants", "days"]).unwrap_err().to_string(),
+            "--tenant is not a flag of fleet"
+        );
+        assert_eq!(a.only(&["days", "tenant"]), Ok(()));
     }
 
     #[test]

@@ -221,6 +221,13 @@ fn bad_inputs_exit_nonzero_with_clean_errors() {
             vec!["fleet", "--resume-from", v2],
             "unsupported checkpoint version 2: this build reads version 3 only; re-run the fleet",
         ),
+        // A misspelt flag ran the command on the default it meant to set.
+        (
+            vec!["fleet", "--tenant", "2", "--days", "2", "--worst", "0"],
+            "--tenant is not a flag of fleet",
+        ),
+        (vec!["backtest", "--tau-hi", "0.99"], "--tau-hi is not a flag of backtest"),
+        (vec!["obs", "diff", "--a", "x", "--c", "y"], "--c is not a flag of obs diff"),
     ];
     for (args, expect) in cases {
         let out = cli().args(&args).output().expect("run");
@@ -230,6 +237,18 @@ fn bad_inputs_exit_nonzero_with_clean_errors() {
         // A clean error, never a panic backtrace.
         assert!(!err.contains("panicked"), "args {args:?} panicked: {err}");
     }
+    // A bad --worst used to surface only after the run had written its
+    // checkpoint and printed its summary.
+    let ckpt = dir.join("worst.ckpt");
+    let out = cli()
+        .args(["fleet", "--tenants", "2", "--days", "2", "--worst", "x"])
+        .args(["--checkpoint-out", ckpt.to_str().expect("utf8")])
+        .output()
+        .expect("run fleet");
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--worst \"x\": expected usize"));
+    assert!(out.stdout.is_empty(), "{}", String::from_utf8_lossy(&out.stdout));
+    assert!(!ckpt.exists(), "the checkpoint was written before --worst was parsed");
     std::fs::remove_dir_all(&dir).ok();
 }
 

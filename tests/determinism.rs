@@ -5,13 +5,12 @@
 //! `HashMap` iteration order, thread timing, or global RNG state may leak
 //! into results.
 //!
-//! Also pins the `rpas_core::rolling` engine to the legacy windowing
-//! semantics (`rpas_traces::RollingWindows`) on a fixed trace, so the
-//! rolling-origin consolidation cannot silently shift window boundaries.
+//! Also pins the rolling-origin forecast pass and the plan scorer to the
+//! protocol's index arithmetic on a fixed trace, so no refactor of the
+//! window grid can silently shift window boundaries.
 
 use rpas::core::{
-    backtest_quantile, plan_windows, quantile_windows, RobustAutoScalingManager, RollingSpec,
-    ScalingStrategy,
+    backtest, quantile_windows, RobustAutoScalingManager, RollingSpec, ScalingStrategy,
 };
 use rpas::forecast::{
     Arima, ArimaConfig, DeepAr, DeepArConfig, DistKind, Forecaster, HoltWinters,
@@ -19,7 +18,7 @@ use rpas::forecast::{
     TftConfig, SCALING_LEVELS,
 };
 use rpas::obs::Obs;
-use rpas::traces::{alibaba_like, RollingWindows, STEPS_PER_DAY};
+use rpas::traces::{alibaba_like, STEPS_PER_DAY};
 use rpas_tsmath::{prop_assert, prop_assert_eq};
 use rpas_tsmath::propcheck::{forall, Gen};
 
@@ -560,36 +559,34 @@ fn tft_is_deterministic() {
 
 #[test]
 fn rolling_windows_match_legacy_protocol() {
-    // quantile_windows (rpas_core::rolling) must slice the series
-    // exactly like the legacy rpas_traces::RollingWindows protocol it
-    // replaced: window k forecasts from the `context` samples ending at
-    // `context + k*horizon`, against the `horizon` actuals after it.
+    // The forecast pass must slice the series by the protocol's index
+    // arithmetic: window k forecasts from test[k·h .. k·h + c], the
+    // `context` samples ending at c + k·h, against the `horizon` actuals
+    // test[c + k·h ..][..h] after them.
     let (train, test) = fixed_series();
     let mut fc = SeasonalNaive::new(STEPS_PER_DAY);
     fc.fit(&train).expect("fit");
 
-    let ctx_len = STEPS_PER_DAY;
-    let spec = RollingSpec::new(ctx_len, HORIZON);
+    let (c, h) = (STEPS_PER_DAY, HORIZON);
+    let spec = RollingSpec::new(c, h);
     let engine = quantile_windows(&fc, &test, spec, &SCALING_LEVELS, &Obs::noop());
 
-    let legacy = RollingWindows::new(&test, ctx_len, HORIZON);
-    assert_eq!(engine.len(), legacy.len(), "window count diverged");
+    let count = (test.len() - c) / h;
+    assert!(count > 0);
+    assert_eq!(engine.len(), count, "window count diverged");
     for (k, (engine_qf, engine_actuals)) in engine.iter().enumerate() {
-        let (ctx, actuals) = legacy.window(k);
-        let qf = fc.forecast_quantiles(ctx, HORIZON, &SCALING_LEVELS).expect("forecast");
+        let ctx = &test[k * h..k * h + c];
+        let actuals = &test[c + k * h..][..h];
+        let qf = fc.forecast_quantiles(ctx, h, &SCALING_LEVELS).expect("forecast");
         assert_eq!(forecast_bits(engine_qf), forecast_bits(&qf), "window {k} forecast");
         assert_eq!(engine_actuals, actuals, "window {k} actuals");
     }
 
-    // plan_windows and backtest_quantile must agree on window offsets too.
+    // The plan scorer must place window k at step c + k·h.
     let manager = RobustAutoScalingManager::new(THETA, 1, ScalingStrategy::Fixed { tau: 0.9 });
-    let planned = plan_windows(&fc, &test, spec, &manager, &SCALING_LEVELS);
-    let backtest = backtest_quantile(&fc, &test, ctx_len, HORIZON, &manager, &SCALING_LEVELS);
-    assert_eq!(planned.len(), legacy.len());
-    assert_eq!(backtest.windows.len(), legacy.len());
-    for (k, (w, b)) in planned.iter().zip(&backtest.windows).enumerate() {
-        let expected_start = ctx_len + k * HORIZON;
-        assert_eq!(w.start, expected_start, "plan_windows start {k}");
-        assert_eq!(b.start, expected_start, "backtest start {k}");
+    let report = backtest(&engine, spec, &manager);
+    assert_eq!(report.windows.len(), count);
+    for (k, w) in report.windows.iter().enumerate() {
+        assert_eq!(w.start, c + k * h, "backtest start {k}");
     }
 }

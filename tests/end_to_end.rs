@@ -3,9 +3,9 @@
 //! provisioning metrics — wired through the public `rpas` API.
 
 use rpas::core::{
-    evaluate_plans_precomputed, evaluate_reactive, quantile_windows, AdaptiveConfig,
-    PlanningBackend, QuantilePredictivePolicy, ReactiveAvg, ReactiveMax, ReplanSchedule,
-    RobustAutoScalingManager, RollingSpec, ScalingStrategy,
+    backtest, evaluate_reactive, quantile_windows, AdaptiveConfig, PlanningBackend,
+    QuantilePredictivePolicy, ReactiveAvg, ReactiveMax, ReplanSchedule, RobustAutoScalingManager,
+    RollingSpec, ScalingStrategy,
 };
 use rpas::forecast::{
     DeepAr, DeepArConfig, Forecaster, SeasonalNaive, Tft, TftConfig, SCALING_LEVELS,
@@ -83,7 +83,7 @@ fn robust_beats_reactive_on_under_provisioning() {
     let manager = RobustAutoScalingManager::new(THETA, 1, ScalingStrategy::Fixed { tau: 0.95 });
     let spec = RollingSpec::new(STEPS_PER_DAY, 72);
     let windows = quantile_windows(&fc, &test.values, spec, &SCALING_LEVELS, &Obs::noop());
-    let robust = evaluate_plans_precomputed(&windows, &manager);
+    let robust = backtest(&windows, spec, &manager).overall;
 
     let mut ravg = ReactiveAvg::paper_default();
     let reactive = evaluate_reactive(&mut ravg, &test.values, THETA, 1);
@@ -122,8 +122,8 @@ fn adaptive_reduces_overprovisioning_without_losing_robustness() {
 
     let spec = RollingSpec::new(48, 24);
     let windows = quantile_windows(&tft, &test.values, spec, &SCALING_LEVELS, &Obs::noop());
-    let r_hi = evaluate_plans_precomputed(&windows, &fixed_hi);
-    let r_ad = evaluate_plans_precomputed(&windows, &adaptive);
+    let r_hi = backtest(&windows, spec, &fixed_hi).overall;
+    let r_ad = backtest(&windows, spec, &adaptive).overall;
 
     assert!(r_ad.avg_allocated <= r_hi.avg_allocated + 1e-9, "{r_ad:?} vs {r_hi:?}");
     assert!(r_ad.over_rate <= r_hi.over_rate + 1e-9);

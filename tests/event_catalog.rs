@@ -8,8 +8,8 @@
 //! captured events, per tenant, for every entry that declares one.
 
 use rpas::core::{
-    backtest_quantile, AdaptiveConfig, FleetConfig, FleetEngine, FleetSupervisor,
-    RobustAutoScalingManager, ScalingStrategy, SupervisorConfig, TenantHealth,
+    backtest, quantile_windows, AdaptiveConfig, FleetConfig, FleetEngine, FleetSupervisor,
+    RobustAutoScalingManager, RollingSpec, ScalingStrategy, SupervisorConfig, TenantHealth,
 };
 use rpas::forecast::{Forecaster, SeasonalNaive, SCALING_LEVELS};
 use rpas::obs::catalog::{self, EventName};
@@ -93,8 +93,9 @@ fn backtest_smoke() -> &'static BTreeSet<String> {
         .with_obs(obs.clone());
 
         let timer = obs.span(catalog::BACKTEST_SPAN_CLOSE, "rolling");
-        let report =
-            backtest_quantile(&model, &test.values, STEPS_PER_DAY, 24, &manager, &SCALING_LEVELS);
+        let spec = RollingSpec::new(STEPS_PER_DAY, 24);
+        let windows = quantile_windows(&model, &test.values, spec, &SCALING_LEVELS, &obs);
+        let report = backtest(&windows, spec, &manager);
         timer.finish(|e| {
             e.field("windows", report.windows.len());
         });

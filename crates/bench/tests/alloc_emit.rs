@@ -14,10 +14,13 @@
 //! The two audits a fleet captures every tick are measured at their real
 //! emit sites, as the allocations a run makes with a handle on the
 //! fleet's `Capture` beyond the same run with a dark one. A capture
-//! only keeps the event on the tick; rendering waits for `finish`.
+//! encodes the borrowed event onto its tape of words (which grows by
+//! doubling, so nothing per event) and keeps nothing of it: every sink a
+//! handle fans out to is shown the one build, none copies it. Rendering
+//! waits for `finish`.
 //!
 //! At the other end, `FleetSupervisor::finish` renders every captured
-//! event once into a reused buffer, nothing per field (numbers are
+//! record once into a reused buffer, nothing per field (numbers are
 //! written into the buffer, no `String` per value), and copies it into
 //! one exact-size line, plus a fixed handful per tenant. That is pinned
 //! as a shape at two fleet lengths.
@@ -61,10 +64,10 @@ impl ScalingPolicy for Hold {
     }
 }
 
-/// A handle on a fresh capture, and the capture. Its events
-/// double their vector as they come, so of five repeats of 64 or 65
-/// events into one capture one grows it not at all, and the smallest
-/// count is that repeat's.
+/// A handle on a fresh capture, and the capture. Its tape doubles
+/// as records come, so of five repeats of 64 or 65 events into one
+/// capture one grows it not at all, and the smallest count is that
+/// repeat's.
 fn capturing() -> (Capture, Obs) {
     let capture = Capture::new("t0000".to_string());
     let obs = Obs::with_sink(Box::new(capture.clone()));
@@ -166,8 +169,8 @@ fn an_emitted_event_allocates_its_field_vector_and_nothing_else() {
         "{STEPS} captured plan/decision and a plan/summary cost {beyond} allocations"
     );
 
-    // Two sinks: the first copies what it is shown (one allocation, the
-    // copy's field vector), the last keeps the original.
+    // Two sinks: each encodes the event it is shown by reference, so the
+    // build's field vector is the one allocation.
     let (first, last) = (capturing().0, capturing().0);
     let both = Obs::multi(vec![Box::new(first.clone()), Box::new(last.clone())]);
     let fan_out = cost(|| {
@@ -176,7 +179,7 @@ fn an_emitted_event_allocates_its_field_vector_and_nothing_else() {
         });
     });
     assert_eq!((captured(&first).len(), captured(&last).len()), (5, 5));
-    assert_eq!(fan_out, 2, "one build and one copy");
+    assert_eq!(fan_out, 1, "one build, no copy");
 
     // A number is written into the caller's buffer, the 301 digits of
     // 1e300 and the 323 zeros of 5e-324 included.

@@ -195,18 +195,22 @@ impl RobustAutoScalingManager {
             .map(|i| {
                 let choice = self.choose(forecast, i);
                 let w = forecast.at(i, choice.tau).max(0.0);
+                // Keys in catalogue order, so each field is appended.
                 self.obs.emit(catalog::PLAN_DECISION, |e| {
-                    e.field("step", i)
-                        .field("strategy", self.strategy.audit_name())
-                        .field("tau", choice.tau)
-                        .field("workload", w);
-                    if let Some(u) = choice.uncertainty {
-                        e.field("uncertainty", u)
-                            .field("regime", if choice.conservative { "conservative" } else { "aggressive" });
+                    if choice.uncertainty.is_some() {
+                        let regime = if choice.conservative { "conservative" } else { "aggressive" };
+                        e.field("regime", regime);
                     }
                     if let ScalingStrategy::Adaptive(cfg) = &self.strategy {
                         e.field("rho", cfg.rho);
                     }
+                    e.field("step", i)
+                        .field("strategy", self.strategy.audit_name())
+                        .field("tau", choice.tau);
+                    if let Some(u) = choice.uncertainty {
+                        e.field("uncertainty", u);
+                    }
+                    e.field("workload", w);
                 });
                 w
             })
@@ -242,13 +246,13 @@ impl RobustAutoScalingManager {
                 }
             }
             self.obs.emit(catalog::PLAN_SUMMARY, |e| {
-                e.field("strategy", self.strategy.audit_name())
+                e.field("conservative_steps", conservative)
                     .field("horizon", plan.len())
                     .field("objective_node_steps", plan.total_nodes())
                     .field("plan_delta", delta)
-                    .field("theta", self.theta)
-                    .field("conservative_steps", conservative)
-                    .field("regime_switches", switches);
+                    .field("regime_switches", switches)
+                    .field("strategy", self.strategy.audit_name())
+                    .field("theta", self.theta);
             });
         }
         plan

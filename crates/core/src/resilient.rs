@@ -288,9 +288,9 @@ impl<P: ScalingPolicy> ResilientManager<P> {
                         });
                         if left > 0 {
                             self.rec.emit(catalog::RESILIENCE_RETRY, |e| {
-                                e.field("step", obs.step as u64)
-                                    .field("want", u64::from(want))
-                                    .field("left", u64::from(left));
+                                e.field("left", u64::from(left))
+                                    .field("step", obs.step as u64)
+                                    .field("want", u64::from(want));
                             });
                         } else {
                             self.emit_retry_exhausted(obs.step, want);
@@ -306,9 +306,9 @@ impl<P: ScalingPolicy> ResilientManager<P> {
                             r.wait = self.cfg.retry_backoff_steps;
                             let (want, left) = (r.want, r.left);
                             self.rec.emit(catalog::RESILIENCE_RETRY, |e| {
-                                e.field("step", obs.step as u64)
-                                    .field("want", u64::from(want))
-                                    .field("left", u64::from(left));
+                                e.field("left", u64::from(left))
+                                    .field("step", obs.step as u64)
+                                    .field("want", u64::from(want));
                             });
                         }
                     }
@@ -332,8 +332,8 @@ impl<P: ScalingPolicy> ResilientManager<P> {
         self.tier = self.tier.demoted();
         self.probation = 0;
         self.rec.emit(catalog::RESILIENCE_FALLBACK, |e| {
-            e.field("step", step as u64)
-                .field("from", from.label())
+            e.field("from", from.label())
+                .field("step", step as u64)
                 .field("to", self.tier.label());
         });
     }
@@ -406,9 +406,9 @@ impl<P: ScalingPolicy> ResilientManager<P> {
         let granted = stepped.clamp(obs.min_nodes, hi);
         if granted != want {
             self.rec.emit(catalog::RESILIENCE_GUARDRAIL_CLAMP, |e| {
-                e.field("step", obs.step as u64)
-                    .field("want", u64::from(want))
-                    .field("granted", u64::from(granted));
+                e.field("granted", u64::from(granted))
+                    .field("step", obs.step as u64)
+                    .field("want", u64::from(want));
             });
         }
         self.last_target = Some(granted);
@@ -462,8 +462,8 @@ impl<P: ScalingPolicy> ScalingPolicy for ResilientManager<P> {
                     self.naive = None; // refit on fresh history
                 }
                 self.rec.emit(catalog::RESILIENCE_RECOVER, |e| {
-                    e.field("step", obs.step as u64)
-                        .field("from", from.label())
+                    e.field("from", from.label())
+                        .field("step", obs.step as u64)
                         .field("to", self.tier.label());
                 });
             }
@@ -475,9 +475,9 @@ impl<P: ScalingPolicy> ScalingPolicy for ResilientManager<P> {
         let floor = self.backstop.decide(obs);
         let target = if floor > tier_target {
             self.rec.emit(catalog::RESILIENCE_BACKSTOP, |e| {
-                e.field("step", obs.step as u64)
-                    .field("tier_target", u64::from(tier_target))
-                    .field("floor", u64::from(floor));
+                e.field("floor", u64::from(floor))
+                    .field("step", obs.step as u64)
+                    .field("tier_target", u64::from(tier_target));
             });
             floor
         } else {

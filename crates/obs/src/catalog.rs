@@ -33,6 +33,7 @@ pub struct EventName {
     name: &'static str,
     keys: &'static [&'static str],
     counts: Option<(usize, &'static str)>,
+    index: u16,
 }
 
 impl EventName {
@@ -67,6 +68,12 @@ impl EventName {
         self.counts.map(|(slot, _)| slot)
     }
 
+    /// This entry's position in [`ALL`], which an event built from it
+    /// remembers (see [`crate::Event::entry`]).
+    pub(crate) const fn index(self) -> u16 {
+        self.index
+    }
+
     /// Whether a recorded `span` / `event` pair is this event.
     pub(crate) fn is(self, span: &str, name: &str) -> bool {
         self.span == span && self.name == name
@@ -88,6 +95,10 @@ macro_rules! catalog {
         #[expect(non_camel_case_types, reason = "variants are the entries' own names")]
         enum Slot { $($(#[doc = $metric] $id,)?)+ Count }
 
+        /// Every entry, numbered in catalogue order: its place in [`ALL`].
+        #[expect(non_camel_case_types, reason = "variants are the entries' own names")]
+        enum Index { $($id,)+ }
+
         $(
             $(#[$doc])+
             pub const $id: EventName = EventName {
@@ -96,6 +107,7 @@ macro_rules! catalog {
                 name: $name,
                 keys: &[$(stringify!($key)),*],
                 counts: catalog!(@counts $id $($metric)?),
+                index: Index::$id as u16,
             };
         )+
 

@@ -9,7 +9,8 @@
 //! than a partial match, and typed decoders that stream from it without
 //! a tree (`rpas-core`'s checkpoint loader). The writer side is
 //! [`escape_into`], the number writers [`write_f64`] / [`write_u64`] and
-//! the line writer `Event::write_line` in `crate::event`; all append to a
+//! the line writer in `crate::event` (`open_line`, `write_member`,
+//! `close_line`, driven by an event or a tape record); all append to a
 //! caller-owned buffer.
 
 use std::borrow::Cow;

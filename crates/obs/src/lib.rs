@@ -16,6 +16,9 @@
 //!   runs), human-readable stderr gated by `RPAS_LOG`, schema-v1 JSONL
 //!   via `--trace-out` / `RPAS_TRACE_OUT`, and the in-memory sink tests
 //!   read events back from.
+//! * `tape` — [`Tape`], events kept as a few words each (the catalogue
+//!   entry by position, a key by its slot in the entry, one word per
+//!   value) and rendered into their lines later: a fleet tenant's capture.
 //! * `hist` — fixed-bucket [`Histogram`]s with a flat-string encoding
 //!   that fits the JSONL schema.
 //! * [`schema`] — the versioned JSONL schema and its validator (used by
@@ -52,9 +55,11 @@ mod hist;
 pub mod json;
 pub mod schema;
 mod sink;
+mod tape;
 
 pub use event::{Event, Fields, Level, Value};
 pub use hist::Histogram;
 pub use json::Json;
 pub use schema::{validate_line, TraceLine, SCHEMA_VERSION};
 pub use sink::{JsonlSink, MemorySink, Obs, Sink, SpanTimer, StderrSink};
+pub use tape::Tape;

@@ -136,7 +136,8 @@ impl Drop for JsonlSink {
 /// every event; a clone of the handle reads them after the instrumented
 /// code ran. As a handle's last sink it keeps the event it is given, so
 /// capturing costs no copy. (A fleet captures each tenant's trace in its
-/// own type, `rpas_core::Capture`, which renders the events as lines.)
+/// own type, `rpas_core::Capture`, which encodes each event onto a
+/// [`crate::Tape`] and keeps nothing of it.)
 #[derive(Clone, Default)]
 pub struct MemorySink {
     events: Arc<Mutex<Vec<Event>>>,
@@ -305,7 +306,7 @@ impl Obs {
     /// A debug build checks that every key it set is one the event's
     /// catalogue entry declares.
     pub fn emit(&self, name: EventName, build: impl FnOnce(&mut Event)) {
-        self.emit_raw(name.level(), name.span(), name.name(), |event| {
+        self.emit_raw(name.level(), || Event::of(name), |event| {
             build(event);
             if cfg!(debug_assertions) {
                 for (key, _) in event.fields.iter() {
@@ -324,26 +325,27 @@ impl Obs {
     /// workspace code uses [`Obs::emit`] (rule E1, `clippy.toml`), and the next
     /// `benchmark` PR can move the ledger over and make both private.
     pub fn info(&self, span: &'static str, name: &'static str, build: impl FnOnce(&mut Event)) {
-        self.emit_raw(Level::Info, span, name, build);
+        self.emit_raw(Level::Info, || Event::new(Level::Info, span, name), build);
     }
 
     /// The dark path is this branch and nothing else: building the event
-    /// is kept out of line so the check inlines into every emit site.
+    /// (`shell`, then `build`) is kept out of line so the check inlines
+    /// into every emit site.
     #[inline]
     fn emit_raw(
         &self,
         level: Level,
-        span: &'static str,
-        name: &'static str,
+        shell: impl FnOnce() -> Event,
         build: impl FnOnce(&mut Event),
     ) {
         #[inline(never)]
-        fn lit(inner: &Inner, mut event: Event, build: impl FnOnce(&mut Event)) {
+        fn lit(inner: &Inner, shell: impl FnOnce() -> Event, build: impl FnOnce(&mut Event)) {
+            let mut event = shell();
             build(&mut event);
             Obs::dispatch(inner, event);
         }
         if let Some(inner) = self.inner.as_deref().filter(|i| level <= i.max_level) {
-            lit(inner, Event::new(level, span, name), build);
+            lit(inner, shell, build);
         }
     }
 

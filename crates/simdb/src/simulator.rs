@@ -202,7 +202,7 @@ impl SimSession {
             self.counts.metric_dropout += 1;
             let visible = self.visible;
             self.rec.emit(catalog::FAULT_METRIC_DROPOUT, |e| {
-                e.field("step", t).field("stale_after", visible);
+                e.field("stale_after", visible).field("step", t);
             });
         }
         if let Some(p) = fp {
@@ -210,9 +210,9 @@ impl SimSession {
             if m != 1.0 {
                 self.counts.anomaly_steps += 1;
                 self.rec.emit(catalog::FAULT_ANOMALY, |e| {
-                    e.field("step", t)
+                    e.field("burst", p.anomaly_kind_at(t).label())
                         .field("mult", m)
-                        .field("burst", p.anomaly_kind_at(t).label());
+                        .field("step", t);
                 });
             }
         }
@@ -232,7 +232,7 @@ impl SimSession {
         } else if fp.is_some_and(|p| p.scale_fail_at(t)) {
             self.counts.scale_fail += 1;
             self.rec.emit(catalog::FAULT_SCALE_FAIL, |e| {
-                e.field("step", t).field("requested", target).field("current", current);
+                e.field("current", current).field("requested", target).field("step", t);
             });
             ScaleOutcome::Rejected
         } else {
@@ -241,9 +241,9 @@ impl SimSession {
             if delay > 0 {
                 self.counts.provision_delay += 1;
                 self.rec.emit(catalog::FAULT_PROVISION_DELAY, |e| {
-                    e.field("step", t)
-                        .field("extra_steps", delay)
-                        .field("launched", target - current);
+                    e.field("extra_steps", delay)
+                        .field("launched", target - current)
+                        .field("step", t);
                 });
                 ScaleOutcome::Delayed
             } else {
@@ -254,7 +254,7 @@ impl SimSession {
             self.counts.node_crash += 1;
             let pool = self.cluster.size();
             self.rec.emit(catalog::FAULT_NODE_CRASH, |e| {
-                e.field("step", t).field("count", 1u32).field("pool", pool);
+                e.field("count", 1u32).field("pool", pool).field("step", t);
             });
         }
         let pool = self.cluster.size();
@@ -266,11 +266,11 @@ impl SimSession {
         }
         self.utilization.record(utilization / self.cfg.theta);
         self.rec.emit(catalog::SIM_STEP, |e| {
-            e.field("step", t)
-                .field("workload", workload)
-                .field("nodes", pool)
+            e.field("nodes", pool)
+                .field("step", t)
                 .field("utilization", utilization)
-                .field("violation", violation);
+                .field("violation", violation)
+                .field("workload", workload);
         });
         self.steps.push(StepRecord {
             step: t,

@@ -19,13 +19,18 @@
 #   4. The number writer's 30 M-double sweep against `format!("{x}")`
 #      (rpas-obs json::number::tests::sweep_agrees_with_std_display,
 #      #[ignore]d in the workspace run; ~10 s in release).
-#   5. Kill/resume at every tick of the 64-tenant fleet in release
+#   5. The capture tape's 400 000-case differential against the render
+#      rule it replaced (rpas-obs tape::tests::
+#      sweep_tape_renders_the_reference_lines, #[ignore]d in the workspace
+#      run; ~10 s in release): every fleet trace line, so every fleet
+#      digest, is a tape render.
+#   6. Kill/resume at every tick of the 64-tenant fleet in release
 #      (tests/supervisor.rs::checkpoint_restore_at_any_tick_reproduces_the_run
 #      with RPAS_CHECKPOINT_EVERY_TICK=1; step 2 resumes every 47th tick
 #      only). Its time is printed; ~15 s on a 2-core host.
-#   6. clippy with -D warnings: its default set plus the workspace's static
+#   7. clippy with -D warnings: its default set plus the workspace's static
 #      rules D2 / D3 / O1 / P1 / F1 / E1 (clippy.toml; DESIGN.md §9).
-#   7. The benchmark ledger's self-check (`--check`, BENCHMARK.json), the
+#   8. The benchmark ledger's self-check (`--check`, BENCHMARK.json), the
 #      only timing gate. The dark telemetry path and the supervised steady
 #      tick are held by allocation counts in step 2 (crates/bench/tests/
 #      alloc_emit.rs, alloc_ratchet.rs); the ledger reports their time
@@ -69,6 +74,13 @@ echo "== number writer sweep (30 M doubles against format!, release) =="
 # rpas_obs::json::write_f64; its bytes are contract (every digest).
 cargo test -q --release --offline -p rpas-obs --lib -- --ignored --exact \
     json::number::tests::sweep_agrees_with_std_display
+
+echo "== capture tape differential (400 000 cases against the old render, release) =="
+# A fleet's trace lines are rendered from each tenant's tape; they must be
+# the bytes the events themselves rendered to, timings and own tenant
+# dropped, label in its sorted place.
+cargo test -q --release --offline -p rpas-obs --lib -- --ignored --exact \
+    tape::tests::sweep_tape_renders_the_reference_lines
 
 echo "== kill/resume at every tick of the 64-tenant fleet (release) =="
 start=$SECONDS

@@ -3,18 +3,18 @@
 //!
 //! A captured event used to cost ~16 allocations: two `String`s for the
 //! span and name, a `String` and a map node per field, and the whole lot
-//! deep-cloned into the sink. It is now built once and moved: names, keys
-//! and label-like values are borrowed literals, the fields are one
-//! vector, and a handle gives the finished event to its last sink. What
-//! is left is the field vector (one allocation for up to five fields, one
-//! regrowth beyond) plus one per *computed* string value. With nothing
-//! listening, emitting and resolving metrics allocate nothing, and a
-//! resolved live counter or histogram records without allocating.
+//! deep-cloned into the sink. It is now one record of words built in
+//! place: names come from the catalogue entry, keys are slots in it,
+//! label-like values are borrowed literals. What is left is the record
+//! (one allocation, reserved for every key its entry declares) plus one
+//! per *computed* string value. With nothing listening, emitting and
+//! resolving metrics allocate nothing, and a resolved live counter or
+//! histogram records without allocating.
 //!
 //! The two audits a fleet captures every tick are measured at their real
 //! emit sites, as the allocations a run makes with a handle on the
 //! fleet's `Capture` beyond the same run with a dark one. A capture
-//! encodes the borrowed event onto its tape of words (which grows by
+//! appends the borrowed record to its tape of words (which grows by
 //! doubling, so nothing per event) and keeps nothing of it: every sink a
 //! handle fans out to is shown the one build, none copies it. Rendering
 //! waits for `finish`.
@@ -99,7 +99,7 @@ fn stepping(trace: &Trace, obs: &Obs) -> u64 {
 }
 
 #[test]
-fn an_emitted_event_allocates_its_field_vector_and_nothing_else() {
+fn an_emitted_event_allocates_its_record_and_nothing_else() {
     assert!(alloc::installed(), "counting allocator must route this binary's allocations");
 
     // Nothing listening: emit, span open and span close are free, and so
@@ -149,7 +149,8 @@ fn an_emitted_event_allocates_its_field_vector_and_nothing_else() {
 
     // `plan/decision` as the fleet's fixed-τ policies emit it: three
     // scalars and the strategy label. The 7-field `plan/summary` that
-    // closes a plan outgrows the first reservation once.
+    // closes a plan is one allocation too: its record is reserved for
+    // every key the entry declares.
     let forecast = QuantileForecast::new(
         vec![0.1, 0.5, 0.9],
         Matrix::from_rows(&vec![vec![90.0, 100.0, 130.0]; STEPS]),
@@ -165,12 +166,12 @@ fn an_emitted_event_allocates_its_field_vector_and_nothing_else() {
     drop(events);
     let beyond = lit - cost(|| drop(manager.plan(&forecast)));
     assert!(
-        beyond <= STEPS as u64 + 2,
+        beyond <= STEPS as u64 + 1,
         "{STEPS} captured plan/decision and a plan/summary cost {beyond} allocations"
     );
 
-    // Two sinks: each encodes the event it is shown by reference, so the
-    // build's field vector is the one allocation.
+    // Two sinks: each appends the record it is shown by reference, so the
+    // build's record is the one allocation.
     let (first, last) = (capturing().0, capturing().0);
     let both = Obs::multi(vec![Box::new(first.clone()), Box::new(last.clone())]);
     let fan_out = cost(|| {

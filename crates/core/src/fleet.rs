@@ -245,8 +245,8 @@ impl TenantPolicy {
 }
 
 /// One tenant's captured trace, the sink its obs handle writes to. A tick
-/// encodes the event onto the tenant's [`Tape`] (a few words, nothing
-/// kept of the event); `finish` renders each record once, as its
+/// appends the event's record to the tenant's [`Tape`] (a few words,
+/// nothing kept of the event); `finish` renders each record once, as its
 /// schema-v1 line numbered by its place in the fleet trace, timings and
 /// its own `tenant` dropped, the tenant's label in its sorted place,
 /// `ts_us` 0.
@@ -283,8 +283,8 @@ impl Sink for Capture {
         Level::Debug
     }
 
-    /// Encoded from the borrowed event, so as a handle's last sink too the
-    /// capture keeps nothing of the event and copies nothing.
+    /// The borrowed event's record appended to the tape: the capture
+    /// keeps nothing of the event.
     fn emit(&self, event: &Event) {
         self.lock().push(event);
     }

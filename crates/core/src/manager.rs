@@ -400,15 +400,16 @@ mod tests {
         assert_eq!(decisions.len(), 2, "one decision per horizon step");
         // Step 0 is tight (aggressive), step 1 wide (conservative) — see
         // the adaptive tests deriving the same split.
-        assert_eq!(decisions[0].fields["regime"], rpas_obs::Value::Str("aggressive".into()));
-        assert_eq!(decisions[1].fields["regime"], rpas_obs::Value::Str("conservative".into()));
-        assert_eq!(decisions[0].fields["tau"], rpas_obs::Value::F64(0.5));
-        assert_eq!(decisions[1].fields["tau"], rpas_obs::Value::F64(0.95));
+        assert_eq!(decisions[0].get("regime"), Some(rpas_obs::Value::Str("aggressive".into())));
+        assert_eq!(decisions[1].get("regime"), Some(rpas_obs::Value::Str("conservative".into())));
+        assert_eq!(decisions[0].get("tau"), Some(rpas_obs::Value::F64(0.5)));
+        assert_eq!(decisions[1].get("tau"), Some(rpas_obs::Value::F64(0.95)));
 
         let summary = events.iter().find(|e| e.is(catalog::PLAN_SUMMARY)).expect("plan summary");
-        assert_eq!(summary.fields["objective_node_steps"], rpas_obs::Value::U64(plan.total_nodes()));
-        assert_eq!(summary.fields["conservative_steps"], rpas_obs::Value::U64(1));
-        assert_eq!(summary.fields["regime_switches"], rpas_obs::Value::U64(1));
+        let nodes = rpas_obs::Value::U64(plan.total_nodes());
+        assert_eq!(summary.get("objective_node_steps"), Some(nodes));
+        assert_eq!(summary.get("conservative_steps"), Some(rpas_obs::Value::U64(1)));
+        assert_eq!(summary.get("regime_switches"), Some(rpas_obs::Value::U64(1)));
     }
 
     #[test]
@@ -419,11 +420,11 @@ mod tests {
         let _ = m.plan(&forecast());
         let events = mem.events();
         for d in events.iter().filter(|e| e.is(catalog::PLAN_DECISION)) {
-            assert!(!d.fields.contains_key("uncertainty"));
-            assert!(!d.fields.contains_key("regime"));
+            assert!(d.get("uncertainty").is_none());
+            assert!(d.get("regime").is_none());
         }
         let summary = events.iter().find(|e| e.is(catalog::PLAN_SUMMARY)).unwrap();
-        assert_eq!(summary.fields["regime_switches"], rpas_obs::Value::U64(0));
+        assert_eq!(summary.get("regime_switches"), Some(rpas_obs::Value::U64(0)));
     }
 
     #[test]

@@ -165,21 +165,16 @@ pub struct FleetSupervisor {
     pub(crate) total_ticks: u64,
 }
 
-/// Record one supervision fact: its counter and the fleet-level event,
-/// which carries `tenant`, through the run's `rec`, and the same event
-/// pushed into the tenant's capture (one `build` serves both: fields
-/// serialize sorted by key, and the capture strips timings and takes
-/// `seq` from the fleet).
-fn record(run: &TenantRun, name: catalog::EventName, build: impl Fn(&mut Event)) {
-    run.rec.emit(name, |e| {
+/// Record one supervision fact: its counter, and one event, which carries
+/// `tenant`, shown to the fleet's handle through the run's `rec` and to
+/// the tenant's capture (whose lines drop the event's own `tenant` for
+/// its label).
+fn record(run: &TenantRun, name: catalog::EventName, build: impl FnOnce(&mut Event)) {
+    let capture = run.capture.as_ref().map(|c| c as &dyn Sink);
+    run.rec.emit_also(name, capture, |e| {
         e.field("tenant", run.id.to_string());
         build(e);
     });
-    if let Some(capture) = &run.capture {
-        let mut ev = Event::of(name);
-        build(&mut ev);
-        capture.emit_owned(ev);
-    }
 }
 
 impl FleetSupervisor {

@@ -47,12 +47,12 @@ fn decision_events_reconstruct_the_exact_switch_sequence() {
         .collect();
     assert_eq!(decisions.len(), spreads.len(), "one audit event per horizon step");
     for (h, d) in decisions.iter().enumerate() {
-        assert_eq!(d.fields["step"], rpas_obs::Value::U64(h as u64));
-        assert_eq!(d.fields["regime"], rpas_obs::Value::Str(expected[h].into()));
+        assert_eq!(d.get("step"), Some(rpas_obs::Value::U64(h as u64)));
+        assert_eq!(d.get("regime"), Some(rpas_obs::Value::Str(expected[h].into())));
         let tau = if expected[h] == "conservative" { 0.95 } else { 0.8 };
-        assert_eq!(d.fields["tau"], rpas_obs::Value::F64(tau));
+        assert_eq!(d.get("tau"), Some(rpas_obs::Value::F64(tau)));
         // The logged uncertainty is the same metric the planner consulted.
-        assert_eq!(d.fields["uncertainty"], rpas_obs::Value::F64(uncertainty_at(&qf, h)));
+        assert_eq!(d.get("uncertainty"), Some(rpas_obs::Value::F64(uncertainty_at(&qf, h))));
     }
 
     let summary = mem
@@ -60,9 +60,9 @@ fn decision_events_reconstruct_the_exact_switch_sequence() {
         .into_iter()
         .find(|e| e.is(catalog::PLAN_SUMMARY))
         .expect("plan summary event");
-    assert_eq!(summary.fields["conservative_steps"], rpas_obs::Value::U64(3));
+    assert_eq!(summary.get("conservative_steps"), Some(rpas_obs::Value::U64(3)));
     // a→c, c→a, a→c, c→a: four switches in the expected sequence.
-    assert_eq!(summary.fields["regime_switches"], rpas_obs::Value::U64(4));
+    assert_eq!(summary.get("regime_switches"), Some(rpas_obs::Value::U64(4)));
 }
 
 fn rolling_eval_events(seed: u64) -> Vec<String> {

@@ -232,7 +232,7 @@ mod tests {
             .into_iter()
             .find(|e| e.is(catalog::FORECAST_FLAT_FALLBACK))
             .expect("flat-fallback warn event");
-        assert_eq!(warn.level, rpas_obs::Level::Warn);
+        assert_eq!(warn.level(), rpas_obs::Level::Warn);
         // A fully empty context still has nothing to anchor on.
         assert!(matches!(
             m.forecast_quantiles(&[], 1, &[0.5]).unwrap_err(),

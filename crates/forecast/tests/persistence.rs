@@ -163,8 +163,8 @@ fn epoch_audit(mem: &MemorySink, epoch: EventName, epochs: usize) -> Vec<f64> {
     let mut out = Vec::new();
     for e in mem.events().iter().filter(|e| e.is(epoch)) {
         for key in ["loss", "grad_norm"] {
-            match e.fields.get(key) {
-                Some(Value::F64(v)) => out.push(*v),
+            match e.get(key) {
+                Some(Value::F64(v)) => out.push(v),
                 other => panic!("{epoch} field {key}: {other:?}"),
             }
         }

@@ -69,7 +69,7 @@ impl EventName {
     }
 
     /// This entry's position in [`ALL`], which an event built from it
-    /// remembers (see [`crate::Event::entry`]).
+    /// keeps in its record's header.
     pub(crate) const fn index(self) -> u16 {
         self.index
     }

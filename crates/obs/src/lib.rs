@@ -7,18 +7,20 @@
 //! * [`catalog`] — every `span/name` the workspace emits, declared once;
 //!   the only names [`Obs::emit`] and [`Obs::span`] take.
 //! * `event` — the structured event model: [`Level`], scalar [`Value`]s,
-//!   and [`Event`] records with deterministic content (wall-clock only
-//!   ever lives in the reserved `ts_us`/`wall_us`/`*_us` timing slots),
-//!   built once — literals borrowed, [`Fields`] one sorted vector — and
-//!   moved into the last sink.
+//!   and [`Event`]s with deterministic content (wall-clock only ever
+//!   lives in the reserved `ts_us`/`wall_us`/`*_us` timing slots). An
+//!   event is one record of words, built in place by its emit site —
+//!   literals borrowed, a key by its slot in the catalogue entry — and
+//!   shown to every sink by reference; one function renders a record as
+//!   its line.
 //! * `sink` — pluggable sinks behind the cheap [`Obs`] handle: no-op
 //!   (a single branch on the hot path; the event-building closure never
 //!   runs), human-readable stderr gated by `RPAS_LOG`, schema-v1 JSONL
 //!   via `--trace-out` / `RPAS_TRACE_OUT`, and the in-memory sink tests
 //!   read events back from.
-//! * `tape` — [`Tape`], events kept as a few words each (the catalogue
-//!   entry by position, a key by its slot in the entry, one word per
-//!   value) and rendered into their lines later: a fleet tenant's capture.
+//! * `tape` — [`Tape`], events' records appended word for word, strings
+//!   interned, and rendered into their lines later: a fleet tenant's
+//!   capture.
 //! * `hist` — fixed-bucket [`Histogram`]s with a flat-string encoding
 //!   that fits the JSONL schema.
 //! * [`schema`] — the versioned JSONL schema and its validator (used by
@@ -57,9 +59,9 @@ pub mod schema;
 mod sink;
 mod tape;
 
-pub use event::{Event, Fields, Level, Value};
+pub use event::{Event, Level, Value};
 pub use hist::Histogram;
 pub use json::Json;
 pub use schema::{validate_line, TraceLine, SCHEMA_VERSION};
-pub use sink::{JsonlSink, MemorySink, Obs, Sink, SpanTimer, StderrSink};
+pub use sink::{fmt_us, JsonlSink, MemorySink, Obs, Sink, SpanTimer, StderrSink};
 pub use tape::Tape;

@@ -11,27 +11,20 @@
 #![expect(clippy::disallowed_types, reason = "the workspace's clock: read here, only into ts_us / wall_us")]
 
 use crate::catalog::{self, EventName};
-use crate::event::{Event, Level};
+use crate::event::{Event, Level, Value};
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
-/// Where events go. Sinks receive fully-built events and must be
-/// callable from any thread.
+/// Where events go. Sinks are shown fully-built events by reference and
+/// must be callable from any thread.
 pub trait Sink: Send + Sync {
     /// Most verbose level this sink wants (events below are skipped).
     fn max_level(&self) -> Level;
 
     /// Consume one event.
     fn emit(&self, event: &Event);
-
-    /// Consume one event nobody else will read (a handle gives its last
-    /// sink the event itself): a sink that stores events keeps this one
-    /// instead of copying it. The default borrows it to [`Sink::emit`].
-    fn emit_owned(&self, event: Event) {
-        self.emit(&event);
-    }
 
     /// Flush buffered output (JSONL file sink); default no-op.
     fn flush(&self) {}
@@ -65,10 +58,19 @@ impl Sink for StderrSink {
         self.max_level
     }
 
+    /// The level, the names, then each field as `key=value`, a string
+    /// unquoted.
     fn emit(&self, event: &Event) {
-        let mut line = format!("[{:5}] {}/{}", event.level.as_str(), event.span, event.name);
-        for (k, v) in event.fields.iter() {
-            line.push_str(&format!(" {k}={}", v.display()));
+        let record = event.record();
+        let mut line = format!("[{:5}] {}/{}", record.level.as_str(), record.span, record.name);
+        for (k, v) in record {
+            line.push(' ');
+            line.push_str(k);
+            line.push('=');
+            match v {
+                Value::Str(s) => line.push_str(&s),
+                v => v.write_json(&mut line),
+            }
         }
         if let Some(w) = event.wall_us {
             line.push_str(&format!(" ({})", fmt_us(w)));
@@ -77,7 +79,8 @@ impl Sink for StderrSink {
     }
 }
 
-fn fmt_us(us: u64) -> String {
+/// A duration in micros for a person to read: `850µs`, `12.5ms`, `3.25s`.
+pub fn fmt_us(us: u64) -> String {
     if us < 1_000 {
         format!("{us}µs")
     } else if us < 1_000_000 {
@@ -132,12 +135,11 @@ impl Drop for JsonlSink {
     }
 }
 
-/// In-memory sink: what tests and probes read events back from. Records
-/// every event; a clone of the handle reads them after the instrumented
-/// code ran. As a handle's last sink it keeps the event it is given, so
-/// capturing costs no copy. (A fleet captures each tenant's trace in its
-/// own type, `rpas_core::Capture`, which encodes each event onto a
-/// [`crate::Tape`] and keeps nothing of it.)
+/// In-memory sink: what tests and probes read events back from. Keeps a
+/// copy of every event's record; a clone of the handle reads them after
+/// the instrumented code ran. (A fleet captures each tenant's trace in
+/// its own type, `rpas_core::Capture`, which appends each record to a
+/// [`crate::Tape`] and keeps nothing of the event.)
 #[derive(Clone, Default)]
 pub struct MemorySink {
     events: Arc<Mutex<Vec<Event>>>,
@@ -184,10 +186,7 @@ impl Sink for MemorySink {
     }
 
     fn emit(&self, event: &Event) {
-        self.emit_owned(event.clone());
-    }
-
-    fn emit_owned(&self, event: Event) {
+        let event = event.clone();
         self.with_events(|events| events.push(event));
     }
 }
@@ -305,11 +304,26 @@ impl Obs {
     /// [`Event`] and runs only if some sink listens at the event's level.
     /// A debug build checks that every key it set is one the event's
     /// catalogue entry declares.
+    #[inline]
     pub fn emit(&self, name: EventName, build: impl FnOnce(&mut Event)) {
-        self.emit_raw(name.level(), || Event::of(name), |event| {
+        self.emit_also(name, None, build);
+    }
+
+    /// As [`Obs::emit`], and show the same build to `also`, which need not
+    /// be one of the handle's sinks: the event is built when either
+    /// listens. A fleet tenant's supervision facts go to the fleet's
+    /// handle and the tenant's capture this way.
+    #[inline]
+    pub fn emit_also(
+        &self,
+        name: EventName,
+        also: Option<&dyn Sink>,
+        build: impl FnOnce(&mut Event),
+    ) {
+        self.emit_raw(name.level(), also, || Event::of(name), |event| {
             build(event);
             if cfg!(debug_assertions) {
-                for (key, _) in event.fields.iter() {
+                for (key, _) in event.record() {
                     assert!(
                         name.keys().contains(&key),
                         "`{name}` set field {key:?}, which its catalogue entry does not declare"
@@ -325,46 +339,49 @@ impl Obs {
     /// workspace code uses [`Obs::emit`] (rule E1, `clippy.toml`), and the next
     /// `benchmark` PR can move the ledger over and make both private.
     pub fn info(&self, span: &'static str, name: &'static str, build: impl FnOnce(&mut Event)) {
-        self.emit_raw(Level::Info, || Event::new(Level::Info, span, name), build);
+        self.emit_raw(Level::Info, None, || Event::new(Level::Info, span, name), build);
     }
 
     /// The dark path is this branch and nothing else: building the event
-    /// (`shell`, then `build`) is kept out of line so the check inlines
-    /// into every emit site.
+    /// (`shell`, then `build`) and showing it to the sinks is kept out of
+    /// line so the check inlines into every emit site.
     #[inline]
     fn emit_raw(
         &self,
         level: Level,
+        also: Option<&dyn Sink>,
         shell: impl FnOnce() -> Event,
         build: impl FnOnce(&mut Event),
     ) {
         #[inline(never)]
-        fn lit(inner: &Inner, shell: impl FnOnce() -> Event, build: impl FnOnce(&mut Event)) {
+        fn lit(
+            level: Level,
+            inner: Option<&Inner>,
+            also: Option<&dyn Sink>,
+            shell: impl FnOnce() -> Event,
+            build: impl FnOnce(&mut Event),
+        ) {
             let mut event = shell();
             build(&mut event);
-            Obs::dispatch(inner, event);
-        }
-        if let Some(inner) = self.inner.as_deref().filter(|i| level <= i.max_level) {
-            lit(inner, shell, build);
-        }
-    }
-
-    fn dispatch(inner: &Inner, mut event: Event) {
-        event.seq = inner.seq.fetch_add(1, Ordering::Relaxed);
-        if inner.clock {
-            event.ts_us = SystemTime::now()
-                .duration_since(UNIX_EPOCH)
-                .map(|d| d.as_micros() as u64)
-                .unwrap_or(0);
-        }
-        let Some((last, rest)) = inner.sinks.split_last() else { return };
-        for sink in rest {
-            if event.level <= sink.max_level() {
+            if let Some(inner) = inner {
+                event.seq = inner.seq.fetch_add(1, Ordering::Relaxed);
+                if inner.clock {
+                    event.ts_us = SystemTime::now()
+                        .duration_since(UNIX_EPOCH)
+                        .map(|d| d.as_micros() as u64)
+                        .unwrap_or(0);
+                }
+                for sink in inner.sinks.iter().filter(|s| level <= s.max_level()) {
+                    sink.emit(&event);
+                }
+            }
+            if let Some(sink) = also.filter(|s| level <= s.max_level()) {
                 sink.emit(&event);
             }
         }
-        if event.level <= last.max_level() {
-            last.emit_owned(event);
+        let inner = self.inner.as_deref().filter(|i| level <= i.max_level);
+        if inner.is_some() || also.is_some() {
+            lit(level, inner, also, shell, build);
         }
     }
 
@@ -468,36 +485,32 @@ mod tests {
         });
     }
 
-    /// Every sink but the last sees the event by reference; the last is
-    /// given it, unless the event is below its level.
+    /// Every sink listening at an event's level is shown it, and so is a
+    /// sink given to `emit_also`, also when the handle itself is dark.
     #[test]
-    fn the_last_listening_sink_is_handed_the_event() {
-        #[derive(Default)]
-        struct Tally {
-            borrowed: AtomicU64,
-            owned: AtomicU64,
-        }
-        struct Counting(Arc<Tally>, Level);
+    fn each_listening_sink_is_shown_the_event_once() {
+        struct Counting(Arc<AtomicU64>, Level);
         impl Sink for Counting {
             fn max_level(&self) -> Level {
                 self.1
             }
             fn emit(&self, _: &Event) {
-                self.0.borrowed.fetch_add(1, Ordering::Relaxed);
-            }
-            fn emit_owned(&self, _: Event) {
-                self.0.owned.fetch_add(1, Ordering::Relaxed);
+                self.0.fetch_add(1, Ordering::Relaxed);
             }
         }
-        let (first, last) = (Arc::new(Tally::default()), Arc::new(Tally::default()));
+        let tally = || Arc::new(AtomicU64::new(0));
+        let (debug, info, also) = (tally(), tally(), tally());
         let obs = Obs::multi(vec![
-            Box::new(Counting(Arc::clone(&first), Level::Debug)),
-            Box::new(Counting(Arc::clone(&last), Level::Info)),
+            Box::new(Counting(Arc::clone(&debug), Level::Debug)),
+            Box::new(Counting(Arc::clone(&info), Level::Info)),
         ]);
         obs.emit(catalog::PLAN_SUMMARY, |_| {});
         obs.emit(catalog::PLAN_DECISION, |_| {});
-        let read = |t: &Tally| (t.borrowed.load(Ordering::Relaxed), t.owned.load(Ordering::Relaxed));
-        assert_eq!((read(&first), read(&last)), ((2, 0), (0, 1)));
+        let extra = Counting(Arc::clone(&also), Level::Debug);
+        obs.emit_also(catalog::PLAN_DECISION, Some(&extra), |_| {});
+        Obs::noop().emit_also(catalog::PLAN_DECISION, Some(&extra), |_| {});
+        let read = |t: &AtomicU64| t.load(Ordering::Relaxed);
+        assert_eq!((read(&debug), read(&info), read(&also)), (3, 1, 2));
     }
 
     /// The clock is read for an event when some sink of the handle reads
@@ -532,7 +545,7 @@ mod tests {
         obs.info("s", "b", |_| {});
         let drained = mem.drain();
         assert_eq!(drained.len(), 2);
-        assert_eq!(drained[1].name, "b");
+        assert_eq!(drained[1].name(), "b");
         assert!(mem.is_empty());
         assert!(mem.drain().is_empty());
         // The sink stays usable after a drain.
@@ -552,7 +565,7 @@ mod tests {
         assert_eq!(ev.len(), 2);
         assert!(ev[0].is(catalog::PLAN_SUMMARY));
         assert!(ev[1].is(catalog::PLAN_DECISION));
-        assert_eq!((ev[0].level, ev[1].level), (Level::Info, Level::Debug));
+        assert_eq!((ev[0].level(), ev[1].level()), (Level::Info, Level::Debug));
         assert_eq!(ev[0].seq, 0);
         assert_eq!(ev[1].seq, 1);
     }
@@ -592,9 +605,9 @@ mod tests {
         let ev = mem.events();
         assert_eq!(ev.len(), 1);
         assert!(ev[0].is(catalog::BACKTEST_SPAN_CLOSE));
-        assert_eq!(ev[0].fields["phase"], crate::Value::Str("fit".into()));
+        assert_eq!(ev[0].get("phase"), Some(crate::Value::Str("fit".into())));
         assert!(ev[0].wall_us.is_some());
-        assert_eq!(ev[0].fields["model"], crate::Value::Str("tft".into()));
+        assert_eq!(ev[0].get("model"), Some(crate::Value::Str("tft".into())));
     }
 
     #[test]

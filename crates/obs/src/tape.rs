@@ -1,64 +1,19 @@
 //! A [`Tape`]: captured events kept as a few `u64` words each, rendered
-//! into schema-v1 lines when asked, byte for byte the lines the events
-//! themselves would give under the same rule.
+//! into schema-v1 lines when asked.
 //!
-//! One record per event, in capture order:
-//!
-//! * a header word: the catalogue entry's position in [`catalog::ALL`]
-//!   (or [`NO_ENTRY`]), the level, and the count of stored fields;
-//! * for an event with no entry, its span and name as two string words;
-//! * the fields in key order, in groups of [`METAS_PER_WORD`]: a word of
-//!   7-bit metas, one per field of the group (a value tag and the key's
-//!   slot in the entry's sorted `keys`, or [`SPELLED`] for a key the
-//!   entry does not declare), then per field the key as a string word if
-//!   it is spelled and one payload word (a bool, the bits of an integer
-//!   or a float, or a string word). A `sim/step` is one group: 7 words
-//!   with its header.
-//!
-//! A string word is a borrowed literal's index among the tape's interned
-//! literals, or, with its low bit set, the byte length of a computed
-//! string appended to the tape's one text buffer (read back in order).
-//!
-//! What a render drops is never stored: timing fields (`*_us`) and the
-//! event's own `tenant` field, which the render writes in its sorted
-//! place from the tape's label instead.
+//! A record on the tape is the event's own record (`event` module docs),
+//! word for word, except that a string word is a borrowed literal's index
+//! among the tape's interned literals, or, with its low bit set, the byte
+//! length of a computed string appended to the tape's one text buffer
+//! (read back in order). A `sim/step` is 7 words.
 
-use crate::catalog::{self, EventName};
-use crate::event::{close_line, open_line, write_member, Event, Level, Scalar, Text, Value};
+use crate::event::{render_line, Cell, Event, Record, Words};
 use std::borrow::Cow;
-
-/// Header entry bits of an event no catalogue entry describes.
-const NO_ENTRY: u64 = 0xFFFF;
-/// Key slot of a key spelled out on the tape.
-const SPELLED: u64 = 0xF;
-/// 7-bit metas in one word.
-const METAS_PER_WORD: usize = 9;
-/// The key every rendered line carries the tape's label under.
-const LABEL_KEY: &str = "tenant";
-/// Levels by their header bits.
-const LEVELS: [Level; 4] = [Level::Error, Level::Warn, Level::Info, Level::Debug];
-
-// Every entry's index fits the header, and every declared key a slot.
-const _: () = {
-    assert!((catalog::ALL.len() as u64) < NO_ENTRY);
-    let mut i = 0;
-    while i < catalog::ALL.len() {
-        assert!((catalog::ALL[i].keys().len() as u64) <= SPELLED);
-        i += 1;
-    }
-};
-
-/// Value tags of a meta.
-const BOOL: u64 = 0;
-const I64: u64 = 1;
-const U64: u64 = 2;
-const F64: u64 = 3;
-const STR: u64 = 4;
 
 /// Captured events as compact records (module docs), labelled: every
 /// rendered line carries `tenant: label` in its sorted place, in place
-/// of any `tenant` field the event had. A fleet tenant's capture is one
-/// (`rpas_core::Capture`).
+/// of any `tenant` field the event had, and no timing field. A fleet
+/// tenant's capture is one (`rpas_core::Capture`).
 pub struct Tape {
     words: Vec<u64>,
     statics: Vec<&'static str>,
@@ -84,205 +39,110 @@ impl Tape {
         self.events == 0
     }
 
-    /// Record `event`, in one pass over its fields. Its entry comes from
-    /// the position it remembers and each key's slot from one forward
-    /// merge over the entry's sorted keys, so nothing is looked up by
-    /// name; an event or key the catalogue does not describe is spelled
-    /// out instead. The whole record is reserved at once, so a tape of
-    /// equal records grows by doubling a multiple of their size.
+    /// Append `event`'s record, its strings interned: a literal by
+    /// address (a literal the compiler placed twice may take two slots),
+    /// a computed string appended to the text buffer. The whole record is
+    /// reserved at once, so a tape of equal records grows by doubling a
+    /// multiple of their size.
     pub fn push(&mut self, event: &Event) {
-        let fields = event.fields.entries();
-        let entry = event.entry();
-        let names = if entry.is_some() { 0 } else { 2 };
-        self.words.reserve(1 + names + fields.len().div_ceil(METAS_PER_WORD) + fields.len());
-        let head = self.words.len();
-        let at = entry.map_or(NO_ENTRY, |e| u64::from(e.index()));
-        self.words.push(at << 48 | (event.level as u64) << 32);
-        if entry.is_none() {
-            let span = self.string(&event.span);
-            let name = self.string(&event.name);
-            self.words.extend([span, name]);
-        }
-        let keys = entry.map_or(&[][..], EventName::keys);
-        let (mut n, mut next, mut meta_at) = (0, 0, 0);
-        for (text, value) in fields {
-            let key: &str = text;
-            if key.ends_with("_us") || key == LABEL_KEY {
-                continue;
-            }
-            let slot = loop {
-                match keys.get(next) {
-                    Some(k) if *k == key => break next as u64,
-                    Some(k) if *k < key => next += 1,
-                    _ => break SPELLED,
+        self.words.reserve(event.cells.len());
+        for cell in &event.cells {
+            let word = match cell {
+                Cell::Word(word) => *word,
+                Cell::Text(Cow::Borrowed(s)) => {
+                    let at = match self.statics.iter().position(|t| std::ptr::eq(*t, *s)) {
+                        Some(at) => at,
+                        None => {
+                            self.statics.push(s);
+                            self.statics.len() - 1
+                        }
+                    };
+                    (at as u64) << 1
+                }
+                Cell::Text(Cow::Owned(s)) => {
+                    self.text.push_str(s);
+                    (s.len() as u64) << 1 | 1
                 }
             };
-            if n % METAS_PER_WORD == 0 {
-                meta_at = self.words.len();
-                self.words.push(0);
-            }
-            if slot == SPELLED {
-                let word = self.string(text);
-                self.words.push(word);
-            } else {
-                next += 1;
-            }
-            let (tag, payload) = match value {
-                Value::Bool(b) => (BOOL, u64::from(*b)),
-                Value::I64(x) => (I64, *x as u64),
-                Value::U64(x) => (U64, *x),
-                Value::F64(x) => (F64, x.to_bits()),
-                Value::Str(s) => (STR, self.string(s)),
-            };
-            self.words[meta_at] |= (tag | slot << 3) << (7 * (n % METAS_PER_WORD));
-            self.words.push(payload);
-            n += 1;
+            self.words.push(word);
         }
-        self.words[head] |= n as u64;
         self.events += 1;
     }
 
-    /// The string word of `s`: a literal is interned (by address, so a
-    /// literal the compiler placed twice may take two slots), a computed
-    /// string is appended to the text buffer.
-    fn string(&mut self, s: &Text) -> u64 {
-        match s {
-            Cow::Borrowed(s) => {
-                let at = match self.statics.iter().position(|t| std::ptr::eq(*t, *s)) {
-                    Some(at) => at,
-                    None => {
-                        self.statics.push(s);
-                        self.statics.len() - 1
-                    }
-                };
-                (at as u64) << 1
-            }
-            Cow::Owned(s) => {
-                self.text.push_str(s);
-                (s.len() as u64) << 1 | 1
-            }
-        }
-    }
-
-    /// Move every recorded event into `lines` as its line, numbered by
-    /// its position there, `ts_us` 0 and no `wall_us`, each allocated at
-    /// its exact size; the tape is left empty (its label kept).
+    /// Move every recorded event into `lines` as its labelled line,
+    /// numbered by its position there, `ts_us` 0 and no `wall_us`, each
+    /// allocated at its exact size; the tape is left empty (its label
+    /// kept).
     pub fn append_lines(&mut self, lines: &mut Vec<String>) {
         let words = std::mem::take(&mut self.words);
         let statics = std::mem::take(&mut self.statics);
         let text = std::mem::take(&mut self.text);
         let events = std::mem::take(&mut self.events);
-        let mut reader = Reader { words: &words, statics: &statics, text: &text, word: 0, byte: 0 };
+        let mut taken = Taken { words: &words, statics: &statics, text: &text, byte: 0 };
         lines.reserve(events);
-        let mut line = String::new();
+        let (mut line, mut at) = (String::new(), 0);
         for _ in 0..events {
             line.clear();
-            reader.render(&mut line, lines.len() as u64, &self.label);
+            let mut record = Record::read(&mut taken, at);
+            render_line(&mut line, &mut record, lines.len() as u64, 0, None, Some(&self.label));
+            at = record.at;
             lines.push(line.as_str().to_owned());
         }
     }
 }
 
-/// A cursor over a taken tape: the next word, and the next byte of the
-/// text buffer.
-struct Reader<'a> {
+/// A taken tape's words, and the next byte of its text buffer.
+struct Taken<'a> {
     words: &'a [u64],
     statics: &'a [&'static str],
     text: &'a str,
-    word: usize,
     byte: usize,
 }
 
-impl<'a> Reader<'a> {
-    fn next(&mut self) -> u64 {
-        self.word += 1;
-        self.words[self.word - 1]
+impl<'a> Words<'a> for Taken<'a> {
+    fn word(&self, at: usize) -> u64 {
+        self.words[at]
     }
 
-    fn string(&mut self, word: u64) -> &'a str {
+    fn text(&mut self, at: usize) -> &'a str {
+        let (word, text) = (self.words[at], self.text);
         let n = (word >> 1) as usize;
         if word & 1 == 0 {
             return self.statics[n];
         }
         self.byte += n;
-        &self.text[self.byte - n..self.byte]
-    }
-
-    /// Render the next record as line `seq`, `tenant: label` in its
-    /// sorted place.
-    fn render(&mut self, out: &mut String, seq: u64, label: &str) {
-        let head = self.next();
-        let n = head as u32 as usize;
-        let level = LEVELS[(head >> 32 & 3) as usize];
-        let entry = catalog::ALL.get((head >> 48) as usize);
-        let (span, name) = match entry {
-            Some(e) => (e.span(), e.name()),
-            None => {
-                let (span, name) = (self.next(), self.next());
-                (self.string(span), self.string(name))
-            }
-        };
-        let keys = entry.map_or(&[][..], |e| e.keys());
-        open_line(out, seq, 0, level, span, name);
-        let (mut metas, mut labelled) = (0, false);
-        for i in 0..n {
-            if i % METAS_PER_WORD == 0 {
-                metas = self.next();
-            }
-            let meta = metas >> (7 * (i % METAS_PER_WORD)) & 0x7F;
-            let slot = meta >> 3;
-            let key = if slot == SPELLED {
-                let word = self.next();
-                self.string(word)
-            } else {
-                keys[slot as usize]
-            };
-            if !labelled && key > LABEL_KEY {
-                write_member(out, i == 0, LABEL_KEY, Scalar::Str(label));
-                labelled = true;
-            }
-            let payload = self.next();
-            let value = match meta & 7 {
-                BOOL => Scalar::Bool(payload != 0),
-                I64 => Scalar::I64(payload as i64),
-                U64 => Scalar::U64(payload),
-                F64 => Scalar::F64(f64::from_bits(payload)),
-                _ => Scalar::Str(self.string(payload)),
-            };
-            write_member(out, i == 0 && !labelled, key, value);
-        }
-        if !labelled {
-            write_member(out, n == 0, LABEL_KEY, Scalar::Str(label));
-        }
-        close_line(out, None);
+        &text[self.byte - n..self.byte]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog;
+    use crate::event::{reference_json, Model};
+    use crate::event::{Level, Value};
     use rpas_tsmath::propcheck::{forall, Gen};
     use rpas_tsmath::prop_assert_eq;
 
-    /// The rule a fleet capture rendered its events by before the tape:
-    /// each event's own line by [`Event::write_line`], numbered by
-    /// position, `ts_us` 0, no `wall_us`, `*_us` fields and the event's
-    /// own `tenant` dropped and the label inserted in its sorted place.
-    fn reference_lines(events: &[Event], label: &str, first_seq: usize) -> Vec<String> {
-        let label = Value::from(label.to_string());
-        events
+    /// The rule a fleet capture renders its events by, applied to what
+    /// each event was built from: numbered by position, `ts_us` 0, no
+    /// `wall_us`, `*_us` fields and the event's own `tenant` dropped and
+    /// the label in its sorted place.
+    fn reference_lines(models: &[Model], label: &str, first_seq: usize) -> Vec<String> {
+        models
             .iter()
             .zip(first_seq..)
-            .map(|(ev, seq)| {
-                let kept =
-                    || ev.fields.iter().filter(|(k, _)| !k.ends_with("_us") && *k != "tenant");
-                let fields = kept()
-                    .take_while(|(k, _)| *k < "tenant")
-                    .chain(std::iter::once(("tenant", &label)))
-                    .chain(kept().skip_while(|(k, _)| *k < "tenant"));
-                let mut line = String::new();
-                ev.write_line(&mut line, seq as u64, 0, None, fields);
-                line
+            .map(|(m, seq)| {
+                let mut fields: std::collections::BTreeMap<String, Value<'static>> = m
+                    .fields
+                    .iter()
+                    .filter(|(k, _)| !k.ends_with("_us") && *k != "tenant")
+                    .map(|(k, v)| (k.clone(), v.clone()))
+                    .collect();
+                fields.insert("tenant".to_string(), Value::from(label.to_string()));
+                let (level, span, name) = (m.level, m.span, m.name);
+                let seq = seq as u64;
+                reference_json(&Model { seq, ts_us: 0, level, span, name, fields, wall_us: None })
             })
             .collect()
     }
@@ -295,7 +155,7 @@ mod tests {
     const LITERALS: [&str; 5] = ["conservative", "", "q\"uo\\te", "\u{1f}ctl\n", "µ—漢🦀"];
     const LEVELS_DRAWN: [Level; 4] = [Level::Error, Level::Warn, Level::Info, Level::Debug];
 
-    fn value(g: &mut Gen) -> Value {
+    fn value(g: &mut Gen) -> Value<'static> {
         match g.usize_in(0, 12) {
             0 => Value::Bool(g.u64() & 1 == 0),
             1 => Value::I64(g.u64() as i64),
@@ -319,19 +179,22 @@ mod tests {
         }
     }
 
-    /// One event as the fleet may see it: a catalogue entry's with a
-    /// random subset of its keys in random order, or an escape-hatch
-    /// event; sometimes with `wall_us`, odd keys, or a `tenant` field.
-    fn event(g: &mut Gen) -> Event {
-        let mut e = if g.usize_in(0, 8) == 0 {
+    /// One event as the fleet may see it, and what it was built from: a
+    /// catalogue entry's with a random subset of its keys in random order,
+    /// or an escape-hatch event; sometimes with `wall_us`, odd keys, a
+    /// `tenant` field, or a key set twice.
+    fn event(g: &mut Gen) -> (Event, Model) {
+        let (mut e, level, span, name, declared) = if g.usize_in(0, 8) == 0 {
             let (span, name) = ([("x", "y"), ("s\"p", "µ"), ("sim", "step")])[g.usize_in(0, 3)];
-            Event::new(LEVELS_DRAWN[g.usize_in(0, 4)], span, name)
+            let level = LEVELS_DRAWN[g.usize_in(0, 4)];
+            (Event::new(level, span, name), level, span, name, &[][..])
         } else {
-            Event::of(catalog::ALL[g.usize_in(0, catalog::ALL.len())])
+            let entry = catalog::ALL[g.usize_in(0, catalog::ALL.len())];
+            (Event::of(entry), entry.level(), entry.span(), entry.name(), entry.keys())
         };
         // Every declared key a quarter of the time, so the widest entries
-        // fill more than one group of metas.
-        let (declared, every) = (e.entry().map_or(&[][..], EventName::keys), g.u64() & 3 == 0);
+        // fill more than one word of metas.
+        let every = g.u64() & 3 == 0;
         let mut keys: Vec<&'static str> =
             declared.iter().copied().filter(|_| every || g.u64() & 1 == 0).collect();
         for _ in 0..g.usize_in(0, 4) {
@@ -342,44 +205,47 @@ mod tests {
         for k in (1..keys.len()).rev() {
             keys.swap(k, g.usize_in(0, k + 1));
         }
+        if !keys.is_empty() && g.usize_in(0, 4) == 0 {
+            keys.push(keys[g.usize_in(0, keys.len())]);
+        }
+        let mut fields = std::collections::BTreeMap::new();
         for key in keys {
-            e.field(key, value(g));
+            let v = value(g);
+            e.field(key, v.clone());
+            fields.insert(key.to_string(), v);
         }
         if g.usize_in(0, 4) == 0 {
             e.wall_us = Some(g.u64());
         }
-        // The public stamps may be rewritten after the build.
-        match g.usize_in(0, 16) {
-            0 => e.level = LEVELS_DRAWN[g.usize_in(0, 4)],
-            1 => e.name = "renamed".into(),
-            2 => e.span = e.span.to_string().into(),
-            _ => {}
-        }
         e.seq = g.u64();
         e.ts_us = g.u64();
-        e
+        let (seq, ts_us, wall_us) = (e.seq, e.ts_us, e.wall_us);
+        (e, Model { seq, ts_us, level, span, name, fields, wall_us })
     }
 
     fn check(cases: u32) {
         forall("tape_renders_the_reference_lines", cases, |g| {
             let label = ["t0042", "", "q\"é"][g.usize_in(0, 3)].to_string();
             let mut tape = Tape::new(label.clone());
-            let events: Vec<Event> = (0..g.usize_in(0, 24)).map(|_| event(g)).collect();
-            for (i, e) in events.iter().enumerate() {
+            let (events, models): (Vec<Event>, Vec<Model>) =
+                (0..g.usize_in(0, 24)).map(|_| event(g)).unzip();
+            for (i, (e, m)) in events.iter().zip(&models).enumerate() {
+                prop_assert_eq!(e.to_json(), reference_json(m));
                 tape.push(e);
                 prop_assert_eq!(tape.len(), i + 1);
             }
             let mut lines = vec!["kept".to_string(); g.usize_in(0, 3)];
             let before = lines.len();
             tape.append_lines(&mut lines);
-            prop_assert_eq!(&lines[before..], &reference_lines(&events, &label, before)[..]);
+            prop_assert_eq!(&lines[before..], &reference_lines(&models, &label, before)[..]);
             prop_assert_eq!(tape.len(), 0);
             Ok(())
         });
     }
 
-    /// The tape's render against the rule it replaced, over every entry,
-    /// key subsets in random emit order, every value kind and edge,
+    /// Every event's line and the tape's render against the old rule,
+    /// computed apart from any record, over every entry, key subsets in
+    /// random emit order, repeated keys, every value kind and edge,
     /// literal and computed strings that need escaping, and what the
     /// catalogue does not describe.
     #[test]
@@ -388,7 +254,8 @@ mod tests {
     }
 
     /// The same property at 400 000 cases; trace bytes feed every fleet
-    /// digest. About 10 s in release; `scripts/verify.sh` runs it.
+    /// digest. About 50 s in release on a 2-vCPU host; `scripts/verify.sh`
+    /// runs it.
     #[test]
     #[ignore = "400 000-case sweep; run in release"]
     fn sweep_tape_renders_the_reference_lines() {

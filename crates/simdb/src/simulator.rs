@@ -447,10 +447,11 @@ mod tests {
         assert_eq!(events.iter().filter(|e| e.is(catalog::SIM_STEP)).count(), 3);
         // One idle interval → one zero-workload warning naming it.
         let warn = events.iter().find(|e| e.is(catalog::SIM_ZERO_WORKLOAD)).expect("warn event");
-        assert_eq!(warn.level, Level::Warn);
-        assert_eq!(warn.fields["steps"], rpas_obs::Value::U64(1));
+        assert_eq!(warn.level(), Level::Warn);
+        assert_eq!(warn.get("steps"), Some(rpas_obs::Value::U64(1)));
         let report = events.iter().find(|e| e.is(catalog::SIM_REPORT)).expect("summary event");
-        assert!(report.fields["mean_utilization"].to_json().parse::<f64>().unwrap().is_finite());
+        let utilization = report.get("mean_utilization");
+        assert!(matches!(utilization, Some(rpas_obs::Value::F64(u)) if u.is_finite()));
     }
 
     #[test]
@@ -465,8 +466,8 @@ mod tests {
         let warns: Vec<_> =
             mem.events().into_iter().filter(|e| e.is(catalog::SIM_ZERO_WORKLOAD)).collect();
         assert_eq!(warns.len(), 1, "one warn per run, got {}", warns.len());
-        assert_eq!(warns[0].fields["steps"], rpas_obs::Value::U64(25));
-        assert_eq!(warns[0].fields["total"], rpas_obs::Value::U64(25));
+        assert_eq!(warns[0].get("steps"), Some(rpas_obs::Value::U64(25)));
+        assert_eq!(warns[0].get("total"), Some(rpas_obs::Value::U64(25)));
     }
 
     #[test]

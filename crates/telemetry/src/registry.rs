@@ -14,7 +14,7 @@
 
 use rpas_obs::catalog::{self, EventName};
 use rpas_obs::json::{escape_str, write_u64};
-use rpas_obs::{Event, Histogram, Obs};
+use rpas_obs::{Event, Histogram, Obs, Sink};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -363,10 +363,22 @@ impl Recorder {
     /// sink listens.
     #[inline]
     pub fn emit(&self, name: EventName, build: impl FnOnce(&mut Event)) {
+        self.emit_also(name, None, build);
+    }
+
+    /// As [`Recorder::emit`], the event shown to `also` too
+    /// ([`Obs::emit_also`]).
+    #[inline]
+    pub fn emit_also(
+        &self,
+        name: EventName,
+        also: Option<&dyn Sink>,
+        build: impl FnOnce(&mut Event),
+    ) {
         if let Some(slot) = name.counter_slot() {
             self.counters[slot].inc(1);
         }
-        self.obs.emit(name, build);
+        self.obs.emit_also(name, also, build);
     }
 }
 

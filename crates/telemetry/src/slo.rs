@@ -601,8 +601,8 @@ mod tests {
         assert_eq!(statuses.len(), 1);
         assert_eq!(alerts.len(), 1);
         assert_eq!(
-            statuses[0].fields.get("subject"),
-            Some(&rpas_obs::Value::Str("t0007".into()))
+            statuses[0].get("subject"),
+            Some(rpas_obs::Value::Str("t0007".into()))
         );
     }
 }

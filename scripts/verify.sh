@@ -19,11 +19,11 @@
 #   4. The number writer's 30 M-double sweep against `format!("{x}")`
 #      (rpas-obs json::number::tests::sweep_agrees_with_std_display,
 #      #[ignore]d in the workspace run; ~10 s in release).
-#   5. The capture tape's 400 000-case differential against the render
-#      rule it replaced (rpas-obs tape::tests::
-#      sweep_tape_renders_the_reference_lines, #[ignore]d in the workspace
-#      run; ~10 s in release): every fleet trace line, so every fleet
-#      digest, is a tape render.
+#   5. The event and capture-tape 400 000-case differential against a
+#      test-only BTreeMap + format! oracle of the old render rule (rpas-obs
+#      tape::tests::sweep_tape_renders_the_reference_lines, #[ignore]d in
+#      the workspace run; ~50 s in release): every fleet trace line, so
+#      every fleet digest, is a tape render.
 #   6. Kill/resume at every tick of the 64-tenant fleet in release
 #      (tests/supervisor.rs::checkpoint_restore_at_any_tick_reproduces_the_run
 #      with RPAS_CHECKPOINT_EVERY_TICK=1; step 2 resumes every 47th tick
@@ -75,10 +75,11 @@ echo "== number writer sweep (30 M doubles against format!, release) =="
 cargo test -q --release --offline -p rpas-obs --lib -- --ignored --exact \
     json::number::tests::sweep_agrees_with_std_display
 
-echo "== capture tape differential (400 000 cases against the old render, release) =="
-# A fleet's trace lines are rendered from each tenant's tape; they must be
-# the bytes the events themselves rendered to, timings and own tenant
-# dropped, label in its sorted place.
+echo "== event and capture tape differential (400 000 cases against the old render rule, release) =="
+# Every event's line, and a fleet's trace lines rendered from each
+# tenant's tape, must be the bytes the old rule gives for what each event
+# was built from: for a tape, timings and own tenant dropped, label in its
+# sorted place.
 cargo test -q --release --offline -p rpas-obs --lib -- --ignored --exact \
     tape::tests::sweep_tape_renders_the_reference_lines
 

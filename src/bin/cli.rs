@@ -20,7 +20,7 @@ use rpas::forecast::{
     Arima, ArimaConfig, DeepAr, DeepArConfig, Forecaster, HoltWinters, HoltWintersConfig,
     MlpProb, MlpProbConfig, SeasonalNaive, Tft, TftConfig, SCALING_LEVELS,
 };
-use rpas::obs::{catalog, validate_line, Level, Obs, StderrSink, TraceLine};
+use rpas::obs::{catalog, fmt_us, validate_line, Level, Obs, StderrSink, TraceLine};
 use rpas::telemetry::{
     diff_traces, run_query, Aggregate, GroupBy, QueryFilter, SloSpec, Telemetry,
 };
@@ -446,7 +446,7 @@ fn simulate(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>>
         session.run(&mut ReactiveAvg::paper_default())
     } else if let Some(tau_s) = policy_name.strip_prefix("robust-") {
         let tau: f64 = tau_s.parse().map_err(|_| format!("bad tau in {policy_name:?}"))?;
-        if tau <= 0.0 || tau >= 1.0 {
+        if !(0.0 < tau && tau < 1.0) {
             return Err(format!("tau in {policy_name:?} must be in (0,1)").into());
         }
         let split = (trace.len() / 2).max(2 * period);
@@ -1074,16 +1074,6 @@ fn obs_diff(a: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
         return Err("traces diverge".into());
     }
     Ok(())
-}
-
-fn fmt_us(us: u64) -> String {
-    if us < 1_000 {
-        format!("{us}µs")
-    } else if us < 1_000_000 {
-        format!("{:.1}ms", us as f64 / 1e3)
-    } else {
-        format!("{:.2}s", us as f64 / 1e6)
-    }
 }
 
 /// Summarize a schema-v1 JSONL trace: event counts, per-span wall time,

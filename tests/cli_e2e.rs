@@ -137,6 +137,18 @@ fn bad_inputs_exit_nonzero_with_clean_errors() {
             ],
             "must be in (0,1)",
         ),
+        (
+            vec![
+                "simulate",
+                "--trace",
+                trace.to_str().expect("utf8"),
+                "--column",
+                "alibaba-cpu",
+                "--policy",
+                "robust-nan",
+            ],
+            "tau in \"robust-nan\" must be in (0,1)",
+        ),
         (vec!["plan", "--forecast"], "needs a value"),
         (
             vec!["simulate", "--trace", nan.to_str().expect("utf8"), "--column", "x"],

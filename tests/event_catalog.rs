@@ -104,7 +104,7 @@ fn backtest_smoke() -> &'static BTreeSet<String> {
         assert!(!events.is_empty(), "backtest emitted nothing — capture wiring broke");
         let mut seen = BTreeSet::new();
         for ev in &events {
-            record(&mut seen, &ev.span, &ev.name, ev.level, "backtest");
+            record(&mut seen, ev.span(), ev.name(), ev.level(), "backtest");
         }
         seen
     })

@@ -3,21 +3,19 @@
 //!
 //! A captured event used to cost ~16 allocations: two `String`s for the
 //! span and name, a `String` and a map node per field, and the whole lot
-//! deep-cloned into the sink. It is now one record of words built in
-//! place: names come from the catalogue entry, keys are slots in it,
-//! label-like values are borrowed literals. What is left is the record
-//! (one allocation, reserved for every key its entry declares) plus one
-//! per *computed* string value. With nothing listening, emitting and
-//! resolving metrics allocate nothing, and a resolved live counter or
-//! histogram records without allocating.
+//! deep-cloned into the sink. Then it was one record of words, built in
+//! place: one allocation. Now the record is built where it is kept: on a
+//! capture's tape (which grows by doubling, so nothing per event), or on
+//! a handle's scratch tape, which its sinks read and which is emptied
+//! after. Names come from the catalogue entry, keys are slots in it,
+//! label-like values are interned literals; what is left is one
+//! allocation per *computed* string value, at its emit site. With nothing
+//! listening, emitting and resolving metrics allocate nothing, and a
+//! resolved live counter or histogram records without allocating.
 //!
 //! The two audits a fleet captures every tick are measured at their real
-//! emit sites, as the allocations a run makes with a handle on the
-//! fleet's `Capture` beyond the same run with a dark one. A capture
-//! appends the borrowed record to its tape of words (which grows by
-//! doubling, so nothing per event) and keeps nothing of it: every sink a
-//! handle fans out to is shown the one build, none copies it. Rendering
-//! waits for `finish`.
+//! emit sites, as the allocations a run makes with a capture handle
+//! beyond the same run with a dark one. Rendering waits for `finish`.
 //!
 //! At the other end, `FleetSupervisor::finish` renders every captured
 //! record once into a reused buffer, nothing per field (numbers are
@@ -30,11 +28,11 @@
 
 use rpas_bench::alloc;
 use rpas_core::{
-    Capture, FleetConfig, FleetEngine, FleetSupervisor, ReplanSchedule, RobustAutoScalingManager,
+    FleetConfig, FleetEngine, FleetSupervisor, ReplanSchedule, RobustAutoScalingManager,
     ScalingStrategy, SupervisorConfig,
 };
 use rpas_forecast::QuantileForecast;
-use rpas_obs::{catalog, json, validate_line, Obs, TraceLine};
+use rpas_obs::{catalog, json, validate_line, MemorySink, Obs, TraceLine};
 use rpas_simdb::{FaultConfig, Observation, ScalingPolicy, SimConfig, SimSession};
 use rpas_telemetry::{SloSpec, Telemetry};
 use rpas_traces::Trace;
@@ -64,20 +62,13 @@ impl ScalingPolicy for Hold {
     }
 }
 
-/// A handle on a fresh capture, and the capture. Its tape doubles
+/// Every event `capture` holds, rendered and read back. Its tape doubles
 /// as records come, so of five repeats of 64 or 65 events into one
 /// capture one grows it not at all, and the smallest count is that
 /// repeat's.
-fn capturing() -> (Capture, Obs) {
-    let capture = Capture::new("t0000".to_string());
-    let obs = Obs::with_sink(Box::new(capture.clone()));
-    (capture, obs)
-}
-
-/// Every event `capture` holds, rendered and read back.
-fn captured(capture: &Capture) -> Vec<TraceLine> {
+fn captured(capture: &Obs) -> Vec<TraceLine> {
     let mut lines = Vec::new();
-    capture.append_lines(&mut lines);
+    capture.append_captured(&mut lines);
     lines.iter().map(|l| validate_line(l).expect("a trace line")).collect()
 }
 
@@ -99,7 +90,7 @@ fn stepping(trace: &Trace, obs: &Obs) -> u64 {
 }
 
 #[test]
-fn an_emitted_event_allocates_its_record_and_nothing_else() {
+fn an_emitted_event_allocates_nothing_once_its_tape_has_room() {
     assert!(alloc::installed(), "counting allocator must route this binary's allocations");
 
     // Nothing listening: emit, span open and span close are free, and so
@@ -138,49 +129,46 @@ fn an_emitted_event_allocates_its_record_and_nothing_else() {
 
     // `sim/step`: five scalar fields, once per tenant per tick.
     let trace = Trace::new("ramp", 600, (0..STEPS).map(|t| 50.0 + t as f64).collect());
-    let (capture, obs) = capturing();
-    let lit = stepping(&trace, &obs);
+    let capture = Obs::capture("t0000".to_string());
+    let lit = stepping(&trace, &capture);
     let events = captured(&capture);
     assert_eq!(events.len(), 5 * STEPS, "one sim/step per step of each repeat");
     assert!(events.iter().all(|e| e.is(catalog::SIM_STEP) && e.fields.len() == 5 + 1));
     drop(events);
-    let per_step = (lit - stepping(&trace, &Obs::noop())) as f64 / STEPS as f64;
-    assert!(per_step <= 1.0, "a captured sim/step cost {per_step} allocations");
+    let dark = stepping(&trace, &Obs::noop());
+    assert_eq!(lit, dark, "{STEPS} captured sim/steps allocated beyond the dark run");
 
     // `plan/decision` as the fleet's fixed-τ policies emit it: three
-    // scalars and the strategy label. The 7-field `plan/summary` that
-    // closes a plan is one allocation too: its record is reserved for
-    // every key the entry declares.
+    // scalars and the strategy label, a literal. The 7-field
+    // `plan/summary` that closes a plan allocates nothing either.
     let forecast = QuantileForecast::new(
         vec![0.1, 0.5, 0.9],
         Matrix::from_rows(&vec![vec![90.0, 100.0, 130.0]; STEPS]),
     )
     .expect("finite cells");
     let manager = RobustAutoScalingManager::new(60.0, 1, ScalingStrategy::Fixed { tau: 0.9 });
-    let (capture, obs) = capturing();
-    let audited = manager.clone().with_obs(obs);
+    let capture = Obs::capture("t0000".to_string());
+    let audited = manager.clone().with_obs(capture.clone());
     let lit = cost(|| drop(audited.plan(&forecast)));
     let events = captured(&capture);
     assert_eq!(events.iter().filter(|e| e.is(catalog::PLAN_DECISION)).count(), 5 * STEPS);
     assert_eq!(events.iter().filter(|e| e.is(catalog::PLAN_SUMMARY)).count(), 5);
     drop(events);
-    let beyond = lit - cost(|| drop(manager.plan(&forecast)));
-    assert!(
-        beyond <= STEPS as u64 + 1,
-        "{STEPS} captured plan/decision and a plan/summary cost {beyond} allocations"
-    );
+    let dark = cost(|| drop(manager.plan(&forecast)));
+    assert_eq!(lit, dark, "{STEPS} captured plan/decision and a plan/summary allocated");
 
-    // Two sinks: each appends the record it is shown by reference, so the
-    // build's record is the one allocation.
-    let (first, last) = (capturing().0, capturing().0);
+    // Two sinks: the record is built once, on the handle's scratch tape,
+    // and each memory sink appends a copy to a tape of its own. Once the
+    // tapes have room, nothing allocates.
+    let (first, last) = (MemorySink::new(), MemorySink::new());
     let both = Obs::multi(vec![Box::new(first.clone()), Box::new(last.clone())]);
     let fan_out = cost(|| {
         both.emit(catalog::SIM_STEP, |e| {
             e.field("step", 1u64).field("violation", false);
         });
     });
-    assert_eq!((captured(&first).len(), captured(&last).len()), (5, 5));
-    assert_eq!(fan_out, 1, "one build, no copy");
+    assert_eq!((first.len(), last.len()), (5, 5));
+    assert_eq!(fan_out, 0, "one build on the scratch tape, a copy on each sink's");
 
     // A number is written into the caller's buffer, the 301 digits of
     // 1e300 and the 323 zeros of 5e-324 included.

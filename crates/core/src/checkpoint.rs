@@ -412,7 +412,7 @@ fn digest(sup: &FleetSupervisor, tel: &Telemetry) -> Result<u64, String> {
         let lost = guard.outage.iter().filter(|&&lost| lost).count();
         h.u64(u64::from(guard.strikes)).u64(guard.failures.len() as u64);
         h.u64(guard.outage.len() as u64).u64(lost as u64);
-        h.u64(run.capture.as_ref().map_or(0, |c| c.len()) as u64);
+        h.u64(run.capture.as_ref().map_or(0, Obs::captured) as u64);
     }
     h.bytes(tel.snapshot().exposition().as_bytes());
     Ok(h.0)

@@ -16,8 +16,8 @@
 //! from the fleet seed via `child_seed`, tenants never share mutable
 //! state, and the pool preserves tenant order — so fleet results are
 //! byte-identical for any `RPAS_THREADS`, including the captured
-//! tenant-scoped event log (timing fields are stripped when a [`Capture`]
-//! renders it; see [`FleetReport::trace_lines`]).
+//! tenant-scoped event log (timing fields are stripped when a tenant's
+//! capture renders it; see [`FleetReport::trace_lines`]).
 
 use crate::autoscaler::{QuantilePredictivePolicy, ReplanSchedule};
 use crate::manager::{RobustAutoScalingManager, ScalingStrategy};
@@ -25,7 +25,7 @@ use crate::reactive::ReactiveMax;
 use crate::resilient::{ResilienceConfig, ResilientManager};
 use crate::supervisor::TenantGuard;
 use rpas_forecast::{Forecaster, SeasonalNaive};
-use rpas_obs::{Event, Level, Obs, Sink, Tape};
+use rpas_obs::Obs;
 use rpas_par::WorkerPool;
 use rpas_telemetry::{RatioSeries, Recorder, SloReport, SloSpec, Telemetry};
 use rpas_simdb::{
@@ -34,7 +34,6 @@ use rpas_simdb::{
 };
 use rpas_traces::{alibaba_like_cpu, google_like_cpu, Trace};
 use rpas_tsmath::rng::child_seed;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Identity of one tenant within a fleet (dense, 0-based).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -244,57 +243,6 @@ impl TenantPolicy {
     }
 }
 
-/// One tenant's captured trace, the sink its obs handle writes to. A tick
-/// appends the event's record to the tenant's [`Tape`] (a few words,
-/// nothing kept of the event); `finish` renders each record once, as its
-/// schema-v1 line numbered by its place in the fleet trace, timings and
-/// its own `tenant` dropped, the tenant's label in its sorted place,
-/// `ts_us` 0.
-#[derive(Clone)]
-pub struct Capture(Arc<Mutex<Tape>>);
-
-impl Capture {
-    /// An empty capture for the tenant labelled `label` (`t0042`).
-    pub fn new(label: String) -> Self {
-        Self(Arc::new(Mutex::new(Tape::new(label))))
-    }
-
-    /// The capture, locked; nothing panics while holding it.
-    fn lock(&self) -> MutexGuard<'_, Tape> {
-        self.0.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Move every captured event into `lines` as its line, numbered by its
-    /// position there and allocated at its exact size; the capture is left
-    /// empty.
-    pub fn append_lines(&self, lines: &mut Vec<String>) {
-        self.lock().append_lines(lines);
-    }
-
-    /// Events captured so far (the checkpoint digest counts them without
-    /// rendering any).
-    pub(crate) fn len(&self) -> usize {
-        self.lock().len()
-    }
-}
-
-impl Sink for Capture {
-    fn max_level(&self) -> Level {
-        Level::Debug
-    }
-
-    /// The borrowed event's record appended to the tape: the capture
-    /// keeps nothing of the event.
-    fn emit(&self, event: &Event) {
-        self.lock().push(event);
-    }
-
-    /// A line's `ts_us` is always 0, so capturing reads no clock.
-    fn reads_clock(&self) -> bool {
-        false
-    }
-}
-
 /// One tenant, whole: who it is and what it was configured to run, its
 /// scaling policy (with any fitted forecaster inside), its steppable
 /// simulation, its optional event capture, and its supervision state —
@@ -308,7 +256,10 @@ pub(crate) struct TenantRun {
     pub(crate) kind: TenantPolicyKind,
     pub(crate) policy: TenantPolicy,
     pub(crate) session: SimSession,
-    pub(crate) capture: Option<Capture>,
+    /// The tenant's trace: a capture handle (`Obs::capture`), the one its
+    /// components emit on, whose records stay where they are built until
+    /// `finish` renders them.
+    pub(crate) capture: Option<Obs>,
     pub(crate) guard: TenantGuard,
     /// The fleet obs handle plus this tenant's `supervisor.*` counters.
     pub(crate) rec: Recorder,
@@ -332,8 +283,8 @@ impl TenantRun {
         // fleet-wide values are label-sums over tenants.
         let tenant_label = id.to_string();
         let labels: [(&str, &str); 1] = [("tenant", tenant_label.as_str())];
-        let capture = cfg.capture_events.then(|| Capture::new(tenant_label.clone()));
-        let obs = capture.as_ref().map_or_else(Obs::noop, |c| Obs::with_sink(Box::new(c.clone())));
+        let capture = cfg.capture_events.then(|| Obs::capture(tenant_label.clone()));
+        let obs = capture.clone().unwrap_or_default();
 
         let make_predictive = || {
             let mut fc = SeasonalNaive::new(cfg.schedule.context);
@@ -426,7 +377,7 @@ pub struct FleetReport {
     /// Fleet-level aggregate.
     pub qos: FleetQos,
     /// Schema-v1 JSONL lines of every captured tenant event, in tenant
-    /// order, as each tenant's [`Capture`] rendered them (a `tenant`
+    /// order, as each tenant's capture rendered them (a `tenant`
     /// field added, all timing stripped) and numbered fleet-wide by
     /// `seq` — so the trace is byte-identical across reruns and thread
     /// counts. Empty when `capture_events` was off.
@@ -571,7 +522,7 @@ impl FleetEngine {
                 (tenant_qos(&report), report.faults.total())
             };
             if let Some(capture) = capture {
-                capture.append_lines(&mut trace_lines);
+                capture.append_captured(&mut trace_lines);
             }
             tenants.push(TenantSummary {
                 id,

@@ -55,7 +55,7 @@ pub use eval::{
     BacktestReport, BacktestWindow, QuantileEvalReport, RollingSpec,
 };
 pub use fleet::{
-    Capture, FleetConfig, FleetEngine, FleetReport, QuarantineRecord, TenantId, TenantPolicyKind,
+    FleetConfig, FleetEngine, FleetReport, QuarantineRecord, TenantId, TenantPolicyKind,
     TenantSummary, TracePreset,
 };
 pub use manager::{PlanningBackend, RobustAutoScalingManager, ScalingStrategy};

@@ -34,7 +34,7 @@
 //! executed prefix instead of livelocking the fleet.
 
 use crate::fleet::{FleetEngine, FleetReport, QuarantineRecord, TenantId, TenantRun};
-use rpas_obs::{catalog, Event, Obs, Sink};
+use rpas_obs::{catalog, Event, Obs};
 use rpas_par::panic_message;
 use rpas_telemetry::{RatioSeries, SloReport, SloSpec, Telemetry};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -170,8 +170,7 @@ pub struct FleetSupervisor {
 /// the tenant's capture (whose lines drop the event's own `tenant` for
 /// its label).
 fn record(run: &TenantRun, name: catalog::EventName, build: impl FnOnce(&mut Event)) {
-    let capture = run.capture.as_ref().map(|c| c as &dyn Sink);
-    run.rec.emit_also(name, capture, |e| {
+    run.rec.emit_also(name, run.capture.as_ref(), |e| {
         e.field("tenant", run.id.to_string());
         build(e);
     });

@@ -8,8 +8,8 @@
 //! two runs of the same seeded experiment produce byte-identical content
 //! (see [`Event::content_line`]) while still carrying real timings.
 //!
-//! An event is one record of words, built in place by its emit site and
-//! kept in the same layout by a [`crate::Tape`]:
+//! An event is one record of words on a [`Tape`], built in place by its
+//! emit site (see [`Event`] for which tape):
 //!
 //! * a header word: the catalogue entry's position in [`catalog::ALL`]
 //!   (or [`NO_ENTRY`]), the level, and the count of fields;
@@ -21,11 +21,14 @@
 //!   then one payload word (a bool, the bits of an integer or a float, or
 //!   a string word). A `sim/step` is 7 words with its header.
 //!
-//! An event holds each string word as its text ([`Cell`]); a tape interns
-//! it. [`render_line`] renders a record from either.
+//! A string word is a literal's index among the tape's interned
+//! literals, or, with its low bit set, the byte length of a computed
+//! string in the tape's text, where a record's computed strings lie in
+//! the order of its words. [`render_line`] renders a record.
 
 use crate::catalog::{self, EventName};
 use crate::json::{escape_into, write_f64, write_u64};
+use crate::tape::{Cursor, Payload, Tape};
 use std::borrow::Cow;
 
 /// Header entry bits of an event no catalogue entry describes.
@@ -36,6 +39,10 @@ const SPELLED: u64 = 0xF;
 const METAS_PER_WORD: usize = 9;
 /// The key a labelled line carries its label under.
 const LABEL_KEY: &str = "tenant";
+/// The catalogue as one static: a record's header indexes it. Code
+/// inlined into other crates reads this one copy; naming the `const`
+/// there would place a copy of the catalogue in each.
+static ENTRIES: &[EventName] = catalog::ALL;
 /// Levels by their header bits.
 const LEVELS: [Level; 4] = [Level::Error, Level::Warn, Level::Info, Level::Debug];
 
@@ -160,23 +167,34 @@ impl Value<'_> {
     }
 }
 
-/// One word of an event's record. A string word holds its text: borrowed
-/// when it is a literal of the program (catalogue names, field keys,
-/// label-like values such as `regime`), so it costs no allocation; owned
-/// when computed.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Cell {
-    Word(u64),
-    Text(Cow<'static, str>),
+/// How a record is named: by its catalogue entry, or, for the escape
+/// hatch, by a level and two strings.
+#[derive(Clone, Copy)]
+pub(crate) enum Head {
+    Entry(EventName),
+    Named(Level, &'static str, &'static str),
 }
 
-/// One structured event: a record (module docs) and the stamps a handle
-/// sets as it dispatches. Built in place by the emitting site inside an
-/// [`crate::Obs::emit`] closure (never constructed when no sink is
-/// listening), then shown to every installed sink by reference. An event
-/// built from a catalogue entry owns one allocation, its record reserved
-/// for every key the entry declares, plus one per computed string value.
-#[derive(Debug, Clone, PartialEq)]
+impl Head {
+    pub(crate) fn level(self) -> Level {
+        match self {
+            Head::Entry(name) => name.level(),
+            Head::Named(level, ..) => level,
+        }
+    }
+}
+
+/// One structured event: its record, open on a tape, and the stamps a
+/// handle sets as it dispatches. An emit builds it in place inside an
+/// [`crate::Obs::emit`] closure (never when no sink is listening): on a
+/// capture's tape, where the record stays, or on the handle's scratch
+/// tape, which every installed sink is shown by reference and which is
+/// emptied once they have read it. Neither allocates once the tape has
+/// room; a computed string value is the emit site's allocation, copied
+/// into the tape's text. An event made by [`Event::of`] or [`Event::new`]
+/// owns a tape of its own.
+#[derive(Debug, Clone)]
+#[repr(C)] // the stamps ahead of the tape's ends (see `sink::Inner`)
 pub struct Event {
     /// Monotone sequence number within one [`crate::Obs`] handle.
     pub seq: u64,
@@ -185,16 +203,15 @@ pub struct Event {
     pub ts_us: u64,
     /// Optional span duration in micros (timing only).
     pub wall_us: Option<u64>,
-    pub(crate) cells: Vec<Cell>,
+    /// The tape the record is open on.
+    pub(crate) tape: Tape,
 }
 
 impl Event {
     /// New shell of a catalogued event; `seq`/`ts_us` are stamped by the
     /// [`crate::Obs`] handle at emit time.
     pub fn of(name: EventName) -> Self {
-        let keys = name.keys().len();
-        let room = 1 + keys.div_ceil(METAS_PER_WORD) + keys;
-        Self::shell(u64::from(name.index()), name.level(), room)
+        Self::opened(&Head::Entry(name))
     }
 
     /// New event shell named by strings — with [`crate::Obs::info`], the
@@ -203,21 +220,58 @@ impl Event {
     /// [`Event::of`] (rule E1, `clippy.toml`). Every key it is given is
     /// spelled out; its record is reserved for one meta word's fields.
     pub fn new(level: Level, span: &'static str, name: &'static str) -> Self {
-        let mut event = Self::shell(NO_ENTRY, level, 3 + 1 + 2 * METAS_PER_WORD);
-        event.cells.extend([span, name].map(|s| Cell::Text(Cow::Borrowed(s))));
+        Self::opened(&Head::Named(level, span, name))
+    }
+
+    /// An event on its own tape, its record open.
+    pub(crate) fn opened(head: &Head) -> Self {
+        let mut event = Self::on(Tape::default());
+        event.open(head);
         event
     }
 
-    fn shell(entry: u64, level: Level, room: usize) -> Self {
-        let mut cells = Vec::with_capacity(room);
-        cells.push(Cell::Word(entry << 48 | (level as u64) << 32));
-        Self { seq: 0, ts_us: 0, wall_us: None, cells }
+    /// An event whose records go on `tape`; none is open yet.
+    pub(crate) fn on(tape: Tape) -> Self {
+        Self { seq: 0, ts_us: 0, wall_us: None, tape }
+    }
+
+    /// A copy of the record, on a tape of its own, stamps included.
+    pub(crate) fn detached(&self) -> Self {
+        let mut copy = Self::on(Tape::default());
+        copy.tape.copy_open(&self.tape);
+        (copy.seq, copy.ts_us, copy.wall_us) = (self.seq, self.ts_us, self.wall_us);
+        copy
+    }
+
+    /// Open a record after the tape's closed ones, reserved for every key
+    /// the entry declares, and clear the stamps. A record left open by a
+    /// build that panicked is dropped first.
+    #[inline]
+    pub(crate) fn open(&mut self, head: &Head) {
+        (self.seq, self.ts_us, self.wall_us) = (0, 0, None);
+        let tape = &mut self.tape;
+        tape.drop_open();
+        match *head {
+            Head::Entry(name) => {
+                let keys = name.keys().len();
+                tape.words.reserve(1 + keys.div_ceil(METAS_PER_WORD) + keys);
+                tape.words.push(u64::from(name.index()) << 48 | (name.level() as u64) << 32);
+            }
+            Head::Named(level, span, name) => {
+                tape.words.reserve(3 + 1 + 2 * METAS_PER_WORD);
+                tape.words.push(NO_ENTRY << 48 | (level as u64) << 32);
+                for s in [span, name] {
+                    let word = tape.intern(s);
+                    tape.words.push(word);
+                }
+            }
+        }
     }
 
     /// The record, read from its header; iterating it yields the fields
     /// in key order.
-    pub(crate) fn record(&self) -> Record<'_, &[Cell]> {
-        Record::read(&self.cells[..], 0)
+    pub(crate) fn record(&self) -> Record<'_, Cursor<'_>> {
+        self.tape.record(self.tape.at, self.tape.byte)
     }
 
     /// Severity.
@@ -250,76 +304,106 @@ impl Event {
     /// duplicate JSON member, so exposition and diff tooling downstream
     /// may treat field keys as unique.
     pub fn field(&mut self, key: &'static str, value: impl Into<Value<'static>>) -> &mut Self {
-        let (tag, payload) = match value.into() {
-            Value::Bool(b) => (BOOL, Cell::Word(u64::from(b))),
-            Value::I64(x) => (I64, Cell::Word(x as u64)),
-            Value::U64(x) => (U64, Cell::Word(x)),
-            Value::F64(x) => (F64, Cell::Word(x.to_bits())),
-            Value::Str(s) => (STR, Cell::Text(s)),
-        };
-        self.set(key, tag, payload);
+        self.set(key, value.into());
         self
     }
 
-    /// Write `key`'s field in its sorted place, or over its old value.
-    /// After a last field whose key the entry declares, a forward cursor
-    /// from that key's slot finds a key listed in catalogue order, which
-    /// is appended without a comparison of order; any other key (out of
-    /// order, repeated, undeclared) walks the fields to its place.
-    fn set(&mut self, key: &'static str, tag: u64, payload: Cell) {
-        let Record { keys, n, metas, at, .. } = self.record();
-        let after = match n.checked_sub(1).map(|last| self.meta(metas, last) >> 3) {
-            None => Some(0),
-            Some(slot) => (slot != SPELLED).then_some(slot as usize + 1),
+    /// Write `key`'s field. After a last field whose key the entry
+    /// declares, a key listed in catalogue order is found by a forward
+    /// cursor from that key's slot and appended, its computed text (if
+    /// any) at the end of the tape's, without a comparison of order or a
+    /// walk of the record; any other key goes to [`Event::place`]. Inlined
+    /// into every emit site, where the value's kind is known, so a scalar
+    /// field is a few instructions (a call per field cost a captured
+    /// `sim/step` about half again).
+    #[inline(always)]
+    fn set(&mut self, key: &'static str, value: Value<'static>) {
+        let (tag, payload) = match value {
+            Value::Bool(b) => (BOOL, Payload::Word(u64::from(b))),
+            Value::I64(x) => (I64, Payload::Word(x as u64)),
+            Value::U64(x) => (U64, Payload::Word(x)),
+            Value::F64(x) => (F64, Payload::Word(x.to_bits())),
+            Value::Str(s) => (STR, Payload::Text(s)),
         };
-        let next =
-            after.and_then(|from| Some(from + keys.get(from..)?.iter().position(|k| *k == key)?));
-        let (i, mut p, slot) = match next {
-            Some(slot) => (n, self.cells.len(), slot as u64),
-            None => {
-                let (mut fields, mut i, mut p, mut same) = (self.record(), 0, at, false);
-                while let Some((k, _)) = fields.next() {
-                    if k >= key {
-                        same = k == key;
-                        break;
-                    }
-                    (i, p) = (i + 1, fields.at);
+        let at = self.tape.at;
+        let head = self.tape.words[at];
+        let n = head as u32 as usize;
+        let (keys, metas) = match ENTRIES.get((head >> 48) as usize) {
+            Some(entry) => (entry.keys(), at + 1),
+            None => (&[][..], at + 3),
+        };
+        // A spelled last key's slot is past every entry's keys.
+        let from = n.checked_sub(1).map_or(0, |last| (self.meta(metas, last) >> 3) as usize + 1);
+        // A tenth, nineteenth... field's meta word goes in ahead of the
+        // payloads: `place` inserts it.
+        let next = keys.get(from..).and_then(|rest| rest.iter().position(|k| *k == key));
+        match next.filter(|_| n == 0 || !n.is_multiple_of(METAS_PER_WORD)) {
+            Some(next) => {
+                let word = self.tape.encode(payload, self.tape.text.len(), 0);
+                if n == 0 {
+                    self.tape.words.push(0);
                 }
-                if same {
-                    let meta = self.meta(metas, i);
-                    self.put_meta(metas, i, meta & !7 | tag);
-                    self.cells[p + usize::from(meta >> 3 == SPELLED)] = payload;
-                    return;
-                }
-                (i, p, keys.iter().position(|k| *k == key).map_or(SPELLED, |s| s as u64))
+                self.tape.words.push(word);
+                self.put_meta(metas, n, tag | ((from + next) as u64) << 3);
+                self.tape.words[at] += 1;
             }
-        };
-        if n % METAS_PER_WORD == 0 {
-            self.cells.insert(metas + n / METAS_PER_WORD, Cell::Word(0));
+            None => self.place(key, tag, payload),
+        }
+    }
+
+    /// Write `key`'s field in its sorted place, or over its old value, by
+    /// a walk of the fields; its text goes in after the text of the
+    /// fields before it.
+    #[inline(never)]
+    fn place(&mut self, key: &'static str, tag: u64, payload: Payload) {
+        let mut fields = self.record();
+        let (keys, n, metas) = (fields.keys, fields.n, fields.metas);
+        let (mut i, mut p, mut byte, mut same) = (0, fields.at, fields.words.byte, false);
+        while let Some((k, _)) = fields.next() {
+            if k >= key {
+                same = k == key;
+                break;
+            }
+            (i, p, byte) = (i + 1, fields.at, fields.words.byte);
+        }
+        if same {
+            let meta = self.meta(metas, i);
+            let p = p + usize::from(meta >> 3 == SPELLED);
+            let old = self.tape.words[p];
+            let gone = if meta & 7 == STR && old & 1 == 1 { (old >> 1) as usize } else { 0 };
+            self.tape.words[p] = self.tape.encode(payload, byte, gone);
+            self.put_meta(metas, i, meta & !7 | tag);
+            return;
+        }
+        let slot = keys.iter().position(|k| *k == key).map_or(SPELLED, |s| s as u64);
+        let payload = self.tape.encode(payload, byte, 0);
+        if n.is_multiple_of(METAS_PER_WORD) {
+            self.tape.words.insert(metas + n / METAS_PER_WORD, 0);
             p += 1;
         }
         if slot == SPELLED {
-            self.cells.insert(p, Cell::Text(Cow::Borrowed(key)));
+            let key = self.tape.intern(key);
+            self.tape.words.insert(p, key);
             p += 1;
         }
-        self.cells.insert(p, payload);
+        self.tape.words.insert(p, payload);
         for j in (i..n).rev() {
             let meta = self.meta(metas, j);
             self.put_meta(metas, j + 1, meta);
         }
         self.put_meta(metas, i, tag | slot << 3);
-        self.cells[0] = Cell::Word((&self.cells[..]).word(0) + 1);
+        self.tape.words[self.tape.at] += 1;
     }
 
     /// Field `i`'s meta, the metas starting at word `metas`.
     fn meta(&self, metas: usize, i: usize) -> u64 {
-        meta((&self.cells[..]).word(metas + i / METAS_PER_WORD), i)
+        meta(self.tape.words[metas + i / METAS_PER_WORD], i)
     }
 
     fn put_meta(&mut self, metas: usize, i: usize, meta: u64) {
         let (at, shift) = (metas + i / METAS_PER_WORD, 7 * (i % METAS_PER_WORD));
-        let word = (&self.cells[..]).word(at) & !(0x7F << shift) | meta << shift;
-        self.cells[at] = Cell::Word(word);
+        let word = &mut self.tape.words[at];
+        *word = *word & !(0x7F << shift) | meta << shift;
     }
 
     /// Append the event as one schema-v1 JSONL line (no trailing newline).
@@ -356,7 +440,8 @@ fn meta(word: u64, i: usize) -> u64 {
     word >> (7 * (i % METAS_PER_WORD)) & 0x7F
 }
 
-/// Where a record's words are read from: an event's cells, or a tape.
+/// Where a record's words are read from: a tape's [`Cursor`], or a
+/// [`crate::tape`] copy in progress.
 pub(crate) trait Words<'a> {
     /// Word `at`.
     fn word(&self, at: usize) -> u64;
@@ -364,23 +449,6 @@ pub(crate) trait Words<'a> {
     /// The text string word `at` stands for. A record's string words are
     /// read once each, in order.
     fn text(&mut self, at: usize) -> &'a str;
-}
-
-impl<'a> Words<'a> for &'a [Cell] {
-    fn word(&self, at: usize) -> u64 {
-        match self.get(at) {
-            Some(Cell::Word(w)) => *w,
-            _ => 0,
-        }
-    }
-
-    fn text(&mut self, at: usize) -> &'a str {
-        let cells: &'a [Cell] = self;
-        match cells.get(at) {
-            Some(Cell::Text(t)) => t,
-            _ => "",
-        }
-    }
 }
 
 impl<'a, W: Words<'a>> Words<'a> for &mut W {
@@ -396,7 +464,7 @@ impl<'a, W: Words<'a>> Words<'a> for &mut W {
 /// One record, its header read; iterating it yields its fields in key
 /// order, and [`Record::at`] is then where the next record starts.
 pub(crate) struct Record<'a, W> {
-    words: W,
+    pub(crate) words: W,
     pub(crate) level: Level,
     pub(crate) span: &'a str,
     pub(crate) name: &'a str,
@@ -414,7 +482,7 @@ impl<'a, W: Words<'a>> Record<'a, W> {
     /// The record whose header is word `at`.
     pub(crate) fn read(mut words: W, at: usize) -> Self {
         let head = words.word(at);
-        let entry = catalog::ALL.get((head >> 48) as usize);
+        let entry = ENTRIES.get((head >> 48) as usize);
         let (span, name, metas) = match entry {
             Some(e) => (e.span(), e.name(), at + 1),
             None => (words.text(at + 1), words.text(at + 2), at + 3),
@@ -574,7 +642,7 @@ mod tests {
     }
 
     /// A `sim/step` listed in catalogue order is its header, one meta word
-    /// and five payloads, in the one allocation `Event::of` reserved.
+    /// and five payloads, in the room `Event::of` reserved.
     #[test]
     fn a_sim_step_is_seven_words() {
         let mut e = Event::of(catalog::SIM_STEP);
@@ -583,8 +651,8 @@ mod tests {
             .field("utilization", 41.5)
             .field("violation", false)
             .field("workload", 124.5);
-        assert_eq!((e.cells.len(), e.cells.capacity()), (7, 7));
-        assert!(e.cells.iter().all(|c| matches!(c, Cell::Word(_))));
+        assert_eq!((e.tape.words.len(), e.tape.words.capacity()), (7, 7));
+        assert!(e.tape.text.is_empty());
         assert_eq!(e.get("utilization"), Some(Value::F64(41.5)));
     }
 
@@ -686,8 +754,9 @@ mod tests {
     /// A record against the `BTreeMap<String, Value>` its fields were
     /// before, under random writes (declared keys out of order and
     /// repeated, spelled ones, computed ones, on a catalogued event and an
-    /// escape-hatch one) and lookups: same members in the same order,
-    /// same line.
+    /// escape-hatch one; literal and computed strings, so a computed one
+    /// lands ahead of, over and behind others) and lookups: same members
+    /// in the same order, same line.
     #[test]
     fn a_record_agrees_with_the_btreemap_it_replaced() {
         const KEYS: [&str; 12] = [
@@ -705,12 +774,13 @@ mod tests {
             let mut oracle: BTreeMap<String, Value<'static>> = BTreeMap::new();
             for op in 0..g.usize_in(0, 24) {
                 let at = g.usize_in(0, KEYS.len());
-                let value = match g.usize_in(0, 5) {
+                let value = match g.usize_in(0, 6) {
                     0 => Value::Bool(op % 2 == 0),
                     1 => Value::I64(g.u64() as i64),
                     2 => Value::U64(g.u64() >> g.usize_in(0, 64)),
                     3 => Value::F64(g.f64_in(-1e6, 1e6)),
-                    _ => Value::from(["aggressive", "q\"\n", ""][op % 3]),
+                    4 => Value::from(["aggressive", "q\"\n", ""][op % 3]),
+                    _ => Value::from(["c", "µ\"", ""][op % 3].repeat(g.usize_in(0, 4))),
                 };
                 let key = match g.usize_in(0, 8) {
                     1..=2 => computed[at][op % 3],

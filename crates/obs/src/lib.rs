@@ -9,18 +9,18 @@
 //! * `event` — the structured event model: [`Level`], scalar [`Value`]s,
 //!   and [`Event`]s with deterministic content (wall-clock only ever
 //!   lives in the reserved `ts_us`/`wall_us`/`*_us` timing slots). An
-//!   event is one record of words, built in place by its emit site —
-//!   literals borrowed, a key by its slot in the catalogue entry — and
-//!   shown to every sink by reference; one function renders a record as
-//!   its line.
+//!   event is one record of words on a tape, built in place by its emit
+//!   site — literals interned, a key by its slot in the catalogue entry —
+//!   and shown to every sink by reference; one function renders a record
+//!   as its line.
 //! * `sink` — pluggable sinks behind the cheap [`Obs`] handle: no-op
 //!   (a single branch on the hot path; the event-building closure never
 //!   runs), human-readable stderr gated by `RPAS_LOG`, schema-v1 JSONL
 //!   via `--trace-out` / `RPAS_TRACE_OUT`, and the in-memory sink tests
-//!   read events back from.
-//! * `tape` — [`Tape`], events' records appended word for word, strings
-//!   interned, and rendered into their lines later: a fleet tenant's
-//!   capture.
+//!   read events back from; and the capture handle ([`Obs::capture`]), a
+//!   fleet tenant's trace, whose records stay where they are built.
+//! * `tape` — records of words, strings interned: a capture's, a
+//!   handle's scratch one, an event's own; rendered into lines later.
 //! * `hist` — fixed-bucket [`Histogram`]s with a flat-string encoding
 //!   that fits the JSONL schema.
 //! * [`schema`] — the versioned JSONL schema and its validator (used by
@@ -49,7 +49,7 @@
 #![warn(missing_docs)]
 // Library-code rules P1 / O1 (DESIGN.md §9); an exemption is a per-site `#[expect]`.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::print_stdout)]
-#![expect(clippy::disallowed_methods, reason = "E1: this crate defines and tests the string-taking Obs::info / Event::new")]
+#![cfg_attr(test, expect(clippy::disallowed_methods, reason = "E1: this crate tests the string-taking Obs::info / Event::new it defines"))]
 
 pub mod catalog;
 mod event;
@@ -64,4 +64,3 @@ pub use hist::Histogram;
 pub use json::Json;
 pub use schema::{validate_line, TraceLine, SCHEMA_VERSION};
 pub use sink::{fmt_us, JsonlSink, MemorySink, Obs, Sink, SpanTimer, StderrSink};
-pub use tape::Tape;

@@ -6,15 +6,18 @@
 //! is never invoked* when nothing is listening — disabled instrumentation
 //! costs neither allocations nor field formatting. Enabled handles hold an
 //! `Arc`, making `Obs` `Clone + Send + Sync` and trivially shareable with
-//! worker threads and policy objects.
+//! worker threads and policy objects. Behind it is the one tape every
+//! record is built on, under a lock: a capture's, which keeps the
+//! records, or a scratch one the sinks read each record from.
 
 #![expect(clippy::disallowed_types, reason = "the workspace's clock: read here, only into ts_us / wall_us")]
 
 use crate::catalog::{self, EventName};
-use crate::event::{Event, Level, Value};
+use crate::event::{Event, Head, Level, Value};
+use crate::tape::Tape;
 use std::io::Write;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 /// Where events go. Sinks are shown fully-built events by reference and
@@ -136,13 +139,39 @@ impl Drop for JsonlSink {
 }
 
 /// In-memory sink: what tests and probes read events back from. Keeps a
-/// copy of every event's record; a clone of the handle reads them after
-/// the instrumented code ran. (A fleet captures each tenant's trace in
-/// its own type, `rpas_core::Capture`, which appends each record to a
-/// [`crate::Tape`] and keeps nothing of the event.)
+/// copy of every record it is shown, on a tape of its own, with the
+/// event's stamps, and makes events of them when read; a clone of the
+/// handle reads them after the instrumented code ran. (A fleet tenant's
+/// trace is a capture, [`Obs::capture`], whose records stay where they
+/// are built.)
 #[derive(Clone, Default)]
 pub struct MemorySink {
-    events: Arc<Mutex<Vec<Event>>>,
+    kept: Arc<Mutex<Kept>>,
+}
+
+/// A memory sink's log: each record closed onto the tape as it was shown
+/// (`Tape::close_raw`), and its `seq`, `ts_us`, `wall_us` and literals'
+/// base.
+#[derive(Default)]
+struct Kept {
+    tape: Tape,
+    stamps: Vec<(u64, u64, Option<u64>, usize)>,
+}
+
+impl Kept {
+    /// Every record kept, as an event of its own.
+    fn events(&self) -> Vec<Event> {
+        let (mut at, mut byte) = (0, 0);
+        let event = |&(seq, ts_us, wall_us, base): &(u64, u64, Option<u64>, usize)| {
+            let mut event = Event::on(Tape::default());
+            let mut from = self.tape.cursor(byte);
+            from.statics = &from.statics[base..];
+            (at, byte) = event.tape.copy_record(from, at);
+            (event.seq, event.ts_us, event.wall_us) = (seq, ts_us, wall_us);
+            event
+        };
+        self.stamps.iter().map(event).collect()
+    }
 }
 
 impl MemorySink {
@@ -151,27 +180,31 @@ impl MemorySink {
         Self::default()
     }
 
-    /// Run `f` on the captured events under the sink's lock.
-    #[expect(clippy::expect_used, reason = "poisoned: a push panicked while holding the buffer")]
-    fn with_events<R>(&self, f: impl FnOnce(&mut Vec<Event>) -> R) -> R {
-        f(&mut self.events.lock().expect("memory sink poisoned"))
+    /// Run `f` on the kept records under the sink's lock.
+    #[expect(clippy::expect_used, reason = "poisoned: a copy panicked while holding the tape")]
+    fn with_kept<R>(&self, f: impl FnOnce(&mut Kept) -> R) -> R {
+        f(&mut self.kept.lock().expect("memory sink poisoned"))
     }
 
     /// Snapshot of everything captured so far.
     pub fn events(&self) -> Vec<Event> {
-        self.with_events(|events| events.clone())
+        self.with_kept(|kept| kept.events())
     }
 
-    /// Take everything captured so far, leaving the sink empty — no
-    /// per-event clone, so consumers that own the capture (the fleet
-    /// engine drains one sink per tenant) pay only a pointer swap.
+    /// Take everything captured so far, leaving the sink empty (the room
+    /// its records took is kept for the next ones).
     pub fn drain(&self) -> Vec<Event> {
-        self.with_events(std::mem::take)
+        self.with_kept(|kept| {
+            let events = kept.events();
+            kept.tape.clear();
+            kept.stamps.clear();
+            events
+        })
     }
 
     /// Number of captured events.
     pub fn len(&self) -> usize {
-        self.with_events(|events| events.len())
+        self.with_kept(|kept| kept.stamps.len())
     }
 
     /// Whether nothing was captured.
@@ -185,24 +218,148 @@ impl Sink for MemorySink {
         Level::Debug
     }
 
+    /// The record appended to the sink's log as it is, and the stamps.
     fn emit(&self, event: &Event) {
-        let event = event.clone();
-        self.with_events(|events| events.push(event));
+        self.with_kept(|kept| {
+            let base = kept.tape.close_raw(&event.tape);
+            kept.stamps.push((event.seq, event.ts_us, event.wall_us, base));
+        });
     }
 }
 
+/// A live handle's shared state. What an emit touches — the level gate,
+/// the holder, the lock and the event's stamps and tape ends — is its
+/// first 128 bytes, on two cache lines of their own: a fleet tick reaches
+/// each tenant's capture cold, so every line an emit spans is a miss.
+#[repr(C, align(64))]
 struct Inner {
-    sinks: Vec<Box<dyn Sink>>,
     /// Most verbose level any sink wants; pre-computed gate for `enabled`.
     max_level: Level,
+    /// Whether records stay on the tape: a capture's handle, which has no
+    /// sinks.
+    keeps: bool,
     /// Whether any sink reads `ts_us` (see [`Sink::reads_clock`]).
     clock: bool,
+    /// Whether `nested` holds anything.
+    pending: AtomicBool,
+    /// The [`thread_token`] of the thread holding `event`, 0 when none:
+    /// an emit that finds its own thread here is nested in a build (or a
+    /// sink) on this handle.
+    holder: AtomicUsize,
+    /// The event every record is built in, on a capture's tape or on a
+    /// scratch tape the sinks read each record from, emptied after.
+    event: Mutex<Event>,
+    sinks: Vec<Box<dyn Sink>>,
     seq: AtomicU64,
+    /// Copies of records that reached this capture from a nested emit,
+    /// closed ahead of the record being built when it closes.
+    nested: Mutex<Vec<Event>>,
 }
 
-/// The observability handle: either a no-op (`Obs::noop`) or a shared
-/// bundle of sinks. Cheap to clone, free to carry, safe to share across
-/// threads. APIs across the workspace accept one of these; passing
+/// A handle's event, locked, with this thread its holder until dropped.
+struct Held<'a> {
+    inner: &'a Inner,
+    event: MutexGuard<'a, Event>,
+}
+
+impl Drop for Held<'_> {
+    #[inline]
+    fn drop(&mut self) {
+        self.inner.holder.store(0, Ordering::Relaxed);
+    }
+}
+
+/// A token of the calling thread, never 0: the address of a
+/// thread-local. It only tells a nested emit from another thread's.
+#[inline]
+fn thread_token() -> usize {
+    thread_local!(static TOKEN: u8 = const { 0 });
+    TOKEN.with(|token| std::ptr::from_ref(token).addr())
+}
+
+impl Inner {
+    /// Lock the event, this thread its holder. A build that panicked
+    /// left its record open, and the next [`Event::open`] drops it.
+    #[inline]
+    fn hold(&self) -> Held<'_> {
+        let event = self.event.lock().unwrap_or_else(PoisonError::into_inner);
+        self.holder.store(thread_token(), Ordering::Relaxed);
+        Held { inner: self, event }
+    }
+
+    /// Whether the calling thread holds the event.
+    #[inline]
+    fn held_here(&self) -> bool {
+        self.holder.load(Ordering::Relaxed) == thread_token()
+    }
+
+    /// Stamp `event` and show it to every sink listening at `level` (a
+    /// capture has none).
+    #[inline]
+    fn show(&self, event: &mut Event, level: Level) {
+        if !self.keeps {
+            self.show_sinks(event, level);
+        }
+    }
+
+    fn show_sinks(&self, event: &mut Event, level: Level) {
+        event.seq = self.seq.fetch_add(1, Ordering::Relaxed);
+        if self.clock {
+            event.ts_us = SystemTime::now()
+                .duration_since(UNIX_EPOCH)
+                .map(|d| d.as_micros() as u64)
+                .unwrap_or(0);
+        }
+        for sink in self.sinks.iter().filter(|s| level <= s.max_level()) {
+            sink.emit(event);
+        }
+    }
+
+    /// Show `event`, built elsewhere, to this handle: to its sinks, and,
+    /// for a capture, a copy of the record onto its tape, at once, or,
+    /// while this thread is building on it, ahead of that record.
+    fn deliver(&self, event: &mut Event, level: Level) {
+        self.show(event, level);
+        if !self.keeps {
+            return;
+        }
+        if self.held_here() {
+            self.nested.lock().unwrap_or_else(PoisonError::into_inner).push(event.detached());
+            self.pending.store(true, Ordering::Relaxed);
+        } else {
+            let mut held = self.hold();
+            held.event.tape.copy_open(&event.tape);
+            self.close(&mut held.event);
+        }
+    }
+
+    /// End the record open on `event`: a capture closes it, after any
+    /// nested ones; any other handle empties its scratch tape.
+    #[inline]
+    fn close(&self, event: &mut Event) {
+        if !self.keeps {
+            event.tape.clear();
+            return;
+        }
+        if self.pending.load(Ordering::Relaxed) {
+            self.close_nested(event);
+        }
+        event.tape.close();
+    }
+
+    /// Close the records nested emits delivered ahead of the open one.
+    #[cold]
+    fn close_nested(&self, event: &mut Event) {
+        self.pending.store(false, Ordering::Relaxed);
+        let nested =
+            std::mem::take(&mut *self.nested.lock().unwrap_or_else(PoisonError::into_inner));
+        event.tape.close_ahead(&nested);
+    }
+}
+
+/// The observability handle: a no-op (`Obs::noop`), a shared bundle of
+/// sinks, or a capture ([`Obs::capture`]). Cheap to clone, free to
+/// carry, safe to share across threads. APIs across the workspace accept one of these; passing
 /// `Obs::noop()` (the `Default`) keeps them exactly as fast as before the
 /// instrumentation existed.
 #[derive(Clone, Default)]
@@ -214,6 +371,7 @@ impl std::fmt::Debug for Obs {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match &self.inner {
             None => write!(f, "Obs::noop"),
+            Some(i) if i.keeps => write!(f, "Obs::capture"),
             Some(i) => write!(f, "Obs({} sinks, ≤{})", i.sinks.len(), i.max_level.as_str()),
         }
     }
@@ -238,7 +396,51 @@ impl Obs {
             return Self::noop();
         };
         let clock = sinks.iter().any(|s| s.reads_clock());
-        Self { inner: Some(Arc::new(Inner { sinks, max_level, clock, seq: AtomicU64::new(0) })) }
+        Self::over(sinks, max_level, clock, Tape::default())
+    }
+
+    /// A capture: a handle that keeps every event, at every level, where
+    /// its emit builds it, on the handle's own tape, until
+    /// [`Obs::append_captured`] renders them as lines labelled `tenant:
+    /// label` (a fleet tenant's trace). It reads no clock: a line's
+    /// `ts_us` is 0.
+    pub fn capture(label: String) -> Self {
+        Self::over(Vec::new(), Level::Debug, false, Tape::labelled(label))
+    }
+
+    fn over(sinks: Vec<Box<dyn Sink>>, max_level: Level, clock: bool, tape: Tape) -> Self {
+        let inner = Inner {
+            keeps: sinks.is_empty(),
+            sinks,
+            max_level,
+            clock,
+            seq: AtomicU64::new(0),
+            event: Mutex::new(Event::on(tape)),
+            holder: AtomicUsize::new(0),
+            pending: AtomicBool::new(false),
+            nested: Mutex::default(),
+        };
+        Self { inner: Some(Arc::new(inner)) }
+    }
+
+    /// Events a capture holds (0 for any other handle).
+    pub fn captured(&self) -> usize {
+        self.capture_tape(|tape| tape.len()).unwrap_or(0)
+    }
+
+    /// Move every event a capture holds into `lines` as its line, numbered
+    /// by its position there, timings and its own `tenant` dropped, the
+    /// capture's label in its sorted place, `ts_us` 0, each allocated at
+    /// its exact size. The capture is left empty; any other handle adds
+    /// nothing.
+    pub fn append_captured(&self, lines: &mut Vec<String>) {
+        self.capture_tape(|tape| tape.append_lines(lines));
+    }
+
+    /// `f` on a capture's tape, if this is a capture.
+    pub(crate) fn capture_tape<R>(&self, f: impl FnOnce(&mut Tape) -> R) -> Option<R> {
+        let inner = self.inner.as_deref().filter(|i| i.keeps)?;
+        Some(f(&mut inner.hold().event.tape))
     }
 
     /// Build from the environment:
@@ -300,27 +502,30 @@ impl Obs {
         }
     }
 
-    /// Emit one catalogued event: the closure builds fields onto a fresh
-    /// [`Event`] and runs only if some sink listens at the event's level.
-    /// A debug build checks that every key it set is one the event's
-    /// catalogue entry declares.
+    /// Emit one catalogued event: the closure builds its fields in place
+    /// on the handle's tape ([`Event`]) and runs only if some sink listens
+    /// at the event's level. A debug build checks that every key it set is
+    /// one the event's catalogue entry declares.
+    ///
+    /// An emit on a handle from inside a build (or a sink) on that same
+    /// handle is built apart and delivered at once: a sink is shown it
+    /// before the event whose build made it, and a capture closes it
+    /// ahead of that event's record, so lines come in the order their
+    /// builds finished, as on any other handle.
     #[inline]
     pub fn emit(&self, name: EventName, build: impl FnOnce(&mut Event)) {
         self.emit_also(name, None, build);
     }
 
-    /// As [`Obs::emit`], and show the same build to `also`, which need not
-    /// be one of the handle's sinks: the event is built when either
-    /// listens. A fleet tenant's supervision facts go to the fleet's
-    /// handle and the tenant's capture this way.
+    /// As [`Obs::emit`], and deliver the same build to `also` too: the
+    /// event is built once, when either listens, on a capture's tape if
+    /// either is one, and the other handle's sinks are shown that record
+    /// (or, if it is a capture too, given a copy). A fleet tenant's
+    /// supervision facts go to the fleet's handle and the tenant's
+    /// capture this way.
     #[inline]
-    pub fn emit_also(
-        &self,
-        name: EventName,
-        also: Option<&dyn Sink>,
-        build: impl FnOnce(&mut Event),
-    ) {
-        self.emit_raw(name.level(), also, || Event::of(name), |event| {
+    pub fn emit_also(&self, name: EventName, also: Option<&Obs>, build: impl FnOnce(&mut Event)) {
+        self.emit_raw(name.level(), also, || Head::Entry(name), |event| {
             build(event);
             if cfg!(debug_assertions) {
                 for (key, _) in event.record() {
@@ -339,49 +544,23 @@ impl Obs {
     /// workspace code uses [`Obs::emit`] (rule E1, `clippy.toml`), and the next
     /// `benchmark` PR can move the ledger over and make both private.
     pub fn info(&self, span: &'static str, name: &'static str, build: impl FnOnce(&mut Event)) {
-        self.emit_raw(Level::Info, None, || Event::new(Level::Info, span, name), build);
+        self.emit_raw(Level::Info, None, || Head::Named(Level::Info, span, name), build);
     }
 
-    /// The dark path is this branch and nothing else: building the event
-    /// (`shell`, then `build`) and showing it to the sinks is kept out of
-    /// line so the check inlines into every emit site.
+    /// The dark path is this branch and nothing else: building the record
+    /// and delivering it are kept out of line so the check inlines into
+    /// every emit site.
     #[inline]
-    fn emit_raw(
+    pub(crate) fn emit_raw(
         &self,
         level: Level,
-        also: Option<&dyn Sink>,
-        shell: impl FnOnce() -> Event,
+        also: Option<&Obs>,
+        head: impl FnOnce() -> Head,
         build: impl FnOnce(&mut Event),
     ) {
-        #[inline(never)]
-        fn lit(
-            level: Level,
-            inner: Option<&Inner>,
-            also: Option<&dyn Sink>,
-            shell: impl FnOnce() -> Event,
-            build: impl FnOnce(&mut Event),
-        ) {
-            let mut event = shell();
-            build(&mut event);
-            if let Some(inner) = inner {
-                event.seq = inner.seq.fetch_add(1, Ordering::Relaxed);
-                if inner.clock {
-                    event.ts_us = SystemTime::now()
-                        .duration_since(UNIX_EPOCH)
-                        .map(|d| d.as_micros() as u64)
-                        .unwrap_or(0);
-                }
-                for sink in inner.sinks.iter().filter(|s| level <= s.max_level()) {
-                    sink.emit(&event);
-                }
-            }
-            if let Some(sink) = also.filter(|s| level <= s.max_level()) {
-                sink.emit(&event);
-            }
-        }
         let inner = self.inner.as_deref().filter(|i| level <= i.max_level);
         if inner.is_some() || also.is_some() {
-            lit(level, inner, also, shell, build);
+            lit(head, inner, also, build);
         }
     }
 
@@ -408,6 +587,55 @@ impl Obs {
             }
         }
     }
+}
+
+/// The lit path of an emit site: its record's head, and its build
+/// handed on as `dyn`.
+#[inline(never)]
+fn lit(
+    head: impl FnOnce() -> Head,
+    this: Option<&Inner>,
+    also: Option<&Obs>,
+    build: impl FnOnce(&mut Event),
+) {
+    let mut build = Some(build);
+    let build = &mut |event: &mut Event| build.take().map_or((), |build| build(event));
+    build_and_deliver(&head(), this, also, build);
+}
+
+/// Build the record on the listening handles' tape, a capture's if one
+/// is, then deliver it to the other: one instance for every emit site.
+fn build_and_deliver(
+    head: &Head,
+    this: Option<&Inner>,
+    also: Option<&Obs>,
+    build: &mut dyn FnMut(&mut Event),
+) {
+    let level = head.level();
+    let also = also.and_then(|o| o.inner.as_deref()).filter(|i| level <= i.max_level);
+    let (host, other) = match (this, also) {
+        (Some(a), Some(b)) if b.keeps && !a.keeps => (b, Some(a)),
+        (Some(a), b) => (a, b),
+        (None, Some(b)) => (b, None),
+        (None, None) => return,
+    };
+    if host.held_here() {
+        let mut event = Event::opened(head);
+        build(&mut event);
+        for inner in std::iter::once(host).chain(other) {
+            inner.deliver(&mut event, level);
+        }
+        return;
+    }
+    let mut held = host.hold();
+    let event = &mut *held.event;
+    event.open(head);
+    build(event);
+    host.show(event, level);
+    if let Some(other) = other {
+        other.deliver(event, level);
+    }
+    host.close(event);
 }
 
 /// RAII wall-clock timer for a phase; see [`Obs::span`].
@@ -486,7 +714,7 @@ mod tests {
     }
 
     /// Every sink listening at an event's level is shown it, and so is a
-    /// sink given to `emit_also`, also when the handle itself is dark.
+    /// handle given to `emit_also`, also when the handle itself is dark.
     #[test]
     fn each_listening_sink_is_shown_the_event_once() {
         struct Counting(Arc<AtomicU64>, Level);
@@ -506,7 +734,7 @@ mod tests {
         ]);
         obs.emit(catalog::PLAN_SUMMARY, |_| {});
         obs.emit(catalog::PLAN_DECISION, |_| {});
-        let extra = Counting(Arc::clone(&also), Level::Debug);
+        let extra = Obs::with_sink(Box::new(Counting(Arc::clone(&also), Level::Debug)));
         obs.emit_also(catalog::PLAN_DECISION, Some(&extra), |_| {});
         Obs::noop().emit_also(catalog::PLAN_DECISION, Some(&extra), |_| {});
         let read = |t: &AtomicU64| t.load(Ordering::Relaxed);
@@ -535,6 +763,86 @@ mod tests {
         let both = Obs::multi(vec![Box::new(Untimed(untimed.clone())), Box::new(timed.clone())]);
         both.emit(catalog::PLAN_DECISION, |_| {});
         assert!(untimed.events()[1].ts_us > 0 && timed.events()[0].ts_us > 0);
+    }
+
+    /// The events a capture rendered, by their field `key`, in order.
+    fn rendered(capture: &Obs, key: &str) -> Vec<f64> {
+        let mut lines = Vec::new();
+        capture.append_captured(&mut lines);
+        let read = |l: &String| crate::schema::validate_line(l).ok()?.fields.get(key)?.as_num();
+        lines.iter().map(|l| read(l).expect("a line with the key")).collect()
+    }
+
+    /// An emit made inside a build on the same handle neither deadlocks
+    /// nor loses a line: it is built apart and delivered at once, so a
+    /// capture closes it ahead of the record whose build made it and a
+    /// sink is shown it first, in the order the builds finished. Nested
+    /// twice, and through another handle's `emit_also` to a capture
+    /// building further up the stack, the same.
+    #[test]
+    fn an_emit_nested_in_a_build_lands_ahead_of_the_event_it_was_made_in() {
+        let nest = |obs: &Obs| {
+            obs.emit(catalog::SIM_STEP, |outer| {
+                outer.field("step", 1u64);
+                obs.emit(catalog::SIM_STEP, |inner| {
+                    inner.field("step", 2u64);
+                    obs.emit(catalog::SIM_STEP, |e| {
+                        e.field("step", 3u64);
+                    });
+                });
+                outer.field("violation", true);
+            });
+            obs.emit(catalog::SIM_STEP, |e| {
+                e.field("step", 4u64);
+            });
+        };
+        let capture = Obs::capture("t0007".into());
+        nest(&capture);
+        assert_eq!(rendered(&capture, "step"), [3.0, 2.0, 1.0, 4.0]);
+
+        let mem = MemorySink::new();
+        let lit = Obs::with_sink(Box::new(mem.clone()));
+        nest(&lit);
+        let shown = mem.drain();
+        let steps: Vec<_> = shown.iter().map(|e| (e.seq, e.get("step"))).collect();
+        let expected = [3, 2, 1, 4].map(|s| Some(Value::U64(s)));
+        assert_eq!(steps, (0..4).zip(expected).collect::<Vec<_>>());
+
+        capture.emit(catalog::SIM_STEP, |outer| {
+            outer.field("step", 5u64);
+            lit.emit_also(catalog::SIM_STEP, Some(&capture), |e| {
+                e.field("step", 6u64);
+            });
+        });
+        assert_eq!(rendered(&capture, "step"), [6.0, 5.0]);
+        assert_eq!(mem.drain()[0].get("step"), Some(Value::U64(6)));
+    }
+
+    /// A build that panics leaves its record open; the capture's lock is
+    /// taken back from the poison and the next emit drops that record, so
+    /// the lines before and after are whole.
+    #[test]
+    fn a_build_that_panics_costs_only_its_own_event() {
+        let capture = Obs::capture("t0003".into());
+        let panic_at = |tick: u64| {
+            capture.emit(catalog::SUPERVISOR_PANIC, |e| {
+                e.field("error", format!("boom at {tick}")).field("tick", tick);
+            });
+        };
+        panic_at(1);
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            capture.emit(catalog::SUPERVISOR_PANIC, |e| {
+                e.field("error", "half-built".to_string()).field("tick", 2u64);
+                panic!("build failed");
+            });
+        }));
+        assert!(panicked.is_err());
+        panic_at(3);
+        assert_eq!(capture.captured(), 2);
+        let mut lines = Vec::new();
+        capture.append_captured(&mut lines);
+        assert!(lines[1].contains("{\"error\":\"boom at 3\",\"tenant\":\"t0003\",\"tick\":3}"));
+        assert!(lines[0].contains("\"boom at 1\""), "{}", lines[0]);
     }
 
     #[test]

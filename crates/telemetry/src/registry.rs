@@ -14,7 +14,7 @@
 
 use rpas_obs::catalog::{self, EventName};
 use rpas_obs::json::{escape_str, write_u64};
-use rpas_obs::{Event, Histogram, Obs, Sink};
+use rpas_obs::{Event, Histogram, Obs};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -369,12 +369,7 @@ impl Recorder {
     /// As [`Recorder::emit`], the event shown to `also` too
     /// ([`Obs::emit_also`]).
     #[inline]
-    pub fn emit_also(
-        &self,
-        name: EventName,
-        also: Option<&dyn Sink>,
-        build: impl FnOnce(&mut Event),
-    ) {
+    pub fn emit_also(&self, name: EventName, also: Option<&Obs>, build: impl FnOnce(&mut Event)) {
         if let Some(slot) = name.counter_slot() {
             self.counters[slot].inc(1);
         }

@@ -2,8 +2,9 @@
 # Non-test lines of Rust per crate: for every `.rs` file under
 # `crates/*/src` and the root package's `src/`, the lines above the
 # `#[cfg(test)]` that opens the file's first test `mod` (a `#[cfg(test)]`
-# line followed by a `mod <name> {` line); a file with no test `mod`
-# counts whole. Blank and comment lines count. One row per package, then
+# line followed by a `mod <name> {` line, the `mod` perhaps with a
+# visibility such as `pub(crate)`); a file with no test `mod` counts
+# whole. Blank and comment lines count. One row per package, then
 # the workspace total. Two more rows count every line of every `.rs` file,
 # tests included: under `crates src tests examples` (the unit ROADMAP
 # states its size targets in), and the same plus `ledger/src`.
@@ -22,7 +23,7 @@ count() {
     while IFS= read -r f; do
         n=$(awk '
             /^#\[cfg\(test\)\]$/ { pending = NR; next }
-            pending && /^mod [A-Za-z0-9_]+ \{/ { print pending - 1; found = 1; exit }
+            pending && /^(pub(\([^)]*\))? )?mod [A-Za-z0-9_]+ \{/ { print pending - 1; found = 1; exit }
             { pending = 0 }
             END { if (!found) print NR }
         ' "$f")

@@ -22,7 +22,7 @@
 #   5. The event and capture-tape 400 000-case differential against a
 #      test-only BTreeMap + format! oracle of the old render rule (rpas-obs
 #      tape::tests::sweep_tape_renders_the_reference_lines, #[ignore]d in
-#      the workspace run; ~50 s in release): every fleet trace line, so
+#      the workspace run; ~70 s in release): every fleet trace line, so
 #      every fleet digest, is a tape render.
 #   6. Kill/resume at every tick of the 64-tenant fleet in release
 #      (tests/supervisor.rs::checkpoint_restore_at_any_tick_reproduces_the_run

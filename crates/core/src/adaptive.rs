@@ -24,7 +24,7 @@ impl AdaptiveConfig {
     /// New config.
     ///
     /// # Panics
-    /// As [`AdaptiveConfig::check`].
+    /// Panics unless `0 < τ₁ ≤ τ₂ < 1` and `ρ ≥ 0` (so no field is NaN).
     pub fn new(tau_low: f64, tau_high: f64, rho: f64) -> Self {
         let cfg = Self { tau_low, tau_high, rho };
         cfg.check();

@@ -63,7 +63,7 @@ pub use plan::{plan_point, CapacityPlan};
 pub use reactive::{ReactiveAvg, ReactiveMax};
 pub use resilient::{ForecastHealthGate, ResilienceConfig, ResilientManager};
 pub use supervisor::{FleetSupervisor, SupervisorConfig, TenantHealth};
-pub use thrash::{smooth_plan, ThrashConfig, ThrashLimited};
+pub use thrash::{ThrashConfig, ThrashLimited};
 pub use uncertainty::{uncertainty_at, uncertainty_series};
 
 /// `Err` with the reason of the first check that does not hold — the

@@ -165,15 +165,17 @@ pub struct FleetSupervisor {
     pub(crate) total_ticks: u64,
 }
 
-/// Record one supervision fact: its counter, and one event, which carries
-/// `tenant`, shown to the fleet's handle through the run's `rec` and to
-/// the tenant's capture (whose lines drop the event's own `tenant` for
-/// its label).
-fn record(run: &TenantRun, name: catalog::EventName, build: impl FnOnce(&mut Event)) {
-    run.rec.emit_also(name, run.capture.as_ref(), |e| {
+/// Record one supervision fact: its counter and an event carrying
+/// `tenant` on the fleet's handle (the run's `rec`), then the same event
+/// on the tenant's capture, whose lines carry its label as `tenant`.
+fn record(run: &TenantRun, name: catalog::EventName, build: impl Fn(&mut Event)) {
+    run.rec.emit(name, |e| {
         e.field("tenant", run.id.to_string());
         build(e);
     });
+    if let Some(capture) = &run.capture {
+        capture.emit(name, build);
+    }
 }
 
 impl FleetSupervisor {
@@ -244,7 +246,7 @@ impl FleetSupervisor {
     /// Unlike repeated [`FleetSupervisor::tick`] calls this fans out
     /// *once*: each worker drives one tenant across the whole remaining
     /// range. The two are byte-identical because a tenant's supervision
-    /// state depends only on its own history (see [`run_range`]).
+    /// state depends only on its own history.
     pub fn run_to_completion(&mut self) {
         let (from, to) = (self.tick, self.total_ticks);
         if from >= to {

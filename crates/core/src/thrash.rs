@@ -2,7 +2,6 @@
 //! or removed per step and impose a cooldown between direction changes,
 //! "promoting a smoother auto-scaling process".
 
-use crate::plan::CapacityPlan;
 use rpas_simdb::{Observation, ScalingPolicy};
 
 /// Thrash-limiting parameters.
@@ -22,40 +21,14 @@ impl Default for ThrashConfig {
 }
 
 /// Move from `prev` toward `want`, by at most `max_delta` nodes. The shared
-/// step-clamp primitive behind [`smooth_plan`], [`ThrashLimited`] and the
-/// resilience guardrails ([`crate::resilient::ResilientManager`]).
+/// step-clamp primitive behind [`ThrashLimited`] and the resilience
+/// guardrails ([`crate::resilient::ResilientManager`]).
 pub(crate) fn clamp_step(prev: u32, want: u32, max_delta: u32) -> u32 {
     if want > prev {
         prev + (want - prev).min(max_delta)
     } else {
         prev - (prev - want).min(max_delta)
     }
-}
-
-/// Smooth a precomputed plan: clamp per-step deltas starting from
-/// `initial` nodes. Scale-*outs* are never reduced below what feasibility
-/// requires when `allow_burst_up` is set (under-provisioning is the risk
-/// the paper's whole framework exists to avoid, so by default upward moves
-/// are unrestricted and only downward moves are smoothed).
-pub fn smooth_plan(
-    plan: &CapacityPlan,
-    initial: u32,
-    cfg: ThrashConfig,
-    allow_burst_up: bool,
-) -> CapacityPlan {
-    let mut out = Vec::with_capacity(plan.len());
-    let mut prev = initial;
-    for t in 0..plan.len() {
-        let want = plan.at(t);
-        let next = if want > prev && allow_burst_up {
-            want
-        } else {
-            clamp_step(prev, want, cfg.max_step_delta)
-        };
-        out.push(next);
-        prev = next;
-    }
-    CapacityPlan::new(out)
 }
 
 /// Policy decorator applying delta limits and a direction cooldown to any
@@ -119,23 +92,6 @@ mod tests {
     use rpas_simdb::FixedPolicy;
 
     #[test]
-    fn smooth_plan_limits_downward_moves() {
-        let plan = CapacityPlan::new(vec![10, 1, 1, 1]);
-        let cfg = ThrashConfig { max_step_delta: 2, direction_cooldown: 0 };
-        let s = smooth_plan(&plan, 1, cfg, true);
-        // Up-burst allowed (1→10), then down clamped to −2 per step.
-        assert_eq!(s.as_slice(), &[10, 8, 6, 4]);
-    }
-
-    #[test]
-    fn smooth_plan_can_also_limit_up() {
-        let plan = CapacityPlan::new(vec![10, 10]);
-        let cfg = ThrashConfig { max_step_delta: 3, direction_cooldown: 0 };
-        let s = smooth_plan(&plan, 1, cfg, false);
-        assert_eq!(s.as_slice(), &[4, 7]);
-    }
-
-    #[test]
     fn limiter_caps_step_delta() {
         struct Swing;
         impl ScalingPolicy for Swing {
@@ -189,32 +145,6 @@ mod tests {
         assert_eq!(c, 5); // still inside cooldown
         let d = p.decide(&mk(3, c));
         assert_eq!(d, 1); // cooldown expired: scale in allowed
-    }
-
-    #[test]
-    fn smooth_plan_of_empty_plan_is_empty() {
-        let plan = CapacityPlan::new(vec![]);
-        let s = smooth_plan(&plan, 5, ThrashConfig::default(), false);
-        assert!(s.as_slice().is_empty());
-    }
-
-    #[test]
-    fn smooth_plan_with_delta_wider_than_any_move_is_identity() {
-        let plan = CapacityPlan::new(vec![9, 1, 7, 2]);
-        let cfg = ThrashConfig { max_step_delta: u32::MAX, direction_cooldown: 0 };
-        let s = smooth_plan(&plan, 3, cfg, false);
-        assert_eq!(s.as_slice(), plan.as_slice());
-    }
-
-    #[test]
-    fn smooth_plan_with_zero_delta_freezes_at_initial() {
-        let plan = CapacityPlan::new(vec![9, 1, 7]);
-        let cfg = ThrashConfig { max_step_delta: 0, direction_cooldown: 0 };
-        let s = smooth_plan(&plan, 3, cfg, false);
-        assert_eq!(s.as_slice(), &[3, 3, 3]);
-        // Burst-up still punches through a zero delta: feasibility first.
-        let up = smooth_plan(&plan, 3, cfg, true);
-        assert_eq!(up.as_slice(), &[9, 9, 9]);
     }
 
     #[test]

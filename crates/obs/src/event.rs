@@ -235,14 +235,6 @@ impl Event {
         Self { seq: 0, ts_us: 0, wall_us: None, tape }
     }
 
-    /// A copy of the record, on a tape of its own, stamps included.
-    pub(crate) fn detached(&self) -> Self {
-        let mut copy = Self::on(Tape::default());
-        copy.tape.copy_open(&self.tape);
-        (copy.seq, copy.ts_us, copy.wall_us) = (self.seq, self.ts_us, self.wall_us);
-        copy
-    }
-
     /// Open a record after the tape's closed ones, reserved for every key
     /// the entry declares, and clear the stamps. A record left open by a
     /// build that panicked is dropped first.

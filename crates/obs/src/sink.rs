@@ -31,13 +31,6 @@ pub trait Sink: Send + Sync {
 
     /// Flush buffered output (JSONL file sink); default no-op.
     fn flush(&self) {}
-
-    /// Whether the sink reads an event's `ts_us`. A handle reads the
-    /// clock only when one of its sinks does; otherwise every event
-    /// keeps `ts_us` 0.
-    fn reads_clock(&self) -> bool {
-        true
-    }
 }
 
 /// Human-readable stderr sink (the `RPAS_LOG` target). This is the one
@@ -149,24 +142,21 @@ pub struct MemorySink {
     kept: Arc<Mutex<Kept>>,
 }
 
-/// A memory sink's log: each record closed onto the tape as it was shown
-/// (`Tape::close_raw`), and its `seq`, `ts_us`, `wall_us` and literals'
-/// base.
+/// A memory sink's log: a copy of each record it was shown, closed onto
+/// the tape, and its `seq`, `ts_us` and `wall_us`.
 #[derive(Default)]
 struct Kept {
     tape: Tape,
-    stamps: Vec<(u64, u64, Option<u64>, usize)>,
+    stamps: Vec<(u64, u64, Option<u64>)>,
 }
 
 impl Kept {
     /// Every record kept, as an event of its own.
     fn events(&self) -> Vec<Event> {
         let (mut at, mut byte) = (0, 0);
-        let event = |&(seq, ts_us, wall_us, base): &(u64, u64, Option<u64>, usize)| {
+        let event = |&(seq, ts_us, wall_us): &(u64, u64, Option<u64>)| {
             let mut event = Event::on(Tape::default());
-            let mut from = self.tape.cursor(byte);
-            from.statics = &from.statics[base..];
-            (at, byte) = event.tape.copy_record(from, at);
+            (at, byte) = event.tape.copy_record(self.tape.cursor(byte), at);
             (event.seq, event.ts_us, event.wall_us) = (seq, ts_us, wall_us);
             event
         };
@@ -218,11 +208,12 @@ impl Sink for MemorySink {
         Level::Debug
     }
 
-    /// The record appended to the sink's log as it is, and the stamps.
+    /// A copy of the record closed onto the sink's log, and the stamps.
     fn emit(&self, event: &Event) {
         self.with_kept(|kept| {
-            let base = kept.tape.close_raw(&event.tape);
-            kept.stamps.push((event.seq, event.ts_us, event.wall_us, base));
+            kept.tape.copy_open(&event.tape);
+            kept.tape.close();
+            kept.stamps.push((event.seq, event.ts_us, event.wall_us));
         });
     }
 }
@@ -238,8 +229,6 @@ struct Inner {
     /// Whether records stay on the tape: a capture's handle, which has no
     /// sinks.
     keeps: bool,
-    /// Whether any sink reads `ts_us` (see [`Sink::reads_clock`]).
-    clock: bool,
     /// Whether `nested` holds anything.
     pending: AtomicBool,
     /// The [`thread_token`] of the thread holding `event`, 0 when none:
@@ -304,32 +293,22 @@ impl Inner {
 
     fn show_sinks(&self, event: &mut Event, level: Level) {
         event.seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        if self.clock {
-            event.ts_us = SystemTime::now()
-                .duration_since(UNIX_EPOCH)
-                .map(|d| d.as_micros() as u64)
-                .unwrap_or(0);
-        }
+        event.ts_us =
+            SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_micros() as u64).unwrap_or(0);
         for sink in self.sinks.iter().filter(|s| level <= s.max_level()) {
             sink.emit(event);
         }
     }
 
-    /// Show `event`, built elsewhere, to this handle: to its sinks, and,
-    /// for a capture, a copy of the record onto its tape, at once, or,
-    /// while this thread is building on it, ahead of that record.
-    fn deliver(&self, event: &mut Event, level: Level) {
-        self.show(event, level);
-        if !self.keeps {
-            return;
-        }
-        if self.held_here() {
-            self.nested.lock().unwrap_or_else(PoisonError::into_inner).push(event.detached());
+    /// Deliver `event`, built apart by an emit nested in a build on this
+    /// handle: show it to the sinks at once, or, on a capture, keep it to
+    /// close ahead of the record being built.
+    #[cold]
+    fn deliver(&self, mut event: Event, level: Level) {
+        self.show(&mut event, level);
+        if self.keeps {
+            self.nested.lock().unwrap_or_else(PoisonError::into_inner).push(event);
             self.pending.store(true, Ordering::Relaxed);
-        } else {
-            let mut held = self.hold();
-            held.event.tape.copy_open(&event.tape);
-            self.close(&mut held.event);
         }
     }
 
@@ -395,8 +374,7 @@ impl Obs {
         let Some(max_level) = sinks.iter().map(|s| s.max_level()).max() else {
             return Self::noop();
         };
-        let clock = sinks.iter().any(|s| s.reads_clock());
-        Self::over(sinks, max_level, clock, Tape::default())
+        Self::over(sinks, max_level, Tape::default())
     }
 
     /// A capture: a handle that keeps every event, at every level, where
@@ -405,15 +383,14 @@ impl Obs {
     /// label` (a fleet tenant's trace). It reads no clock: a line's
     /// `ts_us` is 0.
     pub fn capture(label: String) -> Self {
-        Self::over(Vec::new(), Level::Debug, false, Tape::labelled(label))
+        Self::over(Vec::new(), Level::Debug, Tape::labelled(label))
     }
 
-    fn over(sinks: Vec<Box<dyn Sink>>, max_level: Level, clock: bool, tape: Tape) -> Self {
+    fn over(sinks: Vec<Box<dyn Sink>>, max_level: Level, tape: Tape) -> Self {
         let inner = Inner {
             keeps: sinks.is_empty(),
             sinks,
             max_level,
-            clock,
             seq: AtomicU64::new(0),
             event: Mutex::new(Event::on(tape)),
             holder: AtomicUsize::new(0),
@@ -514,18 +491,7 @@ impl Obs {
     /// builds finished, as on any other handle.
     #[inline]
     pub fn emit(&self, name: EventName, build: impl FnOnce(&mut Event)) {
-        self.emit_also(name, None, build);
-    }
-
-    /// As [`Obs::emit`], and deliver the same build to `also` too: the
-    /// event is built once, when either listens, on a capture's tape if
-    /// either is one, and the other handle's sinks are shown that record
-    /// (or, if it is a capture too, given a copy). A fleet tenant's
-    /// supervision facts go to the fleet's handle and the tenant's
-    /// capture this way.
-    #[inline]
-    pub fn emit_also(&self, name: EventName, also: Option<&Obs>, build: impl FnOnce(&mut Event)) {
-        self.emit_raw(name.level(), also, || Head::Entry(name), |event| {
+        self.emit_raw(name.level(), || Head::Entry(name), |event| {
             build(event);
             if cfg!(debug_assertions) {
                 for (key, _) in event.record() {
@@ -544,7 +510,7 @@ impl Obs {
     /// workspace code uses [`Obs::emit`] (rule E1, `clippy.toml`), and the next
     /// `benchmark` PR can move the ledger over and make both private.
     pub fn info(&self, span: &'static str, name: &'static str, build: impl FnOnce(&mut Event)) {
-        self.emit_raw(Level::Info, None, || Head::Named(Level::Info, span, name), build);
+        self.emit_raw(Level::Info, || Head::Named(Level::Info, span, name), build);
     }
 
     /// The dark path is this branch and nothing else: building the record
@@ -554,13 +520,11 @@ impl Obs {
     pub(crate) fn emit_raw(
         &self,
         level: Level,
-        also: Option<&Obs>,
         head: impl FnOnce() -> Head,
         build: impl FnOnce(&mut Event),
     ) {
-        let inner = self.inner.as_deref().filter(|i| level <= i.max_level);
-        if inner.is_some() || also.is_some() {
-            lit(head, inner, also, build);
+        if let Some(inner) = self.inner.as_deref().filter(|i| level <= i.max_level) {
+            lit(head, inner, build);
         }
     }
 
@@ -592,50 +556,29 @@ impl Obs {
 /// The lit path of an emit site: its record's head, and its build
 /// handed on as `dyn`.
 #[inline(never)]
-fn lit(
-    head: impl FnOnce() -> Head,
-    this: Option<&Inner>,
-    also: Option<&Obs>,
-    build: impl FnOnce(&mut Event),
-) {
+fn lit(head: impl FnOnce() -> Head, inner: &Inner, build: impl FnOnce(&mut Event)) {
     let mut build = Some(build);
     let build = &mut |event: &mut Event| build.take().map_or((), |build| build(event));
-    build_and_deliver(&head(), this, also, build);
+    build_and_deliver(&head(), inner, build);
 }
 
-/// Build the record on the listening handles' tape, a capture's if one
-/// is, then deliver it to the other: one instance for every emit site.
-fn build_and_deliver(
-    head: &Head,
-    this: Option<&Inner>,
-    also: Option<&Obs>,
-    build: &mut dyn FnMut(&mut Event),
-) {
+/// Build the record on the handle's tape and show it, or, nested in a
+/// build on the same handle, on a tape of its own and deliver it: one
+/// instance for every emit site.
+fn build_and_deliver(head: &Head, inner: &Inner, build: &mut dyn FnMut(&mut Event)) {
     let level = head.level();
-    let also = also.and_then(|o| o.inner.as_deref()).filter(|i| level <= i.max_level);
-    let (host, other) = match (this, also) {
-        (Some(a), Some(b)) if b.keeps && !a.keeps => (b, Some(a)),
-        (Some(a), b) => (a, b),
-        (None, Some(b)) => (b, None),
-        (None, None) => return,
-    };
-    if host.held_here() {
+    if inner.held_here() {
         let mut event = Event::opened(head);
         build(&mut event);
-        for inner in std::iter::once(host).chain(other) {
-            inner.deliver(&mut event, level);
-        }
+        inner.deliver(event, level);
         return;
     }
-    let mut held = host.hold();
+    let mut held = inner.hold();
     let event = &mut *held.event;
     event.open(head);
     build(event);
-    host.show(event, level);
-    if let Some(other) = other {
-        other.deliver(event, level);
-    }
-    host.close(event);
+    inner.show(event, level);
+    inner.close(event);
 }
 
 /// RAII wall-clock timer for a phase; see [`Obs::span`].
@@ -713,8 +656,7 @@ mod tests {
         });
     }
 
-    /// Every sink listening at an event's level is shown it, and so is a
-    /// handle given to `emit_also`, also when the handle itself is dark.
+    /// Every sink listening at an event's level is shown it.
     #[test]
     fn each_listening_sink_is_shown_the_event_once() {
         struct Counting(Arc<AtomicU64>, Level);
@@ -727,42 +669,15 @@ mod tests {
             }
         }
         let tally = || Arc::new(AtomicU64::new(0));
-        let (debug, info, also) = (tally(), tally(), tally());
+        let (debug, info) = (tally(), tally());
         let obs = Obs::multi(vec![
             Box::new(Counting(Arc::clone(&debug), Level::Debug)),
             Box::new(Counting(Arc::clone(&info), Level::Info)),
         ]);
         obs.emit(catalog::PLAN_SUMMARY, |_| {});
         obs.emit(catalog::PLAN_DECISION, |_| {});
-        let extra = Obs::with_sink(Box::new(Counting(Arc::clone(&also), Level::Debug)));
-        obs.emit_also(catalog::PLAN_DECISION, Some(&extra), |_| {});
-        Obs::noop().emit_also(catalog::PLAN_DECISION, Some(&extra), |_| {});
         let read = |t: &AtomicU64| t.load(Ordering::Relaxed);
-        assert_eq!((read(&debug), read(&info), read(&also)), (3, 1, 2));
-    }
-
-    /// The clock is read for an event when some sink of the handle reads
-    /// `ts_us`, and never for a handle whose sinks all ignore it.
-    #[test]
-    fn the_clock_is_read_only_for_a_sink_that_reads_it() {
-        struct Untimed(MemorySink);
-        impl Sink for Untimed {
-            fn max_level(&self) -> Level {
-                Level::Debug
-            }
-            fn emit(&self, e: &Event) {
-                self.0.emit(e);
-            }
-            fn reads_clock(&self) -> bool {
-                false
-            }
-        }
-        let (untimed, timed) = (MemorySink::new(), MemorySink::new());
-        Obs::with_sink(Box::new(Untimed(untimed.clone()))).emit(catalog::PLAN_DECISION, |_| {});
-        assert_eq!(untimed.events()[0].ts_us, 0);
-        let both = Obs::multi(vec![Box::new(Untimed(untimed.clone())), Box::new(timed.clone())]);
-        both.emit(catalog::PLAN_DECISION, |_| {});
-        assert!(untimed.events()[1].ts_us > 0 && timed.events()[0].ts_us > 0);
+        assert_eq!((read(&debug), read(&info)), (2, 1));
     }
 
     /// The events a capture rendered, by their field `key`, in order.
@@ -776,9 +691,8 @@ mod tests {
     /// An emit made inside a build on the same handle neither deadlocks
     /// nor loses a line: it is built apart and delivered at once, so a
     /// capture closes it ahead of the record whose build made it and a
-    /// sink is shown it first, in the order the builds finished. Nested
-    /// twice, and through another handle's `emit_also` to a capture
-    /// building further up the stack, the same.
+    /// sink is shown it first, in the order the builds finished, also
+    /// nested twice.
     #[test]
     fn an_emit_nested_in_a_build_lands_ahead_of_the_event_it_was_made_in() {
         let nest = |obs: &Obs| {
@@ -807,15 +721,6 @@ mod tests {
         let steps: Vec<_> = shown.iter().map(|e| (e.seq, e.get("step"))).collect();
         let expected = [3, 2, 1, 4].map(|s| Some(Value::U64(s)));
         assert_eq!(steps, (0..4).zip(expected).collect::<Vec<_>>());
-
-        capture.emit(catalog::SIM_STEP, |outer| {
-            outer.field("step", 5u64);
-            lit.emit_also(catalog::SIM_STEP, Some(&capture), |e| {
-                e.field("step", 6u64);
-            });
-        });
-        assert_eq!(rendered(&capture, "step"), [6.0, 5.0]);
-        assert_eq!(mem.drain()[0].get("step"), Some(Value::U64(6)));
     }
 
     /// A build that panics leaves its record open; the capture's lock is
@@ -876,6 +781,7 @@ mod tests {
         assert_eq!((ev[0].level(), ev[1].level()), (Level::Info, Level::Debug));
         assert_eq!(ev[0].seq, 0);
         assert_eq!(ev[1].seq, 1);
+        assert!(ev[0].ts_us > 0, "a lit handle stamps the clock");
     }
 
     #[test]

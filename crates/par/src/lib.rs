@@ -25,7 +25,7 @@
 //! seed-determinism of a parallel binary). A set-but-unusable override
 //! (unparsable or zero) is ignored in favour of the hardware count, and
 //! reported once per process as a `warn` obs event so misconfigured runs
-//! are visible (see `thread_override` for the inspectable form).
+//! are visible.
 #![warn(missing_docs)]
 // Library-code rules P1 / O1 (DESIGN.md §9); an exemption is a per-site `#[expect]`.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::print_stdout)]
@@ -34,37 +34,6 @@
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, Once};
-
-/// How the `RPAS_THREADS` environment override was interpreted.
-///
-/// This is the pool's debug info: [`worker_count`] consults the same
-/// classification, so a caller (or a test) can see exactly why a given
-/// thread count was chosen.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum ThreadOverride {
-    /// `RPAS_THREADS` is not set; the hardware parallelism is used.
-    Unset,
-    /// `RPAS_THREADS` is a positive integer and caps the pool at this.
-    Forced(usize),
-    /// `RPAS_THREADS` is set but unusable (unparsable or zero); it is
-    /// ignored in favour of the hardware count and reported via a
-    /// single `warn` obs event.
-    Ignored {
-        /// The raw value that could not be used.
-        raw: String,
-    },
-}
-
-/// Classify the current `RPAS_THREADS` setting without side effects.
-pub(crate) fn thread_override() -> ThreadOverride {
-    match std::env::var("RPAS_THREADS") {
-        Err(_) => ThreadOverride::Unset,
-        Ok(raw) => match raw.parse::<usize>() {
-            Ok(n) if n > 0 => ThreadOverride::Forced(n),
-            _ => ThreadOverride::Ignored { raw },
-        },
-    }
-}
 
 /// Report an ignored `RPAS_THREADS` override once per process.
 fn warn_ignored_override(raw: &str) {
@@ -77,17 +46,20 @@ fn warn_ignored_override(raw: &str) {
 }
 
 /// Worker threads to use for `jobs` independent jobs: the smaller of the
-/// machine's parallelism (or the `RPAS_THREADS` override) and the job
-/// count, and at least 1.
+/// machine's parallelism (or the `RPAS_THREADS` override, a positive
+/// integer; any other value is ignored and reported) and the job count,
+/// and at least 1.
 pub(crate) fn worker_count(jobs: usize) -> usize {
     let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let cap = match thread_override() {
-        ThreadOverride::Unset => hw,
-        ThreadOverride::Forced(n) => n,
-        ThreadOverride::Ignored { raw } => {
-            warn_ignored_override(&raw);
-            hw
-        }
+    let cap = match std::env::var("RPAS_THREADS") {
+        Err(_) => hw,
+        Ok(raw) => match raw.parse::<usize>() {
+            Ok(n) if n > 0 => n,
+            _ => {
+                warn_ignored_override(&raw);
+                hw
+            }
+        },
     };
     cap.min(jobs).max(1)
 }
@@ -318,28 +290,9 @@ impl WorkerPool {
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        if jobs == 0 {
-            return Vec::new();
-        }
-        if self.workers == 1 || jobs == 1 {
-            return (0..jobs).map(f).collect();
-        }
-        let mut slots: Vec<Option<T>> = Vec::with_capacity(jobs);
-        slots.resize_with(jobs, || None);
-        let base = SendPtr(slots.as_mut_ptr());
-        self.run(jobs, |i| {
-            let out = f(i);
-            // SAFETY: index `i` is claimed by exactly one worker and the
-            // slot vector outlives `run` (which blocks until all workers
-            // finish), so this write never aliases another.
-            unsafe {
-                *base.get().add(i) = Some(out);
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("worker filled every slot"))
-            .collect()
+        let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(jobs).collect();
+        self.for_each_mut(&mut slots, |i, slot| *slot = Some(f(i)));
+        slots.into_iter().map(|slot| slot.expect("worker filled every slot")).collect()
     }
 
     /// Apply `f(i, &mut items[i])` to every item in place. Each worker

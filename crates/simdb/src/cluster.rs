@@ -1,32 +1,35 @@
-//! The compute-node pool: scale-out/scale-in mechanics over shared storage.
+//! The compute-node pool: scale-out/scale-in mechanics over shared
+//! (disaggregated) storage. In the disaggregated architecture (Fig. 4 of
+//! the paper) every compute node attaches to one storage pool, so scaling
+//! out never migrates data: a new node only reads a checkpoint.
 
 use crate::node::ComputeNode;
-use crate::storage::SharedStorage;
 use crate::warmup::WarmupModel;
-use std::sync::Arc;
 
 /// A pool of compute nodes attached to one shared storage.
 #[derive(Debug)]
 pub(crate) struct Cluster {
     nodes: Vec<ComputeNode>,
     warmup: WarmupModel,
-    storage: Arc<SharedStorage>,
+    /// Size of the checkpoint a new node rebuilds from (GB).
+    checkpoint_gb: f64,
+    /// Checkpoint reads from the shared storage (one per node launched),
+    /// wrapping at `u64::MAX`.
+    checkpoint_reads: u64,
     scale_out_events: usize,
     scale_in_events: usize,
 }
 
 impl Cluster {
-    /// New cluster bootstrapped with `initial_nodes` already-active nodes.
-    pub(crate) fn new(
-        initial_nodes: u32,
-        warmup: WarmupModel,
-        storage: Arc<SharedStorage>,
-    ) -> Self {
+    /// New cluster bootstrapped with `initial_nodes` already-active nodes,
+    /// whose new nodes rebuild from a `checkpoint_gb` checkpoint.
+    pub(crate) fn new(initial_nodes: u32, warmup: WarmupModel, checkpoint_gb: f64) -> Self {
         let nodes = (0..initial_nodes).map(|_| ComputeNode::active(0)).collect::<Vec<_>>();
         Self {
             nodes,
             warmup,
-            storage,
+            checkpoint_gb,
+            checkpoint_reads: 0,
             scale_out_events: 0,
             scale_in_events: 0,
         }
@@ -49,9 +52,9 @@ impl Cluster {
         &self.nodes
     }
 
-    /// Shared storage handle.
-    pub(crate) fn storage(&self) -> &SharedStorage {
-        &self.storage
+    /// Checkpoint reads so far.
+    pub(crate) fn checkpoint_reads(&self) -> u64 {
+        self.checkpoint_reads
     }
 
     /// Scale-out operations performed so far.
@@ -86,8 +89,8 @@ impl Cluster {
         if target > current {
             self.scale_out_events += 1;
             for _ in 0..(target - current) {
-                let gb = self.storage.load_checkpoint();
-                let w = self.warmup.warmup_secs(gb) + extra_warmup_secs.max(0.0);
+                self.checkpoint_reads = self.checkpoint_reads.wrapping_add(1);
+                let w = self.warmup.warmup_secs(self.checkpoint_gb) + extra_warmup_secs.max(0.0);
                 self.nodes.push(ComputeNode::warming(w, step));
             }
         } else if target < current {
@@ -160,7 +163,7 @@ mod tests {
 
     fn cluster(n: u32) -> Cluster {
         let warmup = WarmupModel { attach_latency_secs: 1.0, rebuild_gb_per_sec: 2.0 };
-        Cluster::new(n, warmup, Arc::new(SharedStorage::new(4.0)))
+        Cluster::new(n, warmup, 4.0)
     }
 
     #[test]
@@ -177,7 +180,7 @@ mod tests {
         c.scale_to(5, 1);
         assert_eq!(c.size(), 5);
         assert_eq!(c.active_count(), 2);
-        assert_eq!(c.storage().stats().checkpoint_reads, 3);
+        assert_eq!(c.checkpoint_reads(), 3);
         assert_eq!(c.scale_out_events(), 1);
         // Warm-up = 1 + 4/2 = 3 s each.
         assert!((c.pending_warmup_secs() - 9.0).abs() < 1e-12);

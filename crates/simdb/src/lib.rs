@@ -30,7 +30,6 @@ mod policy;
 mod qos;
 mod report;
 mod simulator;
-mod storage;
 mod warmup;
 
 pub use faults::{FaultConfig, FaultCounts, FaultPlan, RecoveryStats};

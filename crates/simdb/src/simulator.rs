@@ -11,13 +11,11 @@ use crate::cluster::Cluster;
 use crate::faults::{recovery_stats, FaultCounts, FaultPlan};
 use crate::policy::{Observation, ScaleOutcome, ScalingPolicy};
 use crate::report::{SimulationReport, StepRecord};
-use crate::storage::SharedStorage;
 use crate::warmup::WarmupModel;
 use rpas_metrics::provisioning_rates_over;
 use rpas_obs::{catalog, Level, Obs};
 use rpas_telemetry::{Counter, HistogramHandle, Recorder, Telemetry};
 use rpas_traces::Trace;
-use std::sync::Arc;
 
 /// Simulation parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -58,9 +56,9 @@ const UTIL_BOUNDS: [f64; 7] = [0.25, 0.5, 0.75, 0.9, 1.0, 1.5, 2.0];
 ///
 /// It owns its workload (copied from the trace at construction), so it is
 /// `Send` and can be parked in a fleet's tenant table between ticks. It is
-/// deliberately not `Clone`: its cluster holds an `Arc<SharedStorage>`, so
-/// a clone would pool `checkpoint_reads` with the original; build one
-/// session per run instead.
+/// deliberately not `Clone`: its metrics are handles to registry cells, so
+/// a clone would pool its counts with the original's; build one session
+/// per run instead.
 pub struct SimSession {
     cfg: SimConfig,
     rec: Recorder,
@@ -84,14 +82,15 @@ impl SimSession {
     /// with the builders *before* the first [`SimSession::step`].
     ///
     /// # Panics
-    /// Panics on an empty trace, non-positive `theta`, or `min > max`.
+    /// Panics on an empty trace, non-positive `theta`, `min > max`, or a
+    /// negative checkpoint size.
     pub fn new(trace: &Trace, cfg: SimConfig) -> Self {
         assert!(!trace.is_empty(), "cannot simulate an empty trace");
         assert!(cfg.theta > 0.0, "theta must be positive");
         assert!(cfg.min_nodes <= cfg.max_nodes, "min_nodes must not exceed max_nodes");
         assert!(cfg.min_nodes >= 1, "a serving cluster needs at least one node");
-        let storage = Arc::new(SharedStorage::new(cfg.checkpoint_gb));
-        let cluster = Cluster::new(cfg.min_nodes, cfg.warmup, storage);
+        assert!(cfg.checkpoint_gb >= 0.0, "checkpoint size must be non-negative");
+        let cluster = Cluster::new(cfg.min_nodes, cfg.warmup, cfg.checkpoint_gb);
         let w = trace.as_slice().to_vec();
         Self {
             cfg,
@@ -329,7 +328,7 @@ impl SimSession {
             violation_rate,
             scale_out_events: cluster.scale_out_events(),
             scale_in_events: cluster.scale_in_events(),
-            checkpoint_reads: cluster.storage().stats().checkpoint_reads,
+            checkpoint_reads: cluster.checkpoint_reads(),
             faults: counts,
             recovery,
         };

@@ -363,17 +363,10 @@ impl Recorder {
     /// sink listens.
     #[inline]
     pub fn emit(&self, name: EventName, build: impl FnOnce(&mut Event)) {
-        self.emit_also(name, None, build);
-    }
-
-    /// As [`Recorder::emit`], the event shown to `also` too
-    /// ([`Obs::emit_also`]).
-    #[inline]
-    pub fn emit_also(&self, name: EventName, also: Option<&Obs>, build: impl FnOnce(&mut Event)) {
         if let Some(slot) = name.counter_slot() {
             self.counters[slot].inc(1);
         }
-        self.obs.emit_also(name, also, build);
+        self.obs.emit(name, build);
     }
 }
 

@@ -6,9 +6,8 @@
 //! keeps from the usual property-testing workflow:
 //!
 //! * fully deterministic cases: case `k` of a property always sees the
-//!   same inputs (seeds derive from a fixed base via
-//!   [`child_seed`](crate::rng::child_seed)), so a failure reproduces by
-//!   just re-running the test;
+//!   same inputs (seeds derive from a fixed base via [`child_seed`]), so
+//!   a failure reproduces by just re-running the test;
 //! * a failure report naming the property, the case index, and the case
 //!   seed alongside the assertion message.
 //!

@@ -30,7 +30,9 @@
 #      only). Its time is printed; ~15 s on a 2-core host.
 #   7. clippy with -D warnings: its default set plus the workspace's static
 #      rules D2 / D3 / O1 / P1 / F1 / E1 (clippy.toml; DESIGN.md §9).
-#   8. The benchmark ledger's self-check (`--check`, BENCHMARK.json), the
+#   8. rustdoc with -D warnings: every intra-doc link resolves, and none
+#      points at a private item from a public one's docs.
+#   9. The benchmark ledger's self-check (`--check`, BENCHMARK.json), the
 #      only timing gate. The dark telemetry path and the supervised steady
 #      tick are held by allocation counts in step 2 (crates/bench/tests/
 #      alloc_emit.rs, alloc_ratchet.rs); the ledger reports their time
@@ -91,6 +93,9 @@ echo "ok: every tick resumes byte-identically ($((SECONDS - start)) s)"
 
 echo "== clippy: default set + static rules (clippy.toml; DESIGN.md §9) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
+
+echo "== rustdoc: every intra-doc link resolves =="
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 
 echo "== decision-cycle ledger self-check (BENCHMARK.json workloads) =="
 # Every ledger workload twice for 1.5 s: both runs must verify their

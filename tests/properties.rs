@@ -2,8 +2,8 @@
 //! that must hold for arbitrary forecasts, thresholds, and strategies.
 
 use rpas::core::{
-    smooth_plan, uncertainty_at, AdaptiveConfig, CapacityPlan, PlanningBackend,
-    RobustAutoScalingManager, ScalingStrategy, StaircaseLevel, ThrashConfig,
+    uncertainty_at, AdaptiveConfig, CapacityPlan, PlanningBackend, RobustAutoScalingManager,
+    ScalingStrategy, StaircaseLevel, ThrashConfig, ThrashLimited,
 };
 use rpas::forecast::{ForecastError, QuantileForecast};
 use rpas::tsmath::Matrix;
@@ -252,38 +252,34 @@ fn uncertainty_nonnegative() {
     });
 }
 
-#[test]
-fn smoothing_respects_delta_limit() {
-    forall("smoothing_respects_delta_limit", 48, |g| {
-        let qf = random_forecast(g);
-        let max_delta = g.u32_in(1, 4);
-        let initial = g.u32_in(1, 10);
-        let plan = plan_fixed(&qf, 0.9, 60.0);
-        let cfg = ThrashConfig { max_step_delta: max_delta, direction_cooldown: 0 };
-        let smoothed = smooth_plan(&plan, initial, cfg, false);
-        let mut prev = initial;
-        for t in 0..smoothed.len() {
-            let d = (smoothed.at(t) as i64 - prev as i64).unsigned_abs() as u32;
-            prop_assert!(d <= max_delta, "delta {d} at step {t}");
-            prev = smoothed.at(t);
-        }
-        Ok(())
-    });
+/// An inner policy asking for `wants[step]`.
+struct Scripted(Vec<u32>);
+
+impl rpas::simdb::ScalingPolicy for Scripted {
+    fn name(&self) -> &'static str {
+        "scripted"
+    }
+    fn decide(&mut self, obs: &rpas::simdb::Observation<'_>) -> u32 {
+        self.0[obs.step]
+    }
 }
 
 #[test]
-fn smoothing_with_burst_up_never_below_plain_smoothing() {
-    forall("smoothing_with_burst_up_never_below_plain_smoothing", 48, |g| {
-        // Burst-up smoothing is at least as protective as symmetric
-        // smoothing (it can only allocate more).
-        let qf = random_forecast(g);
-        let initial = g.u32_in(1, 10);
-        let plan = plan_fixed(&qf, 0.9, 60.0);
-        let cfg = ThrashConfig { max_step_delta: 1, direction_cooldown: 0 };
-        let a = smooth_plan(&plan, initial, cfg, true);
-        let b = smooth_plan(&plan, initial, cfg, false);
-        for t in 0..plan.len() {
-            prop_assert!(a.at(t) >= b.at(t));
+fn smoothing_respects_delta_limit() {
+    forall("smoothing_respects_delta_limit", 48, |g| {
+        // Whatever the inner policy asks for, with or without a cooldown,
+        // consecutive granted targets differ by at most `max_step_delta`.
+        let max_delta = g.u32_in(1, 4);
+        let cfg = ThrashConfig { max_step_delta: max_delta, direction_cooldown: g.usize_in(0, 4) };
+        let wants: Vec<u32> = (0..g.usize_in(1, 24)).map(|_| g.u32_in(0, 40)).collect();
+        let mut limited = ThrashLimited::new(Scripted(wants.clone()), cfg);
+        let mut prev = g.u32_in(1, 10);
+        for step in 0..wants.len() {
+            let obs = rpas::simdb::Observation::new(step, &[], prev, 60.0, 1);
+            let granted = rpas::simdb::ScalingPolicy::decide(&mut limited, &obs);
+            let d = granted.abs_diff(prev);
+            prop_assert!(d <= max_delta, "delta {d} at step {step}");
+            prev = granted;
         }
         Ok(())
     });

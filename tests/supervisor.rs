@@ -13,7 +13,7 @@ use rpas::core::{
     FleetConfig, FleetEngine, FleetReport, FleetSupervisor, ReplanSchedule, SupervisorConfig,
     TenantHealth,
 };
-use rpas::obs::Obs;
+use rpas::obs::{catalog, validate_line, MemorySink, Obs};
 use rpas::simdb::{FaultConfig, Observation, PolicyHealth, ScalingPolicy};
 use rpas::telemetry::{SloSpec, Telemetry};
 
@@ -190,6 +190,50 @@ fn poisoned_tenant_is_isolated_quarantined_and_surfaced() {
     let expo = tel.snapshot().exposition();
     assert!(expo.contains("supervisor.panics"), "missing panic counter:\n{expo}");
     assert!(expo.contains("supervisor.quarantines"), "missing quarantine counter:\n{expo}");
+}
+
+/// Each supervision fact reaches every path once: one event carrying
+/// `tenant` in the sink of the fleet's handle, one line among the
+/// tenant's captured ones, and, for a counted fact, its counter equal to
+/// both.
+#[test]
+fn each_supervision_fact_reaches_the_fleet_sinks_and_the_capture_once() {
+    let cfg = fleet_cfg(8);
+    let tel = Telemetry::live();
+    let mem = MemorySink::new();
+    let mut engine =
+        FleetEngine::with_telemetry(&cfg, &tel).with_obs(Obs::with_sink(Box::new(mem.clone())));
+    engine.set_policy(5, Box::new(AlwaysPanics));
+    let mut sup = FleetSupervisor::wrap_with(engine, SupervisorConfig::default(), &tel);
+    let hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    sup.run_to_completion();
+    std::panic::set_hook(hook);
+    let report = sup.finish();
+    let (shown, snapshot) = (mem.events(), tel.snapshot());
+    let captured: Vec<_> =
+        report.trace_lines.iter().map(|l| validate_line(l).expect("a schema-v1 line")).collect();
+    let mut facts = 0;
+    for name in catalog::ALL.iter().filter(|n| n.span() == "supervisor") {
+        let sunk: Vec<_> = shown.iter().filter(|e| e.is(*name)).collect();
+        assert!(
+            sunk.iter().all(|e| e.get("tenant") == Some("t0005".into())),
+            "{name} reached the sink without the poisoned tenant's id"
+        );
+        let kept = captured
+            .iter()
+            .filter(|l| (l.span.as_str(), l.event.as_str()) == (name.span(), name.name()))
+            .inspect(|l| assert_eq!(l.fields["tenant"].as_str(), Some("t0005")))
+            .count();
+        assert_eq!(sunk.len(), kept, "{name}: sink against capture");
+        if let Some(metric) = name.counter() {
+            let counted = snapshot.counter_value(&format!("{metric}{{tenant=\"t0005\"}}"));
+            assert_eq!(counted, Some(kept as u64), "{name}: counter against capture");
+        }
+        facts += kept;
+    }
+    let panics = shown.iter().filter(|e| e.is(catalog::SUPERVISOR_PANIC)).count();
+    assert!(panics > 1 && facts > panics, "the poisoned tenant made too few facts: {facts}");
 }
 
 #[test]

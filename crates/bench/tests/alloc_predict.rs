@@ -21,6 +21,9 @@
 //! `QuantilePredictivePolicy` adds the workload row and the plan, which is
 //! moved into the policy, not copied.
 //!
+//! The MLP reads each step's quantiles from a `Normal` or `StudentT` on
+//! the stack; it used to box one per horizon step.
+//!
 //! TFT training runs attention on the one query row its loss reads
 //! (`MultiHeadAttention::forward_last` / `backward_last`); the fit row
 //! measures the bytes one more training window costs, so the all-rows
@@ -32,8 +35,9 @@
 use rpas_bench::alloc;
 use rpas_core::{QuantilePredictivePolicy, ReplanSchedule, RobustAutoScalingManager, ScalingStrategy};
 use rpas_forecast::{
-    Arima, ArimaConfig, DeepAr, DeepArConfig, Forecaster, HoltWinters, HoltWintersConfig,
-    LastValue, SeasonalNaive, Tft, TftConfig, SCALING_LEVELS,
+    Arima, ArimaConfig, DeepAr, DeepArConfig, DistKind, Forecaster, HoltWinters,
+    HoltWintersConfig, LastValue, MlpProb, MlpProbConfig, SeasonalNaive, Tft, TftConfig,
+    SCALING_LEVELS,
 };
 use rpas_simdb::{Observation, ScaleOutcome, ScalingPolicy};
 
@@ -44,6 +48,11 @@ static ALLOC: alloc::CountingAlloc = alloc::CountingAlloc;
 const MAX_DEEPAR_ALLOCS: u64 = 32;
 /// Ceiling on allocator calls per TFT predict.
 const MAX_TFT_ALLOCS: u64 = 64;
+
+/// Ceiling on allocator calls per MLP predict with one hidden layer
+/// (measured 7; 7 plus one per horizon step when each step's
+/// distribution was boxed).
+const MAX_MLP_ALLOCS: u64 = 8;
 
 /// Ceiling on bytes allocated per TFT training window at the ledger's
 /// shape (context 72, `d_model` 32, 4 heads, 7 levels): 1 206 016 B on the
@@ -160,9 +169,9 @@ fn tft_fit_bytes_per_window(series: &[f64]) {
     );
 }
 
-/// One Gaussian forecaster's predict: at most `ceiling` allocator calls,
-/// and as many at horizon 72 as at horizon 8.
-fn gaussian_allocations_are_constant_in_horizon(
+/// One forecaster's predict: at most `ceiling` allocator calls, and as
+/// many at horizon 72 as at horizon 8.
+fn allocations_are_constant_in_horizon(
     mut model: impl Forecaster,
     series: &[f64],
     ceiling: u64,
@@ -214,13 +223,24 @@ fn predict_allocations_are_constant_in_problem_size() {
     deepar_allocations_are_constant_in_paths_and_horizon(&series);
     tft_allocations_are_constant_in_context(&series);
     tft_fit_bytes_per_window(&series);
-    gaussian_allocations_are_constant_in_horizon(SeasonalNaive::new(24), &series, 3);
-    gaussian_allocations_are_constant_in_horizon(LastValue::new(), &series, 3);
-    gaussian_allocations_are_constant_in_horizon(Arima::new(ArimaConfig::default()), &series, 14);
-    gaussian_allocations_are_constant_in_horizon(
+    allocations_are_constant_in_horizon(SeasonalNaive::new(24), &series, 3);
+    allocations_are_constant_in_horizon(LastValue::new(), &series, 3);
+    allocations_are_constant_in_horizon(Arima::new(ArimaConfig::default()), &series, 14);
+    allocations_are_constant_in_horizon(
         HoltWinters::new(HoltWintersConfig { period: 24, ..HoltWintersConfig::default() }),
         &series,
         5,
     );
+    for dist in [DistKind::Gaussian, DistKind::StudentT] {
+        let cfg = MlpProbConfig {
+            hidden: vec![16],
+            dist,
+            epochs: 1,
+            windows_per_epoch: 4,
+            seed: 5,
+            ..MlpProbConfig::default()
+        };
+        allocations_are_constant_in_horizon(MlpProb::new(cfg), &series, MAX_MLP_ALLOCS);
+    }
     replan_moves_its_plan(&series);
 }

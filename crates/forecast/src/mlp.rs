@@ -106,20 +106,6 @@ impl MlpProb {
         self
     }
 
-    /// Per-step distribution for the head outputs at step `h` (z-scores).
-    fn step_distribution(&self, out: &[f64], h: usize) -> Box<dyn Distribution> {
-        let k = self.params_per_step;
-        let mu = out[h * k];
-        let sigma = softplus(out[h * k + 1]) + SIGMA_FLOOR;
-        match self.cfg.dist {
-            DistKind::Gaussian => Box::new(Normal::new(mu, sigma)),
-            DistKind::StudentT => {
-                let nu = NU_OFFSET + softplus(out[h * k + 2]);
-                Box::new(StudentT::new(mu, sigma, nu))
-            }
-        }
-    }
-
     /// Forward `ctx`, add the mean per-step NLL of `tgt` under the head's
     /// distributions into `loss`, and back-propagate it through `net`
     /// (gradients accumulate there). Returns `d loss / d ctx`.
@@ -213,10 +199,17 @@ impl Forecaster for MlpProb {
         window::require_finite(self.name(), "head output", &out)?;
 
         let mut values = Matrix::zeros(horizon, levels.len());
-        for h in 0..horizon {
-            let dist = self.step_distribution(&out, h);
-            for (i, &l) in levels.iter().enumerate() {
-                values[(h, i)] = scaler.inverse(dist.quantile(l));
+        for (h, o) in out.chunks_exact(self.params_per_step).take(horizon).enumerate() {
+            // The step's distribution over z-scores, on the stack.
+            let (mu, sigma) = (o[0], softplus(o[1]) + SIGMA_FLOOR);
+            let mut fill = |dist: &dyn Distribution| {
+                for (i, &l) in levels.iter().enumerate() {
+                    values[(h, i)] = scaler.inverse(dist.quantile(l));
+                }
+            };
+            match self.cfg.dist {
+                DistKind::Gaussian => fill(&Normal::new(mu, sigma)),
+                DistKind::StudentT => fill(&StudentT::new(mu, sigma, NU_OFFSET + softplus(o[2]))),
             }
         }
         QuantileForecast::new(levels.to_vec(), values)

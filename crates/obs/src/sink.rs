@@ -16,7 +16,7 @@ use crate::catalog::{self, EventName};
 use crate::event::{Event, Head, Level, Value};
 use crate::tape::Tape;
 use std::io::Write;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
@@ -229,20 +229,15 @@ struct Inner {
     /// Whether records stay on the tape: a capture's handle, which has no
     /// sinks.
     keeps: bool,
-    /// Whether `nested` holds anything.
-    pending: AtomicBool,
     /// The [`thread_token`] of the thread holding `event`, 0 when none:
     /// an emit that finds its own thread here is nested in a build (or a
-    /// sink) on this handle.
+    /// sink) on this handle, and is refused ([`Inner::hold`]).
     holder: AtomicUsize,
     /// The event every record is built in, on a capture's tape or on a
     /// scratch tape the sinks read each record from, emptied after.
     event: Mutex<Event>,
     sinks: Vec<Box<dyn Sink>>,
     seq: AtomicU64,
-    /// Copies of records that reached this capture from a nested emit,
-    /// closed ahead of the record being built when it closes.
-    nested: Mutex<Vec<Event>>,
 }
 
 /// A handle's event, locked, with this thread its holder until dropped.
@@ -269,8 +264,19 @@ fn thread_token() -> usize {
 impl Inner {
     /// Lock the event, this thread its holder. A build that panicked
     /// left its record open, and the next [`Event::open`] drops it.
+    ///
+    /// # Panics
+    /// If this thread holds it already, in a build or a sink on this
+    /// handle: it would wait for ever on its own lock.
     #[inline]
+    #[expect(clippy::panic, reason = "the alternative is a thread waiting on its own lock for ever")]
     fn hold(&self) -> Held<'_> {
+        if self.held_here() {
+            panic!(
+                "rpas-obs: an emit inside a build or a sink on the same `Obs` handle; this \
+                 thread holds the handle's lock, so the emit would deadlock"
+            );
+        }
         let event = self.event.lock().unwrap_or_else(PoisonError::into_inner);
         self.holder.store(thread_token(), Ordering::Relaxed);
         Held { inner: self, event }
@@ -280,59 +286,6 @@ impl Inner {
     #[inline]
     fn held_here(&self) -> bool {
         self.holder.load(Ordering::Relaxed) == thread_token()
-    }
-
-    /// Stamp `event` and show it to every sink listening at `level` (a
-    /// capture has none).
-    #[inline]
-    fn show(&self, event: &mut Event, level: Level) {
-        if !self.keeps {
-            self.show_sinks(event, level);
-        }
-    }
-
-    fn show_sinks(&self, event: &mut Event, level: Level) {
-        event.seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        event.ts_us =
-            SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_micros() as u64).unwrap_or(0);
-        for sink in self.sinks.iter().filter(|s| level <= s.max_level()) {
-            sink.emit(event);
-        }
-    }
-
-    /// Deliver `event`, built apart by an emit nested in a build on this
-    /// handle: show it to the sinks at once, or, on a capture, keep it to
-    /// close ahead of the record being built.
-    #[cold]
-    fn deliver(&self, mut event: Event, level: Level) {
-        self.show(&mut event, level);
-        if self.keeps {
-            self.nested.lock().unwrap_or_else(PoisonError::into_inner).push(event);
-            self.pending.store(true, Ordering::Relaxed);
-        }
-    }
-
-    /// End the record open on `event`: a capture closes it, after any
-    /// nested ones; any other handle empties its scratch tape.
-    #[inline]
-    fn close(&self, event: &mut Event) {
-        if !self.keeps {
-            event.tape.clear();
-            return;
-        }
-        if self.pending.load(Ordering::Relaxed) {
-            self.close_nested(event);
-        }
-        event.tape.close();
-    }
-
-    /// Close the records nested emits delivered ahead of the open one.
-    #[cold]
-    fn close_nested(&self, event: &mut Event) {
-        self.pending.store(false, Ordering::Relaxed);
-        let nested =
-            std::mem::take(&mut *self.nested.lock().unwrap_or_else(PoisonError::into_inner));
-        event.tape.close_ahead(&nested);
     }
 }
 
@@ -394,8 +347,6 @@ impl Obs {
             seq: AtomicU64::new(0),
             event: Mutex::new(Event::on(tape)),
             holder: AtomicUsize::new(0),
-            pending: AtomicBool::new(false),
-            nested: Mutex::default(),
         };
         Self { inner: Some(Arc::new(inner)) }
     }
@@ -484,11 +435,10 @@ impl Obs {
     /// at the event's level. A debug build checks that every key it set is
     /// one the event's catalogue entry declares.
     ///
-    /// An emit on a handle from inside a build (or a sink) on that same
-    /// handle is built apart and delivered at once: a sink is shown it
-    /// before the event whose build made it, and a capture closes it
-    /// ahead of that event's record, so lines come in the order their
-    /// builds finished, as on any other handle.
+    /// # Panics
+    /// If called from inside a build (or a sink) on this same handle:
+    /// the build holds the handle's lock, so the emit would deadlock. An
+    /// emit on another handle from inside a build is fine.
     #[inline]
     pub fn emit(&self, name: EventName, build: impl FnOnce(&mut Event)) {
         self.emit_raw(name.level(), || Head::Entry(name), |event| {
@@ -562,23 +512,24 @@ fn lit(head: impl FnOnce() -> Head, inner: &Inner, build: impl FnOnce(&mut Event
     build_and_deliver(&head(), inner, build);
 }
 
-/// Build the record on the handle's tape and show it, or, nested in a
-/// build on the same handle, on a tape of its own and deliver it: one
-/// instance for every emit site.
+/// Build the record on the handle's tape, then close it where it stays
+/// (a capture), or stamp it, show it to every sink listening at its level
+/// and empty the scratch tape: one instance for every emit site.
 fn build_and_deliver(head: &Head, inner: &Inner, build: &mut dyn FnMut(&mut Event)) {
-    let level = head.level();
-    if inner.held_here() {
-        let mut event = Event::opened(head);
-        build(&mut event);
-        inner.deliver(event, level);
-        return;
-    }
     let mut held = inner.hold();
     let event = &mut *held.event;
     event.open(head);
     build(event);
-    inner.show(event, level);
-    inner.close(event);
+    if inner.keeps {
+        return event.tape.close();
+    }
+    event.seq = inner.seq.fetch_add(1, Ordering::Relaxed);
+    event.ts_us =
+        SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_micros() as u64).unwrap_or(0);
+    for sink in inner.sinks.iter().filter(|s| head.level() <= s.max_level()) {
+        sink.emit(event);
+    }
+    event.tape.clear();
 }
 
 /// RAII wall-clock timer for a phase; see [`Obs::span`].
@@ -688,39 +639,74 @@ mod tests {
         lines.iter().map(|l| read(l).expect("a line with the key")).collect()
     }
 
-    /// An emit made inside a build on the same handle neither deadlocks
-    /// nor loses a line: it is built apart and delivered at once, so a
-    /// capture closes it ahead of the record whose build made it and a
-    /// sink is shown it first, in the order the builds finished, also
-    /// nested twice.
+    /// Run `f`, which must be refused as an emit nested on its own handle.
+    fn refused(f: impl FnOnce()) {
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .expect_err("a nested emit is refused");
+        let message = panic.downcast_ref::<&str>().copied().unwrap_or_default();
+        assert!(message.contains("so the emit would deadlock"), "{message:?}");
+    }
+
+    /// A sink that, shown a `plan/summary`, emits on its own handle.
+    struct Echo(Arc<std::sync::OnceLock<Obs>>);
+
+    impl Sink for Echo {
+        fn max_level(&self) -> Level {
+            Level::Debug
+        }
+        fn emit(&self, event: &Event) {
+            if let Some(obs) = self.0.get().filter(|_| event.is(catalog::PLAN_SUMMARY)) {
+                obs.emit(catalog::PLAN_DECISION, |_| {});
+            }
+        }
+    }
+
+    /// An emit inside a build (or a sink) on its own handle would wait on
+    /// the lock its own thread holds, so it panics, and the handle keeps
+    /// working: a capture renders only whole records, a sink handle's
+    /// `seq` goes on. An emit on another handle inside a build lands.
     #[test]
-    fn an_emit_nested_in_a_build_lands_ahead_of_the_event_it_was_made_in() {
-        let nest = |obs: &Obs| {
-            obs.emit(catalog::SIM_STEP, |outer| {
-                outer.field("step", 1u64);
-                obs.emit(catalog::SIM_STEP, |inner| {
-                    inner.field("step", 2u64);
-                    obs.emit(catalog::SIM_STEP, |e| {
-                        e.field("step", 3u64);
-                    });
-                });
-                outer.field("violation", true);
-            });
+    fn an_emit_nested_in_a_build_on_its_own_handle_is_refused() {
+        let step = |obs: &Obs, step: u64| {
             obs.emit(catalog::SIM_STEP, |e| {
-                e.field("step", 4u64);
+                e.field("step", step);
             });
+        };
+        let nest = |obs: &Obs| {
+            step(obs, 0);
+            refused(|| {
+                obs.emit(catalog::SIM_STEP, |outer| {
+                    outer.field("step", 1u64);
+                    step(obs, 2);
+                });
+            });
+            step(obs, 3);
         };
         let capture = Obs::capture("t0007".into());
         nest(&capture);
-        assert_eq!(rendered(&capture, "step"), [3.0, 2.0, 1.0, 4.0]);
+        assert_eq!(rendered(&capture, "step"), [0.0, 3.0]);
 
         let mem = MemorySink::new();
         let lit = Obs::with_sink(Box::new(mem.clone()));
         nest(&lit);
         let shown = mem.drain();
         let steps: Vec<_> = shown.iter().map(|e| (e.seq, e.get("step"))).collect();
-        let expected = [3, 2, 1, 4].map(|s| Some(Value::U64(s)));
-        assert_eq!(steps, (0..4).zip(expected).collect::<Vec<_>>());
+        assert_eq!(steps, [(0, Some(Value::U64(0))), (1, Some(Value::U64(3)))]);
+
+        let handle = Arc::new(std::sync::OnceLock::new());
+        let echoing = Obs::multi(vec![Box::new(mem.clone()), Box::new(Echo(Arc::clone(&handle)))]);
+        handle.set(echoing.clone()).expect("set once");
+        refused(|| echoing.emit(catalog::PLAN_SUMMARY, |_| {}));
+        step(&echoing, 3);
+        let shown: Vec<_> = mem.drain().iter().map(|e| (e.seq, e.is(catalog::SIM_STEP))).collect();
+        assert_eq!(shown, [(0, false), (1, true)]);
+
+        capture.emit(catalog::SIM_STEP, |e| {
+            e.field("step", 4u64);
+            step(&lit, 5);
+        });
+        assert_eq!(rendered(&capture, "step"), [4.0]);
+        assert_eq!(mem.drain().iter().map(|e| e.seq).collect::<Vec<_>>(), [2]);
     }
 
     /// A build that panics leaves its record open; the capture's lock is

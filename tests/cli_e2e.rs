@@ -520,6 +520,36 @@ fn backtest_runs_holt_winters() {
     }
 }
 
+/// Every other test here runs the binary at `RPAS_LOG` `off`, `warn` or
+/// `info`; at `debug` the stderr sink is shown every debug event too, and
+/// no command may panic on one. A fleet tenant's debug events go to its
+/// capture and the trace file, not to stderr.
+#[test]
+fn debug_logging_runs_fleet_backtest_and_chaos_clean() {
+    let dir = tmpdir("debug");
+    let trace = dir.join("fleet.jsonl");
+    let trace = trace.to_str().expect("utf8");
+    let fleet = ["fleet", "--tenants", "4", "--days", "2", "--faults", "heavy", "--trace-out", trace];
+    let runs: [(&[&str], bool); 3] = [
+        (&fleet, false),
+        (&["backtest", "--model", "seasonal-naive"], true),
+        (&["chaos", "--days", "4"], true),
+    ];
+    for (args, shows_debug) in runs {
+        let out = cli()
+            .env("RPAS_PROFILE", "quick")
+            .env("RPAS_LOG", "debug")
+            .args(args)
+            .output()
+            .expect("run cli");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert_eq!(err.contains("\n[debug] "), shows_debug, "{args:?}: {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn fatal_error_reaches_stderr_even_with_logging_off() {
     // `scripts/verify.sh` runs nearly every step under RPAS_LOG=off; a

@@ -6,7 +6,7 @@ use crate::activation::{ActLayer, Activation};
 use crate::kmajor::KMajorDense;
 use crate::linear::Dense;
 use crate::{Layer, Param};
-use rpas_tsmath::elementary::sigmoid;
+use rpas_tsmath::elementary::{sigmoid, sigmoid_in_place};
 use rpas_tsmath::rng::RngCore;
 
 /// Layer normalisation with learned gain `γ` and bias `β`.
@@ -239,8 +239,9 @@ impl GrnView<'_> {
         self.fc2.apply_into(h, u);
         self.gate.apply_into(u, g);
         self.lin.apply_into(u, l);
+        sigmoid_in_place(g);
         for (gi, li) in g.iter_mut().zip(l.iter()) {
-            *gi = sigmoid(*gi) * li;
+            *gi *= li;
         }
         // `l` and `u` are free again: the projected residual and the sum.
         let residual = match &self.skip {

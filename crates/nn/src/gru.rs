@@ -6,7 +6,7 @@
 
 use crate::kmajor::KMajorGate;
 use crate::{Layer, Param};
-use rpas_tsmath::elementary::{sigmoid, tanh};
+use rpas_tsmath::elementary::{sigmoid, sigmoid_in_place, tanh, tanh_in_place};
 use rpas_tsmath::rng::RngCore;
 use rpas_tsmath::vector;
 
@@ -231,7 +231,7 @@ pub struct GruStepper<'a> {
     z: Vec<f64>,
     r: Vec<f64>,
     rh: Vec<f64>,
-    /// Candidate pre-activation `a_h`; `tanh` is applied as it is consumed.
+    /// Candidate pre-activation `a_h`, then (in place) `h̃ = tanh(a_h)`.
     ah: Vec<f64>,
 }
 
@@ -256,15 +256,16 @@ impl GruStepper<'_> {
     pub fn step(&mut self, x: &[f64]) -> &[f64] {
         assert_eq!(x.len(), self.input_dim, "GruStepper: input dim mismatch");
         self.update.pre_activation(x, &self.h, &mut self.z);
-        self.z.iter_mut().for_each(|a| *a = sigmoid(*a));
+        sigmoid_in_place(&mut self.z);
         self.reset.pre_activation(x, &self.h, &mut self.r);
-        self.r.iter_mut().for_each(|a| *a = sigmoid(*a));
+        sigmoid_in_place(&mut self.r);
         for ((rh, &r), &h) in self.rh.iter_mut().zip(&self.r).zip(&self.h) {
             *rh = r * h;
         }
         self.candidate.pre_activation(x, &self.rh, &mut self.ah);
-        for ((h, &z), &a) in self.h.iter_mut().zip(&self.z).zip(&self.ah) {
-            *h = (1.0 - z) * *h + z * tanh(a);
+        tanh_in_place(&mut self.ah);
+        for ((h, &z), &h_tilde) in self.h.iter_mut().zip(&self.z).zip(&self.ah) {
+            *h = (1.0 - z) * *h + z * h_tilde;
         }
         &self.h
     }

@@ -5,7 +5,7 @@
 
 use crate::kmajor::KMajorGate;
 use crate::{Layer, Param};
-use rpas_tsmath::elementary::{sigmoid, tanh};
+use rpas_tsmath::elementary::{sigmoid, sigmoid_in_place, tanh, tanh_in_place};
 use rpas_tsmath::rng::RngCore;
 use rpas_tsmath::vector;
 
@@ -291,17 +291,22 @@ impl LstmStepper<'_> {
         self.forget.pre_activation(x, &self.h, &mut self.f);
         self.output.pre_activation(x, &self.h, &mut self.o);
         self.candidate.pre_activation(x, &self.h, &mut self.g);
-        // One pass per nonlinearity, then the state update: short
-        // independent iterations run faster than one loop that chains
-        // tanh(g) → c → tanh(c) per unit (DESIGN.md §13). Same arithmetic.
-        for a in self.i.iter_mut().chain(&mut self.f).chain(&mut self.o) {
-            *a = sigmoid(*a);
+        // One whole-row pass per nonlinearity (DESIGN.md §13), then the
+        // cell state, then `h = o ∘ tanh(c)` as a tanh pass over a copy of
+        // `c` and a multiply: IEEE multiplication commutes, so each `h` is
+        // the reference cell's bits.
+        for gate in [&mut self.i, &mut self.f, &mut self.o] {
+            sigmoid_in_place(gate);
         }
-        self.g.iter_mut().for_each(|a| *a = tanh(*a));
-        let gates = self.i.iter().zip(&self.f).zip(&self.o).zip(&self.g);
-        for ((h, c), (((&i, &f), &o), &g)) in self.h.iter_mut().zip(&mut self.c).zip(gates) {
+        tanh_in_place(&mut self.g);
+        let gates = self.i.iter().zip(&self.f).zip(&self.g);
+        for (c, ((&i, &f), &g)) in self.c.iter_mut().zip(gates) {
             *c = f * *c + i * g;
-            *h = o * tanh(*c);
+        }
+        self.h.copy_from_slice(&self.c);
+        tanh_in_place(&mut self.h);
+        for (h, &o) in self.h.iter_mut().zip(&self.o) {
+            *h *= o;
         }
         &self.h
     }

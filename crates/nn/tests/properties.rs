@@ -51,9 +51,10 @@ fn gru_state_stays_bounded() {
 #[test]
 fn gru_stepper_matches_apply_bit_for_bit() {
     // The stepper reorders loops, not sums: every hidden size — below,
-    // at, and off a multiple of its row block — must reproduce the plain
-    // reference cell exactly, over several chained steps.
-    const HIDDEN: [usize; 8] = [1, 3, 7, 8, 9, 31, 48, 67];
+    // at, and off a multiple of either instance's row block (8, or 16 on
+    // an AVX2 host) — must reproduce the plain reference cell exactly,
+    // over several chained steps.
+    const HIDDEN: [usize; 12] = [1, 3, 7, 8, 9, 15, 16, 17, 31, 33, 48, 67];
     forall("gru_stepper_matches_apply_bit_for_bit", 96, |g| {
         let mut r = seeded(g.u64());
         let hidden = HIDDEN[g.usize_in(0, HIDDEN.len())];
@@ -106,9 +107,9 @@ fn lstm_hidden_bounded_by_one() {
 #[test]
 fn lstm_stepper_matches_apply_bit_for_bit() {
     // Same kernel, same contract as the GRU stepper: every hidden size —
-    // below, at, and off a multiple of the row block — reproduces the
+    // below, at, and off a multiple of either row block — reproduces the
     // plain reference cell exactly, over several chained steps.
-    const HIDDEN: [usize; 8] = [1, 3, 7, 8, 9, 31, 32, 67];
+    const HIDDEN: [usize; 12] = [1, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 67];
     forall("lstm_stepper_matches_apply_bit_for_bit", 96, |g| {
         let mut r = seeded(g.u64());
         let hidden = HIDDEN[g.usize_in(0, HIDDEN.len())];

@@ -75,14 +75,22 @@ impl Tape {
     /// found by address (a literal the compiler placed twice may take two
     /// slots).
     pub(crate) fn intern(&mut self, s: &'static str) -> u64 {
-        let at = match self.statics.iter().position(|t| std::ptr::eq(*t, s)) {
+        (self.slot(s, 0) as u64) << 1
+    }
+
+    /// The index of literal `s` among the interned ones, interned if new,
+    /// trying index `hint` before the scan.
+    fn slot(&mut self, s: &'static str, hint: usize) -> usize {
+        if self.statics.get(hint).is_some_and(|t| std::ptr::eq(*t, s)) {
+            return hint;
+        }
+        match self.statics.iter().position(|t| std::ptr::eq(*t, s)) {
             Some(at) => at,
             None => {
                 self.statics.push(s);
                 self.statics.len() - 1
             }
-        };
-        (at as u64) << 1
+        }
     }
 
     /// The word of `payload`. Its text, if computed, replaces the `gone`
@@ -125,10 +133,10 @@ impl Tape {
     pub(crate) fn copy_record(&mut self, from: Cursor<'_>, at: usize) -> (usize, usize) {
         self.drop_open();
         let words = from.words;
-        let mut record = Record::read(Copying { from, to: self, copied: at }, at);
+        let mut record = Record::read(Copying { from, to: self, copied: at, next_slot: 0 }, at);
         for _ in &mut record {}
         let end = record.at;
-        let Copying { from, to, copied } = record.words;
+        let Copying { from, to, copied, .. } = record.words;
         to.words.extend_from_slice(&words[copied..end]);
         (end, from.byte)
     }
@@ -191,6 +199,10 @@ struct Copying<'a, 't> {
     to: &'t mut Tape,
     /// The next word of `from` not yet copied.
     copied: usize,
+    /// Where `to` holds the literal after the last one copied, if the
+    /// record is like one `to` has seen: a sink that copies one kind of
+    /// event finds every literal here, without a scan.
+    next_slot: usize,
 }
 
 impl<'a> Words<'a> for Copying<'a, '_> {
@@ -203,7 +215,9 @@ impl<'a> Words<'a> for Copying<'a, '_> {
         let text = self.from.text(at);
         self.to.words.extend_from_slice(&words[self.copied..at]);
         let word = if word & 1 == 0 {
-            self.to.intern(self.from.statics[(word >> 1) as usize])
+            let slot = self.to.slot(self.from.statics[(word >> 1) as usize], self.next_slot);
+            self.next_slot = slot + 1;
+            (slot as u64) << 1
         } else {
             self.to.text.push_str(text);
             word

@@ -1,7 +1,8 @@
-//! `rpas_tsmath::elementary` against the host's libm, and the bits a port
-//! to another target must reproduce.
+//! `rpas_tsmath::elementary` against the host's libm, the bits a port to
+//! another target must reproduce, and the row forms against the scalar
+//! functions.
 
-use rpas_tsmath::elementary::{exp, sigmoid, tanh};
+use rpas_tsmath::elementary::{exp, sigmoid, sigmoid_in_place, tanh, tanh_in_place};
 use rpas_tsmath::prop_assert;
 use rpas_tsmath::propcheck::{forall, Gen};
 
@@ -196,4 +197,78 @@ fn bits_table_is_reproduced() {
         }
     }
     assert!(moved.is_empty(), "bits moved:\n{}", moved.join("\n"));
+}
+
+/// Arguments planted in the row sweeps: both zeros, subnormals, and on
+/// both signs `tanh`'s regime switch (0.625) and the two fast-path bounds
+/// (354 for `tanh`, 708 for `sigmoid`) with their neighbours, then the
+/// infinities and NaN.
+fn planted() -> Vec<f64> {
+    let mut xs = vec![0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310];
+    for edge in [0.625f64, 354.0, 708.0] {
+        for x in [edge.next_down(), edge, edge.next_up()] {
+            xs.extend([x, -x]);
+        }
+    }
+    xs.extend([f64::INFINITY, f64::NEG_INFINITY, f64::NAN]);
+    xs
+}
+
+type InPlace = fn(&mut [f64]);
+
+/// (name, row form, its scalar function, the drawn domain of
+/// [`AGAINST_LIBM`]).
+const ROW_FORMS: [(&str, InPlace, Unary, f64, f64); 2] = [
+    ("sigmoid_in_place", sigmoid_in_place, sigmoid, -800.0, 800.0),
+    ("tanh_in_place", tanh_in_place, tanh, -25.0, 25.0),
+];
+
+/// `draws` arguments of [`draw`] cut into rows of 0–67 elements, a quarter
+/// of them with one to three [`planted`] values in, each row run through
+/// `row` and compared, element by element, with `scalar`: the same bits,
+/// or NaN for NaN.
+fn rows_match_scalar(
+    g: &mut Gen,
+    (name, row, scalar, lo, hi): (&str, InPlace, Unary, f64, f64),
+    draws: usize,
+) -> Result<(), String> {
+    let planted = planted();
+    let mut left = draws;
+    while left > 0 {
+        let n = g.usize_in(0, 68).min(left);
+        let mut xs: Vec<f64> = (0..n).map(|_| draw(g, lo, hi)).collect();
+        if n > 0 && g.u8() < 64 {
+            for _ in 0..g.usize_in(1, 4) {
+                xs[g.usize_in(0, n)] = planted[g.usize_in(0, planted.len())];
+            }
+        }
+        let want: Vec<f64> = xs.iter().map(|&x| scalar(x)).collect();
+        let args = xs.clone();
+        row(&mut xs);
+        for ((x, w), y) in args.iter().zip(want).zip(&xs) {
+            prop_assert!(
+                w.to_bits() == y.to_bits() || (w.is_nan() && y.is_nan()),
+                "{name} on a row of {n}: at {x:e} {y:e}, scalar {w:e}"
+            );
+        }
+        left -= n.max(1);
+    }
+    Ok(())
+}
+
+#[test]
+fn row_forms_match_the_scalar_functions() {
+    for form in ROW_FORMS {
+        forall(form.0, 32, |g| rows_match_scalar(g, form, 512));
+    }
+}
+
+/// The ULP test's ~2.1 M arguments per function, in rows; `#[ignore]`d
+/// in the workspace run, run in release by `scripts/verify.sh`.
+#[test]
+#[ignore = "~4 M arguments; run in release by scripts/verify.sh"]
+fn sweep_row_forms_match_the_scalar_functions() {
+    for form in ROW_FORMS {
+        forall(form.0, 256, |g| rows_match_scalar(g, form, 8192));
+    }
 }

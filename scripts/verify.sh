@@ -18,7 +18,11 @@
 #      wql_at / coverage_at), trains them; ~8 s, time printed.
 #   4. The number writer's 30 M-double sweep against `format!("{x}")`
 #      (rpas-obs json::number::tests::sweep_agrees_with_std_display,
-#      #[ignore]d in the workspace run; ~10 s in release).
+#      #[ignore]d in the workspace run; ~10 s in release), and the row
+#      forms' sweep: sigmoid_in_place / tanh_in_place against the scalar
+#      functions, bit for bit, on ~2.1 M arguments each in rows of 0–67
+#      with planted edges (rpas-tsmath tests/elementary.rs
+#      sweep_row_forms_match_the_scalar_functions, #[ignore]d too; ~1 s).
 #   5. The event and capture-tape 400 000-case differential against a
 #      test-only BTreeMap + format! oracle of the old render rule (rpas-obs
 #      tape::tests::sweep_tape_renders_the_reference_lines, #[ignore]d in
@@ -76,6 +80,12 @@ echo "== number writer sweep (30 M doubles against format!, release) =="
 # rpas_obs::json::write_f64; its bytes are contract (every digest).
 cargo test -q --release --offline -p rpas-obs --lib -- --ignored --exact \
     json::number::tests::sweep_agrees_with_std_display
+
+echo "== row-form sweep (sigmoid / tanh rows against the scalar functions, release) =="
+# The recurrent steppers run their nonlinearities as whole rows; a row
+# must give the scalar function's bits on either row path and every tail.
+cargo test -q --release --offline -p rpas-tsmath --test elementary -- --ignored --exact \
+    sweep_row_forms_match_the_scalar_functions
 
 echo "== event and capture tape differential (400 000 cases against the old render rule, release) =="
 # Every event's line, and a fleet's trace lines rendered from each

@@ -5,10 +5,12 @@
 //! * `save` allocates a constant plus one metric exposition (the digest
 //!   hashes `tel.snapshot().exposition()`), whatever the tick;
 //! * `load` allocates no more than a bare build of the fleet plus its
-//!   replay to the same tick, plus one exposition and a constant.
+//!   replay to the same tick, plus one exposition and a constant;
+//! * the exposition itself allocates a constant, however many cells the
+//!   registry holds.
 //!
-//! The test pins both at two tick counts of one fleet, so a per-tenant,
-//! per-event or per-step allocation that creeps into either fails here
+//! The test pins all three at two tick counts of one fleet, so a per-tenant,
+//! per-event, per-step or per-cell allocation that creeps into any fails here
 //! instead of showing up as a slow ledger row.
 //!
 //! Kept to a single `#[test]` in its own binary: the counting allocator
@@ -26,6 +28,10 @@ static ALLOC: alloc::CountingAlloc = alloc::CountingAlloc;
 
 const TENANTS: usize = 8;
 
+/// One metric exposition: the text's doublings and the snapshot's copy
+/// (measured 10 at both ticks), whatever the number of cells; a render
+/// that allocates per cell is hundreds here.
+const EXPOSITION: u64 = 12;
 /// `save` beyond the exposition: the output buffer's doublings (measured
 /// 7 at both ticks).
 const SAVE_FIXED: u64 = 12;
@@ -66,6 +72,10 @@ fn checkpoint_allocations_follow_what_the_state_owns() {
             sup.tick();
         }
         let exposition = cost(|| tel.snapshot().exposition());
+        assert!(
+            exposition <= EXPOSITION,
+            "tick {tick}: an exposition allocated {exposition} times, beyond {EXPOSITION}"
+        );
         let text = save(&sup, &cfg, &tel).expect("checkpointable fleet");
         let saving = cost(|| save(&sup, &cfg, &tel).expect("saves"));
         assert!(

@@ -32,7 +32,9 @@ use rpas_simdb::{
     fleet_qos, tenant_qos, FaultConfig, FaultPlan, FleetQos, ScalingPolicy, SimConfig,
     SimSession, SimulationReport, TenantQos,
 };
-use rpas_traces::{alibaba_like_cpu, google_like_cpu, Trace};
+use rpas_traces::{
+    alibaba_like, alibaba_like_cpu, google_like, google_like_cpu, ClusterTrace, Trace,
+};
 use rpas_tsmath::rng::child_seed;
 
 /// Identity of one tenant within a fleet (dense, 0-based).
@@ -72,10 +74,20 @@ impl TracePreset {
         }
     }
 
-    fn build(self, seed: u64, days: usize) -> Trace {
+    /// The preset's CPU trace: `cluster(seed, days).cpu()`, generated
+    /// alone.
+    pub fn build(self, seed: u64, days: usize) -> Trace {
         match self {
             TracePreset::Alibaba => alibaba_like_cpu(seed, days),
             TracePreset::Google => google_like_cpu(seed, days),
+        }
+    }
+
+    /// The preset's CPU, memory and disk traces.
+    pub fn cluster(self, seed: u64, days: usize) -> ClusterTrace {
+        match self {
+            TracePreset::Alibaba => alibaba_like(seed, days),
+            TracePreset::Google => google_like(seed, days),
         }
     }
 }

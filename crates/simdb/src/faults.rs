@@ -92,9 +92,22 @@ impl FaultConfig {
     /// on `none`.
     ///
     /// Keys: `scale_fail`, `delay`, `delay_max`, `crash`, `dropout`,
-    /// `anomaly`, `anomaly_max`, `anomaly_mult`.
+    /// `anomaly`, `anomaly_max`, `anomaly_mult`. `delay_max` and
+    /// `anomaly_max` take a whole number in `[0, u32::MAX]`. An `anomaly`
+    /// rate needs `anomaly_max` and an `anomaly_mult` above 1, and a
+    /// `delay` rate a `delay_max`, unless the profile sets them.
     ///
-    /// Examples: `light`, `heavy,crash=0`, `scale_fail=0.5,anomaly=0.1`.
+    /// ```
+    /// use rpas_simdb::FaultConfig;
+    /// for spec in [
+    ///     "light",
+    ///     "heavy,crash=0",
+    ///     "light,anomaly=0.1",
+    ///     "scale_fail=0.5,anomaly=0.1,anomaly_max=8,anomaly_mult=3",
+    /// ] {
+    ///     assert!(FaultConfig::from_spec(spec).is_ok(), "{spec}");
+    /// }
+    /// ```
     pub fn from_spec(spec: &str) -> Result<Self, String> {
         let mut cfg = Self::none();
         for (i, part) in spec.split(',').map(str::trim).enumerate() {
@@ -113,24 +126,57 @@ impl FaultConfig {
             let (key, value) = part
                 .split_once('=')
                 .ok_or_else(|| format!("expected key=value, got {part:?}"))?;
+            let key = key.trim();
             let num: f64 = value
                 .trim()
                 .parse()
                 .map_err(|_| format!("fault spec value {value:?} is not a number"))?;
-            match key.trim() {
+            let steps = || {
+                if num.fract() == 0.0 && (0.0..=f64::from(u32::MAX)).contains(&num) {
+                    Ok(num as u32)
+                } else {
+                    let most = u32::MAX;
+                    Err(format!("fault spec key {key} takes a whole number in [0, {most}], got {value:?}"))
+                }
+            };
+            match key {
                 "scale_fail" => cfg.scale_fail_prob = num,
                 "delay" => cfg.provision_delay_prob = num,
-                "delay_max" => cfg.provision_delay_max_steps = num as u32,
+                "delay_max" => cfg.provision_delay_max_steps = steps()?,
                 "crash" => cfg.node_crash_prob = num,
                 "dropout" => cfg.metric_dropout_prob = num,
                 "anomaly" => cfg.anomaly_start_prob = num,
-                "anomaly_max" => cfg.anomaly_max_steps = num as u32,
+                "anomaly_max" => cfg.anomaly_max_steps = steps()?,
                 "anomaly_mult" => cfg.anomaly_max_mult = num,
                 other => return Err(format!("unknown fault spec key {other:?}")),
             }
         }
         cfg.validate()?;
         Ok(cfg)
+    }
+
+    /// The spec [`from_spec`](Self::from_spec) reads back as this config:
+    /// `light` or `heavy` by name, any other config as every key. A
+    /// fleet's report prints it, so a run resumed from a checkpoint's
+    /// config prints what the uninterrupted run did.
+    pub fn spec(&self) -> String {
+        if *self == Self::light() {
+            return "light".to_string();
+        }
+        if *self == Self::heavy() {
+            return "heavy".to_string();
+        }
+        format!(
+            "scale_fail={},delay={},delay_max={},crash={},dropout={},anomaly={},anomaly_max={},anomaly_mult={}",
+            self.scale_fail_prob,
+            self.provision_delay_prob,
+            self.provision_delay_max_steps,
+            self.node_crash_prob,
+            self.metric_dropout_prob,
+            self.anomaly_start_prob,
+            self.anomaly_max_steps,
+            self.anomaly_max_mult,
+        )
     }
 
     /// Check rates and bounds; returns a description of the first problem.
@@ -534,6 +580,67 @@ mod tests {
         assert!(FaultConfig::from_spec("anomaly=0.1,anomaly_max=0").is_err());
         assert!(FaultConfig::from_spec("").is_err());
         assert!(FaultConfig::from_spec("unknown_key=1").is_err());
+    }
+
+    #[test]
+    fn step_counts_refuse_what_is_not_a_whole_u32() {
+        for spec in [
+            "delay=0.1,delay_max=2.7",
+            "delay=0.1,delay_max=1e12",
+            "anomaly=0.1,anomaly_max=-3",
+            "delay_max=NaN",
+            "anomaly_max=inf",
+        ] {
+            let err = FaultConfig::from_spec(spec).expect_err(spec);
+            let key = if spec.contains("delay_max") { "delay_max" } else { "anomaly_max" };
+            assert!(err.contains(key), "{spec}: {err}");
+        }
+        let c = FaultConfig::from_spec("delay=0.1,delay_max=4294967295,anomaly_max=3.0").unwrap();
+        assert_eq!((c.provision_delay_max_steps, c.anomaly_max_steps), (u32::MAX, 3));
+    }
+
+    #[test]
+    fn spec_reads_back_as_the_config() {
+        use rpas_tsmath::prop_assert_eq;
+        use rpas_tsmath::propcheck::{forall, Gen};
+        fn prob(g: &mut Gen) -> f64 {
+            match g.usize_in(0, 4) {
+                0 => 0.0,
+                1 => 1.0,
+                _ => g.f64_in(0.0, 1.0),
+            }
+        }
+        fn steps(g: &mut Gen, least: u32) -> u32 {
+            match g.usize_in(0, 3) {
+                0 => u32::MAX,
+                1 => (g.u64() as u32).max(least),
+                _ => g.u32_in(least, 20),
+            }
+        }
+        forall("spec_reads_back_as_the_config", 2_000, |g| {
+            let cfg = match g.usize_in(0, 6) {
+                0 => FaultConfig::light(),
+                1 => FaultConfig::heavy(),
+                2 => FaultConfig::none(),
+                _ => {
+                    let (delay, anomaly) = (prob(g), prob(g));
+                    FaultConfig {
+                        scale_fail_prob: prob(g),
+                        provision_delay_prob: delay,
+                        provision_delay_max_steps: steps(g, u32::from(delay > 0.0)),
+                        node_crash_prob: prob(g),
+                        metric_dropout_prob: prob(g),
+                        anomaly_start_prob: anomaly,
+                        anomaly_max_steps: steps(g, u32::from(anomaly > 0.0)),
+                        anomaly_max_mult: 1.0 + g.f64_in(1e-9, 1e3),
+                    }
+                }
+            };
+            prop_assert_eq!(FaultConfig::from_spec(&cfg.spec()), Ok(cfg));
+            Ok(())
+        });
+        assert_eq!(FaultConfig::light().spec(), "light");
+        assert_eq!(FaultConfig::heavy().spec(), "heavy");
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //!
 //! Three deterministic, std-only layers (DESIGN.md §11):
 //!
-//! 1. `registry` — a sharded registry of labelled counters and
-//!    fixed-bucket histograms. Fleet workers record through
-//!    cheap cloneable handles without contending on one lock; snapshots
-//!    render to a canonical sorted text exposition. The [`Telemetry`]
+//! 1. `registry` — labelled counters and fixed-bucket histograms in one
+//!    sorted map. Fleet workers record through cheap cloneable handles
+//!    that never take the map's lock; a [`Snapshot`] is the canonical
+//!    sorted text exposition. The [`Telemetry`]
 //!    front handle mirrors [`rpas_obs::Obs`]:
 //!    the dark (no-op) path is a single branch per recording. A
 //!    [`Recorder`] pairs an [`rpas_obs::Obs`] with the counters the
@@ -34,7 +34,5 @@ mod slo;
 
 pub use diff::{diff_traces, Divergence, TraceDiff};
 pub use query::{run_query, Aggregate, GroupBy, QueryFilter, QueryResult};
-pub use registry::{
-    Counter, HistogramHandle, Recorder, Snapshot, SnapshotEntry, SnapshotValue, Telemetry,
-};
+pub use registry::{Counter, HistogramHandle, Recorder, Snapshot, Telemetry};
 pub use slo::{BurnAlert, BurnRule, RatioSeries, SloReport, SloSpec, SloStatus};

@@ -1,25 +1,22 @@
-//! Sharded metric registry with cheap, cloneable recording handles.
+//! Metric registry with cheap, cloneable recording handles.
 //!
-//! Layout: a fixed array of shards, each a `Mutex<BTreeMap<Key, Cell>>`.
-//! Handle *acquisition* locks one shard briefly; *recording* never takes
-//! a shard lock (counters are atomics, each histogram has its own
-//! mutex), so fleet workers on different metrics do not contend.
-//! Shard choice hashes the key with FNV-1a — a fixed algorithm, so the
-//! shard layout itself is deterministic (and irrelevant to output:
-//! snapshots re-sort all shards into one canonical order).
+//! Layout: one `Mutex<BTreeMap<Key, Cell>>`. Registering a metric locks
+//! it briefly; *recording* never does (counters are atomics, each
+//! histogram has its own mutex), and every registration happens when a
+//! component attaches, so the one lock sees no traffic while a fleet
+//! runs. A snapshot writes the text exposition straight from the map, in
+//! `Key` order (DESIGN.md §11).
 //!
 //! Determinism: counter increments and histogram bucket counts are
 //! order-independent sums, so snapshots are byte-identical for any
 //! thread interleaving.
 
 use rpas_obs::catalog::{self, EventName};
-use rpas_obs::json::{escape_str, write_u64};
+use rpas_obs::json::{escape_into, write_u64};
 use rpas_obs::{Event, Histogram, Obs};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-const SHARDS: usize = 16;
 
 /// Canonical metric identity: name plus sorted, key-deduplicated labels.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -49,32 +46,21 @@ impl Key {
         }
     }
 
-    fn fnv1a(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x1_0000_0000_01b3);
-            }
-        };
-        eat(self.name.as_bytes());
+    /// Append `name{k="v",…}` (or the bare name without labels).
+    fn write(&self, out: &mut String) {
+        out.push_str(&self.name);
+        let mut open = '{';
         for (k, v) in &self.labels {
-            eat(&[0xff]);
-            eat(k.as_bytes());
-            eat(&[0xfe]);
-            eat(v.as_bytes());
+            out.push(open);
+            out.push_str(k);
+            out.push_str("=\"");
+            escape_into(out, v);
+            out.push('"');
+            open = ',';
         }
-        h
-    }
-
-    /// `name{k="v",…}` (or bare `name` without labels).
-    fn render(&self) -> String {
-        if self.labels.is_empty() {
-            return self.name.clone();
+        if !self.labels.is_empty() {
+            out.push('}');
         }
-        let inner: Vec<String> =
-            self.labels.iter().map(|(k, v)| format!("{k}=\"{}\"", escape_str(v))).collect();
-        format!("{}{{{}}}", self.name, inner.join(","))
     }
 }
 
@@ -129,167 +115,40 @@ impl HistogramHandle {
     }
 }
 
-/// The sharded registry. Usually reached through [`Telemetry`].
-pub(crate) struct MetricRegistry {
-    shards: Vec<Mutex<BTreeMap<Key, Cell>>>,
-}
+/// The registry: every cell, in `Key` order, under one lock.
+type Registry = Mutex<BTreeMap<Key, Cell>>;
 
-impl Default for MetricRegistry {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-#[expect(clippy::panic, reason = "# Panics contract: a kind mismatch is a static wiring bug")]
-#[expect(clippy::expect_used, reason = "poisoned: a recording thread panicked, the stream is already corrupt")]
-impl MetricRegistry {
-    /// Empty registry with a fixed shard count.
-    pub(crate) fn new() -> MetricRegistry {
-        MetricRegistry { shards: (0..SHARDS).map(|_| Mutex::new(BTreeMap::new())).collect() }
-    }
-
-    fn cell(&self, key: Key, make: impl FnOnce() -> Cell) -> Cell {
-        let idx = (key.fnv1a() % SHARDS as u64) as usize;
-        let mut shard = self.shards[idx].lock().expect("registry shard poisoned");
-        let cell = shard.entry(key.clone()).or_insert_with(make).clone();
-        drop(shard);
-        cell
-    }
-
-    /// Counter handle for `name{labels}` (registered on first use).
-    ///
-    /// # Panics
-    /// Panics if the key is already registered as a different kind.
-    pub(crate) fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
-        let key = Key::new(name, labels);
-        match self.cell(key, || Cell::Counter(Arc::new(AtomicU64::new(0)))) {
-            Cell::Counter(c) => Counter(Some(c)),
-            other => panic!("metric {name:?} already registered as {}", other.kind()),
-        }
-    }
-
-    /// Histogram handle for `name{labels}` with the given inclusive
-    /// upper bounds (used on first registration; later calls must pass
-    /// identical bounds).
-    ///
-    /// # Panics
-    /// Panics on kind or bound mismatch with an earlier registration.
-    pub(crate) fn histogram(
-        &self,
-        name: &str,
-        labels: &[(&str, &str)],
-        bounds: &[f64],
-    ) -> HistogramHandle {
-        let key = Key::new(name, labels);
-        match self.cell(key, || Cell::Hist(Arc::new(Mutex::new(Histogram::new(bounds.to_vec()))))) {
-            Cell::Hist(h) => {
-                {
-                    // Bit-level identity, not numeric tolerance: bounds
-                    // are a schema, re-registration must not drift them.
-                    let cur = h.lock().expect("histogram mutex poisoned");
-                    assert!(
-                        same_bits(cur.bounds(), bounds),
-                        "metric {name:?} re-registered with different bounds"
-                    );
-                }
-                HistogramHandle(Some(h))
-            }
-            other => panic!("metric {name:?} already registered as {}", other.kind()),
-        }
-    }
-
-    /// Point-in-time snapshot of every registered metric, in one
-    /// canonical sorted order (shard layout is invisible).
-    pub(crate) fn snapshot(&self) -> Snapshot {
-        let mut merged: BTreeMap<Key, SnapshotValue> = BTreeMap::new();
-        for shard in &self.shards {
-            let shard = shard.lock().expect("registry shard poisoned");
-            for (key, cell) in shard.iter() {
-                let value = match cell {
-                    Cell::Counter(c) => SnapshotValue::Counter(c.load(Ordering::Relaxed)),
-                    Cell::Hist(h) => SnapshotValue::Histogram(
-                        h.lock().expect("histogram mutex poisoned").clone(),
-                    ),
-                };
-                merged.insert(key.clone(), value);
-            }
-        }
-        Snapshot {
-            entries: merged
-                .into_iter()
-                .map(|(key, value)| SnapshotEntry { name: key.render(), value })
-                .collect(),
-        }
-    }
-}
-
-/// Snapshotted value of one metric.
+/// A snapshot of a [`Telemetry`] registry: its canonical text
+/// exposition, one `key kind value` line per metric in `Key` order,
+/// newline-terminated. Byte-identical across reruns and thread counts.
 #[derive(Debug, Clone)]
-pub enum SnapshotValue {
-    /// Monotonic count.
-    Counter(u64),
-    /// Full bucket state.
-    Histogram(Histogram),
-}
-
-/// One `name{labels}` entry of a [`Snapshot`].
-#[derive(Debug, Clone)]
-pub struct SnapshotEntry {
-    /// Rendered key, e.g. `sim.violations{tenant="t0003"}`.
-    pub name: String,
-    /// The value at snapshot time.
-    pub value: SnapshotValue,
-}
-
-/// A canonical, sorted snapshot of a `MetricRegistry`.
-#[derive(Debug, Clone, Default)]
-pub struct Snapshot {
-    /// Entries sorted by rendered key.
-    pub entries: Vec<SnapshotEntry>,
-}
+pub struct Snapshot(String);
 
 impl Snapshot {
-    /// Canonical text exposition: one `key kind value` line per metric,
-    /// sorted, newline-terminated. Byte-identical across reruns and
-    /// thread counts.
+    /// The exposition text.
     pub fn exposition(&self) -> String {
-        let mut out = String::new();
-        for e in &self.entries {
-            out.push_str(&e.name);
-            match &e.value {
-                SnapshotValue::Counter(v) => {
-                    out.push_str(" counter ");
-                    write_u64(&mut out, *v);
-                }
-                SnapshotValue::Histogram(h) => {
-                    out.push_str(" histogram count=");
-                    write_u64(&mut out, h.count());
-                    out.push(' ');
-                    h.encode_into(&mut out);
-                }
-            }
-            out.push('\n');
-        }
-        out
+        self.0.clone()
     }
 
-    /// Counter value by rendered key (`None` if absent or not a counter).
+    /// Counter value by rendered key, e.g. `sim.violations{tenant="t0003"}`
+    /// (`None` if absent or not a counter).
     pub fn counter_value(&self, rendered: &str) -> Option<u64> {
-        self.entries.iter().find(|e| e.name == rendered).and_then(|e| match &e.value {
-            SnapshotValue::Counter(v) => Some(*v),
-            _ => None,
-        })
+        self.0
+            .lines()
+            .find_map(|line| line.strip_prefix(rendered)?.strip_prefix(" counter ")?.parse().ok())
     }
 }
 
-/// The cheap front handle: `Option<Arc<MetricRegistry>>`, cloned freely.
+/// The cheap front handle: `Option<Arc<Registry>>`, cloned freely.
 /// Dark handles hand out detached [`Counter`]/[`HistogramHandle`]s whose
 /// recording cost is a single branch.
 #[derive(Clone, Default)]
 pub struct Telemetry {
-    inner: Option<Arc<MetricRegistry>>,
+    inner: Option<Arc<Registry>>,
 }
 
+#[expect(clippy::panic, reason = "# Panics contract: a kind mismatch is a static wiring bug")]
+#[expect(clippy::expect_used, reason = "poisoned: a recording thread panicked, the stream is already corrupt")]
 impl Telemetry {
     /// Dark handle: records nothing, snapshots are empty.
     pub fn noop() -> Telemetry {
@@ -298,31 +157,80 @@ impl Telemetry {
 
     /// Live handle over a fresh registry.
     pub fn live() -> Telemetry {
-        Telemetry { inner: Some(Arc::new(MetricRegistry::new())) }
+        Telemetry { inner: Some(Arc::default()) }
     }
 
-    /// Counter handle (detached when dark).
+    /// The cell under `name{labels}`, made by `make` on first use; `None`
+    /// when dark. The registry lock is dropped before it returns.
+    fn cell(
+        &self,
+        name: &str,
+        labels: &[(&str, &str)],
+        make: impl FnOnce() -> Cell,
+    ) -> Option<Cell> {
+        let registry = self.inner.as_ref()?;
+        let key = Key::new(name, labels);
+        let mut cells = registry.lock().expect("metric registry poisoned");
+        Some(cells.entry(key).or_insert_with(make).clone())
+    }
+
+    /// Counter handle for `name{labels}` (registered on first use;
+    /// detached when dark).
+    ///
+    /// # Panics
+    /// Panics if the key is already registered as a different kind.
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
-        match &self.inner {
-            Some(r) => r.counter(name, labels),
+        match self.cell(name, labels, || Cell::Counter(Arc::default())) {
             None => Counter::default(),
+            Some(Cell::Counter(c)) => Counter(Some(c)),
+            Some(other) => panic!("metric {name:?} already registered as {}", other.kind()),
         }
     }
 
-    /// Histogram handle (detached when dark).
+    /// Histogram handle for `name{labels}` with the given inclusive
+    /// upper bounds (used on first registration; later calls must pass
+    /// identical bounds; detached when dark).
+    ///
+    /// # Panics
+    /// Panics on kind or bound mismatch with an earlier registration.
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)], bounds: &[f64]) -> HistogramHandle {
-        match &self.inner {
-            Some(r) => r.histogram(name, labels, bounds),
+        let make = || Cell::Hist(Arc::new(Mutex::new(Histogram::new(bounds.to_vec()))));
+        match self.cell(name, labels, make) {
             None => HistogramHandle::default(),
+            Some(Cell::Hist(h)) => {
+                // Bit-level identity, not numeric tolerance: bounds are a
+                // schema, re-registration must not drift them.
+                let same = same_bits(h.lock().expect("histogram mutex poisoned").bounds(), bounds);
+                assert!(same, "metric {name:?} re-registered with different bounds");
+                HistogramHandle(Some(h))
+            }
+            Some(other) => panic!("metric {name:?} already registered as {}", other.kind()),
         }
     }
 
-    /// Snapshot (empty when dark).
+    /// Snapshot (empty when dark). Takes the registry lock, then each
+    /// histogram's own; nothing takes them the other way round.
     pub fn snapshot(&self) -> Snapshot {
-        match &self.inner {
-            Some(r) => r.snapshot(),
-            None => Snapshot::default(),
+        let mut out = String::new();
+        let Some(registry) = &self.inner else { return Snapshot(out) };
+        for (key, cell) in registry.lock().expect("metric registry poisoned").iter() {
+            key.write(&mut out);
+            match cell {
+                Cell::Counter(c) => {
+                    out.push_str(" counter ");
+                    write_u64(&mut out, c.load(Ordering::Relaxed));
+                }
+                Cell::Hist(h) => {
+                    let h = h.lock().expect("histogram mutex poisoned");
+                    out.push_str(" histogram count=");
+                    write_u64(&mut out, h.count());
+                    out.push(' ');
+                    h.encode_into(&mut out);
+                }
+            }
+            out.push('\n');
         }
+        Snapshot(out)
     }
 }
 
@@ -373,6 +281,9 @@ impl Recorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rpas_obs::json::escape_str;
+    use rpas_tsmath::prop_assert_eq;
+    use rpas_tsmath::propcheck::{forall, Gen};
 
     #[test]
     fn counters_accumulate_and_snapshot_sorted() {
@@ -430,7 +341,6 @@ mod tests {
         let tel = Telemetry::noop();
         let c = tel.counter("x", &[]);
         c.inc(5);
-        assert!(tel.snapshot().entries.is_empty());
         assert_eq!(tel.snapshot().exposition(), "");
     }
 
@@ -449,5 +359,156 @@ mod tests {
             }
         });
         assert_eq!(tel.snapshot().counter_value("par.total"), Some(4000));
+    }
+
+    #[test]
+    fn key_order_not_rendered_order() {
+        let tel = Telemetry::live();
+        tel.counter("m.x", &[]).inc(2);
+        tel.counter("m", &[("a", "1")]).inc(1);
+        // `{` sorts after `.`, so a string sort of the lines would swap
+        // them; the checkpoint digest hashes this order.
+        assert_eq!(tel.snapshot().exposition(), "m{a=\"1\"} counter 1\nm.x counter 2\n");
+    }
+
+    /// One cell of the reference registry.
+    enum Value {
+        Counter(u64),
+        Hist(Histogram),
+    }
+
+    /// The old render rule: `name{k="v",…}` by `format!` and `join`.
+    fn reference_key(key: &Key) -> String {
+        if key.labels.is_empty() {
+            return key.name.clone();
+        }
+        let inner: Vec<String> =
+            key.labels.iter().map(|(k, v)| format!("{k}=\"{}\"", escape_str(v))).collect();
+        format!("{}{{{}}}", key.name, inner.join(","))
+    }
+
+    /// The old exposition: every cell in `Key` order, one line each.
+    fn reference_exposition(cells: &BTreeMap<Key, Value>) -> String {
+        let mut out = String::new();
+        for (key, value) in cells {
+            out.push_str(&reference_key(key));
+            match value {
+                Value::Counter(v) => {
+                    out.push_str(" counter ");
+                    write_u64(&mut out, *v);
+                }
+                Value::Hist(h) => {
+                    out.push_str(" histogram count=");
+                    write_u64(&mut out, h.count());
+                    out.push(' ');
+                    h.encode_into(&mut out);
+                }
+            }
+            out.push('\n');
+        }
+        out
+    }
+
+    /// Names that are prefixes of one another, so `Key` order and the
+    /// order of the rendered lines disagree.
+    const NAMES: [&str; 8] = ["m", "m.x", "m:x", "m-x", "m_x", "mx", "m.x.y", "M"];
+    const NAME_CHARS: &[u8] = b"abzAZ09_.:-";
+    const LABEL_KEYS: [&str; 5] = ["a", "b", "tenant", "", "k\"q"];
+    const LABEL_VALUES: [&str; 7] = ["", "t0001", "q\"uo\\te", "tab\tnl\n", "\u{1}\u{1f}", "µ—漢🦀", "a b"];
+
+    fn name(g: &mut Gen) -> String {
+        if g.u64() & 1 == 0 {
+            return NAMES[g.usize_in(0, NAMES.len())].to_string();
+        }
+        (0..g.usize_in(1, 5)).map(|_| char::from(NAME_CHARS[g.usize_in(0, NAME_CHARS.len())])).collect()
+    }
+
+    fn count(g: &mut Gen) -> u64 {
+        match g.usize_in(0, 4) {
+            0 => u64::MAX,
+            1 => g.u64(),
+            _ => g.u64() >> g.usize_in(40, 64),
+        }
+    }
+
+    fn sample(g: &mut Gen, bounds: &[f64]) -> f64 {
+        match g.usize_in(0, 6) {
+            0 => [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0][g.usize_in(0, 4)],
+            1 => bounds[g.usize_in(0, bounds.len())],
+            _ => g.f64_in(-10.0, 110.0),
+        }
+    }
+
+    /// Registers and records drawn metrics on a live registry and on the
+    /// reference map alike; the snapshot must be the reference render,
+    /// byte for byte, and every counter must read back by its key.
+    fn check(cases: u32) {
+        forall("exposition_renders_the_reference_lines", cases, |g| {
+            let tel = Telemetry::live();
+            let mut cells: BTreeMap<Key, Value> = BTreeMap::new();
+            for _ in 0..g.usize_in(0, 16) {
+                let name = name(g);
+                let labels: Vec<(&str, &str)> = (0..g.usize_in(0, 4))
+                    .map(|_| {
+                        let k = LABEL_KEYS[g.usize_in(0, LABEL_KEYS.len())];
+                        (k, LABEL_VALUES[g.usize_in(0, LABEL_VALUES.len())])
+                    })
+                    .collect();
+                let key = Key::new(&name, &labels);
+                match (g.u64() & 1 == 0, cells.get_mut(&key)) {
+                    (true, None) => {
+                        let v = count(g);
+                        tel.counter(&name, &labels).inc(v);
+                        cells.insert(key, Value::Counter(v));
+                    }
+                    (_, Some(Value::Counter(total))) => {
+                        let v = count(g);
+                        tel.counter(&name, &labels).inc(v);
+                        *total = total.wrapping_add(v);
+                    }
+                    (false, None) => {
+                        let mut bounds = g.vec_f64(0.0, 100.0, 1, 5);
+                        bounds.sort_by(f64::total_cmp);
+                        bounds.dedup();
+                        cells.insert(key, Value::Hist(Histogram::new(bounds)));
+                    }
+                    (_, Some(Value::Hist(_))) => {}
+                }
+                if let Some(Value::Hist(h)) = cells.get_mut(&Key::new(&name, &labels)) {
+                    let handle = tel.histogram(&name, &labels, h.bounds());
+                    for _ in 0..g.usize_in(0, 6) {
+                        let v = sample(g, h.bounds());
+                        handle.record(v);
+                        h.record(v);
+                    }
+                }
+            }
+            let snap = tel.snapshot();
+            prop_assert_eq!(snap.exposition(), reference_exposition(&cells));
+            for (key, value) in &cells {
+                let want = match value {
+                    Value::Counter(v) => Some(*v),
+                    Value::Hist(_) => None,
+                };
+                prop_assert_eq!(snap.counter_value(&reference_key(key)), want);
+            }
+            Ok(())
+        });
+    }
+
+    /// The exposition against the old render rule over drawn registries:
+    /// prefix names, duplicate and escaped labels, counters to
+    /// `u64::MAX` and histograms holding NaN / ±∞ samples.
+    #[test]
+    fn exposition_renders_the_reference_lines() {
+        check(2_000);
+    }
+
+    /// The same property at 200 000 cases; the exposition feeds every
+    /// checkpoint digest. `scripts/verify.sh` runs it in release.
+    #[test]
+    #[ignore = "200 000-case sweep; run in release"]
+    fn sweep_exposition_renders_the_reference_lines() {
+        check(200_000);
     }
 }

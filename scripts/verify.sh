@@ -10,8 +10,9 @@
 #      It is a debug build, so every emit a test makes is also checked
 #      against its catalogue entry's `keys [...]` list (an undeclared key
 #      panics), and crates/bench/tests/alloc_checkpoint.rs holds
-#      checkpoint `save` to one metric exposition plus a constant and
-#      `load` to a rebuild and replay of the fleet plus the same.
+#      checkpoint `save` to one metric exposition plus a constant,
+#      `load` to a rebuild and replay of the fleet plus the same, and
+#      the exposition itself to a constant whatever the cell count.
 #   3. All five examples, run (not only compiled) in the dev profile; a
 #      non-zero exit fails the gate. forecaster_tour, the one that builds
 #      forecasts from five model families (and the only caller of
@@ -27,7 +28,11 @@
 #      test-only BTreeMap + format! oracle of the old render rule (rpas-obs
 #      tape::tests::sweep_tape_renders_the_reference_lines, #[ignore]d in
 #      the workspace run; ~70 s in release): every fleet trace line, so
-#      every fleet digest, is a tape render.
+#      every fleet digest, is a tape render. Beside it, the metric
+#      exposition's 200 000-case differential against the same kind of
+#      oracle (rpas-telemetry
+#      registry::tests::sweep_exposition_renders_the_reference_lines;
+#      ~6 s in release): every checkpoint digest hashes the exposition.
 #   6. Kill/resume at every tick of the 64-tenant fleet in release
 #      (tests/supervisor.rs::checkpoint_restore_at_any_tick_reproduces_the_run
 #      with RPAS_CHECKPOINT_EVERY_TICK=1; step 2 resumes every 47th tick
@@ -94,6 +99,12 @@ echo "== event and capture tape differential (400 000 cases against the old rend
 # sorted place.
 cargo test -q --release --offline -p rpas-obs --lib -- --ignored --exact \
     tape::tests::sweep_tape_renders_the_reference_lines
+
+echo "== metric exposition differential (200 000 registries against the old render rule, release) =="
+# The exposition, which every checkpoint digest hashes, must be the bytes
+# the old per-line format! + join rule gives, in Key order.
+cargo test -q --release --offline -p rpas-telemetry --lib -- --ignored --exact \
+    registry::tests::sweep_exposition_renders_the_reference_lines
 
 echo "== kill/resume at every tick of the 64-tenant fleet (release) =="
 start=$SECONDS

@@ -26,7 +26,7 @@ use rpas::telemetry::{
 };
 use rpas::simdb::{FaultConfig, FaultPlan, SimConfig, SimSession, SimulationReport};
 use rpas::traces::csv::{read_column, write_columns_to_path, write_trace};
-use rpas::traces::{alibaba_like, google_like, Trace, STEPS_PER_DAY};
+use rpas::traces::{Trace, STEPS_PER_DAY};
 
 const USAGE: &str = "\
 rpas-cli — robust predictive auto-scaling toolbox
@@ -62,8 +62,9 @@ COMMANDS
   chaos      fault matrix × policy grid through the cluster simulator
              --preset alibaba|google (alibaba)  --days N (>=4; by profile)
              --seed S (7)  --theta T (60)  --fault-seed S (101)
-             --profiles LIST (none,light,heavy; entries may also be
-             key=val specs, e.g. scale_fail=0.3,anomaly=0.1)
+             --profiles LIST (none,light,heavy): one profile per
+             comma-separated entry, a name or a single key=val applied
+             to none, e.g. light,crash=0.2
              --schedule-out FILE  (fault schedules as JSONL)
   fleet      multi-tenant fleet simulation (per-tenant traces/policies)
              --tenants N (16)  --seed S (7)  --days N (by profile)
@@ -242,6 +243,11 @@ fn load_trace(a: &ParsedArgs) -> Result<(Trace, String), Box<dyn std::error::Err
     Ok((Trace::new(column.clone(), 600, values), column))
 }
 
+/// A `--preset` / `--presets` entry.
+fn parse_preset(name: &str) -> Result<TracePreset, String> {
+    TracePreset::parse(name).ok_or_else(|| format!("unknown preset {name:?}"))
+}
+
 fn generate(a: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
     let preset = a.get("preset").unwrap_or("alibaba");
     let days: usize = a.get_or("days", 14)?;
@@ -252,11 +258,7 @@ fn generate(a: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
     let resource = a.get("resource").unwrap_or("cpu");
     let out = a.require("out")?;
 
-    let cluster = match preset {
-        "alibaba" => alibaba_like(seed, days),
-        "google" => google_like(seed, days),
-        other => return Err(format!("unknown preset {other:?}").into()),
-    };
+    let cluster = parse_preset(preset)?.cluster(seed, days);
     let kind = match resource {
         "cpu" => rpas::traces::ResourceKind::Cpu,
         "memory" => rpas::traces::ResourceKind::Memory,
@@ -501,12 +503,7 @@ fn backtest(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>>
         let preset = a.get("preset").unwrap_or("alibaba");
         let days: usize = a.get_or("days", days_d)?;
         let seed: u64 = a.get_or("seed", 7)?;
-        let cluster = match preset {
-            "alibaba" => alibaba_like(seed, days),
-            "google" => google_like(seed, days),
-            other => return Err(format!("unknown preset {other:?}").into()),
-        };
-        cluster.cpu().clone()
+        parse_preset(preset)?.build(seed, days)
     };
 
     let model_name = a.get("model").unwrap_or("seasonal-naive");
@@ -691,12 +688,7 @@ fn chaos(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>> {
     let fault_seed: u64 = a.get_or("fault-seed", 101)?;
     let profiles_raw = a.get("profiles").unwrap_or("none,light,heavy");
 
-    let cluster = match preset {
-        "alibaba" => alibaba_like(seed, days),
-        "google" => google_like(seed, days),
-        other => return Err(format!("unknown preset {other:?}").into()),
-    };
-    let trace = cluster.cpu().clone();
+    let trace = parse_preset(preset)?.build(seed, days);
     if trace.len() < 4 * STEPS_PER_DAY {
         return Err("chaos needs at least 4 days of trace (--days 4)".into());
     }
@@ -754,28 +746,6 @@ fn chaos(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>> {
         println!("wrote fault schedules to {path}");
     }
     Ok(())
-}
-
-/// Canonical fault-profile label derived from the *config* (not the raw
-/// flag), so a resumed run — which only has the checkpoint's embedded
-/// config — prints byte-identical stdout to the uninterrupted run.
-fn fault_label(faults: &Option<FaultConfig>) -> String {
-    match faults {
-        None => "none".to_string(),
-        Some(f) if *f == FaultConfig::light() => "light".to_string(),
-        Some(f) if *f == FaultConfig::heavy() => "heavy".to_string(),
-        Some(f) => format!(
-            "scale_fail={},delay={},delay_max={},crash={},dropout={},anomaly={},anomaly_max={},anomaly_mult={}",
-            f.scale_fail_prob,
-            f.provision_delay_prob,
-            f.provision_delay_max_steps,
-            f.node_crash_prob,
-            f.metric_dropout_prob,
-            f.anomaly_start_prob,
-            f.anomaly_max_steps,
-            f.anomaly_max_mult,
-        ),
-    }
 }
 
 /// The `fleet` flags that shape the fleet, all of which a checkpoint's
@@ -866,8 +836,7 @@ fn fleet(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>> {
         let presets_raw = a.get("presets").unwrap_or("alibaba,google");
         let mut presets = Vec::new();
         for name in presets_raw.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-            presets
-                .push(TracePreset::parse(name).ok_or_else(|| format!("unknown preset {name:?}"))?);
+            presets.push(parse_preset(name)?);
         }
         if policies.is_empty() || presets.is_empty() {
             return Err("--policies and --presets must each select at least one entry".into());
@@ -947,7 +916,7 @@ fn fleet(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("policy mix        : {policies_label}");
     println!("preset mix        : {presets_label}");
-    println!("faults            : {}", fault_label(&cfg.faults));
+    println!("faults            : {}", cfg.faults.map_or_else(|| "none".to_string(), |f| f.spec()));
     println!("violation rate    : {:.4}", report.qos.violation_rate);
     println!("node steps        : {}", report.qos.node_steps);
     println!("over-prov steps   : {}", report.qos.over_provision_node_steps);

@@ -24,23 +24,12 @@ impl AdaptiveConfig {
     /// New config.
     ///
     /// # Panics
-    /// Panics unless `0 < τ₁ ≤ τ₂ < 1` and `ρ ≥ 0` (so no field is NaN).
+    /// Panics on a config [`crate::ScalingStrategy::validate`] refuses.
     pub fn new(tau_low: f64, tau_high: f64, rho: f64) -> Self {
         let cfg = Self { tau_low, tau_high, rho };
-        cfg.check();
+        let valid = crate::ScalingStrategy::Adaptive(cfg).validate();
+        assert_eq!(valid, Ok(()), "invalid adaptive config");
         cfg
-    }
-
-    /// The rule every Algorithm 1 config meets, whether built by
-    /// [`AdaptiveConfig::new`] or as a struct literal (the manager checks
-    /// the latter).
-    ///
-    /// # Panics
-    /// Panics unless `0 < τ₁ ≤ τ₂ < 1` and `ρ ≥ 0` (so no field is NaN).
-    pub(crate) fn check(&self) {
-        let (lo, hi) = (self.tau_low, self.tau_high);
-        assert!(lo > 0.0 && hi < 1.0 && lo <= hi, "need 0 < τ₁ ≤ τ₂ < 1");
-        assert!(self.rho >= 0.0, "uncertainty threshold must be non-negative");
     }
 }
 
@@ -62,5 +51,11 @@ mod tests {
     #[should_panic(expected = "need 0 < τ₁ ≤ τ₂ < 1")]
     fn adaptive_rejects_inverted_levels() {
         AdaptiveConfig::new(0.9, 0.5, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "uncertainty threshold must be non-negative and finite")]
+    fn adaptive_rejects_an_infinite_rho() {
+        AdaptiveConfig::new(0.8, 0.95, f64::INFINITY);
     }
 }

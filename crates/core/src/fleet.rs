@@ -203,10 +203,9 @@ impl FleetConfig {
             (!self.presets.is_empty(), "preset mix must not be empty"),
             (self.schedule.context > 0 && self.schedule.horizon > 0, "degenerate schedule"),
             (self.days > 0, "a trace needs at least one day"),
-            (self.theta > 0.0 && self.theta.is_finite(), "theta must be positive and finite"),
-            (self.min_nodes >= 1, "a serving cluster needs at least one node"),
-            (self.tau > 0.0 && self.tau < 1.0, "tau must be in (0,1)"),
         ])?;
+        self.sim_config().validate()?;
+        ScalingStrategy::Fixed { tau: self.tau }.validate()?;
         self.resilience.validate().map_err(|why| format!("resilience: {why}"))?;
         if let Some(faults) = &self.faults {
             faults.validate().map_err(|why| format!("faults: {why}"))?;
@@ -215,6 +214,11 @@ impl FleetConfig {
             slo.validate().map_err(|why| format!("slo: {why}"))?;
         }
         Ok(())
+    }
+
+    /// The simulation every tenant runs: the shared `θ` and pool floor.
+    fn sim_config(&self) -> SimConfig {
+        SimConfig { theta: self.theta, min_nodes: self.min_nodes, ..SimConfig::default() }
     }
 }
 
@@ -321,9 +325,8 @@ impl TenantRun {
             )),
         };
 
-        let sim = SimConfig { theta: cfg.theta, min_nodes: cfg.min_nodes, ..SimConfig::default() };
         let mut session =
-            SimSession::new(&trace, sim).with_obs(obs).with_telemetry(tel, &labels);
+            SimSession::new(&trace, cfg.sim_config()).with_obs(obs).with_telemetry(tel, &labels);
         if let Some(faults) = cfg.faults {
             let fault_seed = child_seed(cfg.seed, 2 * i as u64 + 1);
             session = session.with_faults(FaultPlan::build(faults, fault_seed, trace.len()));
@@ -684,6 +687,42 @@ mod tests {
         let events = mem.drain();
         let statuses = events.iter().filter(|e| e.is(catalog::SLO_STATUS)).count();
         assert_eq!(statuses, report.slo.expect("slo configured").tenants.len() + 1);
+    }
+
+    #[test]
+    fn validate_pins_every_fleet_rule() {
+        let ok = small_cfg();
+        assert_eq!(ok.validate(), Ok(()));
+        let with = |edit: fn(&mut FleetConfig)| {
+            let mut cfg = ok.clone();
+            edit(&mut cfg);
+            cfg
+        };
+        let theta = "theta must be positive and finite, got";
+        let tau = "tau must be in (0,1)";
+        let cases: [(FleetConfig, &str); 16] = [
+            (with(|c| c.tenants = 0), "a fleet needs at least one tenant"),
+            (with(|c| c.policies.clear()), "policy mix must not be empty"),
+            (with(|c| c.presets.clear()), "preset mix must not be empty"),
+            (with(|c| c.schedule.context = 0), "degenerate schedule"),
+            (with(|c| c.schedule.horizon = 0), "degenerate schedule"),
+            (with(|c| c.days = 0), "a trace needs at least one day"),
+            (with(|c| c.theta = 0.0), theta),
+            (with(|c| c.theta = -1.0), theta),
+            (with(|c| c.theta = f64::NAN), theta),
+            (with(|c| c.theta = f64::INFINITY), theta),
+            (with(|c| c.theta = f64::NEG_INFINITY), theta),
+            (with(|c| c.min_nodes = 0), "a serving cluster needs at least one node"),
+            // Above the tenants' pool ceiling, which `SimSession::new` asserts.
+            (with(|c| c.min_nodes = 2000), "min_nodes must not exceed max_nodes"),
+            (with(|c| c.tau = 0.0), tau),
+            (with(|c| c.tau = 1.0), tau),
+            (with(|c| c.tau = f64::NAN), tau),
+        ];
+        for (cfg, why) in cases {
+            let err = cfg.validate().unwrap_err();
+            assert!(err.starts_with(why), "{why}: {err}");
+        }
     }
 
     #[test]

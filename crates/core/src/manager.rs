@@ -35,6 +35,38 @@ pub enum ScalingStrategy {
 }
 
 impl ScalingStrategy {
+    /// Whether the manager can plan under this strategy: every `τ ∈ (0,1)`;
+    /// `τ₁ ≤ τ₂` and a finite `ρ ≥ 0` for Algorithm 1; a non-empty staircase
+    /// that starts at uncertainty 0 (so every step matches a rung) and
+    /// ascends in both uncertainty and `τ`. The manager's `new` asserts it.
+    pub fn validate(&self) -> Result<(), String> {
+        let in_unit = |tau: f64| tau > 0.0 && tau < 1.0;
+        let tau_rule = "tau must be in (0,1)";
+        match self {
+            ScalingStrategy::Fixed { tau } => crate::first_failure(&[(in_unit(*tau), tau_rule)]),
+            ScalingStrategy::Adaptive(AdaptiveConfig { tau_low: lo, tau_high: hi, rho }) => {
+                let finite_rho = *rho >= 0.0 && rho.is_finite();
+                crate::first_failure(&[
+                    (0.0 < *lo && lo <= hi && *hi < 1.0, "need 0 < τ₁ ≤ τ₂ < 1"),
+                    (finite_rho, "uncertainty threshold must be non-negative and finite"),
+                ])
+            }
+            ScalingStrategy::Staircase(levels) => {
+                // config contract: the first rung must be written as literal 0.0 so every uncertainty maps to a rung
+                let from_zero = levels.first().is_none_or(|l| l.min_uncertainty == 0.0);
+                let ascending = levels.windows(2).all(|w| {
+                    w[0].min_uncertainty < w[1].min_uncertainty && w[0].tau <= w[1].tau
+                });
+                crate::first_failure(&[
+                    (!levels.is_empty(), "staircase needs at least one rung"),
+                    (from_zero, "first rung must start at uncertainty 0"),
+                    (ascending, "rungs must ascend in both uncertainty and tau"),
+                    (levels.iter().all(|l| in_unit(l.tau)), tau_rule),
+                ])
+            }
+        }
+    }
+
     /// Short name used in decision-audit events.
     fn audit_name(&self) -> &'static str {
         match self {
@@ -99,31 +131,11 @@ impl RobustAutoScalingManager {
     /// (attach with [`RobustAutoScalingManager::with_obs`]).
     ///
     /// # Panics
-    /// Panics on non-positive `theta` or a malformed strategy: a fixed
-    /// `τ ∉ (0,1)`, or a staircase ladder that is empty, does not start at
-    /// uncertainty 0 (so some step would match no rung), does not ascend
-    /// in both uncertainty and `τ`, or carries a `τ ∉ (0,1)`; an adaptive
-    /// config that breaks [`AdaptiveConfig::new`]'s rule, even when
-    /// written as a struct literal.
+    /// Panics on a `theta` [`rpas_simdb::validate_theta`] refuses or a
+    /// strategy [`ScalingStrategy::validate`] refuses.
     pub fn new(theta: f64, min_nodes: u32, strategy: ScalingStrategy) -> Self {
-        assert!(theta > 0.0, "theta must be positive");
-        match &strategy {
-            ScalingStrategy::Fixed { tau } => {
-                assert!(*tau > 0.0 && *tau < 1.0, "tau must be in (0,1)");
-            }
-            ScalingStrategy::Adaptive(cfg) => cfg.check(),
-            ScalingStrategy::Staircase(levels) => {
-                assert!(!levels.is_empty(), "staircase needs at least one rung");
-                // config contract: the first rung must be written as literal 0.0 so every uncertainty maps to a rung
-                assert!(levels[0].min_uncertainty == 0.0, "first rung must start at uncertainty 0");
-                assert!(
-                    levels.windows(2).all(|w| w[0].min_uncertainty < w[1].min_uncertainty
-                        && w[0].tau <= w[1].tau),
-                    "rungs must ascend in both uncertainty and tau"
-                );
-                assert!(levels.iter().all(|l| l.tau > 0.0 && l.tau < 1.0), "tau must be in (0,1)");
-            }
-        }
+        let valid = rpas_simdb::validate_theta(theta).and_then(|()| strategy.validate());
+        assert_eq!(valid, Ok(()), "invalid manager config");
         Self {
             theta,
             min_nodes,
@@ -501,5 +513,61 @@ mod tests {
     #[test]
     fn accepts_a_well_formed_literal_adaptive_config() {
         adaptive(0.8, 0.95, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "theta must be positive and finite, got inf")]
+    fn rejects_an_infinite_theta() {
+        RobustAutoScalingManager::new(f64::INFINITY, 1, ScalingStrategy::Fixed { tau: 0.9 });
+    }
+
+    #[test]
+    fn validate_pins_every_strategy_rule() {
+        use ScalingStrategy::{Adaptive, Fixed, Staircase};
+        let literal = |tau_low, tau_high, rho| Adaptive(AdaptiveConfig { tau_low, tau_high, rho });
+        let ladder = |rungs: &[(f64, f64)]| {
+            let rung = |&(min_uncertainty, tau): &(f64, f64)| StaircaseLevel { min_uncertainty, tau };
+            Staircase(rungs.iter().map(rung).collect())
+        };
+        let pair = "need 0 < τ₁ ≤ τ₂ < 1";
+        let rho = "uncertainty threshold must be non-negative and finite";
+        let ascend = "rungs must ascend in both uncertainty and tau";
+        let cases = [
+            (Fixed { tau: 0.0 }, "tau must be in (0,1)"),
+            (Fixed { tau: 1.0 }, "tau must be in (0,1)"),
+            (Fixed { tau: -0.5 }, "tau must be in (0,1)"),
+            (Fixed { tau: f64::NAN }, "tau must be in (0,1)"),
+            (Fixed { tau: f64::INFINITY }, "tau must be in (0,1)"),
+            (literal(0.0, 0.9, 1.0), pair),
+            (literal(0.5, 1.0, 1.0), pair),
+            (literal(0.95, 0.8, 1.0), pair),
+            (literal(f64::NAN, 0.9, 1.0), pair),
+            (literal(0.5, f64::NAN, 1.0), pair),
+            (literal(0.8, 0.95, -1.0), rho),
+            (literal(0.8, 0.95, f64::NAN), rho),
+            (literal(0.8, 0.95, f64::INFINITY), rho),
+            (ladder(&[]), "staircase needs at least one rung"),
+            (ladder(&[(1.0, 0.9)]), "first rung must start at uncertainty 0"),
+            (ladder(&[(f64::NAN, 0.9)]), "first rung must start at uncertainty 0"),
+            (ladder(&[(0.0, 0.5), (4.0, 0.9), (2.0, 0.95)]), ascend),
+            (ladder(&[(0.0, 0.5), (0.0, 0.9)]), ascend),
+            (ladder(&[(0.0, 0.9), (2.0, 0.5)]), ascend),
+            (ladder(&[(0.0, 0.5), (f64::NAN, 0.9)]), ascend),
+            (ladder(&[(0.0, 0.5), (2.0, 1.0)]), "tau must be in (0,1)"),
+            (ladder(&[(0.0, 0.0)]), "tau must be in (0,1)"),
+        ];
+        for (strategy, why) in cases {
+            let err = strategy.validate().unwrap_err();
+            assert!(err.starts_with(why), "{strategy:?}: {err}");
+        }
+        for ok in [
+            Fixed { tau: 0.5 },
+            literal(0.8, 0.8, 0.0),
+            literal(0.8, 0.95, 1e300),
+            ladder(&[(0.0, 0.5)]),
+            ladder(&[(0.0, 0.5), (2.0, 0.5), (4.0, 0.99)]),
+        ] {
+            assert_eq!(ok.validate(), Ok(()), "{ok:?}");
+        }
     }
 }

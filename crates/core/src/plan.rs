@@ -62,9 +62,9 @@ impl CapacityPlan {
 /// ```
 ///
 /// # Panics
-/// Panics if `theta <= 0` or any workload is negative/non-finite.
+/// Panics unless `theta` and every workload are finite, `theta > 0` and workloads `≥ 0`.
 pub fn plan_point(workload: &[f64], theta: f64, min_nodes: u32) -> CapacityPlan {
-    assert!(theta > 0.0, "theta must be positive");
+    assert_eq!(rpas_simdb::validate_theta(theta), Ok(()), "invalid theta");
     CapacityPlan::new(
         workload
             .iter()
@@ -89,7 +89,7 @@ pub fn plan_point(workload: &[f64], theta: f64, min_nodes: u32) -> CapacityPlan 
 /// covering problem is always feasible and bounded).
 #[expect(clippy::expect_used, reason = "the covering LP is feasible and bounded for every input")]
 pub(crate) fn plan_point_lp(workload: &[f64], theta: f64, min_nodes: u32) -> CapacityPlan {
-    assert!(theta > 0.0, "theta must be positive");
+    assert_eq!(rpas_simdb::validate_theta(theta), Ok(()), "invalid theta");
     if workload.is_empty() {
         return CapacityPlan::new(Vec::new());
     }

@@ -19,7 +19,9 @@
 //! Each class draws from its own `child_seed` stream, so changing one rate
 //! never perturbs the schedule of the others.
 
+use rpas_obs::json::escape_into;
 use rpas_tsmath::rng::{child_seed, seeded, uniform_index, RngCore};
+use std::fmt::Write;
 
 /// Per-class fault rates. All `*_prob` fields are per-step (or per-action)
 /// probabilities in `[0, 1]`.
@@ -293,7 +295,6 @@ pub(crate) const ATTRIBUTION_WINDOW: usize = 3;
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     cfg: FaultConfig,
-    seed: u64,
     scale_fail: Vec<bool>,
     delay_steps: Vec<u32>,
     crash: Vec<bool>,
@@ -359,7 +360,7 @@ impl FaultPlan {
             t += dur;
         }
 
-        Self { cfg, seed, scale_fail, delay_steps, crash, dropout, anomaly_mult, anomaly_kind }
+        Self { cfg, scale_fail, delay_steps, crash, dropout, anomaly_mult, anomaly_kind }
     }
 
     /// The config this plan was built from.
@@ -425,42 +426,41 @@ impl FaultPlan {
 
     /// The scheduled fault timeline as deterministic JSONL: one line per
     /// armed fault, ordered by step then by class. `label` (e.g. a fault
-    /// profile name) is included in every line when given, so a matrix run
-    /// can concatenate several plans into one artifact.
+    /// profile spec) is included in every line when given, JSON-escaped,
+    /// so a matrix run can concatenate several plans into one artifact.
     ///
     /// This is the byte-identical-artifact surface: the same plan always
     /// serialises to the same bytes (no timestamps, no float drift — the
     /// multiplier is printed with Rust's shortest-roundtrip formatting).
     pub fn schedule_jsonl(&self, label: Option<&str>) -> String {
-        let prefix = |step: usize| match label {
-            Some(l) => format!("{{\"profile\":{:?},\"step\":{step}", l),
-            None => format!("{{\"step\":{step}"),
-        };
+        let mut head = String::from("{");
+        if let Some(label) = label {
+            head.push_str("\"profile\":\"");
+            escape_into(&mut head, label);
+            head.push_str("\",");
+        }
+        let fixed = head.len();
         let mut out = String::new();
         for t in 0..self.len() {
+            head.truncate(fixed);
+            let _ = write!(head, "\"step\":{t},\"kind\":");
             if self.scale_fail_at(t) {
-                out.push_str(&format!("{},\"kind\":\"scale_fail\"}}\n", prefix(t)));
+                let _ = writeln!(out, "{head}\"scale_fail\"}}");
             }
             let d = self.delay_steps_at(t);
             if d > 0 {
-                out.push_str(&format!(
-                    "{},\"kind\":\"provision_delay\",\"extra_steps\":{d}}}\n",
-                    prefix(t)
-                ));
+                let _ = writeln!(out, "{head}\"provision_delay\",\"extra_steps\":{d}}}");
             }
             if self.crash_at(t) {
-                out.push_str(&format!("{},\"kind\":\"node_crash\",\"count\":1}}\n", prefix(t)));
+                let _ = writeln!(out, "{head}\"node_crash\",\"count\":1}}");
             }
             if self.dropout_at(t) {
-                out.push_str(&format!("{},\"kind\":\"metric_dropout\"}}\n", prefix(t)));
+                let _ = writeln!(out, "{head}\"metric_dropout\"}}");
             }
             let m = self.anomaly_mult_at(t);
             if m != 1.0 {
-                out.push_str(&format!(
-                    "{},\"kind\":\"anomaly\",\"burst\":\"{}\",\"mult\":{m}}}\n",
-                    prefix(t),
-                    self.anomaly_kind_at(t).label()
-                ));
+                let burst = self.anomaly_kind_at(t).label();
+                let _ = writeln!(out, "{head}\"anomaly\",\"burst\":\"{burst}\",\"mult\":{m}}}");
             }
         }
         out
@@ -646,14 +646,17 @@ mod tests {
     #[test]
     fn schedule_lines_are_valid_json_objects() {
         let p = FaultPlan::build(FaultConfig::heavy(), 9, 200);
-        let jsonl = p.schedule_jsonl(Some("heavy"));
-        assert!(!jsonl.is_empty());
-        for line in jsonl.lines() {
-            let parsed = rpas_obs::json::parse(line).expect("schedule line parses as JSON");
-            let obj = parsed.as_obj().expect("schedule line is an object");
-            assert_eq!(obj.get("profile").and_then(|v| v.as_str()), Some("heavy"));
-            assert!(obj.contains_key("step"));
-            assert!(obj.contains_key("kind"));
+        // A label is any text: JSON escapes, not Rust's, quote it.
+        for label in ["heavy", "a \"quoted\"\\label\u{1b}µ"] {
+            let jsonl = p.schedule_jsonl(Some(label));
+            assert!(!jsonl.is_empty());
+            for line in jsonl.lines() {
+                let parsed = rpas_obs::json::parse(line).expect("schedule line parses as JSON");
+                let obj = parsed.as_obj().expect("schedule line is an object");
+                assert_eq!(obj.get("profile").and_then(|v| v.as_str()), Some(label));
+                assert!(obj.contains_key("step"));
+                assert!(obj.contains_key("kind"));
+            }
         }
     }
 

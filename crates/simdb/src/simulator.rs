@@ -32,6 +32,34 @@ pub struct SimConfig {
     pub checkpoint_gb: f64,
 }
 
+/// The one rule for a scaling threshold `θ`, wherever it is configured:
+/// positive and finite.
+pub fn validate_theta(theta: f64) -> Result<(), String> {
+    if theta > 0.0 && theta.is_finite() {
+        return Ok(());
+    }
+    Err(format!("theta must be positive and finite, got {theta}"))
+}
+
+impl SimConfig {
+    /// Whether a [`SimSession`] can run under this config: a valid `θ`
+    /// ([`validate_theta`]), `1 ≤ min_nodes ≤ max_nodes`, and a finite,
+    /// non-negative checkpoint size. Returns the first problem.
+    pub fn validate(&self) -> Result<(), String> {
+        validate_theta(self.theta)?;
+        if self.min_nodes > self.max_nodes {
+            return Err("min_nodes must not exceed max_nodes".into());
+        }
+        if self.min_nodes == 0 {
+            return Err("a serving cluster needs at least one node".into());
+        }
+        if !(self.checkpoint_gb >= 0.0 && self.checkpoint_gb.is_finite()) {
+            return Err("checkpoint size must be non-negative and finite".into());
+        }
+        Ok(())
+    }
+}
+
 impl Default for SimConfig {
     fn default() -> Self {
         Self {
@@ -82,14 +110,10 @@ impl SimSession {
     /// with the builders *before* the first [`SimSession::step`].
     ///
     /// # Panics
-    /// Panics on an empty trace, non-positive `theta`, `min > max`, or a
-    /// negative checkpoint size.
+    /// Panics on an empty trace or a config [`SimConfig::validate`] refuses.
     pub fn new(trace: &Trace, cfg: SimConfig) -> Self {
         assert!(!trace.is_empty(), "cannot simulate an empty trace");
-        assert!(cfg.theta > 0.0, "theta must be positive");
-        assert!(cfg.min_nodes <= cfg.max_nodes, "min_nodes must not exceed max_nodes");
-        assert!(cfg.min_nodes >= 1, "a serving cluster needs at least one node");
-        assert!(cfg.checkpoint_gb >= 0.0, "checkpoint size must be non-negative");
+        assert_eq!(cfg.validate(), Ok(()), "invalid simulation config");
         let cluster = Cluster::new(cfg.min_nodes, cfg.warmup, cfg.checkpoint_gb);
         let w = trace.as_slice().to_vec();
         Self {
@@ -432,6 +456,38 @@ mod tests {
     fn empty_trace_rejected() {
         let tr = trace(vec![]);
         let _ = SimSession::new(&tr, SimConfig::default());
+    }
+
+    #[test]
+    fn validate_refuses_every_broken_rule() {
+        let ok = SimConfig::default();
+        assert_eq!(ok.validate(), Ok(()));
+        let theta = |theta| SimConfig { theta, ..ok };
+        let cases = [
+            (theta(0.0), "theta must be positive and finite, got 0"),
+            (theta(-1.0), "theta must be positive and finite, got -1"),
+            (theta(f64::NAN), "theta must be positive and finite, got NaN"),
+            (theta(f64::INFINITY), "theta must be positive and finite, got inf"),
+            (theta(f64::NEG_INFINITY), "theta must be positive and finite, got -inf"),
+            (SimConfig { min_nodes: 0, ..ok }, "a serving cluster needs at least one node"),
+            (SimConfig { min_nodes: 5, max_nodes: 4, ..ok }, "min_nodes must not exceed max_nodes"),
+            (SimConfig { checkpoint_gb: -1.0, ..ok }, "checkpoint size must be non-negative"),
+            (SimConfig { checkpoint_gb: f64::NAN, ..ok }, "checkpoint size must be non-negative"),
+            (SimConfig { checkpoint_gb: f64::INFINITY, ..ok }, "checkpoint size must be non-negative"),
+        ];
+        for (cfg, why) in cases {
+            let err = cfg.validate().unwrap_err();
+            assert!(err.starts_with(why), "{cfg:?}: {err}");
+        }
+        let edge = SimConfig { min_nodes: 4, max_nodes: 4, checkpoint_gb: 0.0, ..ok };
+        assert_eq!(edge.validate(), Ok(()));
+    }
+
+    #[test]
+    #[should_panic(expected = "theta must be positive and finite, got inf")]
+    fn session_refuses_an_infinite_theta() {
+        let cfg = SimConfig { theta: f64::INFINITY, ..Default::default() };
+        let _ = SimSession::new(&trace(vec![1.0]), cfg);
     }
 
     #[test]

@@ -13,10 +13,10 @@
 #      checkpoint `save` to one metric exposition plus a constant,
 #      `load` to a rebuild and replay of the fleet plus the same, and
 #      the exposition itself to a constant whatever the cell count.
-#   3. All five examples, run (not only compiled) in the dev profile; a
-#      non-zero exit fails the gate. forecaster_tour, the one that builds
-#      forecasts from five model families (and the only caller of
-#      wql_at / coverage_at), trains them; ~8 s, time printed.
+#   3. Every example under examples/*.rs, run (not only compiled) in the
+#      dev profile; a non-zero exit fails the gate. forecaster_tour, the
+#      one that builds forecasts from five model families (and the only
+#      caller of wql_at / coverage_at), trains them; ~8 s, time printed.
 #   4. The number writer's 30 M-double sweep against `format!("{x}")`
 #      (rpas-obs json::number::tests::sweep_agrees_with_std_display,
 #      #[ignore]d in the workspace run; ~10 s in release), and the row
@@ -72,13 +72,16 @@ echo "== offline tests (whole workspace) =="
 cargo test -q --offline --workspace
 
 echo "== examples (run, not only compiled) =="
-# Each of the first four takes milliseconds in the dev profile;
-# forecaster_tour trains five models.
+# The list is the directory, so a new example cannot go unrun. Most take
+# milliseconds in the dev profile; forecaster_tour trains five models.
 start=$SECONDS
-for example in quickstart capacity_planning adaptive_simulation qos_threshold forecaster_tour; do
+ran=0
+for path in examples/*.rs; do
+    example="$(basename "$path" .rs)"
     cargo run -q --offline --example "$example" > /dev/null
+    ran=$((ran + 1))
 done
-echo "ok: every example ran ($((SECONDS - start)) s)"
+echo "ok: all $ran examples ran ($((SECONDS - start)) s)"
 
 echo "== number writer sweep (30 M doubles against format!, release) =="
 # Every trace, exposition and report number goes through

@@ -24,7 +24,9 @@ use rpas::obs::{catalog, fmt_us, validate_line, Level, Obs, StderrSink, TraceLin
 use rpas::telemetry::{
     diff_traces, run_query, Aggregate, GroupBy, QueryFilter, SloSpec, Telemetry,
 };
-use rpas::simdb::{FaultConfig, FaultPlan, SimConfig, SimSession, SimulationReport};
+use rpas::simdb::{
+    validate_theta, FaultConfig, FaultPlan, SimConfig, SimSession, SimulationReport,
+};
 use rpas::traces::csv::{read_column, write_columns_to_path, write_trace};
 use rpas::traces::{Trace, STEPS_PER_DAY};
 
@@ -62,9 +64,9 @@ COMMANDS
   chaos      fault matrix × policy grid through the cluster simulator
              --preset alibaba|google (alibaba)  --days N (>=4; by profile)
              --seed S (7)  --theta T (60)  --fault-seed S (101)
-             --profiles LIST (none,light,heavy): one profile per
-             comma-separated entry, a name or a single key=val applied
-             to none, e.g. light,crash=0.2
+             --profiles LIST (none;light;heavy): fault specs (a
+             profile name, key=val overrides, or both) separated by
+             `;`, e.g. 'light;anomaly=0.1,anomaly_max=8,anomaly_mult=3'
              --schedule-out FILE  (fault schedules as JSONL)
   fleet      multi-tenant fleet simulation (per-tenant traces/policies)
              --tenants N (16)  --seed S (7)  --days N (by profile)
@@ -365,23 +367,13 @@ fn forecast(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>>
     Ok(())
 }
 
-/// The `--theta` check every command that takes it shares: NaN and ±∞
-/// parse as `f64`, and the library asserts on them or plans nonsense.
-fn positive_theta(theta: f64) -> Result<f64, Box<dyn std::error::Error>> {
-    if theta > 0.0 && theta.is_finite() {
-        Ok(theta)
-    } else {
-        Err(format!("--theta must be positive and finite, got {theta}").into())
-    }
-}
-
 fn plan(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>> {
     let path = a.require("forecast")?;
-    let theta = positive_theta(a.require_parsed("theta")?)?;
+    let theta: f64 = a.require_parsed("theta")?;
+    validate_theta(theta)?;
     let tau: f64 = a.get_or("tau", 0.9)?;
-    if !(0.0..1.0).contains(&tau) || tau == 0.0 {
-        return Err(format!("--tau must be in (0,1), got {tau}").into());
-    }
+    let strategy = ScalingStrategy::Fixed { tau };
+    strategy.validate()?;
     let min_nodes: u32 = a.get_or("min-nodes", 1)?;
     let out = a.require("out")?;
 
@@ -415,8 +407,7 @@ fn plan(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     let qf = rpas::forecast::QuantileForecast::new(levels, values)?;
-    let manager = RobustAutoScalingManager::new(theta, min_nodes, ScalingStrategy::Fixed { tau })
-        .with_obs(obs.clone());
+    let manager = RobustAutoScalingManager::new(theta, min_nodes, strategy).with_obs(obs.clone());
     let plan = manager.plan(&qf);
 
     let steps: Vec<f64> = (0..plan.len()).map(|t| t as f64).collect();
@@ -432,14 +423,14 @@ fn plan(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>> {
 
 fn simulate(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>> {
     let (trace, _) = load_trace(a)?;
-    let theta = positive_theta(a.get_or("theta", 60.0)?)?;
+    let cfg = SimConfig { theta: a.get_or("theta", 60.0)?, ..Default::default() };
+    cfg.validate()?;
     let policy_name = a.require("policy")?;
     let period: usize = a.get_or("period", STEPS_PER_DAY)?;
     if period == 0 {
         return Err("--period must be at least 1".into());
     }
 
-    let cfg = SimConfig { theta, ..Default::default() };
     let session = SimSession::new(&trace, cfg).with_obs(obs.clone());
 
     let report = if policy_name == "reactive-max" {
@@ -448,17 +439,16 @@ fn simulate(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>>
         session.run(&mut ReactiveAvg::paper_default())
     } else if let Some(tau_s) = policy_name.strip_prefix("robust-") {
         let tau: f64 = tau_s.parse().map_err(|_| format!("bad tau in {policy_name:?}"))?;
-        if !(0.0 < tau && tau < 1.0) {
-            return Err(format!("tau in {policy_name:?} must be in (0,1)").into());
-        }
+        let strategy = ScalingStrategy::Fixed { tau };
+        strategy.validate().map_err(|why| format!("policy {policy_name:?}: {why}"))?;
         let split = (trace.len() / 2).max(2 * period);
         if trace.len() <= split + period {
             return Err("trace too short for robust simulation (need > 3 periods)".into());
         }
         let mut fc = SeasonalNaive::new(period);
         fc.fit(&trace.values[..split])?;
-        let manager = RobustAutoScalingManager::new(theta, 1, ScalingStrategy::Fixed { tau })
-            .with_obs(obs.clone());
+        let manager =
+            RobustAutoScalingManager::new(cfg.theta, 1, strategy).with_obs(obs.clone());
         let mut p = QuantilePredictivePolicy::new(
             "robust",
             fc,
@@ -516,21 +506,22 @@ fn backtest(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>>
     if context == 0 || horizon == 0 {
         return Err("--context and --horizon must be at least 1".into());
     }
-    let theta = positive_theta(a.get_or("theta", 60.0)?)?;
+    let theta: f64 = a.get_or("theta", 60.0)?;
+    validate_theta(theta)?;
     let min_nodes: u32 = a.get_or("min-nodes", 1)?;
     let train_frac: f64 = a.get_or("train-frac", 0.7)?;
     if !(0.0..=1.0).contains(&train_frac) {
         return Err(format!("--train-frac must be in [0,1], got {train_frac}").into());
     }
-    let tau_low: f64 = a.get_or("tau-low", 0.8)?;
-    let tau_high: f64 = a.get_or("tau-high", 0.95)?;
-    if !(0.0 < tau_low && tau_low <= tau_high && tau_high < 1.0) {
-        return Err("need 0 < --tau-low <= --tau-high < 1".into());
-    }
     let rho: Option<f64> = a.get("rho").map(|_| a.require_parsed("rho")).transpose()?;
-    if let Some(rho) = rho.filter(|r| !(*r >= 0.0 && r.is_finite())) {
-        return Err(format!("--rho must be non-negative and finite, got {rho}").into());
-    }
+    // ρ = 0 stands in for the default, which the first window sets after
+    // the fit (a median of Eq. 8's non-negative spreads).
+    let mut adaptive = AdaptiveConfig {
+        tau_low: a.get_or("tau-low", 0.8)?,
+        tau_high: a.get_or("tau-high", 0.95)?,
+        rho: rho.unwrap_or(0.0),
+    };
+    ScalingStrategy::Adaptive(adaptive).validate()?;
 
     // Seasonal-naive's period follows the context window, so one window
     // of history always carries a full season. Holt-Winters reads two
@@ -594,21 +585,15 @@ fn backtest(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>>
     // Default ρ: the median uncertainty of the first forecast window, so
     // the conservative/aggressive split lands mid-scale for the trace at
     // hand instead of needing a hand-tuned absolute threshold.
-    let rho = match rho {
-        Some(rho) => rho,
-        None => {
-            let first =
-                model.forecast_quantiles(&test_values[..context], horizon, &SCALING_LEVELS)?;
-            rpas::tsmath::stats::median(&uncertainty_series(&first))
-        }
-    };
+    if rho.is_none() {
+        let first = model.forecast_quantiles(&test_values[..context], horizon, &SCALING_LEVELS)?;
+        adaptive.rho = rpas::tsmath::stats::median(&uncertainty_series(&first));
+    }
+    let AdaptiveConfig { tau_low, tau_high, rho } = adaptive;
 
-    let manager = RobustAutoScalingManager::new(
-        theta,
-        min_nodes,
-        ScalingStrategy::Adaptive(AdaptiveConfig::new(tau_low, tau_high, rho)),
-    )
-    .with_obs(obs.clone());
+    let manager =
+        RobustAutoScalingManager::new(theta, min_nodes, ScalingStrategy::Adaptive(adaptive))
+            .with_obs(obs.clone());
 
     let bt_timer = obs.span(catalog::BACKTEST_SPAN_CLOSE, "rolling");
     // Forecast every window, then plan them: the trace carries every
@@ -656,14 +641,15 @@ fn chaos_predictive(
     ))
 }
 
-/// One row of the chaos grid, printed deterministically (no wall times).
-fn chaos_row(profile: &str, policy: &str, r: &SimulationReport) {
+/// One row of the chaos grid, printed deterministically (no wall times),
+/// its profile label padded to the header's `width`.
+fn chaos_row(profile: &str, width: usize, policy: &str, r: &SimulationReport) {
     let (episodes, mean, max) = match r.recovery {
         Some(rec) => (rec.episodes.to_string(), format!("{:.2}", rec.mean_steps), rec.max_steps.to_string()),
         None => ("-".into(), "-".into(), "-".into()),
     };
     println!(
-        "{profile:<8} {policy:<13} {:>9.4} {:>9.4} {:>9.2} {:>7} {:>8} {:>9} {:>8}",
+        "{profile:<width$} {policy:<13} {:>9.4} {:>9.4} {:>9.2} {:>7} {:>8} {:>9} {:>8}",
         r.violation_rate,
         r.provisioning.under_rate,
         r.provisioning.avg_allocated,
@@ -684,9 +670,10 @@ fn chaos(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>> {
     let preset = a.get("preset").unwrap_or("alibaba");
     let days: usize = a.get_or("days", days_d.max(4))?;
     let seed: u64 = a.get_or("seed", 7)?;
-    let theta = positive_theta(a.get_or("theta", 60.0)?)?;
+    let sim_cfg = SimConfig { theta: a.get_or("theta", 60.0)?, ..Default::default() };
+    sim_cfg.validate()?;
     let fault_seed: u64 = a.get_or("fault-seed", 101)?;
-    let profiles_raw = a.get("profiles").unwrap_or("none,light,heavy");
+    let profiles_raw = a.get("profiles").unwrap_or("none;light;heavy");
 
     let trace = parse_preset(preset)?.build(seed, days);
     if trace.len() < 4 * STEPS_PER_DAY {
@@ -694,25 +681,23 @@ fn chaos(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>> {
     }
     let period = STEPS_PER_DAY;
 
-    let mut plans: Vec<(String, FaultPlan)> = Vec::new();
-    for name in profiles_raw.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-        let cfg = FaultConfig::from_spec(name)?;
-        plans.push((name.to_string(), FaultPlan::build(cfg, fault_seed, trace.len())));
+    let mut plans: Vec<(&str, FaultPlan)> = Vec::new();
+    for spec in profiles_raw.split(';').map(str::trim) {
+        let cfg = FaultConfig::from_spec(spec)?;
+        plans.push((spec, FaultPlan::build(cfg, fault_seed, trace.len())));
     }
-    if plans.is_empty() {
-        return Err("--profiles selected no fault profiles".into());
-    }
+    let width = plans.iter().map(|(spec, _)| spec.chars().count()).fold(8, usize::max);
 
     println!(
-        "chaos grid        : {preset} {days}d × {} profile(s), θ={theta}, seed {seed}, fault seed {fault_seed}",
-        plans.len()
+        "chaos grid        : {preset} {days}d × {} profile(s), θ={}, seed {seed}, fault seed {fault_seed}",
+        plans.len(),
+        sim_cfg.theta
     );
     println!(
-        "{:<8} {:<13} {:>9} {:>9} {:>9} {:>7} {:>8} {:>9} {:>8}",
+        "{:<width$} {:<13} {:>9} {:>9} {:>9} {:>7} {:>8} {:>9} {:>8}",
         "profile", "policy", "viol", "under", "avgnodes", "faults", "episodes", "mean-rec", "max-rec"
     );
 
-    let sim_cfg = SimConfig { theta, ..Default::default() };
     for (name, plan) in &plans {
         // One session per policy run, all under the same fault schedule.
         let session = || {
@@ -720,12 +705,12 @@ fn chaos(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>> {
             if plan.config().is_none() { s } else { s.with_faults(plan.clone()) }
         };
 
-        chaos_row(name, "reactive-max", &session().run(&mut ReactiveMax::new(6)));
+        chaos_row(name, width, "reactive-max", &session().run(&mut ReactiveMax::new(6)));
 
-        let mut bare = chaos_predictive(&trace, period, theta, "predictive", obs)?;
-        chaos_row(name, "predictive", &session().run(&mut bare));
+        let mut bare = chaos_predictive(&trace, period, sim_cfg.theta, "predictive", obs)?;
+        chaos_row(name, width, "predictive", &session().run(&mut bare));
 
-        let primary = chaos_predictive(&trace, period, theta, "primary", obs)?;
+        let primary = chaos_predictive(&trace, period, sim_cfg.theta, "primary", obs)?;
         let rcfg = ResilienceConfig {
             max_nodes: sim_cfg.max_nodes,
             naive_period: period,
@@ -734,7 +719,7 @@ fn chaos(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>> {
         };
         let mut resilient =
             ResilientManager::with_config(primary, rcfg).with_obs(obs.clone());
-        chaos_row(name, "resilient", &session().run(&mut resilient));
+        chaos_row(name, width, "resilient", &session().run(&mut resilient));
     }
 
     if let Some(path) = a.get("schedule-out") {
@@ -806,26 +791,11 @@ fn fleet(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>> {
     } else {
         let (days_d, _, _) = profile_defaults();
         let tenants: usize = a.get_or("tenants", 16)?;
-        if tenants == 0 {
-            return Err("--tenants must be at least 1".into());
-        }
         let seed: u64 = a.get_or("seed", 7)?;
         let days: usize = a.get_or("days", days_d.max(4))?;
         if days < 2 {
             return Err("--days must be at least 2 (forecasters fit on the first half)".into());
         }
-        let theta = positive_theta(a.get_or("theta", 60.0)?)?;
-        let min_nodes: u32 = a.get_or("min-nodes", 1)?;
-        let tau: f64 = a.get_or("tau", 0.9)?;
-        if !(0.0 < tau && tau < 1.0) {
-            return Err("--tau must be in (0,1)".into());
-        }
-        let context: usize = a.get_or("context", STEPS_PER_DAY)?;
-        let horizon: usize = a.get_or("horizon", 72)?;
-        if context == 0 || horizon == 0 {
-            return Err("--context and --horizon must be at least 1".into());
-        }
-
         let policies_raw = a.get("policies").unwrap_or("predictive,resilient,reactive-max");
         let mut policies = Vec::new();
         for name in policies_raw.split(',').map(str::trim).filter(|s| !s.is_empty()) {
@@ -837,9 +807,6 @@ fn fleet(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>> {
         let mut presets = Vec::new();
         for name in presets_raw.split(',').map(str::trim).filter(|s| !s.is_empty()) {
             presets.push(parse_preset(name)?);
-        }
-        if policies.is_empty() || presets.is_empty() {
-            return Err("--policies and --presets must each select at least one entry".into());
         }
 
         let faults_raw = a.get("faults").unwrap_or("none");
@@ -857,10 +824,13 @@ fn fleet(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>> {
             tenants,
             seed,
             days,
-            theta,
-            min_nodes,
-            tau,
-            schedule: ReplanSchedule { context, horizon },
+            theta: a.get_or("theta", 60.0)?,
+            min_nodes: a.get_or("min-nodes", 1)?,
+            tau: a.get_or("tau", 0.9)?,
+            schedule: ReplanSchedule {
+                context: a.get_or("context", STEPS_PER_DAY)?,
+                horizon: a.get_or("horizon", 72)?,
+            },
             policies,
             presets,
             resilience: ResilienceConfig::default(),

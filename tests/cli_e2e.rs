@@ -147,7 +147,7 @@ fn bad_inputs_exit_nonzero_with_clean_errors() {
                 "--policy",
                 "robust-nan",
             ],
-            "tau in \"robust-nan\" must be in (0,1)",
+            "policy \"robust-nan\": tau must be in (0,1)",
         ),
         (vec!["plan", "--forecast"], "needs a value"),
         (
@@ -179,10 +179,11 @@ fn bad_inputs_exit_nonzero_with_clean_errors() {
             vec!["chaos", "--days", "4", "--profiles", "light,bogus=1"],
             "unknown fault spec key \"bogus\"",
         ),
-        // NaN and ∞ parse as numbers; every `--theta` refuses them.
+        // NaN and ∞ parse as numbers; every `--theta` refuses them, with
+        // the text of the one θ rule (`rpas_simdb::validate_theta`).
         (
             vec!["plan", "--forecast", "f.csv", "--theta", "NaN", "--out", "p.csv"],
-            "--theta must be positive and finite, got NaN",
+            "theta must be positive and finite, got NaN",
         ),
         (
             vec![
@@ -196,13 +197,15 @@ fn bad_inputs_exit_nonzero_with_clean_errors() {
                 "--policy",
                 "reactive-max",
             ],
-            "--theta must be positive and finite, got NaN",
+            "theta must be positive and finite, got NaN",
         ),
         (
             vec!["backtest", "--days", "3", "--theta", "inf"],
-            "--theta must be positive and finite, got inf",
+            "theta must be positive and finite, got inf",
         ),
-        (vec!["chaos", "--theta", "NaN"], "--theta must be positive and finite, got NaN"),
+        (vec!["chaos", "--theta", "NaN"], "theta must be positive and finite, got NaN"),
+        // Above the tenants' pool ceiling: was a panic in `SimSession::new`.
+        (vec!["fleet", "--min-nodes", "5000"], "min_nodes must not exceed max_nodes"),
         (plan_of(longer.to_str().expect("utf8")), "forecast column q0.9 has 2 rows but q0.5 has 1"),
         (plan_of(shorter.to_str().expect("utf8")), "forecast column q0.9 has 1 rows but q0.5 has 2"),
         (
@@ -212,15 +215,25 @@ fn bad_inputs_exit_nonzero_with_clean_errors() {
         // `--rho` reached an assert inside `AdaptiveConfig::new`.
         (
             vec!["backtest", "--days", "3", "--rho", "-1"],
-            "--rho must be non-negative and finite, got -1",
+            "uncertainty threshold must be non-negative and finite",
         ),
         (
             vec!["backtest", "--days", "3", "--rho", "NaN"],
-            "--rho must be non-negative and finite, got NaN",
+            "uncertainty threshold must be non-negative and finite",
         ),
         (
             vec!["backtest", "--days", "3", "--rho", "inf"],
-            "--rho must be non-negative and finite, got inf",
+            "uncertainty threshold must be non-negative and finite",
+        ),
+        (
+            vec!["backtest", "--days", "3", "--tau-low", "0.9", "--tau-high", "0.5"],
+            "need 0 < τ₁ ≤ τ₂ < 1",
+        ),
+        // `--profiles` separates whole specs with `;`: a comma continues
+        // one spec, so the old comma list is one malformed spec.
+        (
+            vec!["chaos", "--days", "4", "--profiles", "none,light"],
+            "expected key=value, got \"light\"",
         ),
         // Holt-Winters' season was the context window, which no window
         // could hold twice: exit 1 on a short series, or a panic with --rho.
@@ -324,6 +337,34 @@ fn chaos_grid_is_deterministic_and_replayable() {
     assert_ne!(s1, s3, "fault seed ignored");
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn chaos_profiles_are_full_specs_and_keep_the_header_aligned() {
+    // Two specs no single `key=val` entry could spell: an anomaly profile
+    // needs three keys and a delay profile two.
+    let anomaly = "anomaly=0.1,anomaly_max=8,anomaly_mult=3";
+    let delay = "delay=0.3,delay_max=3";
+    let out = cli()
+        .env("RPAS_LOG", "off")
+        .args(["chaos", "--days", "4", "--profiles", &format!("{anomaly};{delay}")])
+        .output()
+        .expect("run chaos");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let text = String::from_utf8_lossy(&out.stdout);
+    let mut lines = text.lines().skip(1);
+    let policy_column = lines.next().expect("header").find("policy").expect("policy column");
+    let rows: Vec<&str> = lines.collect();
+    assert_eq!(rows.len(), 6, "{text}");
+    for (row, spec) in rows.iter().zip([anomaly, anomaly, anomaly, delay, delay, delay]) {
+        assert!(row.starts_with(&format!("{spec} ")), "{row}");
+        // The policy column starts where the header's does.
+        let policy = row[spec.len()..].trim_start();
+        assert_eq!(row.len() - policy.len(), policy_column, "{text}");
+        // The faults column (the sixth) counts what the profile applied.
+        let faults: u64 = row.split_whitespace().nth(5).expect("faults").parse().expect("count");
+        assert!(faults > 0, "{row}");
+    }
 }
 
 #[test]

@@ -47,9 +47,10 @@ pub(crate) struct Dataset {
 }
 
 /// Build both evaluation datasets at the profile's length.
+#[expect(clippy::expect_used, reason = "0.7 is a fraction in [0, 1]")]
 pub(crate) fn datasets(p: &ExperimentProfile) -> Vec<Dataset> {
     let mk = |name: &'static str, trace: &Trace| {
-        let (train, test) = trace.train_test_split(0.7);
+        let (train, test) = trace.train_test_split(0.7).expect("0.7 is in [0, 1]");
         Dataset { name, train: train.values, test: test.values }
     };
     vec![

@@ -33,13 +33,16 @@ pub struct QuantilePredictivePolicy<F: Forecaster> {
 
 impl<F: Forecaster> QuantilePredictivePolicy<F> {
     /// New policy around a *fitted* forecaster.
+    ///
+    /// # Panics
+    /// Panics on a schedule [`ReplanSchedule::validate`] refuses.
     pub fn new(
         name: &'static str,
         forecaster: F,
         manager: RobustAutoScalingManager,
         schedule: ReplanSchedule,
     ) -> Self {
-        assert!(schedule.context > 0 && schedule.horizon > 0, "degenerate schedule");
+        assert_eq!(schedule.validate(), Ok(()), "degenerate schedule");
         Self {
             name,
             forecaster,

@@ -56,10 +56,23 @@ impl RollingSpec {
     /// New spec.
     ///
     /// # Panics
-    /// Panics on zero context or horizon.
+    /// Panics on a shape [`RollingSpec::validate`] refuses.
     pub fn new(context: usize, horizon: usize) -> Self {
-        assert!(context > 0 && horizon > 0, "degenerate rolling spec");
-        Self { context, horizon }
+        let spec = Self { context, horizon };
+        assert_eq!(spec.validate(), Ok(()), "degenerate rolling spec");
+        spec
+    }
+
+    /// Whether windows of this shape exist: at least one context step and
+    /// one horizon step. The one home of that rule for the rolling
+    /// protocol, the online policies' replan schedule and the fleet's
+    /// schedule; front ends holding outside input call it and report the
+    /// `Err`.
+    pub fn validate(&self) -> Result<(), String> {
+        crate::first_failure(&[
+            (self.context > 0, "context must be at least 1"),
+            (self.horizon > 0, "horizon must be at least 1"),
+        ])
     }
 
     /// The rolling grid over a held-out series: window `k` is
@@ -382,6 +395,19 @@ mod tests {
     }
 
     #[test]
+    fn validate_pins_every_window_rule() {
+        assert_eq!(RollingSpec { context: 1, horizon: 1 }.validate(), Ok(()));
+        let cases = [
+            ((0, 8), "context must be at least 1"),
+            ((0, 0), "context must be at least 1"),
+            ((16, 0), "horizon must be at least 1"),
+        ];
+        for ((context, horizon), why) in cases {
+            assert_eq!(RollingSpec { context, horizon }.validate(), Err(why.to_string()));
+        }
+    }
+
+    #[test]
     fn quantile_windows_match_manual_loop() {
         // The pass must reproduce the hand-written rolling loop, byte for
         // byte: window k reads test[8k .. 8k + 16] and predicts
@@ -578,7 +604,7 @@ mod tests {
         let mut padded = rpas_forecast::PaddedForecaster::new(lv, "lv-pad", 64, 0.9);
         let r = evaluate_plans_point(&mut padded, test, 16, 8, 60.0, 1);
         assert!(padded.history_len() > 0);
-        assert!(r.under_rate + r.over_rate + r.exact_rate > 0.99);
+        assert!(r.avg_allocated >= 1.0);
     }
 
     #[test]

@@ -201,9 +201,9 @@ impl FleetConfig {
             (self.tenants > 0, "a fleet needs at least one tenant"),
             (!self.policies.is_empty(), "policy mix must not be empty"),
             (!self.presets.is_empty(), "preset mix must not be empty"),
-            (self.schedule.context > 0 && self.schedule.horizon > 0, "degenerate schedule"),
             (self.days > 0, "a trace needs at least one day"),
         ])?;
+        self.schedule.validate().map_err(|why| format!("schedule: {why}"))?;
         self.sim_config().validate()?;
         ScalingStrategy::Fixed { tau: self.tau }.validate()?;
         self.resilience.validate().map_err(|why| format!("resilience: {why}"))?;
@@ -704,9 +704,9 @@ mod tests {
             (with(|c| c.tenants = 0), "a fleet needs at least one tenant"),
             (with(|c| c.policies.clear()), "policy mix must not be empty"),
             (with(|c| c.presets.clear()), "preset mix must not be empty"),
-            (with(|c| c.schedule.context = 0), "degenerate schedule"),
-            (with(|c| c.schedule.horizon = 0), "degenerate schedule"),
             (with(|c| c.days = 0), "a trace needs at least one day"),
+            (with(|c| c.schedule.context = 0), "schedule: context must be at least 1"),
+            (with(|c| c.schedule.horizon = 0), "schedule: horizon must be at least 1"),
             (with(|c| c.theta = 0.0), theta),
             (with(|c| c.theta = -1.0), theta),
             (with(|c| c.theta = f64::NAN), theta),

@@ -131,10 +131,10 @@ impl RobustAutoScalingManager {
     /// (attach with [`RobustAutoScalingManager::with_obs`]).
     ///
     /// # Panics
-    /// Panics on a `theta` [`rpas_simdb::validate_theta`] refuses or a
+    /// Panics on a `theta` [`rpas_metrics::validate_theta`] refuses or a
     /// strategy [`ScalingStrategy::validate`] refuses.
     pub fn new(theta: f64, min_nodes: u32, strategy: ScalingStrategy) -> Self {
-        let valid = rpas_simdb::validate_theta(theta).and_then(|()| strategy.validate());
+        let valid = rpas_metrics::validate_theta(theta).and_then(|()| strategy.validate());
         assert_eq!(valid, Ok(()), "invalid manager config");
         Self {
             theta,

@@ -67,7 +67,7 @@ fn decision_events_reconstruct_the_exact_switch_sequence() {
 
 fn rolling_eval_events(seed: u64) -> Vec<String> {
     let trace = alibaba_like(seed, 4).cpu().clone();
-    let (train, test) = trace.train_test_split(0.6);
+    let (train, test) = trace.train_test_split(0.6).unwrap();
     let mut sn = SeasonalNaive::new(24);
     sn.fit(&train.values).expect("fit");
 
@@ -103,7 +103,7 @@ fn same_seed_reruns_are_byte_identical_in_content() {
 #[test]
 fn noop_obs_is_dark_during_rolling_eval() {
     let trace = alibaba_like(3, 4).cpu().clone();
-    let (train, test) = trace.train_test_split(0.6);
+    let (train, test) = trace.train_test_split(0.6).unwrap();
     let mut sn = SeasonalNaive::new(24);
     sn.fit(&train.values).expect("fit");
     let spec = RollingSpec::new(24, 24);

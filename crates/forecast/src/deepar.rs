@@ -124,11 +124,6 @@ impl DeepAr {
         self
     }
 
-    /// Borrow the config.
-    pub fn config(&self) -> &DeepArConfig {
-        &self.cfg
-    }
-
     /// Student-t emitted by the head, or `Unhealthy` when the head output is
     /// not finite (diverged weights) — `StudentT::new` would panic on it.
     fn dist_from(out: &[f64; 3]) -> Result<StudentT, ForecastError> {

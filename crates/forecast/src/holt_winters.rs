@@ -95,7 +95,9 @@ impl HoltWinters {
         (HwState { level, trend, seasonal, next_slot }, residuals)
     }
 
-    fn min_series(&self) -> usize {
+    /// The shortest series `fit` accepts and the shortest context a
+    /// forecast reads: two seasons and a step.
+    pub fn min_series(&self) -> usize {
         2 * self.cfg.period + 1
     }
 }

@@ -34,8 +34,6 @@ pub struct LpSolution {
     pub objective: f64,
     /// Optimal assignment of the original decision variables.
     pub x: Vec<f64>,
-    /// Simplex pivots performed (phase 1 + phase 2).
-    pub iterations: usize,
 }
 
 const EPS: f64 = 1e-9;
@@ -87,8 +85,8 @@ impl Tableau {
     }
 
     /// Run simplex on the current objective row (last row), minimising.
-    /// `allowed_cols` restricts entering columns. Returns pivots done.
-    fn run(&mut self, allowed_cols: usize) -> Result<usize, LpError> {
+    /// `allowed_cols` restricts entering columns.
+    fn run(&mut self, allowed_cols: usize) -> Result<(), LpError> {
         let obj = self.rows - 1;
         let mut iters = 0;
         loop {
@@ -100,7 +98,7 @@ impl Tableau {
                     break;
                 }
             }
-            let Some(col) = enter else { return Ok(iters) };
+            let Some(col) = enter else { return Ok(()) };
 
             // Ratio test, Bland tie-break on basis index.
             let mut leave: Option<(usize, f64)> = None;
@@ -206,7 +204,6 @@ pub fn solve(p: &LpProblem) -> Result<LpSolution, LpError> {
         }
     }
 
-    let mut total_iters = 0;
 
     // Phase 1: minimise the sum of artificial variables.
     if n_art > 0 {
@@ -224,7 +221,7 @@ pub fn solve(p: &LpProblem) -> Result<LpSolution, LpError> {
                 }
             }
         }
-        total_iters += t.run(cols - 1)?;
+        t.run(cols - 1)?;
         let phase1_obj = -t.at(rows - 1, cols - 1);
         if phase1_obj > 1e-7 {
             return Err(LpError::Infeasible);
@@ -276,7 +273,7 @@ pub fn solve(p: &LpProblem) -> Result<LpSolution, LpError> {
             }
         }
         // Entering columns restricted to structural + slack (no artificials).
-        total_iters += t.run(n + n_slack)?;
+        t.run(n + n_slack)?;
     }
 
     // Read off the solution.
@@ -288,7 +285,7 @@ pub fn solve(p: &LpProblem) -> Result<LpSolution, LpError> {
         }
     }
     let objective = p.objective().iter().zip(&x).map(|(c, v)| c * v).sum();
-    Ok(LpSolution { objective, x, iterations: total_iters })
+    Ok(LpSolution { objective, x })
 }
 
 fn flip(r: Relation) -> Relation {

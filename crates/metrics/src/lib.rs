@@ -17,5 +17,7 @@ pub mod provisioning;
 mod quantile;
 
 pub use point::mse;
-pub use provisioning::{provisioning_rates, provisioning_rates_over, ProvisioningReport};
+pub use provisioning::{
+    provisioning_rates, provisioning_rates_over, validate_theta, ProvisioningReport,
+};
 pub use quantile::{coverage, weighted_quantile_loss};

@@ -16,22 +16,43 @@ pub struct ProvisioningReport {
     pub under_rate: f64,
     /// Fraction of periods with more nodes than the minimum required.
     pub over_rate: f64,
-    /// Fraction of periods allocated exactly the minimum.
-    pub exact_rate: f64,
     /// Mean allocated nodes per period.
     pub avg_allocated: f64,
-    /// Mean minimum-required nodes per period.
-    pub avg_required: f64,
     /// Total node-periods allocated beyond the minimum (wasted capacity).
     pub excess_node_steps: f64,
     /// Total node-periods short of the minimum (capacity deficit).
     pub deficit_node_steps: f64,
 }
 
+/// The one rule for a scaling threshold `θ`, wherever it is configured:
+/// positive and finite.
+///
+/// `required_nodes` asserts it on every simulated step, so the test is
+/// inlined, written as two compares (`0 < θ < ∞`; `is_finite` there
+/// compiled to a bit classification of ~25 instructions), and the message
+/// is built out of line, on refusal only.
+#[inline]
+pub fn validate_theta(theta: f64) -> Result<(), String> {
+    if theta > 0.0 && theta < f64::INFINITY {
+        return Ok(());
+    }
+    Err(theta_refusal(theta))
+}
+
+#[cold]
+#[inline(never)]
+fn theta_refusal(theta: f64) -> String {
+    format!("theta must be positive and finite, got {theta}")
+}
+
 /// Minimum nodes that keep per-node workload at or below `theta`.
 /// At least `min_nodes` (a cluster cannot scale to zero while serving).
+///
+/// # Panics
+/// Panics on a `theta` [`validate_theta`] refuses or a negative workload.
+#[inline]
 pub fn required_nodes(workload: f64, theta: f64, min_nodes: u32) -> u32 {
-    assert!(theta > 0.0, "threshold must be positive");
+    assert!(validate_theta(theta).is_ok(), "invalid theta");
     assert!(workload >= 0.0, "workload must be non-negative");
     let need = (workload / theta).ceil() as u32;
     need.max(min_nodes)
@@ -41,7 +62,8 @@ pub fn required_nodes(workload: f64, theta: f64, min_nodes: u32) -> u32 {
 /// realised workload.
 ///
 /// # Panics
-/// Panics on length mismatch, empty input, or non-positive threshold.
+/// Panics on length mismatch, empty input, or a `theta` [`validate_theta`]
+/// refuses.
 pub fn provisioning_rates(
     allocations: &[u32],
     actual_workload: &[f64],
@@ -60,24 +82,23 @@ pub fn provisioning_rates(
 /// for a caller whose two series are not slices of their own.
 ///
 /// # Panics
-/// Panics on empty input or a non-positive threshold.
+/// Panics on empty input or a `theta` [`validate_theta`] refuses.
 pub fn provisioning_rates_over(
     periods: impl Iterator<Item = (u32, f64)>,
     theta: f64,
     min_nodes: u32,
 ) -> ProvisioningReport {
+    let mut periods_seen = 0usize;
     let mut under = 0usize;
     let mut over = 0usize;
-    let mut exact = 0usize;
     let mut alloc_sum = 0.0;
-    let mut req_sum = 0.0;
     let mut excess = 0.0;
     let mut deficit = 0.0;
 
     for (c, w) in periods {
         let req = required_nodes(w, theta, min_nodes);
+        periods_seen += 1;
         alloc_sum += c as f64;
-        req_sum += req as f64;
         use std::cmp::Ordering::*;
         match c.cmp(&req) {
             Less => {
@@ -88,18 +109,16 @@ pub fn provisioning_rates_over(
                 over += 1;
                 excess += (c - req) as f64;
             }
-            Equal => exact += 1,
+            Equal => {}
         }
     }
 
-    assert!(under + over + exact > 0, "provisioning: empty input");
-    let n = (under + over + exact) as f64;
+    assert!(periods_seen > 0, "provisioning: empty input");
+    let n = periods_seen as f64;
     ProvisioningReport {
         under_rate: under as f64 / n,
         over_rate: over as f64 / n,
-        exact_rate: exact as f64 / n,
         avg_allocated: alloc_sum / n,
-        avg_required: req_sum / n,
         excess_node_steps: excess,
         deficit_node_steps: deficit,
     }
@@ -119,11 +138,36 @@ mod tests {
     }
 
     #[test]
+    fn validate_theta_pins_every_refusal() {
+        for theta in [f64::MIN_POSITIVE, 60.0, f64::MAX] {
+            assert_eq!(validate_theta(theta), Ok(()));
+        }
+        let cases = [
+            (0.0, "0"),
+            (-0.0, "-0"),
+            (-1.0, "-1"),
+            (f64::NAN, "NaN"),
+            (f64::INFINITY, "inf"),
+            (f64::NEG_INFINITY, "-inf"),
+        ];
+        for (theta, shown) in cases {
+            let want = format!("theta must be positive and finite, got {shown}");
+            assert_eq!(validate_theta(theta), Err(want));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid theta")]
+    fn required_nodes_refuses_an_infinite_theta() {
+        required_nodes(100.0, f64::INFINITY, 1);
+    }
+
+    #[test]
     fn rates_sum_to_one() {
         let alloc = [1, 2, 3, 4];
         let work = [100.0, 100.0, 100.0, 100.0]; // requires 2 @ θ=60
         let r = provisioning_rates(&alloc, &work, 60.0, 1);
-        assert!((r.under_rate + r.over_rate + r.exact_rate - 1.0).abs() < 1e-12);
+        assert!((1.0 - r.under_rate - r.over_rate - 0.25).abs() < 1e-12); // alloc=2 is exact
         assert!((r.under_rate - 0.25).abs() < 1e-12); // alloc=1
         assert!((r.over_rate - 0.5).abs() < 1e-12); // alloc=3,4
     }
@@ -135,7 +179,6 @@ mod tests {
         let r = provisioning_rates(&alloc, &work, 60.0, 1);
         assert_eq!(r.under_rate, 0.0);
         assert_eq!(r.over_rate, 0.0);
-        assert_eq!(r.exact_rate, 1.0);
         assert_eq!(r.excess_node_steps, 0.0);
         assert_eq!(r.deficit_node_steps, 0.0);
     }
@@ -147,7 +190,6 @@ mod tests {
         assert_eq!(r.excess_node_steps, 2.0);
         assert_eq!(r.deficit_node_steps, 1.0);
         assert!((r.avg_allocated - 2.5).abs() < 1e-12);
-        assert!((r.avg_required - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -155,7 +197,7 @@ mod tests {
         // w/c == θ exactly is NOT under-provisioned (constraint is ≤).
         let r = provisioning_rates(&[2], &[120.0], 60.0, 1);
         assert_eq!(r.under_rate, 0.0);
-        assert_eq!(r.exact_rate, 1.0);
+        assert_eq!(r.over_rate, 0.0);
     }
 
     #[test]

@@ -74,13 +74,6 @@ pub trait Layer {
     /// backward pass was skipped).
     fn clear_cache(&mut self);
 
-    /// Total number of scalar parameters.
-    fn num_params(&mut self) -> usize {
-        let mut n = 0;
-        self.visit_params(&mut |p| n += p.data.len());
-        n
-    }
-
     /// Global L2 norm of every accumulated gradient, without modifying
     /// them (what training-loop instrumentation records per epoch).
     fn grad_norm(&mut self) -> f64 {

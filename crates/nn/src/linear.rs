@@ -144,13 +144,6 @@ mod tests {
     }
 
     #[test]
-    fn num_params_counts_w_and_b() {
-        let mut r = seeded(4);
-        let mut d = Dense::new(5, 7, &mut r);
-        assert_eq!(d.num_params(), 5 * 7 + 7);
-    }
-
-    #[test]
     fn lifo_cache_for_weight_sharing() {
         let mut r = seeded(5);
         let mut d = Dense::new(1, 1, &mut r);

@@ -37,5 +37,5 @@ pub use fleet::{fleet_qos, tenant_qos, FleetQos, TenantQos};
 pub use policy::{FixedPolicy, Observation, PolicyHealth, ScaleOutcome, ScalingPolicy};
 pub use qos::{slo_report, LatencyModel, SloReport};
 pub use report::{SimulationReport, StepRecord};
-pub use simulator::{validate_theta, SimConfig, SimSession};
+pub use simulator::{SimConfig, SimSession};
 pub use warmup::WarmupModel;

@@ -88,9 +88,7 @@ mod tests {
             provisioning: ProvisioningReport {
                 under_rate: 0.0,
                 over_rate: 0.0,
-                exact_rate: 0.0,
                 avg_allocated: 0.0,
-                avg_required: 0.0,
                 excess_node_steps: 0.0,
                 deficit_node_steps: 0.0,
             },

@@ -12,7 +12,7 @@ use crate::faults::{recovery_stats, FaultCounts, FaultPlan};
 use crate::policy::{Observation, ScaleOutcome, ScalingPolicy};
 use crate::report::{SimulationReport, StepRecord};
 use crate::warmup::WarmupModel;
-use rpas_metrics::provisioning_rates_over;
+use rpas_metrics::{provisioning_rates_over, validate_theta};
 use rpas_obs::{catalog, Level, Obs};
 use rpas_telemetry::{Counter, HistogramHandle, Recorder, Telemetry};
 use rpas_traces::Trace;
@@ -30,15 +30,6 @@ pub struct SimConfig {
     pub warmup: WarmupModel,
     /// Checkpoint size new nodes rebuild from (GB).
     pub checkpoint_gb: f64,
-}
-
-/// The one rule for a scaling threshold `θ`, wherever it is configured:
-/// positive and finite.
-pub fn validate_theta(theta: f64) -> Result<(), String> {
-    if theta > 0.0 && theta.is_finite() {
-        return Ok(());
-    }
-    Err(format!("theta must be positive and finite, got {theta}"))
 }
 
 impl SimConfig {

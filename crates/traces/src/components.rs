@@ -149,7 +149,7 @@ mod tests {
     #[test]
     fn diurnal_peak_near_requested_time() {
         let vals: Vec<f64> = (0..144).map(|t| diurnal(t, 144, 10.0, 0.5)).collect();
-        let peak_idx = rpas_tsmath::vector::argmax(&vals).unwrap();
+        let peak_idx = (1..vals.len()).fold(0, |at, i| if vals[i] > vals[at] { i } else { at });
         // Peak should land within ±5 steps of mid-day.
         assert!((peak_idx as i64 - 72).abs() <= 5, "peak at {peak_idx}");
     }
@@ -193,7 +193,7 @@ mod tests {
         // With rate 0.05 most steps see no arrival; check decay between
         // arrivals: find a big spike and verify the next step shrank when
         // no new arrival pushed it back up.
-        assert!(stats::max(&xs).unwrap() > 0.0, "no spikes generated");
+        assert!(xs.iter().any(|&x| x > 0.0), "no spikes generated");
     }
 
     #[test]

@@ -22,8 +22,6 @@ use rpas_tsmath::rng::child_seed;
 /// A multi-resource cluster trace (one [`Trace`] per resource kind).
 #[derive(Debug, Clone)]
 pub struct ClusterTrace {
-    /// Dataset name (`"alibaba"` / `"google"`).
-    pub name: String,
     /// Per-resource traces.
     pub resources: Vec<(ResourceKind, Trace)>,
 }
@@ -71,7 +69,6 @@ pub fn alibaba_like(seed: u64, days: usize) -> ClusterTrace {
         ..cpu.clone()
     };
     ClusterTrace {
-        name: "alibaba".into(),
         resources: vec![
             (ResourceKind::Cpu, TraceGenerator::new(cpu).generate()),
             (ResourceKind::Memory, TraceGenerator::new(mem).generate()),
@@ -127,7 +124,6 @@ pub fn google_like(seed: u64, days: usize) -> ClusterTrace {
         ..cpu.clone()
     };
     ClusterTrace {
-        name: "google".into(),
         resources: vec![
             (ResourceKind::Cpu, TraceGenerator::new(cpu).generate()),
             (ResourceKind::Memory, TraceGenerator::new(mem).generate()),

@@ -67,10 +67,13 @@ impl Trace {
         (head, tail)
     }
 
-    /// Train/test split by fraction in `[0, 1]` (train gets the floor).
-    pub fn train_test_split(&self, train_frac: f64) -> (Trace, Trace) {
-        assert!((0.0..=1.0).contains(&train_frac), "train fraction must be in [0,1]");
-        self.split_at((self.len() as f64 * train_frac).floor() as usize)
+    /// Train/test split by fraction (train gets the floor); `Err` for a
+    /// fraction outside `[0, 1]`, NaN included.
+    pub fn train_test_split(&self, train_frac: f64) -> Result<(Trace, Trace), String> {
+        if !(0.0..=1.0).contains(&train_frac) {
+            return Err(format!("train fraction must be in [0,1], got {train_frac}"));
+        }
+        Ok(self.split_at((self.len() as f64 * train_frac).floor() as usize))
     }
 
     /// Borrow the values.
@@ -106,9 +109,33 @@ mod tests {
     #[test]
     fn train_test_split_fraction() {
         let tr = t((0..10).map(|i| i as f64).collect());
-        let (train, test) = tr.train_test_split(0.7);
+        let (train, test) = tr.train_test_split(0.7).unwrap();
         assert_eq!(train.len(), 7);
         assert_eq!(test.len(), 3);
+        let (train, test) = tr.train_test_split(0.0).unwrap();
+        assert_eq!((train.len(), test.len()), (0, 10));
+        let (train, test) = tr.train_test_split(1.0).unwrap();
+        assert_eq!((train.len(), test.len()), (10, 0));
+    }
+
+    #[test]
+    fn train_test_split_refuses_every_fraction_outside_the_unit_interval() {
+        let tr = t(vec![1.0, 2.0]);
+        let cases: [(f64, &str); 7] = [
+            (-0.1, "-0.1"),
+            (1.5, "1.5"),
+            (1.0 + f64::EPSILON, "1.0000000000000002"),
+            (-1e-9, "-0.000000001"),
+            (f64::NAN, "NaN"),
+            (f64::INFINITY, "inf"),
+            (f64::NEG_INFINITY, "-inf"),
+        ];
+        for (frac, shown) in cases {
+            assert_eq!(
+                tr.train_test_split(frac),
+                Err(format!("train fraction must be in [0,1], got {shown}")),
+            );
+        }
     }
 
     #[test]

@@ -19,11 +19,6 @@ impl Matrix {
         Self { rows, cols, data: vec![0.0; rows * cols] }
     }
 
-    /// Matrix filled with a constant.
-    pub fn filled(rows: usize, cols: usize, v: f64) -> Self {
-        Self { rows, cols, data: vec![v; rows * cols] }
-    }
-
     /// Build from a flat row-major buffer.
     ///
     /// # Panics

@@ -16,12 +16,6 @@ pub trait RngCore {
     /// The next 64 uniformly random bits.
     fn next_u64(&mut self) -> u64;
 
-    /// The next 32 uniformly random bits (upper half of [`Self::next_u64`],
-    /// which carries the best-mixed bits of xoshiro-family generators).
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform `f64` in `[0, 1)` with 53-bit resolution.
     fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
@@ -231,13 +225,6 @@ mod tests {
             let u = rng.next_f64();
             assert!((0.0..1.0).contains(&u));
         }
-    }
-
-    #[test]
-    fn next_u32_uses_upper_bits() {
-        let mut a = seeded(99);
-        let mut b = seeded(99);
-        assert_eq!(a.next_u32(), (b.next_u64() >> 32) as u32);
     }
 
     #[test]

@@ -25,26 +25,6 @@ pub fn std_dev(xs: &[f64]) -> f64 {
     variance(xs).sqrt()
 }
 
-/// Minimum of a slice, ignoring NaNs. `None` when empty / all-NaN.
-pub fn min(xs: &[f64]) -> Option<f64> {
-    xs.iter().copied().filter(|x| !x.is_nan()).fold(None, |acc, x| {
-        Some(match acc {
-            Some(a) if a <= x => a,
-            _ => x,
-        })
-    })
-}
-
-/// Maximum of a slice, ignoring NaNs. `None` when empty / all-NaN.
-pub fn max(xs: &[f64]) -> Option<f64> {
-    xs.iter().copied().filter(|x| !x.is_nan()).fold(None, |acc, x| {
-        Some(match acc {
-            Some(a) if a >= x => a,
-            _ => x,
-        })
-    })
-}
-
 /// Empirical quantile at level `p ∈ [0, 1]` with linear interpolation
 /// between order statistics (R's "type 7", the default in NumPy/Pandas).
 ///
@@ -160,15 +140,6 @@ impl RunningMoments {
         Self::default()
     }
 
-    /// Fold a slice left-to-right (the canonical batch order).
-    pub fn from_slice(xs: &[f64]) -> Self {
-        let mut m = Self::default();
-        for &x in xs {
-            m.push(x);
-        }
-        m
-    }
-
     /// Append one sample. O(1).
     #[inline]
     pub fn push(&mut self, x: f64) {
@@ -180,14 +151,6 @@ impl RunningMoments {
     /// Samples accumulated.
     pub fn count(&self) -> u64 {
         self.n
-    }
-
-    /// Mean; `NaN` when empty.
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            return f64::NAN;
-        }
-        self.sum / self.n as f64
     }
 
     /// Unbiased sample variance (denominator `n − 1`), clamped at zero;
@@ -204,87 +167,6 @@ impl RunningMoments {
     /// Sample standard deviation (square root of [`RunningMoments::variance`]).
     pub fn std_dev(&self) -> f64 {
         self.variance().sqrt()
-    }
-}
-
-/// [`RunningMoments`] over a bounded sliding window.
-///
-/// Appending into a non-full window is O(1) (a plain
-/// [`RunningMoments::push`]). Once the window is full, each push evicts
-/// the oldest sample and pays an **exact recompute** of the moments over
-/// the retained suffix (O(window)) instead of the O(1)
-/// subtract-the-evicted update — floating-point addition is
-/// order-sensitive, so a subtract-based update would drift from the
-/// batch fold, and this workspace pins windowed statistics bit-for-bit
-/// against their batch recomputation (`tests/properties.rs`). Callers
-/// with growing histories (the seasonal-naive residual fold) use
-/// [`RunningMoments`] directly and never pay the eviction.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RollingMoments {
-    /// Ring buffer of the retained window; `head` indexes the oldest.
-    buf: Vec<f64>,
-    head: usize,
-    len: usize,
-    m: RunningMoments,
-}
-
-impl RollingMoments {
-    /// Empty window of the given capacity.
-    ///
-    /// # Panics
-    /// Panics when `window == 0`.
-    pub fn new(window: usize) -> Self {
-        assert!(window > 0, "rolling window must be positive");
-        Self { buf: vec![0.0; window], head: 0, len: 0, m: RunningMoments::default() }
-    }
-
-    /// Samples currently retained (`<= window()`).
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True before the first push.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Append a sample, evicting the oldest when full. The retained
-    /// moments are always bit-identical to
-    /// `RunningMoments::from_slice(&current_window)` folded oldest to
-    /// newest.
-    pub fn push(&mut self, x: f64) {
-        let window = self.buf.len();
-        if self.len < window {
-            let tail = (self.head + self.len) % window;
-            self.buf[tail] = x;
-            self.len += 1;
-            self.m.push(x);
-            return;
-        }
-        // Eviction: overwrite the oldest slot, advance the head, and
-        // refold the retained window in chronological order.
-        self.buf[self.head] = x;
-        self.head = (self.head + 1) % window;
-        self.m = RunningMoments::default();
-        for k in 0..window {
-            self.m.push(self.buf[(self.head + k) % window]);
-        }
-    }
-
-    /// The retained samples, oldest first (allocates; diagnostic use).
-    pub fn to_vec(&self) -> Vec<f64> {
-        (0..self.len).map(|k| self.buf[(self.head + k) % self.buf.len()]).collect()
-    }
-
-    /// Mean of the retained window; `NaN` when empty.
-    pub fn mean(&self) -> f64 {
-        self.m.mean()
-    }
-
-    /// Unbiased sample variance of the retained window; `NaN` when fewer
-    /// than two samples are retained.
-    pub fn variance(&self) -> f64 {
-        self.m.variance()
     }
 }
 
@@ -341,15 +223,6 @@ mod tests {
     fn empty_edge_cases() {
         assert!(mean(&[]).is_nan());
         assert!(variance(&[1.0]).is_nan());
-        assert_eq!(min(&[]), None);
-        assert_eq!(max(&[f64::NAN]), None);
-    }
-
-    #[test]
-    fn min_max_ignore_nan() {
-        let xs = [3.0, f64::NAN, -1.0, 7.0];
-        assert_eq!(min(&xs), Some(-1.0));
-        assert_eq!(max(&xs), Some(7.0));
     }
 
     #[test]
@@ -409,44 +282,20 @@ mod tests {
     }
 
     #[test]
-    fn running_moments_match_batch_fold_bitwise() {
+    fn running_moments_track_the_two_pass_statistics() {
         let xs: Vec<f64> = (0..57).map(|i| ((i * 37 % 101) as f64).sin() * 40.0 + 55.0).collect();
         let mut inc = RunningMoments::new();
         for &x in &xs {
             inc.push(x);
         }
-        let batch = RunningMoments::from_slice(&xs);
-        assert_eq!(inc, batch);
+        assert_eq!(inc.count(), 57);
         // Near the two-pass answer (one-pass loses a little precision but
         // must stay a faithful variance estimate).
         assert!((inc.variance() - variance(&xs)).abs() < 1e-9 * variance(&xs).max(1.0));
-        assert!((inc.mean() - mean(&xs)).abs() < 1e-12);
-        assert!(RunningMoments::new().mean().is_nan());
-        assert!(RunningMoments::from_slice(&[1.0]).variance().is_nan());
-    }
-
-    #[test]
-    fn rolling_moments_track_window_exactly() {
-        let xs: Vec<f64> = (0..40).map(|i| (i as f64 * 0.7).cos() * 10.0).collect();
-        let mut roll = RollingMoments::new(8);
-        for (t, &x) in xs.iter().enumerate() {
-            roll.push(x);
-            let lo = (t + 1).saturating_sub(8);
-            let win = &xs[lo..=t];
-            assert_eq!(roll.len(), win.len());
-            assert_eq!(roll.to_vec(), win, "t={t}");
-            // Bit-identical to the batch fold over the retained window.
-            let batch = RunningMoments::from_slice(win);
-            assert_eq!(roll.variance().to_bits(), batch.variance().to_bits(), "t={t}");
-            assert_eq!(roll.mean().to_bits(), batch.mean().to_bits(), "t={t}");
-        }
-        assert_eq!(roll.len(), 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "rolling window must be positive")]
-    fn rolling_moments_reject_zero_window() {
-        let _ = RollingMoments::new(0);
+        assert!(RunningMoments::new().variance().is_nan());
+        let mut one = RunningMoments::new();
+        one.push(1.0);
+        assert!(one.variance().is_nan());
     }
 
     #[test]

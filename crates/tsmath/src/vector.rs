@@ -28,23 +28,6 @@ pub fn hadamard(a: &[f64], b: &[f64]) -> Vec<f64> {
     a.iter().zip(b).map(|(x, y)| x * y).collect()
 }
 
-/// Index of the maximum element (first one on ties).
-///
-/// Returns `None` for an empty slice or if every element is NaN.
-pub fn argmax(x: &[f64]) -> Option<usize> {
-    let mut best: Option<(usize, f64)> = None;
-    for (i, &v) in x.iter().enumerate() {
-        if v.is_nan() {
-            continue;
-        }
-        match best {
-            Some((_, bv)) if bv >= v => {}
-            _ => best = Some((i, v)),
-        }
-    }
-    best.map(|(i, _)| i)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,11 +60,4 @@ mod tests {
         assert_eq!(hadamard(&[1.0, 2.0], &[3.0, 5.0]), vec![3.0, 10.0]);
     }
 
-    #[test]
-    fn argmax_prefers_first_on_tie() {
-        assert_eq!(argmax(&[1.0, 3.0, 3.0, 2.0]), Some(1));
-        assert_eq!(argmax(&[]), None);
-        assert_eq!(argmax(&[f64::NAN]), None);
-        assert_eq!(argmax(&[f64::NAN, 2.0]), Some(1));
-    }
 }

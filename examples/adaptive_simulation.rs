@@ -15,7 +15,7 @@ use rpas::traces::{google_like, STEPS_PER_DAY};
 
 fn main() {
     let trace = google_like(11, 21).cpu().clone();
-    let (train, test) = trace.train_test_split(0.5);
+    let (train, test) = trace.train_test_split(0.5).expect("0.5 is a fraction in [0, 1]");
     println!(
         "simulating {} steps ({} days) of Google-like CPU workload",
         test.len(),

@@ -15,7 +15,7 @@ use rpas::traces::{google_like, STEPS_PER_DAY};
 fn main() {
     let theta = 60.0;
     let trace = google_like(5, 14).cpu().clone();
-    let (train, test) = trace.train_test_split(0.8);
+    let (train, test) = trace.train_test_split(0.8).expect("0.8 is a fraction in [0, 1]");
 
     let mut fc = SeasonalNaive::new(STEPS_PER_DAY);
     fc.fit(&train.values).expect("fit");

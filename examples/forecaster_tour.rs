@@ -19,7 +19,7 @@ use rpas::traces::{alibaba_like, STEPS_PER_DAY};
 fn main() {
     let (context, horizon) = (STEPS_PER_DAY, 24usize);
     let trace = alibaba_like(3, 16).cpu().clone();
-    let (train, test) = trace.train_test_split(0.7);
+    let (train, test) = trace.train_test_split(0.7).expect("0.7 is a fraction in [0, 1]");
     println!(
         "training on {} steps, evaluating rolling {}‑step horizons on {} held-out steps\n",
         train.len(),

@@ -20,7 +20,7 @@ fn main() {
     );
 
     let trace = alibaba_like(13, 14).cpu().clone();
-    let (train, test) = trace.train_test_split(0.6);
+    let (train, test) = trace.train_test_split(0.6).expect("0.6 is a fraction in [0, 1]");
     let mut fc = SeasonalNaive::new(STEPS_PER_DAY);
     fc.fit(&train.values).expect("fit");
 

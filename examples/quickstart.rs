@@ -19,7 +19,7 @@ fn main() {
     // ① Workload history (synthetic stand-in for the Alibaba cluster trace).
     let trace = alibaba_like(7, 14);
     let cpu = trace.cpu();
-    let (train, test) = cpu.train_test_split(0.8);
+    let (train, test) = cpu.train_test_split(0.8).expect("0.8 is a fraction in [0, 1]");
     println!("trace: {} samples at {}s interval", cpu.len(), cpu.interval_secs);
 
     // ② Probabilistic workload forecaster.

@@ -46,6 +46,8 @@
 #      tick are held by allocation counts in step 2 (crates/bench/tests/
 #      alloc_emit.rs, alloc_ratchet.rs); the ledger reports their time
 #      (telemetry.counter_inc_ns, supervisor.overhead_frac).
+#  10. Prints the workspace row of scripts/loc.sh (non-test lines), the
+#      size ROADMAP aim 2 tracks; informational, never a failure.
 #
 # Optional: RPAS_VERIFY_PARALLEL=1 additionally checks that `experiments
 # table1` produces byte-identical CSV output single-threaded vs parallel,
@@ -146,5 +148,8 @@ if [[ "${RPAS_VERIFY_PARALLEL:-0}" == "1" ]]; then
     cargo test -q --release --offline -p rpas-bench --test shapes -- --ignored
     echo "ok: every full-profile shape claim holds"
 fi
+
+echo "== size (scripts/loc.sh: non-test lines) =="
+scripts/loc.sh | grep '^workspace '
 
 echo "verify: all checks passed"

@@ -24,9 +24,8 @@ use rpas::obs::{catalog, fmt_us, validate_line, Level, Obs, StderrSink, TraceLin
 use rpas::telemetry::{
     diff_traces, run_query, Aggregate, GroupBy, QueryFilter, SloSpec, Telemetry,
 };
-use rpas::simdb::{
-    validate_theta, FaultConfig, FaultPlan, SimConfig, SimSession, SimulationReport,
-};
+use rpas::metrics::validate_theta;
+use rpas::simdb::{FaultConfig, FaultPlan, SimConfig, SimSession, SimulationReport};
 use rpas::traces::csv::{read_column, write_columns_to_path, write_trace};
 use rpas::traces::{Trace, STEPS_PER_DAY};
 
@@ -281,23 +280,19 @@ fn forecast(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>>
     let model_name = model_name.as_str();
     let context: usize = a.get_or("context", 72)?;
     let horizon: usize = a.get_or("horizon", 72)?;
-    if context == 0 || horizon == 0 {
-        return Err("--context and --horizon must be at least 1".into());
-    }
+    RollingSpec { context, horizon }.validate()?;
     let train_frac: f64 = a.get_or("train-frac", 0.7)?;
-    if !(0.0..=1.0).contains(&train_frac) {
-        return Err(format!("--train-frac must be in [0,1], got {train_frac}").into());
-    }
     let seed: u64 = a.get_or("seed", 1)?;
     let out = a.require("out")?;
 
-    // Seasonal-naive needs a full season of context regardless of --context.
+    // The two seasonal models read Holt-Winters' two days and a step of
+    // context regardless of --context.
     let ctx_len = if matches!(model_name, "seasonal-naive" | "holt-winters") {
-        context.max(2 * STEPS_PER_DAY + 1)
+        context.max(holt_winters().min_series())
     } else {
         context
     };
-    let (train, test) = trace.train_test_split(train_frac);
+    let (train, test) = trace.train_test_split(train_frac)?;
     if test.len() < ctx_len {
         return Err("test split shorter than the context window".into());
     }
@@ -327,10 +322,7 @@ fn forecast(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>>
                 .with_obs(obs.clone()),
         ),
         "arima" => Box::new(Arima::new(ArimaConfig::default())),
-        "holt-winters" => Box::new(HoltWinters::new(HoltWintersConfig {
-            period: STEPS_PER_DAY,
-            ..Default::default()
-        })),
+        "holt-winters" => Box::new(holt_winters()),
         "seasonal-naive" => Box::new(SeasonalNaive::new(STEPS_PER_DAY)),
         other => return Err(format!("unknown model {other:?}").into()),
     };
@@ -427,9 +419,8 @@ fn simulate(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>>
     cfg.validate()?;
     let policy_name = a.require("policy")?;
     let period: usize = a.get_or("period", STEPS_PER_DAY)?;
-    if period == 0 {
-        return Err("--period must be at least 1".into());
-    }
+    let schedule = ReplanSchedule { context: period, horizon: period.min(72) };
+    schedule.validate().map_err(|why| format!("--period {period}: {why}"))?;
 
     let session = SimSession::new(&trace, cfg).with_obs(obs.clone());
 
@@ -449,12 +440,7 @@ fn simulate(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>>
         fc.fit(&trace.values[..split])?;
         let manager =
             RobustAutoScalingManager::new(cfg.theta, 1, strategy).with_obs(obs.clone());
-        let mut p = QuantilePredictivePolicy::new(
-            "robust",
-            fc,
-            manager,
-            ReplanSchedule { context: period, horizon: period.min(72) },
-        );
+        let mut p = QuantilePredictivePolicy::new("robust", fc, manager, schedule);
         session.run(&mut p)
     } else {
         return Err(format!("unknown policy {policy_name:?}").into());
@@ -469,6 +455,12 @@ fn simulate(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>>
     println!("scale events      : {}", report.scale_out_events + report.scale_in_events);
     println!("checkpoint reads  : {}", report.checkpoint_reads);
     Ok(())
+}
+
+/// Holt-Winters with the trace's day as its season, as `forecast` and
+/// `backtest` run it; its `min_series` is the shortest context it reads.
+fn holt_winters() -> HoltWinters {
+    HoltWinters::new(HoltWintersConfig { period: STEPS_PER_DAY, ..Default::default() })
 }
 
 /// Profile-sized defaults for `backtest` (full: the paper's 12h/12h
@@ -498,21 +490,17 @@ fn backtest(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>>
 
     let model_name = a.get("model").unwrap_or("seasonal-naive");
     // Holt-Winters reads two seasons and a step of every window, and its
-    // season is the trace's day (below): its default window holds them.
-    let hw_context = 2 * STEPS_PER_DAY + 1;
+    // season is the trace's day: its default window holds them.
+    let hw_context = holt_winters().min_series();
     let context_d = if model_name == "holt-winters" { context_d.max(hw_context) } else { context_d };
     let context: usize = a.get_or("context", context_d)?;
     let horizon: usize = a.get_or("horizon", horizon_d)?;
-    if context == 0 || horizon == 0 {
-        return Err("--context and --horizon must be at least 1".into());
-    }
+    let spec = RollingSpec { context, horizon };
+    spec.validate()?;
     let theta: f64 = a.get_or("theta", 60.0)?;
     validate_theta(theta)?;
     let min_nodes: u32 = a.get_or("min-nodes", 1)?;
     let train_frac: f64 = a.get_or("train-frac", 0.7)?;
-    if !(0.0..=1.0).contains(&train_frac) {
-        return Err(format!("--train-frac must be in [0,1], got {train_frac}").into());
-    }
     let rho: Option<f64> = a.get("rho").map(|_| a.require_parsed("rho")).transpose()?;
     // ρ = 0 stands in for the default, which the first window sets after
     // the fit (a median of Eq. 8's non-negative spreads).
@@ -524,9 +512,8 @@ fn backtest(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>>
     ScalingStrategy::Adaptive(adaptive).validate()?;
 
     // Seasonal-naive's period follows the context window, so one window
-    // of history always carries a full season. Holt-Winters reads two
-    // seasons and a step of every window, so its season is the trace's
-    // day and the window must hold it.
+    // of history always carries a full season. Holt-Winters' season is the
+    // trace's day, so the window must hold its two seasons and a step.
     let mut model: Box<dyn Forecaster> = match model_name {
         "seasonal-naive" => Box::new(SeasonalNaive::new(context)),
         "holt-winters" => {
@@ -537,15 +524,12 @@ fn backtest(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>>
                 )
                 .into());
             }
-            Box::new(HoltWinters::new(HoltWintersConfig {
-                period: STEPS_PER_DAY,
-                ..Default::default()
-            }))
+            Box::new(holt_winters())
         }
         other => return Err(format!("unknown backtest model {other:?}").into()),
     };
 
-    let (train, test) = trace.train_test_split(train_frac);
+    let (train, test) = trace.train_test_split(train_frac)?;
     if train.len() < 2 * context {
         return Err("train split shorter than two seasonal periods".into());
     }
@@ -598,7 +582,6 @@ fn backtest(a: &ParsedArgs, obs: &Obs) -> Result<(), Box<dyn std::error::Error>>
     let bt_timer = obs.span(catalog::BACKTEST_SPAN_CLOSE, "rolling");
     // Forecast every window, then plan them: the trace carries every
     // `rolling/*` event ahead of the manager's `plan/*` audit.
-    let spec = RollingSpec::new(context, horizon);
     let windows = quantile_windows(&*model, test_values, spec, &SCALING_LEVELS, obs);
     let report = rpas::core::backtest(&windows, spec, &manager);
     bt_timer.finish(|e| {

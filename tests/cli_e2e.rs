@@ -107,6 +107,10 @@ fn bad_inputs_exit_nonzero_with_clean_errors() {
     let trace_arg = trace.to_str().expect("utf8");
     let plan_of = |forecast| vec!["plan", "--forecast", forecast, "--theta", "60", "--out", "p.csv"];
     let holt_winters = vec!["backtest", "--days", "3", "--context", "24", "--model", "holt-winters"];
+    let forecast = |flag, value| {
+        let column = ["--column", "alibaba-cpu", "--model", "seasonal-naive", "--out", "x.csv"];
+        [&["forecast", "--trace", trace_arg][..], &column, &[flag, value]].concat()
+    };
 
     let cases: Vec<(Vec<&str>, &str)> = vec![
         (vec!["unknown-command"], "unknown command"),
@@ -180,7 +184,7 @@ fn bad_inputs_exit_nonzero_with_clean_errors() {
             "unknown fault spec key \"bogus\"",
         ),
         // NaN and ∞ parse as numbers; every `--theta` refuses them, with
-        // the text of the one θ rule (`rpas_simdb::validate_theta`).
+        // the text of the one θ rule (`rpas_metrics::validate_theta`).
         (
             vec!["plan", "--forecast", "f.csv", "--theta", "NaN", "--out", "p.csv"],
             "theta must be positive and finite, got NaN",
@@ -245,6 +249,31 @@ fn bad_inputs_exit_nonzero_with_clean_errors() {
             [holt_winters, vec!["--rho", "1"]].concat(),
             "holt-winters needs --context of at least 289 (two 144-step days and one step), got 24",
         ),
+        // The window shape and the train fraction have one home each
+        // (`RollingSpec::validate`, `Trace::train_test_split`), whose text
+        // every command reports.
+        (forecast("--context", "0"), "context must be at least 1"),
+        (forecast("--train-frac", "1.5"), "train fraction must be in [0,1], got 1.5"),
+        (vec!["backtest", "--days", "3", "--horizon", "0"], "horizon must be at least 1"),
+        (
+            vec!["backtest", "--days", "3", "--train-frac", "-0.1"],
+            "train fraction must be in [0,1], got -0.1",
+        ),
+        (
+            vec![
+                "simulate",
+                "--trace",
+                trace_arg,
+                "--column",
+                "alibaba-cpu",
+                "--policy",
+                "reactive-max",
+                "--period",
+                "0",
+            ],
+            "--period 0: context must be at least 1",
+        ),
+        (vec!["fleet", "--context", "0"], "schedule: context must be at least 1"),
         // A header-only trace that every reader then refused.
         (vec!["generate", "--days", "0", "--out", "x.csv"], "--days must be at least 1"),
         // A checkpoint is the whole fleet: a shape flag beside it is

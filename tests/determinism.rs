@@ -29,7 +29,7 @@ const HORIZON: usize = 24;
 /// Fixed train/test split shared by every test in this file.
 fn fixed_series() -> (Vec<f64>, Vec<f64>) {
     let trace = alibaba_like(11, 8).cpu().clone();
-    let (train, test) = trace.train_test_split(0.7);
+    let (train, test) = trace.train_test_split(0.7).unwrap();
     (train.values, test.values)
 }
 

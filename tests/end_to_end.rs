@@ -34,7 +34,7 @@ fn small_tft(context: usize, horizon: usize) -> Tft {
 #[test]
 fn full_pipeline_trace_to_plan() {
     let trace = alibaba_like(1, 12).cpu().clone();
-    let (train, test) = trace.train_test_split(0.7);
+    let (train, test) = trace.train_test_split(0.7).unwrap();
 
     let mut tft = small_tft(48, 24);
     tft.fit(&train.values).expect("fit");
@@ -58,7 +58,7 @@ fn full_pipeline_trace_to_plan() {
 #[test]
 fn closed_form_and_simplex_agree_on_real_forecasts() {
     let trace = google_like(2, 10).cpu().clone();
-    let (train, test) = trace.train_test_split(0.7);
+    let (train, test) = trace.train_test_split(0.7).unwrap();
     let mut sn = SeasonalNaive::new(STEPS_PER_DAY);
     sn.fit(&train.values).expect("fit");
     let qf = sn
@@ -76,7 +76,7 @@ fn robust_beats_reactive_on_under_provisioning() {
     // The paper's headline claim (Fig. 9), on the Alibaba-like trace with a
     // seasonal-naive quantile forecaster (deterministic & fast).
     let trace = alibaba_like(3, 21).cpu().clone();
-    let (train, test) = trace.train_test_split(0.6);
+    let (train, test) = trace.train_test_split(0.6).unwrap();
 
     let mut fc = SeasonalNaive::new(STEPS_PER_DAY);
     fc.fit(&train.values).expect("fit");
@@ -102,7 +102,7 @@ fn adaptive_reduces_overprovisioning_without_losing_robustness() {
     // Google-like trace: adaptive (τ₁=0.8, τ₂=0.95) must allocate no more
     // than fixed τ₂ and stay within it on under-provisioning tolerance.
     let trace = google_like(4, 12).cpu().clone();
-    let (train, test) = trace.train_test_split(0.7);
+    let (train, test) = trace.train_test_split(0.7).unwrap();
     let mut tft = small_tft(48, 24);
     tft.fit(&train.values).expect("fit");
 
@@ -135,7 +135,7 @@ fn adaptive_reduces_overprovisioning_without_losing_robustness() {
 fn deepar_pipeline_through_simulator() {
     // DeepAR + robust manager driving the disaggregated-DB simulator.
     let trace = alibaba_like(5, 10).cpu().clone();
-    let (train, test) = trace.train_test_split(0.6);
+    let (train, test) = trace.train_test_split(0.6).unwrap();
     let mut deepar = DeepAr::new(DeepArConfig {
         context: 48,
         train_window: 72,

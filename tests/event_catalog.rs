@@ -82,7 +82,7 @@ fn backtest_smoke() -> &'static BTreeSet<String> {
         let obs = Obs::with_sink(Box::new(sink.clone()));
 
         let trace = alibaba_like(1, 6).cpu().clone();
-        let (train, test) = trace.train_test_split(0.7);
+        let (train, test) = trace.train_test_split(0.7).unwrap();
         let mut model = SeasonalNaive::new(STEPS_PER_DAY);
         model.fit(&train.values).expect("fit");
         let manager = RobustAutoScalingManager::new(

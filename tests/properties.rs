@@ -403,29 +403,3 @@ fn resilient_targets_never_leave_the_envelope() {
         Ok(())
     });
 }
-
-#[test]
-fn rolling_moments_match_batch_refold_at_random_windows() {
-    use rpas_tsmath::stats::{RollingMoments, RunningMoments};
-
-    forall("rolling_moments_match_batch_refold_at_random_windows", 64, |g| {
-        let window = g.usize_in(1, 16);
-        let xs = g.vec_f64(-1000.0, 1000.0, 1, 120);
-        let mut roll = RollingMoments::new(window);
-        for (t, &x) in xs.iter().enumerate() {
-            roll.push(x);
-            let batch = RunningMoments::from_slice(&roll.to_vec());
-            prop_assert!(
-                roll.mean().to_bits() == batch.mean().to_bits(),
-                "mean diverged at step {t} (window {window})"
-            );
-            if roll.len() >= 2 {
-                prop_assert!(
-                    roll.variance().to_bits() == batch.variance().to_bits(),
-                    "variance diverged at step {t} (window {window})"
-                );
-            }
-        }
-        Ok(())
-    });
-}

@@ -14,7 +14,7 @@
 use crate::types::{validate_levels, ForecastError, Forecaster, QuantileForecast};
 use crate::window::{self, ContextGuard};
 use rpas_nn::loss::{student_t_nll, NU_OFFSET, SIGMA_FLOOR};
-use rpas_nn::{Adam, Dense, GruCell};
+use rpas_nn::{Adam, Dense, GruCell, GruKMajor};
 use rpas_obs::{catalog, Obs};
 use rpas_traces::WindowDataset;
 use rpas_tsmath::rng::{self, Rng64};
@@ -58,10 +58,26 @@ impl Default for DeepArConfig {
     }
 }
 
+/// A fitted cell and head, with the cell's k-major form. [`Fitted::new`]
+/// is the one way to make one, so the form is built from the weights it
+/// sits beside, once per fit or import, and no predict transposes a
+/// weight.
+struct Fitted {
+    gru: GruCell,
+    head: Dense,
+    form: GruKMajor,
+}
+
+impl Fitted {
+    fn new(gru: GruCell, head: Dense) -> Self {
+        Self { form: gru.kmajor(), gru, head }
+    }
+}
+
 /// DeepAR-style forecaster.
 pub struct DeepAr {
     cfg: DeepArConfig,
-    fitted: Option<(GruCell, Dense)>,
+    fitted: Option<Fitted>,
     obs: Obs,
 }
 
@@ -144,7 +160,7 @@ impl DeepAr {
     pub fn import_weights(&mut self, data: &[u8]) -> Result<(), ForecastError> {
         let (mut gru, mut head) = self.build_net(&mut rng::seeded(self.cfg.seed));
         window::restore(&mut [&mut gru, &mut head], data)?;
-        self.fitted = Some((gru, head));
+        self.fitted = Some(Fitted::new(gru, head));
         Ok(())
     }
 }
@@ -183,7 +199,7 @@ impl Forecaster for DeepAr {
             |stats| self.obs.emit(catalog::TRAIN_DEEPAR_EPOCH, |e| stats.record(e)),
         );
 
-        self.fitted = Some((gru, head));
+        self.fitted = Some(Fitted::new(gru, head));
         Ok(())
     }
 
@@ -202,14 +218,15 @@ impl Forecaster for DeepAr {
             window: self.cfg.context,
             max_horizon: usize::MAX,
         };
-        let ((gru, head), ctx) = guard.admit(self.fitted.as_ref(), context, horizon)?;
+        let (Fitted { head, form, .. }, ctx) =
+            guard.admit(self.fitted.as_ref(), context, horizon)?;
         let (m, sd) = window_scale(ctx);
         let zctx: Vec<f64> = ctx.iter().map(|v| (v - m) / sd).collect();
 
         // Encode the context, then take the first sampling step: every
         // path starts from the same state and the same last observation,
         // so its hidden state and Student-t are computed once.
-        let mut cell = gru.stepper();
+        let mut cell = form.stepper();
         let mut out = [0.0; 3];
         for x in &zctx {
             cell.step(std::slice::from_ref(x));
@@ -256,7 +273,7 @@ impl Forecaster for DeepAr {
     }
 
     fn export_weights(&mut self) -> Option<Vec<u8>> {
-        let (gru, head) = self.fitted.as_mut()?;
+        let Fitted { gru, head, .. } = self.fitted.as_mut()?;
         Some(window::snapshot(&mut [gru, head], None))
     }
 }

@@ -5,7 +5,7 @@
 use crate::types::{ForecastError, PointForecaster};
 use crate::window::{self, ContextGuard};
 use rpas_nn::loss::mse;
-use rpas_nn::{Adam, Dense, LstmCell};
+use rpas_nn::{Adam, Dense, LstmCell, LstmKMajor};
 use rpas_traces::WindowDataset;
 use rpas_tsmath::elementary::exp;
 use rpas_tsmath::stats::Standardizer;
@@ -50,7 +50,11 @@ impl Default for Qb5000Config {
 struct FittedQb {
     /// Ridge-regression weights, `horizon × (context + 1)` (last = bias).
     linear: Matrix,
-    lstm: LstmCell,
+    /// The trained LSTM's k-major form, built once when it is fitted.
+    lstm: LstmKMajor,
+    /// The trained cell: the reference its form is pinned against.
+    #[cfg(test)]
+    cell: LstmCell,
     head: Dense,
     /// Stored pairs for Nadaraya–Watson kernel regression (z-space).
     kernel_ctx: Vec<Vec<f64>>,
@@ -78,7 +82,7 @@ impl Qb5000 {
     }
 
     fn lstm_predict(f: &FittedQb, zctx: &[f64]) -> Vec<f64> {
-        let mut cell = f.lstm.stepper();
+        let mut cell = f.lstm.stepper(1);
         for z in zctx {
             cell.step(std::slice::from_ref(z));
         }
@@ -221,8 +225,17 @@ impl PointForecaster for Qb5000 {
             rpas_tsmath::stats::median(&dists).max(1e-6)
         };
 
-        self.fitted =
-            Some(FittedQb { linear, lstm, head, kernel_ctx, kernel_tgt, bandwidth, scaler });
+        self.fitted = Some(FittedQb {
+            linear,
+            lstm: lstm.kmajor(),
+            #[cfg(test)]
+            cell: lstm,
+            head,
+            kernel_ctx,
+            kernel_tgt,
+            bandwidth,
+            scaler,
+        });
         Ok(())
     }
 
@@ -298,9 +311,9 @@ mod tests {
         m.fit(&series).unwrap();
         let f = m.fitted.as_ref().unwrap();
         let zctx = f.scaler.transform_vec(&series[100..112]);
-        let mut st = f.lstm.init_state();
+        let mut st = f.cell.init_state();
         for &z in &zctx {
-            st = f.lstm.apply(&[z], &st);
+            st = f.cell.apply(&[z], &st);
         }
         let reference = f.head.apply(&st.h);
         let fast = Qb5000::lstm_predict(f, &zctx);

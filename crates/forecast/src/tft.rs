@@ -19,7 +19,10 @@
 use crate::grid;
 use crate::types::{validate_levels, ForecastError, Forecaster, QuantileForecast};
 use crate::window::{self, ContextGuard};
-use rpas_nn::{Adam, Dense, GatedResidualNetwork, Layer, LstmCell, MultiHeadAttention};
+use rpas_nn::{
+    Adam, AttentionKMajor, Dense, GatedResidualNetwork, GrnKMajor, Layer, LstmCell, LstmKMajor,
+    MultiHeadAttention,
+};
 use rpas_obs::{catalog, Obs};
 use rpas_traces::WindowDataset;
 use rpas_tsmath::stats::Standardizer;
@@ -93,10 +96,41 @@ impl Layer for TftNet {
     }
 }
 
+/// Context positions one multi-row pass of [`Tft::forward_infer`] takes:
+/// the LSTM's input terms and the enrichment GRN run on this many rows at
+/// a time, so their scratch does not grow with the context.
+const PASS_ROWS: usize = 16;
+
+/// A fitted net and its scaler, with the k-major form of the layers
+/// [`Tft::forward_infer`] runs through. [`Fitted::new`] is the one way to
+/// make one, so the form is built from the weights it sits beside, once
+/// per fit or import, and no predict transposes a weight.
+struct Fitted {
+    net: TftNet,
+    scaler: Standardizer,
+    lstm: LstmKMajor,
+    enrich: GrnKMajor,
+    attn: AttentionKMajor,
+    post: GrnKMajor,
+}
+
+impl Fitted {
+    fn new(net: TftNet, scaler: Standardizer) -> Self {
+        Self {
+            lstm: net.lstm.kmajor(),
+            enrich: net.grn_enrich.kmajor(),
+            attn: net.attn.kmajor(),
+            post: net.grn_post.kmajor(),
+            net,
+            scaler,
+        }
+    }
+}
+
 /// Simplified Temporal Fusion Transformer.
 pub struct Tft {
     cfg: TftConfig,
-    fitted: Option<(TftNet, Standardizer)>,
+    fitted: Option<Fitted>,
     posenc: Matrix,
     obs: Obs,
 }
@@ -193,32 +227,44 @@ impl Tft {
     }
 
     /// Inference-only forward: the values of [`Tft::forward_train`], bit
-    /// for bit, on the shared net — no caches, one LSTM stepper and one
-    /// k-major view per GRN per call, and only the attention row the head
-    /// reads.
-    fn forward_infer(&self, net: &TftNet, zctx: &[f64]) -> Vec<f64> {
+    /// for bit, on the shared fitted net and its k-major form — no caches,
+    /// and only the attention row the head reads. Only the LSTM's `U h`
+    /// is recurrent, so the context goes [`PASS_ROWS`] positions at a
+    /// time: the embeddings, then the LSTM (its `b + W e` terms as one
+    /// multi-row pass), then the enrichment GRN as one multi-row pass.
+    /// Attention projects K and V as one pass over all positions.
+    fn forward_infer(&self, f: &Fitted, zctx: &[f64]) -> Vec<f64> {
         let d = self.cfg.d_model;
-        let last = zctx.len() - 1;
+        let t_len = zctx.len();
 
-        let mut lstm = net.lstm.stepper();
-        let mut enrich = net.grn_enrich.view();
-        let mut e = vec![0.0; d];
-        let mut x = Matrix::zeros(zctx.len(), d);
-        for (t, z) in zctx.iter().enumerate() {
-            net.input_proj.apply_into(std::slice::from_ref(z), &mut e);
-            for (v, p) in e.iter_mut().zip(self.posenc.row(t)) {
-                *v += p;
+        let mut lstm = f.lstm.stepper(PASS_ROWS);
+        let mut enrich = f.enrich.view(PASS_ROWS);
+        let (mut e, mut h) = (vec![0.0; PASS_ROWS * d], vec![0.0; PASS_ROWS * d]);
+        let mut x = vec![0.0; t_len * d];
+        let passes = zctx
+            .chunks(PASS_ROWS)
+            .zip(self.posenc.data().chunks(PASS_ROWS * d))
+            .zip(x.chunks_mut(PASS_ROWS * d));
+        for ((zs, posenc), xb) in passes {
+            let (e, h) = (&mut e[..xb.len()], &mut h[..xb.len()]);
+            for ((z, er), pr) in zs.iter().zip(e.chunks_exact_mut(d)).zip(posenc.chunks_exact(d)) {
+                f.net.input_proj.apply_into(std::slice::from_ref(z), er);
+                for (v, p) in er.iter_mut().zip(pr) {
+                    *v += p;
+                }
             }
-            enrich.apply_into(lstm.step(&e), x.row_mut(t));
+            lstm.run(e, h);
+            enrich.apply_rows(h, xb);
         }
+        let x = Matrix::from_vec(t_len, d, x);
         // Gated residual around attention at the decoding position.
-        let mut summed = net.attn.attend_last(&x);
-        for (a, xi) in summed.iter_mut().zip(x.row(last)) {
+        let mut summed = f.attn.attend_last(&x);
+        for (a, xi) in summed.iter_mut().zip(x.row(t_len - 1)) {
             *a += xi;
         }
         let mut post = vec![0.0; d];
-        net.grn_post.view().apply_into(&summed, &mut post);
-        net.head.apply(&post)
+        f.post.view(1).apply_rows(&summed, &mut post);
+        f.net.head.apply(&post)
     }
 
     /// The untrained network, initialised from its own `cfg.seed` stream.
@@ -243,7 +289,7 @@ impl Tft {
     pub fn import_weights(&mut self, data: &[u8]) -> Result<(), ForecastError> {
         let mut net = Self::build_net(&self.cfg);
         let scaler = window::restore_scaled(&mut [&mut net], data)?;
-        self.fitted = Some((net, scaler));
+        self.fitted = Some(Fitted::new(net, scaler));
         Ok(())
     }
 }
@@ -280,7 +326,7 @@ impl Forecaster for Tft {
             |stats| self.obs.emit(catalog::TRAIN_TFT_EPOCH, |e| stats.record(e)),
         );
 
-        self.fitted = Some((net, scaler));
+        self.fitted = Some(Fitted::new(net, scaler));
         Ok(())
     }
 
@@ -293,14 +339,14 @@ impl Forecaster for Tft {
         validate_levels(levels)?;
         let c = &self.cfg;
         let guard = ContextGuard::direct(self.name(), c.context, c.horizon);
-        let ((net, scaler), ctx) = guard.admit(self.fitted.as_ref(), context, horizon)?;
-        let out = self.forward_infer(net, &scaler.transform_vec(ctx));
-        grid::decode(self.name(), &out, scaler, &c.quantiles, horizon, levels)
+        let (f, ctx) = guard.admit(self.fitted.as_ref(), context, horizon)?;
+        let out = self.forward_infer(f, &f.scaler.transform_vec(ctx));
+        grid::decode(self.name(), &out, &f.scaler, &c.quantiles, horizon, levels)
     }
 
     fn export_weights(&mut self) -> Option<Vec<u8>> {
-        let (net, scaler) = self.fitted.as_mut()?;
-        Some(window::snapshot(&mut [net], Some(*scaler)))
+        let f = self.fitted.as_mut()?;
+        Some(window::snapshot(&mut [&mut f.net], Some(f.scaler)))
     }
 }
 
@@ -398,22 +444,48 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn forward_infer_matches_forward_train_bit_for_bit() {
-        let series = sine_series(300, 2.0, 6);
-        let mut m = Tft::new(TftConfig { epochs: 3, ..tiny_cfg() });
-        m.fit(&series).unwrap();
-        let (mut net, scaler) = m.fitted.take().unwrap();
-        for start in [0, 37, 200] {
-            let zctx = scaler.transform_vec(&series[start..start + 12]);
-            let fast = m.forward_infer(&net, &zctx);
-            let reference = m.forward_train(&mut net, &zctx);
-            net.clear_cache();
+    /// Fit `cfg` on `series`, then hold `forward_infer` to `forward_train`
+    /// bit for bit on contexts starting at each of `starts`.
+    fn assert_infer_matches_train(cfg: TftConfig, series: &[f64], starts: &[usize]) {
+        let context = cfg.context;
+        let mut m = Tft::new(cfg);
+        m.fit(series).unwrap();
+        let mut f = m.fitted.take().unwrap();
+        for &start in starts {
+            let zctx = f.scaler.transform_vec(&series[start..start + context]);
+            let fast = m.forward_infer(&f, &zctx);
+            let reference = m.forward_train(&mut f.net, &zctx);
+            f.net.clear_cache();
             assert_eq!(fast.len(), reference.len());
             for (i, (a, b)) in fast.iter().zip(&reference).enumerate() {
                 assert_eq!(a.to_bits(), b.to_bits(), "window {start} output {i}: {a:e} vs {b:e}");
             }
         }
+    }
+
+    #[test]
+    fn forward_infer_matches_forward_train_bit_for_bit() {
+        // Context 12: one short multi-row pass; d_model 8: one row block.
+        let series = sine_series(300, 2.0, 6);
+        assert_infer_matches_train(TftConfig { epochs: 3, ..tiny_cfg() }, &series, &[0, 37, 200]);
+    }
+
+    #[test]
+    fn forward_infer_matches_forward_train_at_the_ledger_shape() {
+        // Context 72 (four whole passes and a short one), d_model 32 with 4
+        // heads, the 7 scaling levels over horizon 72: a 504-row head.
+        let cfg = TftConfig {
+            context: 72,
+            horizon: 72,
+            d_model: 32,
+            heads: 4,
+            quantiles: crate::SCALING_LEVELS.to_vec(),
+            epochs: 1,
+            windows_per_epoch: 4,
+            ..tiny_cfg()
+        };
+        let series = sine_series(400, 2.0, 7);
+        assert_infer_matches_train(cfg, &series, &[0, 113, 256]);
     }
 
     #[test]

@@ -95,6 +95,64 @@ fn tft_roundtrip_identical_forecasts() {
     assert_eq!(a, b);
 }
 
+/// Fit `a` and `b` of one config on different series, then import `b`'s
+/// snapshot into the fitted `a`: `a` must forecast `b`'s bits, not its
+/// own. The fast inference paths run on a k-major copy of the weights
+/// built with the fitted model, so this fails if an import keeps the old
+/// copy.
+fn import_into_a_fitted_model_forecasts_the_import<F: Forecaster>(
+    mut a: F,
+    mut b: F,
+    import: impl Fn(&mut F, &[u8]),
+    context: usize,
+) {
+    let bits = |m: &F, ctx: &[f64]| -> Vec<u64> {
+        let f = m.forecast_quantiles(ctx, 4, &[0.1, 0.5, 0.9]).unwrap();
+        f.values().data().iter().map(|v| v.to_bits()).collect()
+    };
+    let (data_a, data_b) = (series(300, 11), series(300, 12));
+    a.fit(&data_a).unwrap();
+    b.fit(&data_b).unwrap();
+    let ctx = &data_a[100..100 + context];
+    let own = bits(&a, ctx);
+    let theirs = bits(&b, ctx);
+    assert_ne!(own, theirs, "the two fits must differ for the test to mean anything");
+
+    import(&mut a, &b.export_weights().expect("fitted model exports"));
+    assert_eq!(bits(&a, ctx), theirs, "{}: the import kept the old inference form", a.name());
+}
+
+#[test]
+fn import_into_a_fitted_model_rebuilds_its_inference_form() {
+    let tft = || {
+        Tft::new(TftConfig {
+            context: 12,
+            horizon: 4,
+            d_model: 8,
+            heads: 2,
+            quantiles: vec![0.1, 0.5, 0.9],
+            epochs: 3,
+            lr: 2e-3,
+            windows_per_epoch: 16,
+            seed: 3,
+        })
+    };
+    import_into_a_fitted_model_forecasts_the_import(
+        tft(),
+        tft(),
+        |m, snap| m.import_weights(snap).unwrap(),
+        12,
+    );
+    // Same seed on both sides: DeepAR's sampling stream is the model seed's.
+    let deepar = || DeepAr::new(deepar_cfg());
+    import_into_a_fitted_model_forecasts_the_import(
+        deepar(),
+        deepar(),
+        |m, snap| m.import_weights(snap).unwrap(),
+        12,
+    );
+}
+
 #[test]
 fn cross_architecture_import_rejected() {
     let data = series(300, 4);

@@ -54,8 +54,22 @@ fn theta_refusal(theta: f64) -> String {
 pub fn required_nodes(workload: f64, theta: f64, min_nodes: u32) -> u32 {
     assert!(validate_theta(theta).is_ok(), "invalid theta");
     assert!(workload >= 0.0, "workload must be non-negative");
-    let need = (workload / theta).ceil() as u32;
-    need.max(min_nodes)
+    ceil_u32(workload / theta).max(min_nodes)
+}
+
+/// `q.ceil() as u32` for every `q`, in integer arithmetic: the saturating
+/// truncation, plus one (saturating) when it fell short of `q`.
+/// `f64::ceil` is an out-of-line libm call on the baseline x86-64 target
+/// (no SSE4.1 `roundsd`), and [`required_nodes`] runs on every simulated
+/// step.
+#[inline]
+fn ceil_u32(q: f64) -> u32 {
+    let t = q as u32;
+    if f64::from(t) < q {
+        t.saturating_add(1)
+    } else {
+        t
+    }
 }
 
 /// Compute under/over-provisioning rates for an allocation against the
@@ -127,6 +141,53 @@ pub fn provisioning_rates_over(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rpas_tsmath::prop_assert;
+    use rpas_tsmath::propcheck::forall;
+
+    /// `ceil_u32` against `f64::ceil(q) as u32` on one quotient.
+    fn agrees_with_libm(q: f64) -> Result<(), String> {
+        let (got, want) = (ceil_u32(q), q.ceil() as u32);
+        prop_assert!(got == want, "q = {q:e} ({:#018x}): {got} vs {want}", q.to_bits());
+        Ok(())
+    }
+
+    #[test]
+    fn integer_ceiling_agrees_with_libm() {
+        let u32_max = f64::from(u32::MAX);
+        let next_up = |v: f64| f64::from_bits(v.to_bits() + 1);
+        let next_down = |v: f64| f64::from_bits(v.to_bits() - 1);
+        let mut planted = vec![
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            next_down(f64::MIN_POSITIVE),
+            0.5,
+            1.0 - f64::EPSILON / 2.0,
+            u32_max,
+            next_up(u32_max),
+            next_down(u32_max),
+            4_294_967_296.0,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        for n in [1.0, 2.0, 3.0, 59.0, 60.0, 61.0, 1_000_000.0, 2_147_483_648.0] {
+            planted.extend([n, next_up(n), next_down(n)]);
+        }
+        for q in planted {
+            agrees_with_libm(q).unwrap();
+        }
+        forall("integer_ceiling_agrees_with_libm", 4096, |g| {
+            // Small node counts, the whole `u32` range with a fraction, then
+            // any non-negative bit pattern (subnormals, ∞ and NaN included).
+            let q = match g.u8() {
+                0..128 => g.f64_in(0.0, 64.0),
+                128..192 => f64::from(g.u64() as u32) + f64::from(g.u8()) / 256.0,
+                _ => f64::from_bits(g.u64() & !(1 << 63)),
+            };
+            agrees_with_libm(q)
+        });
+    }
 
     #[test]
     fn required_nodes_ceiling() {

@@ -8,10 +8,10 @@
 //!
 //! Its head reads one position, so the layer trains and predicts on row
 //! `T − 1` alone: [`MultiHeadAttention::forward_last`] /
-//! [`MultiHeadAttention::backward_last`] and
-//! [`MultiHeadAttention::attend_last`] share one last-row routine, and
-//! [`MultiHeadAttention::forward`] (all `T` rows, no cache) is the
-//! reference they are pinned against bit for bit.
+//! [`MultiHeadAttention::backward_last`] and, on the k-major form a fitted
+//! model keeps, [`AttentionKMajor::attend_last`] share the last-row
+//! routines, and [`MultiHeadAttention::forward`] (all `T` rows, no cache)
+//! is the reference they are pinned against bit for bit.
 
 use crate::kmajor::KMajor;
 use crate::{Layer, Param};
@@ -33,14 +33,6 @@ struct LastRowCache {
     a: Matrix,
     /// Concatenated head outputs of row `T − 1` (pre output-projection).
     o: Vec<f64>,
-}
-
-/// Row `T − 1` of the attention and the intermediates behind it.
-struct LastRow {
-    q: Vec<f64>,
-    a: Matrix,
-    o: Vec<f64>,
-    y: Vec<f64>,
 }
 
 /// Multi-head self-attention layer (no biases, as in the original
@@ -92,13 +84,60 @@ fn project_row_kmajor(w: &KMajor, x: &[f64], out: &mut [f64]) {
     w.acc_into(x, out);
 }
 
-/// Project `x (T × d)` by a `d × d` weight: `x Wᵀ`.
+/// Project `x (T × d)` by a `d × d` weight: `x Wᵀ`, every row one
+/// [`project_row_kmajor`], all `T` as one multi-row pass.
 fn project(x: &Matrix, w: &KMajor) -> Matrix {
-    let mut out = Matrix::zeros(x.rows(), x.cols());
-    for r in 0..x.rows() {
-        project_row_kmajor(w, x.row(r), out.row_mut(r));
+    let mut out = vec![-0.0; x.rows() * x.cols()];
+    w.acc_rows_into(x.data(), &mut out);
+    Matrix::from_vec(x.rows(), x.cols(), out)
+}
+
+/// Head width and the score scale `1 / √d_k`.
+fn head_dim(d_model: usize, n_heads: usize) -> (usize, f64) {
+    let dk = d_model / n_heads;
+    (dk, 1.0 / (dk as f64).sqrt())
+}
+
+/// The `heads × T` attention weights of the last query row `q` over the
+/// key rows `k` (`T × d`): per head the score dot from `+0.0` over the
+/// head's columns, then `softmax_rows` — `forward`'s sums in `forward`'s
+/// order. The last row attends to every position with or without the
+/// causal mask, so the mask does not appear here.
+fn last_row_weights(q: &[f64], k: &Matrix, n_heads: usize) -> Matrix {
+    let (dk, scale) = head_dim(q.len(), n_heads);
+    let mut a = Matrix::zeros(n_heads, k.rows());
+    for j in 0..k.rows() {
+        for (h, (qh, kh)) in q.chunks_exact(dk).zip(k.row(j).chunks_exact(dk)).enumerate() {
+            let mut s = 0.0;
+            for (qc, kc) in qh.iter().zip(kh) {
+                s += qc * kc;
+            }
+            a[(h, j)] = s * scale;
+        }
     }
-    out
+    softmax_rows(&mut a);
+    a
+}
+
+/// The last row's concatenated head outputs from its weights `a` and the
+/// value rows `v` (`T × d`): `o += a·v` for `j` ascending with `forward`'s
+/// exact-zero skip.
+fn last_row_values(a: &Matrix, v: &Matrix) -> Vec<f64> {
+    let dk = v.cols() / a.rows();
+    let mut o = vec![0.0; v.cols()];
+    for j in 0..v.rows() {
+        for (h, (oh, vh)) in o.chunks_exact_mut(dk).zip(v.row(j).chunks_exact(dk)).enumerate() {
+            let w = a[(h, j)];
+            // exact-zero attention-weight skip, as in forward: the last-row paths are pinned to it bit for bit
+            if w == 0.0 {
+                continue;
+            }
+            for (oc, vc) in oh.iter_mut().zip(vh) {
+                *oc += w * vc;
+            }
+        }
+    }
+    o
 }
 
 /// Backward of one row of [`project`]: `dW += dy ⊗ x`, `dx += dy W`.
@@ -144,15 +183,25 @@ impl MultiHeadAttention {
         }
     }
 
-    /// Head width and the score scale `1 / √d_k`.
-    fn head_dim(&self) -> (usize, f64) {
-        let dk = self.d_model / self.n_heads;
-        (dk, 1.0 / (dk as f64).sqrt())
+    /// A weight's k-major copy (see `crate::kmajor`).
+    fn transposed(&self, w: &Param) -> KMajor {
+        KMajor::new(&w.data, self.d_model, self.d_model)
     }
 
-    /// A weight's k-major copy (see `crate::kmajor`).
-    fn kmajor(&self, w: &Param) -> KMajor {
-        KMajor::new(&w.data, self.d_model, self.d_model)
+    /// The layer's weights in k-major order: built once per fitted model
+    /// (when it is fitted or imported) and borrowed by every
+    /// [`AttentionKMajor::attend_last`] after, so no predict transposes a
+    /// weight. A copy, not a view: after the weights change, build it
+    /// again.
+    pub fn kmajor(&self) -> AttentionKMajor {
+        AttentionKMajor {
+            wq: self.transposed(&self.wq),
+            wk: self.transposed(&self.wk),
+            wv: self.transposed(&self.wv),
+            wo: self.transposed(&self.wo),
+            n_heads: self.n_heads,
+            d_model: self.d_model,
+        }
     }
 
     /// Self-attention over a `T × d_model` sequence; returns `T × d_model`.
@@ -162,11 +211,11 @@ impl MultiHeadAttention {
         assert_eq!(x.cols(), self.d_model, "MultiHeadAttention: input dim mismatch");
         let d = self.d_model;
         let t = x.rows();
-        let (dk, scale) = self.head_dim();
+        let (dk, scale) = head_dim(d, self.n_heads);
 
-        let q = project(x, &self.kmajor(&self.wq));
-        let k = project(x, &self.kmajor(&self.wk));
-        let v = project(x, &self.kmajor(&self.wv));
+        let q = project(x, &self.transposed(&self.wq));
+        let k = project(x, &self.transposed(&self.wk));
+        let v = project(x, &self.transposed(&self.wv));
 
         let mut o = Matrix::zeros(t, d);
         let mut scores = Matrix::zeros(t, t);
@@ -199,78 +248,7 @@ impl MultiHeadAttention {
                 }
             }
         }
-        project(&o, &self.kmajor(&self.wo))
-    }
-
-    /// Row `T − 1` of [`MultiHeadAttention::forward`], with `key(j, row)` /
-    /// `value(j, row)` writing key / value row `j`: per head the score dot
-    /// from `+0.0` over the head's columns, `softmax_rows`, `o += a·v` for
-    /// `j` ascending with the exact-zero skip, then one output-projection
-    /// row — `forward`'s sums in `forward`'s order. The last row attends to
-    /// every position with or without the causal mask, so the mask does not
-    /// appear here.
-    fn last_row(
-        &self,
-        x: &Matrix,
-        mut key: impl FnMut(usize, &mut [f64]),
-        mut value: impl FnMut(usize, &mut [f64]),
-    ) -> LastRow {
-        assert!(x.rows() > 0, "MultiHeadAttention: empty sequence");
-        let d = self.d_model;
-        let t = x.rows();
-        let (dk, scale) = self.head_dim();
-
-        let mut q = vec![0.0; d];
-        project_row(&self.wq.data, x.row(t - 1), &mut q);
-
-        // Row `h` holds head `h`'s scores, then its attention weights.
-        let mut row = vec![0.0; d];
-        let mut a = Matrix::zeros(self.n_heads, t);
-        for j in 0..t {
-            key(j, &mut row);
-            for (h, (qh, kh)) in q.chunks_exact(dk).zip(row.chunks_exact(dk)).enumerate() {
-                let mut s = 0.0;
-                for (qc, kc) in qh.iter().zip(kh) {
-                    s += qc * kc;
-                }
-                a[(h, j)] = s * scale;
-            }
-        }
-        softmax_rows(&mut a);
-
-        let mut o = vec![0.0; d];
-        for j in 0..t {
-            value(j, &mut row);
-            for (h, (oh, vh)) in o.chunks_exact_mut(dk).zip(row.chunks_exact(dk)).enumerate() {
-                let w = a[(h, j)];
-                // exact-zero attention-weight skip, as in forward: the last-row paths are pinned to it bit for bit
-                if w == 0.0 {
-                    continue;
-                }
-                for (oc, vc) in oh.iter_mut().zip(vh) {
-                    *oc += w * vc;
-                }
-            }
-        }
-        let mut y = vec![0.0; d];
-        project_row(&self.wo.data, &o, &mut y);
-        LastRow { q, a, o, y }
-    }
-
-    /// Inference-only attention output for the last position: row `T − 1`
-    /// of [`MultiHeadAttention::forward`], bit for bit, without the cache
-    /// and without the other `T − 1` query rows. K and V are projected one
-    /// row at a time through k-major copies of `wk` / `wv` and never
-    /// materialised.
-    ///
-    /// # Panics
-    /// Panics on an empty sequence or an input dim mismatch.
-    pub fn attend_last(&self, x: &Matrix) -> Vec<f64> {
-        assert_eq!(x.cols(), self.d_model, "MultiHeadAttention: input dim mismatch");
-        let (wk, wv) = (self.kmajor(&self.wk), self.kmajor(&self.wv));
-        let key = |j, row: &mut [f64]| project_row_kmajor(&wk, x.row(j), row);
-        let value = |j, row: &mut [f64]| project_row_kmajor(&wv, x.row(j), row);
-        self.last_row(x, key, value).y
+        project(&o, &self.transposed(&self.wo))
     }
 
     /// Training forward for a loss that reads position `T − 1` only: row
@@ -282,11 +260,16 @@ impl MultiHeadAttention {
     /// Panics on an empty sequence or an input dim mismatch.
     pub fn forward_last(&mut self, x: &Matrix) -> Vec<f64> {
         assert_eq!(x.cols(), self.d_model, "MultiHeadAttention: input dim mismatch");
-        let k = project(x, &self.kmajor(&self.wk));
-        let v = project(x, &self.kmajor(&self.wv));
-        let key = |j, row: &mut [f64]| row.copy_from_slice(k.row(j));
-        let value = |j, row: &mut [f64]| row.copy_from_slice(v.row(j));
-        let LastRow { q, a, o, y } = self.last_row(x, key, value);
+        assert!(x.rows() > 0, "MultiHeadAttention: empty sequence");
+        let d = self.d_model;
+        let mut q = vec![0.0; d];
+        project_row(&self.wq.data, x.row(x.rows() - 1), &mut q);
+        let k = project(x, &self.transposed(&self.wk));
+        let v = project(x, &self.transposed(&self.wv));
+        let a = last_row_weights(&q, &k, self.n_heads);
+        let o = last_row_values(&a, &v);
+        let mut y = vec![0.0; d];
+        project_row(&self.wo.data, &o, &mut y);
         self.cache.push(LastRowCache { x: x.clone(), q, k, v, a, o });
         y
     }
@@ -309,7 +292,7 @@ impl MultiHeadAttention {
         let s = self.cache.pop().expect("MultiHeadAttention::backward_last without forward_last");
         let d = self.d_model;
         let t = s.x.rows();
-        let (dk, scale) = self.head_dim();
+        let (dk, scale) = head_dim(d, self.n_heads);
 
         // Output projection.
         let mut do_ = vec![0.0; d];
@@ -359,6 +342,41 @@ impl MultiHeadAttention {
             }
         }
         dx
+    }
+}
+
+/// A [`MultiHeadAttention`]'s weights in k-major order, built by
+/// [`MultiHeadAttention::kmajor`]: the immutable inference form a fitted
+/// model keeps beside the layer.
+#[derive(Debug)]
+pub struct AttentionKMajor {
+    wq: KMajor,
+    wk: KMajor,
+    wv: KMajor,
+    wo: KMajor,
+    n_heads: usize,
+    d_model: usize,
+}
+
+impl AttentionKMajor {
+    /// Inference-only attention output for the last position: row `T − 1`
+    /// of [`MultiHeadAttention::forward`], bit for bit, without the cache
+    /// and without the other `T − 1` query rows. Q and the output
+    /// projection are one row each; K and V are each one multi-row pass
+    /// over all `T` positions.
+    ///
+    /// # Panics
+    /// Panics on an empty sequence or an input dim mismatch.
+    pub fn attend_last(&self, x: &Matrix) -> Vec<f64> {
+        assert_eq!(x.cols(), self.d_model, "MultiHeadAttention: input dim mismatch");
+        assert!(x.rows() > 0, "MultiHeadAttention: empty sequence");
+        let mut q = vec![0.0; self.d_model];
+        project_row_kmajor(&self.wq, x.row(x.rows() - 1), &mut q);
+        let a = last_row_weights(&q, &project(x, &self.wk), self.n_heads);
+        let o = last_row_values(&a, &project(x, &self.wv));
+        let mut y = vec![0.0; self.d_model];
+        project_row_kmajor(&self.wo, &o, &mut y);
+        y
     }
 }
 

@@ -3,7 +3,7 @@
 //! backward passes.
 
 use crate::activation::{ActLayer, Activation};
-use crate::kmajor::KMajorDense;
+use crate::kmajor::DenseKMajor;
 use crate::linear::Dense;
 use crate::{Layer, Param};
 use rpas_tsmath::elementary::{sigmoid, sigmoid_in_place};
@@ -42,21 +42,6 @@ impl LayerNorm {
         y
     }
 
-    /// Inference-only forward into a caller-owned buffer of length `dim`:
-    /// the same values as [`LayerNorm::forward`], bit for bit, without the
-    /// cache.
-    pub(crate) fn apply_into(&self, x: &[f64], y: &mut [f64]) {
-        let n = x.len();
-        assert_eq!(n, self.gamma.data.len(), "LayerNorm: dim mismatch");
-        assert_eq!(y.len(), n, "LayerNorm: output dim mismatch");
-        let mu = x.iter().sum::<f64>() / n as f64;
-        let var = x.iter().map(|v| (v - mu).powi(2)).sum::<f64>() / n as f64;
-        let inv_std = 1.0 / (var + self.eps).sqrt();
-        for (((yi, v), g), b) in y.iter_mut().zip(x).zip(&self.gamma.data).zip(&self.beta.data) {
-            *yi = (v - mu) * inv_std * g + b;
-        }
-    }
-
     /// Backward pass; returns `dx`.
     #[expect(clippy::expect_used, reason = "backward without forward is a training-loop bug")]
     pub(crate) fn backward(&mut self, dy: &[f64]) -> Vec<f64> {
@@ -89,6 +74,21 @@ impl Layer for LayerNorm {
     }
 }
 
+/// [`LayerNorm::forward`]'s output for `x` with gain `gamma` and bias
+/// `beta`, bit for bit, into a buffer of the same length, without the
+/// cache.
+fn normalize_into(x: &[f64], gamma: &[f64], beta: &[f64], eps: f64, y: &mut [f64]) {
+    let n = x.len();
+    assert_eq!(n, gamma.len(), "LayerNorm: dim mismatch");
+    assert_eq!(y.len(), n, "LayerNorm: output dim mismatch");
+    let mu = x.iter().sum::<f64>() / n as f64;
+    let var = x.iter().map(|v| (v - mu).powi(2)).sum::<f64>() / n as f64;
+    let inv_std = 1.0 / (var + eps).sqrt();
+    for (((yi, v), g), b) in y.iter_mut().zip(x).zip(gamma).zip(beta) {
+        *yi = (v - mu) * inv_std * g + b;
+    }
+}
+
 /// Gated Residual Network:
 ///
 /// ```text
@@ -111,7 +111,6 @@ pub struct GatedResidualNetwork {
     norm: LayerNorm,
     glu_cache: Vec<(Vec<f64>, Vec<f64>, Vec<f64>)>, // (gate pre-act, sigmoid(gate), lin out)
     in_dim: usize,
-    out_dim: usize,
 }
 
 impl GatedResidualNetwork {
@@ -127,7 +126,6 @@ impl GatedResidualNetwork {
             norm: LayerNorm::new(out_dim),
             glu_cache: Vec::new(),
             in_dim,
-            out_dim,
         }
     }
 
@@ -149,24 +147,22 @@ impl GatedResidualNetwork {
         self.norm.forward(&summed)
     }
 
-    /// Inference view over this GRN's current weights: k-major copies of
-    /// fc1, fc2, gate, lin and skip plus one scratch set, built once per
-    /// inference call (as [`crate::LstmCell::stepper`] is) and applied at
-    /// every position of it.
-    pub fn view(&self) -> GrnView<'_> {
-        let hidden = self.fc1.out_dim();
-        GrnView {
+    /// The GRN's weights in k-major order: built once per fitted model
+    /// (when it is fitted or imported) and borrowed by every
+    /// [`GrnKMajor::view`] after, so no predict transposes a weight. A
+    /// copy, not a view: after the GRN's weights change, build it again.
+    pub fn kmajor(&self) -> GrnKMajor {
+        GrnKMajor {
             fc1: self.fc1.kmajor(),
             fc2: self.fc2.kmajor(),
             gate: self.gate.kmajor(),
             lin: self.lin.kmajor(),
             skip: self.skip.as_ref().map(Dense::kmajor),
             elu: self.elu.act,
-            norm: &self.norm,
+            gamma: self.norm.gamma.data.clone(),
+            beta: self.norm.beta.data.clone(),
+            eps: self.norm.eps,
             in_dim: self.in_dim,
-            hidden,
-            out_dim: self.out_dim,
-            scratch: vec![0.0; hidden + 3 * self.out_dim],
         }
     }
 
@@ -202,59 +198,101 @@ impl GatedResidualNetwork {
     }
 }
 
-/// Inference-only GRN, created by [`GatedResidualNetwork::view`]: the five
-/// projections on the k-major kernel (`crate::kmajor`) and every scratch
-/// buffer owned, so [`GrnView::apply_into`] neither caches nor allocates.
-/// Borrows the GRN, so the weights cannot change under it.
+/// A [`GatedResidualNetwork`]'s weights in k-major order, built by
+/// [`GatedResidualNetwork::kmajor`]: the immutable inference form a fitted
+/// model keeps beside the GRN.
+#[derive(Debug)]
+pub struct GrnKMajor {
+    fc1: DenseKMajor,
+    fc2: DenseKMajor,
+    gate: DenseKMajor,
+    lin: DenseKMajor,
+    skip: Option<DenseKMajor>,
+    elu: Activation,
+    gamma: Vec<f64>,
+    beta: Vec<f64>,
+    eps: f64,
+    in_dim: usize,
+}
+
+impl GrnKMajor {
+    /// An inference view with scratch for `pass_rows` rows per multi-row
+    /// pass of [`GrnView::apply_rows`]; it allocates nothing after.
+    ///
+    /// # Panics
+    /// Panics if `pass_rows` is zero.
+    pub fn view(&self, pass_rows: usize) -> GrnView<'_> {
+        assert!(pass_rows > 0, "GrnKMajor::view: a pass takes at least one row");
+        let width = self.fc1.output() + 3 * self.fc2.output();
+        GrnView { grn: self, pass_rows, scratch: vec![0.0; pass_rows * width] }
+    }
+}
+
+/// Inference-only GRN, created by [`GrnKMajor::view`]: owns every scratch
+/// buffer, so [`GrnView::apply_rows`] neither caches nor allocates. Borrows
+/// the k-major form, so the weights cannot change under it.
 #[derive(Debug)]
 pub struct GrnView<'a> {
-    fc1: KMajorDense<'a>,
-    fc2: KMajorDense<'a>,
-    gate: KMajorDense<'a>,
-    lin: KMajorDense<'a>,
-    skip: Option<KMajorDense<'a>>,
-    elu: Activation,
-    norm: &'a LayerNorm,
-    in_dim: usize,
-    hidden: usize,
-    out_dim: usize,
-    /// `h`, `u`, `g`, `l` of the forward pass.
+    grn: &'a GrnKMajor,
+    pass_rows: usize,
+    /// `h`, `u`, `g`, `l` of the forward pass, `pass_rows` rows each.
     scratch: Vec<f64>,
 }
 
 impl GrnView<'_> {
-    /// The GRN's output for `x` into a buffer of length `out_dim`: the same
-    /// values as [`GatedResidualNetwork::forward`], bit for bit.
+    /// The GRN's output for every row of the row-major `xs` into the
+    /// matching row of `ys`: per row the values of
+    /// [`GatedResidualNetwork::forward`], bit for bit.
+    ///
+    /// Up to `pass_rows` rows go through each projection as one multi-row
+    /// pass (fc1 → ELU → fc2 → gate / lin → `σ(gate) · lin` → residual),
+    /// then LayerNorm normalises row by row.
     ///
     /// # Panics
-    /// Panics on an input or output dim mismatch.
-    pub fn apply_into(&mut self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.in_dim, "GRN: input dim mismatch");
-        let (h, rest) = self.scratch.split_at_mut(self.hidden);
-        let (u, rest) = rest.split_at_mut(self.out_dim);
-        let (g, l) = rest.split_at_mut(self.out_dim);
+    /// Panics unless `xs` and `ys` hold the same whole number of rows.
+    pub fn apply_rows(&mut self, xs: &[f64], ys: &mut [f64]) {
+        let grn = self.grn;
+        let (in_dim, hidden, out_dim) = (grn.in_dim, grn.fc1.output(), grn.fc2.output());
+        assert!(
+            xs.len().is_multiple_of(in_dim) && xs.len() / in_dim * out_dim == ys.len(),
+            "GRN: {} inputs for {} outputs",
+            xs.len(),
+            ys.len()
+        );
+        let passes =
+            xs.chunks(self.pass_rows * in_dim).zip(ys.chunks_mut(self.pass_rows * out_dim));
+        for (xb, yb) in passes {
+            let rows = yb.len() / out_dim;
+            let (h, rest) = self.scratch.split_at_mut(self.pass_rows * hidden);
+            let (u, rest) = rest.split_at_mut(self.pass_rows * out_dim);
+            let (g, l) = rest.split_at_mut(self.pass_rows * out_dim);
+            let (h, u) = (&mut h[..rows * hidden], &mut u[..rows * out_dim]);
+            let (g, l) = (&mut g[..rows * out_dim], &mut l[..rows * out_dim]);
 
-        self.fc1.apply_into(x, h);
-        h.iter_mut().for_each(|a| *a = self.elu.apply(*a));
-        self.fc2.apply_into(h, u);
-        self.gate.apply_into(u, g);
-        self.lin.apply_into(u, l);
-        sigmoid_in_place(g);
-        for (gi, li) in g.iter_mut().zip(l.iter()) {
-            *gi *= li;
-        }
-        // `l` and `u` are free again: the projected residual and the sum.
-        let residual = match &self.skip {
-            Some(d) => {
-                d.apply_into(x, l);
-                &*l
+            grn.fc1.apply_rows(xb, h);
+            h.iter_mut().for_each(|a| *a = grn.elu.apply(*a));
+            grn.fc2.apply_rows(h, u);
+            grn.gate.apply_rows(u, g);
+            grn.lin.apply_rows(u, l);
+            sigmoid_in_place(g);
+            for (gi, li) in g.iter_mut().zip(l.iter()) {
+                *gi *= li;
             }
-            None => x,
-        };
-        for ((ui, r), gi) in u.iter_mut().zip(residual).zip(g.iter()) {
-            *ui = r + gi;
+            // `l` and `u` are free again: the projected residual and the sum.
+            let residual = match &grn.skip {
+                Some(d) => {
+                    d.apply_rows(xb, l);
+                    &*l
+                }
+                None => xb,
+            };
+            for ((ui, r), gi) in u.iter_mut().zip(residual).zip(g.iter()) {
+                *ui = r + gi;
+            }
+            for (ur, yr) in u.chunks_exact(out_dim).zip(yb.chunks_exact_mut(out_dim)) {
+                normalize_into(ur, &grn.gamma, &grn.beta, grn.eps, yr);
+            }
         }
-        self.norm.apply_into(u, y);
     }
 }
 

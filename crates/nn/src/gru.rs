@@ -4,7 +4,7 @@
 //! cell keeps a LIFO cache so `backward` calls in reverse order implement
 //! truncated BPTT with weight sharing.
 
-use crate::kmajor::KMajorGate;
+use crate::kmajor::GateKMajor;
 use crate::{Layer, Param};
 use rpas_tsmath::elementary::{sigmoid, sigmoid_in_place, tanh, tanh_in_place};
 use rpas_tsmath::rng::RngCore;
@@ -118,21 +118,18 @@ impl GruCell {
         self.compute(x, h_prev).0
     }
 
-    /// Inference stepper over this cell's current weights: the same values
-    /// as repeated [`GruCell::apply`], bit for bit, without per-step
-    /// allocation. Build one per inference call and reuse it across steps.
-    pub fn stepper(&self) -> GruStepper<'_> {
-        let n = self.hidden_dim;
-        GruStepper {
-            update: KMajorGate::new(&self.wz, &self.uz, &self.bz, self.input_dim, n),
-            reset: KMajorGate::new(&self.wr, &self.ur, &self.br, self.input_dim, n),
-            candidate: KMajorGate::new(&self.wh, &self.uh, &self.bh, self.input_dim, n),
+    /// The cell's weights in k-major order: built once per fitted model
+    /// (when it is fitted or imported) and borrowed by every
+    /// [`GruKMajor::stepper`] after, so no predict transposes a weight.
+    /// A copy, not a view: after the cell's weights change, build it again.
+    pub fn kmajor(&self) -> GruKMajor {
+        let gate = |w, u, b| GateKMajor::new(w, u, b, self.input_dim, self.hidden_dim);
+        GruKMajor {
+            update: gate(&self.wz, &self.uz, &self.bz),
+            reset: gate(&self.wr, &self.ur, &self.br),
+            candidate: gate(&self.wh, &self.uh, &self.bh),
             input_dim: self.input_dim,
-            h: vec![0.0; n],
-            z: vec![0.0; n],
-            r: vec![0.0; n],
-            rh: vec![0.0; n],
-            ah: vec![0.0; n],
+            hidden_dim: self.hidden_dim,
         }
     }
 
@@ -217,16 +214,42 @@ impl GruCell {
     }
 }
 
+/// A [`GruCell`]'s weights in k-major order, built by
+/// [`GruCell::kmajor`]: the immutable inference form a fitted model keeps
+/// beside the cell.
+#[derive(Debug)]
+pub struct GruKMajor {
+    update: GateKMajor,
+    reset: GateKMajor,
+    candidate: GateKMajor,
+    input_dim: usize,
+    hidden_dim: usize,
+}
+
+impl GruKMajor {
+    /// An inference stepper in the zero state: the same values as repeated
+    /// [`GruCell::apply`], bit for bit, without per-step allocation. Build
+    /// one per inference call and reuse it across steps.
+    pub fn stepper(&self) -> GruStepper<'_> {
+        let n = self.hidden_dim;
+        GruStepper {
+            cell: self,
+            h: vec![0.0; n],
+            z: vec![0.0; n],
+            r: vec![0.0; n],
+            rh: vec![0.0; n],
+            ah: vec![0.0; n],
+        }
+    }
+}
+
 /// Inference-only GRU stepper: owns the hidden state and every scratch
 /// buffer, so [`GruStepper::step`] does not allocate. Created by
-/// [`GruCell::stepper`]; borrows the cell, so the weights cannot change
-/// under it.
+/// [`GruKMajor::stepper`]; borrows the k-major form, so the weights cannot
+/// change under it.
 #[derive(Debug)]
 pub struct GruStepper<'a> {
-    update: KMajorGate<'a>,
-    reset: KMajorGate<'a>,
-    candidate: KMajorGate<'a>,
-    input_dim: usize,
+    cell: &'a GruKMajor,
     h: Vec<f64>,
     z: Vec<f64>,
     r: Vec<f64>,
@@ -254,15 +277,16 @@ impl GruStepper<'_> {
     /// # Panics
     /// Panics if `x` is not `input_dim` long.
     pub fn step(&mut self, x: &[f64]) -> &[f64] {
-        assert_eq!(x.len(), self.input_dim, "GruStepper: input dim mismatch");
-        self.update.pre_activation(x, &self.h, &mut self.z);
+        let cell = self.cell;
+        assert_eq!(x.len(), cell.input_dim, "GruStepper: input dim mismatch");
+        cell.update.pre_activation(x, &self.h, &mut self.z);
         sigmoid_in_place(&mut self.z);
-        self.reset.pre_activation(x, &self.h, &mut self.r);
+        cell.reset.pre_activation(x, &self.h, &mut self.r);
         sigmoid_in_place(&mut self.r);
         for ((rh, &r), &h) in self.rh.iter_mut().zip(&self.r).zip(&self.h) {
             *rh = r * h;
         }
-        self.candidate.pre_activation(x, &self.rh, &mut self.ah);
+        cell.candidate.pre_activation(x, &self.rh, &mut self.ah);
         tanh_in_place(&mut self.ah);
         for ((h, &z), &h_tilde) in self.h.iter_mut().zip(&self.z).zip(&self.ah) {
             *h = (1.0 - z) * *h + z * h_tilde;

@@ -17,13 +17,21 @@
 //!   just hyperparameters plus a shared step counter.
 //! * **Inference takes `&self`.** `forward`/`backward` (attention's
 //!   training pair is `forward_last`/`backward_last`, for the one row its
-//!   loss reads) push and pop caches; `apply`/`apply_into`, `stepper()`,
-//!   the GRN's `view()` and `attend_last` cache nothing, so a fitted net is
-//!   shared, not cloned. The steppers, the GRN view and attention's K/V
-//!   projections run on one k-major kernel, and each path is pinned bit for
-//!   bit against its `forward` twin (`tests/properties.rs`); attention's
-//!   all-rows `forward` caches nothing and is the reference for both
-//!   last-row paths.
+//!   loss reads) push and pop caches; `apply`/`apply_into` cache nothing.
+//!   The fast inference paths run on a k-major form of the weights that a
+//!   fitted model builds once, when it is fitted or imported —
+//!   [`LstmCell::kmajor`], [`GruCell::kmajor`],
+//!   [`GatedResidualNetwork::kmajor`], [`MultiHeadAttention::kmajor`] —
+//!   and shares across predicts; per call, a stepper
+//!   ([`LstmKMajor::stepper`], [`GruKMajor::stepper`]) or a GRN view
+//!   ([`GrnKMajor::view`]) owns only its state and scratch. The
+//!   non-recurrent work over a sequence goes as multi-row passes: the
+//!   LSTM's `b + W x` terms ([`LstmStepper::run`]), a GRN over many rows
+//!   ([`GrnView::apply_rows`]) and attention's K and V projections
+//!   ([`AttentionKMajor::attend_last`]). Each path is pinned bit for bit
+//!   against its `forward` / `apply` twin (`tests/properties.rs`);
+//!   attention's all-rows `forward` caches nothing and is the reference
+//!   for both last-row paths.
 //! * **`f64` everywhere.** The workloads are small time series; determinism
 //!   and debuggability beat raw speed.
 
@@ -48,11 +56,11 @@ mod sequential;
 
 pub use activation::Activation;
 pub use adam::Adam;
-pub use attention::MultiHeadAttention;
-pub use grn::{GatedResidualNetwork, GrnView};
-pub use gru::{GruCell, GruStepper};
+pub use attention::{AttentionKMajor, MultiHeadAttention};
+pub use grn::{GatedResidualNetwork, GrnKMajor, GrnView};
+pub use gru::{GruCell, GruKMajor, GruStepper};
 pub use linear::Dense;
-pub use lstm::{LstmCell, LstmStepper};
+pub use lstm::{LstmCell, LstmKMajor, LstmStepper};
 pub use param::Param;
 pub use serialize::{load as load_weights, save as save_weights, SerializeError};
 pub use sequential::Mlp;

@@ -1,6 +1,6 @@
 //! Fully-connected (dense) layer with a cache stack for sequence unrolling.
 
-use crate::kmajor::KMajorDense;
+use crate::kmajor::DenseKMajor;
 use crate::{Layer, Param};
 use rpas_tsmath::rng::RngCore;
 use rpas_tsmath::vector;
@@ -29,15 +29,10 @@ impl Dense {
         }
     }
 
-    /// Output dimension.
-    pub(crate) fn out_dim(&self) -> usize {
-        self.out_dim
-    }
-
-    /// The layer with its weights in k-major order, for inference paths
-    /// that apply it many times per call.
-    pub(crate) fn kmajor(&self) -> KMajorDense<'_> {
-        KMajorDense::new(&self.w, &self.b, self.in_dim, self.out_dim)
+    /// The layer with its weights in k-major order, for the k-major form
+    /// of a recurrent cell or GRN that is built once per fitted model.
+    pub(crate) fn kmajor(&self) -> DenseKMajor {
+        DenseKMajor::new(&self.w, &self.b, self.in_dim, self.out_dim)
     }
 
     /// Forward pass for a single input vector; caches the input for backward.

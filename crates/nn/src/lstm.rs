@@ -3,7 +3,7 @@
 //! Used by the QB5000 hybrid forecaster (its neural component is an LSTM,
 //! following Ma et al., SIGMOD 2018) and by the TFT-style encoder.
 
-use crate::kmajor::KMajorGate;
+use crate::kmajor::GateKMajor;
 use crate::{Layer, Param};
 use rpas_tsmath::elementary::{sigmoid, sigmoid_in_place, tanh, tanh_in_place};
 use rpas_tsmath::rng::RngCore;
@@ -148,25 +148,21 @@ impl LstmCell {
         self.compute(x, state).0
     }
 
-    /// Inference stepper over this cell's current weights: the same values
-    /// as repeated [`LstmCell::apply`] from the zero state, bit for bit,
-    /// without per-step allocation. Build one per inference call and reuse
-    /// it across steps.
-    pub fn stepper(&self) -> LstmStepper<'_> {
-        let n = self.hidden_dim;
-        let gate = |w, u, b| KMajorGate::new(w, u, b, self.input_dim, n);
-        LstmStepper {
-            input: gate(&self.wi, &self.ui, &self.bi),
-            forget: gate(&self.wf, &self.uf, &self.bf),
-            output: gate(&self.wo, &self.uo, &self.bo),
-            candidate: gate(&self.wg, &self.ug, &self.bg),
+    /// The cell's weights in k-major order: built once per fitted model
+    /// (when it is fitted or imported) and borrowed by every
+    /// [`LstmKMajor::stepper`] after, so no predict transposes a weight.
+    /// A copy, not a view: after the cell's weights change, build it again.
+    pub fn kmajor(&self) -> LstmKMajor {
+        let gate = |w, u, b| GateKMajor::new(w, u, b, self.input_dim, self.hidden_dim);
+        LstmKMajor {
+            gates: [
+                gate(&self.wi, &self.ui, &self.bi),
+                gate(&self.wf, &self.uf, &self.bf),
+                gate(&self.wo, &self.uo, &self.bo),
+                gate(&self.wg, &self.ug, &self.bg),
+            ],
             input_dim: self.input_dim,
-            h: vec![0.0; n],
-            c: vec![0.0; n],
-            i: vec![0.0; n],
-            f: vec![0.0; n],
-            o: vec![0.0; n],
-            g: vec![0.0; n],
+            hidden_dim: self.hidden_dim,
         }
     }
 
@@ -254,24 +250,51 @@ impl LstmCell {
     }
 }
 
-/// Inference-only LSTM stepper: owns the state and every scratch buffer,
-/// so [`LstmStepper::step`] does not allocate. Created by
-/// [`LstmCell::stepper`] in the zero state; borrows the cell, so the
+/// An [`LstmCell`]'s weights in k-major order, built by
+/// [`LstmCell::kmajor`]: the immutable inference form a fitted model keeps
+/// beside the cell.
+#[derive(Debug)]
+pub struct LstmKMajor {
+    /// Gates `i, f, o, g`.
+    gates: [GateKMajor; 4],
+    input_dim: usize,
+    hidden_dim: usize,
+}
+
+impl LstmKMajor {
+    /// An inference stepper in the zero state: the same values as repeated
+    /// [`LstmCell::apply`] from [`LstmCell::init_state`], bit for bit. It
+    /// owns the state and its scratch, sized for `pass_rows` positions per
+    /// multi-row pass of [`LstmStepper::run`], and allocates nothing after.
+    ///
+    /// # Panics
+    /// Panics if `pass_rows` is zero.
+    pub fn stepper(&self, pass_rows: usize) -> LstmStepper<'_> {
+        assert!(pass_rows > 0, "LstmKMajor::stepper: a pass takes at least one row");
+        let n = self.hidden_dim;
+        LstmStepper {
+            cell: self,
+            pass_rows,
+            h: vec![0.0; n],
+            c: vec![0.0; n],
+            pre: vec![0.0; 4 * pass_rows * n],
+        }
+    }
+}
+
+/// Inference-only LSTM stepper, created by [`LstmKMajor::stepper`]: owns
+/// the state and every scratch buffer, so neither [`LstmStepper::step`]
+/// nor [`LstmStepper::run`] allocates. Borrows the k-major form, so the
 /// weights cannot change under it.
 #[derive(Debug)]
 pub struct LstmStepper<'a> {
-    input: KMajorGate<'a>,
-    forget: KMajorGate<'a>,
-    output: KMajorGate<'a>,
-    candidate: KMajorGate<'a>,
-    input_dim: usize,
+    cell: &'a LstmKMajor,
+    pass_rows: usize,
     h: Vec<f64>,
     c: Vec<f64>,
-    /// Gate pre-activations, then (in place) the gates.
-    i: Vec<f64>,
-    f: Vec<f64>,
-    o: Vec<f64>,
-    g: Vec<f64>,
+    /// Per gate (`i, f, o, g`), `pass_rows` rows of pre-activations
+    /// `b + W x`, then (in place, one row per step) `+ U h` and the gate.
+    pre: Vec<f64>,
 }
 
 impl LstmStepper<'_> {
@@ -286,29 +309,79 @@ impl LstmStepper<'_> {
     /// # Panics
     /// Panics if `x` is not `input_dim` long.
     pub fn step(&mut self, x: &[f64]) -> &[f64] {
-        assert_eq!(x.len(), self.input_dim, "LstmStepper: input dim mismatch");
-        self.input.pre_activation(x, &self.h, &mut self.i);
-        self.forget.pre_activation(x, &self.h, &mut self.f);
-        self.output.pre_activation(x, &self.h, &mut self.o);
-        self.candidate.pre_activation(x, &self.h, &mut self.g);
+        assert_eq!(x.len(), self.cell.input_dim, "LstmStepper: input dim mismatch");
+        let n = self.cell.hidden_dim;
+        let gate_rows = self.pass_rows * n;
+        for (gate, pre) in self.cell.gates.iter().zip(self.pre.chunks_exact_mut(gate_rows)) {
+            gate.input.apply_into(x, &mut pre[..n]);
+        }
+        self.advance(0);
+        &self.h
+    }
+
+    /// Advance the state over every row of the row-major `xs` (`steps ×
+    /// input_dim`), writing each step's hidden state into the matching
+    /// row of `hs` (`steps × hidden_dim`): the values of as many
+    /// [`LstmStepper::step`]s, bit for bit.
+    ///
+    /// Only `U h` is recurrent, so each gate's `b + W x` of up to
+    /// `pass_rows` positions is one multi-row pass before the steps that
+    /// read it; each step then adds `U h` to its row — the reference cell's
+    /// `(b + W x) + U h`.
+    ///
+    /// # Panics
+    /// Panics unless `xs` and `hs` hold the same whole number of rows.
+    pub fn run(&mut self, xs: &[f64], hs: &mut [f64]) {
+        let (input, n) = (self.cell.input_dim, self.cell.hidden_dim);
+        assert!(
+            xs.len().is_multiple_of(input) && xs.len() / input * n == hs.len(),
+            "LstmStepper::run: {} inputs for {} hidden values",
+            xs.len(),
+            hs.len()
+        );
+        let gate_rows = self.pass_rows * n;
+        let passes = xs.chunks(self.pass_rows * input).zip(hs.chunks_mut(gate_rows));
+        for (xb, hb) in passes {
+            for (gate, pre) in self.cell.gates.iter().zip(self.pre.chunks_exact_mut(gate_rows)) {
+                gate.input.apply_rows(xb, &mut pre[..hb.len()]);
+            }
+            for (t, h) in hb.chunks_exact_mut(n).enumerate() {
+                self.advance(t);
+                h.copy_from_slice(&self.h);
+            }
+        }
+    }
+
+    /// One step from the `b + W x` rows at position `t` of the pass.
+    fn advance(&mut self, t: usize) {
+        let n = self.cell.hidden_dim;
+        let gate_rows = self.pass_rows * n;
+        let (i, rest) = self.pre.split_at_mut(gate_rows);
+        let (f, rest) = rest.split_at_mut(gate_rows);
+        let (o, g) = rest.split_at_mut(gate_rows);
+        let row = t * n..(t + 1) * n;
+        let (i, f, o, g) =
+            (&mut i[row.clone()], &mut f[row.clone()], &mut o[row.clone()], &mut g[row]);
+        for (gate, a) in self.cell.gates.iter().zip([&mut *i, &mut *f, &mut *o, &mut *g]) {
+            gate.hidden.acc_into(&self.h, a);
+        }
         // One whole-row pass per nonlinearity (DESIGN.md §13), then the
         // cell state, then `h = o ∘ tanh(c)` as a tanh pass over a copy of
         // `c` and a multiply: IEEE multiplication commutes, so each `h` is
         // the reference cell's bits.
-        for gate in [&mut self.i, &mut self.f, &mut self.o] {
+        for gate in [&mut *i, &mut *f, &mut *o] {
             sigmoid_in_place(gate);
         }
-        tanh_in_place(&mut self.g);
-        let gates = self.i.iter().zip(&self.f).zip(&self.g);
+        tanh_in_place(g);
+        let gates = i.iter().zip(f.iter()).zip(g.iter());
         for (c, ((&i, &f), &g)) in self.c.iter_mut().zip(gates) {
             *c = f * *c + i * g;
         }
         self.h.copy_from_slice(&self.c);
         tanh_in_place(&mut self.h);
-        for (h, &o) in self.h.iter_mut().zip(&self.o) {
+        for (h, &o) in self.h.iter_mut().zip(o.iter()) {
             *h *= o;
         }
-        &self.h
     }
 }
 

@@ -70,7 +70,8 @@ fn gru_stepper_matches_apply_bit_for_bit() {
         gru.wh.data[0] = 0.0;
 
         let mut h = g.vec_f64(-1.0, 1.0, hidden, hidden + 1);
-        let mut stepper = gru.stepper();
+        let form = gru.kmajor();
+        let mut stepper = form.stepper();
         prop_assert!(stepper.state().iter().all(|v| v.to_bits() == 0), "fresh state is +0.0");
         stepper.set_state(&h);
         for step in 0..g.usize_in(1, 7) {
@@ -108,12 +109,14 @@ fn lstm_hidden_bounded_by_one() {
 fn lstm_stepper_matches_apply_bit_for_bit() {
     // Same kernel, same contract as the GRU stepper: every hidden size —
     // below, at, and off a multiple of either row block — reproduces the
-    // plain reference cell exactly, over several chained steps.
+    // plain reference cell exactly, over several chained steps, one
+    // `step` at a time and as multi-row `run` passes of any length (whole
+    // passes, a short last one, a sequence shorter than one pass).
     const HIDDEN: [usize; 12] = [1, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 67];
     forall("lstm_stepper_matches_apply_bit_for_bit", 96, |g| {
         let mut r = seeded(g.u64());
         let hidden = HIDDEN[g.usize_in(0, HIDDEN.len())];
-        let input = g.usize_in(1, 4);
+        let input = if g.u8() < 128 { g.usize_in(1, 4) } else { g.usize_in(1, 40) };
         let mut lstm = LstmCell::new(input, hidden, &mut r);
         lstm.visit_params(&mut |p| {
             for w in &mut p.data {
@@ -124,20 +127,29 @@ fn lstm_stepper_matches_apply_bit_for_bit() {
         lstm.uf.data[0] = -0.0;
         lstm.wg.data[0] = 0.0;
 
-        let mut state = lstm.init_state();
-        let mut stepper = lstm.stepper();
+        let steps = g.usize_in(2, 40);
+        let xs = g.vec_f64(-3.0, 3.0, steps * input, steps * input + 1);
+        let pass_rows = g.usize_in(1, 20);
+        let form = lstm.kmajor();
+        let mut stepper = form.stepper(pass_rows);
         prop_assert!(stepper.hidden().iter().all(|v| v.to_bits() == 0), "fresh state is +0.0");
-        for step in 0..g.usize_in(2, 8) {
-            let x = g.vec_f64(-3.0, 3.0, input, input + 1);
-            state = lstm.apply(&x, &state);
-            let fast = stepper.step(&x);
-            for (i, (a, b)) in state.h.iter().zip(fast).enumerate() {
+        let mut runner = form.stepper(pass_rows);
+        let mut hs = vec![f64::NAN; steps * hidden];
+        runner.run(&xs, &mut hs);
+
+        let mut state = lstm.init_state();
+        for (step, (x, run_h)) in xs.chunks_exact(input).zip(hs.chunks_exact(hidden)).enumerate() {
+            state = lstm.apply(x, &state);
+            let fast = stepper.step(x);
+            for (i, ((a, b), c)) in state.h.iter().zip(fast).zip(run_h).enumerate() {
                 prop_assert!(
-                    a.to_bits() == b.to_bits(),
-                    "hidden {hidden} input {input} step {step} unit {i}: {a:e} vs {b:e}"
+                    a.to_bits() == b.to_bits() && a.to_bits() == c.to_bits(),
+                    "hidden {hidden} input {input} pass {pass_rows} step {step} unit {i}: \
+                     apply {a:e}, step {b:e}, run {c:e}"
                 );
             }
         }
+        prop_assert!(runner.hidden() == stepper.hidden(), "run leaves the last state");
         Ok(())
     });
 }
@@ -157,7 +169,7 @@ fn attend_last_matches_last_row_of_forward_bit_for_bit() {
         let amp = g.f64_in(0.1, 40.0);
         let x = Matrix::from_vec(t, d, g.vec_f64(-amp, amp, t * d, t * d + 1));
 
-        let fast = attn.attend_last(&x);
+        let fast = attn.kmajor().attend_last(&x);
         let full = attn.forward(&x);
         attn.clear_cache();
         prop_assert_eq!(fast.len(), d);
@@ -253,7 +265,7 @@ fn forward_last_matches_last_row_of_forward_bit_for_bit() {
 #[test]
 fn grn_view_matches_forward_bit_for_bit() {
     // Hidden and output widths below, at and off a multiple of the
-    // k-major kernel's 8-row block.
+    // k-major kernel's row blocks; row counts below, at and past a pass.
     forall("grn_view_matches_forward_bit_for_bit", 64, |g| {
         let mut r = seeded(g.u64());
         let in_dim = g.usize_in(1, 20);
@@ -267,26 +279,31 @@ fn grn_view_matches_forward_bit_for_bit() {
             }
         });
 
-        // One view across calls, as TFT applies it at every position.
-        let mut view = grn.view();
-        let inputs: Vec<Vec<f64>> =
-            (0..3).map(|_| g.vec_f64(-3.0, 3.0, in_dim, in_dim + 1)).collect();
-        let fast: Vec<Vec<f64>> = inputs
-            .iter()
-            .map(|x| {
-                let mut y = vec![f64::NAN; out_dim];
-                view.apply_into(x, &mut y);
-                y
+        // One view across calls, as TFT applies it to every pass.
+        let form = grn.kmajor();
+        let pass_rows = g.usize_in(1, 20);
+        let mut view = form.view(pass_rows);
+        let calls: Vec<Vec<f64>> = (0..2)
+            .map(|_| {
+                let rows = g.usize_in(1, 40);
+                g.vec_f64(-3.0, 3.0, rows * in_dim, rows * in_dim + 1)
             })
             .collect();
-        for (x, fast) in inputs.iter().zip(&fast) {
-            let reference = grn.forward(x);
-            grn.clear_cache();
-            for (i, (a, b)) in fast.iter().zip(&reference).enumerate() {
-                prop_assert!(
-                    a.to_bits() == b.to_bits(),
-                    "dims {in_dim}/{hidden}/{out_dim} unit {i}: {a:e} vs {b:e}"
-                );
+        for xs in &calls {
+            let mut ys = vec![f64::NAN; xs.len() / in_dim * out_dim];
+            view.apply_rows(xs, &mut ys);
+            for (row, (x, fast)) in
+                xs.chunks_exact(in_dim).zip(ys.chunks_exact(out_dim)).enumerate()
+            {
+                let reference = grn.forward(x);
+                grn.clear_cache();
+                for (i, (a, b)) in fast.iter().zip(&reference).enumerate() {
+                    prop_assert!(
+                        a.to_bits() == b.to_bits(),
+                        "dims {in_dim}/{hidden}/{out_dim} pass {pass_rows} row {row} unit {i}: \
+                         {a:e} vs {b:e}"
+                    );
+                }
             }
         }
         Ok(())
